@@ -98,12 +98,16 @@ func mutable(n node, own *owner) node {
 }
 
 // Insert appends val to key's postings (creating the key if absent).
-func (t *Tree) Insert(key string, val uint64) {
+func (t *Tree) Insert(key string, val uint64) { t.InsertAt(key, -1, val) }
+
+// InsertAt inserts val at index i of key's postings, for callers that keep a
+// postings list in an order of their own; i < 0 or past the end appends.
+func (t *Tree) InsertAt(key string, i int, val uint64) {
 	if t.root.find(key) == nil {
 		t.keys++
 	}
 	t.root = mutable(t.root, t.own)
-	right, sep := t.insertAt(t.root, key, val)
+	right, sep := t.insertAt(t.root, key, i, val)
 	if right != nil {
 		t.root = &inner{own: t.own, keys: []string{sep}, children: []node{t.root, right}}
 		t.height++
@@ -112,14 +116,14 @@ func (t *Tree) Insert(key string, val uint64) {
 
 // insertAt inserts into an already-mutable node, returning a new right
 // sibling and its separator key when the node splits.
-func (t *Tree) insertAt(n node, key string, val uint64) (node, string) {
+func (t *Tree) insertAt(n node, key string, at int, val uint64) (node, string) {
 	switch x := n.(type) {
 	case *leaf:
-		return x.insert(key, val)
+		return x.insert(key, at, val)
 	case *inner:
 		i := x.childFor(key)
 		x.children[i] = mutable(x.children[i], t.own)
-		right, sep := t.insertAt(x.children[i], key, val)
+		right, sep := t.insertAt(x.children[i], key, at, val)
 		if right == nil {
 			return nil, ""
 		}
@@ -292,16 +296,20 @@ func (l *leaf) find(key string) []uint64 {
 }
 
 // insert assumes the leaf is already mutable (owned by the inserting tree).
-func (l *leaf) insert(key string, val uint64) (node, string) {
+// val goes to index at of the key's postings (at < 0 or past the end: last).
+func (l *leaf) insert(key string, at int, val uint64) (node, string) {
 	i := sort.SearchStrings(l.keys, key)
 	if i < len(l.keys) && l.keys[i] == key {
+		vals := l.vals[i]
 		if l.sharedVals {
-			nv := make([]uint64, 0, len(l.vals[i])+1)
-			nv = append(nv, l.vals[i]...)
-			l.vals[i] = append(nv, val)
-		} else {
-			l.vals[i] = append(l.vals[i], val)
+			vals = append(make([]uint64, 0, len(vals)+1), vals...)
 		}
+		vals = append(vals, val)
+		if at >= 0 && at < len(vals)-1 {
+			copy(vals[at+1:], vals[at:])
+			vals[at] = val
+		}
+		l.vals[i] = vals
 		return nil, ""
 	}
 	l.keys = append(l.keys, "")
@@ -328,8 +336,10 @@ func (l *leaf) insert(key string, val uint64) (node, string) {
 
 // --- inner ---------------------------------------------------------------
 
+// childFor returns the child holding key: the first whose separator is
+// greater than key (a key equal to a separator lives to its right).
 func (in *inner) childFor(key string) int {
-	return sort.SearchStrings(in.keys, key+"\x00")
+	return sort.Search(len(in.keys), func(i int) bool { return in.keys[i] > key })
 }
 
 func (in *inner) find(key string) []uint64 {

@@ -232,3 +232,26 @@ func TestQuickAgainstMapModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestInsertAt(t *testing.T) {
+	tr := New()
+	for _, v := range []uint64{10, 30} {
+		tr.Insert("k", v)
+	}
+	tr.InsertAt("k", 1, 20)  // middle
+	tr.InsertAt("k", 0, 5)   // front
+	tr.InsertAt("k", 99, 40) // past the end appends
+	tr.InsertAt("k", -1, 50) // as does a negative index
+	tr.InsertAt("new", 3, 1) // a new key starts a list whatever the index
+	frozen := tr.Clone()
+	tr.InsertAt("k", 2, 15)
+	if got, want := fmt.Sprint(tr.Get("k")), "[5 10 15 20 30 40 50]"; got != want {
+		t.Fatalf("postings = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(frozen.Get("k")), "[5 10 20 30 40 50]"; got != want {
+		t.Fatalf("an insert into the middle wrote through to the clone: %s, want %s", got, want)
+	}
+	if got := tr.Get("new"); len(got) != 1 || got[0] != 1 || tr.Len() != 2 {
+		t.Fatalf("new key: %v, %d keys", got, tr.Len())
+	}
+}

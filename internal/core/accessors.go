@@ -84,17 +84,49 @@ func TypedValue(n *Node, c Color) (any, bool) {
 // parses as an integer, float64 when it parses as a decimal, else the
 // (trimmed) string unchanged.
 func Atomize(s string) any {
-	t := strings.TrimSpace(s)
-	if t == "" {
+	i, f, isInt, ok := parseNumber(s)
+	switch {
+	case !ok:
 		return s
-	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+	case isInt:
 		return i
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
+	default:
 		return f
 	}
-	return s
+}
+
+// Numeric returns the number Atomize types s as, if it types it as one.
+func Numeric(s string) (float64, bool) {
+	i, f, isInt, ok := parseNumber(s)
+	if isInt {
+		return float64(i), ok
+	}
+	return f, ok
+}
+
+// parseNumber is the parse behind Atomize. Most values that reach it are
+// plain text, and strconv allocates an error for each failed parse, so text
+// is turned away on its first byte: everything strconv accepts as an integer
+// or a float starts with a digit, a sign or a point, except the unsigned
+// spellings of infinity and NaN.
+func parseNumber(s string) (i int64, f float64, isInt, ok bool) {
+	t := strings.TrimSpace(s)
+	if t == "" {
+		return 0, 0, false, false
+	}
+	switch c := t[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.':
+	case strings.EqualFold(t, "inf"), strings.EqualFold(t, "infinity"), strings.EqualFold(t, "nan"):
+	default:
+		return 0, 0, false, false
+	}
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+		return i, 0, true, true
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil {
+		return 0, f, false, true
+	}
+	return 0, 0, false, false
 }
 
 // Root returns the root of the colored tree containing n in color c: the

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -178,22 +180,104 @@ func TestTypedValue(t *testing.T) {
 	}
 }
 
+// atomizeRef is Atomize as it was before text was turned away on its first
+// byte: the behaviour the prefilter must not change.
+func atomizeRef(s string) any {
+	t := strings.TrimSpace(s)
+	if t == "" {
+		return s
+	}
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+		return i
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil {
+		return f
+	}
+	return s
+}
+
 func TestAtomize(t *testing.T) {
+	same := func(a, b any) bool {
+		af, aok := a.(float64)
+		bf, bok := b.(float64)
+		if aok && bok && math.IsNaN(af) && math.IsNaN(bf) {
+			return true
+		}
+		return a == b
+	}
 	cases := []struct {
 		in   string
 		want any
 	}{
 		{"42", int64(42)},
 		{" -7 ", int64(-7)},
+		{" 7 ", int64(7)},
+		{"+1", int64(1)},
 		{"3.5", 3.5},
+		{".5", 0.5},
 		{"1e3", 1000.0},
+		{"0x1p-2", 0.25},
+		{"Inf", math.Inf(1)},
+		{"-inf", math.Inf(-1)},
+		{"Infinity", math.Inf(1)},
+		{"nan", math.NaN()},
 		{"abc", "abc"},
+		{"Item 7", "Item 7"},
+		{" Item 7", " Item 7"},
 		{"", ""},
+		{"  ", "  "},
 		{"12abc", "12abc"},
+		{"-", "-"},
+		{".", "."},
+		{"in", "in"},
+		{"none", "none"},
+		{"_1", "_1"},
+		{"\u0661", "\u0661"},
 	}
 	for _, c := range cases {
-		if got := core.Atomize(c.in); got != c.want {
+		got := core.Atomize(c.in)
+		if !same(got, c.want) {
 			t.Errorf("Atomize(%q) = %#v, want %#v", c.in, got, c.want)
+		}
+		if ref := atomizeRef(c.in); !same(got, ref) {
+			t.Errorf("Atomize(%q) = %#v, the unfiltered parse gives %#v", c.in, got, ref)
+		}
+		f, ok := core.Numeric(c.in)
+		switch w := c.want.(type) {
+		case int64:
+			if !ok || f != float64(w) {
+				t.Errorf("Numeric(%q) = %v, %v", c.in, f, ok)
+			}
+		case float64:
+			if !ok || !same(f, w) {
+				t.Errorf("Numeric(%q) = %v, %v", c.in, f, ok)
+			}
+		default:
+			if ok {
+				t.Errorf("Numeric(%q) = %v, want not a number", c.in, f)
+			}
+		}
+	}
+}
+
+// TestAtomizeTextDoesNotAllocate: typing plain text used to cost two failed
+// strconv parses, an allocated error each. Numeric allocates nothing now;
+// Atomize only the interface box it returns the string in.
+func TestAtomizeTextDoesNotAllocate(t *testing.T) {
+	for _, in := range []string{"Item 7", "", " some text ", "none"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := core.Numeric(in); ok {
+				t.Fatal("text parsed as a number")
+			}
+		}); n != 0 {
+			t.Errorf("Numeric(%q) allocates %v times", in, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := core.Atomize(in).(string); !ok {
+				t.Fatal("text did not atomize to itself")
+			}
+		}); n > 1 {
+			t.Errorf("Atomize(%q) allocates %v times", in, n)
 		}
 	}
 }

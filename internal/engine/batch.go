@@ -71,17 +71,35 @@ func (b *Batch) Row(i int) Row {
 func (b *Batch) appendSlot(cols int) []storage.SNode {
 	if b.n == 0 {
 		b.cols = cols
-		if cap(b.data) < BatchSize*cols {
-			b.pool.putBuf(b.data)
-			b.data = b.pool.getBuf(BatchSize * cols)
-		}
 	} else if cols != b.cols {
 		panic("engine: mixed row widths in one batch")
 	}
 	off := b.n * b.cols
+	if off+b.cols > cap(b.data) {
+		b.grow(off + b.cols)
+	}
 	b.data = b.data[:off+b.cols]
 	b.n++
 	return b.data[off : off+b.cols]
+}
+
+// minBatchRows is the capacity an unpooled batch buffer starts at.
+const minBatchRows = 32
+
+// grow moves the batch to a buffer with room for need nodes. A pooled
+// execution takes a whole BatchSize-row buffer at once — it is recycled, so
+// its size costs nothing. An unpooled one grows in factors of four up to
+// that size: most operators of a selective plan pass a handful of rows, and
+// a full buffer each (50 kB a column, allocated and cleared) would be most
+// of what such a plan costs to run.
+func (b *Batch) grow(need int) {
+	size := BatchSize * b.cols
+	if b.pool == nil {
+		size = min(size, max(need, 4*cap(b.data), minBatchRows*b.cols))
+	}
+	buf := append(b.pool.getBuf(size), b.data...)
+	b.pool.putBuf(b.data)
+	b.data = buf
 }
 
 // AppendRow copies one row into the batch.
@@ -168,22 +186,29 @@ type arena struct {
 // alloc returns a slice of n nodes carved from the current chunk, which the
 // caller fully overwrites (pooled chunks are dirty; both callers copy into
 // every node they are handed). Oversized requests (wider than a quarter
-// chunk) get their own allocation.
+// chunk) get their own allocation. Like batch buffers (Batch.grow), pooled
+// chunks come whole and unpooled ones grow by factors of four, so that a
+// query keeping a handful of rows does not allocate and clear 800 kB.
 func (a *arena) alloc(n int) []storage.SNode {
 	if n > arenaChunkNodes/4 {
 		return make([]storage.SNode, n)
 	}
 	if a.used+n > len(a.chunk) {
-		a.chunk = a.pool.getChunk()
-		a.used = 0
 		if a.pool != nil {
+			a.chunk = a.pool.getChunk()
 			a.taken = append(a.taken, a.chunk)
+		} else {
+			a.chunk = make([]storage.SNode, min(arenaChunkNodes, max(n, 4*len(a.chunk), minArenaChunk)))
 		}
+		a.used = 0
 	}
 	s := a.chunk[a.used : a.used+n : a.used+n]
 	a.used += n
 	return s
 }
+
+// minArenaChunk is the size, in nodes, of an unpooled arena's first chunk.
+const minArenaChunk = 256
 
 // release returns every pooled chunk drawn during the execution. Only the
 // pooled streaming executor calls it, after the last batch was visited and

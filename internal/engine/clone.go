@@ -72,6 +72,16 @@ func (o *CrossColor) Clone() Op {
 }
 
 // Clone implements Op.
+func (o *NavJoin) Clone() Op {
+	return &NavJoin{Input: o.Input.Clone(), Col: o.Col, Axis: o.Axis, Color: o.Color, Tag: o.Tag}
+}
+
+// Clone implements Op.
+func (o *Uniq) Clone() Op {
+	return &Uniq{Input: o.Input.Clone()}
+}
+
+// Clone implements Op.
 func (o *ValueJoin) Clone() Op {
 	return &ValueJoin{
 		Left:     o.Left.Clone(),

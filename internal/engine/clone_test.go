@@ -41,8 +41,11 @@ func widePlan() engine.Op {
 										Col:      0,
 										ProbeCol: 0,
 										Axis:     join.AncestorDescendant,
-										Input:    scan("a"),
-										Probe:    scan("b"),
+										Input: &engine.Uniq{Input: &engine.NavJoin{
+											Col: 0, Axis: engine.NavAncestor, Color: "red", Tag: "z",
+											Input: scan("a"),
+										}},
+										Probe: scan("b"),
 									},
 									Desc: &engine.CrossColor{
 										Col: 0,

@@ -39,6 +39,7 @@ type Metrics struct {
 	ValueJoins   int // value join probes
 	IDJoins      int // element-identity join probes
 	CrossJoins   int // cross-tree (color transition) link traversals
+	NavProbes    int // navigational-join input rows navigated from
 	RowsOut      int
 	ContentReads int
 }
@@ -54,6 +55,7 @@ type OpStats struct {
 	ValueJoins   int
 	IDJoins      int
 	CrossJoins   int
+	NavProbes    int
 	ContentReads int
 	// Nanos is the cumulative wall time spent inside this operator's
 	// NextBatch (including its children's), accumulated only under TraceExec.
@@ -139,6 +141,13 @@ func (ctx *Ctx) addCrossJoins(o Op, n int) {
 	ctx.M.CrossJoins += n
 	if st := ctx.statsFor(o); st != nil {
 		st.CrossJoins += n
+	}
+}
+
+func (ctx *Ctx) addNavProbes(o Op, n int) {
+	ctx.M.NavProbes += n
+	if st := ctx.statsFor(o); st != nil {
+		st.NavProbes += n
 	}
 }
 
@@ -464,6 +473,7 @@ func statExtras(st *OpStats) string {
 	add("valueJoins", st.ValueJoins)
 	add("idJoins", st.IDJoins)
 	add("crossJoins", st.CrossJoins)
+	add("probes", st.NavProbes)
 	add("contentReads", st.ContentReads)
 	return b.String()
 }
@@ -513,32 +523,13 @@ func (p Pred) Eval(content string) (bool, error) {
 		return strings.HasPrefix(content, p.Value), nil
 	case "lt", "le", "gt", "ge":
 		if p.Numeric {
-			a, aok := core.Atomize(content).(int64)
-			b, bok := core.Atomize(p.Value).(int64)
-			if !aok || !bok {
-				af, aok2 := toFloat(core.Atomize(content))
-				bf, bok2 := toFloat(core.Atomize(p.Value))
-				if !aok2 || !bok2 {
-					return false, nil
-				}
-				return cmpFloat(p.Kind, af, bf), nil
-			}
-			return cmpFloat(p.Kind, float64(a), float64(b)), nil
+			a, aok := core.Numeric(content)
+			b, bok := core.Numeric(p.Value)
+			return aok && bok && cmpFloat(p.Kind, a, b), nil
 		}
 		return cmpStr(p.Kind, content, p.Value), nil
 	default:
 		return false, fmt.Errorf("engine: unknown predicate kind %q", p.Kind)
-	}
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
 	}
 }
 

@@ -21,6 +21,7 @@ var (
 	obsValueJoins   = obs.NewCounter("engine_value_joins_total")
 	obsIDJoins      = obs.NewCounter("engine_id_joins_total")
 	obsCrossJoins   = obs.NewCounter("engine_cross_joins_total")
+	obsNavProbes    = obs.NewCounter("engine_nav_probes_total")
 	obsContentReads = obs.NewCounter("engine_content_reads_total")
 	obsPanics       = obs.NewCounter("engine_panics_total")
 )
@@ -45,5 +46,6 @@ func foldObs(ctx *Ctx, sw obs.Stopwatch, rows int, err error) {
 	addNZ(obsValueJoins, ctx.M.ValueJoins)
 	addNZ(obsIDJoins, ctx.M.IDJoins)
 	addNZ(obsCrossJoins, ctx.M.CrossJoins)
+	addNZ(obsNavProbes, ctx.M.NavProbes)
 	addNZ(obsContentReads, ctx.M.ContentReads)
 }

@@ -200,5 +200,6 @@ func (m *Metrics) merge(w Metrics) {
 	m.ValueJoins += w.ValueJoins
 	m.IDJoins += w.IDJoins
 	m.CrossJoins += w.CrossJoins
+	m.NavProbes += w.NavProbes
 	m.ContentReads += w.ContentReads
 }

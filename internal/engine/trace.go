@@ -61,6 +61,7 @@ func attachOpSpans(parent *obs.Span, op Op, stats map[Op]*OpStats) {
 	setNZ("value_joins", st.ValueJoins)
 	setNZ("id_joins", st.IDJoins)
 	setNZ("cross_joins", st.CrossJoins)
+	setNZ("nav_probes", st.NavProbes)
 	setNZ("content_reads", st.ContentReads)
 	for _, ch := range op.Children() {
 		attachOpSpans(sp, ch, stats)

@@ -91,18 +91,18 @@ func (p *Page) setSlotEntry(i uint16, off, length uint16) {
 
 // FreeSpace returns the bytes available for one more record (including its
 // slot entry).
-func (p *Page) FreeSpace() int {
+func (p *Page) FreeSpace() int { return max(0, p.room()) }
+
+// room is FreeSpace before clamping: negative when not even one more slot
+// entry fits, which is what keeps an empty record off a full page.
+func (p *Page) room() int {
 	used := int(p.freeOff()) + int(p.numSlots())*slotSize
-	free := PageSize - used - slotSize
-	if free < 0 {
-		return 0
-	}
-	return free
+	return PageSize - used - slotSize
 }
 
 // Insert adds a record to the page, returning its slot.
 func (p *Page) Insert(rec []byte) (uint16, error) {
-	if len(rec) > p.FreeSpace() {
+	if len(rec) > p.room() {
 		return 0, fmt.Errorf("pagestore: %w (%d bytes, %d free)", ErrRecordTooLarge, len(rec), p.FreeSpace())
 	}
 	slot := p.numSlots()
@@ -188,10 +188,14 @@ type fileMeta struct {
 	hasPages bool
 }
 
+// frame is one pooled page. Its LRU links are embedded, so moving a page on
+// and off the unpinned list allocates nothing; queued reports whether the
+// frame is on that list.
 type frame struct {
-	page *Page
-	pins int
-	elem *lruElem
+	page   *Page
+	pins   int
+	lru    lruElem
+	queued bool
 }
 
 // NewStore creates a store with the given buffer pool capacity in pages
@@ -303,22 +307,32 @@ func (s *Store) FlushAll() {
 func (s *Store) Pin(id PageID) (*Page, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	fr, err := s.frameLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	fr.pins++
+	s.dequeueLocked(fr)
+	return fr.page, nil
+}
+
+// frameLocked returns the pooled frame of a page, reading the page in (and
+// making room for it) on a miss. A frame read in here is neither pinned nor
+// queued; the caller does one or the other before releasing the lock.
+func (s *Store) frameLocked(id PageID) (*frame, error) {
+	// A pooled page exists (pages are never dropped), so a hit needs no
+	// range check.
+	if fr, ok := s.pool[id]; ok {
+		s.stats.Hits++
+		obsPoolHits.Inc()
+		return fr, nil
+	}
 	meta, ok := s.files[id.File]
 	if !ok {
 		return nil, fmt.Errorf("pagestore: file %d: %w", id.File, ErrNoSuchFile)
 	}
 	if id.Page >= meta.pages {
 		return nil, fmt.Errorf("pagestore: page %v out of range (%d pages)", id, meta.pages)
-	}
-	if fr, ok := s.pool[id]; ok {
-		s.stats.Hits++
-		obsPoolHits.Inc()
-		fr.pins++
-		if fr.elem != nil {
-			s.lru.remove(fr.elem)
-			fr.elem = nil
-		}
-		return fr.page, nil
 	}
 	s.stats.Misses++
 	obsPageReads.Inc()
@@ -327,8 +341,27 @@ func (s *Store) Pin(id PageID) (*Page, error) {
 		copy(pg.Data[:], img)
 	}
 	s.ensureCapacityLocked()
-	s.pool[id] = &frame{page: pg, pins: 1}
-	return pg, nil
+	fr := &frame{page: pg, lru: lruElem{id: id}}
+	s.pool[id] = fr
+	return fr, nil
+}
+
+// enqueueLocked makes an unpinned frame the most recently used eviction
+// candidate.
+func (s *Store) enqueueLocked(fr *frame) {
+	if fr.queued && s.lru.head == &fr.lru {
+		return // a scan re-reading its current page
+	}
+	s.dequeueLocked(fr)
+	s.lru.pushFront(&fr.lru)
+	fr.queued = true
+}
+
+func (s *Store) dequeueLocked(fr *frame) {
+	if fr.queued {
+		s.lru.remove(&fr.lru)
+		fr.queued = false
+	}
 }
 
 // Unpin releases a pinned page.
@@ -341,7 +374,7 @@ func (s *Store) Unpin(id PageID) {
 	}
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = s.lru.pushFront(id)
+		s.enqueueLocked(fr)
 	}
 }
 
@@ -357,7 +390,7 @@ func (s *Store) ensureCapacityLocked() {
 		if fr == nil {
 			continue
 		}
-		fr.elem = nil
+		fr.queued = false
 		s.evictLocked(id, fr)
 	}
 }
@@ -366,9 +399,7 @@ func (s *Store) evictLocked(id PageID, fr *frame) {
 	img := make([]byte, PageSize)
 	copy(img, fr.page.Data[:])
 	s.disk[id] = img
-	if fr.elem != nil {
-		s.lru.remove(fr.elem)
-	}
+	s.dequeueLocked(fr)
 	delete(s.pool, id)
 	s.stats.Evictions++
 }
@@ -404,7 +435,7 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 		if err != nil {
 			return RecordID{}, err
 		}
-		if fresh || len(rec) <= pg.FreeSpace() {
+		if fresh || len(rec) <= pg.room() {
 			slot, err := pg.Insert(rec)
 			s.Unpin(id)
 			if err == nil {
@@ -426,20 +457,33 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	}
 }
 
-// ReadRecord pins the page, copies the record out and unpins.
+// ReadRecord returns a copy of the record.
 func (s *Store) ReadRecord(rid RecordID) ([]byte, error) {
-	pg, err := s.Pin(rid.PageID)
+	var out []byte
+	err := s.ViewRecord(rid, func(rec []byte) { out = append([]byte(nil), rec...) })
+	return out, err
+}
+
+// ViewRecord calls fn with the record's bytes inside the page, for readers
+// that decode a record and keep nothing of it: one pool access — counted and
+// aged exactly like a Pin/Unpin pair — and no copy. rec is valid only during
+// the call, and fn must not call back into the store.
+func (s *Store) ViewRecord(rid RecordID, fn func(rec []byte)) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fr, err := s.frameLocked(rid.PageID)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer s.Unpin(rid.PageID)
-	rec, err := pg.Record(rid.Slot)
+	if fr.pins == 0 {
+		s.enqueueLocked(fr)
+	}
+	rec, err := fr.page.Record(rid.Slot)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	fn(rec)
+	return nil
 }
 
 // OverwriteRecord replaces a record in place (same or smaller size).
@@ -492,7 +536,8 @@ func (s *Store) Scan(f FileID, fn func(RecordID, []byte) bool) error {
 	return nil
 }
 
-// lruList is a tiny intrusive doubly-linked LRU list of PageIDs.
+// lruList is a tiny intrusive doubly-linked LRU list: the elements are the
+// lru fields of the pooled frames.
 type lruList struct {
 	head, tail *lruElem
 }
@@ -504,9 +549,8 @@ type lruElem struct {
 
 func newLRUList() *lruList { return &lruList{} }
 
-func (l *lruList) pushFront(id PageID) *lruElem {
-	e := &lruElem{id: id}
-	e.next = l.head
+func (l *lruList) pushFront(e *lruElem) {
+	e.prev, e.next = nil, l.head
 	if l.head != nil {
 		l.head.prev = e
 	}
@@ -514,7 +558,6 @@ func (l *lruList) pushFront(id PageID) *lruElem {
 	if l.tail == nil {
 		l.tail = e
 	}
-	return e
 }
 
 func (l *lruList) remove(e *lruElem) {

@@ -287,3 +287,112 @@ func TestQuickRandomRecordsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptyRecordStaysOffFullPage: a page with no room for one more slot
+// entry used to report zero free bytes, which an empty record "fits" — its
+// slot entry then overwrote the tail of the last record on the page.
+func TestEmptyRecordStaysOffFullPage(t *testing.T) {
+	s := NewStore(4)
+	f := s.CreateFile()
+	// 81 records of 96 bytes leave the page 88 bytes short of an 82nd; the
+	// 84-byte record then leaves it exactly full: no byte and no slot left.
+	var rids []RecordID
+	var vals [][]byte
+	add := func(n int) {
+		val := bytes.Repeat([]byte{byte(len(vals) + 1)}, n)
+		rid, err := s.AppendRecord(f, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids, vals = append(rids, rid), append(vals, val)
+	}
+	for i := 0; i < 81; i++ {
+		add(96)
+	}
+	add(PageSize - pageHeader - 81*(96+slotSize) - slotSize)
+	if rids[81].Page != 0 {
+		t.Fatalf("set-up: the filler landed on page %d", rids[81].Page)
+	}
+	add(0)
+	if rids[82].Page == 0 {
+		t.Fatal("an empty record was put on a page with no room for its slot entry")
+	}
+	for i, rid := range rids {
+		got, err := s.ReadRecord(rid)
+		if err != nil || !bytes.Equal(got, vals[i]) {
+			t.Fatalf("record %d (%d bytes) reads back as %d bytes, err %v", i, len(vals[i]), len(got), err)
+		}
+	}
+}
+
+// TestViewRecordCountsAndAgesLikeAPin: a view is one pool access, it makes
+// its page the most recently used, and it leaves nothing pinned.
+func TestViewRecordCountsAndAgesLikeAPin(t *testing.T) {
+	s := NewStore(2)
+	f := s.CreateFile()
+	var rids []RecordID
+	for i := 0; i < 3; i++ {
+		rid, err := s.AppendRecord(f, bytes.Repeat([]byte{byte('a' + i)}, 5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	view := func(rid RecordID) (first byte) {
+		t.Helper()
+		if err := s.ViewRecord(rid, func(rec []byte) { first = rec[0] }); err != nil {
+			t.Fatal(err)
+		}
+		return first
+	}
+	// Pages 1 and 2 are pooled (capacity 2). Touch 1, then fault in 0: page 2
+	// is the least recently used and must be the one evicted.
+	s.ResetStats()
+	if view(rids[1]) != 'b' || view(rids[0]) != 'a' {
+		t.Fatal("wrong bytes")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Evictions != 1 {
+		t.Fatalf("stats after a hit and a miss: %+v", st)
+	}
+	s.ResetStats()
+	if view(rids[1]) != 'b' {
+		t.Fatal("wrong bytes")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("the touched page was evicted instead of the idle one: %+v", st)
+	}
+	if err := s.ViewRecord(RecordID{PageID: rids[0].PageID, Slot: 9}, func([]byte) { t.Fatal("called for a missing slot") }); err == nil {
+		t.Fatal("a missing slot should fail")
+	}
+	// Nothing stays pinned: with every frame evictable, any page can come in.
+	s.FlushAll()
+	s.ResetStats()
+	for _, rid := range rids {
+		view(rid)
+	}
+	if st := s.Stats(); st.Misses != 3 {
+		t.Fatalf("after FlushAll every view should miss: %+v", st)
+	}
+}
+
+// TestRecordReadsDoNotAllocate: the decode-and-drop readers (ViewRecord) and
+// the pin cycle itself allocate nothing on a pooled page.
+func TestRecordReadsDoNotAllocate(t *testing.T) {
+	s := NewStore(4)
+	rid, err := s.AppendRecord(s.CreateFile(), []byte("record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if a := testing.AllocsPerRun(100, func() {
+		if err := s.ViewRecord(rid, func(rec []byte) { n += len(rec) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Pin(rid.PageID); err != nil {
+			t.Fatal(err)
+		}
+		s.Unpin(rid.PageID)
+	}); a != 0 {
+		t.Fatalf("a view and a pin/unpin allocate %v times", a)
+	}
+}

@@ -578,12 +578,7 @@ func asFloat(v any) (float64, bool) {
 		}
 		return 0, true
 	case string:
-		if a, ok := core.Atomize(x).(int64); ok {
-			return float64(a), true
-		}
-		if a, ok := core.Atomize(x).(float64); ok {
-			return a, true
-		}
+		return core.Numeric(x)
 	}
 	return 0, false
 }

@@ -32,13 +32,16 @@ func CompileQuery(src string, opt Options) (*Compiled, error) {
 }
 
 // chain is one connected component of the plan under construction: an
-// operator tree, the layout of its rows, the variables bound to columns, and
-// an estimated output cardinality.
+// operator tree, the layout of its rows, the variables bound to columns, an
+// estimated output cardinality, and the estimated cost of producing it (in
+// the cost table's units; only ever compared between alternative lowerings
+// of the same thing).
 type chain struct {
 	op     engine.Op
 	cols   []ColInfo
 	varCol map[string]int
 	card   float64
+	cost   float64
 }
 
 type lowerer struct {
@@ -119,6 +122,7 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 	// Results are the distinct nodes of the output column: binding tuples
 	// that select the same node (e.g. via different join partners) collapse.
 	root := engine.Op(&engine.Dedup{Input: ch.op, Col: col})
+	obsNavLowerings.Add(uint64(countNavJoins(root)))
 	return &Compiled{
 		Root:    root,
 		Cols:    ch.cols,
@@ -130,6 +134,19 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 	}, nil
 }
 
+// countNavJoins counts the navigational joins of a finished plan (probe
+// chains built for a cost comparison and then discarded do not count).
+func countNavJoins(op engine.Op) int {
+	n := 0
+	if _, ok := op.(*engine.NavJoin); ok {
+		n = 1
+	}
+	for _, c := range op.Children() {
+		n += countNavJoins(c)
+	}
+	return n
+}
+
 // --- cost model -----------------------------------------------------------
 
 // Batch-aware per-row cost constants (DESIGN.md §11). The batched executor
@@ -139,12 +156,19 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 // input row; a summary probe resolves a structural record and participates
 // in one start-order sort. The summary probe also pays a fixed cost to match
 // the pattern against the summary's distinct paths (and, on first use per
-// color, the amortized build).
+// color, the amortized build). A navigation — one parent hop, or one seek of
+// a tag's posting list — costs costNavProbe scanned rows, calibrated by
+// BenchmarkNavCost on the 20 000-item store (DESIGN.md §11 has the
+// measurement); the rows it finds are then read like scanned rows. A sorted
+// or filtered row is copied or fetched once, like a scanned row.
 const (
 	costScanRow      = 1.0
 	costJoinProbe    = 2.5
 	costSummaryRow   = 1.2
 	costSummaryProbe = 64.0
+	costNavProbe     = 15.0
+	costSortRow      = 1.0
+	costFilterRow    = 1.0
 )
 
 // chainCost estimates the batched structural-join lowering of a root chain:
@@ -231,29 +255,100 @@ func axisOf(a pathexpr.Axis) join.Axis {
 	return join.AncestorDescendant
 }
 
+// access is one way of producing a step's element population as
+// single-column rows, distinct and in start order: the operator, its
+// estimated cardinality and cost, and the step predicates still to apply.
+// The predicate it folds into the scan, if any, would cost a lowering that
+// does not use the access path foldFixed + foldRow per row to apply.
+type access struct {
+	op   engine.Op
+	card float64
+	cost float64
+	rest []LPred
+
+	foldFixed, foldRow float64
+}
+
 // stepAccess picks the access path for one step's element population: the
 // content index when a predicate on the node's own content is an equality,
-// a filtering tag scan for other self-content predicates, and a plain tag
-// index scan otherwise. It returns the chosen scan, its estimated
-// cardinality, and the predicates still to apply.
-func (lw *lowerer) stepAccess(st LStep) (engine.Op, float64, []LPred) {
+// a filtering tag scan for other self-content predicates, a plain tag index
+// scan otherwise — or, when a path predicate's probe is far smaller than
+// any of those, the probe itself (probeAccess). frac is the fraction of the
+// population the step will keep (1 for a root step; for a later step, the
+// share whose ancestor survived the chain so far).
+func (lw *lowerer) stepAccess(st LStep, frac float64) (access, error) {
+	tc := lw.tagCard(st.Color, st.Tag)
+	scan := access{
+		op:   lw.maybeParallel(&engine.ScanTag{Color: st.Color, Tag: st.Tag}, tc),
+		card: tc, cost: tc * costScanRow, rest: st.Preds,
+	}
 	for i, p := range st.Preds {
 		if len(p.Path) != 0 || p.Attr != "" {
 			continue
 		}
-		rest := append(append([]LPred{}, st.Preds[:i]...), st.Preds[i+1:]...)
+		scan.rest = append(append([]LPred{}, st.Preds[:i]...), st.Preds[i+1:]...)
+		scan.foldRow = costFilterRow
 		if p.Pred.Kind == "eq" {
-			card := lw.tagCard(st.Color, st.Tag) * lw.eqSel(st.Color, st.Tag, p.Pred.Value)
-			return &engine.EqContent{Color: st.Color, Tag: st.Tag, Value: p.Pred.Value}, card, rest
+			scan.card = tc * lw.eqSel(st.Color, st.Tag, p.Pred.Value)
+			scan.cost = scan.card * costScanRow
+			scan.op = &engine.EqContent{Color: st.Color, Tag: st.Tag, Value: p.Pred.Value}
+			break
 		}
 		// A contains scan reads every candidate of the tag regardless of its
 		// output cardinality, so the parallel decision uses the input size.
-		op := lw.maybeParallel(&engine.ContainsScan{Color: st.Color, Tag: st.Tag, Pred: p.Pred},
-			lw.tagCard(st.Color, st.Tag))
-		return op, lw.tagCard(st.Color, st.Tag) / 3, rest
+		scan.op = lw.maybeParallel(&engine.ContainsScan{Color: st.Color, Tag: st.Tag, Pred: p.Pred}, tc)
+		scan.card = tc / 3
+		scan.cost = tc * (costScanRow + costFilterRow)
+		break
 	}
-	card := lw.tagCard(st.Color, st.Tag)
-	return lw.maybeParallel(&engine.ScanTag{Color: st.Color, Tag: st.Tag}, card), card, st.Preds
+	return lw.probeAccess(st, scan, frac)
+}
+
+// probeAccess turns a selective path predicate into the step's access path:
+// instead of scanning the step's tag and semi-joining every node against the
+// predicate's probe chain, it runs the probe chain and navigates from each
+// witness up to the step's nodes (tag-checked parent or ancestors), distinct
+// and back in start order — the same single-column rows the scan would have
+// left after the predicate, at a cost proportional to the probe. It is
+// chosen when navigating from the probe's rows costs less than the scan plus
+// semi-joining the share of it that reaches the predicate (the probe chain
+// itself runs either way); predicates that navigate another colour keep the
+// scan.
+func (lw *lowerer) probeAccess(st LStep, scan access, frac float64) (access, error) {
+	best, bestCard := -1, 0.0
+	for i, p := range st.Preds {
+		if len(p.Path) == 0 || p.Path[0].Color != st.Color {
+			continue
+		}
+		last := p.Path[len(p.Path)-1]
+		card := lw.tagCard(last.Color, last.Tag) * lw.predSel(st, p)
+		if best < 0 || card < bestCard {
+			best, bestCard = i, card
+		}
+	}
+	if best < 0 || bestCard*(costNavProbe+costSortRow) >= scan.cost+frac*scan.card*costJoinProbe {
+		return scan, nil
+	}
+	p := st.Preds[best]
+	probe, err := lw.predChain(p)
+	if err != nil {
+		return access{}, err
+	}
+	axis := engine.NavParent
+	if p.Path[0].Axis == pathexpr.AxisDescendant {
+		axis = engine.NavAncestor
+	}
+	var op engine.Op = &engine.NavJoin{Input: probe.op, Col: 0, Axis: axis, Color: st.Color, Tag: st.Tag}
+	op = &engine.Project{Input: op, Cols: []int{len(probe.cols)}}
+	op = &engine.SortStart{Input: &engine.Dedup{Input: op, Col: 0}, Col: 0}
+	return access{
+		op:   op,
+		card: math.Min(probe.card, lw.tagCard(st.Color, st.Tag)),
+		cost: probe.cost + probe.card*(costNavProbe+costSortRow),
+		rest: append(append([]LPred{}, st.Preds[:best]...), st.Preds[best+1:]...),
+		// Applied on its own it is a semi-join against the same probe.
+		foldFixed: probe.cost, foldRow: costJoinProbe,
+	}, nil
 }
 
 // trySummary lowers a root-anchored step chain to a path-summary probe
@@ -297,6 +392,7 @@ func (lw *lowerer) trySummary(ch *chain, vp *VarPlan) (int, bool, error) {
 	ch.op = &engine.PathScan{Color: c, Steps: steps}
 	ch.cols = []ColInfo{{Tag: last.Tag, Color: c}}
 	ch.card = float64(count)
+	ch.cost = summaryCost(ch.card)
 	anchor := 0
 	preds := append([]LPred{}, last.Preds...)
 	sort.SliceStable(preds, func(i, j int) bool {
@@ -348,47 +444,82 @@ func (lw *lowerer) crossTo(ch *chain, anchor int, to core.Color) int {
 
 // applyStep extends a chain by one location step anchored at column anchor
 // (anchor < 0: the step roots the chain) and returns the new step's column.
+//
+// A non-root step has two lowerings, picked by cost. The merge lowering
+// scans the step's population and structurally joins it with the chain — its
+// cost is the scan plus one index probe per chain row, whatever the chain's
+// size. The navigational lowering (engine.NavJoin) walks from each chain row
+// to its parent/ancestors or children/descendants — its cost is one
+// navigation per chain row plus the rows found, whatever the population. A
+// chain that is small next to the population navigates; a chain of the
+// population's order merges (DESIGN.md §6).
 func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 	var rest []LPred
 	if ch.op == nil {
 		if st.Axis == pathexpr.AxisParent || st.Axis == pathexpr.AxisAncestor {
 			return 0, unsupportedf("path begins with reverse axis %s", st.Axis)
 		}
-		var op engine.Op
-		op, ch.card, rest = lw.stepAccess(st)
-		ch.op = op
+		acc, err := lw.stepAccess(st, 1)
+		if err != nil {
+			return 0, err
+		}
+		ch.op, ch.card, ch.cost, rest = acc.op, acc.card, acc.cost, acc.rest
 		ch.cols = []ColInfo{{Tag: st.Tag, Color: st.Color}}
 		anchor = 0
 	} else {
 		anchor = lw.crossTo(ch, anchor, st.Color)
 		prev := ch.cols[anchor]
-		scan, scanCard, r := lw.stepAccess(st)
-		rest = r
+		// A forward step keeps the fraction of the tag's population whose
+		// ancestor survived the chain so far; a reverse step at most one
+		// node per chain row.
+		frac := math.Min(1, ch.card/lw.tagCard(prev.Color, prev.Tag))
+		if st.Axis == pathexpr.AxisParent || st.Axis == pathexpr.AxisAncestor {
+			frac = math.Min(1, ch.card/lw.tagCard(st.Color, st.Tag))
+		}
+		acc, err := lw.stepAccess(st, frac)
+		if err != nil {
+			return 0, err
+		}
+		rest = acc.rest
+		merge := acc.cost + ch.card*costJoinProbe
 		switch st.Axis {
 		case pathexpr.AxisChild, pathexpr.AxisDescendant:
-			ch.op = &engine.StructJoin{Anc: ch.op, Desc: scan, AncCol: anchor, DescCol: 0, Axis: axisOf(st.Axis)}
+			// NavJoin emits in chain order; the merge join emits in the new
+			// column's start order, which the sort restores.
+			found := lw.tagCard(st.Color, st.Tag) * frac
+			if nav := ch.card*costNavProbe + found*(costScanRow+costSortRow+acc.foldRow) + acc.foldFixed; nav < merge {
+				anchor = lw.navStep(ch, anchor, st)
+				ch.op = &engine.SortStart{Input: ch.op, Col: anchor}
+				ch.card, ch.cost, rest = found, ch.cost+nav, st.Preds
+				break
+			}
+			ch.op = &engine.StructJoin{Anc: ch.op, Desc: acc.op, AncCol: anchor, DescCol: 0, Axis: axisOf(st.Axis)}
 			ch.cols = append(ch.cols, ColInfo{Tag: st.Tag, Color: st.Color})
 			anchor = len(ch.cols) - 1
-			// The step keeps the fraction of the tag's population whose
-			// ancestor survived the chain so far.
-			frac := math.Min(1, ch.card/lw.tagCard(prev.Color, prev.Tag))
-			ch.card = scanCard * frac
+			ch.card, ch.cost = acc.card*frac, ch.cost+merge
 		case pathexpr.AxisParent, pathexpr.AxisAncestor:
+			// Both lowerings emit in chain order, ancestors outermost first.
+			if nav := ch.card*(costNavProbe+acc.foldRow) + acc.foldFixed; nav < merge {
+				anchor = lw.navStep(ch, anchor, st)
+				ch.card, ch.cost, rest = math.Min(ch.card, lw.tagCard(st.Color, st.Tag)), ch.cost+nav, st.Preds
+				break
+			}
 			// Reverse step: the new nodes are the ancestors; structural join
 			// output is anc columns then desc columns, so existing columns
 			// shift right by one.
-			ch.op = &engine.StructJoin{Anc: scan, Desc: ch.op, AncCol: 0, DescCol: anchor, Axis: axisOf(st.Axis)}
+			ch.op = &engine.StructJoin{Anc: acc.op, Desc: ch.op, AncCol: 0, DescCol: anchor, Axis: axisOf(st.Axis)}
 			ch.cols = append([]ColInfo{{Tag: st.Tag, Color: st.Color}}, ch.cols...)
 			for v := range ch.varCol {
 				ch.varCol[v]++
 			}
 			anchor = 0
-			ch.card = math.Min(ch.card, scanCard)
+			ch.card, ch.cost = math.Min(ch.card, acc.card), ch.cost+merge
 		default:
 			return 0, unsupportedf("axis %s", st.Axis)
 		}
 	}
 	// Most selective predicates first.
+	rest = append([]LPred{}, rest...)
 	sort.SliceStable(rest, func(i, j int) bool {
 		return lw.predSel(st, rest[i]) < lw.predSel(st, rest[j])
 	})
@@ -401,40 +532,107 @@ func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 	return anchor, nil
 }
 
-// applyPred applies one pushed-down predicate to the chain. Path predicates
-// lower to a structural semijoin (ExistsJoin) against a probe chain built
-// over the predicate's relative path; the probe's first-step column is the
-// probe key, so nested predicates compile recursively. The anchored column
-// may move when a cross-tree transition is needed.
+// navStep appends a NavJoin from column col along the step's axis and
+// returns the column it adds.
+func (lw *lowerer) navStep(ch *chain, col int, st LStep) int {
+	ch.op = &engine.NavJoin{Input: ch.op, Col: col, Axis: navAxisOf(st.Axis), Color: st.Color, Tag: st.Tag}
+	ch.cols = append(ch.cols, ColInfo{Tag: st.Tag, Color: st.Color})
+	return len(ch.cols) - 1
+}
+
+func navAxisOf(a pathexpr.Axis) engine.NavAxis {
+	switch a {
+	case pathexpr.AxisChild:
+		return engine.NavChild
+	case pathexpr.AxisDescendant:
+		return engine.NavDescendant
+	case pathexpr.AxisParent:
+		return engine.NavParent
+	default:
+		return engine.NavAncestor
+	}
+}
+
+// applyPred applies one pushed-down predicate to the chain. A path predicate
+// lowers to a structural semijoin (ExistsJoin) against a probe chain built
+// over the predicate's relative path — the probe's first-step column is the
+// probe key, so nested predicates compile recursively — or, when the chain
+// is small next to that probe, to navigation from the chain's own rows
+// (navPred). The anchored column may move when a cross-tree transition is
+// needed.
 func (lw *lowerer) applyPred(ch *chain, anchor int, st LStep, p LPred) (int, error) {
 	sel := lw.predSel(st, p)
 	switch {
 	case len(p.Path) == 0 && p.Attr != "":
 		ch.op = &engine.AttrFilter{Input: ch.op, Col: anchor, Name: p.Attr, Pred: p.Pred}
+		ch.cost += ch.card * costFilterRow
 	case len(p.Path) == 0:
 		ch.op = &engine.Filter{Input: ch.op, Col: anchor, Pred: p.Pred}
+		ch.cost += ch.card * costFilterRow
 	default:
 		probe, err := lw.predChain(p)
 		if err != nil {
 			return 0, err
 		}
-		col := anchor
-		if pc := p.Path[0].Color; ch.cols[col].Color != pc {
-			// The predicate navigates another hierarchy: transition first
-			// (elements not in that hierarchy cannot satisfy it).
-			ch.op = &engine.CrossColor{Input: ch.op, Col: col, To: pc}
-			ch.cols = append(ch.cols, ColInfo{Tag: ch.cols[col].Tag, Color: pc})
-			col = len(ch.cols) - 1
-			anchor = col
+		// The predicate may navigate another hierarchy: transition first
+		// (elements not in that hierarchy cannot satisfy it).
+		anchor = lw.crossTo(ch, anchor, p.Path[0].Color)
+		exists := probe.cost + ch.card*costJoinProbe
+		if nav, ok := lw.navPredCost(ch, anchor, p); ok && nav < exists {
+			lw.navPred(ch, anchor, p)
+			ch.cost += nav
+			break
 		}
 		ch.op = &engine.ExistsJoin{
 			Input: ch.op, Probe: probe.op,
-			Col: col, ProbeCol: 0,
+			Col: anchor, ProbeCol: 0,
 			Axis: axisOf(p.Path[0].Axis),
 		}
+		ch.cost += exists
 	}
 	ch.card *= sel
 	return anchor, nil
+}
+
+// navPredCost estimates navPred for a path predicate on column col: one
+// navigation per row and path step, plus a content fetch per witness found.
+// Only plain paths qualify — a nested predicate on a path step keeps the
+// probe-chain lowering, which compiles it recursively.
+func (lw *lowerer) navPredCost(ch *chain, col int, p LPred) (float64, bool) {
+	rows, cost := ch.card, 0.0
+	from := ch.cols[col]
+	for _, s := range p.Path {
+		if len(s.Preds) > 0 {
+			return 0, false
+		}
+		cost += rows * costNavProbe
+		rows *= lw.tagCard(s.Color, s.Tag) / lw.tagCard(from.Color, from.Tag)
+		from = ColInfo{Tag: s.Tag, Color: s.Color}
+	}
+	return cost + rows*costFilterRow, true
+}
+
+// navPred lowers a path predicate by navigating from the chain's own rows:
+// each row fans out along the path to its witnesses, the comparison filters
+// them, and Project+Uniq cut the witness columns off and fold a row's
+// surviving copies back into one — rows keep their order and never multiply,
+// exactly as under ExistsJoin.
+func (lw *lowerer) navPred(ch *chain, col int, p LPred) {
+	width := len(ch.cols)
+	for i, s := range p.Path {
+		ch.op = &engine.NavJoin{Input: ch.op, Col: col, Axis: navAxisOf(s.Axis), Color: s.Color, Tag: s.Tag}
+		col = width + i
+	}
+	if p.Attr != "" {
+		ch.op = &engine.AttrFilter{Input: ch.op, Col: col, Name: p.Attr, Pred: p.Pred}
+	} else {
+		ch.op = &engine.Filter{Input: ch.op, Col: col, Pred: p.Pred}
+	}
+	keep := make([]int, width)
+	for i := range keep {
+		keep[i] = i
+	}
+	ch.op = &engine.Uniq{Input: &engine.Project{Input: ch.op, Cols: keep}}
 }
 
 // predChain builds the probe plan for a path predicate: the chain of the
@@ -527,6 +725,7 @@ func (lw *lowerer) merge(left, right *chain, op engine.Op, card float64) {
 		left.varCol[v] = c + off
 	}
 	left.card = card
+	left.cost += right.cost
 	for v, ch := range lw.of {
 		if ch == right {
 			lw.of[v] = left

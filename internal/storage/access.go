@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"colorfulxml/internal/core"
@@ -10,11 +11,14 @@ import (
 
 // readStructRef reads a structural record through the buffer pool.
 func (s *Store) readStructRef(ref uint64, c core.Color) (SNode, error) {
-	buf, err := s.pages.ReadRecord(unpackRID(ref))
-	if err != nil {
-		return SNode{}, err
-	}
-	return decodeStruct(buf, c), nil
+	return s.readStruct(unpackRID(ref), c)
+}
+
+// readStruct decodes a structural record in place in its page.
+func (s *Store) readStruct(rid pagestore.RecordID, c core.Color) (SNode, error) {
+	var sn SNode
+	err := s.pages.ViewRecord(rid, func(rec []byte) { sn = decodeStruct(rec, c) })
+	return sn, err
 }
 
 // TagRefs returns the tag index posting list for (c, tag) without reading
@@ -92,12 +96,25 @@ func (s *Store) Elem(id ElemID) (ElemInfo, error) {
 	if !ok {
 		return ElemInfo{}, fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
-	buf, err := s.pages.ReadRecord(rid)
-	if err != nil {
-		return ElemInfo{}, err
+	var e ElemInfo
+	err := s.pages.ViewRecord(rid, func(rec []byte) {
+		e.ID, e.Tag, e.Content, e.Attrs = decodeElem(rec)
+	})
+	return e, err
+}
+
+// TagIs reports whether element id carries the given tag. It compares the
+// tag inside the element record's page: content and attributes are not
+// decoded and nothing is allocated, which is what lets a navigational join
+// tag-check every parent or ancestor it hops to.
+func (s *Store) TagIs(id ElemID, tag string) (bool, error) {
+	rid, ok := s.elemLoc[id]
+	if !ok {
+		return false, fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
-	eid, tag, content, attrs := decodeElem(buf)
-	return ElemInfo{ID: eid, Tag: tag, Content: content, Attrs: attrs}, nil
+	var is bool
+	err := s.pages.ViewRecord(rid, func(rec []byte) { is = string(elemTag(rec)) == tag })
+	return is, err
 }
 
 // ContentOf reads an element's text content.
@@ -168,11 +185,8 @@ func (s *Store) CrossTree(id ElemID, to core.Color) (SNode, bool, error) {
 	if !ok {
 		return SNode{}, false, nil
 	}
-	buf, err := s.pages.ReadRecord(rid)
-	if err != nil {
-		return SNode{}, false, err
-	}
-	return decodeStruct(buf, to), true, nil
+	sn, err := s.readStruct(rid, to)
+	return sn, err == nil, err
 }
 
 // ColorsOf returns the colors an element participates in.
@@ -186,7 +200,8 @@ func (s *Store) ColorsOf(id ElemID) []core.Color {
 	return out
 }
 
-// ParentOf returns the parent structural node of sn in its color.
+// ParentOf returns the parent structural node of sn in its color: one probe
+// of the start index at sn's stored parent-start.
 func (s *Store) ParentOf(sn SNode) (SNode, bool, error) {
 	if sn.ParentStart < 0 {
 		return SNode{}, false, nil
@@ -201,6 +216,92 @@ func (s *Store) ParentOf(sn SNode) (SNode, bool, error) {
 		return SNode{}, false, err
 	}
 	return p, true, nil
+}
+
+// AppendAncestors appends to dst the ancestors of sn that carry tag,
+// outermost first (the order a structural join emits them in) — or, with
+// parentOnly, just the parent when it carries tag. It walks the stored
+// parent-starts, so its cost is sn's depth, whatever the tag's population.
+func (s *Store) AppendAncestors(dst []SNode, sn SNode, tag string, parentOnly bool) ([]SNode, error) {
+	base := len(dst)
+	for {
+		p, ok, err := s.ParentOf(sn)
+		if err != nil {
+			return dst, err
+		}
+		if !ok {
+			break
+		}
+		is, err := s.TagIs(p.Elem, tag)
+		if err != nil {
+			return dst, err
+		}
+		if is {
+			dst = append(dst, p)
+		}
+		if parentOnly {
+			break
+		}
+		sn = p
+	}
+	// The walk found them innermost first.
+	for l, r := base, len(dst)-1; l < r; l, r = l+1, r-1 {
+		dst[l], dst[r] = dst[r], dst[l]
+	}
+	return dst, nil
+}
+
+// seekStart returns the position, in a start-ordered posting list of sn's
+// color, of the first node that starts after sn. A bulk load writes
+// structural records in start order, so where sn's own record sits among the
+// list's refs is usually the answer: that guess costs no reads to make and
+// two to check. Where updates have put records out of start order the check
+// fails, and a binary search reading one record per probe finds the place.
+func (s *Store) seekStart(refs []uint64, sn SNode) (int, error) {
+	var err error
+	after := func(i int) bool {
+		d, e := s.readStructRef(refs[i], sn.Color)
+		if e != nil {
+			err = e
+		}
+		return e != nil || d.Start > sn.Start
+	}
+	own := packRID(s.structLoc[structKey{sn.Elem, sn.Color}])
+	i := sort.Search(len(refs), func(i int) bool { return refs[i] > own })
+	if (i == 0 || !after(i-1)) && (i == len(refs) || after(i)) && err == nil {
+		return i, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	i = sort.Search(len(refs), after)
+	return i, err
+}
+
+// AppendWithin appends to dst the nodes of refs that lie inside sn's
+// interval — its descendants, or with childOnly its children — in start
+// order. refs is a posting list of sn's color (TagRefs, ContentRefs), which
+// the store keeps in start order: the list is seeked to sn's start and read
+// until sn's end, so the cost is the seek plus the nodes read, never the
+// list.
+func (s *Store) AppendWithin(dst []SNode, refs []uint64, sn SNode, childOnly bool) ([]SNode, error) {
+	i, err := s.seekStart(refs, sn)
+	if err != nil {
+		return dst, err
+	}
+	for ; i < len(refs); i++ {
+		d, err := s.readStructRef(refs[i], sn.Color)
+		if err != nil {
+			return dst, err
+		}
+		if d.Start >= sn.End {
+			break
+		}
+		if !childOnly || sn.IsParentOf(d) {
+			dst = append(dst, d)
+		}
+	}
+	return dst, nil
 }
 
 // Subtree returns the descendants of sn (excluding sn) in start order.

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"colorfulxml/internal/btree"
 	"colorfulxml/internal/core"
 )
 
@@ -104,11 +105,31 @@ func (s *Store) insertStruct(tag, content string, sn SNode) error {
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
 	ref := packRID(rid)
-	s.tagIdx.Insert(tagKey(sn.Color, tag), ref)
+	if err := s.insertPosting(s.tagIdx, tagKey(sn.Color, tag), ref, sn); err != nil {
+		return err
+	}
 	if content != "" {
-		s.contentIdx.Insert(contentKey(sn.Color, tag, content), ref)
+		if err := s.insertPosting(s.contentIdx, contentKey(sn.Color, tag, content), ref, sn); err != nil {
+			return err
+		}
 	}
 	s.startIdx.Insert(startKey(sn.Color, sn.Start), ref)
 	s.counts.StructNodes++
+	return nil
+}
+
+// insertPosting adds a structural node's ref to a tag or content posting
+// list at its start-order position, which is what keeps the lists in local
+// document order under updates: scans emit them as they are, and
+// AppendWithin seeks them. The node's record must already be registered in
+// structLoc. A bulk load or an append costs one record read (the new record
+// is the file's last, and the node starts after the list's last); an insert
+// into the middle of the tree reads log n.
+func (s *Store) insertPosting(idx *btree.Tree, key string, ref uint64, sn SNode) error {
+	at, err := s.seekStart(idx.Get(key), sn)
+	if err != nil {
+		return err
+	}
+	idx.InsertAt(key, at, ref)
 	return nil
 }

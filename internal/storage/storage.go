@@ -18,8 +18,8 @@ package storage
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -263,6 +263,12 @@ func decodeElem(buf []byte) (id ElemID, tag, content string, attrs [][2]string) 
 	return
 }
 
+// elemTag returns the tag bytes of an encoded element record, in place.
+func elemTag(buf []byte) []byte {
+	n := int(binary.LittleEndian.Uint16(buf[8:10]))
+	return buf[10 : 10+n]
+}
+
 func encodeStruct(sn SNode) []byte {
 	buf := make([]byte, structRecSize)
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(sn.Elem))
@@ -308,7 +314,18 @@ func contentKey(c core.Color, tag, content string) string {
 func attrKey(name, value string) string { return name + "=" + value }
 
 // startKey is the startIdx key: color plus a zero-padded decimal start so
-// that lexicographic order equals numeric order.
+// that lexicographic order equals numeric order (starts are never negative;
+// a root's parent-start of -1 is not a key). Built by hand — it is on
+// the path of every parent hop — in a buffer that stays on the stack for
+// any ordinary colour name.
 func startKey(c core.Color, start int64) string {
-	return fmt.Sprintf("%s|%016d", c, start)
+	var buf [64]byte
+	b := append(buf[:0], c...)
+	b = append(b, '|')
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], start, 10)
+	for n := len(d); n < 16; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }

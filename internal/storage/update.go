@@ -50,7 +50,13 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 			s.contentIdx.Delete(contentKey(c, tag, oldContent), ref)
 		}
 		if content != "" {
-			s.contentIdx.Insert(contentKey(c, tag, content), ref)
+			sn, err := s.readStruct(srid, c)
+			if err != nil {
+				return err
+			}
+			if err := s.insertPosting(s.contentIdx, contentKey(c, tag, content), ref, sn); err != nil {
+				return err
+			}
 		}
 	}
 	if oldContent == "" && content != "" {

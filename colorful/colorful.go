@@ -22,6 +22,7 @@ package colorful
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -55,9 +56,10 @@ type (
 // DB is safe for concurrent use by multiple goroutines. Queries in the
 // compilable subset run lock-free against an immutable snapshot of the
 // database; mutations (the DB-level wrappers in this package — Update,
-// AddElement, SetText, ...) serialize behind a writer lock, and the next
-// query publishes a fresh snapshot, usually by incremental change-log
-// replay rather than a full rebuild (see MaintStats). Mixing DB wrappers
+// AddElement, SetText, ...) serialize behind a writer lock. Update publishes
+// the snapshot that reflects it before returning; after the other mutators
+// the next query does — either way usually by incremental change-log replay
+// rather than a full rebuild (see MaintStats). Mixing DB wrappers
 // with direct method calls on the embedded core.Database forfeits that
 // safety: the embedded methods take no locks.
 type DB struct {
@@ -101,6 +103,10 @@ type DB struct {
 	// Slow-query log (see obs.go): threshold in nanoseconds, 0 = disabled.
 	slow          *obs.SlowLog
 	slowThreshold atomic.Int64
+	// bindFallbacks is the set of update texts whose evaluator-bound fallback
+	// has been logged (see noteBindFallback).
+	bindFallbackMu sync.Mutex
+	bindFallbacks  map[string]struct{}
 
 	// Durability (nil/zero for in-memory databases; see durable.go). dur and
 	// durErr are guarded by mu; durErr is the terminal closed/failed marker.
@@ -149,6 +155,8 @@ func wrap(db *core.Database) *DB {
 		slow:      obs.NewSlowLog(slowLogCapacity),
 		planCache: plan.NewCache(0),
 		sessions:  map[*Session]struct{}{},
+
+		bindFallbacks: map[string]struct{}{},
 	}
 	d.coreRef.Store(db)
 	d.auto = newSession(d, true)
@@ -304,29 +312,68 @@ type UpdateResult struct {
 
 // Update parses and applies an MCT update expression
 // (for/where/update{insert,delete,replace,rename}). Updates serialize
-// behind the writer lock; after the update commits, the snapshot is
-// refreshed eagerly so the maintenance cost is paid by the writer, not by
-// the next reader.
+// behind the writer lock. The binding clauses run as a compiled plan on the
+// store snapshot (an index probe, not a walk over the tree), and the update
+// publishes the snapshot that reflects it before it returns: the writer pays
+// for maintenance, which costs what the update changed.
 func (d *DB) Update(src string) (UpdateResult, error) {
 	obsUpdates.Inc()
-	d.mu.Lock()
-	m, err := d.beginCommit()
+	u, err := update.Parse(src)
 	if err != nil {
-		d.mu.Unlock()
 		return UpdateResult{}, err
 	}
-	res, err := d.ex.Apply(src)
+	d.mu.Lock()
+	res, unsupported, err := d.updateLocked(u)
+	d.mu.Unlock()
+	if unsupported != nil {
+		d.noteBindFallback(src, unsupported)
+	}
+	if err != nil {
+		return UpdateResult{}, err
+	}
+	return UpdateResult{Tuples: res.Tuples, NodesTouched: res.NodesTouched}, nil
+}
+
+// updateLocked runs one update as one commit scope and one publication; the
+// caller holds d.mu exclusively. unsupported is why the binding clauses went
+// to the tree-walking evaluator, nil when the compiled plan bound them.
+func (d *DB) updateLocked(u *update.Update) (res update.Result, unsupported, err error) {
+	// The binding plan runs on the snapshot, so the snapshot has to be at the
+	// core's generation first. This comes before beginCommit because it
+	// drains the change log, and a drain invalidates a commit's mark; what it
+	// drains was committed by the mutators that logged it.
+	sp, serr := d.refreshHoldingMu()
+	m, err := d.beginCommit()
+	if err != nil {
+		return update.Result{}, nil, err
+	}
+	var tuples update.Tuples
+	if serr == nil {
+		tuples, err = d.ex.BindCompiled(u, sp.st, d.planOptions(sp.st))
+	} else {
+		err = fmt.Errorf("colorful: no current snapshot to bind on (%v): %w", serr, plan.ErrUnsupported)
+	}
+	if errors.Is(err, plan.ErrUnsupported) {
+		unsupported = err
+		obsBindEvaluator.Inc()
+		tuples, err = d.ex.Bind(u)
+	} else {
+		obsBindCompiled.Inc()
+	}
+	if err == nil {
+		res, err = d.ex.ApplyTuples(u, tuples)
+	}
 	if cerr := d.commitChanges(m); err == nil && cerr != nil {
 		err = cerr
 	}
-	d.mu.Unlock()
-	if err != nil {
-		return UpdateResult{}, err
-	}
-	// A refresh failure is not an update failure: the mutation is committed,
-	// and the next query retries the rebuild.
-	_ = d.Refresh()
-	return UpdateResult{Tuples: res.Tuples, NodesTouched: res.NodesTouched}, nil
+	// Publish what this update changed, under the same exclusive lock: no
+	// reader ever finds the snapshot behind a committed update, and the next
+	// update finds it current. The published snapshot is the rollback basis
+	// and must equal the state at the last drain; it does, because the drain
+	// happens here, after the commit. A failed refresh is not a failed
+	// update — the mutation is committed and the next reader retries.
+	_, _ = d.refreshHoldingMu()
+	return res, unsupported, err
 }
 
 // WriteXML serializes the database as exchange XML (the paper's Section 5

@@ -120,6 +120,128 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 	}
 }
 
+// snapshotEpoch reads every green votes counter straight from a store
+// snapshot and returns the one epoch they all carry.
+func snapshotEpoch(sp *snapshot) (int, error) {
+	nodes, err := sp.st.ScanTag("green", "votes")
+	if err != nil {
+		return 0, err
+	}
+	if len(nodes) == 0 {
+		return 0, fmt.Errorf("snapshot gen %d has no votes", sp.gen)
+	}
+	epoch := -1
+	for _, sn := range nodes {
+		content, err := sp.st.ContentOf(sn.Elem)
+		if err != nil {
+			return 0, err
+		}
+		var e int
+		if _, err := fmt.Sscanf(content, "epoch%d", &e); err != nil {
+			return 0, fmt.Errorf("votes content %q: %v", content, err)
+		}
+		if epoch >= 0 && e != epoch {
+			return 0, fmt.Errorf("snapshot gen %d is torn: epochs %d and %d", sp.gen, epoch, e)
+		}
+		epoch = e
+	}
+	return epoch, nil
+}
+
+// TestHeldSnapshotsSurviveCommits: 8 readers hold on to published snapshots
+// while the writer commits 1 000 updates, each of which clones the latest
+// snapshot (sharing its location tables, index nodes and page images) and
+// publishes the clone. A held snapshot keeps showing the one
+// statement-boundary state it was published for, however many generations
+// are cloned off it and written; half the readers never let go of the first
+// one. Every query in between sees one epoch, and epochs never run backwards
+// for a reader. Meaningful under -race.
+func TestHeldSnapshotsSurviveCommits(t *testing.T) {
+	m := fixtures.NewMovieDB()
+	db := wrap(m.DB)
+	if _, err := db.Update(epochUpdate(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	const readers = 8
+	const commits = 1000
+	stop := make(chan struct{})
+	errc := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			fail := func(format string, args ...any) {
+				errc <- fmt.Errorf("reader %d: %s", id, fmt.Sprintf(format, args...))
+			}
+			held := db.snap.Load()
+			heldEpoch, err := snapshotEpoch(held)
+			if err != nil {
+				fail("%v", err)
+				return
+			}
+			seen := heldEpoch
+			for n := 1; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if id%2 == 1 && n%8 == 0 {
+					held = db.snap.Load()
+					if heldEpoch, err = snapshotEpoch(held); err != nil {
+						fail("%v", err)
+						return
+					}
+				} else if e, err := snapshotEpoch(held); err != nil || e != heldEpoch {
+					fail("held snapshot gen %d moved from epoch %d to %d (%v)", held.gen, heldEpoch, e, err)
+					return
+				}
+				out, err := db.Query(votesQuery)
+				if err != nil || len(out) == 0 {
+					fail("votes query: %d rows, %v", len(out), err)
+					return
+				}
+				var e int
+				fmt.Sscanf(out[0].Value, "epoch%d", &e)
+				for _, it := range out {
+					if it.Value != out[0].Value {
+						fail("torn epoch: %q vs %q", it.Value, out[0].Value)
+						return
+					}
+				}
+				if e < seen {
+					fail("epoch ran backwards: %d after %d", e, seen)
+					return
+				}
+				seen = e
+			}
+		}(i)
+	}
+	go func() {
+		defer close(stop)
+		for e := 1; e <= commits; e++ {
+			if res, err := db.Update(epochUpdate(e)); err != nil || res.Tuples != 3 {
+				errc <- fmt.Errorf("writer: commit %d: %+v, %v", e, res, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	if e, err := snapshotEpoch(db.snap.Load()); err != nil || e != commits {
+		t.Fatalf("published snapshot is at epoch %d, want %d (%v)", e, commits, err)
+	}
+	if st := db.MaintStats(); st.FullRebuilds != 1 {
+		t.Fatalf("commits fell back to full rebuilds: %+v", st)
+	}
+}
+
 // evaluatorSet answers a query on the raw evaluator and returns the distinct
 // value set, the reference for differential checks.
 func evaluatorSet(t *testing.T, db *DB, q string) map[string]bool {

@@ -24,6 +24,19 @@ var (
 	obsUpdates       = obs.NewCounter("db_updates_total")
 	obsSlowQueries   = obs.NewCounter("db_slow_queries_total")
 
+	// Why a query ran on the reference evaluator. db_evaluator_fallbacks_total
+	// stays the count of read-only queries that did (the first three reasons);
+	// constructor queries run there by design and were never part of it.
+	obsFallbackUnsupported = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "unsupported")
+	obsFallbackMaint       = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "maint_in_progress")
+	obsFallbackParse       = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "parse_error")
+	obsFallbackConstructor = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "constructor")
+
+	// How updates bound their tuples: the compiled plan on the snapshot, or
+	// the tree-walking evaluator because the compiler rejected the clauses.
+	obsBindCompiled  = obs.NewLabeledCounter("db_update_binds_total", "route", "compiled")
+	obsBindEvaluator = obs.NewLabeledCounter("db_update_binds_total", "route", "evaluator")
+
 	obsQueryNanos = obs.NewHistogram("db_query_nanos")
 
 	obsAdmInflight   = obs.NewGauge("db_admission_inflight_weight")
@@ -132,4 +145,32 @@ func (d *DB) observeQuery(src string, nanos int64, rows int, route queryRoute, e
 		}
 	}
 	d.slow.Add(e)
+}
+
+// bindFallbackTexts caps how many distinct update texts noteBindFallback
+// remembers (and therefore logs): texts usually differ only in a literal, and
+// the slow log is a 32-entry ring that slow queries need too.
+const bindFallbackTexts = 256
+
+// noteBindFallback records, once per distinct update text, why the update's
+// binding clauses ran on the tree-walking evaluator: a slow-log entry whose
+// error is the compiler's reason. Called with no DB lock held.
+func (d *DB) noteBindFallback(src string, reason error) {
+	d.bindFallbackMu.Lock()
+	_, seen := d.bindFallbacks[src]
+	if !seen && len(d.bindFallbacks) < bindFallbackTexts {
+		d.bindFallbacks[src] = struct{}{}
+	} else {
+		seen = true
+	}
+	d.bindFallbackMu.Unlock()
+	if seen {
+		return
+	}
+	d.slow.Add(SlowQuery{
+		Query:     src,
+		Fallback:  true,
+		Err:       reason.Error(),
+		UnixNanos: time.Now().UnixNano(),
+	})
 }

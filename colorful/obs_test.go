@@ -165,6 +165,87 @@ func TestSlowQueryLogCapture(t *testing.T) {
 	}
 }
 
+// TestUpdateBindRouteIsCounted: an update whose binding clauses compile binds
+// on the snapshot and counts under route="compiled"; one the compiler refuses
+// (a let clause) binds on the evaluator, counts under route="evaluator", and
+// leaves the compiler's reason in the slow log — once per distinct text.
+func TestUpdateBindRouteIsCounted(t *testing.T) {
+	db := wrap(fixtures.NewMovieDB().DB)
+	compiled, evaluator := obsBindCompiled.Value(), obsBindEvaluator.Value()
+
+	if res, err := db.Update(epochUpdate(1)); err != nil || res.Tuples != 3 {
+		t.Fatalf("update: %+v, %v", res, err)
+	}
+	if got := obsBindCompiled.Value() - compiled; got != 1 {
+		t.Fatalf("compiled binds moved by %d, want 1", got)
+	}
+	if got := obsBindEvaluator.Value() - evaluator; got != 0 {
+		t.Fatalf("evaluator binds moved by %d, want 0", got)
+	}
+	if n := len(db.SlowQueries()); n != 0 {
+		t.Fatalf("a compiled bind left %d slow-log entries", n)
+	}
+
+	letUpdate := `for $a in document("db")/{blue}descendant::actor
+	 let $n := $a/{blue}child::name
+	 where contains($n, "Marx") update $a { replace $n with "G. Marx" }`
+	for i := 0; i < 3; i++ {
+		if res, err := db.Update(letUpdate); err != nil || res.Tuples != 1 {
+			t.Fatalf("let update: %+v, %v", res, err)
+		}
+	}
+	if got := obsBindEvaluator.Value() - evaluator; got != 3 {
+		t.Fatalf("evaluator binds moved by %d, want 3", got)
+	}
+	entries := db.SlowQueries()
+	if len(entries) != 1 {
+		t.Fatalf("slow log has %d entries for one distinct text: %+v", len(entries), entries)
+	}
+	if e := entries[0]; e.Query != letUpdate || !e.Fallback || !strings.Contains(e.Err, "let clause") {
+		t.Fatalf("fallback entry does not name the reason: %+v", e)
+	}
+	// The evaluator-bound update still published its snapshot.
+	if out, err := db.Query(`document("db")/{blue}descendant::actor/{blue}child::name[. = "G. Marx"]`); err != nil || len(out) != 1 {
+		t.Fatalf("renamed actor: %d rows, %v", len(out), err)
+	}
+}
+
+// TestFallbackReasonsAreLabeled: the unlabeled fallback total keeps counting
+// read-only queries that ran on the evaluator; the labeled series say why.
+func TestFallbackReasonsAreLabeled(t *testing.T) {
+	db := wrap(fixtures.NewMovieDB().DB)
+	total, unsupported := obsFallbacks.Value(), obsFallbackUnsupported.Value()
+	parse, ctor := obsFallbackParse.Value(), obsFallbackConstructor.Value()
+
+	if _, err := db.Query(`for $m in document("db")/{red}descendant::movie
+	 order by $m/{red}child::name return $m/{red}child::name`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`document("db")/{red}descendant::`); err == nil {
+		t.Fatal("malformed query succeeded")
+	}
+	if _, err := db.Query(`for $m in document("db")/{red}descendant::movie[{red}child::name = "Duck Soup"]
+	 return createColor(black, <m>{ $m/{red}child::name }</m>)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(redMoviesQuery); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][2]uint64{
+		"total":       {obsFallbacks.Value() - total, 2},
+		"unsupported": {obsFallbackUnsupported.Value() - unsupported, 1},
+		"parse_error": {obsFallbackParse.Value() - parse, 1},
+		"constructor": {obsFallbackConstructor.Value() - ctor, 1},
+	} {
+		if got[0] != got[1] {
+			t.Errorf("%s moved by %d, want %d", name, got[0], got[1])
+		}
+	}
+	if _, ok := obs.Default.Snapshot().Counters[`db_evaluator_fallbacks_total{reason="maint_in_progress"}`]; !ok {
+		t.Error("maint_in_progress series is not registered")
+	}
+}
+
 // TestServeDebugEndToEnd: /debug/metrics reflects a query run just before
 // the request, /debug/slowlog serves the DB's ring, and /debug/trace runs a
 // read-only query (rejecting constructors).

@@ -11,11 +11,13 @@ import (
 //
 // Readers are lock-free: a query loads the current immutable store snapshot
 // from an atomic pointer and runs entirely against it. Writers serialize
-// behind the DB's writer lock, mutate the core database, and the next
-// snapshot request publishes a fresh snapshot — incrementally, by replaying
-// the core change log onto a copy-on-write clone of the previous snapshot,
-// or by a full storage.Load when the delta is too large, overflowed, or
-// contains a change with no incremental counterpart.
+// behind the DB's writer lock and mutate the core database. Update publishes
+// a fresh snapshot itself, inside its commit scope; after any other mutator
+// the next snapshot request does. Either way the snapshot is made
+// incrementally, by replaying the core change log onto a copy-on-write clone
+// of the previous snapshot (both O(change)), or by a full storage.Load when
+// the delta is too large, overflowed, or contains a change with no
+// incremental counterpart.
 
 // incrementalMaxDelta caps the change-log length replayed incrementally; a
 // longer delta means enough of the database moved that a bulk Load (which
@@ -123,10 +125,22 @@ func (d *DB) snapshotForQuery() (*snapshot, error) {
 // falls back to the evaluator while a snapshot rebuild is in flight.
 var errMaintInProgress = fmt.Errorf("colorful: snapshot maintenance in progress: %w", plan.ErrUnsupported)
 
-// refreshSnapshotLocked is the maintenance body; the caller holds maintMu.
+// refreshSnapshotLocked is maintenance on behalf of a reader; the caller
+// holds maintMu.
 func (d *DB) refreshSnapshotLocked() (*snapshot, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.refreshHoldingMu()
+}
+
+// refreshHoldingMu is the maintenance body: drain the change log, replay it
+// onto a clone of the published snapshot (or rebuild), publish. The caller
+// holds d.mu, so the generation and the log cannot move underneath it —
+// either shared with maintMu held (a reader; maintMu keeps two readers from
+// draining at once), or exclusively (Update; every other maintainer holds
+// d.mu shared, so the exclusive lock alone keeps them out and maintMu, which
+// ranks before d.mu, is not needed).
+func (d *DB) refreshHoldingMu() (*snapshot, error) {
 	gen := d.Database.Generation()
 	if sp := d.snap.Load(); sp != nil && sp.gen == gen {
 		return sp, nil

@@ -293,6 +293,15 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 			return nil, routeCompiled, cerr
 		}
 		spanAttr(root, "fallback", cerr.Error())
+		if errors.Is(cerr, errMaintInProgress) {
+			obsFallbackMaint.Inc()
+		} else {
+			obsFallbackUnsupported.Inc()
+		}
+	} else if perr != nil {
+		obsFallbackParse.Inc()
+	} else {
+		obsFallbackConstructor.Inc()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, routeEvaluator, err

@@ -141,6 +141,9 @@ func (o *SortStart) Clone() Op {
 }
 
 // Clone implements Op.
+func (o *TupleOrder) Clone() Op { return &TupleOrder{Input: o.Input.Clone()} }
+
+// Clone implements Op.
 func (o *PathScan) Clone() Op {
 	return &PathScan{Color: o.Color, Steps: o.Steps}
 }

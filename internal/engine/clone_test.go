@@ -19,7 +19,7 @@ func widePlan() engine.Op {
 		Cols: []int{0},
 		Input: &engine.SortStart{
 			Col: 0,
-			Input: &engine.Dedup{
+			Input: &engine.TupleOrder{Input: &engine.Dedup{
 				Col: 0,
 				Input: &engine.DedupContent{
 					Col: 0,
@@ -79,7 +79,7 @@ func widePlan() engine.Op {
 						},
 					},
 				},
-			},
+			}},
 		},
 	}
 }

@@ -287,3 +287,43 @@ func TestPredKinds(t *testing.T) {
 		t.Fatal("unknown kind should error")
 	}
 }
+
+// TestTupleOrder: binding tuples come out by the first column's start, then
+// the second's, whatever order the input has them in, each exactly once.
+func TestTupleOrder(t *testing.T) {
+	_, s := loadStore(t)
+	// (genre, name) for every name below a genre, in genre order. Genres
+	// nest, so projected to (name, name) a name below two genres comes twice,
+	// and names are out of order.
+	pairs := func() engine.Op {
+		return &engine.StructJoin{
+			Anc:    &engine.ScanTag{Color: "red", Tag: "movie-genre"},
+			Desc:   &engine.ScanTag{Color: "red", Tag: "name"},
+			AncCol: 0, DescCol: 0,
+			Axis: join.AncestorDescendant,
+		}
+	}
+	names := func() engine.Op { return &engine.Project{Cols: []int{1, 1}, Input: pairs()} }
+	in, _ := run(t, s, names())
+	want, _ := run(t, s, &engine.SortStart{Col: 0, Input: &engine.Dedup{Col: 0, Input: names()}})
+	got, _ := run(t, s, &engine.TupleOrder{Input: names()})
+	if len(want) >= len(in) {
+		t.Fatalf("set-up: no name is reached twice (%d rows, %d distinct)", len(in), len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d tuples, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i][0].Elem != want[i][0].Elem || got[i][1].Elem != want[i][0].Elem {
+			t.Fatalf("tuple %d is element %d, want %d", i, got[i][0].Elem, want[i][0].Elem)
+		}
+	}
+	// Two columns: order by the first, then the second.
+	got, _ = run(t, s, &engine.TupleOrder{Input: &engine.SortStart{Col: 1, Input: pairs()}})
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a[0].Start > b[0].Start || (a[0].Start == b[0].Start && a[1].Start >= b[1].Start) {
+			t.Fatalf("tuple %d (%d,%d) does not follow (%d,%d)", i, b[0].Start, b[1].Start, a[0].Start, a[1].Start)
+		}
+	}
+}

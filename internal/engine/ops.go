@@ -14,8 +14,8 @@ import (
 //
 //   - Scans fill the output batch straight off their posting list, polling
 //     cancellation per candidate (ctx.poll is counter-based and nearly free).
-//   - Materializing operators (AttrEq, SortStart, PathScan) buffer at Open
-//     and emit with a single bulk appendRows per NextBatch.
+//   - Materializing operators (AttrEq, SortStart, TupleOrder, PathScan) buffer
+//     at Open and emit with a single bulk appendRows per NextBatch.
 //   - Streaming filters pull their input through a batchCursor and copy
 //     surviving rows into the output batch.
 //   - Joins with fan-out (one input row can emit many output rows) append
@@ -1179,3 +1179,65 @@ func (o *SortStart) Close(ctx *Ctx) error {
 func (o *SortStart) Children() []Op { return []Op{o.Input} }
 
 func (o *SortStart) String() string { return fmt.Sprintf("SortStart[col %d]", o.Col) }
+
+// TupleOrder puts binding tuples in the order nested for loops produce them —
+// by the first column's start position, then the second's, and so on — and
+// drops the repeats of a tuple (each column holds nodes of one color, so
+// equal starts are equal nodes). A full pipeline breaker like SortStart: the
+// input is materialized, sorted and deduplicated at Open.
+type TupleOrder struct {
+	Input Op
+
+	rows []Row
+	pos  int
+	held int
+}
+
+// Open implements Op.
+func (o *TupleOrder) Open(ctx *Ctx) error {
+	rows, err := gather(ctx, o, o.Input)
+	if err != nil {
+		return err
+	}
+	o.held = len(rows)
+	cmp := func(a, b Row) int {
+		for c := range a {
+			if d := a[c].Start - b[c].Start; d != 0 {
+				if d < 0 {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	}
+	sort.Slice(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
+	o.rows = rows[:0]
+	for i, r := range rows {
+		if i == 0 || cmp(rows[i-1], r) != 0 {
+			o.rows = append(o.rows, r)
+		}
+	}
+	o.pos = 0
+	return nil
+}
+
+// NextBatch implements Op: a bulk emit of the sorted buffer, as in SortStart.
+func (o *TupleOrder) NextBatch(ctx *Ctx, out *Batch) error {
+	out.Reset()
+	o.pos += out.appendRows(o.rows[o.pos:])
+	return nil
+}
+
+// Close implements Op.
+func (o *TupleOrder) Close(ctx *Ctx) error {
+	ctx.release(o.held)
+	o.held = 0
+	o.rows = nil
+	return o.Input.Close(ctx)
+}
+
+// Children implements Op.
+func (o *TupleOrder) Children() []Op { return []Op{o.Input} }
+
+func (o *TupleOrder) String() string { return "TupleOrder" }

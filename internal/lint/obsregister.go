@@ -11,11 +11,14 @@ import (
 // are registered exactly once, at package init time. Registration takes a
 // lock and panics on a duplicate name, so a registration reachable from a
 // request path is a latent crash; the analyzer requires every call to
-// obs.NewCounter/NewGauge/NewHistogram (and the Registry.Counter/Gauge/
-// Histogram methods) to sit in a package-level var declaration or an init
-// function. The instrument name must be a snake_case string literal with a
-// subsystem prefix ("wal_fsyncs_total") — a computed name defeats both the
-// static duplicate check and grep — and must be unique within its package.
+// obs.NewCounter/NewLabeledCounter/NewGauge/NewHistogram (and the
+// Registry.Counter/LabeledCounter/Gauge/Histogram methods) to sit in a
+// package-level var declaration or an init function. The instrument name
+// must be a snake_case string literal with a subsystem prefix
+// ("wal_fsyncs_total") — a computed name defeats both the static duplicate
+// check and grep — and must be unique within its package; a labeled counter's
+// label and value are literals too, and it is the series (name, label, value)
+// that must be unique.
 //
 // internal/obs itself is exempt: its constructors and tests are the
 // registration machinery.
@@ -35,6 +38,7 @@ var obsNameRe = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
 var obsRegistrationFuncs = map[string]bool{
 	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
 	"Counter": true, "Gauge": true, "Histogram": true,
+	"NewLabeledCounter": true, "LabeledCounter": true,
 }
 
 func runObsRegister(pass *Pass) error {
@@ -92,6 +96,18 @@ func checkObsCalls(pass *Pass, root ast.Node, atInit bool, seen map[string]token
 			pass.Reportf(lit.Pos(),
 				"obs instrument name %q is not subsystem_name snake_case", name)
 			return true
+		}
+		if obj.Name() == "NewLabeledCounter" || obj.Name() == "LabeledCounter" {
+			// The series is the unit of registration.
+			for _, arg := range call.Args[1:] {
+				l, ok := arg.(*ast.BasicLit)
+				if !ok || l.Kind != token.STRING {
+					pass.Reportf(arg.Pos(),
+						"obs label and value must be string literals; a computed series defeats the static duplicate check")
+					return true
+				}
+				name += "," + l.Value
+			}
 		}
 		if prev, dup := seen[name]; dup {
 			pass.Reportf(lit.Pos(),

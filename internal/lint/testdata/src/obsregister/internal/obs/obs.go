@@ -15,11 +15,17 @@ var Default = &Registry{}
 
 func (r *Registry) Counter(name string) *Counter { return &Counter{} }
 
+func (r *Registry) LabeledCounter(name, label, value string) *Counter { return &Counter{} }
+
 func (r *Registry) Gauge(name string) *Gauge { return &Gauge{} }
 
 func (r *Registry) Histogram(name string) *Histogram { return &Histogram{} }
 
 func NewCounter(name string) *Counter { return Default.Counter(name) }
+
+func NewLabeledCounter(name, label, value string) *Counter {
+	return Default.LabeledCounter(name, label, value)
+}
 
 func NewGauge(name string) *Gauge { return Default.Gauge(name) }
 

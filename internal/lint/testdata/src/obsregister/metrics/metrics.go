@@ -39,3 +39,15 @@ func dynamic(suffix string) {
 
 // Second registration of a name already claimed by the var block above.
 var dup = obs.NewCounter("db_queries_total") // want "already registered"
+
+// A labeled family registers one series per literal value, next to its
+// unlabeled total; the series is what must not repeat.
+var (
+	queriesFast = obs.NewLabeledCounter("db_queries_total", "route", "fast")
+	queriesSlow = obs.NewLabeledCounter("db_queries_total", "route", "slow")
+	queriesDup  = obs.NewLabeledCounter("db_queries_total", "route", "fast") // want "already registered"
+)
+
+func labeled(route string) {
+	obs.NewLabeledCounter("db_queries_total", "route", route) // want "outside package init" // want "label and value must be string literals"
+}

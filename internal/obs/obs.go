@@ -135,6 +135,30 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// labelRe is the shape of a label key and of a label value: one snake_case
+// word, so a rendered series name needs no escaping.
+var labelRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// LabeledCounter registers and returns one series of a labeled counter
+// family, rendered name{label="value"} in snapshots. Series of a family are
+// registered one by one, each under a literal value; an unlabeled counter of
+// the same name may coexist as the family's own total. Panics on a malformed
+// name, label or value, or a duplicate series.
+func (r *Registry) LabeledCounter(name, label, value string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !nameRe.MatchString(name) || !labelRe.MatchString(label) || !labelRe.MatchString(value) {
+		panic(fmt.Sprintf("obs: malformed labeled counter %s{%s=%q}", name, label, value))
+	}
+	series := fmt.Sprintf("%s{%s=%q}", name, label, value)
+	if _, ok := r.counters[series]; ok {
+		panic(fmt.Sprintf("obs: instrument %s registered twice", series))
+	}
+	c := &Counter{}
+	r.counters[series] = c
+	return c
+}
+
 // Gauge registers and returns a new named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
@@ -157,6 +181,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // NewCounter registers a counter in the Default registry.
 func NewCounter(name string) *Counter { return Default.Counter(name) }
+
+// NewLabeledCounter registers one series of a labeled counter family in the
+// Default registry.
+func NewLabeledCounter(name, label, value string) *Counter {
+	return Default.LabeledCounter(name, label, value)
+}
 
 // NewGauge registers a gauge in the Default registry.
 func NewGauge(name string) *Gauge { return Default.Gauge(name) }

@@ -131,11 +131,31 @@ func TestRegistryNamingAndDuplicates(t *testing.T) {
 		}()
 		r.Gauge("sub_events_total")
 	}()
+	// A labeled series coexists with the unlabeled total of its family;
+	// a repeated series or a malformed label does not register.
+	r.LabeledCounter("sub_events_total", "route", "fast")
+	r.LabeledCounter("sub_events_total", "route", "slow")
+	for _, bad := range [][3]string{
+		{"sub_events_total", "route", "fast"},
+		{"sub_events_total", "Route", "x"},
+		{"sub_events_total", "route", "has space"},
+		{"single", "route", "x"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LabeledCounter(%q, %q, %q) did not panic", bad[0], bad[1], bad[2])
+				}
+			}()
+			r.LabeledCounter(bad[0], bad[1], bad[2])
+		}()
+	}
 }
 
 func TestSnapshotJSONAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_events_total").Add(3)
+	r.LabeledCounter("a_events_total", "kind", "odd").Add(2)
 	r.Gauge("a_depth_current").Set(-2)
 	h := r.Histogram("a_wait_nanos")
 	h.Observe(100)
@@ -166,6 +186,7 @@ func TestSnapshotJSONAndText(t *testing.T) {
 	}
 	for _, want := range []string{
 		"counter a_events_total 3\n",
+		"counter a_events_total{kind=\"odd\"} 2\n",
 		"gauge a_depth_current -2\n",
 		"histogram a_wait_nanos count=2 sum=300 max=200",
 	} {

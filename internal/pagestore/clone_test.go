@@ -121,3 +121,91 @@ func TestCloneConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// fillStore appends enough records to span the given number of pages, all of
+// which stay pooled (the default pool is far larger).
+func fillStore(t *testing.T, pages int) (*Store, []RecordID) {
+	t.Helper()
+	s := NewStore(0)
+	f := s.CreateFile()
+	rec := make([]byte, PageSize/4) // three records per page
+	var rids []RecordID
+	for n, _ := s.NumPages(f); n < pages; n, _ = s.NumPages(f) {
+		copy(rec, fmt.Sprintf("rec-%06d", len(rids)))
+		rid, err := s.AppendRecord(f, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	return s, rids
+}
+
+// TestCloneCostsThePagesWritten: only frames written since the last clone
+// are handed to the disk layer. A clone allocates the same few objects
+// however many pages the store pools — whether every frame is clean, or one
+// page was written (that page's copy, its chunk of the image table, a fresh
+// dirty set).
+func TestCloneCostsThePagesWritten(t *testing.T) {
+	var clean, oneWritten []float64
+	for _, pages := range []int{8, 800} {
+		s, rids := fillStore(t, pages)
+		s.Clone() // hands every written page over, once
+		clean = append(clean, testing.AllocsPerRun(20, func() { s.Clone() }))
+		oneWritten = append(oneWritten, testing.AllocsPerRun(20, func() {
+			if err := s.OverwriteRecord(rids[0], []byte("written")); err != nil {
+				t.Fatal(err)
+			}
+			s.Clone()
+		}))
+	}
+	if clean[0] != clean[1] {
+		t.Fatalf("a clean clone allocates %v objects with 8 pages pooled and %v with 800", clean[0], clean[1])
+	}
+	if oneWritten[0] != oneWritten[1] || oneWritten[0] > clean[0]+8 {
+		t.Fatalf("write one page and clone: %v objects with 8 pages pooled, %v with 800 (clean clone: %v)",
+			oneWritten[0], oneWritten[1], clean[0])
+	}
+}
+
+// TestCloneSharesPooledFrames: with every page resident in the original's
+// pool, original and clone each keep reading their own version of a page the
+// other one overwrote, across two generations of clones.
+func TestCloneSharesPooledFrames(t *testing.T) {
+	s, rids := fillStore(t, 6)
+	want := func(st *Store, name string, i int, text string) {
+		t.Helper()
+		got, err := st.ReadRecord(rids[i])
+		if err != nil {
+			t.Fatalf("%s record %d: %v", name, i, err)
+		}
+		if string(got[:len(text)]) != text {
+			t.Fatalf("%s record %d = %q, want %q", name, i, got[:len(text)], text)
+		}
+	}
+	c1 := s.Clone()
+	if err := s.OverwriteRecord(rids[0], []byte("S-after-c1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.OverwriteRecord(rids[1], []byte("C1-one")); err != nil {
+		t.Fatal(err)
+	}
+	c2 := c1.Clone()
+	if err := c1.OverwriteRecord(rids[1], []byte("C1-two")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.DeleteRecord(rids[2]); err != nil {
+		t.Fatal(err)
+	}
+	want(s, "s", 0, "S-after-c1")
+	want(s, "s", 1, "rec-000001")
+	want(s, "s", 2, "rec-000002")
+	want(c1, "c1", 0, "rec-000000")
+	want(c1, "c1", 1, "C1-two")
+	want(c1, "c1", 2, "rec-000002")
+	want(c2, "c2", 0, "rec-000000")
+	want(c2, "c2", 1, "C1-one")
+	if _, err := c2.ReadRecord(rids[2]); err == nil {
+		t.Fatal("c2 still reads the record it deleted")
+	}
+}

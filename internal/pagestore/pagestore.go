@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"colorfulxml/internal/cowarray"
 )
 
 // PageSize is the default page size (8 KB, the paper's configuration).
@@ -56,7 +58,6 @@ var (
 //	then per-slot 4-byte entries (offset uint16, length uint16) growing from
 //	the end of the page, record data growing from the front.
 type Page struct {
-	ID   PageID
 	Data [PageSize]byte
 }
 
@@ -167,32 +168,46 @@ type Stats struct {
 }
 
 // Store is a collection of heap files backed by a buffer pool over an
-// in-memory "disk". All reads go through Pin/Unpin so that page traffic is
-// observable; the disk layer stores evicted page images.
+// in-memory "disk". All reads go through the pool so that page traffic is
+// observable; the disk layer holds the page images.
+//
+// A disk image is immutable once it is on the disk layer, which is what lets
+// clones share images and lets a read use one without copying it: a frame
+// read in from disk points at the image itself, and the first write to the
+// frame copies it (see writableLocked).
 type Store struct {
-	mu       sync.Mutex
-	poolCap  int
-	pool     map[PageID]*frame
-	lru      *lruList
-	disk     map[PageID][]byte
-	files    map[FileID]*fileMeta
-	nextFile FileID
+	mu      sync.Mutex
+	poolCap int
+	pool    map[PageID]*frame
+	lru     *lruList
+	// files is indexed by FileID; an entry that does not exist is a gap left
+	// by a page dump that skipped the id.
+	files []fileMeta
+	// dirty holds the pooled frames whose page is newer than the disk layer.
+	dirty    map[PageID]*frame
 	stats    Stats
 	coldMiss bool // when true, first-touch pages count as misses (default)
 }
 
 type fileMeta struct {
-	pages uint32
+	exists bool
+	pages  uint32
 	// lastPage caches the current fill target for appends.
 	lastPage uint32
 	hasPages bool
+	// images is the file's disk layer: page images by page number.
+	images *cowarray.Array[*Page]
 }
 
 // frame is one pooled page. Its LRU links are embedded, so moving a page on
 // and off the unpinned list allocates nothing; queued reports whether the
 // frame is on that list.
 type frame struct {
-	page   *Page
+	page *Page
+	// shared: page is a disk image, to be copied before it is written.
+	// dirty: page has been written since (never both).
+	shared bool
+	dirty  bool
 	pins   int
 	lru    lruElem
 	queued bool
@@ -208,67 +223,73 @@ func NewStore(poolPages int) *Store {
 		poolCap:  poolPages,
 		pool:     make(map[PageID]*frame),
 		lru:      newLRUList(),
-		disk:     make(map[PageID][]byte),
-		files:    make(map[FileID]*fileMeta),
+		dirty:    make(map[PageID]*frame),
 		coldMiss: true,
 	}
 }
 
 // Clone returns a copy-on-write snapshot of the store. Page images are
-// shared with the receiver and never mutated in place: Pin copies an image
-// into a fresh frame and eviction writes back a freshly allocated image, so
-// writes through either store leave the other's disk layer untouched. The
+// shared with the receiver and never mutated in place, so writes through
+// either store leave the other untouched. Only the frames written since the
+// last clone are handed to the disk layer — a clean frame's image is there
+// already — so cloning costs the pages changed, not the pages pooled. The
 // clone starts with an empty (cold) buffer pool and zeroed statistics.
 //
 // The intended discipline is that the receiver is a frozen snapshot serving
-// readers while the clone absorbs updates; Clone itself only reads frame
-// data, so it is safe alongside concurrent record reads on the receiver.
+// readers while the clone absorbs updates; Clone is safe alongside
+// concurrent record reads on the receiver.
 func (s *Store) Clone() *Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	disk := make(map[PageID][]byte, len(s.disk)+len(s.pool))
-	for id, img := range s.disk {
-		disk[id] = img
+	// A written frame's page becomes the image; the frame keeps using it
+	// until its next write, which copies.
+	for id, fr := range s.dirty {
+		s.files[id.File].images.Set(uint64(id.Page), fr.page)
+		fr.dirty, fr.shared = false, true
 	}
-	// Pooled frames may be newer than their disk image (or have none yet);
-	// materialize them so the clone sees current contents.
-	for id, fr := range s.pool {
-		img := make([]byte, PageSize)
-		copy(img, fr.page.Data[:])
-		disk[id] = img
+	if len(s.dirty) > 0 {
+		// A fresh map: clearing one costs its capacity, and a bulk load
+		// leaves every page of the store in it.
+		s.dirty = make(map[PageID]*frame)
 	}
-	files := make(map[FileID]*fileMeta, len(s.files))
-	for id, m := range s.files {
-		c := *m
-		files[id] = &c
+	files := append([]fileMeta(nil), s.files...)
+	for i := range files {
+		if files[i].exists {
+			files[i].images = files[i].images.Clone()
+		}
 	}
 	return &Store{
 		poolCap:  s.poolCap,
 		pool:     make(map[PageID]*frame),
 		lru:      newLRUList(),
-		disk:     disk,
 		files:    files,
-		nextFile: s.nextFile,
+		dirty:    make(map[PageID]*frame),
 		coldMiss: s.coldMiss,
 	}
+}
+
+// fileLocked returns a file's metadata, or nil if there is no such file.
+func (s *Store) fileLocked(f FileID) *fileMeta {
+	if int(f) >= len(s.files) || !s.files[f].exists {
+		return nil
+	}
+	return &s.files[f]
 }
 
 // CreateFile allocates a new, empty heap file.
 func (s *Store) CreateFile() FileID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.nextFile
-	s.nextFile++
-	s.files[id] = &fileMeta{}
-	return id
+	s.files = append(s.files, fileMeta{exists: true, images: &cowarray.Array[*Page]{}})
+	return FileID(len(s.files) - 1)
 }
 
 // NumPages returns the number of pages in a file.
 func (s *Store) NumPages(f FileID) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	meta, ok := s.files[f]
-	if !ok {
+	meta := s.fileLocked(f)
+	if meta == nil {
 		return 0, fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
 	return int(meta.pages), nil
@@ -327,8 +348,8 @@ func (s *Store) frameLocked(id PageID) (*frame, error) {
 		obsPoolHits.Inc()
 		return fr, nil
 	}
-	meta, ok := s.files[id.File]
-	if !ok {
+	meta := s.fileLocked(id.File)
+	if meta == nil {
 		return nil, fmt.Errorf("pagestore: file %d: %w", id.File, ErrNoSuchFile)
 	}
 	if id.Page >= meta.pages {
@@ -336,14 +357,36 @@ func (s *Store) frameLocked(id PageID) (*frame, error) {
 	}
 	s.stats.Misses++
 	obsPageReads.Inc()
-	pg := &Page{ID: id}
-	if img, ok := s.disk[id]; ok {
-		copy(pg.Data[:], img)
+	fr := &frame{lru: lruElem{id: id}}
+	if img, ok := meta.images.Get(uint64(id.Page)); ok {
+		fr.page, fr.shared = img, true
+	} else {
+		fr.page = &Page{}
 	}
 	s.ensureCapacityLocked()
-	fr := &frame{page: pg, lru: lruElem{id: id}}
 	s.pool[id] = fr
 	return fr, nil
+}
+
+// writableLocked returns the frame's page for writing: a page that is a
+// shared disk image is copied first, and the frame joins the dirty set.
+func (s *Store) writableLocked(fr *frame) *Page {
+	if fr.shared {
+		cp := *fr.page
+		fr.page, fr.shared = &cp, false
+	}
+	if !fr.dirty {
+		fr.dirty = true
+		s.dirty[fr.lru.id] = fr
+	}
+	return fr.page
+}
+
+// touchLocked ages a frame like a Pin/Unpin pair would.
+func (s *Store) touchLocked(fr *frame) {
+	if fr.pins == 0 {
+		s.enqueueLocked(fr)
+	}
 }
 
 // enqueueLocked makes an unpinned frame the most recently used eviction
@@ -396,9 +439,12 @@ func (s *Store) ensureCapacityLocked() {
 }
 
 func (s *Store) evictLocked(id PageID, fr *frame) {
-	img := make([]byte, PageSize)
-	copy(img, fr.page.Data[:])
-	s.disk[id] = img
+	if fr.dirty {
+		// The frame leaves the pool, so its page can be the image as it is.
+		s.files[id.File].images.Set(uint64(id.Page), fr.page)
+		fr.dirty = false
+		delete(s.dirty, id)
+	}
 	s.dequeueLocked(fr)
 	delete(s.pool, id)
 	s.stats.Evictions++
@@ -411,49 +457,33 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 		return RecordID{}, fmt.Errorf("pagestore: %w", ErrRecordTooLarge)
 	}
 	s.mu.Lock()
-	meta, ok := s.files[f]
-	if !ok {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	meta := s.fileLocked(f)
+	if meta == nil {
 		return RecordID{}, fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
-	var target uint32
-	fresh := false
-	if meta.hasPages {
-		target = meta.lastPage
-	} else {
-		target = meta.pages
-		meta.pages++
-		meta.lastPage = target
-		meta.hasPages = true
-		fresh = true
-	}
-	s.mu.Unlock()
-
+	fresh := !meta.hasPages
 	for {
-		id := PageID{File: f, Page: target}
-		pg, err := s.Pin(id)
+		if fresh {
+			meta.lastPage = meta.pages
+			meta.pages++
+			meta.hasPages = true
+		}
+		id := PageID{File: f, Page: meta.lastPage}
+		fr, err := s.frameLocked(id)
 		if err != nil {
 			return RecordID{}, err
 		}
-		if fresh || len(rec) <= pg.room() {
-			slot, err := pg.Insert(rec)
-			s.Unpin(id)
-			if err == nil {
-				return RecordID{PageID: id, Slot: slot}, nil
-			}
-			if !errors.Is(err, ErrRecordTooLarge) {
-				return RecordID{}, err
-			}
-		} else {
-			s.Unpin(id)
+		s.touchLocked(fr)
+		if !fresh && len(rec) > fr.page.room() {
+			fresh = true // page full: allocate a new one
+			continue
 		}
-		// Page full: allocate a new one.
-		s.mu.Lock()
-		target = meta.pages
-		meta.pages++
-		meta.lastPage = target
-		s.mu.Unlock()
-		fresh = true
+		slot, err := s.writableLocked(fr).Insert(rec)
+		if err != nil {
+			return RecordID{}, err
+		}
+		return RecordID{PageID: id, Slot: slot}, nil
 	}
 }
 
@@ -475,9 +505,7 @@ func (s *Store) ViewRecord(rid RecordID, fn func(rec []byte)) error {
 	if err != nil {
 		return err
 	}
-	if fr.pins == 0 {
-		s.enqueueLocked(fr)
-	}
+	s.touchLocked(fr)
 	rec, err := fr.page.Record(rid.Slot)
 	if err != nil {
 		return err
@@ -488,22 +516,26 @@ func (s *Store) ViewRecord(rid RecordID, fn func(rec []byte)) error {
 
 // OverwriteRecord replaces a record in place (same or smaller size).
 func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
-	pg, err := s.Pin(rid.PageID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fr, err := s.frameLocked(rid.PageID)
 	if err != nil {
 		return err
 	}
-	defer s.Unpin(rid.PageID)
-	return pg.Overwrite(rid.Slot, rec)
+	s.touchLocked(fr)
+	return s.writableLocked(fr).Overwrite(rid.Slot, rec)
 }
 
 // DeleteRecord tombstones a record.
 func (s *Store) DeleteRecord(rid RecordID) error {
-	pg, err := s.Pin(rid.PageID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fr, err := s.frameLocked(rid.PageID)
 	if err != nil {
 		return err
 	}
-	defer s.Unpin(rid.PageID)
-	return pg.Delete(rid.Slot)
+	s.touchLocked(fr)
+	return s.writableLocked(fr).Delete(rid.Slot)
 }
 
 // Scan iterates every live record of a file in (page, slot) order, calling

@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+
+	"colorfulxml/internal/cowarray"
 )
 
 // This file is the on-disk page format of the durable store. A page dump is
@@ -56,18 +57,19 @@ func (s *Store) DumpPages(w io.Writer) error {
 	if err := put(persistVersion); err != nil {
 		return err
 	}
-	if err := put(uint32(s.nextFile)); err != nil {
-		return err
-	}
 	if err := put(uint32(len(s.files))); err != nil {
 		return err
 	}
-	// File table in id order (files map iteration is unordered).
-	ids := make([]FileID, 0, len(s.files))
+	// File table in id order.
+	var ids []FileID
 	for id := range s.files {
-		ids = append(ids, id)
+		if s.files[id].exists {
+			ids = append(ids, FileID(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if err := put(uint32(len(ids))); err != nil {
+		return err
+	}
 	for _, id := range ids {
 		if err := put(uint32(id)); err != nil {
 			return err
@@ -109,8 +111,8 @@ func (s *Store) pageImageLocked(id PageID) []byte {
 	if fr, ok := s.pool[id]; ok {
 		return fr.page.Data[:]
 	}
-	if img, ok := s.disk[id]; ok {
-		return img
+	if img, ok := s.files[id.File].images.Get(uint64(id.Page)); ok {
+		return img.Data[:]
 	}
 	return make([]byte, PageSize)
 }
@@ -152,11 +154,11 @@ func ReadStore(r io.Reader, poolPages int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nFiles > 1<<20 {
-		return nil, fmt.Errorf("pagestore: implausible file count %d", nFiles)
+	if nFiles > 1<<20 || nextFile > 1<<20 {
+		return nil, fmt.Errorf("pagestore: implausible file count %d (next id %d)", nFiles, nextFile)
 	}
 	s := NewStore(poolPages)
-	s.nextFile = FileID(nextFile)
+	s.files = make([]fileMeta, nextFile)
 	type fileEnt struct {
 		id    FileID
 		pages uint32
@@ -173,10 +175,10 @@ func ReadStore(r io.Reader, poolPages int) (*Store, error) {
 			return nil, err
 		}
 		files[i] = fileEnt{FileID(id), pages}
-		if FileID(id) >= s.nextFile {
+		if id >= nextFile {
 			return nil, fmt.Errorf("pagestore: file id %d beyond nextFile %d", id, nextFile)
 		}
-		s.files[FileID(id)] = &fileMeta{pages: pages}
+		s.files[id] = fileMeta{exists: true, pages: pages, images: &cowarray.Array[*Page]{}}
 		totalPages += uint64(pages)
 	}
 	for n := uint64(0); n < totalPages; n++ {
@@ -193,18 +195,18 @@ func ReadStore(r io.Reader, poolPages int) (*Store, error) {
 			return nil, err
 		}
 		id := PageID{File: FileID(fid), Page: pno}
-		meta, ok := s.files[id.File]
-		if !ok || id.Page >= meta.pages {
+		meta := s.fileLocked(id.File)
+		if meta == nil || id.Page >= meta.pages {
 			return nil, fmt.Errorf("pagestore: page dump names unknown page %v", id)
 		}
-		img := make([]byte, PageSize)
-		if _, err := io.ReadFull(in, img); err != nil {
+		img := new(Page)
+		if _, err := io.ReadFull(in, img.Data[:]); err != nil {
 			return nil, fmt.Errorf("pagestore: truncated page %v: %w", id, err)
 		}
-		if got := crc32.Checksum(img, pageCastagnoli); got != want {
+		if got := crc32.Checksum(img.Data[:], pageCastagnoli); got != want {
 			return nil, fmt.Errorf("pagestore: page %v: %w (got %08x, want %08x)", id, ErrChecksum, got, want)
 		}
-		s.disk[id] = img
+		meta.images.Set(uint64(id.Page), img)
 	}
 	wantTrailer := sum.Sum32()
 	if _, err := io.ReadFull(br, u32[:]); err != nil {
@@ -215,7 +217,7 @@ func ReadStore(r io.Reader, poolPages int) (*Store, error) {
 	}
 	// Recompute append targets: the last page of each file is the fill target.
 	for _, f := range files {
-		meta := s.files[f.id]
+		meta := &s.files[f.id]
 		if f.pages > 0 {
 			meta.lastPage = f.pages - 1
 			meta.hasPages = true

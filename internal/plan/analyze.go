@@ -18,12 +18,7 @@ import (
 // value wrapped in element constructors / createColor (the wrapping is
 // read-only irrelevant to which nodes qualify, so it is stripped).
 func Analyze(e pathexpr.Expr, defaultColor core.Color) (*Logical, error) {
-	a := &analyzer{
-		def:  defaultColor,
-		lg:   &Logical{},
-		vars: map[string]*VarPlan{},
-		end:  map[string]core.Color{},
-	}
+	a := newAnalyzer(defaultColor)
 	switch x := e.(type) {
 	case *mcxquery.FLWOR:
 		if err := a.flwor(x); err != nil {
@@ -37,6 +32,15 @@ func Analyze(e pathexpr.Expr, defaultColor core.Color) (*Logical, error) {
 		return nil, unsupportedf("%T as query root", e)
 	}
 	return a.lg, nil
+}
+
+func newAnalyzer(defaultColor core.Color) *analyzer {
+	return &analyzer{
+		def:  defaultColor,
+		lg:   &Logical{},
+		vars: map[string]*VarPlan{},
+		end:  map[string]core.Color{},
+	}
 }
 
 type analyzer struct {
@@ -79,7 +83,18 @@ func (a *analyzer) flwor(f *mcxquery.FLWOR) error {
 	if len(f.OrderBy) > 0 {
 		return unsupportedf("order by clause")
 	}
-	for _, cl := range f.Clauses {
+	if err := a.bindings(f.Clauses, f.Where); err != nil {
+		return err
+	}
+	return a.ret(f.Return)
+}
+
+// bindings analyzes for clauses into VarPlans and the where clause into
+// pushed-down predicates and joins: the binding half of a FLWOR, which is
+// also all there is to an update statement's FOR ... WHERE prefix (paper
+// Section 4.3).
+func (a *analyzer) bindings(clauses []mcxquery.Clause, where pathexpr.Expr) error {
+	for _, cl := range clauses {
 		if cl.Let {
 			return unsupportedf("let clause")
 		}
@@ -114,6 +129,9 @@ func (a *analyzer) flwor(f *mcxquery.FLWOR) error {
 		if len(steps) == 0 {
 			return unsupportedf("for $%s binds no element step", cl.Var)
 		}
+		if a.vars[cl.Var] != nil {
+			return unsupportedf("for $%s shadows an earlier binding", cl.Var)
+		}
 		vp := &VarPlan{Name: cl.Var, Base: base, Steps: steps}
 		a.lg.Vars = append(a.lg.Vars, vp)
 		a.vars[cl.Var] = vp
@@ -122,12 +140,10 @@ func (a *analyzer) flwor(f *mcxquery.FLWOR) error {
 	if len(a.lg.Vars) == 0 {
 		return unsupportedf("FLWOR without for clauses")
 	}
-	if f.Where != nil {
-		if err := a.where(f.Where); err != nil {
-			return err
-		}
+	if where != nil {
+		return a.where(where)
 	}
-	return a.ret(f.Return)
+	return nil
 }
 
 // resolveSteps resolves colors and fuses the parser's expansion of "//"

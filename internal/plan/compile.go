@@ -55,6 +55,81 @@ type lowerer struct {
 
 // Lower emits the physical plan for an analyzed query.
 func Lower(lg *Logical, opt Options) (*Compiled, error) {
+	lw, ch, err := lowerBindings(lg, opt)
+	if err != nil {
+		return nil, err
+	}
+	if lw.of[lg.Out.Var] != ch {
+		return nil, unsupportedf("returned variable $%s is in an unjoined component", lg.Out.Var)
+	}
+	col := ch.varCol[lg.Out.Var]
+	for _, st := range lg.Out.Path {
+		if col, err = lw.applyStep(ch, col, st); err != nil {
+			return nil, err
+		}
+	}
+	// Results are the distinct nodes of the output column: binding tuples
+	// that select the same node (e.g. via different join partners) collapse.
+	root := engine.Op(&engine.Dedup{Input: ch.op, Col: col})
+	obsNavLowerings.Add(uint64(countNavJoins(root)))
+	return &Compiled{
+		Root:    root,
+		Cols:    ch.cols,
+		VarCols: ch.varCol,
+		OutCol:  col,
+		OutAttr: lg.Out.Attr,
+		Logical: lg,
+		Mem:     &engine.MemPool{},
+	}, nil
+}
+
+// CompileBindings compiles the binding half of a FLWOR — an update
+// statement's for and where clauses — into a plan whose rows are the binding
+// tuples themselves: one column per for-variable in clause order
+// (Compiled.VarCols), each holding the variable's node in the color of the
+// variable's last step, every distinct tuple exactly once, in the order the
+// evaluator's nested for loops produce them (by the first variable's local
+// document order, then the second's, and so on). OutCol is -1: nothing is
+// returned, nothing is collapsed onto one column.
+func CompileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, opt Options) (*Compiled, error) {
+	a := newAnalyzer(opt.DefaultColor)
+	if err := a.bindings(clauses, where); err != nil {
+		return nil, err
+	}
+	lg := a.lg
+	lw, ch, err := lowerBindings(lg, opt)
+	if err != nil {
+		return nil, err
+	}
+	// A predicate that looks into another hierarchy leaves its variable's
+	// column in that hierarchy's color; bring each back to its binding color.
+	keep := make([]int, len(lg.Vars))
+	cols := make([]ColInfo, len(lg.Vars))
+	varCols := make(map[string]int, len(lg.Vars))
+	for i, vp := range lg.Vars {
+		keep[i] = lw.crossTo(ch, ch.varCol[vp.Name], vp.Steps[len(vp.Steps)-1].Color)
+		cols[i] = ch.cols[keep[i]]
+		cols[i].Var = vp.Name
+		varCols[vp.Name] = i
+	}
+	// Intermediate steps may reach one tuple along several paths, and joins
+	// emit in their own order: project to the variables, then sort and drop
+	// the repeats.
+	root := engine.Op(&engine.TupleOrder{Input: &engine.Project{Input: ch.op, Cols: keep}})
+	obsNavLowerings.Add(uint64(countNavJoins(root)))
+	return &Compiled{
+		Root:    root,
+		Cols:    cols,
+		VarCols: varCols,
+		OutCol:  -1,
+		Logical: lg,
+		Mem:     &engine.MemPool{},
+	}, nil
+}
+
+// lowerBindings lowers the variables and joins of an analyzed query into one
+// connected chain whose rows carry every variable's column.
+func lowerBindings(lg *Logical, opt Options) (*lowerer, *chain, error) {
 	lw := &lowerer{cat: opt.Catalog, of: map[string]*chain{}}
 	if opt.Parallel {
 		lw.workers = opt.ParallelWorkers
@@ -78,14 +153,14 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 			lw.chains = append(lw.chains, ch)
 			var err error
 			if anchor, lowered, err = lw.trySummary(ch, vp); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		var err error
 		if !lowered {
 			for _, st := range vp.Steps {
 				if anchor, err = lw.applyStep(ch, anchor, st); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
@@ -102,36 +177,13 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 	})
 	for _, j := range joins {
 		if err := lw.applyJoin(j); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if len(lw.chains) != 1 {
-		return nil, unsupportedf("where clause leaves %d unjoined query components", len(lw.chains))
+		return nil, nil, unsupportedf("where clause leaves %d unjoined query components", len(lw.chains))
 	}
-	ch := lw.chains[0]
-	if lw.of[lg.Out.Var] != ch {
-		return nil, unsupportedf("returned variable $%s is in an unjoined component", lg.Out.Var)
-	}
-	col := ch.varCol[lg.Out.Var]
-	var err error
-	for _, st := range lg.Out.Path {
-		if col, err = lw.applyStep(ch, col, st); err != nil {
-			return nil, err
-		}
-	}
-	// Results are the distinct nodes of the output column: binding tuples
-	// that select the same node (e.g. via different join partners) collapse.
-	root := engine.Op(&engine.Dedup{Input: ch.op, Col: col})
-	obsNavLowerings.Add(uint64(countNavJoins(root)))
-	return &Compiled{
-		Root:    root,
-		Cols:    ch.cols,
-		VarCols: ch.varCol,
-		OutCol:  col,
-		OutAttr: lg.Out.Attr,
-		Logical: lg,
-		Mem:     &engine.MemPool{},
-	}, nil
+	return lw, lw.chains[0], nil
 }
 
 // countNavJoins counts the navigational joins of a finished plan (probe

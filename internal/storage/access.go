@@ -92,7 +92,7 @@ func (e ElemInfo) Attr(name string) string {
 
 // Elem reads an element record through the buffer pool.
 func (s *Store) Elem(id ElemID) (ElemInfo, error) {
-	rid, ok := s.elemLoc[id]
+	rid, ok := s.elemRID(id)
 	if !ok {
 		return ElemInfo{}, fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
@@ -108,7 +108,7 @@ func (s *Store) Elem(id ElemID) (ElemInfo, error) {
 // decoded and nothing is allocated, which is what lets a navigational join
 // tag-check every parent or ancestor it hops to.
 func (s *Store) TagIs(id ElemID, tag string) (bool, error) {
-	rid, ok := s.elemLoc[id]
+	rid, ok := s.elemRID(id)
 	if !ok {
 		return false, fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
@@ -181,20 +181,20 @@ func (s *Store) EqAttr(name, value string) []ElemID {
 // the element's back-link to its structural node in the target color. ok is
 // false when the element does not participate in that colored tree.
 func (s *Store) CrossTree(id ElemID, to core.Color) (SNode, bool, error) {
-	rid, ok := s.structLoc[structKey{id, to}]
+	ref, ok := s.structRef(id, to)
 	if !ok {
 		return SNode{}, false, nil
 	}
-	sn, err := s.readStruct(rid, to)
+	sn, err := s.readStructRef(ref, to)
 	return sn, err == nil, err
 }
 
 // ColorsOf returns the colors an element participates in.
 func (s *Store) ColorsOf(id ElemID) []core.Color {
 	var out []core.Color
-	for _, c := range s.colors {
-		if _, ok := s.structLoc[structKey{id, c}]; ok {
-			out = append(out, c)
+	for _, t := range s.trees {
+		if _, ok := t.loc.Get(uint64(id)); ok {
+			out = append(out, t.color)
 		}
 	}
 	return out
@@ -266,7 +266,7 @@ func (s *Store) seekStart(refs []uint64, sn SNode) (int, error) {
 		}
 		return e != nil || d.Start > sn.Start
 	}
-	own := packRID(s.structLoc[structKey{sn.Elem, sn.Color}])
+	own, _ := s.structRef(sn.Elem, sn.Color)
 	i := sort.Search(len(refs), func(i int) bool { return refs[i] > own })
 	if (i == 0 || !after(i-1)) && (i == len(refs) || after(i)) && err == nil {
 		return i, nil

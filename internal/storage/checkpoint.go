@@ -10,6 +10,7 @@ import (
 
 	"colorfulxml/internal/btree"
 	"colorfulxml/internal/core"
+	"colorfulxml/internal/cowarray"
 	"colorfulxml/internal/obs"
 	"colorfulxml/internal/pagestore"
 )
@@ -50,13 +51,13 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 	}
 	put32(ckptVersion)
 	put32(uint32(s.elemFile))
-	put32(uint32(len(s.colors)))
-	for _, c := range s.colors {
+	put32(uint32(len(s.trees)))
+	for _, t := range s.trees {
 		var n [2]byte
-		binary.LittleEndian.PutUint16(n[:], uint16(len(c)))
+		binary.LittleEndian.PutUint16(n[:], uint16(len(t.color)))
 		meta.Write(n[:])
-		meta.WriteString(string(c))
-		put32(uint32(s.structFile[c]))
+		meta.WriteString(string(t.color))
+		put32(uint32(t.file))
 	}
 
 	if _, err := w.Write([]byte(ckptMagic)); err != nil {
@@ -162,23 +163,18 @@ func ReadCheckpoint(r io.Reader, poolPages int) (*Store, error) {
 	s := &Store{
 		pages:      pages,
 		elemFile:   pagestore.FileID(elemFile),
-		structFile: map[core.Color]pagestore.FileID{},
-		elemLoc:    map[ElemID]pagestore.RecordID{},
-		structLoc:  map[structKey]pagestore.RecordID{},
+		elemLoc:    &cowarray.Array[uint64]{},
 		tagIdx:     btree.New(),
 		contentIdx: btree.New(),
 		attrIdx:    btree.New(),
 		startIdx:   btree.New(),
-		maxStart:   map[core.Color]int64{},
 	}
 	for _, cf := range colorFiles {
-		if _, dup := s.structFile[cf.c]; dup {
+		if s.tree(cf.c) != nil {
 			return nil, fmt.Errorf("storage: checkpoint meta repeats color %q", cf.c)
 		}
-		s.structFile[cf.c] = cf.f
-		s.colors = append(s.colors, cf.c)
+		s.addTree(cf.c, cf.f)
 	}
-	sort.Slice(s.colors, func(i, j int) bool { return s.colors[i] < s.colors[j] })
 	if err := s.rebuildDirectories(); err != nil {
 		return nil, err
 	}
@@ -190,9 +186,13 @@ func ReadCheckpoint(r io.Reader, poolPages int) (*Store, error) {
 // heap files of a freshly loaded page set.
 func (s *Store) rebuildDirectories() error {
 	// Element file: directory, attribute index, id cursor, counts.
+	var badID error
 	err := s.pages.Scan(s.elemFile, func(rid pagestore.RecordID, rec []byte) bool {
 		id, _, content, attrs := decodeElem(rec)
-		s.elemLoc[id] = rid
+		if badID = checkElemID(id); badID != nil {
+			return false
+		}
+		s.elemLoc.Set(uint64(id), packRID(rid))
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
@@ -206,6 +206,9 @@ func (s *Store) rebuildDirectories() error {
 		}
 		return true
 	})
+	if err == nil {
+		err = badID
+	}
 	if err != nil {
 		return fmt.Errorf("storage: rebuilding element directory: %w", err)
 	}
@@ -213,14 +216,16 @@ func (s *Store) rebuildDirectories() error {
 	// Structural files: collect per color, sort by start so index posting
 	// lists come out in document order (file order is append order, which
 	// diverges from start order after updates), then register.
-	for _, c := range s.colors {
+	for i := range s.trees {
+		t := &s.trees[i]
+		c := t.color
 		type item struct {
 			sn  SNode
 			rid pagestore.RecordID
 		}
 		var items []item
 		var badRec error
-		err := s.pages.Scan(s.structFile[c], func(rid pagestore.RecordID, rec []byte) bool {
+		err := s.pages.Scan(t.file, func(rid pagestore.RecordID, rec []byte) bool {
 			if len(rec) != structRecSize {
 				badRec = fmt.Errorf("storage: color %q: structural record %v has %d bytes, want %d",
 					c, rid, len(rec), structRecSize)
@@ -243,8 +248,8 @@ func (s *Store) rebuildDirectories() error {
 				return fmt.Errorf("storage: color %q: structural node references missing element %d: %w",
 					c, it.sn.Elem, err)
 			}
-			s.structLoc[structKey{it.sn.Elem, c}] = it.rid
 			ref := packRID(it.rid)
+			t.loc.Set(uint64(it.sn.Elem), ref)
 			s.tagIdx.Insert(tagKey(c, e.Tag), ref)
 			if e.Content != "" {
 				s.contentIdx.Insert(contentKey(c, e.Tag, e.Content), ref)
@@ -256,7 +261,7 @@ func (s *Store) rebuildDirectories() error {
 			}
 		}
 		if len(items) > 0 {
-			s.maxStart[c] = maxEnd + gap
+			t.maxStart = maxEnd + gap
 		}
 	}
 	return nil

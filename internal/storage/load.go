@@ -54,7 +54,7 @@ func Load(db *core.Database, poolPages int) (*Store, error) {
 				return nil, err
 			}
 		}
-		s.maxStart[c] = ctr
+		s.tree(c).maxStart = ctr
 	}
 	// Count text nodes for Table 1's content-node accounting.
 	return s, nil
@@ -63,8 +63,11 @@ func Load(db *core.Database, poolPages int) (*Store, error) {
 // ensureElem writes the element record on first encounter.
 func (s *Store) ensureElem(n *core.Node) error {
 	id := ElemID(n.ID())
-	if _, ok := s.elemLoc[id]; ok {
+	if _, ok := s.elemRID(id); ok {
 		return nil
+	}
+	if err := checkElemID(id); err != nil {
+		return err
 	}
 	var attrs [][2]string
 	for _, a := range n.Attributes() {
@@ -75,7 +78,7 @@ func (s *Store) ensureElem(n *core.Node) error {
 	if err != nil {
 		return err
 	}
-	s.elemLoc[id] = rid
+	s.elemLoc.Set(uint64(id), packRID(rid))
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
@@ -93,18 +96,18 @@ func (s *Store) ensureElem(n *core.Node) error {
 // insertStruct writes a structural record and registers it in the
 // directories and indexes.
 func (s *Store) insertStruct(tag, content string, sn SNode) error {
-	f, ok := s.structFile[sn.Color]
-	if !ok {
+	t := s.tree(sn.Color)
+	if t == nil {
 		return fmt.Errorf("storage: unknown color %q", sn.Color)
 	}
-	rid, err := s.pages.AppendRecord(f, encodeStruct(sn))
+	rid, err := s.pages.AppendRecord(t.file, encodeStruct(sn))
 	if err != nil {
 		return err
 	}
-	s.structLoc[structKey{sn.Elem, sn.Color}] = rid
+	ref := packRID(rid)
+	t.loc.Set(uint64(sn.Elem), ref)
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
-	ref := packRID(rid)
 	if err := s.insertPosting(s.tagIdx, tagKey(sn.Color, tag), ref, sn); err != nil {
 		return err
 	}
@@ -122,9 +125,9 @@ func (s *Store) insertStruct(tag, content string, sn SNode) error {
 // list at its start-order position, which is what keeps the lists in local
 // document order under updates: scans emit them as they are, and
 // AppendWithin seeks them. The node's record must already be registered in
-// structLoc. A bulk load or an append costs one record read (the new record
-// is the file's last, and the node starts after the list's last); an insert
-// into the middle of the tree reads log n.
+// the color's location table. A bulk load or an append costs one record read
+// (the new record is the file's last, and the node starts after the list's
+// last); an insert into the middle of the tree reads log n.
 func (s *Store) insertPosting(idx *btree.Tree, key string, ref uint64, sn SNode) error {
 	at, err := s.seekStart(idx.Get(key), sn)
 	if err != nil {

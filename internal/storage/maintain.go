@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"colorfulxml/internal/core"
-	"colorfulxml/internal/pagestore"
 )
 
 // This file implements incremental snapshot maintenance: Clone produces a
@@ -20,11 +19,12 @@ import (
 // full Load instead.
 var ErrDeltaUnsupported = errors.New("storage: change delta unsupported for incremental maintenance")
 
-// Clone returns a copy-on-write snapshot sibling of the store. The page
-// store shares immutable page images, the B+-tree indexes share nodes via
-// path-copying, and the in-memory directories are copied flat. Cloning is
-// O(directory size) with no record copying; subsequent mutations of either
-// side never become visible to the other.
+// Clone returns a copy-on-write snapshot sibling of the store in time
+// independent of the store's size: the page store shares immutable page
+// images, the B+-tree indexes and the location tables share their nodes and
+// chunks, and only the per-color headers are copied. A later mutation of
+// either side copies the pages, tree paths and table chunks it touches and
+// never becomes visible to the other.
 //
 // The intended discipline: the receiver is a frozen snapshot that keeps
 // serving readers; the clone absorbs updates and is published in its place.
@@ -32,30 +32,19 @@ func (s *Store) Clone() *Store {
 	ns := &Store{
 		pages:      s.pages.Clone(),
 		elemFile:   s.elemFile,
-		structFile: make(map[core.Color]pagestore.FileID, len(s.structFile)),
-		elemLoc:    make(map[ElemID]pagestore.RecordID, len(s.elemLoc)),
-		structLoc:  make(map[structKey]pagestore.RecordID, len(s.structLoc)),
+		elemLoc:    s.elemLoc.Clone(),
+		trees:      append([]colorTree(nil), s.trees...),
+		colors:     s.colors,
 		tagIdx:     s.tagIdx.Clone(),
 		contentIdx: s.contentIdx.Clone(),
 		attrIdx:    s.attrIdx.Clone(),
 		startIdx:   s.startIdx.Clone(),
-		colors:     append([]core.Color(nil), s.colors...),
 		nextID:     s.nextID,
-		maxStart:   make(map[core.Color]int64, len(s.maxStart)),
 		counts:     s.counts,
 		pathSums:   s.clonePathSums(),
 	}
-	for c, f := range s.structFile {
-		ns.structFile[c] = f
-	}
-	for id, rid := range s.elemLoc {
-		ns.elemLoc[id] = rid
-	}
-	for k, rid := range s.structLoc {
-		ns.structLoc[k] = rid
-	}
-	for c, v := range s.maxStart {
-		ns.maxStart[c] = v
+	for i := range ns.trees {
+		ns.trees[i].loc = ns.trees[i].loc.Clone()
 	}
 	// The clone starts structurally identical to its parent, so it inherits
 	// the stats epoch; the first structural change it absorbs moves it to a
@@ -71,6 +60,14 @@ func (s *Store) Clone() *Store {
 // is unaffected.
 func (s *Store) ApplyChanges(changes []core.Change) error {
 	for i, ch := range changes {
+		// A content change the next entry overwrites is dead: replacing an
+		// element's text logs the old text's removal and then the new text,
+		// and applying the first would shrink the record only for the second
+		// to outgrow and relocate it.
+		if ch.Kind == core.ChangeContent && i+1 < len(changes) &&
+			changes[i+1].Kind == core.ChangeContent && changes[i+1].Elem == ch.Elem {
+			continue
+		}
 		if err := s.applyChange(ch); err != nil {
 			return fmt.Errorf("storage: applying change %d/%d (kind %d, elem %d): %w",
 				i+1, len(changes), ch.Kind, ch.Elem, err)
@@ -88,14 +85,14 @@ func (s *Store) applyChange(ch core.Change) error {
 
 	case core.ChangeContent:
 		id := ElemID(ch.Elem)
-		if _, ok := s.elemLoc[id]; !ok {
+		if _, ok := s.elemRID(id); !ok {
 			return nil // detached fragment; not materialized
 		}
 		return s.UpdateContent(id, ch.Content)
 
 	case core.ChangeAttrs:
 		id := ElemID(ch.Elem)
-		if _, ok := s.elemLoc[id]; !ok {
+		if _, ok := s.elemRID(id); !ok {
 			return nil
 		}
 		return s.SetElemAttrs(id, ch.Attrs)

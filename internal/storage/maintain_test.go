@@ -202,3 +202,90 @@ func TestCloneLeavesSnapshotIntact(t *testing.T) {
 		t.Fatalf("frozen snapshot changed:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
 }
+
+// TestCloneCostIsSizeIndependent: a clone shares the location tables, the
+// indexes and the page images, so it allocates the same few headers whatever
+// the store holds.
+func TestCloneCostIsSizeIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20 000-item store")
+	}
+	var allocs []float64
+	for _, items := range []int{1500, 20000} {
+		st, err := storage.Load(fixtures.NewCatalog(items).DB, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Clone() // hands the load's written pages to the disk layer, once
+		allocs = append(allocs, testing.AllocsPerRun(50, func() { st.Clone() }))
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("Clone allocates %v objects at 1 500 items and %v at 20 000", allocs[0], allocs[1])
+	}
+}
+
+// TestParentWritesStayOutOfClone is the other direction of
+// TestCloneLeavesSnapshotIntact: changes applied to the store a clone was
+// taken from (content, a relocated record, an insert, a delete) never show
+// in the clone.
+func TestParentWritesStayOutOfClone(t *testing.T) {
+	m := fixtures.NewMovieDB()
+	db := m.DB
+	parent, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.DrainChanges()
+	clone := parent.Clone()
+	before := fingerprint(t, clone)
+
+	if err := db.SetText(m.Node("eve-votes"), "a much longer text than the record has room for"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddElementText(m.Node("eve"), "tagline", fixtures.Red, "fasten your seatbelts"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteSubtree(m.Node("drama"), fixtures.Red); err != nil {
+		t.Fatal(err)
+	}
+	changes, _ := db.DrainChanges()
+	if err := parent.ApplyChanges(changes); err != nil {
+		t.Fatal(err)
+	}
+	if after := fingerprint(t, clone); after != before {
+		t.Fatalf("clone changed under its parent's writes:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+	fresh, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(t, parent), fingerprint(t, fresh); got != want {
+		t.Fatalf("parent diverges from a fresh load:\n%s\n--- fresh ---\n%s", got, want)
+	}
+}
+
+// TestReplacedTextDoesNotRelocate: core logs a text replacement as the old
+// text's removal followed by the new text. Applied one by one the first would
+// shrink the element record and the second relocate it, growing the element
+// file by a record per update; the pair applies as the one change it is.
+func TestReplacedTextDoesNotRelocate(t *testing.T) {
+	c := fixtures.NewCatalog(30)
+	db, votes := c.DB, c.Votes
+	st, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := st.DataBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := db.SetText(votes[i%len(votes)], fmt.Sprint(50+i%9)); err != nil {
+			t.Fatal(err)
+		}
+		st = applyDrained(t, st, db)
+	}
+	if grown, err := st.DataBytes(); err != nil || grown != size {
+		t.Fatalf("data files grew from %d to %d bytes under same-length text replacements (err %v)", size, grown, err)
+	}
+}

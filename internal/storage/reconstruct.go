@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"colorfulxml/internal/core"
 )
@@ -20,11 +19,11 @@ import (
 func Reconstruct(s *Store) (*core.Database, error) {
 	db := core.NewDatabase(s.colors...)
 
-	ids := make([]ElemID, 0, len(s.elemLoc))
-	for id := range s.elemLoc {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := make([]ElemID, 0, s.elemLoc.Len())
+	s.elemLoc.Ascend(func(id uint64, _ uint64) bool {
+		ids = append(ids, ElemID(id))
+		return true
+	})
 
 	nodes := make(map[ElemID]*core.Node, len(ids))
 	infos := make(map[ElemID]ElemInfo, len(ids))

@@ -18,6 +18,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,6 +26,7 @@ import (
 
 	"colorfulxml/internal/btree"
 	"colorfulxml/internal/core"
+	"colorfulxml/internal/cowarray"
 	"colorfulxml/internal/pagestore"
 )
 
@@ -32,11 +34,17 @@ import (
 // nodes).
 type ElemID uint64
 
-// structKey addresses one structural record: an element within one colored
-// tree.
-type structKey struct {
-	Elem  ElemID
-	Color core.Color
+// maxElemID bounds the element ids the store accepts. The location tables
+// are arrays indexed by id, so an id read from a damaged checkpoint or log
+// must not be allowed to size them; core hands ids out densely from 1, and a
+// database of four billion nodes is far past what is held in memory.
+const maxElemID = ElemID(1) << 32
+
+func checkElemID(id ElemID) error {
+	if id >= maxElemID {
+		return fmt.Errorf("storage: element id %d is beyond the store's id range", id)
+	}
+	return nil
 }
 
 // SNode is a structural node: the physical representation of one element's
@@ -71,15 +79,18 @@ const structRecSize = 8 + 8 + 8 + 4 + 8 // elem, start, end, level, parentStart
 type Store struct {
 	pages *pagestore.Store
 
-	elemFile   pagestore.FileID
-	structFile map[core.Color]pagestore.FileID
+	elemFile pagestore.FileID
 
 	// Directories (in-memory, like Timber's node directories): element
-	// record locations and per-(element, color) structural record locations
-	// (the Figure 10 back-link "attributes"). structLoc is a flat map so
-	// that Clone copies it in one pass without per-element allocations.
-	elemLoc   map[ElemID]pagestore.RecordID
-	structLoc map[structKey]pagestore.RecordID
+	// record locations here, and per color the structural record locations
+	// (the Figure 10 back-link "attributes") in trees, as packed RecordIDs
+	// indexed by element id. The tables are copy-on-write arrays: Clone
+	// shares them and an update copies the one chunk it writes.
+	elemLoc *cowarray.Array[uint64]
+	// trees holds one header per color, sorted by color; colors lists the
+	// same colors and is never changed in place, so clones share it.
+	trees  []colorTree
+	colors []core.Color
 
 	// Indexes.
 	tagIdx     *btree.Tree // color|tag -> struct record refs (start order)
@@ -87,10 +98,7 @@ type Store struct {
 	attrIdx    *btree.Tree // name=value -> elem ids
 	startIdx   *btree.Tree // color|zero-padded start -> struct record ref
 
-	colors []core.Color
 	nextID ElemID
-	// maxStart tracks the highest start per color for appends.
-	maxStart map[core.Color]int64
 
 	counts SizeCounts
 
@@ -112,6 +120,27 @@ type Store struct {
 	statsEpoch atomic.Uint64
 }
 
+// colorTree is the store's header for one colored tree: the heap file of its
+// structural records, where each element's record sits in it, and the next
+// free start position for appended roots.
+type colorTree struct {
+	color    core.Color
+	file     pagestore.FileID
+	loc      *cowarray.Array[uint64]
+	maxStart int64
+}
+
+// tree returns color c's header, or nil for a color the store does not have.
+// A store holds a handful of colors, so this is a short scan.
+func (s *Store) tree(c core.Color) *colorTree {
+	for i := range s.trees {
+		if s.trees[i].color == c {
+			return &s.trees[i]
+		}
+	}
+	return nil
+}
+
 // SizeCounts is the Table 1 accounting: logical node counts plus physical
 // sizes.
 type SizeCounts struct {
@@ -126,14 +155,11 @@ type SizeCounts struct {
 func NewStore(poolPages int, colors ...core.Color) *Store {
 	s := &Store{
 		pages:      pagestore.NewStore(poolPages),
-		structFile: map[core.Color]pagestore.FileID{},
-		elemLoc:    map[ElemID]pagestore.RecordID{},
-		structLoc:  map[structKey]pagestore.RecordID{},
+		elemLoc:    &cowarray.Array[uint64]{},
 		tagIdx:     btree.New(),
 		contentIdx: btree.New(),
 		attrIdx:    btree.New(),
 		startIdx:   btree.New(),
-		maxStart:   map[core.Color]int64{},
 	}
 	s.elemFile = s.pages.CreateFile()
 	s.statsEpoch.Store(nextStatsEpoch())
@@ -162,12 +188,38 @@ func (s *Store) StatsEpoch() uint64 { return s.statsEpoch.Load() }
 func (s *Store) bumpStatsEpoch() { s.statsEpoch.Store(nextStatsEpoch()) }
 
 func (s *Store) addColor(c core.Color) {
-	if _, ok := s.structFile[c]; ok {
-		return
+	if s.tree(c) == nil {
+		s.addTree(c, s.pages.CreateFile())
 	}
-	s.structFile[c] = s.pages.CreateFile()
-	s.colors = append(s.colors, c)
-	sort.Slice(s.colors, func(i, j int) bool { return s.colors[i] < s.colors[j] })
+}
+
+// addTree registers color c with its structural heap file, keeping trees and
+// colors sorted. Both slices are rebuilt: clones share the old ones.
+func (s *Store) addTree(c core.Color, f pagestore.FileID) {
+	at := sort.Search(len(s.trees), func(i int) bool { return s.trees[i].color > c })
+	trees := make([]colorTree, 0, len(s.trees)+1)
+	trees = append(append(trees, s.trees[:at]...), colorTree{color: c, file: f, loc: &cowarray.Array[uint64]{}})
+	s.trees = append(trees, s.trees[at:]...)
+	s.colors = make([]core.Color, len(s.trees))
+	for i, t := range s.trees {
+		s.colors[i] = t.color
+	}
+}
+
+// elemRID returns the location of an element's record.
+func (s *Store) elemRID(id ElemID) (pagestore.RecordID, bool) {
+	ref, ok := s.elemLoc.Get(uint64(id))
+	return unpackRID(ref), ok
+}
+
+// structRef returns the packed location of an element's structural record in
+// color c (the form index postings carry).
+func (s *Store) structRef(id ElemID, c core.Color) (uint64, bool) {
+	t := s.tree(c)
+	if t == nil {
+		return 0, false
+	}
+	return t.loc.Get(uint64(id))
 }
 
 // Colors returns the store's colors in sorted order.
@@ -188,8 +240,8 @@ func (s *Store) DataBytes() (int64, error) {
 		return 0, err
 	}
 	total += int64(n) * pagestore.PageSize
-	for _, f := range s.structFile {
-		n, err := s.pages.NumPages(f)
+	for _, t := range s.trees {
+		n, err := s.pages.NumPages(t.file)
 		if err != nil {
 			return 0, err
 		}

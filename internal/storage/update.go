@@ -15,7 +15,7 @@ import (
 // UpdateContent replaces an element's text content in place (appending a
 // relocated record when the new content is larger).
 func (s *Store) UpdateContent(id ElemID, content string) error {
-	rid, ok := s.elemLoc[id]
+	rid, ok := s.elemRID(id)
 	if !ok {
 		return fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
@@ -37,20 +37,20 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 		if err := s.pages.DeleteRecord(rid); err != nil {
 			return err
 		}
-		s.elemLoc[id] = newRID
+		s.elemLoc.Set(uint64(id), packRID(newRID))
 	}
 	// Re-key the content index for every colored structural node.
-	for _, c := range s.colors {
-		srid, ok := s.structLoc[structKey{id, c}]
+	for _, t := range s.trees {
+		c := t.color
+		ref, ok := t.loc.Get(uint64(id))
 		if !ok {
 			continue
 		}
-		ref := packRID(srid)
 		if oldContent != "" {
 			s.contentIdx.Delete(contentKey(c, tag, oldContent), ref)
 		}
 		if content != "" {
-			sn, err := s.readStruct(srid, c)
+			sn, err := s.readStructRef(ref, c)
 			if err != nil {
 				return err
 			}
@@ -81,13 +81,25 @@ func (s *Store) InsertLeafChild(parent SNode, tag, content string, attrs [][2]st
 // by incremental snapshot maintenance where store element ids must equal
 // logical core node ids.
 func (s *Store) InsertLeafChildID(id ElemID, parent SNode, tag, content string, attrs [][2]string) (SNode, error) {
-	if _, ok := s.elemLoc[id]; ok {
-		return SNode{}, fmt.Errorf("storage: element %d already stored: %w", id, core.ErrAlreadyColored)
+	if err := s.claimID(id); err != nil {
+		return SNode{}, err
+	}
+	return s.insertLeafChild(id, parent, tag, content, attrs)
+}
+
+// claimID admits a caller-chosen id for a new element and moves the id
+// cursor past it.
+func (s *Store) claimID(id ElemID) error {
+	if _, ok := s.elemRID(id); ok {
+		return fmt.Errorf("storage: element %d already stored: %w", id, core.ErrAlreadyColored)
+	}
+	if err := checkElemID(id); err != nil {
+		return err
 	}
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
-	return s.insertLeafChild(id, parent, tag, content, attrs)
+	return nil
 }
 
 func (s *Store) insertLeafChild(id ElemID, parent SNode, tag, content string, attrs [][2]string) (SNode, error) {
@@ -130,7 +142,7 @@ func (s *Store) tryInsertLeaf(id ElemID, parent SNode, tag, content string, attr
 	if err != nil {
 		return SNode{}, false, err
 	}
-	s.elemLoc[id] = rid
+	s.elemLoc.Set(uint64(id), packRID(rid))
 	s.counts.Elements++
 	s.counts.Attributes += len(attrs)
 	if content != "" {
@@ -156,33 +168,28 @@ func (s *Store) tryInsertLeaf(id ElemID, parent SNode, tag, content string, attr
 // rootSlot allocates an interval for a new last root (child of the document)
 // in color c. Root positions are unbounded above, so no renumbering is ever
 // needed.
-func (s *Store) rootSlot(c core.Color) (start, end int64) {
-	start = s.maxStart[c]
-	if start < gap {
-		start = gap
-	}
+func (s *Store) rootSlot(t *colorTree) (start, end int64) {
+	start = max(t.maxStart, gap)
 	end = start + 1
-	s.maxStart[c] = end + gap
+	t.maxStart = end + gap
 	return start, end
 }
 
 // InsertLeafRootID creates a new element with a caller-chosen id as the last
 // root of colored tree c (a child of the document node).
 func (s *Store) InsertLeafRootID(id ElemID, c core.Color, tag, content string, attrs [][2]string) (SNode, error) {
-	if _, ok := s.structFile[c]; !ok {
+	t := s.tree(c)
+	if t == nil {
 		return SNode{}, fmt.Errorf("storage: unknown color %q", c)
 	}
-	if _, ok := s.elemLoc[id]; ok {
-		return SNode{}, fmt.Errorf("storage: element %d already stored: %w", id, core.ErrAlreadyColored)
-	}
-	if id >= s.nextID {
-		s.nextID = id + 1
+	if err := s.claimID(id); err != nil {
+		return SNode{}, err
 	}
 	rid, err := s.pages.AppendRecord(s.elemFile, encodeElem(id, tag, content, attrs))
 	if err != nil {
 		return SNode{}, err
 	}
-	s.elemLoc[id] = rid
+	s.elemLoc.Set(uint64(id), packRID(rid))
 	s.counts.Elements++
 	s.counts.Attributes += len(attrs)
 	if content != "" {
@@ -191,7 +198,7 @@ func (s *Store) InsertLeafRootID(id ElemID, c core.Color, tag, content string, a
 	for _, a := range attrs {
 		s.attrIdx.Insert(attrKey(a[0], a[1]), uint64(id))
 	}
-	start, end := s.rootSlot(c)
+	start, end := s.rootSlot(t)
 	sn := SNode{Elem: id, Color: c, Start: start, End: end, Level: 0, ParentStart: -1}
 	if err := s.insertStruct(tag, content, sn); err != nil {
 		return SNode{}, err
@@ -202,17 +209,18 @@ func (s *Store) InsertLeafRootID(id ElemID, c core.Color, tag, content string, a
 // AddColorRoot attaches an existing element into colored tree c as its last
 // root (the next-color constructor with the document as parent).
 func (s *Store) AddColorRoot(id ElemID, c core.Color) (SNode, error) {
-	if _, ok := s.structFile[c]; !ok {
+	t := s.tree(c)
+	if t == nil {
 		return SNode{}, fmt.Errorf("storage: unknown color %q", c)
 	}
-	if _, ok := s.structLoc[structKey{id, c}]; ok {
+	if _, ok := t.loc.Get(uint64(id)); ok {
 		return SNode{}, fmt.Errorf("storage: element %d already in color %q: %w", id, c, core.ErrAlreadyColored)
 	}
 	e, err := s.Elem(id)
 	if err != nil {
 		return SNode{}, err
 	}
-	start, end := s.rootSlot(c)
+	start, end := s.rootSlot(t)
 	sn := SNode{Elem: id, Color: c, Start: start, End: end, Level: 0, ParentStart: -1}
 	if err := s.insertStruct(e.Tag, e.Content, sn); err != nil {
 		return SNode{}, err
@@ -223,7 +231,7 @@ func (s *Store) AddColorRoot(id ElemID, c core.Color) (SNode, error) {
 // SetElemAttrs replaces an element's attribute list, re-keying the attribute
 // index (the physical counterpart of attribute set/remove).
 func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
-	rid, ok := s.elemLoc[id]
+	rid, ok := s.elemRID(id)
 	if !ok {
 		return fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
@@ -245,7 +253,7 @@ func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
 		if err := s.pages.DeleteRecord(rid); err != nil {
 			return err
 		}
-		s.elemLoc[id] = newRID
+		s.elemLoc.Set(uint64(id), packRID(newRID))
 	}
 	for _, a := range oldAttrs {
 		s.attrIdx.Delete(attrKey(a[0], a[1]), uint64(id))
@@ -261,7 +269,7 @@ func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
 // last child of parent (the physical counterpart of the next-color
 // constructor).
 func (s *Store) AddColorTo(id ElemID, parent SNode) (SNode, error) {
-	if _, ok := s.structLoc[structKey{id, parent.Color}]; ok {
+	if _, ok := s.structRef(id, parent.Color); ok {
 		return SNode{}, fmt.Errorf("storage: element %d already in color %q: %w", id, parent.Color, core.ErrAlreadyColored)
 	}
 	e, err := s.Elem(id)
@@ -319,9 +327,8 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		if err != nil {
 			return err
 		}
-		rid := s.structLoc[structKey{d.Elem, d.Color}]
-		ref := packRID(rid)
-		if err := s.pages.DeleteRecord(rid); err != nil {
+		ref, _ := s.structRef(d.Elem, d.Color)
+		if err := s.pages.DeleteRecord(unpackRID(ref)); err != nil {
 			return err
 		}
 		s.tagIdx.Delete(tagKey(d.Color, e.Tag), ref)
@@ -329,13 +336,14 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 			s.contentIdx.Delete(contentKey(d.Color, e.Tag, e.Content), ref)
 		}
 		s.startIdx.DeleteKey(startKey(d.Color, d.Start))
-		delete(s.structLoc, structKey{d.Elem, d.Color})
+		s.tree(d.Color).loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--
 		if len(s.ColorsOf(d.Elem)) == 0 {
-			if err := s.pages.DeleteRecord(s.elemLoc[d.Elem]); err != nil {
+			erid, _ := s.elemRID(d.Elem)
+			if err := s.pages.DeleteRecord(erid); err != nil {
 				return err
 			}
-			delete(s.elemLoc, d.Elem)
+			s.elemLoc.Delete(uint64(d.Elem))
 			for _, a := range e.Attrs {
 				s.attrIdx.Delete(attrKey(a[0], a[1]), uint64(d.Elem))
 			}
@@ -434,7 +442,7 @@ func (s *Store) renumber(c core.Color, track SNode) (SNode, error) {
 			found = true
 		}
 	}
-	s.maxStart[c] = ctr
+	s.tree(c).maxStart = ctr
 	if !found {
 		return SNode{}, fmt.Errorf("storage: renumber lost track of element %d", track.Elem)
 	}

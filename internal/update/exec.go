@@ -1,11 +1,15 @@
 package update
 
 import (
+	"context"
 	"fmt"
 
 	"colorfulxml/internal/core"
+	"colorfulxml/internal/engine"
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
+	"colorfulxml/internal/plan"
+	"colorfulxml/internal/storage"
 )
 
 // Result reports what an update did.
@@ -36,19 +40,34 @@ func (x *Executor) Apply(src string) (Result, error) {
 	return x.Run(u)
 }
 
-// Run applies a parsed update expression: it evaluates the binding clauses
-// to tuples (exactly like a FLWOR prefix), filters them with the where
-// clause, and applies the update operations once per tuple.
+// Run applies a parsed update expression, binding its tuples with the
+// tree-walking evaluator (Bind).
 func (x *Executor) Run(u *Update) (Result, error) {
+	tuples, err := x.Bind(u)
+	if err != nil {
+		return Result{}, err
+	}
+	return x.ApplyTuples(u, tuples)
+}
+
+// Tuples are an update's binding tuples: one environment per tuple, with
+// every for/let variable bound, in the order the update clause runs for them.
+type Tuples []*pathexpr.Env
+
+// Bind evaluates the binding clauses to tuples (exactly like a FLWOR prefix)
+// by walking the tree, and filters them with the where clause. It handles
+// every update the language admits; it is the fallback for bindings the plan
+// compiler rejects and the oracle BindCompiled is tested against.
+func (x *Executor) Bind(u *Update) (Tuples, error) {
 	db := x.ev.DB
 	env := &pathexpr.Env{DB: db, Ext: x.ev.ExtEval()}
-	tuples := []*pathexpr.Env{env}
+	tuples := Tuples{env}
 	for _, cl := range u.Clauses {
-		var next []*pathexpr.Env
+		var next Tuples
 		for _, te := range tuples {
 			v, err := pathexpr.Eval(te, cl.Expr)
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			if cl.Let {
 				next = append(next, te.Bind(cl.Var, v))
@@ -61,15 +80,15 @@ func (x *Executor) Run(u *Update) (Result, error) {
 		tuples = next
 	}
 	if u.Where != nil {
-		var kept []*pathexpr.Env
+		var kept Tuples
 		for _, te := range tuples {
 			v, err := pathexpr.Eval(te, u.Where)
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			b, err := pathexpr.EffectiveBool(v)
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			if b {
 				kept = append(kept, te)
@@ -77,7 +96,49 @@ func (x *Executor) Run(u *Update) (Result, error) {
 		}
 		tuples = kept
 	}
+	return tuples, nil
+}
 
+// BindCompiled produces the same tuples as Bind from the indexes: it
+// compiles the binding clauses with the plan compiler (a return-less FLWOR,
+// plan.CompileBindings), runs the plan on st and resolves each row's
+// structural nodes to the database's nodes. st must be a store image of
+// exactly the executor's database state — the caller holds the writer lock
+// and has brought the snapshot up to date. An error wrapping
+// plan.ErrUnsupported (let clauses, attribute bindings, ...) means nothing was
+// executed and the caller should use Bind.
+func (x *Executor) BindCompiled(u *Update, st *storage.Store, opt plan.Options) (Tuples, error) {
+	c, err := plan.CompileBindings(u.Clauses, u.Where, opt)
+	if err != nil {
+		return nil, err
+	}
+	db, ext := x.ev.DB, x.ev.ExtEval()
+	var tuples Tuples
+	// Unpooled: a recycled execution works in full-size batch buffers, and
+	// keeping a set of those alive for one-row binds costs more memory than
+	// it saves time.
+	_, err = engine.ExecBatches(context.Background(), st, c.Root, func(b *engine.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			vars := make(map[string]pathexpr.Sequence, len(c.Cols))
+			for j, sn := range b.Row(i) {
+				n := db.NodeByID(core.NodeID(sn.Elem))
+				if n == nil {
+					return fmt.Errorf("update: snapshot element %d is not in the database", sn.Elem)
+				}
+				vars[c.Cols[j].Var] = pathexpr.Sequence{pathexpr.NodeItem(n, sn.Color)}
+			}
+			tuples = append(tuples, &pathexpr.Env{DB: db, Vars: vars, Ext: ext})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tuples, nil
+}
+
+// ApplyTuples applies the update operations once per binding tuple.
+func (x *Executor) ApplyTuples(u *Update, tuples Tuples) (Result, error) {
 	res := Result{Tuples: len(tuples)}
 	for _, te := range tuples {
 		tv, ok := te.Vars[u.Target]

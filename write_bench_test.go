@@ -1,0 +1,145 @@
+package colorfulxml
+
+import (
+	"fmt"
+	"strconv"
+	"testing"
+
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/fixtures"
+	"colorfulxml/internal/plan"
+	"colorfulxml/internal/storage"
+	"colorfulxml/internal/update"
+)
+
+// Micro-benchmarks of the write path's layers (ROADMAP item 1), on the
+// repository benchmark's catalog: what a commit pays to clone the snapshot,
+// to bind an update's tuples, and to apply each kind of change.
+
+// writeCatalog is the benchmark's catalog with its loaded store image.
+type writeCatalog struct {
+	*fixtures.Catalog
+	st *storage.Store
+}
+
+func newWriteCatalog(b *testing.B, items int) *writeCatalog {
+	b.Helper()
+	c := &writeCatalog{Catalog: fixtures.NewCatalog(items)}
+	st, err := storage.Load(c.DB, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.ScanTag("red", "name"); err != nil { // pool the pages, as a serving snapshot has
+		b.Fatal(err)
+	}
+	c.st = st
+	return c
+}
+
+var writeBenchSizes = []int{1500, 20000}
+
+var cloneSink *storage.Store
+
+// BenchmarkStoreClone: the snapshot clone every commit starts with. The two
+// sizes must cost the same.
+func BenchmarkStoreClone(b *testing.B) {
+	for _, items := range writeBenchSizes {
+		b.Run(strconv.Itoa(items), func(b *testing.B) {
+			c := newWriteCatalog(b, items)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cloneSink = c.st.Clone()
+			}
+		})
+	}
+}
+
+var tupleSink update.Tuples
+
+// BenchmarkUpdateBind: binding the repository benchmark's vote update (name
+// probe -> parent item -> green votes) to its one tuple, through the compiled
+// plan on the store and through the tree-walking evaluator.
+func BenchmarkUpdateBind(b *testing.B) {
+	for _, route := range []string{"compiled", "evaluator"} {
+		for _, items := range writeBenchSizes {
+			b.Run(fmt.Sprintf("%s/%d", route, items), func(b *testing.B) {
+				c := newWriteCatalog(b, items)
+				k := 3 * (items / 6)
+				u, err := update.Parse(`for $n in document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) +
+					`"], $i in $n/{red}parent::item, $v in $i/{green}child::votes update $i { replace $v with "57" }`)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ex := update.NewExecutor(c.DB)
+				opt := plan.Options{Catalog: plan.StoreCatalog{Store: c.st}}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if route == "compiled" {
+						tupleSink, err = ex.BindCompiled(u, c.st, opt)
+					} else {
+						tupleSink, err = ex.Bind(u)
+					}
+					if err != nil || len(tupleSink) != 1 {
+						b.Fatalf("%d tuples, err %v", len(tupleSink), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkApplyChange: Store.ApplyChanges of one change, per kind of
+// core.Change, on the 1 500-item catalog (ChangeComplex has no apply: it
+// forces a rebuild). Changes are applied in runs of 64 to distinct targets on
+// one clone, the way recovery replays a log, so the clone's cost and its cold
+// pool are spread over the run.
+func BenchmarkApplyChange(b *testing.B) {
+	const run = 64
+	c := newWriteCatalog(b, 1500)
+	fresh := core.NodeID(c.DB.NumNodes() + 1000)
+	kinds := []struct {
+		name string
+		at   func(j int) core.Change
+	}{
+		{"content", func(j int) core.Change {
+			return core.Change{Kind: core.ChangeContent, Elem: c.Votes[j].ID(), Content: "57"}
+		}},
+		{"attrs", func(j int) core.Change {
+			return core.Change{Kind: core.ChangeAttrs, Elem: c.Items[j].ID(), Attrs: [][2]string{{"rank", strconv.Itoa(j)}}}
+		}},
+		{"insert-leaf", func(j int) core.Change {
+			return core.Change{Kind: core.ChangeInsertLeaf, Elem: fresh + core.NodeID(j), Parent: c.Items[j].ID(),
+				Color: "red", Tag: "tag", Content: "t" + strconv.Itoa(j)}
+		}},
+		{"add-color", func(j int) core.Change {
+			return core.Change{Kind: core.ChangeAddColor, Elem: c.Items[3*j+1].ID(), Parent: c.Featured.ID(), Color: "green"}
+		}},
+		{"delete-subtree", func(j int) core.Change {
+			return core.Change{Kind: core.ChangeDeleteSubtree, Elem: c.Names[j].ID(), Color: "red"}
+		}},
+		{"add-database-color", func(j int) core.Change {
+			return core.Change{Kind: core.ChangeAddDatabaseColor, Color: core.Color("c" + strconv.Itoa(j))}
+		}},
+	}
+	for _, kind := range kinds {
+		b.Run(kind.name, func(b *testing.B) {
+			changes := make([][]core.Change, run)
+			for j := range changes {
+				changes[j] = []core.Change{kind.at(j)}
+			}
+			var st *storage.Store
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%run == 0 {
+					st = c.st.Clone()
+				}
+				if err := st.ApplyChanges(changes[i%run]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -10,15 +10,21 @@
 //	BenchmarkFigure11/*  query complexity: path expressions per query text
 //	BenchmarkFigure12/*  query complexity: variable bindings per query text
 //	BenchmarkAblation*   the design-choice ablations called out in DESIGN.md
+//	BenchmarkResultMapping/*, BenchmarkStructJoin/*
+//	                     the read path's layers on the repository benchmark's
+//	                     catalog (next to write_bench_test.go's write path)
 //
 // Run with: go test -bench=. -benchmem
 package colorfulxml
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
+	"colorfulxml/colorful"
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/datagen"
 	"colorfulxml/internal/engine"
@@ -244,6 +250,83 @@ func BenchmarkCompiledVsHandPlans(b *testing.B) {
 	}
 	bench(workload.TPCWQueries(), tp)
 	bench(workload.SigmodQueries(), sg)
+}
+
+// --- Read-path layers (ROADMAP item 3) --------------------------------------
+
+var itemSink []colorful.Item
+
+// BenchmarkResultMapping: what a prepared statement costs to hand its answer
+// over as items — one row (an index probe; the fixed cost) and the 20 000
+// names of the catalog (a summary probe; the per-row cost: a reference, a
+// node lookup and one content string each). Allocations are the gated number
+// (colorful.TestResultAllocations): a constant, plus one string per row.
+func BenchmarkResultMapping(b *testing.B) {
+	const items = 20000
+	db := colorful.New("red", "green")
+	catalog, err := db.AddElement(db.Document(), "catalog", "red")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < items; k++ {
+		item, err := db.AddElement(catalog, "item", "red")
+		if err == nil {
+			_, err = db.AddElementText(item, "name", "red", "Item "+strconv.Itoa(k))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	sess := db.Session()
+	defer sess.Close()
+	for _, q := range []struct {
+		rows int
+		text string
+	}{
+		{1, `document("db")/{red}descendant::name[. = "Item 9999"]`},
+		{items, `document("db")/{red}descendant::item/{red}child::name`},
+	} {
+		rows, text := q.rows, q.text
+		b.Run(strconv.Itoa(rows), func(b *testing.B) {
+			st, err := sess.Prepare(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if itemSink, err = st.Query(); err != nil || len(itemSink) != rows {
+					b.Fatalf("%d rows, %v", len(itemSink), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStructJoin: the benchmark's flwor join — 6 667 green items with
+// their votes, two index scans — as the stack-tree merge the compiler now
+// picks for start-ordered inputs, and through the interval index it builds
+// for the others.
+func BenchmarkStructJoin(b *testing.B) {
+	c := newWriteCatalog(b, 20000)
+	for _, mode := range []string{"merge", "index"} {
+		b.Run(mode, func(b *testing.B) {
+			plan := &engine.StructJoin{
+				Anc: &engine.ScanTag{Color: "green", Tag: "item"}, Desc: &engine.ScanTag{Color: "green", Tag: "votes"},
+				Axis: join.ParentChild, Merge: mode == "merge",
+			}
+			pool := &engine.MemPool{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := engine.ExecBatchesPooled(context.Background(), c.st, pool, plan.Clone(), func(*engine.Batch) error { return nil })
+				if err != nil || m.RowsOut != len(c.Votes) {
+					b.Fatalf("%d rows, %v", m.RowsOut, err)
+				}
+			}
+		})
+	}
 }
 
 // --- Ablations (DESIGN.md Section 5) ---------------------------------------

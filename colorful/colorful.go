@@ -74,8 +74,9 @@ type DB struct {
 	coreRef atomic.Pointer[core.Database]
 
 	// mu guards the core database: mutators hold it exclusively, evaluator
-	// runs and result mapping hold it shared. Compiled execution holds no
-	// lock at all — it touches only an immutable snapshot.
+	// runs hold it shared. A compiled query holds no lock at all — plan and
+	// result values touch only an immutable snapshot — unless its output is
+	// not a leaf of the data (coreItems).
 	mu sync.RWMutex
 	// maintMu serializes snapshot maintenance (see currentSnapshot).
 	maintMu sync.Mutex
@@ -212,16 +213,57 @@ func (d *DB) evalItems(src string) ([]Item, error) {
 	return out, nil
 }
 
-// mapNodes maps output-column structural nodes back to live core nodes under
-// one shared lock, so all returned values come from a single
-// statement-boundary state even when writers run concurrently. Nodes deleted
-// since the snapshot was taken contribute no item.
-func (d *DB) mapNodes(nodes []storage.SNode, c *plan.Compiled) []Item {
+// Where a compiled query's values are read from.
+const (
+	sourceSnapshot = "snapshot"
+	sourceCore     = "core"
+)
+
+// valueSource picks the route that turns a compiled plan's element
+// references into items, by a property of the data the plan was compiled
+// against: when the output tag has no child paths in its color, an item's
+// string value is its element's content record, and everything comes from
+// the snapshot that produced the references. A non-leaf output (its value is
+// the text of a whole subtree) or an attribute projection goes through core.
+func valueSource(c *plan.Compiled) string {
+	if c.OutAttr == "" && c.OutLeaf {
+		return sourceSnapshot
+	}
+	return sourceCore
+}
+
+// items materializes result items from the snapshot alone: each node from
+// the identity table of the snapshot's generation, each value from its
+// store's element records. No lock: a row's node set and its values belong
+// to one generation, whatever writers have done since — an element deleted
+// in the meantime is still the node it was.
+func (sp *snapshot) items(ids []storage.ElemID, color Color) ([]Item, error) {
+	out := make([]Item, len(ids))
+	for i, id := range ids {
+		n, ok := sp.nodes.Get(uint64(id))
+		if !ok {
+			return nil, fmt.Errorf("colorful: snapshot generation %d stores element %d but has no node for it", sp.gen, id)
+		}
+		out[i].Node, out[i].Color = n, color
+	}
+	if err := sp.st.Contents(ids, func(i int, content string) { out[i].Value = content }); err != nil {
+		return nil, err
+	}
+	obsValuesSnapshot.Add(uint64(len(out)))
+	return out, nil
+}
+
+// coreItems maps element references back to live core nodes under one shared
+// lock, so all returned values come from a single statement-boundary state —
+// the current one, not the snapshot's. Elements deleted since the snapshot
+// was taken contribute no item.
+func (d *DB) coreItems(ids []storage.ElemID, c *plan.Compiled) []Item {
+	color := c.Cols[c.OutCol].Color
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]Item, 0, len(nodes))
-	for _, sn := range nodes {
-		n := d.Database.NodeByID(core.NodeID(sn.Elem))
+	out := make([]Item, 0, len(ids))
+	for _, id := range ids {
+		n := d.Database.NodeByID(core.NodeID(id))
 		if n == nil {
 			continue
 		}
@@ -232,12 +274,13 @@ func (d *DB) mapNodes(nodes []storage.SNode, c *plan.Compiled) []Item {
 			if a == nil {
 				continue
 			}
-			out = append(out, Item{Node: a, Color: sn.Color, Value: a.Value()})
+			out = append(out, Item{Node: a, Color: color, Value: a.Value()})
 			continue
 		}
-		out = append(out, Item{Node: n, Color: sn.Color,
-			Value: pathexpr.ItemString(pathexpr.NodeItem(n, sn.Color))})
+		out = append(out, Item{Node: n, Color: color,
+			Value: pathexpr.ItemString(pathexpr.NodeItem(n, color))})
 	}
+	obsValuesCore.Add(uint64(len(out)))
 	return out
 }
 
@@ -300,7 +343,13 @@ func (d *DB) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return an.Text, nil
+	out := c.Cols[c.OutCol]
+	dedup := "made distinct by the plan's Dedup"
+	if c.Distinct {
+		dedup = "distinct by construction (no Dedup)"
+	}
+	return an.Text + fmt.Sprintf("output: col %d {%s}%s, %s; values from %s\n",
+		c.OutCol, out.Color, out.Tag, dedup, valueSource(c)), nil
 }
 
 // UpdateResult reports how many binding tuples matched and how many nodes an

@@ -37,6 +37,12 @@ var (
 	obsBindCompiled  = obs.NewLabeledCounter("db_update_binds_total", "route", "compiled")
 	obsBindEvaluator = obs.NewLabeledCounter("db_update_binds_total", "route", "evaluator")
 
+	// Where compiled queries read their result values: the snapshot's element
+	// records (no lock), or live core nodes under the DB lock because the
+	// output was not a leaf of the data (valueSource). Counted per item.
+	obsValuesSnapshot = obs.NewLabeledCounter("db_result_values_total", "source", "snapshot")
+	obsValuesCore     = obs.NewLabeledCounter("db_result_values_total", "source", "core")
+
 	obsQueryNanos = obs.NewHistogram("db_query_nanos")
 
 	obsAdmInflight   = obs.NewGauge("db_admission_inflight_weight")

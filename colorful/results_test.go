@@ -1,0 +1,393 @@
+package colorful
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/fixtures"
+	"colorfulxml/internal/obs"
+	"colorfulxml/internal/plan"
+)
+
+// This file tests what a compiled query hands back — nodes, colours, values,
+// order — and where it reads them from (DESIGN.md §7: the snapshot that
+// produced the answer, or core when the output is not a leaf of the data).
+
+// catalogDB is the repository benchmark's catalog (bench/data.go): red
+// catalog → item* → name("Item k"); every third item also under green
+// featured, with a green votes(k mod 50) leaf.
+func catalogDB(items int) *DB { return wrap(fixtures.NewCatalog(items).DB) }
+
+func catalogPoint(k int) string {
+	return `document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) + `"]`
+}
+
+func catalogItem(k int) string {
+	return `for $n in ` + catalogPoint(k) + `, $i in $n/{red}parent::item`
+}
+
+// ageCatalog applies 200 random vote / tag-add / tag-del updates, each
+// published incrementally, after which records, posting lists and the
+// identity table are no longer as a bulk load leaves them.
+func ageCatalog(t *testing.T, db *DB, items int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	var live [][2]string // (item, tag) pairs added and not yet deleted
+	for n := 0; n < 200; n++ {
+		var src string
+		switch op := rng.Intn(3); {
+		case op == 0:
+			src = catalogItem(3*rng.Intn(items/3)) + `, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(rng.Intn(90)) + `" }`
+		case op == 1 || len(live) == 0:
+			k, tag := rng.Intn(items), fmt.Sprintf("t%d", n)
+			live = append(live, [2]string{strconv.Itoa(k), tag})
+			src = catalogItem(k) + ` update $i { insert <tag>` + tag + `</tag> }`
+		default:
+			i := rng.Intn(len(live))
+			k, _ := strconv.Atoi(live[i][0])
+			src = catalogItem(k) + `, $t in $i/{red}child::tag[. = "` + live[i][1] + `"] update $i { delete $t }`
+			live = append(live[:i], live[i+1:]...)
+		}
+		if res, err := db.Update(src); err != nil || res.Tuples != 1 {
+			t.Fatalf("ageing update %d: %+v, %v\n%s", n, res, err, src)
+		}
+	}
+	if st := db.MaintStats(); st.FullRebuilds != 1 {
+		t.Fatalf("ageing fell back to full rebuilds: %+v", st)
+	}
+}
+
+// resultCounters reads db_result_values_total by source.
+func resultCounters() (snapshot, core uint64) {
+	c := obs.Default.Snapshot().Counters
+	return c[`db_result_values_total{source="snapshot"}`], c[`db_result_values_total{source="core"}`]
+}
+
+// TestResultsMatchEvaluator: for the six benchmark classes, the navigational
+// texts of PR 15 and texts whose output must go through core, the compiled
+// route returns the evaluator's items — the same nodes, colours and values,
+// in the same order — on a fresh database and on one aged by 200 updates.
+// (The Table-2 texts construct their results and so reach the facade's
+// compiled route only through internal/workload's differential test, which
+// covers them at the plan level.)
+func TestResultsMatchEvaluator(t *testing.T) {
+	const items, k = 300, 57
+	point := catalogPoint(k)
+	texts := []struct {
+		text   string
+		source string
+	}{
+		{point, sourceSnapshot},
+		{`document("db")/{red}descendant::item/{red}child::name`, sourceSnapshot},
+		{`document("db")/{red}descendant::item[{red}child::name = "Item 57"]/{red}child::name`, sourceSnapshot},
+		{`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`, sourceSnapshot},
+		{`for $i in document("db")/{green}descendant::item[{green}child::votes = "7"] return $i/{red}child::name`, sourceSnapshot},
+		{point + `/{red}parent::item/{green}child::votes`, sourceSnapshot},
+		{point + `/{red}parent::item/{red}child::tag`, sourceSnapshot},
+		{`document("db")/{green}descendant::votes[. = "7"]`, sourceSnapshot},
+		// The write workloads' read-your-write probes (no tag exists before ageing).
+		{`document("db")/{red}descendant::tag`, sourceSnapshot},
+		{`document("db")/{red}descendant::tag[. = "t3"]/{red}parent::item/{red}child::name`, sourceSnapshot},
+		{`document("db")/{red}descendant::name[. = "Item 57"]/{red}parent::item`, sourceCore},
+		{`document("db")/{green}descendant::item`, sourceCore},
+	}
+	for _, aged := range []bool{false, true} {
+		db := catalogDB(items)
+		if aged {
+			ageCatalog(t, db, items)
+		}
+		sess := db.Session()
+		for _, tc := range texts {
+			fromSnapshot, fromCore := resultCounters()
+			got, err := sess.Query(tc.text)
+			if err != nil {
+				t.Fatalf("aged=%v %s: %v", aged, tc.text, err)
+			}
+			d1, d2 := resultCounters()
+			d1, d2 = d1-fromSnapshot, d2-fromCore
+			if want := uint64(len(got)); (tc.source == sourceSnapshot && (d1 != want || d2 != 0)) ||
+				(tc.source == sourceCore && (d1 != 0 || d2 != want)) {
+				t.Errorf("aged=%v %s: %d values from the snapshot and %d from core, want all %d from %s",
+					aged, tc.text, d1, d2, want, tc.source)
+			}
+			db.mu.RLock()
+			want, err := db.evalItems(tc.text)
+			db.mu.RUnlock()
+			if err != nil {
+				t.Fatalf("%s: evaluator: %v", tc.text, err)
+			}
+			if len(got) != len(want) {
+				t.Errorf("aged=%v %s: %d items, the evaluator returns %d", aged, tc.text, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("aged=%v %s: item %d is %v %q in %q, the evaluator's %v %q in %q", aged, tc.text, i,
+						got[i].Node, got[i].Value, got[i].Color, want[i].Node, want[i].Value, want[i].Color)
+					break
+				}
+			}
+		}
+		if st := sess.Stats(); st.Fallbacks != 0 || st.Errors != 0 {
+			t.Errorf("aged=%v: %+v, want every text on the compiled route", aged, st)
+		}
+		sess.Close()
+	}
+}
+
+// TestNonLeafOutputsReadCore: an output whose tag has element children
+// anywhere in its colour — mixed content, or plain containers — takes its
+// values from core and agrees with dm:string-value; the leaves next to it
+// read the snapshot; and the choice follows the data, not the text: give a
+// leaf a child and the same query changes source.
+func TestNonLeafOutputsReadCore(t *testing.T) {
+	db := New("red")
+	doc, err := db.AddElement(db.Document(), "doc", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paras []*Node
+	for i := 0; i < 3; i++ {
+		p, err := db.AddElementText(doc, "para", "red", "Hello ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AddElementText(p, "b", "red", "bold"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AppendText(p, " world"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.SetAttribute(p, "id", "p"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+		paras = append(paras, p)
+	}
+	source := func(text string) string {
+		t.Helper()
+		ex, err := db.Explain(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, after, ok := strings.Cut(strings.TrimSpace(ex), "values from ")
+		if !ok {
+			t.Fatalf("Explain(%s) names no value source:\n%s", text, ex)
+		}
+		return after
+	}
+	const paraQ, boldQ = `document("db")/{red}descendant::para`, `document("db")/{red}descendant::b`
+	const idQ = `for $p in document("db")/{red}descendant::para return $p/{red}attribute::id`
+	for text, want := range map[string]string{paraQ: sourceCore, boldQ: sourceSnapshot, idQ: sourceCore} {
+		if got := source(text); got != want {
+			t.Errorf("%s reads its values from %s, want %s", text, got, want)
+		}
+	}
+	out, err := db.Query(paraQ)
+	if err != nil || len(out) != len(paras) {
+		t.Fatalf("%d paras, %v", len(out), err)
+	}
+	for i, it := range out {
+		want, _ := core.StringValue(paras[i], "red")
+		if it.Node != paras[i] || it.Value != want || want != "Hello bold"+strconv.Itoa(i)+" world" {
+			t.Errorf("para %d: %v %q, want %v %q", i, it.Node, it.Value, paras[i], want)
+		}
+	}
+	if out, err = db.Query(idQ); err != nil || len(out) != 3 || out[1].Value != "p1" || out[1].Node != paras[1].Attribute("id") {
+		t.Fatalf("attribute projection: %v, %v", out, err)
+	}
+	// A structural change under one b makes b an inner tag: the cached plan's
+	// epoch moves, the recompiled one reads core, and the value is the subtree's.
+	bs, err := db.Query(boldQ)
+	if err != nil || len(bs) != 3 || bs[2].Value != "bold2" {
+		t.Fatalf("%v, %v", bs, err)
+	}
+	if _, err := db.AddElementText(bs[2].Node, "i", "red", "!"); err != nil {
+		t.Fatal(err)
+	}
+	if got := source(boldQ); got != sourceCore {
+		t.Errorf("after giving a b a child, %s still reads its values from %s", boldQ, got)
+	}
+	if bs, err = db.Query(boldQ); err != nil || len(bs) != 3 || bs[2].Value != "bold2!" || bs[0].Value != "bold0" {
+		t.Fatalf("%v, %v", bs, err)
+	}
+	// And back: with the child gone every b is a leaf again.
+	if err := db.DeleteSubtree(db.MustQuery(`document("db")/{red}descendant::i`)[0].Node, "red"); err != nil {
+		t.Fatal(err)
+	}
+	if got := source(boldQ); got != sourceSnapshot {
+		t.Errorf("after deleting the child, %s reads its values from %s", boldQ, got)
+	}
+}
+
+// TestReadersSeeOneGeneration: readers of votes[. = "v"] race a writer that
+// keeps moving votes between values. Node set and values now come from one
+// snapshot, so every item a reader gets carries the value it asked for — with
+// values read from live core (the parent commit) a vote changed between plan
+// and mapping came back with its new value. Meaningful under -race.
+func TestReadersSeeOneGeneration(t *testing.T) {
+	const items, readers, commits = 90, 4, 400
+	db := catalogDB(items)
+	stop := make(chan struct{})
+	errc := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			sess := db.Session()
+			defer sess.Close()
+			seen := 0
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					if seen == 0 {
+						errc <- fmt.Errorf("reader %d never saw a row", r)
+					}
+					return
+				default:
+				}
+				v := strconv.Itoa((r + n) % 10)
+				out, err := sess.Query(`document("db")/{green}descendant::votes[. = "` + v + `"]`)
+				if err != nil {
+					errc <- fmt.Errorf("reader %d: %v", r, err)
+					return
+				}
+				for _, it := range out {
+					if it.Value != v {
+						errc <- fmt.Errorf("reader %d asked for votes %q and got %q", r, v, it.Value)
+						return
+					}
+				}
+				seen += len(out)
+			}
+		}(r)
+	}
+	go func() {
+		defer close(stop)
+		rng := rand.New(rand.NewSource(1))
+		for n := 0; n < commits; n++ {
+			src := catalogItem(3*rng.Intn(items/3)) + `, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(rng.Intn(10)) + `" }`
+			if res, err := db.Update(src); err != nil || res.Tuples != 1 {
+				errc <- fmt.Errorf("writer: %+v, %v", res, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+}
+
+// TestHeldSnapshotResolvesDeletedNodes: a snapshot a reader still holds
+// answers from its own generation after the elements it returns were deleted
+// from the database — nodes and values both.
+func TestHeldSnapshotResolvesDeletedNodes(t *testing.T) {
+	db := catalogDB(30)
+	if err := db.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	held := db.snap.Load()
+	const q = `document("db")/{red}descendant::item/{red}child::name`
+	before := db.MustQuery(q)
+	// Delete every third item (its name goes with it) and rename another.
+	for k := 0; k < 30; k += 3 {
+		if res, err := db.Update(catalogItem(k) + ` update $i { delete $n }`); err != nil || res.Tuples != 1 {
+			t.Fatalf("%+v, %v", res, err)
+		}
+	}
+	if err := db.SetText(before[1].Node, "renamed"); err != nil {
+		t.Fatal(err)
+	}
+	if now := db.MustQuery(q); len(now) != 20 || now[0].Value != "renamed" {
+		t.Fatalf("current state: %d names, first %q", len(now), now[0].Value)
+	}
+	c, err := plan.CompileQuery(q, db.planOptions(held.st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := db.auto.execCompiled(context.Background(), held, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := held.items(ids, "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 30 {
+		t.Fatalf("held snapshot returns %d names, want the 30 of its generation", len(got))
+	}
+	for i, it := range got {
+		if it.Node != before[i].Node || it.Value != "Item "+strconv.Itoa(i) || it.Color != "red" {
+			t.Fatalf("held snapshot item %d: %v %q, want %v %q", i, it.Node, it.Value, before[i].Node, "Item "+strconv.Itoa(i))
+		}
+	}
+	if n := db.NodeByID(before[0].Node.ID()); n != nil {
+		t.Fatalf("deleted node %v still in the live identity table", n)
+	}
+}
+
+// TestResultAllocations pins what an answer costs to hand over. A one-row
+// prepared query allocates no more than it did before results became
+// references (11 at the parent commit; the operator clone, the execution
+// context, the reference, the item and its value are what is left). A
+// 20 000-row one allocates a constant plus one string per row: no per-row
+// structural node copy, no regrown slice, no hash set.
+func TestResultAllocations(t *testing.T) {
+	const items = 20000
+	db := catalogDB(items)
+	sess := db.Session()
+	defer sess.Close()
+	for _, tc := range []struct {
+		text string
+		rows int
+		max  float64
+	}{
+		{catalogPoint(9999), 1, 11},
+		{`document("db")/{red}descendant::item/{red}child::name`, items, 64 + items},
+		{`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`, (items + 2) / 3, 64 + (items+2)/3},
+	} {
+		st, err := sess.Prepare(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			out, err := st.Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = len(out)
+		})
+		if rows != tc.rows || allocs > tc.max {
+			t.Errorf("%s: %d rows for %.0f allocations, want %d rows for at most %.0f", tc.text, rows, allocs, tc.rows, tc.max)
+		}
+		st.Close()
+	}
+}
+
+// TestExplainNamesOutputRoute: Explain says why a plan has no Dedup and
+// where the values come from.
+func TestExplainNamesOutputRoute(t *testing.T) {
+	db := catalogDB(30)
+	for text, want := range map[string]string{
+		`document("db")/{red}descendant::item/{red}child::name`: "output: col 0 {red}name, distinct by construction (no Dedup); values from snapshot\n",
+		catalogPoint(3) + `/{red}parent::item`:                  "output: col 1 {red}item, made distinct by the plan's Dedup; values from core\n",
+	} {
+		ex, err := db.Explain(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(ex, want) || strings.Contains(ex, "Dedup[") != strings.Contains(want, "plan's Dedup") {
+			t.Errorf("Explain(%s) =\n%swant it to end in\n%s", text, ex, want)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package colorful
 import (
 	"fmt"
 
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/cowarray"
 	"colorfulxml/internal/plan"
 	"colorfulxml/internal/storage"
 )
@@ -24,12 +26,14 @@ import (
 // also re-packs interval gaps) is the better rebuild.
 const incrementalMaxDelta = 4096
 
-// snapshot pairs an immutable store with the database generation it
-// reflects. Both fields are write-once; a published snapshot is never
-// mutated again.
+// snapshot is what a reader needs of one database generation: the immutable
+// store a plan runs on, and the identity table that turns the element
+// references it returns into nodes. The fields are write-once; a published
+// snapshot is never mutated again.
 type snapshot struct {
-	st  *storage.Store
-	gen uint64
+	st    *storage.Store
+	nodes *cowarray.Array[*core.Node]
+	gen   uint64
 }
 
 // MaintStats counts snapshot maintenance activity: how many snapshots were
@@ -183,8 +187,10 @@ func (d *DB) validateAfterApply() error {
 	return nil
 }
 
+// publish makes st the snapshot of generation gen, with the identity table as
+// it is now: the caller holds d.mu, and st reflects the core at gen.
 func (d *DB) publish(st *storage.Store, gen uint64) *snapshot {
-	sp := &snapshot{st: st, gen: gen}
+	sp := &snapshot{st: st, nodes: d.Database.SnapshotNodes(), gen: gen}
 	d.snap.Store(sp)
 	d.publishes.Add(1)
 	obsSnapPublishes.Inc()

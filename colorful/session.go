@@ -355,7 +355,20 @@ func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st 
 	if err != nil {
 		return nil, false, err
 	}
-	out, err := s.execCompiled(ctx, sp, c, root)
+	ids, err := s.execCompiled(ctx, sp, c, root)
+	if err != nil {
+		return nil, false, err
+	}
+	ms := childSpan(root, "map-results")
+	source := valueSource(c)
+	spanAttr(ms, "values", source)
+	var out []Item
+	if source == sourceSnapshot {
+		out, err = sp.items(ids, c.Cols[c.OutCol].Color)
+	} else {
+		out = d.coreItems(ids, c)
+	}
+	endSpan(ms)
 	return out, cached, err
 }
 
@@ -405,43 +418,18 @@ func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, r
 	return c, false, nil
 }
 
-// execCompiled executes one compiled plan on a snapshot. The plan may be
-// shared (cache, statement), so the execution always runs a clone of the
-// operator tree — per-run state never touches the prototype.
-func (s *Session) execCompiled(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) ([]Item, error) {
-	d := s.db
-	op := c.Root.Clone()
-	if root != nil {
-		es := childSpan(root, "execute")
-		rows, _, err := engine.TraceExec(ctx, sp.st, op, es)
-		endSpan(es)
-		if err != nil {
-			return nil, err
-		}
-		ms := childSpan(root, "map-results")
-		nodes := make([]storage.SNode, len(rows))
-		for i, r := range rows {
-			nodes[i] = r[c.OutCol]
-		}
-		out := d.mapNodes(nodes, c)
-		endSpan(ms)
-		return out, nil
-	}
-	// The streaming path recycles execution scratch through the plan's
-	// memory pool: SNodes are copied out of each batch here, so nothing
-	// references the scratch once the execution returns. The traced path
-	// above materializes arena-backed rows and must stay unpooled.
-	var nodes []storage.SNode
-	_, err := engine.ExecBatchesPooled(ctx, sp.st, c.Mem, op, func(b *engine.Batch) error {
-		for i := 0; i < b.Len(); i++ {
-			nodes = append(nodes, b.Row(i)[c.OutCol])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d.mapNodes(nodes, c), nil
+// execCompiled executes one compiled plan on a snapshot and returns the
+// output column as element references, traced (root non-nil) or not by the
+// same route. The plan may be shared (cache, statement), so the execution
+// always runs a clone of the operator tree — per-run state never touches the
+// prototype — and draws its scratch from the plan's memory pool: only ids
+// leave the execution. Nothing here takes a DB lock (DESIGN.md §7; the
+// lockorder analyzer holds it to that).
+func (s *Session) execCompiled(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) ([]storage.ElemID, error) {
+	es := childSpan(root, "execute")
+	ids, _, err := engine.ExecColumn(ctx, sp.st, c.Mem, c.Root.Clone(), c.OutCol, c.Rows, es)
+	endSpan(es)
+	return ids, err
 }
 
 // planOptions assembles this session's compile options against one

@@ -266,15 +266,19 @@ func Run(cfg Config) (Report, error) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// Wind down: clear every fault source, let the database heal, stop the
-	// workload.
+	// Wind down: clear every fault source, stop the workload, then let the
+	// database heal. In that order: a commit that absorbed a fault just before
+	// the sources were cleared reports it — and degrades the database — only
+	// once its retries are spent and its rollback is done, which under -race
+	// is long after Health() was last seen Healthy. With every writer
+	// returned, whatever was going to degrade has, and Healthy means healed.
 	ffs.SetRate(0, nil)
 	ffs.Clear()
+	close(stop)
+	wg.Wait()
 	if !awaitHealthy(db, 10*time.Second) {
 		violate("database did not return to Healthy after faults cleared (health=%v)", db.Health())
 	}
-	close(stop)
-	wg.Wait()
 	rep.Events = ffs.Injected()
 	rep.Elapsed = time.Since(start)
 	if rep.Outages > 0 {

@@ -147,7 +147,7 @@ type Stats struct {
 // ComputeStats scans the database and reports its composition.
 func (db *Database) ComputeStats() Stats {
 	var s Stats
-	for _, n := range db.byID {
+	db.byID.Ascend(func(_ uint64, n *Node) bool {
 		switch n.kind {
 		case KindElement:
 			s.Elements++
@@ -165,6 +165,7 @@ func (db *Database) ComputeStats() Stats {
 		case KindPI:
 			s.PIs++
 		}
-	}
+		return true
+	})
 	return s
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"colorfulxml/internal/cowarray"
 )
 
 // Database is an MCT database: a node set, a color set, and one colored tree
@@ -19,7 +21,10 @@ type Database struct {
 	doc    *Node
 	colors map[Color]bool
 	nextID NodeID
-	byID   map[NodeID]*Node
+	// byID is the identity table. Ids are handed out densely from 1, so it is
+	// an array indexed by id — and a copy-on-write one, so that a store
+	// snapshot can keep the table of its generation (SnapshotNodes).
+	byID *cowarray.Array[*Node]
 
 	// order caches per-color local document order; invalidated on mutation.
 	// Guarded by orderMu: the cache is lazily filled on read paths, which
@@ -39,7 +44,7 @@ type Database struct {
 func NewDatabase(colors ...Color) *Database {
 	db := &Database{
 		colors: make(map[Color]bool, len(colors)),
-		byID:   make(map[NodeID]*Node),
+		byID:   &cowarray.Array[*Node]{},
 		order:  make(map[Color]map[NodeID]int),
 	}
 	db.doc = db.newNode(KindDocument)
@@ -78,10 +83,20 @@ func (db *Database) AddDatabaseColor(c Color) {
 }
 
 // NodeByID returns the node with the given identity, or nil.
-func (db *Database) NodeByID(id NodeID) *Node { return db.byID[id] }
+func (db *Database) NodeByID(id NodeID) *Node {
+	n, _ := db.byID.Get(uint64(id))
+	return n
+}
 
 // NumNodes returns the total number of nodes of all kinds in the database.
-func (db *Database) NumNodes() int { return len(db.byID) }
+func (db *Database) NumNodes() int { return db.byID.Len() }
+
+// SnapshotNodes returns the identity table as it is now, in O(1): a frozen
+// copy-on-write sibling that later mutations of the database never reach. A
+// node deleted afterwards stays resolvable through it, as the object it was.
+// The caller must exclude concurrent mutation and concurrent SnapshotNodes
+// calls (colorful.DB publishes under its maintenance discipline).
+func (db *Database) SnapshotNodes() *cowarray.Array[*Node] { return db.byID.Clone() }
 
 // Generation returns a counter that increases on every mutation of the
 // database. Callers that derive secondary structures (such as a physical
@@ -93,9 +108,14 @@ func (db *Database) Generation() uint64 { return atomic.LoadUint64(&db.gen) }
 func (db *Database) newNode(kind Kind) *Node {
 	db.nextID++
 	n := &Node{id: db.nextID, kind: kind, db: db}
-	db.byID[n.id] = n
+	db.byID.Set(uint64(n.id), n)
 	return n
 }
+
+// maxRestoreID bounds the ids RestoreElement accepts: the identity table is
+// an array indexed by id, and a recovered id must not be allowed to size it
+// (the physical store applies the same bound to what it loads).
+const maxRestoreID = NodeID(1) << 32
 
 // RestoreElement creates a detached, colorless element node with a fixed
 // identity. It is the recovery constructor: rebuilding a database from a
@@ -107,11 +127,14 @@ func (db *Database) RestoreElement(id NodeID, name string) (*Node, error) {
 	if id == 0 {
 		return nil, fmt.Errorf("core: RestoreElement: zero id")
 	}
-	if _, taken := db.byID[id]; taken {
+	if id >= maxRestoreID {
+		return nil, fmt.Errorf("core: RestoreElement: id %d is beyond the identity table's range", id)
+	}
+	if _, taken := db.byID.Get(uint64(id)); taken {
 		return nil, fmt.Errorf("core: RestoreElement: id %d already in use", id)
 	}
 	n := &Node{id: id, kind: KindElement, name: name, db: db}
-	db.byID[id] = n
+	db.byID.Set(uint64(id), n)
 	if id > db.nextID {
 		db.nextID = id
 	}
@@ -230,7 +253,7 @@ func (db *Database) RemoveAttribute(elem *Node, name string) {
 	for i, a := range elem.attrs {
 		if a.name == name {
 			elem.attrs = append(elem.attrs[:i], elem.attrs[i+1:]...)
-			delete(db.byID, a.id)
+			db.byID.Delete(uint64(a.id))
 			db.invalidate()
 			db.logAttrs(elem)
 			return
@@ -478,7 +501,7 @@ func (db *Database) Delete(n *Node) error {
 				}
 			}
 		}
-		delete(db.byID, n.id)
+		db.byID.Delete(uint64(n.id))
 		db.invalidate()
 		if n.owner != nil {
 			db.logContent(n.owner)
@@ -508,13 +531,13 @@ func (db *Database) Delete(n *Node) error {
 		}
 	}
 	for _, a := range n.attrs {
-		delete(db.byID, a.id)
+		db.byID.Delete(uint64(a.id))
 	}
 	for _, t := range n.textChildren() {
-		delete(db.byID, t.id)
+		db.byID.Delete(uint64(t.id))
 	}
 	n.attrs = nil
-	delete(db.byID, n.id)
+	db.byID.Delete(uint64(n.id))
 	db.invalidate()
 	for _, c := range storedIn {
 		db.record(Change{Kind: ChangeDeleteSubtree, Elem: n.id, Color: c})

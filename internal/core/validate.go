@@ -72,18 +72,17 @@ func (db *Database) Validate() error {
 		}
 		walk(db.doc)
 
-		for _, n := range db.byID {
-			if n.owner != nil {
-				continue // owned nodes checked below
-			}
-			if n.HasColor(c) && !inTree[n.id] {
+		db.byID.Ascend(func(_ uint64, n *Node) bool {
+			// Owned nodes are checked below.
+			if n.owner == nil && n.HasColor(c) && !inTree[n.id] {
 				report(n, c, "colored node is not part of the rooted colored tree")
 			}
-		}
+			return true
+		})
 	}
 
 	// Owned-node invariants.
-	for _, n := range db.byID {
+	db.byID.Ascend(func(_ uint64, n *Node) bool {
 		switch n.kind {
 		case KindAttribute, KindNamespace:
 			if n.owner == nil {
@@ -92,7 +91,7 @@ func (db *Database) Validate() error {
 		case KindText:
 			if n.owner == nil {
 				report(n, "", "text node without owner")
-				continue
+				return true
 			}
 			// The text node must appear exactly once among its owner's
 			// children in every color of the owner.
@@ -108,7 +107,8 @@ func (db *Database) Validate() error {
 				}
 			}
 		}
-	}
+		return true
+	})
 
 	if len(errs) == 0 {
 		return nil

@@ -1,6 +1,9 @@
 package engine
 
-import "colorfulxml/internal/storage"
+import (
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/storage"
+)
 
 // This file is the vectorized-execution substrate: the column batch that
 // operators exchange through NextBatch, the per-query arena that owns every
@@ -107,6 +110,24 @@ func (b *Batch) AppendRow(r Row) { copy(b.appendSlot(len(r)), r) }
 
 // appendNode appends a single-column row.
 func (b *Batch) appendNode(sn storage.SNode) { b.appendSlot(1)[0] = sn }
+
+// fillStructs resolves structural record refs of color c straight into the
+// batch as single-column rows — a scan's whole NextBatch: no per-row call,
+// one pool access per page of records (storage.StructsByRef) — until the
+// batch is full, and returns how many refs it consumed.
+func (b *Batch) fillStructs(s *storage.Store, refs []uint64, c core.Color) (int, error) {
+	n := min(len(refs), BatchSize-b.n)
+	if n <= 0 {
+		return 0, nil
+	}
+	b.appendSlot(1) // fixes or checks the width; the rest follow in one stride
+	off := b.n - 1
+	if off+n > cap(b.data) {
+		b.grow(off + n)
+	}
+	b.data, b.n = b.data[:off+n], off+n
+	return n, s.StructsByRef(b.data[off:], refs[:n], c)
+}
 
 // appendConcat appends the concatenation of two rows without an intermediate
 // allocation.

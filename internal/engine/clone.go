@@ -51,6 +51,7 @@ func (o *StructJoin) Clone() Op {
 		AncCol:  o.AncCol,
 		DescCol: o.DescCol,
 		Axis:    o.Axis,
+		Merge:   o.Merge,
 	}
 }
 
@@ -117,7 +118,7 @@ func (o *NLJoin) Clone() Op {
 
 // Clone implements Op.
 func (o *Dedup) Clone() Op {
-	return &Dedup{Input: o.Input.Clone(), Col: o.Col}
+	return &Dedup{Input: o.Input.Clone(), Col: o.Col, Ordered: o.Ordered}
 }
 
 // Clone implements Op.

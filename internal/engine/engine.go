@@ -58,7 +58,7 @@ type OpStats struct {
 	NavProbes    int
 	ContentReads int
 	// Nanos is the cumulative wall time spent inside this operator's
-	// NextBatch (including its children's), accumulated only under TraceExec.
+	// NextBatch (including its children's), accumulated only when traced.
 	Nanos int64
 }
 
@@ -79,11 +79,11 @@ type Ctx struct {
 	arena arena
 
 	// stats is per-operator attribution, non-nil only under ExplainAnalyze
-	// and TraceExec.
+	// and a traced ExecColumn.
 	stats map[Op]*OpStats
 	// timed makes pullBatch attribute wall time to each operator's OpStats
-	// (set only by TraceExec; the default execution path never reads the
-	// clock per batch).
+	// (set only by a traced ExecColumn; the default execution path never
+	// reads the clock per batch).
 	timed bool
 	// totalBatches/totalRows count every batch transfer (and the rows it
 	// carried) of the execution, folded into the engine_operator_batches /
@@ -368,10 +368,15 @@ func ExecBatches(cctx context.Context, s *storage.Store, plan Op, visit func(b *
 // finishes. Because visit's contract already requires copying anything kept
 // out of a batch, and streamed executions hand the caller no arena-backed
 // rows, recycling is invisible to correct callers. A nil pool is ExecBatches
-// exactly. The materializing entry points (Exec, TraceExec) return rows that
-// live in the arena and must never be pooled.
+// exactly. The materializing entry points (Exec, ExplainAnalyze) return rows
+// that live in the arena and must never be pooled.
 func ExecBatchesPooled(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, visit func(b *Batch) error) (Metrics, error) {
-	ctx := &Ctx{S: s}
+	return execStreamed(&Ctx{S: s}, cctx, pool, plan, visit)
+}
+
+// execStreamed is the streaming executor behind ExecBatchesPooled and
+// ExecColumn; ctx arrives with S and any attribution set up.
+func execStreamed(ctx *Ctx, cctx context.Context, pool *MemPool, plan Op, visit func(b *Batch) error) (Metrics, error) {
 	ctx.arena.pool = pool
 	if cctx != nil && cctx.Done() != nil {
 		ctx.Cancel = cctx
@@ -392,6 +397,53 @@ func ExecBatchesPooled(cctx context.Context, s *storage.Store, pool *MemPool, pl
 	}
 	ctx.M.RowsOut = rows
 	return ctx.M, nil
+}
+
+// maxRowsHint bounds the capacity ExecColumn allocates on an estimate.
+const maxRowsHint = 64 * BatchSize
+
+// ExecColumn runs a plan and returns one column of its rows as element
+// references, in row order: a query's answer, which stays a list of
+// references until someone reads values through it. Nothing but the ids
+// leaves the execution, so scratch always comes from pool. An answer of less
+// than a batch is sized exactly; a larger one starts at rowsHint — the
+// compiler's cardinality, exact for scans and for joins that keep a scanned
+// side whole — so that it is not regrown row by row.
+//
+// span, when non-nil, makes this a traced execution: per-operator batches,
+// rows, counters and cumulative NextBatch wall time, attached under span as
+// one child span per operator mirroring the plan tree (an Exchange's
+// partition subtrees nest under it even though they ran on worker
+// goroutines). The untraced path never reads the clock per batch.
+func ExecColumn(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, col, rowsHint int, span *obs.Span) ([]storage.ElemID, Metrics, error) {
+	ctx := &Ctx{S: s}
+	if span != nil {
+		ctx.stats, ctx.timed = map[Op]*OpStats{}, true
+	}
+	var ids []storage.ElemID
+	m, err := execStreamed(ctx, cctx, pool, plan, func(b *Batch) error {
+		if ids == nil {
+			size := b.Len()
+			if b.Full() {
+				size = min(max(size, rowsHint), maxRowsHint)
+			}
+			ids = make([]storage.ElemID, 0, size)
+		}
+		for i := 0; i < b.Len(); i++ {
+			ids = append(ids, b.Row(i)[col].Elem)
+		}
+		return nil
+	})
+	if span != nil {
+		attachOpSpans(span, plan, ctx.stats)
+		span.SetAttr("batches", ctx.totalBatches)
+		span.SetAttr("rows_transferred", ctx.totalRows)
+		span.SetAttr("peak_materialized", ctx.peak)
+	}
+	if err != nil {
+		return nil, m, err
+	}
+	return ids, m, nil
 }
 
 // Explain renders a plan tree, one operator per line.
@@ -562,30 +614,38 @@ func cmpStr(kind, a, b string) bool {
 // --- shared iterator helpers ---------------------------------------------
 
 // ancIndex is a probe structure over a materialized ancestor-side column:
-// the distinct nodes sorted by start, a start -> rows map for recombination,
-// and the nearest-enclosing chain (laminar: same-color intervals nest or are
+// the rows in start order of that column (arrival order within one node), the
+// position of each distinct node's first row, and the nearest-enclosing chain
+// over the distinct nodes (laminar: same-color intervals nest or are
 // disjoint, so every node containing a position lies on the chain from the
 // rightmost node starting at or before it).
 type ancIndex struct {
-	nodes   []storage.SNode
-	byStart map[int64][]Row
-	encl    []int
+	rows  []Row
+	col   int
+	first []int // first[i]: index in rows of distinct node i's first row; one past the end closes it
+	encl  []int
 }
 
+// buildAncIndex indexes rows, which it reorders in place.
 func buildAncIndex(rows []Row, col int) *ancIndex {
-	ix := &ancIndex{byStart: make(map[int64][]Row, len(rows))}
-	for _, r := range rows {
-		sn := r[col]
-		if _, ok := ix.byStart[sn.Start]; !ok {
-			ix.nodes = append(ix.nodes, sn)
-		}
-		ix.byStart[sn.Start] = append(ix.byStart[sn.Start], r)
+	start := func(i int) int64 { return rows[i][col].Start }
+	// An index scan arrives sorted; anything else is sorted here.
+	if !sort.SliceIsSorted(rows, func(i, j int) bool { return start(i) < start(j) }) {
+		sort.SliceStable(rows, func(i, j int) bool { return start(i) < start(j) })
 	}
-	sort.Slice(ix.nodes, func(i, j int) bool { return ix.nodes[i].Start < ix.nodes[j].Start })
-	ix.encl = make([]int, len(ix.nodes))
+	ix := &ancIndex{rows: rows, col: col}
+	for i := range rows {
+		if i == 0 || start(i) != start(i-1) {
+			ix.first = append(ix.first, i)
+		}
+	}
+	n := len(ix.first)
+	ix.first = append(ix.first, len(rows))
+	ix.encl = make([]int, n)
 	var stack []int
-	for i, n := range ix.nodes {
-		for len(stack) > 0 && ix.nodes[stack[len(stack)-1]].End < n.Start {
+	for i := 0; i < n; i++ {
+		nd := ix.node(i)
+		for len(stack) > 0 && ix.node(stack[len(stack)-1]).End < nd.Start {
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) > 0 {
@@ -598,31 +658,33 @@ func buildAncIndex(rows []Row, col int) *ancIndex {
 	return ix
 }
 
-// containing returns the indices of nodes containing d (outermost first),
-// filtered by the axis.
-func (ix *ancIndex) containing(d storage.SNode, parentChild bool) []int {
+// node returns distinct node i; rowsOf the rows that carry it.
+func (ix *ancIndex) node(i int) storage.SNode { return ix.rows[ix.first[i]][ix.col] }
+func (ix *ancIndex) rowsOf(i int) []Row       { return ix.rows[ix.first[i]:ix.first[i+1]] }
+
+// containing appends to hits the indices of the distinct nodes containing d
+// (outermost first), filtered by the axis.
+func (ix *ancIndex) containing(hits []int, d storage.SNode, parentChild bool) []int {
+	n := len(ix.encl)
 	if parentChild {
 		// The parent, if present, is the node starting at d.ParentStart.
-		i := sort.Search(len(ix.nodes), func(i int) bool {
-			return ix.nodes[i].Start >= d.ParentStart
-		})
-		if i < len(ix.nodes) && ix.nodes[i].Start == d.ParentStart && ix.nodes[i].IsParentOf(d) && ix.nodes[i].Contains(d) {
-			return []int{i}
+		i := sort.Search(n, func(i int) bool { return ix.node(i).Start >= d.ParentStart })
+		if i < n {
+			if p := ix.node(i); p.Start == d.ParentStart && p.IsParentOf(d) && p.Contains(d) {
+				hits = append(hits, i)
+			}
 		}
-		return nil
+		return hits
 	}
 	// Rightmost node starting strictly before d, then up the enclosing chain.
-	i := sort.Search(len(ix.nodes), func(i int) bool {
-		return ix.nodes[i].Start >= d.Start
-	}) - 1
-	var hits []int
-	for ; i >= 0; i = ix.encl[i] {
-		if ix.nodes[i].Contains(d) {
+	base := len(hits)
+	for i := sort.Search(n, func(i int) bool { return ix.node(i).Start >= d.Start }) - 1; i >= 0; i = ix.encl[i] {
+		if ix.node(i).Contains(d) {
 			hits = append(hits, i)
 		}
 	}
 	// Reverse to outermost-first, matching the stack-tree join's emit order.
-	for l, r := 0, len(hits)-1; l < r; l, r = l+1, r-1 {
+	for l, r := base, len(hits)-1; l < r; l, r = l+1, r-1 {
 		hits[l], hits[r] = hits[r], hits[l]
 	}
 	return hits

@@ -26,8 +26,8 @@ import (
 // callers copy what they keep out of each visited batch. So once an
 // execution finishes, nothing references its chunks or buffers, and
 // ExecBatchesPooled returns them here. The materializing entry points
-// (Exec, TraceExec) return arena-backed rows to the caller and therefore
-// never recycle.
+// (Exec, ExplainAnalyze) return arena-backed rows to the caller and
+// therefore never recycle.
 //
 // The pool is a bounded LIFO free list, not a sync.Pool: releases beyond
 // the bound are dropped for the GC, so a pool retains at most

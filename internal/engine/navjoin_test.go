@@ -171,9 +171,9 @@ func (c *expiringCtx) Err() error {
 func TestNavJoinCancelledMidBatch(t *testing.T) {
 	s := bigStore(t, 3000)
 	nav := &engine.NavJoin{Input: &engine.ScanTag{Color: "red", Tag: "item"}, Col: 0, Axis: engine.NavParent, Color: "red", Tag: "lib"}
-	// The scan polls once per row too; let the first batch's worth of scan
-	// polls and some of NavJoin's through, then cancel.
-	ctx := &engine.Ctx{S: s, Cancel: &expiringCtx{Context: context.Background(), after: 20}}
+	// NavJoin checks the context every 64th row (the scan under it only per
+	// batch): let a few hundred rows through, then cancel.
+	ctx := &engine.Ctx{S: s, Cancel: &expiringCtx{Context: context.Background(), after: 8}}
 	if err := nav.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

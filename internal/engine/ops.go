@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,10 +14,12 @@ import (
 
 // Operator implementation patterns, shared by everything below:
 //
-//   - Scans fill the output batch straight off their posting list, polling
-//     cancellation per candidate (ctx.poll is counter-based and nearly free).
-//   - Materializing operators (AttrEq, SortStart, TupleOrder, PathScan) buffer
-//     at Open and emit with a single bulk appendRows per NextBatch.
+//   - Scans resolve their posting list straight into the output batch, a page
+//     of records at a time; the one that reads content per candidate
+//     (ContainsScan) polls cancellation per candidate.
+//   - Materializing operators (AttrEq, SortStart, TupleOrder, a Dedup over
+//     unordered input) buffer at Open and emit with a single bulk appendRows
+//     per NextBatch.
 //   - Streaming filters pull their input through a batchCursor and copy
 //     surviving rows into the output batch.
 //   - Joins with fan-out (one input row can emit many output rows) append
@@ -25,7 +29,7 @@ import (
 
 // ScanTag is an index scan: all structural nodes with a tag in one color, as
 // single-column rows in start order. It streams straight off the tag index
-// posting list, resolving one structural record per row.
+// posting list, resolving a batch of structural records per call.
 type ScanTag struct {
 	Color core.Color
 	Tag   string
@@ -44,21 +48,13 @@ func (o *ScanTag) Open(ctx *Ctx) error {
 	return nil
 }
 
-// NextBatch implements Op.
+// NextBatch implements Op: one bulk resolve (the per-batch cancellation check
+// in pullBatch suffices — there is no per-row work here).
 func (o *ScanTag) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
-	for o.pos < len(o.refs) && !out.Full() {
-		if err := ctx.poll(); err != nil {
-			return err
-		}
-		sn, err := ctx.S.StructByRef(o.refs[o.pos], o.Color)
-		if err != nil {
-			return err
-		}
-		o.pos++
-		out.appendNode(sn)
-	}
-	return nil
+	n, err := out.fillStructs(ctx.S, o.refs[o.pos:], o.Color)
+	o.pos += n
+	return err
 }
 
 // Close implements Op.
@@ -96,21 +92,12 @@ func (o *EqContent) Open(ctx *Ctx) error {
 	return nil
 }
 
-// NextBatch implements Op.
+// NextBatch implements Op: a bulk resolve, as in ScanTag.
 func (o *EqContent) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
-	for o.pos < len(o.refs) && !out.Full() {
-		if err := ctx.poll(); err != nil {
-			return err
-		}
-		sn, err := ctx.S.StructByRef(o.refs[o.pos], o.Color)
-		if err != nil {
-			return err
-		}
-		o.pos++
-		out.appendNode(sn)
-	}
-	return nil
+	n, err := out.fillStructs(ctx.S, o.refs[o.pos:], o.Color)
+	o.pos += n
+	return err
 }
 
 // Close implements Op.
@@ -355,20 +342,37 @@ func (o *AttrFilter) String() string {
 
 // StructJoin joins two subplans structurally: the AncCol column of Anc rows
 // must be an ancestor (or parent) of the DescCol column of Desc rows. Output
-// rows are anc-row ++ desc-row.
+// rows are anc-row ++ desc-row; for one descendant the ancestors come
+// outermost first.
 //
-// The ancestor side is the build side: it is materialized into a
-// nearest-enclosing interval index (same-color intervals nest or are
-// disjoint, so each descendant's ancestors lie on one enclosing chain found
-// by binary search). The descendant side streams.
+// With Merge — the compiler sets it when both inputs arrive in start order of
+// their join columns, as index scans do — it is the stack-tree join
+// (internal/join.Structural, here over streams): one pass over both inputs,
+// the ancestors still open at the current position on a stack, nothing built,
+// output in descendant start order. Without it the ancestor side is the build
+// side: it is materialized into a nearest-enclosing interval index (ancIndex)
+// and the descendant side streams in whatever order it has, which the output
+// keeps.
 type StructJoin struct {
 	Anc     Op
 	Desc    Op
 	AncCol  int
 	DescCol int
 	Axis    join.Axis
+	Merge   bool
 
-	ix      *ancIndex
+	ix   *ancIndex // build side, !Merge
+	hits []int     // scratch for ix.containing
+
+	// Merge: the ancestor stream; its next row, pulled and not yet due (nil:
+	// none in hand); whether it is exhausted; and the rows of the ancestors
+	// open at the current position, flat (width columns each), outermost first.
+	ancIn batchCursor
+	next  Row
+	done  bool
+	open  []storage.SNode
+	width int
+
 	in      batchCursor
 	pending []Row
 	held    int
@@ -376,13 +380,20 @@ type StructJoin struct {
 
 // Open implements Op.
 func (o *StructJoin) Open(ctx *Ctx) error {
+	o.pending = nil
+	if o.Merge {
+		o.next, o.done, o.open = nil, false, o.open[:0]
+		if err := o.ancIn.open(ctx, o.Anc); err != nil {
+			return err
+		}
+		return o.in.open(ctx, o.Desc)
+	}
 	ancRows, err := gather(ctx, o, o.Anc)
 	if err != nil {
 		return err
 	}
 	o.held = len(ancRows)
 	o.ix = buildAncIndex(ancRows, o.AncCol)
-	o.pending = nil
 	return o.in.open(ctx, o.Desc)
 }
 
@@ -401,19 +412,86 @@ func (o *StructJoin) NextBatch(ctx *Ctx, out *Batch) error {
 		if !ok {
 			return nil
 		}
-		dn := d[o.DescCol]
-		for _, hi := range o.ix.containing(dn, o.Axis == join.ParentChild) {
-			ctx.addStructJoins(o, 1)
-			for _, ar := range o.ix.byStart[o.ix.nodes[hi].Start] {
-				if !out.Full() && len(o.pending) == 0 {
-					out.appendConcat(ar, d)
-				} else {
-					o.pending = append(o.pending, ctx.concatRow(ar, d))
-				}
-			}
+		if o.Merge {
+			err = o.mergeOne(ctx, out, d)
+		} else {
+			o.probeOne(ctx, out, d)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// emit appends anc-row ++ d to the output batch, or queues it once the batch
+// is full.
+func (o *StructJoin) emit(ctx *Ctx, out *Batch, ar, d Row) {
+	if !out.Full() && len(o.pending) == 0 {
+		out.appendConcat(ar, d)
+	} else {
+		o.pending = append(o.pending, ctx.concatRow(ar, d))
+	}
+}
+
+// probeOne joins one descendant row against the ancestor index.
+func (o *StructJoin) probeOne(ctx *Ctx, out *Batch, d Row) {
+	o.hits = o.ix.containing(o.hits[:0], d[o.DescCol], o.Axis == join.ParentChild)
+	for _, hi := range o.hits {
+		ctx.addStructJoins(o, 1)
+		for _, ar := range o.ix.rowsOf(hi) {
+			o.emit(ctx, out, ar, d)
+		}
+	}
+}
+
+// mergeOne joins one descendant row against the ancestor stream: every
+// ancestor row starting before it is brought onto the stack (closing the ones
+// that ended first), and what is still open then contains it.
+func (o *StructJoin) mergeOne(ctx *Ctx, out *Batch, d Row) error {
+	dn := d[o.DescCol]
+	for !o.done {
+		if o.next == nil {
+			a, ok, err := o.ancIn.pull(ctx)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				o.done = true
+				break
+			}
+			o.next, o.width = a, len(a)
+		}
+		an := o.next[o.AncCol]
+		if an.Start >= dn.Start {
+			break
+		}
+		o.closeBefore(an.Start)
+		o.open = append(o.open, o.next...)
+		o.next = nil
+	}
+	o.closeBefore(dn.Start)
+	var last int64 = -1
+	for at := 0; at < len(o.open); at += o.width {
+		ar := Row(o.open[at : at+o.width])
+		an := ar[o.AncCol]
+		if !an.Contains(dn) || (o.Axis == join.ParentChild && !an.IsParentOf(dn)) {
+			continue
+		}
+		if an.Start != last {
+			ctx.addStructJoins(o, 1)
+			last = an.Start
+		}
+		o.emit(ctx, out, ar, d)
+	}
+	return nil
+}
+
+// closeBefore pops the open ancestors that end before start.
+func (o *StructJoin) closeBefore(start int64) {
+	for n := len(o.open); n > 0 && o.open[n-o.width+o.AncCol].End < start; n = len(o.open) {
+		o.open = o.open[:n-o.width]
+	}
 }
 
 // Close implements Op.
@@ -421,8 +499,12 @@ func (o *StructJoin) Close(ctx *Ctx) error {
 	ctx.release(o.held)
 	o.held = 0
 	o.ix = nil
+	o.next = nil
 	o.pending = nil
 	o.in.close(ctx)
+	if o.Merge {
+		o.ancIn.close(ctx)
+	}
 	err1 := o.Anc.Close(ctx)
 	err2 := o.Desc.Close(ctx)
 	if err1 != nil {
@@ -438,6 +520,9 @@ func (o *StructJoin) String() string {
 	axis := "ancestor-descendant"
 	if o.Axis == join.ParentChild {
 		axis = "parent-child"
+	}
+	if o.Merge {
+		axis = "merge " + axis
 	}
 	return fmt.Sprintf("StructJoin[%s, anc col %d, desc col %d]", axis, o.AncCol, o.DescCol)
 }
@@ -457,6 +542,7 @@ type ExistsJoin struct {
 	InputIsDesc bool
 
 	ix            *ancIndex       // when InputIsDesc: probe nodes as ancestors
+	hits          []int           // scratch for ix.containing
 	probeNodes    []storage.SNode // otherwise: distinct probe nodes, start order
 	probeByParent map[int64][]int // otherwise, ParentChild: probe indexes by ParentStart
 	decided       map[int64]bool
@@ -501,7 +587,8 @@ func (o *ExistsJoin) Open(ctx *Ctx) error {
 // set.
 func (o *ExistsJoin) match(sn storage.SNode) bool {
 	if o.InputIsDesc {
-		return len(o.ix.containing(sn, o.Axis == join.ParentChild)) > 0
+		o.hits = o.ix.containing(o.hits[:0], sn, o.Axis == join.ParentChild)
+		return len(o.hits) > 0
 	}
 	if o.Axis == join.ParentChild {
 		for _, i := range o.probeByParent[sn.Start] {
@@ -937,24 +1024,76 @@ func (o *NLJoin) String() string { return fmt.Sprintf("NLJoin[%s numeric=%v]", o
 
 // Dedup removes duplicate rows by the element identity of one column — the
 // duplicate elimination the deep representation pays after traversing
-// replicated data. It streams, holding only the set of seen identities.
+// replicated data — keeping each element's first row, in input order. No hash
+// set either way:
+//
+// With Ordered — the compiler sets it when the input arrives in start order
+// of Col, where a node's repeats are adjacent — it streams, one comparison
+// per row, holding nothing. Otherwise it is a pipeline breaker: the input is
+// materialized, its (element, position) pairs sorted to find each element's
+// first row, and the survivors emitted in their input order — work and memory
+// proportional to the rows seen, whatever the ids are.
 type Dedup struct {
-	Input Op
-	Col   int
+	Input   Op
+	Col     int
+	Ordered bool
 
-	seen map[storage.ElemID]bool
-	in   batchCursor
+	in   batchCursor    // Ordered
+	last storage.ElemID // Ordered: the previous row's element, once any
+	any  bool
+
+	rows []Row // !Ordered: the survivors
+	pos  int
+	held int
 }
 
 // Open implements Op.
 func (o *Dedup) Open(ctx *Ctx) error {
-	o.seen = make(map[storage.ElemID]bool)
-	return o.in.open(ctx, o.Input)
+	if o.Ordered {
+		o.any = false
+		return o.in.open(ctx, o.Input)
+	}
+	rows, err := gather(ctx, o, o.Input)
+	if err != nil {
+		return err
+	}
+	o.held = len(rows)
+	type occurrence struct {
+		elem storage.ElemID
+		at   int
+	}
+	occ := make([]occurrence, len(rows))
+	for i, r := range rows {
+		occ[i] = occurrence{r[o.Col].Elem, i}
+	}
+	slices.SortFunc(occ, func(a, b occurrence) int {
+		if c := cmp.Compare(a.elem, b.elem); c != 0 {
+			return c
+		}
+		return a.at - b.at
+	})
+	for i, oc := range occ {
+		if i > 0 && oc.elem == occ[i-1].elem {
+			rows[oc.at] = nil
+		}
+	}
+	o.rows = rows[:0]
+	for _, r := range rows {
+		if r != nil {
+			o.rows = append(o.rows, r)
+		}
+	}
+	o.pos = 0
+	return nil
 }
 
 // NextBatch implements Op.
 func (o *Dedup) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
+	if !o.Ordered {
+		o.pos += out.appendRows(o.rows[o.pos:])
+		return nil
+	}
 	for !out.Full() {
 		r, ok, err := o.in.pull(ctx)
 		if err != nil {
@@ -963,9 +1102,8 @@ func (o *Dedup) NextBatch(ctx *Ctx, out *Batch) error {
 		if !ok {
 			return nil
 		}
-		id := r[o.Col].Elem
-		if !o.seen[id] {
-			o.seen[id] = true
+		if id := r[o.Col].Elem; !o.any || id != o.last {
+			o.last, o.any = id, true
 			out.AppendRow(r)
 		}
 	}
@@ -974,15 +1112,24 @@ func (o *Dedup) NextBatch(ctx *Ctx, out *Batch) error {
 
 // Close implements Op.
 func (o *Dedup) Close(ctx *Ctx) error {
-	o.seen = nil
-	o.in.close(ctx)
+	ctx.release(o.held)
+	o.held = 0
+	o.rows = nil
+	if o.Ordered {
+		o.in.close(ctx)
+	}
 	return o.Input.Close(ctx)
 }
 
 // Children implements Op.
 func (o *Dedup) Children() []Op { return []Op{o.Input} }
 
-func (o *Dedup) String() string { return fmt.Sprintf("Dedup[col %d]", o.Col) }
+func (o *Dedup) String() string {
+	if o.Ordered {
+		return fmt.Sprintf("Dedup[col %d, ordered]", o.Col)
+	}
+	return fmt.Sprintf("Dedup[col %d]", o.Col)
+}
 
 // DedupContent removes duplicate rows by the CONTENT of one column (deep
 // variants often deduplicate by value because replicated copies have

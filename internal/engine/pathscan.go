@@ -15,15 +15,19 @@ import (
 // emits the final step's nodes as single-column rows in start order, each
 // node at most once (a node has exactly one root path) — the multiplicity a
 // structural join would produce for multiple witnesses collapses, which is
-// value-equivalent for the deduplicated result sets compiled plans produce.
+// value-equivalent for the set-valued results compiled plans produce.
 //
-// A materializing leaf: the (summary-bounded) result is resolved and sorted
-// at Open, then emitted in bulk batches.
+// A pattern matching one label path streams: the path's refs are in start
+// order, which is the order a bulk load wrote the records in, so each batch
+// is resolved page by page like an index scan's. A pattern matching several
+// paths is a materializing leaf: their runs interleave in the document, so
+// they are resolved and merged into start order at Open.
 type PathScan struct {
 	Color core.Color
 	Steps []storage.PathStep
 
-	nodes []storage.SNode
+	refs  []uint64        // one matching path: its refs, streamed
+	nodes []storage.SNode // several: resolved and sorted at Open
 	pos   int
 	held  int
 }
@@ -34,36 +38,48 @@ func (o *PathScan) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	refs := ps.Match(o.Steps)
-	o.nodes = make([]storage.SNode, 0, len(refs))
-	for _, ref := range refs {
-		sn, err := ctx.S.StructByRef(ref, o.Color)
-		if err != nil {
+	runs := ps.Match(o.Steps)
+	o.refs, o.nodes, o.pos = nil, nil, 0
+	if len(runs) == 1 {
+		o.refs = runs[0]
+		return nil
+	}
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	o.nodes = make([]storage.SNode, total)
+	at := 0
+	for _, run := range runs {
+		if err := ctx.S.StructsByRef(o.nodes[at:at+len(run)], run, o.Color); err != nil {
 			return err
 		}
-		o.nodes = append(o.nodes, sn)
+		at += len(run)
 	}
-	// Refs arrive per-path; merge into global start (document) order.
 	join.SortByStart(o.nodes)
-	o.pos = 0
-	o.held = len(o.nodes)
+	o.held = total
 	ctx.hold(o, o.held)
 	return nil
 }
 
-// NextBatch implements Op: a bulk emit of the resolved nodes (the per-batch
+// NextBatch implements Op: a bulk resolve or a bulk emit (the per-batch
 // cancellation check in pullBatch suffices — there is no per-row work here).
 func (o *PathScan) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
-	o.pos += out.appendNodes(o.nodes[o.pos:])
-	return nil
+	if o.nodes != nil {
+		o.pos += out.appendNodes(o.nodes[o.pos:])
+		return nil
+	}
+	n, err := out.fillStructs(ctx.S, o.refs[o.pos:], o.Color)
+	o.pos += n
+	return err
 }
 
 // Close implements Op.
 func (o *PathScan) Close(ctx *Ctx) error {
 	ctx.release(o.held)
 	o.held = 0
-	o.nodes = nil
+	o.refs, o.nodes = nil, nil
 	return nil
 }
 

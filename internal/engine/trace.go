@@ -1,45 +1,10 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"colorfulxml/internal/obs"
-	"colorfulxml/internal/storage"
 )
-
-// TraceExec executes a plan with full per-operator attribution and timing,
-// then attaches one child span per operator under parent, mirroring the plan
-// tree: an operator's span nests under its parent operator's span, and an
-// Exchange's partition subtrees nest under the Exchange span even though
-// they ran on worker goroutines (workers carry their own stats contexts,
-// merged back when the exchange closes).
-//
-// Each operator span carries the operator's batches and rows, cumulative
-// NextBatch wall time (including children), and its nonzero
-// join/materialization/content counters as attributes. TraceExec is the
-// expensive, opt-in sibling of ExecContext — the default query path never
-// pays per-batch clock reads.
-func TraceExec(cctx context.Context, s *storage.Store, plan Op, parent *obs.Span) ([]Row, Metrics, error) {
-	ctx := &Ctx{S: s, stats: map[Op]*OpStats{}, timed: true}
-	if cctx != nil && cctx.Done() != nil {
-		ctx.Cancel = cctx
-	}
-	sw := obs.Start()
-	rows, err := drain(ctx, plan)
-	foldObs(ctx, sw, len(rows), err)
-	if parent != nil {
-		attachOpSpans(parent, plan, ctx.stats)
-		parent.SetAttr("batches", ctx.totalBatches)
-		parent.SetAttr("rows_transferred", ctx.totalRows)
-		parent.SetAttr("peak_materialized", ctx.peak)
-	}
-	if err != nil {
-		return nil, ctx.M, err
-	}
-	ctx.M.RowsOut = len(rows)
-	return rows, ctx.M, nil
-}
 
 // attachOpSpans synthesizes the operator span subtree for op under parent
 // from the execution's per-operator statistics.

@@ -32,12 +32,16 @@ func TestNetworkShape(t *testing.T) {
 			res.P50Micros, res.P95Micros, res.P99Micros)
 	}
 	// Every client query is at least one server request, and the server
-	// answered everything it read.
+	// answered everything it read. A response is counted once its write has
+	// returned, so the ledger runs behind by the Stats request that reads it
+	// and by at most one request on each other connection — a client can hold
+	// a response its handler has not counted yet (this used to demand a gap
+	// of exactly one and failed under load).
 	if res.ServerRequests < uint64(res.Queries) {
 		t.Fatalf("server saw %d requests for %d client queries", res.ServerRequests, res.Queries)
 	}
-	if res.ServerResponses < res.ServerRequests-1 {
-		t.Fatalf("server answered %d of %d requests", res.ServerResponses, res.ServerRequests)
+	if gap := res.ServerRequests - res.ServerResponses; gap < 1 || gap > uint64(res.PoolSize) {
+		t.Fatalf("server answered %d of %d requests over %d connections", res.ServerResponses, res.ServerRequests, res.PoolSize)
 	}
 
 	line := res.BenchJSON()

@@ -21,6 +21,12 @@ import (
 // between locks the table does not rank at all is an undocumented edge that
 // must be added to the table.
 //
+// A second marked table, between `<!-- lockfree:begin -->` and
+// `<!-- lockfree:end -->` with rows `| `+"`pkg.Type.Method`"+` | `+"`class`"+` | why |`,
+// names functions that must never acquire a lock class, directly or through
+// any chain of calls: the read path's promise ("a compiled query takes no
+// database lock") as something mctlint fails on rather than a comment.
+//
 // Lock identity is by *class*, not instance: the field path pkg.Type.field
 // for mutex fields, pkg.var for package-level mutexes (an RWMutex's read and
 // write sides share the class). Edges are discovered by a forward may-held
@@ -94,6 +100,8 @@ func runLockOrder(pass *ProgramPass) error {
 		collectLockEdges(n, trans, record)
 	}
 
+	checkLockFree(pass, nodes, trans)
+
 	ranks, haveTable := loadLockRanks(prog)
 
 	keys := make([]lockEdge, 0, len(edges))
@@ -122,6 +130,54 @@ func runLockOrder(pass *ProgramPass) error {
 
 	reportLockCycles(pass, keys, edges)
 	return nil
+}
+
+// checkLockFree holds every function of the DESIGN.md lock-free table to it:
+// the transitive acquisition summary of the function must not contain the
+// class. A row whose package is loaded but whose function is not there is
+// reported too, so a rename cannot retire the rule silently.
+func checkLockFree(pass *ProgramPass, nodes []*FuncNode, trans map[*FuncNode]map[string]bool) {
+	rules := loadLockFree(pass.Prog)
+	found := map[string]bool{}
+	for _, n := range nodes {
+		key := n.Pkg.Name + "." + n.Name()
+		for _, class := range rules[key] {
+			found[key] = true
+			if !trans[n][class] {
+				continue
+			}
+			pass.Reportf(n.Decl.Name.Pos(), "%s must not acquire %s (DESIGN.md lock-free table), but %s",
+				key, class, acquiresVia(n, class, trans))
+		}
+	}
+	for key := range rules {
+		if found[key] {
+			continue
+		}
+		pkgName, _, _ := strings.Cut(key, ".")
+		for _, pkg := range pass.Prog.Packages {
+			if pkg.Name == pkgName && len(pkg.Files) > 0 {
+				pass.Reportf(pkg.Files[0].Package, "the DESIGN.md lock-free table names %s, which package %s does not declare", key, pkgName)
+				break
+			}
+		}
+	}
+}
+
+// acquiresVia names how n comes to acquire class: the first call on its own
+// control flow whose callee's summary holds it, or n's own Lock.
+func acquiresVia(n *FuncNode, class string, trans map[*FuncNode]map[string]bool) string {
+	for _, cs := range n.Calls {
+		if cs.Go || cs.InFuncLit {
+			continue
+		}
+		for _, callee := range cs.Callees {
+			if trans[callee][class] {
+				return "reaches it through " + callee.Pkg.Name + "." + callee.Name()
+			}
+		}
+	}
+	return "locks it itself"
 }
 
 // directAcquires returns the lock classes n acquires on its own control
@@ -436,39 +492,71 @@ func reportLockCycles(pass *ProgramPass, keys []lockEdge, edges map[lockEdge]tok
 	}
 }
 
+// designTable returns the rows of the module DESIGN.md's markdown table
+// between `<!-- name:begin -->` and `<!-- name:end -->`, each split into
+// cells; nil when there is no module DESIGN.md or no such table.
+func designTable(prog *Program, name string) [][]string {
+	if len(prog.Packages) == 0 {
+		return nil
+	}
+	root := moduleRoot(prog.Packages[0].Dir)
+	if root == "" {
+		return nil
+	}
+	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		return nil
+	}
+	_, after, found := strings.Cut(string(data), "<!-- "+name+":begin -->")
+	if !found {
+		return nil
+	}
+	table, _, found := strings.Cut(after, "<!-- "+name+":end -->")
+	if !found {
+		return nil
+	}
+	var rows [][]string
+	for _, line := range strings.Split(table, "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "|") {
+			rows = append(rows, strings.Split(strings.Trim(line, "|"), "|"))
+		}
+	}
+	return rows
+}
+
+// backquoted returns the first backtick-quoted span of a table cell.
+func backquoted(cell string) string {
+	if _, rest, ok := strings.Cut(cell, "`"); ok {
+		if span, _, ok := strings.Cut(rest, "`"); ok {
+			return span
+		}
+	}
+	return ""
+}
+
+// loadLockFree parses the lock-free table: function (pkg.Func or
+// pkg.Type.Method) to the lock classes it must not acquire.
+func loadLockFree(prog *Program) map[string][]string {
+	rules := map[string][]string{}
+	for _, cells := range designTable(prog, "lockfree") {
+		if len(cells) < 2 {
+			continue
+		}
+		if fn, class := backquoted(cells[0]), backquoted(cells[1]); fn != "" && class != "" {
+			rules[fn] = append(rules[fn], class)
+		}
+	}
+	return rules
+}
+
 // loadLockRanks parses the documented lock order out of the module's
 // DESIGN.md: rows of a markdown table between the lockorder:begin / end
 // markers, each carrying an integer rank cell and a backtick-quoted class
 // cell. Returns ok=false when no module DESIGN.md or no marked table exists
 // (cycle detection still runs).
 func loadLockRanks(prog *Program) (map[string]int, bool) {
-	if len(prog.Packages) == 0 {
-		return nil, false
-	}
-	root := moduleRoot(prog.Packages[0].Dir)
-	if root == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
-	if err != nil {
-		return nil, false
-	}
-	text := string(data)
-	_, after, found := strings.Cut(text, "<!-- lockorder:begin -->")
-	if !found {
-		return nil, false
-	}
-	table, _, found := strings.Cut(after, "<!-- lockorder:end -->")
-	if !found {
-		return nil, false
-	}
 	ranks := map[string]int{}
-	for _, line := range strings.Split(table, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "|") {
-			continue
-		}
-		cells := strings.Split(strings.Trim(line, "|"), "|")
+	for _, cells := range designTable(prog, "lockorder") {
 		rank := -1
 		class := ""
 		for _, cell := range cells {
@@ -480,11 +568,7 @@ func loadLockRanks(prog *Program) (map[string]int, bool) {
 				}
 			}
 			if class == "" {
-				if i := strings.IndexByte(cell, '`'); i >= 0 {
-					if j := strings.IndexByte(cell[i+1:], '`'); j >= 0 {
-						class = cell[i+1 : i+1+j]
-					}
-				}
+				class = backquoted(cell)
 			}
 		}
 		if rank >= 0 && class != "" {

@@ -1,7 +1,7 @@
 // Package locks exercises the lockorder analyzer against the fixture
 // DESIGN.md table. Every test case uses its own disjoint pair of mutexes so
 // a deliberate ordering violation does not double as a cycle.
-package locks
+package locks // want "lock-free table names locks.Server.goneReadPath, which package locks does not declare"
 
 import "sync"
 
@@ -99,3 +99,29 @@ func (s *Server) literalWhileHeld() func() {
 	s.y.Unlock()
 	return f
 }
+
+// Lock-free table, kept: readPath takes statsMu (not the class it is barred
+// from), spawns a goroutine that takes mu and builds a closure that does —
+// neither runs on its own control flow.
+func (s *Server) readPath() func() {
+	s.statsMu.Lock()
+	s.statsMu.Unlock()
+	go s.lockMu()
+	return func() { s.lockMu() }
+}
+
+// Lock-free table, broken two calls down.
+func (s *Server) leakyReadPath() { // want "locks.Server.leakyReadPath must not acquire locks.Server.mu .* reaches it through locks.Server.viaLockMu"
+	s.viaLockMu()
+}
+
+func (s *Server) viaLockMu() { s.lockMu() }
+
+// Lock-free table, broken in place.
+func (s *Server) lockingReadPath() { // want "locks.Server.lockingReadPath must not acquire locks.Server.mu .* locks it itself"
+	s.mu.Lock()
+	s.mu.Unlock()
+}
+
+// Lock-free table, a plain function that keeps to it.
+func freeFunc(s *Server) { s.lockY() }

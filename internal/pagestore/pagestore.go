@@ -514,6 +514,22 @@ func (s *Store) ViewRecord(rid RecordID, fn func(rec []byte)) error {
 	return nil
 }
 
+// ViewPage is ViewRecord for readers that decode several records of one page:
+// one pool access however many records fn reads with Page.Record. The page
+// is valid only during the call; fn must not write it or call back into the
+// store.
+func (s *Store) ViewPage(id PageID, fn func(p *Page)) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fr, err := s.frameLocked(id)
+	if err != nil {
+		return err
+	}
+	s.touchLocked(fr)
+	fn(fr.page)
+	return nil
+}
+
 // OverwriteRecord replaces a record in place (same or smaller size).
 func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
 	s.mu.Lock()

@@ -42,6 +42,29 @@ type chain struct {
 	varCol map[string]int
 	card   float64
 	cost   float64
+	// What lowering knows about the rows without running them. distinct[i]:
+	// no node occurs twice in column i — a scan's column, and what a join
+	// that cannot fan out derives from one. order: the column whose start
+	// positions the rows arrive in non-decreasing order of, -1 for none.
+	// Duplicate elimination is dropped or made a one-comparison stream on
+	// these, and a structural join merges when both sides are ordered.
+	distinct []bool
+	order    int
+}
+
+// addCol appends a column to the chain's layout and returns its index.
+func (ch *chain) addCol(ci ColInfo, distinct bool) int {
+	ch.cols = append(ch.cols, ci)
+	ch.distinct = append(ch.distinct, distinct)
+	return len(ch.cols) - 1
+}
+
+// fanOut records that a join may have repeated the chain's rows: no column
+// is known distinct any more.
+func (ch *chain) fanOut() {
+	for i := range ch.distinct {
+		ch.distinct[i] = false
+	}
 }
 
 type lowerer struct {
@@ -70,16 +93,26 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 	}
 	// Results are the distinct nodes of the output column: binding tuples
 	// that select the same node (e.g. via different join partners) collapse.
-	root := engine.Op(&engine.Dedup{Input: ch.op, Col: col})
+	// Where the column is distinct by construction there is nothing to
+	// collapse; where the rows arrive in its start order, repeats are adjacent.
+	root := ch.op
+	if !ch.distinct[col] {
+		root = &engine.Dedup{Input: ch.op, Col: col, Ordered: ch.order == col}
+	}
 	obsNavLowerings.Add(uint64(countNavJoins(root)))
+	out := ch.cols[col]
+	pc, _ := lw.cat.(PathCatalog)
 	return &Compiled{
-		Root:    root,
-		Cols:    ch.cols,
-		VarCols: ch.varCol,
-		OutCol:  col,
-		OutAttr: lg.Out.Attr,
-		Logical: lg,
-		Mem:     &engine.MemPool{},
+		Root:     root,
+		Cols:     ch.cols,
+		VarCols:  ch.varCol,
+		OutCol:   col,
+		OutAttr:  lg.Out.Attr,
+		Distinct: ch.distinct[col],
+		OutLeaf:  pc != nil && pc.LeafTag(out.Color, out.Tag),
+		Rows:     int(math.Ceil(ch.card)),
+		Logical:  lg,
+		Mem:      &engine.MemPool{},
 	}, nil
 }
 
@@ -149,7 +182,7 @@ func lowerBindings(lg *Logical, opt Options) (*lowerer, *chain, error) {
 			ch = lw.of[vp.Base]
 			anchor = ch.varCol[vp.Base]
 		} else {
-			ch = &chain{varCol: map[string]int{}}
+			ch = &chain{varCol: map[string]int{}, order: -1}
 			lw.chains = append(lw.chains, ch)
 			var err error
 			if anchor, lowered, err = lw.trySummary(ch, vp); err != nil {
@@ -359,8 +392,8 @@ func (lw *lowerer) stepAccess(st LStep, frac float64) (access, error) {
 // probeAccess turns a selective path predicate into the step's access path:
 // instead of scanning the step's tag and semi-joining every node against the
 // predicate's probe chain, it runs the probe chain and navigates from each
-// witness up to the step's nodes (tag-checked parent or ancestors), distinct
-// and back in start order — the same single-column rows the scan would have
+// witness up to the step's nodes (tag-checked parent or ancestors), sorted
+// back into start order and made distinct — the same single-column rows the scan would have
 // left after the predicate, at a cost proportional to the probe. It is
 // chosen when navigating from the probe's rows costs less than the scan plus
 // semi-joining the share of it that reaches the predicate (the probe chain
@@ -392,7 +425,7 @@ func (lw *lowerer) probeAccess(st LStep, scan access, frac float64) (access, err
 	}
 	var op engine.Op = &engine.NavJoin{Input: probe.op, Col: 0, Axis: axis, Color: st.Color, Tag: st.Tag}
 	op = &engine.Project{Input: op, Cols: []int{len(probe.cols)}}
-	op = &engine.SortStart{Input: &engine.Dedup{Input: op, Col: 0}, Col: 0}
+	op = &engine.Dedup{Input: &engine.SortStart{Input: op, Col: 0}, Col: 0, Ordered: true}
 	return access{
 		op:   op,
 		card: math.Min(probe.card, lw.tagCard(st.Color, st.Tag)),
@@ -442,7 +475,7 @@ func (lw *lowerer) trySummary(ch *chain, vp *VarPlan) (int, bool, error) {
 	}
 	last := vp.Steps[len(vp.Steps)-1]
 	ch.op = &engine.PathScan{Color: c, Steps: steps}
-	ch.cols = []ColInfo{{Tag: last.Tag, Color: c}}
+	ch.cols, ch.distinct, ch.order = []ColInfo{{Tag: last.Tag, Color: c}}, []bool{true}, 0
 	ch.card = float64(count)
 	ch.cost = summaryCost(ch.card)
 	anchor := 0
@@ -489,9 +522,10 @@ func (lw *lowerer) crossTo(ch *chain, anchor int, to core.Color) int {
 	if ch.cols[anchor].Color == to {
 		return anchor
 	}
+	// The same elements seen in another tree: as distinct as they were, in
+	// the order they came.
 	ch.op = &engine.CrossColor{Input: ch.op, Col: anchor, To: to}
-	ch.cols = append(ch.cols, ColInfo{Tag: ch.cols[anchor].Tag, Color: to})
-	return len(ch.cols) - 1
+	return ch.addCol(ColInfo{Tag: ch.cols[anchor].Tag, Color: to}, ch.distinct[anchor])
 }
 
 // applyStep extends a chain by one location step anchored at column anchor
@@ -516,7 +550,7 @@ func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 			return 0, err
 		}
 		ch.op, ch.card, ch.cost, rest = acc.op, acc.card, acc.cost, acc.rest
-		ch.cols = []ColInfo{{Tag: st.Tag, Color: st.Color}}
+		ch.cols, ch.distinct, ch.order = []ColInfo{{Tag: st.Tag, Color: st.Color}}, []bool{true}, 0
 		anchor = 0
 	} else {
 		anchor = lw.crossTo(ch, anchor, st.Color)
@@ -539,28 +573,44 @@ func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 			// NavJoin emits in chain order; the merge join emits in the new
 			// column's start order, which the sort restores.
 			found := lw.tagCard(st.Color, st.Tag) * frac
+			// A node has one parent: the children of distinct nodes are
+			// distinct. Descendants are not — nested nodes share them.
+			distinct := ch.distinct[anchor] && st.Axis == pathexpr.AxisChild
 			if nav := ch.card*costNavProbe + found*(costScanRow+costSortRow+acc.foldRow) + acc.foldFixed; nav < merge {
-				anchor = lw.navStep(ch, anchor, st)
+				anchor = lw.navStep(ch, anchor, st, distinct)
 				ch.op = &engine.SortStart{Input: ch.op, Col: anchor}
 				ch.card, ch.cost, rest = found, ch.cost+nav, st.Preds
-				break
+			} else {
+				// Both sides in start order of their join columns (an access
+				// path always is): one merging pass, no index.
+				ch.op = &engine.StructJoin{Anc: ch.op, Desc: acc.op, AncCol: anchor, DescCol: 0, Axis: axisOf(st.Axis), Merge: ch.order == anchor}
+				ch.fanOut()
+				anchor = ch.addCol(ColInfo{Tag: st.Tag, Color: st.Color}, distinct)
+				ch.card, ch.cost = acc.card*frac, ch.cost+merge
 			}
-			ch.op = &engine.StructJoin{Anc: ch.op, Desc: acc.op, AncCol: anchor, DescCol: 0, Axis: axisOf(st.Axis)}
-			ch.cols = append(ch.cols, ColInfo{Tag: st.Tag, Color: st.Color})
-			anchor = len(ch.cols) - 1
-			ch.card, ch.cost = acc.card*frac, ch.cost+merge
+			ch.order = anchor
 		case pathexpr.AxisParent, pathexpr.AxisAncestor:
 			// Both lowerings emit in chain order, ancestors outermost first.
+			// Several rows may share a parent, so the new column is never
+			// known distinct; the rows themselves keep their order, and —
+			// one parent each — repeat only on the ancestor axis.
 			if nav := ch.card*(costNavProbe+acc.foldRow) + acc.foldFixed; nav < merge {
-				anchor = lw.navStep(ch, anchor, st)
+				anchor = lw.navStep(ch, anchor, st, false)
 				ch.card, ch.cost, rest = math.Min(ch.card, lw.tagCard(st.Color, st.Tag)), ch.cost+nav, st.Preds
 				break
 			}
 			// Reverse step: the new nodes are the ancestors; structural join
 			// output is anc columns then desc columns, so existing columns
 			// shift right by one.
-			ch.op = &engine.StructJoin{Anc: acc.op, Desc: ch.op, AncCol: 0, DescCol: anchor, Axis: axisOf(st.Axis)}
+			ch.op = &engine.StructJoin{Anc: acc.op, Desc: ch.op, AncCol: 0, DescCol: anchor, Axis: axisOf(st.Axis), Merge: ch.order == anchor}
+			if st.Axis == pathexpr.AxisAncestor {
+				ch.fanOut()
+			}
 			ch.cols = append([]ColInfo{{Tag: st.Tag, Color: st.Color}}, ch.cols...)
+			ch.distinct = append([]bool{false}, ch.distinct...)
+			if ch.order >= 0 {
+				ch.order++
+			}
 			for v := range ch.varCol {
 				ch.varCol[v]++
 			}
@@ -585,11 +635,14 @@ func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 }
 
 // navStep appends a NavJoin from column col along the step's axis and
-// returns the column it adds.
-func (lw *lowerer) navStep(ch *chain, col int, st LStep) int {
+// returns the column it adds, known distinct or not as the caller worked
+// out. Only the parent axis cannot repeat a row.
+func (lw *lowerer) navStep(ch *chain, col int, st LStep, distinct bool) int {
 	ch.op = &engine.NavJoin{Input: ch.op, Col: col, Axis: navAxisOf(st.Axis), Color: st.Color, Tag: st.Tag}
-	ch.cols = append(ch.cols, ColInfo{Tag: st.Tag, Color: st.Color})
-	return len(ch.cols) - 1
+	if st.Axis != pathexpr.AxisParent {
+		ch.fanOut()
+	}
+	return ch.addCol(ColInfo{Tag: st.Tag, Color: st.Color}, distinct)
 }
 
 func navAxisOf(a pathexpr.Axis) engine.NavAxis {
@@ -696,7 +749,7 @@ func (lw *lowerer) predChain(p LPred) (*chain, error) {
 	last := steps[len(steps)-1]
 	last.Preds = append(append([]LPred{}, last.Preds...), LPred{Attr: p.Attr, Pred: p.Pred})
 	steps[len(steps)-1] = last
-	ch := &chain{varCol: map[string]int{}}
+	ch := &chain{varCol: map[string]int{}, order: -1}
 	anchor := -1
 	var err error
 	for _, st := range steps {
@@ -770,9 +823,14 @@ func (lw *lowerer) applyJoin(j LJoin) error {
 // merge fuses the right chain's columns after the left's and repoints its
 // variables.
 func (lw *lowerer) merge(left, right *chain, op engine.Op, card float64) {
+	// A value join pairs rows freely: nothing stays distinct. The left side
+	// streams, so its order survives.
 	off := len(left.cols)
 	left.op = op
-	left.cols = append(left.cols, right.cols...)
+	left.fanOut()
+	for _, ci := range right.cols {
+		left.addCol(ci, false)
+	}
 	for v, c := range right.varCol {
 		left.varCol[v] = c + off
 	}

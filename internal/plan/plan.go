@@ -131,6 +131,10 @@ type PathCatalog interface {
 	// PathCount returns the exact number of nodes on paths matching steps in
 	// color c, and whether a summary could be consulted.
 	PathCount(c core.Color, steps []storage.PathStep) (int, bool)
+	// LeafTag reports whether no path of color c continues below an element
+	// with this tag: each is a leaf there, and its string value is its own
+	// content record.
+	LeafTag(c core.Color, tag string) bool
 }
 
 // StoreCatalog reads exact cardinalities from a loaded store's tag and
@@ -157,6 +161,10 @@ func (sc StoreCatalog) PathCount(c core.Color, steps []storage.PathStep) (int, b
 	}
 	return ps.Count(steps), true
 }
+
+// LeafTag implements PathCatalog from the per-tag child counts the store
+// keeps current under every update (no summary build).
+func (sc StoreCatalog) LeafTag(c core.Color, tag string) bool { return sc.Store.LeafTag(c, tag) }
 
 // SchemaCatalog estimates cardinalities from schema quant statistics (paper
 // Section 5.1): the expected population of a tag is the product of the
@@ -228,6 +236,17 @@ type Compiled struct {
 	// (empty: the element's content / the element itself).
 	OutCol  int
 	OutAttr string
+	// Distinct: lowering proved that no node occurs twice in the output
+	// column, so Root carries no final Dedup.
+	Distinct bool
+	// OutLeaf: the catalog's DataGuide shows no path continuing below the
+	// output column's tag in its color, so each result's string value is its
+	// own content record and can be read from the store that produced it.
+	// Stays true for as long as the plan's stats epoch does.
+	OutLeaf bool
+	// Rows is the estimated number of result rows: exact for scans and for
+	// the joins that keep a scanned side whole, a capacity hint otherwise.
+	Rows int
 	// Logical is the analyzed IR the plan was lowered from.
 	Logical *Logical
 	// Mem recycles execution scratch memory across runs of this plan. A

@@ -78,7 +78,10 @@ type Stats struct {
 	Connections uint64 // accepted since start
 	Open        int    // currently open
 	Requests    uint64 // post-handshake requests fully read
-	Responses   uint64 // responses fully written for them
+	// Responses counts the responses fully written for them, each once its
+	// write has returned: Requests - Responses is the requests being answered
+	// right now, at most one per open connection, and zero after a drain.
+	Responses   uint64
 	Errors      uint64 // Error responses among those
 	StmtsOpen   int
 	CursorsOpen int

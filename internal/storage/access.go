@@ -21,6 +21,46 @@ func (s *Store) readStruct(rid pagestore.RecordID, c core.Color) (SNode, error) 
 	return sn, err
 }
 
+// viewRefs calls visit with the record at each packed ref, in order. A page
+// is held across the consecutive refs that lie on it — posting lists are in
+// start order and a bulk load writes records in that order, so a scan costs
+// one pool access per page, not per record. rec is valid only during the call.
+func (s *Store) viewRefs(refs []uint64, visit func(i int, rec []byte)) error {
+	i := 0
+	for i < len(refs) {
+		page := unpackRID(refs[i]).PageID
+		var recErr error
+		err := s.pages.ViewPage(page, func(p *pagestore.Page) {
+			for ; i < len(refs); i++ {
+				rid := unpackRID(refs[i])
+				if rid.PageID != page {
+					return
+				}
+				rec, err := p.Record(rid.Slot)
+				if err != nil {
+					recErr = err
+					return
+				}
+				visit(i, rec)
+			}
+		})
+		if err == nil {
+			err = recErr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// StructsByRef resolves the packed structural record refs of one color
+// (TagRefs, ContentRefs, a path summary's) into dst, which must be as long as
+// refs, reading page by page.
+func (s *Store) StructsByRef(dst []SNode, refs []uint64, c core.Color) error {
+	return s.viewRefs(refs, func(i int, rec []byte) { dst[i] = decodeStruct(rec, c) })
+}
+
 // TagRefs returns the tag index posting list for (c, tag) without reading
 // any records: packed structural record refs in start order. Callers resolve
 // individual refs with StructByRef, which lets iterators stream one record at
@@ -46,17 +86,9 @@ func (s *Store) StructByRef(ref uint64, c core.Color) (SNode, error) {
 // ScanTag returns all structural nodes with the given tag in color c, in
 // start (local document) order.
 func (s *Store) ScanTag(c core.Color, tag string) ([]SNode, error) {
-	obsIndexProbes.Inc()
-	refs := s.tagIdx.Get(tagKey(c, tag))
-	out := make([]SNode, 0, len(refs))
-	for _, ref := range refs {
-		sn, err := s.readStructRef(ref, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sn)
-	}
-	return out, nil
+	refs := s.TagRefs(c, tag)
+	out := make([]SNode, len(refs))
+	return out, s.StructsByRef(out, refs, c)
 }
 
 // CountTag returns the number of structural nodes with a tag in color c
@@ -117,29 +149,65 @@ func (s *Store) TagIs(id ElemID, tag string) (bool, error) {
 	return is, err
 }
 
-// ContentOf reads an element's text content.
-func (s *Store) ContentOf(id ElemID) (string, error) {
-	e, err := s.Elem(id)
-	if err != nil {
-		return "", err
+// LeafTag reports whether every element tagged tag is a leaf of colored tree
+// c: none has an element child there, so the string value of each (paper
+// Section 3.2: the text of its subtree in c) is its own content record.
+func (s *Store) LeafTag(c core.Color, tag string) bool {
+	t := s.tree(c)
+	return t != nil && t.inner[tag] == 0
+}
+
+// tagOf reads an element's tag.
+func (s *Store) tagOf(id ElemID) (string, error) {
+	rid, ok := s.elemRID(id)
+	if !ok {
+		return "", fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
 	}
-	return e.Content, nil
+	var tag string
+	err := s.pages.ViewRecord(rid, func(rec []byte) { tag = string(elemTag(rec)) })
+	return tag, err
+}
+
+// ContentOf reads an element's text content, decoding nothing else of its
+// record.
+func (s *Store) ContentOf(id ElemID) (string, error) {
+	rid, ok := s.elemRID(id)
+	if !ok {
+		return "", fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
+	}
+	var content string
+	err := s.pages.ViewRecord(rid, func(rec []byte) { content = string(elemContent(rec)) })
+	return content, err
+}
+
+// Contents reads the text content of each element of ids, in order, handing
+// set the position and the content. It is ContentOf for a result column:
+// content-only decode, page by page (elements created together sit together).
+func (s *Store) Contents(ids []ElemID, set func(i int, content string)) error {
+	var refs [256]uint64
+	for base := 0; base < len(ids); base += len(refs) {
+		n := min(len(refs), len(ids)-base)
+		for j, id := range ids[base : base+n] {
+			ref, ok := s.elemLoc.Get(uint64(id))
+			if !ok {
+				return fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
+			}
+			refs[j] = ref
+		}
+		err := s.viewRefs(refs[:n], func(j int, rec []byte) { set(base+j, string(elemContent(rec))) })
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EqContent returns structural nodes with the given tag whose content equals
 // value, via the content index (no scan).
 func (s *Store) EqContent(c core.Color, tag, value string) ([]SNode, error) {
-	obsIndexProbes.Inc()
-	refs := s.contentIdx.Get(contentKey(c, tag, value))
-	out := make([]SNode, 0, len(refs))
-	for _, ref := range refs {
-		sn, err := s.readStructRef(ref, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sn)
-	}
-	return out, nil
+	refs := s.ContentRefs(c, tag, value)
+	out := make([]SNode, len(refs))
+	return out, s.StructsByRef(out, refs, c)
 }
 
 // ScanContains scans all nodes of a tag in color c and keeps those whose

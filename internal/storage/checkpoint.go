@@ -242,12 +242,14 @@ func (s *Store) rebuildDirectories() error {
 		}
 		sort.Slice(items, func(i, j int) bool { return items[i].sn.Start < items[j].sn.Start })
 		maxEnd := int64(0)
+		var open enclosing // for the per-tag child counts
 		for _, it := range items {
 			e, err := s.Elem(it.sn.Elem)
 			if err != nil {
 				return fmt.Errorf("storage: color %q: structural node references missing element %d: %w",
 					c, it.sn.Elem, err)
 			}
+			t.addInner(open.enter(it.sn, e.Tag), 1)
 			ref := packRID(it.rid)
 			t.loc.Set(uint64(it.sn.Elem), ref)
 			s.tagIdx.Insert(tagKey(c, e.Tag), ref)

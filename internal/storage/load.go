@@ -15,8 +15,9 @@ import (
 func Load(db *core.Database, poolPages int) (*Store, error) {
 	s := NewStore(poolPages, db.Colors()...)
 	type rec struct {
-		node *core.Node
-		sn   SNode
+		node      *core.Node
+		parentTag string
+		sn        SNode
 	}
 	for _, c := range db.Colors() {
 		ctr := int64(gap)
@@ -33,7 +34,7 @@ func Load(db *core.Database, poolPages int) (*Store, error) {
 				idx := len(recs)
 				start := ctr
 				ctr += gap
-				recs = append(recs, rec{node: ch, sn: SNode{
+				recs = append(recs, rec{node: ch, parentTag: n.Name(), sn: SNode{
 					Elem:        ElemID(ch.ID()),
 					Color:       c,
 					Start:       start,
@@ -50,7 +51,7 @@ func Load(db *core.Database, poolPages int) (*Store, error) {
 			if err := s.ensureElem(r.node); err != nil {
 				return nil, err
 			}
-			if err := s.insertStruct(r.node.Name(), core.Text(r.node), r.sn); err != nil {
+			if err := s.insertStruct(r.node.Name(), core.Text(r.node), r.parentTag, r.sn); err != nil {
 				return nil, err
 			}
 		}
@@ -94,8 +95,9 @@ func (s *Store) ensureElem(n *core.Node) error {
 }
 
 // insertStruct writes a structural record and registers it in the
-// directories and indexes.
-func (s *Store) insertStruct(tag, content string, sn SNode) error {
+// directories and indexes. parentTag is the tag of the node's parent, "" for
+// a child of the document.
+func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 	t := s.tree(sn.Color)
 	if t == nil {
 		return fmt.Errorf("storage: unknown color %q", sn.Color)
@@ -106,6 +108,7 @@ func (s *Store) insertStruct(tag, content string, sn SNode) error {
 	}
 	ref := packRID(rid)
 	t.loc.Set(uint64(sn.Elem), ref)
+	t.addInner(parentTag, 1)
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
 	if err := s.insertPosting(s.tagIdx, tagKey(sn.Color, tag), ref, sn); err != nil {

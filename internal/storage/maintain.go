@@ -45,6 +45,7 @@ func (s *Store) Clone() *Store {
 	}
 	for i := range ns.trees {
 		ns.trees[i].loc = ns.trees[i].loc.Clone()
+		s.trees[i].innerShared, ns.trees[i].innerShared = true, true
 	}
 	// The clone starts structurally identical to its parent, so it inherits
 	// the stats epoch; the first structural change it absorbs moves it to a

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -67,8 +68,10 @@ func colorNodes(t *testing.T, s *storage.Store, c core.Color) []storage.SNode {
 }
 
 // checkNavigation compares the navigation primitives, for every node and
-// tag, with answers filtered out of whole-colour scans, and checks that
-// every posting list is in start order.
+// tag, with answers filtered out of whole-colour scans, checks that every
+// posting list is in start order, that the page-by-page readers return what
+// the record-by-record ones do, and that the per-tag child counts behind
+// LeafTag are those of the tree as it stands.
 func checkNavigation(t *testing.T, s *storage.Store) {
 	t.Helper()
 	for _, c := range s.Colors() {
@@ -76,16 +79,40 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 		tagOf := map[storage.ElemID]string{}
 		byTag := map[string][]storage.SNode{}
 		byContent := map[[2]string][]storage.SNode{}
+		byStart := map[int64]storage.ElemID{}
+		var ids []storage.ElemID
+		var contents []string
 		for _, sn := range all {
 			e, err := s.Elem(sn.Elem)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tagOf[sn.Elem] = e.Tag
+			byStart[sn.Start] = sn.Elem
 			byTag[e.Tag] = append(byTag[e.Tag], sn)
 			if e.Content != "" {
 				k := [2]string{e.Tag, e.Content}
 				byContent[k] = append(byContent[k], sn)
+			}
+			content, err := s.ContentOf(sn.Elem)
+			if err != nil || content != e.Content {
+				t.Fatalf("ContentOf(%d) = %q, %v; the record holds %q", sn.Elem, content, err, e.Content)
+			}
+			ids, contents = append(ids, sn.Elem), append(contents, content)
+		}
+		got := make([]string, len(ids))
+		if err := s.Contents(ids, func(i int, content string) { got[i] = content }); err != nil || !reflect.DeepEqual(got, contents) {
+			t.Fatalf("{%s} Contents = %v, %v; want %v", c, got, err, contents)
+		}
+		inner := map[string]bool{}
+		for _, sn := range all {
+			if sn.ParentStart >= 0 {
+				inner[tagOf[byStart[sn.ParentStart]]] = true
+			}
+		}
+		for tag := range byTag {
+			if s.LeafTag(c, tag) == inner[tag] {
+				t.Fatalf("LeafTag({%s}%s) = %v, but the tree has a child under that tag: %v", c, tag, !inner[tag], inner[tag])
 			}
 		}
 		resolve := func(refs []uint64) []storage.SNode {
@@ -96,6 +123,10 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 					t.Fatal(err)
 				}
 				out = append(out, sn)
+			}
+			batched := make([]storage.SNode, len(refs))
+			if err := s.StructsByRef(batched, refs, c); err != nil || (len(refs) > 0 && !reflect.DeepEqual(batched, out)) {
+				t.Fatalf("StructsByRef = %v, %v; record by record %v", batched, err, out)
 			}
 			return out
 		}
@@ -155,6 +186,7 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		checkNavigation(t, s)
 		epoch := s.StatsEpoch()
 		var err error
+		var frozen []*storage.Store // what s was cloned from, written no more
 		for step := 0; step < 120; step++ {
 			c := s.Colors()[rng.Intn(2)]
 			all := colorNodes(t, s, c)
@@ -184,6 +216,21 @@ func TestNavigationUnderUpdates(t *testing.T) {
 			if step%10 == 9 {
 				checkNavigation(t, s)
 			}
+			// The counts behind LeafTag travel with a clone (shared until one
+			// side writes) and are rebuilt by a checkpoint reload.
+			if step%40 == 39 {
+				frozen = append(frozen, s)
+				s = s.Clone()
+				var image bytes.Buffer
+				if err := s.WriteCheckpoint(&image); err != nil {
+					t.Fatal(err)
+				}
+				reloaded, err := storage.ReadCheckpoint(&image, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkNavigation(t, reloaded)
+			}
 		}
 		if s.StatsEpoch() == epoch {
 			t.Fatal("structural updates left the stats epoch unchanged")
@@ -212,5 +259,8 @@ func TestNavigationUnderUpdates(t *testing.T) {
 			t.Fatal("renumbering left the stats epoch unchanged")
 		}
 		checkNavigation(t, s)
+		for _, f := range frozen {
+			checkNavigation(t, f)
+		}
 	}
 }

@@ -172,11 +172,13 @@ func matchSteps(steps []PathStep, labels []string) bool {
 }
 
 // Match returns the refs of every node whose root-anchored label path
-// satisfies the pattern, grouped by path in sorted path order (deterministic,
-// but not globally start-ordered across paths — consumers needing document
-// order sort the resolved nodes). Each node appears at most once: it has
-// exactly one root path.
-func (ps *PathSummary) Match(steps []PathStep) []uint64 {
+// satisfies the pattern: one run per matching path, in sorted path order,
+// each run in start order. A pattern that names one path — the common case —
+// is therefore answered in document order as it stands; runs of several paths
+// interleave in the document and the consumer merges them. Each node appears
+// at most once: it has exactly one root path. The runs are the summary's own
+// and must not be written.
+func (ps *PathSummary) Match(steps []PathStep) [][]uint64 {
 	keys := make([]string, 0, len(ps.paths))
 	for path := range ps.paths {
 		if matchSteps(steps, strings.Split(path, pathSep)) {
@@ -184,11 +186,11 @@ func (ps *PathSummary) Match(steps []PathStep) []uint64 {
 		}
 	}
 	sort.Strings(keys)
-	var out []uint64
-	for _, k := range keys {
-		out = append(out, ps.paths[k]...)
+	runs := make([][]uint64, len(keys))
+	for i, k := range keys {
+		runs[i] = ps.paths[k]
 	}
-	return out
+	return runs
 }
 
 // Count returns the number of nodes Match would yield, without touching the

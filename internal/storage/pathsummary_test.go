@@ -68,8 +68,12 @@ func TestPathSummaryCounts(t *testing.T) {
 		if got := ps.Count(tc.pat); got != tc.want {
 			t.Errorf("Count(%s) = %d, want %d", storage.PathString(tc.pat), got, tc.want)
 		}
-		if got := len(ps.Match(tc.pat)); got != tc.want {
-			t.Errorf("len(Match(%s)) = %d, want %d", storage.PathString(tc.pat), got, tc.want)
+		got := 0
+		for _, run := range ps.Match(tc.pat) {
+			got += len(run)
+		}
+		if got != tc.want {
+			t.Errorf("Match(%s) holds %d refs, want %d", storage.PathString(tc.pat), got, tc.want)
 		}
 	}
 }

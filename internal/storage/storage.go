@@ -128,6 +128,57 @@ type colorTree struct {
 	file     pagestore.FileID
 	loc      *cowarray.Array[uint64]
 	maxStart int64
+	// inner counts, per tag, the tree's structural nodes whose parent carries
+	// that tag — the one DataGuide fact kept current under every update
+	// (LeafTag). A map of a few tags; a clone shares it until either side
+	// writes (innerShared).
+	inner       map[string]int
+	innerShared bool
+}
+
+// addInner records that d children (negative: fewer) hang under an element
+// tagged parentTag; the document's children have no parent tag.
+func (t *colorTree) addInner(parentTag string, d int) {
+	if parentTag == "" {
+		return
+	}
+	if t.innerShared || t.inner == nil {
+		own := make(map[string]int, len(t.inner)+1)
+		for tag, n := range t.inner {
+			own[tag] = n
+		}
+		t.inner, t.innerShared = own, false
+	}
+	if n := t.inner[parentTag] + d; n > 0 {
+		t.inner[parentTag] = n
+	} else {
+		delete(t.inner, parentTag)
+	}
+}
+
+// enclosing tracks, along a walk of one colored tree in start order, the tags
+// of the nodes whose intervals contain the current position: what the per-tag
+// child counts are kept from when nodes arrive or leave many at a time.
+type enclosing []openTag
+
+type openTag struct {
+	end int64
+	tag string
+}
+
+// enter moves the walk to sn, tagged tag, and returns the tag of its parent
+// ("" under the document): the innermost node still open once those that
+// ended before sn are closed.
+func (e *enclosing) enter(sn SNode, tag string) (parentTag string) {
+	open := *e
+	for len(open) > 0 && open[len(open)-1].end < sn.Start {
+		open = open[:len(open)-1]
+	}
+	if len(open) > 0 {
+		parentTag = open[len(open)-1].tag
+	}
+	*e = append(open, openTag{sn.End, tag})
+	return parentTag
 }
 
 // tree returns color c's header, or nil for a color the store does not have.
@@ -319,6 +370,14 @@ func decodeElem(buf []byte) (id ElemID, tag, content string, attrs [][2]string) 
 func elemTag(buf []byte) []byte {
 	n := int(binary.LittleEndian.Uint16(buf[8:10]))
 	return buf[10 : 10+n]
+}
+
+// elemContent returns the content bytes of an encoded element record, in
+// place: the tag is skipped, the attributes are never reached.
+func elemContent(buf []byte) []byte {
+	off := 10 + int(binary.LittleEndian.Uint16(buf[8:10]))
+	n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
+	return buf[off+2 : off+2+n]
 }
 
 func encodeStruct(sn SNode) []byte {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/pagestore"
@@ -103,8 +104,12 @@ func (s *Store) claimID(id ElemID) error {
 }
 
 func (s *Store) insertLeafChild(id ElemID, parent SNode, tag, content string, attrs [][2]string) (SNode, error) {
+	parentTag, err := s.tagOf(parent.Elem)
+	if err != nil {
+		return SNode{}, err
+	}
 	for attempt := 0; ; attempt++ {
-		sn, ok, err := s.tryInsertLeaf(id, parent, tag, content, attrs)
+		sn, ok, err := s.tryInsertLeaf(id, parent, parentTag, tag, content, attrs)
 		if err != nil {
 			return SNode{}, err
 		}
@@ -122,7 +127,7 @@ func (s *Store) insertLeafChild(id ElemID, parent SNode, tag, content string, at
 	}
 }
 
-func (s *Store) tryInsertLeaf(id ElemID, parent SNode, tag, content string, attrs [][2]string) (SNode, bool, error) {
+func (s *Store) tryInsertLeaf(id ElemID, parent SNode, parentTag, tag, content string, attrs [][2]string) (SNode, bool, error) {
 	desc, err := s.Subtree(parent)
 	if err != nil {
 		return SNode{}, false, err
@@ -159,7 +164,7 @@ func (s *Store) tryInsertLeaf(id ElemID, parent SNode, tag, content string, attr
 		Level:       parent.Level + 1,
 		ParentStart: parent.Start,
 	}
-	if err := s.insertStruct(tag, content, sn); err != nil {
+	if err := s.insertStruct(tag, content, parentTag, sn); err != nil {
 		return SNode{}, false, err
 	}
 	return sn, true, nil
@@ -200,7 +205,7 @@ func (s *Store) InsertLeafRootID(id ElemID, c core.Color, tag, content string, a
 	}
 	start, end := s.rootSlot(t)
 	sn := SNode{Elem: id, Color: c, Start: start, End: end, Level: 0, ParentStart: -1}
-	if err := s.insertStruct(tag, content, sn); err != nil {
+	if err := s.insertStruct(tag, content, "", sn); err != nil {
 		return SNode{}, err
 	}
 	return sn, nil
@@ -222,7 +227,7 @@ func (s *Store) AddColorRoot(id ElemID, c core.Color) (SNode, error) {
 	}
 	start, end := s.rootSlot(t)
 	sn := SNode{Elem: id, Color: c, Start: start, End: end, Level: 0, ParentStart: -1}
-	if err := s.insertStruct(e.Tag, e.Content, sn); err != nil {
+	if err := s.insertStruct(e.Tag, e.Content, "", sn); err != nil {
 		return SNode{}, err
 	}
 	return sn, nil
@@ -276,6 +281,10 @@ func (s *Store) AddColorTo(id ElemID, parent SNode) (SNode, error) {
 	if err != nil {
 		return SNode{}, err
 	}
+	parentTag, err := s.tagOf(parent.Elem)
+	if err != nil {
+		return SNode{}, err
+	}
 	for attempt := 0; ; attempt++ {
 		desc, err := s.Subtree(parent)
 		if err != nil {
@@ -298,7 +307,7 @@ func (s *Store) AddColorTo(id ElemID, parent SNode) (SNode, error) {
 				Level:       parent.Level + 1,
 				ParentStart: parent.Start,
 			}
-			if err := s.insertStruct(e.Tag, e.Content, sn); err != nil {
+			if err := s.insertStruct(e.Tag, e.Content, parentTag, sn); err != nil {
 				return SNode{}, err
 			}
 			return sn, nil
@@ -322,11 +331,26 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		return err
 	}
 	nodes := append([]SNode{sn}, desc...)
+	// Each removal is one child fewer under its parent's tag: the tag of the
+	// removed node enclosing it, or for sn itself of its parent, which stays
+	// (and, with an end past every start, stays open throughout the walk).
+	t := s.tree(sn.Color)
+	var open enclosing
+	if p, ok, err := s.ParentOf(sn); err != nil {
+		return err
+	} else if ok {
+		tag, err := s.tagOf(p.Elem)
+		if err != nil {
+			return err
+		}
+		open.enter(SNode{End: math.MaxInt64}, tag)
+	}
 	for _, d := range nodes {
 		e, err := s.Elem(d.Elem)
 		if err != nil {
 			return err
 		}
+		t.addInner(open.enter(d, e.Tag), -1)
 		ref, _ := s.structRef(d.Elem, d.Color)
 		if err := s.pages.DeleteRecord(unpackRID(ref)); err != nil {
 			return err
@@ -336,7 +360,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 			s.contentIdx.Delete(contentKey(d.Color, e.Tag, e.Content), ref)
 		}
 		s.startIdx.DeleteKey(startKey(d.Color, d.Start))
-		s.tree(d.Color).loc.Delete(uint64(d.Elem))
+		t.loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--
 		if len(s.ColorsOf(d.Elem)) == 0 {
 			erid, _ := s.elemRID(d.Elem)

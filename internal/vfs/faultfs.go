@@ -97,10 +97,12 @@ func (f *FaultFS) SetStanding(err error) {
 	f.mu.Unlock()
 }
 
-// Clear removes the standing fault: the disk works again.
+// Clear removes the standing fault and every one-shot fault not yet reached:
+// the disk works again (a failure rate, if set, stays set).
 func (f *FaultFS) Clear() {
 	f.mu.Lock()
 	f.standing = nil
+	clear(f.sched)
 	f.mu.Unlock()
 }
 

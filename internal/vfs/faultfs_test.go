@@ -66,6 +66,9 @@ func TestFaultFSStandingAndClear(t *testing.T) {
 	if err := f.Rename(filepath.Join(dir, "x"), filepath.Join(dir, "y")); !errors.Is(err, ErrIO) {
 		t.Fatalf("standing fault skipped rename: %v", err)
 	}
+	// A one-shot fault armed for an operation that has not happened yet goes
+	// with the standing one: after Clear nothing is left to fire late.
+	f.Schedule(f.Ops(), Fault{Err: ErrDiskFull})
 	f.Clear()
 	file, err := f.Create(filepath.Join(dir, "a"))
 	if err != nil {

@@ -177,6 +177,7 @@ func TestDifferentialCompiledPlans(t *testing.T) {
 	}
 
 	nonEmpty := 0
+	dedups := map[string]int{}
 	for _, g := range groups {
 		for _, q := range g.queries {
 			for _, v := range workload.Variants {
@@ -188,6 +189,20 @@ func TestDifferentialCompiledPlans(t *testing.T) {
 					}
 					t.Errorf("%s: compile/run: %v", name, err)
 					continue
+				}
+
+				if c, err := workload.Compile(q, g.st, v); err != nil {
+					t.Errorf("%s: compile: %v", name, err)
+				} else {
+					checkDedupVariants(t, name, g.st.Of(v), c)
+					switch d, _ := c.Root.(*engine.Dedup); {
+					case c.Distinct:
+						dedups["elided"]++
+					case d.Ordered:
+						dedups["ordered"]++
+					default:
+						dedups["sorting"]++
+					}
 				}
 
 				hand, _, err := workload.RunQuery(q, g.st, v)
@@ -241,10 +256,62 @@ func TestDifferentialCompiledPlans(t *testing.T) {
 			}
 		}
 	}
+	// Every way of making the output distinct must have been exercised.
+	if dedups["elided"] == 0 || dedups["ordered"] == 0 || dedups["sorting"] == 0 {
+		t.Errorf("final duplicate elimination by kind: %v, want some of each", dedups)
+	}
 	// Guard against vacuous agreement: most comparisons must be non-empty.
 	if nonEmpty < 40 {
 		t.Errorf("only %d non-empty compiled/hand comparisons; substitutions broken?", nonEmpty)
 	}
+}
+
+// checkDedupVariants runs a compiled plan's output column three ways and
+// requires one answer: as lowered (final Dedup elided where the compiler
+// proved the column distinct, a one-comparison stream where it proved it
+// ordered, the sorting Dedup otherwise); with the sorting Dedup forced on top
+// (a wrong distinctness proof would lose rows here); and against a plain
+// hash set over the plan without its own final Dedup — first occurrence of
+// each element, in order. The ordered Dedup's input also goes through the
+// sorting one.
+func checkDedupVariants(t *testing.T, name string, s *storage.Store, c *plan.Compiled) {
+	t.Helper()
+	ids := func(op engine.Op) []storage.ElemID {
+		got, _, err := engine.ExecColumn(nil, s, c.Mem, op.Clone(), c.OutCol, c.Rows, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return got
+	}
+	same := func(what string, got, want []storage.ElemID) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: %s returns %d rows, the plan as lowered %d (or the order differs)\n%s",
+				name, what, len(got), len(want), engine.Explain(c.Root))
+		}
+	}
+	lowered := ids(c.Root)
+	same("a Dedup forced on top", ids(&engine.Dedup{Input: c.Root, Col: c.OutCol}), lowered)
+	raw := c.Root
+	if !c.Distinct {
+		d, ok := c.Root.(*engine.Dedup)
+		if !ok {
+			t.Fatalf("%s: no final Dedup, and no claim that the output column is distinct", name)
+		}
+		raw = d.Input
+		if d.Ordered {
+			same("the sorting Dedup over the ordered one's input", ids(&engine.Dedup{Input: raw, Col: c.OutCol}), lowered)
+		}
+	}
+	seen := map[storage.ElemID]bool{}
+	var ref []storage.ElemID
+	for _, id := range ids(raw) {
+		if !seen[id] {
+			seen[id] = true
+			ref = append(ref, id)
+		}
+	}
+	same("a hash set over the undeduplicated plan", ref, lowered)
 }
 
 func distinctSorted(in []string) []string {
@@ -330,6 +397,7 @@ func TestDifferentialBenchClasses(t *testing.T) {
 		if strings.Contains(engine.Explain(c.Root), "NavJoin") {
 			navigational++
 		}
+		checkDedupVariants(t, text, s, c)
 		rows, _, err := engine.Exec(s, c.Root)
 		if err != nil {
 			t.Fatal(err)

@@ -51,6 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
+	if *dir != "" {
+		r := db.Recovery()
+		log.Printf("recovered %s in %d ms: checkpoint epoch %d (loaded: %v), %d segments, %d records, %d changes, torn tail: %v",
+			*dir, r.Elapsed.Milliseconds(), r.CheckpointEpoch, r.CheckpointLoaded, r.SegmentsReplayed, r.RecordsReplayed, r.ChangesReplayed, r.TornTail)
+	}
 	if *maxInflight > 0 {
 		db.SetMaxInflight(*maxInflight)
 	}

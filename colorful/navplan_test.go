@@ -19,8 +19,9 @@ import (
 // updates keep the stats epoch, so the statements keep executing plans
 // whose cost estimate is now wrong), tags come and go under the probed
 // items (structural: the epoch moves and the statements recompile), and
-// enough leaves are inserted under one item to renumber the red tree (the
-// parent hops must follow the new parent-starts). After every step each
+// enough leaves are inserted under one item to fill its interval and have its
+// siblings relabelled around it (the parent hops must follow the new
+// parent-starts). After every step each
 // statement must return exactly what the reference evaluator returns, in
 // order.
 func TestPreparedNavPlansTrackUpdates(t *testing.T) {
@@ -156,7 +157,7 @@ func TestPreparedNavPlansTrackUpdates(t *testing.T) {
 	update(forItem(k) + `, $t in $i/{red}child::tag[. = "t` + strconv.Itoa(k) + `"] update $i { delete $t }`)
 	check("tag deleted", map[string]int{"tags": 0})
 
-	// Renumbering: an item's interval has room for a handful of leaves.
+	// Relabelling: an item's interval has room for a handful of leaves.
 	itemK, ok, err := db.snap.Load().st.StructOf(storage.ElemID(core.Parent(names[k], "red").ID()), "red")
 	if err != nil || !ok {
 		t.Fatal(ok, err)
@@ -170,7 +171,7 @@ func TestPreparedNavPlansTrackUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.End-after.Start <= itemK.End-itemK.Start {
-		t.Fatalf("12 leaves under %v did not renumber the red tree (now %v)", itemK, after)
+		t.Fatalf("12 leaves under %v did not extend it (now %v)", itemK, after)
 	}
 	if m := db.MaintStats(); m.FullRebuilds != 1 {
 		t.Fatalf("the snapshots were rebuilt, not maintained: %+v", m)

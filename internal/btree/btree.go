@@ -40,9 +40,10 @@ type leaf struct {
 	own  *owner
 	keys []string
 	vals [][]uint64
-	// sharedVals marks postings lists that may still be referenced by a
-	// frozen clone: they must be copied before the first in-place change.
-	sharedVals bool
+	// shared[i] marks vals[i] as possibly still referenced by a frozen clone:
+	// it must be copied before its first in-place change, and is this leaf's
+	// own from then on. nil (a leaf that was never path-copied): none is.
+	shared []bool
 }
 
 type inner struct {
@@ -78,11 +79,15 @@ func mutable(n node, own *owner) node {
 		if x.own == own {
 			return x
 		}
+		shared := make([]bool, len(x.vals))
+		for i := range shared {
+			shared[i] = true
+		}
 		return &leaf{
-			own:        own,
-			keys:       append([]string(nil), x.keys...),
-			vals:       append([][]uint64(nil), x.vals...),
-			sharedVals: true,
+			own:    own,
+			keys:   append([]string(nil), x.keys...),
+			vals:   append([][]uint64(nil), x.vals...),
+			shared: shared,
 		}
 	case *inner:
 		if x.own == own {
@@ -165,14 +170,8 @@ func (t *Tree) Delete(key string, val uint64) bool {
 		if v != val {
 			continue
 		}
-		if lf.sharedVals {
-			nv := make([]uint64, 0, len(vals)-1)
-			nv = append(nv, vals[:j]...)
-			nv = append(nv, vals[j+1:]...)
-			lf.vals[i] = nv
-		} else {
-			lf.vals[i] = append(vals[:j], vals[j+1:]...)
-		}
+		vals = lf.ownVals(i)
+		lf.vals[i] = append(vals[:j], vals[j+1:]...)
 		if len(lf.vals[i]) == 0 {
 			lf.removeAt(i)
 			t.keys--
@@ -226,6 +225,21 @@ func (t *Tree) mutableLeafFor(key string) (*leaf, int) {
 func (l *leaf) removeAt(i int) {
 	l.keys = append(l.keys[:i], l.keys[i+1:]...)
 	l.vals = append(l.vals[:i], l.vals[i+1:]...)
+	if l.shared != nil {
+		l.shared = append(l.shared[:i], l.shared[i+1:]...)
+	}
+}
+
+// ownVals returns slot i's postings as a list this (already-mutable) leaf may
+// change in place: the list itself, or on the first call after the leaf was
+// path-copied a copy with room for one more value. A list is copied at most
+// once per owner, however many values the owner then adds or removes.
+func (l *leaf) ownVals(i int) []uint64 {
+	if l.shared != nil && l.shared[i] {
+		l.vals[i] = append(make([]uint64, 0, len(l.vals[i])+1), l.vals[i]...)
+		l.shared[i] = false
+	}
+	return l.vals[i]
 }
 
 // Ascend iterates all (key, postings) pairs in key order; fn returning false
@@ -252,6 +266,30 @@ func (t *Tree) Prefix(prefix string, fn func(key string, vals []uint64) bool) {
 		}
 		return fn(k, v)
 	})
+}
+
+// SeekLT returns the greatest key less than key, with its postings; ok is
+// false when the tree holds no smaller key.
+func (t *Tree) SeekLT(key string) (k string, vals []uint64, ok bool) {
+	return seekLT(t.root, key)
+}
+
+func seekLT(n node, key string) (string, []uint64, bool) {
+	switch x := n.(type) {
+	case *leaf:
+		if i := sort.SearchStrings(x.keys, key); i > 0 {
+			return x.keys[i-1], x.vals[i-1], true
+		}
+	case *inner:
+		// Deletes leave leaves sparse or empty, so the answer may sit further
+		// left than the child key belongs to.
+		for i := x.childFor(key); i >= 0; i-- {
+			if k, vals, ok := seekLT(x.children[i], key); ok {
+				return k, vals, true
+			}
+		}
+	}
+	return "", nil, false
 }
 
 // ascendFrom walks keys >= lo in order without relying on sibling links
@@ -300,11 +338,7 @@ func (l *leaf) find(key string) []uint64 {
 func (l *leaf) insert(key string, at int, val uint64) (node, string) {
 	i := sort.SearchStrings(l.keys, key)
 	if i < len(l.keys) && l.keys[i] == key {
-		vals := l.vals[i]
-		if l.sharedVals {
-			vals = append(make([]uint64, 0, len(vals)+1), vals...)
-		}
-		vals = append(vals, val)
+		vals := append(l.ownVals(i), val)
 		if at >= 0 && at < len(vals)-1 {
 			copy(vals[at+1:], vals[at:])
 			vals[at] = val
@@ -318,16 +352,24 @@ func (l *leaf) insert(key string, at int, val uint64) (node, string) {
 	l.vals = append(l.vals, nil)
 	copy(l.vals[i+1:], l.vals[i:])
 	l.vals[i] = []uint64{val}
+	if l.shared != nil {
+		l.shared = append(l.shared, false)
+		copy(l.shared[i+1:], l.shared[i:])
+		l.shared[i] = false
+	}
 	if len(l.keys) <= degree {
 		return nil, ""
 	}
 	// Split.
 	mid := len(l.keys) / 2
 	right := &leaf{
-		own:        l.own,
-		keys:       append([]string(nil), l.keys[mid:]...),
-		vals:       append([][]uint64(nil), l.vals[mid:]...),
-		sharedVals: l.sharedVals,
+		own:  l.own,
+		keys: append([]string(nil), l.keys[mid:]...),
+		vals: append([][]uint64(nil), l.vals[mid:]...),
+	}
+	if l.shared != nil {
+		right.shared = append([]bool(nil), l.shared[mid:]...)
+		l.shared = l.shared[:mid]
 	}
 	l.keys = l.keys[:mid]
 	l.vals = l.vals[:mid]

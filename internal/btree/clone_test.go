@@ -3,6 +3,8 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -137,4 +139,101 @@ func TestCloneConcurrentReads(t *testing.T) {
 		cl.Insert(fmt.Sprintf("n%05d", i), uint64(i))
 	}
 	wg.Wait()
+}
+
+// allocatedBy returns the bytes fn allocates (TotalAlloc is monotonic, so a
+// collection in between does not hide any).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPostingsCopiedOncePerOwner: after a Clone, the first change under a key
+// copies its postings list — the frozen side may still read the old one — and
+// the tree owns the copy from then on. 1 000 inserts under one 20 000-value
+// key cost the list plus the inserts, not the list per insert, and so do
+// 1 000 deletes; other keys of the same leaf stay shared until written.
+func TestPostingsCopiedOncePerOwner(t *testing.T) {
+	const list = 20000
+	tr := New()
+	for i := 0; i < list; i++ {
+		tr.Insert("red|item", uint64(2*i))
+	}
+	for i := 0; i < 200; i++ { // neighbors, so the leaf holds more than the one key
+		tr.Insert(fmt.Sprintf("red|item%03d", i), uint64(i))
+	}
+	want := snapshot(tr)
+	frozen := tr.Clone()
+
+	listBytes := uint64(8 * list)
+	if got := allocatedBy(func() {
+		for i := 0; i < 1000; i++ {
+			tr.InsertAt("red|item", list/2, uint64(2*i+1))
+		}
+	}); got > 4*listBytes {
+		t.Fatalf("1000 inserts under one key of a cloned tree allocated %d bytes; the list is %d", got, listBytes)
+	}
+	if got := allocatedBy(func() {
+		for i := 0; i < 1000; i++ {
+			if !tr.Delete("red|item", uint64(2*i+1)) {
+				t.Fatalf("delete %d failed", i)
+			}
+		}
+	}); got > listBytes/4 {
+		t.Fatalf("1000 deletes under a key the tree already owns allocated %d bytes", got)
+	}
+	sameContents(t, frozen, want)
+	sameContents(t, tr, want) // every insert was deleted again
+
+	// A fresh clone shares the lists again: the first delete copies one, once.
+	next := tr.Clone()
+	if got := allocatedBy(func() {
+		for i := 0; i < 1000; i++ {
+			next.Delete("red|item", uint64(2*i))
+		}
+	}); got > 2*listBytes {
+		t.Fatalf("1000 deletes under one key of a cloned tree allocated %d bytes; the list is %d", got, listBytes)
+	}
+	sameContents(t, tr, want)
+}
+
+// TestSeekLT: the greatest key below a probe, against a sorted model, with
+// leaves emptied by deletes in the way.
+func TestSeekLT(t *testing.T) {
+	tr := New()
+	var keys []string
+	for i := 0; i < 2000; i++ {
+		k := fmt.Sprintf("k%05d", 3*i)
+		tr.Insert(k, uint64(i))
+		keys = append(keys, k)
+	}
+	check := func() {
+		t.Helper()
+		for i := -1; i <= 6001; i++ {
+			probe := fmt.Sprintf("k%05d", i)
+			if i < 0 {
+				probe = "a"
+			}
+			at := sort.SearchStrings(keys, probe)
+			k, vals, ok := tr.SeekLT(probe)
+			if ok != (at > 0) || (ok && (k != keys[at-1] || len(vals) != 1)) {
+				t.Fatalf("SeekLT(%s) = %q %v %v, want below index %d of the model", probe, k, vals, ok, at)
+			}
+		}
+	}
+	check()
+	// Empty whole leaves in the middle and at the low end.
+	kept := keys[:0:0]
+	for i, k := range keys {
+		if (i >= 10 && i < 300) || (i >= 900 && i < 1400) || i < 3 {
+			tr.DeleteKey(k)
+		} else {
+			kept = append(kept, k)
+		}
+	}
+	keys = kept
+	check()
 }

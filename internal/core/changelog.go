@@ -8,8 +8,8 @@ import "sync"
 // layer (colorful.DB) drains the log and replays it against a copy-on-write
 // clone of the previous storage.Store snapshot instead of rebuilding from
 // scratch. Changes with no incremental store operation (positional inserts,
-// renames, whole-subtree arrivals) are recorded as ChangeComplex, telling
-// the maintainer to fall back to a full load.
+// renames) are recorded as ChangeComplex, telling the maintainer to fall back
+// to a full load.
 //
 // Mutations of detached fragments are store-invisible and record nothing:
 // the store materializes exactly the rooted colored trees, so a change only
@@ -191,26 +191,31 @@ func (db *Database) logAttach(parent, child *Node, c Color, atEnd bool) {
 		db.record(Change{Kind: ChangeComplex})
 		return
 	}
-	// A child that brings element children of its own lands a whole subtree
-	// at once; the incremental ops only insert leaves.
-	for _, ch := range child.link(c).children {
-		if ch.kind == KindElement {
-			db.record(Change{Kind: ChangeComplex})
-			return
-		}
-	}
+	db.logArrival(parent, child, c)
+}
+
+// logArrival records child's subtree in color c arriving as the last child of
+// parent: its elements in pre-order, each at that moment a leaf and the last
+// child of its parent — so a subtree that lands at once is the same log as
+// one built in place, and the incremental ops only ever insert leaves.
+func (db *Database) logArrival(parent, child *Node, c Color) {
+	ch := Change{Kind: ChangeInsertLeaf, Elem: child.id,
+		Parent: db.changeParent(parent), Color: c,
+		Tag: child.name, Content: Text(child), Attrs: attrSnapshot(child)}
 	for _, oc := range child.Colors() {
 		if oc != c && db.reachable(child, oc) {
 			// Already stored under another color: this attach adds one
 			// structural node.
-			db.record(Change{Kind: ChangeAddColor, Elem: child.id,
-				Parent: db.changeParent(parent), Color: c})
-			return
+			ch = Change{Kind: ChangeAddColor, Elem: child.id, Parent: ch.Parent, Color: c}
+			break
 		}
 	}
-	db.record(Change{Kind: ChangeInsertLeaf, Elem: child.id,
-		Parent: db.changeParent(parent), Color: c,
-		Tag: child.name, Content: Text(child), Attrs: attrSnapshot(child)})
+	db.record(ch)
+	for _, g := range child.link(c).children {
+		if g.kind == KindElement {
+			db.logArrival(child, g, c)
+		}
+	}
 }
 
 // logContent records that elem's direct text content changed.

@@ -48,11 +48,17 @@ const (
 	// OpCheckpoint requests an explicit checkpoint (no-op on in-memory
 	// shadows).
 	OpCheckpoint
+	// OpNewSubtree builds an element with one child (with a text child)
+	// detached — which the store does not see — and appends it under a parent:
+	// a subtree that arrives at once, logged as its leaves in pre-order in one
+	// WAL record.
+	OpNewSubtree
 )
 
 // Stmt is one workload statement. Tag names the element the statement
 // targets (or creates); Ref names the parent (OpNewChild, OpAdopt) or the
 // following sibling (OpInsertBefore). An empty Ref means the document node.
+// Attr doubles as the tag of OpNewSubtree's inner element.
 type Stmt struct {
 	Kind  Kind
 	Tag   string
@@ -157,6 +163,24 @@ func Apply(db *colorful.DB, nodes map[string]*colorful.Node, s Stmt) error {
 		}
 		nodes[s.Tag] = n
 		return nil
+	case OpNewSubtree:
+		parent, err := resolve(s.Ref)
+		if err != nil {
+			return err
+		}
+		top, err := db.NewElement(s.Tag, s.Color)
+		if err != nil {
+			return err
+		}
+		inner, err := db.AddElementText(top, s.Attr, s.Color, s.Text)
+		if err != nil {
+			return err
+		}
+		if err := db.Append(parent, top, s.Color); err != nil {
+			return err
+		}
+		nodes[s.Tag], nodes[s.Attr] = top, inner
+		return nil
 	case OpCheckpoint:
 		if !db.DurabilityStats().Durable {
 			return nil // shadows are in-memory
@@ -242,6 +266,9 @@ func Generate(seed int64, n int) *Workload {
 				ref = p
 			}
 			s = Stmt{Kind: OpNewChild, Tag: newTag(), Ref: ref, Color: c, Text: text()}
+			if roll < 8 {
+				s.Kind, s.Attr = OpNewSubtree, newTag()
+			}
 		case roll < 52:
 			t, ok := pickLive(func(*colorful.Node) bool { return true })
 			if !ok {
@@ -294,6 +321,8 @@ func Generate(seed int64, n int) *Workload {
 		switch s.Kind {
 		case OpNewChild, OpInsertBefore:
 			tags = append(tags, s.Tag)
+		case OpNewSubtree:
+			tags = append(tags, s.Tag, s.Attr)
 		case OpRename:
 			for i, t := range tags {
 				if t == s.Tag {

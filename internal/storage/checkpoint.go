@@ -182,7 +182,7 @@ func ReadCheckpoint(r io.Reader, poolPages int) (*Store, error) {
 }
 
 // rebuildDirectories repopulates the element and structural directories, all
-// four indexes, the size counts and the allocation cursors by scanning the
+// four indexes, the size counts and the id cursor by scanning the
 // heap files of a freshly loaded page set.
 func (s *Store) rebuildDirectories() error {
 	// Element file: directory, attribute index, id cursor, counts.
@@ -241,7 +241,6 @@ func (s *Store) rebuildDirectories() error {
 			return badRec
 		}
 		sort.Slice(items, func(i, j int) bool { return items[i].sn.Start < items[j].sn.Start })
-		maxEnd := int64(0)
 		var open enclosing // for the per-tag child counts
 		for _, it := range items {
 			e, err := s.Elem(it.sn.Elem)
@@ -258,12 +257,6 @@ func (s *Store) rebuildDirectories() error {
 			}
 			s.startIdx.Insert(startKey(c, it.sn.Start), ref)
 			s.counts.StructNodes++
-			if it.sn.End > maxEnd {
-				maxEnd = it.sn.End
-			}
-		}
-		if len(items) > 0 {
-			t.maxStart = maxEnd + gap
 		}
 	}
 	return nil

@@ -7,8 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"colorfulxml/internal/core"
+	"colorfulxml/internal/obs"
 	"colorfulxml/internal/vfs"
 	"colorfulxml/internal/wal"
 )
@@ -89,6 +91,9 @@ type RecoveryStats struct {
 	// TornSegment and TornOffset locate the discarded tail.
 	TornSegment string
 	TornOffset  int64
+	// Elapsed is what recovery took: loading the checkpoint and replaying the
+	// log onto it.
+	Elapsed time.Duration
 }
 
 // Durable is the write half of a durable store directory: the open WAL
@@ -121,6 +126,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 		fs = vfs.OS
 	}
 	var stats RecoveryStats
+	sw := obs.Start()
 	fail := func(err error) (*Durable, *Store, RecoveryStats, error) {
 		return nil, nil, stats, err
 	}
@@ -248,6 +254,8 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 	if nextSeq == 0 {
 		nextSeq = 1
 	}
+	stats.Elapsed = time.Duration(sw.ElapsedNanos())
+	obsRecoveryNanos.Set(int64(stats.Elapsed))
 
 	// Rotate to a fresh segment for this incarnation's commits. Creating it
 	// (and fsyncing the directory) before returning means a later recovery

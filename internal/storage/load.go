@@ -55,7 +55,6 @@ func Load(db *core.Database, poolPages int) (*Store, error) {
 				return nil, err
 			}
 		}
-		s.tree(c).maxStart = ctr
 	}
 	// Count text nodes for Table 1's content-node accounting.
 	return s, nil
@@ -67,15 +66,20 @@ func (s *Store) ensureElem(n *core.Node) error {
 	if _, ok := s.elemRID(id); ok {
 		return nil
 	}
-	if err := checkElemID(id); err != nil {
-		return err
-	}
 	var attrs [][2]string
 	for _, a := range n.Attributes() {
 		attrs = append(attrs, [2]string{a.Name(), a.Value()})
 	}
-	content := core.Text(n)
-	rid, err := s.pages.AppendRecord(s.elemFile, encodeElem(id, n.Name(), content, attrs))
+	return s.putElem(id, n.Name(), core.Text(n), attrs)
+}
+
+// putElem writes the record of an element the store does not hold yet and
+// registers it: location, id cursor, counts, attribute index.
+func (s *Store) putElem(id ElemID, tag, content string, attrs [][2]string) error {
+	if err := checkElemID(id); err != nil {
+		return err
+	}
+	rid, err := s.pages.AppendRecord(s.elemFile, encodeElem(id, tag, content, attrs))
 	if err != nil {
 		return err
 	}

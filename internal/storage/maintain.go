@@ -99,31 +99,17 @@ func (s *Store) applyChange(ch core.Change) error {
 		return s.SetElemAttrs(id, ch.Attrs)
 
 	case core.ChangeInsertLeaf:
-		if ch.Parent == 0 {
-			_, err := s.InsertLeafRootID(ElemID(ch.Elem), ch.Color, ch.Tag, ch.Content, ch.Attrs)
-			return err
-		}
-		parent, ok, err := s.StructOf(ElemID(ch.Parent), ch.Color)
+		parent, err := s.changeParent(ch)
 		if err != nil {
 			return err
-		}
-		if !ok {
-			return fmt.Errorf("parent %d not in color %q: %w", ch.Parent, ch.Color, ErrDeltaUnsupported)
 		}
 		_, err = s.InsertLeafChildID(ElemID(ch.Elem), parent, ch.Tag, ch.Content, ch.Attrs)
 		return err
 
 	case core.ChangeAddColor:
-		if ch.Parent == 0 {
-			_, err := s.AddColorRoot(ElemID(ch.Elem), ch.Color)
-			return err
-		}
-		parent, ok, err := s.StructOf(ElemID(ch.Parent), ch.Color)
+		parent, err := s.changeParent(ch)
 		if err != nil {
 			return err
-		}
-		if !ok {
-			return fmt.Errorf("parent %d not in color %q: %w", ch.Parent, ch.Color, ErrDeltaUnsupported)
 		}
 		_, err = s.AddColorTo(ElemID(ch.Elem), parent)
 		return err
@@ -142,4 +128,20 @@ func (s *Store) applyChange(ch core.Change) error {
 		return ErrDeltaUnsupported
 	}
 	return fmt.Errorf("unknown change kind %d: %w", ch.Kind, ErrDeltaUnsupported)
+}
+
+// changeParent resolves the node a change attaches under: the structural node
+// of ch.Parent in ch.Color, or that color's document node for parent 0.
+func (s *Store) changeParent(ch core.Change) (SNode, error) {
+	parent, ok := s.Document(ch.Color)
+	if ch.Parent != 0 {
+		var err error
+		if parent, ok, err = s.StructOf(ElemID(ch.Parent), ch.Color); err != nil {
+			return SNode{}, err
+		}
+	}
+	if !ok {
+		return SNode{}, fmt.Errorf("parent %d not in color %q: %w", ch.Parent, ch.Color, ErrDeltaUnsupported)
+	}
+	return parent, nil
 }

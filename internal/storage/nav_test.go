@@ -178,7 +178,7 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 // parent-start, the in-place tag check — hold on a bulk-loaded store and
 // keep holding through leaf inserts in the middle of the tree (which used to
 // append to the posting lists), content updates, recolourings, deletions and
-// the renumbering that enough inserts force.
+// the interval extensions and local relabellings that enough inserts force.
 func TestNavigationUnderUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,8 +235,9 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		if s.StatsEpoch() == epoch {
 			t.Fatal("structural updates left the stats epoch unchanged")
 		}
-		// Enough leaves under one leaf exhaust its interval gap: the colour
-		// is renumbered, and parent hops must follow the new parent-starts.
+		// Enough leaves under one leaf exhaust its interval: it is extended —
+		// its end grows, or its siblings are relabelled around it — and parent
+		// hops must follow the new parent-starts.
 		leaf := colorNodes(t, s, "red")[0]
 		for _, sn := range colorNodes(t, s, "red") {
 			if sn.End-sn.Start < leaf.End-leaf.Start {
@@ -253,10 +254,10 @@ func TestNavigationUnderUpdates(t *testing.T) {
 			}
 		}
 		if leaf.End-leaf.Start <= orig.End-orig.Start {
-			t.Fatalf("seed %d: 12 inserts under %v did not renumber it (%v)", seed, orig, leaf)
+			t.Fatalf("seed %d: 12 inserts under %v did not extend it (%v)", seed, orig, leaf)
 		}
 		if s.StatsEpoch() == before {
-			t.Fatal("renumbering left the stats epoch unchanged")
+			t.Fatal("the inserts left the stats epoch unchanged")
 		}
 		checkNavigation(t, s)
 		for _, f := range frozen {

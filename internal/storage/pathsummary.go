@@ -17,7 +17,7 @@ import (
 // Summaries are per-color, built lazily on first probe by one pass over the
 // color's structural nodes in start order, and cached on the store. A cached
 // summary is immutable, so snapshot clones share it; only structural
-// mutations (inserts, recolorings, deletions, renumbering) invalidate the
+// mutations (inserts, recolorings, deletions) invalidate the
 // cache — content and attribute updates leave every label path intact.
 
 // PathStep is one step of a root-anchored label-path pattern. Desc means the

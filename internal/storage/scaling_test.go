@@ -1,0 +1,149 @@
+package storage_test
+
+import (
+	"fmt"
+	"testing"
+
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/fixtures"
+	"colorfulxml/internal/storage"
+)
+
+// Scaling of structural inserts, by the store's own counters — page accesses
+// and records relabelled — not by clocks.
+
+// populateLog is the change log of the repository benchmark's populate, one
+// batch per facade statement, as a durable database's WAL holds it.
+func populateLog(t *testing.T, items int) (db *core.Database, log [][]core.Change) {
+	t.Helper()
+	db = core.NewDatabase("red", "green")
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes, overflow := db.DrainChanges()
+		if overflow {
+			t.Fatal("change log overflowed")
+		}
+		log = append(log, changes)
+	}
+	elem := func(n *core.Node, err error) *core.Node {
+		step(err)
+		return n
+	}
+	catalog := elem(db.AddElement(db.Document(), "catalog", "red"))
+	featured := elem(db.AddElement(db.Document(), "featured", "green"))
+	for k := 0; k < items; k++ {
+		item := elem(db.AddElement(catalog, "item", "red"))
+		elem(db.AddElementText(item, "name", "red", fmt.Sprint("Item ", k)))
+		if k%3 == 0 {
+			step(db.Adopt(featured, item, "green"))
+			elem(db.AddElementText(item, "votes", "green", fmt.Sprint(k%50)))
+		}
+	}
+	return db, log
+}
+
+// TestReplayIsLinear: replaying the populate's log — appends only, the shape
+// of a feed and of recovery — relabels nothing, and reads a number of records
+// per insert that does not grow with the store.
+func TestReplayIsLinear(t *testing.T) {
+	var perInsert []float64
+	for _, items := range []int{500, 1000, 2000} {
+		db, log := populateLog(t, items)
+		_, relabels0, _ := numbering()
+		st := storage.NewStore(0, "red", "green")
+		for _, changes := range log {
+			if err := st.ApplyChanges(changes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, relabels, _ := numbering(); relabels != relabels0 {
+			t.Fatalf("%d items: replaying appends relabelled %d runs", items, relabels-relabels0)
+		}
+		pages := st.Pages().Stats()
+		perInsert = append(perInsert, float64(pages.Hits+pages.Misses)/float64(st.Counts().StructNodes))
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := storage.Load(db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if items == 500 && describe(t, st) != describe(t, want) {
+			t.Fatal("the replayed store does not answer like a Load of the same state")
+		}
+	}
+	t.Logf("page accesses per structural insert at 500, 1000, 2000 items: %.2f", perInsert)
+	for _, n := range perInsert {
+		if n > 20 || n > perInsert[0]+0.5 {
+			t.Fatalf("page accesses per structural insert grow with the store: %.2f", perInsert)
+		}
+	}
+}
+
+// TestHotParentRelabelsLocally: 120 leaves in a row under one item in the
+// middle of a bulk-loaded 20 000-item catalog. The item fills, its end grows
+// into the gap before the next item, then runs of its siblings are relabelled:
+// a few hundred records in all, of the tree's 40 001, and the store answers
+// like a Load of the same state.
+func TestHotParentRelabelsLocally(t *testing.T) {
+	c := fixtures.NewCatalog(20000)
+	st, err := storage.Load(c.DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, relabelled0 := numbering()
+	hot := c.Items[10000]
+	for i := 0; i < 120; i++ {
+		if _, err := c.DB.AddElementText(hot, "tag", "red", fmt.Sprint("t", i)); err != nil {
+			t.Fatal(err)
+		}
+		changes, _ := c.DB.DrainChanges()
+		if err := st.ApplyChanges(changes); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	_, _, relabelled := numbering()
+	t.Logf("120 inserts under one mid-catalog item relabelled %d records", relabelled-relabelled0)
+	if relabelled == relabelled0 || relabelled-relabelled0 > 120*64 {
+		t.Fatalf("120 inserts under one item relabelled %d records, want some and at most %d", relabelled-relabelled0, 120*64)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := storage.Load(c.DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := func(s *storage.Store) string {
+		doc, _ := s.Document("red")
+		all, err := s.Subtree(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags, err := s.ScanTag("red", "tag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		item, _, err := s.StructOf(storage.ElemID(hot.ID()), "red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kids, err := s.ChildrenOf(item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]storage.ElemID, 0, len(all)+len(tags)+len(kids))
+		for _, list := range [][]storage.SNode{all, tags, kids} {
+			for _, sn := range list {
+				out = append(out, sn.Elem)
+			}
+		}
+		return fmt.Sprint(out)
+	}
+	if order(st) != order(want) {
+		t.Fatal("after 120 inserts under one item the store's order differs from a Load of the same state")
+	}
+}

@@ -68,8 +68,9 @@ func (a SNode) IsParentOf(d SNode) bool {
 	return d.ParentStart == a.Start && d.Level == a.Level+1
 }
 
-// gap is the spacing between consecutive start values at bulk load, leaving
-// room for a few inserts without renumbering.
+// gap is the spacing between consecutive positions at bulk load, which leaves
+// a node room for a few children before its interval has to be extended
+// (number.go).
 const gap = 16
 
 // structRecSize is the fixed size of an encoded structural record.
@@ -114,20 +115,18 @@ type Store struct {
 	// catalog statistics a compiled plan's cost choices were made from) may
 	// have changed. Content-only updates preserve it, so a plan cache keyed
 	// on the epoch stays hot across the common point-update workload, while
-	// structural mutations, renumbering and full rebuilds all move it.
+	// structural mutations and full rebuilds move it.
 	// Atomic because readers (the plan cache) probe published snapshots
 	// concurrently with a clone being mutated before publication.
 	statsEpoch atomic.Uint64
 }
 
 // colorTree is the store's header for one colored tree: the heap file of its
-// structural records, where each element's record sits in it, and the next
-// free start position for appended roots.
+// structural records and where each element's record sits in it.
 type colorTree struct {
-	color    core.Color
-	file     pagestore.FileID
-	loc      *cowarray.Array[uint64]
-	maxStart int64
+	color core.Color
+	file  pagestore.FileID
+	loc   *cowarray.Array[uint64]
 	// inner counts, per tag, the tree's structural nodes whose parent carries
 	// that tag — the one DataGuide fact kept current under every update
 	// (LeafTag). A map of a few tags; a clone shares it until either side

@@ -295,14 +295,14 @@ func TestInsertLeafChild(t *testing.T) {
 	}
 }
 
-func TestInsertTriggersRenumber(t *testing.T) {
+func TestInsertsExtendParent(t *testing.T) {
 	m, s := load(t)
 	bette := storage.ElemID(m.Node("bette").ID())
 	sn, _, err := s.StructOf(bette, "blue")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exhaust the gap: insert many leaves under one parent.
+	// Exhaust the interval, several times: insert many leaves under one parent.
 	for i := 0; i < 100; i++ {
 		var err error
 		sn, _, err = s.StructOf(bette, "blue")
@@ -321,17 +321,17 @@ func TestInsertTriggersRenumber(t *testing.T) {
 	if len(kids) != 102 { // name + movie-role + 100 inserted
 		t.Fatalf("children = %d, want 102", len(kids))
 	}
-	// Intervals remain nested after renumbering.
+	// Intervals remain nested.
 	for _, k := range kids {
 		if !sn.Contains(k) || !sn.IsParentOf(k) {
-			t.Fatalf("broken nesting after renumber: parent %+v child %+v", sn, k)
+			t.Fatalf("broken nesting: parent %+v child %+v", sn, k)
 		}
 	}
-	// Cross-links survive renumbering: movie-role is red+blue.
+	// Cross-links survive relabelling: movie-role is red+blue.
 	role := storage.ElemID(m.Node("eve-role").ID())
 	red, ok, err := s.CrossTree(role, "red")
 	if err != nil || !ok {
-		t.Fatalf("cross after renumber: %v %v", ok, err)
+		t.Fatalf("cross after relabel: %v %v", ok, err)
 	}
 	if red.Color != "red" {
 		t.Fatal("wrong color")

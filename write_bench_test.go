@@ -5,11 +5,13 @@ import (
 	"strconv"
 	"testing"
 
+	"colorfulxml/colorful"
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/plan"
 	"colorfulxml/internal/storage"
 	"colorfulxml/internal/update"
+	"colorfulxml/internal/wal"
 )
 
 // Micro-benchmarks of the write path's layers (ROADMAP item 1), on the
@@ -90,44 +92,52 @@ func BenchmarkUpdateBind(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyChange: Store.ApplyChanges of one change, per kind of
+// BenchmarkApplyChange: Store.ApplyChanges of one batch, per kind of
 // core.Change, on the 1 500-item catalog (ChangeComplex has no apply: it
-// forces a rebuild). Changes are applied in runs of 64 to distinct targets on
-// one clone, the way recovery replays a log, so the clone's cost and its cold
-// pool are spread over the run.
+// forces a rebuild). Batches are applied in runs of 64 to distinct targets on
+// one clone — or, for the inserts that say so, to one parent, which is what
+// fills an interval — the way recovery replays a log, so the clone's cost and
+// its cold pool are spread over the run.
 func BenchmarkApplyChange(b *testing.B) {
 	const run = 64
 	c := newWriteCatalog(b, 1500)
+	catalog := core.Parent(c.Items[0], "red").ID()
 	fresh := core.NodeID(c.DB.NumNodes() + 1000)
+	leaf := func(j int, parent core.NodeID, tag string) core.Change {
+		return core.Change{Kind: core.ChangeInsertLeaf, Elem: fresh + core.NodeID(j), Parent: parent,
+			Color: "red", Tag: tag, Content: "t" + strconv.Itoa(j)}
+	}
 	kinds := []struct {
 		name string
-		at   func(j int) core.Change
+		at   func(j int) []core.Change
 	}{
-		{"content", func(j int) core.Change {
-			return core.Change{Kind: core.ChangeContent, Elem: c.Votes[j].ID(), Content: "57"}
+		{"content", func(j int) []core.Change {
+			return []core.Change{{Kind: core.ChangeContent, Elem: c.Votes[j].ID(), Content: "57"}}
 		}},
-		{"attrs", func(j int) core.Change {
-			return core.Change{Kind: core.ChangeAttrs, Elem: c.Items[j].ID(), Attrs: [][2]string{{"rank", strconv.Itoa(j)}}}
+		{"attrs", func(j int) []core.Change {
+			return []core.Change{{Kind: core.ChangeAttrs, Elem: c.Items[j].ID(), Attrs: [][2]string{{"rank", strconv.Itoa(j)}}}}
 		}},
-		{"insert-leaf", func(j int) core.Change {
-			return core.Change{Kind: core.ChangeInsertLeaf, Elem: fresh + core.NodeID(j), Parent: c.Items[j].ID(),
-				Color: "red", Tag: "tag", Content: "t" + strconv.Itoa(j)}
+		{"insert-leaf", func(j int) []core.Change { return []core.Change{leaf(j, c.Items[j].ID(), "tag")} }},
+		{"insert-leaf-append", func(j int) []core.Change { return []core.Change{leaf(j, catalog, "item")} }},
+		{"insert-leaf-same-parent", func(j int) []core.Change { return []core.Change{leaf(j, c.Items[750].ID(), "tag")} }},
+		{"subtree", func(j int) []core.Change { // item + name, as the change log carries them: pre-order leaves
+			return []core.Change{leaf(2*j, catalog, "item"), leaf(2*j+1, fresh+core.NodeID(2*j), "name")}
 		}},
-		{"add-color", func(j int) core.Change {
-			return core.Change{Kind: core.ChangeAddColor, Elem: c.Items[3*j+1].ID(), Parent: c.Featured.ID(), Color: "green"}
+		{"add-color", func(j int) []core.Change {
+			return []core.Change{{Kind: core.ChangeAddColor, Elem: c.Items[3*j+1].ID(), Parent: c.Featured.ID(), Color: "green"}}
 		}},
-		{"delete-subtree", func(j int) core.Change {
-			return core.Change{Kind: core.ChangeDeleteSubtree, Elem: c.Names[j].ID(), Color: "red"}
+		{"delete-subtree", func(j int) []core.Change {
+			return []core.Change{{Kind: core.ChangeDeleteSubtree, Elem: c.Names[j].ID(), Color: "red"}}
 		}},
-		{"add-database-color", func(j int) core.Change {
-			return core.Change{Kind: core.ChangeAddDatabaseColor, Color: core.Color("c" + strconv.Itoa(j))}
+		{"add-database-color", func(j int) []core.Change {
+			return []core.Change{{Kind: core.ChangeAddDatabaseColor, Color: core.Color("c" + strconv.Itoa(j))}}
 		}},
 	}
 	for _, kind := range kinds {
 		b.Run(kind.name, func(b *testing.B) {
 			changes := make([][]core.Change, run)
 			for j := range changes {
-				changes[j] = []core.Change{kind.at(j)}
+				changes[j] = kind.at(j)
 			}
 			var st *storage.Store
 			b.ReportAllocs()
@@ -140,6 +150,62 @@ func BenchmarkApplyChange(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkRecover: storage.OpenDurable of a directory holding nothing but
+// the log of the repository benchmark's populate through the facade — one
+// record per AddElement, AddElementText and Adopt, 4 003 of them at 1 500
+// items. ns/record must not depend on the size: replay is linear in the log.
+func BenchmarkRecover(b *testing.B) {
+	for _, items := range []int{1500, 6000} {
+		b.Run(strconv.Itoa(items), func(b *testing.B) {
+			dir := b.TempDir()
+			db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red", "green")
+			if err != nil {
+				b.Fatal(err)
+			}
+			must := func(n *colorful.Node, err error) *colorful.Node {
+				if err != nil {
+					b.Fatal(err)
+				}
+				return n
+			}
+			catalog := must(db.AddElement(db.Document(), "catalog", "red"))
+			featured := must(db.AddElement(db.Document(), "featured", "green"))
+			for k := 0; k < items; k++ {
+				item := must(db.AddElement(catalog, "item", "red"))
+				must(db.AddElementText(item, "name", "red", "Item "+strconv.Itoa(k)))
+				if k%3 == 0 {
+					if err := db.Adopt(featured, item, "green"); err != nil {
+						b.Fatal(err)
+					}
+					must(db.AddElementText(item, "votes", "green", strconv.Itoa(k%50)))
+				}
+				if k%1000 == 999 { // drain core's change log: overflowing it checkpoints
+					if err := db.Refresh(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+			records := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dur, _, stats, err := storage.OpenDurable(dir, storage.DurableOptions{Sync: wal.SyncNever})
+				if err != nil {
+					b.Fatal(err)
+				}
+				records += stats.RecordsReplayed
+				if err := dur.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 		})
 	}
 }

@@ -1,77 +1,24 @@
 // Command mctbench regenerates the paper's evaluation artifacts: Table 1
 // (storage requirements), Table 2 (query and update processing time) and
 // Figures 11/12 (query specification complexity), over freshly generated
-// TPC-W and SIGMOD-Record datasets in all three representations.
+// TPC-W and SIGMOD-Record datasets in all three representations. -compiled
+// cross-checks the plan compiler against every hand-specified Table 2 plan.
 //
 // Usage:
 //
 //	mctbench [-table1] [-table2] [-fig11] [-fig12] [-compiled] [-all]
-//	         [-tpcw-scale N] [-sigmod-scale N] [-seed N] [-runs N]
+//	         [-tpcw-scale N] [-sigmod-scale N] [-seed N] [-runs N] [-cold]
 //
-// A separate concurrent-serving mode measures multi-client throughput
-// against the colorful facade (snapshot readers plus one writer) and emits a
-// machine-readable "BENCH {...}" JSON line:
-//
-//	mctbench -clients N [-client-ops N] [-concurrent-scale N]
-//	         [-parallel] [-parallel-workers N]
-//	         [-prepared | -nocache] [-maxinflight N]
-//	         [-durable DIR] [-nosync] [-validate]
-//
-// Clients run as sessions over the shared compiled-plan cache; -prepared
-// makes each client prepare its query mix once and execute statements,
-// -nocache opts clients out of the plan cache (a fresh compile per query,
-// the baseline for the cache's benefit), and -maxinflight N enables
-// admission control with weight limit N. The BENCH line reports the cache
-// hit rate and, with admission on, the rejection count and queue-wait p95.
-//
-// With -durable the concurrent benchmark runs against a database opened in
-// DIR: every writer commit goes through the write-ahead log, and the BENCH
-// line additionally reports checkpoint activity and the cost and statistics
-// of recovering the directory after the run. With -validate the full core
-// invariant audit runs after the load and after the recovery, and its wall
-// time is reported as validate_millis.
-//
-// A resilience mode runs the runtime chaos harness (internal/chaostest)
-// against a durable database in DIR — a seeded fault schedule under
-// concurrent writers and readers, differentially verified — and reports the
-// fault rate, mean time to recovery, and commits retried/rejected:
-//
-//	mctbench -chaos DIR [-chaos-events N] [-seed N]
-//
-// Any fault-tolerance contract violation (a lost acked commit, a visible
-// rolled-back write, a database stuck degraded) exits nonzero.
-//
-// A network mode measures the same catalog workload across the wire
-// protocol (cmd/mctserved, client pool, per-connection sessions):
-//
-//	mctbench -network [-connect ADDR | -connect-file FILE]
-//	         [-clients N] [-client-ops N] [-concurrent-scale N]
-//	         [-pool N] [-prepared] [-maxinflight N]
-//
-// Without -connect/-connect-file the server runs in-process on a loopback
-// socket (still the full TCP + frame path); with them the benchmark drives
-// a separately started mctserved, exercising true two-process serving. A
-// companion -serve mode boots a catalog mctserved inline and blocks until
-// SIGTERM, for harnesses that want both halves from one binary:
-//
-//	mctbench -serve ADDR [-addr-file FILE] [-concurrent-scale N]
+// Performance of the serving stack is measured by the nested bench/ module
+// (BENCHMARK.json), not here.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
 	"colorfulxml/internal/experiment"
-	"colorfulxml/internal/obs"
-	"colorfulxml/internal/server"
 )
 
 func main() {
@@ -87,141 +34,12 @@ func main() {
 		seed   = flag.Int64("seed", experiment.DefaultConfig.Seed, "generator seed")
 		runs   = flag.Int("runs", 5, "timed runs per query (5 = paper's trimmed mean)")
 		cold   = flag.Bool("cold", false, "flush the buffer pool before each run (cold cache)")
-
-		t2serve   = flag.Bool("table2-serve", false, "run the Table 2 serving benchmark (compilable TPC-W MCT suite, -clients sessions; honors -prepared)")
-		clients   = flag.Int("clients", 0, "run the concurrent-serving benchmark with N reader clients")
-		clientOps = flag.Int("client-ops", experiment.DefaultConcurrent.Ops, "queries per client in concurrent mode")
-		concScale = flag.Int("concurrent-scale", experiment.DefaultConcurrent.Scale, "catalog items in concurrent mode")
-		parallel  = flag.Bool("parallel", false, "enable intra-query parallelism in concurrent mode")
-		parWork   = flag.Int("parallel-workers", 0, "exchange fan-out with -parallel (0 = GOMAXPROCS)")
-		prepared  = flag.Bool("prepared", false, "concurrent mode: clients use sessions with prepared statements (shared plan cache)")
-		nocache   = flag.Bool("nocache", false, "concurrent mode: clients opt out of the plan cache (fresh compile per query)")
-		maxInfl   = flag.Int("maxinflight", 0, "concurrent mode: admission-control weight limit (0 = disabled)")
-		durable   = flag.String("durable", "", "durable concurrent mode: database directory (WAL + checkpoints)")
-		nosync    = flag.Bool("nosync", false, "with -durable: skip the per-commit fsync")
-		validate  = flag.Bool("validate", false, "run the core invariant audit after load and recovery, reporting its wall time")
-		obsDump   = flag.String("obs-dump", "", "write the final observability registry snapshot to FILE as indented JSON")
-
-		chaosDir    = flag.String("chaos", "", "run the runtime chaos harness against database directory DIR: seeded fault injection under concurrent load, differentially verified")
-		chaosEvents = flag.Int("chaos-events", 0, "with -chaos: minimum injected fault events (0 = the acceptance default, 500)")
-
-		network     = flag.Bool("network", false, "run the network serving benchmark (catalog workload over the wire protocol)")
-		connect     = flag.String("connect", "", "network mode: benchmark a running mctserved at ADDR (default: in-process loopback server)")
-		connectFile = flag.String("connect-file", "", "network mode: read the server address from FILE (as written by mctserved -addr-file)")
-		pool        = flag.Int("pool", 0, "network mode: client connection-pool size (0 = one per client)")
-		serveAddr   = flag.String("serve", "", "boot a catalog mctserved on ADDR and block until SIGTERM (server half of the two-process bench)")
-		addrFile    = flag.String("addr-file", "", "with -serve: write the bound address to FILE once listening")
 	)
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "mctbench:", err)
 		os.Exit(1)
-	}
-	// Dump the instrument registry after whichever mode ran, so a harness can
-	// inspect engine/storage/WAL counters without parsing the BENCH line.
-	defer func() {
-		if *obsDump == "" {
-			return
-		}
-		b, err := json.MarshalIndent(obs.Default.Snapshot(), "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*obsDump, append(b, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-	}()
-
-	if *serveAddr != "" {
-		if err := runServe(*serveAddr, *addrFile, *concScale, *maxInfl); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *network {
-		addr := *connect
-		if *connectFile != "" {
-			b, err := os.ReadFile(*connectFile)
-			if err != nil {
-				fail(err)
-			}
-			addr = strings.TrimSpace(string(b))
-		}
-		res, err := experiment.Network(experiment.NetworkConfig{
-			Addr:        addr,
-			Clients:     *clients,
-			Ops:         *clientOps,
-			Scale:       *concScale,
-			PoolSize:    *pool,
-			Prepared:    *prepared,
-			MaxInflight: *maxInfl,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("=== Network serving throughput ===")
-		fmt.Print(experiment.FormatNetwork(res))
-		fmt.Println(res.BenchJSON())
-		return
-	}
-
-	if *chaosDir != "" {
-		res, err := experiment.Chaos(experiment.ChaosConfig{
-			Dir:    *chaosDir,
-			Seed:   *seed,
-			Events: *chaosEvents,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("=== Runtime chaos harness ===")
-		fmt.Print(experiment.FormatChaos(res))
-		fmt.Println(res.BenchJSON())
-		return
-	}
-
-	if *t2serve {
-		cfg := experiment.DefaultServe
-		if *clients > 0 {
-			cfg.Clients = *clients
-		}
-		cfg.Ops = *clientOps
-		cfg.Scale = *tpcw
-		cfg.Seed = *seed
-		cfg.Prepared = *prepared
-		res, err := experiment.Table2Serve(cfg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("=== Table 2 serving throughput ===")
-		fmt.Print(experiment.FormatServe(res))
-		fmt.Println(res.BenchJSON())
-		return
-	}
-
-	if *clients > 0 {
-		res, err := experiment.Concurrent(experiment.ConcurrentConfig{
-			Clients:     *clients,
-			Ops:         *clientOps,
-			Scale:       *concScale,
-			Parallel:    *parallel,
-			Workers:     *parWork,
-			Dir:         *durable,
-			NoSync:      *nosync,
-			Validate:    *validate,
-			Prepared:    *prepared,
-			NoCache:     *nocache,
-			MaxInflight: *maxInfl,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("=== Concurrent serving throughput ===")
-		fmt.Print(experiment.FormatConcurrent(res))
-		fmt.Println(res.BenchJSON())
-		return
 	}
 
 	if !*table1 && !*table2 && !*fig11 && !*fig12 && !*comp {
@@ -261,46 +79,6 @@ func main() {
 		fmt.Println()
 	}
 	runFigures(*all, *fig11, *fig12, fail)
-}
-
-// runServe boots a catalog-store wire server and blocks until SIGTERM,
-// draining gracefully — the server half of the two-process network bench.
-func runServe(addr, addrFile string, scale, maxInflight int) error {
-	db, err := experiment.NewCatalogDB(scale)
-	if err != nil {
-		return err
-	}
-	if maxInflight > 0 {
-		db.SetMaxInflight(maxInflight)
-	}
-	srv := server.New(db, server.Options{Name: "mctbench-serve"})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if addrFile != "" {
-		tmp := addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, addrFile); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mctbench: serving catalog (scale %d) on %s\n", scale, ln.Addr())
-
-	stopSig := make(chan os.Signal, 2)
-	signal.Notify(stopSig, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		<-stopSig
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx) //nolint:errcheck // drain outcome is reported by Serve returning
-	}()
-	if err := srv.Serve(ln); err != nil {
-		return err
-	}
-	return db.Close()
 }
 
 func runFigures(all, fig11, fig12 bool, fail func(error)) {

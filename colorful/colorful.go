@@ -87,10 +87,6 @@ type DB struct {
 	fullRebuilds       atomic.Uint64
 	publishes          atomic.Uint64
 
-	parallel          atomic.Bool
-	parallelWorkers   atomic.Int64
-	parallelThreshold atomic.Int64
-
 	// Session kernel (see session.go): the shared compiled-plan cache, the
 	// admission gate, the internal auto-session behind the DB-level query
 	// entry points, and the registry of user sessions DB.Close drains.

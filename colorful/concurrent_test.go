@@ -335,39 +335,3 @@ func TestIncrementalMaintenanceServesUpdates(t *testing.T) {
 		t.Fatalf("expected >= %d incremental applies: %+v", len(updates), st)
 	}
 }
-
-// TestParallelExplainShowsExchange: on a database large enough to clear the
-// default threshold, a parallel-enabled DB compiles descendant scans into a
-// multi-way exchange, visible in Explain's analyzed plan.
-func TestParallelExplainShowsExchange(t *testing.T) {
-	db := New("red")
-	root, err := db.AddElement(db.Document(), "lib", "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		if _, err := db.AddElementText(root, "item", "red", fmt.Sprintf("v%d", i%7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.SetParallel(true)
-	db.SetParallelWorkers(4) // independent of the host's core count
-	text, err := db.Explain(`document("db")/{red}descendant::item`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "Exchange[") {
-		t.Fatalf("explain lacks an exchange:\n%s", text)
-	}
-	if !strings.Contains(text, "part 2/") {
-		t.Fatalf("explain lacks worker partitions:\n%s", text)
-	}
-	// The same query must return every item when executed.
-	out, err := db.Query(`document("db")/{red}descendant::item`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2000 {
-		t.Fatalf("parallel query returned %d items, want 2000", len(out))
-	}
-}

@@ -56,70 +56,6 @@ func TestTraceQueryPhases(t *testing.T) {
 	}
 }
 
-// TestTraceSpanParentingAcrossExchange: with parallel execution forced, the
-// partition operator subtrees executed on worker goroutines must appear as
-// children of the Exchange span — worker stats are merged back when the
-// exchange closes, so attribution survives the goroutine boundary.
-func TestTraceSpanParentingAcrossExchange(t *testing.T) {
-	db := New("red")
-	root, err := db.AddElement(db.Document(), "lib", "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const items = 500
-	for i := 0; i < items; i++ {
-		if _, err := db.AddElementText(root, "item", "red", fmt.Sprintf("v%d", i%7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.SetParallel(true)
-	db.SetParallelWorkers(2)
-	db.SetParallelThreshold(1)
-
-	out, tr, err := db.TraceQuery(context.Background(), `document("db")/{red}descendant::item`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != items {
-		t.Fatalf("parallel traced query returned %d items, want %d", len(out), items)
-	}
-	var exchange *obs.Span
-	var walk func(s *obs.Span)
-	walk = func(s *obs.Span) {
-		if strings.HasPrefix(s.Name(), "Exchange[") {
-			exchange = s
-			return
-		}
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	walk(tr)
-	if exchange == nil {
-		t.Fatalf("no Exchange span in trace:\n%s", TraceText(tr))
-	}
-	kids := exchange.Children()
-	if len(kids) != 2 {
-		t.Fatalf("Exchange span has %d children, want 2 partition subtrees:\n%s",
-			len(kids), TraceText(tr))
-	}
-	// Each partition subtree saw real rows, proving worker-side stats reached
-	// the merged span tree.
-	total := 0
-	for _, k := range kids {
-		for _, a := range k.Attrs() {
-			if a.Key == "rows" {
-				var n int
-				fmt.Sscanf(a.Value, "%d", &n)
-				total += n
-			}
-		}
-	}
-	if total != items {
-		t.Fatalf("partition spans account for %d rows, want %d:\n%s", total, items, TraceText(tr))
-	}
-}
-
 // TestSlowQueryLogCapture: past the threshold, compiled queries land in the
 // slow log with their annotated plan; evaluator-served queries are marked as
 // fallbacks with no plan.

@@ -54,28 +54,9 @@ func (d *DB) MaintStats() MaintStats {
 	}
 }
 
-// SetParallel toggles intra-query parallelism for compiled queries: large
-// index-scan leaves are partitioned across worker goroutines by an exchange
-// operator (see internal/engine.Exchange). Safe to call at any time.
-func (d *DB) SetParallel(on bool) { d.parallel.Store(on) }
-
-// SetParallelThreshold overrides the estimated scan cardinality above which
-// a parallel plan partitions a scan (<= 0: plan.DefaultParallelThreshold).
-func (d *DB) SetParallelThreshold(n int) { d.parallelThreshold.Store(int64(n)) }
-
-// SetParallelWorkers fixes the partition fan-out of parallel scans (<= 0:
-// GOMAXPROCS — which also means no parallelism on a single-core runtime).
-func (d *DB) SetParallelWorkers(n int) { d.parallelWorkers.Store(int64(n)) }
-
 // planOptions assembles compile options against one snapshot's catalog.
 func (d *DB) planOptions(st *storage.Store) plan.Options {
-	opt := plan.Options{Catalog: plan.StoreCatalog{Store: st}}
-	if d.parallel.Load() {
-		opt.Parallel = true
-		opt.ParallelWorkers = int(d.parallelWorkers.Load())
-		opt.ParallelThreshold = int(d.parallelThreshold.Load())
-	}
-	return opt
+	return plan.Options{Catalog: plan.StoreCatalog{Store: st}}
 }
 
 // Refresh brings the published snapshot up to date with the database,

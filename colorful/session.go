@@ -16,9 +16,9 @@ import (
 
 // This file is the session kernel: every query of the DB facade — DB.Query,
 // DB.QueryContext, DB.TraceQuery, Session.Query*, Stmt.Query* — executes
-// through exactly one path, Session.routedParsed. A session carries
-// per-session defaults (parallelism override, plan-cache opt-out), prepared
-// statements, and per-session traffic counters; the DB-level entry points
+// through exactly one path, Session.routedParsed. A session carries a
+// plan-cache opt-out, prepared statements, and per-session traffic
+// counters; the DB-level entry points
 // are thin wrappers over an internal auto-session that is never closed, so
 // the documented "database remains readable in memory after Close" contract
 // of durable.go holds while user sessions drain and die with the DB.
@@ -27,7 +27,7 @@ import (
 // a hit skips parse+compile cost entirely (the Table 2 workload — many
 // clients, a small vocabulary of query templates — hits almost always) and
 // is reported as its own query route ("cached") so cache effectiveness is
-// visible in BENCH lines. Cached plans are epoch-guarded (see plan.Cache and
+// visible in the obs registry. Cached plans are epoch-guarded (see plan.Cache and
 // storage.StatsEpoch) and always executed as clones (engine.Op.Clone), so
 // one plan serves any number of concurrent executions.
 
@@ -55,9 +55,6 @@ type Session struct {
 	// after Close.
 	auto bool
 
-	// parallelOverride is the per-session intra-query parallelism default:
-	// -1 inherits the DB setting, 0 forces it off, 1 forces it on.
-	parallelOverride atomic.Int32
 	// noCache opts this session's queries out of the shared plan cache
 	// (neither probing nor populating it).
 	noCache atomic.Bool
@@ -83,9 +80,7 @@ type SessionStats struct {
 }
 
 func newSession(d *DB, auto bool) *Session {
-	s := &Session{db: d, auto: auto, stmts: map[*Stmt]struct{}{}}
-	s.parallelOverride.Store(-1)
-	return s
+	return &Session{db: d, auto: auto, stmts: map[*Stmt]struct{}{}}
 }
 
 // Session opens a new session. A session created after DB.Close is born
@@ -162,16 +157,6 @@ func (s *Session) begin() error {
 }
 
 func (s *Session) end() { s.wg.Done() }
-
-// SetParallel overrides the DB-level intra-query parallelism setting for
-// queries issued through this session.
-func (s *Session) SetParallel(on bool) {
-	if on {
-		s.parallelOverride.Store(1)
-	} else {
-		s.parallelOverride.Store(0)
-	}
-}
 
 // SetPlanCache opts this session in or out of the shared plan cache
 // (sessions participate by default). An opted-out session neither probes
@@ -380,7 +365,7 @@ func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st 
 // statistics and can never pin a failure.
 func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, root *obs.Span) (*plan.Compiled, bool, error) {
 	d := s.db
-	opt := s.planOptions(sp.st)
+	opt := s.db.planOptions(sp.st)
 	epoch := sp.st.StatsEpoch()
 	useCache := !s.noCache.Load()
 	if useCache {
@@ -430,26 +415,6 @@ func (s *Session) execCompiled(ctx context.Context, sp *snapshot, c *plan.Compil
 	ids, _, err := engine.ExecColumn(ctx, sp.st, c.Mem, c.Root.Clone(), c.OutCol, c.Rows, es)
 	endSpan(es)
 	return ids, err
-}
-
-// planOptions assembles this session's compile options against one
-// snapshot's catalog: the DB defaults with the session's parallelism
-// override applied.
-func (s *Session) planOptions(st *storage.Store) plan.Options {
-	opt := s.db.planOptions(st)
-	switch s.parallelOverride.Load() {
-	case 0:
-		opt.Parallel = false
-		opt.ParallelWorkers = 0
-		opt.ParallelThreshold = 0
-	case 1:
-		if !opt.Parallel {
-			opt.Parallel = true
-			opt.ParallelWorkers = int(s.db.parallelWorkers.Load())
-			opt.ParallelThreshold = int(s.db.parallelThreshold.Load())
-		}
-	}
-	return opt
 }
 
 // PlanCacheStats returns the DB's shared plan-cache counters (also served

@@ -14,10 +14,9 @@ import (
 // covering the query's phases (parse, admission, snapshot, compile, execute,
 // map-results; or evaluate and wal.commit on the evaluator and constructor
 // routes), with the execute span carrying one child span per physical
-// operator — an operator's span nests under its parent operator's, and an
-// Exchange's partition subtrees nest under the Exchange span even though
-// they ran on worker goroutines. A plan-cache hit replaces the compile span
-// with a "plancache" attribute on the root.
+// operator — an operator's span nests under its parent operator's. A
+// plan-cache hit replaces the compile span with a "plancache" attribute on
+// the root.
 //
 // Tracing is the expensive sibling of QueryContext (per-pull timing, plan
 // tree attribution); use it for debugging and the /debug/trace endpoint,

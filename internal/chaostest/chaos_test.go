@@ -5,6 +5,21 @@ import (
 	"testing"
 )
 
+// logReport logs a run's resilience numbers: fault count and rate, commits
+// acked, rejected read-only and retried transient, and the health machinery's
+// degrades, heals, outages and mean time to recovery.
+func logReport(t *testing.T, rep Report) {
+	t.Helper()
+	var rate float64
+	if s := rep.Elapsed.Seconds(); s > 0 {
+		rate = float64(rep.Events) / s
+	}
+	t.Logf("faults=%d (%.0f/s) in %.1f ms; commits: %d attempted, %d acked, %d rejected read-only, %d retried transient; reads: %d verified; health: %d degrades, %d heals, %d outages, MTTR %.1f ms",
+		rep.Events, rate, float64(rep.Elapsed.Microseconds())/1e3,
+		rep.Writes, rep.Acked, rep.Rejected, rep.Retries, rep.Reads,
+		rep.Degrades, rep.Heals, rep.Outages, rep.MTTRMillis)
+}
+
 // TestChaosAcceptance is the acceptance run: at least 500 injected fault
 // events against concurrent writers and readers, differentially verified.
 func TestChaosAcceptance(t *testing.T) {
@@ -13,7 +28,7 @@ func TestChaosAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("chaos: %+v", rep)
+	logReport(t, rep)
 	if rep.Events < int64(cfg.Events) {
 		t.Fatalf("only %d fault events injected, want >= %d", rep.Events, cfg.Events)
 	}
@@ -43,6 +58,7 @@ func TestChaosSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			logReport(t, rep)
 			if rep.Events < int64(cfg.Events) {
 				t.Fatalf("only %d fault events injected, want >= %d", rep.Events, cfg.Events)
 			}

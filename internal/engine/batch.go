@@ -24,23 +24,19 @@ const BatchSize = 1024
 // Ownership: a batch belongs to the operator (or executor) that passes it to
 // NextBatch. The callee resets it, fills at most BatchSize rows, and must
 // treat rows of previous fillings as gone. Rows returned by Row are views
-// into the batch buffer: valid only until the batch is next reset or
-// swapped. Anything that must outlive the batch — join build sides, pending
-// output queues, result rows — is copied into the query arena first.
+// into the batch buffer: valid only until the batch is next reset. Anything
+// that must outlive the batch — join build sides, pending output queues,
+// result rows — is copied into the query arena first.
 type Batch struct {
 	cols int
 	n    int
 	data []storage.SNode
 	// held is executor bookkeeping: the number of rows of this batch
-	// currently counted in Ctx.live by pullBatch. It deliberately does not
-	// travel with Swap — it describes this batch object's accounting, not
-	// its contents.
+	// currently counted in Ctx.live by pullBatch.
 	held int
 	// pool, when non-nil, supplies the row buffer and receives it back on
 	// free: set by the executor and by batchCursor.open from the execution's
-	// pool, so batches of a pooled execution recycle their buffers. Like
-	// held it stays with this batch object across Swap — whichever buffer
-	// the batch holds when freed goes to its own pool.
+	// pool, so batches of a pooled execution recycle their buffers.
 	pool *MemPool
 }
 
@@ -63,7 +59,7 @@ func (b *Batch) Cols() int { return b.cols }
 func (b *Batch) Full() bool { return b.n >= BatchSize }
 
 // Row returns row i as a view into the batch buffer, valid until the batch
-// is reset or swapped.
+// is reset.
 func (b *Batch) Row(i int) Row {
 	off := i * b.cols
 	return Row(b.data[off : off+b.cols : off+b.cols])
@@ -163,15 +159,6 @@ func (b *Batch) appendNodes(nodes []storage.SNode) int {
 		b.appendNode(nodes[k])
 	}
 	return k
-}
-
-// Swap exchanges the contents (rows, width, buffer) of two batches without
-// copying rows — the zero-copy hand-off the Exchange consumer uses to adopt
-// a worker-filled batch. The held bookkeeping stays with each batch object.
-func (b *Batch) Swap(o *Batch) {
-	b.cols, o.cols = o.cols, b.cols
-	b.n, o.n = o.n, b.n
-	b.data, o.data = o.data, b.data
 }
 
 // free drops the batch buffer so a closed operator holds no row memory,

@@ -3,11 +3,34 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
+	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/storage"
 )
+
+// bigStore builds a single-color database with n <item> leaves under a root,
+// contents cycling through v0..v9.
+func bigStore(t *testing.T, n int) *storage.Store {
+	t.Helper()
+	db := core.NewDatabase("red")
+	root, err := db.AddElement(db.Document(), "lib", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := db.AddElementText(root, "item", "red", fmt.Sprintf("v%d", i%10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // openScan opens a tag scan against a fresh Ctx for protocol-level tests.
 func openScan(t *testing.T, s *storage.Store, tag string) (*engine.Ctx, engine.Op) {
@@ -139,26 +162,4 @@ func TestBatchMixedWidthPanics(t *testing.T) {
 	b.Reset()
 	b.AppendRow(engine.Row{storage.SNode{}})
 	b.AppendRow(engine.Row{storage.SNode{}, storage.SNode{}})
-}
-
-// TestBatchSwap: Swap exchanges contents without copying rows; both batches
-// stay independently usable.
-func TestBatchSwap(t *testing.T) {
-	var a, b engine.Batch
-	a.Reset()
-	a.AppendRow(engine.Row{storage.SNode{Start: 1}})
-	a.AppendRow(engine.Row{storage.SNode{Start: 2}})
-	b.Reset()
-	b.AppendRow(engine.Row{storage.SNode{Start: 9}})
-	a.Swap(&b)
-	if a.Len() != 1 || a.Row(0)[0].Start != 9 {
-		t.Fatalf("a after swap: len=%d", a.Len())
-	}
-	if b.Len() != 2 || b.Row(1)[0].Start != 2 {
-		t.Fatalf("b after swap: len=%d", b.Len())
-	}
-	b.Reset()
-	if b.Len() != 0 || a.Len() != 1 {
-		t.Fatal("reset after swap leaked across batches")
-	}
 }

@@ -15,7 +15,7 @@ package engine
 
 // Clone implements Op.
 func (o *ScanTag) Clone() Op {
-	return &ScanTag{Color: o.Color, Tag: o.Tag, Part: o.Part, Of: o.Of}
+	return &ScanTag{Color: o.Color, Tag: o.Tag}
 }
 
 // Clone implements Op.
@@ -25,7 +25,7 @@ func (o *EqContent) Clone() Op {
 
 // Clone implements Op.
 func (o *ContainsScan) Clone() Op {
-	return &ContainsScan{Color: o.Color, Tag: o.Tag, Pred: o.Pred, Part: o.Part, Of: o.Of}
+	return &ContainsScan{Color: o.Color, Tag: o.Tag, Pred: o.Pred}
 }
 
 // Clone implements Op.
@@ -147,13 +147,4 @@ func (o *TupleOrder) Clone() Op { return &TupleOrder{Input: o.Input.Clone()} }
 // Clone implements Op.
 func (o *PathScan) Clone() Op {
 	return &PathScan{Color: o.Color, Steps: o.Steps}
-}
-
-// Clone implements Op.
-func (o *Exchange) Clone() Op {
-	parts := make([]Op, len(o.Parts))
-	for i, p := range o.Parts {
-		parts[i] = p.Clone()
-	}
-	return &Exchange{Parts: parts}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // wideplan builds one tree touching every operator kind, so the clone tests
-// cover the full algebra (Exchange and PathScan are exercised separately —
-// Exchange below, PathScan against a store with a summary).
+// cover the full algebra (AttrEq and PathScan are cloned alongside it below;
+// PathScan runs against a store with a summary).
 func widePlan() engine.Op {
 	scan := func(tag string) engine.Op { return &engine.ScanTag{Color: "red", Tag: tag} }
 	return &engine.Project{
@@ -97,22 +97,23 @@ func collectOps(op engine.Op) []engine.Op {
 // physically distinct tree: same Explain rendering, no shared operator
 // instances, and every operator kind represented.
 func TestCloneCoversAlgebra(t *testing.T) {
-	orig := &engine.Exchange{Parts: []engine.Op{
+	for _, orig := range []engine.Op{
 		widePlan(),
 		&engine.AttrEq{Color: "red", Name: "id", Value: "1"},
 		&engine.PathScan{Color: "red", Steps: []storage.PathStep{{Tag: "a", Desc: true}}},
-	}}
-	clone := orig.Clone()
-	if got, want := engine.Explain(clone), engine.Explain(orig); got != want {
-		t.Fatalf("clone renders differently:\n--- clone ---\n%s--- orig ---\n%s", got, want)
-	}
-	seen := map[engine.Op]bool{}
-	for _, op := range collectOps(orig) {
-		seen[op] = true
-	}
-	for _, op := range collectOps(clone) {
-		if seen[op] {
-			t.Fatalf("clone shares operator instance %s with original", op)
+	} {
+		clone := orig.Clone()
+		if got, want := engine.Explain(clone), engine.Explain(orig); got != want {
+			t.Fatalf("clone renders differently:\n--- clone ---\n%s--- orig ---\n%s", got, want)
+		}
+		seen := map[engine.Op]bool{}
+		for _, op := range collectOps(orig) {
+			seen[op] = true
+		}
+		for _, op := range collectOps(clone) {
+			if seen[op] {
+				t.Fatalf("clone shares operator instance %s with original", op)
+			}
 		}
 	}
 }

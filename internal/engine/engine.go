@@ -69,7 +69,6 @@ type Ctx struct {
 
 	// Cancel, when non-nil, is checked by pullBatch on every batch transfer;
 	// a canceled or expired context aborts the execution with its error.
-	// Exchange workers inherit it, so parallel scans stop too.
 	Cancel context.Context
 	// steps counts inner-loop iterations since the last context poll (see
 	// poll).
@@ -199,9 +198,9 @@ const cancelCheckEvery = 64
 // Ctx.Cancel, returning its error if the context is done. Batch transfers
 // poll unconditionally in pullBatch (once per ~1K rows); operators that loop
 // over their own iteration state without pulling batches (ContainsScan
-// skipping non-matching candidates, Exchange draining worker channels) must
-// call poll once per iteration themselves, or a canceled query would spin to
-// the end of the scan unnoticed.
+// skipping non-matching candidates) must call poll once per iteration
+// themselves, or a canceled query would spin to the end of the scan
+// unnoticed.
 func (ctx *Ctx) poll() error {
 	if ctx.Cancel != nil {
 		if ctx.steps++; ctx.steps >= cancelCheckEvery {
@@ -268,9 +267,9 @@ func panicErr(op Op, r any) error {
 
 // runBatches opens an operator, pulls it to exhaustion batch by batch —
 // handing each non-empty batch to visit — and closes it. A panic anywhere in
-// the operator tree (or in visit) is contained here (and, for parallel
-// parts, in the exchange workers): the executor runs against an immutable
-// snapshot, so a failed execution cannot have corrupted shared state.
+// the operator tree (or in visit) is contained here: the executor runs
+// against an immutable snapshot, so a failed execution cannot have corrupted
+// shared state.
 func runBatches(ctx *Ctx, op Op, visit func(b *Batch) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -412,9 +411,8 @@ const maxRowsHint = 64 * BatchSize
 //
 // span, when non-nil, makes this a traced execution: per-operator batches,
 // rows, counters and cumulative NextBatch wall time, attached under span as
-// one child span per operator mirroring the plan tree (an Exchange's
-// partition subtrees nest under it even though they ran on worker
-// goroutines). The untraced path never reads the clock per batch.
+// one child span per operator mirroring the plan tree. The untraced path
+// never reads the clock per batch.
 func ExecColumn(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, col, rowsHint int, span *obs.Span) ([]storage.ElemID, Metrics, error) {
 	ctx := &Ctx{S: s}
 	if span != nil {

@@ -7,8 +7,8 @@ import (
 	"colorfulxml/internal/lint/linttest"
 )
 
-// TestMain verifies no test leaves a goroutine behind: Exchange workers
-// and parallel operators must drain when their pipeline closes.
+// TestMain verifies no test leaves a goroutine behind: every operator must
+// be done with its pipeline when the pipeline closes.
 func TestMain(m *testing.M) {
 	os.Exit(linttest.VerifyTestMain(m))
 }

@@ -33,9 +33,6 @@ import (
 type ScanTag struct {
 	Color core.Color
 	Tag   string
-	// Part/Of select the Part-th of Of contiguous slices of the posting list
-	// for parallel scans under an Exchange. Of <= 1 scans the whole list.
-	Part, Of int
 
 	refs []uint64
 	pos  int
@@ -43,7 +40,7 @@ type ScanTag struct {
 
 // Open implements Op.
 func (o *ScanTag) Open(ctx *Ctx) error {
-	o.refs = partition(ctx.S.TagRefs(o.Color, o.Tag), o.Part, o.Of)
+	o.refs = ctx.S.TagRefs(o.Color, o.Tag)
 	o.pos = 0
 	return nil
 }
@@ -66,13 +63,7 @@ func (o *ScanTag) Close(ctx *Ctx) error {
 // Children implements Op.
 func (o *ScanTag) Children() []Op { return nil }
 
-func (o *ScanTag) String() string {
-	s := fmt.Sprintf("ScanTag{%s}%s", o.Color, o.Tag)
-	if o.Of > 1 {
-		s += fmt.Sprintf(" part %d/%d", o.Part+1, o.Of)
-	}
-	return s
-}
+func (o *ScanTag) String() string { return fmt.Sprintf("ScanTag{%s}%s", o.Color, o.Tag) }
 
 // EqContent is a content-index lookup: nodes of a tag whose content equals a
 // value, streamed off the content index posting list.
@@ -120,8 +111,6 @@ type ContainsScan struct {
 	Color core.Color
 	Tag   string
 	Pred  Pred
-	// Part/Of partition the scan for an Exchange, as in ScanTag.
-	Part, Of int
 
 	refs []uint64
 	pos  int
@@ -129,7 +118,7 @@ type ContainsScan struct {
 
 // Open implements Op.
 func (o *ContainsScan) Open(ctx *Ctx) error {
-	o.refs = partition(ctx.S.TagRefs(o.Color, o.Tag), o.Part, o.Of)
+	o.refs = ctx.S.TagRefs(o.Color, o.Tag)
 	o.pos = 0
 	return nil
 }
@@ -174,11 +163,7 @@ func (o *ContainsScan) Close(ctx *Ctx) error {
 func (o *ContainsScan) Children() []Op { return nil }
 
 func (o *ContainsScan) String() string {
-	s := fmt.Sprintf("ContainsScan{%s}%s[%s]", o.Color, o.Tag, o.Pred)
-	if o.Of > 1 {
-		s += fmt.Sprintf(" part %d/%d", o.Part+1, o.Of)
-	}
-	return s
+	return fmt.Sprintf("ContainsScan{%s}%s[%s]", o.Color, o.Tag, o.Pred)
 }
 
 // AttrEq is an attribute-index lookup producing the matching elements'

@@ -69,24 +69,3 @@ func TestPanicContainedWithLabel(t *testing.T) {
 		t.Fatalf("error does not carry the plan node label: %v", err)
 	}
 }
-
-func TestPanicContainedInExchangeWorker(t *testing.T) {
-	ex := &Exchange{Parts: []Op{&panicOp{at: 200}}}
-	_, _, err := Exec(nil, ex)
-	if err == nil {
-		t.Fatal("expected worker panic surfaced as error")
-	}
-	if !strings.Contains(err.Error(), "Panicker") {
-		t.Fatalf("error does not carry the partition label: %v", err)
-	}
-}
-
-func TestExchangeCancellationPropagates(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ex := &Exchange{Parts: []Op{endlessOp{}}}
-	_, _, err := ExecContext(ctx, nil, ex)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

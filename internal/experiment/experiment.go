@@ -3,7 +3,7 @@
 // measures wall-clock time and engine metrics, assembles Table 1's storage
 // accounting and Figures 11/12's query-complexity metrics, and renders the
 // paper-style reports. Both cmd/mctbench and the root benchmark suite build
-// on it.
+// on it; catalog.go holds the small catalog store cmd/mctserved serves.
 package experiment
 
 import (

@@ -9,13 +9,13 @@ import (
 // BatchAlias enforces the vectorized-execution aliasing contract of
 // internal/engine (DESIGN §11): rows handed out by Batch.Row and
 // batchCursor.pull are *views* into a reused buffer, valid only until the
-// batch is next refilled, swapped, or recycled — anything kept longer must
+// batch is next refilled or recycled — anything kept longer must
 // be copied (Ctx.copyRow / concatRow) first. The analyzer runs a forward
 // may-poisoned dataflow over each function's CFG: assigning a view
 // expression marks the variable a view of its batch (identified by the root
 // variable of the receiver — b for b.Row(i), c for c.pull(ctx)); an
-// invalidating call on the same root (Reset, Swap — both operands — free,
-// close, pull, NextBatch, pullBatch, arena release) poisons every view of
+// invalidating call on the same root (Reset, free, close, pull, NextBatch,
+// pullBatch, arena release) poisons every view of
 // that root; using a poisoned view on any path is a finding. Reassigning
 // the variable clears the poison, which is exactly the refill idiom:
 // `r, ok, err := c.pull(ctx)` first invalidates the previous view of c,
@@ -26,7 +26,7 @@ import (
 // the documented hand-off, and its callers are checked in turn).
 var BatchAlias = &Analyzer{
 	Name: "batchalias",
-	Doc:  "no batch row view may be used after its batch was refilled, swapped, or recycled",
+	Doc:  "no batch row view may be used after its batch was refilled or recycled",
 	Run:  runBatchAlias,
 }
 
@@ -237,11 +237,6 @@ func invalidatedRoots(pass *Pass, call *ast.CallExpr) []invalidation {
 		switch {
 		case recv == "Batch" && (m == "Reset" || m == "free"):
 			add(fun.X, "Batch."+m)
-		case recv == "Batch" && m == "Swap":
-			add(fun.X, "Batch.Swap")
-			if len(call.Args) == 1 {
-				add(call.Args[0], "Batch.Swap")
-			}
 		case recv == "batchCursor" && (m == "pull" || m == "close"):
 			add(fun.X, "batchCursor."+m)
 		case recv == "arena" && m == "release":

@@ -10,8 +10,8 @@ import (
 // get it for free — the executor's pullBatch checks Ctx.Cancel once per
 // batch, and a batchCursor's pull() rides on it — but an operator filling a
 // batch from its own iteration state (an index scan skipping non-matching
-// entries, an exchange draining worker channels) makes no child pull and
-// would spin past a canceled context for a whole scan's worth of rows.
+// entries) makes no child pull and would spin past a canceled context for a
+// whole scan's worth of rows.
 // Such loops must call ctx.poll() (or consult ctx.Cancel) themselves.
 //
 // Rule: in package engine, a NextBatch (or legacy Next) method that contains

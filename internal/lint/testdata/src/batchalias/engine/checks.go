@@ -24,14 +24,14 @@ func rebindIsFresh(b *Batch) {
 	use(r)
 }
 
-// Violation: Swap on one branch poisons the view on every path below the
+// Violation: Reset on one branch poisons the view on every path below the
 // merge (may-analysis).
-func swapPoisonsOnOnePath(b, o *Batch, cond bool) {
+func resetPoisonsOnOnePath(b *Batch, cond bool) {
 	r := b.Row(0)
 	if cond {
-		b.Swap(o)
+		b.Reset(2)
 	}
-	use(r) // want "view r used after Batch.Swap invalidated"
+	use(r) // want "view r used after Batch.Reset invalidated"
 }
 
 // Violation: pulling the next row invalidates the previous pull's view.

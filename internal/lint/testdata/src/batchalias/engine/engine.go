@@ -1,6 +1,6 @@
 // Package engine mirrors the shapes the batchalias analyzer keys on: Batch
 // rows and arena allocations are views into reused storage, invalidated by
-// Reset/Swap/free, cursor pull/close, arena release, and the NextBatch /
+// Reset/free, cursor pull/close, arena release, and the NextBatch /
 // pullBatch refill helpers.
 package engine
 
@@ -18,7 +18,6 @@ func (b *Batch) Row(i int) Row {
 }
 
 func (b *Batch) Reset(cols int) { b.cols, b.rows, b.data = cols, 0, b.data[:0] }
-func (b *Batch) Swap(o *Batch)  { *b, *o = *o, *b }
 func (b *Batch) free()          { b.data = nil }
 
 type batchCursor struct {

@@ -103,7 +103,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry every subsystem registers into and
-// the /debug/metrics endpoint and mctbench snapshots read from.
+// the /debug/metrics endpoint and the repository benchmark read from.
 var Default = NewRegistry()
 
 // checkName panics on a malformed or duplicate instrument name; both are

@@ -197,7 +197,7 @@ func TestSnapshotJSONAndText(t *testing.T) {
 }
 
 // TestSpanTree exercises parent/child structure, attributes, concurrent
-// child creation (the Exchange-worker pattern), and the JSON export shape.
+// child creation, and the JSON export shape.
 func TestSpanTree(t *testing.T) {
 	root := NewSpan("query")
 	root.SetAttr("src", "doc()")

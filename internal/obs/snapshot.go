@@ -17,7 +17,7 @@ type HistStat struct {
 }
 
 // Snapshot is a point-in-time copy of a registry, JSON-encodable as-is (the
-// shape mctbench folds into its BENCH line and /debug/metrics serves).
+// shape mctserved -obs-dump writes and /debug/metrics serves).
 type Snapshot struct {
 	Counters   map[string]uint64   `json:"counters"`
 	Gauges     map[string]int64    `json:"gauges,omitempty"`

@@ -8,9 +8,7 @@ import (
 
 // Span is one node of a per-query trace tree: a named begin/end interval
 // with ordered attributes and child spans. Spans are cheap (no global
-// registration, no sampling machinery) and safe for concurrent use — an
-// Exchange worker may open children of the execute span while its siblings
-// do the same.
+// registration, no sampling machinery) and safe for concurrent use.
 //
 // The tree exports as JSON via MarshalJSON / (*Span).JSON; durations are
 // monotonic nanoseconds. Synthetic spans (per-operator attribution built

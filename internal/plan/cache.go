@@ -32,7 +32,7 @@ type Cache struct {
 	lru     *list.List // front = most recent; values are *cacheEntry
 
 	// Per-cache counters (under mu), mirrored into the process-wide obs
-	// instruments so BENCH snapshots and /debug/metrics see them too.
+	// instruments so obs snapshots and /debug/metrics see them too.
 	hits          uint64
 	misses        uint64
 	evictions     uint64
@@ -44,9 +44,6 @@ type Cache struct {
 type cacheKey struct {
 	query        string
 	defaultColor core.Color
-	parallel     bool
-	workers      int
-	threshold    int
 }
 
 type cacheEntry struct {
@@ -56,13 +53,7 @@ type cacheEntry struct {
 }
 
 func keyFor(query string, opt Options) cacheKey {
-	return cacheKey{
-		query:        query,
-		defaultColor: opt.DefaultColor,
-		parallel:     opt.Parallel,
-		workers:      opt.ParallelWorkers,
-		threshold:    opt.ParallelThreshold,
-	}
+	return cacheKey{query: query, defaultColor: opt.DefaultColor}
 }
 
 // DefaultCacheSize bounds a cache built with NewCache(0): generous next to

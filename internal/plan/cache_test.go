@@ -50,10 +50,10 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 func TestCacheKeyIncludesOptions(t *testing.T) {
 	c := plan.NewCache(4)
 	a := plan.Options{DefaultColor: "red"}
-	b := plan.Options{DefaultColor: "red", Parallel: true, ParallelWorkers: 4}
+	b := plan.Options{DefaultColor: "blue"}
 	c.Put("q", a, 1, mustCompiled(t))
 	if _, ok := c.Get("q", b, 1); ok {
-		t.Fatal("plan compiled without parallelism served to a parallel-options probe")
+		t.Fatal("plan compiled for one default color served to a probe with another")
 	}
 	if _, ok := c.Get("q", a, 1); !ok {
 		t.Fatal("matching options missed")

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math"
-	"runtime"
 	"sort"
 
 	"colorfulxml/internal/core"
@@ -71,9 +70,6 @@ type lowerer struct {
 	cat    Catalog
 	chains []*chain
 	of     map[string]*chain
-	// workers/threshold drive parallel leaf lowering; workers < 2 disables it.
-	workers   int
-	threshold float64
 }
 
 // Lower emits the physical plan for an analyzed query.
@@ -164,16 +160,6 @@ func CompileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, opt Options
 // connected chain whose rows carry every variable's column.
 func lowerBindings(lg *Logical, opt Options) (*lowerer, *chain, error) {
 	lw := &lowerer{cat: opt.Catalog, of: map[string]*chain{}}
-	if opt.Parallel {
-		lw.workers = opt.ParallelWorkers
-		if lw.workers <= 0 {
-			lw.workers = runtime.GOMAXPROCS(0)
-		}
-		lw.threshold = float64(opt.ParallelThreshold)
-		if lw.threshold <= 0 {
-			lw.threshold = DefaultParallelThreshold
-		}
-	}
 	for _, vp := range lg.Vars {
 		var ch *chain
 		anchor := -1
@@ -364,7 +350,7 @@ type access struct {
 func (lw *lowerer) stepAccess(st LStep, frac float64) (access, error) {
 	tc := lw.tagCard(st.Color, st.Tag)
 	scan := access{
-		op:   lw.maybeParallel(&engine.ScanTag{Color: st.Color, Tag: st.Tag}, tc),
+		op:   &engine.ScanTag{Color: st.Color, Tag: st.Tag},
 		card: tc, cost: tc * costScanRow, rest: st.Preds,
 	}
 	for i, p := range st.Preds {
@@ -379,9 +365,7 @@ func (lw *lowerer) stepAccess(st LStep, frac float64) (access, error) {
 			scan.op = &engine.EqContent{Color: st.Color, Tag: st.Tag, Value: p.Pred.Value}
 			break
 		}
-		// A contains scan reads every candidate of the tag regardless of its
-		// output cardinality, so the parallel decision uses the input size.
-		scan.op = lw.maybeParallel(&engine.ContainsScan{Color: st.Color, Tag: st.Tag, Pred: p.Pred}, tc)
+		scan.op = &engine.ContainsScan{Color: st.Color, Tag: st.Tag, Pred: p.Pred}
 		scan.card = tc / 3
 		scan.cost = tc * (costScanRow + costFilterRow)
 		break
@@ -490,30 +474,6 @@ func (lw *lowerer) trySummary(ch *chain, vp *VarPlan) (int, bool, error) {
 		}
 	}
 	return anchor, true, nil
-}
-
-// maybeParallel partitions a scan leaf across an exchange when parallelism is
-// enabled and the estimated input cardinality clears the threshold. Only
-// partitionable leaves (tag and contains scans) qualify; everything else is
-// returned unchanged.
-func (lw *lowerer) maybeParallel(op engine.Op, card float64) engine.Op {
-	if lw.workers < 2 || card < lw.threshold {
-		return op
-	}
-	parts := make([]engine.Op, lw.workers)
-	switch o := op.(type) {
-	case *engine.ScanTag:
-		for i := range parts {
-			parts[i] = &engine.ScanTag{Color: o.Color, Tag: o.Tag, Part: i, Of: lw.workers}
-		}
-	case *engine.ContainsScan:
-		for i := range parts {
-			parts[i] = &engine.ContainsScan{Color: o.Color, Tag: o.Tag, Pred: o.Pred, Part: i, Of: lw.workers}
-		}
-	default:
-		return op
-	}
-	return &engine.Exchange{Parts: parts}
 }
 
 // crossTo inserts a cross-tree color transition so column anchor is

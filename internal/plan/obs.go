@@ -4,7 +4,7 @@ import "colorfulxml/internal/obs"
 
 // Plan-cache instruments: process-wide totals across every Cache instance
 // (one per DB today). The per-cache breakdown lives in Cache.Stats, served
-// by /debug/plancache; these feed BENCH snapshots and /debug/metrics.
+// by /debug/plancache; these feed obs snapshots and /debug/metrics.
 var (
 	obsPlanCacheHits          = obs.NewCounter("plan_cache_hits_total")
 	obsPlanCacheMisses        = obs.NewCounter("plan_cache_misses_total")

@@ -192,12 +192,6 @@ func (sc SchemaCatalog) EqCard(c core.Color, tag, value string) float64 {
 	return sc.TagCard(c, tag) * 0.1
 }
 
-// DefaultParallelThreshold is the estimated scan cardinality above which a
-// parallel compilation partitions an index-scan leaf across an exchange.
-// Below it, the fixed cost of spawning workers and shipping rows through
-// channels outweighs the scan itself.
-const DefaultParallelThreshold = 1024
-
 // Options configures compilation.
 type Options struct {
 	// DefaultColor is used by location steps that have no color and no
@@ -205,15 +199,6 @@ type Options struct {
 	DefaultColor core.Color
 	// Catalog supplies cardinalities; nil falls back to uniform guesses.
 	Catalog Catalog
-	// Parallel enables intra-query parallelism: index-scan leaves whose
-	// estimated cardinality reaches ParallelThreshold are partitioned into
-	// contiguous start-order slices executed by an engine.Exchange across
-	// ParallelWorkers goroutines, with an order-preserving merge.
-	Parallel bool
-	// ParallelWorkers is the partition fan-out; <= 0 means GOMAXPROCS.
-	ParallelWorkers int
-	// ParallelThreshold overrides DefaultParallelThreshold when > 0.
-	ParallelThreshold int
 }
 
 // ColInfo describes one column of the compiled plan's rows.

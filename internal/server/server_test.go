@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
@@ -42,6 +43,14 @@ func startServer(t *testing.T, db *colorful.DB, opts server.Options) (*server.Se
 	return srv, ln.Addr().String()
 }
 
+// catalogQueries is the catalog read mix: a full scan, an equality lookup,
+// and a cross-hierarchy navigation.
+var catalogQueries = []string{
+	`document("db")/{red}descendant::item/{red}child::name`,
+	`document("db")/{red}descendant::item[{red}child::name = "Item 7"]/{red}child::name`,
+	`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`,
+}
+
 // startCatalog serves a fresh in-memory catalog store of the given scale.
 func startCatalog(t *testing.T, scale int, opts server.Options) (*colorful.DB, *server.Server, string) {
 	t.Helper()
@@ -69,7 +78,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("ping: %v", err)
 	}
 
-	for _, q := range experiment.CatalogQueries() {
+	for _, q := range catalogQueries {
 		want, err := db.Query(q)
 		if err != nil {
 			t.Fatalf("in-process %q: %v", q, err)
@@ -89,7 +98,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// Prepared path returns the same rows as one-shot.
-	q := experiment.CatalogQueries()[0]
+	q := catalogQueries[0]
 	st, err := cdb.Prepare(q)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
@@ -146,6 +155,75 @@ update $i { insert <flag>1</flag> }`)
 		t.Fatal("server reports draining mid-test")
 	}
 	_ = srv
+}
+
+// TestLedgerAcrossConnections reads the server's request/response ledger
+// from one connection while the others are mid-query. A response is counted
+// once its write has returned, so the ledger runs behind by the Stats request
+// that reads it and by at most one request on each other connection: a
+// client can hold a response its handler has not counted yet.
+func TestLedgerAcrossConnections(t *testing.T) {
+	const conns, ops = 4, 40
+	_, _, addr := startCatalog(t, 300, server.Options{})
+	cs := make([]*client.Conn, conns)
+	for i := range cs {
+		c, err := client.Dial(addr, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cs[i] = c
+	}
+	ctx := context.Background()
+	// answered counts the requests whose responses a client has read.
+	var answered atomic.Uint64
+	check := func(when string) {
+		t.Helper()
+		before := answered.Load()
+		st, err := cs[0].Stats(ctx)
+		if err != nil {
+			t.Fatalf("%s: stats: %v", when, err)
+		}
+		if st.Open != conns {
+			t.Fatalf("%s: server has %d connections open, want %d", when, st.Open, conns)
+		}
+		if st.Requests <= before {
+			t.Fatalf("%s: server read %d requests, clients had %d answered plus the Stats", when, st.Requests, before)
+		}
+		if gap := st.Requests - st.Responses; gap < 1 || gap > conns {
+			t.Fatalf("%s: server answered %d of %d requests over %d connections", when, st.Responses, st.Requests, conns)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, conns)
+	for i, c := range cs[1:] {
+		wg.Add(1)
+		go func(i int, c *client.Conn) {
+			defer wg.Done()
+			for n := 0; n < ops; n++ {
+				if _, err := c.Query(ctx, catalogQueries[(i+n)%len(catalogQueries)]); err != nil {
+					errc <- err
+					return
+				}
+				answered.Add(1)
+			}
+		}(i, c)
+	}
+	for n := 0; n < ops; n++ {
+		if _, err := cs[0].Query(ctx, catalogQueries[n%len(catalogQueries)]); err != nil {
+			t.Fatal(err)
+		}
+		answered.Add(1)
+		check(fmt.Sprintf("under load, round %d", n))
+		answered.Add(1) // the Stats request itself
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	check("after load")
 }
 
 // TestBigBatchSpansFrames forces a tiny server chunk size so a full scan

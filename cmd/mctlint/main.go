@@ -12,7 +12,7 @@
 //
 // The analyzers mechanize invariants that are otherwise enforced only by
 // review: vfsonly (file I/O through internal/vfs), commitscope
-// (beginCommit/commitChanges bracketing), ctxpoll (operator cancellation
+// (mutations only inside commit/commitLocked), ctxpoll (operator cancellation
 // polls), errwrapsentinel (errors.Is/As and %w for sentinels), determinism
 // (seeded randomness and sorted map iteration in crashtest/WAL/checkpoint
 // code), atomicsnapshot (atomic access to the published snapshot),

@@ -56,10 +56,11 @@ type (
 // DB is safe for concurrent use by multiple goroutines. Queries in the
 // compilable subset run lock-free against an immutable snapshot of the
 // database; mutations (the DB-level wrappers in this package — Update,
-// AddElement, SetText, ...) serialize behind a writer lock. Update publishes
-// the snapshot that reflects it before returning; after the other mutators
-// the next query does — either way usually by incremental change-log replay
-// rather than a full rebuild (see MaintStats). Mixing DB wrappers
+// AddElement, SetText, ...) each run as one durable commit scope behind a
+// writer lock. Update publishes the snapshot that reflects it before
+// returning; after the other mutators the next query does, taking the same
+// lock — either way usually by incremental change-log replay rather than a
+// full rebuild (see MaintStats). Mixing DB wrappers
 // with direct method calls on the embedded core.Database forfeits that
 // safety: the embedded methods take no locks.
 type DB struct {
@@ -73,13 +74,12 @@ type DB struct {
 	// atomically (see health.go).
 	coreRef atomic.Pointer[core.Database]
 
-	// mu guards the core database: mutators hold it exclusively, evaluator
-	// runs hold it shared. A compiled query holds no lock at all — plan and
-	// result values touch only an immutable snapshot — unless its output is
-	// not a leaf of the data (coreItems).
+	// mu guards the core database: mutators and snapshot maintenance hold it
+	// exclusively, evaluator runs hold it shared. A compiled query holds no
+	// lock at all — plan and result values touch only an immutable snapshot
+	// — unless its output is not a leaf of the data (coreItems) or it finds
+	// the snapshot stale and maintains it (currentSnapshot).
 	mu sync.RWMutex
-	// maintMu serializes snapshot maintenance (see currentSnapshot).
-	maintMu sync.Mutex
 	// snap is the published store snapshot for lock-free readers.
 	snap atomic.Pointer[snapshot]
 
@@ -384,33 +384,31 @@ func (d *DB) Update(src string) (UpdateResult, error) {
 // to the tree-walking evaluator, nil when the compiled plan bound them.
 func (d *DB) updateLocked(u *update.Update) (res update.Result, unsupported, err error) {
 	// The binding plan runs on the snapshot, so the snapshot has to be at the
-	// core's generation first. This comes before beginCommit because it
-	// drains the change log, and a drain invalidates a commit's mark; what it
-	// drains was committed by the mutators that logged it.
+	// core's generation first. This comes before the commit scope opens
+	// because it drains the change log, and a drain invalidates the scope's
+	// mark; what it drains was committed by the mutators that logged it.
 	sp, serr := d.refreshHoldingMu()
-	m, err := d.beginCommit()
-	if err != nil {
-		return update.Result{}, nil, err
-	}
-	var tuples update.Tuples
-	if serr == nil {
-		tuples, err = d.ex.BindCompiled(u, sp.st, d.planOptions(sp.st))
-	} else {
-		err = fmt.Errorf("colorful: no current snapshot to bind on (%v): %w", serr, plan.ErrUnsupported)
-	}
-	if errors.Is(err, plan.ErrUnsupported) {
-		unsupported = err
-		obsBindEvaluator.Inc()
-		tuples, err = d.ex.Bind(u)
-	} else {
-		obsBindCompiled.Inc()
-	}
-	if err == nil {
+	err = d.commitLocked(func() error {
+		var tuples update.Tuples
+		var err error
+		if serr == nil {
+			tuples, err = d.ex.BindCompiled(u, sp.st, d.planOptions(sp.st))
+		} else {
+			err = fmt.Errorf("colorful: no current snapshot to bind on (%v): %w", serr, plan.ErrUnsupported)
+		}
+		if errors.Is(err, plan.ErrUnsupported) {
+			unsupported = err
+			obsBindEvaluator.Inc()
+			tuples, err = d.ex.Bind(u)
+		} else {
+			obsBindCompiled.Inc()
+		}
+		if err != nil {
+			return err
+		}
 		res, err = d.ex.ApplyTuples(u, tuples)
-	}
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
+		return err
+	})
 	// Publish what this update changed, under the same exclusive lock: no
 	// reader ever finds the snapshot behind a committed update, and the next
 	// update finds it current. The published snapshot is the rollback basis

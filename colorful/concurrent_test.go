@@ -120,6 +120,113 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 	}
 }
 
+// TestConcurrentFacadeWritersNeverFallBack: 8 reader sessions run only
+// compilable queries while one writer commits facade mutators, each of which
+// leaves the snapshot stale for the next reader to maintain. However many
+// readers find it stale at once, every query stays on the compiled route:
+// the maintainers queue on the writer lock, the first refreshes and the rest
+// find the snapshot current. The writer reads back each of its own writes,
+// and the maintenance stays incremental throughout.
+func TestConcurrentFacadeWritersNeverFallBack(t *testing.T) {
+	m := fixtures.NewMovieDB()
+	db := wrap(m.DB)
+	if err := db.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilds := db.MaintStats().FullRebuilds
+
+	const eveVotes = `document("db")/{green}descendant::movie[{green}child::name = "All About Eve"]/{green}child::votes`
+	const eveEpoch = `document("db")/{red}descendant::movie[{red}child::name = "All About Eve"]/{red}attribute::epoch`
+	queries := []string{
+		eveVotes,
+		votesQuery,
+		`document("db")/{red}descendant::movie[{red}child::name = "Duck Soup"]/{red}child::name`,
+		`document("db")/{blue}descendant::movie-role/{red}parent::movie/{red}child::name`,
+	}
+	for _, q := range append(queries, eveEpoch) {
+		if _, err := db.Explain(q); err != nil {
+			t.Fatalf("%s does not compile: %v", q, err)
+		}
+	}
+
+	const readers = 8
+	const writes = 200
+	stop := make(chan struct{})
+	errc := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	sessions := make([]*Session, readers)
+	for i := range sessions {
+		sessions[i] = db.Session()
+		defer sessions[i].Close()
+		wg.Add(1)
+		go func(id int, s *Session) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[(id+n)%len(queries)]
+				out, err := s.Query(q)
+				if err != nil {
+					errc <- fmt.Errorf("reader %d: %s: %v", id, q, err)
+					return
+				}
+				if q == eveVotes && len(out) != 1 {
+					errc <- fmt.Errorf("reader %d: %d votes for one movie", id, len(out))
+					return
+				}
+			}
+		}(i, sessions[i])
+	}
+
+	go func() {
+		defer close(stop)
+		readBack := func(q, want string) error {
+			out, err := db.Query(q)
+			if err != nil || len(out) != 1 || out[0].Value != want {
+				return fmt.Errorf("writer reads %s: %+v, %v; want %q", q, out, err, want)
+			}
+			return nil
+		}
+		for e := 1; e <= writes; e++ {
+			v := fmt.Sprint(e)
+			if err := db.SetText(m.Node("eve-votes"), v); err != nil {
+				errc <- fmt.Errorf("writer SetText: %v", err)
+				return
+			}
+			if err := readBack(eveVotes, v); err != nil {
+				errc <- err
+				return
+			}
+			if _, err := db.SetAttribute(m.Node("eve"), "epoch", v); err != nil {
+				errc <- fmt.Errorf("writer SetAttribute: %v", err)
+				return
+			}
+			if err := readBack(eveEpoch, v); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	for i, s := range sessions {
+		if st := s.Stats(); st.Fallbacks != 0 || st.Queries == 0 {
+			t.Errorf("reader %d: %d of %d queries fell back to the evaluator", i, st.Fallbacks, st.Queries)
+		}
+	}
+	if got := db.MaintStats().FullRebuilds; got != rebuilds {
+		t.Errorf("facade writes forced %d full rebuilds", got-rebuilds)
+	}
+}
+
 // snapshotEpoch reads every green votes counter straight from a store
 // snapshot and returns the one epoch they all carry.
 func snapshotEpoch(sp *snapshot) (int, error) {

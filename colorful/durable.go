@@ -129,14 +129,12 @@ func OpenOptions(dir string, opts Options, colors ...Color) (*DB, error) {
 	// Register any missing colors; like every other mutation this commits
 	// through the WAL (AddDatabaseColor is a no-op for existing colors, so
 	// reopening with the same colors appends nothing).
-	m := d.Database.Mark()
-	for _, c := range colors {
-		d.Database.AddDatabaseColor(c)
-	}
-	d.mu.Lock()
-	err = d.commitChanges(m)
-	d.mu.Unlock()
-	if err != nil {
+	if err := d.commit(func() error {
+		for _, c := range colors {
+			d.Database.AddDatabaseColor(c)
+		}
+		return nil
+	}); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -227,10 +225,33 @@ func (d *DB) Close() error {
 	return err
 }
 
-// beginCommit opens a durable commit scope, refusing — before the caller
-// mutates anything — when the database cannot commit: degraded (ErrReadOnly),
-// failed (ErrFailed), or closed (ErrClosed). The caller must hold d.mu
-// exclusively across beginCommit, the mutation, and commitChanges.
+// commit runs mutate as one durable commit scope under the writer lock.
+func (d *DB) commit(mutate func() error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.commitLocked(mutate)
+}
+
+// commitLocked is the one commit scope every mutation of the DB facade runs
+// in; the caller holds d.mu exclusively. beginCommit refuses before mutate
+// runs; otherwise commitChanges runs whatever mutate returned — a failing
+// mutation may still have changed the database, and the log must track
+// what memory became — and mutate's own error wins over the commit's.
+func (d *DB) commitLocked(mutate func() error) error {
+	m, err := d.beginCommit()
+	if err != nil {
+		return err
+	}
+	err = mutate()
+	if cerr := d.commitChanges(m); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// beginCommit opens a durable commit scope, refusing — before anything
+// mutates — when the database cannot commit: degraded (ErrReadOnly), failed
+// (ErrFailed), or closed (ErrClosed).
 func (d *DB) beginCommit() (core.ChangeMark, error) {
 	if d.dur == nil {
 		// In-memory databases (durErr nil) have no commit scope; closed
@@ -269,8 +290,8 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 	}
 	changes, ok := d.Database.ChangesSince(m)
 	if !ok {
-		// The mark was invalidated (change-log overflow or a concurrent
-		// drain): the mutation cannot be separated for rollback, so a full
+		// The mark was invalidated (change-log overflow, or a drain inside
+		// the scope): the mutation cannot be separated for rollback, so a full
 		// checkpoint is the only commit path and its failure is terminal.
 		if err := d.checkpointLocked(); err != nil {
 			return d.failLocked(fmt.Errorf("checkpoint after change-log overflow: %w", err))

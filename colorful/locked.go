@@ -3,119 +3,70 @@ package colorful
 import "colorfulxml/internal/core"
 
 // This file shadows the embedded core.Database methods with locked
-// wrappers, making the DB facade safe for concurrent use: mutators take the
-// writer lock (serializing with each other, with constructor queries and
-// with snapshot maintenance), readers take the shared lock. The embedded
-// methods themselves stay available via d.Database for single-goroutine
-// code that wants to skip the locking, at its own risk.
-//
-// Every mutator is also a durable commit scope: for databases created by
-// Open, beginCommit admits the mutation (refusing up front — with
-// ErrReadOnly, ErrFailed or ErrClosed — when the database cannot commit)
-// and commitChanges appends the change-log entries the mutation produced to
-// the write-ahead log before the wrapper returns, so an acknowledged
-// mutation survives a crash. A durability failure that exhausts the storage
-// layer's retries rolls the mutation back and degrades the database to
-// read-only serving (see health.go); the failing wrapper reports the
-// rolled-back commit through its error.
+// wrappers, making the DB facade safe for concurrent use: readers take the
+// shared lock, and every mutator is one durable commit scope (commit, in
+// durable.go) run under the writer lock. Each mutator resolves its node
+// arguments and makes one core call inside the scope's closure; nothing
+// else in the package may call a core mutator (the commitscope analyzer
+// holds it to that). The embedded methods themselves stay available via
+// d.Database for single-goroutine code that wants to skip the locking, at
+// its own risk.
 //
 // Mutations are NOT applied to the published query snapshot here — they
 // land in the core database and its change log, and the next query (or an
-// explicit Refresh) publishes a fresh snapshot incrementally.
+// explicit Refresh) publishes a fresh snapshot incrementally, under the same
+// writer lock (serve.go).
 
 // --- mutators -------------------------------------------------------------
 
 // AddElement creates an element and appends it under parent in color c.
-func (d *DB) AddElement(parent *Node, name string, c Color) (*Node, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return nil, err
-	}
-	parent = d.resolve(parent)
-	n, err := d.Database.AddElement(parent, name, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
+func (d *DB) AddElement(parent *Node, name string, c Color) (n *Node, err error) {
+	err = d.commit(func() error {
+		n, err = d.Database.AddElement(d.resolve(parent), name, c)
+		return err
+	})
 	return n, err
 }
 
 // AddElementText is AddElement plus a text child.
-func (d *DB) AddElementText(parent *Node, name string, c Color, text string) (*Node, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return nil, err
-	}
-	parent = d.resolve(parent)
-	n, err := d.Database.AddElementText(parent, name, c, text)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
+func (d *DB) AddElementText(parent *Node, name string, c Color, text string) (n *Node, err error) {
+	err = d.commit(func() error {
+		n, err = d.Database.AddElementText(d.resolve(parent), name, c, text)
+		return err
+	})
 	return n, err
 }
 
 // Adopt gives an existing node an additional parent in color c.
 func (d *DB) Adopt(parent, n *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	parent, n = d.resolve(parent), d.resolve(n)
-	err = d.Database.Adopt(parent, n, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.Adopt(d.resolve(parent), d.resolve(n), c)
+	})
 }
 
 // SetText replaces an element's text content.
 func (d *DB) SetText(elem *Node, value string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	elem = d.resolve(elem)
-	err = d.Database.SetText(elem, value)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.SetText(d.resolve(elem), value)
+	})
 }
 
 // CopySubtree deep-copies a node's subtree in color c.
-func (d *DB) CopySubtree(n *Node, c Color) (*Node, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return nil, err
-	}
-	n = d.resolve(n)
-	cp, err := d.Database.CopySubtree(n, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
+func (d *DB) CopySubtree(n *Node, c Color) (cp *Node, err error) {
+	err = d.commit(func() error {
+		cp, err = d.Database.CopySubtree(d.resolve(n), c)
+		return err
+	})
 	return cp, err
 }
 
 // AddDatabaseColor registers a new color. The error is the commit's: a
 // degraded or closed database refuses the registration.
 func (d *DB) AddDatabaseColor(c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	d.Database.AddDatabaseColor(c)
-	return d.commitChanges(m)
+	return d.commit(func() error {
+		d.Database.AddDatabaseColor(c)
+		return nil
+	})
 }
 
 // NewElement creates a detached element in color c. Detached nodes are not
@@ -148,177 +99,86 @@ func (d *DB) NewPI(target, value string, c Color) (*Node, error) {
 }
 
 // SetAttribute sets (or replaces) an attribute on an element.
-func (d *DB) SetAttribute(elem *Node, name, value string) (*Node, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return nil, err
-	}
-	elem = d.resolve(elem)
-	a, err := d.Database.SetAttribute(elem, name, value)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
+func (d *DB) SetAttribute(elem *Node, name, value string) (a *Node, err error) {
+	err = d.commit(func() error {
+		a, err = d.Database.SetAttribute(d.resolve(elem), name, value)
+		return err
+	})
 	return a, err
 }
 
 // Rename changes a node's name.
 func (d *DB) Rename(n *Node, name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	n = d.resolve(n)
-	err = d.Database.Rename(n, name)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.Rename(d.resolve(n), name)
+	})
 }
 
 // RemoveAttribute removes an attribute if present. The error is the
 // commit's: a degraded or closed database refuses the removal.
 func (d *DB) RemoveAttribute(elem *Node, name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	elem = d.resolve(elem)
-	d.Database.RemoveAttribute(elem, name)
-	return d.commitChanges(m)
+	return d.commit(func() error {
+		d.Database.RemoveAttribute(d.resolve(elem), name)
+		return nil
+	})
 }
 
 // AppendText appends a text node to an element.
-func (d *DB) AppendText(elem *Node, value string) (*Node, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return nil, err
-	}
-	elem = d.resolve(elem)
-	t, err := d.Database.AppendText(elem, value)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
+func (d *DB) AppendText(elem *Node, value string) (t *Node, err error) {
+	err = d.commit(func() error {
+		t, err = d.Database.AppendText(d.resolve(elem), value)
+		return err
+	})
 	return t, err
 }
 
 // AddColor adds a node to color c (keeping its position rules).
 func (d *DB) AddColor(n *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	n = d.resolve(n)
-	err = d.Database.AddColor(n, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.AddColor(d.resolve(n), c)
+	})
 }
 
 // RemoveColor removes a node (and its subtree participation) from color c.
 func (d *DB) RemoveColor(n *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	n = d.resolve(n)
-	err = d.Database.RemoveColor(n, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.RemoveColor(d.resolve(n), c)
+	})
 }
 
 // Append attaches child as parent's last child in color c.
 func (d *DB) Append(parent, child *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	parent, child = d.resolve(parent), d.resolve(child)
-	err = d.Database.Append(parent, child, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.Append(d.resolve(parent), d.resolve(child), c)
+	})
 }
 
 // InsertBefore attaches child before ref under parent in color c.
 func (d *DB) InsertBefore(parent, child, ref *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	parent, child, ref = d.resolve(parent), d.resolve(child), d.resolve(ref)
-	err = d.Database.InsertBefore(parent, child, ref, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.InsertBefore(d.resolve(parent), d.resolve(child), d.resolve(ref), c)
+	})
 }
 
 // Detach removes child from its parent in color c.
 func (d *DB) Detach(child *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	child = d.resolve(child)
-	err = d.Database.Detach(child, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.Detach(d.resolve(child), c)
+	})
 }
 
 // Delete removes a node from the database entirely.
 func (d *DB) Delete(n *Node) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	n = d.resolve(n)
-	err = d.Database.Delete(n)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.Delete(d.resolve(n))
+	})
 }
 
 // DeleteSubtree deletes a node's subtree in color c.
 func (d *DB) DeleteSubtree(n *Node, c Color) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, err := d.beginCommit()
-	if err != nil {
-		return err
-	}
-	n = d.resolve(n)
-	err = d.Database.DeleteSubtree(n, c)
-	if cerr := d.commitChanges(m); err == nil && cerr != nil {
-		err = cerr
-	}
-	return err
+	return d.commit(func() error {
+		return d.Database.DeleteSubtree(d.resolve(n), c)
+	})
 }
 
 // --- readers --------------------------------------------------------------

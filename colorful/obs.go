@@ -25,10 +25,9 @@ var (
 	obsSlowQueries   = obs.NewCounter("db_slow_queries_total")
 
 	// Why a query ran on the reference evaluator. db_evaluator_fallbacks_total
-	// stays the count of read-only queries that did (the first three reasons);
+	// stays the count of read-only queries that did (the first two reasons);
 	// constructor queries run there by design and were never part of it.
 	obsFallbackUnsupported = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "unsupported")
-	obsFallbackMaint       = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "maint_in_progress")
 	obsFallbackParse       = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "parse_error")
 	obsFallbackConstructor = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "constructor")
 
@@ -144,8 +143,8 @@ func (d *DB) observeQuery(src string, nanos int64, rows int, route queryRoute, e
 		e.Err = err.Error()
 	} else if route == routeCompiled || route == routeCached {
 		// Capture the annotated physical plan by re-analyzing against the
-		// current snapshot. Best-effort: a compile refused by a snapshot
-		// rebuild in flight just leaves the plan empty.
+		// current snapshot. Best-effort: a failed re-analysis just leaves the
+		// plan empty.
 		if text, perr := d.Explain(src); perr == nil {
 			e.Plan = text
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -177,8 +178,17 @@ func TestFallbackReasonsAreLabeled(t *testing.T) {
 			t.Errorf("%s moved by %d, want %d", name, got[0], got[1])
 		}
 	}
-	if _, ok := obs.Default.Snapshot().Counters[`db_evaluator_fallbacks_total{reason="maint_in_progress"}`]; !ok {
-		t.Error("maint_in_progress series is not registered")
+	// Every reason is one of these; a query that finds the snapshot stale
+	// maintains it and stays compiled, so there is no reason for that.
+	var reasons []string
+	for name := range obs.Default.Snapshot().Counters {
+		if r, ok := strings.CutPrefix(name, `db_evaluator_fallbacks_total{reason="`); ok {
+			reasons = append(reasons, strings.TrimSuffix(r, `"}`))
+		}
+	}
+	sort.Strings(reasons)
+	if got := strings.Join(reasons, ","); got != "constructor,parse_error,unsupported" {
+		t.Errorf("fallback reasons registered: %s", got)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 //
 // Readers are lock-free: a query loads the current immutable store snapshot
 // from an atomic pointer and runs entirely against it. Writers serialize
-// behind the DB's writer lock and mutate the core database. Update publishes
-// a fresh snapshot itself, inside its commit scope; after any other mutator
-// the next snapshot request does. Either way the snapshot is made
+// behind the DB's writer lock and mutate the core database, and all snapshot
+// maintenance runs under that lock too. Update publishes a fresh snapshot
+// itself, inside its commit scope; after any other mutator the next snapshot
+// request takes the lock and does. Either way the snapshot is made
 // incrementally, by replaying the core change log onto a copy-on-write clone
 // of the previous snapshot (both O(change)), or by a full storage.Load when
 // the delta is too large, overflowed, or contains a change with no
@@ -70,10 +71,11 @@ func (d *DB) Refresh() error {
 // currentSnapshot returns a snapshot at the database's current generation.
 //
 // Fast path: the published snapshot is current — return it without any
-// lock. Slow path: serialize maintainers behind maintMu, then take the read
-// lock (holding off writers, so the generation and change log cannot move
-// mid-refresh), drain the change log and either replay it onto a clone of
-// the previous snapshot or rebuild from scratch.
+// lock. Slow path: take the writer lock, so the generation and change log
+// cannot move and no other maintainer runs, and maintain the snapshot the
+// way Update does (refreshHoldingMu). Readers that find the same stale
+// snapshot queue on the lock; the first one refreshes and the rest find the
+// snapshot current.
 //
 // A query that loses the race with a concurrent writer may serve the
 // just-superseded snapshot; that is exactly the pre-state of an update that
@@ -85,46 +87,15 @@ func (d *DB) currentSnapshot() (*snapshot, error) {
 	if sp := d.snap.Load(); sp != nil && sp.gen == d.coreRef.Load().Generation() {
 		return sp, nil
 	}
-	d.maintMu.Lock()
-	defer d.maintMu.Unlock()
-	return d.refreshSnapshotLocked()
-}
-
-// snapshotForQuery is currentSnapshot for the compiled-query path: when
-// another goroutine is mid-rebuild it does not queue behind maintMu but
-// reports errMaintInProgress (which wraps plan.ErrUnsupported), sending the
-// query to the reference evaluator instead of stalling it. Refresh and
-// Explain keep the blocking behavior.
-func (d *DB) snapshotForQuery() (*snapshot, error) {
-	if sp := d.snap.Load(); sp != nil && sp.gen == d.coreRef.Load().Generation() {
-		return sp, nil
-	}
-	if !d.maintMu.TryLock() {
-		return nil, errMaintInProgress
-	}
-	defer d.maintMu.Unlock()
-	return d.refreshSnapshotLocked()
-}
-
-// errMaintInProgress wraps plan.ErrUnsupported so Query's compiled path
-// falls back to the evaluator while a snapshot rebuild is in flight.
-var errMaintInProgress = fmt.Errorf("colorful: snapshot maintenance in progress: %w", plan.ErrUnsupported)
-
-// refreshSnapshotLocked is maintenance on behalf of a reader; the caller
-// holds maintMu.
-func (d *DB) refreshSnapshotLocked() (*snapshot, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.refreshHoldingMu()
 }
 
-// refreshHoldingMu is the maintenance body: drain the change log, replay it
-// onto a clone of the published snapshot (or rebuild), publish. The caller
-// holds d.mu, so the generation and the log cannot move underneath it —
-// either shared with maintMu held (a reader; maintMu keeps two readers from
-// draining at once), or exclusively (Update; every other maintainer holds
-// d.mu shared, so the exclusive lock alone keeps them out and maintMu, which
-// ranks before d.mu, is not needed).
+// refreshHoldingMu is the one maintenance body: drain the change log, replay
+// it onto a clone of the published snapshot (or rebuild), publish. The
+// caller holds d.mu exclusively, so the generation and the log cannot move
+// underneath it.
 func (d *DB) refreshHoldingMu() (*snapshot, error) {
 	gen := d.Database.Generation()
 	if sp := d.snap.Load(); sp != nil && sp.gen == gen {
@@ -155,8 +126,8 @@ func (d *DB) refreshHoldingMu() (*snapshot, error) {
 
 // validateAfterApply runs the full core invariant audit after an incremental
 // snapshot apply when Options.ValidateInvariants is set. The caller holds
-// d.mu shared already, so this goes straight to the embedded core method —
-// the locked wrapper would re-enter the RWMutex. A violation aborts the
+// d.mu already, so this goes straight to the embedded core method — the
+// locked wrapper would re-enter the RWMutex. A violation aborts the
 // refresh before the suspect snapshot is published.
 func (d *DB) validateAfterApply() error {
 	if !d.durOpts.ValidateInvariants {

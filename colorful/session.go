@@ -278,11 +278,7 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 			return nil, routeCompiled, cerr
 		}
 		spanAttr(root, "fallback", cerr.Error())
-		if errors.Is(cerr, errMaintInProgress) {
-			obsFallbackMaint.Inc()
-		} else {
-			obsFallbackUnsupported.Inc()
-		}
+		obsFallbackUnsupported.Inc()
 	} else if perr != nil {
 		obsFallbackParse.Inc()
 	} else {
@@ -302,26 +298,18 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 		endSpan(es)
 		return out, routeEvaluator, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// The evaluator may mutate the database even on a failing query, so the
-	// durable commit runs regardless of the query's outcome — the on-disk
-	// state must track whatever the in-memory state became.
-	m, err := d.beginCommit()
-	if err != nil {
-		// Degraded/failed/closed: refused before anything mutated.
-		return nil, routeConstructor, err
-	}
-	es := childSpan(root, "evaluate")
-	out, err2 := d.evalItems(src)
-	endSpan(es)
-	ws := childSpan(root, "wal.commit")
-	cerr := d.commitChanges(m)
-	endSpan(ws)
-	if err2 == nil && cerr != nil {
-		err2 = cerr
-	}
-	return out, routeConstructor, err2
+	// A constructor query is one commit scope; its span covers the
+	// evaluation and the WAL append.
+	var out []Item
+	cs := childSpan(root, "commit")
+	err = d.commit(func() (err error) {
+		es := childSpan(cs, "evaluate")
+		out, err = d.evalItems(src)
+		endSpan(es)
+		return err
+	})
+	endSpan(cs)
+	return out, routeConstructor, err
 }
 
 // compiled serves a constructor-free query from the compiled route: resolve
@@ -331,7 +319,7 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st *Stmt, root *obs.Span) ([]Item, bool, error) {
 	d := s.db
 	ss := childSpan(root, "snapshot")
-	sp, err := d.snapshotForQuery()
+	sp, err := d.currentSnapshot()
 	endSpan(ss)
 	if err != nil {
 		return nil, false, err

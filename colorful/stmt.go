@@ -47,7 +47,7 @@ func (s *Session) Prepare(src string) (*Stmt, error) {
 	}
 	st := &Stmt{sess: s, src: src, expr: e, readOnly: !plan.HasConstructors(e)}
 	if st.readOnly {
-		if sp, err := s.db.snapshotForQuery(); err == nil {
+		if sp, err := s.db.currentSnapshot(); err == nil {
 			if _, _, cerr := s.planFor(src, e, sp, st, nil); cerr != nil && !errors.Is(cerr, plan.ErrUnsupported) {
 				return nil, cerr
 			}

@@ -12,10 +12,10 @@ import (
 
 // TraceQuery runs a query like QueryContext but returns a trace: a span tree
 // covering the query's phases (parse, admission, snapshot, compile, execute,
-// map-results; or evaluate and wal.commit on the evaluator and constructor
-// routes), with the execute span carrying one child span per physical
-// operator — an operator's span nests under its parent operator's. A
-// plan-cache hit replaces the compile span with a "plancache" attribute on
+// map-results; or evaluate on the evaluator route, nested in a commit span on
+// the constructor route), with the execute span carrying one child span per
+// physical operator — an operator's span nests under its parent operator's.
+// A plan-cache hit replaces the compile span with a "plancache" attribute on
 // the root.
 //
 // Tracing is the expensive sibling of QueryContext (per-pull timing, plan

@@ -2,33 +2,31 @@ package lint
 
 import (
 	"go/ast"
-	"sort"
+	"go/types"
 )
 
 // CommitScope enforces the durability contract of DESIGN.md §8: in package
-// colorful, every mutation of the store happens inside a durable commit
-// scope — beginCommit (or Database.Mark, its primitive) opens it, and
-// commitChanges must run on every path before the function returns, exactly
-// once. A mutator that returns between the two leaves acknowledged in-memory
-// state that was never written ahead to the WAL: the next crash silently
-// loses it, which is precisely the failure class the crashtest harness
-// exists to rule out. The analyzer also flags direct core-mutator calls
-// (d.Database.AddElement and friends) in functions with no commit scope at
-// all.
+// colorful, every mutation of the store happens inside the one durable commit
+// scope, DB.commitLocked (DB.commit is it under the writer lock), which
+// brackets the mutation with beginCommit and commitChanges. A mutation
+// outside it leaves acknowledged in-memory state that was never written
+// ahead to the WAL: the next crash silently loses it, which is precisely the
+// failure class the crashtest harness exists to rule out.
 //
-// The check is a small abstract interpretation over each function body with
-// three states — before the scope, inside it, after it — joined across
-// branches; loops are iterated to a fixed point. Function literals are
-// ignored (a closure body does not run on the enclosing function's path),
-// and beginCommit/commitChanges themselves are exempt.
+// The rule is structural, so it needs no flow analysis:
+//   - a core-mutator call (a coreMutators method of a type named Database)
+//     must sit lexically inside a function literal passed directly to
+//     commit or commitLocked — and that literal must be the innermost one,
+//     so a closure stored in a variable or started with `go` does not count;
+//   - beginCommit and commitChanges may be called only from commitLocked.
 var CommitScope = &Analyzer{
 	Name: "commitscope",
-	Doc:  "colorful.DB mutations are bracketed by beginCommit/commitChanges on every path",
+	Doc:  "colorful.DB mutations run in a closure passed to commit/commitLocked, the only caller of beginCommit/commitChanges",
 	Run:  runCommitScope,
 }
 
 // coreMutators are the embedded core.Database methods that mutate the store
-// and therefore must be called inside a commit scope.
+// and therefore must run inside a commit scope.
 var coreMutators = map[string]bool{
 	"AddElement": true, "AddElementText": true, "Adopt": true,
 	"SetText": true, "CopySubtree": true, "AddDatabaseColor": true,
@@ -38,347 +36,70 @@ var coreMutators = map[string]bool{
 	"Delete": true, "DeleteSubtree": true,
 }
 
-// commitScopeExempt names the scope machinery itself.
-var commitScopeExempt = map[string]bool{
-	"beginCommit": true, "commitChanges": true, "Mark": true,
-}
-
-// Abstract states, as a bitmask so branch joins are unions.
-type scopeState uint8
-
-const (
-	sBefore scopeState = 1 << iota // no scope opened yet
-	sOpen                          // inside beginCommit..commitChanges
-	sDone                          // scope committed
-	sNone   scopeState = 0         // unreachable (terminated path)
-)
-
 func runCommitScope(pass *Pass) error {
 	if pass.Pkg.Name() != "colorful" {
 		return nil
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || commitScopeExempt[fd.Name.Name] {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkCommitScope(pass, fd)
 			}
-			checkCommitScope(pass, fd)
 		}
 	}
 	return nil
 }
 
 func checkCommitScope(pass *Pass, fd *ast.FuncDecl) {
-	begins, commits, mutators := commitScopeCalls(fd.Body)
-	if len(begins) == 0 && len(commits) == 0 {
-		for _, m := range mutators {
-			pass.Reportf(m.Pos(),
-				"core mutator %s called outside a durable commit scope; bracket it with beginCommit/commitChanges or the mutation will not survive a crash",
-				calleeName(m))
-		}
-		return
-	}
-	fl := &scopeFlow{pass: pass}
-	out := fl.stmt(fd.Body, sBefore)
-	if out&sOpen != 0 {
-		pass.Reportf(fd.Body.Rbrace,
-			"%s can exit with an open commit scope; commitChanges must run on every path after beginCommit",
-			fd.Name.Name)
-	}
-}
-
-// commitScopeCalls collects the function's begin, commit and core-mutator
-// call sites, skipping function literals.
-func commitScopeCalls(body *ast.BlockStmt) (begins, commits, mutators []*ast.CallExpr) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	scoped := map[*ast.FuncLit]bool{} // literals passed straight to commit/commitLocked
+	// walk visits one function body; inScope says whether it is a scoped
+	// literal's. A commit call is visited before its arguments, so a literal
+	// is marked before its body is walked.
+	var walk func(body *ast.BlockStmt, inScope bool)
+	walk = func(body *ast.BlockStmt, inScope bool) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok {
+				walk(fl.Body, scoped[fl])
+				return false
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			switch name := calleeName(call); {
+			case name == "commit" || name == "commitLocked":
+				for _, a := range call.Args {
+					if fl, ok := ast.Unparen(a).(*ast.FuncLit); ok {
+						scoped[fl] = true
+					}
+				}
+			case name == "beginCommit" || name == "commitChanges":
+				if fd.Name.Name != "commitLocked" {
+					pass.Reportf(call.Pos(), "%s called outside commitLocked; run the mutation through commit/commitLocked instead", name)
+				}
+			case coreMutators[name] && !inScope && isCoreDatabaseMethod(pass.Info, call):
+				pass.Reportf(call.Pos(),
+					"core mutator %s called outside a durable commit scope; call it inside a closure passed directly to commit/commitLocked or the mutation will not survive a crash",
+					name)
+			}
 			return true
-		}
-		switch name := calleeName(call); {
-		case name == "beginCommit" || name == "Mark":
-			begins = append(begins, call)
-		case name == "commitChanges":
-			commits = append(commits, call)
-		case coreMutators[name] && isDatabaseSelector(call):
-			mutators = append(mutators, call)
-		}
-		return true
-	})
-	return
-}
-
-// isDatabaseSelector reports whether the call is spelled x.Database.M(...) —
-// a direct core-database mutator call, as opposed to the locked DB wrapper
-// of the same name.
-func isDatabaseSelector(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	return ok && inner.Sel.Name == "Database"
-}
-
-// scopeFlow evaluates the begin/commit state machine over a function body.
-type scopeFlow struct {
-	pass *Pass
-	// beginErrVar is the error variable of the most recent
-	// `m, err := d.beginCommit()` assignment. beginCommit refuses degraded,
-	// failed and closed databases before anything mutates, so the
-	// `if err != nil { return ... }` guard straight after it exits with NO
-	// scope open — the then-branch is analyzed in the before-scope state.
-	// Consumed by the first matching guard.
-	beginErrVar string
-}
-
-// stmt returns the set of states flowing out of s when entered with in.
-func (fl *scopeFlow) stmt(s ast.Stmt, in scopeState) scopeState {
-	if s == nil || in == sNone {
-		return in
-	}
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range x.List {
-			in = fl.stmt(st, in)
-		}
-		return in
-	case *ast.IfStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.exprs(in, x.Cond)
-		thenIn := in
-		if fl.isBeginErrGuard(x.Cond) {
-			// beginCommit failed: the scope never opened on this branch.
-			thenIn = in&^sOpen | sBefore
-			fl.beginErrVar = ""
-		}
-		thenOut := fl.stmt(x.Body, thenIn)
-		elseOut := in
-		if x.Else != nil {
-			elseOut = fl.stmt(x.Else, in)
-		}
-		return thenOut | elseOut
-	case *ast.ForStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.exprs(in, x.Cond)
-		return fl.loop(in, func(s scopeState) scopeState {
-			s = fl.stmt(x.Body, s)
-			return fl.stmt(x.Post, s)
 		})
-	case *ast.RangeStmt:
-		in = fl.exprs(in, x.X)
-		return fl.loop(in, func(s scopeState) scopeState { return fl.stmt(x.Body, s) })
-	case *ast.SwitchStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.exprs(in, x.Tag)
-		return fl.cases(in, x.Body)
-	case *ast.TypeSwitchStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.stmt(x.Assign, in)
-		return fl.cases(in, x.Body)
-	case *ast.SelectStmt:
-		return fl.cases(in, x.Body)
-	case *ast.LabeledStmt:
-		return fl.stmt(x.Stmt, in)
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			in = fl.exprs(in, r)
-		}
-		if in&sOpen != 0 {
-			fl.pass.Reportf(x.Pos(),
-				"return inside an open commit scope skips commitChanges; the mutation would not survive a crash")
-		}
-		return sNone
-	case *ast.BranchStmt:
-		// break/continue/goto: approximate as falling through with the same
-		// state — the loop fixed point absorbs the imprecision.
-		return in
-	case *ast.ExprStmt:
-		if isTerminalCall(x.X) {
-			fl.exprs(in, x.X)
-			return sNone
-		}
-		return fl.exprs(in, x.X)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			in = fl.exprs(in, e)
-		}
-		for _, e := range x.Lhs {
-			in = fl.exprs(in, e)
-		}
-		fl.noteBeginAssign(x)
-		return in
-	case *ast.DeferStmt:
-		// A deferred commitChanges guards every later exit; approximating it
-		// as an immediate transition keeps the machine simple and sound for
-		// the paths that follow the defer.
-		return fl.exprs(in, x.Call)
-	case *ast.GoStmt:
-		return fl.exprs(in, x.Call)
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.EmptyStmt:
-		return fl.scanAll(in, s)
-	default:
-		return fl.scanAll(in, s)
 	}
+	walk(fd.Body, false)
 }
 
-// loop runs body to a fixed point over the three-state lattice, starting
-// from in (zero iterations included).
-func (fl *scopeFlow) loop(in scopeState, body func(scopeState) scopeState) scopeState {
-	out := in
-	for i := 0; i < 3; i++ {
-		next := out | body(out)
-		if next == out {
-			break
-		}
-		out = next
-	}
-	return out
-}
-
-// cases joins the outcomes of a switch/select body's clauses; a missing
-// default keeps the fall-past path.
-func (fl *scopeFlow) cases(in scopeState, body *ast.BlockStmt) scopeState {
-	out := sNone
-	hasDefault := false
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			s := in
-			for _, e := range c.List {
-				s = fl.exprs(s, e)
-			}
-			if c.List == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-			in = s
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		s := in
-		for _, st := range stmts {
-			s = fl.stmt(st, s)
-		}
-		out |= s
-	}
-	if !hasDefault {
-		out |= in
-	}
-	return out
-}
-
-// scanAll applies call transitions for every call under n, in source order.
-func (fl *scopeFlow) scanAll(in scopeState, n ast.Node) scopeState {
-	var calls []*ast.CallExpr
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if c, ok := m.(*ast.CallExpr); ok {
-			calls = append(calls, c)
-		}
-		return true
-	})
-	sort.Slice(calls, func(i, j int) bool { return calls[i].Pos() < calls[j].Pos() })
-	for _, c := range calls {
-		in = fl.transition(in, c)
-	}
-	return in
-}
-
-func (fl *scopeFlow) exprs(in scopeState, e ast.Expr) scopeState {
-	if e == nil {
-		return in
-	}
-	return fl.scanAll(in, e)
-}
-
-// transition applies one call's effect on the state set, reporting misuse.
-func (fl *scopeFlow) transition(in scopeState, call *ast.CallExpr) scopeState {
-	switch name := calleeName(call); {
-	case name == "beginCommit" || name == "Mark":
-		if in&(sOpen|sDone) != 0 {
-			fl.pass.Reportf(call.Pos(),
-				"beginCommit opens a second commit scope in the same function; a mutator commits exactly once")
-		}
-		return sOpen
-	case name == "commitChanges":
-		if in&sOpen == 0 {
-			if in&sDone != 0 {
-				fl.pass.Reportf(call.Pos(), "commitChanges called twice on the same path")
-			} else {
-				fl.pass.Reportf(call.Pos(), "commitChanges without a preceding beginCommit")
-			}
-		}
-		return sDone
-	}
-	return in
-}
-
-// noteBeginAssign records the error variable of a two-value beginCommit
-// assignment (`m, err := d.beginCommit()`); any other assignment to that
-// variable invalidates the note, so only the immediate refusal guard is
-// recognized.
-func (fl *scopeFlow) noteBeginAssign(x *ast.AssignStmt) {
-	if len(x.Rhs) == 1 && len(x.Lhs) == 2 {
-		if call, ok := ast.Unparen(x.Rhs[0]).(*ast.CallExpr); ok && calleeName(call) == "beginCommit" {
-			if id, ok := x.Lhs[1].(*ast.Ident); ok && id.Name != "_" {
-				fl.beginErrVar = id.Name
-				return
-			}
-		}
-	}
-	if fl.beginErrVar == "" {
-		return
-	}
-	for _, e := range x.Lhs {
-		if id, ok := e.(*ast.Ident); ok && id.Name == fl.beginErrVar {
-			fl.beginErrVar = ""
-			return
-		}
-	}
-}
-
-// isBeginErrGuard matches `<beginErrVar> != nil`.
-func (fl *scopeFlow) isBeginErrGuard(cond ast.Expr) bool {
-	if fl.beginErrVar == "" {
-		return false
-	}
-	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || b.Op.String() != "!=" {
-		return false
-	}
-	x, ok := ast.Unparen(b.X).(*ast.Ident)
-	if !ok || x.Name != fl.beginErrVar {
-		return false
-	}
-	y, ok := ast.Unparen(b.Y).(*ast.Ident)
-	return ok && y.Name == "nil"
-}
-
-// isTerminalCall recognizes statements that end the path: panic(...) and
-// os.Exit(...).
-func isTerminalCall(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
+// isCoreDatabaseMethod reports whether the call resolves to a method whose
+// receiver is (a pointer to) a type named Database — the core store, as
+// opposed to the locked DB wrapper of the same name.
+func isCoreDatabaseMethod(info *types.Info, call *ast.CallExpr) bool {
+	fn, ok := calleeObj(info, call).(*types.Func)
 	if !ok {
 		return false
 	}
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fn.Name == "panic"
-	case *ast.SelectorExpr:
-		if id, ok := fn.X.(*ast.Ident); ok {
-			return id.Name == "os" && fn.Sel.Name == "Exit"
-		}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
 	}
-	return false
+	named := derefNamed(recv.Type())
+	return named != nil && named.Obj().Name() == "Database"
 }

@@ -1,7 +1,7 @@
 // Package lint is a repo-specific static-analysis suite that mechanizes the
 // correctness invariants of the colorful MCT system: production file I/O
-// must flow through internal/vfs, every colorful.DB mutation must sit inside
-// a beginCommit/commitChanges durable commit scope, engine operators must
+// must flow through internal/vfs, every colorful.DB mutation must run in the
+// one durable commit scope (commit/commitLocked), engine operators must
 // poll cancellation from their row loops, sentinel errors must be compared
 // with errors.Is/errors.As and wrapped with %w, the crash-test workload and
 // the WAL/checkpoint encoders must stay deterministic, and the published
@@ -309,6 +309,24 @@ func calleeName(call *ast.CallExpr) string {
 		return fn.Sel.Name
 	}
 	return ""
+}
+
+// isTerminalCall recognizes statements that end the path: panic(...) and
+// os.Exit(...).
+func isTerminalCall(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fn.Name == "panic"
+	case *ast.SelectorExpr:
+		if id, ok := fn.X.(*ast.Ident); ok {
+			return id.Name == "os" && fn.Sel.Name == "Exit"
+		}
+	}
+	return false
 }
 
 // errorType is the universe error interface.

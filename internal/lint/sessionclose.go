@@ -15,9 +15,9 @@ import (
 // obligation: a Pool.Get checkout holds a capacity slot until Release (or
 // Close), and a client.Open/Dial/Prepare result holds sockets or server
 // handles until Close. The analyzer tracks each creation through the
-// function with the same three-state abstract interpretation the
-// commitscope analyzer uses (before the creation, live, closed-or-escaped),
-// joined across branches and iterated to a fixed point in loops.
+// function with a three-state abstract interpretation (before the creation,
+// live, closed-or-escaped), joined across branches and iterated to a fixed
+// point in loops.
 //
 // Ownership transfer ends the obligation here: returning the value, passing
 // it to a call, storing it in a field/slice/map/channel, or capturing it in
@@ -226,7 +226,7 @@ func parentMap(body *ast.BlockStmt) map[ast.Node]ast.Node {
 }
 
 // Abstract states for one tracked variable, as a bitmask so branch joins
-// are unions (mirroring the commitscope lattice).
+// are unions.
 type sessState uint8
 
 const (
@@ -338,8 +338,8 @@ func (fl *sessFlow) stmt(s ast.Stmt, in sessState) sessState {
 		}
 		return in
 	case *ast.DeferStmt:
-		// A deferred Close guards every later exit; the immediate-transition
-		// approximation is the same one commitscope makes.
+		// A deferred Close guards every later exit; approximating it as an
+		// immediate transition is sound for the paths that follow the defer.
 		return fl.scan(in, x.Call)
 	case *ast.GoStmt:
 		return fl.scan(in, x.Call)

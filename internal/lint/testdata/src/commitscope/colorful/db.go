@@ -1,13 +1,14 @@
 // Package colorful mirrors the durable commit-scope protocol the analyzer
-// guards: beginCommit (or Database.Mark) opens a scope, commitChanges closes
-// it, and the embedded Database's mutators may only run in between.
+// guards: commitLocked brackets a mutation with beginCommit and
+// commitChanges, commit is commitLocked under the writer lock, and the
+// embedded Database's mutators may only run in a closure passed straight to
+// one of them.
 package colorful
 
 type Database struct{}
 
 func (d *Database) AddElement(parent int, tag string) int { return 0 }
 func (d *Database) Delete(n int)                          {}
-func (d *Database) Mark()                                 {}
 
 type DB struct {
 	Database *Database
@@ -16,107 +17,79 @@ type DB struct {
 type mark struct{}
 
 func (d *DB) beginCommit() (mark, error) { return mark{}, nil }
-func (d *DB) commitChanges() error       { return nil }
-func (d *DB) fallible() error            { return nil }
+func (d *DB) commitChanges(m mark) error { return nil }
 
-// Bracketed on every path: conforming.
-func (d *DB) AddElement(parent int, tag string) (int, error) {
-	d.beginCommit()
-	id := d.Database.AddElement(parent, tag)
-	return id, d.commitChanges()
-}
-
-// Mark is beginCommit's primitive and opens the scope the same way.
-func (d *DB) viaMark(parent int) error {
-	d.Database.Mark()
-	d.Database.AddElement(parent, "x")
-	return d.commitChanges()
-}
-
-// An early return between begin and commit loses the mutation on crash.
-func (d *DB) addTwo(parent int) error {
-	d.beginCommit()
-	a := d.Database.AddElement(parent, "a")
-	if a < 0 {
-		return nil // want "return inside an open commit scope"
-	}
-	d.Database.AddElement(parent, "b")
-	return d.commitChanges()
-}
-
-// beginCommit refuses a degraded or closed database before anything
-// mutates, so the error guard straight after it exits with no scope open:
-// conforming.
-func (d *DB) guarded(parent int) (int, error) {
+// The one commit scope: the only caller of beginCommit and commitChanges.
+func (d *DB) commitLocked(mutate func() error) error {
 	m, err := d.beginCommit()
 	if err != nil {
-		return 0, err
-	}
-	_ = m
-	id := d.Database.AddElement(parent, "x")
-	return id, d.commitChanges()
-}
-
-// Once the error variable is reassigned, `err != nil` is no longer the
-// refusal guard; returning inside it leaks the open scope.
-func (d *DB) reassigned(parent int) error {
-	_, err := d.beginCommit()
-	err = d.fallible()
-	if err != nil {
-		return err // want "return inside an open commit scope"
-	}
-	d.Database.AddElement(parent, "x")
-	return d.commitChanges()
-}
-
-// A second beginCommit in the same function.
-func (d *DB) double(parent int) error {
-	d.beginCommit()
-	d.Database.AddElement(parent, "a")
-	d.beginCommit() // want "second commit scope"
-	return d.commitChanges()
-}
-
-// commitChanges with no scope open.
-func (d *DB) stray() {
-	_ = d.commitChanges() // want "without a preceding beginCommit"
-}
-
-// Committing twice on one path.
-func (d *DB) twice() error {
-	d.beginCommit()
-	if err := d.commitChanges(); err != nil {
 		return err
 	}
-	return d.commitChanges() // want "called twice on the same path"
+	err = mutate()
+	if cerr := d.commitChanges(m); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Falling off the end with the scope still open.
-func (d *DB) leak(parent int) {
-	d.beginCommit()
-	d.Database.AddElement(parent, "x")
-} // want "can exit with an open commit scope"
+func (d *DB) commit(mutate func() error) error { return d.commitLocked(mutate) }
+
+// A closure passed to commit: conforming.
+func (d *DB) AddElement(parent int, tag string) (id int, err error) {
+	err = d.commit(func() error {
+		id = d.Database.AddElement(parent, tag)
+		return nil
+	})
+	return id, err
+}
+
+// A closure passed to commitLocked, loop included: conforming.
+func (d *DB) bulk(parents []int) error {
+	return d.commitLocked(func() error {
+		for _, p := range parents {
+			d.Database.AddElement(p, "x")
+		}
+		return nil
+	})
+}
+
+// The DB wrapper of the same name is not a core mutator: conforming.
+func (d *DB) viaWrapper(parent int) {
+	d.AddElement(parent, "x")
+}
 
 // Mutating with no scope at all.
 func (d *DB) naked(parent int) {
-	d.Database.AddElement(parent, "x") // want "outside a durable commit scope"
-	d.Database.Delete(parent)          // want "outside a durable commit scope"
+	d.Database.AddElement(parent, "x") // want "core mutator AddElement called outside a durable commit scope"
+	d.Database.Delete(parent)          // want "core mutator Delete called outside a durable commit scope"
 }
 
-// A loop wholly inside the scope is fine.
-func (d *DB) bulk(parents []int) error {
-	d.beginCommit()
-	for _, p := range parents {
-		d.Database.AddElement(p, "x")
+// A closure stored in a variable is not passed directly: it may run
+// anywhere, or never inside the scope.
+func (d *DB) stored(parent int) error {
+	f := func() error {
+		d.Database.Delete(parent) // want "core mutator Delete called outside a durable commit scope"
+		return nil
 	}
-	return d.commitChanges()
+	return d.commit(f)
 }
 
-// Opening the scope inside a loop re-begins on the second iteration.
-func (d *DB) reopen(parents []int) error {
-	for _, p := range parents {
-		d.beginCommit() // want "second commit scope"
-		d.Database.AddElement(p, "x")
-	}
-	return d.commitChanges()
+// A goroutine started inside the scope outlives it.
+func (d *DB) spawned(parent int) error {
+	go func() {
+		d.Database.Delete(parent) // want "core mutator Delete called outside a durable commit scope"
+	}()
+	return d.commit(func() error {
+		go func() {
+			d.Database.AddElement(parent, "x") // want "core mutator AddElement called outside a durable commit scope"
+		}()
+		return nil
+	})
+}
+
+// Hand-rolled brackets outside commitLocked.
+func (d *DB) handRolled(parent int) error {
+	m, _ := d.beginCommit()            // want "beginCommit called outside commitLocked"
+	d.Database.AddElement(parent, "x") // want "core mutator AddElement called outside a durable commit scope"
+	return d.commitChanges(m)          // want "commitChanges called outside commitLocked"
 }

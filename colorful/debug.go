@@ -58,7 +58,6 @@ func (d *DB) ServeDebug(addr string) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux}
-	//mctlint:ignore goroutineleak http.Server.Serve returns when DebugServer.Close calls srv.Close
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return s, nil
 }

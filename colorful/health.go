@@ -87,19 +87,15 @@ func IsRetryable(err error) bool {
 // in-memory databases).
 func (d *DB) Health() Health { return Health(d.health.Load()) }
 
-// transitionHealth is the single writer of d.health: one CAS along one edge
-// of the serving state machine (Healthy <-> DegradedReadOnly, either ->
-// Failed). Routing every write through this choke point keeps the machine's
-// edges enforceable — the healthtransition analyzer rejects raw stores and
-// call sites naming an edge the machine does not have. Returns whether the
-// transition happened (false when the state already moved on, e.g. a degrade
-// racing a concurrent fail).
-func (d *DB) transitionHealth(from, to Health) bool {
-	if !d.health.CompareAndSwap(int32(from), int32(to)) {
-		return false
-	}
+// transitionHealth sets the serving state and its gauge. Every caller holds
+// d.mu exclusively, so no compare-and-swap is needed; the atomic store is for
+// the lock-free Health readers. The callers take the three edges of DESIGN
+// §13: degradeLocked and failLocked leave Healthy (they run inside a commit,
+// which beginCommit admits only while Healthy), heal leaves
+// DegradedReadOnly.
+func (d *DB) transitionHealth(to Health) {
+	d.health.Store(int32(to))
 	obsHealthState.Set(int64(to))
-	return true
 }
 
 // HealthInfo is a point-in-time view of the health machinery, also served
@@ -219,7 +215,7 @@ func (d *DB) degradeLocked(suffix int, cause error) error {
 	d.ex = update.NewExecutor(cdb)
 	d.publish(st, cdb.Generation())
 
-	d.transitionHealth(Healthy, DegradedReadOnly)
+	d.transitionHealth(DegradedReadOnly)
 	d.setDegradeCause(cause)
 	d.degrades.Add(1)
 	obsDegrades.Inc()
@@ -227,14 +223,10 @@ func (d *DB) degradeLocked(suffix int, cause error) error {
 }
 
 // failLocked moves the database to the terminal Failed state. Caller holds
-// d.mu exclusively. Failure is reachable from either live state: a commit
-// whose rollback machinery gave out fails from Healthy, a degraded database
-// whose recovery discovered unrecoverable damage fails from
-// DegradedReadOnly.
+// d.mu exclusively, inside a commit: failure is reached only from Healthy,
+// when a commit's rollback machinery gives out.
 func (d *DB) failLocked(cause error) error {
-	if !d.transitionHealth(Healthy, Failed) {
-		d.transitionHealth(DegradedReadOnly, Failed)
-	}
+	d.transitionHealth(Failed)
 	d.setDegradeCause(cause)
 	d.durErr = fmt.Errorf("%w: %v", ErrFailed, cause)
 	return d.durErr
@@ -295,7 +287,7 @@ func (d *DB) heal() bool {
 	d.Database.DrainChanges()
 	d.publish(st, d.Database.Generation())
 	d.checkpoints.Add(1)
-	d.transitionHealth(DegradedReadOnly, Healthy)
+	d.transitionHealth(Healthy)
 	d.setDegradeCause(nil)
 	d.heals.Add(1)
 	obsHeals.Inc()

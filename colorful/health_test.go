@@ -324,6 +324,64 @@ func TestScrubberDetectsAndHeals(t *testing.T) {
 	}
 }
 
+// TestFailedIsTerminal reaches Failed through a commit too big for the
+// change log (one attach of a detached subtree with more elements than the
+// log holds): it cannot be separated for rollback, so its only commit path
+// is a full checkpoint, and under a standing outage that checkpoint fails.
+// The database then refuses every mutation with ErrFailed, keeps answering
+// queries, and stays failed after the disk comes back.
+func TestFailedIsTerminal(t *testing.T) {
+	db, ffs, _ := openFaulty(t, 2*time.Millisecond)
+	buildMovies(t, db)
+
+	const elems = 1<<14 + 1 // one more than the change log holds
+	bulk, err := db.NewElement("bulk", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < elems; i++ {
+		el, err := db.NewElement("b", "red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Append(bulk, el, "red"); err != nil {
+			t.Fatalf("building the detached subtree: %v", err)
+		}
+	}
+
+	ffs.SetStanding(vfs.Permanent(vfs.ErrIO))
+	if err := db.Append(db.Document(), bulk, "red"); !errors.Is(err, colorful.ErrFailed) {
+		t.Fatalf("overflowing commit under an outage: %v, want ErrFailed", err)
+	}
+	if got := db.Health(); got != colorful.Failed {
+		t.Fatalf("health = %v, want Failed", got)
+	}
+	_, err = db.AddElement(db.Document(), "late", "red")
+	if !errors.Is(err, colorful.ErrFailed) {
+		t.Fatalf("mutation after failure: %v, want ErrFailed", err)
+	}
+	if colorful.IsRetryable(err) {
+		t.Fatal("ErrFailed must not be retryable")
+	}
+	if n := countNodes(t, db, `document("db")/{red}descendant::movie`); n != 1 {
+		t.Fatalf("query after failure: movie count = %d, want 1", n)
+	}
+	if info := db.HealthInfo(); info.State != colorful.Failed || info.Cause == "" {
+		t.Fatalf("health info after failure = %+v", info)
+	}
+
+	// The outage clears; the probe watches only a degraded database, so
+	// Failed stays.
+	ffs.Clear()
+	time.Sleep(50 * time.Millisecond)
+	if info := db.HealthInfo(); info.State != colorful.Failed || info.Heals != 0 {
+		t.Fatalf("health info after the outage cleared = %+v", info)
+	}
+	if _, err := db.AddElement(db.Document(), "later", "red"); !errors.Is(err, colorful.ErrFailed) {
+		t.Fatalf("mutation after the outage cleared: %v, want ErrFailed", err)
+	}
+}
+
 // TestDegradeSurvivesTransientOnly verifies the boundary between retry and
 // degrade: a burst of transient faults shorter than the retry schedule is
 // absorbed invisibly — the commit succeeds, the database stays healthy.

@@ -1,11 +1,13 @@
-// Package lint is a repo-specific static-analysis suite that mechanizes the
-// correctness invariants of the colorful MCT system: production file I/O
-// must flow through internal/vfs, every colorful.DB mutation must run in the
-// one durable commit scope (commit/commitLocked), engine operators must
-// poll cancellation from their row loops, sentinel errors must be compared
-// with errors.Is/errors.As and wrapped with %w, the crash-test workload and
-// the WAL/checkpoint encoders must stay deterministic, and the published
-// query snapshot may be touched only through sync/atomic accessors.
+// Package lint is a repo-specific static-analysis suite for the invariants
+// of the colorful MCT system that neither the type system, go vet, the obs
+// registry's init-time checks nor the runtime leak and race checks can see:
+// production file I/O must flow through internal/vfs, every colorful.DB
+// mutation must run in the one durable commit scope (commit/commitLocked),
+// every Session and Stmt must reach Close, engine operators must poll
+// cancellation from their row loops, sentinel errors must be compared with
+// errors.Is/errors.As and wrapped with %w, the crash-test workload and the
+// WAL/checkpoint encoders must stay deterministic, mutexes must be taken in
+// the documented order, and no batch row view may outlive its batch.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is implemented entirely on the standard
@@ -32,12 +34,12 @@ import (
 // either per-package (Run) or whole-program (RunProgram): per-package checks
 // see one type-checked package at a time, whole-program checks see every
 // loaded package at once plus the static call graph, which is what the
-// cross-package concurrency invariants (lock ordering, goroutine lifecycle)
-// need. Exactly one of Run / RunProgram is set.
+// cross-package lock-ordering invariant needs. Exactly one of Run /
+// RunProgram is set.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test expectations.
 	Name string
-	// Doc is the one-paragraph description printed by `mctlint -help`.
+	// Doc is the one-paragraph description printed by `mctlint -list`.
 	Doc string
 	// Run inspects one package and reports findings through pass.Report.
 	Run func(pass *Pass) error
@@ -142,21 +144,15 @@ func Analyzers() []*Analyzer {
 		CtxPoll,
 		ErrWrapSentinel,
 		Determinism,
-		AtomicSnapshot,
-		ObsRegister,
 		LockOrder,
-		GoroutineLeak,
 		BatchAlias,
-		HealthTransition,
 	}
 }
 
 // Run applies the analyzers to every package and returns the findings
 // sorted by file, line, column and analyzer name. Per-package analyzers see
 // one package at a time; whole-program analyzers see all of them at once
-// through a shared Program. Findings carrying a matching
-// `//mctlint:ignore <analyzer> <reason>` suppression comment (on the
-// finding's line or the line above) are dropped.
+// through a shared Program.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	var prog *Program
@@ -205,7 +201,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			}
 		}
 	}
-	out = filterSuppressed(pkgs, out)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Position.Filename != b.Position.Filename {
@@ -220,53 +215,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return out, nil
-}
-
-// suppressKey identifies one suppressed (file, line, analyzer) site.
-type suppressKey struct {
-	file     string
-	line     int
-	analyzer string
-}
-
-// filterSuppressed drops findings covered by an
-//
-//	//mctlint:ignore <analyzer> <reason>
-//
-// comment on the finding's own line or on the line directly above it. The
-// reason is mandatory — a bare ignore suppresses nothing — so every
-// suppression in the tree documents why the imprecision is acceptable.
-func filterSuppressed(pkgs []*Package, findings []Finding) []Finding {
-	suppressed := map[suppressKey]bool{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "//mctlint:ignore ")
-					if !ok {
-						continue
-					}
-					fields := strings.Fields(text)
-					if len(fields) < 2 { // analyzer plus at least one reason word
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					suppressed[suppressKey{pos.Filename, pos.Line, fields[0]}] = true
-					suppressed[suppressKey{pos.Filename, pos.Line + 1, fields[0]}] = true
-				}
-			}
-		}
-	}
-	if len(suppressed) == 0 {
-		return findings
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		if !suppressed[suppressKey{f.Position.Filename, f.Position.Line, f.Analyzer}] {
-			kept = append(kept, f)
-		}
-	}
-	return kept
 }
 
 // --- shared scoping and AST helpers ---------------------------------------

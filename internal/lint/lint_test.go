@@ -14,13 +14,8 @@ func TestSessionClose(t *testing.T)    { linttest.Run(t, lint.SessionClose, "ses
 func TestCtxPoll(t *testing.T)         { linttest.Run(t, lint.CtxPoll, "ctxpoll") }
 func TestErrWrapSentinel(t *testing.T) { linttest.Run(t, lint.ErrWrapSentinel, "errwrapsentinel") }
 func TestDeterminism(t *testing.T)     { linttest.Run(t, lint.Determinism, "determinism") }
-func TestAtomicSnapshot(t *testing.T)  { linttest.Run(t, lint.AtomicSnapshot, "atomicsnapshot") }
-func TestObsRegister(t *testing.T)     { linttest.Run(t, lint.ObsRegister, "obsregister") }
-
-func TestLockOrder(t *testing.T)        { linttest.Run(t, lint.LockOrder, "lockorder") }
-func TestGoroutineLeak(t *testing.T)    { linttest.Run(t, lint.GoroutineLeak, "goroutineleak") }
-func TestBatchAlias(t *testing.T)       { linttest.Run(t, lint.BatchAlias, "batchalias") }
-func TestHealthTransition(t *testing.T) { linttest.Run(t, lint.HealthTransition, "healthtransition") }
+func TestLockOrder(t *testing.T)       { linttest.Run(t, lint.LockOrder, "lockorder") }
+func TestBatchAlias(t *testing.T)      { linttest.Run(t, lint.BatchAlias, "batchalias") }
 
 // TestRepoClean runs the whole suite over the repository itself: the tree
 // must stay free of diagnostics. A failure here is a real invariant

@@ -9,12 +9,12 @@ import (
 	"time"
 )
 
-// This file is the runtime counterpart of the static goroutineleak
-// analyzer: a snapshot-diff goroutine leak verifier in the spirit of
-// go.uber.org/goleak, built on runtime.Stack. The static analyzer proves
-// every `go` statement *has* a termination path; the verifier checks the
-// paths are actually taken — a test run may not leave stray goroutines
-// behind. Wire it into a package with
+// This file is the repo's goroutine lifecycle guard: a snapshot-diff
+// goroutine leak verifier in the spirit of go.uber.org/goleak, built on
+// runtime.Stack. It checks that the termination paths are actually taken —
+// a test run may not leave stray goroutines behind — which no syntactic
+// rule can (a channel that is never closed still looks like a stop
+// channel). Wire it into every package that spawns goroutines with
 //
 //	func TestMain(m *testing.M) { os.Exit(linttest.VerifyTestMain(m)) }
 //

@@ -3,7 +3,9 @@
 // histograms with quantile estimation), lightweight trace spans forming
 // per-query trees, a slow-query ring buffer, and a monotonic clock facade.
 //
-// Design rules, enforced by the mctlint obsregister analyzer:
+// Design rules, enforced at registration (checkName panics, so a package
+// that breaks one fails at init in the first test that imports it, and a
+// duplicate across packages fails the binary that links both):
 //
 //   - instruments are registered exactly once, at package init time (a
 //     package-level var block or an init function), never from request

@@ -10,7 +10,7 @@
 //	BenchmarkFigure11/*  query complexity: path expressions per query text
 //	BenchmarkFigure12/*  query complexity: variable bindings per query text
 //	BenchmarkAblation*   the design-choice ablations called out in DESIGN.md
-//	BenchmarkResultMapping/*, BenchmarkStructJoin/*
+//	BenchmarkResultMapping/*, BenchmarkColdPointQuery, BenchmarkStructJoin/*
 //	                     the read path's layers on the repository benchmark's
 //	                     catalog (next to write_bench_test.go's write path)
 //
@@ -263,20 +263,7 @@ var itemSink []colorful.Item
 // (colorful.TestResultAllocations): a constant, plus one string per row.
 func BenchmarkResultMapping(b *testing.B) {
 	const items = 20000
-	db := colorful.New("red", "green")
-	catalog, err := db.AddElement(db.Document(), "catalog", "red")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := 0; k < items; k++ {
-		item, err := db.AddElement(catalog, "item", "red")
-		if err == nil {
-			_, err = db.AddElementText(item, "name", "red", "Item "+strconv.Itoa(k))
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	db := benchNames(b, items)
 	sess := db.Session()
 	defer sess.Close()
 	for _, q := range []struct {
@@ -301,6 +288,51 @@ func BenchmarkResultMapping(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchNames builds a catalog of items with one red name each.
+func benchNames(b *testing.B, items int) *colorful.DB {
+	b.Helper()
+	db := colorful.New("red", "green")
+	catalog, err := db.AddElement(db.Document(), "catalog", "red")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < items; k++ {
+		item, err := db.AddElement(catalog, "item", "red")
+		if err == nil {
+			_, err = db.AddElementText(item, "name", "red", "Item "+strconv.Itoa(k))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkColdPointQuery: a one-shot point query through a session, each
+// for a text the plan cache has not seen — parse, compile and one run on the
+// new plan's empty memory pool, as one in ten of the repository benchmark's
+// net-point queries is. Bytes per op are the number to watch: execution
+// scratch is sized to the rows the plan holds (DESIGN.md §12).
+func BenchmarkColdPointQuery(b *testing.B) {
+	const items = 20000
+	db := benchNames(b, items)
+	sess := db.Session()
+	defer sess.Close()
+	// The snapshot, its catalog statistics and path summary are built once.
+	if _, err := sess.Query(`document("db")/{red}descendant::name[. = "none"]`); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		text := `document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(i%items) + `"]`
+		if itemSink, err = sess.Query(text); err != nil || len(itemSink) != 1 {
+			b.Fatalf("%d rows, %v", len(itemSink), err)
+		}
 	}
 }
 

@@ -88,6 +88,13 @@ func (d *DB) AdmissionStats() AdmissionStats {
 	}
 }
 
+// admit is acquire on the DB's gate under an "admission" span of root.
+func (d *DB) admit(ctx context.Context, weight int64, root *obs.Span) (func(), error) {
+	as := childSpan(root, "admission")
+	defer endSpan(as)
+	return d.adm.acquire(ctx, weight)
+}
+
 // acquire admits weight units, queueing when the gate is at its limit. It
 // returns a release closure exactly when err is nil.
 func (g *admission) acquire(ctx context.Context, weight int64) (func(), error) {

@@ -14,12 +14,14 @@ import (
 
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/obs"
+	"colorfulxml/internal/plan"
 )
 
 const redMoviesQuery = `document("db")/{red}descendant::movie`
 
 // TestTraceQueryPhases: a compiled query's trace carries every phase span,
-// and the execute span mirrors the physical plan as operator child spans.
+// and the execute span mirrors the physical plan as operator child spans. A
+// plan-cache hit skips the parse.
 func TestTraceQueryPhases(t *testing.T) {
 	db := wrap(fixtures.NewMovieDB().DB)
 	out, root, err := db.TraceQuery(context.Background(), redMoviesQuery)
@@ -54,6 +56,30 @@ func TestTraceQueryPhases(t *testing.T) {
 	// The tree must export as JSON.
 	if _, err := root.JSON(); err != nil {
 		t.Fatal(err)
+	}
+	// The same text again is a plan-cache hit: the cache is probed before
+	// the text is parsed, so there is no parse (nor snapshot, nor compile)
+	// span, and the root says why.
+	out, root, err = db.TraceQuery(context.Background(), redMoviesQuery)
+	if err != nil || len(out) == 0 {
+		t.Fatalf("cached traced query: %d items, %v", len(out), err)
+	}
+	for _, phase := range []string{"parse", "snapshot", "compile"} {
+		if root.Find(phase) != nil {
+			t.Errorf("cache hit has a %q span:\n%s", phase, TraceText(root))
+		}
+	}
+	for _, phase := range []string{"admission", "execute", "map-results"} {
+		if root.Find(phase) == nil {
+			t.Errorf("cache hit lacks a %q span:\n%s", phase, TraceText(root))
+		}
+	}
+	marked := false
+	for _, a := range root.Attrs() {
+		marked = marked || a.Key == "plancache" && a.Value == "hit"
+	}
+	if !marked {
+		t.Errorf("cache hit not marked on the root: %v", root.Attrs())
 	}
 }
 
@@ -193,8 +219,9 @@ func TestFallbackReasonsAreLabeled(t *testing.T) {
 }
 
 // TestServeDebugEndToEnd: /debug/metrics reflects a query run just before
-// the request, /debug/slowlog serves the DB's ring, and /debug/trace runs a
-// read-only query (rejecting constructors).
+// the request, /debug/plancache the scratch its plan kept, /debug/slowlog
+// serves the DB's ring, and /debug/trace runs a read-only query (rejecting
+// constructors).
 func TestServeDebugEndToEnd(t *testing.T) {
 	db := wrap(fixtures.NewMovieDB().DB)
 	db.SetSlowQueryThreshold(time.Nanosecond)
@@ -223,6 +250,14 @@ func TestServeDebugEndToEnd(t *testing.T) {
 	text := getBody(t, base+"/debug/metrics?format=text")
 	if !strings.Contains(text, "counter db_queries_total ") {
 		t.Fatalf("text metrics lack db_queries_total:\n%s", text)
+	}
+
+	// The plan cache reports the scratch its plans' pools hold: the query
+	// above left its batch buffer there.
+	var pc plan.CacheStats
+	getJSON(t, base+"/debug/plancache", &pc)
+	if pc.Size == 0 || pc.ScratchBytes <= 0 || pc.ScratchBytes != db.PlanCacheStats().ScratchBytes {
+		t.Fatalf("plancache endpoint returned %+v", pc)
 	}
 
 	var slow []SlowQuery

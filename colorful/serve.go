@@ -82,14 +82,23 @@ func (d *DB) Refresh() error {
 // has not been observed yet, so readers always see some statement-boundary
 // state.
 func (d *DB) currentSnapshot() (*snapshot, error) {
-	// coreRef (not the embedded field) keeps this fast path race-free
-	// against a degraded-mode core swap.
-	if sp := d.snap.Load(); sp != nil && sp.gen == d.coreRef.Load().Generation() {
+	if sp := d.publishedSnapshot(); sp != nil {
 		return sp, nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.refreshHoldingMu()
+}
+
+// publishedSnapshot is currentSnapshot's fast path alone: the published
+// snapshot if it is current, nil if it is not.
+func (d *DB) publishedSnapshot() *snapshot {
+	// coreRef (not the embedded field) keeps this fast path race-free
+	// against a degraded-mode core swap.
+	if sp := d.snap.Load(); sp != nil && sp.gen == d.coreRef.Load().Generation() {
+		return sp
+	}
+	return nil
 }
 
 // refreshHoldingMu is the one maintenance body: drain the change log, replay

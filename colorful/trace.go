@@ -15,8 +15,9 @@ import (
 // map-results; or evaluate on the evaluator route, nested in a commit span on
 // the constructor route), with the execute span carrying one child span per
 // physical operator — an operator's span nests under its parent operator's.
-// A plan-cache hit replaces the compile span with a "plancache" attribute on
-// the root.
+// A plan-cache hit has neither a parse nor a snapshot nor a compile span
+// (the cache is probed before the text is parsed) and carries a "plancache"
+// attribute on the root.
 //
 // Tracing is the expensive sibling of QueryContext (per-pull timing, plan
 // tree attribution); use it for debugging and the /debug/trace endpoint,

@@ -98,8 +98,10 @@ func (db *Database) CopySubtree(n *Node, c Color) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp.typ = n.typ
-		for _, a := range n.attrs {
+		if n.extra != nil {
+			cp.SetTypeName(n.extra.typ)
+		}
+		for _, a := range n.Attributes() {
 			if _, err := db.SetAttribute(cp, a.name, a.value); err != nil {
 				return nil, err
 			}

@@ -168,11 +168,12 @@ func (db *Database) changeParent(parent *Node) NodeID {
 
 // attrSnapshot captures an element's attributes as (name, value) pairs.
 func attrSnapshot(elem *Node) [][2]string {
-	if len(elem.attrs) == 0 {
+	attrs := elem.Attributes()
+	if len(attrs) == 0 {
 		return nil
 	}
-	out := make([][2]string, len(elem.attrs))
-	for i, a := range elem.attrs {
+	out := make([][2]string, len(attrs))
+	for i, a := range attrs {
 		out[i] = [2]string{a.name, a.value}
 	}
 	return out

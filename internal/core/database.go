@@ -220,7 +220,8 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 	a.name = name
 	a.value = value
 	a.owner = elem
-	elem.attrs = append(elem.attrs, a)
+	x := elem.more()
+	x.attrs = append(x.attrs, a)
 	db.invalidate()
 	db.logAttrs(elem)
 	return a, nil
@@ -250,9 +251,9 @@ func (db *Database) Rename(n *Node, name string) error {
 
 // RemoveAttribute removes the named attribute from elem, if present.
 func (db *Database) RemoveAttribute(elem *Node, name string) {
-	for i, a := range elem.attrs {
+	for i, a := range elem.Attributes() {
 		if a.name == name {
-			elem.attrs = append(elem.attrs[:i], elem.attrs[i+1:]...)
+			elem.extra.attrs = append(elem.extra.attrs[:i], elem.extra.attrs[i+1:]...)
 			db.byID.Delete(uint64(a.id))
 			db.invalidate()
 			db.logAttrs(elem)
@@ -271,8 +272,8 @@ func (db *Database) AppendText(elem *Node, value string) (*Node, error) {
 	t := db.newNode(KindText)
 	t.value = value
 	t.owner = elem
-	for c := range elem.links {
-		l := elem.links[c]
+	for i := range elem.links {
+		l := &elem.links[i]
 		l.children = append(l.children, t)
 	}
 	db.invalidate()
@@ -315,8 +316,8 @@ func (db *Database) AddColor(n *Node, c Color) error {
 func (n *Node) textChildren() []*Node {
 	var out []*Node
 	seen := map[NodeID]bool{}
-	for _, c := range n.Colors() {
-		for _, ch := range n.links[c].children {
+	for _, l := range n.links {
+		for _, ch := range l.children {
 			if ch.kind == KindText && !seen[ch.id] {
 				seen[ch.id] = true
 				out = append(out, ch)
@@ -350,7 +351,7 @@ func (db *Database) RemoveColor(n *Node, c Color) error {
 			cl.parent = nil
 		}
 	}
-	delete(n.links, c)
+	n.dropLink(c)
 	db.invalidate()
 	if wasReachable {
 		// The store drops the whole stored subtree of n in c; descendants
@@ -530,13 +531,15 @@ func (db *Database) Delete(n *Node) error {
 			}
 		}
 	}
-	for _, a := range n.attrs {
+	for _, a := range n.Attributes() {
 		db.byID.Delete(uint64(a.id))
 	}
 	for _, t := range n.textChildren() {
 		db.byID.Delete(uint64(t.id))
 	}
-	n.attrs = nil
+	if n.extra != nil {
+		n.extra.attrs = nil
+	}
 	db.byID.Delete(uint64(n.id))
 	db.invalidate()
 	for _, c := range storedIn {

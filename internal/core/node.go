@@ -15,8 +15,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -65,8 +66,9 @@ func (k Kind) String() string {
 }
 
 // colorLink records a node's structural relationships within one colored tree:
-// its parent and its ordered children in that tree.
+// the color, the node's parent and its ordered children in that tree.
 type colorLink struct {
+	color    Color
 	parent   *Node
 	children []*Node
 }
@@ -77,12 +79,16 @@ type colorLink struct {
 //
 // Nodes are created through Database constructor methods and must not be
 // shared across databases.
+//
+// The layout is the database's memory: a node costs 96 bytes plus 48 per
+// color — a node has one or two of its database's few colors, and a map of
+// them would cost some 290 bytes — and what few nodes have (a type
+// annotation, attributes, namespaces) sits behind one pointer.
 type Node struct {
 	id    NodeID
 	kind  Kind
 	name  string // qualified name for element, attribute and PI nodes
 	value string // value for attribute, text, comment and PI nodes
-	typ   string // schema type annotation (xs:untyped if empty)
 	db    *Database
 
 	// owner is the element an attribute or namespace node belongs to, or the
@@ -90,10 +96,27 @@ type Node struct {
 	// all colors of their owner, with the owner as parent in each color.
 	owner *Node
 
+	// links has one entry per color of the node, sorted by color. Entries
+	// are values: a *colorLink from link or ensureLink must not be held
+	// across an ensureLink or RemoveColor on the same node.
+	links []colorLink
+
+	extra *nodeExtra // nil until set
+}
+
+// nodeExtra holds the node fields that are almost always empty.
+type nodeExtra struct {
+	typ   string // schema type annotation (xs:untyped if empty)
 	attrs []*Node
 	nss   []*Node
+}
 
-	links map[Color]*colorLink
+// more returns the node's extra fields, allocating them on first use.
+func (n *Node) more() *nodeExtra {
+	if n.extra == nil {
+		n.extra = &nodeExtra{}
+	}
+	return n.extra
 }
 
 // ID returns the node's unique identity within its database.
@@ -114,14 +137,14 @@ func (n *Node) Value() string { return n.value }
 // TypeName returns the schema type annotation (dm:type). Untyped nodes report
 // "xs:untyped".
 func (n *Node) TypeName() string {
-	if n.typ == "" {
+	if n.extra == nil || n.extra.typ == "" {
 		return "xs:untyped"
 	}
-	return n.typ
+	return n.extra.typ
 }
 
 // SetTypeName sets the schema type annotation.
-func (n *Node) SetTypeName(t string) { n.typ = t }
+func (n *Node) SetTypeName(t string) { n.more().typ = t }
 
 // Database returns the database this node belongs to.
 func (n *Node) Database() *Database { return n.db }
@@ -144,11 +167,10 @@ func (n *Node) Colors() []Color {
 	if n.owner != nil {
 		return n.owner.Colors()
 	}
-	out := make([]Color, 0, len(n.links))
-	for c := range n.links {
-		out = append(out, c)
+	out := make([]Color, len(n.links))
+	for i := range n.links {
+		out[i] = n.links[i].color
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -157,8 +179,7 @@ func (n *Node) HasColor(c Color) bool {
 	if n.owner != nil {
 		return n.owner.HasColor(c)
 	}
-	_, ok := n.links[c]
-	return ok
+	return n.link(c) != nil
 }
 
 // Label renders the node's identifier label in the paper's Figure 2 notation:
@@ -177,14 +198,24 @@ func (n *Node) Label() string {
 
 // Attributes returns the attribute nodes of an element (dm:attributes). The
 // result is shared storage; callers must not modify it.
-func (n *Node) Attributes() []*Node { return n.attrs }
+func (n *Node) Attributes() []*Node {
+	if n.extra == nil {
+		return nil
+	}
+	return n.extra.attrs
+}
 
 // Namespaces returns the namespace nodes of an element (dm:namespaces).
-func (n *Node) Namespaces() []*Node { return n.nss }
+func (n *Node) Namespaces() []*Node {
+	if n.extra == nil {
+		return nil
+	}
+	return n.extra.nss
+}
 
 // Attribute returns the attribute node with the given name, or nil.
 func (n *Node) Attribute(name string) *Node {
-	for _, a := range n.attrs {
+	for _, a := range n.Attributes() {
 		if a.name == name {
 			return a
 		}
@@ -204,20 +235,26 @@ func (n *Node) AttributeValue(name string) string {
 // that color. Owned nodes (attributes, namespaces, text) resolve through their
 // owner for color membership but keep their own parent semantics.
 func (n *Node) link(c Color) *colorLink {
-	return n.links[c]
+	for i := range n.links {
+		if n.links[i].color == c {
+			return &n.links[i]
+		}
+	}
+	return nil
 }
 
 // ensureLink returns the colorLink for c, creating it if absent.
 func (n *Node) ensureLink(c Color) *colorLink {
-	if n.links == nil {
-		n.links = make(map[Color]*colorLink, 2)
+	i, found := slices.BinarySearchFunc(n.links, c, func(l colorLink, c Color) int { return cmp.Compare(l.color, c) })
+	if !found {
+		n.links = slices.Insert(n.links, i, colorLink{color: c})
 	}
-	l := n.links[c]
-	if l == nil {
-		l = &colorLink{}
-		n.links[c] = l
-	}
-	return l
+	return &n.links[i]
+}
+
+// dropLink removes the colorLink for c.
+func (n *Node) dropLink(c Color) {
+	n.links = slices.DeleteFunc(n.links, func(l colorLink) bool { return l.color == c })
 }
 
 func (n *Node) String() string {

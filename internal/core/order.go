@@ -26,7 +26,7 @@ func (db *Database) orderIndex(c Color) map[NodeID]int {
 	walk = func(n *Node) {
 		idx[n.id] = pos
 		pos++
-		for _, a := range n.attrs {
+		for _, a := range n.Attributes() {
 			idx[a.id] = pos
 			pos++
 		}

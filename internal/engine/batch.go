@@ -82,23 +82,18 @@ func (b *Batch) appendSlot(cols int) []storage.SNode {
 	return b.data[off : off+b.cols]
 }
 
-// minBatchRows is the capacity an unpooled batch buffer starts at.
+// minBatchRows is the capacity a batch buffer starts at.
 const minBatchRows = 32
 
-// grow moves the batch to a buffer with room for need nodes. A pooled
-// execution takes a whole BatchSize-row buffer at once — it is recycled, so
-// its size costs nothing. An unpooled one grows in factors of four up to
-// that size: most operators of a selective plan pass a handful of rows, and
-// a full buffer each (50 kB a column, allocated and cleared) would be most
-// of what such a plan costs to run.
+// grow moves the batch to a buffer with room for need nodes, growing in
+// factors of four up to BatchSize rows: most operators of a selective plan
+// pass a handful of rows, and a full buffer each (57 kB a column) would be
+// most of what such a plan costs to run and to keep pooled. The outgrown
+// buffer goes to the GC, not the pool, which keeps only what free hands back
+// (see MemPool).
 func (b *Batch) grow(need int) {
-	size := BatchSize * b.cols
-	if b.pool == nil {
-		size = min(size, max(need, 4*cap(b.data), minBatchRows*b.cols))
-	}
-	buf := append(b.pool.getBuf(size), b.data...)
-	b.pool.putBuf(b.data)
-	b.data = buf
+	full := BatchSize * b.cols
+	b.data = append(b.pool.get(kindBuf, min(full, max(need, 4*cap(b.data), minBatchRows*b.cols)), full), b.data...)
 }
 
 // AppendRow copies one row into the batch.
@@ -164,7 +159,7 @@ func (b *Batch) appendNodes(nodes []storage.SNode) int {
 // free drops the batch buffer so a closed operator holds no row memory,
 // recycling it into the batch's pool when one is attached.
 func (b *Batch) free() {
-	b.pool.putBuf(b.data)
+	b.pool.put(kindBuf, b.data)
 	b.cols, b.n, b.data = 0, 0, nil
 }
 
@@ -181,9 +176,10 @@ const arenaChunkNodes = 16384
 // rows in chunk-sized strides replaces the one-allocation-per-row regime of
 // the row-at-a-time executor.
 //
-// With a pool attached, chunks are drawn from it and remembered in taken;
-// release hands them back once the execution's rows are provably dead (the
-// streaming entry point, whose callers copy what they keep — see MemPool).
+// Chunks are drawn from the pool (fresh when there is none) and remembered
+// in taken; release hands them back once the execution's rows are provably
+// dead (the streaming entry point, whose callers copy what they keep — see
+// MemPool).
 type arena struct {
 	chunk []storage.SNode
 	used  int
@@ -194,20 +190,17 @@ type arena struct {
 // alloc returns a slice of n nodes carved from the current chunk, which the
 // caller fully overwrites (pooled chunks are dirty; both callers copy into
 // every node they are handed). Oversized requests (wider than a quarter
-// chunk) get their own allocation. Like batch buffers (Batch.grow), pooled
-// chunks come whole and unpooled ones grow by factors of four, so that a
-// query keeping a handful of rows does not allocate and clear 800 kB.
+// chunk) get their own allocation. Like batch buffers (Batch.grow), chunks
+// grow by factors of four, so that a query keeping a handful of rows does
+// not allocate and clear 900 kB.
 func (a *arena) alloc(n int) []storage.SNode {
 	if n > arenaChunkNodes/4 {
 		return make([]storage.SNode, n)
 	}
 	if a.used+n > len(a.chunk) {
-		if a.pool != nil {
-			a.chunk = a.pool.getChunk()
-			a.taken = append(a.taken, a.chunk)
-		} else {
-			a.chunk = make([]storage.SNode, min(arenaChunkNodes, max(n, 4*len(a.chunk), minArenaChunk)))
-		}
+		c := a.pool.get(kindChunk, min(arenaChunkNodes, max(n, 4*len(a.chunk), minArenaChunk)), arenaChunkNodes)
+		a.chunk = c[:cap(c)]
+		a.taken = append(a.taken, a.chunk)
 		a.used = 0
 	}
 	s := a.chunk[a.used : a.used+n : a.used+n]
@@ -215,20 +208,18 @@ func (a *arena) alloc(n int) []storage.SNode {
 	return s
 }
 
-// minArenaChunk is the size, in nodes, of an unpooled arena's first chunk.
+// minArenaChunk is the size, in nodes, of an arena's first chunk.
 const minArenaChunk = 256
 
-// release returns every pooled chunk drawn during the execution. Only the
-// pooled streaming executor calls it, after the last batch was visited and
-// the plan closed, so no live row can reference the recycled memory.
+// release returns every chunk drawn during the execution to the pool, the
+// latest (largest) first so that a full free list keeps the big ones. Only
+// the streaming executor calls it, after the last batch was visited and the
+// plan closed, so no live row can reference the recycled memory.
 func (a *arena) release() {
-	for i, c := range a.taken {
-		a.pool.putChunk(c)
-		a.taken[i] = nil
+	for i := len(a.taken) - 1; i >= 0; i-- {
+		a.pool.put(kindChunk, a.taken[i])
 	}
-	a.taken = a.taken[:0]
-	a.chunk = nil
-	a.used = 0
+	a.taken, a.chunk, a.used = nil, nil, 0
 }
 
 // copyRow copies a transient batch row into the query arena.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"unsafe"
 
 	"colorfulxml/internal/storage"
 )
@@ -10,15 +11,15 @@ import (
 // buffers — across executions that share one pool. The natural owner is a
 // compiled plan: a cached (or prepared) plan is executed many times with the
 // same operator shapes and therefore the same scratch demand, so the memory
-// its first execution allocated is exactly what the next one needs. A
-// one-shot compilation gets a cold pool and recycles nothing, which is the
-// correct cost model: there is no later execution to save for.
+// its first execution allocated is exactly what the next one needs.
 //
-// Per-query scratch is the dominant allocation of the vectorized executor
-// (arena chunks for rows that outlive a batch boundary, row-major batch
-// buffers), and it is all garbage the moment the execution's results are
-// consumed — recycling it converts the executor's steady-state GC pressure
-// into a handful of long-lived buffers.
+// Every buffer and chunk starts small and grows by factors of four
+// (Batch.grow, arena.alloc), pooled or not, so a plan that passes a handful
+// of rows holds a handful of rows' worth of scratch. The pool takes back
+// only what an execution ends with — the final buffer of each batch, every
+// arena chunk — and hands out the best fit (see get): a hot plan's second run
+// starts at the sizes its first run grew to, and from then on allocates no
+// scratch at all.
 //
 // Safety rests on two invariants of the batch executor (see batch.go):
 // rows handed to a consumer are always copies into the consumer-owned batch
@@ -29,14 +30,13 @@ import (
 // (Exec, ExplainAnalyze) return arena-backed rows to the caller and
 // therefore never recycle.
 //
-// The pool is a bounded LIFO free list, not a sync.Pool: releases beyond
-// the bound are dropped for the GC, so a pool retains at most
-// memPoolMaxChunks chunks + memPoolMaxBufs buffers no matter how many
-// executions it served, and an idle plan's pool costs a few MB at worst.
+// The pool is a bounded free list, not a sync.Pool: releases beyond the
+// bound are dropped for the GC, so a pool retains at most memPoolMaxChunks
+// chunks + memPoolMaxBufs buffers no matter how many executions it served.
 type MemPool struct {
-	mu     sync.Mutex
-	chunks [][]storage.SNode
-	bufs   [][]storage.SNode
+	mu sync.Mutex
+	// free holds the recycled slices of each kind (kindChunk, kindBuf).
+	free [2][][]storage.SNode
 
 	// reused/recycled count successful gets and puts, for tests and for the
 	// curious: they are not mirrored into obs (the pool is per-plan and the
@@ -45,80 +45,74 @@ type MemPool struct {
 	recycled uint64
 }
 
+// The kinds of scratch a pool holds.
 const (
-	// memPoolMaxChunks bounds retained arena chunks (~1MB each): enough for
-	// a plan with a couple of build sides, small enough that even a full
-	// plan cache of hot entries stays tens of MB.
+	kindChunk = iota
+	kindBuf
+)
+
+const (
+	// memPoolMaxChunks bounds retained arena chunks (~1MB each at most):
+	// enough for a plan with a couple of build sides, small enough that even
+	// a full plan cache of hot entries stays tens of MB.
 	memPoolMaxChunks = 4
 	// memPoolMaxBufs bounds retained batch buffers (at most
 	// BatchSize*row-width nodes each; typically far smaller than a chunk).
 	memPoolMaxBufs = 8
 )
 
-// getChunk returns a recycled arena chunk or a fresh one. Recycled chunks
-// are NOT zeroed; arena.alloc's callers fully overwrite every slice they
-// carve (copyRow, concatRow), which is what makes reuse sound.
-func (p *MemPool) getChunk() []storage.SNode {
+var memPoolMax = [2]int{kindChunk: memPoolMaxChunks, kindBuf: memPoolMaxBufs}
+
+// get returns an empty slice of a kind with capacity for at least need
+// nodes, for a user that full nodes would satisfy: the recycled one that
+// fits best — the smallest holding full, else the smallest holding need, so
+// that a batch does not take the buffer a wider or busier one grew to and
+// send that one growing again — or a fresh one of need. Recycled memory is
+// NOT zeroed; batches overwrite what they append and arena.alloc's callers
+// every node they carve (copyRow, concatRow), which is what makes reuse
+// sound.
+func (p *MemPool) get(kind, need, full int) []storage.SNode {
 	if p != nil {
 		p.mu.Lock()
-		if n := len(p.chunks); n > 0 {
-			c := p.chunks[n-1]
-			p.chunks[n-1] = nil
-			p.chunks = p.chunks[:n-1]
+		l := p.free[kind]
+		i := smallest(l, full)
+		if i < 0 {
+			i = smallest(l, need)
+		}
+		if i >= 0 {
+			s, last := l[i], len(l)-1
+			l[i], l[last] = l[last], nil
+			p.free[kind] = l[:last]
 			p.reused++
 			p.mu.Unlock()
-			return c
-		}
-		p.mu.Unlock()
-	}
-	return make([]storage.SNode, arenaChunkNodes)
-}
-
-// putChunk returns an arena chunk to the free list, dropping it if the pool
-// is full.
-func (p *MemPool) putChunk(c []storage.SNode) {
-	if p == nil || len(c) != arenaChunkNodes {
-		return
-	}
-	p.mu.Lock()
-	if len(p.chunks) < memPoolMaxChunks {
-		p.chunks = append(p.chunks, c)
-		p.recycled++
-	}
-	p.mu.Unlock()
-}
-
-// getBuf returns a batch buffer with capacity for at least need nodes,
-// recycled when the free list has one big enough.
-func (p *MemPool) getBuf(need int) []storage.SNode {
-	if p != nil {
-		p.mu.Lock()
-		for i := len(p.bufs) - 1; i >= 0; i-- {
-			if cap(p.bufs[i]) >= need {
-				b := p.bufs[i]
-				last := len(p.bufs) - 1
-				p.bufs[i] = p.bufs[last]
-				p.bufs[last] = nil
-				p.bufs = p.bufs[:last]
-				p.reused++
-				p.mu.Unlock()
-				return b[:0]
-			}
+			return s
 		}
 		p.mu.Unlock()
 	}
 	return make([]storage.SNode, 0, need)
 }
 
-// putBuf returns a batch buffer to the free list, dropping it if the pool
+// smallest returns the index of the smallest slice of l with capacity for n
+// nodes, or -1.
+func smallest(l [][]storage.SNode, n int) int {
+	best := -1
+	for i, s := range l {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(l[best])) {
+			best = i
+		}
+	}
+	return best
+}
+
+// put returns a slice to the free list of its kind, dropping it if the list
 // is full.
-func (p *MemPool) putBuf(b []storage.SNode) {
-	if p == nil || cap(b) == 0 {
+func (p *MemPool) put(kind int, s []storage.SNode) {
+	if p == nil || cap(s) == 0 {
 		return
 	}
 	p.mu.Lock()
-	if len(p.bufs) < memPoolMaxBufs {
-		p.bufs = append(p.bufs, b[:0])
+	if len(p.free[kind]) < memPoolMax[kind] {
+		p.free[kind] = append(p.free[kind], s[:0])
 		p.recycled++
 	}
 	p.mu.Unlock()
@@ -126,8 +120,11 @@ func (p *MemPool) putBuf(b []storage.SNode) {
 
 // MemPoolStats is a point-in-time view of a pool's retention and traffic.
 type MemPoolStats struct {
-	Chunks   int    `json:"chunks"`
-	Bufs     int    `json:"bufs"`
+	Chunks int `json:"chunks"`
+	Bufs   int `json:"bufs"`
+	// Bytes is the memory the pool holds: the capacity of its chunks and
+	// buffers.
+	Bytes    int64  `json:"bytes"`
 	Reused   uint64 `json:"reused"`
 	Recycled uint64 `json:"recycled"`
 }
@@ -139,9 +136,16 @@ func (p *MemPool) Stats() MemPoolStats {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	nodes := 0
+	for _, l := range p.free {
+		for _, s := range l {
+			nodes += cap(s)
+		}
+	}
 	return MemPoolStats{
-		Chunks:   len(p.chunks),
-		Bufs:     len(p.bufs),
+		Chunks:   len(p.free[kindChunk]),
+		Bufs:     len(p.free[kindBuf]),
+		Bytes:    int64(nodes) * int64(unsafe.Sizeof(storage.SNode{})),
 		Reused:   p.reused,
 		Recycled: p.recycled,
 	}

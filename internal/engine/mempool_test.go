@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/join"
@@ -12,64 +13,72 @@ import (
 )
 
 // TestMemPoolChunkReuse: the free list is deterministic — a released chunk
-// is the next one handed out, and retention is bounded.
+// is the next one handed out, a request it cannot hold is fresh, and
+// retention is bounded.
 func TestMemPoolChunkReuse(t *testing.T) {
 	p := &MemPool{}
-	c := p.getChunk()
-	if got := p.Stats(); got.Reused != 0 {
-		t.Fatalf("fresh pool reported reuse: %+v", got)
+	c := p.get(kindChunk, minArenaChunk, arenaChunkNodes)
+	if got := p.Stats(); got.Reused != 0 || cap(c) != minArenaChunk {
+		t.Fatalf("fresh pool: %d-node chunk, stats %+v", cap(c), got)
 	}
-	p.putChunk(c)
-	c2 := p.getChunk()
-	if &c[0] != &c2[0] {
+	p.put(kindChunk, c)
+	c2 := p.get(kindChunk, minArenaChunk, arenaChunkNodes)
+	if &c[:1][0] != &c2[:1][0] {
 		t.Fatal("released chunk was not the next one handed out")
 	}
 	if got := p.Stats(); got.Reused != 1 || got.Recycled != 1 {
 		t.Fatalf("stats = %+v, want 1 reused / 1 recycled", got)
 	}
+	// A request larger than anything pooled is fresh; the pooled chunk stays.
+	p.put(kindChunk, c2)
+	if big := p.get(kindChunk, arenaChunkNodes, arenaChunkNodes); cap(big) != arenaChunkNodes || p.Stats().Chunks != 1 {
+		t.Fatalf("oversize request: %d nodes, %d chunks left pooled", cap(big), p.Stats().Chunks)
+	}
 	// Retention is bounded: releases beyond the cap are dropped.
 	for i := 0; i < memPoolMaxChunks+3; i++ {
-		p.putChunk(make([]storage.SNode, arenaChunkNodes))
+		p.put(kindChunk, make([]storage.SNode, arenaChunkNodes))
 	}
-	if got := p.Stats().Chunks; got != memPoolMaxChunks {
-		t.Fatalf("retained %d chunks, want cap %d", got, memPoolMaxChunks)
+	want := int64(((memPoolMaxChunks-1)*arenaChunkNodes + minArenaChunk) * int(unsafe.Sizeof(storage.SNode{})))
+	if got := p.Stats(); got.Chunks != memPoolMaxChunks || got.Bytes != want {
+		t.Fatalf("retained %d chunks / %d bytes, want %d / %d", got.Chunks, got.Bytes, memPoolMaxChunks, want)
 	}
-	// Wrong-sized slices are never pooled.
-	p.putChunk(make([]storage.SNode, 10))
-	for i := 0; i < memPoolMaxChunks; i++ {
-		if got := len(p.getChunk()); got != arenaChunkNodes {
+	// A small request is handed a whole chunk first.
+	for i := 0; i < memPoolMaxChunks-1; i++ {
+		if got := cap(p.get(kindChunk, 1, arenaChunkNodes)); got != arenaChunkNodes {
 			t.Fatalf("pooled chunk has %d nodes, want %d", got, arenaChunkNodes)
 		}
 	}
 }
 
-// TestMemPoolBufSizing: buffers are recycled only when big enough, and
-// always handed out empty.
+// TestMemPoolBufSizing: buffers are recycled only when big enough, by best
+// fit, and always handed out empty.
 func TestMemPoolBufSizing(t *testing.T) {
 	p := &MemPool{}
-	b := p.getBuf(100)
+	b := p.get(kindBuf, 100, 1024)
 	b = append(b, storage.SNode{Start: 7})
-	p.putBuf(b)
-	got := p.getBuf(50)
-	if cap(got) < 50 || len(got) != 0 {
-		t.Fatalf("recycled buf: len=%d cap=%d, want empty with cap >= 50", len(got), cap(got))
+	p.put(kindBuf, b)
+	p.put(kindBuf, make([]storage.SNode, 0, 40))
+	// A batch that would fill 100 nodes takes the buffer that holds it all.
+	got := p.get(kindBuf, 20, 100)
+	if cap(got) != 100 || len(got) != 0 || &b[:1][0] != &got[:1][0] {
+		t.Fatalf("recycled buf: len=%d cap=%d, want the empty 100-node one", len(got), cap(got))
 	}
-	if &b[:1][0] != &got[:1][0] {
-		t.Fatal("smaller request did not reuse the released buffer")
+	// Without one, the smallest that holds the request.
+	p.put(kindBuf, got)
+	if got := p.get(kindBuf, 20, 1024); cap(got) != 40 {
+		t.Fatalf("recycled buf: cap=%d, want the 40-node one", cap(got))
 	}
 	// A request larger than anything pooled allocates fresh.
-	p.putBuf(got)
-	big := p.getBuf(10_000)
-	if cap(big) < 10_000 {
-		t.Fatalf("oversize request: cap=%d, want >= 10000", cap(big))
+	big := p.get(kindBuf, 10_000, 10_000)
+	if cap(big) < 10_000 || p.Stats().Bufs != 1 {
+		t.Fatalf("oversize request: cap=%d, %d buffers left pooled", cap(big), p.Stats().Bufs)
 	}
 	// nil pool is inert.
 	var np *MemPool
-	if b := np.getBuf(8); cap(b) < 8 {
-		t.Fatal("nil pool getBuf under-allocated")
+	if b := np.get(kindBuf, 8, 8); cap(b) < 8 {
+		t.Fatal("nil pool get under-allocated")
 	}
-	np.putBuf(b)
-	np.putChunk(np.getChunk())
+	np.put(kindBuf, b)
 }
 
 // mempoolTestPlan is a plan with build sides and dedup, so executions use

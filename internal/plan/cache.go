@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"colorfulxml/internal/core"
+	"colorfulxml/internal/engine"
 )
 
 // Cache is a shared LRU of compiled plans, keyed by query text plus the
@@ -78,28 +79,40 @@ func NewCache(capacity int) *Cache {
 // exists and was compiled at the given epoch. An entry at a different epoch
 // is removed (an invalidation) and reported as a miss.
 func (c *Cache) Get(query string, opt Options, epoch uint64) (*Compiled, bool) {
+	return c.get(query, opt, epoch, true)
+}
+
+// Hit is Get for a caller that does not yet know whether the query can be
+// compiled at all: it counts and serves a hit exactly as Get does, and on
+// anything else changes nothing — no miss is counted and a stale entry is
+// left for Get to invalidate — so that a query that never reaches the
+// compiler stays invisible to the cache.
+func (c *Cache) Hit(query string, opt Options, epoch uint64) (*Compiled, bool) {
+	return c.get(query, opt, epoch, false)
+}
+
+func (c *Cache) get(query string, opt Options, epoch uint64, miss bool) (*Compiled, bool) {
 	k := keyFor(query, opt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		obsPlanCacheMisses.Inc()
+	if ok && el.Value.(*cacheEntry).epoch == epoch {
+		c.lru.MoveToFront(el)
+		c.hits++
+		obsPlanCacheHits.Inc()
+		return el.Value.(*cacheEntry).compiled, true
+	}
+	if !miss {
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != epoch {
+	if ok {
 		c.removeLocked(el)
 		c.invalidations++
 		obsPlanCacheInvalidations.Inc()
-		c.misses++
-		obsPlanCacheMisses.Inc()
-		return nil, false
 	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	obsPlanCacheHits.Inc()
-	return e.compiled, true
+	c.misses++
+	obsPlanCacheMisses.Inc()
+	return nil, false
 }
 
 // Put stores a successfully compiled plan under the query/options key at the
@@ -146,13 +159,15 @@ type CacheStats struct {
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
 	Invalidations uint64 `json:"invalidations"`
+	// ScratchBytes is the execution scratch the cached plans' memory pools
+	// hold (engine.MemPoolStats.Bytes, summed).
+	ScratchBytes int64 `json:"scratch_bytes"`
 }
 
 // Stats returns the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		Size:          c.lru.Len(),
 		Capacity:      c.cap,
 		Hits:          c.hits,
@@ -160,4 +175,15 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 	}
+	pools := make([]*engine.MemPool, 0, st.Size)
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		pools = append(pools, el.Value.(*cacheEntry).compiled.Mem)
+	}
+	c.mu.Unlock()
+	// Each pool's lock is taken after the cache's is released: no lock-order
+	// edge between the two.
+	for _, p := range pools {
+		st.ScratchBytes += p.Stats().Bytes
+	}
+	return st
 }

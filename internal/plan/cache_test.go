@@ -47,6 +47,28 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheHitCountsOnlyHits: the probe made before a query is known to be
+// compilable serves and counts a hit like Get, and otherwise changes
+// nothing — no miss, no invalidation, the stale entry left for Get.
+func TestCacheHitCountsOnlyHits(t *testing.T) {
+	c := plan.NewCache(4)
+	opt := cacheOpts()
+	p1 := mustCompiled(t)
+	c.Put("q1", opt, 1, p1)
+	if got, ok := c.Hit("q1", opt, 1); !ok || got != p1 {
+		t.Fatalf("Hit = %v, %v; want cached plan", got, ok)
+	}
+	if _, ok := c.Hit("q2", opt, 1); ok {
+		t.Fatal("hit on an absent query")
+	}
+	if _, ok := c.Hit("q1", opt, 2); ok {
+		t.Fatal("stale-epoch entry served")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.Invalidations != 0 || st.Size != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and the entry kept", st)
+	}
+}
+
 func TestCacheKeyIncludesOptions(t *testing.T) {
 	c := plan.NewCache(4)
 	a := plan.Options{DefaultColor: "red"}

@@ -235,11 +235,10 @@ type Compiled struct {
 	// Logical is the analyzed IR the plan was lowered from.
 	Logical *Logical
 	// Mem recycles execution scratch memory across runs of this plan. A
-	// compiled plan is the natural owner of its executions' working set:
-	// reuse only materializes when the plan object itself is reused — a
-	// cache hit or a prepared statement — while a one-shot compilation
-	// starts cold and recycles nothing. Executors pass it to
-	// engine.ExecBatchesPooled; it is safe for any number of concurrent
-	// executions.
+	// compiled plan is the natural owner of its executions' working set: a
+	// cache hit or a prepared statement starts at the buffer sizes the
+	// last run grew to, a first run at a few rows' worth. Executors pass it
+	// to engine.ExecColumn or ExecBatchesPooled; it is safe for any number
+	// of concurrent executions.
 	Mem *engine.MemPool
 }

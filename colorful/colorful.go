@@ -112,10 +112,6 @@ type DB struct {
 	durErr      error
 	recovery    storage.RecoveryStats
 	checkpoints atomic.Uint64
-	ckptBusy    atomic.Bool
-	ckptWG      sync.WaitGroup
-	ckptErrMu   sync.Mutex
-	ckptErr     error
 
 	// Health state machine (see health.go): healthy databases accept
 	// mutations; a durability failure rolls the mutation back and degrades

@@ -15,9 +15,9 @@ import (
 // This file is the durable lifecycle of the DB facade: Open recovers a
 // database from a directory (checkpoint + write-ahead log), every mutation
 // that commits through the DB wrappers is appended to the WAL before the
-// mutator returns, and checkpoints — explicit or triggered by WAL growth —
-// compact the log. See internal/storage's durable.go for the on-disk
-// protocol.
+// mutator returns, and checkpoints — explicit, or taken by the commit that
+// grows the WAL past a threshold — compact the log. See internal/storage's
+// durable.go for the on-disk protocol.
 //
 // Durability covers exactly the store-visible state: the rooted colored
 // trees with their tags, attributes and text. Detached fragments, comments
@@ -215,13 +215,9 @@ func (d *DB) Close() error {
 	if d.dur == nil {
 		return nil
 	}
-	d.ckptWG.Wait()
 	err := d.dur.Close()
 	d.dur = nil
 	d.durErr = ErrClosed
-	if cerr := d.takeCkptErr(); err == nil && cerr != nil {
-		err = cerr
-	}
 	return err
 }
 
@@ -270,17 +266,21 @@ func (d *DB) beginCommit() (core.ChangeMark, error) {
 }
 
 // commitChanges makes the mutation performed since the mark durable: its
-// change-log entries are appended (checksummed, and fsynced unless NoSync)
-// to the WAL before the mutator returns to its caller. Batches the log
-// cannot carry — a ChangeComplex entry, or a mark invalidated by change-log
-// overflow — force a synchronous full checkpoint instead.
+// change-log entries are appended as one WAL record (checksummed, and
+// fsynced unless NoSync) before the mutator returns to its caller. Batches
+// the log cannot carry — a ChangeComplex entry, or a mark invalidated by
+// change-log overflow — force a synchronous full checkpoint instead, and so
+// does a commit that takes the WAL past Options.CheckpointBytes, after its
+// record is durable.
 //
 // A durability failure (after the storage layer's transient-error retries
-// are exhausted) no longer poisons the database: the mutation is rolled
-// back in memory and the database degrades to read-only serving
-// (degradeLocked), recovering automatically when the disk heals. Only a
-// rollback the change log cannot support moves the database to the
-// terminal Failed state.
+// are exhausted) does not poison the database: the mutation is rolled back
+// in memory and the database degrades to read-only serving (degradeLocked),
+// recovering automatically when the disk heals. An automatic checkpoint that
+// fails degrades too, but rolls nothing back: the commit that triggered it is
+// in the WAL and stays acknowledged, and heal's Reseal is the retry. Only a
+// rollback the change log cannot support moves the database to the terminal
+// Failed state.
 func (d *DB) commitChanges(m core.ChangeMark) error {
 	if d.dur == nil {
 		return d.durErr // nil for purely in-memory databases
@@ -297,16 +297,6 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 			return d.failLocked(fmt.Errorf("checkpoint after change-log overflow: %w", err))
 		}
 		return nil
-	}
-	// A failed background checkpoint install left the log without a new
-	// horizon (nothing is lost — the old checkpoint still anchors
-	// recovery). Retry it synchronously under this commit; a second
-	// failure degrades.
-	if err := d.takeCkptErr(); err != nil {
-		if cerr := d.checkpointLocked(); cerr != nil {
-			return d.degradeLocked(len(changes), fmt.Errorf("background checkpoint failed: %v; retry: %w", err, cerr))
-		}
-		return nil // the checkpoint covered this commit's changes too
 	}
 	if len(changes) == 0 {
 		return nil
@@ -328,7 +318,9 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 		return d.degradeLocked(len(changes), err)
 	}
 	if t := d.durOpts.CheckpointBytes; t > 0 && d.dur.LogBytes() >= t {
-		d.autoCheckpointLocked()
+		if err := d.checkpointLocked(); err != nil {
+			_ = d.degradeLocked(0, err) // this commit is durable and acknowledged: nothing to roll back
+		}
 	}
 	return nil
 }
@@ -341,8 +333,6 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 // ChangeComplex entry left undrained). Caller holds d.mu exclusively.
 func (d *DB) checkpointLocked() error {
 	sw := obs.Start()
-	d.ckptWG.Wait() // serialize with an in-flight background install
-	d.takeCkptErr() // superseded: the synchronous install covers everything
 	epoch, err := d.dur.Rotate()
 	if err != nil {
 		return fmt.Errorf("colorful: checkpoint: %w", err)
@@ -360,65 +350,4 @@ func (d *DB) checkpointLocked() error {
 	obsCheckpoints.Inc()
 	obsCheckpointNanos.Observe(sw.ElapsedNanos())
 	return nil
-}
-
-// autoCheckpointLocked starts a background checkpoint: the WAL rotation and
-// the store image are taken synchronously (the caller holds d.mu, so the
-// image is exactly the commit's post-state), the page writing and manifest
-// installation proceed off the writer's critical path. At most one runs at
-// a time; WAL appends continue concurrently into the new segment.
-func (d *DB) autoCheckpointLocked() {
-	if !d.ckptBusy.CompareAndSwap(false, true) {
-		return
-	}
-	epoch, err := d.dur.Rotate()
-	if err != nil {
-		d.setCkptErr(err)
-		d.ckptBusy.Store(false)
-		return
-	}
-	st, err := storage.Load(d.Database, d.durOpts.PoolPages)
-	if err != nil {
-		d.setCkptErr(err)
-		d.ckptBusy.Store(false)
-		return
-	}
-	// The image is the current state under d.mu: drain and publish it now
-	// (not when the install finishes) to keep the rollback-basis invariant —
-	// the published snapshot equals the state at the last change-log drain.
-	d.Database.DrainChanges()
-	d.publish(st, d.Database.Generation())
-	dur := d.dur
-	d.ckptWG.Add(1)
-	sw := obs.Start()
-	go func() {
-		defer d.ckptWG.Done()
-		defer d.ckptBusy.Store(false)
-		if err := dur.InstallCheckpoint(epoch, st); err != nil {
-			d.setCkptErr(err)
-			return
-		}
-		d.checkpoints.Add(1)
-		obsCheckpoints.Inc()
-		obsCheckpointNanos.Observe(sw.ElapsedNanos())
-	}()
-}
-
-func (d *DB) setCkptErr(err error) {
-	d.ckptErrMu.Lock()
-	if d.ckptErr == nil {
-		d.ckptErr = err
-	}
-	d.ckptErrMu.Unlock()
-}
-
-// takeCkptErr returns and clears the pending background-checkpoint failure.
-// Clearing matters: the caller either retries the checkpoint synchronously or
-// supersedes it, and a stale sticky error would poison commits forever.
-func (d *DB) takeCkptErr() error {
-	d.ckptErrMu.Lock()
-	defer d.ckptErrMu.Unlock()
-	err := d.ckptErr
-	d.ckptErr = nil
-	return err
 }

@@ -229,9 +229,13 @@ func TestClosedDatabaseRejectsMutations(t *testing.T) {
 	}
 }
 
+// TestAutoCheckpointByWALSize: the commit that takes the WAL past
+// CheckpointBytes installs the checkpoint before it returns — the count moves
+// and the log is empty right then, not at some later point.
 func TestAutoCheckpointByWALSize(t *testing.T) {
+	const threshold = 2048
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := colorful.OpenOptions(dir, colorful.Options{CheckpointBytes: 2048}, "red")
+	db, err := colorful.OpenOptions(dir, colorful.Options{CheckpointBytes: threshold}, "red")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,16 +244,28 @@ func TestAutoCheckpointByWALSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
+		before := db.DurabilityStats()
 		if _, err := db.AddElementText(root, "item", "red", "payload-payload-payload"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+		after := db.DurabilityStats()
+		if after.WALBytes >= threshold {
+			t.Fatalf("commit %d left %d WAL bytes, at or past the %d-byte threshold", i, after.WALBytes, threshold)
+		}
+		if crossed := after.WALBytes < before.WALBytes; crossed != (after.Checkpoints == before.Checkpoints+1) {
+			t.Fatalf("commit %d: WAL %d -> %d bytes but checkpoints %d -> %d", i,
+				before.WALBytes, after.WALBytes, before.Checkpoints, after.Checkpoints)
+		}
+		if after.Checkpoints > before.Checkpoints && after.WALBytes != 0 {
+			t.Fatalf("commit %d checkpointed but left %d WAL bytes", i, after.WALBytes)
+		}
 	}
 	// 200 * ~40-byte records far exceeds the 2 KiB threshold.
 	if db.DurabilityStats().Checkpoints == 0 {
 		t.Fatal("auto-checkpoint never fired")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 	got := reopen(t, dir)
 	defer got.Close()

@@ -11,11 +11,12 @@ import (
 )
 
 // This file is the fault-tolerance state machine of a durable DB. A
-// database is Healthy until a durable commit fails after the storage
-// layer's transient-failure retries are exhausted. Instead of poisoning the
-// database forever (the old behavior), the failed mutation is rolled back —
-// the in-memory state returns to exactly the last committed state — and the
-// DB degrades to read-only serving: queries, sessions and prepared
+// database is Healthy until a durable commit (or the automatic checkpoint a
+// commit takes) fails after the storage layer's transient-failure retries are
+// exhausted. Instead of poisoning the database forever, the failed mutation
+// is rolled back — the in-memory state returns to exactly the last committed
+// state; a failed automatic checkpoint rolls back nothing — and the DB
+// degrades to read-only serving: queries, sessions and prepared
 // statements keep working against the committed state, mutations report
 // ErrReadOnly, and a background probe watches the disk. When writes succeed
 // again, the log is resealed around a fresh checkpoint (storage.Reseal) and
@@ -176,14 +177,10 @@ func (d *DB) readOnlyErr() error {
 // degradeLocked rolls back the failed mutation (the change-log suffix past
 // the commit's mark) and moves the database to degraded read-only serving.
 // The caller holds d.mu exclusively; suffix is ChangesSince(mark) captured
-// before any drain. Returns the error the failing mutator reports.
+// before any drain, 0 when the failure came after the commit was durable (an
+// automatic checkpoint). Returns the error the failing mutator reports.
 func (d *DB) degradeLocked(suffix int, cause error) error {
 	obsCommitErrors.Inc()
-	// Quiesce the background checkpoint machinery: an in-flight install may
-	// still be writing, and its verdict is superseded by the degrade.
-	d.ckptWG.Wait()
-	d.takeCkptErr()
-
 	basis := d.snap.Load()
 	if basis == nil {
 		return d.failLocked(fmt.Errorf("no rollback basis published: %w", cause))

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +170,79 @@ func TestHealRestoresWrites(t *testing.T) {
 	}
 	if n := countNodes(t, db2, `document("db")/{red}descendant::boom`); n != 0 {
 		t.Fatalf("rolled-back element recovered from disk (%d hits)", n)
+	}
+}
+
+// ckptFaultFS fails every checkpoint install — the Create of a
+// *.ckpt.tmp — with a permanent error while armed.
+type ckptFaultFS struct {
+	vfs.FS
+	armed atomic.Bool
+}
+
+func (f *ckptFaultFS) Create(name string) (vfs.File, error) {
+	if f.armed.Load() && strings.HasSuffix(name, ".ckpt.tmp") {
+		return nil, fmt.Errorf("create %s: %w", filepath.Base(name), vfs.Permanent(vfs.ErrIO))
+	}
+	return f.FS.Create(name)
+}
+
+// TestFailedAutoCheckpointKeepsCommit: the commit that crosses
+// CheckpointBytes is already in the WAL when its checkpoint fails, so it stays
+// acknowledged and visible; the database degrades with the checkpoint error
+// as the cause, refuses the next mutation, heals once checkpoints install
+// again, and the commit survives a reopen.
+func TestFailedAutoCheckpointKeepsCommit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	fs := &ckptFaultFS{FS: vfs.OS}
+	fs.armed.Store(true)
+	db, err := colorful.OpenOptions(dir, colorful.Options{
+		FS: fs, CheckpointBytes: 2048, Retry: quickPolicy(), ProbeInterval: 2 * time.Millisecond,
+	}, "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	root, err := db.AddElement(db.Document(), "list", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; db.Health() == colorful.Healthy; n++ {
+		if n == 1000 {
+			t.Fatal("no commit crossed the checkpoint threshold")
+		}
+		if _, err := db.AddElementText(root, "item", "red", fmt.Sprintf("payload-%04d", n)); err != nil {
+			t.Fatalf("commit %d: %v", n, err)
+		}
+	}
+	last := fmt.Sprintf(`document("db")/{red}descendant::item[. = "payload-%04d"]`, n-1)
+	if got := countNodes(t, db, last); got != 1 {
+		t.Fatalf("the commit that triggered the checkpoint is not visible (%d hits)", got)
+	}
+	if got := countNodes(t, db, `document("db")/{red}descendant::item`); got != n {
+		t.Fatalf("%d items visible after the degrade, want %d", got, n)
+	}
+	info := db.HealthInfo()
+	if info.State != colorful.DegradedReadOnly || info.Degrades != 1 || !strings.Contains(info.Cause, ".ckpt.tmp") {
+		t.Fatalf("health info = %+v, want degraded by the checkpoint install", info)
+	}
+	if _, err := db.AddElement(db.Document(), "late", "red"); !errors.Is(err, colorful.ErrReadOnly) {
+		t.Fatalf("mutation after the failed checkpoint: %v, want ErrReadOnly", err)
+	}
+
+	fs.armed.Store(false)
+	awaitHealth(t, db, colorful.Healthy)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := reopen(t, dir, "red")
+	defer db2.Close()
+	if got := countNodes(t, db2, last); got != 1 {
+		t.Fatalf("the commit that triggered the checkpoint was lost on reopen (%d hits)", got)
+	}
+	if got := countNodes(t, db2, `document("db")/{red}descendant::item`); got != n {
+		t.Fatalf("%d items recovered, want %d", got, n)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestMain verifies no test leaves a goroutine behind: every DB the suite
-// opens must stop its probe, scrub, and checkpoint workers on Close.
+// opens must stop its probe and scrub workers on Close.
 func TestMain(m *testing.M) {
 	os.Exit(linttest.VerifyTestMain(m))
 }

@@ -56,10 +56,6 @@ type Session struct {
 	// after Close.
 	auto bool
 
-	// noCache opts this session's queries out of the shared plan cache
-	// (neither probing nor populating it).
-	noCache atomic.Bool
-
 	// Per-session counters (see SessionStats).
 	nQueries      atomic.Uint64
 	nCached       atomic.Uint64
@@ -158,11 +154,6 @@ func (s *Session) begin() error {
 }
 
 func (s *Session) end() { s.wg.Done() }
-
-// SetPlanCache opts this session in or out of the shared plan cache
-// (sessions participate by default). An opted-out session neither probes
-// nor populates the cache — every compiled query pays a fresh compile.
-func (s *Session) SetPlanCache(use bool) { s.noCache.Store(!use) }
 
 // Stats returns the session's traffic counters.
 func (s *Session) Stats() SessionStats {
@@ -263,14 +254,10 @@ func (s *Session) routed(ctx context.Context, src string, root *obs.Span) ([]Ite
 }
 
 // cachedPlan returns the plan the shared cache holds for src at the
-// published snapshot's epoch, and that snapshot; nil when there is none, the
-// snapshot is stale or the session opted out of the cache. A miss is left
-// for planFor to count, so a text that never reaches the compiler stays
-// invisible to the cache.
+// published snapshot's epoch, and that snapshot; nil when there is none or
+// the snapshot is stale. A miss is left for planFor to count, so a text that
+// never reaches the compiler stays invisible to the cache.
 func (s *Session) cachedPlan(src string, root *obs.Span) (*snapshot, *plan.Compiled) {
-	if s.noCache.Load() {
-		return nil, nil
-	}
 	sp := s.db.publishedSnapshot()
 	if sp == nil {
 		return nil, nil
@@ -398,23 +385,18 @@ func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, r
 	d := s.db
 	opt := s.db.planOptions(sp.st)
 	epoch := sp.st.StatsEpoch()
-	useCache := !s.noCache.Load()
-	if useCache {
-		if c, ok := d.planCache.Get(src, opt, epoch); ok {
-			spanAttr(root, "plancache", "hit")
-			if st != nil {
-				st.hold(c, opt, epoch)
-			}
-			return c, true, nil
+	if c, ok := d.planCache.Get(src, opt, epoch); ok {
+		spanAttr(root, "plancache", "hit")
+		if st != nil {
+			st.hold(c, opt, epoch)
 		}
+		return c, true, nil
 	}
 	if st != nil {
 		if c, ok := st.held(opt, epoch); ok {
 			// Evicted from the shared cache but still epoch-valid: the
 			// statement's own copy serves the query and re-seeds the cache.
-			if useCache {
-				d.planCache.Put(src, opt, epoch, c)
-			}
+			d.planCache.Put(src, opt, epoch, c)
 			spanAttr(root, "plancache", "stmt")
 			return c, true, nil
 		}
@@ -425,9 +407,7 @@ func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, r
 	if err != nil {
 		return nil, false, err
 	}
-	if useCache {
-		d.planCache.Put(src, opt, epoch, c)
-	}
+	d.planCache.Put(src, opt, epoch, c)
 	if st != nil {
 		st.hold(c, opt, epoch)
 	}

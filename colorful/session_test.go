@@ -62,30 +62,6 @@ func TestSessionCacheHitsAndRoute(t *testing.T) {
 	}
 }
 
-// TestSessionPlanCacheOptOut: a session opted out via SetPlanCache neither
-// probes nor populates the shared cache.
-func TestSessionPlanCacheOptOut(t *testing.T) {
-	m := fixtures.NewMovieDB()
-	db := wrap(m.DB)
-	s := db.Session()
-	defer s.Close()
-	s.SetPlanCache(false)
-
-	before := db.PlanCacheStats()
-	for i := 0; i < 3; i++ {
-		if _, err := s.Query(namesQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := db.PlanCacheStats()
-	if after.Hits != before.Hits || after.Misses != before.Misses || after.Size != before.Size {
-		t.Fatalf("opted-out session touched the cache: before %+v after %+v", before, after)
-	}
-	if st := s.Stats(); st.CacheHits != 0 || st.Compiled != 3 {
-		t.Fatalf("session stats = %+v, want 3 fresh compiles", st)
-	}
-}
-
 // TestEvaluatorFallbackBypassesCache: a query the compiler rejects routes to
 // the evaluator without ever probing or populating the plan cache, and the
 // route counters report it as a fallback, not a cached query.

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // This file implements the logical change log that makes incremental
 // maintenance of derived store snapshots possible. Every mutation of the
 // database appends a Change describing its store-visible effect; the serving
@@ -57,15 +55,16 @@ type Change struct {
 // databases whose log is never drained from accumulating memory.
 const maxChangeLog = 1 << 14
 
+// changeLog has no lock of its own: every record, Mark, ChangesSince and
+// DrainChanges runs under the serving layer's writer lock, like every other
+// Database mutator.
 type changeLog struct {
-	mu       sync.Mutex
 	entries  []Change
 	overflow bool
 	drains   uint64 // bumped by DrainChanges, invalidating outstanding marks
 }
 
 func (db *Database) record(ch Change) {
-	db.clog.mu.Lock()
 	if !db.clog.overflow {
 		if len(db.clog.entries) >= maxChangeLog {
 			db.clog.overflow = true
@@ -74,7 +73,6 @@ func (db *Database) record(ch Change) {
 			db.clog.entries = append(db.clog.entries, ch)
 		}
 	}
-	db.clog.mu.Unlock()
 }
 
 // DrainChanges returns and clears the change log accumulated since the last
@@ -82,8 +80,6 @@ func (db *Database) record(ch Change) {
 // because it grew past its bound; the drained prefix is then incomplete and
 // consumers must treat the database as arbitrarily changed.
 func (db *Database) DrainChanges() (changes []Change, overflow bool) {
-	db.clog.mu.Lock()
-	defer db.clog.mu.Unlock()
 	changes, overflow = db.clog.entries, db.clog.overflow
 	db.clog.entries, db.clog.overflow = nil, false
 	db.clog.drains++
@@ -101,8 +97,6 @@ type ChangeMark struct {
 // database's writer lock across Mark, the mutation, and ChangesSince — a
 // concurrent DrainChanges invalidates the mark.
 func (db *Database) Mark() ChangeMark {
-	db.clog.mu.Lock()
-	defer db.clog.mu.Unlock()
 	return ChangeMark{drains: db.clog.drains, n: len(db.clog.entries)}
 }
 
@@ -112,8 +106,6 @@ func (db *Database) Mark() ChangeMark {
 // the database as arbitrarily changed (the durable layer responds with a
 // full checkpoint).
 func (db *Database) ChangesSince(m ChangeMark) (changes []Change, ok bool) {
-	db.clog.mu.Lock()
-	defer db.clog.mu.Unlock()
 	if db.clog.drains != m.drains || db.clog.overflow || m.n > len(db.clog.entries) {
 		return nil, false
 	}

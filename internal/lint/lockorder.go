@@ -19,7 +19,9 @@ import (
 // every acquisition edge must also agree with it: acquiring B while holding
 // A is legal only when A's rank is strictly smaller than B's, and an edge
 // between locks the table does not rank at all is an undocumented edge that
-// must be added to the table.
+// must be added to the table. A ranked class whose package is loaded but
+// which the program never acquires is a stale row, reported so the table
+// shrinks with the code.
 //
 // A second marked table, between `<!-- lockfree:begin -->` and
 // `<!-- lockfree:end -->` with rows `| `+"`pkg.Type.Method`"+` | `+"`class`"+` | why |`,
@@ -115,6 +117,7 @@ func runLockOrder(pass *ProgramPass) error {
 		return keys[i].to < keys[j].to
 	})
 	if haveTable {
+		checkStaleRanks(pass, nodes, ranks)
 		for _, e := range keys {
 			rf, okf := ranks[e.from]
 			rt, okt := ranks[e.to]
@@ -154,14 +157,52 @@ func checkLockFree(pass *ProgramPass, nodes []*FuncNode, trans map[*FuncNode]map
 		if found[key] {
 			continue
 		}
-		pkgName, _, _ := strings.Cut(key, ".")
-		for _, pkg := range pass.Prog.Packages {
-			if pkg.Name == pkgName && len(pkg.Files) > 0 {
-				pass.Reportf(pkg.Files[0].Package, "the DESIGN.md lock-free table names %s, which package %s does not declare", key, pkgName)
-				break
-			}
+		if pkg := loadedPackage(pass.Prog, key); pkg != nil {
+			pass.Reportf(pkg.Files[0].Package, "the DESIGN.md lock-free table names %s, which package %s does not declare", key, pkg.Name)
 		}
 	}
+}
+
+// checkStaleRanks reports every ranked class the loaded program never
+// acquires — anywhere, function literals and goroutines included — when the
+// class's package is among those loaded.
+func checkStaleRanks(pass *ProgramPass, nodes []*FuncNode, ranks map[string]int) {
+	acquired := map[string]bool{}
+	for _, n := range nodes {
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok {
+				if method, class, ok := lockCallClass(n.Pkg, call); ok && lockAcquireMethods[method] {
+					acquired[class] = true
+				}
+			}
+			return true
+		})
+	}
+	classes := make([]string, 0, len(ranks))
+	for class := range ranks {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		if acquired[class] {
+			continue
+		}
+		if pkg := loadedPackage(pass.Prog, class); pkg != nil {
+			pass.Reportf(pkg.Files[0].Package, "the DESIGN.md lock-order table ranks %s, which package %s never acquires: drop the stale row", class, pkg.Name)
+		}
+	}
+}
+
+// loadedPackage returns the loaded package with source that a table key
+// (pkg.Name or pkg.Type.field) names, nil when that package is not loaded.
+func loadedPackage(prog *Program, key string) *Package {
+	pkgName, _, _ := strings.Cut(key, ".")
+	for _, pkg := range prog.Packages {
+		if pkg.Name == pkgName && len(pkg.Files) > 0 {
+			return pkg
+		}
+	}
+	return nil
 }
 
 // acquiresVia names how n comes to acquire class: the first call on its own

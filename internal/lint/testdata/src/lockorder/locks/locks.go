@@ -1,7 +1,7 @@
 // Package locks exercises the lockorder analyzer against the fixture
 // DESIGN.md table. Every test case uses its own disjoint pair of mutexes so
 // a deliberate ordering violation does not double as a cycle.
-package locks // want "lock-free table names locks.Server.goneReadPath, which package locks does not declare"
+package locks // want "lock-free table names locks.Server.goneReadPath, which package locks does not declare" // want "lock-order table ranks locks.Server.retired, which package locks never acquires"
 
 import "sync"
 

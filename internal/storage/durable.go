@@ -99,7 +99,8 @@ type RecoveryStats struct {
 // Durable is the write half of a durable store directory: the open WAL
 // segment plus the checkpoint installation protocol. The caller owns
 // serialization of commits against rotation (colorful.DB uses its writer
-// lock); concurrent Append calls are safe and group-commit together.
+// lock); mu makes each call whole — an Append holds it across its write and
+// fsync, so appends never interleave.
 type Durable struct {
 	fs     vfs.FS
 	dir    string
@@ -107,7 +108,7 @@ type Durable struct {
 	retry  vfs.RetryPolicy
 	pool   int
 
-	mu  sync.RWMutex // Append holds R, Rotate/Reseal/Close hold W
+	mu  sync.Mutex // guards w and seg; the wal.Writer is not safe for concurrent use
 	w   *wal.Writer
 	seg uint64
 
@@ -303,37 +304,29 @@ func parseManifest(data []byte) (uint64, error) {
 	return epoch, nil
 }
 
-// Append commits one change batch to the WAL: the batch is encoded,
-// checksummed, appended to the open segment, and (under SyncAlways) fsynced
-// before Append returns. Concurrent callers group-commit.
+// Append commits one change batch to the WAL as one record: the batch is
+// encoded, checksummed, appended to the open segment, and (under SyncAlways)
+// fsynced before Append returns.
 func (d *Durable) Append(changes []core.Change) error {
 	payload := wal.EncodeChanges(changes)
-	d.mu.RLock()
-	w := d.w
-	d.mu.RUnlock()
-	if w == nil {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.w == nil {
 		return errors.New("storage: durable store is closed")
 	}
-	_, err := w.Append(payload)
+	_, err := d.w.Append(payload)
 	return err
 }
 
 // LogBytes returns the size of the open WAL segment, the signal for
 // auto-checkpoint thresholds.
 func (d *Durable) LogBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.w == nil {
 		return 0
 	}
 	return d.w.Size()
-}
-
-// Segment returns the open WAL segment's number.
-func (d *Durable) Segment() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.seg
 }
 
 // Rotate seals the open segment and starts the next one, returning the new
@@ -377,9 +370,8 @@ func (d *Durable) Rotate() (uint64, error) {
 
 // InstallCheckpoint durably installs st as the checkpoint for the given
 // epoch (a segment number returned by Rotate; st must capture the state at
-// exactly that rotation). It may run concurrently with Appends to the
-// current segment — the image is already frozen. On success all state below
-// the epoch is garbage-collected.
+// exactly that rotation). The caller holds its writer lock, so no Append
+// runs meanwhile. On success all state below the epoch is garbage-collected.
 func (d *Durable) InstallCheckpoint(epoch uint64, st *Store) error {
 	// The whole installation sequence up to the manifest move is retried as
 	// one unit on transient failure: every step before the final rename is

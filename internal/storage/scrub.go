@@ -63,9 +63,9 @@ func (d *Durable) ScrubOnce(budget int64) (ScrubResult, error) {
 	} else if !vfs.IsNotExist(err) {
 		return res, fmt.Errorf("storage: scrub: %w", err)
 	}
-	d.mu.RLock()
+	d.mu.Lock()
 	open := d.seg
-	d.mu.RUnlock()
+	d.mu.Unlock()
 
 	// The pass's file list: the live checkpoint, then sealed segments
 	// epoch..open-1. A checkpoint install between calls shifts the list, so

@@ -1,7 +1,6 @@
 // Package wal implements the write-ahead log of the durable MCT store: an
 // append-only sequence of CRC32C-checksummed records, each carrying one
-// committed mutation batch, fsync'd (group commit) before the commit is
-// acknowledged.
+// committed mutation batch, fsync'd before the commit is acknowledged.
 //
 // Segment files are named wal-<seq>.log and partition the change stream:
 // a checkpoint at sequence S captures every batch in segments < S, so
@@ -16,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"colorfulxml/internal/obs"
 	"colorfulxml/internal/vfs"
@@ -160,34 +158,28 @@ func ReadSegment(data []byte, name string, final bool) (*SegmentResult, error) {
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs before every commit acknowledgment (group commit:
-	// one fsync may cover several concurrent appends). The default.
+	// SyncAlways fsyncs every record before Append returns. The default.
 	SyncAlways SyncPolicy = iota
 	// SyncNever leaves flushing to the OS — faster, but a crash may lose
 	// acknowledged commits. For benchmarks and bulk loads.
 	SyncNever
 )
 
-// Writer appends checksummed records to one segment file with group-commit
-// batching: concurrent Append calls coalesce their buffered records under a
-// single write+fsync, so the fsync cost is amortized across the batch.
+// Writer appends checksummed records to one segment file: each Append frames
+// one record, writes it, and (under SyncAlways) fsyncs it before returning.
+// A Writer is not safe for concurrent use; storage.Durable serializes its
+// callers.
 type Writer struct {
-	mu      sync.Mutex // guards buf, bufRecs, nextSeq, size, err
 	f       vfs.File
 	name    string
 	policy  SyncPolicy
-	buf     []byte
-	bufRecs int // records currently in buf (group-commit batch size)
+	buf     []byte // framing buffer, reused by every Append
 	nextSeq uint64
-	size    int64 // bytes durably appended (post-flush) plus buffered
+	size    int64 // bytes appended
 	err     error // sticky: after a write/sync failure the segment state is unknown
 
-	flushMu   sync.Mutex // serializes flush+fsync; held while mu is free
-	syncedSeq uint64     // guarded by mu
-
 	// retry is the transient-failure retry schedule for writes and fsyncs
-	// (zero: fail on first error). Set before the first Append; not
-	// synchronized.
+	// (zero: fail on first error). Set before the first Append.
 	retry vfs.RetryPolicy
 }
 
@@ -203,110 +195,57 @@ func (w *Writer) SetRetry(p vfs.RetryPolicy) { w.retry = p }
 
 // Append frames payload as the next record, makes it durable per the sync
 // policy, and returns its sequence number. Under SyncAlways, when Append
-// returns nil the record has been fsync'd; concurrent appenders share one
-// fsync (group commit).
+// returns nil the record has been fsync'd.
 func (w *Writer) Append(payload []byte) (uint64, error) {
-	w.mu.Lock()
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
+		return 0, w.err
 	}
 	seq := w.nextSeq
 	w.nextSeq++
-	w.buf = AppendRecord(w.buf, seq, payload)
-	w.bufRecs++
-	w.size += int64(recHeaderSize + len(payload))
-	w.mu.Unlock()
+	w.buf = AppendRecord(w.buf[:0], seq, payload)
+	w.size += int64(len(w.buf))
 	obsAppends.Inc()
-	obsBytes.Add(uint64(recHeaderSize + len(payload)))
-
-	if err := w.flushThrough(seq); err != nil {
-		return 0, err
+	obsBytes.Add(uint64(len(w.buf)))
+	if err := w.writeAndSync(w.buf, w.policy == SyncAlways); err != nil {
+		return 0, w.fail(err)
 	}
 	return seq, nil
 }
 
-// flushThrough ensures every record up to and including seq is written and
-// (under SyncAlways) fsync'd. Arriving appenders whose record was already
-// covered by another flusher's fsync return immediately.
-func (w *Writer) flushThrough(seq uint64) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if w.syncedSeq > seq {
-		w.mu.Unlock()
-		return nil
-	}
-	pending := w.buf
-	recs := w.bufRecs
-	w.buf = nil
-	w.bufRecs = 0
-	highest := w.nextSeq // records below this are in pending
-	w.mu.Unlock()
-
-	err := w.writeAndSync(pending, recs, w.policy == SyncAlways)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err != nil {
-		w.err = fmt.Errorf("wal: segment %s: %w", w.name, err)
-		return w.err
-	}
-	w.syncedSeq = highest
-	return nil
-}
-
-// Sync flushes any buffered records and fsyncs regardless of policy.
+// Sync fsyncs the segment regardless of policy.
 func (w *Writer) Sync() error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	pending := w.buf
-	recs := w.bufRecs
-	w.buf = nil
-	w.bufRecs = 0
-	highest := w.nextSeq
-	w.mu.Unlock()
-
-	err := w.writeAndSync(pending, recs, true)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err != nil {
-		w.err = fmt.Errorf("wal: segment %s: %w", w.name, err)
 		return w.err
 	}
-	w.syncedSeq = highest
+	if err := w.writeAndSync(nil, true); err != nil {
+		return w.fail(err)
+	}
 	return nil
 }
 
-// writeAndSync delivers pending to the segment file and (when doSync) fsyncs
-// it, retrying transient failures under one backoff schedule — the write and
-// the fsync share the per-flush retry budget. A partially delivered write
-// resumes from the written prefix: records are appended strictly
-// sequentially, so completing the torn record in place is framing-safe, and
-// recovery sees either the whole record or a dropped torn tail, never a
-// duplicate. Caller holds flushMu (so exactly one writer touches the file)
-// and must not hold mu (the backoff sleeps).
-func (w *Writer) writeAndSync(pending []byte, recs int, doSync bool) error {
+// fail makes err sticky: after a write or fsync that outlasted its retries
+// the segment state is unknown.
+func (w *Writer) fail(err error) error {
+	w.err = fmt.Errorf("wal: segment %s: %w", w.name, err)
+	return w.err
+}
+
+// writeAndSync delivers p to the segment file and (when doSync) fsyncs it,
+// retrying transient failures under one backoff schedule — the write and the
+// fsync share the retry budget. A partially delivered write resumes from the
+// written prefix: records are appended strictly sequentially, so completing
+// the torn record in place is framing-safe, and recovery sees either the
+// whole record or a dropped torn tail, never a duplicate.
+func (w *Writer) writeAndSync(p []byte, doSync bool) error {
 	b := vfs.NewBackoff(w.retry)
-	for len(pending) > 0 {
-		n, err := w.f.Write(pending)
-		if n > 0 && n <= len(pending) {
-			pending = pending[n:]
+	for len(p) > 0 {
+		n, err := w.f.Write(p)
+		if n > 0 && n <= len(p) {
+			p = p[n:]
 		}
 		if err == nil {
-			if len(pending) > 0 {
-				return fmt.Errorf("short write: %d bytes left", len(pending))
+			if len(p) > 0 {
+				return fmt.Errorf("short write: %d bytes left", len(p))
 			}
 			break
 		}
@@ -326,7 +265,7 @@ func (w *Writer) writeAndSync(pending []byte, recs int, doSync bool) error {
 		obsFsyncs.Inc()
 		obsSyncNanos.Observe(sw.ElapsedNanos())
 		if err == nil {
-			break
+			return nil
 		}
 		delay, ok := b.Next(err)
 		if !ok {
@@ -335,27 +274,15 @@ func (w *Writer) writeAndSync(pending []byte, recs int, doSync bool) error {
 		obsRetries.Inc()
 		obsRetryBackoffNanos.Observe(int64(delay))
 	}
-	if recs > 0 {
-		obsBatchRecords.Observe(int64(recs))
-	}
-	return nil
 }
 
-// Size returns the segment's byte length including buffered records.
-func (w *Writer) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
+// Size returns the segment's byte length.
+func (w *Writer) Size() int64 { return w.size }
 
 // NextSeq returns the sequence number the next record will receive.
-func (w *Writer) NextSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextSeq
-}
+func (w *Writer) NextSeq() uint64 { return w.nextSeq }
 
-// Close flushes and closes the segment file.
+// Close fsyncs and closes the segment file.
 func (w *Writer) Close() error {
 	err := w.Sync()
 	if cerr := w.f.Close(); err == nil && cerr != nil {
@@ -364,15 +291,11 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Abandon closes the segment file without flushing buffered records and
-// leaves the writer permanently failed. It is the disposal path for a writer
-// whose segment is in an unknown state after an exhausted retry: the caller
-// reseals the log around a fresh checkpoint instead of trusting this file.
+// Abandon closes the segment file and leaves the writer permanently failed.
+// It is the disposal path for a writer whose segment is in an unknown state
+// after an exhausted retry: the caller reseals the log around a fresh
+// checkpoint instead of trusting this file.
 func (w *Writer) Abandon() {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	_ = w.f.Close()
 	w.err = fmt.Errorf("wal: segment %s: abandoned", w.name)
 }

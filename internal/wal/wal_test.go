@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"colorfulxml/internal/core"
@@ -128,45 +127,68 @@ func TestSegmentMidLogCorruption(t *testing.T) {
 	}
 }
 
-func TestGroupCommitConcurrentAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-1.log")
-	f, err := vfs.OS.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWriter(f, "wal-1.log", 1, SyncAlways)
-	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := w.Append([]byte{byte(i)}); err != nil {
-				t.Errorf("append %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ReadSegment(data, "wal-1.log", true)
-	if err != nil || res.Torn {
-		t.Fatalf("read: %v torn=%v", err, res.Torn)
-	}
-	if len(res.Records) != n {
-		t.Fatalf("got %d records, want %d", len(res.Records), n)
-	}
-	seen := map[uint64]bool{}
-	for _, r := range res.Records {
-		if seen[r.Seq] {
-			t.Fatalf("duplicate seq %d", r.Seq)
+// syncCounter counts the fsyncs of the segment file it wraps.
+type syncCounter struct {
+	vfs.File
+	syncs int
+}
+
+func (c *syncCounter) Sync() error {
+	c.syncs++
+	return c.File.Sync()
+}
+
+// TestWriterContract pins what a Writer promises its caller: sequence numbers
+// run on from startSeq, Size is the file's length, and the sync policy alone
+// decides the fsyncs — one per Append under SyncAlways, none under SyncNever.
+func TestWriterContract(t *testing.T) {
+	for _, tc := range []struct {
+		policy    SyncPolicy
+		perAppend int
+	}{{SyncAlways, 1}, {SyncNever, 0}} {
+		path := filepath.Join(t.TempDir(), "wal-1.log")
+		f, err := vfs.OS.Create(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[r.Seq] = true
+		file := &syncCounter{File: f}
+		const startSeq, n = 40, 16
+		w := NewWriter(file, "wal-1.log", startSeq, tc.policy)
+		for i := 0; i < n; i++ {
+			seq, err := w.Append(make([]byte, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq != startSeq+uint64(i) {
+				t.Fatalf("policy %d: append %d got seq %d, want %d", tc.policy, i, seq, startSeq+i)
+			}
+			if file.syncs != (i+1)*tc.perAppend {
+				t.Fatalf("policy %d: %d fsyncs after %d appends, want %d", tc.policy, file.syncs, i+1, (i+1)*tc.perAppend)
+			}
+		}
+		if w.NextSeq() != startSeq+n {
+			t.Fatalf("policy %d: NextSeq %d, want %d", tc.policy, w.NextSeq(), startSeq+n)
+		}
+		size := w.Size()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(data)) != size {
+			t.Fatalf("policy %d: Size %d, file holds %d bytes", tc.policy, size, len(data))
+		}
+		res, err := ReadSegment(data, "wal-1.log", true)
+		if err != nil || res.Torn || len(res.Records) != n {
+			t.Fatalf("policy %d: read back %v (err %v)", tc.policy, res, err)
+		}
+		for i, r := range res.Records {
+			if r.Seq != startSeq+uint64(i) || len(r.Payload) != i {
+				t.Fatalf("policy %d: record %d is seq %d with %d bytes", tc.policy, i, r.Seq, len(r.Payload))
+			}
+		}
 	}
 }
 

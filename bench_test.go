@@ -5,8 +5,8 @@
 //	                     representation, with element/structural-node counts
 //	                     and data/index bytes reported as metrics
 //	BenchmarkTable2/*    query and update processing time (Table 2), one
-//	                     sub-benchmark per query and representation,
-//	                     including the *D no-dedup deep variants
+//	                     sub-benchmark per query and representation, each
+//	                     compiled from its text
 //	BenchmarkFigure11/*  query complexity: path expressions per query text
 //	BenchmarkFigure12/*  query complexity: variable bindings per query text
 //	BenchmarkAblation*   the design-choice ablations called out in DESIGN.md
@@ -28,7 +28,6 @@ import (
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/datagen"
 	"colorfulxml/internal/engine"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 	"colorfulxml/internal/workload"
 )
@@ -102,39 +101,28 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkTable2Queries times every Table 2 query on every representation
-// (warm cache, like the paper's reported numbers).
+// (warm cache, like the paper's reported numbers), each compiled once and run
+// as a prepared statement. The results metric counts rows: one per copy on
+// deep where a query reaches a replicated entity (the paper's *D rows).
 func BenchmarkTable2Queries(b *testing.B) {
 	tp, sg := benchStores(b)
 	bench := func(qs []*workload.Query, st *workload.Stores) {
 		for _, q := range qs {
-			q := q
 			for _, v := range workload.Variants {
-				v := v
 				b.Run(fmt.Sprintf("%s_%s", q.ID, v), func(b *testing.B) {
+					c, err := workload.Compile(q, st, v)
+					if err != nil {
+						b.Fatal(err)
+					}
 					// Warm the buffer pool.
-					res, _, err := workload.RunQuery(q, st, v)
+					res, _, err := workload.Run(c, st.Of(v))
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.ReportMetric(float64(len(res)), "results")
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := workload.RunQuery(q, st, v); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-			if q.DeepNoDedup != nil {
-				b.Run(fmt.Sprintf("%sD_Deep", q.ID), func(b *testing.B) {
-					res, _, err := workload.RunDeepNoDedup(q, st)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(len(res)), "results")
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := workload.RunDeepNoDedup(q, st); err != nil {
+						if _, _, err := workload.Run(c, st.Of(v)); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -146,34 +134,33 @@ func BenchmarkTable2Queries(b *testing.B) {
 	bench(workload.SigmodQueries(), sg)
 }
 
-// BenchmarkTable2Updates times every Table 2 update. One store is loaded per
-// sub-benchmark; the update is idempotent (a content rewrite), so repeated
-// applications measure the warm update path — target search plus in-place
-// record rewrite — without paying a store rebuild per iteration. The
-// nodesTouched metric is taken from the first application (the Table 2
-// "results" column).
+// BenchmarkTable2Updates times every Table 2 update, text to applied change
+// (workload.RunUpdate: parse, compiled bind, apply, change-log replay onto
+// the store). One store is loaded per sub-benchmark; the update is
+// idempotent (a content rewrite), so repeated applications measure the warm
+// update path without paying a store rebuild per iteration. The nodesTouched
+// metric is taken from the first application (the Table 2 "results"
+// column).
 func BenchmarkTable2Updates(b *testing.B) {
 	bench := func(us []*workload.UpdateSpec, load func() (*workload.Stores, error)) {
 		for _, u := range us {
-			u := u
 			for _, v := range workload.Variants {
-				v := v
 				b.Run(fmt.Sprintf("%s_%s", u.ID, v), func(b *testing.B) {
 					st, err := load()
 					if err != nil {
 						b.Fatal(err)
 					}
-					touched, err := u.Run[v](st.Of(v), st.Params)
+					res, err := workload.RunUpdate(u, st, v)
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := u.Run[v](st.Of(v), st.Params); err != nil {
+						if _, err := workload.RunUpdate(u, st, v); err != nil {
 							b.Fatal(err)
 						}
 					}
-					b.ReportMetric(float64(touched), "nodesTouched")
+					b.ReportMetric(float64(res.NodesTouched), "nodesTouched")
 				})
 			}
 		}
@@ -216,40 +203,6 @@ func benchFigure(b *testing.B, paths bool) {
 			})
 		}
 	}
-}
-
-// BenchmarkCompiledVsHandPlans runs each Table 2 query both ways on the MCT
-// store: the hand-specified physical plan (the paper's methodology) versus
-// the plan the automatic compiler derives from the query text. The compiled
-// side re-parses, re-compiles and re-costs the text every iteration, so the
-// delta bounds the full compilation overhead. Deep texts using
-// distinct-values are outside the compilable subset and are skipped.
-func BenchmarkCompiledVsHandPlans(b *testing.B) {
-	tp, sg := benchStores(b)
-	bench := func(qs []*workload.Query, st *workload.Stores) {
-		for _, q := range qs {
-			q := q
-			if _, _, _, err := workload.RunCompiled(q, st, workload.MCT); err != nil {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s_Hand", q.ID), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := workload.RunQuery(q, st, workload.MCT); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s_Compiled", q.ID), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, _, err := workload.RunCompiled(q, st, workload.MCT); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	bench(workload.TPCWQueries(), tp)
-	bench(workload.SigmodQueries(), sg)
 }
 
 // --- Read-path layers (ROADMAP item 3) --------------------------------------
@@ -346,7 +299,7 @@ func BenchmarkStructJoin(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			plan := &engine.StructJoin{
 				Anc: &engine.ScanTag{Color: "green", Tag: "item"}, Desc: &engine.ScanTag{Color: "green", Tag: "votes"},
-				Axis: join.ParentChild, Merge: mode == "merge",
+				Axis: engine.ParentChild, Merge: mode == "merge",
 			}
 			pool := &engine.MemPool{}
 			b.ReportAllocs()
@@ -405,43 +358,39 @@ func BenchmarkAblationCrossTree(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationJoinKind compares the primitives directly: the structural
-// join of orders with order lines versus the equivalent ID/IDREF value join
-// on the shallow store (the paper's central cost asymmetry).
+// BenchmarkAblationJoinKind compares the join operators plans run: the
+// structural join of orders with order lines (a merge of two index scans on
+// the MCT store) versus the equivalent ID/IDREF value join on the shallow
+// store (the paper's central cost asymmetry).
 func BenchmarkAblationJoinKind(b *testing.B) {
 	tp, _ := benchStores(b)
-	b.Run("Structural", func(b *testing.B) {
-		s := tp.MCT
-		orders, _ := s.ScanTag(datagen.ColCustomer, "order")
-		lines, _ := s.ScanTag(datagen.ColCustomer, "orderline")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := join.Structural(orders, lines, join.ParentChild); len(got) == 0 {
-				b.Fatal("no pairs")
+	for name, run := range map[string]struct {
+		s    *storage.Store
+		plan func() engine.Op
+	}{
+		"Structural": {tp.MCT, func() engine.Op {
+			return &engine.StructJoin{
+				Anc:  &engine.ScanTag{Color: datagen.ColCustomer, Tag: "order"},
+				Desc: &engine.ScanTag{Color: datagen.ColCustomer, Tag: "orderline"},
+				Axis: engine.ParentChild, Merge: true,
 			}
-		}
-	})
-	b.Run("Value", func(b *testing.B) {
-		s := tp.Shallow
-		orders, _ := s.ScanTag(datagen.ColDoc, "order")
-		lines, _ := s.ScanTag(datagen.ColDoc, "orderline")
-		key := func(name string) join.KeyFunc {
-			return func(sn storage.SNode) (string, error) {
-				e, err := s.Elem(sn.Elem)
-				if err != nil {
-					return "", err
+		}},
+		"Value": {tp.Shallow, func() engine.Op {
+			return &engine.ValueJoin{
+				Left:    &engine.ScanTag{Color: datagen.ColDoc, Tag: "orderline"},
+				Right:   &engine.ScanTag{Color: datagen.ColDoc, Tag: "order"},
+				LeftKey: engine.Key{Attr: "orderIdRef"}, RightKey: engine.Key{Attr: "id"},
+			}
+		}},
+	} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if rows, _, err := engine.Exec(run.s, run.plan()); err != nil || len(rows) == 0 {
+					b.Fatal(len(rows), err)
 				}
-				return e.Attr(name), nil
 			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got, err := join.HashValue(orders, lines, key("id"), key("orderIdRef"))
-			if err != nil || len(got) == 0 {
-				b.Fatal(len(got), err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationPlanOrder compares the two plan shapes of Section 6.2 for
@@ -450,35 +399,26 @@ func BenchmarkAblationJoinKind(b *testing.B) {
 func BenchmarkAblationPlanOrder(b *testing.B) {
 	tp, _ := benchStores(b)
 	s := tp.MCT
+	addrs := func() engine.Op {
+		return &engine.ExistsJoin{
+			Input: &engine.ScanTag{Color: datagen.ColBilling, Tag: "address"},
+			Probe: &engine.EqContent{Color: datagen.ColBilling, Tag: "country", Value: "Japan"},
+			Axis:  engine.ParentChild,
+		}
+	}
 	late := func() engine.Op {
 		// Filter in billing first (selective), then cross the few survivors.
-		addrs := &engine.ExistsJoin{
-			Input:    &engine.ScanTag{Color: datagen.ColBilling, Tag: "address"},
-			Probe:    &engine.EqContent{Color: datagen.ColBilling, Tag: "country", Value: "Japan"},
-			Col:      0,
-			ProbeCol: 0,
-			Axis:     join.ParentChild,
-		}
-		orders := &engine.StructJoin{Anc: addrs, Desc: &engine.ScanTag{Color: datagen.ColBilling, Tag: "order"},
-			AncCol: 0, DescCol: 0, Axis: join.ParentChild}
+		orders := &engine.StructJoin{Anc: addrs(), Desc: &engine.ScanTag{Color: datagen.ColBilling, Tag: "order"},
+			Axis: engine.ParentChild}
 		return &engine.CrossColor{Input: orders, Col: 1, To: datagen.ColDate}
 	}
 	early := func() engine.Op {
 		// Cross EVERY order into the date tree, then filter by billing.
 		orders := &engine.ScanTag{Color: datagen.ColBilling, Tag: "order"}
 		crossed := &engine.CrossColor{Input: orders, Col: 0, To: datagen.ColDate}
-		addrs := &engine.ExistsJoin{
-			Input:    &engine.ScanTag{Color: datagen.ColBilling, Tag: "address"},
-			Probe:    &engine.EqContent{Color: datagen.ColBilling, Tag: "country", Value: "Japan"},
-			Col:      0,
-			ProbeCol: 0,
-			Axis:     join.ParentChild,
-		}
-		return &engine.ExistsJoin{Input: crossed, Probe: addrs, Col: 0, ProbeCol: 0,
-			Axis: join.ParentChild, InputIsDesc: true}
+		return &engine.StructJoin{Anc: addrs(), Desc: crossed, Axis: engine.ParentChild}
 	}
 	for name, mk := range map[string]func() engine.Op{"CrossLate": late, "CrossEarly": early} {
-		mk := mk
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := engine.Exec(s, mk()); err != nil {
@@ -490,27 +430,32 @@ func BenchmarkAblationPlanOrder(b *testing.B) {
 }
 
 // BenchmarkAblationEncoding compares interval-encoded ancestry (the stored
-// (start, end) containment test via a structural join) against chasing
-// parent pointers through the start index for the same ancestor check.
+// (start, end) containment test, as the merging structural join plans run)
+// against chasing parent pointers through the start index for the same
+// ancestor check. Both read the two tags' index lists on every run.
 func BenchmarkAblationEncoding(b *testing.B) {
 	tp, _ := benchStores(b)
 	s := tp.MCT
-	custs, _ := s.ScanTag(datagen.ColCustomer, "customer")
-	lines, _ := s.ScanTag(datagen.ColCustomer, "orderline")
 	b.Run("IntervalJoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := join.Structural(custs, lines, join.AncestorDescendant); len(got) == 0 {
-				b.Fatal("no pairs")
+			rows, _, err := engine.Exec(s, &engine.StructJoin{
+				Anc:  &engine.ScanTag{Color: datagen.ColCustomer, Tag: "customer"},
+				Desc: &engine.ScanTag{Color: datagen.ColCustomer, Tag: "orderline"},
+				Axis: engine.AncestorDescendant, Merge: true,
+			})
+			if err != nil || len(rows) == 0 {
+				b.Fatal(len(rows), err)
 			}
 		}
 	})
 	b.Run("PointerChase", func(b *testing.B) {
-		isCust := make(map[int64]bool, len(custs))
-		for _, c := range custs {
-			isCust[c.Start] = true
-		}
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			custs, _ := s.ScanTag(datagen.ColCustomer, "customer")
+			lines, _ := s.ScanTag(datagen.ColCustomer, "orderline")
+			isCust := make(map[int64]bool, len(custs))
+			for _, c := range custs {
+				isCust[c.Start] = true
+			}
 			matches := 0
 			for _, l := range lines {
 				cur := l

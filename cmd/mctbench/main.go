@@ -1,12 +1,12 @@
 // Command mctbench regenerates the paper's evaluation artifacts: Table 1
 // (storage requirements), Table 2 (query and update processing time) and
 // Figures 11/12 (query specification complexity), over freshly generated
-// TPC-W and SIGMOD-Record datasets in all three representations. -compiled
-// cross-checks the plan compiler against every hand-specified Table 2 plan.
+// TPC-W and SIGMOD-Record datasets in all three representations. Table 2
+// runs every query and update text through the plan compiler.
 //
 // Usage:
 //
-//	mctbench [-table1] [-table2] [-fig11] [-fig12] [-compiled] [-all]
+//	mctbench [-table1] [-table2] [-fig11] [-fig12] [-all]
 //	         [-tpcw-scale N] [-sigmod-scale N] [-seed N] [-runs N] [-cold]
 //
 // Performance of the serving stack is measured by the nested bench/ module
@@ -27,7 +27,6 @@ func main() {
 		table2 = flag.Bool("table2", false, "print Table 2 (query processing time)")
 		fig11  = flag.Bool("fig11", false, "print Figure 11 (number of path expressions)")
 		fig12  = flag.Bool("fig12", false, "print Figure 12 (number of variable bindings)")
-		comp   = flag.Bool("compiled", false, "print the plan-compiler vs hand-plan comparison")
 		all    = flag.Bool("all", false, "print everything")
 		tpcw   = flag.Int("tpcw-scale", experiment.DefaultConfig.TPCWScale, "TPC-W scale factor")
 		sigmod = flag.Int("sigmod-scale", experiment.DefaultConfig.SigmodScale, "SIGMOD-Record scale factor")
@@ -42,7 +41,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if !*table1 && !*table2 && !*fig11 && !*fig12 && !*comp {
+	if !*table1 && !*table2 && !*fig11 && !*fig12 {
 		*all = true
 	}
 	cfg := experiment.Config{TPCWScale: *tpcw, SigmodScale: *sigmod, Seed: *seed, Cold: *cold}
@@ -67,15 +66,6 @@ func main() {
 		}
 		fmt.Printf("=== Table 2: Query Processing Time (%s) ===\n", cache)
 		fmt.Print(experiment.FormatTable2(res))
-		fmt.Println()
-	}
-	if *all || *comp {
-		rows, err := experiment.CompiledAgreement(cfg, *runs)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("=== Plan compiler vs hand-specified plans ===")
-		fmt.Print(experiment.FormatCompiled(rows))
 		fmt.Println()
 	}
 	runFigures(*all, *fig11, *fig12, fail)

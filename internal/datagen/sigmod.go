@@ -82,7 +82,15 @@ func GenSigmodEntities(cfg SigmodConfig) *SigmodEntities {
 		})
 	}
 	for i, tn := range topicNames {
-		e.Topics = append(e.Topics, Topic{ID: i + 1, Name: tn, Editor: 1 + rng.Intn(nEditors)})
+		// Every editor edits a topic, or the deep representation (which holds
+		// editors only as copies under their topics' articles) would lack
+		// the ones that edit none. The draw stays, so the rest of the pool
+		// is the same.
+		editor := 1 + rng.Intn(nEditors)
+		if i < nEditors {
+			editor = i + 1
+		}
+		e.Topics = append(e.Topics, Topic{ID: i + 1, Name: tn, Editor: editor})
 	}
 	nIssues := 40 * cfg.Scale
 	aid := 0

@@ -29,11 +29,6 @@ func (o *ContainsScan) Clone() Op {
 }
 
 // Clone implements Op.
-func (o *AttrEq) Clone() Op {
-	return &AttrEq{Color: o.Color, Name: o.Name, Value: o.Value}
-}
-
-// Clone implements Op.
 func (o *Filter) Clone() Op {
 	return &Filter{Input: o.Input.Clone(), Col: o.Col, Pred: o.Pred}
 }
@@ -58,12 +53,11 @@ func (o *StructJoin) Clone() Op {
 // Clone implements Op.
 func (o *ExistsJoin) Clone() Op {
 	return &ExistsJoin{
-		Input:       o.Input.Clone(),
-		Probe:       o.Probe.Clone(),
-		Col:         o.Col,
-		ProbeCol:    o.ProbeCol,
-		Axis:        o.Axis,
-		InputIsDesc: o.InputIsDesc,
+		Input:    o.Input.Clone(),
+		Probe:    o.Probe.Clone(),
+		Col:      o.Col,
+		ProbeCol: o.ProbeCol,
+		Axis:     o.Axis,
 	}
 }
 
@@ -119,16 +113,6 @@ func (o *NLJoin) Clone() Op {
 // Clone implements Op.
 func (o *Dedup) Clone() Op {
 	return &Dedup{Input: o.Input.Clone(), Col: o.Col, Ordered: o.Ordered}
-}
-
-// Clone implements Op.
-func (o *DedupContent) Clone() Op {
-	return &DedupContent{Input: o.Input.Clone(), Col: o.Col}
-}
-
-// Clone implements Op.
-func (o *DedupAttr) Clone() Op {
-	return &DedupAttr{Input: o.Input.Clone(), Col: o.Col, Name: o.Name}
 }
 
 // Clone implements Op.

@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"colorfulxml/internal/engine"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
 // wideplan builds one tree touching every operator kind, so the clone tests
-// cover the full algebra (AttrEq and PathScan are cloned alongside it below;
-// PathScan runs against a store with a summary).
+// cover the full algebra (PathScan is cloned alongside it below; it runs
+// against a store with a summary).
 func widePlan() engine.Op {
 	scan := func(tag string) engine.Op { return &engine.ScanTag{Color: "red", Tag: tag} }
 	return &engine.Project{
@@ -21,57 +20,50 @@ func widePlan() engine.Op {
 			Col: 0,
 			Input: &engine.TupleOrder{Input: &engine.Dedup{
 				Col: 0,
-				Input: &engine.DedupContent{
-					Col: 0,
-					Input: &engine.DedupAttr{
+				Input: &engine.Filter{
+					Col:  0,
+					Pred: engine.Pred{Kind: "contains", Value: "x"},
+					Input: &engine.AttrFilter{
 						Col:  0,
 						Name: "id",
-						Input: &engine.Filter{
-							Col:  0,
-							Pred: engine.Pred{Kind: "contains", Value: "x"},
-							Input: &engine.AttrFilter{
-								Col:  0,
-								Name: "id",
-								Pred: engine.Pred{Kind: "ne", Value: ""},
-								Input: &engine.StructJoin{
-									AncCol:  0,
-									DescCol: 0,
-									Axis:    join.AncestorDescendant,
-									Anc: &engine.ExistsJoin{
-										Col:      0,
-										ProbeCol: 0,
-										Axis:     join.AncestorDescendant,
-										Input: &engine.Uniq{Input: &engine.NavJoin{
-											Col: 0, Axis: engine.NavAncestor, Color: "red", Tag: "z",
-											Input: scan("a"),
-										}},
-										Probe: scan("b"),
+						Pred: engine.Pred{Kind: "ne", Value: ""},
+						Input: &engine.StructJoin{
+							AncCol:  0,
+							DescCol: 0,
+							Axis:    engine.AncestorDescendant,
+							Anc: &engine.ExistsJoin{
+								Col:      0,
+								ProbeCol: 0,
+								Axis:     engine.AncestorDescendant,
+								Input: &engine.Uniq{Input: &engine.NavJoin{
+									Col: 0, Axis: engine.NavAncestor, Color: "red", Tag: "z",
+									Input: scan("a"),
+								}},
+								Probe: scan("b"),
+							},
+							Desc: &engine.CrossColor{
+								Col: 0,
+								To:  "blue",
+								Input: &engine.ValueJoin{
+									LeftCol:  0,
+									RightCol: 0,
+									LeftKey:  engine.Key{Attr: "ref"},
+									RightKey: engine.Key{Attr: "id"},
+									Left: &engine.IDJoin{
+										LeftCol:  0,
+										RightCol: 0,
+										Left:     scan("c"),
+										Right:    scan("d"),
 									},
-									Desc: &engine.CrossColor{
-										Col: 0,
-										To:  "blue",
-										Input: &engine.ValueJoin{
-											LeftCol:  0,
-											RightCol: 0,
-											LeftKey:  engine.Key{Attr: "ref"},
-											RightKey: engine.Key{Attr: "id"},
-											Left: &engine.IDJoin{
-												LeftCol:  0,
-												RightCol: 0,
-												Left:     scan("c"),
-												Right:    scan("d"),
-											},
-											Right: &engine.NLJoin{
-												LeftCol:  0,
-												RightCol: 0,
-												Kind:     "lt",
-												Numeric:  true,
-												Left:     &engine.EqContent{Color: "red", Tag: "e", Value: "v"},
-												Right: &engine.ContainsScan{
-													Color: "red", Tag: "f",
-													Pred: engine.Pred{Kind: "eq", Value: "v"},
-												},
-											},
+									Right: &engine.NLJoin{
+										LeftCol:  0,
+										RightCol: 0,
+										Kind:     "lt",
+										Numeric:  true,
+										Left:     &engine.EqContent{Color: "red", Tag: "e", Value: "v"},
+										Right: &engine.ContainsScan{
+											Color: "red", Tag: "f",
+											Pred: engine.Pred{Kind: "eq", Value: "v"},
 										},
 									},
 								},
@@ -99,7 +91,6 @@ func collectOps(op engine.Op) []engine.Op {
 func TestCloneCoversAlgebra(t *testing.T) {
 	for _, orig := range []engine.Op{
 		widePlan(),
-		&engine.AttrEq{Color: "red", Name: "id", Value: "1"},
 		&engine.PathScan{Color: "red", Steps: []storage.PathStep{{Tag: "a", Desc: true}}},
 	} {
 		clone := orig.Clone()
@@ -130,7 +121,7 @@ func TestClonesRunConcurrently(t *testing.T) {
 			Desc:    &engine.ScanTag{Color: "red", Tag: "name"},
 			AncCol:  0,
 			DescCol: 0,
-			Axis:    join.AncestorDescendant,
+			Axis:    engine.AncestorDescendant,
 		},
 	}
 	want, _ := run(t, s, proto.Clone())

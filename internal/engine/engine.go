@@ -14,9 +14,8 @@
 // build sides plus the in-flight batches of its pipeline, not the sum of
 // every edge in the tree (ExplainAnalyze reports both).
 //
-// Plans may be hand-specified per query and representation, exactly as in
-// the paper's Section 6.2 ("we manually specified the query plan"), or
-// produced automatically by the internal/plan compiler.
+// Plans are produced by the internal/plan compiler, which automates the
+// paper's Section 6.2 step ("we manually specified the query plan").
 package engine
 
 import (
@@ -686,4 +685,9 @@ func (ix *ancIndex) containing(hits []int, d storage.SNode, parentChild bool) []
 		hits[l], hits[r] = hits[r], hits[l]
 	}
 	return hits
+}
+
+// sortByStart sorts structural nodes by start position.
+func sortByStart(ns []storage.SNode) {
+	sort.Slice(ns, func(i, j int) bool { return ns[i].Start < ns[j].Start })
 }

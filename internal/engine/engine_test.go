@@ -6,7 +6,6 @@ import (
 
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/fixtures"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -67,20 +66,20 @@ func TestQ1PlanMCT(t *testing.T) {
 		Probe:    &engine.EqContent{Color: "red", Tag: "name", Value: "Comedy"},
 		Col:      0,
 		ProbeCol: 0,
-		Axis:     join.ParentChild,
+		Axis:     engine.ParentChild,
 	}
 	movies := &engine.StructJoin{
 		Anc:    comedy,
 		Desc:   &engine.ContainsScan{Color: "red", Tag: "name", Pred: engine.Pred{Kind: "contains", Value: "Eve"}},
 		AncCol: 0, DescCol: 0,
-		Axis: join.AncestorDescendant,
+		Axis: engine.AncestorDescendant,
 	}
 	// movies: rows (genre, name); restrict name's parent to be a movie.
 	full := &engine.StructJoin{
 		Anc:    &engine.ScanTag{Color: "red", Tag: "movie"},
 		Desc:   movies,
 		AncCol: 0, DescCol: 1,
-		Axis: join.ParentChild,
+		Axis: engine.ParentChild,
 	}
 	rows, m := run(t, s, full)
 	if len(rows) != 1 {
@@ -108,11 +107,11 @@ func TestQ2PlanMCTWithColorCrossing(t *testing.T) {
 			Probe:    &engine.EqContent{Color: "red", Tag: "name", Value: "Comedy"},
 			Col:      0,
 			ProbeCol: 0,
-			Axis:     join.ParentChild,
+			Axis:     engine.ParentChild,
 		},
 		Desc:   &engine.ScanTag{Color: "red", Tag: "movie"},
 		AncCol: 0, DescCol: 0,
-		Axis: join.AncestorDescendant,
+		Axis: engine.AncestorDescendant,
 	}
 	// Cross into green: survivors are Oscar nominated (all green movies sit
 	// under the Oscar award in the fixture).
@@ -184,7 +183,7 @@ func TestDedupAndProjectAndSort(t *testing.T) {
 		Anc:    &engine.ScanTag{Color: "red", Tag: "movie-genre"},
 		Desc:   &engine.ScanTag{Color: "red", Tag: "name"},
 		AncCol: 0, DescCol: 0,
-		Axis: join.AncestorDescendant,
+		Axis: engine.AncestorDescendant,
 	}
 	proj := &engine.Project{Input: j, Cols: []int{0}}
 	rows, _ := run(t, s, proj)
@@ -204,19 +203,7 @@ func TestDedupAndProjectAndSort(t *testing.T) {
 	}
 }
 
-func TestDedupContent(t *testing.T) {
-	_, s := loadStore(t)
-	// All red name nodes; dedup by content collapses duplicates (none in the
-	// fixture are duplicated, but the operator must at least not grow).
-	plan := &engine.DedupContent{Input: &engine.ScanTag{Color: "red", Tag: "name"}, Col: 0}
-	rows, _ := run(t, s, plan)
-	all, _ := run(t, s, &engine.ScanTag{Color: "red", Tag: "name"})
-	if len(rows) > len(all) {
-		t.Fatal("dedup grew")
-	}
-}
-
-func TestAttrEqAndAttrFilter(t *testing.T) {
+func TestAttrFilter(t *testing.T) {
 	m := fixtures.NewMovieDB()
 	if _, err := m.DB.SetAttribute(m.Node("eve"), "id", "m1"); err != nil {
 		t.Fatal(err)
@@ -225,16 +212,12 @@ func TestAttrEqAndAttrFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := run(t, s, &engine.AttrEq{Color: "red", Name: "id", Value: "m1"})
-	if len(rows) != 1 {
-		t.Fatalf("AttrEq rows = %d", len(rows))
-	}
 	filt := &engine.AttrFilter{
 		Input: &engine.ScanTag{Color: "red", Tag: "movie"},
 		Col:   0, Name: "id",
 		Pred: engine.Pred{Kind: "eq", Value: "m1"},
 	}
-	rows, _ = run(t, s, filt)
+	rows, _ := run(t, s, filt)
 	if len(rows) != 1 {
 		t.Fatalf("AttrFilter rows = %d", len(rows))
 	}
@@ -245,7 +228,7 @@ func TestExplainRendering(t *testing.T) {
 		Input: &engine.StructJoin{
 			Anc:  &engine.ScanTag{Color: "red", Tag: "movie-genre"},
 			Desc: &engine.ScanTag{Color: "red", Tag: "movie"},
-			Axis: join.AncestorDescendant,
+			Axis: engine.AncestorDescendant,
 		},
 		Col: 1, To: "green",
 	}
@@ -300,7 +283,7 @@ func TestTupleOrder(t *testing.T) {
 			Anc:    &engine.ScanTag{Color: "red", Tag: "movie-genre"},
 			Desc:   &engine.ScanTag{Color: "red", Tag: "name"},
 			AncCol: 0, DescCol: 0,
-			Axis: join.AncestorDescendant,
+			Axis: engine.AncestorDescendant,
 		}
 	}
 	names := func() engine.Op { return &engine.Project{Cols: []int{1, 1}, Input: pairs()} }

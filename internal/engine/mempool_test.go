@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"colorfulxml/internal/fixtures"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -91,7 +90,7 @@ func mempoolTestPlan() Op {
 			Desc:    &ScanTag{Color: "red", Tag: "name"},
 			AncCol:  0,
 			DescCol: 0,
-			Axis:    join.AncestorDescendant,
+			Axis:    AncestorDescendant,
 		},
 	}
 }

@@ -3,11 +3,12 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/obs"
 	"colorfulxml/internal/storage"
 )
@@ -16,8 +17,8 @@ import (
 // merge produces exactly the rows of the interval-index join, in its order
 // (and, over scans, with its structJoins count) — both axes, ancestor sides
 // that repeat a node (adjacent rows, two columns wide) and nest (sec in sec),
-// descendant sides that repeat one, empty sides — and
-// internal/join.Structural, the slice form of the same algorithm, agrees.
+// descendant sides that repeat one, empty sides — and both agree with a
+// brute-force enumeration of every pair.
 func TestStructJoinMergeMatchesIndex(t *testing.T) {
 	tags := []string{"sec", "par", "note", "nosuch"}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -27,11 +28,11 @@ func TestStructJoinMergeMatchesIndex(t *testing.T) {
 			// Every node once per sec ancestor, that ancestor in column 0:
 			// duplicates in column 1, adjacent and in start order.
 			dups := func(tag string) engine.Op {
-				return &engine.StructJoin{Anc: scan("sec"), Desc: scan(tag), Axis: join.AncestorDescendant}
+				return &engine.StructJoin{Anc: scan("sec"), Desc: scan(tag), Axis: engine.AncestorDescendant}
 			}
 			for _, anc := range tags {
 				for _, desc := range tags {
-					for _, axis := range []join.Axis{join.AncestorDescendant, join.ParentChild} {
+					for _, axis := range []engine.Axis{engine.AncestorDescendant, engine.ParentChild} {
 						for name, mk := range map[string]func(merge bool) *engine.StructJoin{
 							"scans": func(m bool) *engine.StructJoin {
 								return &engine.StructJoin{Anc: scan(anc), Desc: scan(desc), Axis: axis, Merge: m}
@@ -60,13 +61,13 @@ func TestStructJoinMergeMatchesIndex(t *testing.T) {
 							}
 							ancs, _ := s.ScanTag(c, anc)
 							descs, _ := s.ScanTag(c, desc)
-							ref := join.Structural(ancs, descs, axis)
+							ref := allPairs(ancs, descs, axis)
 							if len(ref) != len(got) {
-								t.Fatalf("join.Structural finds %d pairs, the operator %d", len(ref), len(got))
+								t.Fatalf("brute force finds %d pairs, the operator %d", len(ref), len(got))
 							}
 							for i, p := range ref {
-								if got[i][0] != p.Anc || got[i][1] != p.Desc {
-									t.Fatalf("pair %d: operator %v, join.Structural %v", i, got[i], p)
+								if got[i][0] != p[0] || got[i][1] != p[1] {
+									t.Fatalf("pair %d: operator %v, brute force %v", i, got[i], p)
 								}
 							}
 						}
@@ -74,6 +75,68 @@ func TestStructJoinMergeMatchesIndex(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// allPairs tests every (ancestor, descendant) pair of two start-ordered
+// lists: the pairs that satisfy the axis, by descendant and, for one
+// descendant, outermost ancestor first.
+func allPairs(ancs, descs []storage.SNode, axis engine.Axis) [][2]storage.SNode {
+	var out [][2]storage.SNode
+	for _, d := range descs {
+		for _, a := range ancs {
+			inside := a.Start < d.Start && d.End < a.End
+			if inside && (axis == engine.AncestorDescendant || d.ParentStart == a.Start && d.Level == a.Level+1) {
+				out = append(out, [2]storage.SNode{a, d})
+			}
+		}
+	}
+	return out
+}
+
+// TestQuickStructuralAgainstNaive cross-checks both StructJoin algorithms
+// against the quadratic pair enumeration on random trees of two tags.
+func TestQuickStructuralAgainstNaive(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		db := core.NewDatabase("c")
+		attached := []*core.Node{db.Document()}
+		for i := 0; i < 80; i++ {
+			n, err := db.AddElement(attached[rng.Intn(len(attached))], []string{"a", "b"}[rng.Intn(2)], "c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			attached = append(attached, n)
+		}
+		s, err := storage.Load(db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, _ := s.ScanTag("c", "a")
+		bs, _ := s.ScanTag("c", "b")
+		for _, axis := range []engine.Axis{engine.AncestorDescendant, engine.ParentChild} {
+			want := allPairs(as, bs, axis)
+			for _, merge := range []bool{false, true} {
+				got, _ := run(t, s, &engine.StructJoin{
+					Anc: &engine.ScanTag{Color: "c", Tag: "a"}, Desc: &engine.ScanTag{Color: "c", Tag: "b"},
+					Axis: axis, Merge: merge,
+				})
+				if len(got) != len(want) {
+					t.Logf("axis %d merge=%v: %d rows, brute force %d (seed %d)", axis, merge, len(got), len(want), seed)
+					return false
+				}
+				for i, p := range want {
+					if got[i][0] != p[0] || got[i][1] != p[1] {
+						t.Logf("axis %d merge=%v: row %d is %v, brute force %v (seed %d)", axis, merge, i, got[i], p, seed)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -86,7 +149,7 @@ func TestStructJoinMergeAcrossBatches(t *testing.T) {
 		// item under lib: n pairs from a one-row ancestor side.
 		rows, m := run(t, s, &engine.StructJoin{
 			Anc: &engine.ScanTag{Color: "red", Tag: "lib"}, Desc: &engine.ScanTag{Color: "red", Tag: "item"},
-			Axis: join.ParentChild, Merge: merge,
+			Axis: engine.ParentChild, Merge: merge,
 		})
 		if len(rows) != n || m.StructJoins != n {
 			t.Fatalf("merge=%v: %d rows, %d joins, want %d", merge, len(rows), m.StructJoins, n)
@@ -94,7 +157,7 @@ func TestStructJoinMergeAcrossBatches(t *testing.T) {
 		// item self-join: nothing contains itself.
 		rows, _ = run(t, s, &engine.StructJoin{
 			Anc: &engine.ScanTag{Color: "red", Tag: "item"}, Desc: &engine.ScanTag{Color: "red", Tag: "item"},
-			Axis: join.AncestorDescendant, Merge: merge,
+			Axis: engine.AncestorDescendant, Merge: merge,
 		})
 		if len(rows) != 0 {
 			t.Fatalf("merge=%v: items contain items: %d rows", merge, len(rows))
@@ -114,7 +177,7 @@ func TestDedupOrderedAndSorting(t *testing.T) {
 		// sec ancestors, outermost first per descendant) repeats them in no
 		// order at all.
 		dups := func() engine.Op {
-			return &engine.StructJoin{Anc: scan("sec"), Desc: scan("par"), Axis: join.AncestorDescendant}
+			return &engine.StructJoin{Anc: scan("sec"), Desc: scan("par"), Axis: engine.AncestorDescendant}
 		}
 		first := func(rows []engine.Row, col int) []string {
 			seen := map[storage.ElemID]bool{}
@@ -162,7 +225,7 @@ func TestExecColumn(t *testing.T) {
 	plan := func() engine.Op {
 		return &engine.StructJoin{
 			Anc: &engine.ScanTag{Color: "red", Tag: "lib"}, Desc: &engine.ScanTag{Color: "red", Tag: "item"},
-			Axis: join.ParentChild, Merge: true,
+			Axis: engine.ParentChild, Merge: true,
 		}
 	}
 	for _, hint := range []int{0, n, 10 * n} {

@@ -10,7 +10,6 @@ import (
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -80,7 +79,7 @@ func TestNavJoinMatchesStructJoin(t *testing.T) {
 				// still in start order.
 				"dups": func(tag string) engine.Op {
 					return &engine.Project{Cols: []int{1}, Input: &engine.StructJoin{
-						Anc: scan("sec"), Desc: scan(tag), Axis: join.AncestorDescendant,
+						Anc: scan("sec"), Desc: scan(tag), Axis: engine.AncestorDescendant,
 					}}
 				},
 			}
@@ -88,9 +87,9 @@ func TestNavJoinMatchesStructJoin(t *testing.T) {
 				for _, from := range tags {
 					for _, to := range tags {
 						for _, axis := range []engine.NavAxis{engine.NavChild, engine.NavDescendant, engine.NavParent, engine.NavAncestor} {
-							jaxis := join.AncestorDescendant
+							jaxis := engine.AncestorDescendant
 							if axis == engine.NavChild || axis == engine.NavParent {
-								jaxis = join.ParentChild
+								jaxis = engine.ParentChild
 							}
 							var nav engine.Op = &engine.NavJoin{Input: outer(from), Col: 0, Axis: axis, Color: c, Tag: to}
 							var want []string
@@ -242,7 +241,7 @@ func TestUniqFoldsNavigationalPredicate(t *testing.T) {
 		want, _ := run(t, s, &engine.ExistsJoin{
 			Input: &engine.ScanTag{Color: "red", Tag: "sec"},
 			Probe: &engine.EqContent{Color: "red", Tag: "par", Value: "v1"},
-			Axis:  join.ParentChild,
+			Axis:  engine.ParentChild,
 		})
 		fanned := &engine.Filter{Col: 1, Pred: pred, Input: &engine.NavJoin{
 			Input: &engine.ScanTag{Color: "red", Tag: "sec"}, Col: 0, Axis: engine.NavChild, Color: "red", Tag: "par",

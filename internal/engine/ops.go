@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"colorfulxml/internal/core"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -17,8 +16,8 @@ import (
 //   - Scans resolve their posting list straight into the output batch, a page
 //     of records at a time; the one that reads content per candidate
 //     (ContainsScan) polls cancellation per candidate.
-//   - Materializing operators (AttrEq, SortStart, TupleOrder, a Dedup over
-//     unordered input) buffer at Open and emit with a single bulk appendRows
+//   - Materializing operators (SortStart, TupleOrder, a Dedup over unordered
+//     input) buffer at Open and emit with a single bulk appendRows
 //     per NextBatch.
 //   - Streaming filters pull their input through a batchCursor and copy
 //     surviving rows into the output batch.
@@ -166,62 +165,6 @@ func (o *ContainsScan) String() string {
 	return fmt.Sprintf("ContainsScan{%s}%s[%s]", o.Color, o.Tag, o.Pred)
 }
 
-// AttrEq is an attribute-index lookup producing the matching elements'
-// structural nodes in one color. The attribute index yields element ids in
-// no particular order, so the (small) result is buffered and start-sorted.
-type AttrEq struct {
-	Color core.Color
-	Name  string
-	Value string
-
-	rows []Row
-	pos  int
-	held int
-}
-
-// Open implements Op.
-func (o *AttrEq) Open(ctx *Ctx) error {
-	ids := ctx.S.EqAttr(o.Name, o.Value)
-	o.rows = nil
-	o.pos = 0
-	for _, id := range ids {
-		sn, ok, err := ctx.S.StructOf(id, o.Color)
-		if err != nil {
-			return err
-		}
-		if ok {
-			o.rows = append(o.rows, Row{sn})
-		}
-	}
-	sort.Slice(o.rows, func(i, j int) bool { return o.rows[i][0].Start < o.rows[j][0].Start })
-	o.held = len(o.rows)
-	ctx.hold(o, o.held)
-	return nil
-}
-
-// NextBatch implements Op: a bulk emit of the buffered rows (the per-batch
-// cancellation check in pullBatch suffices — there is no per-row work here).
-func (o *AttrEq) NextBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	o.pos += out.appendRows(o.rows[o.pos:])
-	return nil
-}
-
-// Close implements Op.
-func (o *AttrEq) Close(ctx *Ctx) error {
-	ctx.release(o.held)
-	o.held = 0
-	o.rows = nil
-	return nil
-}
-
-// Children implements Op.
-func (o *AttrEq) Children() []Op { return nil }
-
-func (o *AttrEq) String() string {
-	return fmt.Sprintf("AttrEq{%s}@%s=%q", o.Color, o.Name, o.Value)
-}
-
 // Filter keeps rows whose column's content satisfies the predicate.
 type Filter struct {
 	Input Op
@@ -325,14 +268,31 @@ func (o *AttrFilter) String() string {
 	return fmt.Sprintf("AttrFilter[col %d @%s %s]", o.Col, o.Name, o.Pred)
 }
 
+// Axis is the structural relationship a join tests between an ancestor-side
+// and a descendant-side node.
+type Axis uint8
+
+// Structural join axes.
+const (
+	AncestorDescendant Axis = iota
+	ParentChild
+)
+
+func (a Axis) String() string {
+	if a == ParentChild {
+		return "parent-child"
+	}
+	return "ancestor-descendant"
+}
+
 // StructJoin joins two subplans structurally: the AncCol column of Anc rows
 // must be an ancestor (or parent) of the DescCol column of Desc rows. Output
 // rows are anc-row ++ desc-row; for one descendant the ancestors come
 // outermost first.
 //
 // With Merge — the compiler sets it when both inputs arrive in start order of
-// their join columns, as index scans do — it is the stack-tree join
-// (internal/join.Structural, here over streams): one pass over both inputs,
+// their join columns, as index scans do — it is the stack-tree join of
+// Al-Khalifa et al., over streams: one pass over both inputs,
 // the ancestors still open at the current position on a stack, nothing built,
 // output in descendant start order. Without it the ancestor side is the build
 // side: it is materialized into a nearest-enclosing interval index (ancIndex)
@@ -343,7 +303,7 @@ type StructJoin struct {
 	Desc    Op
 	AncCol  int
 	DescCol int
-	Axis    join.Axis
+	Axis    Axis
 	Merge   bool
 
 	ix   *ancIndex // build side, !Merge
@@ -421,7 +381,7 @@ func (o *StructJoin) emit(ctx *Ctx, out *Batch, ar, d Row) {
 
 // probeOne joins one descendant row against the ancestor index.
 func (o *StructJoin) probeOne(ctx *Ctx, out *Batch, d Row) {
-	o.hits = o.ix.containing(o.hits[:0], d[o.DescCol], o.Axis == join.ParentChild)
+	o.hits = o.ix.containing(o.hits[:0], d[o.DescCol], o.Axis == ParentChild)
 	for _, hi := range o.hits {
 		ctx.addStructJoins(o, 1)
 		for _, ar := range o.ix.rowsOf(hi) {
@@ -460,7 +420,7 @@ func (o *StructJoin) mergeOne(ctx *Ctx, out *Batch, d Row) error {
 	for at := 0; at < len(o.open); at += o.width {
 		ar := Row(o.open[at : at+o.width])
 		an := ar[o.AncCol]
-		if !an.Contains(dn) || (o.Axis == join.ParentChild && !an.IsParentOf(dn)) {
+		if !an.Contains(dn) || (o.Axis == ParentChild && !an.IsParentOf(dn)) {
 			continue
 		}
 		if an.Start != last {
@@ -502,10 +462,7 @@ func (o *StructJoin) Close(ctx *Ctx) error {
 func (o *StructJoin) Children() []Op { return []Op{o.Anc, o.Desc} }
 
 func (o *StructJoin) String() string {
-	axis := "ancestor-descendant"
-	if o.Axis == join.ParentChild {
-		axis = "parent-child"
-	}
+	axis := o.Axis.String()
 	if o.Merge {
 		axis = "merge " + axis
 	}
@@ -513,23 +470,18 @@ func (o *StructJoin) String() string {
 }
 
 // ExistsJoin is a structural semi-join: keep Input rows whose column has a
-// descendant (or child/ancestor/parent, per Axis and Dir) in Probe's column.
-// The probe side is materialized into an interval index; Input streams, with
-// one decision memoized per distinct input node.
+// descendant (or a child, per Axis) in Probe's column. The probe side is
+// materialized as its distinct nodes in start order; Input streams, with one
+// decision memoized per distinct input node.
 type ExistsJoin struct {
 	Input    Op
 	Probe    Op
 	Col      int
 	ProbeCol int
-	Axis     join.Axis
-	// InputIsDesc inverts the direction: keep Input rows whose column HAS AN
-	// ANCESTOR in Probe.
-	InputIsDesc bool
+	Axis     Axis
 
-	ix            *ancIndex       // when InputIsDesc: probe nodes as ancestors
-	hits          []int           // scratch for ix.containing
-	probeNodes    []storage.SNode // otherwise: distinct probe nodes, start order
-	probeByParent map[int64][]int // otherwise, ParentChild: probe indexes by ParentStart
+	probeNodes    []storage.SNode // distinct probe nodes, start order
+	probeByParent map[int64][]int // ParentChild: probe indexes by ParentStart
 	decided       map[int64]bool
 	in            batchCursor
 	held          int
@@ -543,26 +495,21 @@ func (o *ExistsJoin) Open(ctx *Ctx) error {
 	}
 	o.held = len(probeRows)
 	o.decided = make(map[int64]bool)
-	o.ix = nil
 	o.probeNodes = nil
 	o.probeByParent = nil
-	if o.InputIsDesc {
-		o.ix = buildAncIndex(probeRows, o.ProbeCol)
-	} else {
-		seen := make(map[int64]bool, len(probeRows))
-		for _, r := range probeRows {
-			sn := r[o.ProbeCol]
-			if !seen[sn.Start] {
-				seen[sn.Start] = true
-				o.probeNodes = append(o.probeNodes, sn)
-			}
+	seen := make(map[int64]bool, len(probeRows))
+	for _, r := range probeRows {
+		sn := r[o.ProbeCol]
+		if !seen[sn.Start] {
+			seen[sn.Start] = true
+			o.probeNodes = append(o.probeNodes, sn)
 		}
-		join.SortByStart(o.probeNodes)
-		if o.Axis == join.ParentChild {
-			o.probeByParent = make(map[int64][]int, len(o.probeNodes))
-			for i, sn := range o.probeNodes {
-				o.probeByParent[sn.ParentStart] = append(o.probeByParent[sn.ParentStart], i)
-			}
+	}
+	sortByStart(o.probeNodes)
+	if o.Axis == ParentChild {
+		o.probeByParent = make(map[int64][]int, len(o.probeNodes))
+		for i, sn := range o.probeNodes {
+			o.probeByParent[sn.ParentStart] = append(o.probeByParent[sn.ParentStart], i)
 		}
 	}
 	return o.in.open(ctx, o.Input)
@@ -571,11 +518,7 @@ func (o *ExistsJoin) Open(ctx *Ctx) error {
 // match decides whether one input node has a structural partner in the probe
 // set.
 func (o *ExistsJoin) match(sn storage.SNode) bool {
-	if o.InputIsDesc {
-		o.hits = o.ix.containing(o.hits[:0], sn, o.Axis == join.ParentChild)
-		return len(o.hits) > 0
-	}
-	if o.Axis == join.ParentChild {
+	if o.Axis == ParentChild {
 		for _, i := range o.probeByParent[sn.Start] {
 			d := o.probeNodes[i]
 			if sn.Contains(d) && sn.IsParentOf(d) {
@@ -623,7 +566,6 @@ func (o *ExistsJoin) NextBatch(ctx *Ctx, out *Batch) error {
 func (o *ExistsJoin) Close(ctx *Ctx) error {
 	ctx.release(o.held)
 	o.held = 0
-	o.ix = nil
 	o.probeNodes = nil
 	o.probeByParent = nil
 	o.decided = nil
@@ -640,7 +582,7 @@ func (o *ExistsJoin) Close(ctx *Ctx) error {
 func (o *ExistsJoin) Children() []Op { return []Op{o.Input, o.Probe} }
 
 func (o *ExistsJoin) String() string {
-	return fmt.Sprintf("ExistsJoin[col %d, desc=%v]", o.Col, o.InputIsDesc)
+	return fmt.Sprintf("ExistsJoin[col %d, %s]", o.Col, o.Axis)
 }
 
 // CrossColor is the cross-tree join access method (Section 6.2): for each
@@ -1115,114 +1057,6 @@ func (o *Dedup) String() string {
 	}
 	return fmt.Sprintf("Dedup[col %d]", o.Col)
 }
-
-// DedupContent removes duplicate rows by the CONTENT of one column (deep
-// variants often deduplicate by value because replicated copies have
-// distinct element ids).
-type DedupContent struct {
-	Input Op
-	Col   int
-
-	seen map[string]bool
-	in   batchCursor
-}
-
-// Open implements Op.
-func (o *DedupContent) Open(ctx *Ctx) error {
-	o.seen = make(map[string]bool)
-	return o.in.open(ctx, o.Input)
-}
-
-// NextBatch implements Op.
-func (o *DedupContent) NextBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	for !out.Full() {
-		r, ok, err := o.in.pull(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		ctx.addContentReads(o, 1)
-		c, err := ctx.S.ContentOf(r[o.Col].Elem)
-		if err != nil {
-			return err
-		}
-		if !o.seen[c] {
-			o.seen[c] = true
-			out.AppendRow(r)
-		}
-	}
-	return nil
-}
-
-// Close implements Op.
-func (o *DedupContent) Close(ctx *Ctx) error {
-	o.seen = nil
-	o.in.close(ctx)
-	return o.Input.Close(ctx)
-}
-
-// Children implements Op.
-func (o *DedupContent) Children() []Op { return []Op{o.Input} }
-
-func (o *DedupContent) String() string { return fmt.Sprintf("DedupContent[col %d]", o.Col) }
-
-// DedupAttr removes duplicate rows by an attribute value of one column (deep
-// variants identify logical entities by their ref attribute, since replicated
-// copies have distinct element ids).
-type DedupAttr struct {
-	Input Op
-	Col   int
-	Name  string
-
-	seen map[string]bool
-	in   batchCursor
-}
-
-// Open implements Op.
-func (o *DedupAttr) Open(ctx *Ctx) error {
-	o.seen = make(map[string]bool)
-	return o.in.open(ctx, o.Input)
-}
-
-// NextBatch implements Op.
-func (o *DedupAttr) NextBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	for !out.Full() {
-		r, ok, err := o.in.pull(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		ctx.addContentReads(o, 1)
-		e, err := ctx.S.Elem(r[o.Col].Elem)
-		if err != nil {
-			return err
-		}
-		k := e.Attr(o.Name)
-		if !o.seen[k] {
-			o.seen[k] = true
-			out.AppendRow(r)
-		}
-	}
-	return nil
-}
-
-// Close implements Op.
-func (o *DedupAttr) Close(ctx *Ctx) error {
-	o.seen = nil
-	o.in.close(ctx)
-	return o.Input.Close(ctx)
-}
-
-// Children implements Op.
-func (o *DedupAttr) Children() []Op { return []Op{o.Input} }
-
-func (o *DedupAttr) String() string { return fmt.Sprintf("DedupAttr[col %d @%s]", o.Col, o.Name) }
 
 // Project keeps a subset of columns.
 type Project struct {

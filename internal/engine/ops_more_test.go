@@ -3,10 +3,8 @@ package engine_test
 import (
 	"testing"
 
-	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/fixtures"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -110,7 +108,8 @@ func TestCrossColorDropsIncompatible(t *testing.T) {
 	}
 }
 
-// TestExistsJoinDirections covers all four (axis, direction) combinations.
+// TestExistsJoinDirections covers both axes, and a probe that holds no
+// partner for any input row.
 func TestExistsJoinDirections(t *testing.T) {
 	m := fixtures.NewMovieDB()
 	s, err := storage.Load(m.DB, 0)
@@ -125,13 +124,11 @@ func TestExistsJoinDirections(t *testing.T) {
 		nRows int
 	}{
 		{"genres with movie child", &engine.ExistsJoin{
-			Input: genreScan(), Probe: movieScan(), Axis: join.ParentChild}, 3},
+			Input: genreScan(), Probe: movieScan(), Axis: engine.ParentChild}, 3},
 		{"genres with movie descendant", &engine.ExistsJoin{
-			Input: genreScan(), Probe: movieScan(), Axis: join.AncestorDescendant}, 3},
-		{"movies under a genre (child)", &engine.ExistsJoin{
-			Input: movieScan(), Probe: genreScan(), Axis: join.ParentChild, InputIsDesc: true}, 4},
-		{"movies under a genre (desc)", &engine.ExistsJoin{
-			Input: movieScan(), Probe: genreScan(), Axis: join.AncestorDescendant, InputIsDesc: true}, 4},
+			Input: genreScan(), Probe: movieScan(), Axis: engine.AncestorDescendant}, 3},
+		{"movies with a genre descendant", &engine.ExistsJoin{
+			Input: movieScan(), Probe: genreScan(), Axis: engine.AncestorDescendant}, 0},
 	}
 	for _, c := range cases {
 		rows, _, err := engine.Exec(s, c.plan)
@@ -170,7 +167,7 @@ func TestEmptyInputsFlowThrough(t *testing.T) {
 	empty := &engine.EqContent{Color: "red", Tag: "name", Value: "No Such Movie"}
 	plans := []engine.Op{
 		&engine.Filter{Input: empty, Col: 0, Pred: engine.Pred{Kind: "eq", Value: "x"}},
-		&engine.StructJoin{Anc: empty, Desc: &engine.ScanTag{Color: "red", Tag: "movie"}, Axis: join.AncestorDescendant},
+		&engine.StructJoin{Anc: empty, Desc: &engine.ScanTag{Color: "red", Tag: "movie"}, Axis: engine.AncestorDescendant},
 		&engine.CrossColor{Input: empty, Col: 0, To: "green"},
 		&engine.ValueJoin{Left: empty, Right: empty, LeftKey: engine.Key{Attr: "id"}, RightKey: engine.Key{Attr: "id"}},
 		&engine.NLJoin{Left: empty, Right: empty, Kind: "gt"},
@@ -187,32 +184,4 @@ func TestEmptyInputsFlowThrough(t *testing.T) {
 			t.Fatalf("%s: rows = %d", p, len(rows))
 		}
 	}
-}
-
-// TestAttrEqResolvesOnlyRequestedColor: an element found by attribute must
-// only yield structural nodes in the requested color.
-func TestAttrEqResolvesOnlyRequestedColor(t *testing.T) {
-	m := fixtures.NewMovieDB()
-	if _, err := m.DB.SetAttribute(m.Node("duck"), "id", "m3"); err != nil {
-		t.Fatal(err)
-	}
-	s, err := storage.Load(m.DB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := engine.Exec(s, &engine.AttrEq{Color: "green", Name: "id", Value: "m3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("duck is not green; rows = %d", len(rows))
-	}
-	rows, _, err = engine.Exec(s, &engine.AttrEq{Color: "red", Name: "id", Value: "m3"})
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("red lookup rows = %d, %v", len(rows), err)
-	}
-	if rows[0][0].Elem != storage.ElemID(m.Node("duck").ID()) {
-		t.Fatal("wrong element")
-	}
-	_ = core.KindElement
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"colorfulxml/internal/core"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -56,7 +55,7 @@ func (o *PathScan) Open(ctx *Ctx) error {
 		}
 		at += len(run)
 	}
-	join.SortByStart(o.nodes)
+	sortByStart(o.nodes)
 	o.held = total
 	ctx.hold(o, o.held)
 	return nil

@@ -6,7 +6,6 @@ import (
 
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/fixtures"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/storage"
 )
 
@@ -57,7 +56,7 @@ func TestReopenable(t *testing.T) {
 			Anc:    &engine.ScanTag{Color: "red", Tag: "movie"},
 			Desc:   &engine.ScanTag{Color: "red", Tag: "name"},
 			AncCol: 0, DescCol: 0,
-			Axis: join.ParentChild,
+			Axis: engine.ParentChild,
 		},
 		Col: 1,
 	}
@@ -90,12 +89,12 @@ func TestChildrenExposeWholeTree(t *testing.T) {
 			Input: &engine.CrossColor{
 				Input: &engine.StructJoin{
 					Anc: scanMovies, Desc: scanNames,
-					AncCol: 0, DescCol: 0, Axis: join.ParentChild,
+					AncCol: 0, DescCol: 0, Axis: engine.ParentChild,
 				},
 				Col: 0, To: "green",
 			},
 			Probe: probe, Col: 2, ProbeCol: 0,
-			Axis: join.AncestorDescendant, InputIsDesc: true,
+			Axis: engine.AncestorDescendant,
 		},
 		Col: 0,
 	}

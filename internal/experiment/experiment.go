@@ -7,15 +7,13 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"colorfulxml/internal/plan"
-	"colorfulxml/internal/storage"
+	"colorfulxml/internal/update"
 	"colorfulxml/internal/workload"
 )
 
@@ -96,24 +94,24 @@ func FormatTable1(rows []Table1Row) string {
 	return b.String()
 }
 
-// Table2Row is one query row of Table 2 (times in milliseconds).
+// Table2Row is one query or update row of Table 2 (times in milliseconds).
 type Table2Row struct {
-	ID      string
-	Results int
-	MCT     float64
-	Shallow float64
-	Deep    float64
-	// DeepNoDedup is the "*D" time (<0 when not applicable), DResults its
-	// row count.
-	DeepNoDedup float64
-	DResults    int
-	Colors      int
-	Trees       int
-	IsUpdate    bool
+	ID string
+	// Results is the number of distinct result values (a query) or of nodes
+	// the MCT update touched (an update). DResults is the deep
+	// representation's count of rows or touched nodes where replicated copies
+	// make it differ from MCT's, 0 otherwise — the paper's "*D" rows.
+	Results  int
+	DResults int
+	MCT      float64
+	Shallow  float64
+	Deep     float64
+	Colors   int
+	Trees    int
+	IsUpdate bool
 }
 
-// Table2Result bundles the rows with the stores used (so callers can reuse
-// warm stores).
+// Table2Result is Table 2's rows, queries and updates in the paper's order.
 type Table2Result struct {
 	Rows []Table2Row
 }
@@ -125,10 +123,10 @@ func timeIt(fn func() error) (float64, error) {
 	return float64(time.Since(start).Microseconds()) / 1000.0, err
 }
 
-// median3of5 runs fn five times and returns the trimmed mean of the middle
-// three, matching the paper's methodology ("each experiment was run five
-// times; the lowest and highest readings were ignored and the other three
-// were averaged"). Use runs=1 for quick CLI runs.
+// trimmedMean runs fn runs times and returns the mean of all but the fastest
+// and the slowest run, the paper's methodology at runs=5 ("each experiment
+// was run five times; the lowest and highest readings were ignored and the
+// other three were averaged"). Use runs=1 for quick CLI runs.
 func trimmedMean(runs int, fn func() error) (float64, error) {
 	// Collect garbage outside the timed region so allocation debt from
 	// earlier queries (or dataset loading) does not distort a measurement.
@@ -153,27 +151,31 @@ func trimmedMean(runs int, fn func() error) (float64, error) {
 	return sum / float64(len(times)), nil
 }
 
-// RunQueries measures every query of the given set — warm cache by default
+// RunQueries measures every query of the given set on its compiled plans,
+// each compiled once and run as a prepared statement — warm cache by default
 // (the paper's reported configuration: a first execution populates the
 // buffer pool), or flushing all buffers before each run when cold is true.
 func RunQueries(qs []*workload.Query, st *workload.Stores, runs int, cold bool) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, q := range qs {
-		row := Table2Row{ID: q.ID, Colors: q.Colors, Trees: q.Trees, DeepNoDedup: -1}
+		row := Table2Row{ID: q.ID, Colors: q.Colors, Trees: q.Trees}
+		mctRows := 0
 		for _, v := range workload.Variants {
+			c, err := workload.Compile(q, st, v)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", q.ID, v, err)
+			}
+			s := st.Of(v)
 			// Warm the cache with one untimed run.
-			res, _, err := workload.RunQuery(q, st, v)
+			res, _, err := workload.Run(c, s)
 			if err != nil {
 				return nil, err
 			}
-			if v == workload.MCT {
-				row.Results = len(res)
-			}
 			t, err := trimmedMean(runs, func() error {
 				if cold {
-					st.Of(v).Pages().FlushAll()
+					s.Pages().FlushAll()
 				}
-				_, _, err := workload.RunQuery(q, st, v)
+				_, _, err := workload.Run(c, s)
 				return err
 			})
 			if err != nil {
@@ -181,50 +183,44 @@ func RunQueries(qs []*workload.Query, st *workload.Stores, runs int, cold bool) 
 			}
 			switch v {
 			case workload.MCT:
-				row.MCT = t
+				row.MCT, row.Results, mctRows = t, distinct(res), len(res)
 			case workload.Shallow:
 				row.Shallow = t
 			case workload.Deep:
 				row.Deep = t
+				if len(res) != mctRows {
+					row.DResults = len(res)
+				}
 			}
-		}
-		if q.DeepNoDedup != nil {
-			res, _, err := workload.RunDeepNoDedup(q, st)
-			if err != nil {
-				return nil, err
-			}
-			row.DResults = len(res)
-			t, err := trimmedMean(runs, func() error {
-				_, _, err := workload.RunDeepNoDedup(q, st)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			row.DeepNoDedup = t
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// RunUpdates measures every update; each run gets fresh stores supplied by
+// distinct counts the distinct values.
+func distinct(values []string) int {
+	seen := make(map[string]bool, len(values))
+	for _, s := range values {
+		seen[s] = true
+	}
+	return len(seen)
+}
+
+// RunUpdates measures every update; each runs on fresh stores supplied by
 // mkStores, since updates mutate.
 func RunUpdates(us []*workload.UpdateSpec, mkStores func() (*workload.Stores, error)) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, u := range us {
-		row := Table2Row{ID: u.ID, Colors: u.Colors, Trees: u.Trees, DeepNoDedup: -1, IsUpdate: true}
+		row := Table2Row{ID: u.ID, Colors: u.Colors, Trees: u.Trees, IsUpdate: true}
 		st, err := mkStores()
 		if err != nil {
 			return nil, err
 		}
 		for _, v := range workload.Variants {
-			run := u.Run[v]
-			store := st.Of(v)
-			var touched int
-			t, err := timeIt(func() error {
-				n, err := run(store, st.Params)
-				touched = n
+			var res update.Result
+			t, err := timeIt(func() (err error) {
+				res, err = workload.RunUpdate(u, st, v)
 				return err
 			})
 			if err != nil {
@@ -232,13 +228,14 @@ func RunUpdates(us []*workload.UpdateSpec, mkStores func() (*workload.Stores, er
 			}
 			switch v {
 			case workload.MCT:
-				row.MCT = t
-				row.Results = touched
+				row.MCT, row.Results = t, res.NodesTouched
 			case workload.Shallow:
 				row.Shallow = t
 			case workload.Deep:
 				row.Deep = t
-				row.DResults = touched // deep's copy count is the *D row
+				if res.NodesTouched != row.Results {
+					row.DResults = res.NodesTouched
+				}
 			}
 		}
 		rows = append(rows, row)
@@ -284,20 +281,18 @@ func Table2(cfg Config, runs int) (*Table2Result, error) {
 	return &Table2Result{Rows: rows}, nil
 }
 
-// FormatTable2 renders Table 2 in the paper's layout (times in ms).
+// FormatTable2 renders Table 2 in the paper's layout (times in ms), with
+// DResults in parentheses in the Deep-D column.
 func FormatTable2(res *Table2Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %8s %10s %10s %10s %10s %7s %6s\n",
 		"Query", "Results", "MCT ms", "Shallow", "Deep", "Deep-D", "Colors", "Trees")
 	for _, r := range res.Rows {
 		dd := "-"
-		if r.DeepNoDedup >= 0 {
-			dd = fmt.Sprintf("%.2f", r.DeepNoDedup)
-		}
-		if r.IsUpdate && r.DResults > 0 && r.DResults != r.Results {
+		if r.DResults > 0 {
 			dd = fmt.Sprintf("(%d)", r.DResults)
 		}
-		fmt.Fprintf(&b, "%-6s %8d %10.2f %10.2f %10.2f %10s %7d %6d\n",
+		fmt.Fprintf(&b, "%-6s %8d %10.3f %10.3f %10.3f %10s %7d %6d\n",
 			r.ID, r.Results, r.MCT, r.Shallow, r.Deep, dd, r.Colors, r.Trees)
 	}
 	return b.String()
@@ -357,128 +352,4 @@ func FormatFigure(rows []FigureRow, paths bool) string {
 		fmt.Fprintf(&b, "%-6s %5d %8d %5d\n", r.ID, pick(r.MCT), pick(r.Shallow), pick(r.Deep))
 	}
 	return b.String()
-}
-
-// StoreFor exposes a loaded store for ablation benchmarks.
-func StoreFor(st *workload.Stores, v workload.Variant) *storage.Store { return st.Of(v) }
-
-// CompiledRow compares the automatic plan compiler (internal/plan) against
-// the hand-specified plan for one query and representation.
-type CompiledRow struct {
-	ID      string
-	Variant workload.Variant
-	// Supported is false when the text is outside the compilable subset
-	// (distinct-values deep formulations); the remaining fields are zero.
-	Supported bool
-	// Results is the distinct result count; Agree whether compiled and hand
-	// result sets are identical.
-	Results int
-	Agree   bool
-	// HandMs and CompiledMs are run times in milliseconds; CompiledMs
-	// includes parsing, plan compilation and costing on every run.
-	HandMs     float64
-	CompiledMs float64
-}
-
-// CompiledAgreement compiles every Table 2 query text on every
-// representation, checks result-set agreement with the hand plan, and times
-// both. It is the experiment-layer view of the differential harness: the hand
-// plans stay as the measured baseline, the compiler is the default path.
-func CompiledAgreement(cfg Config, runs int) ([]CompiledRow, error) {
-	tp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed, cfg.PoolPages)
-	if err != nil {
-		return nil, err
-	}
-	sg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed, cfg.PoolPages)
-	if err != nil {
-		return nil, err
-	}
-	var rows []CompiledRow
-	for _, g := range []struct {
-		qs []*workload.Query
-		st *workload.Stores
-	}{{workload.TPCWQueries(), tp}, {workload.SigmodQueries(), sg}} {
-		for _, q := range g.qs {
-			for _, v := range workload.Variants {
-				row := CompiledRow{ID: q.ID, Variant: v}
-				_, handVals, _, err := workload.RunCompiled(q, g.st, v)
-				if err != nil {
-					if errors.Is(err, plan.ErrUnsupported) {
-						rows = append(rows, row)
-						continue
-					}
-					return nil, fmt.Errorf("%s/%s compiled: %w", q.ID, v, err)
-				}
-				hand, _, err := workload.RunQuery(q, g.st, v)
-				if err != nil {
-					return nil, err
-				}
-				cs, hs := distinctSorted(handVals), distinctSorted(hand)
-				row.Supported = true
-				row.Results = len(cs)
-				row.Agree = stringSetsEqual(cs, hs)
-				if row.HandMs, err = trimmedMean(runs, func() error {
-					_, _, err := workload.RunQuery(q, g.st, v)
-					return err
-				}); err != nil {
-					return nil, err
-				}
-				if row.CompiledMs, err = trimmedMean(runs, func() error {
-					_, _, _, err := workload.RunCompiled(q, g.st, v)
-					return err
-				}); err != nil {
-					return nil, err
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// FormatCompiled renders the compiler-vs-hand-plan comparison.
-func FormatCompiled(rows []CompiledRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-8s %8s %7s %10s %12s\n",
-		"Query", "Variant", "Results", "Agree", "Hand ms", "Compiled ms")
-	agreed, supported := 0, 0
-	for _, r := range rows {
-		if !r.Supported {
-			fmt.Fprintf(&b, "%-6s %-8s %8s %7s %10s %12s\n", r.ID, r.Variant, "-", "-", "-", "unsupported")
-			continue
-		}
-		supported++
-		if r.Agree {
-			agreed++
-		}
-		fmt.Fprintf(&b, "%-6s %-8s %8d %7v %10.2f %12.2f\n",
-			r.ID, r.Variant, r.Results, r.Agree, r.HandMs, r.CompiledMs)
-	}
-	fmt.Fprintf(&b, "%d/%d supported plans agree with the hand-specified plans\n", agreed, supported)
-	return b.String()
-}
-
-func distinctSorted(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func stringSetsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

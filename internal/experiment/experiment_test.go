@@ -65,11 +65,15 @@ func TestTable2SmokeAndFormat(t *testing.T) {
 	if !strings.Contains(out, "TQ7") || !strings.Contains(out, "Colors") {
 		t.Fatalf("format:\n%s", out)
 	}
-	// TQ7 and TQ12 carry *D variants.
+	// Deep returns one row per replicated copy on TQ7, and TU1 rewrites
+	// every copy of the item.
 	for _, r := range res.Rows {
-		if r.ID == "TQ7" && r.DeepNoDedup < 0 {
-			t.Error("TQ7 should have a Deep-D measurement")
+		if (r.ID == "TQ7" || r.ID == "TU1") && r.DResults <= r.Results {
+			t.Errorf("%s: deep counts %d, want more than the %d results", r.ID, r.DResults, r.Results)
 		}
+	}
+	if !strings.Contains(out, "(") {
+		t.Fatalf("format shows no deep copy count:\n%s", out)
 	}
 }
 

@@ -180,40 +180,52 @@ func (ev *Evaluator) evalExt(env *pathexpr.Env, e pathexpr.Expr, item pathexpr.I
 
 func (ev *Evaluator) evalFLWOR(env *pathexpr.Env, f *FLWOR, item pathexpr.Item, pos, size int) (pathexpr.Sequence, error) {
 	type tuple struct{ env *pathexpr.Env }
-	tuples := []tuple{{env: env}}
-	for _, cl := range f.Clauses {
-		var next []tuple
-		for _, tp := range tuples {
-			v, err := pathexpr.EvalItem(tp.env, cl.Expr, item, pos, size)
+	filters := whereFilters(f)
+	// keep applies the where conjuncts filed under one clause to a tuple it
+	// just bound.
+	keep := func(env *pathexpr.Env, conds []pathexpr.Expr) (bool, error) {
+		for _, c := range conds {
+			v, err := pathexpr.EvalItem(env, c, item, pos, size)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			if cl.Let {
-				next = append(next, tuple{env: tp.env.Bind(cl.Var, v)})
-				continue
+			if b, err := pathexpr.EffectiveBool(v); err != nil || !b {
+				return false, err
 			}
-			for _, it := range v {
-				next = append(next, tuple{env: tp.env.Bind(cl.Var, pathexpr.Sequence{it})})
+		}
+		return true, nil
+	}
+	tuples := []tuple{{env: env}}
+	for i, cl := range f.Clauses {
+		var next []tuple
+		var v pathexpr.Sequence
+		shared := invariant(f, i)
+		for j, tp := range tuples {
+			if j == 0 || !shared {
+				var err error
+				if v, err = pathexpr.EvalItem(tp.env, cl.Expr, item, pos, size); err != nil {
+					return nil, err
+				}
+			}
+			bound := []pathexpr.Sequence{v}
+			if !cl.Let {
+				bound = bound[:0]
+				for _, it := range v {
+					bound = append(bound, pathexpr.Sequence{it})
+				}
+			}
+			for _, b := range bound {
+				e := tp.env.Bind(cl.Var, b)
+				ok, err := keep(e, filters[i])
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					next = append(next, tuple{env: e})
+				}
 			}
 		}
 		tuples = next
-	}
-	if f.Where != nil {
-		var kept []tuple
-		for _, tp := range tuples {
-			v, err := pathexpr.EvalItem(tp.env, f.Where, item, pos, size)
-			if err != nil {
-				return nil, err
-			}
-			b, err := pathexpr.EffectiveBool(v)
-			if err != nil {
-				return nil, err
-			}
-			if b {
-				kept = append(kept, tp)
-			}
-		}
-		tuples = kept
 	}
 	if len(f.OrderBy) > 0 {
 		type keyed struct {
@@ -260,6 +272,71 @@ func (ev *Evaluator) evalFLWOR(env *pathexpr.Env, f *FLWOR, item pathexpr.Item, 
 		out = append(out, v...)
 	}
 	return out, nil
+}
+
+// whereFilters splits the where clause into its top-level conjuncts and
+// files each under the clause after which it can first be evaluated: the
+// last one binding a variable it reads (the first clause, for a conjunct
+// that reads none). A tuple is then dropped as soon as one conjunct fails,
+// and the tuples that survive, in their order, are those of filtering the
+// full product of the clauses, which is never built.
+func whereFilters(f *FLWOR) [][]pathexpr.Expr {
+	out := make([][]pathexpr.Expr, len(f.Clauses))
+	var split func(e pathexpr.Expr)
+	split = func(e pathexpr.Expr) {
+		if b, ok := e.(*pathexpr.Binary); ok && b.Op == pathexpr.OpAnd {
+			split(b.L)
+			split(b.R)
+			return
+		}
+		reads, _ := scan(e)
+		at := 0
+		for i, cl := range f.Clauses {
+			if reads[cl.Var] {
+				at = i
+			}
+		}
+		out[at] = append(out[at], e)
+	}
+	if f.Where != nil {
+		split(f.Where)
+	}
+	return out
+}
+
+// invariant reports whether clause i has the same value for every tuple, so
+// that it is evaluated once: it reads no variable an earlier clause binds,
+// and it constructs no node (a constructor makes new ones on every run).
+func invariant(f *FLWOR, i int) bool {
+	reads, constructs := scan(f.Clauses[i].Expr)
+	if constructs {
+		return false
+	}
+	for _, cl := range f.Clauses[:i] {
+		if reads[cl.Var] {
+			return false
+		}
+	}
+	return true
+}
+
+// scan returns the variables an expression reads and whether it constructs
+// nodes.
+func scan(e pathexpr.Expr) (reads map[string]bool, constructs bool) {
+	reads = map[string]bool{}
+	pathexpr.Walk(e, func(x pathexpr.Expr) {
+		switch x := x.(type) {
+		case *pathexpr.PathExpr:
+			reads[x.Var] = true
+		case *pathexpr.VarRef:
+			reads[x.Name] = true
+		case *ElementCtor:
+			constructs = true
+		case *pathexpr.Call:
+			constructs = constructs || x.Name == "createColor" || x.Name == "createCopy"
+		}
+	})
+	return reads, constructs
 }
 
 // evalCtor evaluates an element constructor into a pending tree. Enclosed

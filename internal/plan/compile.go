@@ -6,7 +6,6 @@ import (
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
-	"colorfulxml/internal/join"
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
 	"colorfulxml/internal/storage"
@@ -87,6 +86,31 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 			return nil, err
 		}
 	}
+	cols, varCols := ch.cols, ch.varCol
+	if len(lg.Vars) > 1 {
+		// A FLWOR returns in the order of its binding tuples — by the first
+		// variable's local document order, then the second's, and so on, as
+		// CompileBindings orders them — and within one tuple in the output
+		// column's; joins emit in their own order.
+		keep := make([]int, 0, len(lg.Vars)+1)
+		varCols = make(map[string]int, len(lg.Vars))
+		for _, vp := range lg.Vars {
+			varCols[vp.Name] = len(keep)
+			keep = append(keep, lw.crossTo(ch, ch.varCol[vp.Name], vp.Steps[len(vp.Steps)-1].Color))
+		}
+		keep = append(keep, col)
+		cols = make([]ColInfo, len(keep))
+		for i, c := range keep {
+			cols[i] = ch.cols[c]
+		}
+		for name, i := range varCols {
+			cols[i].Var = name
+		}
+		ch.op = &engine.TupleOrder{Input: &engine.Project{Input: ch.op, Cols: keep}}
+		distinct := make([]bool, len(keep))
+		distinct[len(keep)-1] = ch.distinct[col]
+		col, ch.order, ch.distinct = len(keep)-1, -1, distinct
+	}
 	// Results are the distinct nodes of the output column: binding tuples
 	// that select the same node (e.g. via different join partners) collapse.
 	// Where the column is distinct by construction there is nothing to
@@ -96,12 +120,12 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 		root = &engine.Dedup{Input: ch.op, Col: col, Ordered: ch.order == col}
 	}
 	obsNavLowerings.Add(uint64(countNavJoins(root)))
-	out := ch.cols[col]
+	out := cols[col]
 	pc, _ := lw.cat.(PathCatalog)
 	return &Compiled{
 		Root:     root,
-		Cols:     ch.cols,
-		VarCols:  ch.varCol,
+		Cols:     cols,
+		VarCols:  varCols,
 		OutCol:   col,
 		OutAttr:  lg.Out.Attr,
 		Distinct: ch.distinct[col],
@@ -319,11 +343,11 @@ func clamp01(v float64) float64 {
 
 // axisOf maps a navigation axis to the structural-join axis; the direction
 // (who is the ancestor) is the caller's choice of Anc/Desc inputs.
-func axisOf(a pathexpr.Axis) join.Axis {
+func axisOf(a pathexpr.Axis) engine.Axis {
 	if a == pathexpr.AxisChild || a == pathexpr.AxisParent {
-		return join.ParentChild
+		return engine.ParentChild
 	}
-	return join.AncestorDescendant
+	return engine.AncestorDescendant
 }
 
 // access is one way of producing a step's element population as

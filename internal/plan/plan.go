@@ -18,8 +18,8 @@
 // The compiler is deliberately partial: constructs it cannot lower (let
 // clauses, order by, distinct-values, general expressions) report
 // ErrUnsupported so callers can fall back to the reference tree-walking
-// evaluator. Everything it does lower is verified against both the hand
-// plans and the evaluator by internal/workload's differential tests.
+// evaluator. Everything it does lower is verified against the evaluator by
+// internal/workload's differential tests.
 package plan
 
 import (

@@ -23,6 +23,11 @@ type Result struct {
 
 // Executor applies parsed update expressions to an MCT database.
 type Executor struct {
+	// DefaultColor is the color Bind gives location steps that have no color
+	// and no context color to inherit (single-hierarchy databases), as
+	// plan.Options.DefaultColor does for BindCompiled.
+	DefaultColor core.Color
+
 	ev *mcxquery.Evaluator
 }
 
@@ -60,7 +65,7 @@ type Tuples []*pathexpr.Env
 // compiler rejects and the oracle BindCompiled is tested against.
 func (x *Executor) Bind(u *Update) (Tuples, error) {
 	db := x.ev.DB
-	env := &pathexpr.Env{DB: db, Ext: x.ev.ExtEval()}
+	env := &pathexpr.Env{DB: db, DefaultColor: x.DefaultColor, Ext: x.ev.ExtEval()}
 	tuples := Tuples{env}
 	for _, cl := range u.Clauses {
 		var next Tuples

@@ -1,7 +1,6 @@
 package workload_test
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,152 +12,32 @@ import (
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
 	"colorfulxml/internal/plan"
+	"colorfulxml/internal/serialize"
 	"colorfulxml/internal/storage"
+	"colorfulxml/internal/update"
 	"colorfulxml/internal/workload"
 )
 
-// TestDifferentialLogicalVsPhysical cross-checks the two evaluation stacks
-// of this repository on the same data and queries: the reference
-// tree-walking MCXQuery evaluator runs each query's MCT TEXT over the
-// logical core database, while the physical engine runs the hand-specified
-// PLAN over the Timber-style store. Both must produce the same result set.
-//
-// Queries are compared by the id attribute their result elements carry. Only
-// queries whose MCT text is a faithful rendition of the plan are included
-// (texts with illustrative literal constants that the plan derives from the
-// entity pool are skipped).
-func TestDifferentialLogicalVsPhysical(t *testing.T) {
-	ds, err := datagen.TPCW(datagen.TPCWConfig{Scale: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := workload.LoadTPCW(1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Logical evaluation of the MCT query texts over ds.MCT. The texts use
-	// createColor, so each runs against a fresh logical database.
-	cases := []string{"TQ1", "TQ2", "TQ5", "TQ8", "TQ9", "TQ11", "TQ13"}
-	for _, id := range cases {
-		q := findQuery(t, id)
-
-		// Physical: run the plan, extract ids.
-		physical, _, err := workload.RunQuery(q, st, workload.MCT)
-		if err != nil {
-			t.Fatalf("%s physical: %v", id, err)
-		}
-
-		// Logical: fresh database (createColor mutates), evaluate the text.
-		fresh, err := datagen.BuildTPCWMCT(ds.Entities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := mcxquery.NewEvaluator(fresh)
-		out, err := ev.Query(q.Text[workload.MCT])
-		if err != nil {
-			t.Fatalf("%s logical: %v\n%s", id, err, q.Text[workload.MCT])
-		}
-		var logical []string
-		for _, it := range out {
-			if it.Node == nil {
-				t.Fatalf("%s: logical result is not a node: %+v", id, it)
-			}
-			// The result constructors wrap { $x/...attribute::id }: the id
-			// attribute is copied onto the constructed element.
-			v := it.Node.AttributeValue("id")
-			if v == "" {
-				// Some texts return the id as text content instead.
-				v, _ = core.StringValue(it.Node, "black")
-			}
-			logical = append(logical, v)
-		}
-
-		sort.Strings(logical)
-		phys := append([]string(nil), physical...)
-		sort.Strings(phys)
-		if len(logical) != len(phys) {
-			t.Errorf("%s: logical %d results vs physical %d\nlogical: %v\nphysical: %v",
-				id, len(logical), len(phys), logical, phys)
-			continue
-		}
-		for i := range phys {
-			if logical[i] != phys[i] {
-				t.Errorf("%s: result sets differ at %d: %q vs %q", id, i, logical[i], phys[i])
-				break
-			}
-		}
-	}
-}
-
-// TestDifferentialShallowTexts does the same for the shallow value-join
-// formulations: the logical evaluator executes the XQuery text with its
-// where-clause joins over the shallow database; the engine executes the
-// value-join plan over the shallow store.
-func TestDifferentialShallowTexts(t *testing.T) {
-	ds, err := datagen.TPCW(datagen.TPCWConfig{Scale: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := workload.LoadTPCW(1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// TQ9/TQ11's shallow texts join orderlines to orders via @orderIdRef —
-	// fully self-contained (no pool-derived constants).
-	for _, id := range []string{"TQ9", "TQ11", "TQ2"} {
-		q := findQuery(t, id)
-		physical, _, err := workload.RunQuery(q, st, workload.Shallow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := datagen.BuildTPCWShallow(ds.Entities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := mcxquery.NewEvaluator(fresh)
-		ev.DefaultColor = datagen.ColDoc
-		out, err := ev.Query(q.Text[workload.Shallow])
-		if err != nil {
-			t.Fatalf("%s logical shallow: %v", id, err)
-		}
-		if len(out) != len(physical) {
-			t.Errorf("%s: logical shallow %d vs physical %d results", id, len(out), len(physical))
-		}
-	}
-}
-
-// deepUnsupported lists the deep texts that use distinct-values(), which the
-// plan compiler deliberately does not lower. Every other text of every query
-// must compile.
-var deepUnsupported = map[string]bool{"TQ7": true, "TQ12": true, "TQ16": true, "SQ4": true}
-
-// orderUndefined lists the MCT texts whose result order the compiled plan
-// and the evaluator define differently, so only the sets are compared.
-// TQ16's path ends by stepping from a {billing} orderline to its {author}
+// orderUndefined lists the cells whose result order the compiled plan and
+// the evaluator define differently, so only the sets are compared. TQ16's
+// MCT path ends by stepping from a {billing} orderline to its {author}
 // parent: the evaluator sorts that last step's nodes into author-tree
 // document order, the plan keeps the orderlines' billing-tree order.
-var orderUndefined = map[string]bool{"TQ16": true}
+var orderUndefined = map[string]bool{"TQ16/MCT": true}
 
-// TestDifferentialCompiledPlans compiles every Table 2 query TEXT with the
-// automatic plan compiler and cross-checks the result set against the
-// hand-specified physical plan on the same store — for all three
-// representations — and, for the MCT texts, additionally against the
-// reference tree-walking evaluator. Comparisons with the hand plans are over
-// distinct value sets; with the evaluator they are over distinct values in
-// order of first appearance (compiled plans always deduplicate their output
-// nodes; the evaluator returns one item per binding), so an access-path
-// choice that reordered a result would show here.
-func TestDifferentialCompiledPlans(t *testing.T) {
-	tpcwDS, err := datagen.TPCW(datagen.TPCWConfig{Scale: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+// dataset is one generated entity pool with its stores, and a way to build
+// a fresh copy of each representation's database for the evaluator (whose
+// constructors and updates mutate it).
+type dataset struct {
+	queries []*workload.Query
+	updates []*workload.UpdateSpec
+	st      *workload.Stores
+	build   map[workload.Variant]func() (*core.Database, error)
+}
+
+func datasets(t *testing.T) []dataset {
+	t.Helper()
 	tp, err := workload.LoadTPCW(1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgDS, err := datagen.Sigmod(datagen.SigmodConfig{Scale: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,92 +45,86 @@ func TestDifferentialCompiledPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	groups := []struct {
-		queries []*workload.Query
-		st      *workload.Stores
-		freshDB func() (*core.Database, error)
-	}{
-		{workload.TPCWQueries(), tp, func() (*core.Database, error) { return datagen.BuildTPCWMCT(tpcwDS.Entities) }},
-		{workload.SigmodQueries(), sg, func() (*core.Database, error) { return datagen.BuildSigmodMCT(sgDS.Sigmod) }},
+	e, s := tp.Params.E, sg.Params.S
+	return []dataset{
+		{workload.TPCWQueries(), workload.TPCWUpdates(), tp, map[workload.Variant]func() (*core.Database, error){
+			workload.MCT:     func() (*core.Database, error) { return datagen.BuildTPCWMCT(e) },
+			workload.Shallow: func() (*core.Database, error) { return datagen.BuildTPCWShallow(e) },
+			workload.Deep:    func() (*core.Database, error) { return datagen.BuildTPCWDeep(e) },
+		}},
+		{workload.SigmodQueries(), workload.SigmodUpdates(), sg, map[workload.Variant]func() (*core.Database, error){
+			workload.MCT:     func() (*core.Database, error) { return datagen.BuildSigmodMCT(s) },
+			workload.Shallow: func() (*core.Database, error) { return datagen.BuildSigmodShallow(s) },
+			workload.Deep:    func() (*core.Database, error) { return datagen.BuildSigmodDeep(s) },
+		}},
 	}
+}
 
+// defaultColor is the evaluator's color for the uncolored texts of the
+// single-hierarchy representations.
+func defaultColor(v workload.Variant) core.Color {
+	if v == workload.MCT {
+		return ""
+	}
+	return datagen.ColDoc
+}
+
+// TestDifferentialCompiledPlans compiles every Table 2 query TEXT on every
+// representation and runs it on the store, and runs the same text on the
+// reference tree-walking evaluator over the logical database. The two must
+// return the same distinct values in order of first appearance (compiled
+// plans return each output node once; the evaluator returns one item per
+// binding), so an access-path choice that reordered a result would show
+// here. Every plan also runs with its final duplicate elimination varied
+// (checkDedupVariants).
+func TestDifferentialCompiledPlans(t *testing.T) {
 	nonEmpty := 0
 	dedups := map[string]int{}
-	for _, g := range groups {
-		for _, q := range g.queries {
+	for _, d := range datasets(t) {
+		for _, q := range d.queries {
 			for _, v := range workload.Variants {
 				name := fmt.Sprintf("%s/%s", q.ID, v)
-				values, handValues, _, err := workload.RunCompiled(q, g.st, v)
+				c, err := workload.Compile(q, d.st, v)
 				if err != nil {
-					if errors.Is(err, plan.ErrUnsupported) && v == workload.Deep && deepUnsupported[q.ID] {
-						continue
-					}
-					t.Errorf("%s: compile/run: %v", name, err)
-					continue
-				}
-
-				if c, err := workload.Compile(q, g.st, v); err != nil {
 					t.Errorf("%s: compile: %v", name, err)
-				} else {
-					checkDedupVariants(t, name, g.st.Of(v), c)
-					switch d, _ := c.Root.(*engine.Dedup); {
-					case c.Distinct:
-						dedups["elided"]++
-					case d.Ordered:
-						dedups["ordered"]++
-					default:
-						dedups["sorting"]++
-					}
+					continue
 				}
-
-				hand, _, err := workload.RunQuery(q, g.st, v)
+				checkDedupVariants(t, name, d.st.Of(v), c)
+				switch dd, _ := c.Root.(*engine.Dedup); {
+				case c.Distinct:
+					dedups["elided"]++
+				case dd.Ordered:
+					dedups["ordered"]++
+				default:
+					dedups["sorting"]++
+				}
+				values, _, err := workload.Run(c, d.st.Of(v))
 				if err != nil {
-					t.Fatalf("%s: hand plan: %v", name, err)
-				}
-				ch, hh := distinctSorted(handValues), distinctSorted(hand)
-				if !equalStrings(ch, hh) {
-					t.Errorf("%s: compiled %d values %v\n  != hand %d values %v",
-						name, len(ch), trim(ch), len(hh), trim(hh))
-					continue
-				}
-				if len(ch) > 0 {
-					nonEmpty++
+					t.Fatalf("%s: run: %v", name, err)
 				}
 
-				// Evaluator cross-check on the MCT texts. TQ10's text wraps
-				// all orderlines of a binding in a single constructed <r>, so
-				// its items are not value-comparable to plan rows.
-				if v != workload.MCT || q.ID == "TQ10" {
-					continue
-				}
-				fresh, err := g.freshDB()
+				db, err := d.build[v]()
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := mcxquery.NewEvaluator(fresh).Query(
-					workload.FaithfulText(q, v, g.st.Params))
+				ev := mcxquery.NewEvaluator(db)
+				ev.DefaultColor = defaultColor(v)
+				out, err := ev.Query(workload.FaithfulText(q.ID, q.Text[v], d.st.Params))
 				if err != nil {
 					t.Fatalf("%s: evaluator: %v", name, err)
 				}
-				var ref []string
-				for _, it := range out {
-					if it.Node == nil {
-						t.Fatalf("%s: evaluator result is not a node: %+v", name, it)
-					}
-					s := it.Node.AttributeValue("id")
-					if s == "" {
-						s, _ = core.StringValue(it.Node, "black")
-					}
-					ref = append(ref, s)
+				ref := itemValues(t, name, out, c.OutAttr)
+				cv, rv := distinctInOrder(values), distinctInOrder(ref)
+				if orderUndefined[name] {
+					sort.Strings(cv)
+					sort.Strings(rv)
 				}
-				cv, rv := distinctSorted(values), distinctSorted(ref)
 				if !equalStrings(cv, rv) {
 					t.Errorf("%s: compiled %d values %v\n  != evaluator %d values %v",
 						name, len(cv), trim(cv), len(rv), trim(rv))
 				}
-				if co, ro := distinctInOrder(values), distinctInOrder(ref); !orderUndefined[q.ID] && !equalStrings(co, ro) {
-					t.Errorf("%s: compiled order %v\n  != evaluator order %v", name, trim(co), trim(ro))
+				if len(cv) > 0 {
+					nonEmpty++
 				}
 			}
 		}
@@ -260,9 +133,122 @@ func TestDifferentialCompiledPlans(t *testing.T) {
 	if dedups["elided"] == 0 || dedups["ordered"] == 0 || dedups["sorting"] == 0 {
 		t.Errorf("final duplicate elimination by kind: %v, want some of each", dedups)
 	}
-	// Guard against vacuous agreement: most comparisons must be non-empty.
-	if nonEmpty < 40 {
-		t.Errorf("only %d non-empty compiled/hand comparisons; substitutions broken?", nonEmpty)
+	// Guard against vacuous agreement: every cell selects something.
+	if nonEmpty != 63 {
+		t.Errorf("%d of 63 cells return values; substitutions broken?", nonEmpty)
+	}
+}
+
+// TestDifferentialLogicalVsPhysical cross-checks Table 2's own entry point,
+// workload.RunQuery over the Timber-style store, with the reference
+// tree-walking evaluator over the logical database, on the TPC-W MCT texts
+// of one color or of color transitions by path. Both must return the same
+// sorted values.
+func TestDifferentialLogicalVsPhysical(t *testing.T) {
+	checkRunQuery(t, workload.MCT, "TQ1", "TQ2", "TQ5", "TQ8", "TQ9", "TQ11", "TQ13")
+}
+
+// TestDifferentialShallowTexts does the same for shallow value-join
+// formulations: the evaluator runs the where-clause joins over the shallow
+// database, RunQuery the compiled value-join plan over the shallow store.
+func TestDifferentialShallowTexts(t *testing.T) {
+	checkRunQuery(t, workload.Shallow, "TQ9", "TQ11", "TQ2")
+}
+
+func checkRunQuery(t *testing.T, v workload.Variant, ids ...string) {
+	t.Helper()
+	d := datasets(t)[0]
+	for _, id := range ids {
+		q := findQuery(t, id)
+		physical, _, err := workload.RunQuery(q, d.st, v)
+		if err != nil {
+			t.Fatalf("%s/%s physical: %v", id, v, err)
+		}
+		c, err := workload.Compile(q, d.st, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The constructors mutate the database: a fresh one per text.
+		db, err := d.build[v]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := mcxquery.NewEvaluator(db)
+		ev.DefaultColor = defaultColor(v)
+		out, err := ev.Query(workload.FaithfulText(q.ID, q.Text[v], d.st.Params))
+		if err != nil {
+			t.Fatalf("%s/%s logical: %v", id, v, err)
+		}
+		logical := itemValues(t, id, out, c.OutAttr)
+		phys := append([]string(nil), physical...)
+		sort.Strings(logical)
+		sort.Strings(phys)
+		if len(phys) == 0 || !equalStrings(logical, phys) {
+			t.Errorf("%s/%s: logical %d values %v\n  != physical %d values %v", id, v, len(logical), trim(logical), len(phys), trim(phys))
+		}
+	}
+}
+
+// itemValues renders the evaluator's result items as the compiled plan
+// renders its rows: the value of the attribute the text projects — returned
+// as is, or copied onto a constructed element — or the string value.
+func itemValues(t *testing.T, name string, items pathexpr.Sequence, attr string) []string {
+	t.Helper()
+	var out []string
+	for _, it := range items {
+		if it.Node == nil {
+			t.Fatalf("%s: evaluator result is not a node: %+v", name, it)
+		}
+		if attr == "" {
+			out = append(out, pathexpr.ItemString(it))
+			continue
+		}
+		attrs := it.Node.Attributes()
+		if it.Node.Kind() == core.KindAttribute {
+			attrs = []*core.Node{it.Node}
+		}
+		for _, a := range attrs {
+			if a.Name() == attr {
+				out = append(out, a.Value())
+			}
+		}
+	}
+	return out
+}
+
+// TestDifferentialCompiledUpdates runs every Table 2 update TEXT on every
+// representation twice: the way Table 2 does (workload.RunUpdate: a compiled
+// bind on the store, the operations on the database, the change log replayed
+// onto the store) and through the tree-walking Bind on a twin database. The
+// two must touch the same nodes and leave isomorphic databases. The updates
+// of a dataset run in sequence on the same databases.
+func TestDifferentialCompiledUpdates(t *testing.T) {
+	for _, d := range datasets(t) {
+		for _, v := range workload.Variants {
+			twin, err := d.build[v]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := update.NewExecutor(twin)
+			x.DefaultColor = defaultColor(v)
+			for _, u := range d.updates {
+				name := fmt.Sprintf("%s/%s", u.ID, v)
+				compiled, err := workload.RunUpdate(u, d.st, v)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				walked, err := x.Apply(workload.FaithfulText(u.ID, u.Text[v], d.st.Params))
+				if err != nil {
+					t.Fatalf("%s: tree-walking bind: %v", name, err)
+				}
+				if compiled != walked || compiled.NodesTouched == 0 {
+					t.Errorf("%s: %+v through the compiled bind, %+v through the evaluator", name, compiled, walked)
+				}
+				if ok, why := serialize.Isomorphic(d.st.DB(v), twin); !ok {
+					t.Fatalf("%s: databases diverge: %s", name, why)
+				}
+			}
+		}
 	}
 }
 
@@ -312,12 +298,6 @@ func checkDedupVariants(t *testing.T, name string, s *storage.Store, c *plan.Com
 		}
 	}
 	same("a hash set over the undeduplicated plan", ref, lowered)
-}
-
-func distinctSorted(in []string) []string {
-	out := distinctInOrder(in)
-	sort.Strings(out)
-	return out
 }
 
 func distinctInOrder(in []string) []string {

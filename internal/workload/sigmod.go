@@ -1,18 +1,5 @@
 package workload
 
-import (
-	"colorfulxml/internal/core"
-	"colorfulxml/internal/datagen"
-	"colorfulxml/internal/engine"
-	"colorfulxml/internal/storage"
-)
-
-// Color shorthands for the SIGMOD-Record dataset.
-var (
-	cIss = datagen.ColIssueDate
-	cTop = datagen.ColTopic
-)
-
 // SigmodQueries returns the five Table 2 SIGMOD-Record queries.
 func SigmodQueries() []*Query {
 	return []*Query{sq1(), sq2(), sq3(), sq4(), sq5()}
@@ -26,7 +13,6 @@ func SigmodUpdates() []*UpdateSpec {
 // SQ1: article by exact title — an index point lookup everywhere (paper:
 // 0.01 across the board).
 func sq1() *Query {
-	title := func(p Params) string { return p.S.Articles[0].Title }
 	return &Query{
 		ID: "SQ1", Desc: "article by exact title",
 		Colors: 0, Trees: 1,
@@ -36,18 +22,6 @@ return createColor(black, <r>{ $a/{date}attribute::id }</r>)`,
 			Shallow: `for $a in document("sr")//article[title = "T"] return <r>{ $a/@id }</r>`,
 			Deep:    `for $a in document("sr")//article[title = "T"] return <r>{ $a/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(p Params) engine.Op {
-				return havingChild(scanT(cIss, "article"), 0, eqC(cIss, "title", title(p)))
-			},
-			Shallow: func(p Params) engine.Op {
-				return havingChild(scanT(cDoc, "article"), 0, eqC(cDoc, "title", title(p)))
-			},
-			Deep: func(p Params) engine.Op {
-				return havingChild(scanT(cDoc, "article"), 0, eqC(cDoc, "title", title(p)))
-			},
-		},
-		Out: sameOut(idOut(0)),
 	}
 }
 
@@ -55,10 +29,8 @@ return createColor(black, <r>{ $a/{date}attribute::id }</r>)`,
 // topic hierarchy to the date hierarchy; shallow value-joins; deep has the
 // topic replicated inside the article (paper: 0.02 / 0.91 / 0.02).
 func sq2() *Query {
-	const topic = "Query Processing"
-	const year = "1980"
 	return &Query{
-		ID: "SQ2", Desc: "articles on '" + topic + "' published in " + year,
+		ID: "SQ2", Desc: "articles on 'Query Processing' published in 1980",
 		Colors: 1, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $a in document("sr")/{topic}descendant::topic[{topic}child::name = "Query Processing"]/{topic}child::article,
@@ -73,41 +45,12 @@ return <r>{ $a/@id }</r>`,
 			Deep: `for $a in document("sr")//year[value = "1980"]/issue/article[topic/name = "Query Processing"]
 return <r>{ $a/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op {
-				topics := elemWithChildEq(cTop, "topic", "name", topic)
-				arts := pc(topics, scanT(cTop, "article"), 0, 0) // [t, a]
-				crossed := cross(arts, 1, cIss)                  // +a@date col 2
-				years := elemWithChildEq(cIss, "year", "value", year)
-				return havingAncIn(crossed, 2, years)
-			},
-			Shallow: func(Params) engine.Op {
-				topics := elemWithChildEq(cDoc, "topic", "name", topic)
-				arts := vjoin(scanT(cDoc, "article"), topics, 0, 0, akey("topicIdRef"), akey("id")) // [a, t]
-				years := elemWithChildEq(cDoc, "year", "value", year)
-				issues := pc(years, scanT(cDoc, "issue"), 0, 0) // [y, i]
-				proj := &engine.Project{Input: issues, Cols: []int{1}}
-				return vjoin(arts, proj, 0, 0, akey("issueIdRef"), akey("id"))
-			},
-			Deep: func(Params) engine.Op {
-				years := elemWithChildEq(cDoc, "year", "value", year)
-				arts := havingAncIn(scanT(cDoc, "article"), 0, years)
-				return havingChild(arts, 0, elemWithChildEq(cDoc, "topic", "name", topic))
-			},
-		},
-		Out: map[Variant]Extract{MCT: idOut(1), Shallow: idOut(0), Deep: idOut(0)},
 	}
 }
 
 // SQ3: articles edited by one editor — structural in MCT and deep, a value
 // join over all articles in shallow (paper: 0.02 / 10.32 / 0.02).
 func sq3() *Query {
-	// Use the editor of the first article's topic, so the query is
-	// guaranteed non-empty at every scale and seed.
-	name := func(p Params) string {
-		topic := p.S.Topics[p.S.Articles[0].Topic-1]
-		return p.S.Editors[topic.Editor-1].Name
-	}
 	return &Query{
 		ID: "SQ3", Desc: "articles whose topic is edited by one editor",
 		Colors: 0, Trees: 2,
@@ -122,38 +65,13 @@ return <r>{ $a/@id }</r>`,
 			Deep: `for $a in document("sr")//article[topic/editor/name = "E"]
 return <r>{ $a/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(p Params) engine.Op {
-				eds := elemWithChildEq(cTop, "editor", "name", name(p))
-				topics := pc(eds, scanT(cTop, "topic"), 0, 0) // [e, t]
-				return pc2(topics, scanT(cTop, "article"), 1, 0)
-			},
-			Shallow: func(p Params) engine.Op {
-				eds := elemWithChildEq(cDoc, "editor", "name", name(p))
-				topics := pc(eds, scanT(cDoc, "topic"), 0, 0) // [e, t]
-				proj := &engine.Project{Input: topics, Cols: []int{1}}
-				return vjoin(scanT(cDoc, "article"), proj, 0, 0, akey("topicIdRef"), akey("id"))
-			},
-			Deep: func(p Params) engine.Op {
-				// editor name is replicated inside each article's topic copy.
-				eds := havingChild(scanT(cDoc, "editor"), 0, eqC(cDoc, "name", name(p)))
-				topics := pc(scanT(cDoc, "topic"), eds, 0, 0) // [t, e]
-				return pc(scanT(cDoc, "article"), topics, 0, 0)
-			},
-		},
-		Out: map[Variant]Extract{MCT: idOut(2), Shallow: idOut(0), Deep: idOut(0)},
 	}
 }
 
 // SQ4: editors whose name contains a fragment — trivially small for MCT and
-// shallow; deep must scan one replicated editor copy per article and
-// deduplicate (paper: 0.01 / 0.01 / 0.30, SQ4D: 1994 rows).
+// shallow; deep must scan one replicated editor copy per article, one row
+// per copy (paper: 0.01 / 0.01 / 0.30, SQ4D: 1994 rows).
 func sq4() *Query {
-	pred := engine.Pred{Kind: "contains", Value: "a"}
-	deepBase := func(Params) engine.Op {
-		eds := havingChild(scanT(cDoc, "editor"), 0, containsC(cDoc, "name", pred))
-		return pc(eds, scanT(cDoc, "name"), 0, 0) // [editor, name] (copies)
-	}
 	return &Query{
 		ID: "SQ4", Desc: "editors whose name contains a fragment",
 		Colors: 0, Trees: 1,
@@ -161,24 +79,8 @@ func sq4() *Query {
 			MCT: `for $e in document("sr")/{topic}descendant::editor[contains({topic}child::name, "a")]
 return createColor(black, <r>{ $e/{topic}child::name }</r>)`,
 			Shallow: `for $e in document("sr")//editor[contains(name, "a")] return <r>{ $e/name }</r>`,
-			Deep: `for $n in distinct-values(document("sr")//editor[contains(name, "a")]/name)
-return <r>{ $n }</r>`,
+			Deep:    `for $e in document("sr")//editor[contains(name, "a")] return <r>{ $e/name }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op {
-				eds := havingChild(scanT(cTop, "editor"), 0, containsC(cTop, "name", pred))
-				return pc(eds, scanT(cTop, "name"), 0, 0)
-			},
-			Shallow: func(Params) engine.Op {
-				eds := havingChild(scanT(cDoc, "editor"), 0, containsC(cDoc, "name", pred))
-				return pc(eds, scanT(cDoc, "name"), 0, 0)
-			},
-			Deep: func(p Params) engine.Op {
-				return &engine.DedupContent{Input: deepBase(p), Col: 1}
-			},
-		},
-		DeepNoDedup: deepBase,
-		Out:         sameOut(Extract{Col: 1}),
 	}
 }
 
@@ -186,15 +88,8 @@ return <r>{ $n }</r>`,
 // deep (the date hierarchy), a value join for shallow (paper: 0.01 / 3.11 /
 // 0.01).
 func sq5() *Query {
-	const year = "1979"
-	structural := func(c core2) engine.Op {
-		years := elemWithChildEq(c, "year", "value", year)
-		issues := pc(years, scanT(c, "issue"), 0, 0)   // [y, i]
-		arts := pc2(issues, scanT(c, "article"), 1, 0) // +a col 2
-		return pc2(arts, scanT(c, "title"), 2, 0)      // +title col 3
-	}
 	return &Query{
-		ID: "SQ5", Desc: "titles of articles published in " + year,
+		ID: "SQ5", Desc: "titles of articles published in 1979",
 		Colors: 0, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $a in document("sr")/{date}descendant::year[{date}child::value = "1979"]/{date}descendant::article
@@ -206,33 +101,14 @@ return <r>{ $a/title }</r>`,
 			Deep: `for $a in document("sr")//year[value = "1979"]//article
 return <r>{ $a/title }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op { return structural(cIss) },
-			Shallow: func(Params) engine.Op {
-				years := elemWithChildEq(cDoc, "year", "value", year)
-				issues := pc(years, scanT(cDoc, "issue"), 0, 0)
-				proj := &engine.Project{Input: issues, Cols: []int{1}}
-				arts := vjoin(scanT(cDoc, "article"), proj, 0, 0, akey("issueIdRef"), akey("id")) // [a, i]
-				return pc2(arts, scanT(cDoc, "title"), 0, 0)                                      // +title col 2
-			},
-			Deep: func(Params) engine.Op { return structural(cDoc) },
-		},
-		Out: map[Variant]Extract{
-			MCT: {Col: 3}, Shallow: {Col: 2}, Deep: {Col: 3},
-		},
 	}
 }
-
-// core2 aliases core.Color locally to keep sq5's helper signature short.
-type core2 = core.Color
 
 // SU1: rename a topic — one element for MCT/shallow, one copy per article on
 // that topic for deep (paper SU1: 5 nodes vs SU1D: 25).
 func su1() *UpdateSpec {
-	const topic = "Benchmarking"
-	const newName = "Benchmarks and Evaluation"
 	return &UpdateSpec{
-		ID: "SU1", Desc: "rename topic " + topic,
+		ID: "SU1", Desc: "rename topic Benchmarking",
 		Colors: 0, Trees: 1,
 		Text: map[Variant]string{
 			MCT: `for $t in document("sr")/{topic}descendant::topic[{topic}child::name = "Benchmarking"]
@@ -242,23 +118,6 @@ update $t { replace $t/name with "Benchmarks and Evaluation" }`,
 			Deep: `for $t in document("sr")//topic[name = "Benchmarking"]
 update $t { replace $t/name with "Benchmarks and Evaluation" }`,
 		},
-		Run: map[Variant]func(*storage.Store, Params) (int, error){
-			MCT: func(s *storage.Store, p Params) (int, error) {
-				t := elemWithChildEq(cTop, "topic", "name", topic)
-				names := pc(t, scanT(cTop, "name"), 0, 0)
-				return updateContentTargets(s, names, 1, newName)
-			},
-			Shallow: func(s *storage.Store, p Params) (int, error) {
-				t := elemWithChildEq(cDoc, "topic", "name", topic)
-				names := pc(t, scanT(cDoc, "name"), 0, 0)
-				return updateContentTargets(s, names, 1, newName)
-			},
-			Deep: func(s *storage.Store, p Params) (int, error) {
-				t := havingChild(scanT(cDoc, "topic"), 0, eqC(cDoc, "name", topic))
-				names := pc(t, scanT(cDoc, "name"), 0, 0)
-				return updateContentTargets(s, names, 1, newName)
-			},
-		},
 	}
 }
 
@@ -266,10 +125,8 @@ update $t { replace $t/name with "Benchmarks and Evaluation" }`,
 // Deep touches one editor copy per article on the topic (paper SU2: 1 vs
 // SU2D: 7).
 func su2() *UpdateSpec {
-	const topic = "Indexing"
-	const newName = "New Editor"
 	return &UpdateSpec{
-		ID: "SU2", Desc: "rename the editor of topic " + topic,
+		ID: "SU2", Desc: "rename the editor of topic Indexing",
 		Colors: 0, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $e in document("sr")/{topic}descendant::editor[{topic}child::topic/{topic}child::name = "Indexing"]
@@ -279,31 +136,5 @@ update $e { replace $e/name with "New Editor" }`,
 			Deep: `for $e in document("sr")//topic[name = "Indexing"]/editor
 update $e { replace $e/name with "New Editor" }`,
 		},
-		Run: map[Variant]func(*storage.Store, Params) (int, error){
-			MCT: func(s *storage.Store, p Params) (int, error) {
-				topics := elemWithChildEq(cTop, "topic", "name", topic)
-				eds := pc(scanT(cTop, "editor"), topics, 0, 0) // [e, t]
-				names := pc2(eds, scanT(cTop, "name"), 0, 0)   // +name col 2
-				return updateContentTargets(s, names, 2, newName)
-			},
-			Shallow: func(s *storage.Store, p Params) (int, error) {
-				topics := elemWithChildEq(cDoc, "topic", "name", topic)
-				eds := pc(scanT(cDoc, "editor"), topics, 0, 0)
-				names := pc2(eds, scanT(cDoc, "name"), 0, 0)
-				return updateContentTargets(s, names, 2, newName)
-			},
-			Deep: func(s *storage.Store, p Params) (int, error) {
-				topics := havingChild(scanT(cDoc, "topic"), 0, eqC(cDoc, "name", topic))
-				eds := pc2(topics, scanT(cDoc, "editor"), 0, 0) // [t, e]
-				names := pc2(eds, scanT(cDoc, "name"), 1, 0)    // +name col 2
-				return updateContentTargets(s, names, 2, newName)
-			},
-		},
 	}
-}
-
-// havingAncIn keeps rows whose column has an ANCESTOR among probe's rows.
-func havingAncIn(in engine.Op, col int, probe engine.Op) engine.Op {
-	return &engine.ExistsJoin{Input: in, Probe: probe, Col: col, ProbeCol: 0,
-		InputIsDesc: true}
 }

@@ -5,19 +5,6 @@ import (
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/datagen"
-	"colorfulxml/internal/engine"
-	"colorfulxml/internal/join"
-	"colorfulxml/internal/storage"
-)
-
-// Color shorthands.
-var (
-	cCust = datagen.ColCustomer
-	cBill = datagen.ColBilling
-	cShip = datagen.ColShipping
-	cDate = datagen.ColDate
-	cAuth = datagen.ColAuthor
-	cDoc  = datagen.ColDoc
 )
 
 // TPCWQueries returns the sixteen Table 2 TPC-W queries.
@@ -33,32 +20,16 @@ func TPCWUpdates() []*UpdateSpec {
 	return []*UpdateSpec{tu1(), tu2(), tu3(), tu4()}
 }
 
-// idOut extracts the id attribute of column col.
-func idOut(col int) Extract { return Extract{Col: col, Attr: "id"} }
-
-// sameOut uses the same extraction for all variants.
-func sameOut(ex Extract) map[Variant]Extract {
-	return map[Variant]Extract{MCT: ex, Shallow: ex, Deep: ex}
-}
-
 // entityByField builds the single-hierarchy "entity by field" query shared
-// by TQ1/TQ2/TQ4/TQ5/TQ6/TQ8: scan or index the field, join to the parent
-// entity. mctColor is the hierarchy the entity folds into.
-func entityByField(id, desc string, mctColor core.Color, tag, field string, pred engine.Pred) *Query {
-	mk := func(c core.Color) func(Params) engine.Op {
-		if pred.Kind == "eq" {
-			return func(Params) engine.Op { return elemWithChildEq(c, tag, field, pred.Value) }
-		}
-		return func(Params) engine.Op { return elemWithChildPred(c, tag, field, pred) }
-	}
-	cmp := map[string]string{"eq": "=", "gt": ">", "ge": ">=", "lt": "<", "le": "<="}[pred.Kind]
-	cond := fmt.Sprintf(`%s %s "%s"`, field, cmp, pred.Value)
-	if pred.Kind == "contains" {
-		cond = fmt.Sprintf(`contains(%s, "%s")`, field, pred.Value)
-	}
-	mctCond := fmt.Sprintf(`{%s}child::%s %s "%s"`, mctColor, field, cmp, pred.Value)
-	if pred.Kind == "contains" {
-		mctCond = fmt.Sprintf(`contains({%s}child::%s, "%s")`, mctColor, field, pred.Value)
+// by TQ1/TQ2/TQ4/TQ5/TQ6/TQ8: entities of tag whose child field compares
+// (op is "=", ">=" or "contains") with value. mctColor is the hierarchy the
+// entity folds into.
+func entityByField(id, desc string, mctColor core.Color, tag, field, op, value string) *Query {
+	cond := fmt.Sprintf(`%s %s "%s"`, field, op, value)
+	mctCond := fmt.Sprintf(`{%s}child::%s %s "%s"`, mctColor, field, op, value)
+	if op == "contains" {
+		cond = fmt.Sprintf(`contains(%s, "%s")`, field, value)
+		mctCond = fmt.Sprintf(`contains({%s}child::%s, "%s")`, mctColor, field, value)
 	}
 	return &Query{
 		ID: id, Desc: desc, Colors: 0, Trees: 1,
@@ -68,41 +39,37 @@ return createColor(black, <r>{ $x/{%s}attribute::id }</r>)`, mctColor, tag, mctC
 			Shallow: fmt.Sprintf(`for $x in document("tpcw")//%s[%s] return <r>{ $x/@id }</r>`, tag, cond),
 			Deep:    fmt.Sprintf(`for $x in document("tpcw")//%s[%s] return <r>{ $x/@id }</r>`, tag, cond),
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: mk(mctColor), Shallow: mk(cDoc), Deep: mk(cDoc),
-		},
-		Out: sameOut(idOut(0)),
 	}
 }
 
 func tq1() *Query {
 	return entityByField("TQ1", "customer with a given user name",
-		cCust, "customer", "uname", engine.Pred{Kind: "eq", Value: "user000042"})
+		datagen.ColCustomer, "customer", "uname", "=", "user000042")
 }
 
 func tq2() *Query {
 	return entityByField("TQ2", "orders with status SHIPPED",
-		cCust, "order", "status", engine.Pred{Kind: "eq", Value: "SHIPPED"})
+		datagen.ColCustomer, "order", "status", "=", "SHIPPED")
 }
 
 func tq4() *Query {
 	return entityByField("TQ4", "order lines with quantity >= 8",
-		cCust, "orderline", "qty", engine.Pred{Kind: "ge", Value: "8", Numeric: true})
+		datagen.ColCustomer, "orderline", "qty", ">=", "8")
 }
 
 func tq5() *Query {
 	return entityByField("TQ5", "customers with email matching a fragment",
-		cCust, "customer", "email", engine.Pred{Kind: "contains", Value: "user00004"})
+		datagen.ColCustomer, "customer", "email", "contains", "user00004")
 }
 
 func tq6() *Query {
 	return entityByField("TQ6", "order lines with quantity >= 2 (bulk scan)",
-		cCust, "orderline", "qty", engine.Pred{Kind: "ge", Value: "2", Numeric: true})
+		datagen.ColCustomer, "orderline", "qty", ">=", "2")
 }
 
 func tq8() *Query {
 	return entityByField("TQ8", "customer by email fragment (point-ish scan)",
-		cCust, "customer", "email", engine.Pred{Kind: "contains", Value: "user000042@"})
+		datagen.ColCustomer, "customer", "email", "contains", "user000042@")
 }
 
 // TQ3: orders of one customer shipped to a given country — two hierarchies,
@@ -110,14 +77,6 @@ func tq8() *Query {
 // deep (the address is replicated inside the order), which is why deep WINS
 // this query in the paper (0.16 vs 0.82).
 func tq3() *Query {
-	uname := func(p Params) string {
-		o := p.E.Orders[0]
-		return p.E.Customers[o.Customer-1].Uname
-	}
-	country := func(p Params) string {
-		o := p.E.Orders[0]
-		return p.E.Countries[p.E.Addresses[o.Shipping-1].Country-1].Name
-	}
 	return &Query{
 		ID: "TQ3", Desc: "orders of one customer shipped to one country",
 		Colors: 1, Trees: 2,
@@ -134,129 +93,61 @@ return <r>{ $o/@id }</r>`,
 			Deep: `for $o in document("tpcw")//customer[uname = "user000007"]/order[shippingAddress//country = "Japan"]
 return <r>{ $o/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(p Params) engine.Op {
-				cust := elemWithChildEq(cCust, "customer", "uname", uname(p))
-				orders := pc(cust, scanT(cCust, "order"), 0, 0) // [cust, order]
-				crossed := cross(orders, 1, cShip)              // +[order@shipping] col 2
-				addrs := elemWithChildEq(cShip, "address", "country", country(p))
-				return &engine.ExistsJoin{Input: crossed, Probe: addrs, Col: 2, ProbeCol: 0,
-					Axis: join.ParentChild, InputIsDesc: true}
-			},
-			Shallow: func(p Params) engine.Op {
-				cust := elemWithChildEq(cDoc, "customer", "uname", uname(p))
-				orders := vjoin(scanT(cDoc, "order"), cust, 0, 0, akey("customerIdRef"), akey("id")) // [order, cust]
-				addrs := elemWithChildEq(cDoc, "address", "country", country(p))
-				return vjoin(orders, addrs, 0, 0, akey("shippingIdRef"), akey("id")) // [order, cust, addr]
-			},
-			Deep: func(p Params) engine.Op {
-				cust := elemWithChildEq(cDoc, "customer", "uname", uname(p))
-				orders := pc(cust, scanT(cDoc, "order"), 0, 0) // [cust, order]
-				return havingDesc(orders, 1, eqC(cDoc, "country", country(p)))
-			},
-		},
-		Out: map[Variant]Extract{MCT: idOut(1), Shallow: idOut(0), Deep: idOut(1)},
 	}
 }
 
 // TQ7: expensive items — trivial for MCT and shallow, catastrophic for deep,
-// whose item copies (one per order line) must all be scanned and then
-// deduplicated (paper: 112.25s with dedup, 2.79s without, vs 0.02).
+// whose item copies (one per order line) must all be scanned: one row per
+// copy (paper: 112.25s with dedup, 2.79s without, vs 0.02).
 func tq7() *Query {
-	pred := engine.Pred{Kind: "gt", Value: "9000", Numeric: true}
-	deepBase := func(Params) engine.Op {
-		return elemWithChildPred(cDoc, "item", "cost", pred)
-	}
 	return &Query{
 		ID: "TQ7", Desc: "items with cost > 9000",
 		Colors: 0, Trees: 1,
 		Text: map[Variant]string{
 			MCT: `for $i in document("tpcw")/{author}descendant::item[{author}child::cost > "9000"]
-return createColor(black, <r>{ $i/{author}child::title }</r>)`,
-			Shallow: `for $i in document("tpcw")//item[cost > "9000"] return <r>{ $i/title }</r>`,
-			Deep: `for $t in distinct-values(document("tpcw")//item[cost > "9000"]/@ref)
-return <r>{ $t }</r>`,
-		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT:     func(Params) engine.Op { return elemWithChildPred(cAuth, "item", "cost", pred) },
-			Shallow: func(Params) engine.Op { return elemWithChildPred(cDoc, "item", "cost", pred) },
-			Deep: func(p Params) engine.Op {
-				return &engine.DedupAttr{Input: deepBase(p), Col: 0, Name: "ref"}
-			},
-		},
-		DeepNoDedup: deepBase,
-		Out: map[Variant]Extract{
-			MCT: idOut(0), Shallow: idOut(0), Deep: {Col: 0, Attr: "ref"},
+return createColor(black, <r>{ $i/{author}attribute::id }</r>)`,
+			Shallow: `for $i in document("tpcw")//item[cost > "9000"] return <r>{ $i/@id }</r>`,
+			Deep:    `for $i in document("tpcw")//item[cost > "9000"] return <r>{ $i/@ref }</r>`,
 		},
 	}
 }
 
-// TQ9: order lines (qty >= 5) of SHIPPED orders — one hierarchy for MCT and
-// deep, a large ID/IDREF value join for shallow (paper: 30.16 vs 0.55/0.76).
+// TQ9: order lines (discount 3) of SHIPPED orders — one hierarchy for MCT
+// and deep, a large ID/IDREF value join for shallow (paper: 30.16 vs
+// 0.55/0.76).
 func tq9() *Query {
-	return linesOfOrders("TQ9", "order lines (discount 3) of SHIPPED orders",
-		"SHIPPED", engine.Pred{Kind: "eq", Value: "3"})
+	return linesOfOrders("TQ9", "order lines (discount 3) of SHIPPED orders", "SHIPPED", "3")
 }
 
 // TQ11 is TQ9 with much smaller join inputs (paper: 33 x 25912): the shallow
 // value join is cheaper but still dominates.
 func tq11() *Query {
-	return linesOfOrders("TQ11", "order lines (discount 9) of DENIED orders",
-		"DENIED", engine.Pred{Kind: "eq", Value: "9"})
+	return linesOfOrders("TQ11", "order lines (discount 9) of DENIED orders", "DENIED", "9")
 }
 
-func linesOfOrders(id, desc, status string, linePred engine.Pred) *Query {
-	lineField := "qty"
-	if linePred.Kind == "eq" {
-		lineField = "olDiscount"
-	}
-	cmp := map[string]string{"eq": "=", "ge": ">="}[linePred.Kind]
-	structPlan := func(c core.Color) engine.Op {
-		orders := elemWithChildEq(c, "order", "status", status)
-		var lines engine.Op
-		if linePred.Kind == "eq" {
-			lines = elemWithChildEq(c, "orderline", lineField, linePred.Value)
-		} else {
-			lines = elemWithChildPred(c, "orderline", lineField, linePred)
-		}
-		return pc(orders, lines, 0, 0) // [order, line]
-	}
+func linesOfOrders(id, desc, status, discount string) *Query {
 	return &Query{
 		ID: id, Desc: desc, Colors: 0, Trees: 2,
 		Text: map[Variant]string{
-			MCT: fmt.Sprintf(`for $l in document("tpcw")/{customer}descendant::order[{customer}child::status = "%s"]/{customer}child::orderline[{customer}child::%s %s "%s"]
-return createColor(black, <r>{ $l/{customer}attribute::id }</r>)`, status, lineField, cmp, linePred.Value),
+			MCT: fmt.Sprintf(`for $l in document("tpcw")/{customer}descendant::order[{customer}child::status = "%s"]/{customer}child::orderline[{customer}child::olDiscount = "%s"]
+return createColor(black, <r>{ $l/{customer}attribute::id }</r>)`, status, discount),
 			Shallow: fmt.Sprintf(`for $o in document("tpcw")//order[status = "%s"],
-    $l in document("tpcw")//orderline[%s %s "%s"]
+    $l in document("tpcw")//orderline[olDiscount = "%s"]
 where $l/@orderIdRef = $o/@id
-return <r>{ $l/@id }</r>`, status, lineField, cmp, linePred.Value),
-			Deep: fmt.Sprintf(`for $l in document("tpcw")//order[status = "%s"]/orderline[%s %s "%s"]
-return <r>{ $l/@id }</r>`, status, lineField, cmp, linePred.Value),
+return <r>{ $l/@id }</r>`, status, discount),
+			Deep: fmt.Sprintf(`for $l in document("tpcw")//order[status = "%s"]/orderline[olDiscount = "%s"]
+return <r>{ $l/@id }</r>`, status, discount),
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op { return structPlan(cCust) },
-			Shallow: func(Params) engine.Op {
-				orders := elemWithChildEq(cDoc, "order", "status", status)
-				var lines engine.Op
-				if linePred.Kind == "eq" {
-					lines = elemWithChildEq(cDoc, "orderline", lineField, linePred.Value)
-				} else {
-					lines = elemWithChildPred(cDoc, "orderline", lineField, linePred)
-				}
-				return vjoin(lines, orders, 0, 0, akey("orderIdRef"), akey("id")) // [line, order]
-			},
-			Deep: func(Params) engine.Op { return structPlan(cDoc) },
-		},
-		Out: map[Variant]Extract{MCT: idOut(1), Shallow: idOut(0), Deep: idOut(1)},
 	}
 }
 
 // TQ10: order lines of orders by customers with a given discount placed in
 // May 2003 — the query where DEEP wins (everything nested under customer),
 // MCT pays a color crossing per candidate order, and shallow pays two value
-// joins (paper: 6.61 / 8.96 / 0.71).
+// joins (paper: 6.61 / 8.96 / 0.71). The MCT text returns the order lines'
+// id attributes as they are: an element constructed per order would carry
+// several attributes of one name.
 func tq10() *Query {
-	const disc = "7"
 	return &Query{
 		ID: "TQ10", Desc: "order lines of discount-7 customers' orders placed in May 2003",
 		Colors: 1, Trees: 2,
@@ -264,7 +155,7 @@ func tq10() *Query {
 			MCT: `for $o in document("tpcw")/{customer}descendant::customer[{customer}child::discount = "7"]/{customer}child::order,
     $d in document("tpcw")/{date}descendant::year[{date}child::value = "2003"]/{date}child::month[{date}child::value = "5"]/{date}descendant::order
 where $o = $d
-return createColor(black, <r>{ $o/{customer}child::orderline }</r>)`,
+return $o/{customer}child::orderline/{customer}attribute::id`,
 			Shallow: `for $c in document("tpcw")//customer[discount = "7"],
     $o in document("tpcw")//order,
     $d in document("tpcw")//year[value = "2003"]/month[value = "5"]/day,
@@ -274,72 +165,20 @@ return <r>{ $l/@id }</r>`,
 			Deep: `for $l in document("tpcw")//customer[discount = "7"]/order[orderDate/year = "2003" and orderDate/month = "5"]/orderline
 return <r>{ $l/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op {
-				custs := elemWithChildEq(cCust, "customer", "discount", disc)
-				orders := pc(custs, scanT(cCust, "order"), 0, 0) // [cust, order]
-				crossed := cross(orders, 1, cDate)               // +col 2
-				months := underChild(elemWithChildEq(cDate, "month", "value", "5"), 0,
-					elemWithChildEq(cDate, "year", "value", "2003"))
-				days := &engine.Project{Input: pc(months, scanT(cDate, "day"), 0, 0), Cols: []int{1}}
-				inMay := &engine.ExistsJoin{Input: crossed, Probe: days, Col: 2, ProbeCol: 0,
-					Axis: join.ParentChild, InputIsDesc: true}
-				return pc2(inMay, scanT(cCust, "orderline"), 1, 0) // + line col 3
-			},
-			Shallow: func(Params) engine.Op {
-				custs := elemWithChildEq(cDoc, "customer", "discount", disc)
-				orders := vjoin(scanT(cDoc, "order"), custs, 0, 0, akey("customerIdRef"), akey("id")) // [o, c]
-				months := underChild(elemWithChildEq(cDoc, "month", "value", "5"), 0,
-					elemWithChildEq(cDoc, "year", "value", "2003"))
-				days := &engine.Project{Input: pc(months, scanT(cDoc, "day"), 0, 0), Cols: []int{1}}
-				ordersD := vjoin(orders, days, 0, 0, akey("dateIdRef"), akey("id")) // [o, c, d]
-				return vjoin(scanT(cDoc, "orderline"), ordersD, 0, 0, akey("orderIdRef"), akey("id"))
-			},
-			Deep: func(Params) engine.Op {
-				custs := elemWithChildEq(cDoc, "customer", "discount", disc)
-				orders := pc(custs, scanT(cDoc, "order"), 0, 0) // [c, o]
-				dates := havingChild(havingChild(scanT(cDoc, "orderDate"), 0,
-					eqC(cDoc, "year", "2003")), 0, eqC(cDoc, "month", "5"))
-				ordersF := &engine.ExistsJoin{Input: orders, Probe: dates, Col: 1, ProbeCol: 0,
-					Axis: join.ParentChild}
-				return pc2(ordersF, scanT(cDoc, "orderline"), 1, 0) // + line col 2
-			},
-		},
-		Out: map[Variant]Extract{MCT: idOut(3), Shallow: idOut(0), Deep: idOut(2)},
 	}
 }
 
-// TQ12: author lookup by name — deep must scan replicated author copies and
-// deduplicate (paper: 0.54 deep vs 0.01; TQ12D shows the copies).
+// TQ12: author lookup by name — deep must scan replicated author copies, one
+// row per copy (paper: 0.54 deep vs 0.01; TQ12D shows the copies).
 func tq12() *Query {
-	name := func(p Params) string { return p.E.Authors[0].Name }
-	deepBase := func(p Params) engine.Op {
-		return havingChild(scanT(cDoc, "author"), 0, eqC(cDoc, "name", name(p)))
-	}
 	return &Query{
 		ID: "TQ12", Desc: "author by exact name",
 		Colors: 0, Trees: 1,
 		Text: map[Variant]string{
 			MCT: `for $a in document("tpcw")/{author}descendant::author[{author}child::name = "A"]
-return createColor(black, <r>{ $a/{author}child::bio }</r>)`,
-			Shallow: `for $a in document("tpcw")//author[name = "A"] return <r>{ $a/bio }</r>`,
-			Deep: `for $a in distinct-values(document("tpcw")//author[name = "A"]/@ref)
-return <r>{ $a }</r>`,
-		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(p Params) engine.Op {
-				return havingChild(scanT(cAuth, "author"), 0, eqC(cAuth, "name", name(p)))
-			},
-			Shallow: func(p Params) engine.Op {
-				return havingChild(scanT(cDoc, "author"), 0, eqC(cDoc, "name", name(p)))
-			},
-			Deep: func(p Params) engine.Op {
-				return &engine.DedupAttr{Input: deepBase(p), Col: 0, Name: "ref"}
-			},
-		},
-		DeepNoDedup: deepBase,
-		Out: map[Variant]Extract{
-			MCT: idOut(0), Shallow: idOut(0), Deep: {Col: 0, Attr: "ref"},
+return createColor(black, <r>{ $a/{author}attribute::id }</r>)`,
+			Shallow: `for $a in document("tpcw")//author[name = "A"] return <r>{ $a/@id }</r>`,
+			Deep:    `for $a in document("tpcw")//author[name = "A"] return <r>{ $a/@ref }</r>`,
 		},
 	}
 }
@@ -347,9 +186,8 @@ return <r>{ $a }</r>`,
 // TQ13: order lines of HISTORY items — folded into the author hierarchy for
 // MCT (no crossing), a value join for shallow (paper: 0.11 / 2.36 / 0.23).
 func tq13() *Query {
-	const subject = "HISTORY"
 	return &Query{
-		ID: "TQ13", Desc: "order lines of items with subject " + subject,
+		ID: "TQ13", Desc: "order lines of items with subject HISTORY",
 		Colors: 0, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $l in document("tpcw")/{author}descendant::item[{author}child::subject = "HISTORY"]/{author}child::orderline
@@ -361,28 +199,12 @@ return <r>{ $l/@id }</r>`,
 			Deep: `for $l in document("tpcw")//orderline[item/subject = "HISTORY"]
 return <r>{ $l/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op {
-				items := elemWithChildEq(cAuth, "item", "subject", subject)
-				return pc(items, scanT(cAuth, "orderline"), 0, 0) // [item, line]
-			},
-			Shallow: func(Params) engine.Op {
-				items := elemWithChildEq(cDoc, "item", "subject", subject)
-				return vjoin(scanT(cDoc, "orderline"), items, 0, 0, akey("itemIdRef"), akey("id"))
-			},
-			Deep: func(Params) engine.Op {
-				items := havingChild(scanT(cDoc, "item"), 0, eqC(cDoc, "subject", subject))
-				return pc(scanT(cDoc, "orderline"), items, 0, 0) // [line, item]
-			},
-		},
-		Out: map[Variant]Extract{MCT: idOut(1), Shallow: idOut(0), Deep: idOut(0)},
 	}
 }
 
 // TQ14: order lines of items by one author — two structural hops for MCT,
 // two value joins for shallow (paper: 0.09 / 2.29 / 0.25).
 func tq14() *Query {
-	name := func(p Params) string { return p.E.Authors[1].Name }
 	return &Query{
 		ID: "TQ14", Desc: "order lines of items written by one author",
 		Colors: 0, Trees: 2,
@@ -397,24 +219,6 @@ return <r>{ $l/@id }</r>`,
 			Deep: `for $l in document("tpcw")//orderline[item/author/name = "A"]
 return <r>{ $l/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(p Params) engine.Op {
-				auth := elemWithChildEq(cAuth, "author", "name", name(p))
-				items := pc(auth, scanT(cAuth, "item"), 0, 0)      // [a, i]
-				return pc2(items, scanT(cAuth, "orderline"), 1, 0) // +line col 2
-			},
-			Shallow: func(p Params) engine.Op {
-				auth := elemWithChildEq(cDoc, "author", "name", name(p))
-				items := vjoin(scanT(cDoc, "item"), auth, 0, 0, akey("authorIdRef"), akey("id")) // [i, a]
-				return vjoin(scanT(cDoc, "orderline"), items, 0, 0, akey("itemIdRef"), akey("id"))
-			},
-			Deep: func(p Params) engine.Op {
-				auths := havingChild(scanT(cDoc, "author"), 0, eqC(cDoc, "name", name(p)))
-				items := pc(scanT(cDoc, "item"), auths, 0, 0)    // [i, a]
-				return pc(scanT(cDoc, "orderline"), items, 0, 0) // [l, i, a]
-			},
-		},
-		Out: map[Variant]Extract{MCT: idOut(2), Shallow: idOut(0), Deep: idOut(0)},
 	}
 }
 
@@ -423,9 +227,8 @@ return <r>{ $l/@id }</r>`,
 // paper notes); shallow additionally pays a value join to build the inner
 // side (paper: 0.72 / 38.11 / 1.34).
 func tq15() *Query {
-	const country = "Norway"
 	return &Query{
-		ID: "TQ15", Desc: "orders out-pricing some order shipped to " + country,
+		ID: "TQ15", Desc: "orders out-pricing some order shipped to Norway",
 		Colors: 0, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $o in document("tpcw")/{customer}descendant::order,
@@ -442,45 +245,15 @@ return <r>{ $o/@id }</r>`,
 where $o/total > $n/total
 return <r>{ $o/@id }</r>`,
 		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op {
-				addrs := elemWithChildEq(cShip, "address", "country", country)
-				nOrders := pc(addrs, scanT(cShip, "order"), 0, 0)             // [a, n]
-				nTotals := pc2(nOrders, scanT(cShip, "total"), 1, 0)          // +t col 2
-				all := pc(scanT(cCust, "order"), scanT(cCust, "total"), 0, 0) // [o, t]
-				nl := &engine.NLJoin{Left: all, Right: nTotals, LeftCol: 1, RightCol: 2,
-					Kind: "gt", Numeric: true}
-				return &engine.Dedup{Input: nl, Col: 0}
-			},
-			Shallow: func(Params) engine.Op {
-				addrs := elemWithChildEq(cDoc, "address", "country", country)
-				nOrders := vjoin(scanT(cDoc, "order"), addrs, 0, 0, akey("shippingIdRef"), akey("id")) // [n, a]
-				nTotals := pc2(nOrders, scanT(cDoc, "total"), 0, 0)                                    // +t col 2
-				all := pc(scanT(cDoc, "order"), scanT(cDoc, "total"), 0, 0)
-				nl := &engine.NLJoin{Left: all, Right: nTotals, LeftCol: 1, RightCol: 2,
-					Kind: "gt", Numeric: true}
-				return &engine.Dedup{Input: nl, Col: 0}
-			},
-			Deep: func(Params) engine.Op {
-				nOrders := havingDesc(scanT(cDoc, "order"), 0, eqC(cDoc, "country", country))
-				nTotals := pc2(nOrders, scanT(cDoc, "total"), 0, 0) // [n, t]
-				all := pc(scanT(cDoc, "order"), scanT(cDoc, "total"), 0, 0)
-				nl := &engine.NLJoin{Left: all, Right: nTotals, LeftCol: 1, RightCol: 1,
-					Kind: "gt", Numeric: true}
-				return &engine.Dedup{Input: nl, Col: 0}
-			},
-		},
-		Out: sameOut(idOut(0)),
 	}
 }
 
 // TQ16: distinct items ordered by customers billed in Japan — the query
-// where MCT beats BOTH: shallow needs three value joins, deep pays both
-// replication and duplicate elimination (paper: 0.40 / 20.09 / 34.61).
+// where MCT beats BOTH: shallow needs three value joins, deep pays
+// replication, one row per item copy (paper: 0.40 / 20.09 / 34.61).
 func tq16() *Query {
-	const country = "Japan"
 	return &Query{
-		ID: "TQ16", Desc: "distinct items bought by customers billed in " + country,
+		ID: "TQ16", Desc: "distinct items bought by customers billed in Japan",
 		Colors: 1, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $i in document("tpcw")/{billing}descendant::address[{billing}child::country = "Japan"]/{billing}descendant::orderline/{author}parent::item
@@ -491,69 +264,17 @@ return createColor(black, <r>{ $i/{author}attribute::id }</r>)`,
     $i in document("tpcw")//item
 where $o/@billingIdRef = $a/@id and $l/@orderIdRef = $o/@id and $i/@id = $l/@itemIdRef
 return <r>{ $i/@id }</r>`,
-			Deep: `for $i in distinct-values(document("tpcw")//customer[billingAddress//country = "Japan"]//item/@ref)
-return <r>{ $i }</r>`,
-		},
-		Plan: map[Variant]func(Params) engine.Op{
-			MCT: func(Params) engine.Op {
-				addrs := elemWithChildEq(cBill, "address", "country", country)
-				orders := pc(addrs, scanT(cBill, "order"), 0, 0)      // [a, o]
-				lines := pc2(orders, scanT(cBill, "orderline"), 1, 0) // +l col 2
-				crossed := cross(lines, 2, cAuth)                     // +l@author col 3
-				items := &engine.StructJoin{Anc: scanT(cAuth, "item"), Desc: crossed,
-					AncCol: 0, DescCol: 3, Axis: join.ParentChild} // [item, a, o, l, l']
-				return &engine.Dedup{Input: items, Col: 0}
-			},
-			Shallow: func(Params) engine.Op {
-				addrs := elemWithChildEq(cDoc, "address", "country", country)
-				orders := vjoin(scanT(cDoc, "order"), addrs, 0, 0, akey("billingIdRef"), akey("id"))   // [o, a]
-				lines := vjoin(scanT(cDoc, "orderline"), orders, 0, 0, akey("orderIdRef"), akey("id")) // [l, o, a]
-				items := vjoin(lines, scanT(cDoc, "item"), 0, 0, akey("itemIdRef"), akey("id"))        // [l, o, a, i]
-				return &engine.Dedup{Input: items, Col: 3}
-			},
-			Deep: func(Params) engine.Op {
-				bAddrs := havingDesc(scanT(cDoc, "billingAddress"), 0, eqC(cDoc, "country", country))
-				custs := pc(scanT(cDoc, "customer"), bAddrs, 0, 0)   // [c, b]
-				orders := pc2(custs, scanT(cDoc, "order"), 0, 0)     // +o col 2
-				lines := pc2(orders, scanT(cDoc, "orderline"), 2, 0) // +l col 3
-				items := pc2(lines, scanT(cDoc, "item"), 3, 0)       // +i col 4
-				return &engine.DedupAttr{Input: items, Col: 4, Name: "ref"}
-			},
-		},
-		Out: map[Variant]Extract{
-			MCT: idOut(0), Shallow: idOut(3), Deep: {Col: 4, Attr: "ref"},
+			Deep: `for $i in document("tpcw")//customer[billingAddress//country = "Japan"]//item
+return <r>{ $i/@ref }</r>`,
 		},
 	}
 }
 
 // --- updates ---------------------------------------------------------------
 
-// updateContentTargets runs a plan and rewrites the content of column col.
-func updateContentTargets(s *storage.Store, plan engine.Op, col int, newContent string) (int, error) {
-	rows, _, err := engine.Exec(s, plan)
-	if err != nil {
-		return 0, err
-	}
-	seen := map[storage.ElemID]bool{}
-	n := 0
-	for _, r := range rows {
-		id := r[col].Elem
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if err := s.UpdateContent(id, newContent); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // TU1: reprice an item by title. One element for MCT/shallow; every
 // replicated copy for deep (paper TU1: 1 node vs TU1D: 335).
 func tu1() *UpdateSpec {
-	title := func(p Params) string { return p.E.Items[0].Title }
 	return &UpdateSpec{
 		ID: "TU1", Desc: "set the cost of an item (by title)",
 		Colors: 0, Trees: 1,
@@ -565,30 +286,12 @@ update $i { replace $i/cost with "9999" }`,
 			Deep: `for $i in document("tpcw")//item[title = "T"]
 update $i { replace $i/cost with "9999" }`,
 		},
-		Run: map[Variant]func(*storage.Store, Params) (int, error){
-			MCT: func(s *storage.Store, p Params) (int, error) {
-				items := elemWithChildEq(cAuth, "item", "title", title(p))
-				costs := pc(items, scanT(cAuth, "cost"), 0, 0)
-				return updateContentTargets(s, costs, 1, "9999")
-			},
-			Shallow: func(s *storage.Store, p Params) (int, error) {
-				items := elemWithChildEq(cDoc, "item", "title", title(p))
-				costs := pc(items, scanT(cDoc, "cost"), 0, 0)
-				return updateContentTargets(s, costs, 1, "9999")
-			},
-			Deep: func(s *storage.Store, p Params) (int, error) {
-				items := havingChild(scanT(cDoc, "item"), 0, eqC(cDoc, "title", title(p)))
-				costs := pc(items, scanT(cDoc, "cost"), 0, 0)
-				return updateContentTargets(s, costs, 1, "9999")
-			},
-		},
 	}
 }
 
 // TU2: change the zip of one address. Deep touches one copy per use (paper
 // TU2: 1 vs TU2D: 5).
 func tu2() *UpdateSpec {
-	street := func(p Params) string { return p.E.Addresses[0].Street }
 	return &UpdateSpec{
 		ID: "TU2", Desc: "set the zip of an address (by street)",
 		Colors: 0, Trees: 1,
@@ -600,44 +303,6 @@ update $a { replace $a/zip with "00000" }`,
 			Deep: `for $a in document("tpcw")//shippingAddress[street = "S"]
 update $a { replace $a/zip with "00000" }`,
 		},
-		Run: map[Variant]func(*storage.Store, Params) (int, error){
-			MCT: func(s *storage.Store, p Params) (int, error) {
-				// The address is stored once; find it through either
-				// hierarchy it participates in.
-				total := 0
-				for _, c := range []core.Color{cShip, cBill} {
-					addrs := elemWithChildEq(c, "address", "street", street(p))
-					zips := pc(addrs, scanT(c, "zip"), 0, 0)
-					n, err := updateContentTargets(s, zips, 1, "00000")
-					if err != nil {
-						return total, err
-					}
-					total += n
-					if total > 0 {
-						break // found via the first hierarchy: done
-					}
-				}
-				return total, nil
-			},
-			Shallow: func(s *storage.Store, p Params) (int, error) {
-				addrs := elemWithChildEq(cDoc, "address", "street", street(p))
-				zips := pc(addrs, scanT(cDoc, "zip"), 0, 0)
-				return updateContentTargets(s, zips, 1, "00000")
-			},
-			Deep: func(s *storage.Store, p Params) (int, error) {
-				total := 0
-				for _, tag := range []string{"shippingAddress", "billingAddress"} {
-					addrs := havingChild(scanT(cDoc, tag), 0, eqC(cDoc, "street", street(p)))
-					zips := pc(addrs, scanT(cDoc, "zip"), 0, 0)
-					n, err := updateContentTargets(s, zips, 1, "00000")
-					if err != nil {
-						return total, err
-					}
-					total += n
-				}
-				return total, nil
-			},
-		},
 	}
 }
 
@@ -645,9 +310,8 @@ update $a { replace $a/zip with "00000" }`,
 // WHERE needs a join: structural for MCT/deep, a value join for shallow
 // (paper: 0.36 / 15.14 / 0.65).
 func tu3() *UpdateSpec {
-	const country = "Ireland"
 	return &UpdateSpec{
-		ID: "TU3", Desc: "set status of orders billed to " + country,
+		ID: "TU3", Desc: "set status of orders billed to Ireland",
 		Colors: 0, Trees: 2,
 		Text: map[Variant]string{
 			MCT: `for $o in document("tpcw")/{billing}descendant::address[{billing}child::country = "Ireland"]/{billing}child::order
@@ -659,35 +323,12 @@ update $o { replace $o/status with "AUDITED" }`,
 			Deep: `for $o in document("tpcw")//customer[billingAddress//country = "Ireland"]/order
 update $o { replace $o/status with "AUDITED" }`,
 		},
-		Run: map[Variant]func(*storage.Store, Params) (int, error){
-			MCT: func(s *storage.Store, p Params) (int, error) {
-				addrs := elemWithChildEq(cBill, "address", "country", country)
-				orders := pc(addrs, scanT(cBill, "order"), 0, 0)
-				status := pc2(orders, scanT(cBill, "status"), 1, 0)
-				return updateContentTargets(s, status, 2, "AUDITED")
-			},
-			Shallow: func(s *storage.Store, p Params) (int, error) {
-				addrs := elemWithChildEq(cDoc, "address", "country", country)
-				orders := vjoin(scanT(cDoc, "order"), addrs, 0, 0, akey("billingIdRef"), akey("id"))
-				status := pc2(orders, scanT(cDoc, "status"), 0, 0)
-				return updateContentTargets(s, status, 2, "AUDITED")
-			},
-			Deep: func(s *storage.Store, p Params) (int, error) {
-				bAddrs := havingDesc(scanT(cDoc, "billingAddress"), 0, eqC(cDoc, "country", country))
-				custs := pc(scanT(cDoc, "customer"), bAddrs, 0, 0)
-				orders := pc2(custs, scanT(cDoc, "order"), 0, 0)
-				status := pc2(orders, scanT(cDoc, "status"), 2, 0)
-				return updateContentTargets(s, status, 3, "AUDITED")
-			},
-		},
 	}
 }
 
 // TU4: rewrite an author's bio. Deep touches one copy per item copy (paper
 // TU4: 1 vs TU4D: 10).
 func tu4() *UpdateSpec {
-	name := func(p Params) string { return p.E.Authors[2].Name }
-	const bio = "Updated biography."
 	return &UpdateSpec{
 		ID: "TU4", Desc: "set an author's bio (by name)",
 		Colors: 0, Trees: 2,
@@ -699,33 +340,5 @@ update $a { replace $a/bio with "B" }`,
 			Deep: `for $a in document("tpcw")//author[name = "A"]
 update $a { replace $a/bio with "B" }`,
 		},
-		Run: map[Variant]func(*storage.Store, Params) (int, error){
-			MCT: func(s *storage.Store, p Params) (int, error) {
-				auth := elemWithChildEq(cAuth, "author", "name", name(p))
-				bios := pc(auth, scanT(cAuth, "bio"), 0, 0)
-				return updateContentTargets(s, bios, 1, bio)
-			},
-			Shallow: func(s *storage.Store, p Params) (int, error) {
-				auth := elemWithChildEq(cDoc, "author", "name", name(p))
-				bios := pc(auth, scanT(cDoc, "bio"), 0, 0)
-				return updateContentTargets(s, bios, 1, bio)
-			},
-			Deep: func(s *storage.Store, p Params) (int, error) {
-				auth := havingChild(scanT(cDoc, "author"), 0, eqC(cDoc, "name", name(p)))
-				bios := pc(auth, scanT(cDoc, "bio"), 0, 0)
-				return updateContentTargets(s, bios, 1, bio)
-			},
-		},
 	}
-}
-
-// underChild keeps rows of in whose column col has a PARENT matching probe.
-func underChild(in engine.Op, col int, probe engine.Op) engine.Op {
-	return &engine.ExistsJoin{Input: in, Probe: probe, Col: col, ProbeCol: 0,
-		Axis: join.ParentChild, InputIsDesc: true}
-}
-
-// pc2 is pc with an explicit anchor column on the anc side.
-func pc2(anc, desc engine.Op, ancCol, descCol int) engine.Op {
-	return &engine.StructJoin{Anc: anc, Desc: desc, AncCol: ancCol, DescCol: descCol, Axis: join.ParentChild}
 }

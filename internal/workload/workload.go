@@ -1,25 +1,25 @@
 // Package workload defines the experiment workload of the paper's Table 2:
 // sixteen TPC-W queries (TQ1–TQ16), four TPC-W updates (TU1–TU4), five
 // SIGMOD-Record queries (SQ1–SQ5) and two SIGMOD-Record updates (SU1–SU2),
-// each in all three representations — MCT, shallow and deep — as
-//
-//   - query/update TEXT in the corresponding language (MCXQuery for MCT,
-//     XQuery with value joins for shallow, plain-path XQuery for deep), which
-//     the Figure 11/12 complexity metrics are computed from; and
-//   - a hand-specified physical PLAN over the engine operators, exactly as
-//     the paper ran Timber ("we manually specified the query plan").
-//
-// Queries whose deep evaluation produces duplicates additionally provide the
-// paper's "*D" variant: the same deep plan without duplicate elimination.
+// each as TEXT in all three representations — MCXQuery for MCT, XQuery with
+// value joins for shallow, plain-path XQuery for deep. The Figure 11/12
+// complexity metrics are computed from the texts, and Table 2 runs them: a
+// query through the plan compiler (internal/plan), an update through the
+// update executor with a compiled binding — where the paper specified each
+// physical plan by hand.
 package workload
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
+	"colorfulxml/internal/core"
 	"colorfulxml/internal/datagen"
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
+	"colorfulxml/internal/plan"
 	"colorfulxml/internal/storage"
 	"colorfulxml/internal/update"
 )
@@ -37,13 +37,6 @@ const (
 // Variants lists them in the paper's column order.
 var Variants = []Variant{MCT, Shallow, Deep}
 
-// Extract designates how to render a query's result rows as comparable
-// values: the attribute (or content, when Attr is empty) of one column.
-type Extract struct {
-	Col  int
-	Attr string
-}
-
 // Query is one read-only workload query.
 type Query struct {
 	ID   string
@@ -52,15 +45,8 @@ type Query struct {
 	// the number of hierarchies involved (Table 2's annotation columns).
 	Colors int
 	Trees  int
-	// Text per variant; parsed by the Figure 11/12 metrics.
+	// Text per variant.
 	Text map[Variant]string
-	// Plan builds the physical plan per variant.
-	Plan map[Variant]func(p Params) engine.Op
-	// Out extracts comparable result values per variant.
-	Out map[Variant]Extract
-	// DeepNoDedup, when set, is the "*D" plan: deep without duplicate
-	// elimination (paper Table 2's TQ7D, TQ12D, SQ4D rows).
-	DeepNoDedup func(p Params) engine.Op
 }
 
 // UpdateSpec is one update statement of the workload.
@@ -70,25 +56,23 @@ type UpdateSpec struct {
 	Colors int
 	Trees  int
 	Text   map[Variant]string
-	// Run applies the update against the store of the given variant and
-	// returns the number of nodes updated (Table 2's "results" column for
-	// updates: 1 for MCT/shallow, the number of copies for deep).
-	Run map[Variant]func(s *storage.Store, p Params) (int, error)
 }
 
-// Params carries the generated entity pools so queries can use data-derived
+// Params carries the generated entity pools so texts can use data-derived
 // constants.
 type Params struct {
 	E *datagen.TPCWEntities
 	S *datagen.SigmodEntities
 }
 
-// Stores bundles one loaded store per variant.
+// Stores bundles, per variant, the database the generator built and the
+// store loaded from it.
 type Stores struct {
 	MCT     *storage.Store
 	Shallow *storage.Store
 	Deep    *storage.Store
 	Params  Params
+	data    *datagen.Dataset
 }
 
 // Of returns the store for a variant.
@@ -100,6 +84,18 @@ func (s *Stores) Of(v Variant) *storage.Store {
 		return s.Shallow
 	default:
 		return s.Deep
+	}
+}
+
+// DB returns the database a variant's store was loaded from.
+func (s *Stores) DB(v Variant) *core.Database {
+	switch v {
+	case MCT:
+		return s.data.MCT
+	case Shallow:
+		return s.data.Shallow
+	default:
+		return s.data.Deep
 	}
 }
 
@@ -122,62 +118,147 @@ func LoadSigmod(scale int, seed int64, poolPages int) (*Stores, error) {
 }
 
 func loadStores(ds *datagen.Dataset, p Params, poolPages int) (*Stores, error) {
-	mct, err := storage.Load(ds.MCT, poolPages)
-	if err != nil {
-		return nil, fmt.Errorf("workload: load mct: %w", err)
+	st := &Stores{Params: p, data: ds}
+	for _, v := range Variants {
+		s, err := storage.Load(st.DB(v), poolPages)
+		if err != nil {
+			return nil, fmt.Errorf("workload: load %s: %w", v, err)
+		}
+		// The store now reflects everything the generator logged; an update's
+		// drained log starts here.
+		st.DB(v).DrainChanges()
+		switch v {
+		case MCT:
+			st.MCT = s
+		case Shallow:
+			st.Shallow = s
+		default:
+			st.Deep = s
+		}
 	}
-	sh, err := storage.Load(ds.Shallow, poolPages)
-	if err != nil {
-		return nil, fmt.Errorf("workload: load shallow: %w", err)
-	}
-	dp, err := storage.Load(ds.Deep, poolPages)
-	if err != nil {
-		return nil, fmt.Errorf("workload: load deep: %w", err)
-	}
-	return &Stores{MCT: mct, Shallow: sh, Deep: dp, Params: p}, nil
+	return st, nil
 }
 
-// RunQuery executes a query on one variant, returning the extracted result
-// values and the engine metrics.
-func RunQuery(q *Query, st *Stores, v Variant) ([]string, engine.Metrics, error) {
-	plan := q.Plan[v](st.Params)
-	s := st.Of(v)
-	rows, m, err := engine.Exec(s, plan)
-	if err != nil {
-		return nil, m, fmt.Errorf("workload: %s/%s: %w", q.ID, v, err)
-	}
-	out, err := extract(s, rows, q.Out[v])
-	return out, m, err
+// textSubs lists, per query or update, the illustrative literal constants
+// its published texts carry together with pool-derived constants, so that
+// every text selects something at every scale and seed.
+var textSubs = map[string]func(p Params) [][2]string{
+	"TQ3": func(p Params) [][2]string {
+		o := p.E.Orders[0]
+		return [][2]string{
+			{"user000007", p.E.Customers[o.Customer-1].Uname},
+			{"Japan", p.E.Countries[p.E.Addresses[o.Shipping-1].Country-1].Name},
+		}
+	},
+	"TQ12": func(p Params) [][2]string {
+		return [][2]string{{"A", p.E.Authors[0].Name}}
+	},
+	"TQ14": func(p Params) [][2]string {
+		return [][2]string{{"A", p.E.Authors[1].Name}}
+	},
+	"TU1": func(p Params) [][2]string {
+		return [][2]string{{"T", p.E.Items[0].Title}}
+	},
+	"TU2": func(p Params) [][2]string {
+		return [][2]string{{"S", p.E.Addresses[0].Street}}
+	},
+	"TU4": func(p Params) [][2]string {
+		return [][2]string{{"A", p.E.Authors[2].Name}}
+	},
+	"SQ1": func(p Params) [][2]string {
+		return [][2]string{{"T", p.S.Articles[0].Title}}
+	},
+	"SQ3": func(p Params) [][2]string {
+		topic := p.S.Topics[p.S.Articles[0].Topic-1]
+		return [][2]string{{"E", p.S.Editors[topic.Editor-1].Name}}
+	},
 }
 
-// RunDeepNoDedup executes the "*D" variant.
-func RunDeepNoDedup(q *Query, st *Stores) ([]string, engine.Metrics, error) {
-	if q.DeepNoDedup == nil {
-		return nil, engine.Metrics{}, fmt.Errorf("workload: %s has no *D variant", q.ID)
+// FaithfulText returns the text of query or update id with its illustrative
+// constants replaced by the pool-derived ones.
+func FaithfulText(id, text string, p Params) string {
+	if subs, ok := textSubs[id]; ok {
+		for _, s := range subs(p) {
+			text = strings.ReplaceAll(text, `"`+s[0]+`"`, `"`+s[1]+`"`)
+		}
 	}
-	plan := q.DeepNoDedup(st.Params)
-	rows, m, err := engine.Exec(st.Deep, plan)
+	return text
+}
+
+// options are the compiler options for a variant's store: exact statistics
+// from the store, and the document color for the uncolored texts of the
+// single-hierarchy representations.
+func options(s *storage.Store, v Variant) plan.Options {
+	opt := plan.Options{Catalog: plan.StoreCatalog{Store: s}}
+	if v != MCT {
+		opt.DefaultColor = datagen.ColDoc
+	}
+	return opt
+}
+
+// Compile compiles a query's faithful text for a variant into a physical
+// plan over the variant's store.
+func Compile(q *Query, st *Stores, v Variant) (*plan.Compiled, error) {
+	return plan.CompileQuery(FaithfulText(q.ID, q.Text[v], st.Params), options(st.Of(v), v))
+}
+
+// Run executes a compiled plan on s, as a prepared statement does, and
+// renders each result row as its output value: the projected attribute, or
+// the element's content.
+func Run(c *plan.Compiled, s *storage.Store) ([]string, engine.Metrics, error) {
+	ids, m, err := engine.ExecColumn(context.Background(), s, c.Mem, c.Root.Clone(), c.OutCol, c.Rows, nil)
 	if err != nil {
 		return nil, m, err
 	}
-	out, err := extract(st.Deep, rows, q.Out[Deep])
-	return out, m, err
-}
-
-func extract(s *storage.Store, rows []engine.Row, ex Extract) ([]string, error) {
-	out := make([]string, 0, len(rows))
-	for _, r := range rows {
-		e, err := s.Elem(r[ex.Col].Elem)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		e, err := s.Elem(id)
 		if err != nil {
-			return nil, err
+			return nil, m, err
 		}
-		if ex.Attr == "" {
-			out = append(out, e.Content)
+		if c.OutAttr == "" {
+			out[i] = e.Content
 		} else {
-			out = append(out, e.Attr(ex.Attr))
+			out[i] = e.Attr(c.OutAttr)
 		}
 	}
-	return out, nil
+	return out, m, nil
+}
+
+// RunQuery compiles a query for one variant and runs it, returning one value
+// per result row and the engine metrics.
+func RunQuery(q *Query, st *Stores, v Variant) ([]string, engine.Metrics, error) {
+	c, err := Compile(q, st, v)
+	if err != nil {
+		return nil, engine.Metrics{}, fmt.Errorf("workload: %s/%s: %w", q.ID, v, err)
+	}
+	return Run(c, st.Of(v))
+}
+
+// RunUpdate applies an update's faithful text to one variant the way the
+// serving layer's DB.Update does, minus the log and the publication: the
+// binding clauses run as a compiled plan on the store, the operations apply
+// to the database, and the database's change log is replayed onto the store.
+func RunUpdate(u *UpdateSpec, st *Stores, v Variant) (update.Result, error) {
+	parsed, err := update.Parse(FaithfulText(u.ID, u.Text[v], st.Params))
+	if err != nil {
+		return update.Result{}, err
+	}
+	db, s := st.DB(v), st.Of(v)
+	x := update.NewExecutor(db)
+	tuples, err := x.BindCompiled(parsed, s, options(s, v))
+	if err != nil {
+		return update.Result{}, fmt.Errorf("workload: %s/%s: %w", u.ID, v, err)
+	}
+	res, err := x.ApplyTuples(parsed, tuples)
+	if err != nil {
+		return res, err
+	}
+	changes, overflow := db.DrainChanges()
+	if overflow {
+		return res, fmt.Errorf("workload: %s/%s: change log overflowed", u.ID, v)
+	}
+	return res, s.ApplyChanges(changes)
 }
 
 // Complexity is the Figure 11/12 metric pair for one query text.

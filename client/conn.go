@@ -11,12 +11,9 @@ import (
 )
 
 // Item is one query result: the node's stable ID (0 for atomic values),
-// the color it was selected under, and its text value.
-type Item struct {
-	Node  uint64
-	Color string
-	Value string
-}
+// the color it was selected under, and its text value. It is the wire's own
+// item, so a result decodes straight into the slice the caller receives.
+type Item = wire.Item
 
 // UpdateResult mirrors colorful.UpdateResult.
 type UpdateResult struct {
@@ -40,7 +37,6 @@ type ServerStats struct {
 	Responses   uint64
 	Errors      uint64
 	StmtsOpen   uint64
-	CursorsOpen uint64
 	Draining    bool
 }
 
@@ -216,18 +212,16 @@ func expect(want, typ wire.Type, payload []byte) ([]byte, error) {
 	return payload, nil
 }
 
-func fromWireItems(items []wire.Item) []Item {
-	out := make([]Item, len(items))
-	for i, it := range items {
-		out[i] = Item{Node: it.Node, Color: it.Color, Value: it.Value}
-	}
-	return out
-}
-
 // Query runs a one-shot query and collects the streamed result.
 func (c *Conn) Query(ctx context.Context, src string) ([]Item, error) {
 	req := wire.Query{Src: src, DeadlineMillis: deadlineMillis(ctx)}
-	typ, payload, err := c.roundTrip(ctx, wire.TypeQuery, req.Encode())
+	return c.items(ctx, wire.TypeQuery, req.Encode())
+}
+
+// items sends a Query or Execute and collects its Items stream into one
+// slice, sized on the first frame from the stream's row count.
+func (c *Conn) items(ctx context.Context, typ wire.Type, req []byte) ([]Item, error) {
+	typ, payload, err := c.roundTrip(ctx, typ, req)
 	if err != nil {
 		return nil, err
 	}
@@ -237,13 +231,12 @@ func (c *Conn) Query(ctx context.Context, src string) ([]Item, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunk, err := wire.DecodeItems(p)
+		chunk, err := wire.AppendItems(out, p)
 		if err != nil {
 			c.broken = true
 			return nil, err
 		}
-		out = append(out, fromWireItems(chunk.Items)...)
-		if !chunk.More {
+		if out = chunk.Items; !chunk.More {
 			return out, nil
 		}
 		typ, payload, err = c.readFrame()
@@ -276,49 +269,14 @@ func (c *Conn) prepare(ctx context.Context, src string) (uint64, error) {
 	return prepared.Stmt, nil
 }
 
-// execStmt prepares (cached), executes, and drains the cursor.
+// execStmt prepares (cached) and executes: one round trip once warm.
 func (c *Conn) execStmt(ctx context.Context, src string) ([]Item, error) {
 	h, err := c.prepare(ctx, src)
 	if err != nil {
 		return nil, err
 	}
 	req := wire.Execute{Stmt: h, DeadlineMillis: deadlineMillis(ctx)}
-	typ, payload, err := c.roundTrip(ctx, wire.TypeExecute, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	p, err := expect(wire.TypeExecuted, typ, payload)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := wire.DecodeExecuted(p)
-	if err != nil {
-		c.broken = true
-		return nil, err
-	}
-	if ex.Cursor == 0 {
-		return []Item{}, nil
-	}
-	out := make([]Item, 0, ex.Rows)
-	for {
-		typ, payload, err := c.roundTrip(ctx, wire.TypeFetch, wire.Fetch{Cursor: ex.Cursor}.Encode())
-		if err != nil {
-			return nil, err
-		}
-		p, err := expect(wire.TypeItems, typ, payload)
-		if err != nil {
-			return nil, err
-		}
-		chunk, err := wire.DecodeItems(p)
-		if err != nil {
-			c.broken = true
-			return nil, err
-		}
-		out = append(out, fromWireItems(chunk.Items)...)
-		if !chunk.More {
-			return out, nil
-		}
-	}
+	return c.items(ctx, wire.TypeExecute, req.Encode())
 }
 
 // Update applies a mutation batch.
@@ -390,7 +348,6 @@ func (c *Conn) Stats(ctx context.Context) (ServerStats, error) {
 		Responses:   s.Responses,
 		Errors:      s.Errors,
 		StmtsOpen:   s.StmtsOpen,
-		CursorsOpen: s.CursorsOpen,
 		Draining:    s.Draining,
 	}, nil
 }

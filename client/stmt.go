@@ -38,7 +38,7 @@ func (st *Stmt) Query() ([]Item, error) {
 	return st.QueryContext(context.Background())
 }
 
-// QueryContext executes the statement and drains its cursor.
+// QueryContext executes the statement and collects its streamed result.
 func (st *Stmt) QueryContext(ctx context.Context) ([]Item, error) {
 	if st.closed.Load() {
 		return nil, ErrClosed

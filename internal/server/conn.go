@@ -15,23 +15,23 @@ import (
 	"colorfulxml/internal/wire"
 )
 
-// conn is one client connection. Everything except the atomic counters and
-// wakeMu is owned by the handler goroutine; the session, statement table,
-// and cursor table never cross goroutines.
+// conn is one client connection. Everything except the atomic counter and
+// wakeMu is owned by the handler goroutine; the session, statement table and
+// payload buffer never cross goroutines.
 type conn struct {
 	s  *Server
 	nc net.Conn
 	r  *wire.Reader
 	w  *wire.Writer
 
-	sess       *colorful.Session
-	stmts      map[uint64]*colorful.Stmt
-	cursors    map[uint64]*cursor
-	nextStmt   uint64
-	nextCursor uint64
+	sess     *colorful.Session
+	stmts    map[uint64]*colorful.Stmt
+	nextStmt uint64
+	// payload is the Items frame being built, reused across frames and
+	// requests.
+	payload []byte
 
-	stmtsOpen   atomic.Int64
-	cursorsOpen atomic.Int64
+	stmtsOpen atomic.Int64
 
 	// wakeMu serializes read-deadline updates between the handler (arming a
 	// blocking read) and Shutdown (waking it with a past deadline), closing
@@ -40,20 +40,13 @@ type conn struct {
 	wakeMu sync.Mutex
 }
 
-// cursor is a materialized Execute result being drained by Fetches.
-type cursor struct {
-	items []wire.Item
-	off   int
-}
-
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
-		s:       s,
-		nc:      nc,
-		r:       wire.NewReader(nc),
-		w:       wire.NewWriter(nc),
-		stmts:   map[uint64]*colorful.Stmt{},
-		cursors: map[uint64]*cursor{},
+		s:     s,
+		nc:    nc,
+		r:     wire.NewReader(nc),
+		w:     wire.NewWriter(nc),
+		stmts: map[uint64]*colorful.Stmt{},
 	}
 }
 
@@ -89,9 +82,7 @@ func (c *conn) run() {
 	defer c.sess.Close()
 	defer func() {
 		obsStmtsOpen.Add(-c.stmtsOpen.Load())
-		obsCursorsOpen.Add(-c.cursorsOpen.Load())
 		c.stmtsOpen.Store(0)
-		c.cursorsOpen.Store(0)
 	}()
 
 	if err := c.handshake(); err != nil {
@@ -180,11 +171,6 @@ func (c *conn) handle(typ wire.Type, payload []byte) error {
 	case wire.TypeExecute:
 		err = c.handleExecute(payload)
 		obsExecuteNanos.Observe(sw.ElapsedNanos())
-	case wire.TypeFetch:
-		err = c.handleFetch(payload)
-		obsFetchNanos.Observe(sw.ElapsedNanos())
-	case wire.TypeCloseCursor:
-		err = c.handleCloseCursor(payload)
 	case wire.TypeCloseStmt:
 		err = c.handleCloseStmt(payload)
 	case wire.TypeUpdate:
@@ -242,35 +228,33 @@ func reqCtx(deadlineMillis uint64) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), time.Duration(deadlineMillis)*time.Millisecond)
 }
 
-// toWireItems flattens query results for the wire: node ID (0 for atomic
-// values), color, text value.
-func toWireItems(items []colorful.Item) []wire.Item {
-	out := make([]wire.Item, len(items))
-	for i, it := range items {
-		w := wire.Item{Color: string(it.Color), Value: it.Value}
-		if it.Node != nil {
-			w.Node = uint64(it.Node.ID())
-		}
-		out[i] = w
-	}
-	return out
-}
+// maxKeptPayload bounds the payload buffer a connection keeps between
+// requests, so one large result does not pin its frame for the connection's
+// lifetime.
+const maxKeptPayload = 64 << 10
 
-// writeItemsStream chunks items into Items frames; the last one carries
-// More == false.
-func (c *conn) writeItemsStream(cursorID uint64, items []wire.Item, chunk int) error {
-	if chunk <= 0 {
-		chunk = c.s.opts.ChunkItems
-	}
-	off := 0
-	for {
-		end := off + chunk
-		if end > len(items) {
-			end = len(items)
+// writeItemsStream answers a Query or Execute: items in Items frames of at
+// most ChunkItems each, the last with More == false. Each frame is encoded
+// straight from the session's result into the connection's payload buffer.
+func (c *conn) writeItemsStream(items []colorful.Item) error {
+	defer func() {
+		if cap(c.payload) > maxKeptPayload {
+			c.payload = nil
 		}
+	}()
+	rows := uint64(len(items))
+	for off := 0; ; {
+		end := min(off+c.s.opts.ChunkItems, len(items))
 		more := end < len(items)
-		msg := wire.Items{Cursor: cursorID, More: more, Items: items[off:end]}
-		if err := c.w.WriteFrame(wire.TypeItems, msg.Encode()); err != nil {
+		c.payload = wire.AppendItemsHeader(c.payload[:0], rows, more, end-off)
+		for _, it := range items[off:end] {
+			w := wire.Item{Color: string(it.Color), Value: it.Value}
+			if it.Node != nil {
+				w.Node = uint64(it.Node.ID())
+			}
+			c.payload = wire.AppendItem(c.payload, w)
+		}
+		if err := c.w.WriteFrame(wire.TypeItems, c.payload); err != nil {
 			return err
 		}
 		if !more {
@@ -291,7 +275,7 @@ func (c *conn) handleQuery(payload []byte) error {
 	if err != nil {
 		return c.writeError(errCode(err), err.Error())
 	}
-	return c.writeItemsStream(0, toWireItems(items), int(q.ChunkItems))
+	return c.writeItemsStream(items)
 }
 
 func (c *conn) handlePrepare(payload []byte) error {
@@ -325,62 +309,7 @@ func (c *conn) handleExecute(payload []byte) error {
 	if err != nil {
 		return c.writeError(errCode(err), err.Error())
 	}
-	if len(items) == 0 {
-		return c.w.WriteFrame(wire.TypeExecuted, wire.Executed{Cursor: 0, Rows: 0}.Encode())
-	}
-	c.nextCursor++
-	c.cursors[c.nextCursor] = &cursor{items: toWireItems(items)}
-	c.cursorsOpen.Add(1)
-	obsCursorsOpen.Add(1)
-	return c.w.WriteFrame(wire.TypeExecuted, wire.Executed{Cursor: c.nextCursor, Rows: uint64(len(items))}.Encode())
-}
-
-func (c *conn) dropCursor(id uint64) {
-	delete(c.cursors, id)
-	c.cursorsOpen.Add(-1)
-	obsCursorsOpen.Add(-1)
-}
-
-func (c *conn) handleFetch(payload []byte) error {
-	f, err := wire.DecodeFetch(payload)
-	if err != nil {
-		return c.writeError(wire.CodeBadRequest, err.Error())
-	}
-	cur, ok := c.cursors[f.Cursor]
-	if !ok {
-		return c.writeError(wire.CodeUnknownHandle, fmt.Sprintf("unknown cursor handle %d", f.Cursor))
-	}
-	chunk := int(f.Max)
-	if chunk <= 0 {
-		chunk = c.s.opts.ChunkItems
-	}
-	end := cur.off + chunk
-	if end > len(cur.items) {
-		end = len(cur.items)
-	}
-	more := end < len(cur.items)
-	msg := wire.Items{Cursor: f.Cursor, More: more, Items: cur.items[cur.off:end]}
-	if err := c.w.WriteFrame(wire.TypeItems, msg.Encode()); err != nil {
-		return err
-	}
-	if more {
-		cur.off = end
-	} else {
-		c.dropCursor(f.Cursor)
-	}
-	return nil
-}
-
-func (c *conn) handleCloseCursor(payload []byte) error {
-	cc, err := wire.DecodeCloseCursor(payload)
-	if err != nil {
-		return c.writeError(wire.CodeBadRequest, err.Error())
-	}
-	if _, ok := c.cursors[cc.Cursor]; !ok {
-		return c.writeError(wire.CodeUnknownHandle, fmt.Sprintf("unknown cursor handle %d", cc.Cursor))
-	}
-	c.dropCursor(cc.Cursor)
-	return c.w.WriteFrame(wire.TypeAck, nil)
+	return c.writeItemsStream(items)
 }
 
 func (c *conn) handleCloseStmt(payload []byte) error {
@@ -426,7 +355,6 @@ func (c *conn) handleStats() error {
 		Responses:   st.Responses,
 		Errors:      st.Errors,
 		StmtsOpen:   uint64(st.StmtsOpen),
-		CursorsOpen: uint64(st.CursorsOpen),
 		Draining:    st.Draining,
 	}
 	return c.w.WriteFrame(wire.TypeStatsInfo, msg.Encode())

@@ -12,7 +12,6 @@ var (
 	obsResponses         = obs.NewCounter("server_responses_total")
 	obsErrorResponses    = obs.NewCounter("server_error_responses_total")
 	obsStmtsOpen         = obs.NewGauge("server_stmts_open")
-	obsCursorsOpen       = obs.NewGauge("server_cursors_open")
 	obsDrains            = obs.NewCounter("server_drains_total")
 
 	// Per-message-type handling latency (request fully read to response
@@ -20,7 +19,6 @@ var (
 	obsQueryNanos   = obs.NewHistogram("server_query_nanos")
 	obsPrepareNanos = obs.NewHistogram("server_prepare_nanos")
 	obsExecuteNanos = obs.NewHistogram("server_execute_nanos")
-	obsFetchNanos   = obs.NewHistogram("server_fetch_nanos")
 	obsUpdateNanos  = obs.NewHistogram("server_update_nanos")
 	obsPingNanos    = obs.NewHistogram("server_ping_nanos")
 	obsHealthNanos  = obs.NewHistogram("server_health_nanos")

@@ -3,8 +3,8 @@
 // and a graceful drain that never drops an in-flight request it has read.
 //
 // Concurrency shape: one goroutine per connection, owned end to end — a
-// connection's session, statement handles, and cursors are touched only by
-// its handler goroutine, so the only shared state is the connection
+// connection's session and statement handles are touched only by its
+// handler goroutine, so the only shared state is the connection
 // registry (a leaf mutex) and per-connection atomic counters. Shutdown
 // closes the listener, wakes every blocked read via a past read deadline,
 // lets each handler finish the request it already read, and waits for the
@@ -28,8 +28,8 @@ import (
 type Options struct {
 	// Name is reported in the Welcome handshake and defaults to "mctserved".
 	Name string
-	// ChunkItems caps items per Items frame when the client does not ask
-	// for a specific chunk size. Default 1024.
+	// ChunkItems caps items per Items frame of a result stream. Default
+	// 1024.
 	ChunkItems int
 	// DrainTimeout bounds Shutdown when its context has no deadline:
 	// connections still busy after this long are closed hard. Default 10s.
@@ -81,11 +81,10 @@ type Stats struct {
 	// Responses counts the responses fully written for them, each once its
 	// write has returned: Requests - Responses is the requests being answered
 	// right now, at most one per open connection, and zero after a drain.
-	Responses   uint64
-	Errors      uint64 // Error responses among those
-	StmtsOpen   int
-	CursorsOpen int
-	Draining    bool
+	Responses uint64
+	Errors    uint64 // Error responses among those
+	StmtsOpen int
+	Draining  bool
 }
 
 // New returns an unstarted server for db.
@@ -255,7 +254,6 @@ func (s *Server) Stats() Stats {
 	for _, c := range s.snapshotConns() {
 		st.Open++
 		st.StmtsOpen += int(c.stmtsOpen.Load())
-		st.CursorsOpen += int(c.cursorsOpen.Load())
 	}
 	return st
 }

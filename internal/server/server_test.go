@@ -21,7 +21,7 @@ import (
 
 // startServer boots srv on an ephemeral loopback port and tears it down
 // with the test. It returns the server and its dialable address.
-func startServer(t *testing.T, db *colorful.DB, opts server.Options) (*server.Server, string) {
+func startServer(t testing.TB, db *colorful.DB, opts server.Options) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(db, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,7 +52,7 @@ var catalogQueries = []string{
 }
 
 // startCatalog serves a fresh in-memory catalog store of the given scale.
-func startCatalog(t *testing.T, scale int, opts server.Options) (*colorful.DB, *server.Server, string) {
+func startCatalog(t testing.TB, scale int, opts server.Options) (*colorful.DB, *server.Server, string) {
 	t.Helper()
 	db, err := experiment.NewCatalogDB(scale)
 	if err != nil {
@@ -258,19 +258,65 @@ func TestBigBatchSpansFrames(t *testing.T) {
 		}
 	}
 
-	// The prepared/Execute/Fetch path drains a server cursor in the same
-	// tiny chunks.
+	// A prepared execution streams the same frames, in the same order.
 	st, err := cdb.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	fetched, err := st.Query()
+	prepared, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fetched) != len(want) {
-		t.Fatalf("cursor drain returned %d items, want %d", len(fetched), len(want))
+	if len(prepared) != len(want) {
+		t.Fatalf("prepared stream returned %d items, want %d", len(prepared), len(want))
+	}
+	for i := range prepared {
+		if prepared[i].Value != want[i].Value {
+			t.Fatalf("prepared item %d = %q, want %q (chunk seam reorder?)", i, prepared[i].Value, want[i].Value)
+		}
+	}
+}
+
+// TestWarmStmtIsOneRequest: once a statement is prepared on the pooled
+// connection, executing it costs the server exactly one request, however
+// small its result, and an empty result is an empty slice, not nil.
+func TestWarmStmtIsOneRequest(t *testing.T) {
+	_, srv, addr := startCatalog(t, 50, server.Options{})
+	cdb, err := client.OpenOptions(addr, client.Options{PoolSize: 1, IdlePingAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cdb.Close()
+
+	point, err := cdb.Prepare(`document("db")/{red}descendant::item[{red}child::name = "Item 7"]/{red}child::name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer point.Close()
+	before := srv.Stats().Requests
+	got, err := point.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Value != "Item 7" {
+		t.Fatalf("point statement returned %+v, want one row \"Item 7\"", got)
+	}
+	if n := srv.Stats().Requests - before; n != 1 {
+		t.Fatalf("a warm prepared execution cost %d requests, want 1", n)
+	}
+
+	none, err := cdb.Prepare(`document("db")/{red}descendant::item[{red}child::name = "no such item"]/{red}child::name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer none.Close()
+	empty, err := none.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty == nil || len(empty) != 0 {
+		t.Fatalf("empty prepared result = %#v, want a non-nil empty slice", empty)
 	}
 }
 
@@ -404,11 +450,12 @@ update $m { insert <late>1</late> }`)
 	}
 }
 
-// TestDisconnectFreesHandles opens a statement and a half-drained cursor
-// over raw wire frames, kills the socket without closing anything, and
-// checks the server frees the session's handles and its registry slot.
+// TestDisconnectFreesHandles prepares a statement over raw wire frames,
+// executes it, reads only the first of its Items frames and kills the
+// socket mid-stream, then checks the server frees the session's statement
+// and its registry slot.
 func TestDisconnectFreesHandles(t *testing.T) {
-	_, srv, addr := startCatalog(t, 300, server.Options{})
+	_, srv, addr := startCatalog(t, 300, server.Options{ChunkItems: 7})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -418,8 +465,8 @@ func TestDisconnectFreesHandles(t *testing.T) {
 	nc.SetDeadline(time.Now().Add(10 * time.Second))
 	w, r := wire.NewWriter(nc), wire.NewReader(nc)
 
-	// ask sends one request frame and returns the (decoded-by-caller)
-	// response, failing the test on any Error response.
+	// ask sends one request frame and returns the first response frame's
+	// payload, failing the test on any Error response.
 	ask := func(typ wire.Type, payload []byte, want wire.Type) []byte {
 		t.Helper()
 		if err := w.WriteFrame(typ, payload); err != nil {
@@ -445,30 +492,27 @@ func TestDisconnectFreesHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	executed, err := wire.DecodeExecuted(ask(wire.TypeExecute, wire.Execute{Stmt: prepared.Stmt}.Encode(), wire.TypeExecuted))
+	first, err := wire.DecodeItems(ask(wire.TypeExecute, wire.Execute{Stmt: prepared.Stmt}.Encode(), wire.TypeItems))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed.Cursor == 0 || executed.Rows == 0 {
-		t.Fatalf("execute returned cursor=%d rows=%d, want live cursor", executed.Cursor, executed.Rows)
+	if first.Rows != 300 || !first.More || len(first.Items) != 7 {
+		t.Fatalf("first frame: rows=%d more=%v items=%d, want 7 of 300 with more to come", first.Rows, first.More, len(first.Items))
 	}
-	// Fetch one small chunk so the cursor is mid-drain, then vanish.
-	ask(wire.TypeFetch, wire.Fetch{Cursor: executed.Cursor, Max: 5}.Encode(), wire.TypeItems)
 
-	st := srv.Stats()
-	if st.StmtsOpen != 1 || st.CursorsOpen != 1 {
-		t.Fatalf("before disconnect: stmts=%d cursors=%d, want 1/1", st.StmtsOpen, st.CursorsOpen)
+	if st := srv.Stats(); st.StmtsOpen != 1 {
+		t.Fatalf("before disconnect: stmts=%d, want 1", st.StmtsOpen)
 	}
-	nc.Close() // raw socket close: no CloseStmt, no CloseCursor
+	nc.Close() // raw socket close mid-stream: no CloseStmt
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st = srv.Stats()
-		if st.Open == 0 && st.StmtsOpen == 0 && st.CursorsOpen == 0 {
+		st := srv.Stats()
+		if st.Open == 0 && st.StmtsOpen == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server never freed handles: open=%d stmts=%d cursors=%d", st.Open, st.StmtsOpen, st.CursorsOpen)
+			t.Fatalf("server never freed handles: open=%d stmts=%d", st.Open, st.StmtsOpen)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -594,5 +638,6 @@ func TestHandshakeRejectsBadClients(t *testing.T) {
 	}
 
 	check("ping before hello", wire.TypePing, nil)
+	check("version 1", wire.TypeHello, wire.Hello{Proto: 1, Client: "cursor era"}.Encode())
 	check("future version", wire.TypeHello, wire.Hello{Proto: 99, Client: "time traveler"}.Encode())
 }

@@ -17,8 +17,8 @@ import (
 func FuzzWireDecode(f *testing.F) {
 	// A healthy three-frame conversation.
 	stream := AppendFrame(nil, TypeHello, Hello{Proto: ProtoVersion, Client: "fuzz"}.Encode())
-	stream = AppendFrame(stream, TypeQuery, Query{Src: `document("db")/{red}child::a`, ChunkItems: 8}.Encode())
-	stream = AppendFrame(stream, TypeItems, Items{Cursor: 1, More: true, Items: []Item{
+	stream = AppendFrame(stream, TypeQuery, Query{Src: `document("db")/{red}child::a`}.Encode())
+	stream = AppendFrame(stream, TypeItems, Items{Rows: 2, More: true, Items: []Item{
 		{Node: 7, Color: "red", Value: "Item 7"},
 		{Node: 0, Color: "", Value: "42"},
 	}}.Encode())
@@ -111,8 +111,14 @@ func fuzzPayload(t *testing.T, typ Type, payload []byte) {
 			rtrip(t, m, DecodeQuery, Query.Encode)
 		}
 	case TypeItems:
-		if m, err := DecodeItems(payload); err == nil {
+		m, err := DecodeItems(payload)
+		if err == nil {
 			rtrip(t, m, DecodeItems, Items.Encode)
+		}
+		// The stream decoder the client uses must agree with DecodeItems.
+		a, aerr := AppendItems(nil, payload)
+		if (aerr == nil) != (err == nil) || (err == nil && !reflect.DeepEqual(a, m)) {
+			t.Fatalf("AppendItems = %+v, %v; DecodeItems = %+v, %v", a, aerr, m, err)
 		}
 	case TypePrepare:
 		if m, err := DecodePrepare(payload); err == nil {
@@ -125,18 +131,6 @@ func fuzzPayload(t *testing.T, typ Type, payload []byte) {
 	case TypeExecute:
 		if m, err := DecodeExecute(payload); err == nil {
 			rtrip(t, m, DecodeExecute, Execute.Encode)
-		}
-	case TypeExecuted:
-		if m, err := DecodeExecuted(payload); err == nil {
-			rtrip(t, m, DecodeExecuted, Executed.Encode)
-		}
-	case TypeFetch:
-		if m, err := DecodeFetch(payload); err == nil {
-			rtrip(t, m, DecodeFetch, Fetch.Encode)
-		}
-	case TypeCloseCursor:
-		if m, err := DecodeCloseCursor(payload); err == nil {
-			rtrip(t, m, DecodeCloseCursor, CloseCursor.Encode)
 		}
 	case TypeCloseStmt:
 		if m, err := DecodeCloseStmt(payload); err == nil {

@@ -10,7 +10,7 @@ import (
 //
 //	str    := len:uvarint bytes
 //	item   := node:uvarint color:str value:str
-//	items  := cursor:uvarint more:byte count:uvarint item*
+//	items  := rows:uvarint more:byte count:uvarint item*
 //
 // Decoding is strict: every length is bounds-checked against the remaining
 // buffer and trailing bytes are rejected, so arbitrary (fuzzed or
@@ -33,7 +33,7 @@ const (
 	CodeReadOnly      ErrCode = 4  // degraded read-only mode refused a write
 	CodeFailed        ErrCode = 5  // database is in the Failed state
 	CodeSessionClosed ErrCode = 6  // session or statement already closed
-	CodeUnknownHandle ErrCode = 7  // stmt/cursor handle not found
+	CodeUnknownHandle ErrCode = 7  // statement handle not found
 	CodeShuttingDown  ErrCode = 8  // server is draining
 	CodeQuery         ErrCode = 9  // parse/execution error from the query itself
 	CodeCanceled      ErrCode = 10 // deadline exceeded or canceled server-side
@@ -97,19 +97,19 @@ type ErrorMsg struct {
 }
 
 // Query runs a one-shot query; the response is a stream of Items frames
-// (cursor 0) ending with one whose More flag is false.
+// ending with one whose More flag is false.
 type Query struct {
 	Src            string
-	ChunkItems     uint32 // max items per Items frame; 0 = server default
 	DeadlineMillis uint64 // remaining budget when the request was sent; 0 = none
 }
 
-// Items carries one chunk of results, for both one-shot Query streams and
-// cursor Fetches.
+// Items carries one chunk of a result stream, answering Query or Execute.
+// Every frame of a stream carries the stream's total row count, so the
+// receiver can size its result once, on the first frame.
 type Items struct {
-	Cursor uint64
-	More   bool
-	Items  []Item
+	Rows  uint64
+	More  bool
+	Items []Item
 }
 
 // Prepare compiles a statement on the connection's session.
@@ -122,29 +122,11 @@ type Prepared struct {
 	Stmt uint64
 }
 
-// Execute runs a prepared statement and materializes a cursor; drain it
-// with Fetch.
+// Execute runs a prepared statement; the response is an Items stream, as
+// for Query.
 type Execute struct {
 	Stmt           uint64
 	DeadlineMillis uint64
-}
-
-// Executed reports the cursor handle and total row count of an Execute.
-type Executed struct {
-	Cursor uint64
-	Rows   uint64
-}
-
-// Fetch requests the next chunk from a cursor. The final chunk (More ==
-// false) closes the cursor server-side.
-type Fetch struct {
-	Cursor uint64
-	Max    uint32 // max items in this chunk; 0 = server default
-}
-
-// CloseCursor discards a cursor early; the server answers Ack.
-type CloseCursor struct {
-	Cursor uint64
 }
 
 // CloseStmt frees a prepared-statement handle; the server answers Ack.
@@ -180,7 +162,6 @@ type StatsInfo struct {
 	Responses   uint64 // fully written responses
 	Errors      uint64 // Error responses among them
 	StmtsOpen   uint64
-	CursorsOpen uint64
 	Draining    bool
 }
 
@@ -253,7 +234,12 @@ func (d *decoder) uint32() uint32 {
 	return uint32(v)
 }
 
-func (d *decoder) string() string {
+func (d *decoder) string() string { return d.stringOr("") }
+
+// stringOr decodes a string, returning prev itself instead of a copy when
+// the bytes are equal: a result's few colours then cost no allocation per
+// item.
+func (d *decoder) stringOr(prev string) string {
 	n := d.uvarint()
 	if d.err != nil {
 		return ""
@@ -262,9 +248,12 @@ func (d *decoder) string() string {
 		d.fail(fmt.Sprintf("string length %d exceeds payload", n))
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 // finish rejects trailing bytes and returns the sticky error.
@@ -315,42 +304,96 @@ func DecodeError(p []byte) (ErrorMsg, error) {
 
 func (m Query) Encode() []byte {
 	buf := appendString(nil, m.Src)
-	buf = binary.AppendUvarint(buf, uint64(m.ChunkItems))
 	return binary.AppendUvarint(buf, m.DeadlineMillis)
 }
 
 func DecodeQuery(p []byte) (Query, error) {
 	d := decoder{buf: p}
-	m := Query{Src: d.string(), ChunkItems: d.uint32(), DeadlineMillis: d.uvarint()}
+	m := Query{Src: d.string(), DeadlineMillis: d.uvarint()}
 	return m, d.finish()
 }
 
 func (m Items) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.Cursor)
-	buf = appendBool(buf, m.More)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Items)))
+	buf := AppendItemsHeader(nil, m.Rows, m.More, len(m.Items))
 	for _, it := range m.Items {
-		buf = binary.AppendUvarint(buf, it.Node)
-		buf = appendString(buf, it.Color)
-		buf = appendString(buf, it.Value)
+		buf = AppendItem(buf, it)
 	}
 	return buf
 }
 
+// AppendItemsHeader appends the fields of an Items payload that precede its
+// items; the caller then appends exactly count items with AppendItem. The
+// server builds each frame this way, straight from its result.
+func AppendItemsHeader(buf []byte, rows uint64, more bool, count int) []byte {
+	buf = binary.AppendUvarint(buf, rows)
+	buf = appendBool(buf, more)
+	return binary.AppendUvarint(buf, uint64(count))
+}
+
+// AppendItem appends one item of an Items payload.
+func AppendItem(buf []byte, it Item) []byte {
+	buf = binary.AppendUvarint(buf, it.Node)
+	buf = appendString(buf, it.Color)
+	return appendString(buf, it.Value)
+}
+
 func DecodeItems(p []byte) (Items, error) {
 	d := decoder{buf: p}
-	m := Items{Cursor: d.uvarint(), More: d.bool()}
-	n := d.uvarint()
-	// Each item occupies at least 3 bytes, so an impossible count is
-	// rejected before any allocation.
-	if d.err == nil && n > uint64(len(p)) {
-		return m, fmt.Errorf("%w: item count %d exceeds payload", ErrBadMessage, n)
+	m, n := d.itemsHeader()
+	if d.err != nil {
+		return m, d.err
 	}
-	m.Items = make([]Item, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Items = append(m.Items, Item{Node: d.uvarint(), Color: d.string(), Value: d.string()})
-	}
+	m.Items = d.items(make([]Item, 0, n), n)
 	return m, d.finish()
+}
+
+// maxPresize caps the capacity AppendItems reserves from a stream's Rows,
+// which is the peer's claim: a larger result grows by append past it.
+const maxPresize = 1 << 16
+
+// AppendItems decodes an Items payload onto dst, the one result slice a
+// receiver keeps across a stream's frames, and returns the frame with Items
+// set to the extended slice. A nil dst marks the first frame: it is
+// allocated once, with room for the whole stream's Rows.
+func AppendItems(dst []Item, p []byte) (Items, error) {
+	d := decoder{buf: p}
+	m, n := d.itemsHeader()
+	if d.err != nil {
+		return m, d.err
+	}
+	if dst == nil {
+		dst = make([]Item, 0, max(n, min(m.Rows, maxPresize)))
+	}
+	m.Items = d.items(dst, n)
+	return m, d.finish()
+}
+
+// itemsHeader decodes the fields before an Items payload's items and returns
+// their count. Each item occupies at least 3 bytes, so an impossible count
+// is rejected before any allocation.
+func (d *decoder) itemsHeader() (Items, uint64) {
+	m := Items{Rows: d.uvarint(), More: d.bool()}
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)) {
+		d.fail(fmt.Sprintf("item count %d exceeds payload", n))
+	}
+	return m, n
+}
+
+// items appends n decoded items to dst. An item whose colour repeats the
+// previous one shares its string.
+func (d *decoder) items(dst []Item, n uint64) []Item {
+	var color string
+	if len(dst) > 0 {
+		color = dst[len(dst)-1].Color
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		it := Item{Node: d.uvarint()}
+		color = d.stringOr(color)
+		it.Color, it.Value = color, d.string()
+		dst = append(dst, it)
+	}
+	return dst
 }
 
 func (m Prepare) Encode() []byte { return appendString(nil, m.Src) }
@@ -377,36 +420,6 @@ func (m Execute) Encode() []byte {
 func DecodeExecute(p []byte) (Execute, error) {
 	d := decoder{buf: p}
 	m := Execute{Stmt: d.uvarint(), DeadlineMillis: d.uvarint()}
-	return m, d.finish()
-}
-
-func (m Executed) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.Cursor)
-	return binary.AppendUvarint(buf, m.Rows)
-}
-
-func DecodeExecuted(p []byte) (Executed, error) {
-	d := decoder{buf: p}
-	m := Executed{Cursor: d.uvarint(), Rows: d.uvarint()}
-	return m, d.finish()
-}
-
-func (m Fetch) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.Cursor)
-	return binary.AppendUvarint(buf, uint64(m.Max))
-}
-
-func DecodeFetch(p []byte) (Fetch, error) {
-	d := decoder{buf: p}
-	m := Fetch{Cursor: d.uvarint(), Max: d.uint32()}
-	return m, d.finish()
-}
-
-func (m CloseCursor) Encode() []byte { return binary.AppendUvarint(nil, m.Cursor) }
-
-func DecodeCloseCursor(p []byte) (CloseCursor, error) {
-	d := decoder{buf: p}
-	m := CloseCursor{Cursor: d.uvarint()}
 	return m, d.finish()
 }
 
@@ -460,7 +473,6 @@ func (m StatsInfo) Encode() []byte {
 	buf = binary.AppendUvarint(buf, m.Responses)
 	buf = binary.AppendUvarint(buf, m.Errors)
 	buf = binary.AppendUvarint(buf, m.StmtsOpen)
-	buf = binary.AppendUvarint(buf, m.CursorsOpen)
 	return appendBool(buf, m.Draining)
 }
 
@@ -473,7 +485,6 @@ func DecodeStatsInfo(p []byte) (StatsInfo, error) {
 		Responses:   d.uvarint(),
 		Errors:      d.uvarint(),
 		StmtsOpen:   d.uvarint(),
-		CursorsOpen: d.uvarint(),
 		Draining:    d.bool(),
 	}
 	return m, d.finish()

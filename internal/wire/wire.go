@@ -13,6 +13,12 @@
 // Message payloads are varint-framed and strictly bounds-checked
 // (messages.go), so fuzzed or truncated input fails cleanly instead of
 // panicking or over-allocating.
+//
+// After the Hello/Welcome handshake the client sends one request at a time
+// and reads its whole answer: one frame, except for Query and Execute,
+// which are both answered by a stream of Items frames ending with the one
+// whose More flag is false. A prepared execution is therefore one round
+// trip, like a one-shot query; the server keeps no result between requests.
 package wire
 
 import (
@@ -27,8 +33,10 @@ import (
 // ProtoVersion is the protocol generation carried in Hello/Welcome. A
 // server refuses a client whose version it does not speak; the handshake is
 // the only place the version appears, so bumping it is a flag day per
-// connection, not per message.
-const ProtoVersion = 1
+// connection, not per message. Version 2 answers Execute with an Items
+// stream, as Query; version 1 answered it with a server-side cursor that
+// cost the client a second round trip.
+const ProtoVersion = 2
 
 // frameHeaderSize is len + crc + type.
 const frameHeaderSize = 9
@@ -45,29 +53,28 @@ type Type uint8
 
 // Frame types. Requests are client->server; each names its response type.
 const (
-	TypeInvalid     Type = 0
-	TypeHello       Type = 1 // -> Welcome
-	TypeWelcome     Type = 2
-	TypeError       Type = 3 // any request may answer with Error
-	TypePing        Type = 4 // -> Pong
-	TypePong        Type = 5
-	TypeQuery       Type = 6 // -> Items stream (one-shot query)
-	TypeItems       Type = 7
-	TypePrepare     Type = 8 // -> Prepared
-	TypePrepared    Type = 9
-	TypeExecute     Type = 10 // -> Executed, then Fetch drains the cursor
-	TypeExecuted    Type = 11
-	TypeFetch       Type = 12 // -> Items
-	TypeCloseCursor Type = 13 // -> Ack
-	TypeCloseStmt   Type = 14 // -> Ack
-	TypeAck         Type = 15
-	TypeUpdate      Type = 16 // -> Updated
-	TypeUpdated     Type = 17
-	TypeHealth      Type = 18 // -> HealthInfo
-	TypeHealthInfo  Type = 19
-	TypeStats       Type = 20 // -> StatsInfo
-	TypeStatsInfo   Type = 21
-	TypeDrain       Type = 22 // unsolicited server notice: draining, no more requests
+	TypeInvalid  Type = 0
+	TypeHello    Type = 1 // -> Welcome
+	TypeWelcome  Type = 2
+	TypeError    Type = 3 // any request may answer with Error
+	TypePing     Type = 4 // -> Pong
+	TypePong     Type = 5
+	TypeQuery    Type = 6 // -> Items stream (one-shot query)
+	TypeItems    Type = 7
+	TypePrepare  Type = 8 // -> Prepared
+	TypePrepared Type = 9
+	TypeExecute  Type = 10 // -> Items stream (prepared statement)
+	// 11–13 carried version 1's server-side cursor and are unassigned: a
+	// peer sending them gets CodeBadRequest.
+	TypeCloseStmt  Type = 14 // -> Ack
+	TypeAck        Type = 15
+	TypeUpdate     Type = 16 // -> Updated
+	TypeUpdated    Type = 17
+	TypeHealth     Type = 18 // -> HealthInfo
+	TypeHealthInfo Type = 19
+	TypeStats      Type = 20 // -> StatsInfo
+	TypeStatsInfo  Type = 21
+	TypeDrain      Type = 22 // unsolicited server notice: draining, no more requests
 )
 
 func (t Type) String() string {
@@ -92,12 +99,6 @@ func (t Type) String() string {
 		return "Prepared"
 	case TypeExecute:
 		return "Execute"
-	case TypeExecuted:
-		return "Executed"
-	case TypeFetch:
-		return "Fetch"
-	case TypeCloseCursor:
-		return "CloseCursor"
 	case TypeCloseStmt:
 		return "CloseStmt"
 	case TypeAck:

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestMessageRoundTrip covers every message type: encode then decode must
@@ -29,10 +30,10 @@ func TestMessageRoundTrip(t *testing.T) {
 			func(p []byte) (any, error) { return DecodeWelcome(p) }, Welcome{Proto: ProtoVersion, Server: "mctserved/1"}.Encode()},
 		{"error", ErrorMsg{Code: CodeOverloaded, Msg: "colorful: overloaded"},
 			func(p []byte) (any, error) { return DecodeError(p) }, ErrorMsg{Code: CodeOverloaded, Msg: "colorful: overloaded"}.Encode()},
-		{"query", Query{Src: `document("db")/{red}child::a`, ChunkItems: 128, DeadlineMillis: 1500},
-			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Src: `document("db")/{red}child::a`, ChunkItems: 128, DeadlineMillis: 1500}.Encode()},
-		{"items", Items{Cursor: 7, More: true, Items: items},
-			func(p []byte) (any, error) { return DecodeItems(p) }, Items{Cursor: 7, More: true, Items: items}.Encode()},
+		{"query", Query{Src: `document("db")/{red}child::a`, DeadlineMillis: 1500},
+			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Src: `document("db")/{red}child::a`, DeadlineMillis: 1500}.Encode()},
+		{"items", Items{Rows: 7, More: true, Items: items},
+			func(p []byte) (any, error) { return DecodeItems(p) }, Items{Rows: 7, More: true, Items: items}.Encode()},
 		{"items-empty", Items{Items: []Item{}},
 			func(p []byte) (any, error) { return DecodeItems(p) }, Items{Items: []Item{}}.Encode()},
 		{"prepare", Prepare{Src: "q"},
@@ -41,12 +42,6 @@ func TestMessageRoundTrip(t *testing.T) {
 			func(p []byte) (any, error) { return DecodePrepared(p) }, Prepared{Stmt: 99}.Encode()},
 		{"execute", Execute{Stmt: 3, DeadlineMillis: 10},
 			func(p []byte) (any, error) { return DecodeExecute(p) }, Execute{Stmt: 3, DeadlineMillis: 10}.Encode()},
-		{"executed", Executed{Cursor: 12, Rows: 4096},
-			func(p []byte) (any, error) { return DecodeExecuted(p) }, Executed{Cursor: 12, Rows: 4096}.Encode()},
-		{"fetch", Fetch{Cursor: 12, Max: 256},
-			func(p []byte) (any, error) { return DecodeFetch(p) }, Fetch{Cursor: 12, Max: 256}.Encode()},
-		{"close-cursor", CloseCursor{Cursor: 12},
-			func(p []byte) (any, error) { return DecodeCloseCursor(p) }, CloseCursor{Cursor: 12}.Encode()},
 		{"close-stmt", CloseStmt{Stmt: 3},
 			func(p []byte) (any, error) { return DecodeCloseStmt(p) }, CloseStmt{Stmt: 3}.Encode()},
 		{"update", Update{Src: "insert ...", DeadlineMillis: 77},
@@ -55,8 +50,8 @@ func TestMessageRoundTrip(t *testing.T) {
 			func(p []byte) (any, error) { return DecodeUpdated(p) }, Updated{Tuples: 5, NodesTouched: 17}.Encode()},
 		{"health-info", HealthInfo{State: 1, Cause: "io fault", Degrades: 2, Heals: 1},
 			func(p []byte) (any, error) { return DecodeHealthInfo(p) }, HealthInfo{State: 1, Cause: "io fault", Degrades: 2, Heals: 1}.Encode()},
-		{"stats-info", StatsInfo{Connections: 9, Open: 2, Requests: 100, Responses: 99, Errors: 3, StmtsOpen: 4, CursorsOpen: 1, Draining: true},
-			func(p []byte) (any, error) { return DecodeStatsInfo(p) }, StatsInfo{Connections: 9, Open: 2, Requests: 100, Responses: 99, Errors: 3, StmtsOpen: 4, CursorsOpen: 1, Draining: true}.Encode()},
+		{"stats-info", StatsInfo{Connections: 9, Open: 2, Requests: 100, Responses: 99, Errors: 3, StmtsOpen: 4, Draining: true},
+			func(p []byte) (any, error) { return DecodeStatsInfo(p) }, StatsInfo{Connections: 9, Open: 2, Requests: 100, Responses: 99, Errors: 3, StmtsOpen: 4, Draining: true}.Encode()},
 		{"drain", Drain{Reason: "sigterm"},
 			func(p []byte) (any, error) { return DecodeDrain(p) }, Drain{Reason: "sigterm"}.Encode()},
 	}
@@ -85,7 +80,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 // TestDecodeTruncated: every truncation of a representative payload fails
 // cleanly with ErrBadMessage, never a panic.
 func TestDecodeTruncated(t *testing.T) {
-	enc := Items{Cursor: 3, More: true, Items: []Item{{Node: 9, Color: "red", Value: "hello"}}}.Encode()
+	enc := Items{Rows: 3, More: true, Items: []Item{{Node: 9, Color: "red", Value: "hello"}}}.Encode()
 	for i := 0; i < len(enc); i++ {
 		if _, err := DecodeItems(enc[:i]); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", i)
@@ -96,10 +91,51 @@ func TestDecodeTruncated(t *testing.T) {
 // TestDecodeItemsHugeCount: an adversarial count prefix is rejected before
 // allocation.
 func TestDecodeItemsHugeCount(t *testing.T) {
-	// cursor=0, more=0, count=2^60
+	// rows=0, more=0, count=2^60
 	enc := []byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10}
 	if _, err := DecodeItems(enc); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("huge count: got %v, want ErrBadMessage", err)
+	}
+}
+
+// TestAppendItemsSizesOnce: a stream's frames decode onto one slice,
+// allocated on the first frame with room for the stream's Rows, and each
+// repeated colour shares the string of the item before it, so a row costs
+// one allocation (its value) and no more.
+func TestAppendItemsSizesOnce(t *testing.T) {
+	first := Items{Rows: 5, More: true, Items: []Item{
+		{Node: 1, Color: "red", Value: "a"}, {Node: 2, Color: "red", Value: "b"}, {Node: 3, Color: "green", Value: "c"},
+	}}.Encode()
+	last := Items{Rows: 5, Items: []Item{{Node: 4, Color: "green", Value: "d"}, {Node: 5, Color: "green", Value: "e"}}}.Encode()
+
+	m, err := AppendItems(nil, first)
+	if err != nil || !m.More || m.Rows != 5 || len(m.Items) != 3 || cap(m.Items) != 5 {
+		t.Fatalf("first frame: %+v (cap %d), %v; want 3 of 5 rows, cap 5", m, cap(m.Items), err)
+	}
+	out := m.Items
+	m, err = AppendItems(out, last)
+	if err != nil || m.More || len(m.Items) != 5 || &m.Items[0] != &out[0] {
+		t.Fatalf("last frame: %+v, %v; want 5 rows on the first frame's array", m, err)
+	}
+	for i, want := range []string{"a", "b", "c", "d", "e"} {
+		if m.Items[i].Value != want || m.Items[i].Node != uint64(i+1) {
+			t.Fatalf("item %d = %+v, want node %d value %q", i, m.Items[i], i+1, want)
+		}
+	}
+	for _, i := range []int{1, 3, 4} { // the same colour as the item before, across the frame seam too
+		if unsafe.StringData(m.Items[i].Color) != unsafe.StringData(m.Items[i-1].Color) {
+			t.Fatalf("item %d copied colour %q instead of sharing it", i, m.Items[i].Color)
+		}
+	}
+
+	var scan []Item
+	for i := 0; i < 100; i++ {
+		scan = append(scan, Item{Node: uint64(i), Color: "red", Value: "value"})
+	}
+	payload := Items{Rows: 100, Items: scan}.Encode()
+	// One slice, one colour, and one string per value.
+	if allocs := testing.AllocsPerRun(20, func() { AppendItems(nil, payload) }); allocs > 102 {
+		t.Fatalf("decoding 100 one-colour items allocated %v times, want at most 102", allocs)
 	}
 }
 
@@ -176,7 +212,7 @@ func TestReaderWriter(t *testing.T) {
 	}{
 		{TypeHello, Hello{Proto: 1, Client: "t"}.Encode()},
 		{TypePong, nil},
-		{TypeItems, Items{Cursor: 1, More: true, Items: []Item{{Node: 2, Color: "green", Value: strings.Repeat("x", 70000)}}}.Encode()},
+		{TypeItems, Items{Rows: 1, More: true, Items: []Item{{Node: 2, Color: "green", Value: strings.Repeat("x", 70000)}}}.Encode()},
 	}
 	for _, m := range msgs {
 		if err := w.WriteFrame(m.typ, m.payload); err != nil {

@@ -3,8 +3,6 @@ package client
 import (
 	"context"
 	"time"
-
-	"colorfulxml/colorful"
 )
 
 // Options tunes a client DB. The zero value gets sensible defaults.
@@ -16,13 +14,6 @@ type Options struct {
 	// CallTimeout is the per-call deadline applied when the caller's
 	// context has none. 0 (the default) means no deadline.
 	CallTimeout time.Duration
-	// MaxRetries is how many times a retryable failure (per
-	// colorful.IsRetryable: admission-gate overload) is retried on a fresh
-	// checkout with exponential backoff. Default 3; negative disables.
-	MaxRetries int
-	// RetryBackoff is the initial backoff between retries, doubling each
-	// attempt. Default 10ms.
-	RetryBackoff time.Duration
 	// IdlePingAfter makes checkout ping a connection that sat idle longer
 	// than this before handing it out. Default 1s; negative disables.
 	IdlePingAfter time.Duration
@@ -37,12 +28,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 10 * time.Millisecond
 	}
 	if o.IdlePingAfter == 0 {
 		o.IdlePingAfter = time.Second
@@ -102,32 +87,15 @@ func (db *DB) callCtx(ctx context.Context) (context.Context, context.CancelFunc)
 	return context.WithTimeout(ctx, db.opt.CallTimeout)
 }
 
-// do runs fn on a checked-out connection, retrying retryable failures
-// (admission-gate overload) on a fresh checkout with exponential backoff.
-// Overload rejections happen before any execution server-side, so the
-// retry is safe for updates too.
+// do runs fn on a checked-out connection and releases it. A failure is
+// returned as-is; nothing is retried.
 func (db *DB) do(ctx context.Context, fn func(c *Conn) error) error {
-	backoff := db.opt.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		c, err := db.pool.Get(ctx)
-		if err != nil {
-			return err
-		}
-		err = fn(c)
-		c.Release()
-		if err == nil {
-			return nil
-		}
-		if attempt >= db.opt.MaxRetries || !colorful.IsRetryable(err) {
-			return err
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		backoff *= 2
+	c, err := db.pool.Get(ctx)
+	if err != nil {
+		return err
 	}
+	defer c.Release()
+	return fn(c)
 }
 
 // Query runs a one-shot query with the default call timeout.

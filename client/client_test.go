@@ -17,7 +17,7 @@ import (
 // connHandler answers post-handshake frames for one fake connection.
 type connHandler func(typ wire.Type, payload []byte, w *wire.Writer) error
 
-// fakeServer is a minimal wire-speaking peer for exercising pool and retry
+// fakeServer is a minimal wire-speaking peer for exercising pool and error
 // behavior without a real database. Each accepted connection gets its own
 // handler instance, so per-connection scripting (fail twice, then drain) is
 // just closure state.
@@ -181,62 +181,6 @@ func TestPoolBlocksAtCapacity(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversFromOverload(t *testing.T) {
-	var queries atomic.Int64
-	fs := startFake(t, func() connHandler {
-		base := oneItem()
-		return func(typ wire.Type, payload []byte, w *wire.Writer) error {
-			if typ == wire.TypeQuery && queries.Add(1) <= 2 {
-				return w.WriteFrame(wire.TypeError, wire.ErrorMsg{Code: wire.CodeOverloaded, Msg: "busy"}.Encode())
-			}
-			return base(typ, payload, w)
-		}
-	})
-	cdb, err := client.OpenOptions(fs.addr(), client.Options{
-		PoolSize: 2, MaxRetries: 3, RetryBackoff: time.Millisecond, IdlePingAfter: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cdb.Close()
-
-	items, err := cdb.Query("q")
-	if err != nil {
-		t.Fatalf("query with retries: %v", err)
-	}
-	if len(items) != 1 {
-		t.Fatalf("query returned %d items, want 1", len(items))
-	}
-	if n := queries.Load(); n != 3 {
-		t.Fatalf("server saw %d query attempts, want 3 (2 rejections + 1 success)", n)
-	}
-}
-
-func TestOverloadSurfacesTypedWhenRetriesDisabled(t *testing.T) {
-	fs := startFake(t, func() connHandler {
-		return func(typ wire.Type, payload []byte, w *wire.Writer) error {
-			return w.WriteFrame(wire.TypeError, wire.ErrorMsg{Code: wire.CodeOverloaded, Msg: "busy"}.Encode())
-		}
-	})
-	cdb, err := client.OpenOptions(fs.addr(), client.Options{MaxRetries: -1, IdlePingAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cdb.Close()
-
-	_, err = cdb.Query("q")
-	if !errors.Is(err, colorful.ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	if !colorful.IsRetryable(err) {
-		t.Fatal("overload must classify as retryable")
-	}
-	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != wire.CodeOverloaded {
-		t.Fatalf("err = %v, want ServerError{CodeOverloaded}", err)
-	}
-}
-
 func TestReadOnlyIsNotRetried(t *testing.T) {
 	var queries atomic.Int64
 	fs := startFake(t, func() connHandler {
@@ -245,9 +189,7 @@ func TestReadOnlyIsNotRetried(t *testing.T) {
 			return w.WriteFrame(wire.TypeError, wire.ErrorMsg{Code: wire.CodeReadOnly, Msg: "degraded"}.Encode())
 		}
 	})
-	cdb, err := client.OpenOptions(fs.addr(), client.Options{
-		MaxRetries: 5, RetryBackoff: time.Millisecond, IdlePingAfter: -1,
-	})
+	cdb, err := client.OpenOptions(fs.addr(), client.Options{IdlePingAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +199,8 @@ func TestReadOnlyIsNotRetried(t *testing.T) {
 	if !errors.Is(err, colorful.ErrReadOnly) {
 		t.Fatalf("err = %v, want ErrReadOnly", err)
 	}
-	if colorful.IsRetryable(err) {
-		t.Fatal("read-only rejection must not classify as retryable")
-	}
 	if n := queries.Load(); n != 1 {
-		t.Fatalf("server saw %d attempts, want 1 (no retries of a non-retryable error)", n)
+		t.Fatalf("server saw %d attempts, want 1 (the client retries nothing)", n)
 	}
 }
 
@@ -279,7 +218,7 @@ func TestDrainNoticeBreaksConnection(t *testing.T) {
 			return errors.New("draining")
 		}
 	})
-	cdb, err := client.OpenOptions(fs.addr(), client.Options{MaxRetries: -1, IdlePingAfter: -1, PoolSize: 1})
+	cdb, err := client.OpenOptions(fs.addr(), client.Options{IdlePingAfter: -1, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +233,6 @@ func TestDrainNoticeBreaksConnection(t *testing.T) {
 	_, err = cdb.Query("q")
 	if !errors.Is(err, client.ErrDraining) {
 		t.Fatalf("second query: err = %v, want ErrDraining", err)
-	}
-	if colorful.IsRetryable(err) {
-		t.Fatal("a drain notice must not be silently retryable")
 	}
 	// The drained connection must not be reused: the next call dials fresh
 	// (a new handler instance) and succeeds.

@@ -37,8 +37,6 @@ func main() {
 		dir          = flag.String("dir", "", "serve a durable database in this directory (created if missing)")
 		colors       = flag.String("colors", "red,green", "colors for a newly created durable database")
 		catalogScale = flag.Int("catalog-scale", 1000, "items in the in-memory catalog store (ignored with -dir)")
-		maxInflight  = flag.Int("maxinflight", 0, "admission control: max total weight of in-flight queries (0 = unlimited)")
-		admTimeout   = flag.Duration("admission-timeout", 0, "admission queue timeout (0 = library default)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "how long a drain may wait for in-flight requests")
 		obsDump      = flag.String("obs-dump", "", "write the final instrument snapshot to this file on exit")
 		name         = flag.String("name", "mctserved", "server name announced in the handshake")
@@ -55,12 +53,6 @@ func main() {
 		r := db.Recovery()
 		log.Printf("recovered %s in %d ms: checkpoint epoch %d (loaded: %v), %d segments, %d records, %d changes, torn tail: %v",
 			*dir, r.Elapsed.Milliseconds(), r.CheckpointEpoch, r.CheckpointLoaded, r.SegmentsReplayed, r.RecordsReplayed, r.ChangesReplayed, r.TornTail)
-	}
-	if *maxInflight > 0 {
-		db.SetMaxInflight(*maxInflight)
-	}
-	if *admTimeout > 0 {
-		db.SetAdmissionTimeout(*admTimeout)
 	}
 
 	if *debugAddr != "" {

@@ -88,10 +88,9 @@ type DB struct {
 	publishes          atomic.Uint64
 
 	// Session kernel (see session.go): the shared compiled-plan cache, the
-	// admission gate, the internal auto-session behind the DB-level query
-	// entry points, and the registry of user sessions DB.Close drains.
+	// internal auto-session behind the DB-level query entry points, and the
+	// registry of user sessions DB.Close drains.
 	planCache  *plan.Cache
-	adm        admission
 	auto       *Session
 	sessMu     sync.Mutex
 	sessions   map[*Session]struct{}

@@ -74,16 +74,6 @@ var ErrReadOnly = fmt.Errorf("mutations are disabled: %w", ErrDegraded)
 // failure. Terminal; not retryable.
 var ErrFailed = errors.New("colorful: database has failed")
 
-// IsRetryable reports whether a request that failed with err is worth
-// retrying as-is after a short backoff. True for admission-control
-// rejections (ErrOverloaded): capacity frees up as in-flight queries
-// finish. False for everything else — in particular ErrReadOnly/ErrDegraded
-// (wait for Health() to return Healthy instead), ErrFailed and ErrClosed
-// (terminal), and ErrSessionClosed (open a new session).
-func IsRetryable(err error) bool {
-	return errors.Is(err, ErrOverloaded)
-}
-
 // Health returns the database's serving state (always Healthy for
 // in-memory databases).
 func (d *DB) Health() Health { return Health(d.health.Load()) }

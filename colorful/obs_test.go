@@ -69,7 +69,7 @@ func TestTraceQueryPhases(t *testing.T) {
 			t.Errorf("cache hit has a %q span:\n%s", phase, TraceText(root))
 		}
 	}
-	for _, phase := range []string{"admission", "execute", "map-results"} {
+	for _, phase := range []string{"execute", "map-results"} {
 		if root.Find(phase) == nil {
 			t.Errorf("cache hit lacks a %q span:\n%s", phase, TraceText(root))
 		}

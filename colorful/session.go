@@ -17,10 +17,9 @@ import (
 // This file is the session kernel: every query of the DB facade — DB.Query,
 // DB.QueryContext, DB.TraceQuery, Session.Query*, Stmt.Query* — executes
 // through one path, Session.routedParsed, unless the plan cache already
-// holds its plan (Session.routed). A session carries a
-// plan-cache opt-out, prepared statements, and per-session traffic
-// counters; the DB-level entry points
-// are thin wrappers over an internal auto-session that is never closed, so
+// holds its plan (Session.routed). A session carries prepared statements and
+// per-session traffic counters; the DB-level entry points are thin wrappers
+// over an internal auto-session that is never closed, so
 // the documented "database remains readable in memory after Close" contract
 // of durable.go holds while user sessions drain and die with the DB.
 //
@@ -37,10 +36,9 @@ import (
 // all sessions.
 var ErrSessionClosed = errors.New("colorful: session is closed")
 
-// Session is a query context over one DB: per-session default options,
-// prepared statements, and traffic counters. Sessions are safe for
-// concurrent use; Close drains in-flight queries and invalidates the
-// session's statements.
+// Session is a query context over one DB: prepared statements and traffic
+// counters. Sessions are safe for concurrent use; Close drains in-flight
+// queries and invalidates the session's statements.
 type Session struct {
 	db *DB
 
@@ -232,15 +230,10 @@ func spanAttr(s *obs.Span, key string, value any) {
 //
 // A text whose plan the shared cache holds at the published snapshot's epoch
 // is not parsed: only a text that parsed and had no constructors was ever
-// compiled and cached, so the hit already fixes the admission weight (a
-// read's) and the route. Any other text is parsed and takes routedParsed.
+// compiled and cached, so the hit already fixes the route. Any other text is
+// parsed and takes routedParsed.
 func (s *Session) routed(ctx context.Context, src string, root *obs.Span) ([]Item, queryRoute, error) {
 	if sp, c := s.cachedPlan(src, root); c != nil {
-		release, err := s.db.admit(ctx, weightRead, root)
-		if err != nil {
-			return nil, routeRejected, err
-		}
-		defer release()
 		out, err := s.run(ctx, sp, c, root)
 		if err != nil {
 			return nil, routeCompiled, err // as routedParsed reports it
@@ -276,20 +269,6 @@ func (s *Session) cachedPlan(src string, root *obs.Span) (*snapshot, *plan.Compi
 func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) ([]Item, queryRoute, error) {
 	d := s.db
 	readOnly := perr == nil && !plan.HasConstructors(e)
-
-	// Admission: reads weigh 1, constructor queries (which take the writer
-	// lock and commit through the WAL) weigh weightConstructor. Parse errors
-	// route to the evaluator for diagnostics and weigh like reads.
-	weight := int64(weightRead)
-	if perr == nil && !readOnly {
-		weight = weightConstructor
-	}
-	release, err := d.admit(ctx, weight, root)
-	if err != nil {
-		return nil, routeRejected, err
-	}
-	defer release()
-
 	if readOnly {
 		out, cached, cerr := s.compiled(ctx, src, e, st, root)
 		if cerr == nil {
@@ -326,7 +305,7 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 	// evaluation and the WAL append.
 	var out []Item
 	cs := childSpan(root, "commit")
-	err = d.commit(func() (err error) {
+	err := d.commit(func() (err error) {
 		es := childSpan(cs, "evaluate")
 		out, err = d.evalItems(src)
 		endSpan(es)
@@ -388,12 +367,12 @@ func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, r
 	if c, ok := d.planCache.Get(src, opt, epoch); ok {
 		spanAttr(root, "plancache", "hit")
 		if st != nil {
-			st.hold(c, opt, epoch)
+			st.hold(c, epoch)
 		}
 		return c, true, nil
 	}
 	if st != nil {
-		if c, ok := st.held(opt, epoch); ok {
+		if c, ok := st.held(epoch); ok {
 			// Evicted from the shared cache but still epoch-valid: the
 			// statement's own copy serves the query and re-seeds the cache.
 			d.planCache.Put(src, opt, epoch, c)
@@ -409,7 +388,7 @@ func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, r
 	}
 	d.planCache.Put(src, opt, epoch, c)
 	if st != nil {
-		st.hold(c, opt, epoch)
+		st.hold(c, epoch)
 	}
 	return c, false, nil
 }

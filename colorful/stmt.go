@@ -23,13 +23,12 @@ type Stmt struct {
 	readOnly bool
 
 	// mu guards the held plan and the closed flag. The held plan is a
-	// second-chance cache behind the shared one: reused only when both the
-	// stats epoch and the plan-relevant options still match.
+	// second-chance cache behind the shared one: reused only while the stats
+	// epoch still matches.
 	mu     sync.Mutex
 	closed bool
 	plan   *plan.Compiled
 	epoch  uint64
-	opts   plan.Options // plan-relevant fields only; Catalog stripped
 }
 
 // Prepare parses the query and, for the compilable subset, eagerly compiles
@@ -125,22 +124,21 @@ func (st *Stmt) markClosed() {
 
 // hold remembers the plan that served this statement's latest execution, so
 // the statement survives shared-cache eviction without recompiling.
-func (st *Stmt) hold(c *plan.Compiled, opt plan.Options, epoch uint64) {
-	opt.Catalog = nil // per-snapshot handle; the epoch guards what it steered
+func (st *Stmt) hold(c *plan.Compiled, epoch uint64) {
 	st.mu.Lock()
 	if !st.closed {
-		st.plan, st.opts, st.epoch = c, opt, epoch
+		st.plan, st.epoch = c, epoch
 	}
 	st.mu.Unlock()
 }
 
-// held returns the statement's plan if it is still valid for the given
-// options and epoch.
-func (st *Stmt) held(opt plan.Options, epoch uint64) (*plan.Compiled, bool) {
-	opt.Catalog = nil
+// held returns the statement's plan if it is still valid at the given epoch.
+// Every DB plan compiles with the same options (DB.planOptions: a catalog
+// only, which the epoch guards), so the epoch is the whole check.
+func (st *Stmt) held(epoch uint64) (*plan.Compiled, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed || st.plan == nil || st.epoch != epoch || st.opts != opt {
+	if st.closed || st.plan == nil || st.epoch != epoch {
 		return nil, false
 	}
 	return st.plan, true

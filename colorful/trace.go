@@ -11,7 +11,7 @@ import (
 )
 
 // TraceQuery runs a query like QueryContext but returns a trace: a span tree
-// covering the query's phases (parse, admission, snapshot, compile, execute,
+// covering the query's phases (parse, snapshot, compile, execute,
 // map-results; or evaluate on the evaluator route, nested in a commit span on
 // the constructor route), with the execute span carrying one child span per
 // physical operator — an operator's span nests under its parent operator's.

@@ -12,9 +12,9 @@ import (
 // plan-relevant compilation options, and guarded by the storage stats/schema
 // epoch: every entry remembers the epoch of the store image it was compiled
 // against, and a probe whose serving snapshot has moved to a different epoch
-// treats the entry as invalid (the cost choices — join order, scan
-// partitioning, summary-vs-join lowering — were made from statistics that no
-// longer describe the data). Content-only updates preserve the epoch, so the
+// treats the entry as invalid (the cost choices — join order,
+// summary-vs-join lowering — were made from statistics that no longer
+// describe the data). Content-only updates preserve the epoch, so the
 // cache stays hot across the common point-update workload.
 //
 // The Catalog is deliberately NOT part of the key: it is a per-snapshot

@@ -199,11 +199,9 @@ func (c *conn) writeError(code wire.ErrCode, msg string) error {
 }
 
 // errCode classifies an execution error for the wire, so the typed
-// sentinels — and with them colorful.IsRetryable — survive the network.
+// sentinels survive the network.
 func errCode(err error) wire.ErrCode {
 	switch {
-	case errors.Is(err, colorful.ErrOverloaded):
-		return wire.CodeOverloaded
 	case errors.Is(err, colorful.ErrReadOnly) || errors.Is(err, colorful.ErrDegraded):
 		return wire.CodeReadOnly
 	case errors.Is(err, colorful.ErrFailed):
@@ -278,10 +276,19 @@ func (c *conn) handleQuery(payload []byte) error {
 	return c.writeItemsStream(items)
 }
 
+// maxStmtsPerConn bounds the statements one connection may hold open, so a
+// client cannot grow the server's statement table without limit. Requests
+// already run one at a time per connection; with this cap, what a
+// connection holds is bounded too.
+const maxStmtsPerConn = 1024
+
 func (c *conn) handlePrepare(payload []byte) error {
 	p, err := wire.DecodePrepare(payload)
 	if err != nil {
 		return c.writeError(wire.CodeBadRequest, err.Error())
+	}
+	if len(c.stmts) >= maxStmtsPerConn {
+		return c.writeError(wire.CodeBadRequest, fmt.Sprintf("connection holds %d statements, the limit; close one first", maxStmtsPerConn))
 	}
 	st, err := c.sess.Prepare(p.Src)
 	if err != nil {

@@ -120,7 +120,7 @@ func TestE2EGracefulShutdownUnderLoad(t *testing.T) {
 	// IdlePingAfter is disabled so the only requests the server sees are the
 	// handshake-free queries we count; pings would skew the zero-drop ledger.
 	cdb, err := client.OpenOptions(addr, client.Options{
-		PoolSize: 4, MaxRetries: -1, IdlePingAfter: -1,
+		PoolSize: 4, IdlePingAfter: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -320,75 +321,90 @@ func TestWarmStmtIsOneRequest(t *testing.T) {
 	}
 }
 
-// TestOverloadIsTypedAndRetryable saturates the server's admission gate and
-// checks ErrOverloaded survives the wire with its retryable classification.
-func TestOverloadIsTypedAndRetryable(t *testing.T) {
-	db, _, addr := startCatalog(t, 2000, server.Options{})
-	db.SetMaxInflight(1)
-	// Any queue wait at all times out: whenever two queries overlap, the
-	// loser is rejected.
-	db.SetAdmissionTimeout(time.Nanosecond)
-
-	// Retries disabled so the typed error reaches the caller raw.
-	cdb, err := client.OpenOptions(addr, client.Options{PoolSize: 8, MaxRetries: -1})
+// TestClosedOverWire closes a served durable database underneath the server
+// and checks a wire Update reports the typed colorful.ErrClosed.
+func TestClosedOverWire(t *testing.T) {
+	db, err := colorful.Open(filepath.Join(t.TempDir(), "db"), "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddElement(db.Document(), "movie", "red"); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, db, server.Options{})
+	cdb, err := client.OpenOptions(addr, client.Options{IdlePingAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cdb.Close()
 
-	// In-process hammers keep the single admission slot occupied, so a wire
-	// query arriving at the gate must queue — and with a nanosecond budget,
-	// queueing means rejection. Network latency alone cannot line up two
-	// executions reliably; the hammers make the collision certain.
-	q := `document("db")/{red}descendant::item/{red}child::name`
-	stopHammer := make(chan struct{})
-	var hammers sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		hammers.Add(1)
-		go func() {
-			defer hammers.Done()
-			for {
-				select {
-				case <-stopHammer:
-					return
-				default:
-				}
-				db.Query(q) //nolint:errcheck // occupancy only; rejections among hammers are fine
-			}
-		}()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for db.AdmissionStats().Inflight == 0 {
-		time.Sleep(time.Millisecond)
+	_, err = cdb.Update(`
+for $m in document("db")/{red}descendant::movie
+update $m { insert <late>1</late> }`)
+	if !errors.Is(err, colorful.ErrClosed) {
+		t.Fatalf("wire error = %v, want ErrClosed", err)
 	}
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeClosed {
+		t.Fatalf("wire error = %v, want ServerError{CodeClosed}", err)
+	}
+}
 
-	var overloadErr error
-	for attempt := 0; attempt < 100 && overloadErr == nil; attempt++ {
-		if _, err := cdb.Query(q); err != nil {
-			overloadErr = err
+// TestStmtCapPerConn fills one connection's statement table and checks the
+// next Prepare is refused with CodeBadRequest while the connection keeps
+// serving, and that closing a statement makes room again.
+func TestStmtCapPerConn(t *testing.T) {
+	const limit = 1024
+	_, srv, addr := startCatalog(t, 10, server.Options{})
+	c := dialRaw(t, addr)
+	q := `document("db")/{red}descendant::item[{red}child::name = "Item 7"]/{red}child::name`
+	prepare := wire.Prepare{Src: q}.Encode()
+
+	handles := make([]uint64, 0, limit)
+	for len(handles) < limit {
+		p, err := wire.DecodePrepared(c.ask(wire.TypePrepare, prepare, wire.TypePrepared))
+		if err != nil {
+			t.Fatal(err)
 		}
+		handles = append(handles, p.Stmt)
 	}
-	close(stopHammer)
-	hammers.Wait()
-	if overloadErr == nil {
-		t.Fatal("no query hit the admission gate: overload never crossed the wire")
+	typ, rp := c.send(wire.TypePrepare, prepare)
+	if typ != wire.TypeError {
+		t.Fatalf("prepare %d: response %v, want Error", limit+1, typ)
 	}
-	if !errors.Is(overloadErr, colorful.ErrOverloaded) {
-		t.Fatalf("wire error = %v, want ErrOverloaded", overloadErr)
+	em, err := wire.DecodeError(rp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !colorful.IsRetryable(overloadErr) {
-		t.Fatal("wire ErrOverloaded lost its retryable classification")
+	if em.Code != wire.CodeBadRequest || !strings.Contains(em.Msg, fmt.Sprint(limit)) {
+		t.Fatalf("prepare %d refused with %v %q, want bad-request naming %d", limit+1, em.Code, em.Msg, limit)
+	}
+	if n := srv.Stats().StmtsOpen; n != limit {
+		t.Fatalf("after the refusal: stmts=%d, want %d", n, limit)
 	}
 
-	// Lifting the gate restores serial service.
-	db.SetMaxInflight(0)
-	if _, err := cdb.Query(q); err != nil {
-		t.Fatalf("query after lifting the gate: %v", err)
+	// The connection keeps serving what it holds.
+	items, err := wire.DecodeItems(c.ask(wire.TypeExecute, wire.Execute{Stmt: handles[0]}.Encode(), wire.TypeItems))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items.Items) != 1 || items.Items[0].Value != "Item 7" {
+		t.Fatalf("earlier handle executed to %+v, want one row \"Item 7\"", items.Items)
+	}
+
+	// One CloseStmt makes room for one Prepare.
+	c.ask(wire.TypeCloseStmt, wire.CloseStmt{Stmt: handles[1]}.Encode(), wire.TypeAck)
+	c.ask(wire.TypePrepare, prepare, wire.TypePrepared)
+	if n := srv.Stats().StmtsOpen; n != limit {
+		t.Fatalf("after close and re-prepare: stmts=%d, want %d", n, limit)
 	}
 }
 
 // TestDegradedReadOnlyOverWire degrades a durable store with an injected
-// disk outage and checks a wire Update is refused with ErrReadOnly — typed,
-// and NOT retryable.
+// disk outage and checks a wire Update is refused with a typed ErrReadOnly.
 func TestDegradedReadOnlyOverWire(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	ffs := vfs.NewFaultFS(vfs.OS, 42)
@@ -433,9 +449,6 @@ update $m { insert <late>1</late> }`)
 	if !errors.Is(err, colorful.ErrReadOnly) {
 		t.Fatalf("wire error = %v, want ErrReadOnly", err)
 	}
-	if colorful.IsRetryable(err) {
-		t.Fatal("degraded-mode rejection must not be retryable over the wire")
-	}
 
 	// Reads keep serving, and Health reports the degraded state remotely.
 	if _, err := cdb.Query(`document("db")/{red}descendant::movie`); err != nil {
@@ -456,43 +469,14 @@ update $m { insert <late>1</late> }`)
 // and its registry slot.
 func TestDisconnectFreesHandles(t *testing.T) {
 	_, srv, addr := startCatalog(t, 300, server.Options{ChunkItems: 7})
+	c := dialRaw(t, addr)
 
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	w, r := wire.NewWriter(nc), wire.NewReader(nc)
-
-	// ask sends one request frame and returns the first response frame's
-	// payload, failing the test on any Error response.
-	ask := func(typ wire.Type, payload []byte, want wire.Type) []byte {
-		t.Helper()
-		if err := w.WriteFrame(typ, payload); err != nil {
-			t.Fatal(err)
-		}
-		rtyp, rp, err := r.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rtyp == wire.TypeError {
-			em, _ := wire.DecodeError(rp)
-			t.Fatalf("%v request failed: %v %s", typ, em.Code, em.Msg)
-		}
-		if rtyp != want {
-			t.Fatalf("%v response = %v, want %v", typ, rtyp, want)
-		}
-		return rp
-	}
-
-	ask(wire.TypeHello, wire.Hello{Proto: wire.ProtoVersion, Client: "abrupt"}.Encode(), wire.TypeWelcome)
 	q := `document("db")/{red}descendant::item/{red}child::name`
-	prepared, err := wire.DecodePrepared(ask(wire.TypePrepare, wire.Prepare{Src: q}.Encode(), wire.TypePrepared))
+	prepared, err := wire.DecodePrepared(c.ask(wire.TypePrepare, wire.Prepare{Src: q}.Encode(), wire.TypePrepared))
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := wire.DecodeItems(ask(wire.TypeExecute, wire.Execute{Stmt: prepared.Stmt}.Encode(), wire.TypeItems))
+	first, err := wire.DecodeItems(c.ask(wire.TypeExecute, wire.Execute{Stmt: prepared.Stmt}.Encode(), wire.TypeItems))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +487,7 @@ func TestDisconnectFreesHandles(t *testing.T) {
 	if st := srv.Stats(); st.StmtsOpen != 1 {
 		t.Fatalf("before disconnect: stmts=%d, want 1", st.StmtsOpen)
 	}
-	nc.Close() // raw socket close mid-stream: no CloseStmt
+	c.nc.Close() // raw socket close mid-stream: no CloseStmt
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -516,6 +500,58 @@ func TestDisconnectFreesHandles(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// rawConn is a handshaken connection that speaks raw wire frames, for tests
+// that need the protocol without the client package in between.
+type rawConn struct {
+	t  testing.TB
+	nc net.Conn
+	w  *wire.Writer
+	r  *wire.Reader
+}
+
+// dialRaw connects to addr and completes the handshake; the connection
+// closes with the test.
+func dialRaw(t testing.TB, addr string) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	c := &rawConn{t: t, nc: nc, w: wire.NewWriter(nc), r: wire.NewReader(nc)}
+	c.ask(wire.TypeHello, wire.Hello{Proto: wire.ProtoVersion, Client: "raw"}.Encode(), wire.TypeWelcome)
+	return c
+}
+
+// send writes one request frame and returns the first response frame.
+func (c *rawConn) send(typ wire.Type, payload []byte) (wire.Type, []byte) {
+	c.t.Helper()
+	if err := c.w.WriteFrame(typ, payload); err != nil {
+		c.t.Fatal(err)
+	}
+	rtyp, rp, err := c.r.ReadFrame()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return rtyp, rp
+}
+
+// ask is send that fails the test unless the response is a want frame, and
+// returns its payload.
+func (c *rawConn) ask(typ wire.Type, payload []byte, want wire.Type) []byte {
+	c.t.Helper()
+	rtyp, rp := c.send(typ, payload)
+	if rtyp == wire.TypeError {
+		em, _ := wire.DecodeError(rp)
+		c.t.Fatalf("%v request failed: %v %s", typ, em.Code, em.Msg)
+	}
+	if rtyp != want {
+		c.t.Fatalf("%v response = %v, want %v", typ, rtyp, want)
+	}
+	return rp
 }
 
 // TestGracefulDrainZeroDrop runs client load, shuts the server down in the
@@ -536,7 +572,7 @@ func TestGracefulDrainZeroDrop(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	cdb, err := client.OpenOptions(ln.Addr().String(), client.Options{PoolSize: 4, MaxRetries: -1, IdlePingAfter: -1})
+	cdb, err := client.OpenOptions(ln.Addr().String(), client.Options{PoolSize: 4, IdlePingAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

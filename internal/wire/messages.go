@@ -20,21 +20,20 @@ import (
 // claims. It is a protocol error, distinct from frame-level corruption.
 var ErrBadMessage = fmt.Errorf("wire: malformed message")
 
-// ErrCode classifies an Error response so typed error semantics —
-// colorful.IsRetryable in particular — survive the network. The client maps
-// codes back onto the colorful sentinel errors.
+// ErrCode classifies an Error response so typed error semantics survive the
+// network. The client maps codes back onto the colorful sentinel errors.
+// Codes 3 and 8 are unassigned; a client treats any code it does not know
+// as an untyped server error.
 type ErrCode uint8
 
 const (
 	CodeInternal      ErrCode = 0  // unclassified server failure
 	CodeBadRequest    ErrCode = 1  // malformed or out-of-order request
 	CodeProtocol      ErrCode = 2  // handshake/version mismatch
-	CodeOverloaded    ErrCode = 3  // admission gate rejection (retryable)
 	CodeReadOnly      ErrCode = 4  // degraded read-only mode refused a write
 	CodeFailed        ErrCode = 5  // database is in the Failed state
 	CodeSessionClosed ErrCode = 6  // session or statement already closed
 	CodeUnknownHandle ErrCode = 7  // statement handle not found
-	CodeShuttingDown  ErrCode = 8  // server is draining
 	CodeQuery         ErrCode = 9  // parse/execution error from the query itself
 	CodeCanceled      ErrCode = 10 // deadline exceeded or canceled server-side
 	CodeClosed        ErrCode = 11 // database closed underneath the server
@@ -48,8 +47,6 @@ func (c ErrCode) String() string {
 		return "bad-request"
 	case CodeProtocol:
 		return "protocol"
-	case CodeOverloaded:
-		return "overloaded"
 	case CodeReadOnly:
 		return "read-only"
 	case CodeFailed:
@@ -58,8 +55,6 @@ func (c ErrCode) String() string {
 		return "session-closed"
 	case CodeUnknownHandle:
 		return "unknown-handle"
-	case CodeShuttingDown:
-		return "shutting-down"
 	case CodeQuery:
 		return "query"
 	case CodeCanceled:

@@ -28,8 +28,8 @@ func TestMessageRoundTrip(t *testing.T) {
 			func(p []byte) (any, error) { return DecodeHello(p) }, Hello{Proto: ProtoVersion, Client: "bench-7"}.Encode()},
 		{"welcome", Welcome{Proto: ProtoVersion, Server: "mctserved/1"},
 			func(p []byte) (any, error) { return DecodeWelcome(p) }, Welcome{Proto: ProtoVersion, Server: "mctserved/1"}.Encode()},
-		{"error", ErrorMsg{Code: CodeOverloaded, Msg: "colorful: overloaded"},
-			func(p []byte) (any, error) { return DecodeError(p) }, ErrorMsg{Code: CodeOverloaded, Msg: "colorful: overloaded"}.Encode()},
+		{"error", ErrorMsg{Code: CodeReadOnly, Msg: "colorful: read-only"},
+			func(p []byte) (any, error) { return DecodeError(p) }, ErrorMsg{Code: CodeReadOnly, Msg: "colorful: read-only"}.Encode()},
 		{"query", Query{Src: `document("db")/{red}child::a`, DeadlineMillis: 1500},
 			func(p []byte) (any, error) { return DecodeQuery(p) }, Query{Src: `document("db")/{red}child::a`, DeadlineMillis: 1500}.Encode()},
 		{"items", Items{Rows: 7, More: true, Items: items},

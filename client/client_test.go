@@ -244,6 +244,44 @@ func TestDrainNoticeBreaksConnection(t *testing.T) {
 	}
 }
 
+// TestErrorFrameEndsStream: a server that fails to read a value in the
+// middle of a result ends the stream with an Error frame in place of the
+// next Items frame. The client returns the typed error, and the connection
+// stays in protocol: the next request on it succeeds.
+func TestErrorFrameEndsStream(t *testing.T) {
+	fs := startFake(t, func() connHandler {
+		served := 0
+		base := oneItem()
+		return func(typ wire.Type, payload []byte, w *wire.Writer) error {
+			if served++; served > 1 {
+				return base(typ, payload, w)
+			}
+			first := wire.Items{Rows: 2, More: true, Items: []wire.Item{{Node: 1, Color: "red", Value: "ok"}}}
+			if err := w.WriteFrame(wire.TypeItems, first.Encode()); err != nil {
+				return err
+			}
+			return w.WriteFrame(wire.TypeError, wire.ErrorMsg{Code: wire.CodeQuery, Msg: "page read failed"}.Encode())
+		}
+	})
+	cdb, err := client.OpenOptions(fs.addr(), client.Options{PoolSize: 1, IdlePingAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cdb.Close()
+
+	items, err := cdb.Query("q")
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeQuery || items != nil {
+		t.Fatalf("broken stream: %v, %v; want a CodeQuery ServerError and no items", items, err)
+	}
+	if items, err := cdb.Query("q"); err != nil || len(items) != 1 || items[0].Value != "ok" {
+		t.Fatalf("next request: %v, %v", items, err)
+	}
+	if n := fs.conns.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want the one it kept", n)
+	}
+}
+
 func TestIdleCheckoutPings(t *testing.T) {
 	fs := startFake(t, oneItem)
 	cdb, err := client.OpenOptions(fs.addr(), client.Options{PoolSize: 1, IdlePingAfter: 10 * time.Millisecond})

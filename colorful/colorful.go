@@ -223,27 +223,6 @@ func valueSource(c *plan.Compiled) string {
 	return sourceCore
 }
 
-// items materializes result items from the snapshot alone: each node from
-// the identity table of the snapshot's generation, each value from its
-// store's element records. No lock: a row's node set and its values belong
-// to one generation, whatever writers have done since — an element deleted
-// in the meantime is still the node it was.
-func (sp *snapshot) items(ids []storage.ElemID, color Color) ([]Item, error) {
-	out := make([]Item, len(ids))
-	for i, id := range ids {
-		n, ok := sp.nodes.Get(uint64(id))
-		if !ok {
-			return nil, fmt.Errorf("colorful: snapshot generation %d stores element %d but has no node for it", sp.gen, id)
-		}
-		out[i].Node, out[i].Color = n, color
-	}
-	if err := sp.st.Contents(ids, func(i int, content string) { out[i].Value = content }); err != nil {
-		return nil, err
-	}
-	obsValuesSnapshot.Add(uint64(len(out)))
-	return out, nil
-}
-
 // coreItems maps element references back to live core nodes under one shared
 // lock, so all returned values come from a single statement-boundary state —
 // the current one, not the snapshot's. Elements deleted since the snapshot

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -319,7 +320,7 @@ func TestHeldSnapshotResolvesDeletedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := held.items(ids, "red")
+	got, err := Rows{sp: held, ids: ids, color: "red"}.Items()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,5 +415,57 @@ func TestExplainNamesOutputRoute(t *testing.T) {
 		if !strings.HasSuffix(ex, want) || strings.Contains(ex, "Dedup[") != strings.Contains(want, "plan's Dedup") {
 			t.Errorf("Explain(%s) =\n%swant it to end in\n%s", text, ex, want)
 		}
+	}
+}
+
+// TestRowsPinTheirGeneration: a Rows is answered from one snapshot and
+// yields that generation's values however many commits follow, and after
+// DB.Close — through Items and through Each alike. It needs no Close.
+func TestRowsPinTheirGeneration(t *testing.T) {
+	const items = 30
+	db := catalogDB(items)
+	sess := db.Session()
+	const q = `for $i in document("db")/{green}descendant::item return $i/{green}child::votes`
+	want, err := sess.Query(q)
+	if err != nil || len(want) != items/3 {
+		t.Fatalf("%d votes, %v", len(want), err)
+	}
+	rows, err := sess.QueryRows(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 20; n++ {
+		src := catalogItem(3*(n%(items/3))) + `, $v in $i/{green}child::votes update $i { replace $v with "v` + strconv.Itoa(n) + `" }`
+		if res, err := db.Update(src); err != nil || res.Tuples != 1 {
+			t.Fatalf("vote %d: %+v, %v", n, res, err)
+		}
+	}
+	if now := db.MustQuery(q); now[0].Value != "v10" {
+		t.Fatalf("the votes did not commit: first is %q", now[0].Value)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rows.Items()
+	if err != nil || rows.Len() != len(want) || len(got) != len(want) {
+		t.Fatalf("held rows: Len %d, %d items, %v; want %d", rows.Len(), len(got), err, len(want))
+	}
+	i := 0
+	err = rows.Each(0, rows.Len(), func(node NodeID, color Color, value []byte) {
+		if got[i] != want[i] || node != want[i].Node.ID() || color != want[i].Color || string(value) != want[i].Value {
+			t.Errorf("row %d: item %v %q, visited %d %q, want %v %q", i, got[i].Node, got[i].Value, node, value, want[i].Node, want[i].Value)
+		}
+		i++
+	})
+	if err != nil || i != len(want) {
+		t.Fatalf("Each visited %d rows, %v", i, err)
+	}
+	// An element the generation has no node for fails both ways of reading.
+	bad := Rows{sp: rows.sp, ids: append(slices.Clone(rows.ids), 1<<40), color: "green"}
+	if _, err := resolved(bad, nil); err == nil || !strings.Contains(err.Error(), "has no node") {
+		t.Fatalf("resolved a row without a node: %v", err)
+	}
+	if _, err := bad.Items(); err == nil {
+		t.Fatal("Items read a row without a node")
 	}
 }

@@ -190,15 +190,32 @@ func (s *Session) Query(src string) ([]Item, error) {
 
 // QueryContext is Query under a context deadline or cancellation.
 func (s *Session) QueryContext(ctx context.Context, src string) ([]Item, error) {
-	if err := s.begin(); err != nil {
+	rows, err := s.query(ctx, src)
+	if err != nil {
 		return nil, err
+	}
+	return rows.Items()
+}
+
+// QueryRows is QueryContext answering with the result's Rows, which read
+// values from the snapshot only when asked for (see Rows). Every row's node
+// is resolved before it returns.
+func (s *Session) QueryRows(ctx context.Context, src string) (Rows, error) {
+	return resolved(s.query(ctx, src))
+}
+
+// query runs one text for QueryContext and QueryRows, inside the session's
+// begin/end bracket.
+func (s *Session) query(ctx context.Context, src string) (Rows, error) {
+	if err := s.begin(); err != nil {
+		return Rows{}, err
 	}
 	defer s.end()
 	sw := obs.Start()
-	out, route, err := s.routed(ctx, src, nil)
-	s.db.observeQuery(src, sw.ElapsedNanos(), len(out), route, err)
+	rows, route, err := s.routed(ctx, src, nil)
+	s.db.observeQuery(src, sw.ElapsedNanos(), rows.Len(), route, err)
 	s.observe(route, err)
-	return out, err
+	return rows, err
 }
 
 // --- the single execution path -------------------------------------------
@@ -232,11 +249,11 @@ func spanAttr(s *obs.Span, key string, value any) {
 // is not parsed: only a text that parsed and had no constructors was ever
 // compiled and cached, so the hit already fixes the route. Any other text is
 // parsed and takes routedParsed.
-func (s *Session) routed(ctx context.Context, src string, root *obs.Span) ([]Item, queryRoute, error) {
+func (s *Session) routed(ctx context.Context, src string, root *obs.Span) (Rows, queryRoute, error) {
 	if sp, c := s.cachedPlan(src, root); c != nil {
 		out, err := s.run(ctx, sp, c, root)
 		if err != nil {
-			return nil, routeCompiled, err // as routedParsed reports it
+			return Rows{}, routeCompiled, err // as routedParsed reports it
 		}
 		return out, routeCached, nil
 	}
@@ -266,7 +283,7 @@ func (s *Session) cachedPlan(src string, root *obs.Span) (*snapshot, *plan.Compi
 // routedParsed is the single execution path behind every query entry point.
 // st, when non-nil, is the prepared statement issuing the query (its held
 // plan joins the cache lookup).
-func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) ([]Item, queryRoute, error) {
+func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) (Rows, queryRoute, error) {
 	d := s.db
 	readOnly := perr == nil && !plan.HasConstructors(e)
 	if readOnly {
@@ -278,7 +295,7 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 			return out, routeCompiled, nil
 		}
 		if !errors.Is(cerr, plan.ErrUnsupported) {
-			return nil, routeCompiled, cerr
+			return Rows{}, routeCompiled, cerr
 		}
 		spanAttr(root, "fallback", cerr.Error())
 		obsFallbackUnsupported.Inc()
@@ -288,7 +305,7 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 		obsFallbackConstructor.Inc()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, routeEvaluator, err
+		return Rows{}, routeEvaluator, err
 	}
 	// Evaluator path. Constructor queries mutate the database and need the
 	// writer lock; unsupported-but-read-only queries (and parse errors,
@@ -299,7 +316,7 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 		es := childSpan(root, "evaluate")
 		out, err := d.evalItems(src)
 		endSpan(es)
-		return out, routeEvaluator, err
+		return Rows{items: out}, routeEvaluator, err
 	}
 	// A constructor query is one commit scope; its span covers the
 	// evaluation and the WAL append.
@@ -312,46 +329,48 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 		return err
 	})
 	endSpan(cs)
-	return out, routeConstructor, err
+	return Rows{items: out}, routeConstructor, err
 }
 
 // compiled serves a constructor-free query from the compiled route: resolve
 // the snapshot, resolve the plan (cache, held statement plan, or fresh
 // compile), execute a clone. The bool result reports whether a cached plan
 // served the query.
-func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st *Stmt, root *obs.Span) ([]Item, bool, error) {
+func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st *Stmt, root *obs.Span) (Rows, bool, error) {
 	d := s.db
 	ss := childSpan(root, "snapshot")
 	sp, err := d.currentSnapshot()
 	endSpan(ss)
 	if err != nil {
-		return nil, false, err
+		return Rows{}, false, err
 	}
 	c, cached, err := s.planFor(src, e, sp, st, root)
 	if err != nil {
-		return nil, false, err
+		return Rows{}, false, err
 	}
 	out, err := s.run(ctx, sp, c, root)
 	return out, cached, err
 }
 
-// run executes a plan on a snapshot and maps its answer to items.
-func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) ([]Item, error) {
+// run executes a plan on a snapshot and maps its answer to rows: element
+// references into that snapshot, or items mapped through core.
+func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) (Rows, error) {
 	ids, err := s.execCompiled(ctx, sp, c, root)
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
 	ms := childSpan(root, "map-results")
 	source := valueSource(c)
 	spanAttr(ms, "values", source)
-	var out []Item
+	var out Rows
 	if source == sourceSnapshot {
-		out, err = sp.items(ids, c.Cols[c.OutCol].Color)
+		out = Rows{sp: sp, ids: ids, color: c.Cols[c.OutCol].Color}
+		obsValuesSnapshot.Add(uint64(len(ids)))
 	} else {
-		out = s.db.coreItems(ids, c)
+		out = Rows{items: s.db.coreItems(ids, c)}
 	}
 	endSpan(ms)
-	return out, err
+	return out, nil
 }
 
 // planFor resolves the physical plan for one execution. Lookup order:

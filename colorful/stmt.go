@@ -81,22 +81,37 @@ func (st *Stmt) Query() ([]Item, error) {
 // cancellation. After the statement's session (or the DB) has closed it
 // reports ErrSessionClosed.
 func (st *Stmt) QueryContext(ctx context.Context) ([]Item, error) {
+	rows, err := st.query(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Items()
+}
+
+// QueryRows is QueryContext answering with the result's Rows (see
+// Session.QueryRows).
+func (st *Stmt) QueryRows(ctx context.Context) (Rows, error) {
+	return resolved(st.query(ctx))
+}
+
+// query executes the statement for QueryContext and QueryRows.
+func (st *Stmt) query(ctx context.Context) (Rows, error) {
 	s := st.sess
 	if err := s.begin(); err != nil {
-		return nil, err
+		return Rows{}, err
 	}
 	defer s.end()
 	st.mu.Lock()
 	closed := st.closed
 	st.mu.Unlock()
 	if closed {
-		return nil, ErrSessionClosed
+		return Rows{}, ErrSessionClosed
 	}
 	sw := obs.Start()
-	out, route, err := s.routedParsed(ctx, st.src, st.expr, nil, st, nil)
-	s.db.observeQuery(st.src, sw.ElapsedNanos(), len(out), route, err)
+	rows, route, err := s.routedParsed(ctx, st.src, st.expr, nil, st, nil)
+	s.db.observeQuery(st.src, sw.ElapsedNanos(), rows.Len(), route, err)
 	s.observe(route, err)
-	return out, err
+	return rows, err
 }
 
 // Close invalidates the statement (further executions report

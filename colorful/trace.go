@@ -40,7 +40,11 @@ func (s *Session) TraceQuery(ctx context.Context, src string) ([]Item, *obs.Span
 	}
 	defer s.end()
 	sw := obs.Start()
-	out, route, err := s.routed(ctx, src, root)
+	rows, route, err := s.routed(ctx, src, root)
+	var out []Item
+	if err == nil {
+		out, err = rows.Items()
+	}
 	root.SetAttr("rows", len(out))
 	if err != nil {
 		root.SetAttr("error", err.Error())

@@ -82,18 +82,16 @@ func (b *Batch) appendSlot(cols int) []storage.SNode {
 	return b.data[off : off+b.cols]
 }
 
-// minBatchRows is the capacity a batch buffer starts at.
-const minBatchRows = 32
-
-// grow moves the batch to a buffer with room for need nodes, growing in
-// factors of four up to BatchSize rows: most operators of a selective plan
-// pass a handful of rows, and a full buffer each (57 kB a column) would be
-// most of what such a plan costs to run and to keep pooled. The outgrown
-// buffer goes to the GC, not the pool, which keeps only what free hands back
-// (see MemPool).
+// grow moves the batch to a buffer with room for need nodes: the first buffer
+// holds exactly need, and each next one four times the last, up to BatchSize
+// rows. Most operators of a selective plan pass a handful of rows, and a full
+// buffer each (57 kB a column) would be most of what such a plan costs to run
+// and to keep pooled; fourfold growth keeps the outgrown buffers under a third
+// of the final one. The outgrown buffer goes to the GC, not the pool, which
+// keeps only what free hands back (see MemPool).
 func (b *Batch) grow(need int) {
 	full := BatchSize * b.cols
-	b.data = append(b.pool.get(kindBuf, min(full, max(need, 4*cap(b.data), minBatchRows*b.cols)), full), b.data...)
+	b.data = append(b.pool.get(kindBuf, min(full, max(need, 4*cap(b.data))), full), b.data...)
 }
 
 // AppendRow copies one row into the batch.
@@ -190,15 +188,16 @@ type arena struct {
 // alloc returns a slice of n nodes carved from the current chunk, which the
 // caller fully overwrites (pooled chunks are dirty; both callers copy into
 // every node they are handed). Oversized requests (wider than a quarter
-// chunk) get their own allocation. Like batch buffers (Batch.grow), chunks
-// grow by factors of four, so that a query keeping a handful of rows does
-// not allocate and clear 900 kB.
+// chunk) get their own allocation. Like batch buffers (Batch.grow), the first
+// chunk holds exactly the first request and each next one four times the
+// last, so that a query keeping a handful of rows does not allocate and
+// clear 900 kB.
 func (a *arena) alloc(n int) []storage.SNode {
 	if n > arenaChunkNodes/4 {
 		return make([]storage.SNode, n)
 	}
 	if a.used+n > len(a.chunk) {
-		c := a.pool.get(kindChunk, min(arenaChunkNodes, max(n, 4*len(a.chunk), minArenaChunk)), arenaChunkNodes)
+		c := a.pool.get(kindChunk, min(arenaChunkNodes, max(n, 4*len(a.chunk))), arenaChunkNodes)
 		a.chunk = c[:cap(c)]
 		a.taken = append(a.taken, a.chunk)
 		a.used = 0
@@ -207,9 +206,6 @@ func (a *arena) alloc(n int) []storage.SNode {
 	a.used += n
 	return s
 }
-
-// minArenaChunk is the size, in nodes, of an arena's first chunk.
-const minArenaChunk = 256
 
 // release returns every chunk drawn during the execution to the pool, the
 // latest (largest) first so that a full free list keeps the big ones. Only

@@ -13,9 +13,9 @@ import (
 // same operator shapes and therefore the same scratch demand, so the memory
 // its first execution allocated is exactly what the next one needs.
 //
-// Every buffer and chunk starts small and grows by factors of four
-// (Batch.grow, arena.alloc), pooled or not, so a plan that passes a handful
-// of rows holds a handful of rows' worth of scratch. The pool takes back
+// Every buffer and chunk starts at what it is first asked to hold and grows
+// by factors of four (Batch.grow, arena.alloc), pooled or not, so a plan
+// that passes a handful of rows holds a handful of rows' worth of scratch. The pool takes back
 // only what an execution ends with — the final buffer of each batch, every
 // arena chunk — and hands out the best fit (see get): a hot plan's second run
 // starts at the sizes its first run grew to, and from then on allocates no

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/storage"
 )
@@ -16,12 +17,13 @@ import (
 // retention is bounded.
 func TestMemPoolChunkReuse(t *testing.T) {
 	p := &MemPool{}
-	c := p.get(kindChunk, minArenaChunk, arenaChunkNodes)
-	if got := p.Stats(); got.Reused != 0 || cap(c) != minArenaChunk {
+	const small = 256
+	c := p.get(kindChunk, small, arenaChunkNodes)
+	if got := p.Stats(); got.Reused != 0 || cap(c) != small {
 		t.Fatalf("fresh pool: %d-node chunk, stats %+v", cap(c), got)
 	}
 	p.put(kindChunk, c)
-	c2 := p.get(kindChunk, minArenaChunk, arenaChunkNodes)
+	c2 := p.get(kindChunk, small, arenaChunkNodes)
 	if &c[:1][0] != &c2[:1][0] {
 		t.Fatal("released chunk was not the next one handed out")
 	}
@@ -37,7 +39,7 @@ func TestMemPoolChunkReuse(t *testing.T) {
 	for i := 0; i < memPoolMaxChunks+3; i++ {
 		p.put(kindChunk, make([]storage.SNode, arenaChunkNodes))
 	}
-	want := int64(((memPoolMaxChunks-1)*arenaChunkNodes + minArenaChunk) * int(unsafe.Sizeof(storage.SNode{})))
+	want := int64(((memPoolMaxChunks-1)*arenaChunkNodes + small) * int(unsafe.Sizeof(storage.SNode{})))
 	if got := p.Stats(); got.Chunks != memPoolMaxChunks || got.Bytes != want {
 		t.Fatalf("retained %d chunks / %d bytes, want %d / %d", got.Chunks, got.Bytes, memPoolMaxChunks, want)
 	}
@@ -78,6 +80,61 @@ func TestMemPoolBufSizing(t *testing.T) {
 		t.Fatal("nil pool get under-allocated")
 	}
 	np.put(kindBuf, b)
+}
+
+// TestOneRowExecutionScratch: an unpooled execution that passes one row
+// allocates one row of scratch. The output batch's buffer holds exactly one
+// row, the arena's first chunk exactly its first request (the one-column
+// build row), and each next buffer or chunk four times the last.
+func TestOneRowExecutionScratch(t *testing.T) {
+	db := core.NewDatabase("red")
+	root, err := db.AddElement(db.Document(), "lib", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddElementText(root, "item", "red", "v"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func() Op {
+		return &StructJoin{
+			Anc:  &ScanTag{Color: "red", Tag: "lib"},
+			Desc: &ScanTag{Color: "red", Tag: "item"},
+			Axis: AncestorDescendant,
+		}
+	}
+
+	visits := 0
+	if _, err := execStreamed(&Ctx{S: s}, nil, nil, join(), func(b *Batch) error {
+		visits++
+		if b.Len() != 1 || cap(b.data) != b.Cols() {
+			t.Errorf("output batch: %d rows of %d columns in a %d-node buffer, want one row's width", b.Len(), b.Cols(), cap(b.data))
+		}
+		return nil
+	}); err != nil || visits != 1 {
+		t.Fatalf("execution: %d visits, err %v", visits, err)
+	}
+
+	ctx := &Ctx{S: s}
+	rows, err := drain(ctx, join())
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("drain: %d rows, err %v", len(rows), err)
+	}
+	// The build side copies one 1-column row, then drain the 2-column result.
+	if got := len(ctx.arena.taken); got != 2 || len(ctx.arena.taken[0]) != 1 || len(ctx.arena.taken[1]) != 4 {
+		t.Fatalf("arena chunks: %d, first %d nodes; want 1 then 4", got, len(ctx.arena.taken[0]))
+	}
+
+	var b Batch
+	for i := 0; i < 2; i++ {
+		b.AppendRow(Row{{}, {}, {}})
+	}
+	if cap(b.data) != 12 {
+		t.Fatalf("second 3-column row grew the buffer to %d nodes, want 12", cap(b.data))
+	}
 }
 
 // mempoolTestPlan is a plan with build sides and dedup, so executions use

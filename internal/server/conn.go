@@ -231,26 +231,28 @@ func reqCtx(deadlineMillis uint64) (context.Context, context.CancelFunc) {
 // lifetime.
 const maxKeptPayload = 64 << 10
 
-// writeItemsStream answers a Query or Execute: items in Items frames of at
+// writeItemsStream answers a Query or Execute: rows in Items frames of at
 // most ChunkItems each, the last with More == false. Each frame is encoded
-// straight from the session's result into the connection's payload buffer.
-func (c *conn) writeItemsStream(items []colorful.Item) error {
+// straight from the result — ids, colours and the values' stored bytes —
+// into the connection's payload buffer; no Item or value string is built. A
+// value that cannot be read ends the stream with an Error frame in place of
+// the frame it belonged to.
+func (c *conn) writeItemsStream(rows colorful.Rows) error {
 	defer func() {
 		if cap(c.payload) > maxKeptPayload {
 			c.payload = nil
 		}
 	}()
-	rows := uint64(len(items))
+	n := rows.Len()
+	appendItem := func(node colorful.NodeID, color colorful.Color, value []byte) {
+		c.payload = wire.AppendItem(c.payload, uint64(node), string(color), value)
+	}
 	for off := 0; ; {
-		end := min(off+c.s.opts.ChunkItems, len(items))
-		more := end < len(items)
-		c.payload = wire.AppendItemsHeader(c.payload[:0], rows, more, end-off)
-		for _, it := range items[off:end] {
-			w := wire.Item{Color: string(it.Color), Value: it.Value}
-			if it.Node != nil {
-				w.Node = uint64(it.Node.ID())
-			}
-			c.payload = wire.AppendItem(c.payload, w)
+		end := min(off+c.s.opts.ChunkItems, n)
+		more := end < n
+		c.payload = wire.AppendItemsHeader(c.payload[:0], uint64(n), more, end-off)
+		if err := rows.Each(off, end, appendItem); err != nil {
+			return c.writeError(errCode(err), err.Error())
 		}
 		if err := c.w.WriteFrame(wire.TypeItems, c.payload); err != nil {
 			return err
@@ -269,11 +271,11 @@ func (c *conn) handleQuery(payload []byte) error {
 	}
 	ctx, cancel := reqCtx(q.DeadlineMillis)
 	defer cancel()
-	items, err := c.sess.QueryContext(ctx, q.Src)
+	rows, err := c.sess.QueryRows(ctx, q.Src)
 	if err != nil {
 		return c.writeError(errCode(err), err.Error())
 	}
-	return c.writeItemsStream(items)
+	return c.writeItemsStream(rows)
 }
 
 // maxStmtsPerConn bounds the statements one connection may hold open, so a
@@ -312,11 +314,11 @@ func (c *conn) handleExecute(payload []byte) error {
 	}
 	ctx, cancel := reqCtx(e.DeadlineMillis)
 	defer cancel()
-	items, err := st.QueryContext(ctx)
+	rows, err := st.QueryRows(ctx)
 	if err != nil {
 		return c.writeError(errCode(err), err.Error())
 	}
-	return c.writeItemsStream(items)
+	return c.writeItemsStream(rows)
 }
 
 func (c *conn) handleCloseStmt(payload []byte) error {

@@ -677,3 +677,104 @@ func TestHandshakeRejectsBadClients(t *testing.T) {
 	check("version 1", wire.TypeHello, wire.Hello{Proto: 1, Client: "cursor era"}.Encode())
 	check("future version", wire.TypeHello, wire.Hello{Proto: 99, Client: "time traveler"}.Encode())
 }
+
+// TestRowsOverWireMatchQuery: the server encodes each frame straight from a
+// result's Rows, and what the client decodes is what Query returns in
+// process — node id, colour and value, item for item, in order — on every
+// route a value can take: the snapshot (a leaf output, here spanning five
+// 7-item frames), core (a container and an attribute projection), the
+// evaluator (order by) and a constructor, plus an empty result. One-shot and
+// prepared executions stream the same frames.
+func TestRowsOverWireMatchQuery(t *testing.T) {
+	db, _, addr := startCatalog(t, 30, server.Options{ChunkItems: 7})
+	items, err := db.Query(`document("db")/{red}descendant::item`)
+	if err != nil || len(items) != 30 {
+		t.Fatalf("%d items, %v", len(items), err)
+	}
+	for i, it := range items {
+		if _, err := db.SetAttribute(it.Node, "id", fmt.Sprint("i", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cdb, err := client.OpenOptions(addr, client.Options{PoolSize: 1, IdlePingAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cdb.Close()
+	sess := db.Session()
+	defer sess.Close()
+
+	for _, tc := range []struct {
+		route, text string
+		rows        int
+	}{
+		{"snapshot", `document("db")/{red}descendant::item/{red}child::name`, 30},
+		{"core", `document("db")/{green}descendant::item`, 10},
+		{"core", `for $i in document("db")/{red}descendant::item return $i/{red}attribute::id`, 30},
+		{"evaluator", `for $i in document("db")/{green}descendant::item order by $i/{green}child::votes return $i/{green}child::votes`, 10},
+		{"constructor", `for $i in document("db")/{green}descendant::item return createColor(black, <m>{ string($i/{red}child::name) }</m>)`, 10},
+		{"snapshot", `document("db")/{red}descendant::item[{red}child::name = "no such item"]/{red}child::name`, 0},
+	} {
+		before := sess.Stats()
+		want, err := sess.Query(tc.text)
+		if err != nil {
+			t.Fatalf("in process %s: %v", tc.text, err)
+		}
+		after := sess.Stats()
+		switch tc.route {
+		case "evaluator":
+			if after.Fallbacks == before.Fallbacks {
+				t.Fatalf("%s did not take the evaluator route", tc.text)
+			}
+		case "constructor":
+			if after.Constructors == before.Constructors {
+				t.Fatalf("%s did not take the constructor route", tc.text)
+			}
+		default:
+			ex, err := db.Explain(tc.text)
+			if err != nil || !strings.HasSuffix(ex, "values from "+tc.route+"\n") {
+				t.Fatalf("%s does not read its values from %s: %v\n%s", tc.text, tc.route, err, ex)
+			}
+		}
+		if len(want) != tc.rows {
+			t.Fatalf("%s: %d rows in process, want %d", tc.text, len(want), tc.rows)
+		}
+		st, err := cdb.Prepare(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShot, err := cdb.Query(tc.text)
+		if err != nil {
+			t.Fatalf("over the wire %s: %v", tc.text, err)
+		}
+		prepared, err := st.Query()
+		if err != nil {
+			t.Fatalf("prepared over the wire %s: %v", tc.text, err)
+		}
+		st.Close()
+		for how, got := range map[string][]client.Item{"one-shot": oneShot, "prepared": prepared} {
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d items over the wire, %d in process", how, tc.text, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				var node colorful.NodeID
+				if w.Node != nil {
+					node = w.Node.ID()
+				}
+				if tc.route == "constructor" {
+					// Each run constructs its own nodes: same colour and value,
+					// and an id the database knows.
+					if g.Node == 0 || db.NodeByID(colorful.NodeID(g.Node)) == nil {
+						t.Fatalf("%s %s item %d: constructed node %d is not in the database", how, tc.text, i, g.Node)
+					}
+					node = colorful.NodeID(g.Node)
+				}
+				if colorful.NodeID(g.Node) != node || g.Color != string(w.Color) || g.Value != w.Value {
+					t.Fatalf("%s %s item %d: wire {%d %s %q}, in process {%d %s %q}", how, tc.text, i,
+						g.Node, g.Color, g.Value, node, w.Color, w.Value)
+				}
+			}
+		}
+	}
+}

@@ -180,10 +180,12 @@ func (s *Store) ContentOf(id ElemID) (string, error) {
 	return content, err
 }
 
-// Contents reads the text content of each element of ids, in order, handing
-// set the position and the content. It is ContentOf for a result column:
-// content-only decode, page by page (elements created together sit together).
-func (s *Store) Contents(ids []ElemID, set func(i int, content string)) error {
+// ContentBytes hands visit the text content of each element of ids, in
+// order, as the bytes of the element record in its page: valid only during
+// the call, and never to be modified. It is ContentOf for a result column:
+// content-only decode, page by page (elements created together sit
+// together), nothing copied.
+func (s *Store) ContentBytes(ids []ElemID, visit func(i int, content []byte)) error {
 	var refs [256]uint64
 	for base := 0; base < len(ids); base += len(refs) {
 		n := min(len(refs), len(ids)-base)
@@ -194,7 +196,7 @@ func (s *Store) Contents(ids []ElemID, set func(i int, content string)) error {
 			}
 			refs[j] = ref
 		}
-		err := s.viewRefs(refs[:n], func(j int, rec []byte) { set(base+j, string(elemContent(rec))) })
+		err := s.viewRefs(refs[:n], func(j int, rec []byte) { visit(base+j, elemContent(rec)) })
 		if err != nil {
 			return err
 		}

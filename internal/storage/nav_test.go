@@ -101,8 +101,8 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 			ids, contents = append(ids, sn.Elem), append(contents, content)
 		}
 		got := make([]string, len(ids))
-		if err := s.Contents(ids, func(i int, content string) { got[i] = content }); err != nil || !reflect.DeepEqual(got, contents) {
-			t.Fatalf("{%s} Contents = %v, %v; want %v", c, got, err, contents)
+		if err := s.ContentBytes(ids, func(i int, content []byte) { got[i] = string(content) }); err != nil || !reflect.DeepEqual(got, contents) {
+			t.Fatalf("{%s} ContentBytes = %v, %v; want %v", c, got, err, contents)
 		}
 		inner := map[string]bool{}
 		for _, sn := range all {

@@ -119,9 +119,9 @@ func (x *Executor) BindCompiled(u *Update, st *storage.Store, opt plan.Options) 
 	}
 	db, ext := x.ev.DB, x.ev.ExtEval()
 	var tuples Tuples
-	// Unpooled: a recycled execution works in full-size batch buffers, and
-	// keeping a set of those alive for one-row binds costs more memory than
-	// it saves time.
+	// Unpooled: each plan is compiled for this one call, so nothing would
+	// reuse a pool, and its scratch is sized to the rows it passes — one
+	// tuple's bind allocates one row a buffer.
 	_, err = engine.ExecBatches(context.Background(), st, c.Root, func(b *engine.Batch) error {
 		for i := 0; i < b.Len(); i++ {
 			vars := make(map[string]pathexpr.Sequence, len(c.Cols))

@@ -166,7 +166,7 @@ type Drain struct {
 	Reason string
 }
 
-func appendString(buf []byte, s string) []byte {
+func appendString[S string | []byte](buf []byte, s S) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
@@ -311,7 +311,7 @@ func DecodeQuery(p []byte) (Query, error) {
 func (m Items) Encode() []byte {
 	buf := AppendItemsHeader(nil, m.Rows, m.More, len(m.Items))
 	for _, it := range m.Items {
-		buf = AppendItem(buf, it)
+		buf = AppendItem(buf, it.Node, it.Color, it.Value)
 	}
 	return buf
 }
@@ -325,11 +325,12 @@ func AppendItemsHeader(buf []byte, rows uint64, more bool, count int) []byte {
 	return binary.AppendUvarint(buf, uint64(count))
 }
 
-// AppendItem appends one item of an Items payload.
-func AppendItem(buf []byte, it Item) []byte {
-	buf = binary.AppendUvarint(buf, it.Node)
-	buf = appendString(buf, it.Color)
-	return appendString(buf, it.Value)
+// AppendItem appends one item of an Items payload: an Item's fields, with
+// the value as a string or as the bytes it is stored as.
+func AppendItem[V string | []byte](buf []byte, node uint64, color string, value V) []byte {
+	buf = binary.AppendUvarint(buf, node)
+	buf = appendString(buf, color)
+	return appendString(buf, value)
 }
 
 func DecodeItems(p []byte) (Items, error) {

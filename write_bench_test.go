@@ -2,6 +2,7 @@ package colorfulxml
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -24,7 +25,7 @@ type writeCatalog struct {
 	st *storage.Store
 }
 
-func newWriteCatalog(b *testing.B, items int) *writeCatalog {
+func newWriteCatalog(b testing.TB, items int) *writeCatalog {
 	b.Helper()
 	c := &writeCatalog{Catalog: fixtures.NewCatalog(items)}
 	st, err := storage.Load(c.DB, 0)
@@ -59,36 +60,66 @@ func BenchmarkStoreClone(b *testing.B) {
 
 var tupleSink update.Tuples
 
-// BenchmarkUpdateBind: binding the repository benchmark's vote update (name
-// probe -> parent item -> green votes) to its one tuple, through the compiled
-// plan on the store and through the tree-walking evaluator.
+// voteBind returns the two binds of the repository benchmark's vote update
+// (name probe -> parent item -> green votes) on a catalog of the given size:
+// through the compiled plan on the store, and through the tree-walking
+// evaluator. Each binds one tuple.
+func voteBind(tb testing.TB, items int) (compiled, evaluator func() (update.Tuples, error)) {
+	c := newWriteCatalog(tb, items)
+	k := 3 * (items / 6)
+	u, err := update.Parse(`for $n in document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) +
+		`"], $i in $n/{red}parent::item, $v in $i/{green}child::votes update $i { replace $v with "57" }`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ex := update.NewExecutor(c.DB)
+	opt := plan.Options{Catalog: plan.StoreCatalog{Store: c.st}}
+	return func() (update.Tuples, error) { return ex.BindCompiled(u, c.st, opt) },
+		func() (update.Tuples, error) { return ex.Bind(u) }
+}
+
+// BenchmarkUpdateBind: binding the vote update to its one tuple, by each
+// route.
 func BenchmarkUpdateBind(b *testing.B) {
 	for _, route := range []string{"compiled", "evaluator"} {
 		for _, items := range writeBenchSizes {
 			b.Run(fmt.Sprintf("%s/%d", route, items), func(b *testing.B) {
-				c := newWriteCatalog(b, items)
-				k := 3 * (items / 6)
-				u, err := update.Parse(`for $n in document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) +
-					`"], $i in $n/{red}parent::item, $v in $i/{green}child::votes update $i { replace $v with "57" }`)
-				if err != nil {
-					b.Fatal(err)
+				bind, evaluator := voteBind(b, items)
+				if route == "evaluator" {
+					bind = evaluator
 				}
-				ex := update.NewExecutor(c.DB)
-				opt := plan.Options{Catalog: plan.StoreCatalog{Store: c.st}}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if route == "compiled" {
-						tupleSink, err = ex.BindCompiled(u, c.st, opt)
-					} else {
-						tupleSink, err = ex.Bind(u)
-					}
+					var err error
+					tupleSink, err = bind()
 					if err != nil || len(tupleSink) != 1 {
 						b.Fatalf("%d tuples, err %v", len(tupleSink), err)
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestUpdateBindAllocatesOneRow: a compiled bind runs unpooled, under the
+// writer lock, once per update, so its scratch is what it allocates. Sized
+// to the rows it passes, binding the vote's one tuple costs a few kB (8.1 on
+// a 2-vCPU Xeon); with every batch buffer starting at 32 rows and every arena
+// chunk at 256 nodes it cost 63.
+func TestUpdateBindAllocatesOneRow(t *testing.T) {
+	const runs = 50
+	bind, _ := voteBind(t, 1500)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if tuples, err := bind(); err != nil || len(tuples) != 1 {
+			t.Fatalf("%d tuples, err %v", len(tuples), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > 16<<10 {
+		t.Errorf("a one-tuple bind allocated %d bytes, want at most 16 kB", bytes)
 	}
 }
 

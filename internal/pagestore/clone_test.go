@@ -209,3 +209,48 @@ func TestCloneSharesPooledFrames(t *testing.T) {
 		t.Fatal("c2 still reads the record it deleted")
 	}
 }
+
+// TestDeadPageLeavesTheFile: the last delete on a page drops its image and
+// frame, so a file whose records come and go holds only the pages with live
+// ones. The page appends fill stays, a clone taken before the deletes still
+// reads every record, and the dropped page scans as empty.
+func TestDeadPageLeavesTheFile(t *testing.T) {
+	s, rids := fillStore(t, 3) // pages 0 and 1 full, page 2 the fill target
+	f := rids[0].File
+	frozen := s.Clone()
+	for _, rid := range rids {
+		if rid.Page != 1 {
+			if err := s.DeleteRecord(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, ok := s.files[f].images.Get(0); ok {
+		t.Fatal("dead page 0 kept its image")
+	}
+	if _, ok := s.pool[PageID{File: f, Page: 0}]; ok {
+		t.Fatal("dead page 0 kept its frame")
+	}
+	if _, ok := s.pool[PageID{File: f, Page: 2}]; !ok {
+		t.Fatal("the fill target was dropped")
+	}
+	for _, rid := range rids {
+		if _, err := s.ReadRecord(rid); (rid.Page == 1) != (err == nil) {
+			t.Fatalf("record %v reads with error %v", rid, err)
+		}
+		if _, err := frozen.ReadRecord(rid); err != nil {
+			t.Fatalf("the clone lost record %v: %v", rid, err)
+		}
+	}
+	rid, err := s.AppendRecord(f, []byte("next"))
+	if err != nil || rid.Page != 2 {
+		t.Fatalf("append after the deletes landed at %v, %v; want page 2", rid, err)
+	}
+	n := 0
+	if err := s.Scan(f, func(RecordID, []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 4 {
+		t.Fatalf("scan found %d records, want page 1's three and the new one", n)
+	}
+}

@@ -145,14 +145,25 @@ func (p *Page) Overwrite(slot uint16, rec []byte) error {
 	return nil
 }
 
-// Delete tombstones a slot (space is not reclaimed; heap files are
-// append-mostly in this system).
+// Delete tombstones a slot. Its space is not reclaimed within the page; a
+// page whose every slot is a tombstone is dropped whole (Store.DeleteRecord).
 func (p *Page) Delete(slot uint16) error {
 	if slot >= p.numSlots() {
 		return fmt.Errorf("pagestore: slot %d: %w", slot, ErrNoSuchRecord)
 	}
 	p.setSlotEntry(slot, 0, 0)
 	return nil
+}
+
+// dead reports whether every slot of the page is a tombstone. A record's
+// offset is never 0 (the header comes first), so a live slot has one.
+func (p *Page) dead() bool {
+	for i := range p.numSlots() {
+		if off, _ := p.slotEntry(i); off != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // NumSlots returns the number of slots ever allocated in the page (including
@@ -341,8 +352,8 @@ func (s *Store) Pin(id PageID) (*Page, error) {
 // making room for it) on a miss. A frame read in here is neither pinned nor
 // queued; the caller does one or the other before releasing the lock.
 func (s *Store) frameLocked(id PageID) (*frame, error) {
-	// A pooled page exists (pages are never dropped), so a hit needs no
-	// range check.
+	// A pooled page exists (a dropped page leaves the pool), so a hit needs
+	// no range check.
 	if fr, ok := s.pool[id]; ok {
 		s.stats.Hits++
 		obsPoolHits.Inc()
@@ -542,7 +553,10 @@ func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
 	return s.writableLocked(fr).Overwrite(rid.Slot, rec)
 }
 
-// DeleteRecord tombstones a record.
+// DeleteRecord tombstones a record. A page left with no live record leaves
+// the file's images and the pool and reads as a fresh empty page from then
+// on (the page appends fill is kept), so records that come and go hold no
+// memory once the last one on a page is gone, not until a checkpoint.
 func (s *Store) DeleteRecord(rid RecordID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,7 +565,17 @@ func (s *Store) DeleteRecord(rid RecordID) error {
 		return err
 	}
 	s.touchLocked(fr)
-	return s.writableLocked(fr).Delete(rid.Slot)
+	pg := s.writableLocked(fr)
+	if err := pg.Delete(rid.Slot); err != nil {
+		return err
+	}
+	if meta := &s.files[rid.File]; rid.Page != meta.lastPage && fr.pins == 0 && pg.dead() {
+		s.dequeueLocked(fr)
+		delete(s.pool, rid.PageID)
+		delete(s.dirty, rid.PageID)
+		meta.images.Delete(uint64(rid.Page))
+	}
+	return nil
 }
 
 // Scan iterates every live record of a file in (page, slot) order, calling

@@ -53,11 +53,11 @@ func benchStores(b *testing.B) (*workload.Stores, *workload.Stores) {
 		if benchErr != nil {
 			return
 		}
-		benchTP, benchErr = workload.LoadTPCW(benchTPCWScale, benchSeed, 0)
+		benchTP, benchErr = workload.LoadTPCW(benchTPCWScale, benchSeed)
 		if benchErr != nil {
 			return
 		}
-		benchSG, benchErr = workload.LoadSigmod(benchSigmodScale, benchSeed, 0)
+		benchSG, benchErr = workload.LoadSigmod(benchSigmodScale, benchSeed)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -114,7 +114,7 @@ func BenchmarkTable2Queries(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					// Warm the buffer pool.
+					// One untimed run first, as Table 2 does.
 					res, _, err := workload.Run(c, st.Of(v))
 					if err != nil {
 						b.Fatal(err)
@@ -166,10 +166,10 @@ func BenchmarkTable2Updates(b *testing.B) {
 		}
 	}
 	bench(workload.TPCWUpdates(), func() (*workload.Stores, error) {
-		return workload.LoadTPCW(1, benchSeed, 0)
+		return workload.LoadTPCW(1, benchSeed)
 	})
 	bench(workload.SigmodUpdates(), func() (*workload.Stores, error) {
-		return workload.LoadSigmod(1, benchSeed, 0)
+		return workload.LoadSigmod(1, benchSeed)
 	})
 }
 

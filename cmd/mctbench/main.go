@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mctbench [-table1] [-table2] [-fig11] [-fig12] [-all]
-//	         [-tpcw-scale N] [-sigmod-scale N] [-seed N] [-runs N] [-cold]
+//	         [-tpcw-scale N] [-sigmod-scale N] [-seed N] [-runs N]
 //
 // Performance of the serving stack is measured by the nested bench/ module
 // (BENCHMARK.json), not here.
@@ -32,7 +32,6 @@ func main() {
 		sigmod = flag.Int("sigmod-scale", experiment.DefaultConfig.SigmodScale, "SIGMOD-Record scale factor")
 		seed   = flag.Int64("seed", experiment.DefaultConfig.Seed, "generator seed")
 		runs   = flag.Int("runs", 5, "timed runs per query (5 = paper's trimmed mean)")
-		cold   = flag.Bool("cold", false, "flush the buffer pool before each run (cold cache)")
 	)
 	flag.Parse()
 
@@ -44,7 +43,7 @@ func main() {
 	if !*table1 && !*table2 && !*fig11 && !*fig12 {
 		*all = true
 	}
-	cfg := experiment.Config{TPCWScale: *tpcw, SigmodScale: *sigmod, Seed: *seed, Cold: *cold}
+	cfg := experiment.Config{TPCWScale: *tpcw, SigmodScale: *sigmod, Seed: *seed}
 
 	if *all || *table1 {
 		rows, err := experiment.Table1(cfg)
@@ -60,11 +59,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cache := "warm cache"
-		if *cold {
-			cache = "cold cache"
-		}
-		fmt.Printf("=== Table 2: Query Processing Time (%s) ===\n", cache)
+		fmt.Println("=== Table 2: Query Processing Time (warm cache) ===")
 		fmt.Print(experiment.FormatTable2(res))
 		fmt.Println()
 	}

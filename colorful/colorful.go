@@ -223,14 +223,18 @@ func valueSource(c *plan.Compiled) string {
 	return sourceCore
 }
 
-// coreItems maps element references back to live core nodes under one shared
-// lock, so all returned values come from a single statement-boundary state —
-// the current one, not the snapshot's. Elements deleted since the snapshot
-// was taken contribute no item.
-func (d *DB) coreItems(ids []storage.ElemID, c *plan.Compiled) []Item {
+// coreItems maps element references from the snapshot at generation gen back
+// to core nodes under one shared lock. Core answers for that snapshot only
+// while it is still at gen: if a commit has moved it on, coreItems maps
+// nothing and reports false, and the caller runs the plan again on a current
+// snapshot. So the nodes and their values always come from one generation.
+func (d *DB) coreItems(ids []storage.ElemID, c *plan.Compiled, gen uint64) ([]Item, bool) {
 	color := c.Cols[c.OutCol].Color
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if d.Database.Generation() != gen {
+		return nil, false
+	}
 	out := make([]Item, 0, len(ids))
 	for _, id := range ids {
 		n := d.Database.NodeByID(core.NodeID(id))
@@ -251,7 +255,7 @@ func (d *DB) coreItems(ids []storage.ElemID, c *plan.Compiled) []Item {
 			Value: pathexpr.ItemString(pathexpr.NodeItem(n, color))})
 	}
 	obsValuesCore.Add(uint64(len(out)))
-	return out
+	return out, true
 }
 
 // Path evaluates a single colored path expression with optional variable

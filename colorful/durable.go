@@ -33,8 +33,6 @@ const defaultCheckpointBytes = 4 << 20
 
 // Options configures a durable database directory.
 type Options struct {
-	// PoolPages sizes the recovered store's buffer pool (0: default).
-	PoolPages int
 	// NoSync disables the per-commit fsync. Commits then survive process
 	// crashes (the OS still has the data) but not machine crashes.
 	NoSync bool
@@ -85,7 +83,7 @@ func OpenOptions(dir string, opts Options, colors ...Color) (*DB, error) {
 		retry = *opts.Retry
 	}
 	dur, st, stats, err := storage.OpenDurable(dir, storage.DurableOptions{
-		FS: opts.FS, PoolPages: opts.PoolPages, Sync: policy, Retry: retry,
+		FS: opts.FS, Sync: policy, Retry: retry,
 	})
 	if err != nil {
 		return nil, err
@@ -337,7 +335,7 @@ func (d *DB) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("colorful: checkpoint: %w", err)
 	}
-	st, err := storage.Load(d.Database, d.durOpts.PoolPages)
+	st, err := storage.Load(d.Database, 0)
 	if err != nil {
 		return fmt.Errorf("colorful: checkpoint: %w", err)
 	}

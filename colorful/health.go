@@ -262,7 +262,7 @@ func (d *DB) heal() bool {
 	}
 	// Degraded mode rejected every mutation, so the current core state IS
 	// the committed state; image it and reseal.
-	st, err := storage.Load(d.Database, d.durOpts.PoolPages)
+	st, err := storage.Load(d.Database, 0)
 	if err != nil {
 		return false
 	}

@@ -16,7 +16,7 @@ import (
 
 func main() {
 	fmt.Println("generating TPC-W at scale 2 (three representations) ...")
-	st, err := workload.LoadTPCW(2, 1, 0)
+	st, err := workload.LoadTPCW(2, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func main() {
 		var results int
 		var mctMetrics, shMetrics string
 		for i, v := range workload.Variants {
-			// Warm the buffer pool, then time.
+			// One untimed run, then time.
 			if _, _, err := workload.RunQuery(q, st, v); err != nil {
 				log.Fatalf("%s/%s: %v", q.ID, v, err)
 			}

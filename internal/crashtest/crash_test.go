@@ -59,7 +59,7 @@ func (f nosyncFile) Sync() error { return nil }
 // turns on the invariant sweep: every open validates the recovered state and
 // every incremental snapshot apply re-audits the core database.
 func harnessOpts(fs vfs.FS) colorful.Options {
-	return colorful.Options{FS: fs, PoolPages: 32, CheckpointBytes: 4096, ValidateInvariants: true}
+	return colorful.Options{FS: fs, CheckpointBytes: 4096, ValidateInvariants: true}
 }
 
 // runWorkload feeds w to a durable database over fs until a statement fails

@@ -102,7 +102,7 @@ func (b *Batch) appendNode(sn storage.SNode) { b.appendSlot(1)[0] = sn }
 
 // fillStructs resolves structural record refs of color c straight into the
 // batch as single-column rows — a scan's whole NextBatch: no per-row call,
-// one pool access per page of records (storage.StructsByRef) — until the
+// one page lookup per page of records (storage.StructsByRef) — until the
 // batch is full, and returns how many refs it consumed.
 func (b *Batch) fillStructs(s *storage.Store, refs []uint64, c core.Color) (int, error) {
 	n := min(len(refs), BatchSize-b.n)

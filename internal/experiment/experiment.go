@@ -23,11 +23,6 @@ type Config struct {
 	TPCWScale   int
 	SigmodScale int
 	Seed        int64
-	PoolPages   int // 0 = the paper's 256 MB
-	// Cold flushes the buffer pool before every timed run (the paper's
-	// cold-cache configuration; it reports warm-cache numbers because "the
-	// differences stand out more").
-	Cold bool
 }
 
 // DefaultConfig is used by the CLI and benchmarks unless overridden.
@@ -47,11 +42,11 @@ type Table1Row struct {
 
 // Table1 loads all six stores and reports the storage accounting.
 func Table1(cfg Config) ([]Table1Row, error) {
-	tp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed, cfg.PoolPages)
+	tp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed, cfg.PoolPages)
+	sg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -152,10 +147,9 @@ func trimmedMean(runs int, fn func() error) (float64, error) {
 }
 
 // RunQueries measures every query of the given set on its compiled plans,
-// each compiled once and run as a prepared statement — warm cache by default
-// (the paper's reported configuration: a first execution populates the
-// buffer pool), or flushing all buffers before each run when cold is true.
-func RunQueries(qs []*workload.Query, st *workload.Stores, runs int, cold bool) ([]Table2Row, error) {
+// each compiled once and run as a prepared statement after one untimed run —
+// the paper's reported warm-cache configuration.
+func RunQueries(qs []*workload.Query, st *workload.Stores, runs int) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, q := range qs {
 		row := Table2Row{ID: q.ID, Colors: q.Colors, Trees: q.Trees}
@@ -166,15 +160,12 @@ func RunQueries(qs []*workload.Query, st *workload.Stores, runs int, cold bool) 
 				return nil, fmt.Errorf("%s/%s: %w", q.ID, v, err)
 			}
 			s := st.Of(v)
-			// Warm the cache with one untimed run.
+			// One untimed run, as the paper's warm-cache runs had.
 			res, _, err := workload.Run(c, s)
 			if err != nil {
 				return nil, err
 			}
 			t, err := trimmedMean(runs, func() error {
-				if cold {
-					s.Pages().FlushAll()
-				}
 				_, _, err := workload.Run(c, s)
 				return err
 			})
@@ -245,34 +236,34 @@ func RunUpdates(us []*workload.UpdateSpec, mkStores func() (*workload.Stores, er
 
 // Table2 runs the whole workload.
 func Table2(cfg Config, runs int) (*Table2Result, error) {
-	tp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed, cfg.PoolPages)
+	tp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed, cfg.PoolPages)
+	sg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Table2Row
-	qrows, err := RunQueries(workload.TPCWQueries(), tp, runs, cfg.Cold)
+	qrows, err := RunQueries(workload.TPCWQueries(), tp, runs)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, qrows...)
 	urows, err := RunUpdates(workload.TPCWUpdates(), func() (*workload.Stores, error) {
-		return workload.LoadTPCW(cfg.TPCWScale, cfg.Seed, cfg.PoolPages)
+		return workload.LoadTPCW(cfg.TPCWScale, cfg.Seed)
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, urows...)
-	srows, err := RunQueries(workload.SigmodQueries(), sg, runs, cfg.Cold)
+	srows, err := RunQueries(workload.SigmodQueries(), sg, runs)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, srows...)
 	surows, err := RunUpdates(workload.SigmodUpdates(), func() (*workload.Stores, error) {
-		return workload.LoadSigmod(cfg.SigmodScale, cfg.Seed, cfg.PoolPages)
+		return workload.LoadSigmod(cfg.SigmodScale, cfg.Seed)
 	})
 	if err != nil {
 		return nil, err

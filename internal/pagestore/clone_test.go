@@ -3,14 +3,15 @@ package pagestore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestCloneSnapshotIsolation: records written through a clone are invisible
-// to the original and vice versa, including pages that were resident in the
-// original's buffer pool at clone time.
+// to the original and vice versa, including pages the original wrote in the
+// generation the clone ended.
 func TestCloneSnapshotIsolation(t *testing.T) {
-	s := NewStore(4) // tiny pool: some pages live on "disk", some in frames
+	s := NewStore(0)
 	f := s.CreateFile()
 	var rids []RecordID
 	for i := 0; i < 200; i++ {
@@ -79,51 +80,96 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestCloneConcurrentReaders: frozen original serves readers while the
-// clone absorbs writes (meaningful under -race).
+// TestCloneConcurrentReaders: readers read the published store through
+// ViewRecord, ViewPage and Scan, taking no lock, while the writer clones it
+// again and again, writes each clone and publishes it — refreshHoldingMu's
+// pattern (meaningful under -race).
 func TestCloneConcurrentReaders(t *testing.T) {
-	s := NewStore(8)
+	const n, gens = 300, 200
+	s := NewStore(0)
 	f := s.CreateFile()
 	var rids []RecordID
-	for i := 0; i < 300; i++ {
+	for i := 0; i < n; i++ {
 		rid, err := s.AppendRecord(f, []byte(fmt.Sprintf("rec-%04d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rids = append(rids, rid)
 	}
-	cl := s.Clone()
-
+	var published atomic.Pointer[Store]
+	published.Store(s)
+	// Every record a reader sees is eight bytes: an original or a
+	// generation's overwrite.
+	valid := func(rec []byte) bool {
+		return len(rec) == 8 && (string(rec[:4]) == "rec-" || rec[0] == 'g')
+	}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
-			for n := 0; n < 100; n++ {
-				i := n % len(rids)
-				got, err := s.ReadRecord(rids[i])
-				if err != nil {
+			for k := r; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := published.Load()
+				rid := rids[k%n]
+				var viewed, paged []byte
+				if err := st.ViewRecord(rid, func(rec []byte) { viewed = append(viewed[:0], rec...) }); err != nil {
 					t.Error(err)
 					return
 				}
-				if want := fmt.Sprintf("rec-%04d", i); string(got) != want {
-					t.Errorf("read %q, want %q", got, want)
+				if err := st.ViewPage(rid.PageID, func(p *Page) {
+					rec, _ := p.Record(rid.Slot)
+					paged = append(paged[:0], rec...)
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if !valid(viewed) || string(viewed) != string(paged) {
+					t.Errorf("record %d: ViewRecord %q, ViewPage %q", k%n, viewed, paged)
+					return
+				}
+				live := 0
+				if err := st.Scan(f, func(_ RecordID, rec []byte) bool {
+					live++
+					return valid(rec)
+				}); err != nil || live != n {
+					t.Errorf("scan of a published store: %d records, %v", live, err)
 					return
 				}
 			}
-		}()
+		}(r)
 	}
-	for i := range rids {
-		if err := cl.OverwriteRecord(rids[i], []byte("mutated!")); err != nil {
-			t.Error(err)
-			break
+	for g := 1; g <= gens; g++ {
+		next := published.Load().Clone()
+		if err := next.OverwriteRecord(rids[g%n], []byte(fmt.Sprintf("g%07d", g))); err != nil {
+			t.Fatal(err)
+		}
+		extra, err := next.AppendRecord(f, []byte("appended"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := next.DeleteRecord(extra); err != nil {
+			t.Fatal(err)
+		}
+		published.Store(next)
+	}
+	close(stop)
+	wg.Wait()
+	for i, rid := range rids {
+		got, err := s.ReadRecord(rid)
+		if want := fmt.Sprintf("rec-%04d", i); err != nil || string(got) != want {
+			t.Fatalf("the first store's record %d reads %q, %v after %d generations; want %q", i, got, err, gens, want)
 		}
 	}
-	wg.Wait()
 }
 
-// fillStore appends enough records to span the given number of pages, all of
-// which stay pooled (the default pool is far larger).
+// fillStore appends enough records to span the given number of pages, three
+// records to a page.
 func fillStore(t *testing.T, pages int) (*Store, []RecordID) {
 	t.Helper()
 	s := NewStore(0)
@@ -168,9 +214,9 @@ func TestCloneCostsThePagesWritten(t *testing.T) {
 	}
 }
 
-// TestCloneSharesPooledFrames: with every page resident in the original's
-// pool, original and clone each keep reading their own version of a page the
-// other one overwrote, across two generations of clones.
+// TestCloneSharesPooledFrames: original and clone each keep reading their own
+// version of a page the other one overwrote, across two generations of
+// clones, including pages written in the generation a clone ended.
 func TestCloneSharesPooledFrames(t *testing.T) {
 	s, rids := fillStore(t, 6)
 	want := func(st *Store, name string, i int, text string) {
@@ -210,12 +256,13 @@ func TestCloneSharesPooledFrames(t *testing.T) {
 	}
 }
 
-// TestDeadPageLeavesTheFile: the last delete on a page drops its image and
-// frame, so a file whose records come and go holds only the pages with live
-// ones. The page appends fill stays, a clone taken before the deletes still
-// reads every record, and the dropped page scans as empty.
+// TestDeadPageLeavesTheFile: the last delete on a page drops its image, so a
+// file whose records come and go holds only the pages with live ones. The
+// page appends fill stays, a clone taken before the deletes still reads every
+// record, and a dropped page scans as empty without being read into memory:
+// scanning a fresh clone allocates nothing.
 func TestDeadPageLeavesTheFile(t *testing.T) {
-	s, rids := fillStore(t, 3) // pages 0 and 1 full, page 2 the fill target
+	s, rids := fillStore(t, 12) // pages 0 to 10 full, page 11 the fill target
 	f := rids[0].File
 	frozen := s.Clone()
 	for _, rid := range rids {
@@ -225,14 +272,10 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := s.files[f].images.Get(0); ok {
-		t.Fatal("dead page 0 kept its image")
-	}
-	if _, ok := s.pool[PageID{File: f, Page: 0}]; ok {
-		t.Fatal("dead page 0 kept its frame")
-	}
-	if _, ok := s.pool[PageID{File: f, Page: 2}]; !ok {
-		t.Fatal("the fill target was dropped")
+	for p := uint64(0); p < 12; p++ {
+		if _, ok := s.files[f].images.Get(p); ok != (p == 1 || p == 11) {
+			t.Fatalf("page %d has an image: %v; want only page 1 and the fill target", p, ok)
+		}
 	}
 	for _, rid := range rids {
 		if _, err := s.ReadRecord(rid); (rid.Page == 1) != (err == nil) {
@@ -242,11 +285,24 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 			t.Fatalf("the clone lost record %v: %v", rid, err)
 		}
 	}
-	rid, err := s.AppendRecord(f, []byte("next"))
-	if err != nil || rid.Page != 2 {
-		t.Fatalf("append after the deletes landed at %v, %v; want page 2", rid, err)
+	clones := make([]*Store, 11) // AllocsPerRun's warm-up run and ten more
+	for i := range clones {
+		clones[i] = s.Clone()
 	}
 	n := 0
+	if a := testing.AllocsPerRun(len(clones)-1, func() {
+		if err := clones[0].Scan(f, func(RecordID, []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		clones = clones[1:]
+	}); a != 0 || n != 3*11 {
+		t.Fatalf("scanning a fresh clone with 10 dropped pages: %v allocations, %d records; want 0 and page 1's three per scan", a, n)
+	}
+	rid, err := s.AppendRecord(f, []byte("next"))
+	if err != nil || rid.Page != 11 {
+		t.Fatalf("append after the deletes landed at %v, %v; want page 11", rid, err)
+	}
+	n = 0
 	if err := s.Scan(f, func(RecordID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}

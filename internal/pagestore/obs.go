@@ -2,11 +2,8 @@ package pagestore
 
 import "colorfulxml/internal/obs"
 
-// Pagestore instruments: buffer-pool effectiveness. A "page read" is a pool
-// miss that fetches the page image from the backing store; hits are served
-// from the pool. Both are recorded under the pool mutex already held by Pin,
-// so the atomic add is noise next to the map lookup it accompanies.
-var (
-	obsPoolHits  = obs.NewCounter("pagestore_pool_hits_total")
-	obsPageReads = obs.NewCounter("pagestore_page_reads_total")
-)
+// Pagestore instruments. A page copy is a page image copied on its first
+// write in a generation (Store.writable): the copy-on-write cost a commit
+// pays per page it touches. Recorded on the writer path only; reads count
+// nothing.
+var obsPagesCopied = obs.NewCounter("pagestore_pages_copied_total")

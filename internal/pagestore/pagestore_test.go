@@ -83,7 +83,7 @@ func TestPageOverwriteAndDelete(t *testing.T) {
 }
 
 func TestStoreAppendAndScan(t *testing.T) {
-	s := NewStore(16)
+	s := NewStore(0)
 	f := s.CreateFile()
 	var want []string
 	for i := 0; i < 5000; i++ {
@@ -115,7 +115,7 @@ func TestStoreAppendAndScan(t *testing.T) {
 }
 
 func TestStoreReadWriteDelete(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore(0)
 	f := s.CreateFile()
 	rid, err := s.AppendRecord(f, []byte("payload"))
 	if err != nil {
@@ -147,16 +147,24 @@ func TestStoreReadWriteDelete(t *testing.T) {
 }
 
 func TestStoreErrors(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(0)
 	if _, err := s.AppendRecord(99, []byte("x")); err == nil {
 		t.Fatal("append to missing file should fail")
 	}
-	if _, err := s.Pin(PageID{File: 99}); err == nil {
-		t.Fatal("pin of missing file should fail")
+	noView := func(*Page) { t.Fatal("viewed a page that is not there") }
+	if err := s.ViewPage(PageID{File: 99}, noView); err == nil {
+		t.Fatal("view of missing file should fail")
 	}
 	f := s.CreateFile()
-	if _, err := s.Pin(PageID{File: f, Page: 0}); err == nil {
-		t.Fatal("pin of out-of-range page should fail")
+	if err := s.ViewPage(PageID{File: f, Page: 0}, noView); err == nil {
+		t.Fatal("view of out-of-range page should fail")
+	}
+	rid, err := s.AppendRecord(f, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ViewRecord(RecordID{PageID: rid.PageID, Slot: 9}, func([]byte) { t.Fatal("called for a missing slot") }); err == nil {
+		t.Fatal("a missing slot should fail")
 	}
 	big := make([]byte, PageSize)
 	if _, err := s.AppendRecord(f, big); err == nil {
@@ -167,98 +175,10 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
-func TestBufferPoolEvictionAndStats(t *testing.T) {
-	s := NewStore(4)
-	f := s.CreateFile()
-	// Create 10 pages worth of data.
-	rec := make([]byte, 4000) // two records per page
-	for i := 0; i < 20; i++ {
-		if _, err := s.AppendRecord(f, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, _ := s.NumPages(f)
-	if n != 10 {
-		t.Fatalf("pages = %d, want 10", n)
-	}
-	s.ResetStats()
-	// Sequential scan through a 4-page pool: every page is a miss.
-	_ = s.Scan(f, func(RecordID, []byte) bool { return true })
-	st := s.Stats()
-	if st.Misses != 10 {
-		t.Fatalf("misses = %d, want 10", st.Misses)
-	}
-	// Re-scan: the last pages are hot but early ones were evicted.
-	_ = s.Scan(f, func(RecordID, []byte) bool { return true })
-	st = s.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions with a 4-page pool")
-	}
-	// A pool large enough turns the second scan into all hits.
-	s2 := NewStore(64)
-	f2 := s2.CreateFile()
-	for i := 0; i < 20; i++ {
-		if _, err := s2.AppendRecord(f2, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s2.ResetStats()
-	_ = s2.Scan(f2, func(RecordID, []byte) bool { return true })
-	first := s2.Stats()
-	_ = s2.Scan(f2, func(RecordID, []byte) bool { return true })
-	second := s2.Stats()
-	if second.Misses != first.Misses {
-		t.Fatalf("warm scan should not miss: %d -> %d", first.Misses, second.Misses)
-	}
-	if second.Hits <= first.Hits {
-		t.Fatal("warm scan should hit")
-	}
-}
-
-func TestEvictionPersistsData(t *testing.T) {
-	s := NewStore(2) // tiny pool forces eviction
-	f := s.CreateFile()
-	var rids []RecordID
-	for i := 0; i < 50; i++ {
-		rec := []byte(fmt.Sprintf("%04d-%s", i, string(make([]byte, 500))))
-		rid, err := s.AppendRecord(f, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	for i, rid := range rids {
-		got, err := s.ReadRecord(rid)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if string(got[:4]) != fmt.Sprintf("%04d", i) {
-			t.Fatalf("record %d corrupted: %q", i, got[:4])
-		}
-	}
-}
-
-func TestFlushAllSimulatesColdCache(t *testing.T) {
-	s := NewStore(64)
-	f := s.CreateFile()
-	for i := 0; i < 10; i++ {
-		if _, err := s.AppendRecord(f, make([]byte, 4000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = s.Scan(f, func(RecordID, []byte) bool { return true }) // warm up
-	s.FlushAll()
-	s.ResetStats()
-	_ = s.Scan(f, func(RecordID, []byte) bool { return true })
-	if st := s.Stats(); st.Misses == 0 {
-		t.Fatal("scan after FlushAll should miss")
-	}
-}
-
 func TestQuickRandomRecordsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(3)
+		s := NewStore(0)
 		file := s.CreateFile()
 		type kv struct {
 			rid RecordID
@@ -292,7 +212,7 @@ func TestQuickRandomRecordsRoundTrip(t *testing.T) {
 // entry used to report zero free bytes, which an empty record "fits" — its
 // slot entry then overwrote the tail of the last record on the page.
 func TestEmptyRecordStaysOffFullPage(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(0)
 	f := s.CreateFile()
 	// 81 records of 96 bytes leave the page 88 bytes short of an 82nd; the
 	// 84-byte record then leaves it exactly full: no byte and no slot left.
@@ -325,60 +245,10 @@ func TestEmptyRecordStaysOffFullPage(t *testing.T) {
 	}
 }
 
-// TestViewRecordCountsAndAgesLikeAPin: a view is one pool access, it makes
-// its page the most recently used, and it leaves nothing pinned.
-func TestViewRecordCountsAndAgesLikeAPin(t *testing.T) {
-	s := NewStore(2)
-	f := s.CreateFile()
-	var rids []RecordID
-	for i := 0; i < 3; i++ {
-		rid, err := s.AppendRecord(f, bytes.Repeat([]byte{byte('a' + i)}, 5000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	view := func(rid RecordID) (first byte) {
-		t.Helper()
-		if err := s.ViewRecord(rid, func(rec []byte) { first = rec[0] }); err != nil {
-			t.Fatal(err)
-		}
-		return first
-	}
-	// Pages 1 and 2 are pooled (capacity 2). Touch 1, then fault in 0: page 2
-	// is the least recently used and must be the one evicted.
-	s.ResetStats()
-	if view(rids[1]) != 'b' || view(rids[0]) != 'a' {
-		t.Fatal("wrong bytes")
-	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Evictions != 1 {
-		t.Fatalf("stats after a hit and a miss: %+v", st)
-	}
-	s.ResetStats()
-	if view(rids[1]) != 'b' {
-		t.Fatal("wrong bytes")
-	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("the touched page was evicted instead of the idle one: %+v", st)
-	}
-	if err := s.ViewRecord(RecordID{PageID: rids[0].PageID, Slot: 9}, func([]byte) { t.Fatal("called for a missing slot") }); err == nil {
-		t.Fatal("a missing slot should fail")
-	}
-	// Nothing stays pinned: with every frame evictable, any page can come in.
-	s.FlushAll()
-	s.ResetStats()
-	for _, rid := range rids {
-		view(rid)
-	}
-	if st := s.Stats(); st.Misses != 3 {
-		t.Fatalf("after FlushAll every view should miss: %+v", st)
-	}
-}
-
-// TestRecordReadsDoNotAllocate: the decode-and-drop readers (ViewRecord) and
-// the pin cycle itself allocate nothing on a pooled page.
+// TestRecordReadsDoNotAllocate: the decode-and-drop readers (ViewRecord,
+// ViewPage) allocate nothing.
 func TestRecordReadsDoNotAllocate(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(0)
 	rid, err := s.AppendRecord(s.CreateFile(), []byte("record"))
 	if err != nil {
 		t.Fatal(err)
@@ -388,11 +258,10 @@ func TestRecordReadsDoNotAllocate(t *testing.T) {
 		if err := s.ViewRecord(rid, func(rec []byte) { n += len(rec) }); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Pin(rid.PageID); err != nil {
+		if err := s.ViewPage(rid.PageID, func(p *Page) { n += p.NumSlots() }); err != nil {
 			t.Fatal(err)
 		}
-		s.Unpin(rid.PageID)
 	}); a != 0 {
-		t.Fatalf("a view and a pin/unpin allocate %v times", a)
+		t.Fatalf("a record view and a page view allocate %v times", a)
 	}
 }

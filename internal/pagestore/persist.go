@@ -35,12 +35,9 @@ var pageCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrChecksum = errors.New("pagestore: checksum mismatch")
 
 // DumpPages writes every page of every heap file to w in the checkpoint
-// format. The receiver must be quiescent (a frozen snapshot): DumpPages
-// reads page images without pinning.
+// format. The receiver must not be written meanwhile (a frozen snapshot is
+// the usual case); a page with no image is dumped as an empty page.
 func (s *Store) DumpPages(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	bw := bufio.NewWriterSize(w, 1<<16)
 	sum := crc32.New(pageCastagnoli)
 	out := io.MultiWriter(bw, sum)
@@ -82,7 +79,11 @@ func (s *Store) DumpPages(w io.Writer) error {
 		meta := s.files[id]
 		for p := uint32(0); p < meta.pages; p++ {
 			pid := PageID{File: id, Page: p}
-			img := s.pageImageLocked(pid)
+			pg, err := s.page(pid)
+			if err != nil {
+				return err
+			}
+			img := pg.Data[:]
 			if err := put(uint32(pid.File)); err != nil {
 				return err
 			}
@@ -105,22 +106,10 @@ func (s *Store) DumpPages(w io.Writer) error {
 	return bw.Flush()
 }
 
-// pageImageLocked returns the current image of a page: the pooled frame if
-// resident, the disk layer otherwise, or a zero page if never written.
-func (s *Store) pageImageLocked(id PageID) []byte {
-	if fr, ok := s.pool[id]; ok {
-		return fr.page.Data[:]
-	}
-	if img, ok := s.files[id.File].images.Get(uint64(id.Page)); ok {
-		return img.Data[:]
-	}
-	return make([]byte, PageSize)
-}
-
 // ReadStore reconstructs a Store from a page dump, verifying every page
-// checksum. poolPages sizes the new buffer pool (0: default). Any mismatch
-// is reported with the damaged page's identity and wraps ErrChecksum.
-func ReadStore(r io.Reader, poolPages int) (*Store, error) {
+// checksum. Any mismatch is reported with the damaged page's identity and
+// wraps ErrChecksum.
+func ReadStore(r io.Reader) (*Store, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	sum := crc32.New(pageCastagnoli)
 	in := io.TeeReader(br, sum)
@@ -157,8 +146,7 @@ func ReadStore(r io.Reader, poolPages int) (*Store, error) {
 	if nFiles > 1<<20 || nextFile > 1<<20 {
 		return nil, fmt.Errorf("pagestore: implausible file count %d (next id %d)", nFiles, nextFile)
 	}
-	s := NewStore(poolPages)
-	s.files = make([]fileMeta, nextFile)
+	s := &Store{files: make([]fileMeta, nextFile)}
 	type fileEnt struct {
 		id    FileID
 		pages uint32
@@ -195,7 +183,7 @@ func ReadStore(r io.Reader, poolPages int) (*Store, error) {
 			return nil, err
 		}
 		id := PageID{File: FileID(fid), Page: pno}
-		meta := s.fileLocked(id.File)
+		meta := s.file(id.File)
 		if meta == nil || id.Page >= meta.pages {
 			return nil, fmt.Errorf("pagestore: page dump names unknown page %v", id)
 		}

@@ -10,7 +10,7 @@ import (
 
 func buildPersistStore(t *testing.T) (*Store, FileID, []RecordID) {
 	t.Helper()
-	s := NewStore(8) // tiny pool to force eviction traffic
+	s := NewStore(0)
 	f := s.CreateFile()
 	var rids []RecordID
 	for i := 0; i < 500; i++ {
@@ -31,7 +31,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	if err := s.DumpPages(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReadStore(bytes.NewReader(buf.Bytes()), 8)
+	r, err := ReadStore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestLoadDetectsPageCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip a byte inside a page image (past the header + file table region).
 	data[len(data)/2] ^= 0x40
-	_, err := ReadStore(bytes.NewReader(data), 0)
+	_, err := ReadStore(bytes.NewReader(data))
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("got %v, want ErrChecksum", err)
 	}
@@ -84,7 +84,7 @@ func TestLoadDetectsTruncation(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{len(data) - 1, len(data) - PageSize, len(data) / 2, 7, 0} {
-		if _, err := ReadStore(bytes.NewReader(data[:cut]), 0); err == nil {
+		if _, err := ReadStore(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("cut at %d accepted", cut)
 		}
 	}

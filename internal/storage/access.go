@@ -9,7 +9,7 @@ import (
 	"colorfulxml/internal/pagestore"
 )
 
-// readStructRef reads a structural record through the buffer pool.
+// readStructRef reads a structural record from its page.
 func (s *Store) readStructRef(ref uint64, c core.Color) (SNode, error) {
 	return s.readStruct(unpackRID(ref), c)
 }
@@ -24,7 +24,7 @@ func (s *Store) readStruct(rid pagestore.RecordID, c core.Color) (SNode, error) 
 // viewRefs calls visit with the record at each packed ref, in order. A page
 // is held across the consecutive refs that lie on it — posting lists are in
 // start order and a bulk load writes records in that order, so a scan costs
-// one pool access per page, not per record. rec is valid only during the call.
+// one page lookup per page, not per record. rec is valid only during the call.
 func (s *Store) viewRefs(refs []uint64, visit func(i int, rec []byte)) error {
 	i := 0
 	for i < len(refs) {
@@ -78,7 +78,7 @@ func (s *Store) ContentRefs(c core.Color, tag, value string) []uint64 {
 }
 
 // StructByRef resolves one packed structural record ref (from TagRefs or
-// ContentRefs) through the buffer pool.
+// ContentRefs).
 func (s *Store) StructByRef(ref uint64, c core.Color) (SNode, error) {
 	return s.readStructRef(ref, c)
 }
@@ -122,7 +122,7 @@ func (e ElemInfo) Attr(name string) string {
 	return ""
 }
 
-// Elem reads an element record through the buffer pool.
+// Elem reads an element record.
 func (s *Store) Elem(id ElemID) (ElemInfo, error) {
 	rid, ok := s.elemRID(id)
 	if !ok {

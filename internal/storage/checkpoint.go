@@ -80,7 +80,7 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 // ReadCheckpoint deserializes a checkpoint, verifying the metadata checksum
 // and every page checksum, then rebuilds the in-memory directories and
 // indexes by scanning the recovered heap files.
-func ReadCheckpoint(r io.Reader, poolPages int) (*Store, error) {
+func ReadCheckpoint(r io.Reader) (*Store, error) {
 	sw := obs.Start()
 	defer func() {
 		obsCheckpointLoads.Inc()
@@ -156,7 +156,7 @@ func ReadCheckpoint(r io.Reader, poolPages int) (*Store, error) {
 		colorFiles[i] = colorFile{c: core.Color(name), f: pagestore.FileID(f)}
 	}
 
-	pages, err := pagestore.ReadStore(r, poolPages)
+	pages, err := pagestore.ReadStore(r)
 	if err != nil {
 		return nil, err
 	}

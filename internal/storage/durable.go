@@ -61,8 +61,6 @@ func parseNumbered(name, prefix, suffix string) (uint64, bool) {
 type DurableOptions struct {
 	// FS is the filesystem to operate on; nil means the real OS filesystem.
 	FS vfs.FS
-	// PoolPages sizes the recovered store's buffer pool (0: default).
-	PoolPages int
 	// Sync is the WAL fsync policy. The default (SyncAlways) makes every
 	// acknowledged commit crash-durable.
 	Sync wal.SyncPolicy
@@ -106,7 +104,6 @@ type Durable struct {
 	dir    string
 	policy wal.SyncPolicy
 	retry  vfs.RetryPolicy
-	pool   int
 
 	mu  sync.Mutex // guards w and seg; the wal.Writer is not safe for concurrent use
 	w   *wal.Writer
@@ -155,7 +152,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 	var st *Store
 	ckpt := vfs.Join(dir, ckptFile(epoch))
 	if data, err := fs.ReadFile(ckpt); err == nil {
-		st, err = ReadCheckpoint(bytes.NewReader(data), opts.PoolPages)
+		st, err = ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return fail(fmt.Errorf("storage: %s: %w", ckpt, err))
 		}
@@ -165,7 +162,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 	} else if manifestSeen && epoch != 1 {
 		return fail(fmt.Errorf("storage: %s names epoch %d but %s is missing", manifestName, epoch, ckptFile(epoch)))
 	} else {
-		st = NewStore(opts.PoolPages)
+		st = NewStore()
 	}
 
 	// Inventory the directory: live segments (>= epoch) to replay, and
@@ -280,7 +277,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 		dir:    dir,
 		policy: opts.Sync,
 		retry:  opts.Retry,
-		pool:   opts.PoolPages,
 		w:      w,
 		seg:    newSeg,
 	}

@@ -131,7 +131,7 @@ func (s *Store) CheckInvariants() error {
 // insert as a delta it cannot absorb, which sends the caller to a full Load —
 // and that re-packs the positions.
 func TestPositionSpaceExhausted(t *testing.T) {
-	s := NewStore(0, "red")
+	s := NewStore("red")
 	doc, _ := s.Document("red")
 	root, err := s.InsertLeafChild(doc, "a", "", nil)
 	if err != nil {

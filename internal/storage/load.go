@@ -12,8 +12,11 @@ import (
 // structural records per (element, color) in pre-order — so tag-index
 // postings come out sorted by start position, as the structural join
 // algorithms require.
-func Load(db *core.Database, poolPages int) (*Store, error) {
-	s := NewStore(poolPages, db.Colors()...)
+//
+// The int argument is ignored; it is kept only for the nested bench module's
+// callers, and goes with ROADMAP item 6.
+func Load(db *core.Database, _ int) (*Store, error) {
+	s := NewStore(db.Colors()...)
 	type rec struct {
 		node      *core.Node
 		parentTag string

@@ -199,7 +199,7 @@ func TestInsertsAgainstLoad(t *testing.T) {
 				if err := st.WriteCheckpoint(&image); err != nil {
 					t.Fatal(err)
 				}
-				reloaded, err := storage.ReadCheckpoint(&image, 0)
+				reloaded, err := storage.ReadCheckpoint(&image)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -225,7 +225,7 @@ func TestNavigationUnderUpdates(t *testing.T) {
 				if err := s.WriteCheckpoint(&image); err != nil {
 					t.Fatal(err)
 				}
-				reloaded, err := storage.ReadCheckpoint(&image, 0)
+				reloaded, err := storage.ReadCheckpoint(&image)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -144,7 +144,7 @@ func (d *Durable) scrubFile(name string) (int64, *ScrubCorruption, error) {
 // torn tail allowed.
 func verifyImage(name string, data []byte) error {
 	if _, ok := parseNumbered(name, "checkpoint-", ".ckpt"); ok {
-		_, err := ReadCheckpoint(bytes.NewReader(data), 0)
+		_, err := ReadCheckpoint(bytes.NewReader(data))
 		return err
 	}
 	_, err := wal.ReadSegment(data, name, false)

@@ -10,9 +10,9 @@
 //     of its single-colored structural nodes, which the cross-tree join
 //     access method follows to transition between colors.
 //
-// All record access goes through the pagestore buffer pool, so structural
-// scans, content fetches and cross-tree joins have observable page costs.
-// Tag, content and attribute B+-tree indexes support the experiment
+// All records live in pagestore's 8 KB slotted pages, so structural scans,
+// content fetches and cross-tree joins read records clustered the way a
+// paged store clusters them. Tag, content and attribute B+-tree indexes support the experiment
 // workloads.
 package storage
 
@@ -200,11 +200,10 @@ type SizeCounts struct {
 	StructNodes  int
 }
 
-// NewStore creates an empty store with the given buffer pool size in pages
-// (0 means the paper's 256 MB default).
-func NewStore(poolPages int, colors ...core.Color) *Store {
+// NewStore creates an empty store with the given colors.
+func NewStore(colors ...core.Color) *Store {
 	s := &Store{
-		pages:      pagestore.NewStore(poolPages),
+		pages:      &pagestore.Store{},
 		elemLoc:    &cowarray.Array[uint64]{},
 		tagIdx:     btree.New(),
 		contentIdx: btree.New(),
@@ -274,9 +273,6 @@ func (s *Store) structRef(id ElemID, c core.Color) (uint64, bool) {
 
 // Colors returns the store's colors in sorted order.
 func (s *Store) Colors() []core.Color { return s.colors }
-
-// Pages exposes the underlying page store (for I/O statistics).
-func (s *Store) Pages() *pagestore.Store { return s.pages }
 
 // Counts returns the logical node counts.
 func (s *Store) Counts() SizeCounts { return s.counts }

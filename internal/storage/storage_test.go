@@ -372,18 +372,6 @@ func TestDeleteSubtree(t *testing.T) {
 	}
 }
 
-func TestBufferStatsObserveScans(t *testing.T) {
-	_, s := load(t)
-	s.Pages().ResetStats()
-	if _, err := s.ScanTag("red", "movie"); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Pages().Stats()
-	if st.Hits+st.Misses == 0 {
-		t.Fatal("scan should touch pages")
-	}
-}
-
 func TestRootsOfEachColor(t *testing.T) {
 	_, s := load(t)
 	for _, c := range []core.Color{"red", "green", "blue"} {

@@ -37,11 +37,11 @@ type dataset struct {
 
 func datasets(t *testing.T) []dataset {
 	t.Helper()
-	tp, err := workload.LoadTPCW(1, 1, 0)
+	tp, err := workload.LoadTPCW(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := workload.LoadSigmod(1, 1, 0)
+	sg, err := workload.LoadSigmod(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

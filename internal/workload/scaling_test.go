@@ -16,11 +16,11 @@ func TestScalingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads two dataset scales")
 	}
-	st1, err := workload.LoadTPCW(1, 1, 0)
+	st1, err := workload.LoadTPCW(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := workload.LoadTPCW(2, 1, 0)
+	st2, err := workload.LoadTPCW(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,27 +100,27 @@ func (s *Stores) DB(v Variant) *core.Database {
 }
 
 // LoadTPCW generates and loads the TPC-W dataset at a scale.
-func LoadTPCW(scale int, seed int64, poolPages int) (*Stores, error) {
+func LoadTPCW(scale int, seed int64) (*Stores, error) {
 	ds, err := datagen.TPCW(datagen.TPCWConfig{Scale: scale, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	return loadStores(ds, Params{E: ds.Entities}, poolPages)
+	return loadStores(ds, Params{E: ds.Entities})
 }
 
 // LoadSigmod generates and loads the SIGMOD-Record dataset at a scale.
-func LoadSigmod(scale int, seed int64, poolPages int) (*Stores, error) {
+func LoadSigmod(scale int, seed int64) (*Stores, error) {
 	ds, err := datagen.Sigmod(datagen.SigmodConfig{Scale: scale, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	return loadStores(ds, Params{S: ds.Sigmod}, poolPages)
+	return loadStores(ds, Params{S: ds.Sigmod})
 }
 
-func loadStores(ds *datagen.Dataset, p Params, poolPages int) (*Stores, error) {
+func loadStores(ds *datagen.Dataset, p Params) (*Stores, error) {
 	st := &Stores{Params: p, data: ds}
 	for _, v := range Variants {
-		s, err := storage.Load(st.DB(v), poolPages)
+		s, err := storage.Load(st.DB(v), 0)
 		if err != nil {
 			return nil, fmt.Errorf("workload: load %s: %w", v, err)
 		}

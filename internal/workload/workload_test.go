@@ -21,11 +21,11 @@ var (
 func stores(t *testing.T) (*workload.Stores, *workload.Stores) {
 	t.Helper()
 	once.Do(func() {
-		tpcwSt, loadErr = workload.LoadTPCW(1, 1, 0)
+		tpcwSt, loadErr = workload.LoadTPCW(1, 1)
 		if loadErr != nil {
 			return
 		}
-		sigSt, loadErr = workload.LoadSigmod(1, 5, 0)
+		sigSt, loadErr = workload.LoadSigmod(1, 5)
 	})
 	if loadErr != nil {
 		t.Fatal(loadErr)
@@ -72,11 +72,11 @@ func TestQueriesAgreeAcrossVariants(t *testing.T) {
 	run("scale 1", workload.TPCWQueries(), tp)
 	run("scale 1", workload.SigmodQueries(), sg)
 	cfg := experiment.DefaultConfig
-	dtp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed, cfg.PoolPages)
+	dtp, err := workload.LoadTPCW(cfg.TPCWScale, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed, cfg.PoolPages)
+	dsg, err := workload.LoadSigmod(cfg.SigmodScale, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestOperatorShapeMatchesAnnotations(t *testing.T) {
 // Afterwards the store answers as a fresh load of the updated database does.
 func TestUpdates(t *testing.T) {
 	// Fresh stores: updates mutate.
-	tp, err := workload.LoadTPCW(1, 1, 0)
+	tp, err := workload.LoadTPCW(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := workload.LoadSigmod(1, 5, 0)
+	sg, err := workload.LoadSigmod(1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

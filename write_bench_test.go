@@ -128,7 +128,7 @@ func TestUpdateBindAllocatesOneRow(t *testing.T) {
 // forces a rebuild). Batches are applied in runs of 64 to distinct targets on
 // one clone — or, for the inserts that say so, to one parent, which is what
 // fills an interval — the way recovery replays a log, so the clone's cost and
-// its cold pool are spread over the run.
+// its first-write page copies are spread over the run.
 func BenchmarkApplyChange(b *testing.B) {
 	const run = 64
 	c := newWriteCatalog(b, 1500)

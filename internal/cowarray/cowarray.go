@@ -1,42 +1,48 @@
 // Package cowarray implements a persistent (copy-on-write) sparse array
 // indexed by dense integers. It holds the physical store's location tables
-// (element id -> record) and the page store's image directory (page number ->
-// image): both are keyed by integers handed out in sequence, both belong to a
-// store snapshot that is cloned on every commit, and both change in one or
-// two places between clones.
+// (element id -> record), the page store's image directory (page number ->
+// image) and the snapshot identity table (id -> node): all are keyed by
+// integers handed out in sequence, all belong to a store snapshot that is
+// cloned on every commit, and all change in one or two places between
+// clones.
 //
-// Arrays share storage exactly the way btree.Tree does: Clone is O(1), the
-// two arrays share every chunk (and the chunk directory) until one of them
-// writes, and a write copies the one chunk it lands in unless the writing
-// array already owns it. A frozen array may therefore be read from many
-// goroutines while its clones evolve.
+// A top slice points at directory pages, which point at chunks of slots.
+// Arrays share storage exactly the way btree.Tree does: Clone is O(1), and a
+// write path-copies the top slice, directory page and chunk it goes through
+// unless the writing array already owns them. A frozen array may therefore
+// be read from many goroutines while its clones evolve.
 package cowarray
 
 import "math/bits"
 
 // ChunkSize is the number of slots per chunk: the unit of copying. One chunk
-// of 8-byte values is a 4 KiB copy.
-const ChunkSize = 512
+// of 8-byte values is a 512-byte copy, as is one directory page of ChunkSize
+// chunk pointers.
+const ChunkSize = 64
 
-const chunkShift = 9 // log2(ChunkSize)
+const (
+	chunkShift = 6  // log2(ChunkSize)
+	dirShift   = 12 // log2(ChunkSize*ChunkSize): a directory page covers 4 096 ids
+)
 
-// owner is an identity token: a chunk may be written in place only by the
+// owner is an identity token: a node may be written in place only by the
 // array whose token it carries.
 type owner struct{ _ byte }
 
-type chunk[T any] struct {
+// node is a chunk (E = T) or a directory page (E = *node[T]). present marks
+// the set slots of a chunk, the non-nil chunks of a page.
+type node[E any] struct {
 	own     *owner
-	used    int
-	present [ChunkSize / 64]uint64
-	vals    [ChunkSize]T
+	present uint64
+	vals    [ChunkSize]E
 }
 
 // Array is a sparse array of T. The zero value is an empty array.
 type Array[T any] struct {
-	chunks []*chunk[T]
-	// sharedDir marks a chunk directory that a clone may still reference: it
-	// is copied before its first change.
-	sharedDir bool
+	top []*node[*node[T]]
+	// sharedTop marks a top slice that a clone may still reference: it is
+	// copied before its first change.
+	sharedTop bool
 	own       *owner
 	n         int
 }
@@ -46,10 +52,10 @@ type Array[T any] struct {
 // receiver must not be written concurrently with Clone; concurrent reads are
 // fine.
 func (a *Array[T]) Clone() *Array[T] {
-	// Orphan the shared chunks from both arrays.
+	// Orphan the shared nodes from both arrays.
 	a.own = &owner{}
-	a.sharedDir = true
-	return &Array[T]{chunks: a.chunks, sharedDir: true, own: &owner{}, n: a.n}
+	a.sharedTop = true
+	return &Array[T]{top: a.top, sharedTop: true, own: &owner{}, n: a.n}
 }
 
 // Len returns the number of set slots.
@@ -57,91 +63,95 @@ func (a *Array[T]) Len() int { return a.n }
 
 // Get returns the value at i and whether the slot is set.
 func (a *Array[T]) Get(i uint64) (v T, ok bool) {
-	ci := i >> chunkShift
-	if ci >= uint64(len(a.chunks)) {
-		return v, false
+	if di := i >> dirShift; di < uint64(len(a.top)) {
+		if d := a.top[di]; d != nil {
+			if c := d.vals[i>>chunkShift&(ChunkSize-1)]; c != nil && c.present&(1<<(i&(ChunkSize-1))) != 0 {
+				return c.vals[i&(ChunkSize-1)], true
+			}
+		}
 	}
-	c := a.chunks[ci]
-	if c == nil {
-		return v, false
-	}
-	slot := i & (ChunkSize - 1)
-	if c.present[slot/64]&(1<<(slot%64)) == 0 {
-		return v, false
-	}
-	return c.vals[slot], true
+	return v, false
 }
 
-// Set stores v at i. The directory grows to cover i, so callers bound the
+// Set stores v at i. The top slice grows to cover i, so callers bound the
 // indexes they accept.
 func (a *Array[T]) Set(i uint64, v T) {
-	c := a.mutable(i >> chunkShift)
-	slot := i & (ChunkSize - 1)
-	if bit := uint64(1) << (slot % 64); c.present[slot/64]&bit == 0 {
-		c.present[slot/64] |= bit
-		c.used++
+	di, ci := i>>dirShift, i>>chunkShift&(ChunkSize-1)
+	d := writable(&a.ownTop(di)[di], a.own)
+	d.present |= 1 << ci
+	c := writable(&d.vals[ci], a.own)
+	if bit := uint64(1) << (i & (ChunkSize - 1)); c.present&bit == 0 {
+		c.present |= bit
 		a.n++
 	}
-	c.vals[slot] = v
+	c.vals[i&(ChunkSize-1)] = v
 }
 
 // Delete clears slot i and reports whether it was set. A chunk left empty is
-// dropped.
+// dropped without being copied first, and so is a directory page left empty.
 func (a *Array[T]) Delete(i uint64) bool {
 	if _, ok := a.Get(i); !ok {
 		return false
 	}
-	ci := i >> chunkShift
-	c := a.mutable(ci)
-	slot := i & (ChunkSize - 1)
-	c.present[slot/64] &^= 1 << (slot % 64)
-	var zero T
-	c.vals[slot] = zero
-	c.used--
 	a.n--
-	if c.used == 0 {
-		a.chunks[ci] = nil
+	di, ci, bit := i>>dirShift, i>>chunkShift&(ChunkSize-1), uint64(1)<<(i&(ChunkSize-1))
+	switch top := a.ownTop(di); {
+	case top[di].vals[ci].present != bit:
+		c := writable(&writable(&top[di], a.own).vals[ci], a.own)
+		c.present &^= bit
+		var zero T
+		c.vals[i&(ChunkSize-1)] = zero
+	case top[di].present == 1<<ci: // the page's last chunk
+		top[di] = nil
+	default:
+		d := writable(&top[di], a.own)
+		d.present &^= 1 << ci
+		d.vals[ci] = nil
 	}
 	return true
 }
 
-// mutable returns chunk ci for writing: the directory and the chunk are
-// copied first if a clone may still see them.
-func (a *Array[T]) mutable(ci uint64) *chunk[T] {
-	switch {
-	case a.sharedDir:
-		dir := make([]*chunk[T], max(uint64(len(a.chunks)), ci+1))
-		copy(dir, a.chunks)
-		a.chunks, a.sharedDir = dir, false
-	case ci >= uint64(len(a.chunks)):
-		a.chunks = append(a.chunks, make([]*chunk[T], ci+1-uint64(len(a.chunks)))...)
+// writable returns *p for writing by own, after replacing it with a new node
+// if it is nil or with a copy if own does not own it.
+func writable[E any](p **node[E], own *owner) *node[E] {
+	switch n := *p; {
+	case n == nil:
+		*p = &node[E]{own: own}
+	case n.own != own:
+		cp := *n
+		cp.own = own
+		*p = &cp
 	}
-	c := a.chunks[ci]
+	return *p
+}
+
+// ownTop makes the top slice this array's own and long enough to hold
+// directory page di, and returns it.
+func (a *Array[T]) ownTop(di uint64) []*node[*node[T]] {
 	switch {
-	case c == nil:
-		c = &chunk[T]{own: a.own}
-		a.chunks[ci] = c
-	case c.own != a.own:
-		cp := *c
-		cp.own = a.own
-		c = &cp
-		a.chunks[ci] = c
+	case a.sharedTop:
+		top := make([]*node[*node[T]], max(uint64(len(a.top)), di+1))
+		copy(top, a.top)
+		a.top, a.sharedTop = top, false
+	case di >= uint64(len(a.top)):
+		a.top = append(a.top, make([]*node[*node[T]], di+1-uint64(len(a.top)))...)
 	}
-	return c
+	return a.top
 }
 
 // Ascend calls fn for every set slot in ascending index order until fn
 // returns false.
 func (a *Array[T]) Ascend(fn func(i uint64, v T) bool) {
-	for ci, c := range a.chunks {
-		if c == nil {
+	for di, d := range a.top {
+		if d == nil {
 			continue
 		}
-		for w, word := range c.present {
-			for word != 0 {
-				slot := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if !fn(uint64(ci)<<chunkShift|uint64(slot), c.vals[slot]) {
+		for cs := d.present; cs != 0; cs &= cs - 1 {
+			ci := bits.TrailingZeros64(cs)
+			c, base := d.vals[ci], uint64(di)<<dirShift|uint64(ci)<<chunkShift
+			for w := c.present; w != 0; w &= w - 1 {
+				s := bits.TrailingZeros64(w)
+				if !fn(base|uint64(s), c.vals[s]) {
 					return
 				}
 			}

@@ -2,6 +2,7 @@ package cowarray
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -56,6 +57,24 @@ func (m *modelled) check(t testing.TB, absent []uint64) {
 	}
 }
 
+// pageSlots is the number of ids one directory page covers.
+const pageSlots = ChunkSize * ChunkSize
+
+// windows are the index ranges runOps writes in, so that chunks and
+// directory pages are shared, copied, emptied and refilled, and the top
+// slice grows: a wide window over four chunks, windows across a chunk edge
+// and across two directory-page edges, narrow windows alone in their pages
+// (pages 3 and 7), which empty and refill, and one far away.
+var windows = [7]struct{ base, width uint64 }{
+	{0, 256},
+	{ChunkSize - 3, 6},
+	{2*pageSlots - 100, 200},
+	{3*pageSlots + 1000, 3},
+	{5*pageSlots - 30, 60},
+	{7*pageSlots + 5*ChunkSize - 1, 2},
+	{40 * pageSlots, 16},
+}
+
 // runOps interprets a byte string as a sequence of set / delete / clone /
 // switch operations over a small family of arrays that were cloned from one
 // another, checking every member against its own model after every step: a
@@ -67,9 +86,8 @@ func runOps(t testing.TB, ops []byte) {
 	var touched []uint64
 	for pc := 0; pc+2 < len(ops); pc += 3 {
 		op, a, b := ops[pc], uint64(ops[pc+1]), uint64(ops[pc+2])
-		// Indexes cluster in a few chunks, some of them far apart, so that
-		// chunks are shared, copied, emptied and the directory grows.
-		idx := (a%7)*ChunkSize*3 + b
+		w := windows[a%7]
+		idx := w.base + b%w.width
 		m := family[cur]
 		switch op % 8 {
 		case 0, 1, 2, 3:
@@ -126,7 +144,7 @@ func TestCloneIsolation(t *testing.T) {
 	parent.Set(7, 700)
 	parent.Delete(8)
 	clone.Set(9, 900)
-	clone.Set(5*ChunkSize, 1) // grows the clone's directory only
+	clone.Set(5*ChunkSize, 1) // a chunk in the clone's directory page only
 	if v, _ := clone.Get(7); v != 7 {
 		t.Fatalf("clone sees parent's write: %d", v)
 	}
@@ -171,11 +189,99 @@ func TestEmptyChunkIsDropped(t *testing.T) {
 	for i := uint64(0); i < ChunkSize; i++ {
 		a.Delete(i)
 	}
-	if a.chunks[0] != nil || a.Len() != 0 {
+	if a.top[0] != nil || a.Len() != 0 {
 		t.Fatalf("chunk kept after its last slot was deleted (len %d)", a.Len())
 	}
 	a.Set(1, 1)
 	if v, ok := a.Get(1); !ok || v != 1 {
 		t.Fatal("slot unusable after its chunk was dropped")
+	}
+
+	// After a clone, dropping a chunk copies the path above it but not the
+	// chunk, and dropping a directory page copies only the top slice.
+	b := &Array[uint64]{}
+	b.Set(0, 0) // alone in its chunk, beside a full one
+	for i := uint64(ChunkSize); i < 2*ChunkSize; i++ {
+		b.Set(i, i)
+	}
+	b.Set(pageSlots, 0) // alone in its directory page
+	write := testing.AllocsPerRun(20, func() { b.Clone().Set(ChunkSize, 1) })
+	dropChunk := testing.AllocsPerRun(20, func() { b.Clone().Delete(0) })
+	dropPage := testing.AllocsPerRun(20, func() { b.Clone().Delete(pageSlots) })
+	if dropPage >= dropChunk || dropChunk >= write {
+		t.Fatalf("allocations after a clone: %v to drop a page, %v to drop a chunk, %v to write a slot",
+			dropPage, dropChunk, write)
+	}
+}
+
+// filled returns an array holding ids 0..n-1, the shape of a location table
+// after a load.
+func filled(n uint64) *Array[uint64] {
+	a := &Array[uint64]{}
+	for i := uint64(0); i < n; i++ {
+		a.Set(i, i)
+	}
+	return a
+}
+
+// TestWriteAfterCloneCopiesLittle: a commit clones its tables and changes a
+// slot or two, so the bytes one Clone plus one Set allocates are the
+// per-commit price of each table. They must stay small at every table size.
+func TestWriteAfterCloneCopiesLittle(t *testing.T) {
+	const runs = 100
+	for _, n := range []uint64{1500, 60000, 250000} {
+		a := filled(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			a.Clone().Set(n/2, 1)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2048 {
+			t.Errorf("%d ids: Clone and one Set allocate %d B, want at most 2 kB", n, per)
+		}
+	}
+}
+
+const benchIDs = 60000
+
+var sink uint64 // keeps the Get benchmarks' loads live
+
+func BenchmarkGetSeq(b *testing.B) {
+	a := filled(benchIDs)
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		v, _ := a.Get(uint64(i % benchIDs))
+		sum += v
+	}
+	sink = sum
+}
+
+func BenchmarkGetRand(b *testing.B) {
+	a := filled(benchIDs)
+	rng := rand.New(rand.NewSource(1))
+	idx := make([]uint64, 1<<12)
+	for i := range idx {
+		idx[i] = uint64(rng.Intn(benchIDs))
+	}
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		v, _ := a.Get(idx[i&(len(idx)-1)])
+		sum += v
+	}
+	sink = sum
+}
+
+// BenchmarkSetAfterClone is one commit's use of a table: clone it, change
+// one slot of the clone. B/op is what the commit copies.
+func BenchmarkSetAfterClone(b *testing.B) {
+	a := filled(benchIDs)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Clone().Set(uint64(rng.Intn(benchIDs)), uint64(i))
 	}
 }

@@ -23,7 +23,9 @@ import (
 func LexQuery(src string) ([]pathexpr.Token, error) {
 	ml := &modalLexer{lx: pathexpr.NewLexer(src)}
 	ml.stack = []frame{{kind: fExpr}}
-	var out []pathexpr.Token
+	// Update and probe texts run about one token per three bytes: size the
+	// slice for that once, and let append grow it for denser texts.
+	out := make([]pathexpr.Token, 0, len(src)/3+2)
 	for {
 		tok, err := ml.next()
 		if err != nil {

@@ -174,3 +174,30 @@ func TestLexKeywordOperandPositions(t *testing.T) {
 	}
 	_ = toks
 }
+
+// TestLexSizesTokensOnce: the token slice of an update or probe text of the
+// shape a write workload sends is allocated once, not grown by doubling
+// (which cost six or seven allocations and about 4 kB per text). The bounds
+// are the lexer's other allocations plus that one slice.
+func TestLexSizesTokensOnce(t *testing.T) {
+	forItem := `for $n in document("db")/{red}descendant::name[. = "Item 1234"], $i in $n/{red}parent::item`
+	for _, c := range []struct {
+		name, src string
+		allocs    float64
+	}{
+		{"vote", forItem + `, $v in $i/{green}child::votes update $i { replace $v with "17" }`, 3},
+		{"tag-add", forItem + ` update $i { insert <tag>t-00001234</tag> }`, 4},
+		{"tag probe", `document("db")/{red}descendant::tag[. = "t-00001234"]`, 3},
+	} {
+		toks, err := LexQuery(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(toks) > len(c.src)/3+2 {
+			t.Errorf("%s: %d tokens from %d bytes outgrow the first sizing", c.name, len(toks), len(c.src))
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = LexQuery(c.src) }); n > c.allocs {
+			t.Errorf("%s: LexQuery allocates %v times, want at most %v", c.name, n, c.allocs)
+		}
+	}
+}

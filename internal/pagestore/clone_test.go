@@ -187,16 +187,15 @@ func fillStore(t *testing.T, pages int) (*Store, []RecordID) {
 	return s, rids
 }
 
-// TestCloneCostsThePagesWritten: only frames written since the last clone
-// are handed to the disk layer. A clone allocates the same few objects
-// however many pages the store pools — whether every frame is clean, or one
-// page was written (that page's copy, its chunk of the image table, a fresh
-// dirty set).
+// TestCloneCostsThePagesWritten: a clone shares every page image, so it
+// allocates the same few objects however many pages the store holds —
+// whether nothing was written since the last clone, or one page was (that
+// page's copy, the path to it in the image table, a fresh copied set).
 func TestCloneCostsThePagesWritten(t *testing.T) {
 	var clean, oneWritten []float64
 	for _, pages := range []int{8, 800} {
 		s, rids := fillStore(t, pages)
-		s.Clone() // hands every written page over, once
+		s.Clone() // starts a generation in which no page is copied yet
 		clean = append(clean, testing.AllocsPerRun(20, func() { s.Clone() }))
 		oneWritten = append(oneWritten, testing.AllocsPerRun(20, func() {
 			if err := s.OverwriteRecord(rids[0], []byte("written")); err != nil {
@@ -214,9 +213,10 @@ func TestCloneCostsThePagesWritten(t *testing.T) {
 	}
 }
 
-// TestCloneSharesPooledFrames: original and clone each keep reading their own
-// version of a page the other one overwrote, across two generations of
-// clones, including pages written in the generation a clone ended.
+// TestCloneSharesPooledFrames: original and clone share page images, and
+// each keeps reading its own version of a page the other one overwrote,
+// across two generations of clones, including pages written in the
+// generation a clone ended.
 func TestCloneSharesPooledFrames(t *testing.T) {
 	s, rids := fillStore(t, 6)
 	want := func(st *Store, name string, i int, text string) {

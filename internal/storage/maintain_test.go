@@ -216,7 +216,7 @@ func TestCloneCostIsSizeIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Clone() // hands the load's written pages to the disk layer, once
+		st.Clone() // ends the load's generation, once
 		allocs = append(allocs, testing.AllocsPerRun(50, func() { st.Clone() }))
 	}
 	if allocs[0] != allocs[1] {

@@ -295,8 +295,10 @@ func (d *DB) Path(src string, vars map[string]*Node) ([]Item, error) {
 // (rows and batches per operator, materialization, index and join counters,
 // and the peak number of live intermediate rows — a fully streaming pipeline
 // reports only its in-flight batches, at most pipeline depth × BatchSize).
-// Queries the compiler cannot lower report why they run on the evaluator
-// instead.
+// The last line is the verdict on the output: its column, why it is distinct,
+// its order — document order (naming the path a FLWOR was folded into) or a
+// FLWOR's binding order — and where its values are read from. Queries the
+// compiler cannot lower report why they run on the evaluator instead.
 func (d *DB) Explain(src string) (string, error) {
 	e, err := mcxquery.ParseQuery(src)
 	if err != nil {
@@ -322,8 +324,15 @@ func (d *DB) Explain(src string) (string, error) {
 	if c.Distinct {
 		dedup = "distinct by construction (no Dedup)"
 	}
-	return an.Text + fmt.Sprintf("output: col %d {%s}%s, %s; values from %s\n",
-		c.OutCol, out.Color, out.Tag, dedup, valueSource(c)), nil
+	order := "in document order"
+	switch {
+	case c.Folded != "":
+		order += ", FLWOR folded into " + c.Folded
+	case c.BindingOrder:
+		order = "in binding order"
+	}
+	return an.Text + fmt.Sprintf("output: col %d {%s}%s, %s, %s; values from %s\n",
+		c.OutCol, out.Color, out.Tag, dedup, order, valueSource(c)), nil
 }
 
 // UpdateResult reports how many binding tuples matched and how many nodes an

@@ -517,13 +517,15 @@ func TestResultAllocations(t *testing.T) {
 	}
 }
 
-// TestExplainNamesOutputRoute: Explain says why a plan has no Dedup and
-// where the values come from.
+// TestExplainNamesOutputRoute: Explain says why a plan has no Dedup, which
+// order the answer is in and why, and where the values come from.
 func TestExplainNamesOutputRoute(t *testing.T) {
 	db := catalogDB(30)
 	for text, want := range map[string]string{
-		`document("db")/{red}descendant::item/{red}child::name`: "output: col 0 {red}name, distinct by construction (no Dedup); values from snapshot\n",
-		catalogPoint(3) + `/{red}parent::item`:                  "output: col 1 {red}item, made distinct by the plan's Dedup; values from core\n",
+		`document("db")/{red}descendant::item/{red}child::name`:                          "output: col 0 {red}name, distinct by construction (no Dedup), in document order; values from snapshot\n",
+		catalogPoint(3) + `/{red}parent::item`:                                           "output: col 1 {red}item, made distinct by the plan's Dedup, in document order; values from core\n",
+		`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`: "output: col 1 {green}votes, distinct by construction (no Dedup), in document order, FLWOR folded into {green}//item/votes; values from snapshot\n",
+		`for $i in document("db")/{green}descendant::item return $i/{red}child::name`:    "output: col 1 {red}name, distinct by construction (no Dedup), in binding order; values from snapshot\n",
 	} {
 		ex, err := db.Explain(text)
 		if err != nil {
@@ -584,5 +586,132 @@ func TestRowsPinTheirGeneration(t *testing.T) {
 	}
 	if _, err := bad.Items(); err == nil {
 		t.Fatal("Items read a row without a node")
+	}
+}
+
+// TestFlworReturnsInBindingOrder: a one-variable FLWOR answers in binding
+// order on the compiled route, as the evaluator does, where that is not
+// document order — when one binding is nested in another, and when the return
+// crosses into a colour that orders the same elements differently.
+func TestFlworReturnsInBindingOrder(t *testing.T) {
+	must := func(n *core.Node, err error) *core.Node {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// <r><a><b>b1</b><a><b>b2</b></a><b>b3</b></a></r>
+	nested := core.NewDatabase("red")
+	a1 := must(nested.AddElement(must(nested.AddElement(nested.Document(), "r", "red")), "a", "red"))
+	must(nested.AddElementText(a1, "b", "red", "b1"))
+	must(nested.AddElementText(must(nested.AddElement(a1, "a", "red")), "b", "red", "b2"))
+	must(nested.AddElementText(a1, "b", "red", "b3"))
+	// Red items n0..n3, adopted into green in reverse order.
+	adopted := core.NewDatabase("red", "green")
+	catalog := must(adopted.AddElement(adopted.Document(), "catalog", "red"))
+	featured := must(adopted.AddElement(adopted.Document(), "featured", "green"))
+	var items []*core.Node
+	for k := 0; k < 4; k++ {
+		item := must(adopted.AddElement(catalog, "item", "red"))
+		must(adopted.AddElementText(item, "name", "red", "n"+strconv.Itoa(k)))
+		items = append(items, item)
+	}
+	for k := len(items) - 1; k >= 0; k-- {
+		if err := adopted.Adopt(featured, items[k], "green"); err != nil {
+			t.Fatal(err)
+		}
+		must(adopted.AddElementText(items[k], "votes", "green", "7"))
+	}
+
+	for _, tc := range []struct {
+		db   *core.Database
+		text string
+		want []string
+	}{
+		{nested, `for $i in document("db")/{red}descendant::a return $i/{red}child::b`, []string{"b1", "b3", "b2"}},
+		{adopted, `for $i in document("db")/{green}descendant::item[{green}child::votes = "7"] return $i/{red}child::name`, []string{"n3", "n2", "n1", "n0"}},
+	} {
+		db := wrap(tc.db)
+		sess := db.Session()
+		values := func(items []Item) []string {
+			out := make([]string, len(items))
+			for i, it := range items {
+				out[i] = it.Value
+			}
+			return out
+		}
+		got, err := sess.Query(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.mu.RLock()
+		ev, err := db.evalItems(tc.text)
+		db.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(values(got), tc.want) || !slices.Equal(values(ev), tc.want) {
+			t.Errorf("%s: compiled %v, evaluator %v, want %v", tc.text, values(got), values(ev), tc.want)
+		}
+		if st := sess.Stats(); st.Compiled != 1 || st.Fallbacks != 0 {
+			t.Errorf("%s: %+v, want the compiled route", tc.text, st)
+		}
+		sess.Close()
+	}
+}
+
+// TestFoldedFlworFollowsNesting: a prepared FLWOR folded into its path while
+// its items cannot nest stops being folded once an insert nests one item in
+// another — the proof lasts as long as the plan's stats epoch — and answers
+// in binding order from then on.
+func TestFoldedFlworFollowsNesting(t *testing.T) {
+	db := catalogDB(30)
+	sess := db.Session()
+	defer sess.Close()
+	const q = `for $i in document("db")/{red}descendant::item return $i/{red}child::name`
+	stmt, err := sess.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	check := func(when string) []string {
+		t.Helper()
+		got, err := stmt.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.mu.RLock()
+		want, err := db.evalItems(q)
+		db.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: compiled %d items, the evaluator %d, or the order differs", when, len(got), len(want))
+		}
+		values := make([]string, len(got))
+		for i, it := range got {
+			values[i] = it.Value
+		}
+		return values
+	}
+	check("flat")
+	if ex, err := db.Explain(q); err != nil || !strings.Contains(ex, "FLWOR folded into") {
+		t.Fatalf("flat catalog: want the FLWOR folded:\n%s%v", ex, err)
+	}
+	// Item 3 becomes <item><name>Item 3</name><item><name>Inner</name></item><name>Late</name></item>.
+	item3 := `for $i in document("db")/{red}descendant::item[{red}child::name = "Item 3"] update $i `
+	for _, ins := range []string{`{ insert <item><name>Inner</name></item> }`, `{ insert <name>Late</name> }`} {
+		if res, err := db.Update(item3 + ins); err != nil || res.Tuples != 1 {
+			t.Fatalf("%s: %+v, %v", ins, res, err)
+		}
+	}
+	got := check("nested")
+	if i := slices.Index(got, "Item 3"); i < 0 || !slices.Equal(got[i:i+3], []string{"Item 3", "Late", "Inner"}) {
+		t.Errorf("nested: %v, want Item 3, Late, Inner in binding order", got)
+	}
+	if ex, err := db.Explain(q); err != nil || !strings.Contains(ex, "in binding order") {
+		t.Errorf("nested catalog: want binding order:\n%s%v", ex, err)
 	}
 }

@@ -38,6 +38,8 @@ type Batch struct {
 	// free: set by the executor and by batchCursor.open from the execution's
 	// pool, so batches of a pooled execution recycle their buffers.
 	pool *MemPool
+	// lent: data came from the pool, and goes back to it when outgrown.
+	lent bool
 }
 
 // Reset empties the batch. The next appended row fixes the new width.
@@ -87,11 +89,18 @@ func (b *Batch) appendSlot(cols int) []storage.SNode {
 // rows. Most operators of a selective plan pass a handful of rows, and a full
 // buffer each (57 kB a column) would be most of what such a plan costs to run
 // and to keep pooled; fourfold growth keeps the outgrown buffers under a third
-// of the final one. The outgrown buffer goes to the GC, not the pool, which
-// keeps only what free hands back (see MemPool).
+// of the final one. An outgrown buffer the pool lent goes back to it, so a
+// batch that drew a misfit costs the pool nothing; one made fresh goes to the
+// GC, and the pool keeps only what free hands back (see MemPool).
 func (b *Batch) grow(need int) {
 	full := BatchSize * b.cols
-	b.data = append(b.pool.get(kindBuf, min(full, max(need, 4*cap(b.data))), full), b.data...)
+	old, lent := b.data, b.lent
+	var buf []storage.SNode
+	buf, b.lent = b.pool.lend(kindBuf, min(full, max(need, 4*cap(b.data))), full)
+	b.data = append(buf, old...)
+	if lent {
+		b.pool.put(kindBuf, old)
+	}
 }
 
 // AppendRow copies one row into the batch.
@@ -158,7 +167,7 @@ func (b *Batch) appendNodes(nodes []storage.SNode) int {
 // recycling it into the batch's pool when one is attached.
 func (b *Batch) free() {
 	b.pool.put(kindBuf, b.data)
-	b.cols, b.n, b.data = 0, 0, nil
+	b.cols, b.n, b.data, b.lent = 0, 0, nil, false
 }
 
 // --- arena ----------------------------------------------------------------

@@ -72,6 +72,12 @@ var memPoolMax = [2]int{kindChunk: memPoolMaxChunks, kindBuf: memPoolMaxBufs}
 // every node they carve (copyRow, concatRow), which is what makes reuse
 // sound.
 func (p *MemPool) get(kind, need, full int) []storage.SNode {
+	s, _ := p.lend(kind, need, full)
+	return s
+}
+
+// lend is get, also reporting whether the slice was recycled.
+func (p *MemPool) lend(kind, need, full int) ([]storage.SNode, bool) {
 	if p != nil {
 		p.mu.Lock()
 		l := p.free[kind]
@@ -85,11 +91,11 @@ func (p *MemPool) get(kind, need, full int) []storage.SNode {
 			p.free[kind] = l[:last]
 			p.reused++
 			p.mu.Unlock()
-			return s
+			return s, true
 		}
 		p.mu.Unlock()
 	}
-	return make([]storage.SNode, 0, need)
+	return make([]storage.SNode, 0, need), false
 }
 
 // smallest returns the index of the smallest slice of l with capacity for n

@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
@@ -72,7 +74,18 @@ type lowerer struct {
 }
 
 // Lower emits the physical plan for an analyzed query.
+//
+// A FLWOR answers in the order of its binding tuples — by the first
+// variable's local document order, then the second's, and so on, as
+// CompileBindings orders them — and within one tuple in the output column's
+// start order; a path answers in document order. A one-variable FLWOR
+// `for $i in P return $i/Q` whose bindings cannot nest is the path P/Q
+// (fold) and is lowered as one.
 func Lower(lg *Logical, opt Options) (*Compiled, error) {
+	folded := ""
+	if f := fold(lg, opt.Catalog); f != nil {
+		lg, folded = f, pathText(f.Vars[0].Steps)
+	}
 	lw, ch, err := lowerBindings(lg, opt)
 	if err != nil {
 		return nil, err
@@ -81,17 +94,20 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 		return nil, unsupportedf("returned variable $%s is in an unjoined component", lg.Out.Var)
 	}
 	col := ch.varCol[lg.Out.Var]
+	// One row per binding, in binding order: a one-step return that emits in
+	// the chain's order answers in binding order as it stands.
+	inOrder := len(lg.Vars) == 1 && len(lg.Out.Path) == 1 && ch.order == col && ch.distinct[col]
 	for _, st := range lg.Out.Path {
-		if col, err = lw.applyStep(ch, col, st); err != nil {
+		if col, err = lw.applyStep(ch, col, st, inOrder); err != nil {
 			return nil, err
 		}
 	}
+	// With one variable and no return path, binding order is document order.
+	byBinding := len(lg.Vars) > 1 || len(lg.Out.Path) > 0
 	cols, varCols := ch.cols, ch.varCol
-	if len(lg.Vars) > 1 {
-		// A FLWOR returns in the order of its binding tuples — by the first
-		// variable's local document order, then the second's, and so on, as
-		// CompileBindings orders them — and within one tuple in the output
-		// column's; joins emit in their own order.
+	if byBinding && !(inOrder && ch.order == ch.varCol[lg.Out.Var]) {
+		// Joins, and steps that sort on their new column, emit in their own
+		// order: sort the variables' columns and the output column.
 		keep := make([]int, 0, len(lg.Vars)+1)
 		varCols = make(map[string]int, len(lg.Vars))
 		for _, vp := range lg.Vars {
@@ -123,17 +139,76 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 	out := cols[col]
 	pc, _ := lw.cat.(PathCatalog)
 	return &Compiled{
-		Root:     root,
-		Cols:     cols,
-		VarCols:  varCols,
-		OutCol:   col,
-		OutAttr:  lg.Out.Attr,
-		Distinct: ch.distinct[col],
-		OutLeaf:  pc != nil && pc.LeafTag(out.Color, out.Tag),
-		Rows:     int(math.Ceil(ch.card)),
-		Logical:  lg,
-		Mem:      &engine.MemPool{},
+		Root:         root,
+		Cols:         cols,
+		VarCols:      varCols,
+		OutCol:       col,
+		OutAttr:      lg.Out.Attr,
+		Distinct:     ch.distinct[col],
+		OutLeaf:      pc != nil && pc.LeafTag(out.Color, out.Tag),
+		BindingOrder: byBinding,
+		Folded:       folded,
+		Rows:         int(math.Ceil(ch.card)),
+		Mem:          &engine.MemPool{},
 	}, nil
+}
+
+// fold returns `for $i in P return $i/Q` as the bare path P/Q when the two
+// are the same answer, nil otherwise. They are when no binding of $i lies
+// below another: the bindings' subtrees are then disjoint and follow each
+// other in binding order, so the nodes each reaches by forward steps in its
+// own colour are in document order when concatenated, and none repeats. The
+// catalog's path summary proves it for every binding at once — P's last tag
+// never nests in that colour — so without one, or when the tag nests,
+// nothing folds. Where-clause filters already sit on P's steps; a join
+// between variables does not fold.
+func fold(lg *Logical, cat Catalog) *Logical {
+	pc, ok := cat.(PathCatalog)
+	if !ok || len(lg.Vars) != 1 || len(lg.Joins) != 0 || len(lg.Out.Path) == 0 {
+		return nil
+	}
+	vp := lg.Vars[0]
+	last := vp.Steps[len(vp.Steps)-1]
+	for _, st := range lg.Out.Path {
+		if st.Color != last.Color || (st.Axis != pathexpr.AxisChild && st.Axis != pathexpr.AxisDescendant) {
+			return nil
+		}
+	}
+	if !pc.NeverNests(last.Color, last.Tag) {
+		return nil
+	}
+	vp = &VarPlan{Name: "_", Steps: append(append([]LStep{}, vp.Steps...), lg.Out.Path...)}
+	return &Logical{Vars: []*VarPlan{vp}, Out: Output{Var: vp.Name, Attr: lg.Out.Attr}}
+}
+
+// pathText renders a root-anchored chain for Explain: each step's tag after
+// "/" (child), "//" (descendant) or "/axis::", "[…]" where predicates filter
+// it, and the colour where it changes.
+func pathText(steps []LStep) string {
+	var b strings.Builder
+	var c core.Color
+	for i, st := range steps {
+		if i == 0 {
+			fmt.Fprintf(&b, "{%s}", st.Color)
+		}
+		switch st.Axis {
+		case pathexpr.AxisChild:
+			b.WriteString("/")
+		case pathexpr.AxisDescendant:
+			b.WriteString("//")
+		default:
+			fmt.Fprintf(&b, "/%s::", st.Axis)
+		}
+		if i > 0 && st.Color != c {
+			fmt.Fprintf(&b, "{%s}", st.Color)
+		}
+		c = st.Color
+		b.WriteString(st.Tag)
+		if len(st.Preds) > 0 {
+			b.WriteString("[…]")
+		}
+	}
+	return b.String()
 }
 
 // CompileBindings compiles the binding half of a FLWOR — an update
@@ -175,7 +250,6 @@ func CompileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, opt Options
 		Cols:    cols,
 		VarCols: varCols,
 		OutCol:  -1,
-		Logical: lg,
 		Mem:     &engine.MemPool{},
 	}, nil
 }
@@ -202,7 +276,7 @@ func lowerBindings(lg *Logical, opt Options) (*lowerer, *chain, error) {
 		var err error
 		if !lowered {
 			for _, st := range vp.Steps {
-				if anchor, err = lw.applyStep(ch, anchor, st); err != nil {
+				if anchor, err = lw.applyStep(ch, anchor, st, false); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -523,7 +597,12 @@ func (lw *lowerer) crossTo(ch *chain, anchor int, to core.Color) int {
 // navigation per chain row plus the rows found, whatever the population. A
 // chain that is small next to the population navigates; a chain of the
 // population's order merges (DESIGN.md §6).
-func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
+//
+// inOrder: the chain's rows are one per binding of a FLWOR, in binding order,
+// and the answer wants this step's nodes in that order. A forward navigation
+// then emits them so and is not sorted, while the merge join would leave a
+// sort to the caller; each is costed accordingly.
+func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep, inOrder bool) (int, error) {
 	var rest []LPred
 	if ch.op == nil {
 		if st.Axis == pathexpr.AxisParent || st.Axis == pathexpr.AxisAncestor {
@@ -560,9 +639,17 @@ func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 			// A node has one parent: the children of distinct nodes are
 			// distinct. Descendants are not — nested nodes share them.
 			distinct := ch.distinct[anchor] && st.Axis == pathexpr.AxisChild
-			if nav := ch.card*costNavProbe + found*(costScanRow+costSortRow+acc.foldRow) + acc.foldFixed; nav < merge {
+			nav := ch.card*costNavProbe + found*(costScanRow+costSortRow+acc.foldRow) + acc.foldFixed
+			if inOrder {
+				nav -= found * costSortRow
+				merge += found * costSortRow
+			}
+			if nav < merge {
 				anchor = lw.navStep(ch, anchor, st, distinct)
-				ch.op = &engine.SortStart{Input: ch.op, Col: anchor}
+				if !inOrder {
+					ch.op = &engine.SortStart{Input: ch.op, Col: anchor}
+					ch.order = anchor
+				}
 				ch.card, ch.cost, rest = found, ch.cost+nav, st.Preds
 			} else {
 				// Both sides in start order of their join columns (an access
@@ -571,8 +658,8 @@ func (lw *lowerer) applyStep(ch *chain, anchor int, st LStep) (int, error) {
 				ch.fanOut()
 				anchor = ch.addCol(ColInfo{Tag: st.Tag, Color: st.Color}, distinct)
 				ch.card, ch.cost = acc.card*frac, ch.cost+merge
+				ch.order = anchor
 			}
-			ch.order = anchor
 		case pathexpr.AxisParent, pathexpr.AxisAncestor:
 			// Both lowerings emit in chain order, ancestors outermost first.
 			// Several rows may share a parent, so the new column is never
@@ -737,7 +824,7 @@ func (lw *lowerer) predChain(p LPred) (*chain, error) {
 	anchor := -1
 	var err error
 	for _, st := range steps {
-		if anchor, err = lw.applyStep(ch, anchor, st); err != nil {
+		if anchor, err = lw.applyStep(ch, anchor, st, false); err != nil {
 			return nil, err
 		}
 	}
@@ -759,12 +846,12 @@ func (lw *lowerer) applyJoin(j LJoin) error {
 	lCol, rCol := lch.varCol[j.LeftVar], rch.varCol[j.RightVar]
 	var err error
 	for _, st := range j.LeftPath {
-		if lCol, err = lw.applyStep(lch, lCol, st); err != nil {
+		if lCol, err = lw.applyStep(lch, lCol, st, false); err != nil {
 			return err
 		}
 	}
 	for _, st := range j.RightPath {
-		if rCol, err = lw.applyStep(rch, rCol, st); err != nil {
+		if rCol, err = lw.applyStep(rch, rCol, st, false); err != nil {
 			return err
 		}
 	}

@@ -135,6 +135,9 @@ type PathCatalog interface {
 	// with this tag: each is a leaf there, and its string value is its own
 	// content record.
 	LeafTag(c core.Color, tag string) bool
+	// NeverNests reports whether no element with this tag lies below another
+	// one with the same tag in color c; false when the summary cannot say.
+	NeverNests(c core.Color, tag string) bool
 }
 
 // StoreCatalog reads exact cardinalities from a loaded store's tag and
@@ -165,6 +168,13 @@ func (sc StoreCatalog) PathCount(c core.Color, steps []storage.PathStep) (int, b
 // LeafTag implements PathCatalog from the per-tag child counts the store
 // keeps current under every update (no summary build).
 func (sc StoreCatalog) LeafTag(c core.Color, tag string) bool { return sc.Store.LeafTag(c, tag) }
+
+// NeverNests implements PathCatalog from the nesting tags the path summary
+// records when it is built.
+func (sc StoreCatalog) NeverNests(c core.Color, tag string) bool {
+	ps, err := sc.Store.PathSummary(c)
+	return err == nil && !ps.Nests(tag)
+}
 
 // SchemaCatalog estimates cardinalities from schema quant statistics (paper
 // Section 5.1): the expected population of a tag is the product of the
@@ -229,11 +239,17 @@ type Compiled struct {
 	// own content record and can be read from the store that produced it.
 	// Stays true for as long as the plan's stats epoch does.
 	OutLeaf bool
+	// BindingOrder: the answer is in a FLWOR's binding order — by binding
+	// tuple, then each tuple's nodes in start order — which need not be
+	// document order. Otherwise it is in document order.
+	BindingOrder bool
+	// Folded names the path a one-variable FLWOR was compiled as, because
+	// its bindings cannot nest (Lower); empty otherwise. Like OutLeaf, it
+	// holds for as long as the plan's stats epoch does.
+	Folded string
 	// Rows is the estimated number of result rows: exact for scans and for
 	// the joins that keep a scanned side whole, a capacity hint otherwise.
 	Rows int
-	// Logical is the analyzed IR the plan was lowered from.
-	Logical *Logical
 	// Mem recycles execution scratch memory across runs of this plan. A
 	// compiled plan is the natural owner of its executions' working set: a
 	// cache hit or a prepared statement starts at the buffer sizes the

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,8 +12,9 @@ import (
 // root-anchored label path of a colored tree, carrying the structural-record
 // refs of its instances. The plan compiler consults it (through
 // plan.PathCatalog) to lower fully-resolvable colored path expressions to a
-// direct summary probe instead of a structural-join chain, and to cost that
-// access path with an exact cardinality.
+// direct summary probe instead of a structural-join chain, to cost that
+// access path with an exact cardinality, and to learn which tags never nest
+// (so a FLWOR binding them is the path it returns).
 //
 // Summaries are per-color, built lazily on first probe by one pass over the
 // color's structural nodes in start order, and cached on the store. A cached
@@ -45,9 +47,11 @@ func PathString(steps []PathStep) string {
 }
 
 // PathSummary is the summary of one colored tree: every distinct
-// root-anchored label path, with the refs of its instances in start order.
+// root-anchored label path, with the refs of its instances in start order,
+// and the tags that nest (an element below another with the same tag).
 type PathSummary struct {
 	paths map[string][]uint64
+	nests map[string]bool
 }
 
 // pathSep joins path labels into map keys. Tags never contain '\x00'.
@@ -91,6 +95,15 @@ func (s *Store) buildPathSummary(c core.Color) (*PathSummary, error) {
 	})
 	if scanErr != nil {
 		return nil, scanErr
+	}
+	// Every prefix of a label path is a label path too, so a tag nests
+	// exactly when some path ends in a label it already passed through.
+	ps.nests = map[string]bool{}
+	for path := range ps.paths {
+		labels := strings.Split(path, pathSep)
+		if last := labels[len(labels)-1]; slices.Contains(labels[:len(labels)-1], last) {
+			ps.nests[last] = true
+		}
 	}
 	return ps, nil
 }
@@ -204,6 +217,10 @@ func (ps *PathSummary) Count(steps []PathStep) int {
 	}
 	return n
 }
+
+// Nests reports whether some element with this tag lies below another one
+// with the same tag.
+func (ps *PathSummary) Nests(tag string) bool { return ps.nests[tag] }
 
 // Paths returns the number of distinct label paths in the summary.
 func (ps *PathSummary) Paths() int { return len(ps.paths) }

@@ -170,3 +170,37 @@ func TestPathSummaryUnknownColor(t *testing.T) {
 		t.Fatal("unknown color should yield an empty summary")
 	}
 }
+
+// TestPathSummaryNests: the summary knows which tags have an element below
+// another of the same tag, and a structural insert that nests one is seen by
+// the rebuilt summary, not by the one already handed out.
+func TestPathSummaryNests(t *testing.T) {
+	s := summaryStore(t, 3)
+	ps1, err := s.PathSummary("red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []string{"shop", "item", "name", "absent"} {
+		if ps1.Nests(tag) {
+			t.Errorf("Nests(%s) on a store where nothing nests", tag)
+		}
+	}
+	items, err := s.ScanTag("red", "item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InsertLeafChild(items[1], "item", "inner", nil); err != nil {
+		t.Fatal(err)
+	}
+	ps2, err := s.PathSummary("red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ps2.Nests("item") || ps2.Nests("name") || ps2.Nests("shop") {
+		t.Errorf("after an item under an item: Nests(item, name, shop) = %v, %v, %v, want true, false, false",
+			ps2.Nests("item"), ps2.Nests("name"), ps2.Nests("shop"))
+	}
+	if ps1.Nests("item") {
+		t.Error("a summary already handed out changed")
+	}
+}

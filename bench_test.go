@@ -212,8 +212,9 @@ var itemSink []colorful.Item
 // BenchmarkResultMapping: what a prepared statement costs to hand its answer
 // over as items — one row (an index probe; the fixed cost) and the 20 000
 // names of the catalog (a summary probe; the per-row cost: a reference, a
-// node lookup and one content string each). Allocations are the gated number
-// (colorful.TestResultAllocations): a constant, plus one string per row.
+// node lookup and a content copy each). Allocations are the gated number
+// (colorful.TestResultAllocations): a constant, the []Item, and one 4 KiB
+// chunk per few hundred values; the answer's ids reuse the plan's buffer.
 func BenchmarkResultMapping(b *testing.B) {
 	const items = 20000
 	db := benchNames(b, items)

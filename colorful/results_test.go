@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
@@ -457,17 +458,23 @@ func TestHeldSnapshotResolvesDeletedNodes(t *testing.T) {
 // TestResultAllocations pins what an answer costs to hand over. A one-row
 // prepared query allocates no more than it did before results became
 // references (11 at the parent commit; the operator clone, the execution
-// context, the reference, the item and its value are what is left). A
-// 20 000-row one allocates a constant plus one string per row: no per-row
-// structural node copy, no regrown slice, no hash set. A one-shot query
-// whose plan is cached is pinned in bytes: it is not parsed, and its scratch
-// comes from the plan's pool: under 0.5 kB, against 3.0 kB when every hit
-// was parsed.
+// context, the item and its value are what is left). A 20 000-row one
+// allocates a constant plus one chunk per 4 KiB of values (rows/256 while
+// values stay under 16 bytes): no string per row, no answer-id buffer (the
+// plan's pool lends it), no per-row structural node copy, no regrown slice,
+// no hash set. Its bytes are the items, their values and a constant. A one-shot query whose
+// plan is cached is pinned in bytes: it is not parsed, and its scratch comes
+// from the plan's pool: under 0.5 kB, against 3.0 kB when every hit was
+// parsed.
 func TestResultAllocations(t *testing.T) {
 	const items = 20000
 	db := catalogDB(items)
 	sess := db.Session()
 	defer sess.Close()
+	names := 0 // the bytes of the values "Item 0" … "Item 19999"
+	for k := 0; k < items; k++ {
+		names += len("Item " + strconv.Itoa(k))
+	}
 	for _, tc := range []struct {
 		text     string
 		oneShot  bool // Session.Query, a plan-cache hit, instead of a Stmt
@@ -477,8 +484,9 @@ func TestResultAllocations(t *testing.T) {
 	}{
 		{text: catalogPoint(9999), rows: 1, max: 11},
 		{text: catalogPoint(9999), oneShot: true, rows: 1, max: 11, maxBytes: 1024},
-		{text: `document("db")/{red}descendant::item/{red}child::name`, rows: items, max: 64 + items},
-		{text: `for $i in document("db")/{green}descendant::item return $i/{green}child::votes`, rows: (items + 2) / 3, max: 64 + (items+2)/3},
+		{text: `document("db")/{red}descendant::item/{red}child::name`, rows: items, max: 64 + items/256,
+			maxBytes: uint64(items)*uint64(unsafe.Sizeof(Item{})) + uint64(names) + 32<<10},
+		{text: `for $i in document("db")/{green}descendant::item return $i/{green}child::votes`, rows: (items + 2) / 3, max: 64 + (items+2)/3/256},
 	} {
 		query := func() ([]Item, error) { return sess.Query(tc.text) }
 		if !tc.oneShot {
@@ -512,8 +520,136 @@ func TestResultAllocations(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > tc.maxBytes {
-			t.Errorf("%s (one-shot): %d bytes a query, want at most %d", tc.text, bytes, tc.maxBytes)
+			t.Errorf("%s: %d bytes a query, want at most %d", tc.text, bytes, tc.maxBytes)
 		}
+	}
+}
+
+// churn runs st, other plans and a vote commit 10 times from each of 2
+// goroutines, and waits for them: executions of one plan that share its id
+// buffer, and commits that change its answer. Each vote sets the votes of
+// one of the first 20 green items to "7".
+func churn(t *testing.T, db *DB, st *Stmt, items int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errc := make(chan error, 2) // one per goroutine
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 10; n++ {
+				k := 3 * ((10*g + n) % (items / 3))
+				if _, err := st.Query(); err != nil {
+					errc <- err
+					return
+				}
+				for _, q := range []string{
+					catalogPoint(k),
+					`document("db")/{red}descendant::item/{red}child::name`,
+					`document("db")/{green}descendant::item[{green}child::votes = "7"]`, // values from core
+				} {
+					if _, err := db.Query(q); err != nil {
+						errc <- fmt.Errorf("%s: %v", q, err)
+						return
+					}
+				}
+				vote := catalogItem(k) + `, $v in $i/{green}child::votes update $i { replace $v with "7" }`
+				if res, err := db.Update(vote); err != nil || res.Tuples != 1 {
+					errc <- fmt.Errorf("vote: %+v, %v", res, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+}
+
+// sameItems reports how got differs from want in node ids, colours or
+// values, or "" when it does not.
+func sameItems(got, want []Item) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d items, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Node.ID() != want[i].Node.ID() || got[i].Color != want[i].Color || got[i].Value != want[i].Value {
+			return fmt.Sprintf("item %d is %d %s %q, want %d %s %q", i, got[i].Node.ID(), got[i].Color, got[i].Value, want[i].Node.ID(), want[i].Color, want[i].Value)
+		}
+	}
+	return ""
+}
+
+// cloneItems copies items and their values, so that a comparison does not
+// read the memory it checks.
+func cloneItems(items []Item) []Item {
+	out := slices.Clone(items)
+	for i := range out {
+		out[i].Value = strings.Clone(out[i].Value)
+	}
+	return out
+}
+
+// TestConcurrentRunsLeaveKeptItemsAlone: the items of one Stmt.Query share
+// no memory with any later answer. Their plan's next runs reuse its id
+// buffer and copy values into new chunks, and commits change the answer,
+// yet the kept nodes and values stay what they were.
+func TestConcurrentRunsLeaveKeptItemsAlone(t *testing.T) {
+	const items = 300
+	db := catalogDB(items)
+	st, err := db.Prepare(`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	kept, err := st.Query()
+	if err != nil || len(kept) != items/3 {
+		t.Fatalf("%d votes, %v", len(kept), err)
+	}
+	want := cloneItems(kept)
+	churn(t, db, st, items)
+	if diff := sameItems(kept, want); diff != "" {
+		t.Fatalf("kept items changed: %s", diff)
+	}
+	if now, err := st.Query(); err != nil || sameItems(now, want) == "" {
+		t.Fatalf("the commits did not change the answer (%v)", err)
+	}
+}
+
+// TestConcurrentRunsLeaveQueryRowsAlone: a Rows from QueryRows belongs to
+// its caller, so its ids are never handed back to the plan: across the same
+// runs and commits its Items still equal the answer of its own generation.
+// The statement's answer shrinks as votes turn to "7", so the plan's later
+// runs write other ids into a buffer no larger than the first.
+func TestConcurrentRunsLeaveQueryRowsAlone(t *testing.T) {
+	const items = 300
+	db := catalogDB(items)
+	st, err := db.Prepare(`document("db")/{green}descendant::votes[contains(., "1")]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rows, err := st.QueryRows(context.Background())
+	if err != nil || rows.sp == nil {
+		t.Fatalf("want rows on the snapshot route: %+v, %v", rows, err)
+	}
+	answer, err := st.Query() // nothing commits in between: the same generation
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cloneItems(answer)
+	churn(t, db, st, items)
+	got, err := rows.Items()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameItems(got, want); diff != "" {
+		t.Fatalf("held rows changed: %s", diff)
+	}
+	if now, err := st.Query(); err != nil || sameItems(now, want) == "" {
+		t.Fatalf("the commits did not change the answer (%v)", err)
 	}
 }
 

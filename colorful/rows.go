@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"colorfulxml/internal/engine"
 	"colorfulxml/internal/storage"
 )
 
@@ -21,9 +22,16 @@ type Rows struct {
 	sp    *snapshot
 	ids   []storage.ElemID
 	color Color
+	// mem is the memory pool of the plan that answered ids; itemsOnce
+	// hands them back to it.
+	mem *engine.MemPool
 
 	items []Item
 }
+
+// valueChunk bounds the bytes Items copies values into at once: a value the
+// caller keeps holds at most one chunk alive (or itself, when it is longer).
+const valueChunk = 4 << 10
 
 // missing reports an element of the snapshot's store that the identity
 // table of its generation has no node for.
@@ -60,6 +68,11 @@ func (r Rows) Len() int {
 // its store's element records; no lock is taken, so the node set and the
 // values belong to one generation, and an element deleted meanwhile is still
 // the node it was.
+//
+// Values are copied into chunks of at most valueChunk bytes, each sized from
+// the rows still to come (a one-row answer allocates exactly its value), and
+// every Value is a view into its chunk: an answer costs one allocation per
+// chunk, not one per row.
 func (r Rows) Items() ([]Item, error) {
 	if r.sp == nil {
 		return r.items, nil
@@ -72,10 +85,32 @@ func (r Rows) Items() ([]Item, error) {
 		}
 		out[i].Node, out[i].Color = n, r.color
 	}
-	if err := r.sp.st.ContentBytes(r.ids, func(i int, content []byte) { out[i].Value = string(content) }); err != nil {
+	var chunk []byte
+	err := r.sp.st.ContentBytes(r.ids, func(i int, content []byte) {
+		n := len(content)
+		if n == 0 {
+			return
+		}
+		if n > cap(chunk)-len(chunk) {
+			chunk = make([]byte, 0, max(n, min(valueChunk, n*(len(r.ids)-i))))
+		}
+		chunk = append(chunk, content...)
+		out[i].Value = unsafe.String(&chunk[len(chunk)-n], n)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// itemsOnce is Items for an entry point that returns only the items, so
+// that nothing reads the Rows again: it then hands the answer's ids back to
+// the pool of the plan that produced them. QueryRows never calls it, because
+// its caller owns the Rows.
+func (r Rows) itemsOnce() ([]Item, error) {
+	out, err := r.Items()
+	r.mem.PutColumn(r.ids)
+	return out, err
 }
 
 // Each visits rows i to j-1 in order with the node's id (0 for an atomic

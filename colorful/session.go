@@ -194,7 +194,7 @@ func (s *Session) QueryContext(ctx context.Context, src string) ([]Item, error) 
 	if err != nil {
 		return nil, err
 	}
-	return rows.Items()
+	return rows.itemsOnce()
 }
 
 // QueryRows is QueryContext answering with the result's Rows, which read
@@ -393,11 +393,15 @@ func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root 
 	var out Rows
 	ok := true
 	if source == sourceSnapshot {
-		out = Rows{sp: sp, ids: ids, color: c.Cols[c.OutCol].Color}
+		out = Rows{sp: sp, ids: ids, color: c.Cols[c.OutCol].Color, mem: c.Mem}
 		obsValuesSnapshot.Add(uint64(len(ids)))
-	} else if out.items, ok = s.db.coreItems(ids, c, sp.gen); !ok {
-		obsCoreRetries.Inc()
-		spanAttr(ms, "retry", "core moved past the snapshot")
+	} else {
+		out.items, ok = s.db.coreItems(ids, c, sp.gen)
+		c.Mem.PutColumn(ids)
+		if !ok {
+			obsCoreRetries.Inc()
+			spanAttr(ms, "retry", "core moved past the snapshot")
+		}
 	}
 	endSpan(ms)
 	return out, ok, nil

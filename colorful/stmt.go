@@ -85,7 +85,7 @@ func (st *Stmt) QueryContext(ctx context.Context) ([]Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rows.Items()
+	return rows.itemsOnce()
 }
 
 // QueryRows is QueryContext answering with the result's Rows (see

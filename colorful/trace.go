@@ -43,7 +43,7 @@ func (s *Session) TraceQuery(ctx context.Context, src string) ([]Item, *obs.Span
 	rows, route, err := s.routed(ctx, src, root)
 	var out []Item
 	if err == nil {
-		out, err = rows.Items()
+		out, err = rows.itemsOnce()
 	}
 	root.SetAttr("rows", len(out))
 	if err != nil {

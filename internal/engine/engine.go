@@ -403,10 +403,12 @@ const maxRowsHint = 64 * BatchSize
 // ExecColumn runs a plan and returns one column of its rows as element
 // references, in row order: a query's answer, which stays a list of
 // references until someone reads values through it. Nothing but the ids
-// leaves the execution, so scratch always comes from pool. An answer of less
-// than a batch is sized exactly; a larger one starts at rowsHint — the
-// compiler's cardinality, exact for scans and for joins that keep a scanned
-// side whole — so that it is not regrown row by row.
+// leaves the execution, so scratch always comes from pool, and so does the
+// id buffer when the pool holds one large enough (a caller done with the ids
+// returns it by pool.PutColumn). An answer of less than a batch needs exactly
+// its rows; a larger one starts at rowsHint — the compiler's cardinality,
+// exact for scans and for joins that keep a scanned side whole — so that it
+// is not regrown row by row.
 //
 // span, when non-nil, makes this a traced execution: per-operator batches,
 // rows, counters and cumulative NextBatch wall time, attached under span as
@@ -424,7 +426,7 @@ func ExecColumn(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, 
 			if b.Full() {
 				size = min(max(size, rowsHint), maxRowsHint)
 			}
-			ids = make([]storage.ElemID, 0, size)
+			ids = pool.column(size)
 		}
 		for i := 0; i < b.Len(); i++ {
 			ids = append(ids, b.Row(i)[col].Elem)

@@ -8,10 +8,11 @@ import (
 )
 
 // MemPool recycles execution scratch memory — arena chunks and batch
-// buffers — across executions that share one pool. The natural owner is a
-// compiled plan: a cached (or prepared) plan is executed many times with the
-// same operator shapes and therefore the same scratch demand, so the memory
-// its first execution allocated is exactly what the next one needs.
+// buffers — and one answer-id buffer across executions that share one pool.
+// The natural owner is a compiled plan: a cached (or prepared) plan is
+// executed many times with the same operator shapes and therefore the same
+// scratch demand, so the memory its first execution allocated is exactly
+// what the next one needs.
 //
 // Every buffer and chunk starts at what it is first asked to hold and grows
 // by factors of four (Batch.grow, arena.alloc), pooled or not, so a plan
@@ -30,13 +31,20 @@ import (
 // (Exec, ExplainAnalyze) return arena-backed rows to the caller and
 // therefore never recycle.
 //
+// The answer ExecColumn returns does leave the execution, so its id buffer
+// comes back only through PutColumn, from a caller that has read the ids and
+// hands nobody the slice: one slot, at most maxRowsHint ids.
+//
 // The pool is a bounded free list, not a sync.Pool: releases beyond the
 // bound are dropped for the GC, so a pool retains at most memPoolMaxChunks
-// chunks + memPoolMaxBufs buffers no matter how many executions it served.
+// chunks + memPoolMaxBufs buffers + one id buffer no matter how many
+// executions it served.
 type MemPool struct {
 	mu sync.Mutex
 	// free holds the recycled slices of each kind (kindChunk, kindBuf).
 	free [2][][]storage.SNode
+	// ids is the recycled answer-id buffer, empty, or nil.
+	ids []storage.ElemID
 
 	// reused/recycled count successful gets and puts, for tests and for the
 	// curious: they are not mirrored into obs (the pool is per-plan and the
@@ -124,12 +132,46 @@ func (p *MemPool) put(kind int, s []storage.SNode) {
 	p.mu.Unlock()
 }
 
+// column returns an empty id buffer with room for need ids: the pooled one
+// when it holds that many, else a fresh one of need. Recycled ids are not
+// zeroed; ExecColumn appends every id it returns.
+func (p *MemPool) column(need int) []storage.ElemID {
+	if p != nil {
+		p.mu.Lock()
+		if s := p.ids; s != nil && cap(s) >= need {
+			p.ids = nil
+			p.reused++
+			p.mu.Unlock()
+			return s
+		}
+		p.mu.Unlock()
+	}
+	return make([]storage.ElemID, 0, need)
+}
+
+// PutColumn hands an answer ExecColumn returned back to the pool of the plan
+// that produced it, for the plan's next execution to append into. The caller
+// must be done with ids and must not have handed the slice to anyone. The
+// pool keeps the larger of its buffer and this one, and none of more than
+// maxRowsHint ids: a larger answer goes to the GC.
+func (p *MemPool) PutColumn(ids []storage.ElemID) {
+	if p == nil || cap(ids) > maxRowsHint {
+		return
+	}
+	p.mu.Lock()
+	if cap(ids) > cap(p.ids) {
+		p.ids = ids[:0]
+		p.recycled++
+	}
+	p.mu.Unlock()
+}
+
 // MemPoolStats is a point-in-time view of a pool's retention and traffic.
 type MemPoolStats struct {
 	Chunks int `json:"chunks"`
 	Bufs   int `json:"bufs"`
-	// Bytes is the memory the pool holds: the capacity of its chunks and
-	// buffers.
+	// Bytes is the memory the pool holds: the capacity of its chunks,
+	// buffers and id buffer.
 	Bytes    int64  `json:"bytes"`
 	Reused   uint64 `json:"reused"`
 	Recycled uint64 `json:"recycled"`
@@ -151,7 +193,7 @@ func (p *MemPool) Stats() MemPoolStats {
 	return MemPoolStats{
 		Chunks:   len(p.free[kindChunk]),
 		Bufs:     len(p.free[kindBuf]),
-		Bytes:    int64(nodes) * int64(unsafe.Sizeof(storage.SNode{})),
+		Bytes:    int64(nodes)*int64(unsafe.Sizeof(storage.SNode{})) + int64(cap(p.ids))*int64(unsafe.Sizeof(storage.ElemID(0))),
 		Reused:   p.reused,
 		Recycled: p.recycled,
 	}

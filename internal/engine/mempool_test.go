@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -243,5 +244,47 @@ func TestMemPoolConcurrentExecutions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestMemPoolKeepsOneIDBuffer: a pool keeps one answer-id buffer, the
+// larger of those handed back and never one of more than maxRowsHint ids;
+// ExecColumn appends its next answer into it, and Stats counts its bytes.
+func TestMemPoolKeepsOneIDBuffer(t *testing.T) {
+	const idBytes = int64(unsafe.Sizeof(storage.ElemID(0)))
+	s := mempoolTestStore(t)
+	pool := &MemPool{}
+	first, _, err := ExecColumn(nil, s, pool, mempoolTestPlan(), 1, 0, nil)
+	if err != nil || len(first) == 0 {
+		t.Fatalf("fixture plan: %d ids, %v", len(first), err)
+	}
+	want := slices.Clone(first)
+	scratch := pool.Stats().Bytes // the execution's chunks and buffers
+	pool.PutColumn(first)
+	if got := pool.Stats().Bytes - scratch; got != int64(cap(first))*idBytes {
+		t.Fatalf("pool counts %d bytes for ids, want the %d-id buffer's %d", got, cap(first), int64(cap(first))*idBytes)
+	}
+	again, _, err := ExecColumn(nil, s, pool, mempoolTestPlan(), 1, 0, nil)
+	if err != nil || !slices.Equal(again, want) || &again[0] != &first[0] {
+		t.Fatalf("second run: %v, %v; want %v appended into the pooled buffer", again, err, want)
+	}
+	if got := pool.Stats().Bytes - scratch; got != 0 {
+		t.Fatalf("pool still counts %d bytes for the buffer it lent", got)
+	}
+
+	// One slot: the larger buffer stays, up to maxRowsHint ids.
+	pool.PutColumn(make([]storage.ElemID, 0, 10))
+	pool.PutColumn(make([]storage.ElemID, 0, maxRowsHint))
+	pool.PutColumn(make([]storage.ElemID, 0, 20))
+	if got := pool.Stats().Bytes - scratch; got != maxRowsHint*idBytes {
+		t.Fatalf("pool counts %d bytes for ids, want one buffer of maxRowsHint ids (%d)", got, maxRowsHint*idBytes)
+	}
+	if got := cap(pool.column(1)); got != maxRowsHint {
+		t.Fatalf("pool lent a %d-id buffer, want its %d-id one", got, maxRowsHint)
+	}
+	// A larger answer goes to the GC.
+	pool.PutColumn(make([]storage.ElemID, 0, maxRowsHint+1))
+	if got := pool.Stats().Bytes - scratch; got != 0 {
+		t.Fatalf("pool kept %d bytes of an answer over maxRowsHint ids", got)
 	}
 }

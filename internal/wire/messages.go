@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // This file encodes the message payloads carried inside frames. The format
@@ -235,20 +236,38 @@ func (d *decoder) string() string { return d.stringOr("") }
 // the bytes are equal: a result's few colours then cost no allocation per
 // item.
 func (d *decoder) stringOr(prev string) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail(fmt.Sprintf("string length %d exceeds payload", n))
-		return ""
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
+	b := d.bytes()
 	if string(b) == prev {
 		return prev
 	}
 	return string(b)
+}
+
+// bytes decodes a length-prefixed string as the payload bytes it occupies.
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.off) {
+		d.fail(fmt.Sprintf("string length %d exceeds payload", n))
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
+}
+
+// view decodes a string as a view into the payload instead of a copy: the
+// payload must never change after decoding, and a string the caller keeps
+// holds all of it alive. Reader.ReadFrame allocates every payload afresh, so
+// each frame's values own it.
+func (d *decoder) view() string {
+	b := d.bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // finish rejects trailing bytes and returns the sticky error.
@@ -333,6 +352,8 @@ func AppendItem[V string | []byte](buf []byte, node uint64, color string, value 
 	return appendString(buf, value)
 }
 
+// DecodeItems decodes an Items payload. Its values are views into p, which
+// must not change afterwards.
 func DecodeItems(p []byte) (Items, error) {
 	d := decoder{buf: p}
 	m, n := d.itemsHeader()
@@ -350,7 +371,8 @@ const maxPresize = 1 << 16
 // AppendItems decodes an Items payload onto dst, the one result slice a
 // receiver keeps across a stream's frames, and returns the frame with Items
 // set to the extended slice. A nil dst marks the first frame: it is
-// allocated once, with room for the whole stream's Rows.
+// allocated once, with room for the whole stream's Rows. The values are
+// views into p, as in DecodeItems.
 func AppendItems(dst []Item, p []byte) (Items, error) {
 	d := decoder{buf: p}
 	m, n := d.itemsHeader()
@@ -377,7 +399,8 @@ func (d *decoder) itemsHeader() (Items, uint64) {
 }
 
 // items appends n decoded items to dst. An item whose colour repeats the
-// previous one shares its string.
+// previous one shares its string, and every value is a view into the
+// payload (see view).
 func (d *decoder) items(dst []Item, n uint64) []Item {
 	var color string
 	if len(dst) > 0 {
@@ -386,7 +409,7 @@ func (d *decoder) items(dst []Item, n uint64) []Item {
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		it := Item{Node: d.uvarint()}
 		color = d.stringOr(color)
-		it.Color, it.Value = color, d.string()
+		it.Color, it.Value = color, d.view()
 		dst = append(dst, it)
 	}
 	return dst

@@ -235,7 +235,8 @@ func NewReader(r io.Reader) *Reader {
 
 // ReadFrame reads the next frame. A clean EOF at a frame boundary returns
 // io.EOF; EOF mid-frame returns io.ErrUnexpectedEOF (torn); a bad length or
-// checksum returns a CorruptError.
+// checksum returns a CorruptError. Every payload is freshly allocated and
+// never reused: the values decoded from it are views into it.
 func (r *Reader) ReadFrame() (Type, []byte, error) {
 	// The stream header is len+crc (8 bytes); the type byte is part of the
 	// length-counted body.

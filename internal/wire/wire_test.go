@@ -99,9 +99,9 @@ func TestDecodeItemsHugeCount(t *testing.T) {
 }
 
 // TestAppendItemsSizesOnce: a stream's frames decode onto one slice,
-// allocated on the first frame with room for the stream's Rows, and each
-// repeated colour shares the string of the item before it, so a row costs
-// one allocation (its value) and no more.
+// allocated on the first frame with room for the stream's Rows, each
+// repeated colour shares the string of the item before it, and each value
+// is a view into its frame, so a row costs no allocation at all.
 func TestAppendItemsSizesOnce(t *testing.T) {
 	first := Items{Rows: 5, More: true, Items: []Item{
 		{Node: 1, Color: "red", Value: "a"}, {Node: 2, Color: "red", Value: "b"}, {Node: 3, Color: "green", Value: "c"},
@@ -133,9 +133,9 @@ func TestAppendItemsSizesOnce(t *testing.T) {
 		scan = append(scan, Item{Node: uint64(i), Color: "red", Value: "value"})
 	}
 	payload := Items{Rows: 100, Items: scan}.Encode()
-	// One slice, one colour, and one string per value.
-	if allocs := testing.AllocsPerRun(20, func() { AppendItems(nil, payload) }); allocs > 102 {
-		t.Fatalf("decoding 100 one-colour items allocated %v times, want at most 102", allocs)
+	// One slice and one colour: the values are views into the payload.
+	if allocs := testing.AllocsPerRun(20, func() { AppendItems(nil, payload) }); allocs > 2 {
+		t.Fatalf("decoding 100 one-colour items allocated %v times, want at most 2", allocs)
 	}
 }
 
@@ -241,6 +241,38 @@ func TestReaderWriter(t *testing.T) {
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn stream: got %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestDecodedValuesOwnTheirFrame: decoded values are views into their
+// frame's payload, so reading the next frame from the same Reader must leave
+// them as they were: ReadFrame never reuses a payload.
+func TestDecodedValuesOwnTheirFrame(t *testing.T) {
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	for _, v := range []string{"first", "again"} { // the same length: a reused buffer would be overwritten in place
+		items := Items{Rows: 2, More: v == "first", Items: []Item{{Node: 1, Color: "red", Value: v}}}
+		if err := w.WriteFrame(TypeItems, items.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReader(&stream)
+	_, payload, err := r.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := AppendItems(nil, payload)
+	if err != nil || len(m.Items) != 1 || m.Items[0].Value != "first" {
+		t.Fatalf("first frame: %+v, %v", m, err)
+	}
+	if v := m.Items[0].Value; unsafe.StringData(v) != &payload[len(payload)-len(v)] {
+		t.Fatal("the value was copied out of its frame, not viewed in it")
+	}
+	if _, _, err := r.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Items[0].Value; got != "first" {
+		t.Fatalf("reading the next frame changed the first frame's value to %q", got)
 	}
 }
 

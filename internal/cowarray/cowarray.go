@@ -1,7 +1,7 @@
 // Package cowarray implements a persistent (copy-on-write) sparse array
 // indexed by dense integers. It holds the physical store's location tables
-// (element id -> record), the page store's image directory (page number ->
-// image) and the snapshot identity table (id -> node): all are keyed by
+// (element id -> record), the page store's page directories (page number ->
+// page header) and the snapshot identity table (id -> node): all are keyed by
 // integers handed out in sequence, all belong to a store snapshot that is
 // cloned on every commit, and all change in one or two places between
 // clones.

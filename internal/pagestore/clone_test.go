@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,7 +274,7 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 		}
 	}
 	for p := uint64(0); p < 12; p++ {
-		if _, ok := s.files[f].images.Get(p); ok != (p == 1 || p == 11) {
+		if _, ok := s.files[f].dir.Get(p); ok != (p == 1 || p == 11) {
 			t.Fatalf("page %d has an image: %v; want only page 1 and the fill target", p, ok)
 		}
 	}
@@ -308,5 +309,172 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("scan found %d records, want page 1's three and the new one", n)
+	}
+}
+
+// TestConcurrentReadersOfSharedTail: a clone appends into the tail page it
+// shares with a frozen store, in place, while four readers view and scan the
+// frozen store (meaningful under -race: the appends write only past the
+// frozen store's records and slot entries, where it does not read). A
+// sibling clone of the frozen store then finds the tail's high-water mark
+// moved and copies the page on its first append, and each lineage reads only
+// its own records.
+func TestConcurrentReadersOfSharedTail(t *testing.T) {
+	const n, appends = 100, 500
+	s := NewStore(0)
+	f := s.CreateFile()
+	var rids []RecordID
+	for i := 0; i < n; i++ {
+		rid, err := s.AppendRecord(f, []byte(fmt.Sprintf("rec-%04d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	cl := s.Clone()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := r; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rid, want := rids[k%n], fmt.Sprintf("rec-%04d", k%n)
+				var viewed string
+				if err := s.ViewRecord(rid, func(rec []byte) { viewed = string(rec) }); err != nil || viewed != want {
+					t.Errorf("ViewRecord(%v) = %q, %v; want %q", rid, viewed, err, want)
+					return
+				}
+				slots := 0
+				if err := s.ViewPage(rid.PageID, func(p *Page) { slots = p.NumSlots() }); err != nil || slots != n {
+					t.Errorf("ViewPage: %d slots, %v; want %d", slots, err, n)
+					return
+				}
+				live := 0
+				if err := s.Scan(f, func(rid RecordID, rec []byte) bool {
+					live++
+					return string(rec) == fmt.Sprintf("rec-%04d", rid.Slot)
+				}); err != nil || live != n {
+					t.Errorf("scan of the frozen store: %d records, %v; want %d", live, err, n)
+					return
+				}
+			}
+		}(r)
+	}
+	copied := obsPagesCopied.Value()
+	var added []RecordID
+	for i := 0; i < appends; i++ {
+		rid, err := cl.AppendRecord(f, []byte(fmt.Sprintf("c-%04d", i)))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		added = append(added, rid)
+		if i%5 == 0 {
+			if err := cl.DeleteRecord(rid); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if d := obsPagesCopied.Value() - copied; d != 0 || added[appends-1].Page != 0 {
+		t.Fatalf("the clone's %d appends copied %d pages and ended on page %d; want 0 and the shared page 0", appends, d, added[appends-1].Page)
+	}
+	sib := s.Clone()
+	rid, err := sib.AppendRecord(f, []byte("sibling"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := obsPagesCopied.Value() - copied; d != 1 || rid != added[0] {
+		t.Fatalf("the sibling's first append landed at %v and copied %d pages; want %v and 1", rid, d, added[0])
+	}
+	read := func(st *Store, rid RecordID) string {
+		rec, err := st.ReadRecord(rid)
+		if err != nil {
+			return "<" + err.Error() + ">"
+		}
+		return string(rec)
+	}
+	if got := read(sib, rid); got != "sibling" {
+		t.Fatalf("the sibling reads its record as %q", got)
+	}
+	if got := read(s, rid); !strings.HasPrefix(got, "<") {
+		t.Fatalf("the frozen store reads a slot past its own: %q", got)
+	}
+	for i, rid := range added {
+		want := fmt.Sprintf("c-%04d", i)
+		if got := read(cl, rid); (i%5 == 0) != strings.HasPrefix(got, "<") || i%5 != 0 && got != want {
+			t.Fatalf("the clone reads its record %d as %q", i, got)
+		}
+	}
+	for i, rid := range rids {
+		if got, want := read(sib, rid)+read(cl, rid), strings.Repeat(fmt.Sprintf("rec-%04d", i), 2); got != want {
+			t.Fatalf("original record %d reads %q in the sibling and the clone", i, got)
+		}
+	}
+}
+
+// benchStore is a store of 2 000 small records (about four pages).
+func benchStore(b *testing.B) (*Store, FileID, []RecordID) {
+	s := NewStore(0)
+	f := s.CreateFile()
+	rids := make([]RecordID, 2000)
+	for i := range rids {
+		var err error
+		if rids[i], err = s.AppendRecord(f, []byte(fmt.Sprintf("record-%04d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, f, rids
+}
+
+// BenchmarkAppendAfterClone: a commit that appends one record to the store
+// it cloned from the last commit's: in place in the shared tail page.
+func BenchmarkAppendAfterClone(b *testing.B) {
+	s, f, _ := benchStore(b)
+	rec := []byte("record-xxxx")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s = s.Clone()
+		if _, err := s.AppendRecord(f, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeleteAfterClone: a commit that deletes one record of a published
+// store: a copy of the page's header and tombstone bitmap.
+func BenchmarkDeleteAfterClone(b *testing.B) {
+	s, _, rids := benchStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Clone().DeleteRecord(rids[i%len(rids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOverwriteAfterClone: a commit that overwrites one record of a
+// published store: a copy of the page's image.
+func BenchmarkOverwriteAfterClone(b *testing.B) {
+	s, _, rids := benchStore(b)
+	rec := []byte("RECORD-xxxx")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Clone().OverwriteRecord(rids[i%len(rids)], rec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

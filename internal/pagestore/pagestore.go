@@ -1,17 +1,25 @@
 // Package pagestore is the storage substrate of the physical MCT store: 8 KB
-// slotted pages grouped into heap files, held as immutable in-memory page
-// images that store snapshots share and copy on write.
+// slotted pages grouped into heap files, held as in-memory page images that
+// store snapshots share.
 //
 // The experiments of the paper's Section 7 ran Timber with an 8 KB data page
 // over a disk behind a 256 MB buffer pool. The page size is kept, so records
 // cluster the way the paper's did; there is no disk tier here, so there is no
-// buffer pool either: a page read is a lookup in its file's image directory.
+// buffer pool either: a page read is a lookup in its file's page directory.
+//
+// A page is a small header per snapshot (slot count, free offset, live count,
+// tombstone bitmap) over an 8 KiB image that every snapshot holding the page
+// shares. A shared image is append-only: an append writes past the end of its
+// own snapshot's records and slot entries, where no other snapshot reads, so a
+// commit that appends or deletes copies a header, not the image. An overwrite
+// still copies the image, once per snapshot.
 package pagestore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"colorfulxml/internal/cowarray"
 )
@@ -45,74 +53,107 @@ var (
 	ErrNoSuchFile     = errors.New("no such file")
 )
 
-// Page is an in-memory page image with a slot directory:
+// Page is one snapshot's header over a page image. The image is laid out as
+// the page dump stores it:
 //
 //	[0:2]  numSlots
 //	[2:4]  free-space offset (end of used data region)
 //	then per-slot 4-byte entries (offset uint16, length uint16) growing from
 //	the end of the page, record data growing from the front.
+//
+// In memory, the first four bytes are the image's high-water mark instead
+// (image.hwm), the header holds the counts, and a tombstone is a bit in the
+// header's bitmap: the image keeps the entry, since an older snapshot may
+// still read the record.
 type Page struct {
-	Data [PageSize]byte
+	img *image
+	// dead marks the tombstoned slots; a slot past its end is live.
+	dead []uint64
+	// own is the store generation that may write this header in place. It
+	// also owns the image if ownImg, and the bitmap if ownDead.
+	own                *owner
+	nslots, free, live uint16
+	ownImg, ownDead    bool
 }
+
+// image is a page's 8 KiB. hwm is numSlots | free<<16 of the snapshot that
+// appended last: an append claims its record and slot entry by moving hwm on
+// from its own snapshot's counts, so a snapshot that finds hwm moved — a
+// sibling clone appended first — copies the image instead.
+type image struct {
+	hwm  atomic.Uint32
+	body [PageSize - pageHeader]byte
+}
+
+// owner is an identity token: a page header may be written in place only by
+// the store generation whose token it carries.
+type owner struct{ _ byte }
 
 const pageHeader = 4
 const slotSize = 4
 
-func (p *Page) numSlots() uint16 { return binary.LittleEndian.Uint16(p.Data[0:2]) }
-
-func (p *Page) setNumSlots(n uint16) { binary.LittleEndian.PutUint16(p.Data[0:2], n) }
-
-func (p *Page) freeOff() uint16 {
-	v := binary.LittleEndian.Uint16(p.Data[2:4])
-	if v == 0 {
-		return pageHeader
-	}
-	return v
+func (m *image) slotEntry(i uint16) (off, length uint16) {
+	e := binary.LittleEndian.Uint32(m.body[len(m.body)-(int(i)+1)*slotSize:])
+	return uint16(e), uint16(e >> 16)
 }
 
-func (p *Page) setFreeOff(v uint16) { binary.LittleEndian.PutUint16(p.Data[2:4], v) }
-
-func (p *Page) slotEntry(i uint16) (off, length uint16) {
-	base := PageSize - int(i+1)*slotSize
-	return binary.LittleEndian.Uint16(p.Data[base : base+2]),
-		binary.LittleEndian.Uint16(p.Data[base+2 : base+4])
+func (m *image) setSlotEntry(i uint16, off, length uint16) {
+	base := len(m.body) - (int(i)+1)*slotSize
+	binary.LittleEndian.PutUint16(m.body[base:base+2], off)
+	binary.LittleEndian.PutUint16(m.body[base+2:base+4], length)
 }
 
-func (p *Page) setSlotEntry(i uint16, off, length uint16) {
-	base := PageSize - int(i+1)*slotSize
-	binary.LittleEndian.PutUint16(p.Data[base:base+2], off)
-	binary.LittleEndian.PutUint16(p.Data[base+2:base+4], length)
+// newPage returns an empty page whose image is its own.
+func newPage() *Page {
+	p := &Page{img: new(image), free: pageHeader, ownImg: true}
+	p.img.hwm.Store(p.mark())
+	return p
 }
 
-// FreeSpace returns the bytes available for one more record (including its
-// slot entry).
-func (p *Page) FreeSpace() int { return max(0, p.room()) }
+// mark is the image high-water mark of this header's counts.
+func (p *Page) mark() uint32 { return uint32(p.nslots) | uint32(p.free)<<16 }
 
-// room is FreeSpace before clamping: negative when not even one more slot
-// entry fits, which is what keeps an empty record off a full page.
-func (p *Page) room() int {
-	used := int(p.freeOff()) + int(p.numSlots())*slotSize
-	return PageSize - used - slotSize
-}
+// room is the bytes left for one more record after its slot entry: negative
+// when not even the entry fits, which keeps an empty record off a full page.
+func (p *Page) room() int { return PageSize - int(p.free) - (int(p.nslots)+1)*slotSize }
 
-// Insert adds a record to the page, returning its slot.
-func (p *Page) Insert(rec []byte) (uint16, error) {
+// insert adds a record to the page, returning its slot. It writes in place if
+// the image's high-water mark is still this header's counts, and claims the
+// space by moving the mark; otherwise another snapshot appended first, and
+// the page takes an image of its own.
+func (p *Page) insert(rec []byte) (uint16, error) {
 	if len(rec) > p.room() {
-		return 0, fmt.Errorf("pagestore: %w (%d bytes, %d free)", ErrRecordTooLarge, len(rec), p.FreeSpace())
+		return 0, fmt.Errorf("pagestore: %w (%d bytes, %d free)", ErrRecordTooLarge, len(rec), max(0, p.room()))
 	}
-	slot := p.numSlots()
-	off := p.freeOff()
-	copy(p.Data[off:], rec)
-	p.setSlotEntry(slot, off, uint16(len(rec)))
-	p.setNumSlots(slot + 1)
-	p.setFreeOff(off + uint16(len(rec)))
+	slot, off := p.nslots, p.free
+	next := uint32(slot+1) | uint32(off+uint16(len(rec)))<<16
+	if !p.img.hwm.CompareAndSwap(p.mark(), next) {
+		p.copyImage()
+		p.img.hwm.Store(next)
+	}
+	copy(p.img.body[off-pageHeader:], rec)
+	p.img.setSlotEntry(slot, off, uint16(len(rec)))
+	p.nslots, p.free, p.live = slot+1, off+uint16(len(rec)), p.live+1
 	return slot, nil
+}
+
+// copyImage gives the page an image of its own: its snapshot's records and
+// slot entries, with zeros between them, where another snapshot may be
+// appending.
+func (p *Page) copyImage() {
+	old, data, dir := p.img, int(p.free)-pageHeader, len(p.img.body)-int(p.nslots)*slotSize
+	p.img = new(image)
+	copy(p.img.body[:data], old.body[:data])
+	copy(p.img.body[dir:], old.body[dir:])
+	p.img.hwm.Store(p.mark())
+	p.ownImg = true
+	obsPagesCopied.Inc()
 }
 
 // Record returns the record bytes in a slot. The returned slice aliases the
 // page; callers must copy if they retain it past the read that found it.
 func (p *Page) Record(slot uint16) ([]byte, error) {
-	if slot >= p.numSlots() {
+	if slot >= p.nslots {
 		return nil, fmt.Errorf("pagestore: slot %d: %w", slot, ErrNoSuchRecord)
 	}
 	rec, ok := p.record(slot)
@@ -123,93 +164,85 @@ func (p *Page) Record(slot uint16) ([]byte, error) {
 }
 
 // record returns the bytes of an existing slot, and false for a tombstone.
-// A record's offset is never 0 (the header comes first), so a slot with
-// offset 0 is a tombstone.
+// It is read per record, so it is kept small enough to inline.
 func (p *Page) record(slot uint16) ([]byte, bool) {
-	off, length := p.slotEntry(slot)
-	if off == 0 {
+	if w := int(slot >> 6); w < len(p.dead) && p.dead[w]&(1<<(slot&63)) != 0 {
 		return nil, false
 	}
-	return p.Data[off : off+length], true
+	off, length := p.img.slotEntry(slot)
+	return p.img.body[off-pageHeader:][:length], true
 }
 
-// Overwrite replaces a record in place. The new record must not be longer
-// than the old one (MCT structural records are fixed-size).
-func (p *Page) Overwrite(slot uint16, rec []byte) error {
-	if slot >= p.numSlots() {
-		return fmt.Errorf("pagestore: slot %d: %w", slot, ErrNoSuchRecord)
-	}
-	off, length := p.slotEntry(slot)
+// overwrite replaces a live record in place, copying the image first unless
+// the page owns it. The new record must not be longer than the old one (MCT
+// structural records are fixed-size).
+func (p *Page) overwrite(slot uint16, rec []byte) error {
+	off, length := p.img.slotEntry(slot)
 	if len(rec) > int(length) {
 		return fmt.Errorf("pagestore: overwrite grows record %d -> %d: %w", length, len(rec), ErrRecordTooLarge)
 	}
-	copy(p.Data[off:off+uint16(len(rec))], rec)
+	if !p.ownImg {
+		p.copyImage()
+	}
+	copy(p.img.body[off-pageHeader:], rec)
 	if len(rec) < int(length) {
-		p.setSlotEntry(slot, off, uint16(len(rec)))
+		p.img.setSlotEntry(slot, off, uint16(len(rec)))
 	}
 	return nil
 }
 
-// Delete tombstones a slot. Its space is not reclaimed within the page; a
-// page whose every slot is a tombstone is dropped whole (Store.DeleteRecord).
-func (p *Page) Delete(slot uint16) error {
-	if slot >= p.numSlots() {
-		return fmt.Errorf("pagestore: slot %d: %w", slot, ErrNoSuchRecord)
+// delete tombstones a live slot in the header's bitmap, copying the bitmap
+// first unless the header owns it. Its space is not reclaimed within the
+// page; a page whose every slot is a tombstone is dropped whole
+// (Store.DeleteRecord).
+func (p *Page) delete(slot uint16) {
+	if w := int(slot >> 6); !p.ownDead || w >= len(p.dead) {
+		dead := make([]uint64, int(p.nslots>>6)+1)
+		copy(dead, p.dead)
+		p.dead, p.ownDead = dead, true
 	}
-	p.setSlotEntry(slot, 0, 0)
-	return nil
-}
-
-// dead reports whether every slot of the page is a tombstone.
-func (p *Page) dead() bool {
-	for i := range p.numSlots() {
-		if _, ok := p.record(i); ok {
-			return false
-		}
-	}
-	return true
+	p.dead[slot>>6] |= 1 << (slot & 63)
+	p.live--
 }
 
 // NumSlots returns the number of slots ever allocated in the page (including
 // tombstones).
-func (p *Page) NumSlots() int { return int(p.numSlots()) }
+func (p *Page) NumSlots() int { return int(p.nslots) }
 
-// Store is a collection of heap files: per file, a directory of page images,
-// plus the set of pages this generation has copied.
+// Store is a collection of heap files: per file, a directory of page headers.
 //
-// An image in a directory that a clone may share is never written: the first
-// write of a page in a generation copies its image, and the copy replaces it
-// in this store's directory (writable). Clone starts a new generation on both
-// stores, so from then on each copies before it writes.
+// A header in a directory that a clone may share is never written: the first
+// write of a page in a generation copies its header (the image too for an
+// overwrite), and the copy replaces it in this store's directory. Clone
+// starts a new generation on both stores, so from then on each copies before
+// it writes.
 //
 // Concurrency contract:
 //   - one goroutine writes a store at a time (DB.mu sees to it);
 //   - no other goroutine reads a store while it is being written;
 //   - a frozen store may be read from any number of goroutines, also while
-//     it is being cloned.
+//     it is being cloned and while its clones write.
 //
-// A read is therefore an image lookup and takes no lock.
+// A read is therefore a header lookup and takes no lock.
 type Store struct {
 	// files is indexed by FileID; an entry that does not exist is a gap left
 	// by a page dump that skipped the id.
 	files []fileMeta
-	// copied holds the pages this generation owns: copied from a shared
-	// image, or new. They are written in place until the next Clone.
-	copied map[PageID]struct{}
+	// own is this generation's token, made on its first write.
+	own *owner
 }
 
 type fileMeta struct {
 	exists bool
-	pages  uint32
-	// lastPage caches the current fill target for appends.
-	lastPage uint32
-	hasPages bool
-	// images holds the file's page images by page number. A page with no
-	// image (never written, or dropped once dead) reads as emptyPage.
-	images *cowarray.Array[*Page]
+	// pages counts the file's pages; the last one is the fill target for
+	// appends.
+	pages uint32
+	// dir holds the file's page headers by page number. A page with none
+	// (never written, or dropped once dead) reads as emptyPage.
+	dir *cowarray.Array[*Page]
 }
 
-// emptyPage is what a page with no image reads as. It is never written.
+// emptyPage is what a page with no header reads as. It is never written.
 var emptyPage Page
 
 // NewStore creates an empty store. The argument is ignored; it is kept only
@@ -217,18 +250,18 @@ var emptyPage Page
 func NewStore(int) *Store { return &Store{} }
 
 // Clone returns a copy-on-write snapshot of the store. The two stores share
-// every page image, and each starts a new generation: its next write of any
-// page copies that page first, so neither observes the other's writes.
+// every page, and each starts a new generation: its next write of any page
+// copies that page's header first, so neither observes the other's writes.
 // Cloning costs the number of files, not the number of pages.
 //
 // Clone may run while other goroutines read the receiver; it touches nothing
 // a read does.
 func (s *Store) Clone() *Store {
-	s.copied = nil
+	s.own = nil
 	files := append([]fileMeta(nil), s.files...)
 	for i := range files {
 		if files[i].exists {
-			files[i].images = files[i].images.Clone()
+			files[i].dir = files[i].dir.Clone()
 		}
 	}
 	return &Store{files: files}
@@ -244,7 +277,7 @@ func (s *Store) file(f FileID) *fileMeta {
 
 // CreateFile allocates a new, empty heap file.
 func (s *Store) CreateFile() FileID {
-	s.files = append(s.files, fileMeta{exists: true, images: &cowarray.Array[*Page]{}})
+	s.files = append(s.files, fileMeta{exists: true, dir: &cowarray.Array[*Page]{}})
 	return FileID(len(s.files) - 1)
 }
 
@@ -257,7 +290,7 @@ func (s *Store) NumPages(f FileID) (int, error) {
 	return int(meta.pages), nil
 }
 
-// page returns a page's image for reading, or emptyPage for a page with
+// page returns a page's header for reading, or emptyPage for a page with
 // none.
 func (s *Store) page(id PageID) (*Page, error) {
 	meta := s.file(id.File)
@@ -267,37 +300,45 @@ func (s *Store) page(id PageID) (*Page, error) {
 	if id.Page >= meta.pages {
 		return nil, fmt.Errorf("pagestore: page %v out of range (%d pages)", id, meta.pages)
 	}
-	if img, ok := meta.images.Get(uint64(id.Page)); ok {
-		return img, nil
+	if pg, ok := meta.dir.Get(uint64(id.Page)); ok {
+		return pg, nil
 	}
 	return &emptyPage, nil
 }
 
-// writable returns a page for writing: the page itself if this generation
-// already owns it, otherwise a copy of its image (or a new page), which
-// replaces the image in this store's directory.
-func (s *Store) writable(id PageID) (*Page, error) {
-	pg, err := s.page(id)
-	if err != nil {
-		return nil, err
+// live returns the header of a live record's page.
+func (s *Store) live(rid RecordID) (*Page, error) {
+	pg, err := s.page(rid.PageID)
+	if err == nil {
+		_, err = pg.Record(rid.Slot)
 	}
-	if _, ok := s.copied[id]; ok {
-		return pg, nil
-	}
-	cp := new(Page)
-	if pg != &emptyPage {
-		*cp = *pg
-		obsPagesCopied.Inc()
-	}
-	s.files[id.File].images.Set(uint64(id.Page), cp)
-	if s.copied == nil {
-		s.copied = make(map[PageID]struct{})
-	}
-	s.copied[id] = struct{}{}
-	return cp, nil
+	return pg, err
 }
 
-// Pin returns a page's image. It is kept only for the nested bench module's
+// writable returns page id's header for writing: pg, the header read for it,
+// if this generation made it; otherwise a copy sharing pg's image and bitmap
+// (a new page if pg has no image), which replaces it in this store's
+// directory.
+func (s *Store) writable(id PageID, pg *Page) *Page {
+	if s.own == nil {
+		s.own = new(owner)
+	}
+	if pg.own == s.own {
+		return pg
+	}
+	if pg.img == nil {
+		pg = newPage()
+	} else {
+		cp := *pg
+		cp.ownImg, cp.ownDead = false, false
+		pg = &cp
+	}
+	pg.own = s.own
+	s.files[id.File].dir.Set(uint64(id.Page), pg)
+	return pg
+}
+
+// Pin returns a page's header. It is kept only for the nested bench module's
 // probe, and goes with ROADMAP item 6; readers here use ViewRecord, ViewPage
 // or Scan.
 func (s *Store) Pin(id PageID) (*Page, error) { return s.page(id) }
@@ -316,31 +357,16 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	if meta == nil {
 		return RecordID{}, fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
-	fresh := !meta.hasPages
-	for {
-		if fresh {
-			meta.lastPage = meta.pages
-			meta.pages++
-			meta.hasPages = true
-		}
-		id := PageID{File: f, Page: meta.lastPage}
-		pg, err := s.page(id)
-		if err != nil {
-			return RecordID{}, err
-		}
-		if !fresh && len(rec) > pg.room() {
-			fresh = true // page full: allocate a new one
-			continue
-		}
-		if pg, err = s.writable(id); err != nil {
-			return RecordID{}, err
-		}
-		slot, err := pg.Insert(rec)
-		if err != nil {
-			return RecordID{}, err
-		}
-		return RecordID{PageID: id, Slot: slot}, nil
+	pg, _ := meta.dir.Get(uint64(meta.pages) - 1)
+	if meta.pages == 0 || pg != nil && len(rec) > pg.room() {
+		meta.pages, pg = meta.pages+1, nil // no page yet, or the last is full
 	}
+	if pg == nil {
+		pg = &emptyPage
+	}
+	id := PageID{File: f, Page: meta.pages - 1}
+	slot, err := s.writable(id, pg).insert(rec)
+	return RecordID{PageID: id, Slot: slot}, err
 }
 
 // ReadRecord returns a copy of the record.
@@ -380,29 +406,27 @@ func (s *Store) ViewPage(id PageID, fn func(p *Page)) error {
 
 // OverwriteRecord replaces a record in place (same or smaller size).
 func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
-	pg, err := s.writable(rid.PageID)
+	pg, err := s.live(rid)
 	if err != nil {
 		return err
 	}
-	return pg.Overwrite(rid.Slot, rec)
+	return s.writable(rid.PageID, pg).overwrite(rid.Slot, rec)
 }
 
 // DeleteRecord tombstones a record. A page left with no live record loses
-// its image and reads as a fresh empty page from then on (the page appends
-// fill is kept), so records that come and go hold no memory once the last
-// one on a page is gone, not until a checkpoint.
+// its header and image and reads as a fresh empty page from then on (the page
+// appends fill is kept), so records that come and go hold no memory once the
+// last one on a page is gone, not until a checkpoint.
 func (s *Store) DeleteRecord(rid RecordID) error {
-	pg, err := s.writable(rid.PageID)
+	pg, err := s.live(rid)
 	if err != nil {
 		return err
 	}
-	if err := pg.Delete(rid.Slot); err != nil {
-		return err
+	if meta := &s.files[rid.File]; rid.Page != meta.pages-1 && pg.live == 1 {
+		meta.dir.Delete(uint64(rid.Page))
+		return nil
 	}
-	if meta := &s.files[rid.File]; rid.Page != meta.lastPage && pg.dead() {
-		meta.images.Delete(uint64(rid.Page))
-		delete(s.copied, rid.PageID)
-	}
+	s.writable(rid.PageID, pg).delete(rid.Slot)
 	return nil
 }
 
@@ -415,12 +439,12 @@ func (s *Store) Scan(f FileID, fn func(RecordID, []byte) bool) error {
 		return fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
 	for p := uint32(0); p < meta.pages; p++ {
-		pg, ok := meta.images.Get(uint64(p))
+		pg, ok := meta.dir.Get(uint64(p))
 		if !ok {
-			continue // no image: no records
+			continue // no header: no records
 		}
 		id := PageID{File: f, Page: p}
-		for sl := range pg.numSlots() {
+		for sl := range pg.nslots {
 			rec, ok := pg.record(sl)
 			if !ok {
 				continue // tombstone

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,11 +10,11 @@ import (
 )
 
 func TestPageInsertAndRead(t *testing.T) {
-	var p Page
+	p := newPage()
 	recs := [][]byte{[]byte("hello"), []byte("world"), []byte("")}
 	var slots []uint16
 	for _, r := range recs {
-		s, err := p.Insert(r)
+		s, err := p.insert(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,16 +35,16 @@ func TestPageInsertAndRead(t *testing.T) {
 }
 
 func TestPageCapacity(t *testing.T) {
-	var p Page
+	p := newPage()
 	big := make([]byte, PageSize)
-	if _, err := p.Insert(big); err == nil {
+	if _, err := p.insert(big); err == nil {
 		t.Fatal("oversized record should fail")
 	}
 	// Fill the page with 100-byte records until full; then one more fails.
 	rec := make([]byte, 100)
 	n := 0
 	for {
-		if _, err := p.Insert(rec); err != nil {
+		if _, err := p.insert(rec); err != nil {
 			break
 		}
 		n++
@@ -55,28 +56,26 @@ func TestPageCapacity(t *testing.T) {
 }
 
 func TestPageOverwriteAndDelete(t *testing.T) {
-	var p Page
-	s, _ := p.Insert([]byte("abcdef"))
-	if err := p.Overwrite(s, []byte("xyzxyz")); err != nil {
+	p := newPage()
+	s, _ := p.insert([]byte("abcdef"))
+	if err := p.overwrite(s, []byte("xyzxyz")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := p.Record(s)
 	if string(got) != "xyzxyz" {
 		t.Fatalf("got %q", got)
 	}
-	if err := p.Overwrite(s, []byte("too long here")); err == nil {
+	if err := p.overwrite(s, []byte("too long here")); err == nil {
 		t.Fatal("growing overwrite should fail")
 	}
-	if err := p.Overwrite(s, []byte("ab")); err != nil {
+	if err := p.overwrite(s, []byte("ab")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = p.Record(s)
 	if string(got) != "ab" {
 		t.Fatalf("shrunk record = %q", got)
 	}
-	if err := p.Delete(s); err != nil {
-		t.Fatal(err)
-	}
+	p.delete(s)
 	if _, err := p.Record(s); err == nil {
 		t.Fatal("deleted record should not read")
 	}
@@ -137,6 +136,12 @@ func TestStoreReadWriteDelete(t *testing.T) {
 	}
 	if _, err := s.ReadRecord(rid); err == nil {
 		t.Fatal("deleted record should not read")
+	}
+	if err := s.DeleteRecord(rid); !errors.Is(err, ErrNoSuchRecord) {
+		t.Fatalf("deleting a tombstone: %v, want ErrNoSuchRecord", err)
+	}
+	if err := s.OverwriteRecord(rid, nil); !errors.Is(err, ErrNoSuchRecord) {
+		t.Fatalf("overwriting a tombstone: %v, want ErrNoSuchRecord", err)
 	}
 	// Scan skips the tombstone.
 	count := 0

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"colorfulxml/internal/cowarray"
 )
@@ -30,13 +31,18 @@ const persistVersion = 1
 
 var pageCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrChecksum is wrapped by every checksum failure detected while loading a
-// page dump.
-var ErrChecksum = errors.New("pagestore: checksum mismatch")
+// Errors detected while loading a page dump. ErrBadPage is a page that
+// passes its checksum but whose slot directory overlaps its records, or that
+// has a live slot outside them: its records cannot be read.
+var (
+	ErrChecksum = errors.New("pagestore: checksum mismatch")
+	ErrBadPage  = errors.New("pagestore: malformed page")
+)
 
 // DumpPages writes every page of every heap file to w in the checkpoint
 // format. The receiver must not be written meanwhile (a frozen snapshot is
-// the usual case); a page with no image is dumped as an empty page.
+// the usual case), but its clones may be. Each page is written as this
+// store sees it (encode); a page with no image is dumped as an empty page.
 func (s *Store) DumpPages(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	sum := crc32.New(pageCastagnoli)
@@ -75,6 +81,7 @@ func (s *Store) DumpPages(w io.Writer) error {
 			return err
 		}
 	}
+	img := new([PageSize]byte)
 	for _, id := range ids {
 		meta := s.files[id]
 		for p := uint32(0); p < meta.pages; p++ {
@@ -83,17 +90,17 @@ func (s *Store) DumpPages(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			img := pg.Data[:]
+			pg.encode(img)
 			if err := put(uint32(pid.File)); err != nil {
 				return err
 			}
 			if err := put(pid.Page); err != nil {
 				return err
 			}
-			if err := put(crc32.Checksum(img, pageCastagnoli)); err != nil {
+			if err := put(crc32.Checksum(img[:], pageCastagnoli)); err != nil {
 				return err
 			}
-			if _, err := out.Write(img); err != nil {
+			if _, err := out.Write(img[:]); err != nil {
 				return err
 			}
 		}
@@ -106,9 +113,55 @@ func (s *Store) DumpPages(w io.Writer) error {
 	return bw.Flush()
 }
 
+// encode writes the page into b as the dump stores it: this header's counts,
+// its records and slot entries with each tombstone's entry zeroed, and zeros
+// between them, where a clone may have appended.
+func (p *Page) encode(b *[PageSize]byte) {
+	clear(b[:])
+	if p.img == nil {
+		return
+	}
+	binary.LittleEndian.PutUint16(b[0:2], p.nslots)
+	binary.LittleEndian.PutUint16(b[2:4], p.free)
+	dir := PageSize - int(p.nslots)*slotSize
+	copy(b[pageHeader:p.free], p.img.body[:])
+	copy(b[dir:], p.img.body[dir-pageHeader:])
+	for w, m := range p.dead {
+		for ; m != 0; m &= m - 1 {
+			e := PageSize - (w*64+bits.TrailingZeros64(m)+1)*slotSize
+			clear(b[e : e+slotSize])
+		}
+	}
+}
+
+// decodePage rebuilds the header of a dumped page from its first four bytes
+// and the rest, already read into img; a page with no slots gets none. The
+// loading store's generation own owns the header, image and bitmap.
+func decodePage(head []byte, img *image, own *owner) (*Page, error) {
+	p := &Page{img: img, nslots: binary.LittleEndian.Uint16(head[0:2]), own: own, ownImg: true}
+	p.free, p.live = max(binary.LittleEndian.Uint16(head[2:4]), pageHeader), p.nslots
+	if int(p.nslots)*slotSize+int(p.free) > PageSize {
+		return nil, fmt.Errorf("%w: %d slot entries overlap %d bytes of records", ErrBadPage, p.nslots, p.free)
+	}
+	if p.nslots == 0 {
+		return nil, nil
+	}
+	for i := range p.nslots {
+		switch off, length := img.slotEntry(i); {
+		case off == 0:
+			p.delete(i)
+		case off < pageHeader || int(off)+int(length) > int(p.free):
+			return nil, fmt.Errorf("%w: slot %d holds bytes [%d, %d), outside the records [%d, %d)",
+				ErrBadPage, i, off, int(off)+int(length), pageHeader, p.free)
+		}
+	}
+	img.hwm.Store(p.mark())
+	return p, nil
+}
+
 // ReadStore reconstructs a Store from a page dump, verifying every page
-// checksum. Any mismatch is reported with the damaged page's identity and
-// wraps ErrChecksum.
+// checksum, then every page's slot directory. A failure names the damaged
+// page and wraps ErrChecksum or ErrBadPage.
 func ReadStore(r io.Reader) (*Store, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	sum := crc32.New(pageCastagnoli)
@@ -146,14 +199,9 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if nFiles > 1<<20 || nextFile > 1<<20 {
 		return nil, fmt.Errorf("pagestore: implausible file count %d (next id %d)", nFiles, nextFile)
 	}
-	s := &Store{files: make([]fileMeta, nextFile)}
-	type fileEnt struct {
-		id    FileID
-		pages uint32
-	}
-	files := make([]fileEnt, nFiles)
+	s := &Store{files: make([]fileMeta, nextFile), own: new(owner)}
 	totalPages := uint64(0)
-	for i := range files {
+	for range nFiles {
 		id, err := get()
 		if err != nil {
 			return nil, err
@@ -162,11 +210,10 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		files[i] = fileEnt{FileID(id), pages}
 		if id >= nextFile {
 			return nil, fmt.Errorf("pagestore: file id %d beyond nextFile %d", id, nextFile)
 		}
-		s.files[id] = fileMeta{exists: true, pages: pages, images: &cowarray.Array[*Page]{}}
+		s.files[id] = fileMeta{exists: true, pages: pages, dir: &cowarray.Array[*Page]{}}
 		totalPages += uint64(pages)
 	}
 	for n := uint64(0); n < totalPages; n++ {
@@ -187,14 +234,25 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if meta == nil || id.Page >= meta.pages {
 			return nil, fmt.Errorf("pagestore: page dump names unknown page %v", id)
 		}
-		img := new(Page)
-		if _, err := io.ReadFull(in, img.Data[:]); err != nil {
+		img := new(image)
+		_, err = io.ReadFull(in, u32[:])
+		if err == nil {
+			_, err = io.ReadFull(in, img.body[:])
+		}
+		if err != nil {
 			return nil, fmt.Errorf("pagestore: truncated page %v: %w", id, err)
 		}
-		if got := crc32.Checksum(img.Data[:], pageCastagnoli); got != want {
+		got := crc32.Update(crc32.Checksum(u32[:], pageCastagnoli), pageCastagnoli, img.body[:])
+		if got != want {
 			return nil, fmt.Errorf("pagestore: page %v: %w (got %08x, want %08x)", id, ErrChecksum, got, want)
 		}
-		meta.images.Set(uint64(id.Page), img)
+		pg, err := decodePage(u32[:], img, s.own)
+		if err != nil {
+			return nil, fmt.Errorf("pagestore: page %v: %w", id, err)
+		}
+		if pg != nil {
+			meta.dir.Set(uint64(id.Page), pg)
+		}
 	}
 	wantTrailer := sum.Sum32()
 	if _, err := io.ReadFull(br, u32[:]); err != nil {
@@ -202,14 +260,6 @@ func ReadStore(r io.Reader) (*Store, error) {
 	}
 	if got := binary.LittleEndian.Uint32(u32[:]); got != wantTrailer {
 		return nil, fmt.Errorf("pagestore: page dump trailer: %w (got %08x, want %08x)", ErrChecksum, got, wantTrailer)
-	}
-	// Recompute append targets: the last page of each file is the fill target.
-	for _, f := range files {
-		meta := &s.files[f.id]
-		if f.pages > 0 {
-			meta.lastPage = f.pages - 1
-			meta.hasPages = true
-		}
 	}
 	return s, nil
 }

@@ -89,27 +89,6 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestPrefix(t *testing.T) {
-	tr := New()
-	for _, k := range []string{"app", "apple", "apply", "banana", "ape"} {
-		tr.Insert(k, 1)
-	}
-	var got []string
-	tr.Prefix("app", func(k string, _ []uint64) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []string{"app", "apple", "apply"}
-	if len(got) != 3 {
-		t.Fatalf("prefix = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("prefix = %v", got)
-		}
-	}
-}
-
 func TestDelete(t *testing.T) {
 	tr := New()
 	tr.Insert("k", 1)

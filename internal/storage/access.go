@@ -277,11 +277,11 @@ func (s *Store) ParentOf(sn SNode) (SNode, bool, error) {
 		return SNode{}, false, nil
 	}
 	obsIndexProbes.Inc()
-	refs := s.startIdx.Get(startKey(sn.Color, sn.ParentStart))
-	if len(refs) == 0 {
+	ref, ok := s.starts(sn.Color).Get(sn.ParentStart)
+	if !ok {
 		return SNode{}, false, fmt.Errorf("storage: dangling parent start %d in %q", sn.ParentStart, sn.Color)
 	}
-	p, err := s.readStructRef(refs[0], sn.Color)
+	p, err := s.readStructRef(ref, sn.Color)
 	if err != nil {
 		return SNode{}, false, err
 	}
@@ -379,15 +379,12 @@ func (s *Store) Subtree(sn SNode) ([]SNode, error) {
 	var out []SNode
 	var scanErr error
 	obsIndexProbes.Inc()
-	s.startIdx.Range(startKey(sn.Color, sn.Start+1), startKey(sn.Color, sn.End), func(_ string, refs []uint64) bool {
-		for _, ref := range refs {
-			d, err := s.readStructRef(ref, sn.Color)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			out = append(out, d)
+	s.starts(sn.Color).Range(sn.Start+1, sn.End, func(_ int64, ref uint64) bool {
+		d, err := s.readStructRef(ref, sn.Color)
+		if scanErr = err; err != nil {
+			return false
 		}
+		out = append(out, d)
 		return true
 	})
 	return out, scanErr
@@ -409,25 +406,18 @@ func (s *Store) ChildrenOf(sn SNode) ([]SNode, error) {
 }
 
 // Roots returns the root structural nodes of a colored tree (children of the
-// document) in start order.
+// document) in start order: one seek per root, each past the end of the one
+// before, so no other node is read.
 func (s *Store) Roots(c core.Color) ([]SNode, error) {
 	var out []SNode
-	var scanErr error
-	obsIndexProbes.Inc()
-	s.startIdx.Prefix(string(c)+"|", func(_ string, refs []uint64) bool {
-		for _, ref := range refs {
-			sn, err := s.readStructRef(ref, c)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if sn.ParentStart == -1 {
-				out = append(out, sn)
-			}
+	for pos := int64(0); ; {
+		sn, ok, err := s.startFrom(c, pos)
+		if err != nil || !ok {
+			return out, err
 		}
-		return true
-	})
-	return out, scanErr
+		out = append(out, sn)
+		pos = sn.End + 1
+	}
 }
 
 // StructOf returns the structural node of an element in a color (same as

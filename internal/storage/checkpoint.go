@@ -167,7 +167,6 @@ func ReadCheckpoint(r io.Reader) (*Store, error) {
 		tagIdx:     btree.New(),
 		contentIdx: btree.New(),
 		attrIdx:    btree.New(),
-		startIdx:   btree.New(),
 	}
 	for _, cf := range colorFiles {
 		if s.tree(cf.c) != nil {
@@ -255,7 +254,7 @@ func (s *Store) rebuildDirectories() error {
 			if e.Content != "" {
 				s.contentIdx.Insert(contentKey(c, e.Tag, e.Content), ref)
 			}
-			s.startIdx.Insert(startKey(c, it.sn.Start), ref)
+			t.start.Put(it.sn.Start, ref)
 			s.counts.StructNodes++
 		}
 	}

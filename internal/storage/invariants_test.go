@@ -10,11 +10,12 @@ import (
 )
 
 // CheckInvariants is the storage half of the store/core consistency checker
-// (ROADMAP item 5): one walk per color over the start index, from which
+// (ROADMAP item 5): one walk per color over its start index, from which
 // everything else the store keeps about structure must follow.
 //
-//   - start index: one ref per key, the key is the record's start, the
-//     color's location table points at the same record;
+//   - start index: each key is its record's start, the color's location
+//     table points at the same record, and the index and the table hold as
+//     many entries as the walk found nodes;
 //   - intervals: 0 <= start < end < maxPos, all positions distinct, strictly
 //     nested; a node's parent-start is the start of the innermost node open
 //     around it (-1 under the document) and its level one more than that
@@ -39,25 +40,19 @@ func (s *Store) CheckInvariants() error {
 		last := int64(-1) // the greatest position seen so far
 		inner := map[string]int{}
 		var bad error
-		s.startIdx.Prefix(string(c)+"|", func(k string, refs []uint64) bool {
-			if len(k) != len(c)+17 {
-				return true // a longer color's key
-			}
-			if len(refs) != 1 {
-				bad = fmt.Errorf("start key %s holds %d refs", k, len(refs))
-				return false
-			}
-			sn, err := s.readStructRef(refs[0], c)
+		nodes := 0
+		t.start.Ascend(func(k int64, ref uint64) bool {
+			sn, err := s.readStructRef(ref, c)
 			if err != nil {
-				bad = fmt.Errorf("start key %s: %w", k, err)
+				bad = fmt.Errorf("start key %d: %w", k, err)
 				return false
 			}
-			if k != startKey(c, sn.Start) {
-				bad = fmt.Errorf("start key %s holds %+v", k, sn)
+			if k != sn.Start {
+				bad = fmt.Errorf("start key %d holds %+v", k, sn)
 				return false
 			}
-			if ref, ok := t.loc.Get(uint64(sn.Elem)); !ok || ref != refs[0] {
-				bad = fmt.Errorf("%+v: location table says %d (%v), start index %d", sn, ref, ok, refs[0])
+			if have, ok := t.loc.Get(uint64(sn.Elem)); !ok || have != ref {
+				bad = fmt.Errorf("%+v: location table says %d (%v), start index %d", sn, have, ok, ref)
 				return false
 			}
 			for len(stack) > 0 && stack[len(stack)-1].sn.End < sn.Start {
@@ -85,18 +80,23 @@ func (s *Store) CheckInvariants() error {
 			if parent.tag != "" {
 				inner[parent.tag]++
 			}
-			wantTag[tagKey(c, e.Tag)] = append(wantTag[tagKey(c, e.Tag)], refs[0])
+			wantTag[tagKey(c, e.Tag)] = append(wantTag[tagKey(c, e.Tag)], ref)
 			if e.Content != "" {
 				key := contentKey(c, e.Tag, e.Content)
-				wantContent[key] = append(wantContent[key], refs[0])
+				wantContent[key] = append(wantContent[key], ref)
 			}
 			stack = append(stack, open{sn, e.Tag})
-			total++
+			nodes++
 			return true
 		})
 		if bad != nil {
 			return fmt.Errorf("storage: color %q: %w", c, bad)
 		}
+		if t.start.Len() != nodes || t.loc.Len() != nodes {
+			return fmt.Errorf("storage: color %q: %d start keys and %d located nodes, %d walked",
+				c, t.start.Len(), t.loc.Len(), nodes)
+		}
+		total += nodes
 		for tag, n := range inner {
 			if t.inner[tag] != n {
 				return fmt.Errorf("storage: color %q: %d nodes under a %s, counted %d", c, n, tag, t.inner[tag])
@@ -106,9 +106,8 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("storage: color %q: child counts %v, tree has %v", c, t.inner, inner)
 		}
 	}
-	if total != s.counts.StructNodes || total != s.startIdx.Len() {
-		return fmt.Errorf("storage: %d structural nodes walked, %d counted, %d start keys",
-			total, s.counts.StructNodes, s.startIdx.Len())
+	if total != s.counts.StructNodes {
+		return fmt.Errorf("storage: %d structural nodes walked, %d counted", total, s.counts.StructNodes)
 	}
 	for _, idx := range []struct {
 		name string

@@ -126,7 +126,7 @@ func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 			return err
 		}
 	}
-	s.startIdx.Insert(startKey(sn.Color, sn.Start), ref)
+	t.start.Put(sn.Start, ref)
 	s.counts.StructNodes++
 	return nil
 }

@@ -38,13 +38,13 @@ func (s *Store) Clone() *Store {
 		tagIdx:     s.tagIdx.Clone(),
 		contentIdx: s.contentIdx.Clone(),
 		attrIdx:    s.attrIdx.Clone(),
-		startIdx:   s.startIdx.Clone(),
 		nextID:     s.nextID,
 		counts:     s.counts,
 		pathSums:   s.clonePathSums(),
 	}
 	for i := range ns.trees {
 		ns.trees[i].loc = ns.trees[i].loc.Clone()
+		ns.trees[i].start = ns.trees[i].start.Clone()
 		s.trees[i].innerShared, ns.trees[i].innerShared = true, true
 	}
 	// The clone starts structurally identical to its parent, so it inherits

@@ -265,3 +265,25 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		}
 	}
 }
+
+// TestParentHopAllocatesNothing: a parent hop is one integer seek of the
+// color's start index and one record read, with nothing allocated — the
+// step a navigational join takes per row.
+func TestParentHopAllocatesNothing(t *testing.T) {
+	s := navStore(t, rand.New(rand.NewSource(1)))
+	var children []storage.SNode
+	for _, sn := range colorNodes(t, s, "red") {
+		if sn.ParentStart >= 0 {
+			children = append(children, sn)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, ok, err := s.ParentOf(children[i%len(children)]); !ok || err != nil {
+			t.Fatalf("ParentOf(%+v) = %v, %v", children[i%len(children)], ok, err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Fatalf("ParentOf allocates %v times per hop, want 0", allocs)
+	}
+}

@@ -26,8 +26,9 @@ import (
 // them. Relative order never changes, so posting lists stay in start order
 // and packed refs stay valid; only start-index keys are re-made.
 
-// maxPos is the document's end in every color: the greatest position startKey
-// can order (16 decimal digits), which every node position stays below.
+// maxPos is the document's end in every color, which every node position
+// stays below: far more positions than a store held in memory numbers at the
+// bulk-load gap, and well inside the start index's int64 keys.
 const maxPos = 1e16 - 1
 
 // Document returns the document node as the parent of color c's roots, for
@@ -38,31 +39,23 @@ func (s *Store) Document(c core.Color) (doc SNode, ok bool) {
 	return SNode{Color: c, Start: -1, End: maxPos, Level: -1, ParentStart: -1}, s.tree(c) != nil
 }
 
-// startAt returns the node of color c that the start index holds under key k,
-// if k is a key of that color at all (a seek can land in a neighboring one).
-func (s *Store) startAt(c core.Color, k string, refs []uint64) (SNode, bool, error) {
-	if len(k) != len(c)+17 || k[:len(c)] != string(c) || k[len(c)] != '|' {
-		return SNode{}, false, nil
-	}
-	sn, err := s.readStructRef(refs[0], c)
-	return sn, err == nil, err
-}
-
 // startBelow returns the node of color c with the greatest start below pos.
 func (s *Store) startBelow(c core.Color, pos int64) (SNode, bool, error) {
 	obsIndexProbes.Inc()
-	k, refs, ok := s.startIdx.SeekLT(startKey(c, pos))
+	_, ref, ok := s.starts(c).SeekLT(pos)
 	if !ok {
 		return SNode{}, false, nil
 	}
-	return s.startAt(c, k, refs)
+	sn, err := s.readStructRef(ref, c)
+	return sn, err == nil, err
 }
 
 // startFrom returns the node of color c with the least start at or above pos.
 func (s *Store) startFrom(c core.Color, pos int64) (sn SNode, ok bool, err error) {
 	obsIndexProbes.Inc()
-	s.startIdx.Range(startKey(c, pos), startKey(c, maxPos), func(k string, refs []uint64) bool {
-		sn, ok, err = s.startAt(c, k, refs)
+	s.starts(c).Range(pos, maxPos, func(_ int64, ref uint64) bool {
+		sn, err = s.readStructRef(ref, c)
+		ok = err == nil
 		return false
 	})
 	return sn, ok, err
@@ -187,6 +180,7 @@ func (s *Store) extend(n SNode, need int64) (SNode, error) {
 // still short makes parent extend. It returns n as it is then.
 func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 	c := n.Color
+	start := s.starts(c)
 	first, last := n, n // the run: the children first..last of parent
 	moreLeft, moreRight := true, true
 	var refs []uint64 // its nodes, in start order
@@ -218,8 +212,8 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 			last = sib
 		}
 		refs = refs[:0]
-		s.startIdx.Range(startKey(c, first.Start), startKey(c, last.End), func(_ string, r []uint64) bool {
-			refs = append(refs, r...)
+		start.Range(first.Start, last.End, func(_ int64, ref uint64) bool {
+			refs = append(refs, ref)
 			return true
 		})
 		span, positions := stop-first.Start, 2*int64(len(refs))
@@ -276,13 +270,13 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 	}
 	// Old keys go before new ones come: the two sets overlap.
 	for _, old := range nodes {
-		s.startIdx.DeleteKey(startKey(c, old.Start))
+		start.Delete(old.Start)
 	}
 	for i, sn := range out {
 		if err := s.pages.OverwriteRecord(unpackRID(refs[i]), encodeStruct(sn)); err != nil {
 			return n, err
 		}
-		s.startIdx.Insert(startKey(c, sn.Start), refs[i])
+		start.Put(sn.Start, refs[i])
 		if sn.Elem == n.Elem {
 			n = sn
 		}

@@ -69,28 +69,26 @@ func (s *Store) buildPathSummary(c core.Color) (*PathSummary, error) {
 	var stack []frame
 	var scanErr error
 	obsIndexProbes.Inc()
-	s.startIdx.Prefix(string(c)+"|", func(_ string, refs []uint64) bool {
-		for _, ref := range refs {
-			sn, err := s.readStructRef(ref, c)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			e, err := s.Elem(sn.Elem)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			for len(stack) > 0 && stack[len(stack)-1].end < sn.Start {
-				stack = stack[:len(stack)-1]
-			}
-			path := e.Tag
-			if len(stack) > 0 {
-				path = stack[len(stack)-1].path + pathSep + e.Tag
-			}
-			stack = append(stack, frame{end: sn.End, path: path})
-			ps.paths[path] = append(ps.paths[path], ref)
+	s.starts(c).Ascend(func(_ int64, ref uint64) bool {
+		sn, err := s.readStructRef(ref, c)
+		if err != nil {
+			scanErr = err
+			return false
 		}
+		e, err := s.Elem(sn.Elem)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		for len(stack) > 0 && stack[len(stack)-1].end < sn.Start {
+			stack = stack[:len(stack)-1]
+		}
+		path := e.Tag
+		if len(stack) > 0 {
+			path = stack[len(stack)-1].path + pathSep + e.Tag
+		}
+		stack = append(stack, frame{end: sn.End, path: path})
+		ps.paths[path] = append(ps.paths[path], ref)
 		return true
 	})
 	if scanErr != nil {

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -93,11 +92,10 @@ type Store struct {
 	trees  []colorTree
 	colors []core.Color
 
-	// Indexes.
+	// Indexes; the start index is per color, in trees.
 	tagIdx     *btree.Tree // color|tag -> struct record refs (start order)
 	contentIdx *btree.Tree // color|tag|content -> struct record refs
 	attrIdx    *btree.Tree // name=value -> elem ids
-	startIdx   *btree.Tree // color|zero-padded start -> struct record ref
 
 	nextID ElemID
 
@@ -122,11 +120,15 @@ type Store struct {
 }
 
 // colorTree is the store's header for one colored tree: the heap file of its
-// structural records and where each element's record sits in it.
+// structural records, where each element's record sits in it, and the start
+// index.
 type colorTree struct {
 	color core.Color
 	file  pagestore.FileID
 	loc   *cowarray.Array[uint64]
+	// start maps each structural node's start to its record's packed ref:
+	// what parent hops, Subtree, Roots and the numbering rule seek.
+	start *btree.Map[int64, uint64]
 	// inner counts, per tag, the tree's structural nodes whose parent carries
 	// that tag — the one DataGuide fact kept current under every update
 	// (LeafTag). A map of a few tags; a clone shares it until either side
@@ -191,6 +193,15 @@ func (s *Store) tree(c core.Color) *colorTree {
 	return nil
 }
 
+// starts returns color c's start index; empty for a color the store does not
+// have.
+func (s *Store) starts(c core.Color) *btree.Map[int64, uint64] {
+	if t := s.tree(c); t != nil {
+		return t.start
+	}
+	return &btree.Map[int64, uint64]{}
+}
+
 // SizeCounts is the Table 1 accounting: logical node counts plus physical
 // sizes.
 type SizeCounts struct {
@@ -208,7 +219,6 @@ func NewStore(colors ...core.Color) *Store {
 		tagIdx:     btree.New(),
 		contentIdx: btree.New(),
 		attrIdx:    btree.New(),
-		startIdx:   btree.New(),
 	}
 	s.elemFile = s.pages.CreateFile()
 	s.statsEpoch.Store(nextStatsEpoch())
@@ -247,7 +257,9 @@ func (s *Store) addColor(c core.Color) {
 func (s *Store) addTree(c core.Color, f pagestore.FileID) {
 	at := sort.Search(len(s.trees), func(i int) bool { return s.trees[i].color > c })
 	trees := make([]colorTree, 0, len(s.trees)+1)
-	trees = append(append(trees, s.trees[:at]...), colorTree{color: c, file: f, loc: &cowarray.Array[uint64]{}})
+	trees = append(append(trees, s.trees[:at]...), colorTree{
+		color: c, file: f, loc: &cowarray.Array[uint64]{}, start: &btree.Map[int64, uint64]{},
+	})
 	s.trees = append(trees, s.trees[at:]...)
 	s.colors = make([]core.Color, len(s.trees))
 	for i, t := range s.trees {
@@ -296,20 +308,14 @@ func (s *Store) DataBytes() (int64, error) {
 	return total, nil
 }
 
-// IndexBytes returns the approximate in-memory size of the indexes: tag,
-// content, attribute and start (all four are part of the Table 1 index
+// IndexBytes returns the memory the indexes hold: tag, content, attribute
+// and every color's start index (all four are part of the Table 1 index
 // accounting).
 func (s *Store) IndexBytes() int64 {
-	return approxBytes(s.tagIdx) + approxBytes(s.contentIdx) +
-		approxBytes(s.attrIdx) + approxBytes(s.startIdx)
-}
-
-func approxBytes(t *btree.Tree) int64 {
-	total := int64(0)
-	t.Ascend(func(k string, vals []uint64) bool {
-		total += int64(len(k)) + 16 + 8*int64(len(vals))
-		return true
-	})
+	total := s.tagIdx.Bytes() + s.contentIdx.Bytes() + s.attrIdx.Bytes()
+	for _, t := range s.trees {
+		total += t.start.Bytes()
+	}
 	return total
 }
 
@@ -418,20 +424,3 @@ func contentKey(c core.Color, tag, content string) string {
 }
 
 func attrKey(name, value string) string { return name + "=" + value }
-
-// startKey is the startIdx key: color plus a zero-padded decimal start so
-// that lexicographic order equals numeric order (starts are never negative;
-// a root's parent-start of -1 is not a key). Built by hand — it is on
-// the path of every parent hop — in a buffer that stays on the stack for
-// any ordinary colour name.
-func startKey(c core.Color, start int64) string {
-	var buf [64]byte
-	b := append(buf[:0], c...)
-	b = append(b, '|')
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], start, 10)
-	for n := len(d); n < 16; n++ {
-		b = append(b, '0')
-	}
-	return string(append(b, d...))
-}

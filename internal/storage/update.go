@@ -184,7 +184,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		if e.Content != "" {
 			s.contentIdx.Delete(contentKey(d.Color, e.Tag, e.Content), ref)
 		}
-		s.startIdx.DeleteKey(startKey(d.Color, d.Start))
+		t.start.Delete(d.Start)
 		t.loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--
 		if len(s.ColorsOf(d.Elem)) == 0 {

@@ -11,9 +11,6 @@ type Options struct {
 	PoolSize int
 	// DialTimeout bounds connect + handshake (and checkout pings). Default 5s.
 	DialTimeout time.Duration
-	// CallTimeout is the per-call deadline applied when the caller's
-	// context has none. 0 (the default) means no deadline.
-	CallTimeout time.Duration
 	// IdlePingAfter makes checkout ping a connection that sat idle longer
 	// than this before handing it out. Default 1s; negative disables.
 	IdlePingAfter time.Duration
@@ -42,7 +39,6 @@ func (o Options) withDefaults() Options {
 // colorful.DB's Query/Prepare surface. Safe for concurrent use.
 type DB struct {
 	pool *Pool
-	opt  Options
 }
 
 // Open connects to addr with default options and validates the address
@@ -52,7 +48,7 @@ func Open(addr string) (*DB, error) { return OpenOptions(addr, Options{}) }
 // OpenOptions is Open with explicit tuning.
 func OpenOptions(addr string, opt Options) (*DB, error) {
 	opt = opt.withDefaults()
-	db := &DB{pool: newPool(addr, opt), opt: opt}
+	db := &DB{pool: newPool(addr, opt)}
 	ctx, cancel := context.WithTimeout(context.Background(), opt.DialTimeout)
 	defer cancel()
 	c, err := db.pool.Get(ctx)
@@ -79,14 +75,6 @@ func (db *DB) Close() error {
 // Pool exposes the underlying pool (for direct Get/Release control).
 func (db *DB) Pool() *Pool { return db.pool }
 
-// callCtx applies the default CallTimeout when the caller set no deadline.
-func (db *DB) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok || db.opt.CallTimeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, db.opt.CallTimeout)
-}
-
 // do runs fn on a checked-out connection and releases it. A failure is
 // returned as-is; nothing is retried.
 func (db *DB) do(ctx context.Context, fn func(c *Conn) error) error {
@@ -98,7 +86,7 @@ func (db *DB) do(ctx context.Context, fn func(c *Conn) error) error {
 	return fn(c)
 }
 
-// Query runs a one-shot query with the default call timeout.
+// Query runs a one-shot query with no deadline.
 func (db *DB) Query(src string) ([]Item, error) {
 	return db.QueryContext(context.Background(), src)
 }
@@ -106,8 +94,6 @@ func (db *DB) Query(src string) ([]Item, error) {
 // QueryContext runs a one-shot query; the context deadline rides to the
 // server as the request's execution budget.
 func (db *DB) QueryContext(ctx context.Context, src string) ([]Item, error) {
-	ctx, cancel := db.callCtx(ctx)
-	defer cancel()
 	var out []Item
 	err := db.do(ctx, func(c *Conn) error {
 		items, err := c.Query(ctx, src)
@@ -130,8 +116,6 @@ func (db *DB) Update(src string) (UpdateResult, error) {
 
 // UpdateContext applies a mutation batch with a deadline.
 func (db *DB) UpdateContext(ctx context.Context, src string) (UpdateResult, error) {
-	ctx, cancel := db.callCtx(ctx)
-	defer cancel()
 	var out UpdateResult
 	err := db.do(ctx, func(c *Conn) error {
 		res, err := c.Update(ctx, src)
@@ -146,15 +130,11 @@ func (db *DB) UpdateContext(ctx context.Context, src string) (UpdateResult, erro
 
 // Ping verifies the server answers.
 func (db *DB) Ping(ctx context.Context) error {
-	ctx, cancel := db.callCtx(ctx)
-	defer cancel()
 	return db.do(ctx, func(c *Conn) error { return c.Ping(ctx) })
 }
 
 // Health fetches the server database's health state.
 func (db *DB) Health(ctx context.Context) (HealthInfo, error) {
-	ctx, cancel := db.callCtx(ctx)
-	defer cancel()
 	var out HealthInfo
 	err := db.do(ctx, func(c *Conn) error {
 		h, err := c.Health(ctx)
@@ -169,8 +149,6 @@ func (db *DB) Health(ctx context.Context) (HealthInfo, error) {
 
 // ServerStats fetches the server's serving snapshot.
 func (db *DB) ServerStats(ctx context.Context) (ServerStats, error) {
-	ctx, cancel := db.callCtx(ctx)
-	defer cancel()
 	var out ServerStats
 	err := db.do(ctx, func(c *Conn) error {
 		s, err := c.Stats(ctx)

@@ -18,8 +18,7 @@ type Stmt struct {
 // Prepare validates src by preparing it on one connection and returns a
 // pool-wide statement.
 func (db *DB) Prepare(src string) (*Stmt, error) {
-	ctx, cancel := db.callCtx(context.Background())
-	defer cancel()
+	ctx := context.Background()
 	err := db.do(ctx, func(c *Conn) error {
 		_, err := c.prepare(ctx, src)
 		return err
@@ -33,7 +32,7 @@ func (db *DB) Prepare(src string) (*Stmt, error) {
 // Text returns the statement's source text.
 func (st *Stmt) Text() string { return st.src }
 
-// Query executes the statement with the default call timeout.
+// Query executes the statement with no deadline.
 func (st *Stmt) Query() ([]Item, error) {
 	return st.QueryContext(context.Background())
 }
@@ -43,8 +42,6 @@ func (st *Stmt) QueryContext(ctx context.Context) ([]Item, error) {
 	if st.closed.Load() {
 		return nil, ErrClosed
 	}
-	ctx, cancel := st.db.callCtx(ctx)
-	defer cancel()
 	var out []Item
 	err := st.db.do(ctx, func(c *Conn) error {
 		items, err := c.execStmt(ctx, st.src)

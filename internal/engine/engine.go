@@ -529,26 +529,6 @@ func statExtras(st *OpStats) string {
 	return b.String()
 }
 
-// ContentOf fetches the content of one row column, charging a content read.
-func ContentOf(ctx *Ctx, row Row, col int) (string, error) {
-	ctx.M.ContentReads++
-	return ctx.S.ContentOf(row[col].Elem)
-}
-
-// FetchContents materializes the content of a column across rows (the
-// "return" phase of a query).
-func FetchContents(ctx *Ctx, rows []Row, col int) ([]string, error) {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		c, err := ContentOf(ctx, r, col)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
-}
-
 // Pred is a content predicate for Filter operators.
 type Pred struct {
 	// Kind: "eq", "ne", "contains", "prefix", "lt", "le", "gt", "ge".

@@ -85,8 +85,8 @@ func TestQ1PlanMCT(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("Q1 rows = %d\n%s", len(rows), engine.Explain(full))
 	}
-	content, err := engine.FetchContents(&engine.Ctx{S: s}, rows, 2)
-	if err != nil || content[0] != "All About Eve" {
+	content, err := s.ContentOf(rows[0][2].Elem)
+	if err != nil || content != "All About Eve" {
 		t.Fatalf("Q1 content = %v, %v", content, err)
 	}
 	if m.StructJoins == 0 {

@@ -55,58 +55,25 @@ func runBatchAlias(pass *Pass) error {
 }
 
 func checkBatchAliases(pass *Pass, fd *ast.FuncDecl) {
-	cfg := BuildCFG(fd.Body)
-	in := make([]map[types.Object]viewState, len(cfg.Blocks))
-	out := make([]map[types.Object]viewState, len(cfg.Blocks))
-	visited := make([]bool, len(cfg.Blocks))
-	reported := map[token.Pos]bool{}
-
-	transfer := func(b *Block, state map[types.Object]viewState, emit bool) map[types.Object]viewState {
-		st := map[types.Object]viewState{}
-		for k, v := range state {
-			st[k] = v
-		}
-		for _, s := range b.Stmts {
-			batchAliasStmt(pass, s, st, emit, reported)
-		}
-		return st
-	}
-
-	work := []int{cfg.Entry.Index}
-	in[cfg.Entry.Index] = map[types.Object]viewState{}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		b := cfg.Blocks[i]
-		newOut := transfer(b, in[i], false)
-		// Unvisited blocks must propagate even with an empty state, which
-		// would otherwise compare equal to the nil initial out-state.
-		if visited[i] && viewStatesEqual(newOut, out[i]) {
-			continue
-		}
-		visited[i] = true
-		out[i] = newOut
-		for _, succ := range b.Succs {
-			merged := mergeViewStates(in[succ.Index], newOut)
-			if in[succ.Index] == nil || !viewStatesEqual(merged, in[succ.Index]) {
-				in[succ.Index] = merged
-				work = append(work, succ.Index)
+	Flow[map[types.Object]viewState]{
+		Entry: map[types.Object]viewState{},
+		Transfer: func(b *Block, in map[types.Object]viewState, emit bool) map[types.Object]viewState {
+			st := mergeViewStates(in, nil)
+			for _, s := range b.Stmts {
+				batchAliasStmt(pass, s, st, emit)
 			}
-		}
-	}
-	for _, b := range cfg.Blocks {
-		if in[b.Index] == nil {
-			continue // unreachable
-		}
-		transfer(b, in[b.Index], true)
-	}
+			return st
+		},
+		Join:  mergeViewStates,
+		Equal: viewStatesEqual,
+	}.Solve(BuildCFG(fd.Body))
 }
 
 // batchAliasStmt applies one statement to the view state, in contract
 // order: invalidations fire first (a refill kills the previous views),
 // then uses of poisoned views are reported, then assignments bind fresh
 // views.
-func batchAliasStmt(pass *Pass, s ast.Stmt, st map[types.Object]viewState, emit bool, reported map[token.Pos]bool) {
+func batchAliasStmt(pass *Pass, s ast.Stmt, st map[types.Object]viewState, emit bool) {
 	// 1. Invalidations.
 	ast.Inspect(s, func(x ast.Node) bool {
 		switch v := x.(type) {
@@ -150,8 +117,7 @@ func batchAliasStmt(pass *Pass, s ast.Stmt, st map[types.Object]viewState, emit 
 			if !tracked || vs.poisonPos == token.NoPos {
 				return true
 			}
-			if emit && !reported[v.Pos()] {
-				reported[v.Pos()] = true
+			if emit {
 				pass.Reportf(v.Pos(), "batch row view %s used after %s invalidated its batch (line %d); copy the row before the batch is recycled",
 					v.Name, vs.poison, pass.Fset.Position(vs.poisonPos).Line)
 			}

@@ -8,16 +8,14 @@ import (
 	"strings"
 )
 
-// This file is the intraprocedural control-flow layer of the whole-program
-// analyzers: a statement-granularity CFG over go/ast, precise enough for the
-// forward dataflow the concurrency checks run (lock-held sets, batch-alias
-// poisoning) without needing SSA. Blocks hold the statements that execute
+// This file is the intraprocedural control-flow layer of the flow analyzers:
+// a statement-granularity CFG over go/ast, and one forward may-dataflow
+// solver (Flow) that lockorder, batchalias and sessionclose all run on it,
+// without needing SSA. Blocks hold the statements that execute
 // straight-line; successor edges model if/for/range/switch/select,
 // labeled break/continue, goto, return, and the terminal calls panic and
-// os.Exit. Deferred statements do not appear in the flow — they are
-// collected on the side (CFG.Defers) for analyses that interpret them
-// (a deferred mu.Unlock keeps the lock held for the rest of the function;
-// a deferred wg.Done is the goroutine-tracking idiom).
+// os.Exit. A defer statement stays in its block, where each analyzer
+// decides what it means, and is also listed in CFG.Defers.
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
@@ -40,6 +38,60 @@ type Block struct {
 	// linear scan of Stmts sees every expression the block evaluates.
 	Stmts []ast.Stmt
 	Succs []*Block
+	// Cond is the condition of the if statement the block ends with, nil
+	// otherwise; Succs[0] is then the true edge and Succs[1] the false one.
+	Cond ast.Expr
+}
+
+// Flow is a forward may-dataflow problem over a CFG, with states of type S.
+type Flow[S any] struct {
+	// Entry is the state on entry to the function.
+	Entry S
+	// Transfer returns the state after b's statements, given the state
+	// before them; it must not modify in. emit is set only on the final
+	// pass, which visits each reachable block once: report findings then.
+	Transfer func(b *Block, in S, emit bool) S
+	// Join merges two states meeting at a block; Equal detects the fixed
+	// point. Neither may modify its arguments.
+	Join  func(a, b S) S
+	Equal func(a, b S) bool
+	// Edge, when set, refines the out-state b passes along b.Succs[i].
+	Edge func(b *Block, i int, out S) S
+}
+
+// Solve runs f to a fixed point over cfg's block in-states with a
+// worklist, then runs Transfer with emit set once per reachable block, in
+// block order. It returns the in-states, the zero S for unreachable blocks.
+func (f Flow[S]) Solve(cfg *CFG) []S {
+	in := make([]S, len(cfg.Blocks))
+	reached := make([]bool, len(cfg.Blocks))
+	in[cfg.Entry.Index], reached[cfg.Entry.Index] = f.Entry, true
+	work := []*Block{cfg.Entry}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		out := f.Transfer(b, in[b.Index], false)
+		for i, succ := range b.Succs {
+			s := out
+			if f.Edge != nil {
+				s = f.Edge(b, i, out)
+			}
+			j := succ.Index
+			if reached[j] {
+				if s = f.Join(in[j], s); f.Equal(s, in[j]) {
+					continue
+				}
+			}
+			in[j], reached[j] = s, true
+			work = append(work, succ)
+		}
+	}
+	for _, b := range cfg.Blocks {
+		if reached[b.Index] {
+			f.Transfer(b, in[b.Index], true)
+		}
+	}
+	return in
 }
 
 // cfgBuilder threads the under-construction graph: cur is the block new
@@ -169,6 +221,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.stmt(x.Init)
 		b.appendExpr(x.Cond)
 		condBlk := b.cur
+		condBlk.Cond = x.Cond
 		join := b.newBlock()
 		thenBlk := b.newBlock()
 		b.edge(condBlk, thenBlk)

@@ -99,8 +99,11 @@ func TestCFGBranches(t *testing.T) {
 	if condBlk == nil {
 		t.Fatalf("condition expression not materialized in any block:\n%s", cfg)
 	}
-	if len(condBlk.Succs) != 2 {
-		t.Errorf("condition block wants 2 successors (then, else), got %d:\n%s", len(condBlk.Succs), cfg)
+	if len(condBlk.Succs) != 2 || condBlk.Succs[0] != findCall(cfg, "thenCall") || condBlk.Succs[1] != findCall(cfg, "elseCall") {
+		t.Errorf("condition block wants 2 successors, then and else in that order:\n%s", cfg)
+	}
+	if condBlk.Cond == nil {
+		t.Errorf("condition block does not record its condition:\n%s", cfg)
 	}
 	join := findCall(cfg, "join")
 	for _, arm := range []string{"thenCall", "elseCall"} {
@@ -242,5 +245,49 @@ case <-b:
 	}
 	if !canReach(cfg.Entry, cfg.Exit) {
 		t.Errorf("exit unreachable after select:\n%s", cfg)
+	}
+}
+
+// TestFlowSolve runs a "which calls may have run" analysis, a bit per
+// called name, over a loop left by a break. The edge refinement tags the
+// true edge of q(), which only the break path carries.
+func TestFlowSolve(t *testing.T) {
+	cfg := buildCFG(t, "a()\nfor p() {\n\tif q() {\n\t\tb()\n\t\tbreak\n\t}\n\tc()\n}\nd()")
+	bits := map[string]uint{"a": 1, "b": 2, "c": 4, "d": 8}
+	const tookQ = 16
+	emitted := map[*lint.Block]int{}
+	in := lint.Flow[uint]{
+		Transfer: func(b *lint.Block, in uint, emit bool) uint {
+			if emit {
+				emitted[b]++
+			}
+			for _, s := range b.Stmts {
+				if es, ok := s.(*ast.ExprStmt); ok {
+					if call, ok := es.X.(*ast.CallExpr); ok {
+						in |= bits[call.Fun.(*ast.Ident).Name]
+					}
+				}
+			}
+			return in
+		},
+		Join:  func(a, b uint) uint { return a | b },
+		Equal: func(a, b uint) bool { return a == b },
+		Edge: func(b *lint.Block, i int, out uint) uint {
+			if b.Cond != nil && i == 0 && b == findCall(cfg, "q") {
+				return out | tookQ
+			}
+			return out
+		},
+	}.Solve(cfg)
+	if got := in[cfg.Exit.Index]; got != 1|2|4|8|tookQ {
+		t.Errorf("exit in-state %b, want %b", got, 1|2|4|8|tookQ)
+	}
+	if got := in[findCall(cfg, "c").Index]; got != 1|4 {
+		t.Errorf("c()'s in-state %b, want a, and c from the back edge", got)
+	}
+	for _, blk := range cfg.Blocks {
+		if n := emitted[blk]; n > 1 || (n == 0 && canReach(cfg.Entry, blk)) {
+			t.Errorf("block b%d emitted %d times:\n%s", blk.Index, n, cfg)
+		}
 	}
 }

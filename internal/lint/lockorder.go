@@ -265,15 +265,8 @@ func collectLockEdges(n *FuncNode, trans map[*FuncNode]map[string]bool, record f
 		sites[cs.Call] = cs
 	}
 
-	in := make([]map[string]bool, len(cfg.Blocks))
-	out := make([]map[string]bool, len(cfg.Blocks))
-	visited := make([]bool, len(cfg.Blocks))
-
 	transfer := func(b *Block, held map[string]bool, emit bool) map[string]bool {
-		h := map[string]bool{}
-		for c := range held {
-			h[c] = true
-		}
+		h := lockSetUnion(held, nil)
 		for _, s := range b.Stmts {
 			forEachLockStmt(n.Pkg, s, func(call *ast.CallExpr, method, class string) {
 				if lockAcquireMethods[method] {
@@ -288,10 +281,7 @@ func collectLockEdges(n *FuncNode, trans map[*FuncNode]map[string]bool, record f
 				}
 			}, func(call *ast.CallExpr) {
 				cs := sites[call]
-				if cs == nil || cs.Go || len(h) == 0 {
-					return
-				}
-				if !emit {
+				if !emit || cs == nil || cs.Go || len(h) == 0 {
 					return
 				}
 				for _, callee := range cs.Callees {
@@ -305,37 +295,9 @@ func collectLockEdges(n *FuncNode, trans map[*FuncNode]map[string]bool, record f
 		}
 		return h
 	}
-
-	// Fixpoint on the held sets, then one emitting pass.
-	work := []int{cfg.Entry.Index}
-	in[cfg.Entry.Index] = map[string]bool{}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		b := cfg.Blocks[i]
-		newOut := transfer(b, in[i], false)
-		// An unvisited block must propagate even when its output state is
-		// empty — emptiness is indistinguishable from "not yet computed"
-		// otherwise, and the walk would stall at the entry block.
-		if visited[i] && lockSetEqual(newOut, out[i]) {
-			continue
-		}
-		visited[i] = true
-		out[i] = newOut
-		for _, succ := range b.Succs {
-			merged := lockSetUnion(in[succ.Index], newOut)
-			if in[succ.Index] == nil || !lockSetEqual(merged, in[succ.Index]) {
-				in[succ.Index] = merged
-				work = append(work, succ.Index)
-			}
-		}
-	}
-	for _, b := range cfg.Blocks {
-		if in[b.Index] == nil {
-			continue // unreachable
-		}
-		transfer(b, in[b.Index], true)
-	}
+	Flow[map[string]bool]{
+		Entry: map[string]bool{}, Transfer: transfer, Join: lockSetUnion, Equal: lockSetEqual,
+	}.Solve(cfg)
 }
 
 func lockSetUnion(a, b map[string]bool) map[string]bool {

@@ -14,10 +14,9 @@ import (
 // as long as the session lives. The network client carries the same shape of
 // obligation: a Pool.Get checkout holds a capacity slot until Release (or
 // Close), and a client.Open/Dial/Prepare result holds sockets or server
-// handles until Close. The analyzer tracks each creation through the
-// function with a three-state abstract interpretation (before the creation,
-// live, closed-or-escaped), joined across branches and iterated to a fixed
-// point in loops.
+// handles until Close. The analyzer tracks each creation as a may-set of
+// three states (before the creation, live, closed-or-escaped) over the
+// function's CFG, with the Flow solver the other flow analyzers share.
 //
 // Ownership transfer ends the obligation here: returning the value, passing
 // it to a call, storing it in a field/slice/map/channel, or capturing it in
@@ -182,10 +181,16 @@ func trackSessionVar(pass *Pass, body *ast.BlockStmt, call *ast.CallExpr, id *as
 	if obj == nil {
 		return
 	}
-	fl := &sessFlow{pass: pass, create: call, obj: obj, errObj: errObj,
-		name: id.Name, reported: map[token.Pos]bool{}}
-	out := fl.stmt(body, sessPre)
-	if out&sessLive != 0 {
+	fl := &sessFlow{pass: pass, create: call, obj: obj, errObj: errObj, name: id.Name}
+	cfg := BuildCFG(body)
+	in := Flow[sessState]{
+		Entry:    sessPre,
+		Transfer: fl.transfer,
+		Join:     func(a, b sessState) sessState { return a | b },
+		Equal:    func(a, b sessState) bool { return a == b },
+		Edge:     fl.edge,
+	}.Solve(cfg)
+	if in[cfg.Exit.Index]&sessLive != 0 {
 		pass.Reportf(body.Rbrace,
 			"%s can reach the end of the function still open; close it (or defer Close) on every path", fl.name)
 	}
@@ -236,134 +241,76 @@ const (
 	sessNone sessState = 0         // unreachable (terminated path)
 )
 
-// sessFlow evaluates one variable's create/close state machine over a body.
-// reported guards against duplicate diagnostics when the loop fixed point
-// re-evaluates a body.
+// sessFlow is one variable's create/close state machine, the transfer
+// function of its flow over the body's CFG.
 type sessFlow struct {
-	pass     *Pass
-	create   *ast.CallExpr
-	obj      types.Object
-	errObj   types.Object // companion error of a multi-value creation, if any
-	name     string
-	reported map[token.Pos]bool
+	pass   *Pass
+	create *ast.CallExpr
+	obj    types.Object
+	errObj types.Object // companion error of a multi-value creation, if any
+	name   string
 }
 
-// reportf emits at most one diagnostic per position for this flow.
-func (fl *sessFlow) reportf(pos token.Pos, format string, args ...any) {
-	if fl.reported[pos] {
-		return
-	}
-	fl.reported[pos] = true
-	fl.pass.Reportf(pos, format, args...)
-}
-
-func (fl *sessFlow) stmt(s ast.Stmt, in sessState) sessState {
-	if s == nil || in == sessNone {
-		return in
-	}
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range x.List {
-			in = fl.stmt(st, in)
+// transfer applies b's statements to the state set. A return reports a
+// live variable and, like a terminal call, ends its path: what reaches the
+// Exit block is what falls off the closing brace.
+func (fl *sessFlow) transfer(b *Block, in sessState, emit bool) sessState {
+	for _, s := range b.Stmts {
+		if in == sessNone {
+			break
 		}
-		return in
-	case *ast.IfStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.scan(in, x.Cond)
-		// An err-nil guard on the creation's companion error: on the failing
-		// branch the constructor returned nothing to close.
-		thenIn, elseIn := in, in
-		switch fl.errNilBranch(x.Cond) {
-		case errFailsThen: // if err != nil { ... }
-			thenIn = fl.failed(in)
-		case errFailsElse: // if err == nil { ... } else { ... }
-			elseIn = fl.failed(in)
-		}
-		thenOut := fl.stmt(x.Body, thenIn)
-		elseOut := elseIn
-		if x.Else != nil {
-			elseOut = fl.stmt(x.Else, elseIn)
-		}
-		return thenOut | elseOut
-	case *ast.ForStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.scan(in, x.Cond)
-		return fl.loop(in, func(s sessState) sessState {
-			s = fl.stmt(x.Body, s)
-			return fl.stmt(x.Post, s)
-		})
-	case *ast.RangeStmt:
-		in = fl.scan(in, x.X)
-		return fl.loop(in, func(s sessState) sessState { return fl.stmt(x.Body, s) })
-	case *ast.SwitchStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.scan(in, x.Tag)
-		return fl.cases(in, x.Body)
-	case *ast.TypeSwitchStmt:
-		in = fl.stmt(x.Init, in)
-		in = fl.stmt(x.Assign, in)
-		return fl.cases(in, x.Body)
-	case *ast.SelectStmt:
-		return fl.cases(in, x.Body)
-	case *ast.LabeledStmt:
-		return fl.stmt(x.Stmt, in)
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			in = fl.scan(in, r)
-		}
-		if in&sessLive != 0 {
-			fl.reportf(x.Pos(),
-				"return leaks %s while it is still open; close it (or defer Close) before returning", fl.name)
-		}
-		return sessNone
-	case *ast.BranchStmt:
-		return in
-	case *ast.ExprStmt:
-		if isTerminalCall(x.X) {
-			fl.scan(in, x.X)
-			return sessNone
-		}
-		return fl.scan(in, x.X)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			in = fl.scan(in, e)
-		}
-		for _, e := range x.Lhs {
-			// Assigning to the tracked variable (its definition, or a plain
-			// reassignment) is neither a use nor an escape.
-			if id, ok := ast.Unparen(e).(*ast.Ident); ok && fl.isVar(id) {
-				continue
+		switch x := s.(type) {
+		case *ast.ReturnStmt:
+			if in = fl.scanStmt(in, x, emit); in&sessLive != 0 && emit {
+				fl.pass.Reportf(x.Pos(),
+					"return leaks %s while it is still open; close it (or defer Close) before returning", fl.name)
 			}
-			in = fl.scan(in, e)
+			in = sessNone
+		case *ast.ExprStmt:
+			in = fl.scanStmt(in, x, emit)
+			if isTerminalCall(x.X) {
+				in = sessNone
+			}
+		case *ast.AssignStmt:
+			for _, e := range x.Rhs {
+				in = fl.scanStmt(in, e, emit)
+			}
+			for _, e := range x.Lhs {
+				// Assigning to the tracked variable (its definition, or a plain
+				// reassignment) is neither a use nor an escape.
+				if id, ok := ast.Unparen(e).(*ast.Ident); !ok || !fl.isVar(id) {
+					in = fl.scanStmt(in, e, emit)
+				}
+			}
+		default:
+			// A deferred Close guards every later exit; taking it as an
+			// immediate transition is sound for the paths that follow it.
+			in = fl.scanStmt(in, s, emit)
 		}
-		return in
-	case *ast.DeferStmt:
-		// A deferred Close guards every later exit; approximating it as an
-		// immediate transition is sound for the paths that follow the defer.
-		return fl.scan(in, x.Call)
-	case *ast.GoStmt:
-		return fl.scan(in, x.Call)
-	default:
-		return fl.scanStmt(in, s)
 	}
+	return in
 }
 
-// Outcomes of matching an if condition against the companion error.
-const (
-	errNoGuard   = iota // not an err-nil check on the companion
-	errFailsThen        // err != nil: the then-branch is the failure path
-	errFailsElse        // err == nil: the else-branch is the failure path
-)
+// edge refines the state along an if's edges: past an err-nil guard on the
+// creation's companion error, the failing edge has nothing to close,
+// because a failed constructor returns nothing.
+func (fl *sessFlow) edge(b *Block, i int, out sessState) sessState {
+	if b.Cond != nil && fl.failingEdge(b.Cond) == i && out&sessLive != 0 {
+		return out&^sessLive | sessDone
+	}
+	return out
+}
 
-// errNilBranch classifies cond as an err-nil guard on the creation's
-// companion error variable.
-func (fl *sessFlow) errNilBranch(cond ast.Expr) int {
+// failingEdge returns the edge of an if on cond (0 true, 1 false) taken
+// when the creation's companion error is non-nil, or -1 when cond is not an
+// err-nil guard on it.
+func (fl *sessFlow) failingEdge(cond ast.Expr) int {
 	if fl.errObj == nil {
-		return errNoGuard
+		return -1
 	}
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.NEQ && be.Op != token.EQL) {
-		return errNoGuard
+		return -1
 	}
 	isErr := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
@@ -373,68 +320,14 @@ func (fl *sessFlow) errNilBranch(cond ast.Expr) int {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
-	if (isErr(be.X) && isNil(be.Y)) || (isNil(be.X) && isErr(be.Y)) {
-		if be.Op == token.NEQ {
-			return errFailsThen
-		}
-		return errFailsElse
+	switch {
+	case !(isErr(be.X) && isNil(be.Y)) && !(isNil(be.X) && isErr(be.Y)):
+		return -1
+	case be.Op == token.NEQ: // if err != nil { ... }
+		return 0
+	default: // if err == nil { ... } else { ... }
+		return 1
 	}
-	return errNoGuard
-}
-
-// failed maps the state set onto the constructor-failed path: anything live
-// becomes done, because a failed Session()/Prepare returns nothing to close.
-func (fl *sessFlow) failed(in sessState) sessState {
-	if in&sessLive != 0 {
-		in = (in &^ sessLive) | sessDone
-	}
-	return in
-}
-
-func (fl *sessFlow) loop(in sessState, body func(sessState) sessState) sessState {
-	out := in
-	for i := 0; i < 3; i++ {
-		next := out | body(out)
-		if next == out {
-			break
-		}
-		out = next
-	}
-	return out
-}
-
-func (fl *sessFlow) cases(in sessState, body *ast.BlockStmt) sessState {
-	out := sessNone
-	hasDefault := false
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			s := in
-			for _, e := range c.List {
-				s = fl.scan(s, e)
-			}
-			if c.List == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-			in = s
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		s := in
-		for _, st := range stmts {
-			s = fl.stmt(st, s)
-		}
-		out |= s
-	}
-	if !hasDefault {
-		out |= in
-	}
-	return out
 }
 
 // sessEvent is one state-affecting occurrence inside an expression, applied
@@ -450,15 +343,9 @@ const (
 	evEscape
 )
 
-// scan applies the variable's transitions for every occurrence under e.
-func (fl *sessFlow) scan(in sessState, e ast.Expr) sessState {
-	if e == nil {
-		return in
-	}
-	return fl.scanStmt(in, e)
-}
-
-func (fl *sessFlow) scanStmt(in sessState, n ast.Node) sessState {
+// scanStmt applies the variable's transitions for every occurrence under n,
+// in source order; emit is the solver's final pass.
+func (fl *sessFlow) scanStmt(in sessState, n ast.Node, emit bool) sessState {
 	var events []sessEvent
 	skip := map[ast.Node]bool{}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -503,16 +390,16 @@ func (fl *sessFlow) scanStmt(in sessState, n ast.Node) sessState {
 	})
 	sort.Slice(events, func(i, j int) bool { return events[i].pos.Pos() < events[j].pos.Pos() })
 	for _, ev := range events {
-		in = fl.transition(in, ev)
+		in = fl.transition(in, ev, emit)
 	}
 	return in
 }
 
-func (fl *sessFlow) transition(in sessState, ev sessEvent) sessState {
+func (fl *sessFlow) transition(in sessState, ev sessEvent, emit bool) sessState {
 	switch ev.kind {
 	case evCreate:
-		if in&sessLive != 0 {
-			fl.reportf(ev.pos.Pos(),
+		if in&sessLive != 0 && emit {
+			fl.pass.Reportf(ev.pos.Pos(),
 				"%s is reassigned while still open; close the previous Session/Stmt first", fl.name)
 		}
 		return sessLive

@@ -146,3 +146,52 @@ func invertedGuard(db *colorful.DB, q string) error {
 	}
 	return nil
 }
+
+// A break out of the loop skips the Close.
+func breakLeak(db *colorful.DB, qs []string) {
+	for _, q := range qs {
+		s := db.Session()
+		if s.Query(q) != nil {
+			break
+		}
+		s.Close()
+	}
+} // want "s can reach the end of the function still open"
+
+// A continue skips the Close, so the next iteration opens over a live one.
+func continueLeak(db *colorful.DB, qs []string) {
+	for _, q := range qs {
+		s := db.Session() // want "s is reassigned while still open"
+		if q == "" {
+			continue
+		}
+		_ = s.Query(q)
+		s.Close()
+	}
+} // want "s can reach the end of the function still open"
+
+// A labeled break leaves both loops before the Close.
+func labeledBreakLeak(db *colorful.DB, batches [][]string) {
+outer:
+	for _, qs := range batches {
+		s := db.Session()
+		for _, q := range qs {
+			if s.Query(q) != nil {
+				break outer
+			}
+		}
+		s.Close()
+	}
+} // want "s can reach the end of the function still open"
+
+// A select without default runs one of its cases, and every case closes:
+// conforming.
+func selectCloses(db *colorful.DB, a, b chan int) {
+	s := db.Session()
+	select {
+	case <-a:
+		s.Close()
+	case <-b:
+		s.Close()
+	}
+}

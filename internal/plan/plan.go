@@ -29,7 +29,6 @@ import (
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/pathexpr"
-	"colorfulxml/internal/schema"
 	"colorfulxml/internal/storage"
 )
 
@@ -174,32 +173,6 @@ func (sc StoreCatalog) LeafTag(c core.Color, tag string) bool { return sc.Store.
 func (sc StoreCatalog) NeverNests(c core.Color, tag string) bool {
 	ps, err := sc.Store.PathSummary(c)
 	return err == nil && !ps.Nests(tag)
-}
-
-// SchemaCatalog estimates cardinalities from schema quant statistics (paper
-// Section 5.1): the expected population of a tag is the product of the
-// average child counts along its parent chain in that colored hierarchy.
-type SchemaCatalog struct{ Schema *schema.Schema }
-
-// TagCard implements Catalog.
-func (sc SchemaCatalog) TagCard(c core.Color, tag string) float64 {
-	card := 1.0
-	cur := tag
-	for depth := 0; depth < 64; depth++ {
-		card *= sc.Schema.Quant(cur, c)
-		parent := sc.Schema.ParentIn(cur, c)
-		if parent == "" || parent == cur {
-			break
-		}
-		cur = parent
-	}
-	return card
-}
-
-// EqCard implements Catalog. Without value histograms the schema assumes
-// one-in-ten equality selectivity.
-func (sc SchemaCatalog) EqCard(c core.Color, tag, value string) float64 {
-	return sc.TagCard(c, tag) * 0.1
 }
 
 // Options configures compilation.

@@ -12,18 +12,8 @@ import (
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
 	"colorfulxml/internal/plan"
-	"colorfulxml/internal/schema"
 	"colorfulxml/internal/storage"
 )
-
-func testSchema() *schema.Schema {
-	s := schema.New().AddColor("c", "root")
-	s.AddProduction("c", "root", "mid*")
-	s.AddProduction("c", "mid", "leaf*")
-	s.SetQuant("mid", "c", 10)
-	s.SetQuant("leaf", "c", 4)
-	return s
-}
 
 // compileRun compiles src against the movie database and returns the
 // distinct output-column values (attribute or content per the plan).
@@ -214,17 +204,6 @@ func TestUnsupportedConstructsReportErrUnsupported(t *testing.T) {
 		if !errors.Is(cerr, plan.ErrUnsupported) {
 			t.Errorf("want ErrUnsupported for %s, got %v", src, cerr)
 		}
-	}
-}
-
-func TestSchemaCatalogCardinalities(t *testing.T) {
-	// A two-level schema: root with 10 children, each with 4 leaves.
-	sc := plan.SchemaCatalog{Schema: testSchema()}
-	if got := sc.TagCard("c", "leaf"); got != 40 {
-		t.Fatalf("leaf cardinality: got %v, want 40", got)
-	}
-	if got := sc.EqCard("c", "leaf", "x"); got != 4 {
-		t.Fatalf("leaf eq cardinality: got %v, want 4", got)
 	}
 }
 

@@ -119,7 +119,7 @@ func (c *conn) run() {
 
 // handshake expects Hello as the very first frame and answers Welcome.
 func (c *conn) handshake() error {
-	c.armRead(c.s.opts.HandshakeTimeout)
+	c.armRead(defaultHandshakeTimeout)
 	typ, payload, err := c.r.ReadFrame()
 	if err != nil {
 		return err

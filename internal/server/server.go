@@ -34,17 +34,16 @@ type Options struct {
 	// DrainTimeout bounds Shutdown when its context has no deadline:
 	// connections still busy after this long are closed hard. Default 10s.
 	DrainTimeout time.Duration
-	// HandshakeTimeout bounds how long a fresh connection may take to send
-	// Hello. Default 10s.
-	HandshakeTimeout time.Duration
 	// Logf receives serving events (accepts, drains, protocol errors). Nil
 	// disables logging.
 	Logf func(format string, args ...any)
 }
 
 const (
-	defaultChunkItems       = 1024
-	defaultDrainTimeout     = 10 * time.Second
+	defaultChunkItems   = 1024
+	defaultDrainTimeout = 10 * time.Second
+	// defaultHandshakeTimeout bounds how long a fresh connection may take
+	// to send Hello.
 	defaultHandshakeTimeout = 10 * time.Second
 )
 
@@ -97,9 +96,6 @@ func New(db *colorful.DB, opts Options) *Server {
 	}
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = defaultDrainTimeout
-	}
-	if opts.HandshakeTimeout <= 0 {
-		opts.HandshakeTimeout = defaultHandshakeTimeout
 	}
 	return &Server{
 		db:     db,

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/pagestore"
@@ -212,29 +211,6 @@ func (s *Store) EqContent(c core.Color, tag, value string) ([]SNode, error) {
 	return out, s.StructsByRef(out, refs, c)
 }
 
-// ScanContains scans all nodes of a tag in color c and keeps those whose
-// content satisfies pred — the access path for contains() predicates, which
-// the content index cannot answer. Every candidate's element record is read
-// (a real content fetch), so the page cost is proportional to the tag's
-// cardinality.
-func (s *Store) ScanContains(c core.Color, tag string, pred func(content string) bool) ([]SNode, error) {
-	nodes, err := s.ScanTag(c, tag)
-	if err != nil {
-		return nil, err
-	}
-	out := nodes[:0:0]
-	for _, sn := range nodes {
-		content, err := s.ContentOf(sn.Elem)
-		if err != nil {
-			return nil, err
-		}
-		if pred(content) {
-			out = append(out, sn)
-		}
-	}
-	return out, nil
-}
-
 // EqAttr returns the element ids whose attribute name equals value, via the
 // attribute index.
 func (s *Store) EqAttr(name, value string) []ElemID {
@@ -424,10 +400,4 @@ func (s *Store) Roots(c core.Color) ([]SNode, error) {
 // CrossTree; provided for readability at call sites that are not joins).
 func (s *Store) StructOf(id ElemID, c core.Color) (SNode, bool, error) {
 	return s.CrossTree(id, c)
-}
-
-// ContainsFold reports substring containment, the semantics used by the
-// workload's contains() predicates.
-func ContainsFold(haystack, needle string) bool {
-	return strings.Contains(haystack, needle)
 }

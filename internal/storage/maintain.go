@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"colorfulxml/internal/core"
 )
@@ -40,12 +41,14 @@ func (s *Store) Clone() *Store {
 		attrIdx:    s.attrIdx.Clone(),
 		nextID:     s.nextID,
 		counts:     s.counts,
-		pathSums:   s.clonePathSums(),
 	}
 	for i := range ns.trees {
 		ns.trees[i].loc = ns.trees[i].loc.Clone()
 		ns.trees[i].start = ns.trees[i].start.Clone()
 		s.trees[i].innerShared, ns.trees[i].innerShared = true, true
+		// Summaries are immutable, so the clone starts from its parent's.
+		ns.trees[i].summary = new(atomic.Pointer[PathSummary])
+		ns.trees[i].summary.Store(s.trees[i].summary.Load())
 	}
 	// The clone starts structurally identical to its parent, so it inherits
 	// the stats epoch; the first structural change it absorbs moves it to a

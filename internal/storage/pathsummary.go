@@ -109,15 +109,14 @@ func (s *Store) buildPathSummary(c core.Color) (*PathSummary, error) {
 // PathSummary returns the (lazily built, cached) path summary of a color.
 // A color the store does not contain yields an empty summary.
 func (s *Store) PathSummary(c core.Color) (*PathSummary, error) {
-	s.pathMu.Lock()
-	if ps, ok := s.pathSums[c]; ok {
-		s.pathMu.Unlock()
-		obsPathSummaryProbes.Inc()
-		return ps, nil
+	t := s.tree(c)
+	if t != nil {
+		if ps := t.summary.Load(); ps != nil {
+			obsPathSummaryProbes.Inc()
+			return ps, nil
+		}
 	}
-	s.pathMu.Unlock()
-
-	// Build outside the lock: the store snapshot is immutable while serving,
+	// Build without a lock: the store snapshot is immutable while serving,
 	// and a racing duplicate build is harmless (last writer wins, both
 	// results are identical).
 	ps, err := s.buildPathSummary(c)
@@ -125,43 +124,24 @@ func (s *Store) PathSummary(c core.Color) (*PathSummary, error) {
 		return nil, err
 	}
 	obsPathSummaryBuilds.Inc()
-
-	s.pathMu.Lock()
-	if s.pathSums == nil {
-		s.pathSums = map[core.Color]*PathSummary{}
+	if t != nil {
+		t.summary.Store(ps)
 	}
-	s.pathSums[c] = ps
-	s.pathMu.Unlock()
 	obsPathSummaryProbes.Inc()
 	return ps, nil
 }
 
-// invalidatePathSummaries drops cached summaries; called by every structural
-// mutation (content/attribute updates preserve label paths and do not). The
-// same call sites define the stats/schema epoch: whatever invalidates the
-// path summary also invalidates cached compiled plans, so the epoch bump
-// rides along here rather than being scattered over the mutators.
+// invalidatePathSummaries drops every color's summary; called by every
+// structural mutation (content/attribute updates preserve label paths and
+// do not). The same call sites define the stats/schema epoch: whatever
+// invalidates the path summary also invalidates cached compiled plans, so
+// the epoch bump rides along here rather than being scattered over the
+// mutators.
 func (s *Store) invalidatePathSummaries() {
-	s.pathMu.Lock()
-	s.pathSums = nil
-	s.pathMu.Unlock()
+	for i := range s.trees {
+		s.trees[i].summary.Store(nil)
+	}
 	s.bumpStatsEpoch()
-}
-
-// clonePathSums shares the cached summaries with a snapshot clone (they are
-// immutable; the clone invalidates its own copy of the map on structural
-// mutation without affecting the parent).
-func (s *Store) clonePathSums() map[core.Color]*PathSummary {
-	s.pathMu.Lock()
-	defer s.pathMu.Unlock()
-	if s.pathSums == nil {
-		return nil
-	}
-	m := make(map[core.Color]*PathSummary, len(s.pathSums))
-	for c, ps := range s.pathSums {
-		m[c] = ps
-	}
-	return m
 }
 
 // matchSteps reports whether a label path (split on pathSep) satisfies a

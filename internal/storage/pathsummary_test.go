@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"colorfulxml/internal/core"
@@ -157,6 +158,54 @@ func TestPathSummarySharedWithClone(t *testing.T) {
 	}
 	if psp != ps1 {
 		t.Fatal("parent cache must survive a clone's mutation")
+	}
+}
+
+// TestPathSummaryConcurrentProbes: readers of a frozen snapshot build and
+// share its summary with no lock while a writer clones it and makes
+// structural changes to each clone. Meant for -race.
+func TestPathSummaryConcurrentProbes(t *testing.T) {
+	s := summaryStore(t, 8)
+	pat := steps(storage.PathStep{Tag: "item", Desc: true}, storage.PathStep{Tag: "name"})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ps, err := s.PathSummary("red")
+				if err == nil && ps.Count(pat) != 8 {
+					err = fmt.Errorf("snapshot Count(//item/name) = %d, want 8", ps.Count(pat))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		c := s.Clone()
+		nodes, err := c.ScanTag("red", "item")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeleteSubtree(nodes[0]); err != nil {
+			t.Fatal(err)
+		}
+		ps, err := c.PathSummary("red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ps.Count(pat); got != 7 {
+			t.Fatalf("clone Count(//item/name) = %d, want 7", got)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

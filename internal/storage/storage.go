@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"colorfulxml/internal/btree"
@@ -101,13 +100,6 @@ type Store struct {
 
 	counts SizeCounts
 
-	// pathSums caches lazily built per-color path summaries (pathsummary.go).
-	// Summaries are immutable, so clones share them; structural mutations
-	// invalidate. Guarded by pathMu because summaries build on first probe,
-	// which may happen from concurrent readers of a published snapshot.
-	pathMu   sync.Mutex
-	pathSums map[core.Color]*PathSummary
-
 	// statsEpoch is the stats/schema epoch of this store image: a
 	// process-unique token that changes whenever the structure (and hence the
 	// catalog statistics a compiled plan's cost choices were made from) may
@@ -135,6 +127,11 @@ type colorTree struct {
 	// writes (innerShared).
 	inner       map[string]int
 	innerShared bool
+	// summary holds the tree's lazily built path summary (pathsummary.go),
+	// nil until the first probe and after a structural change. Readers of a
+	// published snapshot may build it concurrently, so it is published
+	// atomically; Clone gives the clone a cell of its own.
+	summary *atomic.Pointer[PathSummary]
 }
 
 // addInner records that d children (negative: fewer) hang under an element
@@ -259,6 +256,7 @@ func (s *Store) addTree(c core.Color, f pagestore.FileID) {
 	trees := make([]colorTree, 0, len(s.trees)+1)
 	trees = append(append(trees, s.trees[:at]...), colorTree{
 		color: c, file: f, loc: &cowarray.Array[uint64]{}, start: &btree.Map[int64, uint64]{},
+		summary: new(atomic.Pointer[PathSummary]),
 	})
 	s.trees = append(trees, s.trees[at:]...)
 	s.colors = make([]core.Color, len(s.trees))

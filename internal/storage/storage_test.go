@@ -145,19 +145,6 @@ func TestEqContentIndex(t *testing.T) {
 	}
 }
 
-func TestScanContains(t *testing.T) {
-	_, s := load(t)
-	hits, err := s.ScanContains("red", "name", func(c string) bool {
-		return storage.ContainsFold(c, "Eve")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 {
-		t.Fatalf("contains Eve = %d hits", len(hits))
-	}
-}
-
 func TestAttrIndex(t *testing.T) {
 	m := fixtures.NewMovieDB()
 	if _, err := m.DB.SetAttribute(m.Node("eve"), "id", "m1"); err != nil {

@@ -55,12 +55,9 @@ type Options struct {
 	// whether the disk accepts writes again (0: 500ms).
 	ProbeInterval time.Duration
 	// ScrubInterval enables the online integrity scrubber: every interval it
-	// re-verifies up to ScrubBudget bytes of at-rest checkpoint and WAL data
+	// re-verifies up to scrubBudget bytes of at-rest checkpoint and WAL data
 	// (0: scrubbing disabled).
 	ScrubInterval time.Duration
-	// ScrubBudget is the scrubber's per-increment I/O budget in bytes
-	// (0: 1 MiB).
-	ScrubBudget int64
 }
 
 // Open opens (creating if necessary) a durable database in dir, recovering
@@ -108,21 +105,16 @@ func OpenOptions(dir string, opts Options, colors ...Color) (*DB, error) {
 	if d.durOpts.ProbeInterval <= 0 {
 		d.durOpts.ProbeInterval = 500 * time.Millisecond
 	}
-	if d.durOpts.ScrubBudget <= 0 {
-		d.durOpts.ScrubBudget = 1 << 20
-	}
 	d.recovery = stats
 	d.stopCh = make(chan struct{})
 	obsHealthState.Set(int64(Healthy))
 
-	// Publish the recovered state eagerly: the published snapshot is the
-	// rollback basis of degraded-mode error handling, so it must exist
-	// before the first durable commit (including the color registration
-	// right below).
-	if err := d.Refresh(); err != nil {
-		dur.Close()
-		return nil, fmt.Errorf("colorful: publishing recovered snapshot: %w", err)
-	}
+	// Publish the recovered store as the first snapshot: the published
+	// snapshot is the rollback basis of degraded-mode error handling, so it
+	// must exist before the first durable commit (including the color
+	// registration right below). Reconstruct drained the change log, so the
+	// recovered store is exactly the core state at its generation.
+	d.publish(st, cdb.Generation())
 
 	// Register any missing colors; like every other mutation this commits
 	// through the WAL (AddDatabaseColor is a no-op for existing colors, so
@@ -324,22 +316,30 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 }
 
 // checkpointLocked rotates the WAL and synchronously installs a checkpoint
-// of the current state. On success the change log is drained and the
-// checkpoint image published as the current snapshot: the checkpoint
-// supersedes the log, and the drain keeps the rollback-basis invariant (the
-// published snapshot equals the state at the last drain, with no
-// ChangeComplex entry left undrained). Caller holds d.mu exclusively.
+// of the current state, published as the current snapshot. Caller holds d.mu
+// exclusively.
 func (d *DB) checkpointLocked() error {
+	return d.imageLocked(func(st *storage.Store) error {
+		epoch, err := d.dur.Rotate()
+		if err != nil {
+			return err
+		}
+		return d.dur.InstallCheckpoint(epoch, st)
+	})
+}
+
+// imageLocked is the one checkpoint body: Load the core, let install write
+// the image as the new checkpoint, then drain the change log and publish the
+// image. The checkpoint supersedes the log, and the drain keeps the rollback
+// basis (the published snapshot equals the state at the last drain, with no
+// ChangeComplex entry left undrained). Caller holds d.mu exclusively.
+func (d *DB) imageLocked(install func(*storage.Store) error) error {
 	sw := obs.Start()
-	epoch, err := d.dur.Rotate()
-	if err != nil {
-		return fmt.Errorf("colorful: checkpoint: %w", err)
-	}
 	st, err := storage.Load(d.Database, 0)
-	if err != nil {
-		return fmt.Errorf("colorful: checkpoint: %w", err)
+	if err == nil {
+		err = install(st)
 	}
-	if err := d.dur.InstallCheckpoint(epoch, st); err != nil {
+	if err != nil {
 		return fmt.Errorf("colorful: checkpoint: %w", err)
 	}
 	d.Database.DrainChanges()

@@ -2,6 +2,7 @@ package colorful_test
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -275,5 +276,109 @@ func TestAutoCheckpointByWALSize(t *testing.T) {
 	out, err := got.Query(`for $i in document("db")/{red}child::list/{red}child::item return $i`)
 	if err != nil || len(out) != 200 {
 		t.Fatalf("items after recovery = %d, %v", len(out), err)
+	}
+}
+
+// TestReopenPublishesRecoveredStore: Open publishes the store recovery
+// rebuilt (checkpoint plus WAL replay) as the first snapshot, with no second
+// Load of the reconstructed core, and that snapshot answers as the database
+// did before it closed and serves as the base of the next incremental apply.
+func TestReopenPublishesRecoveredStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := colorful.Open(dir, "red", "green")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := db.Document()
+	genres, err := db.AddElement(doc, "movie-genres", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awards, err := db.AddElement(doc, "movie-awards", "green")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if i == 4 { // half the data in the checkpoint, half in the WAL
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		genre, err := db.AddElement(genres, "movie-genre", "red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AddElementText(genre, "name", "red", fmt.Sprintf("genre %d", i)); err != nil {
+			t.Fatal(err)
+		}
+		movie, err := db.AddElement(genre, "movie", "red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AddElementText(movie, "name", "red", fmt.Sprintf("movie %d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.SetAttribute(movie, "year", fmt.Sprint(1950+i)); err != nil {
+			t.Fatal(err)
+		}
+		award, err := db.AddElement(awards, "movie-award", "green")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Adopt(award, movie, "green"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Update(`for $m in document("db")/{green}descendant::movie
+update $m { insert <votes>7</votes> }`); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`document("db")/{red}descendant::name`,
+		`document("db")/{green}descendant::movie/{green}child::votes`,
+		`document("db")/{red}descendant::movie/{red}attribute::year`,
+		`for $a in document("db")/{green}descendant::movie-award, $m in $a/{green}child::movie
+		 return $m/{red}child::name`,
+	}
+	answers := func(db *colorful.DB) []string {
+		var out []string
+		for _, q := range queries {
+			items, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			out = append(out, fmt.Sprint(len(items)))
+			for _, it := range items {
+				out = append(out, it.Value)
+			}
+		}
+		return out
+	}
+	want := answers(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := reopen(t, dir, "red", "green")
+	defer got.Close()
+	if rec := got.Recovery(); !rec.CheckpointLoaded || rec.RecordsReplayed == 0 {
+		t.Fatalf("recovery did not use both the checkpoint and the WAL: %+v", rec)
+	}
+	if m := got.MaintStats(); m.FullRebuilds != 0 || m.Publishes != 1 {
+		t.Fatalf("reopen: %+v, want the recovered store published and no full rebuild", m)
+	}
+	if g := answers(got); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Fatalf("answers after reopen:\n%v\nwant\n%v", g, want)
+	}
+	if _, err := got.Update(`for $m in document("db")/{green}descendant::movie
+update $m { insert <votes>8</votes> }`); err != nil {
+		t.Fatal(err)
+	}
+	items, err := got.Query(`document("db")/{green}descendant::votes`)
+	if err != nil || len(items) != 16 {
+		t.Fatalf("votes after an update on the recovered store: %d, %v", len(items), err)
+	}
+	if m := got.MaintStats(); m.FullRebuilds != 0 || m.IncrementalApplies != 1 {
+		t.Fatalf("update after reopen: %+v, want one incremental apply onto the recovered store", m)
 	}
 }

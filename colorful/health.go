@@ -261,25 +261,19 @@ func (d *DB) heal() bool {
 		return true // nothing left to heal; stop probing
 	}
 	// Degraded mode rejected every mutation, so the current core state IS
-	// the committed state; image it and reseal.
-	st, err := storage.Load(d.Database, 0)
-	if err != nil {
+	// the committed state; image it and reseal the log around it.
+	if err := d.imageLocked(d.dur.Reseal); err != nil {
 		return false
 	}
-	if err := d.dur.Reseal(st); err != nil {
-		return false
-	}
-	// The reseal checkpoint supersedes the change log (which is empty
-	// anyway — no mutations committed while degraded); publish its image.
-	d.Database.DrainChanges()
-	d.publish(st, d.Database.Generation())
-	d.checkpoints.Add(1)
 	d.transitionHealth(Healthy)
 	d.setDegradeCause(nil)
 	d.heals.Add(1)
 	obsHeals.Inc()
 	return true
 }
+
+// scrubBudget is the scrubber's I/O budget per tick, in bytes.
+const scrubBudget = 1 << 20
 
 // scrubLoop is the online integrity scrubber: at each tick it verifies a
 // budget's worth of at-rest files (checkpoint page checksums, sealed WAL
@@ -301,7 +295,7 @@ func (d *DB) scrubLoop() {
 		if dur == nil {
 			return
 		}
-		res, err := dur.ScrubOnce(d.durOpts.ScrubBudget)
+		res, err := dur.ScrubOnce(scrubBudget)
 		if err != nil {
 			continue
 		}

@@ -39,7 +39,9 @@ type snapshot struct {
 
 // MaintStats counts snapshot maintenance activity: how many snapshots were
 // produced by incremental change-log replay versus full rebuilds, and how
-// many were published in total (the first build counts as a full rebuild).
+// many were published in total. An in-memory database's first build counts
+// as a full rebuild; a durable Open publishes its recovered store, and so
+// rebuilds nothing.
 type MaintStats struct {
 	IncrementalApplies uint64
 	FullRebuilds       uint64

@@ -191,18 +191,7 @@ func (s *Store) rebuildDirectories() error {
 		if badID = checkElemID(id); badID != nil {
 			return false
 		}
-		s.elemLoc.Set(uint64(id), packRID(rid))
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-		s.counts.Elements++
-		s.counts.Attributes += len(attrs)
-		if content != "" {
-			s.counts.ContentNodes++
-		}
-		for _, a := range attrs {
-			s.attrIdx.Insert(attrKey(a[0], a[1]), uint64(id))
-		}
+		s.registerElem(id, packRID(rid), content, attrs)
 		return true
 	})
 	if err == nil {
@@ -212,9 +201,9 @@ func (s *Store) rebuildDirectories() error {
 		return fmt.Errorf("storage: rebuilding element directory: %w", err)
 	}
 
-	// Structural files: collect per color, sort by start so index posting
-	// lists come out in document order (file order is append order, which
-	// diverges from start order after updates), then register.
+	// Structural files: collect per color, sort by start (file order is
+	// append order, which diverges from start order after updates), then
+	// register.
 	for i := range s.trees {
 		t := &s.trees[i]
 		c := t.color
@@ -247,15 +236,9 @@ func (s *Store) rebuildDirectories() error {
 				return fmt.Errorf("storage: color %q: structural node references missing element %d: %w",
 					c, it.sn.Elem, err)
 			}
-			t.addInner(open.enter(it.sn, e.Tag), 1)
-			ref := packRID(it.rid)
-			t.loc.Set(uint64(it.sn.Elem), ref)
-			s.tagIdx.Insert(tagKey(c, e.Tag), ref)
-			if e.Content != "" {
-				s.contentIdx.Insert(contentKey(c, e.Tag, e.Content), ref)
+			if err := s.registerStruct(t, e.Tag, e.Content, open.enter(it.sn, e.Tag), it.sn, packRID(it.rid)); err != nil {
+				return fmt.Errorf("storage: rebuilding color %q: %w", c, err)
 			}
-			t.start.Put(it.sn.Start, ref)
-			s.counts.StructNodes++
 		}
 	}
 	return nil

@@ -59,7 +59,6 @@ func Load(db *core.Database, _ int) (*Store, error) {
 			}
 		}
 	}
-	// Count text nodes for Table 1's content-node accounting.
 	return s, nil
 }
 
@@ -77,7 +76,7 @@ func (s *Store) ensureElem(n *core.Node) error {
 }
 
 // putElem writes the record of an element the store does not hold yet and
-// registers it: location, id cursor, counts, attribute index.
+// registers it.
 func (s *Store) putElem(id ElemID, tag, content string, attrs [][2]string) error {
 	if err := checkElemID(id); err != nil {
 		return err
@@ -86,7 +85,14 @@ func (s *Store) putElem(id ElemID, tag, content string, attrs [][2]string) error
 	if err != nil {
 		return err
 	}
-	s.elemLoc.Set(uint64(id), packRID(rid))
+	s.registerElem(id, packRID(rid), content, attrs)
+	return nil
+}
+
+// registerElem registers a written element record: location, id cursor,
+// counts, attribute index.
+func (s *Store) registerElem(id ElemID, ref uint64, content string, attrs [][2]string) {
+	s.elemLoc.Set(uint64(id), ref)
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
@@ -98,12 +104,10 @@ func (s *Store) putElem(id ElemID, tag, content string, attrs [][2]string) error
 	for _, a := range attrs {
 		s.attrIdx.Insert(attrKey(a[0], a[1]), uint64(id))
 	}
-	return nil
 }
 
-// insertStruct writes a structural record and registers it in the
-// directories and indexes. parentTag is the tag of the node's parent, "" for
-// a child of the document.
+// insertStruct writes a structural record and registers it. parentTag is the
+// tag of the node's parent, "" for a child of the document.
 func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 	t := s.tree(sn.Color)
 	if t == nil {
@@ -113,16 +117,24 @@ func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 	if err != nil {
 		return err
 	}
-	ref := packRID(rid)
+	return s.registerStruct(t, tag, content, parentTag, sn, packRID(rid))
+}
+
+// registerStruct registers a written structural record of t's colour in the
+// directories and indexes: location, the parent tag's child count, tag and
+// content postings, start map, counts.
+func (s *Store) registerStruct(t *colorTree, tag, content, parentTag string, sn SNode, ref uint64) error {
 	t.loc.Set(uint64(sn.Elem), ref)
 	t.addInner(parentTag, 1)
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
-	if err := s.insertPosting(s.tagIdx, tagKey(sn.Color, tag), ref, sn); err != nil {
+	last, _, ok := t.start.SeekLT(maxPos)
+	atEnd := !ok || last < sn.Start // true all through a bulk load or a checkpoint reload
+	if err := s.insertPosting(s.tagIdx, tagKey(sn.Color, tag), ref, sn, atEnd); err != nil {
 		return err
 	}
 	if content != "" {
-		if err := s.insertPosting(s.contentIdx, contentKey(sn.Color, tag, content), ref, sn); err != nil {
+		if err := s.insertPosting(s.contentIdx, contentKey(sn.Color, tag, content), ref, sn, atEnd); err != nil {
 			return err
 		}
 	}
@@ -135,10 +147,15 @@ func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 // list at its start-order position, which is what keeps the lists in local
 // document order under updates: scans emit them as they are, and
 // AppendWithin seeks them. The node's record must already be registered in
-// the color's location table. A bulk load or an append costs one record read
-// (the new record is the file's last, and the node starts after the list's
-// last); an insert into the middle of the tree reads log n.
-func (s *Store) insertPosting(idx *btree.Tree, key string, ref uint64, sn SNode) error {
+// the color's location table. atEnd says the node starts after every node of
+// its colour, so it ends the list and costs no record read; otherwise an
+// append under an earlier parent reads one record, an insert into the middle
+// of the tree log n.
+func (s *Store) insertPosting(idx *btree.Tree, key string, ref uint64, sn SNode, atEnd bool) error {
+	if atEnd {
+		idx.Insert(key, ref)
+		return nil
+	}
 	at, err := s.seekStart(idx.Get(key), sn)
 	if err != nil {
 		return err

@@ -54,7 +54,7 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 			if err != nil {
 				return err
 			}
-			if err := s.insertPosting(s.contentIdx, contentKey(c, tag, content), ref, sn); err != nil {
+			if err := s.insertPosting(s.contentIdx, contentKey(c, tag, content), ref, sn, false); err != nil {
 				return err
 			}
 		}

@@ -466,7 +466,7 @@ func BenchmarkDeleteAfterClone(b *testing.B) {
 }
 
 // BenchmarkOverwriteAfterClone: a commit that overwrites one record of a
-// published store: a copy of the page's image.
+// published store: a copy of the page's header with the record in it.
 func BenchmarkOverwriteAfterClone(b *testing.B) {
 	s, _, rids := benchStore(b)
 	rec := []byte("RECORD-xxxx")
@@ -476,5 +476,31 @@ func BenchmarkOverwriteAfterClone(b *testing.B) {
 		if err := s.Clone().OverwriteRecord(rids[i%len(rids)], rec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReadPatched: ViewRecord of a record in the page image, and of the
+// oldest of MaxPatches records the page's header holds, the longest walk of
+// its list.
+func BenchmarkReadPatched(b *testing.B) {
+	s, _, rids := benchStore(b)
+	s = s.Clone()
+	for _, rid := range rids[:MaxPatches] { // all on page 0
+		if err := s.OverwriteRecord(rid, []byte("RECORD-xxxx")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		rid  RecordID
+	}{{"image", rids[MaxPatches]}, {"patched", rids[0]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				if err := s.ViewRecord(bc.rid, func(rec []byte) { n += len(rec) }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -116,6 +116,7 @@ func FuzzPagesAgainstModel(f *testing.F) {
 		f.Add(ops)
 	}
 	f.Add([]byte{0, 9, 1, 9, 12, 0, 0, 9, 1, 9, 14, 0, 0, 9})
+	f.Add(pastMaxPatches())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			return
@@ -124,4 +125,37 @@ func FuzzPagesAgainstModel(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// pastMaxPatches is a program that overwrites the records of one page more
+// than MaxPatches times in each of two lineages sharing its image: five
+// overwrites in each, a delete of a patched record, an append that folds one
+// lineage's patches because the other appended first, a dump and reload of
+// both, clones of them, and twelve more overwrites in each before a last dump
+// and reload.
+func pastMaxPatches() []byte {
+	var ops []byte
+	add := func(op, lineage byte, args ...byte) {
+		for _, arg := range args {
+			ops = append(ops, op<<1|lineage, arg)
+		}
+	}
+	overwrites := []byte{255, 254, 253, 200, 255, 128, 254, 255, 253, 100, 255, 254}
+	add(0, 0, 100, 100, 100) // three 300-byte records on page 0 of file 0
+	add(0, 1, 0)             // lineage 1 needs a record to take the clone op,
+	add(6, 1, 0)             // then clones lineage 0
+	add(3, 0, overwrites[:5]...)
+	add(3, 1, overwrites[:5]...)
+	add(5, 0, 0)   // delete a patched record
+	add(0, 0, 100) // lineage 0 appends to the shared page first,
+	add(0, 1, 100) // so lineage 1's append folds its patches
+	add(7, 0, 0)   // dump and reload each lineage
+	add(7, 1, 0)
+	add(6, 0, 0) // and clone it, to share its image again
+	add(6, 1, 1)
+	add(3, 0, overwrites...)
+	add(3, 1, overwrites...)
+	add(7, 0, 0)
+	add(7, 1, 0)
+	return ops
 }

@@ -8,14 +8,17 @@
 // buffer pool either: a page read is a lookup in its file's page directory.
 //
 // A page is a small header per snapshot (slot count, free offset, live count,
-// tombstone bitmap) over an 8 KiB image that every snapshot holding the page
-// shares. A shared image is append-only: an append writes past the end of its
-// own snapshot's records and slot entries, where no other snapshot reads, so a
-// commit that appends or deletes copies a header, not the image. An overwrite
-// still copies the image, once per snapshot.
+// tombstone bitmap, overwritten records) over an 8 KiB image that every
+// snapshot holding the page shares. A shared image is append-only: an append
+// writes past the end of its own snapshot's records and slot entries, where no
+// other snapshot reads, so a commit that appends or deletes copies a header,
+// not the image. An overwrite of a shared image puts the new record in the
+// header, up to MaxPatches of them; the next overwrite folds them into an
+// image of the header's own.
 package pagestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,17 +67,47 @@ var (
 // In memory, the first four bytes are the image's high-water mark instead
 // (image.hwm), the header holds the counts, and a tombstone is a bit in the
 // header's bitmap: the image keeps the entry, since an older snapshot may
-// still read the record.
+// still read the record. An overwrite of an image the header does not own
+// sets the slot's bit too and puts the new record in patches; a set bit with
+// a patch is that record, one without is a tombstone.
 type Page struct {
 	img *image
-	// dead marks the tombstoned slots; a slot past its end is live.
+	// dead marks the tombstoned and the patched slots; a slot past its end is
+	// live.
 	dead []uint64
+	// patches holds the records overwritten over a shared image, newest
+	// first: at most MaxPatches, shared by header copies, never written.
+	patches *patch
 	// own is the store generation that may write this header in place. It
-	// also owns the image if ownImg, and the bitmap if ownDead.
+	// also owns the image if ownImg (then patches is nil), and the bitmap if
+	// ownDead.
 	own                *owner
 	nslots, free, live uint16
 	ownImg, ownDead    bool
 }
+
+// patch is one overwritten record of a header's list, or a tombstone of a
+// slot an earlier patch holds.
+type patch struct {
+	next *patch
+	rec  []byte
+	slot uint16
+	dead bool
+}
+
+// len is the length of the list from e.
+func (e *patch) len() int {
+	n := 0
+	for ; e != nil; e = e.next {
+		n++
+	}
+	return n
+}
+
+// MaxPatches bounds a header's list of overwritten records: the overwrite
+// that would make it longer folds the list into a fresh image instead. A
+// patched slot's read walks the list, so it is kept short.
+const MaxPatches = 8
 
 // image is a page's 8 KiB. hwm is numSlots | free<<16 of the snapshot that
 // appended last: an append claims its record and slot entry by moving hwm on
@@ -82,8 +115,11 @@ type Page struct {
 // sibling clone appended first — copies the image instead.
 type image struct {
 	hwm  atomic.Uint32
-	body [PageSize - pageHeader]byte
+	body pageBody
 }
+
+// pageBody is a page image past its first four bytes.
+type pageBody [PageSize - pageHeader]byte
 
 // owner is an identity token: a page header may be written in place only by
 // the store generation whose token it carries.
@@ -92,15 +128,15 @@ type owner struct{ _ byte }
 const pageHeader = 4
 const slotSize = 4
 
-func (m *image) slotEntry(i uint16) (off, length uint16) {
-	e := binary.LittleEndian.Uint32(m.body[len(m.body)-(int(i)+1)*slotSize:])
+func (b *pageBody) slotEntry(i uint16) (off, length uint16) {
+	e := binary.LittleEndian.Uint32(b[len(b)-(int(i)+1)*slotSize:])
 	return uint16(e), uint16(e >> 16)
 }
 
-func (m *image) setSlotEntry(i uint16, off, length uint16) {
-	base := len(m.body) - (int(i)+1)*slotSize
-	binary.LittleEndian.PutUint16(m.body[base:base+2], off)
-	binary.LittleEndian.PutUint16(m.body[base+2:base+4], length)
+func (b *pageBody) setSlotEntry(i uint16, off, length uint16) {
+	base := len(b) - (int(i)+1)*slotSize
+	binary.LittleEndian.PutUint16(b[base:base+2], off)
+	binary.LittleEndian.PutUint16(b[base+2:base+4], length)
 }
 
 // newPage returns an empty page whose image is its own.
@@ -132,22 +168,53 @@ func (p *Page) insert(rec []byte) (uint16, error) {
 		p.img.hwm.Store(next)
 	}
 	copy(p.img.body[off-pageHeader:], rec)
-	p.img.setSlotEntry(slot, off, uint16(len(rec)))
+	p.img.body.setSlotEntry(slot, off, uint16(len(rec)))
 	p.nslots, p.free, p.live = slot+1, off+uint16(len(rec)), p.live+1
 	return slot, nil
 }
 
 // copyImage gives the page an image of its own: its snapshot's records and
 // slot entries, with zeros between them, where another snapshot may be
-// appending.
+// appending. It folds the patches into the copy and clears their bits.
 func (p *Page) copyImage() {
 	old, data, dir := p.img, int(p.free)-pageHeader, len(p.img.body)-int(p.nslots)*slotSize
 	p.img = new(image)
 	copy(p.img.body[:data], old.body[:data])
 	copy(p.img.body[dir:], old.body[dir:])
+	p.replay(&p.img.body)
+	if p.patches != nil {
+		p.ownBitmap(0)
+		for e := p.patches; e != nil; e = e.next {
+			if _, ok := p.patched(e.slot); ok {
+				p.dead[e.slot>>6] &^= 1 << (e.slot & 63)
+			}
+		}
+		p.patches = nil
+	}
 	p.img.hwm.Store(p.mark())
 	p.ownImg = true
 	obsPagesCopied.Inc()
+}
+
+// replay writes the patches into body, a copy of the image's, oldest first,
+// as overwrites in place would have written them.
+func (p *Page) replay(body *pageBody) {
+	var list [MaxPatches]*patch
+	n := 0
+	for e := p.patches; e != nil; e = e.next {
+		list[n], n = e, n+1
+	}
+	for i := n - 1; i >= 0; i-- {
+		e := list[i]
+		if e.dead {
+			continue
+		}
+		off, length := body.slotEntry(e.slot)
+		copy(body[off-pageHeader:], e.rec)
+		if len(e.rec) < int(length) {
+			body.setSlotEntry(e.slot, off, uint16(len(e.rec)))
+		}
+	}
 }
 
 // Record returns the record bytes in a slot. The returned slice aliases the
@@ -158,51 +225,97 @@ func (p *Page) Record(slot uint16) ([]byte, error) {
 	}
 	rec, ok := p.record(slot)
 	if !ok {
+		rec, ok = p.patched(slot)
+	}
+	if !ok {
 		return nil, fmt.Errorf("pagestore: slot %d deleted: %w", slot, ErrNoSuchRecord)
 	}
 	return rec, nil
 }
 
-// record returns the bytes of an existing slot, and false for a tombstone.
-// It is read per record, so it is kept small enough to inline.
+// record returns the bytes of a slot in the image, and false if its bit is
+// set: a tombstone, or a slot that patched holds. It is read per record, so
+// it is kept small enough to inline.
 func (p *Page) record(slot uint16) ([]byte, bool) {
 	if w := int(slot >> 6); w < len(p.dead) && p.dead[w]&(1<<(slot&63)) != 0 {
 		return nil, false
 	}
-	off, length := p.img.slotEntry(slot)
+	off, length := p.img.body.slotEntry(slot)
 	return p.img.body[off-pageHeader:][:length], true
 }
 
-// overwrite replaces a live record in place, copying the image first unless
-// the page owns it. The new record must not be longer than the old one (MCT
-// structural records are fixed-size).
-func (p *Page) overwrite(slot uint16, rec []byte) error {
-	off, length := p.img.slotEntry(slot)
-	if len(rec) > int(length) {
-		return fmt.Errorf("pagestore: overwrite grows record %d -> %d: %w", length, len(rec), ErrRecordTooLarge)
+// patched returns the newest patch of a slot whose bit is set, and false if
+// there is none or it is a tombstone.
+func (p *Page) patched(slot uint16) ([]byte, bool) {
+	for e := p.patches; e != nil; e = e.next {
+		if e.slot == slot {
+			return e.rec, !e.dead
+		}
 	}
-	if !p.ownImg {
+	return nil, false
+}
+
+// overwrite replaces a live record: in place if the page owns its image,
+// otherwise as a patch, after folding the patches into an image of its own
+// if there are MaxPatches already. The new record must not be longer than
+// the old one (MCT structural records are fixed-size).
+func (p *Page) overwrite(slot uint16, rec []byte) error {
+	cur, err := p.Record(slot)
+	if err != nil {
+		return err
+	}
+	if len(rec) > len(cur) {
+		return fmt.Errorf("pagestore: overwrite grows record %d -> %d: %w", len(cur), len(rec), ErrRecordTooLarge)
+	}
+	if !p.ownImg && p.patches.len() == MaxPatches {
 		p.copyImage()
 	}
+	if !p.ownImg {
+		p.ownBitmap(slot)
+		p.dead[slot>>6] |= 1 << (slot & 63)
+		p.patches = &patch{next: p.patches, rec: bytes.Clone(rec), slot: slot}
+		return nil
+	}
+	off, length := p.img.body.slotEntry(slot)
 	copy(p.img.body[off-pageHeader:], rec)
 	if len(rec) < int(length) {
-		p.img.setSlotEntry(slot, off, uint16(len(rec)))
+		p.img.body.setSlotEntry(slot, off, uint16(len(rec)))
 	}
 	return nil
 }
 
-// delete tombstones a live slot in the header's bitmap, copying the bitmap
-// first unless the header owns it. Its space is not reclaimed within the
-// page; a page whose every slot is a tombstone is dropped whole
-// (Store.DeleteRecord).
+// delete tombstones a live slot: it sets the slot's bit, or, if a patch
+// holds the slot, adds a tombstone patch (the overwritten bytes stay in the
+// list, for replay). Its space is not reclaimed within the page; a page
+// whose every slot is a tombstone is dropped whole (Store.DeleteRecord).
 func (p *Page) delete(slot uint16) {
-	if w := int(slot >> 6); !p.ownDead || w >= len(p.dead) {
+	if p.marked(slot) && p.patches.len() == MaxPatches {
+		p.copyImage()
+	}
+	if p.marked(slot) {
+		p.patches = &patch{next: p.patches, slot: slot, dead: true}
+	} else {
+		p.ownBitmap(slot)
+		p.dead[slot>>6] |= 1 << (slot & 63)
+	}
+	p.live--
+}
+
+// marked reports whether slot's bit is set. (record tests the bit itself:
+// a call would keep it from being inlined.)
+func (p *Page) marked(slot uint16) bool {
+	w := int(slot >> 6)
+	return w < len(p.dead) && p.dead[w]&(1<<(slot&63)) != 0
+}
+
+// ownBitmap copies the header's bitmap, sized for every slot, unless the
+// header owns one that holds slot's bit.
+func (p *Page) ownBitmap(slot uint16) {
+	if !p.ownDead || int(slot>>6) >= len(p.dead) {
 		dead := make([]uint64, int(p.nslots>>6)+1)
 		copy(dead, p.dead)
 		p.dead, p.ownDead = dead, true
 	}
-	p.dead[slot>>6] |= 1 << (slot & 63)
-	p.live--
 }
 
 // NumSlots returns the number of slots ever allocated in the page (including
@@ -212,8 +325,8 @@ func (p *Page) NumSlots() int { return int(p.nslots) }
 // Store is a collection of heap files: per file, a directory of page headers.
 //
 // A header in a directory that a clone may share is never written: the first
-// write of a page in a generation copies its header (the image too for an
-// overwrite), and the copy replaces it in this store's directory. Clone
+// write of a page in a generation copies its header, and the copy replaces it
+// in this store's directory. Clone
 // starts a new generation on both stores, so from then on each copies before
 // it writes.
 //
@@ -316,8 +429,8 @@ func (s *Store) live(rid RecordID) (*Page, error) {
 }
 
 // writable returns page id's header for writing: pg, the header read for it,
-// if this generation made it; otherwise a copy sharing pg's image and bitmap
-// (a new page if pg has no image), which replaces it in this store's
+// if this generation made it; otherwise a copy sharing pg's image, bitmap and
+// patches (a new page if pg has no image), which replaces it in this store's
 // directory.
 func (s *Store) writable(id PageID, pg *Page) *Page {
 	if s.own == nil {
@@ -404,7 +517,7 @@ func (s *Store) ViewPage(id PageID, fn func(p *Page)) error {
 	return nil
 }
 
-// OverwriteRecord replaces a record in place (same or smaller size).
+// OverwriteRecord replaces a record with one of the same or a smaller size.
 func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
 	pg, err := s.live(rid)
 	if err != nil {
@@ -447,7 +560,9 @@ func (s *Store) Scan(f FileID, fn func(RecordID, []byte) bool) error {
 		for sl := range pg.nslots {
 			rec, ok := pg.record(sl)
 			if !ok {
-				continue // tombstone
+				if rec, ok = pg.patched(sl); !ok {
+					continue // tombstone
+				}
 			}
 			if !fn(RecordID{PageID: id, Slot: sl}, rec) {
 				return nil

@@ -114,8 +114,8 @@ func (s *Store) DumpPages(w io.Writer) error {
 }
 
 // encode writes the page into b as the dump stores it: this header's counts,
-// its records and slot entries with each tombstone's entry zeroed, and zeros
-// between them, where a clone may have appended.
+// its records, patches replayed, and slot entries with each tombstone's entry
+// zeroed, and zeros between them, where a clone may have appended.
 func (p *Page) encode(b *[PageSize]byte) {
 	clear(b[:])
 	if p.img == nil {
@@ -126,10 +126,14 @@ func (p *Page) encode(b *[PageSize]byte) {
 	dir := PageSize - int(p.nslots)*slotSize
 	copy(b[pageHeader:p.free], p.img.body[:])
 	copy(b[dir:], p.img.body[dir-pageHeader:])
+	p.replay((*pageBody)(b[pageHeader:]))
 	for w, m := range p.dead {
 		for ; m != 0; m &= m - 1 {
-			e := PageSize - (w*64+bits.TrailingZeros64(m)+1)*slotSize
-			clear(b[e : e+slotSize])
+			slot := w*64 + bits.TrailingZeros64(m)
+			if _, ok := p.patched(uint16(slot)); !ok {
+				e := PageSize - (slot+1)*slotSize
+				clear(b[e : e+slotSize])
+			}
 		}
 	}
 }
@@ -147,7 +151,7 @@ func decodePage(head []byte, img *image, own *owner) (*Page, error) {
 		return nil, nil
 	}
 	for i := range p.nslots {
-		switch off, length := img.slotEntry(i); {
+		switch off, length := img.body.slotEntry(i); {
 		case off == 0:
 			p.delete(i)
 		case off < pageHeader || int(off)+int(length) > int(p.free):

@@ -2,11 +2,13 @@ package storage_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/obs"
+	"colorfulxml/internal/pagestore"
 	"colorfulxml/internal/storage"
 )
 
@@ -165,9 +167,10 @@ func TestHotParentRelabelsLocally(t *testing.T) {
 // TestCommitCopiesOnlyOverwrittenPages: on the benchmark's 1 500-item
 // catalog, a vote (one element record overwritten), a tag-add (an element
 // record and a structural record appended) and a tag-del (both tombstoned),
-// each applied to a fresh clone as a commit is, copy one page image between
-// them: the vote's. Appends write into the tail page the clone shares, and a
-// tombstone is a bit in the clone's own page header.
+// each applied to a fresh clone as a commit is, copy a page image only every
+// pagestore.MaxPatches votes or so. Appends write into the tail page the clone
+// shares, a tombstone is a bit in the clone's own page header, and an
+// overwritten record is a patch in it until the page has too many.
 func TestCommitCopiesOnlyOverwrittenPages(t *testing.T) {
 	c := fixtures.NewCatalog(1500)
 	st, err := storage.Load(c.DB, 0)
@@ -196,8 +199,8 @@ func TestCommitCopiesOnlyOverwrittenPages(t *testing.T) {
 	}
 	n := copies() - copied
 	t.Logf("page images copied by %d vote + tag-add + tag-del rounds: %d", rounds, n)
-	if n > rounds {
-		t.Fatalf("%d vote + tag-add + tag-del rounds copied %d page images; want at most one a round", rounds, n)
+	if limit := (rounds + pagestore.MaxPatches - 1) / pagestore.MaxPatches; n > uint64(limit) {
+		t.Fatalf("%d vote + tag-add + tag-del rounds copied %d page images; want at most %d", rounds, n, limit)
 	}
 	want, err := storage.Load(c.DB, 0)
 	if err != nil {
@@ -205,5 +208,58 @@ func TestCommitCopiesOnlyOverwrittenPages(t *testing.T) {
 	}
 	if describe(t, st) != describe(t, want) {
 		t.Fatal("the committed store does not answer like a Load of the same state")
+	}
+}
+
+// TestVotesOnACloneChainHoldTheirMemory: votes committed one by one on a
+// chain of clones, with no checkpoint, hold as much memory after 2N votes as
+// after N: each page keeps at most pagestore.MaxPatches overwritten records in
+// its header, and a vote that fits its record adds no page.
+func TestVotesOnACloneChainHoldTheirMemory(t *testing.T) {
+	c := fixtures.NewCatalog(1500)
+	st, err := storage.Load(c.DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vote := 0
+	votes := func(n int) (heap uint64, data int64) {
+		t.Helper()
+		for end := vote + n; vote < end; vote++ {
+			// One digit: every vote fits the record it overwrites.
+			if err := c.DB.SetText(c.Votes[(7*vote)%len(c.Votes)], fmt.Sprint(vote%10)); err != nil {
+				t.Fatal(err)
+			}
+			changes, _ := c.DB.DrainChanges()
+			st = st.Clone()
+			if err := st.ApplyChanges(changes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		data, err := st.DataBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms.HeapAlloc, data
+	}
+	const n = 1500
+	heapN, dataN := votes(n)
+	heap2N, data2N := votes(n)
+	t.Logf("after %d votes: %d B live heap, %d B of pages; after %d: %d B, %d B", n, heapN, dataN, 2*n, heap2N, data2N)
+	if data2N != dataN {
+		t.Fatalf("votes %d to %d grew the pages from %d to %d bytes", n, 2*n, dataN, data2N)
+	}
+	if heap2N > heapN+heapN/50 {
+		t.Fatalf("votes %d to %d grew the live heap from %d to %d bytes; want at most 2 %%", n, 2*n, heapN, heap2N)
+	}
+	want, err := storage.Load(c.DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if describe(t, st) != describe(t, want) {
+		t.Fatal("the store after the votes does not answer like a Load of the same state")
 	}
 }

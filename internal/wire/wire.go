@@ -143,10 +143,18 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// typeCRC is the CRC32-C of each one-byte frame type, the seed crcOf
+// continues over the payload.
+var typeCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.Update(0, castagnoli, []byte{byte(i)})
+	}
+	return t
+}()
+
 // crcOf checksums a frame body (type byte + payload) with CRC32-C.
 func crcOf(typ Type, payload []byte) uint32 {
-	crc := crc32.Update(0, castagnoli, []byte{byte(typ)})
-	return crc32.Update(crc, castagnoli, payload)
+	return crc32.Update(typeCRC[typ], castagnoli, payload)
 }
 
 // AppendFrame appends one encoded frame to buf and returns the extended

@@ -284,3 +284,37 @@ func TestWriterRejectsOversizedPayload(t *testing.T) {
 		t.Fatal("oversized payload accepted")
 	}
 }
+
+// repeatReader reads one encoded frame over and over.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestFramesAllocateOnlyTheBody: writing a frame allocates nothing, and
+// reading one allocates only its body, which the values decoded from it view.
+func TestFramesAllocateOnlyTheBody(t *testing.T) {
+	payload := Items{Rows: 1, Items: []Item{{Node: 7, Color: "green", Value: "42"}}}.Encode()
+	w := NewWriter(io.Discard)
+	if a := testing.AllocsPerRun(100, func() {
+		if err := w.WriteFrame(TypeItems, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("WriteFrame allocates %v times; want 0", a)
+	}
+	r := NewReader(&repeatReader{frame: AppendFrame(nil, TypeItems, payload)})
+	if a := testing.AllocsPerRun(100, func() {
+		if typ, got, err := r.ReadFrame(); err != nil || typ != TypeItems || !bytes.Equal(got, payload) {
+			t.Fatalf("ReadFrame = %v, %x, %v", typ, got, err)
+		}
+	}); a != 1 {
+		t.Errorf("ReadFrame allocates %v times; want 1 (the body)", a)
+	}
+}

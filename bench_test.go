@@ -215,20 +215,31 @@ var itemSink []colorful.Item
 // node lookup and a content copy each). Allocations are the gated number
 // (colorful.TestResultAllocations): a constant, the []Item, and one 4 KiB
 // chunk per few hundred values; the answer's ids reuse the plan's buffer.
+// container and attribute are the 20 000 items themselves, each valued by
+// the text of its subtree (one range scan of the start index), and their id
+// attributes (one element record each).
 func BenchmarkResultMapping(b *testing.B) {
 	const items = 20000
 	db := benchNames(b, items)
+	for k, it := range db.MustQuery(`document("db")/{red}descendant::item`) {
+		if _, err := db.SetAttribute(it.Node, "id", "i"+strconv.Itoa(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
 	sess := db.Session()
 	defer sess.Close()
 	for _, q := range []struct {
+		name string
 		rows int
 		text string
 	}{
-		{1, `document("db")/{red}descendant::name[. = "Item 9999"]`},
-		{items, `document("db")/{red}descendant::item/{red}child::name`},
+		{"1", 1, `document("db")/{red}descendant::name[. = "Item 9999"]`},
+		{"20000", items, `document("db")/{red}descendant::item/{red}child::name`},
+		{"container", items, `document("db")/{red}descendant::item`},
+		{"attribute", items, `for $i in document("db")/{red}descendant::item return $i/{red}attribute::id`},
 	} {
 		rows, text := q.rows, q.text
-		b.Run(strconv.Itoa(rows), func(b *testing.B) {
+		b.Run(q.name, func(b *testing.B) {
 			st, err := sess.Prepare(text)
 			if err != nil {
 				b.Fatal(err)
@@ -359,7 +370,7 @@ func BenchmarkAblationCrossTree(b *testing.B) {
 				if len(ids) == 0 {
 					b.Fatal("lost element")
 				}
-				if _, ok, err := s.StructOf(ids[0], datagen.ColAuthor); err != nil || !ok {
+				if _, ok, err := s.CrossTree(ids[0], datagen.ColAuthor); err != nil || !ok {
 					b.Fatal(ok, err)
 				}
 			}

@@ -76,9 +76,8 @@ type DB struct {
 
 	// mu guards the core database: mutators and snapshot maintenance hold it
 	// exclusively, evaluator runs hold it shared. A compiled query holds no
-	// lock at all — plan and result values touch only an immutable snapshot
-	// — unless its output is not a leaf of the data (coreItems) or it finds
-	// the snapshot stale and maintains it (currentSnapshot).
+	// lock at all — plan, nodes and values touch only an immutable snapshot —
+	// unless it finds the snapshot stale and maintains it (currentSnapshot).
 	mu sync.RWMutex
 	// snap is the published store snapshot for lock-free readers.
 	snap atomic.Pointer[snapshot]
@@ -193,7 +192,11 @@ func (d *DB) QueryContext(ctx context.Context, src string) ([]Item, error) {
 
 // evalItems runs the reference evaluator under a lock the caller holds.
 func (d *DB) evalItems(src string) ([]Item, error) {
-	seq, err := d.ev.Query(src)
+	return itemsOf(d.ev.Query(src))
+}
+
+// itemsOf maps an evaluated sequence to items.
+func itemsOf(seq pathexpr.Sequence, err error) ([]Item, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -202,60 +205,6 @@ func (d *DB) evalItems(src string) ([]Item, error) {
 		out[i] = Item{Node: it.Node, Color: it.Color, Value: pathexpr.ItemString(it)}
 	}
 	return out, nil
-}
-
-// Where a compiled query's values are read from.
-const (
-	sourceSnapshot = "snapshot"
-	sourceCore     = "core"
-)
-
-// valueSource picks the route that turns a compiled plan's element
-// references into items, by a property of the data the plan was compiled
-// against: when the output tag has no child paths in its color, an item's
-// string value is its element's content record, and everything comes from
-// the snapshot that produced the references. A non-leaf output (its value is
-// the text of a whole subtree) or an attribute projection goes through core.
-func valueSource(c *plan.Compiled) string {
-	if c.OutAttr == "" && c.OutLeaf {
-		return sourceSnapshot
-	}
-	return sourceCore
-}
-
-// coreItems maps element references from the snapshot at generation gen back
-// to core nodes under one shared lock. Core answers for that snapshot only
-// while it is still at gen: if a commit has moved it on, coreItems maps
-// nothing and reports false, and the caller runs the plan again on a current
-// snapshot. So the nodes and their values always come from one generation.
-func (d *DB) coreItems(ids []storage.ElemID, c *plan.Compiled, gen uint64) ([]Item, bool) {
-	color := c.Cols[c.OutCol].Color
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.Database.Generation() != gen {
-		return nil, false
-	}
-	out := make([]Item, 0, len(ids))
-	for _, id := range ids {
-		n := d.Database.NodeByID(core.NodeID(id))
-		if n == nil {
-			continue
-		}
-		if c.OutAttr != "" {
-			// The output designator projects an attribute; nodes lacking it
-			// contribute no item, matching the path semantics.
-			a := n.Attribute(c.OutAttr)
-			if a == nil {
-				continue
-			}
-			out = append(out, Item{Node: a, Color: color, Value: a.Value()})
-			continue
-		}
-		out = append(out, Item{Node: n, Color: color,
-			Value: pathexpr.ItemString(pathexpr.NodeItem(n, color))})
-	}
-	obsValuesCore.Add(uint64(len(out)))
-	return out, true
 }
 
 // Path evaluates a single colored path expression with optional variable
@@ -279,15 +228,7 @@ func (d *DB) Path(src string, vars map[string]*Node) ([]Item, error) {
 			env.Vars[k] = pathexpr.Sequence{pathexpr.NodeItem(n, c)}
 		}
 	}
-	seq, err := pathexpr.Eval(env, e)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Item, len(seq))
-	for i, it := range seq {
-		out[i] = Item{Node: it.Node, Color: it.Color, Value: pathexpr.ItemString(it)}
-	}
-	return out, nil
+	return itemsOf(pathexpr.Eval(env, e))
 }
 
 // Explain compiles a query with the automatic plan compiler, executes it with
@@ -297,8 +238,9 @@ func (d *DB) Path(src string, vars map[string]*Node) ([]Item, error) {
 // reports only its in-flight batches, at most pipeline depth × BatchSize).
 // The last line is the verdict on the output: its column, why it is distinct,
 // its order — document order (naming the path a FLWOR was folded into) or a
-// FLWOR's binding order — and where its values are read from. Queries the
-// compiler cannot lower report why they run on the evaluator instead.
+// FLWOR's binding order — and what of the snapshot its values are read from:
+// the element's content, its subtree, or an attribute (valuesRead). Queries
+// the compiler cannot lower report why they run on the evaluator instead.
 func (d *DB) Explain(src string) (string, error) {
 	e, err := mcxquery.ParseQuery(src)
 	if err != nil {
@@ -331,8 +273,8 @@ func (d *DB) Explain(src string) (string, error) {
 	case c.BindingOrder:
 		order = "in binding order"
 	}
-	return an.Text + fmt.Sprintf("output: col %d {%s}%s, %s, %s; values from %s\n",
-		c.OutCol, out.Color, out.Tag, dedup, order, valueSource(c)), nil
+	return an.Text + fmt.Sprintf("output: col %d {%s}%s, %s, %s; values from snapshot %s\n",
+		c.OutCol, out.Color, out.Tag, dedup, order, valuesRead(c)), nil
 }
 
 // UpdateResult reports how many binding tuples matched and how many nodes an

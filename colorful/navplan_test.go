@@ -158,7 +158,7 @@ func TestPreparedNavPlansTrackUpdates(t *testing.T) {
 	check("tag deleted", map[string]int{"tags": 0})
 
 	// Relabelling: an item's interval has room for a handful of leaves.
-	itemK, ok, err := db.snap.Load().st.StructOf(storage.ElemID(core.Parent(names[k], "red").ID()), "red")
+	itemK, ok, err := db.snap.Load().st.CrossTree(storage.ElemID(core.Parent(names[k], "red").ID()), "red")
 	if err != nil || !ok {
 		t.Fatal(ok, err)
 	}
@@ -166,7 +166,7 @@ func TestPreparedNavPlansTrackUpdates(t *testing.T) {
 		update(forItem(k) + ` update $i { insert <tag>r` + strconv.Itoa(j) + `</tag> }`)
 		check("leaf "+strconv.Itoa(j)+" inserted", map[string]int{"tags": j + 1, "predjoin": 1, "hop": 1})
 	}
-	after, _, err := db.snap.Load().st.StructOf(itemK.Elem, "red")
+	after, _, err := db.snap.Load().st.CrossTree(itemK.Elem, "red")
 	if err != nil {
 		t.Fatal(err)
 	}

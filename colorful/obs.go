@@ -27,11 +27,11 @@ var (
 	// Why a query ran on the reference evaluator. db_evaluator_fallbacks_total
 	// stays the count of read-only queries that did (the first three
 	// reasons); constructor queries run there by design and were never part
-	// of it. core_moved: commits moved core past the snapshot on every
-	// compiled attempt (compiledAttempts) before the values were mapped.
+	// of it. mixed_content: the answer holds an element with text and a
+	// child in the output colour (storage.ErrMixedContent).
 	obsFallbackUnsupported = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "unsupported")
 	obsFallbackParse       = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "parse_error")
-	obsFallbackCoreMoved   = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "core_moved")
+	obsFallbackMixed       = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "mixed_content")
 	obsFallbackConstructor = obs.NewLabeledCounter("db_evaluator_fallbacks_total", "reason", "constructor")
 
 	// How updates bound their tuples: the compiled plan on the snapshot, or
@@ -39,14 +39,9 @@ var (
 	obsBindCompiled  = obs.NewLabeledCounter("db_update_binds_total", "route", "compiled")
 	obsBindEvaluator = obs.NewLabeledCounter("db_update_binds_total", "route", "evaluator")
 
-	// Where compiled queries read their result values: the snapshot's element
-	// records (no lock), or live core nodes under the DB lock because the
-	// output was not a leaf of the data (valueSource). Counted per item.
-	obsValuesSnapshot = obs.NewLabeledCounter("db_result_values_total", "source", "snapshot")
-	obsValuesCore     = obs.NewLabeledCounter("db_result_values_total", "source", "core")
-	// Compiled queries run again because a commit moved core past their
-	// snapshot before the core-sourced values were mapped (coreItems).
-	obsCoreRetries = obs.NewCounter("db_core_route_retries_total")
+	// Items compiled queries answered, every one read from the snapshot that
+	// produced it.
+	obsValues = obs.NewCounter("db_result_values_total")
 
 	obsQueryNanos = obs.NewHistogram("db_query_nanos")
 
@@ -80,8 +75,8 @@ const (
 	// routeCompiled: the automatic plan compiler + streaming engine.
 	routeCompiled queryRoute = iota
 	// routeEvaluator: the reference evaluator, because the compiler rejected
-	// the query (plan.ErrUnsupported), it failed to parse, or commits kept
-	// moving core past its snapshot (errCoreMoved).
+	// the query (plan.ErrUnsupported), it failed to parse, or its answer
+	// holds mixed content (storage.ErrMixedContent).
 	routeEvaluator
 	// routeConstructor: the evaluator under the writer lock, because the
 	// query constructs nodes.

@@ -206,7 +206,7 @@ func TestFallbackReasonsAreLabeled(t *testing.T) {
 	}
 	// Every reason is one of these; a query that finds the snapshot stale
 	// maintains it and stays compiled, so there is no reason for that.
-	// core_moved is TestConcurrentCommitsCannotStarveCoreQuery's.
+	// mixed_content is TestNonLeafOutputsReadTheSnapshot's.
 	var reasons []string
 	for name := range obs.Default.Snapshot().Counters {
 		if r, ok := strings.CutPrefix(name, `db_evaluator_fallbacks_total{reason="`); ok {
@@ -214,7 +214,7 @@ func TestFallbackReasonsAreLabeled(t *testing.T) {
 		}
 	}
 	sort.Strings(reasons)
-	if got := strings.Join(reasons, ","); got != "constructor,core_moved,parse_error,unsupported" {
+	if got := strings.Join(reasons, ","); got != "constructor,mixed_content,parse_error,unsupported" {
 		t.Errorf("fallback reasons registered: %s", got)
 	}
 }

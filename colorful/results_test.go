@@ -10,18 +10,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
-	"colorfulxml/internal/obs"
+	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/plan"
 )
 
 // This file tests what a compiled query hands back — nodes, colours, values,
-// order — and where it reads them from (DESIGN.md §7: the snapshot that
-// produced the answer, or core when the output is not a leaf of the data).
+// order — and what it reads them from (DESIGN.md §7: always the snapshot
+// that produced the answer).
 
 // catalogDB is the repository benchmark's catalog (bench/data.go): red
 // catalog → item* → name("Item k"); every third item also under green
@@ -67,58 +66,125 @@ func ageCatalog(t *testing.T, db *DB, items int) {
 	}
 }
 
-// resultCounters reads db_result_values_total by source.
-func resultCounters() (snapshot, core uint64) {
-	c := obs.Default.Snapshot().Counters
-	return c[`db_result_values_total{source="snapshot"}`], c[`db_result_values_total{source="core"}`]
+// routeCatalog is catalogDB with an id and an n attribute on every item and,
+// under the red catalog, a blurb with text and a child: mixed content.
+func routeCatalog(t *testing.T, items int) *DB {
+	t.Helper()
+	db := catalogDB(items)
+	catalog := db.MustQuery(`document("db")/{red}child::catalog`)[0].Node
+	for k, it := range db.MustQuery(`document("db")/{red}descendant::item`) {
+		for _, a := range [][2]string{{"id", "i" + strconv.Itoa(k)}, {"n", strconv.Itoa(k)}} {
+			if _, err := db.SetAttribute(it.Node, a[0], a[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	blurb, err := db.AddElementText(catalog, "blurb", "red", "see ")
+	if err == nil {
+		_, err = db.AddElementText(blurb, "b", "red", "this")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
-// TestResultsMatchEvaluator: for the six benchmark classes, the navigational
-// texts of PR 15 and texts whose output must go through core, the compiled
-// route returns the evaluator's items — the same nodes, colours and values,
-// in the same order — on a fresh database and on one aged by 200 updates.
-// (The Table-2 texts construct their results and so reach the facade's
-// compiled route only through internal/workload's differential test, which
-// covers them at the plan level.)
+// commitStructure applies 60 seeded structural commits to a routeCatalog:
+// tag adds, deletes of whole red-only items, and attribute sets, renames and
+// removals (a rename rebuilds the snapshot; the rest replay incrementally).
+func commitStructure(t *testing.T, db *DB, items int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	itemNodes := db.MustQuery(`document("db")/{red}descendant::item`)
+	deleted := map[int]bool{}
+	for n := 0; n < 60; n++ {
+		k := rng.Intn(items)
+		if deleted[k] {
+			continue
+		}
+		it := itemNodes[k].Node
+		var err error
+		switch rng.Intn(5) {
+		case 0:
+			var res UpdateResult
+			res, err = db.Update(catalogItem(k) + ` update $i { insert <tag>s` + strconv.Itoa(n) + `</tag> }`)
+			if err == nil && res.Tuples != 1 {
+				err = fmt.Errorf("tag-add bound %d tuples", res.Tuples)
+			}
+		case 1:
+			if k%3 == 1 { // neither green nor item 57
+				deleted[k] = true
+				err = db.DeleteSubtree(it, "red")
+			}
+		case 2:
+			_, err = db.SetAttribute(it, "id", "s"+strconv.Itoa(n))
+		case 3:
+			if a := it.Attribute("n"); a != nil {
+				err = db.Rename(a, "m")
+			} else if a := it.Attribute("m"); a != nil {
+				err = db.Rename(a, "n")
+			}
+		default:
+			err = db.RemoveAttribute(it, "id")
+		}
+		if err != nil {
+			t.Fatalf("structural commit %d: %v", n, err)
+		}
+		if err = db.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResultsMatchEvaluator: every compiled text of the table — the six
+// benchmark classes, the navigational texts, the write workloads' probes,
+// containers whose value is a subtree's text and an attribute projection —
+// answers with the evaluator's items (nodes, colours, values, in order), from
+// the snapshot and with no evaluator fallback; the mixed-content text is the
+// evaluator's, counted once under mixed_content. On a fresh database, on one
+// aged by 200 updates and after 60 structural commits.
 func TestResultsMatchEvaluator(t *testing.T) {
 	const items, k = 300, 57
 	point := catalogPoint(k)
 	texts := []struct {
-		text   string
-		source string
+		text  string
+		mixed bool
 	}{
-		{point, sourceSnapshot},
-		{`document("db")/{red}descendant::item/{red}child::name`, sourceSnapshot},
-		{`document("db")/{red}descendant::item[{red}child::name = "Item 57"]/{red}child::name`, sourceSnapshot},
-		{`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`, sourceSnapshot},
-		{`for $i in document("db")/{green}descendant::item[{green}child::votes = "7"] return $i/{red}child::name`, sourceSnapshot},
-		{point + `/{red}parent::item/{green}child::votes`, sourceSnapshot},
-		{point + `/{red}parent::item/{red}child::tag`, sourceSnapshot},
-		{`document("db")/{green}descendant::votes[. = "7"]`, sourceSnapshot},
+		{text: point},
+		{text: `document("db")/{red}descendant::item/{red}child::name`},
+		{text: `document("db")/{red}descendant::item[{red}child::name = "Item 57"]/{red}child::name`},
+		{text: `for $i in document("db")/{green}descendant::item return $i/{green}child::votes`},
+		{text: `for $i in document("db")/{green}descendant::item[{green}child::votes = "7"] return $i/{red}child::name`},
+		{text: point + `/{red}parent::item/{green}child::votes`},
+		{text: point + `/{red}parent::item/{red}child::tag`},
+		{text: `document("db")/{green}descendant::votes[. = "7"]`},
 		// The write workloads' read-your-write probes (no tag exists before ageing).
-		{`document("db")/{red}descendant::tag`, sourceSnapshot},
-		{`document("db")/{red}descendant::tag[. = "t3"]/{red}parent::item/{red}child::name`, sourceSnapshot},
-		{`document("db")/{red}descendant::name[. = "Item 57"]/{red}parent::item`, sourceCore},
-		{`document("db")/{green}descendant::item`, sourceCore},
+		{text: `document("db")/{red}descendant::tag`},
+		{text: `document("db")/{red}descendant::tag[. = "t3"]/{red}parent::item/{red}child::name`},
+		// Containers, an attribute projection, and mixed content.
+		{text: point + `/{red}parent::item`},
+		{text: `document("db")/{green}descendant::item`},
+		{text: `document("db")/{green}child::featured`},
+		{text: `for $p in document("db")/{red}descendant::item return $p/{red}attribute::id`},
+		{text: `document("db")/{red}descendant::blurb`, mixed: true},
 	}
-	for _, aged := range []bool{false, true} {
-		db := catalogDB(items)
-		if aged {
+	for _, state := range []string{"fresh", "aged", "structural"} {
+		db := routeCatalog(t, items)
+		switch state {
+		case "aged":
 			ageCatalog(t, db, items)
+		case "structural":
+			commitStructure(t, db, items)
 		}
 		sess := db.Session()
 		for _, tc := range texts {
-			fromSnapshot, fromCore := resultCounters()
+			mixed := obsFallbackMixed.Value()
 			got, err := sess.Query(tc.text)
 			if err != nil {
-				t.Fatalf("aged=%v %s: %v", aged, tc.text, err)
+				t.Fatalf("%s %s: %v", state, tc.text, err)
 			}
-			d1, d2 := resultCounters()
-			d1, d2 = d1-fromSnapshot, d2-fromCore
-			if want := uint64(len(got)); (tc.source == sourceSnapshot && (d1 != want || d2 != 0)) ||
-				(tc.source == sourceCore && (d1 != 0 || d2 != want)) {
-				t.Errorf("aged=%v %s: %d values from the snapshot and %d from core, want all %d from %s",
-					aged, tc.text, d1, d2, want, tc.source)
+			if want := map[bool]uint64{true: 1}[tc.mixed]; obsFallbackMixed.Value()-mixed != want {
+				t.Errorf("%s %s: %d mixed_content fallbacks, want %d", state, tc.text, obsFallbackMixed.Value()-mixed, want)
 			}
 			db.mu.RLock()
 			want, err := db.evalItems(tc.text)
@@ -127,30 +193,28 @@ func TestResultsMatchEvaluator(t *testing.T) {
 				t.Fatalf("%s: evaluator: %v", tc.text, err)
 			}
 			if len(got) != len(want) {
-				t.Errorf("aged=%v %s: %d items, the evaluator returns %d", aged, tc.text, len(got), len(want))
+				t.Errorf("%s %s: %d items, the evaluator returns %d", state, tc.text, len(got), len(want))
 				continue
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("aged=%v %s: item %d is %v %q in %q, the evaluator's %v %q in %q", aged, tc.text, i,
+					t.Errorf("%s %s: item %d is %v %q in %q, the evaluator's %v %q in %q", state, tc.text, i,
 						got[i].Node, got[i].Value, got[i].Color, want[i].Node, want[i].Value, want[i].Color)
 					break
 				}
 			}
 		}
-		if st := sess.Stats(); st.Fallbacks != 0 || st.Errors != 0 {
-			t.Errorf("aged=%v: %+v, want every text on the compiled route", aged, st)
+		if st := sess.Stats(); st.Fallbacks != 1 || st.Errors != 0 {
+			t.Errorf("%s: %+v, want every text but the mixed one on the compiled route", state, st)
 		}
 		sess.Close()
 	}
 }
 
-// TestNonLeafOutputsReadCore: an output whose tag has element children
-// anywhere in its colour — mixed content, or plain containers — takes its
-// values from core and agrees with dm:string-value; the leaves next to it
-// read the snapshot; and the choice follows the data, not the text: give a
-// leaf a child and the same query changes source.
-func TestNonLeafOutputsReadCore(t *testing.T) {
+// paraDB is a red doc of three paras, each "Hello " <b>bold<i></b> " world"
+// with an id attribute p<i>: mixed content around leaves.
+func paraDB(t *testing.T) (*DB, []*Node) {
+	t.Helper()
 	db := New("red")
 	doc, err := db.AddElement(db.Document(), "doc", "red")
 	if err != nil {
@@ -159,39 +223,55 @@ func TestNonLeafOutputsReadCore(t *testing.T) {
 	var paras []*Node
 	for i := 0; i < 3; i++ {
 		p, err := db.AddElementText(doc, "para", "red", "Hello ")
+		if err == nil {
+			_, err = db.AddElementText(p, "b", "red", "bold"+strconv.Itoa(i))
+		}
+		if err == nil {
+			_, err = db.AppendText(p, " world")
+		}
+		if err == nil {
+			_, err = db.SetAttribute(p, "id", "p"+strconv.Itoa(i))
+		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.AddElementText(p, "b", "red", "bold"+strconv.Itoa(i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.AppendText(p, " world"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.SetAttribute(p, "id", "p"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 		paras = append(paras, p)
 	}
-	source := func(text string) string {
+	return db, paras
+}
+
+const (
+	paraQ = `document("db")/{red}descendant::para`
+	boldQ = `document("db")/{red}descendant::b`
+	idQ   = `for $p in document("db")/{red}descendant::para return $p/{red}attribute::id`
+)
+
+// TestNonLeafOutputsReadTheSnapshot: Explain names what of the snapshot an
+// output's values are read from, and the choice follows the data, not the
+// text. Mixed content goes to the evaluator and agrees with dm:string-value;
+// an attribute projection yields the elements' own attribute nodes; give a
+// leaf a child and the same query reads subtrees (here mixed again), take
+// the child away and it reads content records.
+func TestNonLeafOutputsReadTheSnapshot(t *testing.T) {
+	db, paras := paraDB(t)
+	reads := func(text string) string {
 		t.Helper()
 		ex, err := db.Explain(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, after, ok := strings.Cut(strings.TrimSpace(ex), "values from ")
+		_, after, ok := strings.Cut(strings.TrimSpace(ex), "values from snapshot ")
 		if !ok {
-			t.Fatalf("Explain(%s) names no value source:\n%s", text, ex)
+			t.Fatalf("Explain(%s) names nothing values are read from:\n%s", text, ex)
 		}
 		return after
 	}
-	const paraQ, boldQ = `document("db")/{red}descendant::para`, `document("db")/{red}descendant::b`
-	const idQ = `for $p in document("db")/{red}descendant::para return $p/{red}attribute::id`
-	for text, want := range map[string]string{paraQ: sourceCore, boldQ: sourceSnapshot, idQ: sourceCore} {
-		if got := source(text); got != want {
-			t.Errorf("%s reads its values from %s, want %s", text, got, want)
+	for text, want := range map[string]string{paraQ: "subtree", boldQ: "content", idQ: "attribute"} {
+		if got := reads(text); got != want {
+			t.Errorf("%s reads its values from the snapshot's %s, want %s", text, got, want)
 		}
 	}
+	mixed := obsFallbackMixed.Value()
 	out, err := db.Query(paraQ)
 	if err != nil || len(out) != len(paras) {
 		t.Fatalf("%d paras, %v", len(out), err)
@@ -202,11 +282,20 @@ func TestNonLeafOutputsReadCore(t *testing.T) {
 			t.Errorf("para %d: %v %q, want %v %q", i, it.Node, it.Value, paras[i], want)
 		}
 	}
-	if out, err = db.Query(idQ); err != nil || len(out) != 3 || out[1].Value != "p1" || out[1].Node != paras[1].Attribute("id") {
+	if got := obsFallbackMixed.Value() - mixed; got != 1 {
+		t.Errorf("the mixed paras were counted %d times under mixed_content, want once", got)
+	}
+	if out, err = db.Query(idQ); err != nil || len(out) != 3 {
 		t.Fatalf("attribute projection: %v, %v", out, err)
 	}
+	for i, it := range out {
+		if it.Node != paras[i].Attribute("id") || it.Value != "p"+strconv.Itoa(i) {
+			t.Errorf("attribute %d: %v %q, want %v", i, it.Node, it.Value, paras[i].Attribute("id"))
+		}
+	}
 	// A structural change under one b makes b an inner tag: the cached plan's
-	// epoch moves, the recompiled one reads core, and the value is the subtree's.
+	// epoch moves, the recompiled one reads subtrees, and that b's holds
+	// mixed content.
 	bs, err := db.Query(boldQ)
 	if err != nil || len(bs) != 3 || bs[2].Value != "bold2" {
 		t.Fatalf("%v, %v", bs, err)
@@ -214,8 +303,8 @@ func TestNonLeafOutputsReadCore(t *testing.T) {
 	if _, err := db.AddElementText(bs[2].Node, "i", "red", "!"); err != nil {
 		t.Fatal(err)
 	}
-	if got := source(boldQ); got != sourceCore {
-		t.Errorf("after giving a b a child, %s still reads its values from %s", boldQ, got)
+	if got := reads(boldQ); got != "subtree" {
+		t.Errorf("after giving a b a child, %s still reads the snapshot's %s", boldQ, got)
 	}
 	if bs, err = db.Query(boldQ); err != nil || len(bs) != 3 || bs[2].Value != "bold2!" || bs[0].Value != "bold0" {
 		t.Fatalf("%v, %v", bs, err)
@@ -224,9 +313,78 @@ func TestNonLeafOutputsReadCore(t *testing.T) {
 	if err := db.DeleteSubtree(db.MustQuery(`document("db")/{red}descendant::i`)[0].Node, "red"); err != nil {
 		t.Fatal(err)
 	}
-	if got := source(boldQ); got != sourceSnapshot {
-		t.Errorf("after deleting the child, %s reads its values from %s", boldQ, got)
+	if got := reads(boldQ); got != "content" {
+		t.Errorf("after deleting the child, %s reads the snapshot's %s", boldQ, got)
 	}
+}
+
+// TestHeldAttributesKeepTheirGeneration: an attribute projection answered at
+// generation G still yields G's attribute nodes and values after one
+// attribute is renamed, one removed and added again and one given a new
+// value — held as Rows, and run again on G's snapshot, whose attribute table
+// those commits do not reach although they change the nodes' names and
+// values in place.
+func TestHeldAttributesKeepTheirGeneration(t *testing.T) {
+	db, paras := paraDB(t)
+	sess := db.Session()
+	defer sess.Close()
+	rows, err := sess.QueryRows(context.Background(), idQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := db.snap.Load()
+	var attrs []*Node
+	for _, p := range paras {
+		attrs = append(attrs, p.Attribute("id"))
+	}
+	check := func(how string, out []Item) {
+		t.Helper()
+		if len(out) != len(attrs) {
+			t.Fatalf("%s: %d items, want %d", how, len(out), len(attrs))
+		}
+		for i, it := range out {
+			if it.Node != attrs[i] || it.Value != "p"+strconv.Itoa(i) {
+				t.Errorf("%s: item %d is %v %q, want %v %q", how, i, it.Node, it.Value, attrs[i], "p"+strconv.Itoa(i))
+			}
+		}
+	}
+
+	if err := db.Rename(attrs[1], "key"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RemoveAttribute(paras[2], "id"); err != nil {
+		t.Fatal(err)
+	}
+	added, err := db.SetAttribute(paras[2], "id", "again")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SetAttribute(paras[0], "id", "changed"); err != nil {
+		t.Fatal(err)
+	}
+	now, err := sess.Query(idQ)
+	if err != nil || len(now) != 2 || now[0].Node != attrs[0] || now[0].Value != "changed" || now[1].Node != added || now[1].Value != "again" {
+		t.Fatalf("after the commits: %v, %v", now, err)
+	}
+
+	items, err := rows.Items()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("held rows", items)
+	e, err := mcxquery.ParseQuery(idQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := plan.Compile(e, db.planOptions(held.st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := sess.run(context.Background(), held, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a run on the held snapshot", again.items)
 }
 
 // TestReadersSeeOneGeneration: readers of votes[. = "v"] race a writer that
@@ -291,13 +449,14 @@ func TestReadersSeeOneGeneration(t *testing.T) {
 	}
 }
 
-// TestCoreValuesSeeOneGeneration is TestReadersSeeOneGeneration for an output
-// that is not a leaf of the data: an item's green value is its votes, read
-// through core. A reader gets items whose votes match its predicate even when
-// a commit lands between the plan's run on the snapshot and the mapping
-// through core — at the parent commit, core's newer votes came back with the
-// older snapshot's items.
-func TestCoreValuesSeeOneGeneration(t *testing.T) {
+// TestContainerQueriesUnderCommitsSeeOneGeneration is
+// TestReadersSeeOneGeneration for an output that is not a leaf of the data:
+// an item's green value is the text of its subtree, its votes. Readers get
+// items whose votes match their predicate while a writer keeps moving votes,
+// and every query runs its plan once and never reaches the evaluator: nodes
+// and values come from the snapshot the plan ran on, whatever commits land
+// meanwhile. Meaningful under -race.
+func TestContainerQueriesUnderCommitsSeeOneGeneration(t *testing.T) {
 	const items, readers, commits = 90, 4, 2000
 	db := catalogDB(items)
 	stop := make(chan struct{})
@@ -312,13 +471,26 @@ func TestCoreValuesSeeOneGeneration(t *testing.T) {
 			for n := 0; ; n++ {
 				select {
 				case <-stop:
+					if st := sess.Stats(); st.Fallbacks != 0 {
+						errc <- fmt.Errorf("reader %d: %d of %d queries on the evaluator", r, st.Fallbacks, st.Queries)
+					}
 					return
 				default:
 				}
 				v := strconv.Itoa((r + n) % 10)
-				out, err := sess.Query(`document("db")/{green}descendant::item[{green}child::votes = "` + v + `"]`)
+				out, root, err := sess.TraceQuery(context.Background(), `document("db")/{green}descendant::item[{green}child::votes = "`+v+`"]`)
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: %v", r, err)
+					return
+				}
+				runs := 0
+				for _, sp := range root.Children() {
+					if sp.Name() == "execute" {
+						runs++
+					}
+				}
+				if runs != 1 {
+					errc <- fmt.Errorf("reader %d: the plan ran %d times for one query", r, runs)
 					return
 				}
 				for _, it := range out {
@@ -346,64 +518,6 @@ func TestCoreValuesSeeOneGeneration(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
-	}
-}
-
-// TestConcurrentCommitsCannotStarveCoreQuery: a non-leaf query slower than
-// the gap between commits returns while a writer keeps committing, after at
-// most three compiled runs (a cached plan's, then compiledAttempts). Each run
-// finds core past its snapshot before the values are mapped; then the
-// evaluator answers from one generation under the DB lock. With an unbounded
-// retry (the parent commit) 50 such queries ran the plan about 19 000 times.
-func TestConcurrentCommitsCannotStarveCoreQuery(t *testing.T) {
-	const items, queries = 6000, 50
-	db := catalogDB(items)
-	done := make(chan struct{})
-	writer := make(chan error, 1)
-	var commits int
-	go func() {
-		rng := rand.New(rand.NewSource(1))
-		deadline := time.After(20 * time.Second)
-		for ; ; commits++ {
-			select {
-			case <-done:
-				writer <- nil
-				return
-			case <-deadline:
-				writer <- fmt.Errorf("the queries had not returned after %d commits", commits)
-				return
-			default:
-			}
-			src := catalogItem(3*rng.Intn(items/3)) + `, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(rng.Intn(10)) + `" }`
-			if res, err := db.Update(src); err != nil || res.Tuples != 1 {
-				writer <- fmt.Errorf("writer: %+v, %v", res, err)
-				return
-			}
-		}
-	}()
-	moved, retries := obsFallbackCoreMoved.Value(), obsCoreRetries.Value()
-	sess := db.Session()
-	defer sess.Close()
-	for n := 0; n < queries; n++ {
-		v := strconv.Itoa(n % 10)
-		out, err := sess.Query(`document("db")/{green}descendant::item[{green}child::votes = "` + v + `"]`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range out {
-			if it.Value != v {
-				t.Fatalf("asked for items with votes %q and got one with %q", v, it.Value)
-			}
-		}
-	}
-	close(done)
-	if err := <-writer; err != nil {
-		t.Fatal(err)
-	}
-	retries = obsCoreRetries.Value() - retries
-	t.Logf("%d commits; %d retries, %d evaluator answers", commits, retries, obsFallbackCoreMoved.Value()-moved)
-	if retries > 3*queries {
-		t.Errorf("%d queries ran the plan again %d times, want at most %d", queries, retries, 3*queries)
 	}
 }
 
@@ -546,7 +660,7 @@ func churn(t *testing.T, db *DB, st *Stmt, items int) {
 				for _, q := range []string{
 					catalogPoint(k),
 					`document("db")/{red}descendant::item/{red}child::name`,
-					`document("db")/{green}descendant::item[{green}child::votes = "7"]`, // values from core
+					`document("db")/{green}descendant::item[{green}child::votes = "7"]`, // values from subtrees
 				} {
 					if _, err := db.Query(q); err != nil {
 						errc <- fmt.Errorf("%s: %v", q, err)
@@ -658,10 +772,10 @@ func TestConcurrentRunsLeaveQueryRowsAlone(t *testing.T) {
 func TestExplainNamesOutputRoute(t *testing.T) {
 	db := catalogDB(30)
 	for text, want := range map[string]string{
-		`document("db")/{red}descendant::item/{red}child::name`:                          "output: col 0 {red}name, distinct by construction (no Dedup), in document order; values from snapshot\n",
-		catalogPoint(3) + `/{red}parent::item`:                                           "output: col 1 {red}item, made distinct by the plan's Dedup, in document order; values from core\n",
-		`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`: "output: col 1 {green}votes, distinct by construction (no Dedup), in document order, FLWOR folded into {green}//item/votes; values from snapshot\n",
-		`for $i in document("db")/{green}descendant::item return $i/{red}child::name`:    "output: col 1 {red}name, distinct by construction (no Dedup), in binding order; values from snapshot\n",
+		`document("db")/{red}descendant::item/{red}child::name`:                          "output: col 0 {red}name, distinct by construction (no Dedup), in document order; values from snapshot content\n",
+		catalogPoint(3) + `/{red}parent::item`:                                           "output: col 1 {red}item, made distinct by the plan's Dedup, in document order; values from snapshot subtree\n",
+		`for $i in document("db")/{green}descendant::item return $i/{green}child::votes`: "output: col 1 {green}votes, distinct by construction (no Dedup), in document order, FLWOR folded into {green}//item/votes; values from snapshot content\n",
+		`for $i in document("db")/{green}descendant::item return $i/{red}child::name`:    "output: col 1 {red}name, distinct by construction (no Dedup), in binding order; values from snapshot content\n",
 	} {
 		ex, err := db.Explain(text)
 		if err != nil {

@@ -1,19 +1,21 @@
 package colorful
 
 import (
+	"cmp"
 	"fmt"
 	"unsafe"
 
 	"colorfulxml/internal/engine"
+	"colorfulxml/internal/plan"
 	"colorfulxml/internal/storage"
 )
 
-// Rows is a query's result before anyone reads it. On the snapshot route —
-// a compiled plan whose output is a leaf of the data — it is the plan's
-// answer as element references into the snapshot that produced them, and
-// values are read from that snapshot's element records when asked for. On
-// every other route (core, evaluator, constructor) it holds the route's
-// items.
+// Rows is a query's result before anyone reads it. For a compiled plan whose
+// output is a leaf of the data it is the plan's answer as element references
+// into the snapshot that produced them, and values are read from that
+// snapshot's element records when asked for. For any other compiled output it
+// holds items built from that snapshot (snapshot.items); on the evaluator and
+// constructor routes, the route's items.
 //
 // A Rows pins its snapshot generation: whatever writers commit, and after
 // the session or the DB closes, it yields the values of the generation it
@@ -33,8 +35,8 @@ type Rows struct {
 // caller keeps holds at most one chunk alive (or itself, when it is longer).
 const valueChunk = 4 << 10
 
-// missing reports an element of the snapshot's store that the identity
-// table of its generation has no node for.
+// missing reports an element of the snapshot's store, or an attribute in its
+// record, that the tables of its generation have no node for.
 func (sp *snapshot) missing(id storage.ElemID) error {
 	return fmt.Errorf("colorful: snapshot generation %d stores element %d but has no node for it", sp.gen, id)
 }
@@ -85,20 +87,83 @@ func (r Rows) Items() ([]Item, error) {
 		}
 		out[i].Node, out[i].Color = n, r.color
 	}
-	var chunk []byte
+	var ch chunks
 	err := r.sp.st.ContentBytes(r.ids, func(i int, content []byte) {
-		n := len(content)
-		if n == 0 {
-			return
-		}
-		if n > cap(chunk)-len(chunk) {
-			chunk = make([]byte, 0, max(n, min(valueChunk, n*(len(r.ids)-i))))
-		}
-		chunk = append(chunk, content...)
-		out[i].Value = unsafe.String(&chunk[len(chunk)-n], n)
+		out[i].Value = ch.add(content, len(r.ids)-i)
 	})
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// chunks is where an answer's values are copied to: byte chunks of at most
+// valueChunk bytes (or one value, when it is longer), each sized from the
+// rows still to come.
+type chunks []byte
+
+// add copies v into the current chunk, or a new one when it does not fit,
+// and returns a view of the copy.
+func (ch *chunks) add(v []byte, rowsLeft int) string {
+	n := len(v)
+	if n == 0 {
+		return ""
+	}
+	if n > cap(*ch)-len(*ch) {
+		*ch = make([]byte, 0, max(n, min(valueChunk, n*rowsLeft)))
+	}
+	*ch = append(*ch, v...)
+	return unsafe.String(&(*ch)[len(*ch)-n], n)
+}
+
+// valuesRead says what of the snapshot the values of c's answer are read
+// from: an attribute in the element record, the content record itself when
+// the output tag has no child paths in its colour in the data c was compiled
+// against, or else the records of the element's subtree.
+func valuesRead(c *plan.Compiled) string {
+	switch {
+	case c.OutAttr != "":
+		return "attribute"
+	case c.OutLeaf:
+		return "content"
+	}
+	return "subtree"
+}
+
+// items builds the items of an answer whose values are not its elements'
+// content records: each row's attribute c.OutAttr (rows without it yield no
+// item), or each row's string value in the output colour. Nodes and values
+// come from the snapshot alone, so they are the generation's that produced
+// ids, whatever writers commit meanwhile. A subtree with mixed content ends
+// the answer with storage.ErrMixedContent.
+func (sp *snapshot) items(ids []storage.ElemID, c *plan.Compiled) ([]Item, error) {
+	color := c.Cols[c.OutCol].Color
+	var ch chunks
+	if c.OutAttr != "" {
+		out := make([]Item, 0, len(ids))
+		var bad error
+		err := sp.st.AttrBytes(ids, c.OutAttr, func(i, pos int, value []byte) {
+			attrs, _ := sp.attrs.Get(uint64(ids[i]))
+			if attrs == nil || pos >= len(*attrs) {
+				bad = sp.missing(ids[i])
+				return
+			}
+			out = append(out, Item{Node: (*attrs)[pos], Color: color, Value: ch.add(value, len(ids)-i)})
+		})
+		return out, cmp.Or(err, bad)
+	}
+	out := make([]Item, len(ids))
+	var value []byte
+	for i, id := range ids {
+		n, ok := sp.nodes.Get(uint64(id))
+		if !ok {
+			return nil, sp.missing(id)
+		}
+		var err error
+		if value, err = sp.st.AppendStringValue(value[:0], id, color); err != nil {
+			return nil, err
+		}
+		out[i] = Item{Node: n, Color: color, Value: ch.add(value, len(ids)-i)}
 	}
 	return out, nil
 }

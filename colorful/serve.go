@@ -28,12 +28,14 @@ import (
 const incrementalMaxDelta = 4096
 
 // snapshot is what a reader needs of one database generation: the immutable
-// store a plan runs on, and the identity table that turns the element
-// references it returns into nodes. The fields are write-once; a published
-// snapshot is never mutated again.
+// store a plan runs on, the identity table that turns the element references
+// it returns into nodes, and the attribute table that turns an element and a
+// position in its record's attribute list into the attribute node. The fields
+// are write-once; a published snapshot is never mutated again.
 type snapshot struct {
 	st    *storage.Store
 	nodes *cowarray.Array[*core.Node]
+	attrs *cowarray.Array[*[]*core.Node]
 	gen   uint64
 }
 
@@ -150,10 +152,11 @@ func (d *DB) validateAfterApply() error {
 	return nil
 }
 
-// publish makes st the snapshot of generation gen, with the identity table as
-// it is now: the caller holds d.mu, and st reflects the core at gen.
+// publish makes st the snapshot of generation gen, with the identity and
+// attribute tables as they are now: the caller holds d.mu, and st reflects
+// the core at gen.
 func (d *DB) publish(st *storage.Store, gen uint64) *snapshot {
-	sp := &snapshot{st: st, nodes: d.Database.SnapshotNodes(), gen: gen}
+	sp := &snapshot{st: st, nodes: d.Database.SnapshotNodes(), attrs: d.Database.SnapshotAttrs(), gen: gen}
 	d.snap.Store(sp)
 	d.publishes.Add(1)
 	obsSnapPublishes.Inc()

@@ -251,15 +251,14 @@ func spanAttr(s *obs.Span, key string, value any) {
 // parsed and takes routedParsed.
 func (s *Session) routed(ctx context.Context, src string, root *obs.Span) (Rows, queryRoute, error) {
 	if sp, c := s.cachedPlan(src, root); c != nil {
-		out, ok, err := s.run(ctx, sp, c, root)
+		out, err := s.run(ctx, sp, c, root)
+		if errors.Is(err, storage.ErrMixedContent) {
+			return s.evaluate(ctx, src, err, root)
+		}
 		if err != nil {
 			return Rows{}, routeCompiled, err // as routedParsed reports it
 		}
-		if ok {
-			return out, routeCached, nil
-		}
-		// Core moved past the snapshot before the values were mapped: the
-		// parsed route runs the query again on a current one.
+		return out, routeCached, nil
 	}
 	ps := childSpan(root, "parse")
 	e, perr := mcxquery.ParseQuery(src)
@@ -289,46 +288,27 @@ func (s *Session) cachedPlan(src string, root *obs.Span) (*snapshot, *plan.Compi
 // plan joins the cache lookup).
 func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) (Rows, queryRoute, error) {
 	d := s.db
-	readOnly := perr == nil && !plan.HasConstructors(e)
-	if readOnly {
-		out, cached, cerr := s.compiled(ctx, src, e, st, root)
-		if cerr == nil {
-			if cached {
-				return out, routeCached, nil
-			}
-			return out, routeCompiled, nil
-		}
+	switch {
+	case perr != nil:
+		return s.evaluate(ctx, src, nil, root)
+	case !plan.HasConstructors(e):
+		out, cached, err := s.compiled(ctx, src, e, st, root)
 		switch {
-		case errors.Is(cerr, plan.ErrUnsupported):
-			obsFallbackUnsupported.Inc()
-		case errors.Is(cerr, errCoreMoved):
-			obsFallbackCoreMoved.Inc()
-		default:
-			return Rows{}, routeCompiled, cerr
+		case errors.Is(err, plan.ErrUnsupported), errors.Is(err, storage.ErrMixedContent):
+			return s.evaluate(ctx, src, err, root)
+		case err != nil:
+			return Rows{}, routeCompiled, err
+		case cached:
+			return out, routeCached, nil
 		}
-		spanAttr(root, "fallback", cerr.Error())
-	} else if perr != nil {
-		obsFallbackParse.Inc()
-	} else {
-		obsFallbackConstructor.Inc()
+		return out, routeCompiled, nil
 	}
+	obsFallbackConstructor.Inc()
 	if err := ctx.Err(); err != nil {
 		return Rows{}, routeEvaluator, err
 	}
-	// Evaluator path. Constructor queries mutate the database and need the
-	// writer lock; other read-only queries — unsupported, or starved of one
-	// generation on the compiled route — and parse errors, which the
-	// evaluator re-reports with its own diagnostics, take it shared.
-	if readOnly || perr != nil {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		es := childSpan(root, "evaluate")
-		out, err := d.evalItems(src)
-		endSpan(es)
-		return Rows{items: out}, routeEvaluator, err
-	}
-	// A constructor query is one commit scope; its span covers the
-	// evaluation and the WAL append.
+	// A constructor query mutates the database: it is one commit scope under
+	// the writer lock, and its span covers the evaluation and the WAL append.
 	var out []Item
 	cs := childSpan(root, "commit")
 	err := d.commit(func() (err error) {
@@ -341,70 +321,75 @@ func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr,
 	return Rows{items: out}, routeConstructor, err
 }
 
-// errCoreMoved reports that core moved past the snapshot on every compiled
-// attempt before the values were mapped; routedParsed then serves the query
-// from the evaluator, which reads one generation under the DB lock.
-var errCoreMoved = errors.New("colorful: core moved past the snapshot on every compiled attempt")
-
-// compiledAttempts bounds the runs of one query on the compiled route when
-// its values come from core: the first, and one more on a current snapshot.
-// A query slower than the gap between commits would otherwise never return.
-const compiledAttempts = 2
+// evaluate answers a read-only text on the reference evaluator, under the DB
+// lock shared. why is the compiled route's reason for handing it over — the
+// compiler rejected the text (plan.ErrUnsupported) or its answer meets mixed
+// content (storage.ErrMixedContent) — or nil for a text that did not parse,
+// whose error the evaluator reports again with its own diagnostics.
+func (s *Session) evaluate(ctx context.Context, src string, why error, root *obs.Span) (Rows, queryRoute, error) {
+	switch {
+	case why == nil:
+		obsFallbackParse.Inc()
+	case errors.Is(why, storage.ErrMixedContent):
+		obsFallbackMixed.Inc()
+	default:
+		obsFallbackUnsupported.Inc()
+	}
+	if why != nil {
+		spanAttr(root, "fallback", why.Error())
+	}
+	if err := ctx.Err(); err != nil {
+		return Rows{}, routeEvaluator, err
+	}
+	d := s.db
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	es := childSpan(root, "evaluate")
+	out, err := d.evalItems(src)
+	endSpan(es)
+	return Rows{items: out}, routeEvaluator, err
+}
 
 // compiled serves a constructor-free query from the compiled route: resolve
 // the snapshot, resolve the plan (cache, held statement plan, or fresh
-// compile), execute a clone — again, on a new snapshot and its plan, when
-// core moved on before the values were mapped (run), and errCoreMoved when
-// it moved on every time. The bool result reports whether a cached plan
-// served the query.
+// compile), run it. The bool result reports whether a cached plan served the
+// query.
 func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st *Stmt, root *obs.Span) (Rows, bool, error) {
-	d := s.db
-	for attempt := 0; attempt < compiledAttempts; attempt++ {
-		ss := childSpan(root, "snapshot")
-		sp, err := d.currentSnapshot()
-		endSpan(ss)
-		if err != nil {
-			return Rows{}, false, err
-		}
-		c, cached, err := s.planFor(src, e, sp, st, root)
-		if err != nil {
-			return Rows{}, false, err
-		}
-		out, ok, err := s.run(ctx, sp, c, root)
-		if err != nil || ok {
-			return out, cached, err
-		}
-	}
-	return Rows{}, false, errCoreMoved
-}
-
-// run executes a plan on a snapshot and maps its answer to rows: element
-// references into that snapshot, or items mapped through core. It reports
-// false, with no rows, when core has moved past the snapshot so that mapping
-// through it would mix two generations; the caller runs the query again.
-func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) (Rows, bool, error) {
-	ids, err := s.execCompiled(ctx, sp, c, root)
+	ss := childSpan(root, "snapshot")
+	sp, err := s.db.currentSnapshot()
+	endSpan(ss)
 	if err != nil {
 		return Rows{}, false, err
 	}
-	ms := childSpan(root, "map-results")
-	source := valueSource(c)
-	spanAttr(ms, "values", source)
-	var out Rows
-	ok := true
-	if source == sourceSnapshot {
-		out = Rows{sp: sp, ids: ids, color: c.Cols[c.OutCol].Color, mem: c.Mem}
-		obsValuesSnapshot.Add(uint64(len(ids)))
-	} else {
-		out.items, ok = s.db.coreItems(ids, c, sp.gen)
-		c.Mem.PutColumn(ids)
-		if !ok {
-			obsCoreRetries.Inc()
-			spanAttr(ms, "retry", "core moved past the snapshot")
-		}
+	c, cached, err := s.planFor(src, e, sp, st, root)
+	if err != nil {
+		return Rows{}, false, err
 	}
+	out, err := s.run(ctx, sp, c, root)
+	return out, cached, err
+}
+
+// run executes a plan on a snapshot and answers from that snapshot alone,
+// taking no lock: a leaf output as Rows that read its values when asked, any
+// other output as the items snapshot.items builds. So every answer's nodes
+// and values are of the generation that produced its ids.
+func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) (Rows, error) {
+	ids, err := s.execCompiled(ctx, sp, c, root)
+	if err != nil {
+		return Rows{}, err
+	}
+	ms := childSpan(root, "map-results")
+	read := valuesRead(c)
+	spanAttr(ms, "values", read)
+	out := Rows{sp: sp, ids: ids, color: c.Cols[c.OutCol].Color, mem: c.Mem}
+	if read != "content" {
+		out = Rows{}
+		out.items, err = sp.items(ids, c)
+		c.Mem.PutColumn(ids)
+	}
+	obsValues.Add(uint64(out.Len()))
 	endSpan(ms)
-	return out, ok, nil
+	return out, err
 }
 
 // planFor resolves the physical plan for one execution. Lookup order:

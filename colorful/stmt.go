@@ -17,10 +17,9 @@ import (
 // evicted the entry. A Stmt is safe for concurrent use by any number of
 // goroutines and stays valid until its session (or the DB) closes.
 type Stmt struct {
-	sess     *Session
-	src      string
-	expr     pathexpr.Expr
-	readOnly bool
+	sess *Session
+	src  string
+	expr pathexpr.Expr
 
 	// mu guards the held plan and the closed flag. The held plan is a
 	// second-chance cache behind the shared one: reused only while the stats
@@ -44,8 +43,8 @@ func (s *Session) Prepare(src string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{sess: s, src: src, expr: e, readOnly: !plan.HasConstructors(e)}
-	if st.readOnly {
+	st := &Stmt{sess: s, src: src, expr: e}
+	if !plan.HasConstructors(e) {
 		if sp, err := s.db.currentSnapshot(); err == nil {
 			if _, _, cerr := s.planFor(src, e, sp, st, nil); cerr != nil && !errors.Is(cerr, plan.ErrUnsupported) {
 				return nil, cerr

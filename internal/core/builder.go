@@ -98,9 +98,6 @@ func (db *Database) CopySubtree(n *Node, c Color) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.extra != nil {
-			cp.SetTypeName(n.extra.typ)
-		}
 		for _, a := range n.Attributes() {
 			if _, err := db.SetAttribute(cp, a.name, a.value); err != nil {
 				return nil, err

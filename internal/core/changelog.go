@@ -158,8 +158,9 @@ func (db *Database) changeParent(parent *Node) NodeID {
 	return parent.id
 }
 
-// attrSnapshot captures an element's attributes as (name, value) pairs.
-func attrSnapshot(elem *Node) [][2]string {
+// AttrPairs captures an element's attributes as (name, value) pairs, in the
+// order of Attributes: the order the store's element records list them in.
+func AttrPairs(elem *Node) [][2]string {
 	attrs := elem.Attributes()
 	if len(attrs) == 0 {
 		return nil
@@ -194,7 +195,7 @@ func (db *Database) logAttach(parent, child *Node, c Color, atEnd bool) {
 func (db *Database) logArrival(parent, child *Node, c Color) {
 	ch := Change{Kind: ChangeInsertLeaf, Elem: child.id,
 		Parent: db.changeParent(parent), Color: c,
-		Tag: child.name, Content: Text(child), Attrs: attrSnapshot(child)}
+		Tag: child.name, Content: Text(child), Attrs: AttrPairs(child)}
 	for _, oc := range child.Colors() {
 		if oc != c && db.reachable(child, oc) {
 			// Already stored under another color: this attach adds one
@@ -218,5 +219,5 @@ func (db *Database) logContent(elem *Node) {
 
 // logAttrs records that elem's attribute list changed.
 func (db *Database) logAttrs(elem *Node) {
-	db.record(Change{Kind: ChangeAttrs, Elem: elem.id, Attrs: attrSnapshot(elem)})
+	db.record(Change{Kind: ChangeAttrs, Elem: elem.id, Attrs: AttrPairs(elem)})
 }

@@ -25,6 +25,12 @@ type Database struct {
 	// an array indexed by id — and a copy-on-write one, so that a store
 	// snapshot can keep the table of its generation (SnapshotNodes).
 	byID *cowarray.Array[*Node]
+	// attrs holds each element's attribute nodes, keyed by element id. A
+	// list is never edited, only replaced, so that a snapshot keeps the lists
+	// of its generation (SnapshotAttrs) the way it keeps byID. Slots hold a
+	// pointer, not the 24-byte slice: the table spans every id, and few ids
+	// are elements with attributes.
+	attrs *cowarray.Array[*[]*Node]
 
 	// order caches per-color local document order; invalidated on mutation.
 	// Guarded by orderMu: the cache is lazily filled on read paths, which
@@ -45,6 +51,7 @@ func NewDatabase(colors ...Color) *Database {
 	db := &Database{
 		colors: make(map[Color]bool, len(colors)),
 		byID:   &cowarray.Array[*Node]{},
+		attrs:  &cowarray.Array[*[]*Node]{},
 		order:  make(map[Color]map[NodeID]int),
 	}
 	db.doc = db.newNode(KindDocument)
@@ -97,6 +104,12 @@ func (db *Database) NumNodes() int { return db.byID.Len() }
 // The caller must exclude concurrent mutation and concurrent SnapshotNodes
 // calls (colorful.DB publishes under its maintenance discipline).
 func (db *Database) SnapshotNodes() *cowarray.Array[*Node] { return db.byID.Clone() }
+
+// SnapshotAttrs is SnapshotNodes for the attribute table: each element's
+// attribute nodes, keyed by element id, in the order its store record lists
+// them (both come from Attributes). Nodes are shared with the database: a
+// later SetAttribute or Rename changes the value or name of a node in it.
+func (db *Database) SnapshotAttrs() *cowarray.Array[*[]*Node] { return db.attrs.Clone() }
 
 // Generation returns a counter that increases on every mutation of the
 // database. Callers that derive secondary structures (such as a physical
@@ -220,8 +233,9 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 	a.name = name
 	a.value = value
 	a.owner = elem
-	x := elem.more()
-	x.attrs = append(x.attrs, a)
+	attrs := elem.Attributes()
+	attrs = append(attrs[:len(attrs):len(attrs)], a)
+	db.attrs.Set(uint64(elem.id), &attrs)
 	db.invalidate()
 	db.logAttrs(elem)
 	return a, nil
@@ -251,9 +265,15 @@ func (db *Database) Rename(n *Node, name string) error {
 
 // RemoveAttribute removes the named attribute from elem, if present.
 func (db *Database) RemoveAttribute(elem *Node, name string) {
-	for i, a := range elem.Attributes() {
+	attrs := elem.Attributes()
+	for i, a := range attrs {
 		if a.name == name {
-			elem.extra.attrs = append(elem.extra.attrs[:i], elem.extra.attrs[i+1:]...)
+			if len(attrs) == 1 {
+				db.attrs.Delete(uint64(elem.id))
+			} else {
+				rest := append(attrs[:i:i], attrs[i+1:]...)
+				db.attrs.Set(uint64(elem.id), &rest)
+			}
 			db.byID.Delete(uint64(a.id))
 			db.invalidate()
 			db.logAttrs(elem)
@@ -537,9 +557,7 @@ func (db *Database) Delete(n *Node) error {
 	for _, t := range n.textChildren() {
 		db.byID.Delete(uint64(t.id))
 	}
-	if n.extra != nil {
-		n.extra.attrs = nil
-	}
+	db.attrs.Delete(uint64(n.id))
 	db.byID.Delete(uint64(n.id))
 	db.invalidate()
 	for _, c := range storedIn {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestNodeSize: a node is at most 96 bytes (an allocator size class), with
-// its colors in a slice rather than a map and its rarely set fields behind
-// one pointer.
+// its colors in a slice rather than a map and its attributes in the
+// database's attribute table.
 func TestNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(core.Node{}); got > 96 {
 		t.Fatalf("unsafe.Sizeof(core.Node{}) = %d, want at most 96", got)

@@ -82,8 +82,8 @@ type colorLink struct {
 //
 // The layout is the database's memory: a node costs 96 bytes plus 48 per
 // color — a node has one or two of its database's few colors, and a map of
-// them would cost some 290 bytes — and what few nodes have (a type
-// annotation, attributes, namespaces) sits behind one pointer.
+// them would cost some 290 bytes. Attributes are in the database's
+// attribute table.
 type Node struct {
 	id    NodeID
 	kind  Kind
@@ -100,23 +100,6 @@ type Node struct {
 	// are values: a *colorLink from link or ensureLink must not be held
 	// across an ensureLink or RemoveColor on the same node.
 	links []colorLink
-
-	extra *nodeExtra // nil until set
-}
-
-// nodeExtra holds the node fields that are almost always empty.
-type nodeExtra struct {
-	typ   string // schema type annotation (xs:untyped if empty)
-	attrs []*Node
-	nss   []*Node
-}
-
-// more returns the node's extra fields, allocating them on first use.
-func (n *Node) more() *nodeExtra {
-	if n.extra == nil {
-		n.extra = &nodeExtra{}
-	}
-	return n.extra
 }
 
 // ID returns the node's unique identity within its database.
@@ -133,18 +116,6 @@ func (n *Node) Name() string { return n.name }
 // comment or PI node. For elements and documents it returns the empty string;
 // use StringValue for the color-aware concatenated value.
 func (n *Node) Value() string { return n.value }
-
-// TypeName returns the schema type annotation (dm:type). Untyped nodes report
-// "xs:untyped".
-func (n *Node) TypeName() string {
-	if n.extra == nil || n.extra.typ == "" {
-		return "xs:untyped"
-	}
-	return n.extra.typ
-}
-
-// SetTypeName sets the schema type annotation.
-func (n *Node) SetTypeName(t string) { n.more().typ = t }
 
 // Database returns the database this node belongs to.
 func (n *Node) Database() *Database { return n.db }
@@ -199,18 +170,10 @@ func (n *Node) Label() string {
 // Attributes returns the attribute nodes of an element (dm:attributes). The
 // result is shared storage; callers must not modify it.
 func (n *Node) Attributes() []*Node {
-	if n.extra == nil {
-		return nil
+	if attrs, ok := n.db.attrs.Get(uint64(n.id)); ok {
+		return *attrs
 	}
-	return n.extra.attrs
-}
-
-// Namespaces returns the namespace nodes of an element (dm:namespaces).
-func (n *Node) Namespaces() []*Node {
-	if n.extra == nil {
-		return nil
-	}
-	return n.extra.nss
+	return nil
 }
 
 // Attribute returns the attribute node with the given name, or nil.

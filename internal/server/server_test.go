@@ -681,9 +681,9 @@ func TestHandshakeRejectsBadClients(t *testing.T) {
 // TestRowsOverWireMatchQuery: the server encodes each frame straight from a
 // result's Rows, and what the client decodes is what Query returns in
 // process — node id, colour and value, item for item, in order — on every
-// route a value can take: the snapshot (a leaf output, here spanning five
-// 7-item frames), core (a container and an attribute projection), the
-// evaluator (order by) and a constructor, plus an empty result. One-shot and
+// route a value can take: the snapshot's content records (a leaf output,
+// here spanning five 7-item frames), subtrees (a container) and attributes,
+// the evaluator (order by) and a constructor, plus an empty result. One-shot and
 // prepared executions stream the same frames.
 func TestRowsOverWireMatchQuery(t *testing.T) {
 	db, _, addr := startCatalog(t, 30, server.Options{ChunkItems: 7})
@@ -708,12 +708,12 @@ func TestRowsOverWireMatchQuery(t *testing.T) {
 		route, text string
 		rows        int
 	}{
-		{"snapshot", `document("db")/{red}descendant::item/{red}child::name`, 30},
-		{"core", `document("db")/{green}descendant::item`, 10},
-		{"core", `for $i in document("db")/{red}descendant::item return $i/{red}attribute::id`, 30},
+		{"snapshot content", `document("db")/{red}descendant::item/{red}child::name`, 30},
+		{"snapshot subtree", `document("db")/{green}descendant::item`, 10},
+		{"snapshot attribute", `for $i in document("db")/{red}descendant::item return $i/{red}attribute::id`, 30},
 		{"evaluator", `for $i in document("db")/{green}descendant::item order by $i/{green}child::votes return $i/{green}child::votes`, 10},
 		{"constructor", `for $i in document("db")/{green}descendant::item return createColor(black, <m>{ string($i/{red}child::name) }</m>)`, 10},
-		{"snapshot", `document("db")/{red}descendant::item[{red}child::name = "no such item"]/{red}child::name`, 0},
+		{"snapshot content", `document("db")/{red}descendant::item[{red}child::name = "no such item"]/{red}child::name`, 0},
 	} {
 		before := sess.Stats()
 		want, err := sess.Query(tc.text)

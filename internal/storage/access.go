@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -8,23 +9,28 @@ import (
 	"colorfulxml/internal/pagestore"
 )
 
-// readStructRef reads a structural record from its page.
-func (s *Store) readStructRef(ref uint64, c core.Color) (SNode, error) {
-	return s.readStruct(unpackRID(ref), c)
-}
-
-// readStruct decodes a structural record in place in its page.
-func (s *Store) readStruct(rid pagestore.RecordID, c core.Color) (SNode, error) {
-	var sn SNode
-	err := s.pages.ViewRecord(rid, func(rec []byte) { sn = decodeStruct(rec, c) })
+// StructByRef reads one structural record of color c, decoded in place in
+// its page, from its packed ref (as TagRefs and ContentRefs give them).
+func (s *Store) StructByRef(ref uint64, c core.Color) (sn SNode, err error) {
+	err = s.pages.ViewRecord(unpackRID(ref), func(rec []byte) { sn = decodeStruct(rec, c) })
 	return sn, err
 }
 
-// viewRefs calls visit with the record at each packed ref, in order. A page
-// is held across the consecutive refs that lie on it — posting lists are in
-// start order and a bulk load writes records in that order, so a scan costs
-// one page lookup per page, not per record. rec is valid only during the call.
-func (s *Store) viewRefs(refs []uint64, visit func(i int, rec []byte)) error {
+// viewElem calls fn with element id's record, in its page.
+func (s *Store) viewElem(id ElemID, fn func(rec []byte)) error {
+	rid, ok := s.elemRID(id)
+	if !ok {
+		return fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
+	}
+	return s.pages.ViewRecord(rid, fn)
+}
+
+// viewRefs calls visit with base plus i and the record at refs[i], in order.
+// A page is held across the consecutive refs that lie on it — posting lists
+// are in start order and a bulk load writes records in that order, so a scan
+// costs one page lookup per page, not per record. rec is valid only during
+// the call.
+func (s *Store) viewRefs(refs []uint64, base int, visit func(i int, rec []byte)) error {
 	i := 0
 	for i < len(refs) {
 		page := unpackRID(refs[i]).PageID
@@ -40,7 +46,7 @@ func (s *Store) viewRefs(refs []uint64, visit func(i int, rec []byte)) error {
 					recErr = err
 					return
 				}
-				visit(i, rec)
+				visit(base+i, rec)
 			}
 		})
 		if err == nil {
@@ -57,7 +63,7 @@ func (s *Store) viewRefs(refs []uint64, visit func(i int, rec []byte)) error {
 // (TagRefs, ContentRefs, a path summary's) into dst, which must be as long as
 // refs, reading page by page.
 func (s *Store) StructsByRef(dst []SNode, refs []uint64, c core.Color) error {
-	return s.viewRefs(refs, func(i int, rec []byte) { dst[i] = decodeStruct(rec, c) })
+	return s.viewRefs(refs, 0, func(i int, rec []byte) { dst[i] = decodeStruct(rec, c) })
 }
 
 // TagRefs returns the tag index posting list for (c, tag) without reading
@@ -74,12 +80,6 @@ func (s *Store) TagRefs(c core.Color, tag string) []uint64 {
 func (s *Store) ContentRefs(c core.Color, tag, value string) []uint64 {
 	obsIndexProbes.Inc()
 	return s.contentIdx.Get(contentKey(c, tag, value))
-}
-
-// StructByRef resolves one packed structural record ref (from TagRefs or
-// ContentRefs).
-func (s *Store) StructByRef(ref uint64, c core.Color) (SNode, error) {
-	return s.readStructRef(ref, c)
 }
 
 // ScanTag returns all structural nodes with the given tag in color c, in
@@ -122,15 +122,8 @@ func (e ElemInfo) Attr(name string) string {
 }
 
 // Elem reads an element record.
-func (s *Store) Elem(id ElemID) (ElemInfo, error) {
-	rid, ok := s.elemRID(id)
-	if !ok {
-		return ElemInfo{}, fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
-	}
-	var e ElemInfo
-	err := s.pages.ViewRecord(rid, func(rec []byte) {
-		e.ID, e.Tag, e.Content, e.Attrs = decodeElem(rec)
-	})
+func (s *Store) Elem(id ElemID) (e ElemInfo, err error) {
+	err = s.viewElem(id, func(rec []byte) { e.ID, e.Tag, e.Content, e.Attrs = decodeElem(rec) })
 	return e, err
 }
 
@@ -157,25 +150,15 @@ func (s *Store) LeafTag(c core.Color, tag string) bool {
 }
 
 // tagOf reads an element's tag.
-func (s *Store) tagOf(id ElemID) (string, error) {
-	rid, ok := s.elemRID(id)
-	if !ok {
-		return "", fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
-	}
-	var tag string
-	err := s.pages.ViewRecord(rid, func(rec []byte) { tag = string(elemTag(rec)) })
+func (s *Store) tagOf(id ElemID) (tag string, err error) {
+	err = s.viewElem(id, func(rec []byte) { tag = string(elemTag(rec)) })
 	return tag, err
 }
 
 // ContentOf reads an element's text content, decoding nothing else of its
 // record.
-func (s *Store) ContentOf(id ElemID) (string, error) {
-	rid, ok := s.elemRID(id)
-	if !ok {
-		return "", fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
-	}
-	var content string
-	err := s.pages.ViewRecord(rid, func(rec []byte) { content = string(elemContent(rec)) })
+func (s *Store) ContentOf(id ElemID) (content string, err error) {
+	err = s.viewElem(id, func(rec []byte) { content = string(elemContent(rec)) })
 	return content, err
 }
 
@@ -185,6 +168,23 @@ func (s *Store) ContentOf(id ElemID) (string, error) {
 // content-only decode, page by page (elements created together sit
 // together), nothing copied.
 func (s *Store) ContentBytes(ids []ElemID, visit func(i int, content []byte)) error {
+	return s.viewElems(ids, func(i int, rec []byte) { visit(i, elemContent(rec)) })
+}
+
+// AttrBytes is ContentBytes for an attribute projection: visit gets, for
+// each element of ids that has the named attribute, its position in the
+// element's attribute list and its value bytes.
+func (s *Store) AttrBytes(ids []ElemID, name string, visit func(i, pos int, value []byte)) error {
+	return s.viewElems(ids, func(i int, rec []byte) {
+		if pos, value, ok := elemAttr(rec, name); ok {
+			visit(i, pos, value)
+		}
+	})
+}
+
+// viewElems calls visit with the record of each element of ids, in order,
+// page by page.
+func (s *Store) viewElems(ids []ElemID, visit func(i int, rec []byte)) error {
 	var refs [256]uint64
 	for base := 0; base < len(ids); base += len(refs) {
 		n := min(len(refs), len(ids)-base)
@@ -195,8 +195,7 @@ func (s *Store) ContentBytes(ids []ElemID, visit func(i int, content []byte)) er
 			}
 			refs[j] = ref
 		}
-		err := s.viewRefs(refs[:n], func(j int, rec []byte) { visit(base+j, elemContent(rec)) })
-		if err != nil {
+		if err := s.viewRefs(refs[:n], base, visit); err != nil {
 			return err
 		}
 	}
@@ -231,7 +230,7 @@ func (s *Store) CrossTree(id ElemID, to core.Color) (SNode, bool, error) {
 	if !ok {
 		return SNode{}, false, nil
 	}
-	sn, err := s.readStructRef(ref, to)
+	sn, err := s.StructByRef(ref, to)
 	return sn, err == nil, err
 }
 
@@ -257,7 +256,7 @@ func (s *Store) ParentOf(sn SNode) (SNode, bool, error) {
 	if !ok {
 		return SNode{}, false, fmt.Errorf("storage: dangling parent start %d in %q", sn.ParentStart, sn.Color)
 	}
-	p, err := s.readStructRef(ref, sn.Color)
+	p, err := s.StructByRef(ref, sn.Color)
 	if err != nil {
 		return SNode{}, false, err
 	}
@@ -306,7 +305,7 @@ func (s *Store) AppendAncestors(dst []SNode, sn SNode, tag string, parentOnly bo
 func (s *Store) seekStart(refs []uint64, sn SNode) (int, error) {
 	var err error
 	after := func(i int) bool {
-		d, e := s.readStructRef(refs[i], sn.Color)
+		d, e := s.StructByRef(refs[i], sn.Color)
 		if e != nil {
 			err = e
 		}
@@ -336,7 +335,7 @@ func (s *Store) AppendWithin(dst []SNode, refs []uint64, sn SNode, childOnly boo
 		return dst, err
 	}
 	for ; i < len(refs); i++ {
-		d, err := s.readStructRef(refs[i], sn.Color)
+		d, err := s.StructByRef(refs[i], sn.Color)
 		if err != nil {
 			return dst, err
 		}
@@ -356,7 +355,7 @@ func (s *Store) Subtree(sn SNode) ([]SNode, error) {
 	var scanErr error
 	obsIndexProbes.Inc()
 	s.starts(sn.Color).Range(sn.Start+1, sn.End, func(_ int64, ref uint64) bool {
-		d, err := s.readStructRef(ref, sn.Color)
+		d, err := s.StructByRef(ref, sn.Color)
 		if scanErr = err; err != nil {
 			return false
 		}
@@ -366,38 +365,65 @@ func (s *Store) Subtree(sn SNode) ([]SNode, error) {
 	return out, scanErr
 }
 
-// ChildrenOf returns the direct children of sn in start order.
+// ChildrenOf returns the direct children of sn in start order: one seek per
+// child, each past the end of the one before, so no other descendant is read.
 func (s *Store) ChildrenOf(sn SNode) ([]SNode, error) {
-	desc, err := s.Subtree(sn)
-	if err != nil {
-		return nil, err
-	}
-	out := desc[:0:0]
-	for _, d := range desc {
-		if d.ParentStart == sn.Start {
-			out = append(out, d)
+	var out []SNode
+	for pos := sn.Start + 1; ; {
+		d, ok, err := s.startFrom(sn.Color, pos)
+		if err != nil || !ok || d.Start >= sn.End {
+			return out, err
 		}
+		out = append(out, d)
+		pos = d.End + 1
 	}
-	return out, nil
 }
 
 // Roots returns the root structural nodes of a colored tree (children of the
-// document) in start order: one seek per root, each past the end of the one
-// before, so no other node is read.
+// document) in start order.
 func (s *Store) Roots(c core.Color) ([]SNode, error) {
-	var out []SNode
-	for pos := int64(0); ; {
-		sn, ok, err := s.startFrom(c, pos)
-		if err != nil || !ok {
-			return out, err
-		}
-		out = append(out, sn)
-		pos = sn.End + 1
-	}
+	doc, _ := s.Document(c)
+	return s.ChildrenOf(doc)
 }
 
-// StructOf returns the structural node of an element in a color (same as
-// CrossTree; provided for readability at call sites that are not joins).
-func (s *Store) StructOf(id ElemID, c core.Color) (SNode, bool, error) {
-	return s.CrossTree(id, c)
+// ErrMixedContent reports an element with both text and a child in the color
+// a string value is read in: its record keeps the text but not where the text
+// sits among the children, so the store cannot give the value.
+var ErrMixedContent = errors.New("storage: mixed content: the store keeps no position for an element's text among its children")
+
+// AppendStringValue appends to dst the string value of element id in color c
+// (paper Section 3.2: the text of its subtree in c). That is the content
+// records of the structural nodes in [start, end] of c, in start order: one
+// range scan of the color's start index. The node that follows one with
+// content in that order is its first child if it has one, so the same scan
+// finds mixed content, and then the value is ErrMixedContent.
+func (s *Store) AppendStringValue(dst []byte, id ElemID, c core.Color) ([]byte, error) {
+	sn, ok, err := s.CrossTree(id, c)
+	if err == nil && !ok {
+		err = fmt.Errorf("storage: element %d is not in %q: %w", id, c, pagestore.ErrNoSuchRecord)
+	}
+	if err != nil {
+		return dst, err
+	}
+	textEnd := int64(-1) // the end of the last node read that had content
+	obsIndexProbes.Inc()
+	s.starts(c).Range(sn.Start, sn.End, func(start int64, ref uint64) bool {
+		d := sn
+		if start != sn.Start {
+			if d, err = s.StructByRef(ref, c); err != nil {
+				return false
+			}
+		}
+		if d.Start < textEnd {
+			err = fmt.Errorf("storage: element %d in %q: %w", id, c, ErrMixedContent)
+			return false
+		}
+		n := len(dst)
+		err = s.viewElem(d.Elem, func(rec []byte) { dst = append(dst, elemContent(rec)...) })
+		if len(dst) > n {
+			textEnd = d.End
+		}
+		return err == nil
+	})
+	return dst, err
 }

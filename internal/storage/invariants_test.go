@@ -42,7 +42,7 @@ func (s *Store) CheckInvariants() error {
 		var bad error
 		nodes := 0
 		t.start.Ascend(func(k int64, ref uint64) bool {
-			sn, err := s.readStructRef(ref, c)
+			sn, err := s.StructByRef(ref, c)
 			if err != nil {
 				bad = fmt.Errorf("start key %d: %w", k, err)
 				return false

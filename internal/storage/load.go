@@ -68,11 +68,7 @@ func (s *Store) ensureElem(n *core.Node) error {
 	if _, ok := s.elemRID(id); ok {
 		return nil
 	}
-	var attrs [][2]string
-	for _, a := range n.Attributes() {
-		attrs = append(attrs, [2]string{a.Name(), a.Value()})
-	}
-	return s.putElem(id, n.Name(), core.Text(n), attrs)
+	return s.putElem(id, n.Name(), core.Text(n), core.AttrPairs(n))
 }
 
 // putElem writes the record of an element the store does not hold yet and

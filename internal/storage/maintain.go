@@ -118,7 +118,7 @@ func (s *Store) applyChange(ch core.Change) error {
 		return err
 
 	case core.ChangeDeleteSubtree:
-		sn, ok, err := s.StructOf(ElemID(ch.Elem), ch.Color)
+		sn, ok, err := s.CrossTree(ElemID(ch.Elem), ch.Color)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func (s *Store) changeParent(ch core.Change) (SNode, error) {
 	parent, ok := s.Document(ch.Color)
 	if ch.Parent != 0 {
 		var err error
-		if parent, ok, err = s.StructOf(ElemID(ch.Parent), ch.Color); err != nil {
+		if parent, ok, err = s.CrossTree(ElemID(ch.Parent), ch.Color); err != nil {
 			return SNode{}, err
 		}
 	}

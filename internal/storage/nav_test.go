@@ -2,9 +2,11 @@ package storage_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"colorfulxml/internal/core"
@@ -201,7 +203,7 @@ func TestNavigationUnderUpdates(t *testing.T) {
 				if other == c {
 					other = s.Colors()[1]
 				}
-				if _, in, _ := s.StructOf(sn.Elem, other); !in {
+				if _, in, _ := s.CrossTree(sn.Elem, other); !in {
 					parents := colorNodes(t, s, other)
 					_, err = s.AddColorTo(sn.Elem, parents[rng.Intn(len(parents))])
 				}
@@ -246,7 +248,7 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		}
 		before, orig := s.StatsEpoch(), leaf
 		for i := 0; i < 12; i++ {
-			if leaf, _, err = s.StructOf(leaf.Elem, "red"); err != nil {
+			if leaf, _, err = s.CrossTree(leaf.Elem, "red"); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.InsertLeafChild(leaf, "note", "deep", nil); err != nil {
@@ -285,5 +287,125 @@ func TestParentHopAllocatesNothing(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("ParentOf allocates %v times per hop, want 0", allocs)
+	}
+}
+
+// TestChildrenOfReadsOnlyTheChildren: ChildrenOf seeks child by child, so
+// the root of a chain 2 000 deep costs what the root of a chain 20 deep
+// does — one allocation, its one child — and not its subtree.
+func TestChildrenOfReadsOnlyTheChildren(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, depth := range []int{20, 2000} {
+		db := core.NewDatabase("red")
+		n := db.Document()
+		for i := 0; i < depth; i++ {
+			var err error
+			if n, err = db.AddElement(n, "e", "red"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := storage.Load(db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots, err := s.Roots("red")
+		if err != nil || len(roots) != 1 {
+			t.Fatalf("%d roots, %v", len(roots), err)
+		}
+		allocs[depth] = testing.AllocsPerRun(20, func() {
+			if children, err := s.ChildrenOf(roots[0]); err != nil || len(children) != 1 {
+				t.Fatalf("%d children, %v", len(children), err)
+			}
+		})
+	}
+	if allocs[2000] != allocs[20] || allocs[2000] > 1 {
+		t.Fatalf("ChildrenOf of a chain's root allocates %v times at depth 20 and %v at depth 2000, want at most 1 at both", allocs[20], allocs[2000])
+	}
+}
+
+// TestStringValueReadsTheSubtree: AppendStringValue agrees with
+// core.StringValue for every element in every colour whose subtree there
+// holds no element with both text and a child, and is ErrMixedContent for
+// the others; AttrBytes finds each attribute at its place in the record.
+func TestStringValueReadsTheSubtree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := core.NewDatabase("red", "green")
+	var elems []*core.Node
+	parents := map[core.Color][]*core.Node{"red": {db.Document()}, "green": {db.Document()}}
+	for i := 0; i < 120; i++ {
+		n, err := db.AddElement(parents["red"][rng.Intn(len(parents["red"]))], "e", "red")
+		if err == nil && rng.Intn(3) == 0 {
+			_, err = db.AppendText(n, fmt.Sprint("t", i, " "))
+		}
+		if err == nil && rng.Intn(3) == 0 {
+			err = db.Adopt(parents["green"][rng.Intn(len(parents["green"]))], n, "green")
+			parents["green"] = append(parents["green"], n)
+		}
+		for a := 0; err == nil && a < rng.Intn(3); a++ {
+			_, err = db.SetAttribute(n, fmt.Sprint("a", a), fmt.Sprint("v", i, a))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		parents["red"] = append(parents["red"], n)
+		elems = append(elems, n)
+	}
+	s, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mixed func(n *core.Node, c core.Color) bool
+	mixed = func(n *core.Node, c core.Color) bool {
+		var kids []*core.Node
+		for _, ch := range core.Children(n, c) {
+			if ch.Kind() == core.KindElement {
+				kids = append(kids, ch)
+			}
+		}
+		if len(kids) > 0 && core.Text(n) != "" {
+			return true
+		}
+		return slices.ContainsFunc(kids, func(k *core.Node) bool { return mixed(k, c) })
+	}
+	seen := map[bool]int{}
+	for _, n := range elems {
+		for _, c := range n.Colors() {
+			got, err := s.AppendStringValue([]byte("x"), storage.ElemID(n.ID()), c)
+			want, _ := core.StringValue(n, c)
+			switch m := mixed(n, c); {
+			case m && !errors.Is(err, storage.ErrMixedContent):
+				t.Errorf("element %d in %s holds mixed content, read as %q, %v", n.ID(), c, got, err)
+			case !m && (err != nil || string(got) != "x"+want):
+				t.Errorf("element %d in %s reads as %q, %v, want %q", n.ID(), c, got, err, "x"+want)
+			default:
+				seen[m]++
+			}
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("checked %d mixed and %d other subtrees, want some of each", seen[true], seen[false])
+	}
+
+	ids := make([]storage.ElemID, len(elems))
+	for i, n := range elems {
+		ids[i] = storage.ElemID(n.ID())
+	}
+	for _, name := range []string{"a0", "a1"} {
+		var got []string
+		err := s.AttrBytes(ids, name, func(i, pos int, value []byte) {
+			if a := elems[i].Attributes()[pos]; a.Name() != name || a.Value() != string(value) {
+				t.Errorf("element %d: attribute %d is %s=%q, AttrBytes read %s=%q", ids[i], pos, a.Name(), a.Value(), name, value)
+			}
+			got = append(got, string(value))
+		})
+		var want []string
+		for _, n := range elems {
+			if a := n.Attribute(name); a != nil {
+				want = append(want, a.Value())
+			}
+		}
+		if err != nil || !slices.Equal(got, want) || len(want) == 0 {
+			t.Errorf("AttrBytes(%s) = %q, %v, want %q", name, got, err, want)
+		}
 	}
 }

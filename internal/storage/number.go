@@ -46,7 +46,7 @@ func (s *Store) startBelow(c core.Color, pos int64) (SNode, bool, error) {
 	if !ok {
 		return SNode{}, false, nil
 	}
-	sn, err := s.readStructRef(ref, c)
+	sn, err := s.StructByRef(ref, c)
 	return sn, err == nil, err
 }
 
@@ -54,7 +54,7 @@ func (s *Store) startBelow(c core.Color, pos int64) (SNode, bool, error) {
 func (s *Store) startFrom(c core.Color, pos int64) (sn SNode, ok bool, err error) {
 	obsIndexProbes.Inc()
 	s.starts(c).Range(pos, maxPos, func(_ int64, ref uint64) bool {
-		sn, err = s.readStructRef(ref, c)
+		sn, err = s.StructByRef(ref, c)
 		ok = err == nil
 		return false
 	})
@@ -159,7 +159,7 @@ func (s *Store) extend(n SNode, need int64) (SNode, error) {
 		if parent, err = s.extend(parent, want-free); err != nil {
 			return n, err
 		}
-		if n, _, err = s.StructOf(n.Elem, n.Color); err != nil {
+		if n, _, err = s.CrossTree(n.Elem, n.Color); err != nil {
 			return n, err
 		}
 		free = parent.End - 1 - n.End
@@ -230,7 +230,7 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 			return n, err
 		}
 		for _, sn := range []*SNode{&first, &last, &n} {
-			if *sn, _, err = s.StructOf(sn.Elem, c); err != nil {
+			if *sn, _, err = s.CrossTree(sn.Elem, c); err != nil {
 				return n, err
 			}
 		}

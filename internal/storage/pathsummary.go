@@ -70,7 +70,7 @@ func (s *Store) buildPathSummary(c core.Color) (*PathSummary, error) {
 	var scanErr error
 	obsIndexProbes.Inc()
 	s.starts(c).Ascend(func(_ int64, ref uint64) bool {
-		sn, err := s.readStructRef(ref, c)
+		sn, err := s.StructByRef(ref, c)
 		if err != nil {
 			scanErr = err
 			return false

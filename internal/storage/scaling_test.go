@@ -143,7 +143,7 @@ func TestHotParentRelabelsLocally(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		item, _, err := s.StructOf(storage.ElemID(hot.ID()), "red")
+		item, _, err := s.CrossTree(storage.ElemID(hot.ID()), "red")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -343,10 +343,15 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func readStr(buf []byte, off int) (string, int) {
+// field returns the length-prefixed bytes at off and the offset past them.
+func field(buf []byte, off int) ([]byte, int) {
 	n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
-	off += 2
-	return string(buf[off : off+n]), off + n
+	return buf[off+2 : off+2+n], off + 2 + n
+}
+
+func readStr(buf []byte, off int) (string, int) {
+	b, off := field(buf, off)
+	return string(b), off
 }
 
 func decodeElem(buf []byte) (id ElemID, tag, content string, attrs [][2]string) {
@@ -377,6 +382,22 @@ func elemContent(buf []byte) []byte {
 	off := 10 + int(binary.LittleEndian.Uint16(buf[8:10]))
 	n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
 	return buf[off+2 : off+2+n]
+}
+
+// elemAttr returns the position in the attribute list and the value bytes,
+// in place, of the first attribute called name of an encoded element record.
+func elemAttr(buf []byte, name string) (pos int, value []byte, ok bool) {
+	_, off := field(buf, 8)
+	_, off = field(buf, off)
+	n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
+	for off += 2; pos < n; pos++ {
+		var key []byte
+		key, off = field(buf, off)
+		if value, off = field(buf, off); string(key) == name {
+			return pos, value, true
+		}
+	}
+	return 0, nil, false
 }
 
 func encodeStruct(sn SNode) []byte {

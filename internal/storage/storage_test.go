@@ -187,7 +187,7 @@ func TestCrossTreeJoin(t *testing.T) {
 func TestParentChildrenSubtree(t *testing.T) {
 	m, s := load(t)
 	comedy := storage.ElemID(m.Node("comedy").ID())
-	sn, ok, err := s.StructOf(comedy, "red")
+	sn, ok, err := s.CrossTree(comedy, "red")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestUpdateContent(t *testing.T) {
 func TestInsertLeafChild(t *testing.T) {
 	m, s := load(t)
 	bette := storage.ElemID(m.Node("bette").ID())
-	sn, _, err := s.StructOf(bette, "blue")
+	sn, _, err := s.CrossTree(bette, "blue")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +285,14 @@ func TestInsertLeafChild(t *testing.T) {
 func TestInsertsExtendParent(t *testing.T) {
 	m, s := load(t)
 	bette := storage.ElemID(m.Node("bette").ID())
-	sn, _, err := s.StructOf(bette, "blue")
+	sn, _, err := s.CrossTree(bette, "blue")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exhaust the interval, several times: insert many leaves under one parent.
 	for i := 0; i < 100; i++ {
 		var err error
-		sn, _, err = s.StructOf(bette, "blue")
+		sn, _, err = s.CrossTree(bette, "blue")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestInsertsExtendParent(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	sn, _, _ = s.StructOf(bette, "blue")
+	sn, _, _ = s.CrossTree(bette, "blue")
 	kids, err := s.ChildrenOf(sn)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestDeleteSubtree(t *testing.T) {
 	// Delete the green subtree of y1950: removes eve's green struct node but
 	// keeps eve alive (it is red too); the green-only votes element dies.
 	y1950 := storage.ElemID(m.Node("y1950").ID())
-	sn, _, err := s.StructOf(y1950, "green")
+	sn, _, err := s.CrossTree(y1950, "green")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,29 +15,9 @@ import (
 // UpdateContent replaces an element's text content in place (appending a
 // relocated record when the new content is larger).
 func (s *Store) UpdateContent(id ElemID, content string) error {
-	rid, ok := s.elemRID(id)
-	if !ok {
-		return fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
-	}
-	old, err := s.pages.ReadRecord(rid)
+	old, err := s.rewriteElem(id, func(e *ElemInfo) { e.Content = content })
 	if err != nil {
 		return err
-	}
-	_, tag, oldContent, attrs := decodeElem(old)
-	rec := encodeElem(id, tag, content, attrs)
-	if len(rec) <= len(old) {
-		if err := s.pages.OverwriteRecord(rid, rec); err != nil {
-			return err
-		}
-	} else {
-		newRID, err := s.pages.AppendRecord(s.elemFile, rec)
-		if err != nil {
-			return err
-		}
-		if err := s.pages.DeleteRecord(rid); err != nil {
-			return err
-		}
-		s.elemLoc.Set(uint64(id), packRID(newRID))
 	}
 	// Re-key the content index for every colored structural node.
 	for _, t := range s.trees {
@@ -46,23 +26,23 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 		if !ok {
 			continue
 		}
-		if oldContent != "" {
-			s.contentIdx.Delete(contentKey(c, tag, oldContent), ref)
+		if old.Content != "" {
+			s.contentIdx.Delete(contentKey(c, old.Tag, old.Content), ref)
 		}
 		if content != "" {
-			sn, err := s.readStructRef(ref, c)
+			sn, err := s.StructByRef(ref, c)
 			if err != nil {
 				return err
 			}
-			if err := s.insertPosting(s.contentIdx, contentKey(c, tag, content), ref, sn, false); err != nil {
+			if err := s.insertPosting(s.contentIdx, contentKey(c, old.Tag, content), ref, sn, false); err != nil {
 				return err
 			}
 		}
 	}
-	if oldContent == "" && content != "" {
+	if old.Content == "" && content != "" {
 		s.counts.ContentNodes++
 	}
-	if oldContent != "" && content == "" {
+	if old.Content != "" && content == "" {
 		s.counts.ContentNodes--
 	}
 	return nil
@@ -110,40 +90,49 @@ func (s *Store) AddColorTo(id ElemID, parent SNode) (SNode, error) {
 	return sn, s.insertStruct(e.Tag, e.Content, parentTag, sn)
 }
 
+// rewriteElem writes element id's record anew as set edits it, over the old
+// record where it fits and appended elsewhere where it does not, and returns
+// the old record.
+func (s *Store) rewriteElem(id ElemID, set func(e *ElemInfo)) (old ElemInfo, err error) {
+	rid, ok := s.elemRID(id)
+	if !ok {
+		return old, fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
+	}
+	buf, err := s.pages.ReadRecord(rid)
+	if err != nil {
+		return old, err
+	}
+	old.ID, old.Tag, old.Content, old.Attrs = decodeElem(buf)
+	e := old
+	set(&e)
+	rec := encodeElem(id, e.Tag, e.Content, e.Attrs)
+	if len(rec) <= len(buf) {
+		return old, s.pages.OverwriteRecord(rid, rec)
+	}
+	newRID, err := s.pages.AppendRecord(s.elemFile, rec)
+	if err == nil {
+		err = s.pages.DeleteRecord(rid)
+	}
+	if err == nil {
+		s.elemLoc.Set(uint64(id), packRID(newRID))
+	}
+	return old, err
+}
+
 // SetElemAttrs replaces an element's attribute list, re-keying the attribute
 // index (the physical counterpart of attribute set/remove).
 func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
-	rid, ok := s.elemRID(id)
-	if !ok {
-		return fmt.Errorf("storage: element %d: %w", id, pagestore.ErrNoSuchRecord)
-	}
-	old, err := s.pages.ReadRecord(rid)
+	old, err := s.rewriteElem(id, func(e *ElemInfo) { e.Attrs = attrs })
 	if err != nil {
 		return err
 	}
-	_, tag, content, oldAttrs := decodeElem(old)
-	rec := encodeElem(id, tag, content, attrs)
-	if len(rec) <= len(old) {
-		if err := s.pages.OverwriteRecord(rid, rec); err != nil {
-			return err
-		}
-	} else {
-		newRID, err := s.pages.AppendRecord(s.elemFile, rec)
-		if err != nil {
-			return err
-		}
-		if err := s.pages.DeleteRecord(rid); err != nil {
-			return err
-		}
-		s.elemLoc.Set(uint64(id), packRID(newRID))
-	}
-	for _, a := range oldAttrs {
+	for _, a := range old.Attrs {
 		s.attrIdx.Delete(attrKey(a[0], a[1]), uint64(id))
 	}
 	for _, a := range attrs {
 		s.attrIdx.Insert(attrKey(a[0], a[1]), uint64(id))
 	}
-	s.counts.Attributes += len(attrs) - len(oldAttrs)
+	s.counts.Attributes += len(attrs) - len(old.Attrs)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"colorfulxml/internal/core"
@@ -449,14 +450,15 @@ func TestReadersSeeOneGeneration(t *testing.T) {
 	}
 }
 
-// TestContainerQueriesUnderCommitsSeeOneGeneration is
-// TestReadersSeeOneGeneration for an output that is not a leaf of the data:
-// an item's green value is the text of its subtree, its votes. Readers get
-// items whose votes match their predicate while a writer keeps moving votes,
-// and every query runs its plan once and never reaches the evaluator: nodes
-// and values come from the snapshot the plan ran on, whatever commits land
-// meanwhile. Meaningful under -race.
-func TestContainerQueriesUnderCommitsSeeOneGeneration(t *testing.T) {
+// TestCoreValuesSeeOneGeneration is TestReadersSeeOneGeneration for an output
+// that is not a leaf of the data: an item's green value is the text of its
+// subtree, its votes. (The name is from when such values were mapped through
+// live core, where core's newer votes came back with an older snapshot's
+// items.) Readers get items whose votes match their predicate while a writer
+// keeps moving votes, and every query runs its plan once and never reaches the
+// evaluator: nodes and values come from the snapshot the plan ran on, whatever
+// commits land meanwhile. Meaningful under -race.
+func TestCoreValuesSeeOneGeneration(t *testing.T) {
 	const items, readers, commits = 90, 4, 2000
 	db := catalogDB(items)
 	stop := make(chan struct{})
@@ -518,6 +520,76 @@ func TestContainerQueriesUnderCommitsSeeOneGeneration(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestConcurrentCommitsCannotStarveCoreQuery: a non-leaf query over 6 000
+// items returns while a writer commits nonstop, after one run of its plan and
+// with no evaluator answer. Its values are read from the
+// snapshot the plan ran on, so no commit can send it round again. (With the
+// core route's unbounded retry, 50 such queries ran the plan about 19 000
+// times; with its bounded one, up to three times each before the evaluator
+// answered.)
+func TestConcurrentCommitsCannotStarveCoreQuery(t *testing.T) {
+	const items, queries = 6000, 50
+	db := catalogDB(items)
+	done := make(chan struct{})
+	writer := make(chan error, 1)
+	var commits int
+	go func() {
+		rng := rand.New(rand.NewSource(1))
+		deadline := time.After(20 * time.Second)
+		for ; ; commits++ {
+			select {
+			case <-done:
+				writer <- nil
+				return
+			case <-deadline:
+				writer <- fmt.Errorf("the queries had not returned after %d commits", commits)
+				return
+			default:
+			}
+			src := catalogItem(3*rng.Intn(items/3)) + `, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(rng.Intn(10)) + `" }`
+			if res, err := db.Update(src); err != nil || res.Tuples != 1 {
+				writer <- fmt.Errorf("writer: %+v, %v", res, err)
+				return
+			}
+		}
+	}()
+	sess := db.Session()
+	defer sess.Close()
+	for n := 0; n < queries; n++ {
+		v := strconv.Itoa(n % 10)
+		out, root, err := sess.TraceQuery(context.Background(), `document("db")/{green}descendant::item[{green}child::votes = "`+v+`"]`)
+		if err != nil {
+			close(done)
+			<-writer
+			t.Fatal(err)
+		}
+		runs := 0
+		for _, sp := range root.Children() {
+			if sp.Name() == "execute" {
+				runs++
+			}
+		}
+		if runs != 1 {
+			t.Errorf("query %d ran its plan %d times, want once", n, runs)
+		}
+		for _, it := range out {
+			if it.Value != v {
+				t.Errorf("asked for items with votes %q and got one with %q", v, it.Value)
+				break
+			}
+		}
+	}
+	close(done)
+	if err := <-writer; err != nil {
+		t.Fatal(err)
+	}
+	st := sess.Stats()
+	t.Logf("%d commits during %d queries", commits, st.Queries)
+	if st.Fallbacks != 0 {
+		t.Errorf("%d of %d queries answered by the evaluator, want none", st.Fallbacks, st.Queries)
 	}
 }
 

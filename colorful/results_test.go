@@ -37,7 +37,7 @@ func catalogItem(k int) string {
 }
 
 // ageCatalog applies 200 random vote / tag-add / tag-del updates, each
-// published incrementally, after which records, posting lists and the
+// published incrementally, after which records, index maps and the
 // identity table are no longer as a bulk load leaves them.
 func ageCatalog(t *testing.T, db *DB, items int) {
 	t.Helper()

@@ -153,17 +153,17 @@ func (sp *snapshot) items(ids []storage.ElemID, c *plan.Compiled) ([]Item, error
 		return out, cmp.Or(err, bad)
 	}
 	out := make([]Item, len(ids))
-	var value []byte
-	for i, id := range ids {
-		n, ok := sp.nodes.Get(uint64(id))
+	var bad error
+	err := sp.st.StringValues(ids, color, func(i int, value []byte) {
+		n, ok := sp.nodes.Get(uint64(ids[i]))
 		if !ok {
-			return nil, sp.missing(id)
-		}
-		var err error
-		if value, err = sp.st.AppendStringValue(value[:0], id, color); err != nil {
-			return nil, err
+			bad = cmp.Or(bad, sp.missing(ids[i]))
+			return
 		}
 		out[i] = Item{Node: n, Color: color, Value: ch.add(value, len(ids)-i)}
+	})
+	if err = cmp.Or(err, bad); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -8,37 +8,36 @@ import (
 	"testing/quick"
 )
 
+// TestInsertGet: the lists New builds for the benchmark's probe keep each
+// key's values in insertion order.
 func TestInsertGet(t *testing.T) {
-	tr := New()
-	tr.Insert("b", 2)
-	tr.Insert("a", 1)
-	tr.Insert("c", 3)
-	tr.Insert("a", 10)
-	if got := tr.Get("a"); len(got) != 2 || got[0] != 1 || got[1] != 10 {
+	l := New()
+	l.Insert("b", 2)
+	l.Insert("a", 1)
+	l.Insert("c", 3)
+	l.Insert("a", 10)
+	if got := l.Get("a"); len(got) != 2 || got[0] != 1 || got[1] != 10 {
 		t.Fatalf("Get(a) = %v", got)
 	}
-	if got := tr.Get("zz"); got != nil {
+	if got := l.Get("zz"); got != nil {
 		t.Fatalf("Get(zz) = %v", got)
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
+	if l.Len() != 3 {
+		t.Fatalf("Len = %d", l.Len())
 	}
 }
 
 func TestSplitsAndOrder(t *testing.T) {
-	tr := New()
+	m := &Map[string, uint64]{}
 	n := 10000
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, i := range perm {
-		tr.Insert(fmt.Sprintf("key-%06d", i), uint64(i))
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		m.Put(fmt.Sprintf("key-%06d", i), uint64(i))
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	if m.Len() != n {
+		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
-	// Ascend yields sorted keys.
-	last := ""
-	count := 0
-	tr.Ascend(func(k string, vals []uint64) bool {
+	last, count := "", 0
+	m.Ascend(func(k string, _ uint64) bool {
 		if k <= last {
 			t.Fatalf("out of order: %q after %q", k, last)
 		}
@@ -49,188 +48,125 @@ func TestSplitsAndOrder(t *testing.T) {
 	if count != n {
 		t.Fatalf("ascended %d keys", count)
 	}
-	// Point lookups.
 	for i := 0; i < n; i += 997 {
-		k := fmt.Sprintf("key-%06d", i)
-		got := tr.Get(k)
-		if len(got) != 1 || got[0] != uint64(i) {
-			t.Fatalf("Get(%s) = %v", k, got)
+		if v, ok := m.Get(fmt.Sprintf("key-%06d", i)); !ok || v != uint64(i) {
+			t.Fatalf("Get(%d) = %d %v", i, v, ok)
 		}
 	}
 }
 
+// TestRange: Range and Leaves yield the keys from lo in order, Range up to
+// hi, Leaves a leaf's run at a time, and both stop when told.
 func TestRange(t *testing.T) {
-	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.Insert(fmt.Sprintf("%03d", i), uint64(i))
+	m := &Map[string, uint64]{}
+	for i := 0; i < 1000; i++ {
+		m.Put(fmt.Sprintf("%04d", i), uint64(i))
 	}
 	var got []string
-	tr.Range("010", "015", func(k string, _ []uint64) bool {
+	m.Range("0010", "0015", func(k string, _ uint64) bool {
 		got = append(got, k)
 		return true
 	})
-	want := []string{"010", "011", "012", "013", "014", "015"}
-	if len(got) != len(want) {
+	if fmt.Sprint(got) != "[0010 0011 0012 0013 0014 0015]" {
 		t.Fatalf("range = %v", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v", got)
-		}
-	}
-	// Early stop.
 	n := 0
-	tr.Range("000", "099", func(string, []uint64) bool {
+	m.Range("0000", "0999", func(string, uint64) bool {
 		n++
 		return n < 5
 	})
 	if n != 5 {
 		t.Fatalf("early stop at %d", n)
 	}
+	next, leaves := 500, 0
+	m.Leaves("0499x", func(keys []string, vals []uint64) bool {
+		if len(keys) == 0 || len(keys) > degree || len(keys) != len(vals) {
+			t.Fatalf("a leaf of %d keys and %d values", len(keys), len(vals))
+		}
+		for i, k := range keys {
+			if k != fmt.Sprintf("%04d", next) || vals[i] != uint64(next) {
+				t.Fatalf("Leaves yields %s:%d, want key %d", k, vals[i], next)
+			}
+			next++
+		}
+		leaves++
+		return next < 700
+	})
+	if next < 700 || next > 700+degree || leaves < 200/degree {
+		t.Fatalf("Leaves stopped at key %d after %d leaves", next, leaves)
+	}
 }
 
 func TestDelete(t *testing.T) {
-	tr := New()
-	tr.Insert("k", 1)
-	tr.Insert("k", 2)
-	tr.Insert("j", 9)
-	if !tr.Delete("k", 1) {
-		t.Fatal("delete existing failed")
+	m := &Map[string, uint64]{}
+	m.Put("k", 1)
+	m.Put("j", 9)
+	if !m.Delete("k") || m.Delete("k") || m.Delete("nope") {
+		t.Fatal("Delete reports the wrong presence")
 	}
-	if got := tr.Get("k"); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("after delete: %v", got)
-	}
-	if tr.Delete("k", 42) {
-		t.Fatal("delete of absent value should fail")
-	}
-	if tr.Delete("nope", 1) {
-		t.Fatal("delete of absent key should fail")
-	}
-	if !tr.Delete("k", 2) {
-		t.Fatal("delete last value failed")
-	}
-	if tr.Get("k") != nil || tr.Len() != 1 {
-		t.Fatalf("key should be gone; len=%d", tr.Len())
-	}
-	if !tr.DeleteKey("j") || tr.DeleteKey("j") {
-		t.Fatal("DeleteKey behaviour wrong")
+	if _, ok := m.Get("k"); ok || m.Len() != 1 {
+		t.Fatalf("key should be gone; len=%d", m.Len())
 	}
 }
 
 func TestDeleteAcrossSplits(t *testing.T) {
-	tr := New()
+	m := &Map[string, uint64]{}
 	n := 5000
 	for i := 0; i < n; i++ {
-		tr.Insert(fmt.Sprintf("%06d", i), uint64(i))
+		m.Put(fmt.Sprintf("%06d", i), uint64(i))
 	}
 	for i := 0; i < n; i += 2 {
-		if !tr.Delete(fmt.Sprintf("%06d", i), uint64(i)) {
+		if !m.Delete(fmt.Sprintf("%06d", i)) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
-	if tr.Len() != n/2 {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n/2)
+	if m.Len() != n/2 {
+		t.Fatalf("Len = %d, want %d", m.Len(), n/2)
 	}
 	for i := 0; i < n; i++ {
-		got := tr.Get(fmt.Sprintf("%06d", i))
-		if i%2 == 0 && got != nil {
-			t.Fatalf("deleted %d still present", i)
-		}
-		if i%2 == 1 && (len(got) != 1 || got[0] != uint64(i)) {
-			t.Fatalf("kept %d missing", i)
+		v, ok := m.Get(fmt.Sprintf("%06d", i))
+		if ok != (i%2 == 1) || ok && v != uint64(i) {
+			t.Fatalf("key %d: %d %v", i, v, ok)
 		}
 	}
 }
 
-// TestQuickAgainstMapModel drives the tree and a map side by side through a
-// random workload and checks that lookups, deletes and ordered iteration
-// agree.
+// TestQuickAgainstMapModel drives a map with string keys and a Go map side
+// by side through a random workload and checks that lookups, deletes and
+// ordered iteration agree.
 func TestQuickAgainstMapModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New()
-		model := map[string][]uint64{}
+		m := &Map[string, uint64]{}
+		model := map[string]uint64{}
 		for op := 0; op < 800; op++ {
 			k := fmt.Sprintf("k%03d", rng.Intn(200))
-			switch rng.Intn(3) {
-			case 0, 1:
+			if rng.Intn(3) < 2 {
 				v := uint64(rng.Intn(1000))
-				tr.Insert(k, v)
-				model[k] = append(model[k], v)
-			case 2:
-				if vs := model[k]; len(vs) > 0 {
-					idx := rng.Intn(len(vs))
-					v := vs[idx]
-					if !tr.Delete(k, v) {
-						return false
-					}
-					model[k] = append(vs[:idx], vs[idx+1:]...)
-					if len(model[k]) == 0 {
-						delete(model, k)
-					}
-				} else if tr.Delete(k, 0) {
-					return false
-				}
+				m.Put(k, v)
+				model[k] = v
+				continue
 			}
-		}
-		if tr.Len() != len(model) {
-			return false
-		}
-		// Every model key agrees (multiset compare).
-		for k, want := range model {
-			got := append([]uint64(nil), tr.Get(k)...)
-			if len(got) != len(want) {
+			_, present := model[k]
+			if m.Delete(k) != present {
 				return false
 			}
-			w := append([]uint64(nil), want...)
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-			for i := range w {
-				if got[i] != w[i] {
-					return false
-				}
-			}
+			delete(model, k)
 		}
-		// Ascend visits exactly the model keys in order.
 		var keys []string
-		tr.Ascend(func(k string, _ []uint64) bool {
+		for k := range model {
 			keys = append(keys, k)
-			return true
+		}
+		sort.Strings(keys)
+		i := 0
+		m.Ascend(func(k string, v uint64) bool {
+			ok := i < len(keys) && k == keys[i] && v == model[k]
+			i++
+			return ok
 		})
-		if len(keys) != len(model) {
-			return false
-		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
-				return false
-			}
-		}
-		return true
+		return i == len(keys) && m.Len() == len(keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInsertAt(t *testing.T) {
-	tr := New()
-	for _, v := range []uint64{10, 30} {
-		tr.Insert("k", v)
-	}
-	tr.InsertAt("k", 1, 20)  // middle
-	tr.InsertAt("k", 0, 5)   // front
-	tr.InsertAt("k", 99, 40) // past the end appends
-	tr.InsertAt("k", -1, 50) // as does a negative index
-	tr.InsertAt("new", 3, 1) // a new key starts a list whatever the index
-	frozen := tr.Clone()
-	tr.InsertAt("k", 2, 15)
-	if got, want := fmt.Sprint(tr.Get("k")), "[5 10 15 20 30 40 50]"; got != want {
-		t.Fatalf("postings = %s, want %s", got, want)
-	}
-	if got, want := fmt.Sprint(frozen.Get("k")), "[5 10 20 30 40 50]"; got != want {
-		t.Fatalf("an insert into the middle wrote through to the clone: %s, want %s", got, want)
-	}
-	if got := tr.Get("new"); len(got) != 1 || got[0] != 1 || tr.Len() != 2 {
-		t.Fatalf("new key: %v, %d keys", got, tr.Len())
 	}
 }

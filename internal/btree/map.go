@@ -35,11 +35,6 @@ type node[K cmp.Ordered, V any] struct {
 	keys     []K
 	vals     []V
 	children []*node[K, V]
-	// shared has bit i set while vals[i] is as a path copy took it from a
-	// node a frozen clone may still read: a value that refers to storage of
-	// its own must copy that storage before changing it in place (slot).
-	// Leaves hold at most degree = 64 keys, so the bits fit.
-	shared uint64
 }
 
 func (n *node[K, V]) leaf() bool { return n.children == nil }
@@ -99,18 +94,17 @@ func above[K cmp.Ordered](keys []K, key K) int {
 	return lo
 }
 
-// mutable returns n if own owns it, else a path copy carrying own, whose
-// values are all marked shared.
+// mutable returns n if own owns it, else a path copy carrying own, with room
+// for the one key a Put adds to it.
 func mutable[K cmp.Ordered, V any](n *node[K, V], own *owner) *node[K, V] {
 	if n.own == own {
 		return n
 	}
-	c := &node[K, V]{own: own, keys: append([]K(nil), n.keys...)}
+	c := &node[K, V]{own: own, keys: append(make([]K, 0, len(n.keys)+1), n.keys...)}
 	if n.leaf() {
-		c.vals = append([]V(nil), n.vals...)
-		c.shared = 1<<len(n.vals) - 1
+		c.vals = append(make([]V, 0, len(n.vals)+1), n.vals...)
 	} else {
-		c.children = append([]*node[K, V](nil), n.children...)
+		c.children = append(make([]*node[K, V], 0, len(n.children)+1), n.children...)
 	}
 	return c
 }
@@ -150,7 +144,6 @@ func (m *Map[K, V]) put(n *node[K, V], key K, v V) (right *node[K, V], sep K, ad
 		i := atOrAbove(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
 			n.vals[i] = v
-			n.shared &^= 1 << i
 			return nil, sep, false
 		}
 		at, into := len(n.keys), n
@@ -159,23 +152,19 @@ func (m *Map[K, V]) put(n *node[K, V], key K, v V) (right *node[K, V], sep K, ad
 				at = degree / 2
 			}
 			right = &node[K, V]{
-				own:    n.own,
-				keys:   append([]K(nil), n.keys[at:]...),
-				vals:   append([]V(nil), n.vals[at:]...),
-				shared: n.shared >> at,
+				own:  n.own,
+				keys: append([]K(nil), n.keys[at:]...),
+				vals: append([]V(nil), n.vals[at:]...),
 			}
 			clear(n.keys[at:])
 			clear(n.vals[at:])
 			n.keys, n.vals = n.keys[:at], n.vals[:at]
-			n.shared &= 1<<at - 1
 			if i >= at {
 				into, i = right, i-at
 			}
 		}
 		into.keys = slices.Insert(into.keys, i, key)
 		into.vals = slices.Insert(into.vals, i, v)
-		low := into.shared & (1<<i - 1)
-		into.shared = low | (into.shared^low)<<1
 		if right != nil {
 			sep = right.keys[0]
 		}
@@ -218,25 +207,8 @@ func (m *Map[K, V]) Delete(key K) bool {
 	}
 	n.keys = slices.Delete(n.keys, i, i+1)
 	n.vals = slices.Delete(n.vals, i, i+1)
-	low := n.shared & (1<<i - 1)
-	n.shared = low | n.shared>>(i+1)<<i
 	m.n--
 	return true
-}
-
-// slot returns a pointer to key's value in a leaf the map owns, and whether
-// that value is still as a path copy took it: then a frozen clone may read
-// whatever storage it refers to, and the caller must copy that storage
-// before changing it. The slot counts as the map's own from then on. nil
-// when the key is absent.
-func (m *Map[K, V]) slot(key K) (v *V, shared bool) {
-	n, i := m.mutableLeafFor(key)
-	if n == nil {
-		return nil, false
-	}
-	shared = n.shared&(1<<i) != 0
-	n.shared &^= 1 << i
-	return &n.vals[i], shared
 }
 
 // mutableLeafFor path-copies down to the leaf holding key and returns it
@@ -258,41 +230,58 @@ func (m *Map[K, V]) mutableLeafFor(key K) (*node[K, V], int) {
 // Ascend iterates all (key, value) pairs in key order; fn returning false
 // stops.
 func (m *Map[K, V]) Ascend(fn func(key K, v V) bool) {
-	if m.root != nil {
-		var zero K
-		ascend(m.root, zero, false, fn)
-	}
+	var lo K
+	m.leaves(lo, false, func(keys []K, vals []V) bool {
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Range iterates the keys in [lo, hi] in order; fn returning false stops.
 func (m *Map[K, V]) Range(lo, hi K, fn func(key K, v V) bool) {
+	m.Leaves(lo, func(keys []K, vals []V) bool {
+		for i, k := range keys {
+			if k > hi || !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// Leaves calls fn with the keys at or above lo a leaf at a time, in order,
+// each leaf's keys with their values: slices of the leaf itself, which the
+// caller must not modify or keep past a mutation of the map. fn returning
+// false stops. Empty leaves are skipped.
+func (m *Map[K, V]) Leaves(lo K, fn func(keys []K, vals []V) bool) { m.leaves(lo, true, fn) }
+
+func (m *Map[K, V]) leaves(lo K, from bool, fn func([]K, []V) bool) {
 	if m.root != nil {
-		ascend(m.root, lo, true, func(k K, v V) bool { return k <= hi && fn(k, v) })
+		leaves(m.root, lo, from, fn)
 	}
 }
 
-// ascend walks the keys (>= lo, when from) in order without relying on
-// sibling links — clones share subtrees, so leaves cannot be chained. It
-// returns false when fn stopped the iteration.
-func ascend[K cmp.Ordered, V any](n *node[K, V], lo K, from bool, fn func(K, V) bool) bool {
+// leaves walks the leaves holding keys (>= lo, when from) in order without
+// relying on sibling links — clones share subtrees, so leaves cannot be
+// chained. It returns false when fn stopped the walk.
+func leaves[K cmp.Ordered, V any](n *node[K, V], lo K, from bool, fn func([]K, []V) bool) bool {
 	if n.leaf() {
 		i := 0
 		if from {
 			i = atOrAbove(n.keys, lo)
 		}
-		for ; i < len(n.keys); i++ {
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
-		}
-		return true
+		return i == len(n.keys) || fn(n.keys[i:], n.vals[i:])
 	}
 	i := 0
 	if from {
 		i = above(n.keys, lo)
 	}
 	for ; i < len(n.children); i++ {
-		if !ascend(n.children[i], lo, from, fn) {
+		if !leaves(n.children[i], lo, from, fn) {
 			return false
 		}
 	}
@@ -326,9 +315,9 @@ func seekLT[K cmp.Ordered, V any](n *node[K, V], key K) (k K, v V, ok bool) {
 }
 
 // Bytes returns the memory the map's nodes hold: each node, its key and
-// value arrays to their capacity, and an inner node's child array. What keys
-// and values refer to is the caller's to add (Tree.Bytes does, for its
-// string keys and posting lists).
+// value arrays to their capacity, an inner node's child array, and the
+// bytes of string keys, each counted as its own allocation. What values
+// refer to is the caller's to add.
 func (m *Map[K, V]) Bytes() int64 {
 	if m.root == nil {
 		return 0
@@ -342,6 +331,11 @@ func nodeBytes[K cmp.Ordered, V any](n *node[K, V]) int64 {
 	var c *node[K, V]
 	total := allocSize(int64(unsafe.Sizeof(*n))) + allocSize(int64(cap(n.keys))*int64(unsafe.Sizeof(k))) +
 		allocSize(int64(cap(n.vals))*int64(unsafe.Sizeof(v))) + allocSize(int64(cap(n.children))*int64(unsafe.Sizeof(c)))
+	if keys, ok := any(n.keys).([]string); ok && n.leaf() {
+		for _, k := range keys {
+			total += allocSize(int64(len(k)))
+		}
+	}
 	for _, ch := range n.children {
 		total += nodeBytes(ch)
 	}

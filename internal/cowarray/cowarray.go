@@ -7,7 +7,7 @@
 // clones.
 //
 // A top slice points at directory pages, which point at chunks of slots.
-// Arrays share storage exactly the way btree.Tree does: Clone is O(1), and a
+// Arrays share storage exactly the way btree.Map does: Clone is O(1), and a
 // write path-copies the top slice, directory page and chunk it goes through
 // unless the writing array already owns them. A frozen array may therefore
 // be read from many goroutines while its clones evolve.

@@ -127,6 +127,20 @@ func (b *Batch) fillStructs(s *storage.Store, refs []uint64, c core.Color) (int,
 	return n, s.StructsByRef(b.data[off:], refs[:n], c)
 }
 
+// fillPostings resets the batch and fills it (fillStructs) from run, a
+// leaf of the index at a time, until it is full or the run ends.
+func (b *Batch) fillPostings(s *storage.Store, run *storage.Postings, c core.Color) error {
+	b.Reset()
+	var err error
+	run.Next(func(refs []uint64) (n int) {
+		if err == nil {
+			n, err = b.fillStructs(s, refs, c)
+		}
+		return n
+	})
+	return err
+}
+
 // appendConcat appends the concatenation of two rows without an intermediate
 // allocation.
 func (b *Batch) appendConcat(l, r Row) {

@@ -27,8 +27,8 @@ func (a NavAxis) String() string {
 // Tag, and emits the row once per node found, extended by that node as a new
 // trailing column. Nothing is scanned or built: a parent or ancestor hop
 // probes the start index at the stored parent-start and checks the tag in
-// place; a child or descendant step seeks the tag's posting list to the
-// node's interval. The work is proportional to the input and the answer,
+// place; a child or descendant step ranges the tag's index over the node's
+// interval. The work is proportional to the input and the answer,
 // never to the tag's population — the plan compiler picks it over
 // ScanTag+StructJoin when the input is small next to that population.
 //
@@ -43,7 +43,6 @@ type NavJoin struct {
 	Color core.Color
 	Tag   string
 
-	refs    []uint64        // forward axes: the tag's posting list
 	found   []storage.SNode // scratch: the nodes of the current input row
 	in      batchCursor
 	pending []Row
@@ -51,10 +50,6 @@ type NavJoin struct {
 
 // Open implements Op.
 func (o *NavJoin) Open(ctx *Ctx) error {
-	o.refs = nil
-	if o.Axis == NavChild || o.Axis == NavDescendant {
-		o.refs = ctx.S.TagRefs(o.Color, o.Tag)
-	}
 	o.pending = nil
 	return o.in.open(ctx, o.Input)
 }
@@ -74,15 +69,15 @@ func (o *NavJoin) NextBatch(ctx *Ctx, out *Batch) error {
 		if !ok {
 			return nil
 		}
-		// One navigation can read an arbitrarily long run of the posting
-		// list, so cancellation is polled per input row, not per batch.
+		// One navigation can read an arbitrarily long run of the tag's
+		// index, so cancellation is polled per input row, not per batch.
 		if err := ctx.poll(); err != nil {
 			return err
 		}
 		ctx.addNavProbes(o, 1)
 		switch sn := r[o.Col]; o.Axis {
 		case NavChild, NavDescendant:
-			o.found, err = ctx.S.AppendWithin(o.found[:0], o.refs, sn, o.Axis == NavChild)
+			o.found, err = ctx.S.AppendWithin(o.found[:0], o.Tag, sn, o.Axis == NavChild)
 		default:
 			o.found, err = ctx.S.AppendAncestors(o.found[:0], sn, o.Tag, o.Axis == NavParent)
 		}
@@ -103,7 +98,6 @@ func (o *NavJoin) NextBatch(ctx *Ctx, out *Batch) error {
 
 // Close implements Op.
 func (o *NavJoin) Close(ctx *Ctx) error {
-	o.refs = nil
 	o.found = nil
 	o.pending = nil
 	o.in.close(ctx)

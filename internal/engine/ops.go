@@ -13,9 +13,9 @@ import (
 
 // Operator implementation patterns, shared by everything below:
 //
-//   - Scans resolve their posting list straight into the output batch, a page
-//     of records at a time; the one that reads content per candidate
-//     (ContainsScan) polls cancellation per candidate.
+//   - Scans resolve their postings straight into the output batch, a leaf of
+//     the index and a page of records at a time; the one that reads content
+//     per candidate (ContainsScan) polls cancellation per candidate.
 //   - Materializing operators (SortStart, TupleOrder, a Dedup over unordered
 //     input) buffer at Open and emit with a single bulk appendRows
 //     per NextBatch.
@@ -27,35 +27,30 @@ import (
 //     pending list drained first on the next call, preserving emit order.
 
 // ScanTag is an index scan: all structural nodes with a tag in one color, as
-// single-column rows in start order. It streams straight off the tag index
-// posting list, resolving a batch of structural records per call.
+// single-column rows in start order. It streams straight off the tag index,
+// resolving a leaf of its postings at a time into the batch.
 type ScanTag struct {
 	Color core.Color
 	Tag   string
 
-	refs []uint64
-	pos  int
+	run storage.Postings
 }
 
 // Open implements Op.
 func (o *ScanTag) Open(ctx *Ctx) error {
-	o.refs = ctx.S.TagRefs(o.Color, o.Tag)
-	o.pos = 0
+	o.run = ctx.S.TagPostings(o.Color, o.Tag)
 	return nil
 }
 
-// NextBatch implements Op: one bulk resolve (the per-batch cancellation check
+// NextBatch implements Op: bulk resolves (the per-batch cancellation check
 // in pullBatch suffices — there is no per-row work here).
 func (o *ScanTag) NextBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	n, err := out.fillStructs(ctx.S, o.refs[o.pos:], o.Color)
-	o.pos += n
-	return err
+	return out.fillPostings(ctx.S, &o.run, o.Color)
 }
 
 // Close implements Op.
 func (o *ScanTag) Close(ctx *Ctx) error {
-	o.refs = nil
+	o.run = storage.Postings{}
 	return nil
 }
 
@@ -65,34 +60,29 @@ func (o *ScanTag) Children() []Op { return nil }
 func (o *ScanTag) String() string { return fmt.Sprintf("ScanTag{%s}%s", o.Color, o.Tag) }
 
 // EqContent is a content-index lookup: nodes of a tag whose content equals a
-// value, streamed off the content index posting list.
+// value, streamed off the content index.
 type EqContent struct {
 	Color core.Color
 	Tag   string
 	Value string
 
-	refs []uint64
-	pos  int
+	run storage.Postings
 }
 
 // Open implements Op.
 func (o *EqContent) Open(ctx *Ctx) error {
-	o.refs = ctx.S.ContentRefs(o.Color, o.Tag, o.Value)
-	o.pos = 0
+	o.run = ctx.S.ContentPostings(o.Color, o.Tag, o.Value)
 	return nil
 }
 
-// NextBatch implements Op: a bulk resolve, as in ScanTag.
+// NextBatch implements Op: bulk resolves, as in ScanTag.
 func (o *EqContent) NextBatch(ctx *Ctx, out *Batch) error {
-	out.Reset()
-	n, err := out.fillStructs(ctx.S, o.refs[o.pos:], o.Color)
-	o.pos += n
-	return err
+	return out.fillPostings(ctx.S, &o.run, o.Color)
 }
 
 // Close implements Op.
 func (o *EqContent) Close(ctx *Ctx) error {
-	o.refs = nil
+	o.run = storage.Postings{}
 	return nil
 }
 
@@ -111,31 +101,43 @@ type ContainsScan struct {
 	Tag   string
 	Pred  Pred
 
-	refs []uint64
-	pos  int
+	run       storage.Postings
+	buf       [16]uint64 // candidates taken from run, buf[next:end] still to test
+	next, end int
 }
 
 // Open implements Op.
 func (o *ContainsScan) Open(ctx *Ctx) error {
-	o.refs = ctx.S.TagRefs(o.Color, o.Tag)
-	o.pos = 0
+	o.run = ctx.S.TagPostings(o.Color, o.Tag)
+	o.next, o.end = 0, 0
 	return nil
 }
 
 // NextBatch implements Op.
 func (o *ContainsScan) NextBatch(ctx *Ctx, out *Batch) error {
 	out.Reset()
-	for o.pos < len(o.refs) && !out.Full() {
+	for !out.Full() {
+		if o.next == o.end {
+			o.next, o.end = 0, 0
+			o.run.Next(func(refs []uint64) int {
+				n := copy(o.buf[o.end:], refs)
+				o.end += n
+				return n
+			})
+			if o.end == 0 {
+				return nil
+			}
+		}
 		// A selective predicate can reject arbitrarily many candidates per
 		// emitted row, so the scan polls cancellation per candidate.
 		if err := ctx.poll(); err != nil {
 			return err
 		}
-		sn, err := ctx.S.StructByRef(o.refs[o.pos], o.Color)
+		sn, err := ctx.S.StructByRef(o.buf[o.next], o.Color)
 		if err != nil {
 			return err
 		}
-		o.pos++
+		o.next++
 		ctx.addContentReads(o, 1)
 		content, err := ctx.S.ContentOf(sn.Elem)
 		if err != nil {
@@ -154,7 +156,7 @@ func (o *ContainsScan) NextBatch(ctx *Ctx, out *Batch) error {
 
 // Close implements Op.
 func (o *ContainsScan) Close(ctx *Ctx) error {
-	o.refs = nil
+	o.run = storage.Postings{}
 	return nil
 }
 

@@ -1,12 +1,39 @@
 package mcxquery
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"colorfulxml/internal/pathexpr"
+)
+
+// parseLexed parses src from the whole token slice of LexQuery, the way
+// ParseQuery did before it lexed on demand: the reference it is held to.
+func parseLexed(src string) (pathexpr.Expr, error) {
+	toks, err := LexQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	p := pathexpr.NewParser(toks)
+	p.Ext = ExtParse
+	e, err := p.ParseExpr()
+	if err == nil && p.Peek().Kind != pathexpr.TokEOF {
+		err = pathexpr.Errf(p.Peek().Pos, "unexpected %s after query", p.Peek())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
 
 // FuzzParseQuery feeds arbitrary source text through the lexer and parser.
 // Malformed queries must be rejected with an error — never a panic, a hang,
 // or a runaway allocation. Seeds cover every syntactic family: colored
 // paths, predicates, FLWOR, constructors, conditionals and the failure
-// modes (unterminated strings and braces, stray tokens).
+// modes (unterminated strings and braces, stray tokens). The parse, which
+// lexes on demand, must give what parsing the whole token slice gives: the
+// same expression, or the same error.
 func FuzzParseQuery(f *testing.F) {
 	for _, src := range []string{
 		`document("db")/{red}child::movie`,
@@ -26,6 +53,9 @@ return <genre>{ $n }</genre>`,
 		`<unclosed>{`,
 		`"unterminated`,
 		`{}{}{}`,
+		`for $x in ) "unterminated`,
+		`document("db")/{red}child::a ] <b>`,
+		`(1, 2 <r>{ "x" }</s>`,
 		``,
 	} {
 		f.Add(src)
@@ -34,6 +64,10 @@ return <genre>{ $n }</genre>`,
 		e, err := ParseQuery(src)
 		if err == nil && e == nil {
 			t.Fatalf("ParseQuery(%q) returned neither expression nor error", src)
+		}
+		want, wantErr := parseLexed(src)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(e, want) {
+			t.Fatalf("ParseQuery(%q) = %v, %v; from the token slice %v, %v", src, e, err, want, wantErr)
 		}
 	})
 }

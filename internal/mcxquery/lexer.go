@@ -1,6 +1,7 @@
 package mcxquery
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -21,25 +22,90 @@ import (
 // increments the brace depth so only the matching outer '}' returns to
 // constructor content.
 func LexQuery(src string) ([]pathexpr.Token, error) {
-	ml := &modalLexer{lx: pathexpr.NewLexer(src)}
-	ml.stack = []frame{{kind: fExpr}}
+	ts := NewTokens(src)
 	// Update and probe texts run about one token per three bytes: size the
 	// slice for that once, and let append grow it for denser texts.
 	out := make([]pathexpr.Token, 0, len(src)/3+2)
 	for {
-		tok, err := ml.next()
-		if err != nil {
-			return nil, err
+		tok := ts.Advance()
+		if ts.err != nil {
+			return nil, ts.err
 		}
 		out = append(out, tok)
 		if tok.Kind == pathexpr.TokEOF {
-			if len(ml.stack) > 1 {
-				top := ml.stack[len(ml.stack)-1]
-				return nil, pathexpr.Errf(tok.Pos, "unterminated element constructor <%s>", top.tag)
-			}
 			return out, nil
 		}
 	}
+}
+
+// Tokens is the parser's token source over an MCXQuery text: the modal
+// lexer of LexQuery run on demand, two tokens ahead of the parser (as far
+// as the grammars look), so a parse keeps no token slice. The first lexing
+// error stops the stream — every token after it is TokEOF — and Close
+// reports it.
+type Tokens struct {
+	ml    modalLexer
+	ahead [2]pathexpr.Token
+	n     int // tokens in ahead
+	err   error
+}
+
+// NewTokens returns a token source over src.
+func NewTokens(src string) *Tokens {
+	ts := &Tokens{ml: modalLexer{lx: pathexpr.NewLexer(src)}}
+	ts.ml.stack = append(ts.ml.stack0[:0], frame{kind: fExpr})
+	return ts
+}
+
+// fill lexes until ahead holds k+1 tokens; the stream ends at TokEOF.
+func (ts *Tokens) fill(k int) {
+	if k >= len(ts.ahead) {
+		panic("mcxquery: the parser looks further ahead than Tokens keeps")
+	}
+	for ts.n <= k {
+		if ts.n > 0 && ts.ahead[ts.n-1].Kind == pathexpr.TokEOF {
+			ts.ahead[ts.n] = ts.ahead[ts.n-1]
+		} else if tok, err := ts.ml.next(); err != nil || ts.err != nil {
+			ts.err = cmp.Or(ts.err, err)
+			ts.ahead[ts.n] = pathexpr.Token{Kind: pathexpr.TokEOF, Pos: len(ts.ml.lx.Source())}
+		} else {
+			if tok.Kind == pathexpr.TokEOF && len(ts.ml.stack) > 1 {
+				ts.err = pathexpr.Errf(tok.Pos, "unterminated element constructor <%s>", ts.ml.top().tag)
+			}
+			ts.ahead[ts.n] = tok
+		}
+		ts.n++
+	}
+}
+
+// Peek implements pathexpr.TokenSource.
+func (ts *Tokens) Peek() pathexpr.Token { return ts.PeekAt(0) }
+
+// PeekAt implements pathexpr.TokenSource for k < 2.
+func (ts *Tokens) PeekAt(k int) pathexpr.Token {
+	ts.fill(k)
+	return ts.ahead[k]
+}
+
+// Advance implements pathexpr.TokenSource.
+func (ts *Tokens) Advance() pathexpr.Token {
+	ts.fill(0)
+	tok := ts.ahead[0]
+	if tok.Kind != pathexpr.TokEOF {
+		ts.ahead[0], ts.ahead[1] = ts.ahead[1], pathexpr.Token{}
+		ts.n--
+	}
+	return tok
+}
+
+// Close lexes the rest of the text and returns the first lexing error, or
+// nil. A caller reports it in place of the parser's error, so which error a
+// malformed text reports does not depend on where the parser stopped: as
+// with LexQuery, a text that does not lex fails with the lexer's error.
+func (ts *Tokens) Close() error {
+	for ts.Advance().Kind != pathexpr.TokEOF {
+	}
+	return ts.err
 }
 
 type frameKind uint8
@@ -57,9 +123,10 @@ type frame struct {
 }
 
 type modalLexer struct {
-	lx    *pathexpr.Lexer
-	stack []frame
-	last  pathexpr.Token // last emitted token, for operand-position tracking
+	lx     *pathexpr.Lexer
+	stack  []frame
+	stack0 [4]frame       // stack's first backing array
+	last   pathexpr.Token // last emitted token, for operand-position tracking
 }
 
 func (ml *modalLexer) top() *frame { return &ml.stack[len(ml.stack)-1] }

@@ -1,24 +1,23 @@
 package mcxquery
 
 import (
+	"cmp"
+
 	"colorfulxml/internal/pathexpr"
 )
 
 // ParseQuery parses a complete MCXQuery expression: a FLWOR expression, an
 // element constructor, or any colored path / general expression.
 func ParseQuery(src string) (pathexpr.Expr, error) {
-	toks, err := LexQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	p := pathexpr.NewParser(toks)
+	toks := NewTokens(src)
+	p := pathexpr.NewParserSource(toks)
 	p.Ext = ExtParse
 	e, err := p.ParseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.Peek().Kind != pathexpr.TokEOF {
+		err = pathexpr.Errf(p.Peek().Pos, "unexpected %s after query", p.Peek())
 	}
-	if p.Peek().Kind != pathexpr.TokEOF {
-		return nil, pathexpr.Errf(p.Peek().Pos, "unexpected %s after query", p.Peek())
+	if err = cmp.Or(toks.Close(), err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }

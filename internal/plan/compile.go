@@ -325,11 +325,11 @@ func countNavJoins(op engine.Op) int {
 // input row; a summary probe resolves a structural record and participates
 // in one start-order sort. The summary probe also pays a fixed cost to match
 // the pattern against the summary's distinct paths (and, on first use per
-// color, the amortized build). A navigation — one parent hop, or one seek of
-// a tag's posting list — costs costNavProbe scanned rows, calibrated by
-// BenchmarkNavCost on the 20 000-item store (DESIGN.md §11 has the
-// measurement); the rows it finds are then read like scanned rows. A sorted
-// or filtered row is copied or fetched once, like a scanned row.
+// color, the amortized build). A navigation — one parent hop, or one range
+// of a tag's map over a node's interval — costs costNavProbe scanned rows,
+// calibrated by BenchmarkNavCost on the 20 000-item store (DESIGN.md §11 has
+// the measurement); the rows it finds are then read like scanned rows. A
+// sorted or filtered row is copied or fetched once, like a scanned row.
 const (
 	costScanRow      = 1.0
 	costJoinProbe    = 2.5

@@ -42,8 +42,8 @@ func catalogStore(tb testing.TB, items int) *storage.Store {
 var navSink []storage.SNode
 
 // BenchmarkNavCost calibrates costNavProbe (compile.go, DESIGN.md §11): the
-// cost of one navigation — a tag-checked parent hop, a seek of a 20 000-entry
-// posting list for one node's children — in units of one scanned row, on the
+// cost of one navigation — a tag-checked parent hop, a range of a 20 000-entry
+// tag map over one node's children — in units of one scanned row, on the
 // 20 000-item catalog. Each iteration does 1 000 operations spread over the
 // store, so ns/op ÷ 1 000 is the per-operation figure.
 func BenchmarkNavCost(b *testing.B) {
@@ -57,7 +57,12 @@ func BenchmarkNavCost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nameRefs := s.TagRefs("red", "name")
+	var nameRefs []uint64
+	run := s.TagPostings("red", "name")
+	run.Next(func(refs []uint64) int {
+		nameRefs = append(nameRefs, refs...)
+		return len(refs)
+	})
 	pick := func(i int) int { return (i * 7919) % items }
 
 	b.Run("scan-row", func(b *testing.B) {
@@ -89,7 +94,7 @@ func BenchmarkNavCost(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			for i := 0; i < batch; i++ {
 				var err error
-				if navSink, err = s.AppendWithin(navSink[:0], nameRefs, itemNodes[pick(n+i)], true); err != nil || len(navSink) != 1 {
+				if navSink, err = s.AppendWithin(navSink[:0], "name", itemNodes[pick(n+i)], true); err != nil || len(navSink) != 1 {
 					b.Fatal(len(navSink), err)
 				}
 			}

@@ -1,16 +1,18 @@
 package storage
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/pagestore"
 )
 
 // StructByRef reads one structural record of color c, decoded in place in
-// its page, from its packed ref (as TagRefs and ContentRefs give them).
+// its page, from its packed ref (as TagPostings and ContentPostings give them).
 func (s *Store) StructByRef(ref uint64, c core.Color) (sn SNode, err error) {
 	err = s.pages.ViewRecord(unpackRID(ref), func(rec []byte) { sn = decodeStruct(rec, c) })
 	return sn, err
@@ -26,7 +28,7 @@ func (s *Store) viewElem(id ElemID, fn func(rec []byte)) error {
 }
 
 // viewRefs calls visit with base plus i and the record at refs[i], in order.
-// A page is held across the consecutive refs that lie on it — posting lists
+// A page is held across the consecutive refs that lie on it — postings
 // are in start order and a bulk load writes records in that order, so a scan
 // costs one page lookup per page, not per record. rec is valid only during
 // the call.
@@ -60,47 +62,61 @@ func (s *Store) viewRefs(refs []uint64, base int, visit func(i int, rec []byte))
 }
 
 // StructsByRef resolves the packed structural record refs of one color
-// (TagRefs, ContentRefs, a path summary's) into dst, which must be as long as
+// (TagPostings, ContentPostings, a path summary's) into dst, which must be as long as
 // refs, reading page by page.
 func (s *Store) StructsByRef(dst []SNode, refs []uint64, c core.Color) error {
 	return s.viewRefs(refs, 0, func(i int, rec []byte) { dst[i] = decodeStruct(rec, c) })
 }
 
-// TagRefs returns the tag index posting list for (c, tag) without reading
-// any records: packed structural record refs in start order. Callers resolve
-// individual refs with StructByRef, which lets iterators stream one record at
-// a time instead of materializing the whole scan.
-func (s *Store) TagRefs(c core.Color, tag string) []uint64 {
+// TagPostings returns the tag index run of (c, tag): its structural refs in
+// start order, read a leaf of the index at a time. Callers resolve the refs
+// (StructsByRef, StructByRef) as they go, so no scan materializes a list.
+func (s *Store) TagPostings(c core.Color, tag string) Postings {
 	obsIndexProbes.Inc()
-	return s.tagIdx.Get(tagKey(c, tag))
+	return Postings{tag: s.read(c).tags.get(tag)}
 }
 
-// ContentRefs returns the content index posting list for (c, tag, value)
-// without reading any records (start order).
-func (s *Store) ContentRefs(c core.Color, tag, value string) []uint64 {
+// ContentPostings returns the content index run of (c, tag, value): the
+// refs of the tag's nodes whose content equals value, in start order.
+func (s *Store) ContentPostings(c core.Color, tag, value string) Postings {
 	obsIndexProbes.Inc()
-	return s.contentIdx.Get(contentKey(c, tag, value))
+	return Postings{text: s.read(c).texts.get(tag), key: value, from: -1}
+}
+
+// resolve reads the structural records of a run of color c, page by page,
+// into out, which it grows as the run needs.
+func (s *Store) resolve(out []SNode, p Postings, c core.Color) ([]SNode, error) {
+	var err error
+	p.Next(func(refs []uint64) int {
+		n := len(out)
+		out = slices.Grow(out, len(refs))[:n+len(refs)]
+		if err = s.StructsByRef(out[n:], refs, c); err != nil {
+			return 0
+		}
+		return len(refs)
+	})
+	return out, err
 }
 
 // ScanTag returns all structural nodes with the given tag in color c, in
 // start (local document) order.
 func (s *Store) ScanTag(c core.Color, tag string) ([]SNode, error) {
-	refs := s.TagRefs(c, tag)
-	out := make([]SNode, len(refs))
-	return out, s.StructsByRef(out, refs, c)
+	return s.resolve(make([]SNode, 0, s.CountTag(c, tag)), s.TagPostings(c, tag), c)
 }
 
 // CountTag returns the number of structural nodes with a tag in color c
 // without reading them (index-only).
-func (s *Store) CountTag(c core.Color, tag string) int {
-	return len(s.tagIdx.Get(tagKey(c, tag)))
-}
+func (s *Store) CountTag(c core.Color, tag string) int { return s.read(c).tags.get(tag).Len() }
 
 // CountContent returns the number of structural nodes with a tag whose
 // content equals value in color c without reading them (index-only), the
 // equality-selectivity statistic of the plan compiler's cost model.
-func (s *Store) CountContent(c core.Color, tag, value string) int {
-	return len(s.contentIdx.Get(contentKey(c, tag, value)))
+func (s *Store) CountContent(c core.Color, tag, value string) (n int) {
+	textRun(s.read(c).texts.get(tag), value, "", func(_ []string, refs []uint64) bool {
+		n += len(refs)
+		return true
+	})
+	return n
 }
 
 // ElemInfo is a decoded element record.
@@ -145,8 +161,8 @@ func (s *Store) TagIs(id ElemID, tag string) (bool, error) {
 // c: none has an element child there, so the string value of each (paper
 // Section 3.2: the text of its subtree in c) is its own content record.
 func (s *Store) LeafTag(c core.Color, tag string) bool {
-	t := s.tree(c)
-	return t != nil && t.inner[tag] == 0
+	e := s.read(c).tags.maps[tag]
+	return s.tree(c) != nil && (e == nil || e.children == 0)
 }
 
 // tagOf reads an element's tag.
@@ -205,20 +221,20 @@ func (s *Store) viewElems(ids []ElemID, visit func(i int, rec []byte)) error {
 // EqContent returns structural nodes with the given tag whose content equals
 // value, via the content index (no scan).
 func (s *Store) EqContent(c core.Color, tag, value string) ([]SNode, error) {
-	refs := s.ContentRefs(c, tag, value)
-	out := make([]SNode, len(refs))
-	return out, s.StructsByRef(out, refs, c)
+	return s.resolve(nil, s.ContentPostings(c, tag, value), c)
 }
 
 // EqAttr returns the element ids whose attribute name equals value, via the
 // attribute index.
 func (s *Store) EqAttr(name, value string) []ElemID {
 	obsIndexProbes.Inc()
-	refs := s.attrIdx.Get(attrKey(name, value))
-	out := make([]ElemID, len(refs))
-	for i, r := range refs {
-		out[i] = ElemID(r)
-	}
+	var out []ElemID
+	textRun(s.attrs.get(name), value, "", func(_ []string, ids []uint64) bool {
+		for _, id := range ids {
+			out = append(out, ElemID(id))
+		}
+		return true
+	})
 	return out
 }
 
@@ -252,7 +268,7 @@ func (s *Store) ParentOf(sn SNode) (SNode, bool, error) {
 		return SNode{}, false, nil
 	}
 	obsIndexProbes.Inc()
-	ref, ok := s.starts(sn.Color).Get(sn.ParentStart)
+	ref, ok := s.read(sn.Color).start.Get(sn.ParentStart)
 	if !ok {
 		return SNode{}, false, fmt.Errorf("storage: dangling parent start %d in %q", sn.ParentStart, sn.Color)
 	}
@@ -296,57 +312,29 @@ func (s *Store) AppendAncestors(dst []SNode, sn SNode, tag string, parentOnly bo
 	return dst, nil
 }
 
-// seekStart returns the position, in a start-ordered posting list of sn's
-// color, of the first node that starts after sn. A bulk load writes
-// structural records in start order, so where sn's own record sits among the
-// list's refs is usually the answer: that guess costs no reads to make and
-// two to check. Where updates have put records out of start order the check
-// fails, and a binary search reading one record per probe finds the place.
-func (s *Store) seekStart(refs []uint64, sn SNode) (int, error) {
-	var err error
-	after := func(i int) bool {
-		d, e := s.StructByRef(refs[i], sn.Color)
-		if e != nil {
-			err = e
-		}
-		return e != nil || d.Start > sn.Start
-	}
-	own, _ := s.structRef(sn.Elem, sn.Color)
-	i := sort.Search(len(refs), func(i int) bool { return refs[i] > own })
-	if (i == 0 || !after(i-1)) && (i == len(refs) || after(i)) && err == nil {
-		return i, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	i = sort.Search(len(refs), after)
-	return i, err
-}
-
-// AppendWithin appends to dst the nodes of refs that lie inside sn's
+// AppendWithin appends to dst the nodes carrying tag that lie inside sn's
 // interval — its descendants, or with childOnly its children — in start
-// order. refs is a posting list of sn's color (TagRefs, ContentRefs), which
-// the store keeps in start order: the list is seeked to sn's start and read
-// until sn's end, so the cost is the seek plus the nodes read, never the
-// list.
-func (s *Store) AppendWithin(dst []SNode, refs []uint64, sn SNode, childOnly bool) ([]SNode, error) {
-	i, err := s.seekStart(refs, sn)
-	if err != nil {
-		return dst, err
-	}
-	for ; i < len(refs); i++ {
-		d, err := s.StructByRef(refs[i], sn.Color)
-		if err != nil {
-			return dst, err
+// order: one range of the tag's map, which reads the records of the nodes in
+// it. With childOnly a node inside one already read is no child, and is
+// stepped over unread.
+func (s *Store) AppendWithin(dst []SNode, tag string, sn SNode, childOnly bool) ([]SNode, error) {
+	var err error
+	past := sn.Start
+	s.read(sn.Color).tags.get(tag).Range(sn.Start+1, sn.End-1, func(start int64, ref uint64) bool {
+		if childOnly && start < past {
+			return true
 		}
-		if d.Start >= sn.End {
-			break
+		var d SNode
+		if d, err = s.StructByRef(ref, sn.Color); err != nil {
+			return false
 		}
 		if !childOnly || sn.IsParentOf(d) {
 			dst = append(dst, d)
 		}
-	}
-	return dst, nil
+		past = d.End
+		return true
+	})
+	return dst, err
 }
 
 // Subtree returns the descendants of sn (excluding sn) in start order.
@@ -354,7 +342,7 @@ func (s *Store) Subtree(sn SNode) ([]SNode, error) {
 	var out []SNode
 	var scanErr error
 	obsIndexProbes.Inc()
-	s.starts(sn.Color).Range(sn.Start+1, sn.End, func(_ int64, ref uint64) bool {
+	s.read(sn.Color).start.Range(sn.Start+1, sn.End, func(_ int64, ref uint64) bool {
 		d, err := s.StructByRef(ref, sn.Color)
 		if scanErr = err; err != nil {
 			return false
@@ -394,36 +382,124 @@ var ErrMixedContent = errors.New("storage: mixed content: the store keeps no pos
 // AppendStringValue appends to dst the string value of element id in color c
 // (paper Section 3.2: the text of its subtree in c). That is the content
 // records of the structural nodes in [start, end] of c, in start order: one
-// range scan of the color's start index. The node that follows one with
-// content in that order is its first child if it has one, so the same scan
-// finds mixed content, and then the value is ErrMixedContent.
+// range scan of the color's start index (StringValues). The node that
+// follows one with content in that order is its first child if it has one,
+// so the same scan finds mixed content, and then the value is
+// ErrMixedContent.
 func (s *Store) AppendStringValue(dst []byte, id ElemID, c core.Color) ([]byte, error) {
+	err := s.StringValues([]ElemID{id}, c, func(_ int, value []byte) { dst = append(dst, value...) })
+	return dst, err
+}
+
+// nodeIn is CrossTree for an element that must be in c.
+func (s *Store) nodeIn(id ElemID, c core.Color) (SNode, error) {
 	sn, ok, err := s.CrossTree(id, c)
 	if err == nil && !ok {
 		err = fmt.Errorf("storage: element %d is not in %q: %w", id, c, pagestore.ErrNoSuchRecord)
 	}
-	if err != nil {
-		return dst, err
+	return sn, err
+}
+
+// StringValues calls visit with the string value in color c
+// (AppendStringValue) of each element of ids; value is valid only during the
+// call. Rows in start order, as an answer in document order is, are read in
+// one pass over c's start index from the first row to the end of the last,
+// a leaf of records at a time: a row costs no seek, and once a gap between
+// rows is found, the leaves before the next row are skipped unread. A row
+// nested in the row before it, or out of start order, gets a pass of its
+// own afterwards.
+func (s *Store) StringValues(ids []ElemID, c core.Color, visit func(i int, value []byte)) error {
+	if len(ids) == 0 {
+		return nil
 	}
-	textEnd := int64(-1) // the end of the last node read that had content
-	obsIndexProbes.Inc()
-	s.starts(c).Range(sn.Start, sn.End, func(start int64, ref uint64) bool {
-		d := sn
-		if start != sn.Start {
-			if d, err = s.StructByRef(ref, c); err != nil {
-				return false
-			}
+	want, err := s.nodeIn(ids[0], c) // the node of ids[next], while known
+	last := want
+	if err == nil && len(ids) > 1 {
+		last, err = s.nodeIn(ids[len(ids)-1], c)
+	}
+	if err != nil {
+		return err
+	}
+	var (
+		value        []byte
+		row          = -1  // the row being read; -1 between rows
+		end, textEnd int64 // its end, and that of its last node with content
+		next         int   // the rows before it are placed
+		known        = true
+		clip         = max(want.End, last.End) // the pass reads no node past it
+		later        []int                     // rows given a pass of their own
+		elems        [64]ElemID
+		spans        [64][2]int64 // start and end of the node of elems[i]
+	)
+	// passed reports whether ids[next] starts before start: out of order.
+	passed := func(start int64) bool {
+		if !known {
+			want, err = s.nodeIn(ids[next], c)
+			known = err == nil
 		}
-		if d.Start < textEnd {
-			err = fmt.Errorf("storage: element %d in %q: %w", id, c, ErrMixedContent)
+		return known && want.Start < start
+	}
+	obsIndexProbes.Inc()
+	s.read(c).start.Leaves(want.Start, func(keys []int64, refs []uint64) bool {
+		if row < 0 && known && keys[len(keys)-1] < want.Start {
+			return true
+		}
+		n := len(keys)
+		for n > 0 && keys[n-1] > clip {
+			n--
+		}
+		if err = s.viewRefs(refs[:n], 0, func(i int, rec []byte) { // decodeStruct's first three fields
+			elems[i] = ElemID(binary.LittleEndian.Uint64(rec[0:8]))
+			spans[i] = [2]int64{int64(binary.LittleEndian.Uint64(rec[8:16])), int64(binary.LittleEndian.Uint64(rec[16:24]))}
+		}); err != nil {
 			return false
 		}
-		n := len(dst)
-		err = s.viewElem(d.Elem, func(rec []byte) { dst = append(dst, elemContent(rec)...) })
-		if len(dst) > n {
-			textEnd = d.End
-		}
-		return err == nil
+		done := false
+		err = cmp.Or(s.viewElems(elems[:n], func(i int, rec []byte) {
+			elem, start := elems[i], spans[i][0]
+			if done = done || err != nil; done {
+				return
+			}
+			if row >= 0 && start > end {
+				visit(row, value)
+				row = -1
+			}
+			for next < len(ids) && (elem == ids[next] || row < 0 && passed(start)) {
+				if row < 0 && elem == ids[next] {
+					row, end, textEnd, value = next, spans[i][1], -1, value[:0]
+				} else {
+					later = append(later, next)
+				}
+				next, known = next+1, false
+			}
+			switch {
+			case row < 0:
+				done = next == len(ids)
+			case start < textEnd:
+				err = fmt.Errorf("storage: element %d in %q: %w", ids[row], c, ErrMixedContent)
+			default:
+				if content := elemContent(rec); len(content) > 0 {
+					value, textEnd = append(value, content...), spans[i][1]
+				}
+			}
+		}), err)
+		return !done && err == nil && n == len(keys)
 	})
-	return dst, err
+	switch {
+	case err != nil:
+		return err
+	case row >= 0 && end <= clip:
+		visit(row, value)
+	case row >= 0:
+		later = append(later, row)
+	}
+	for ; next < len(ids); next++ {
+		later = append(later, next)
+	}
+	for _, i := range later {
+		if err := s.StringValues(ids[i:i+1], c, func(_ int, value []byte) { visit(i, value) }); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sort"
 
-	"colorfulxml/internal/btree"
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/cowarray"
 	"colorfulxml/internal/obs"
@@ -160,14 +159,7 @@ func ReadCheckpoint(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		pages:      pages,
-		elemFile:   pagestore.FileID(elemFile),
-		elemLoc:    &cowarray.Array[uint64]{},
-		tagIdx:     btree.New(),
-		contentIdx: btree.New(),
-		attrIdx:    btree.New(),
-	}
+	s := &Store{pages: pages, elemFile: pagestore.FileID(elemFile), elemLoc: &cowarray.Array[uint64]{}}
 	for _, cf := range colorFiles {
 		if s.tree(cf.c) != nil {
 			return nil, fmt.Errorf("storage: checkpoint meta repeats color %q", cf.c)
@@ -236,9 +228,7 @@ func (s *Store) rebuildDirectories() error {
 				return fmt.Errorf("storage: color %q: structural node references missing element %d: %w",
 					c, it.sn.Elem, err)
 			}
-			if err := s.registerStruct(t, e.Tag, e.Content, open.enter(it.sn, e.Tag), it.sn, packRID(it.rid)); err != nil {
-				return fmt.Errorf("storage: rebuilding color %q: %w", c, err)
-			}
+			s.registerStruct(t, e.Tag, e.Content, open.enter(it.sn, e.Tag), it.sn, packRID(it.rid))
 		}
 	}
 	return nil

@@ -8,11 +8,28 @@ import (
 	"colorfulxml/internal/fixtures"
 )
 
-// startBytes is the start index's share of IndexBytes: every color's map.
+// startBytes, tagBytes and contentBytes are the start, tag and content
+// indexes' shares of IndexBytes: every color's maps.
 func (s *Store) startBytes() int64 {
 	var total int64
 	for _, t := range s.trees {
 		total += t.start.Bytes()
+	}
+	return total
+}
+
+func (s *Store) tagBytes() int64 {
+	var total int64
+	for i := range s.trees {
+		total += s.trees[i].tags.bytes()
+	}
+	return total
+}
+
+func (s *Store) contentBytes() int64 {
+	var total int64
+	for i := range s.trees {
+		total += s.trees[i].texts.bytes()
 	}
 	return total
 }
@@ -30,9 +47,9 @@ func TestIndexBytesCoversAllIndexes(t *testing.T) {
 		name  string
 		bytes int64
 	}{
-		{"tag", s.tagIdx.Bytes()},
-		{"content", s.contentIdx.Bytes()},
-		{"attr", s.attrIdx.Bytes()},
+		{"tag", s.tagBytes()},
+		{"content", s.contentBytes()},
+		{"attr", s.attrs.bytes()},
 		{"start", s.startBytes()},
 	}
 	var sum int64
@@ -86,7 +103,11 @@ func TestIndexBytesMatchLiveHeap(t *testing.T) {
 				s.trees[i].start = &btree.Map[int64, uint64]{}
 			}
 		}},
-		{"content", func() int64 { return s.contentIdx.Bytes() }, func() { s.contentIdx = btree.New() }},
+		{"content", s.contentBytes, func() {
+			for i := range s.trees {
+				s.trees[i].texts = postingMaps[string]{}
+			}
+		}},
 	} {
 		reported := idx.bytes()
 		before := liveHeap()

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"testing"
-
-	"colorfulxml/internal/btree"
 )
 
 // CheckInvariants is the storage half of the store/core consistency checker
@@ -20,15 +22,25 @@ import (
 //     nested; a node's parent-start is the start of the innermost node open
 //     around it (-1 under the document) and its level one more than that
 //     node's;
-//   - tag and content posting lists hold exactly the color's nodes, in start
-//     order; the per-tag child counts behind LeafTag are the tree's;
+//   - the tag, content and attribute-value maps hold exactly what the records
+//     say, each in its key order, and their probes (CountTag, CountContent,
+//     ContentPostings, EqAttr) answer it; the per-tag child counts behind
+//     LeafTag are the tree's;
 //   - StructNodes counts the walk.
 //
 // Test-only (export for the external test package), so the checker costs the
 // library nothing.
 func (s *Store) CheckInvariants() error {
 	total := 0
-	wantTag, wantContent := map[string][]uint64{}, map[string][]uint64{}
+	// Each index as (name, position, value) triples in key order: a tag's
+	// (start, ref), a content's (start, ref), an attribute value's (id, id).
+	type posting struct {
+		name  string
+		pos   int64
+		value uint64
+	}
+	want, have := map[string][]posting{}, map[string][]posting{}
+	attrs := map[ElemID][][2]string{}
 	for i := range s.trees {
 		t := &s.trees[i]
 		c := t.color
@@ -80,11 +92,11 @@ func (s *Store) CheckInvariants() error {
 			if parent.tag != "" {
 				inner[parent.tag]++
 			}
-			wantTag[tagKey(c, e.Tag)] = append(wantTag[tagKey(c, e.Tag)], ref)
+			want["tag"] = append(want["tag"], posting{string(c) + " " + e.Tag, sn.Start, ref})
 			if e.Content != "" {
-				key := contentKey(c, e.Tag, e.Content)
-				wantContent[key] = append(wantContent[key], ref)
+				want["content"] = append(want["content"], posting{string(c) + " " + e.Tag + " " + e.Content, sn.Start, ref})
 			}
+			attrs[sn.Elem] = e.Attrs
 			stack = append(stack, open{sn, e.Tag})
 			nodes++
 			return true
@@ -97,30 +109,91 @@ func (s *Store) CheckInvariants() error {
 				c, t.start.Len(), t.loc.Len(), nodes)
 		}
 		total += nodes
-		for tag, n := range inner {
-			if t.inner[tag] != n {
-				return fmt.Errorf("storage: color %q: %d nodes under a %s, counted %d", c, n, tag, t.inner[tag])
+		counted := map[string]int{}
+		for tag, e := range t.tags.maps {
+			if e.children != 0 {
+				counted[tag] = e.children
 			}
 		}
-		if len(t.inner) != len(inner) {
-			return fmt.Errorf("storage: color %q: child counts %v, tree has %v", c, t.inner, inner)
+		if !maps.Equal(counted, inner) {
+			return fmt.Errorf("storage: color %q: child counts %v, tree has %v", c, counted, inner)
 		}
 	}
 	if total != s.counts.StructNodes {
 		return fmt.Errorf("storage: %d structural nodes walked, %d counted", total, s.counts.StructNodes)
 	}
-	for _, idx := range []struct {
-		name string
-		have *btree.Tree
-		want map[string][]uint64
-	}{{"tag", s.tagIdx, wantTag}, {"content", s.contentIdx, wantContent}} {
-		if idx.have.Len() != len(idx.want) {
-			return fmt.Errorf("storage: %s index has %d keys, the trees %d", idx.name, idx.have.Len(), len(idx.want))
+	for id, as := range attrs {
+		for _, a := range as {
+			want["attr"] = append(want["attr"], posting{a[0] + " " + a[1], int64(id), uint64(id)})
 		}
-		for key, want := range idx.want {
-			if have := idx.have.Get(key); !slices.Equal(have, want) {
-				return fmt.Errorf("storage: %s postings of %q are %v, in start order %v", idx.name, key, have, want)
+	}
+	text := func(k string) (string, int64) {
+		return k[:len(k)-8], int64(binary.BigEndian.Uint64([]byte(k[len(k)-8:])))
+	}
+	for i := range s.trees {
+		t := &s.trees[i]
+		for tag, e := range t.tags.maps {
+			e.m.Ascend(func(start int64, ref uint64) bool {
+				have["tag"] = append(have["tag"], posting{string(t.color) + " " + tag, start, ref})
+				return true
+			})
+		}
+		for tag, e := range t.texts.maps {
+			e.m.Ascend(func(k string, ref uint64) bool {
+				content, start := text(k)
+				have["content"] = append(have["content"], posting{string(t.color) + " " + tag + " " + content, start, ref})
+				return true
+			})
+		}
+	}
+	for name, e := range s.attrs.maps {
+		e.m.Ascend(func(k string, id uint64) bool {
+			value, pos := text(k)
+			have["attr"] = append(have["attr"], posting{name + " " + value, pos, id})
+			return true
+		})
+	}
+	byKey := func(p []posting) []posting {
+		p = slices.Clone(p)
+		slices.SortStableFunc(p, func(a, b posting) int {
+			return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.pos, b.pos))
+		})
+		return p
+	}
+	for _, idx := range []string{"tag", "content", "attr"} {
+		if w, h := byKey(want[idx]), byKey(have[idx]); !slices.Equal(w, h) {
+			return fmt.Errorf("storage: the %s index holds %v, the records say %v", idx, h, w)
+		}
+	}
+	// The probes answer what the maps hold.
+	for _, c := range s.colors {
+		runs := map[string][]uint64{}
+		for _, p := range want["content"] {
+			if name, ok := strings.CutPrefix(p.name, string(c)+" "); ok {
+				runs[name] = append(runs[name], p.value)
 			}
+		}
+		for name, refs := range runs {
+			tag, content, _ := strings.Cut(name, " ")
+			var got []uint64
+			run := s.ContentPostings(c, tag, content)
+			run.Next(func(r []uint64) int {
+				got = append(got, r...)
+				return len(r)
+			})
+			if !slices.Equal(got, refs) || s.CountContent(c, tag, content) != len(refs) {
+				return fmt.Errorf("storage: {%s}%s = %q finds %v (count %d), want %v", c, tag, content, got, s.CountContent(c, tag, content), refs)
+			}
+		}
+	}
+	attrRuns := map[string][]ElemID{}
+	for _, p := range byKey(want["attr"]) {
+		attrRuns[p.name] = append(attrRuns[p.name], ElemID(p.value))
+	}
+	for nv, ids := range attrRuns {
+		name, value, _ := strings.Cut(nv, " ")
+		if got := s.EqAttr(name, value); !slices.Equal(got, ids) {
+			return fmt.Errorf("storage: @%s = %q finds %v, want %v", name, value, got, ids)
 		}
 	}
 	return nil

@@ -3,15 +3,13 @@ package storage
 import (
 	"fmt"
 
-	"colorfulxml/internal/btree"
 	"colorfulxml/internal/core"
 )
 
 // Load bulk-loads a logical MCT database into a physical store: element
 // records are written once per element (in first-color document order),
-// structural records per (element, color) in pre-order — so tag-index
-// postings come out sorted by start position, as the structural join
-// algorithms require.
+// structural records per (element, color) in pre-order, so every index map
+// fills in key order.
 //
 // The int argument is ignored; it is kept only for the nested bench module's
 // callers, and goes with ROADMAP item 6.
@@ -98,7 +96,7 @@ func (s *Store) registerElem(id ElemID, ref uint64, content string, attrs [][2]s
 		s.counts.ContentNodes++
 	}
 	for _, a := range attrs {
-		s.attrIdx.Insert(attrKey(a[0], a[1]), uint64(id))
+		s.attrs.write(a[0]).m.Put(textKey(a[1], uint64(id)), uint64(id))
 	}
 }
 
@@ -110,52 +108,20 @@ func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 		return fmt.Errorf("storage: unknown color %q", sn.Color)
 	}
 	rid, err := s.pages.AppendRecord(t.file, encodeStruct(sn))
-	if err != nil {
-		return err
+	if err == nil {
+		s.registerStruct(t, tag, content, parentTag, sn, packRID(rid))
 	}
-	return s.registerStruct(t, tag, content, parentTag, sn, packRID(rid))
+	return err
 }
 
 // registerStruct registers a written structural record of t's colour in the
-// directories and indexes: location, the parent tag's child count, tag and
-// content postings, start map, counts.
-func (s *Store) registerStruct(t *colorTree, tag, content, parentTag string, sn SNode, ref uint64) error {
+// directories and indexes: location, the parent tag's child count, the
+// start, tag and content maps, counts.
+func (s *Store) registerStruct(t *colorTree, tag, content, parentTag string, sn SNode, ref uint64) {
 	t.loc.Set(uint64(sn.Elem), ref)
-	t.addInner(parentTag, 1)
+	t.addChildren(parentTag, 1)
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
-	last, _, ok := t.start.SeekLT(maxPos)
-	atEnd := !ok || last < sn.Start // true all through a bulk load or a checkpoint reload
-	if err := s.insertPosting(s.tagIdx, tagKey(sn.Color, tag), ref, sn, atEnd); err != nil {
-		return err
-	}
-	if content != "" {
-		if err := s.insertPosting(s.contentIdx, contentKey(sn.Color, tag, content), ref, sn, atEnd); err != nil {
-			return err
-		}
-	}
-	t.start.Put(sn.Start, ref)
+	t.index(tag, content, sn.Start, ref, true)
 	s.counts.StructNodes++
-	return nil
-}
-
-// insertPosting adds a structural node's ref to a tag or content posting
-// list at its start-order position, which is what keeps the lists in local
-// document order under updates: scans emit them as they are, and
-// AppendWithin seeks them. The node's record must already be registered in
-// the color's location table. atEnd says the node starts after every node of
-// its colour, so it ends the list and costs no record read; otherwise an
-// append under an earlier parent reads one record, an insert into the middle
-// of the tree log n.
-func (s *Store) insertPosting(idx *btree.Tree, key string, ref uint64, sn SNode, atEnd bool) error {
-	if atEnd {
-		idx.Insert(key, ref)
-		return nil
-	}
-	at, err := s.seekStart(idx.Get(key), sn)
-	if err != nil {
-		return err
-	}
-	idx.InsertAt(key, at, ref)
-	return nil
 }

@@ -23,7 +23,8 @@ var ErrDeltaUnsupported = errors.New("storage: change delta unsupported for incr
 // Clone returns a copy-on-write snapshot sibling of the store in time
 // independent of the store's size: the page store shares immutable page
 // images, the B+-tree indexes and the location tables share their nodes and
-// chunks, and only the per-color headers are copied. A later mutation of
+// chunks, and only the per-color headers and the tables of per-tag index
+// maps are copied, the latter on first write. A later mutation of
 // either side copies the pages, tree paths and table chunks it touches and
 // never becomes visible to the other.
 //
@@ -31,21 +32,20 @@ var ErrDeltaUnsupported = errors.New("storage: change delta unsupported for incr
 // serving readers; the clone absorbs updates and is published in its place.
 func (s *Store) Clone() *Store {
 	ns := &Store{
-		pages:      s.pages.Clone(),
-		elemFile:   s.elemFile,
-		elemLoc:    s.elemLoc.Clone(),
-		trees:      append([]colorTree(nil), s.trees...),
-		colors:     s.colors,
-		tagIdx:     s.tagIdx.Clone(),
-		contentIdx: s.contentIdx.Clone(),
-		attrIdx:    s.attrIdx.Clone(),
-		nextID:     s.nextID,
-		counts:     s.counts,
+		pages:    s.pages.Clone(),
+		elemFile: s.elemFile,
+		elemLoc:  s.elemLoc.Clone(),
+		trees:    append([]colorTree(nil), s.trees...),
+		colors:   s.colors,
+		attrs:    s.attrs.clone(),
+		nextID:   s.nextID,
+		counts:   s.counts,
 	}
 	for i := range ns.trees {
 		ns.trees[i].loc = ns.trees[i].loc.Clone()
 		ns.trees[i].start = ns.trees[i].start.Clone()
-		s.trees[i].innerShared, ns.trees[i].innerShared = true, true
+		ns.trees[i].tags = s.trees[i].tags.clone()
+		ns.trees[i].texts = s.trees[i].texts.clone()
 		// Summaries are immutable, so the clone starts from its parent's.
 		ns.trees[i].summary = new(atomic.Pointer[PathSummary])
 		ns.trees[i].summary.Store(s.trees[i].summary.Load())

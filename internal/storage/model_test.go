@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -210,6 +211,164 @@ func TestInsertsAgainstLoad(t *testing.T) {
 			t.Fatalf("seed %d: %d ends grown and %d runs relabelled: the schedule missed one", seed, grows-grows0, relabels-relabels0)
 		} else {
 			t.Logf("seed %d: %d ends grown, %d runs relabelled", seed, grows-grows0, relabels-relabels0)
+		}
+	}
+}
+
+// indexAnswers renders what the tag, content and attribute-value indexes
+// answer, by element id: per color and tag the ScanTag list, its count and
+// LeafTag; per (tag, content) the EqContent list and its count; per
+// attribute the EqAttr list. Two stores of one state answer alike whatever
+// their interval numbers.
+func indexAnswers(t *testing.T, s *storage.Store) string {
+	t.Helper()
+	var lines []string
+	ids := func(nodes []storage.SNode, err error) []storage.ElemID {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]storage.ElemID, len(nodes))
+		for i, sn := range nodes {
+			out[i] = sn.Elem
+		}
+		return out
+	}
+	attrs := map[[2]string]bool{}
+	for _, c := range s.Colors() {
+		doc, _ := s.Document(c)
+		tags, contents := map[string]bool{}, map[[2]string]bool{}
+		for _, id := range ids(s.Subtree(doc)) {
+			e, err := s.Elem(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tags[e.Tag] = true
+			contents[[2]string{e.Tag, e.Content}] = true
+			for _, a := range e.Attrs {
+				attrs[a] = true
+			}
+		}
+		for tag := range tags {
+			lines = append(lines, fmt.Sprintf("%s tag %s count %d leaf %v: %v", c, tag, s.CountTag(c, tag), s.LeafTag(c, tag), ids(s.ScanTag(c, tag))))
+		}
+		for tc := range contents {
+			lines = append(lines, fmt.Sprintf("%s content %q count %d: %v", c, tc, s.CountContent(c, tc[0], tc[1]), ids(s.EqContent(c, tc[0], tc[1]))))
+		}
+	}
+	for a := range attrs {
+		lines = append(lines, fmt.Sprintf("attr %q: %v", a, s.EqAttr(a[0], a[1])))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestIndexesAgainstModel is the model test of the tag, content and
+// attribute-value indexes: seeded inserts at the end of a color and under
+// mid-tree parents, subtree deletes, content changes, renames (a full Load,
+// as the serving layer does for them), attribute sets and removes, with
+// Clones in between. After every step the store that absorbed the change
+// must pass the invariant walker — every index equal to a brute-force model
+// built from the start maps and the records, probes included — and answer
+// exactly like a fresh Load; every frozen store must still answer as it did
+// when it was frozen. Contents share prefixes ("Item 1", "Item 12") and one
+// is another plus a suffix that starts with a zero byte, which puts its keys
+// among the other's in the content index.
+func TestIndexesAgainstModel(t *testing.T) {
+	values := []string{"Item 1", "Item 12", "Item 123", "Item 1\x00\x00\x00\x00\x00\x00\x00\x00\x07", "Item 1\x00", "v", ""}
+	rng := rand.New(rand.NewSource(11))
+	db := core.NewDatabase("red", "green")
+	must := func(n *core.Node, err error) *core.Node {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	catalog := must(db.AddElement(db.Document(), "catalog", "red"))
+	must(db.AddElement(db.Document(), "featured", "green"))
+	for k := 0; k < 30; k++ {
+		item := must(db.AddElement(catalog, "item", "red"))
+		must(db.AddElementText(item, "name", "red", values[k%len(values)]))
+	}
+	st, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.DrainChanges()
+	type frozen struct {
+		s    *storage.Store
+		want string
+	}
+	var frozens []frozen
+	answers := indexAnswers(t, st)
+	for step := 0; step < 250; step++ {
+		c := []core.Color{"red", "green"}[rng.Intn(2)]
+		var in []*core.Node
+		for _, n := range db.TreeNodes(c)[1:] {
+			if n.Kind() == core.KindElement {
+				in = append(in, n)
+			}
+		}
+		pick := in[rng.Intn(len(in))]
+		value := values[rng.Intn(len(values))]
+		switch op := rng.Intn(9); op {
+		case 0: // at the end of the color
+			must(db.AddElementText(core.Children(db.Document(), c)[0], "item", c, value))
+		case 1, 2: // under a parent in the middle
+			must(db.AddElementText(pick, []string{"name", "tag", "item"}[rng.Intn(3)], c, value))
+		case 3:
+			if len(in) > 20 && core.Parent(pick, c) != db.Document() {
+				if err := db.DeleteSubtree(pick, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 4:
+			if len(core.Children(pick, c)) == 0 {
+				if err := db.SetText(pick, value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 5:
+			if core.Parent(pick, c) != db.Document() {
+				if err := db.Rename(pick, []string{"name", "tag", "label"}[rng.Intn(3)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 6, 7:
+			must(db.SetAttribute(pick, []string{"id", "k"}[rng.Intn(2)], value))
+		default:
+			db.RemoveAttribute(pick, []string{"id", "k"}[rng.Intn(2)])
+		}
+		changes, overflow := db.DrainChanges()
+		frozens = append(frozens, frozen{st, answers})
+		st = st.Clone()
+		if err := st.ApplyChanges(changes); errors.Is(err, storage.ErrDeltaUnsupported) && !overflow {
+			if st, err = storage.Load(db, 0); err != nil { // a rename
+				t.Fatal(err)
+			}
+		} else if err != nil || overflow {
+			t.Fatalf("step %d: %v (overflow %v)", step, err, overflow)
+		}
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		fresh, err := storage.Load(db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answers = indexAnswers(t, fresh); indexAnswers(t, st) != answers {
+			t.Fatalf("step %d: the store answers\n%s\na fresh Load\n%s", step, indexAnswers(t, st), answers)
+		}
+		if step%25 == 24 {
+			for _, f := range frozens {
+				if err := f.s.CheckInvariants(); err != nil {
+					t.Fatalf("step %d, a frozen store: %v", step, err)
+				}
+			}
+			f := frozens[rng.Intn(len(frozens))]
+			if got := indexAnswers(t, f.s); got != f.want {
+				t.Fatalf("step %d: a frozen store answers\n%s\nnot as it did\n%s", step, got, f.want)
+			}
 		}
 	}
 }

@@ -69,9 +69,24 @@ func colorNodes(t *testing.T, s *storage.Store, c core.Color) []storage.SNode {
 	return all
 }
 
+// refsOf drains a run of postings, a few refs at a time so that the run is
+// resumed inside a leaf as well as between leaves.
+func refsOf(p storage.Postings) []uint64 {
+	var out []uint64
+	for more := true; more; {
+		more = false
+		p.Next(func(refs []uint64) int {
+			n := min(len(refs), 3)
+			out, more = append(out, refs[:n]...), true
+			return n
+		})
+	}
+	return out
+}
+
 // checkNavigation compares the navigation primitives, for every node and
 // tag, with answers filtered out of whole-colour scans, checks that every
-// posting list is in start order, that the page-by-page readers return what
+// run of postings is in start order, that the page-by-page readers return what
 // the record-by-record ones do, and that the per-tag child counts behind
 // LeafTag are those of the tree as it stands.
 func checkNavigation(t *testing.T, s *storage.Store) {
@@ -133,12 +148,12 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 			return out
 		}
 		for tag, want := range byTag {
-			if got := resolve(s.TagRefs(c, tag)); !reflect.DeepEqual(got, want) {
+			if got := resolve(refsOf(s.TagPostings(c, tag))); !reflect.DeepEqual(got, want) {
 				t.Fatalf("{%s}%s postings are not the tag's nodes in start order:\n got %v\nwant %v", c, tag, got, want)
 			}
 		}
 		for k, want := range byContent {
-			if got := resolve(s.ContentRefs(c, k[0], k[1])); !reflect.DeepEqual(got, want) {
+			if got := resolve(refsOf(s.ContentPostings(c, k[0], k[1]))); !reflect.DeepEqual(got, want) {
 				t.Fatalf("{%s}%s=%q postings are not in start order:\n got %v\nwant %v", c, k[0], k[1], got, want)
 			}
 		}
@@ -161,7 +176,7 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 							wantUp = append(wantUp, d)
 						}
 					}
-					got, err := s.AppendWithin(nil, s.TagRefs(c, tag), sn, childOnly)
+					got, err := s.AppendWithin(nil, tag, sn, childOnly)
 					if err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("AppendWithin(%v, %s, child=%v) = %v, %v; want %v", sn, tag, childOnly, got, err, want)
 					}
@@ -176,10 +191,10 @@ func checkNavigation(t *testing.T, s *storage.Store) {
 }
 
 // TestNavigationUnderUpdates: the primitives a navigational join stands on —
-// start-ordered postings, the posting seek, parent hops by stored
+// start-ordered postings, the containment range, parent hops by stored
 // parent-start, the in-place tag check — hold on a bulk-loaded store and
-// keep holding through leaf inserts in the middle of the tree (which used to
-// append to the posting lists), content updates, recolourings, deletions and
+// keep holding through leaf inserts in the middle of the tree, content
+// updates, recolourings, deletions and
 // the interval extensions and local relabellings that enough inserts force.
 func TestNavigationUnderUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -407,5 +422,91 @@ func TestStringValueReadsTheSubtree(t *testing.T) {
 		if err != nil || !slices.Equal(got, want) || len(want) == 0 {
 			t.Errorf("AttrBytes(%s) = %q, %v, want %q", name, got, err, want)
 		}
+	}
+}
+
+// TestStringValuesInOnePass: StringValues visits every row once with
+// what AppendStringValue reads for it, for rows in start order (nested ones
+// included), a sparse few, and rows out of start order; a row with mixed
+// content fails the call.
+func TestStringValuesInOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := core.NewDatabase("red")
+	parents := []*core.Node{db.Document()}
+	for i := 0; i < 400; i++ {
+		parent := parents[rng.Intn(len(parents))]
+		n, err := db.AddElement(parent, "e", "red")
+		if err == nil && (parent == db.Document() || core.Text(parent) == "") && rng.Intn(2) == 0 {
+			_, err = db.AppendText(n, fmt.Sprint("t", i, " ")) // a leaf while it has no children
+		} else if err == nil {
+			parents = append(parents, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range parents[len(parents)/2:] { // one element with text and children
+		if len(core.Children(n, "red")) > 0 {
+			if _, err := db.AppendText(n, "mixed"); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	s, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain []storage.ElemID // in start order, those without mixed content
+	var mixed storage.ElemID
+	for _, n := range db.TreeNodes("red")[1:] {
+		if n.Kind() != core.KindElement {
+			continue
+		}
+		if _, err := s.AppendStringValue(nil, storage.ElemID(n.ID()), "red"); err != nil {
+			mixed = storage.ElemID(n.ID())
+			continue
+		}
+		plain = append(plain, storage.ElemID(n.ID()))
+	}
+	reversed := slices.Clone(plain)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(plain)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	roots, err := s.Roots("red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top []storage.ElemID
+	for _, r := range roots {
+		if slices.Contains(plain, r.Elem) {
+			top = append(top, r.Elem)
+		}
+	}
+	for name, ids := range map[string][]storage.ElemID{
+		"all": plain, "top": top, "sparse": {plain[3], plain[len(plain)/2], plain[len(plain)-1]},
+		"reversed": reversed, "shuffled": shuffled, "one": plain[7:8],
+	} {
+		got := make([]string, len(ids))
+		seen := make([]int, len(ids))
+		err := s.StringValues(ids, "red", func(i int, value []byte) {
+			got[i] = string(value)
+			seen[i]++
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, id := range ids {
+			want, _ := s.AppendStringValue(nil, id, "red")
+			if got[i] != string(want) || seen[i] != 1 {
+				t.Fatalf("%s: row %d (element %d) read %d times as %q, want %q once", name, i, id, seen[i], got[i], want)
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("the tree holds no element with mixed content")
+	}
+	if err := s.StringValues(append(slices.Clone(top), mixed), "red", func(int, []byte) {}); !errors.Is(err, storage.ErrMixedContent) {
+		t.Fatalf("rows with a mixed one: %v, want ErrMixedContent", err)
 	}
 }

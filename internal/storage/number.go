@@ -23,8 +23,8 @@ import (
 //
 // Never the tree. Either way the full node's width at least doubles, so a
 // parent that keeps receiving children is extended O(log n) times for n of
-// them. Relative order never changes, so posting lists stay in start order
-// and packed refs stay valid; only start-index keys are re-made.
+// them. Relative order never changes and packed refs stay valid; only the
+// keys of the start, tag and content maps are re-made.
 
 // maxPos is the document's end in every color, which every node position
 // stays below: far more positions than a store held in memory numbers at the
@@ -42,7 +42,7 @@ func (s *Store) Document(c core.Color) (doc SNode, ok bool) {
 // startBelow returns the node of color c with the greatest start below pos.
 func (s *Store) startBelow(c core.Color, pos int64) (SNode, bool, error) {
 	obsIndexProbes.Inc()
-	_, ref, ok := s.starts(c).SeekLT(pos)
+	_, ref, ok := s.read(c).start.SeekLT(pos)
 	if !ok {
 		return SNode{}, false, nil
 	}
@@ -53,7 +53,7 @@ func (s *Store) startBelow(c core.Color, pos int64) (SNode, bool, error) {
 // startFrom returns the node of color c with the least start at or above pos.
 func (s *Store) startFrom(c core.Color, pos int64) (sn SNode, ok bool, err error) {
 	obsIndexProbes.Inc()
-	s.starts(c).Range(pos, maxPos, func(_ int64, ref uint64) bool {
+	s.read(c).start.Range(pos, maxPos, func(_ int64, ref uint64) bool {
 		sn, err = s.StructByRef(ref, c)
 		ok = err == nil
 		return false
@@ -180,7 +180,7 @@ func (s *Store) extend(n SNode, need int64) (SNode, error) {
 // still short makes parent extend. It returns n as it is then.
 func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 	c := n.Color
-	start := s.starts(c)
+	start := s.read(c).start
 	first, last := n, n // the run: the children first..last of parent
 	moreLeft, moreRight := true, true
 	var refs []uint64 // its nodes, in start order
@@ -269,14 +269,20 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 		closeTop()
 	}
 	// Old keys go before new ones come: the two sets overlap.
-	for _, old := range nodes {
-		start.Delete(old.Start)
+	t := s.tree(c)
+	elems := make([]ElemInfo, len(nodes))
+	for i, old := range nodes {
+		var err error
+		if elems[i], err = s.Elem(old.Elem); err != nil {
+			return n, err
+		}
+		t.index(elems[i].Tag, elems[i].Content, old.Start, 0, false)
 	}
 	for i, sn := range out {
 		if err := s.pages.OverwriteRecord(unpackRID(refs[i]), encodeStruct(sn)); err != nil {
 			return n, err
 		}
-		start.Put(sn.Start, refs[i])
+		t.index(elems[i].Tag, elems[i].Content, sn.Start, refs[i], true)
 		if sn.Elem == n.Elem {
 			n = sn
 		}

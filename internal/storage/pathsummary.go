@@ -69,7 +69,7 @@ func (s *Store) buildPathSummary(c core.Color) (*PathSummary, error) {
 	var stack []frame
 	var scanErr error
 	obsIndexProbes.Inc()
-	s.starts(c).Ascend(func(_ int64, ref uint64) bool {
+	s.read(c).start.Ascend(func(_ int64, ref uint64) bool {
 		sn, err := s.StructByRef(ref, c)
 		if err != nil {
 			scanErr = err

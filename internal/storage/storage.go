@@ -13,7 +13,7 @@
 // All records live in pagestore's 8 KB slotted pages, so structural scans,
 // content fetches and cross-tree joins read records clustered the way a
 // paged store clusters them. Tag, content and attribute B+-tree indexes support the experiment
-// workloads.
+// workloads, each keyed by the order it keeps (postings.go).
 package storage
 
 import (
@@ -91,10 +91,10 @@ type Store struct {
 	trees  []colorTree
 	colors []core.Color
 
-	// Indexes; the start index is per color, in trees.
-	tagIdx     *btree.Tree // color|tag -> struct record refs (start order)
-	contentIdx *btree.Tree // color|tag|content -> struct record refs
-	attrIdx    *btree.Tree // name=value -> elem ids
+	// attrs is the attribute-value index: per attribute name, value and
+	// element id -> element id. The structural indexes are per color, in
+	// trees.
+	attrs postingMaps[string]
 
 	nextID ElemID
 
@@ -119,39 +119,17 @@ type colorTree struct {
 	file  pagestore.FileID
 	loc   *cowarray.Array[uint64]
 	// start maps each structural node's start to its record's packed ref:
-	// what parent hops, Subtree, Roots and the numbering rule seek.
+	// what parent hops, Subtree, Roots and the numbering rule seek. tags is
+	// the same per tag (the tag index, with each tag's child count), texts
+	// per tag from content and start (the content index).
 	start *btree.Map[int64, uint64]
-	// inner counts, per tag, the tree's structural nodes whose parent carries
-	// that tag — the one DataGuide fact kept current under every update
-	// (LeafTag). A map of a few tags; a clone shares it until either side
-	// writes (innerShared).
-	inner       map[string]int
-	innerShared bool
+	tags  postingMaps[int64]
+	texts postingMaps[string]
 	// summary holds the tree's lazily built path summary (pathsummary.go),
 	// nil until the first probe and after a structural change. Readers of a
 	// published snapshot may build it concurrently, so it is published
 	// atomically; Clone gives the clone a cell of its own.
 	summary *atomic.Pointer[PathSummary]
-}
-
-// addInner records that d children (negative: fewer) hang under an element
-// tagged parentTag; the document's children have no parent tag.
-func (t *colorTree) addInner(parentTag string, d int) {
-	if parentTag == "" {
-		return
-	}
-	if t.innerShared || t.inner == nil {
-		own := make(map[string]int, len(t.inner)+1)
-		for tag, n := range t.inner {
-			own[tag] = n
-		}
-		t.inner, t.innerShared = own, false
-	}
-	if n := t.inner[parentTag] + d; n > 0 {
-		t.inner[parentTag] = n
-	} else {
-		delete(t.inner, parentTag)
-	}
 }
 
 // enclosing tracks, along a walk of one colored tree in start order, the tags
@@ -190,13 +168,16 @@ func (s *Store) tree(c core.Color) *colorTree {
 	return nil
 }
 
-// starts returns color c's start index; empty for a color the store does not
-// have.
-func (s *Store) starts(c core.Color) *btree.Map[int64, uint64] {
+// noTree stands for a color the store does not have: its indexes are empty.
+var noTree = colorTree{start: &btree.Map[int64, uint64]{}}
+
+// read returns color c's header for reading: noTree for a color the store
+// does not have.
+func (s *Store) read(c core.Color) *colorTree {
 	if t := s.tree(c); t != nil {
-		return t.start
+		return t
 	}
-	return &btree.Map[int64, uint64]{}
+	return &noTree
 }
 
 // SizeCounts is the Table 1 accounting: logical node counts plus physical
@@ -210,13 +191,7 @@ type SizeCounts struct {
 
 // NewStore creates an empty store with the given colors.
 func NewStore(colors ...core.Color) *Store {
-	s := &Store{
-		pages:      &pagestore.Store{},
-		elemLoc:    &cowarray.Array[uint64]{},
-		tagIdx:     btree.New(),
-		contentIdx: btree.New(),
-		attrIdx:    btree.New(),
-	}
+	s := &Store{pages: &pagestore.Store{}, elemLoc: &cowarray.Array[uint64]{}}
 	s.elemFile = s.pages.CreateFile()
 	s.statsEpoch.Store(nextStatsEpoch())
 	for _, c := range colors {
@@ -310,9 +285,9 @@ func (s *Store) DataBytes() (int64, error) {
 // and every color's start index (all four are part of the Table 1 index
 // accounting).
 func (s *Store) IndexBytes() int64 {
-	total := s.tagIdx.Bytes() + s.contentIdx.Bytes() + s.attrIdx.Bytes()
+	total := s.attrs.bytes()
 	for _, t := range s.trees {
-		total += t.start.Bytes()
+		total += t.start.Bytes() + t.tags.bytes() + t.texts.bytes()
 	}
 	return total
 }
@@ -435,11 +410,3 @@ func unpackRID(v uint64) pagestore.RecordID {
 		Slot: uint16(v),
 	}
 }
-
-func tagKey(c core.Color, tag string) string { return string(c) + "|" + tag }
-
-func contentKey(c core.Color, tag, content string) string {
-	return string(c) + "|" + tag + "|" + content
-}
-
-func attrKey(name, value string) string { return name + "=" + value }

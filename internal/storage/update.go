@@ -20,23 +20,22 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 		return err
 	}
 	// Re-key the content index for every colored structural node.
-	for _, t := range s.trees {
-		c := t.color
+	for i := range s.trees {
+		t := &s.trees[i]
 		ref, ok := t.loc.Get(uint64(id))
 		if !ok {
 			continue
 		}
+		sn, err := s.StructByRef(ref, t.color)
+		if err != nil {
+			return err
+		}
+		texts := t.texts.write(old.Tag).m
 		if old.Content != "" {
-			s.contentIdx.Delete(contentKey(c, old.Tag, old.Content), ref)
+			texts.Delete(textKey(old.Content, uint64(sn.Start)))
 		}
 		if content != "" {
-			sn, err := s.StructByRef(ref, c)
-			if err != nil {
-				return err
-			}
-			if err := s.insertPosting(s.contentIdx, contentKey(c, old.Tag, content), ref, sn, false); err != nil {
-				return err
-			}
+			texts.Put(textKey(content, uint64(sn.Start)), ref)
 		}
 	}
 	if old.Content == "" && content != "" {
@@ -127,10 +126,10 @@ func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
 		return err
 	}
 	for _, a := range old.Attrs {
-		s.attrIdx.Delete(attrKey(a[0], a[1]), uint64(id))
+		s.attrs.write(a[0]).m.Delete(textKey(a[1], uint64(id)))
 	}
 	for _, a := range attrs {
-		s.attrIdx.Insert(attrKey(a[0], a[1]), uint64(id))
+		s.attrs.write(a[0]).m.Put(textKey(a[1], uint64(id)), uint64(id))
 	}
 	s.counts.Attributes += len(attrs) - len(old.Attrs)
 	return nil
@@ -164,16 +163,12 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		if err != nil {
 			return err
 		}
-		t.addInner(open.enter(d, e.Tag), -1)
+		t.addChildren(open.enter(d, e.Tag), -1)
 		ref, _ := s.structRef(d.Elem, d.Color)
 		if err := s.pages.DeleteRecord(unpackRID(ref)); err != nil {
 			return err
 		}
-		s.tagIdx.Delete(tagKey(d.Color, e.Tag), ref)
-		if e.Content != "" {
-			s.contentIdx.Delete(contentKey(d.Color, e.Tag, e.Content), ref)
-		}
-		t.start.Delete(d.Start)
+		t.index(e.Tag, e.Content, d.Start, ref, false)
 		t.loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--
 		if len(s.ColorsOf(d.Elem)) == 0 {
@@ -183,7 +178,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 			}
 			s.elemLoc.Delete(uint64(d.Elem))
 			for _, a := range e.Attrs {
-				s.attrIdx.Delete(attrKey(a[0], a[1]), uint64(d.Elem))
+				s.attrs.write(a[0]).m.Delete(textKey(a[1], uint64(d.Elem)))
 			}
 			s.counts.Elements--
 			s.counts.Attributes -= len(e.Attrs)

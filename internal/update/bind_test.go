@@ -205,7 +205,7 @@ func TestBindDifferentialMovies(t *testing.T) {
 
 // TestBindDifferentialCatalog runs the catalog cases on a freshly loaded
 // store and on one maintained incrementally through 200 random updates, after
-// which posting lists and heap files are no longer in bulk-load order.
+// which index maps and heap files are no longer in bulk-load order.
 func TestBindDifferentialCatalog(t *testing.T) {
 	const items = 120
 	for _, aged := range []bool{false, true} {

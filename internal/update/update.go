@@ -24,6 +24,7 @@
 package update
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -132,12 +133,17 @@ func (u *Update) CountPathExpressions() int {
 
 // Parse parses an update expression.
 func Parse(src string) (*Update, error) {
-	toks, err := mcxquery.LexQuery(src)
-	if err != nil {
+	toks := mcxquery.NewTokens(src)
+	p := pathexpr.NewParserSource(toks)
+	p.Ext = mcxquery.ExtParse
+	u, err := parse(p)
+	if err = cmp.Or(toks.Close(), err); err != nil {
 		return nil, err
 	}
-	p := pathexpr.NewParser(toks)
-	p.Ext = mcxquery.ExtParse
+	return u, nil
+}
+
+func parse(p *pathexpr.Parser) (*Update, error) {
 	u := &Update{}
 
 	for {

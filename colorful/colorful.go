@@ -149,6 +149,9 @@ func wrap(db *core.Database) *DB {
 
 		bindFallbacks: map[string]struct{}{},
 	}
+	// Update bindings share the query plan cache: one plan per shape, under
+	// the same epoch and capacity.
+	d.ex.Plans = d.planCache
 	d.coreRef.Store(db)
 	d.auto = newSession(d, true)
 	return d

@@ -200,6 +200,7 @@ func (d *DB) degradeLocked(suffix int, cause error) error {
 	d.coreRef.Store(cdb)
 	d.ev = mcxquery.NewEvaluator(cdb)
 	d.ex = update.NewExecutor(cdb)
+	d.ex.Plans = d.planCache
 	d.publish(st, cdb.Generation())
 
 	d.transitionHealth(DegradedReadOnly)

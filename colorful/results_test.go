@@ -381,7 +381,7 @@ func TestHeldAttributesKeepTheirGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := sess.run(context.Background(), held, c, nil)
+	again, err := sess.run(context.Background(), held, plan.Plan{Compiled: c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestHeldSnapshotResolvesDeletedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := db.auto.execCompiled(context.Background(), held, c, nil)
+	ids, err := db.auto.execCompiled(context.Background(), held, plan.Plan{Compiled: c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

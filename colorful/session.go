@@ -24,12 +24,14 @@ import (
 // of durable.go holds while user sessions drain and die with the DB.
 //
 // The compiled route consults the DB's shared plan cache before parsing:
-// a hit skips parse+compile cost entirely (the Table 2 workload — many
-// clients, a small vocabulary of query templates — hits almost always) and
-// is reported as its own query route ("cached") so cache effectiveness is
-// visible in the obs registry. Cached plans are epoch-guarded (see plan.Cache and
-// storage.StatsEpoch) and always executed as clones (engine.Op.Clone), so
-// one plan serves any number of concurrent executions.
+// the cache keys a text by its shape — its tokens with the literals taken
+// out — so a hit costs a scan of the text, skips parse+compile entirely (the
+// Table 2 workload — many clients, a small vocabulary of query templates
+// with new literals — hits almost always) and is reported as its own query
+// route ("cached") so cache effectiveness is visible in the obs registry.
+// Cached plans are epoch-guarded (see plan.Cache and storage.StatsEpoch) and
+// always executed as clones taking the text's literals as arguments
+// (plan.Plan.Instance), so one plan serves any number of concurrent executions.
 
 // ErrSessionClosed is reported when a query or statement executes through a
 // session that has been closed — by Session.Close or by DB.Close draining
@@ -250,8 +252,14 @@ func spanAttr(s *obs.Span, key string, value any) {
 // compiled and cached, so the hit already fixes the route. Any other text is
 // parsed and takes routedParsed.
 func (s *Session) routed(ctx context.Context, src string, root *obs.Span) (Rows, queryRoute, error) {
-	if sp, c := s.cachedPlan(src, root); c != nil {
-		out, err := s.run(ctx, sp, c, root)
+	var sh *plan.Shape
+	shape, ok := plan.QueryShape(src, s.db.planOptions(nil))
+	defer shape.Release()
+	if ok {
+		sh = &shape
+	}
+	if sp, p, ok := s.cachedPlan(sh, root); ok {
+		out, err := s.run(ctx, sp, p, root)
 		if errors.Is(err, storage.ErrMixedContent) {
 			return s.evaluate(ctx, src, err, root)
 		}
@@ -263,36 +271,38 @@ func (s *Session) routed(ctx context.Context, src string, root *obs.Span) (Rows,
 	ps := childSpan(root, "parse")
 	e, perr := mcxquery.ParseQuery(src)
 	endSpan(ps)
-	return s.routedParsed(ctx, src, e, perr, nil, root)
+	return s.routedParsed(ctx, src, sh, e, perr, nil, root)
 }
 
-// cachedPlan returns the plan the shared cache holds for src at the
-// published snapshot's epoch, and that snapshot; nil when there is none or
-// the snapshot is stale. A miss is left for planFor to count, so a text that
-// never reaches the compiler stays invisible to the cache.
-func (s *Session) cachedPlan(src string, root *obs.Span) (*snapshot, *plan.Compiled) {
+// cachedPlan returns the plan the shared cache holds for the shape at the
+// published snapshot's epoch, with the text's arguments, and that snapshot;
+// ok false when there is none or the snapshot is stale. A miss is left for
+// planFor to count, so a text that never reaches the compiler stays
+// invisible to the cache.
+func (s *Session) cachedPlan(sh *plan.Shape, root *obs.Span) (*snapshot, plan.Plan, bool) {
 	sp := s.db.publishedSnapshot()
-	if sp == nil {
-		return nil, nil
+	if sp == nil || sh == nil {
+		return nil, plan.Plan{}, false
 	}
-	c, ok := s.db.planCache.Hit(src, s.db.planOptions(sp.st), sp.st.StatsEpoch())
+	p, ok := s.db.planCache.HitShape(*sh, s.db.planOptions(sp.st), sp.st.StatsEpoch())
 	if !ok {
-		return nil, nil
+		return nil, plan.Plan{}, false
 	}
 	spanAttr(root, "plancache", "hit")
-	return sp, c
+	return sp, p, true
 }
 
 // routedParsed is the single execution path behind every query entry point.
-// st, when non-nil, is the prepared statement issuing the query (its held
-// plan joins the cache lookup).
-func (s *Session) routedParsed(ctx context.Context, src string, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) (Rows, queryRoute, error) {
+// sh is the text's shape (nil: it does not lex). st, when non-nil, is the
+// prepared statement issuing the query (its held plan joins the cache
+// lookup).
+func (s *Session) routedParsed(ctx context.Context, src string, sh *plan.Shape, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) (Rows, queryRoute, error) {
 	d := s.db
 	switch {
 	case perr != nil:
 		return s.evaluate(ctx, src, nil, root)
 	case !plan.HasConstructors(e):
-		out, cached, err := s.compiled(ctx, src, e, st, root)
+		out, cached, err := s.compiled(ctx, sh, e, st, root)
 		switch {
 		case errors.Is(err, plan.ErrUnsupported), errors.Is(err, storage.ErrMixedContent):
 			return s.evaluate(ctx, src, err, root)
@@ -354,18 +364,18 @@ func (s *Session) evaluate(ctx context.Context, src string, why error, root *obs
 // the snapshot, resolve the plan (cache, held statement plan, or fresh
 // compile), run it. The bool result reports whether a cached plan served the
 // query.
-func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st *Stmt, root *obs.Span) (Rows, bool, error) {
+func (s *Session) compiled(ctx context.Context, sh *plan.Shape, e pathexpr.Expr, st *Stmt, root *obs.Span) (Rows, bool, error) {
 	ss := childSpan(root, "snapshot")
 	sp, err := s.db.currentSnapshot()
 	endSpan(ss)
 	if err != nil {
 		return Rows{}, false, err
 	}
-	c, cached, err := s.planFor(src, e, sp, st, root)
+	p, cached, err := s.planFor(sh, e, sp, st, root)
 	if err != nil {
 		return Rows{}, false, err
 	}
-	out, err := s.run(ctx, sp, c, root)
+	out, err := s.run(ctx, sp, p, root)
 	return out, cached, err
 }
 
@@ -373,11 +383,12 @@ func (s *Session) compiled(ctx context.Context, src string, e pathexpr.Expr, st 
 // taking no lock: a leaf output as Rows that read its values when asked, any
 // other output as the items snapshot.items builds. So every answer's nodes
 // and values are of the generation that produced its ids.
-func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) (Rows, error) {
-	ids, err := s.execCompiled(ctx, sp, c, root)
+func (s *Session) run(ctx context.Context, sp *snapshot, p plan.Plan, root *obs.Span) (Rows, error) {
+	ids, err := s.execCompiled(ctx, sp, p, root)
 	if err != nil {
 		return Rows{}, err
 	}
+	c := p.Compiled
 	ms := childSpan(root, "map-results")
 	read := valuesRead(c)
 	spanAttr(ms, "values", read)
@@ -392,43 +403,49 @@ func (s *Session) run(ctx context.Context, sp *snapshot, c *plan.Compiled, root 
 	return out, err
 }
 
-// planFor resolves the physical plan for one execution. Lookup order:
-// shared plan cache (epoch-checked), the issuing statement's held plan
-// (survives cache thrash), fresh compile. Only successful compiles populate
-// the cache — plan.ErrUnsupported sends the query to the evaluator without
-// ever touching cache state, so the fallback route stays invisible to cache
-// statistics and can never pin a failure.
-func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, root *obs.Span) (*plan.Compiled, bool, error) {
+// planFor resolves the physical plan for one execution of a text of shape sh
+// (nil: the text does not lex, and is neither looked up nor cached). Lookup
+// order: the issuing statement's held plan (bound to its literals at this
+// epoch, so it is not checked again, and survives cache thrash), shared plan
+// cache (epoch- and argument-checked), fresh compile. Only successful
+// compiles populate the cache — plan.ErrUnsupported sends the query to the
+// evaluator without ever touching cache state, so the fallback route stays
+// invisible to cache statistics and can never pin a failure.
+func (s *Session) planFor(sh *plan.Shape, e pathexpr.Expr, sp *snapshot, st *Stmt, root *obs.Span) (plan.Plan, bool, error) {
 	d := s.db
 	opt := s.db.planOptions(sp.st)
 	epoch := sp.st.StatsEpoch()
-	if c, ok := d.planCache.Get(src, opt, epoch); ok {
+	if st != nil {
+		if p, ok := st.held(epoch); ok {
+			spanAttr(root, "plancache", "stmt")
+			return p, true, nil
+		}
+	}
+	if sh == nil {
+		cs := childSpan(root, "compile")
+		c, err := plan.Compile(e, opt)
+		endSpan(cs)
+		return plan.Plan{Compiled: c}, false, err
+	}
+	if p, ok := d.planCache.GetShape(*sh, opt, epoch); ok {
 		spanAttr(root, "plancache", "hit")
 		if st != nil {
-			st.hold(c, epoch)
+			st.hold(p, epoch)
 		}
-		return c, true, nil
-	}
-	if st != nil {
-		if c, ok := st.held(epoch); ok {
-			// Evicted from the shared cache but still epoch-valid: the
-			// statement's own copy serves the query and re-seeds the cache.
-			d.planCache.Put(src, opt, epoch, c)
-			spanAttr(root, "plancache", "stmt")
-			return c, true, nil
-		}
+		return p, true, nil
 	}
 	cs := childSpan(root, "compile")
-	c, err := plan.Compile(e, opt)
+	c, err := plan.CompileShape(e, *sh, opt)
 	endSpan(cs)
 	if err != nil {
-		return nil, false, err
+		return plan.Plan{}, false, err
 	}
-	d.planCache.Put(src, opt, epoch, c)
+	d.planCache.PutShape(*sh, epoch, c)
+	p := plan.Plan{Compiled: c}
 	if st != nil {
-		st.hold(c, epoch)
+		st.hold(p, epoch)
 	}
-	return c, false, nil
+	return p, false, nil
 }
 
 // execCompiled executes one compiled plan on a snapshot and returns the
@@ -438,9 +455,13 @@ func (s *Session) planFor(src string, e pathexpr.Expr, sp *snapshot, st *Stmt, r
 // prototype — and draws its scratch from the plan's memory pool: only ids
 // leave the execution. Nothing here takes a DB lock (DESIGN.md §7; the
 // lockorder analyzer holds it to that).
-func (s *Session) execCompiled(ctx context.Context, sp *snapshot, c *plan.Compiled, root *obs.Span) ([]storage.ElemID, error) {
+func (s *Session) execCompiled(ctx context.Context, sp *snapshot, p plan.Plan, root *obs.Span) ([]storage.ElemID, error) {
 	es := childSpan(root, "execute")
-	ids, _, err := engine.ExecColumn(ctx, sp.st, c.Mem, c.Root.Clone(), c.OutCol, c.Rows, es)
+	in := p.Instance()
+	ids, _, err := engine.ExecColumn(ctx, sp.st, p.Mem, in.Root, p.OutCol, p.Rows, es)
+	if err == nil {
+		p.Mem.PutInstance(in)
+	}
 	endSpan(es)
 	return ids, err
 }

@@ -174,10 +174,11 @@ func TestDBCloseDrainsSessions(t *testing.T) {
 
 // TestEpochInvalidationDifferential is the staleness proof, run with the
 // Table 2 differential methodology: execute a query until it is served from
-// the plan cache, mutate the structure (which moves the stats epoch), and
-// check the next execution against the reference evaluator on the live
-// database — a stale cached plan over the old structure would return the
-// old result set. The cache must report the invalidation.
+// the plan cache, mutate the structure, and check the next execution against
+// the reference evaluator on the live database — a stale cached plan over
+// the old structure would return the old result set. An insert that changes
+// no fact an answer rests on keeps the plans; one that gives a leaf tag its
+// first child (name, which the queries read values of) must invalidate them.
 func TestEpochInvalidationDifferential(t *testing.T) {
 	m := fixtures.NewMovieDB()
 	db := wrap(m.DB)
@@ -211,7 +212,6 @@ func TestEpochInvalidationDifferential(t *testing.T) {
 	if _, err := db.AddElementText(mv, "name", "red", "The Gold Rush"); err != nil {
 		t.Fatal(err)
 	}
-	before := db.PlanCacheStats()
 	for _, q := range queries {
 		got := sessionSet(t, s, q)
 		want := evaluatorSet(t, db, q)
@@ -219,9 +219,25 @@ func TestEpochInvalidationDifferential(t *testing.T) {
 			t.Fatalf("after insert, %q: cached path %s, evaluator %s", q, setString(got), setString(want))
 		}
 	}
+	// A name with an element child: no name is a leaf any more.
+	name, err := db.AddElementText(mv, "name", "red", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddElementText(name, "aka", "red", "Gold Rush"); err != nil {
+		t.Fatal(err)
+	}
+	before := db.PlanCacheStats()
+	for _, q := range queries {
+		got := sessionSet(t, s, q)
+		want := evaluatorSet(t, db, q)
+		if setString(got) != setString(want) {
+			t.Fatalf("after a name's first child, %q: cached path %s, evaluator %s", q, setString(got), setString(want))
+		}
+	}
 	after := db.PlanCacheStats()
 	if after.Invalidations == before.Invalidations {
-		t.Fatalf("structural mutation produced no cache invalidation: before %+v after %+v", before, after)
+		t.Fatalf("a leaf tag's first child produced no cache invalidation: before %+v after %+v", before, after)
 	}
 
 	if err := db.DeleteSubtree(mv, "red"); err != nil {
@@ -333,5 +349,52 @@ func TestConcurrentSessionsShareStmt(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestWarmPointQueryAllocations pins what a warm cached point query
+// allocates, on the 1 500-item catalog: the answer and little else. The
+// execution context and its root batch come from the plan's memory pool and
+// the shape scan's buffers from a pool of their own, so a one-shot text the
+// cache holds costs 4 allocations (6 with the exact-text cache and an
+// unpooled context), a text of the same shape with a new literal 6 (a
+// compile each before: 47), and a prepared statement 4 (6).
+func TestWarmPointQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are not counted under the race detector (race_on_test.go)")
+	}
+	db := catalogDB(1500)
+	sess := db.Session()
+	defer sess.Close()
+	texts := make([]string, 64)
+	for i := range texts {
+		texts[i] = catalogPoint(3 * i)
+	}
+	st, err := sess.Prepare(texts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	i := 0
+	for _, tc := range []struct {
+		name  string
+		query func() ([]Item, error)
+		max   float64
+	}{
+		{"one-shot", func() ([]Item, error) { return sess.Query(texts[0]) }, 4},
+		{"new literal", func() ([]Item, error) { i++; return sess.Query(texts[i%len(texts)]) }, 6},
+		{"statement", st.Query, 4},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if out, err := tc.query(); err != nil || len(out) != 1 {
+				t.Fatalf("%s: %d rows, err %v", tc.name, len(out), err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s: %.0f allocations a query, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+	if cs := db.PlanCacheStats(); cs.Size != 1 || cs.Misses != 1 {
+		t.Errorf("plan cache %+v, want the one shape compiled once", cs)
 	}
 }

@@ -17,16 +17,17 @@ import (
 // evicted the entry. A Stmt is safe for concurrent use by any number of
 // goroutines and stays valid until its session (or the DB) closes.
 type Stmt struct {
-	sess *Session
-	src  string
-	expr pathexpr.Expr
+	sess  *Session
+	src   string
+	shape *plan.Shape // nil: the text does not lex
+	expr  pathexpr.Expr
 
-	// mu guards the held plan and the closed flag. The held plan is a
-	// second-chance cache behind the shared one: reused only while the stats
-	// epoch still matches.
+	// mu guards the held plan and the closed flag. The held plan, bound to
+	// the statement's literals, is looked at before the shared cache and
+	// reused while the stats epoch still matches.
 	mu     sync.Mutex
 	closed bool
-	plan   *plan.Compiled
+	plan   plan.Plan
 	epoch  uint64
 }
 
@@ -44,9 +45,12 @@ func (s *Session) Prepare(src string) (*Stmt, error) {
 		return nil, err
 	}
 	st := &Stmt{sess: s, src: src, expr: e}
+	if sh, ok := plan.QueryShape(src, s.db.planOptions(nil)); ok {
+		st.shape = &sh
+	}
 	if !plan.HasConstructors(e) {
 		if sp, err := s.db.currentSnapshot(); err == nil {
-			if _, _, cerr := s.planFor(src, e, sp, st, nil); cerr != nil && !errors.Is(cerr, plan.ErrUnsupported) {
+			if _, _, cerr := s.planFor(st.shape, e, sp, st, nil); cerr != nil && !errors.Is(cerr, plan.ErrUnsupported) {
 				return nil, cerr
 			}
 		}
@@ -107,7 +111,7 @@ func (st *Stmt) query(ctx context.Context) (Rows, error) {
 		return Rows{}, ErrSessionClosed
 	}
 	sw := obs.Start()
-	rows, route, err := s.routedParsed(ctx, st.src, st.expr, nil, st, nil)
+	rows, route, err := s.routedParsed(ctx, st.src, st.shape, st.expr, nil, st, nil)
 	s.db.observeQuery(st.src, sw.ElapsedNanos(), rows.Len(), route, err)
 	s.observe(route, err)
 	return rows, err
@@ -132,16 +136,16 @@ func (st *Stmt) Text() string { return st.src }
 func (st *Stmt) markClosed() {
 	st.mu.Lock()
 	st.closed = true
-	st.plan = nil
+	st.plan = plan.Plan{}
 	st.mu.Unlock()
 }
 
 // hold remembers the plan that served this statement's latest execution, so
 // the statement survives shared-cache eviction without recompiling.
-func (st *Stmt) hold(c *plan.Compiled, epoch uint64) {
+func (st *Stmt) hold(p plan.Plan, epoch uint64) {
 	st.mu.Lock()
 	if !st.closed {
-		st.plan, st.epoch = c, epoch
+		st.plan, st.epoch = p, epoch
 	}
 	st.mu.Unlock()
 }
@@ -149,11 +153,11 @@ func (st *Stmt) hold(c *plan.Compiled, epoch uint64) {
 // held returns the statement's plan if it is still valid at the given epoch.
 // Every DB plan compiles with the same options (DB.planOptions: a catalog
 // only, which the epoch guards), so the epoch is the whole check.
-func (st *Stmt) held(epoch uint64) (*plan.Compiled, bool) {
+func (st *Stmt) held(epoch uint64) (plan.Plan, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed || st.plan == nil || st.epoch != epoch {
-		return nil, false
+	if st.closed || st.plan.Compiled == nil || st.epoch != epoch {
+		return plan.Plan{}, false
 	}
 	return st.plan, true
 }

@@ -238,7 +238,8 @@ func (a *arena) release() {
 	for i := len(a.taken) - 1; i >= 0; i-- {
 		a.pool.put(kindChunk, a.taken[i])
 	}
-	a.taken, a.chunk, a.used = nil, nil, 0
+	clear(a.taken)
+	a.taken, a.chunk, a.used = a.taken[:0], nil, 0
 }
 
 // copyRow copies a transient batch row into the query arena.

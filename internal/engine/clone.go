@@ -20,7 +20,7 @@ func (o *ScanTag) Clone() Op {
 
 // Clone implements Op.
 func (o *EqContent) Clone() Op {
-	return &EqContent{Color: o.Color, Tag: o.Tag, Value: o.Value}
+	return &EqContent{Color: o.Color, Tag: o.Tag, Value: o.Value, Arg: o.Arg}
 }
 
 // Clone implements Op.

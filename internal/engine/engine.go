@@ -93,6 +93,12 @@ type Ctx struct {
 	// so ExplainAnalyze can report the peak footprint.
 	live int
 	peak int
+
+	// root is the batch the streaming executor pulls the plan's root into,
+	// and spare the batches build sides were drained through; they live here
+	// so that a pooled Ctx (MemPool) brings its own.
+	root  Batch
+	spare []*Batch
 }
 
 func (ctx *Ctx) statsFor(o Op) *OpStats {
@@ -178,7 +184,9 @@ func (ctx *Ctx) release(n int) { ctx.live -= n }
 // subtree. Clone returns a fresh, unopened operator tree with identical
 // configuration, zeroed run state and every child cloned — a compiled plan
 // is a prototype, and each execution runs a clone, so one cached plan can
-// serve any number of concurrent executions (see clone.go).
+// serve any number of concurrent executions (see clone.go, and
+// MemPool.Instance, which also sets the values a tree takes from a query's
+// arguments).
 type Op interface {
 	Open(ctx *Ctx) error
 	NextBatch(ctx *Ctx, out *Batch) error
@@ -269,7 +277,7 @@ func panicErr(op Op, r any) error {
 // the operator tree (or in visit) is contained here: the executor runs
 // against an immutable snapshot, so a failed execution cannot have corrupted
 // shared state.
-func runBatches(ctx *Ctx, op Op, visit func(b *Batch) error) (err error) {
+func runBatches(ctx *Ctx, op Op, b *Batch, visit func(b *Batch) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicErr(op, r)
@@ -279,17 +287,16 @@ func runBatches(ctx *Ctx, op Op, visit func(b *Batch) error) (err error) {
 		op.Close(ctx)
 		return err
 	}
-	var b Batch
 	b.pool = ctx.arena.pool
 	for {
-		if err := pullBatch(ctx, op, &b); err != nil {
+		if err := pullBatch(ctx, op, b); err != nil {
 			op.Close(ctx)
 			return err
 		}
 		if b.Len() == 0 {
 			break
 		}
-		if err := visit(&b); err != nil {
+		if err := visit(b); err != nil {
 			op.Close(ctx)
 			return err
 		}
@@ -304,7 +311,17 @@ func runBatches(ctx *Ctx, op Op, visit func(b *Batch) error) (err error) {
 // drain runs an operator to exhaustion and returns its rows, copied into the
 // query arena (batch rows are transient).
 func drain(ctx *Ctx, op Op) (rows []Row, err error) {
-	err = runBatches(ctx, op, func(b *Batch) error {
+	var b *Batch
+	if n := len(ctx.spare); n > 0 {
+		b, ctx.spare = ctx.spare[n-1], ctx.spare[:n-1]
+	} else {
+		b = new(Batch)
+	}
+	defer func() {
+		*b = Batch{}
+		ctx.spare = append(ctx.spare, b)
+	}()
+	err = runBatches(ctx, op, b, func(b *Batch) error {
 		for i := 0; i < b.Len(); i++ {
 			rows = append(rows, ctx.copyRow(b.Row(i)))
 		}
@@ -366,10 +383,14 @@ func ExecBatches(cctx context.Context, s *storage.Store, plan Op, visit func(b *
 // finishes. Because visit's contract already requires copying anything kept
 // out of a batch, and streamed executions hand the caller no arena-backed
 // rows, recycling is invisible to correct callers. A nil pool is ExecBatches
-// exactly. The materializing entry points (Exec, ExplainAnalyze) return rows
-// that live in the arena and must never be pooled.
+// exactly. The execution context itself comes from the pool too, and goes
+// back when the execution is over. The materializing entry points (Exec,
+// ExplainAnalyze) return rows that live in the arena and must never be
+// pooled.
 func ExecBatchesPooled(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, visit func(b *Batch) error) (Metrics, error) {
-	return execStreamed(&Ctx{S: s}, cctx, pool, plan, visit)
+	ctx := pool.takeCtx(s)
+	defer pool.putCtx(ctx)
+	return execStreamed(ctx, cctx, pool, plan, visit)
 }
 
 // execStreamed is the streaming executor behind ExecBatchesPooled and
@@ -381,7 +402,7 @@ func execStreamed(ctx *Ctx, cctx context.Context, pool *MemPool, plan Op, visit 
 	}
 	sw := obs.Start()
 	rows := 0
-	err := runBatches(ctx, plan, func(b *Batch) error {
+	err := runBatches(ctx, plan, &ctx.root, func(b *Batch) error {
 		rows += b.Len()
 		return visit(b)
 	})
@@ -415,7 +436,8 @@ const maxRowsHint = 64 * BatchSize
 // one child span per operator mirroring the plan tree. The untraced path
 // never reads the clock per batch.
 func ExecColumn(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, col, rowsHint int, span *obs.Span) ([]storage.ElemID, Metrics, error) {
-	ctx := &Ctx{S: s}
+	ctx := pool.takeCtx(s)
+	defer pool.putCtx(ctx)
 	if span != nil {
 		ctx.stats, ctx.timed = map[Op]*OpStats{}, true
 	}
@@ -537,6 +559,10 @@ type Pred struct {
 	Value string
 	// Numeric forces numeric comparison for lt/le/gt/ge.
 	Numeric bool
+	// Arg, when positive, is the 1-based ordinal of the query literal Value
+	// came from: an execution with arguments takes Value from them
+	// (MemPool.Instance).
+	Arg int
 }
 
 func (p Pred) String() string { return fmt.Sprintf("%s %q", p.Kind, p.Value) }

@@ -45,6 +45,11 @@ type MemPool struct {
 	free [2][][]storage.SNode
 	// ids is the recycled answer-id buffer, empty, or nil.
 	ids []storage.ElemID
+	// ctxs are execution contexts ExecColumn finished with, each with its
+	// root batch; trees are operator trees of the plan executions finished
+	// with (Instance).
+	ctxs  []*Ctx
+	trees []*Instance
 
 	// reused/recycled count successful gets and puts, for tests and for the
 	// curious: they are not mirrored into obs (the pool is per-plan and the
@@ -67,6 +72,10 @@ const (
 	// memPoolMaxBufs bounds retained batch buffers (at most
 	// BatchSize*row-width nodes each; typically far smaller than a chunk).
 	memPoolMaxBufs = 8
+	// memPoolMaxCtxs bounds retained execution contexts (a few hundred bytes
+	// each) and operator trees: one per execution of the plan that may run
+	// at once.
+	memPoolMaxCtxs = 4
 )
 
 var memPoolMax = [2]int{kindChunk: memPoolMaxChunks, kindBuf: memPoolMaxBufs}
@@ -147,6 +156,126 @@ func (p *MemPool) column(need int) []storage.ElemID {
 		p.mu.Unlock()
 	}
 	return make([]storage.ElemID, 0, need)
+}
+
+// takeCtx returns an execution context over s: a recycled one, reset, or a
+// new one.
+func (p *MemPool) takeCtx(s *storage.Store) *Ctx {
+	var ctx *Ctx
+	if p != nil {
+		p.mu.Lock()
+		if n := len(p.ctxs); n > 0 {
+			ctx = p.ctxs[n-1]
+			p.ctxs[n-1] = nil
+			p.ctxs = p.ctxs[:n-1]
+		}
+		p.mu.Unlock()
+	}
+	if ctx == nil {
+		return &Ctx{S: s}
+	}
+	taken, spare := ctx.arena.taken, ctx.spare
+	*ctx = Ctx{S: s, spare: spare}
+	ctx.arena.taken = taken
+	return ctx
+}
+
+// putCtx takes back a context whose execution is over: its plan closed, its
+// arena released and its root batch freed, so that nothing it refers to is
+// live. The store and attribution go with it.
+func (p *MemPool) putCtx(ctx *Ctx) {
+	if p == nil {
+		return
+	}
+	ctx.S, ctx.Cancel, ctx.stats = nil, nil, nil
+	p.mu.Lock()
+	if len(p.ctxs) < memPoolMaxCtxs {
+		p.ctxs = append(p.ctxs, ctx)
+	}
+	p.mu.Unlock()
+}
+
+// Instance is an operator tree one execution of a plan runs, and where the
+// values it takes from the execution's arguments sit in it.
+type Instance struct {
+	Root  Op
+	slots []argSlot
+}
+
+type argSlot struct {
+	arg   int     // 1-based, as Pred.Arg
+	value *string // the operator's value field
+	proto string  // the plan's own value
+}
+
+// Instance returns an operator tree that runs plan, a prototype whose
+// executions draw on this pool, with args (nil: the plan's own values): a
+// tree an earlier execution handed back by PutInstance, its arguments set
+// anew — operators reopen at every run — or a new clone. So a warm plan's
+// execution allocates no operators.
+func (p *MemPool) Instance(plan Op, args []string) *Instance {
+	var in *Instance
+	if p != nil {
+		p.mu.Lock()
+		if n := len(p.trees); n > 0 {
+			in = p.trees[n-1]
+			p.trees[n-1] = nil
+			p.trees = p.trees[:n-1]
+		}
+		p.mu.Unlock()
+	}
+	if in == nil {
+		in = &Instance{Root: plan.Clone()}
+		collectSlots(plan, in.Root, &in.slots)
+	}
+	for _, sl := range in.slots {
+		*sl.value = sl.proto
+		if len(args) > 0 {
+			*sl.value = args[sl.arg-1]
+		}
+	}
+	return in
+}
+
+// PutInstance hands back a tree Instance returned, once the execution that
+// ran it is over and it closed without error, for the plan's next
+// execution.
+func (p *MemPool) PutInstance(in *Instance) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	if len(p.trees) < memPoolMaxCtxs {
+		p.trees = append(p.trees, in)
+	}
+	p.mu.Unlock()
+}
+
+// collectSlots walks a prototype and its clone side by side and records
+// where the clone holds a value taken from an argument.
+func collectSlots(proto, op Op, slots *[]argSlot) {
+	switch o := op.(type) {
+	case *EqContent:
+		if o.Arg > 0 {
+			*slots = append(*slots, argSlot{o.Arg, &o.Value, proto.(*EqContent).Value})
+		}
+	case *ContainsScan:
+		if o.Pred.Arg > 0 {
+			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*ContainsScan).Pred.Value})
+		}
+	case *Filter:
+		if o.Pred.Arg > 0 {
+			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*Filter).Pred.Value})
+		}
+	case *AttrFilter:
+		if o.Pred.Arg > 0 {
+			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*AttrFilter).Pred.Value})
+		}
+	}
+	pc, oc := proto.Children(), op.Children()
+	for i := range oc {
+		collectSlots(pc[i], oc[i], slots)
+	}
 }
 
 // PutColumn hands an answer ExecColumn returned back to the pool of the plan

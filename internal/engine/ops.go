@@ -65,6 +65,8 @@ type EqContent struct {
 	Color core.Color
 	Tag   string
 	Value string
+	// Arg is Value's literal ordinal, as in Pred.Arg.
+	Arg int
 
 	run storage.Postings
 }

@@ -172,8 +172,13 @@ func (p *PathExpr) String() string {
 	return b.String()
 }
 
-// Literal is a string or numeric constant.
-type Literal struct{ Val any }
+// Literal is a string or numeric constant. Pos is the byte offset of its
+// token in the source text, which is how a compiled plan tells the query's
+// literals apart (the plan cache passes them as arguments).
+type Literal struct {
+	Val any
+	Pos int
+}
 
 func (*Literal) ExprNode() {}
 

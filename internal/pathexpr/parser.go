@@ -248,6 +248,22 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
+// LiteralValue is the constant a string or number token denotes: its text
+// for a string, an int64 for an integral number and a float64 otherwise.
+func LiteralValue(t Token) (any, error) {
+	if t.Kind == TokString {
+		return t.Text, nil
+	}
+	if f, err := strconv.ParseInt(t.Text, 10, 64); err == nil {
+		return f, nil
+	}
+	f, err := strconv.ParseFloat(t.Text, 64)
+	if err != nil {
+		return nil, Errf(t.Pos, "bad number %q", t.Text)
+	}
+	return f, nil
+}
+
 // nodeTypeNames are names that, followed by '(', denote node tests rather
 // than function calls.
 var nodeTypeNames = map[string]bool{
@@ -266,19 +282,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	}
 	t := p.Peek()
 	switch t.Kind {
-	case TokString:
+	case TokString, TokNumber:
 		p.Advance()
-		return &Literal{Val: t.Text}, nil
-	case TokNumber:
-		p.Advance()
-		if f, err := strconv.ParseInt(t.Text, 10, 64); err == nil {
-			return &Literal{Val: f}, nil
-		}
-		f, err := strconv.ParseFloat(t.Text, 64)
+		v, err := LiteralValue(t)
 		if err != nil {
-			return nil, Errf(t.Pos, "bad number %q", t.Text)
+			return nil, err
 		}
-		return &Literal{Val: f}, nil
+		return &Literal{Val: v, Pos: t.Pos}, nil
 	case TokLParen:
 		p.Advance()
 		e, err := p.ParseExpr()

@@ -18,7 +18,13 @@ import (
 // value wrapped in element constructors / createColor (the wrapping is
 // read-only irrelevant to which nodes qualify, so it is stripped).
 func Analyze(e pathexpr.Expr, defaultColor core.Color) (*Logical, error) {
-	a := newAnalyzer(defaultColor)
+	return analyze(e, defaultColor, nil)
+}
+
+// analyze is Analyze for a text whose literal tokens are args (nil: not
+// known): each predicate value taken from one records its ordinal.
+func analyze(e pathexpr.Expr, defaultColor core.Color, args []pathexpr.Token) (*Logical, error) {
+	a := newAnalyzer(defaultColor, args)
 	switch x := e.(type) {
 	case *mcxquery.FLWOR:
 		if err := a.flwor(x); err != nil {
@@ -34,9 +40,10 @@ func Analyze(e pathexpr.Expr, defaultColor core.Color) (*Logical, error) {
 	return a.lg, nil
 }
 
-func newAnalyzer(defaultColor core.Color) *analyzer {
+func newAnalyzer(defaultColor core.Color, args []pathexpr.Token) *analyzer {
 	return &analyzer{
 		def:  defaultColor,
+		args: args,
 		lg:   &Logical{},
 		vars: map[string]*VarPlan{},
 		end:  map[string]core.Color{},
@@ -49,6 +56,25 @@ type analyzer struct {
 	vars map[string]*VarPlan
 	// end tracks each variable's binding color (the color of its last step).
 	end map[string]core.Color
+	// args are the text's literal tokens, in order (see argOf).
+	args []pathexpr.Token
+}
+
+// predOf returns the engine predicate comparing with a literal, recording the
+// literal's ordinal among the text's literals so that a plan cached for the
+// text's shape can take the value of another text's literal there.
+func (a *analyzer) predOf(kind string, l *pathexpr.Literal) engine.Pred {
+	val, numeric := literalValue(l.Val)
+	if kind == "contains" {
+		numeric = false
+	}
+	p := engine.Pred{Kind: kind, Value: val, Numeric: numeric}
+	for i, t := range a.args {
+		if t.Pos == l.Pos {
+			p.Arg = i + 1
+		}
+	}
+	return p
 }
 
 // barePath analyzes a top-level path expression as an anonymous single-
@@ -238,8 +264,7 @@ func (a *analyzer) pred(e pathexpr.Expr, ctx core.Color) ([]LPred, error) {
 		if err != nil {
 			return nil, err
 		}
-		val, numeric := literalValue(lit)
-		return []LPred{{Path: rel, Attr: attr, Pred: engine.Pred{Kind: kind, Value: val, Numeric: numeric}}}, nil
+		return []LPred{{Path: rel, Attr: attr, Pred: a.predOf(kind, lit)}}, nil
 	case *pathexpr.Call:
 		if x.Name == "contains" && len(x.Args) == 2 {
 			lit, ok := x.Args[1].(*pathexpr.Literal)
@@ -250,8 +275,7 @@ func (a *analyzer) pred(e pathexpr.Expr, ctx core.Color) ([]LPred, error) {
 			if err != nil {
 				return nil, err
 			}
-			val, _ := literalValue(lit)
-			return []LPred{{Path: rel, Attr: attr, Pred: engine.Pred{Kind: "contains", Value: val}}}, nil
+			return []LPred{{Path: rel, Attr: attr, Pred: a.predOf("contains", lit)}}, nil
 		}
 		return nil, unsupportedf("function %s() in predicate", x.Name)
 	default:
@@ -329,8 +353,7 @@ func (a *analyzer) where(e pathexpr.Expr) error {
 		if err != nil {
 			return err
 		}
-		val, _ := literalValue(lit)
-		return a.pushPred(p.Var, LPred{Path: rel, Attr: attr, Pred: engine.Pred{Kind: "contains", Value: val}})
+		return a.pushPred(p.Var, LPred{Path: rel, Attr: attr, Pred: a.predOf("contains", lit)})
 	}
 	b, ok := e.(*pathexpr.Binary)
 	if !ok {
@@ -372,8 +395,7 @@ func (a *analyzer) where(e pathexpr.Expr) error {
 		if err != nil {
 			return err
 		}
-		val, numeric := literalValue(lit)
-		return a.pushPred(p.Var, LPred{Path: rel, Attr: attr, Pred: engine.Pred{Kind: kind, Value: val, Numeric: numeric}})
+		return a.pushPred(p.Var, LPred{Path: rel, Attr: attr, Pred: a.predOf(kind, lit)})
 	default:
 		return unsupportedf("where conjunct %s", b)
 	}
@@ -559,17 +581,13 @@ func flipCmp(kind string) string {
 	}
 }
 
-// literalValue renders a literal as the string the engine compares against
-// and reports whether it atomizes to a number (selecting numeric comparison,
-// matching the evaluator's atomization semantics).
-func literalValue(l *pathexpr.Literal) (string, bool) {
-	switch v := l.Val.(type) {
+// literalValue renders a literal's value as the string the engine compares
+// against and reports whether it atomizes to a number (selecting numeric
+// comparison, matching the evaluator's atomization semantics).
+func literalValue(val any) (string, bool) {
+	switch v := val.(type) {
 	case string:
-		switch core.Atomize(v).(type) {
-		case int64, float64:
-			return v, true
-		}
-		return v, false
+		return stringValue(v)
 	case int:
 		return strconv.Itoa(v), true
 	case int64:
@@ -579,4 +597,25 @@ func literalValue(l *pathexpr.Literal) (string, bool) {
 	default:
 		return fmt.Sprint(v), false
 	}
+}
+
+// stringValue is literalValue for a string literal.
+func stringValue(v string) (string, bool) {
+	switch core.Atomize(v).(type) {
+	case int64, float64:
+		return v, true
+	}
+	return v, false
+}
+
+// argValue is literalValue for a literal token.
+func argValue(t pathexpr.Token) (string, bool) {
+	if t.Kind == pathexpr.TokString {
+		return stringValue(t.Text)
+	}
+	v, err := pathexpr.LiteralValue(t)
+	if err != nil {
+		return t.Text, false
+	}
+	return literalValue(v)
 }

@@ -4,24 +4,32 @@ import (
 	"container/list"
 	"sync"
 
-	"colorfulxml/internal/core"
 	"colorfulxml/internal/engine"
 )
 
-// Cache is a shared LRU of compiled plans, keyed by query text plus the
-// plan-relevant compilation options, and guarded by the storage stats/schema
-// epoch: every entry remembers the epoch of the store image it was compiled
-// against, and a probe whose serving snapshot has moved to a different epoch
-// treats the entry as invalid (the cost choices — join order,
-// summary-vs-join lowering — were made from statistics that no longer
-// describe the data). Content-only updates preserve the epoch, so the
-// cache stays hot across the common point-update workload.
+// Cache is a shared LRU of compiled plans, one per text shape (Shape: the
+// text's tokens with its literals taken out, plus the default colour), and
+// guarded by the storage stats/schema epoch: every entry remembers the epoch
+// of the store image it was compiled against, and a probe whose serving
+// snapshot has moved to a different epoch treats the entry as invalid. The
+// epoch moves only when a fact some compiled answer rests on may have
+// stopped holding, or when a tag's count crossed a power of two
+// (storage.StatsEpoch): no plan survives a change to a fact its answer
+// depends on, and a cost that drifted less than 2× keeps it.
+//
+// A text of a cached shape is served by the shape's plan with its own
+// literals as arguments when the plan fits them (Compiled.bind): its fixed
+// literals and its literals' classes are the plan's, and each content count
+// a cost choice read for a literal is in the same power of two for the new
+// one. Otherwise the text misses, and the plan compiled for it replaces the
+// entry: one entry per shape. A plan compiled without its text's literals
+// (Compile) serves only texts without literals.
 //
 // The Catalog is deliberately NOT part of the key: it is a per-snapshot
 // handle, while a cached plan is reused across snapshots of the same epoch.
 // That is sound because compiled operators read everything from the
 // execution's Ctx.S at Open — the catalog only steers cost choices, which
-// the epoch protects.
+// the epoch and the literal checks protect.
 //
 // Only successful compilations enter the cache. ErrUnsupported (and any
 // other compile failure) must bypass it entirely: the evaluator-fallback
@@ -29,32 +37,22 @@ import (
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[cacheKey]*list.Element
+	entries map[string]*list.Element
 	lru     *list.List // front = most recent; values are *cacheEntry
 
 	// Per-cache counters (under mu), mirrored into the process-wide obs
 	// instruments so obs snapshots and /debug/metrics see them too.
-	hits          uint64
-	misses        uint64
-	evictions     uint64
-	invalidations uint64
-}
-
-// cacheKey identifies a compilation: the query text and the option fields
-// that change the emitted plan.
-type cacheKey struct {
-	query        string
-	defaultColor core.Color
+	hits              uint64
+	misses            uint64
+	evictions         uint64
+	invalidations     uint64
+	literalRecompiles uint64
 }
 
 type cacheEntry struct {
-	key      cacheKey
+	key      string
 	epoch    uint64
 	compiled *Compiled
-}
-
-func keyFor(query string, opt Options) cacheKey {
-	return cacheKey{query: query, defaultColor: opt.DefaultColor}
 }
 
 // DefaultCacheSize bounds a cache built with NewCache(0): generous next to
@@ -70,16 +68,23 @@ func NewCache(capacity int) *Cache {
 	}
 	return &Cache{
 		cap:     capacity,
-		entries: make(map[cacheKey]*list.Element),
+		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}
 }
 
-// Get returns the cached plan for the query under the given options, if one
-// exists and was compiled at the given epoch. An entry at a different epoch
-// is removed (an invalidation) and reported as a miss.
-func (c *Cache) Get(query string, opt Options, epoch uint64) (*Compiled, bool) {
-	return c.get(query, opt, epoch, true)
+// Get returns the plan the cache holds for the query's shape under the given
+// options with the query's literals as arguments, if one exists, was
+// compiled at the given epoch and fits them. An entry at a different epoch
+// is removed (an invalidation); anything else is reported as a miss.
+func (c *Cache) Get(query string, opt Options, epoch uint64) (Plan, bool) {
+	sh, ok := QueryShape(query, opt)
+	defer sh.Release()
+	if !ok {
+		c.countMiss()
+		return Plan{}, false
+	}
+	return c.GetShape(sh, opt, epoch)
 }
 
 // Hit is Get for a caller that does not yet know whether the query can be
@@ -87,46 +92,81 @@ func (c *Cache) Get(query string, opt Options, epoch uint64) (*Compiled, bool) {
 // anything else changes nothing — no miss is counted and a stale entry is
 // left for Get to invalidate — so that a query that never reaches the
 // compiler stays invisible to the cache.
-func (c *Cache) Hit(query string, opt Options, epoch uint64) (*Compiled, bool) {
-	return c.get(query, opt, epoch, false)
+func (c *Cache) Hit(query string, opt Options, epoch uint64) (Plan, bool) {
+	sh, ok := QueryShape(query, opt)
+	defer sh.Release()
+	if !ok {
+		return Plan{}, false
+	}
+	return c.HitShape(sh, opt, epoch)
 }
 
-func (c *Cache) get(query string, opt Options, epoch uint64, miss bool) (*Compiled, bool) {
-	k := keyFor(query, opt)
+// GetShape is Get for a text already scanned.
+func (c *Cache) GetShape(sh Shape, opt Options, epoch uint64) (Plan, bool) {
+	return c.lookup(sh, opt, epoch, true)
+}
+
+// HitShape is Hit for a text already scanned.
+func (c *Cache) HitShape(sh Shape, opt Options, epoch uint64) (Plan, bool) {
+	return c.lookup(sh, opt, epoch, false)
+}
+
+func (c *Cache) lookup(sh Shape, opt Options, epoch uint64, miss bool) (Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k]
+	el, ok := c.entries[string(sh.key)]
 	if ok && el.Value.(*cacheEntry).epoch == epoch {
-		c.lru.MoveToFront(el)
-		c.hits++
-		obsPlanCacheHits.Inc()
-		return el.Value.(*cacheEntry).compiled, true
-	}
-	if !miss {
-		return nil, false
-	}
-	if ok {
+		e := el.Value.(*cacheEntry)
+		vals, fits, drift := e.compiled.bind(sh.args, opt.Catalog)
+		if fits {
+			c.lru.MoveToFront(el)
+			c.hits++
+			obsPlanCacheHits.Inc()
+			return Plan{Compiled: e.compiled, Args: vals}, true
+		}
+		if drift && miss {
+			c.literalRecompiles++
+			obsPlanCacheLiteralRecompiles.Inc()
+		}
+	} else if ok && miss {
 		c.removeLocked(el)
 		c.invalidations++
 		obsPlanCacheInvalidations.Inc()
 	}
-	c.misses++
-	obsPlanCacheMisses.Inc()
-	return nil, false
+	if miss {
+		c.misses++
+		obsPlanCacheMisses.Inc()
+	}
+	return Plan{}, false
 }
 
-// Put stores a successfully compiled plan under the query/options key at the
-// given epoch, evicting the least-recently-used entry if the cache is full.
-// An existing entry for the key is replaced (a racing compile of the same
-// query — both results are equally valid; last writer wins).
+func (c *Cache) countMiss() {
+	c.mu.Lock()
+	c.misses++
+	c.mu.Unlock()
+	obsPlanCacheMisses.Inc()
+}
+
+// Put stores a successfully compiled plan for the query's shape under the
+// options at the given epoch, evicting the least-recently-used entry if the
+// cache is full. An existing entry for the shape is replaced (a racing
+// compile, or a plan compiled for literals the old one did not fit; last
+// writer wins). A text that does not lex is not stored.
 func (c *Cache) Put(query string, opt Options, epoch uint64, compiled *Compiled) {
-	k := keyFor(query, opt)
+	sh, ok := QueryShape(query, opt)
+	if ok {
+		c.PutShape(sh, epoch, compiled)
+	}
+	sh.Release()
+}
+
+// PutShape is Put for a text already scanned.
+func (c *Cache) PutShape(sh Shape, epoch uint64, compiled *Compiled) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
+	if el, ok := c.entries[string(sh.key)]; ok {
 		e := el.Value.(*cacheEntry)
-		e.epoch = epoch
-		e.compiled = compiled
+		e.epoch, e.compiled = epoch, compiled
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -135,6 +175,7 @@ func (c *Cache) Put(query string, opt Options, epoch uint64, compiled *Compiled)
 		c.evictions++
 		obsPlanCacheEvictions.Inc()
 	}
+	k := string(sh.key)
 	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, epoch: epoch, compiled: compiled})
 }
 
@@ -159,6 +200,10 @@ type CacheStats struct {
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
 	Invalidations uint64 `json:"invalidations"`
+	// LiteralRecompiles counts the texts a cached plan of their shape did
+	// not serve because a content count it was costed with moved to another
+	// power of two for their literals (Compiled.bind).
+	LiteralRecompiles uint64 `json:"literal_recompiles"`
 	// ScratchBytes is the execution scratch the cached plans' memory pools
 	// hold (engine.MemPoolStats.Bytes, summed).
 	ScratchBytes int64 `json:"scratch_bytes"`
@@ -174,6 +219,8 @@ func (c *Cache) Stats() CacheStats {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
+
+		LiteralRecompiles: c.literalRecompiles,
 	}
 	pools := make([]*engine.MemPool, 0, st.Size)
 	for el := c.lru.Front(); el != nil; el = el.Next() {

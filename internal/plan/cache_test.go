@@ -29,7 +29,7 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 	c.Put("q1", opt, 1, p1)
 
 	got, ok := c.Get("q1", opt, 1)
-	if !ok || got != p1 {
+	if !ok || got.Compiled != p1 {
 		t.Fatalf("Get = %v, %v; want cached plan", got, ok)
 	}
 
@@ -55,7 +55,7 @@ func TestCacheHitCountsOnlyHits(t *testing.T) {
 	opt := cacheOpts()
 	p1 := mustCompiled(t)
 	c.Put("q1", opt, 1, p1)
-	if got, ok := c.Hit("q1", opt, 1); !ok || got != p1 {
+	if got, ok := c.Hit("q1", opt, 1); !ok || got.Compiled != p1 {
 		t.Fatalf("Hit = %v, %v; want cached plan", got, ok)
 	}
 	if _, ok := c.Hit("q2", opt, 1); ok {

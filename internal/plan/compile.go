@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,22 +14,41 @@ import (
 	"colorfulxml/internal/storage"
 )
 
-// Compile analyzes and lowers a parsed query into a physical plan.
+// Compile analyzes and lowers a parsed query into a physical plan. The plan
+// does not know the text's literals: a cache serves it for the very text it
+// is put under (CompileShape makes one it serves for the text's shape).
 func Compile(e pathexpr.Expr, opt Options) (*Compiled, error) {
-	lg, err := Analyze(e, opt.DefaultColor)
+	return compile(e, nil, opt)
+}
+
+// CompileShape compiles a parsed query whose text has shape sh: the plan
+// reads each literal it compares with from the arguments of the execution,
+// and a plan cache serves it for every text of the shape whose literals it
+// fits (Compiled.bind).
+func CompileShape(e pathexpr.Expr, sh Shape, opt Options) (*Compiled, error) {
+	return compile(e, sh.args, opt)
+}
+
+func compile(e pathexpr.Expr, args []pathexpr.Token, opt Options) (*Compiled, error) {
+	lg, err := analyze(e, opt.DefaultColor, args)
 	if err != nil {
 		return nil, err
 	}
-	return Lower(lg, opt)
+	c, err := Lower(lg, opt)
+	if err == nil && args != nil {
+		c.recordLits(args)
+	}
+	return c, err
 }
 
-// CompileQuery parses query text and compiles it.
+// CompileQuery parses query text and compiles it for its shape.
 func CompileQuery(src string, opt Options) (*Compiled, error) {
 	e, err := mcxquery.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(e, opt)
+	sh, _ := QueryShape(src, opt)
+	return CompileShape(e, sh, opt)
 }
 
 // chain is one connected component of the plan under construction: an
@@ -71,6 +91,8 @@ type lowerer struct {
 	cat    Catalog
 	chains []*chain
 	of     map[string]*chain
+	// checks are the content counts read for literals (eqSel).
+	checks []cardCheck
 }
 
 // Lower emits the physical plan for an analyzed query.
@@ -150,6 +172,7 @@ func Lower(lg *Logical, opt Options) (*Compiled, error) {
 		Folded:       folded,
 		Rows:         int(math.Ceil(ch.card)),
 		Mem:          &engine.MemPool{},
+		checks:       lw.checks,
 	}, nil
 }
 
@@ -220,7 +243,13 @@ func pathText(steps []LStep) string {
 // document order, then the second's, and so on). OutCol is -1: nothing is
 // returned, nothing is collapsed onto one column.
 func CompileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, opt Options) (*Compiled, error) {
-	a := newAnalyzer(opt.DefaultColor)
+	return compileBindings(clauses, where, nil, opt)
+}
+
+// compileBindings is CompileBindings for a binding text whose literal
+// tokens are args (nil: not known), as compile is for a query.
+func compileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, args []pathexpr.Token, opt Options) (*Compiled, error) {
+	a := newAnalyzer(opt.DefaultColor, args)
 	if err := a.bindings(clauses, where); err != nil {
 		return nil, err
 	}
@@ -245,13 +274,18 @@ func CompileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, opt Options
 	// the repeats.
 	root := engine.Op(&engine.TupleOrder{Input: &engine.Project{Input: ch.op, Cols: keep}})
 	obsNavLowerings.Add(uint64(countNavJoins(root)))
-	return &Compiled{
+	c := &Compiled{
 		Root:    root,
 		Cols:    cols,
 		VarCols: varCols,
 		OutCol:  -1,
 		Mem:     &engine.MemPool{},
-	}, nil
+		checks:  lw.checks,
+	}
+	if args != nil {
+		c.recordLits(args)
+	}
+	return c, nil
 }
 
 // lowerBindings lowers the variables and joins of an analyzed query into one
@@ -373,7 +407,10 @@ func (lw *lowerer) tagCard(c core.Color, tag string) float64 {
 	return v
 }
 
-func (lw *lowerer) eqSel(c core.Color, tag, value string) float64 {
+// eqSel estimates the share of a tag's nodes whose content equals p's
+// value, and records the count it read for a value that came from a literal
+// (cardCheck).
+func (lw *lowerer) eqSel(c core.Color, tag string, p engine.Pred) float64 {
 	if lw.cat == nil {
 		return 0.1
 	}
@@ -381,7 +418,14 @@ func (lw *lowerer) eqSel(c core.Color, tag, value string) float64 {
 	if tc < 1 {
 		return 1
 	}
-	return clamp01(lw.cat.EqCard(c, tag, value) / tc)
+	n := lw.cat.EqCard(c, tag, p.Value)
+	if p.Arg > 0 {
+		chk := cardCheck{arg: p.Arg, color: c, tag: tag, bucket: bucket(n)}
+		if !slices.Contains(lw.checks, chk) {
+			lw.checks = append(lw.checks, chk)
+		}
+	}
+	return clamp01(n / tc)
 }
 
 // predSel estimates the selectivity of one pushed-down predicate on a step.
@@ -398,7 +442,7 @@ func (lw *lowerer) predSel(st LStep, p LPred) float64 {
 		return 1.0 / 3
 	}
 	if p.Pred.Kind == "eq" {
-		return lw.eqSel(c, tag, p.Pred.Value)
+		return lw.eqSel(c, tag, p.Pred)
 	}
 	return 1.0 / 3
 }
@@ -458,9 +502,9 @@ func (lw *lowerer) stepAccess(st LStep, frac float64) (access, error) {
 		scan.rest = append(append([]LPred{}, st.Preds[:i]...), st.Preds[i+1:]...)
 		scan.foldRow = costFilterRow
 		if p.Pred.Kind == "eq" {
-			scan.card = tc * lw.eqSel(st.Color, st.Tag, p.Pred.Value)
+			scan.card = tc * lw.eqSel(st.Color, st.Tag, p.Pred)
 			scan.cost = scan.card * costScanRow
-			scan.op = &engine.EqContent{Color: st.Color, Tag: st.Tag, Value: p.Pred.Value}
+			scan.op = &engine.EqContent{Color: st.Color, Tag: st.Tag, Value: p.Pred.Value, Arg: p.Pred.Arg}
 			break
 		}
 		scan.op = &engine.ContainsScan{Color: st.Color, Tag: st.Tag, Pred: p.Pred}

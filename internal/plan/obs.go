@@ -10,6 +10,9 @@ var (
 	obsPlanCacheMisses        = obs.NewCounter("plan_cache_misses_total")
 	obsPlanCacheEvictions     = obs.NewCounter("plan_cache_evictions_total")
 	obsPlanCacheInvalidations = obs.NewCounter("plan_cache_invalidations_total")
+	// Texts a cached plan of their shape did not serve because a count its
+	// cost choices read moved to another power of two for their literals.
+	obsPlanCacheLiteralRecompiles = obs.NewCounter("plan_cache_literal_recompiles_total")
 	// Navigational joins in compiled plans: how often the cost model picked
 	// navigation over scan+merge (engine_nav_probes_total is what they did).
 	obsNavLowerings = obs.NewCounter("plan_nav_lowerings_total")

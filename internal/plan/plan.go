@@ -210,7 +210,8 @@ type Compiled struct {
 	// OutLeaf: the catalog's DataGuide shows no path continuing below the
 	// output column's tag in its color, so each result's string value is its
 	// own content record and can be read from the store that produced it.
-	// Stays true for as long as the plan's stats epoch does.
+	// Stays true for as long as the plan's stats epoch does: the epoch moves
+	// when a tag gains its first element child (storage.StatsEpoch).
 	OutLeaf bool
 	// BindingOrder: the answer is in a FLWOR's binding order — by binding
 	// tuple, then each tuple's nodes in start order — which need not be
@@ -218,7 +219,8 @@ type Compiled struct {
 	BindingOrder bool
 	// Folded names the path a one-variable FLWOR was compiled as, because
 	// its bindings cannot nest (Lower); empty otherwise. Like OutLeaf, it
-	// holds for as long as the plan's stats epoch does.
+	// holds for as long as the plan's stats epoch does, which moves when an
+	// insert nests a tag.
 	Folded string
 	// Rows is the estimated number of result rows: exact for scans and for
 	// the joins that keep a scanned side whole, a capacity hint otherwise.
@@ -230,4 +232,11 @@ type Compiled struct {
 	// to engine.ExecColumn or ExecBatchesPooled; it is safe for any number
 	// of concurrent executions.
 	Mem *engine.MemPool
+
+	// lits are the literals of the text the plan was compiled from (nil for
+	// a plan compiled without its text), and checks the content counts its
+	// cost choices read for them: what Compiled.bind holds another text of
+	// the same shape to.
+	lits   []lit
+	checks []cardCheck
 }

@@ -169,6 +169,7 @@ func ReadCheckpoint(r io.Reader) (*Store, error) {
 	if err := s.rebuildDirectories(); err != nil {
 		return nil, err
 	}
+	s.bumpStatsEpoch(epochRebuild)
 	return s, nil
 }
 

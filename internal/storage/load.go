@@ -57,6 +57,7 @@ func Load(db *core.Database, _ int) (*Store, error) {
 			}
 		}
 	}
+	s.bumpStatsEpoch(epochRebuild)
 	return s, nil
 }
 

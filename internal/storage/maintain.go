@@ -84,7 +84,10 @@ func (s *Store) ApplyChanges(changes []core.Change) error {
 func (s *Store) applyChange(ch core.Change) error {
 	switch ch.Kind {
 	case core.ChangeAddDatabaseColor:
-		s.addColor(ch.Color)
+		if s.tree(ch.Color) == nil {
+			s.addColor(ch.Color)
+			s.bumpStatsEpoch(epochRebuild)
+		}
 		return nil
 
 	case core.ChangeContent:

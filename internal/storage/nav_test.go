@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -261,7 +262,25 @@ func TestNavigationUnderUpdates(t *testing.T) {
 				leaf = sn
 			}
 		}
+		// They move the stats epoch exactly when one of its rules holds: the
+		// leaf's tag gains its first child, the note count crosses a power of
+		// two, or a note lands below a note.
 		before, orig := s.StatsEpoch(), leaf
+		e, err := s.Elem(leaf.Elem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		notes := s.CountTag("red", "note")
+		want := s.LeafTag("red", e.Tag) || bits.Len(uint(notes)) != bits.Len(uint(notes+12))
+		for p, ok := leaf, true; ok && !want; p, ok, err = s.ParentOf(p) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err = s.TagIs(p.Elem, "note")
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := 0; i < 12; i++ {
 			if leaf, _, err = s.CrossTree(leaf.Elem, "red"); err != nil {
 				t.Fatal(err)
@@ -273,8 +292,8 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		if leaf.End-leaf.Start <= orig.End-orig.Start {
 			t.Fatalf("seed %d: 12 inserts under %v did not extend it (%v)", seed, orig, leaf)
 		}
-		if s.StatsEpoch() == before {
-			t.Fatal("the inserts left the stats epoch unchanged")
+		if moved := s.StatsEpoch() != before; moved != want {
+			t.Fatalf("seed %d: the inserts under a %s moved the stats epoch: %v, want %v", seed, e.Tag, moved, want)
 		}
 		checkNavigation(t, s)
 		for _, f := range frozen {

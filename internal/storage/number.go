@@ -268,21 +268,28 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 	for len(open) > 0 {
 		closeTop()
 	}
+	// The moved nodes' tags and contents key their postings; nothing else of
+	// their element records is read.
+	ids := make([]ElemID, len(nodes))
+	for i, old := range nodes {
+		ids[i] = old.Elem
+	}
+	keys := make([][2]string, len(nodes))
+	if err := s.viewElems(ids, func(i int, rec []byte) {
+		keys[i] = [2]string{string(elemTag(rec)), string(elemContent(rec))}
+	}); err != nil {
+		return n, err
+	}
 	// Old keys go before new ones come: the two sets overlap.
 	t := s.tree(c)
-	elems := make([]ElemInfo, len(nodes))
 	for i, old := range nodes {
-		var err error
-		if elems[i], err = s.Elem(old.Elem); err != nil {
-			return n, err
-		}
-		t.index(elems[i].Tag, elems[i].Content, old.Start, 0, false)
+		t.index(keys[i][0], keys[i][1], old.Start, 0, false)
 	}
 	for i, sn := range out {
 		if err := s.pages.OverwriteRecord(unpackRID(refs[i]), encodeStruct(sn)); err != nil {
 			return n, err
 		}
-		t.index(elems[i].Tag, elems[i].Content, sn.Start, refs[i], true)
+		t.index(keys[i][0], keys[i][1], sn.Start, refs[i], true)
 		if sn.Elem == n.Elem {
 			n = sn
 		}

@@ -20,6 +20,15 @@ var (
 	obsRelabels      = obs.NewCounter("storage_relabels_total")
 	obsRelabelNodes  = obs.NewHistogram("storage_relabel_nodes")
 
+	// Why the stats epoch moved, and so why cached plans were compiled again
+	// (indexed by epochMove).
+	obsEpochMoves = [...]*obs.Counter{
+		epochFirstChild:  obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "first_child"),
+		epochNests:       obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "nests"),
+		epochCardDoubled: obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "card_doubled"),
+		epochRebuild:     obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "rebuild"),
+	}
+
 	obsSnapshotClones  = obs.NewCounter("storage_snapshot_clones_total")
 	obsChangesApplied  = obs.NewCounter("storage_changes_applied_total")
 	obsCheckpointSaves = obs.NewCounter("storage_checkpoint_writes_total")

@@ -133,15 +133,13 @@ func (s *Store) PathSummary(c core.Color) (*PathSummary, error) {
 
 // invalidatePathSummaries drops every color's summary; called by every
 // structural mutation (content/attribute updates preserve label paths and
-// do not). The same call sites define the stats/schema epoch: whatever
-// invalidates the path summary also invalidates cached compiled plans, so
-// the epoch bump rides along here rather than being scattered over the
-// mutators.
+// do not). It does not move the stats epoch: the summary's paths and counts
+// only price plans, and the facts it holds that decide answers have epoch
+// rules of their own (StatsEpoch).
 func (s *Store) invalidatePathSummaries() {
 	for i := range s.trees {
 		s.trees[i].summary.Store(nil)
 	}
-	s.bumpStatsEpoch()
 }
 
 // matchSteps reports whether a label path (split on pathSep) satisfies a

@@ -101,11 +101,11 @@ type Store struct {
 	counts SizeCounts
 
 	// statsEpoch is the stats/schema epoch of this store image: a
-	// process-unique token that changes whenever the structure (and hence the
-	// catalog statistics a compiled plan's cost choices were made from) may
-	// have changed. Content-only updates preserve it, so a plan cache keyed
-	// on the epoch stays hot across the common point-update workload, while
-	// structural mutations and full rebuilds move it.
+	// process-unique token that changes whenever a fact a compiled plan's
+	// answer rests on may have stopped holding, or a count its cost choices
+	// read crossed a power of two (see StatsEpoch). Content-only updates and
+	// most structural ones preserve it, so a plan cache keyed on the epoch
+	// stays hot across the common update workloads.
 	// Atomic because readers (the plan cache) probe published snapshots
 	// concurrently with a clone being mutated before publication.
 	statsEpoch atomic.Uint64
@@ -201,22 +201,74 @@ func NewStore(colors ...core.Color) *Store {
 }
 
 // statsEpochCounter allocates process-unique stats epochs: every fresh store
-// image and every structural mutation draws a new value, so two store states
-// with different structure can never share an epoch — the property the
-// compiled-plan cache's invalidation relies on.
+// image and every move draws a new value, so two store images can share an
+// epoch only when one descends from the other through changes that kept it.
 var statsEpochCounter atomic.Uint64
 
 func nextStatsEpoch() uint64 { return statsEpochCounter.Add(1) }
 
 // StatsEpoch returns the store's current stats/schema epoch. A compiled plan
-// whose recorded epoch differs from the serving snapshot's may have been
-// cost-chosen against different structure and must be recompiled.
+// whose recorded epoch differs from the serving snapshot's must be
+// recompiled. Of what a plan derives from the catalog, two facts decide its
+// answer — that a tag is a leaf (LeafTag: the plan reads its values from
+// the content record) and that a tag never nests (a FLWOR over it is folded
+// into a path) — and the rest only prices it. So the epoch moves when an
+// insert may falsify one of the two facts, or when a (colour, tag) count
+// crosses a power of two, and on every rebuild (epochRules). A delete only
+// makes the two facts truer, so it moves the epoch only for a count.
 func (s *Store) StatsEpoch() uint64 { return s.statsEpoch.Load() }
 
-// bumpStatsEpoch moves the store to a fresh epoch; called by every
-// structural mutation (alongside the path-summary invalidation, which guards
-// the same class of change).
-func (s *Store) bumpStatsEpoch() { s.statsEpoch.Store(nextStatsEpoch()) }
+// bumpStatsEpoch moves the store to a fresh epoch, counting why.
+func (s *Store) bumpStatsEpoch(why epochMove) {
+	s.statsEpoch.Store(nextStatsEpoch())
+	obsEpochMoves[why].Inc()
+}
+
+// epochMove is why the stats epoch moved.
+type epochMove uint8
+
+// The reasons the stats epoch moves (see StatsEpoch).
+const (
+	// A (colour, tag) gained its first element child: LeafTag turned false.
+	epochFirstChild epochMove = iota
+	// An insert of a tag landed below the same tag: it nests now.
+	epochNests
+	// A (colour, tag) count crossed a power of two.
+	epochCardDoubled
+	// A full load, a checkpoint reload or a new colour.
+	epochRebuild
+)
+
+// noteInsert moves the epoch for the structural node sn just inserted with
+// its tag under a parent tagged parentTag ("" for the document), when the
+// insert may have falsified a fact a plan's answer rests on or moved a count
+// to another power of two. The ancestors are read only when the tag already
+// has element children in the colour: otherwise none of its nodes is an
+// ancestor of anything.
+func (s *Store) noteInsert(tag, parentTag string, sn SNode) error {
+	t := s.tree(sn.Color)
+	switch {
+	case parentTag != "" && t.tags.maps[parentTag].children == 1:
+		s.bumpStatsEpoch(epochFirstChild)
+	case isPow2(t.tags.get(tag).Len()):
+		s.bumpStatsEpoch(epochCardDoubled)
+	case t.tags.maps[tag].children > 0:
+		for p, ok, err := s.ParentOf(sn); ok || err != nil; p, ok, err = s.ParentOf(p) {
+			if err != nil {
+				return err
+			}
+			if is, err := s.TagIs(p.Elem, tag); err != nil || is {
+				if is {
+					s.bumpStatsEpoch(epochNests)
+				}
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 func (s *Store) addColor(c core.Color) {
 	if s.tree(c) == nil {

@@ -68,7 +68,10 @@ func (s *Store) InsertLeafChildID(id ElemID, parent SNode, tag, content string, 
 	if err := s.putElem(id, tag, content, attrs); err != nil {
 		return SNode{}, err
 	}
-	return sn, s.insertStruct(tag, content, parentTag, sn)
+	if err := s.insertStruct(tag, content, parentTag, sn); err != nil {
+		return SNode{}, err
+	}
+	return sn, s.noteInsert(tag, parentTag, sn)
 }
 
 // AddColorTo attaches an existing element into another colored tree as the
@@ -86,7 +89,10 @@ func (s *Store) AddColorTo(id ElemID, parent SNode) (SNode, error) {
 	if err != nil {
 		return SNode{}, err
 	}
-	return sn, s.insertStruct(e.Tag, e.Content, parentTag, sn)
+	if err := s.insertStruct(e.Tag, e.Content, parentTag, sn); err != nil {
+		return SNode{}, err
+	}
+	return sn, s.noteInsert(e.Tag, parentTag, sn)
 }
 
 // rewriteElem writes element id's record anew as set edits it, over the old
@@ -136,7 +142,8 @@ func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
 }
 
 // DeleteSubtree removes sn and its descendants from sn's colored tree.
-// Elements left with no structural node are removed entirely.
+// Elements left with no structural node are removed entirely. The stats
+// epoch moves when a tag's count falls below a power of two.
 func (s *Store) DeleteSubtree(sn SNode) error {
 	s.invalidatePathSummaries()
 	desc, err := s.Subtree(sn)
@@ -158,6 +165,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		}
 		open.enter(SNode{End: math.MaxInt64}, tag)
 	}
+	crossed := false
 	for _, d := range nodes {
 		e, err := s.Elem(d.Elem)
 		if err != nil {
@@ -169,6 +177,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 			return err
 		}
 		t.index(e.Tag, e.Content, d.Start, ref, false)
+		crossed = crossed || isPow2(t.tags.get(e.Tag).Len()+1)
 		t.loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--
 		if len(s.ColorsOf(d.Elem)) == 0 {
@@ -186,6 +195,9 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 				s.counts.ContentNodes--
 			}
 		}
+	}
+	if crossed {
+		s.bumpStatsEpoch(epochCardDoubled)
 	}
 	return nil
 }

@@ -27,13 +27,17 @@ type Executor struct {
 	// and no context color to inherit (single-hierarchy databases), as
 	// plan.Options.DefaultColor does for BindCompiled.
 	DefaultColor core.Color
+	// Plans caches the binding plans of BindCompiled, by the shape of the
+	// binding clauses. NewExecutor gives each executor a cache of its own; a
+	// database that also caches its queries' plans may share one.
+	Plans *plan.Cache
 
 	ev *mcxquery.Evaluator
 }
 
 // NewExecutor creates an executor over db.
 func NewExecutor(db *core.Database) *Executor {
-	return &Executor{ev: mcxquery.NewEvaluator(db)}
+	return &Executor{ev: mcxquery.NewEvaluator(db), Plans: plan.NewCache(0)}
 }
 
 // Apply parses and applies an update expression.
@@ -104,25 +108,26 @@ func (x *Executor) Bind(u *Update) (Tuples, error) {
 	return tuples, nil
 }
 
-// BindCompiled produces the same tuples as Bind from the indexes: it
-// compiles the binding clauses with the plan compiler (a return-less FLWOR,
-// plan.CompileBindings), runs the plan on st and resolves each row's
-// structural nodes to the database's nodes. st must be a store image of
-// exactly the executor's database state — the caller holds the writer lock
-// and has brought the snapshot up to date. An error wrapping
-// plan.ErrUnsupported (let clauses, attribute bindings, ...) means nothing was
-// executed and the caller should use Bind.
+// BindCompiled produces the same tuples as Bind from the indexes: it runs
+// the plan of the binding clauses (a return-less FLWOR, plan.CompileBindings)
+// on st and resolves each row's structural nodes to the database's nodes.
+// The plan comes from x.Plans, compiled on the first bind of its shape; its
+// execution takes its scratch from the plan's memory pool, so a warm bind
+// allocates its tuples and little else. st must be a store image of exactly
+// the executor's database state — the caller holds the writer lock and has
+// brought the snapshot up to date. An error wrapping plan.ErrUnsupported (let
+// clauses, attribute bindings, ...) means nothing was executed and the
+// caller should use Bind.
 func (x *Executor) BindCompiled(u *Update, st *storage.Store, opt plan.Options) (Tuples, error) {
-	c, err := plan.CompileBindings(u.Clauses, u.Where, opt)
+	p, err := x.Plans.Bindings(u.bindText, u.Clauses, u.Where, opt, st.StatsEpoch())
 	if err != nil {
 		return nil, err
 	}
+	c := p.Compiled
 	db, ext := x.ev.DB, x.ev.ExtEval()
 	var tuples Tuples
-	// Unpooled: each plan is compiled for this one call, so nothing would
-	// reuse a pool, and its scratch is sized to the rows it passes — one
-	// tuple's bind allocates one row a buffer.
-	_, err = engine.ExecBatches(context.Background(), st, c.Root, func(b *engine.Batch) error {
+	in := p.Instance()
+	_, err = engine.ExecBatchesPooled(context.Background(), st, c.Mem, in.Root, func(b *engine.Batch) error {
 		for i := 0; i < b.Len(); i++ {
 			vars := make(map[string]pathexpr.Sequence, len(c.Cols))
 			for j, sn := range b.Row(i) {
@@ -139,6 +144,7 @@ func (x *Executor) BindCompiled(u *Update, st *storage.Store, opt plan.Options) 
 	if err != nil {
 		return nil, err
 	}
+	c.Mem.PutInstance(in)
 	return tuples, nil
 }
 

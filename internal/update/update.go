@@ -83,6 +83,10 @@ type Update struct {
 	Where   pathexpr.Expr
 	Target  string // target variable of the update clause
 	Ops     []Op
+
+	// bindText is the source of the binding clauses: the text up to the
+	// update clause, by whose shape BindCompiled caches their plan.
+	bindText string
 }
 
 func (u *Update) String() string {
@@ -136,14 +140,14 @@ func Parse(src string) (*Update, error) {
 	toks := mcxquery.NewTokens(src)
 	p := pathexpr.NewParserSource(toks)
 	p.Ext = mcxquery.ExtParse
-	u, err := parse(p)
+	u, err := parse(p, src)
 	if err = cmp.Or(toks.Close(), err); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-func parse(p *pathexpr.Parser) (*Update, error) {
+func parse(p *pathexpr.Parser, src string) (*Update, error) {
 	u := &Update{}
 
 	for {
@@ -186,6 +190,7 @@ func parse(p *pathexpr.Parser) (*Update, error) {
 		}
 		u.Where = e
 	}
+	u.bindText = src[:p.Peek().Pos]
 	if err := p.ExpectIdent("update"); err != nil {
 		return nil, err
 	}

@@ -60,11 +60,12 @@ func BenchmarkStoreClone(b *testing.B) {
 
 var tupleSink update.Tuples
 
-// voteBind returns the two binds of the repository benchmark's vote update
-// (name probe -> parent item -> green votes) on a catalog of the given size:
-// through the compiled plan on the store, and through the tree-walking
-// evaluator. Each binds one tuple.
-func voteBind(tb testing.TB, items int) (compiled, evaluator func() (update.Tuples, error)) {
+// voteBind returns the three binds of the repository benchmark's vote
+// update (name probe -> parent item -> green votes) on a catalog of the
+// given size: through a plan compiled for the bind, through the plan the
+// executor's cache holds for the update's shape, and through the
+// tree-walking evaluator. Each binds one tuple.
+func voteBind(tb testing.TB, items int) (compiled, cached, evaluator func() (update.Tuples, error)) {
 	c := newWriteCatalog(tb, items)
 	k := 3 * (items / 6)
 	u, err := update.Parse(`for $n in document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) +
@@ -74,20 +75,24 @@ func voteBind(tb testing.TB, items int) (compiled, evaluator func() (update.Tupl
 	}
 	ex := update.NewExecutor(c.DB)
 	opt := plan.Options{Catalog: plan.StoreCatalog{Store: c.st}}
-	return func() (update.Tuples, error) { return ex.BindCompiled(u, c.st, opt) },
+	return func() (update.Tuples, error) {
+			ex.Plans = plan.NewCache(1)
+			return ex.BindCompiled(u, c.st, opt)
+		},
+		func() (update.Tuples, error) { return ex.BindCompiled(u, c.st, opt) },
 		func() (update.Tuples, error) { return ex.Bind(u) }
 }
 
 // BenchmarkUpdateBind: binding the vote update to its one tuple, by each
-// route.
+// route: compile included, warm from the plan cache, the tree walk.
 func BenchmarkUpdateBind(b *testing.B) {
-	for _, route := range []string{"compiled", "evaluator"} {
+	for _, route := range []string{"compiled", "cached", "evaluator"} {
 		for _, items := range writeBenchSizes {
 			b.Run(fmt.Sprintf("%s/%d", route, items), func(b *testing.B) {
-				bind, evaluator := voteBind(b, items)
-				if route == "evaluator" {
-					bind = evaluator
-				}
+				compiled, cached, evaluator := voteBind(b, items)
+				bind := map[string]func() (update.Tuples, error){
+					"compiled": compiled, "cached": cached, "evaluator": evaluator,
+				}[route]
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -102,14 +107,24 @@ func BenchmarkUpdateBind(b *testing.B) {
 	}
 }
 
-// TestUpdateBindAllocatesOneRow: a compiled bind runs unpooled, under the
-// writer lock, once per update, so its scratch is what it allocates. Sized
-// to the rows it passes, binding the vote's one tuple costs a few kB (8.1 on
-// a 2-vCPU Xeon); with every batch buffer starting at 32 rows and every arena
-// chunk at 256 nodes it cost 63.
-func TestUpdateBindAllocatesOneRow(t *testing.T) {
+// TestWarmUpdateBindAllocatesNoScratch: a bind whose plan the cache holds
+// compiles nothing, and its execution draws its operator tree, context,
+// batches and arena from the plan's memory pool, so what it allocates is its
+// tuples and the sort closures of two operators. Binding the vote's one
+// tuple costs 845 B warm on a 2-vCPU Xeon (8.0 kB compile included, the
+// compile and one row of unpooled scratch, before binding plans were
+// cached).
+func TestWarmUpdateBindAllocatesNoScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are not counted under the race detector (race_on_test.go)")
+	}
 	const runs = 50
-	bind, _ := voteBind(t, 1500)
+	_, bind, _ := voteBind(t, 1500)
+	for i := 0; i < 2; i++ { // compile, then grow the pool to the plan's needs
+		if _, err := bind(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -118,8 +133,8 @@ func TestUpdateBindAllocatesOneRow(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > 16<<10 {
-		t.Errorf("a one-tuple bind allocated %d bytes, want at most 16 kB", bytes)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > 1<<10 {
+		t.Errorf("a warm one-tuple bind allocated %d bytes, want at most 1 kB", bytes)
 	}
 }
 

@@ -645,10 +645,11 @@ func TestHeldSnapshotResolvesDeletedNodes(t *testing.T) {
 // prepared query allocates no more than it did before results became
 // references (11 at the parent commit; the operator clone, the execution
 // context, the item and its value are what is left). A 20 000-row one
-// allocates a constant plus one chunk per 4 KiB of values (rows/256 while
-// values stay under 16 bytes): no string per row, no answer-id buffer (the
-// plan's pool lends it), no per-row structural node copy, no regrown slice,
-// no hash set. Its bytes are the items, their values and a constant. A one-shot query whose
+// allocates a constant: its values are views of the snapshot's records, so
+// there is no string or chunk per row, no answer-id buffer (the plan's pool
+// lends it), no per-row structural node copy, no regrown slice, no hash set.
+// Its bytes are the items and a constant (the value bytes were a term of
+// their own while values were copied into chunks). A one-shot query whose
 // plan is cached is pinned in bytes: it is not parsed, and its scratch comes
 // from the plan's pool: under 0.5 kB, against 3.0 kB when every hit was
 // parsed.
@@ -657,10 +658,6 @@ func TestResultAllocations(t *testing.T) {
 	db := catalogDB(items)
 	sess := db.Session()
 	defer sess.Close()
-	names := 0 // the bytes of the values "Item 0" … "Item 19999"
-	for k := 0; k < items; k++ {
-		names += len("Item " + strconv.Itoa(k))
-	}
 	for _, tc := range []struct {
 		text     string
 		oneShot  bool // Session.Query, a plan-cache hit, instead of a Stmt
@@ -670,8 +667,10 @@ func TestResultAllocations(t *testing.T) {
 	}{
 		{text: catalogPoint(9999), rows: 1, max: 11},
 		{text: catalogPoint(9999), oneShot: true, rows: 1, max: 11, maxBytes: 1024},
-		{text: `document("db")/{red}descendant::item/{red}child::name`, rows: items, max: 64 + items/256,
-			maxBytes: uint64(items)*uint64(unsafe.Sizeof(Item{})) + uint64(names) + 32<<10},
+		// Values are views of the snapshot's records: the []Item and a few
+		// fixed allocations, nothing per row or per value byte.
+		{text: `document("db")/{red}descendant::item/{red}child::name`, rows: items, max: 16,
+			maxBytes: uint64(items)*uint64(unsafe.Sizeof(Item{})) + 32<<10},
 		{text: `for $i in document("db")/{green}descendant::item return $i/{green}child::votes`, rows: (items + 2) / 3, max: 64 + (items+2)/3/256},
 	} {
 		query := func() ([]Item, error) { return sess.Query(tc.text) }
@@ -779,9 +778,10 @@ func cloneItems(items []Item) []Item {
 }
 
 // TestConcurrentRunsLeaveKeptItemsAlone: the items of one Stmt.Query share
-// no memory with any later answer. Their plan's next runs reuse its id
-// buffer and copy values into new chunks, and commits change the answer,
-// yet the kept nodes and values stay what they were.
+// no memory with any later answer that could change it. Their plan's next
+// runs reuse its id buffer, their values are views of a snapshot's frozen
+// records, and commits change the answer, yet the kept nodes and values stay
+// what they were.
 func TestConcurrentRunsLeaveKeptItemsAlone(t *testing.T) {
 	const items = 300
 	db := catalogDB(items)
@@ -805,8 +805,9 @@ func TestConcurrentRunsLeaveKeptItemsAlone(t *testing.T) {
 }
 
 // TestConcurrentRunsLeaveQueryRowsAlone: a Rows from QueryRows belongs to
-// its caller, so its ids are never handed back to the plan: across the same
-// runs and commits its Items still equal the answer of its own generation.
+// its caller, so its ids go back to the plan only when it closes them: across
+// the same runs and commits its Items still equal the answer of its own
+// generation.
 // The statement's answer shrinks as votes turn to "7", so the plan's later
 // runs write other ids into a buffer no larger than the first.
 func TestConcurrentRunsLeaveQueryRowsAlone(t *testing.T) {
@@ -861,7 +862,7 @@ func TestExplainNamesOutputRoute(t *testing.T) {
 
 // TestRowsPinTheirGeneration: a Rows is answered from one snapshot and
 // yields that generation's values however many commits follow, and after
-// DB.Close — through Items and through Each alike. It needs no Close.
+// DB.Close — through Items and through Each alike. Close is optional.
 func TestRowsPinTheirGeneration(t *testing.T) {
 	const items = 30
 	db := catalogDB(items)

@@ -19,20 +19,22 @@ import (
 //
 // A Rows pins its snapshot generation: whatever writers commit, and after
 // the session or the DB closes, it yields the values of the generation it
-// was answered from. It holds no lock and needs no Close.
+// was answered from. It holds no lock. Close is optional: it hands the
+// answer's id buffer back for the plan's next execution.
 type Rows struct {
 	sp    *snapshot
 	ids   []storage.ElemID
 	color Color
-	// mem is the memory pool of the plan that answered ids; itemsOnce
-	// hands them back to it.
+	// mem is the memory pool of the plan that answered ids; Close hands
+	// them back to it.
 	mem *engine.MemPool
 
 	items []Item
 }
 
-// valueChunk bounds the bytes Items copies values into at once: a value the
-// caller keeps holds at most one chunk alive (or itself, when it is longer).
+// valueChunk bounds the bytes a subtree answer's string values are copied
+// into at once: a value the caller keeps holds at most one chunk alive (or
+// itself, when it is longer).
 const valueChunk = 4 << 10
 
 // missing reports an element of the snapshot's store, or an attribute in its
@@ -71,10 +73,8 @@ func (r Rows) Len() int {
 // values belong to one generation, and an element deleted meanwhile is still
 // the node it was.
 //
-// Values are copied into chunks of at most valueChunk bytes, each sized from
-// the rows still to come (a one-row answer allocates exactly its value), and
-// every Value is a view into its chunk: an answer costs one allocation per
-// chunk, not one per row.
+// Every Value is a view of its element record in the snapshot's page, with
+// no copy (view): an answer allocates its []Item and nothing per row.
 func (r Rows) Items() ([]Item, error) {
 	if r.sp == nil {
 		return r.items, nil
@@ -87,19 +87,21 @@ func (r Rows) Items() ([]Item, error) {
 		}
 		out[i].Node, out[i].Color = n, r.color
 	}
-	var ch chunks
-	err := r.sp.st.ContentBytes(r.ids, func(i int, content []byte) {
-		out[i].Value = ch.add(content, len(r.ids)-i)
-	})
+	err := r.sp.st.ContentBytes(r.ids, func(i int, content []byte) { out[i].Value = view(content) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// chunks is where an answer's values are copied to: byte chunks of at most
-// valueChunk bytes (or one value, when it is longer), each sized from the
-// rows still to come.
+// view is a record's bytes as a string, with no copy: DB.publish froze the
+// snapshot's store, so no later write changes them. A kept view holds its
+// 8 KiB page image (or patch) alive; strings.Clone keeps just the bytes.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// chunks is where a subtree answer's string values, concatenations with no
+// one record to view, are copied to: byte chunks of at most valueChunk bytes
+// (or one value, when it is longer), each sized from the rows still to come.
 type chunks []byte
 
 // add copies v into the current chunk, or a new one when it does not fit,
@@ -134,11 +136,11 @@ func valuesRead(c *plan.Compiled) string {
 // content records: each row's attribute c.OutAttr (rows without it yield no
 // item), or each row's string value in the output colour. Nodes and values
 // come from the snapshot alone, so they are the generation's that produced
-// ids, whatever writers commit meanwhile. A subtree with mixed content ends
-// the answer with storage.ErrMixedContent.
+// ids, whatever writers commit meanwhile. An attribute value is a view of
+// the element record (view); a string value is copied into chunks. A subtree
+// with mixed content ends the answer with storage.ErrMixedContent.
 func (sp *snapshot) items(ids []storage.ElemID, c *plan.Compiled) ([]Item, error) {
 	color := c.Cols[c.OutCol].Color
-	var ch chunks
 	if c.OutAttr != "" {
 		out := make([]Item, 0, len(ids))
 		var bad error
@@ -148,11 +150,12 @@ func (sp *snapshot) items(ids []storage.ElemID, c *plan.Compiled) ([]Item, error
 				bad = sp.missing(ids[i])
 				return
 			}
-			out = append(out, Item{Node: (*attrs)[pos], Color: color, Value: ch.add(value, len(ids)-i)})
+			out = append(out, Item{Node: (*attrs)[pos], Color: color, Value: view(value)})
 		})
 		return out, cmp.Or(err, bad)
 	}
 	out := make([]Item, len(ids))
+	var ch chunks
 	var bad error
 	err := sp.st.StringValues(ids, color, func(i int, value []byte) {
 		n, ok := sp.nodes.Get(uint64(ids[i]))
@@ -168,21 +171,26 @@ func (sp *snapshot) items(ids []storage.ElemID, c *plan.Compiled) ([]Item, error
 	return out, nil
 }
 
+// Close hands the answer's id buffer back to the pool of the plan that
+// produced it, for the plan's next execution to append into. It is
+// optional: an unclosed Rows leaves its buffer to the GC. The Rows must not
+// be read after Close, nor closed twice; what Items returned stays valid.
+func (r Rows) Close() { r.mem.PutColumn(r.ids) }
+
 // itemsOnce is Items for an entry point that returns only the items, so
-// that nothing reads the Rows again: it then hands the answer's ids back to
-// the pool of the plan that produced them. QueryRows never calls it, because
-// its caller owns the Rows.
+// that nothing reads the Rows again and it can Close them. QueryRows never
+// calls it, because its caller owns the Rows.
 func (r Rows) itemsOnce() ([]Item, error) {
-	out, err := r.Items()
-	r.mem.PutColumn(r.ids)
-	return out, err
+	defer r.Close()
+	return r.Items()
 }
 
 // Each visits rows i to j-1 in order with the node's id (0 for an atomic
 // value), its colour and its value, building no Item and no string. The
-// value bytes are valid only during the call and must not be modified: on
-// the snapshot route they are the element record in its page. A value that
-// cannot be read ends the visit with the error.
+// value bytes must not be modified. They never change, so a visitor may keep
+// them: on the snapshot route they are the element record in its frozen page
+// (view), elsewhere the item's value. A value that cannot be read ends the
+// visit with the error.
 func (r Rows) Each(i, j int, visit func(node NodeID, color Color, value []byte)) error {
 	if r.sp != nil {
 		ids := r.ids[i:j]

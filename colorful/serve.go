@@ -154,8 +154,10 @@ func (d *DB) validateAfterApply() error {
 
 // publish makes st the snapshot of generation gen, with the identity and
 // attribute tables as they are now: the caller holds d.mu, and st reflects
-// the core at gen.
+// the core at gen. It freezes st, so the values answers view in its records
+// never change (Rows.Items); writers clone st and never write it again.
 func (d *DB) publish(st *storage.Store, gen uint64) *snapshot {
+	st.Freeze()
 	sp := &snapshot{st: st, nodes: d.Database.SnapshotNodes(), attrs: d.Database.SnapshotAttrs(), gen: gen}
 	d.snap.Store(sp)
 	d.publishes.Add(1)

@@ -58,31 +58,12 @@ func (ev *Evaluator) Query(src string) (pathexpr.Sequence, error) {
 // Eval evaluates a parsed expression. Constructed elements that were never
 // passed through createColor are materialized in DefaultResultColor.
 func (ev *Evaluator) Eval(e pathexpr.Expr) (pathexpr.Sequence, error) {
-	env := ev.newEnv(nil)
+	env := &pathexpr.Env{DB: ev.DB, DefaultColor: ev.DefaultColor, Ext: ev.evalExt}
 	out, err := pathexpr.Eval(env, e)
 	if err != nil {
 		return nil, err
 	}
 	return ev.finalize(out)
-}
-
-// EvalEnv evaluates with pre-bound variables.
-func (ev *Evaluator) EvalEnv(e pathexpr.Expr, vars map[string]pathexpr.Sequence) (pathexpr.Sequence, error) {
-	env := ev.newEnv(vars)
-	out, err := pathexpr.Eval(env, e)
-	if err != nil {
-		return nil, err
-	}
-	return ev.finalize(out)
-}
-
-func (ev *Evaluator) newEnv(vars map[string]pathexpr.Sequence) *pathexpr.Env {
-	return &pathexpr.Env{
-		DB:           ev.DB,
-		Vars:         vars,
-		DefaultColor: ev.DefaultColor,
-		Ext:          ev.evalExt,
-	}
 }
 
 // ExtEval exposes the extension-evaluation hook so other packages (the

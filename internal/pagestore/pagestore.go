@@ -218,7 +218,8 @@ func (p *Page) replay(body *pageBody) {
 }
 
 // Record returns the record bytes in a slot. The returned slice aliases the
-// page; callers must copy if they retain it past the read that found it.
+// page's image or patch and must not be modified. Once the store is frozen
+// (Store.Freeze) it never changes, so a reader may keep it, and the image.
 func (p *Page) Record(slot uint16) ([]byte, error) {
 	if slot >= p.nslots {
 		return nil, fmt.Errorf("pagestore: slot %d: %w", slot, ErrNoSuchRecord)
@@ -362,15 +363,22 @@ var emptyPage Page
 // for the nested bench module's callers, and goes with ROADMAP item 6.
 func NewStore(int) *Store { return &Store{} }
 
+// Freeze ends the store's write generation, so no header, image or bitmap is
+// its to write in place: a later write through it or a clone copies a header
+// and appends past its records, patches, or folds into a fresh image, and no
+// byte of a record it holds changes again. It touches nothing a read does.
+func (s *Store) Freeze() { s.own = nil }
+
 // Clone returns a copy-on-write snapshot of the store. The two stores share
 // every page, and each starts a new generation: its next write of any page
 // copies that page's header first, so neither observes the other's writes.
-// Cloning costs the number of files, not the number of pages.
+// Cloning freezes the receiver, and costs the number of files, not the
+// number of pages.
 //
 // Clone may run while other goroutines read the receiver; it touches nothing
 // a read does.
 func (s *Store) Clone() *Store {
-	s.own = nil
+	s.Freeze()
 	files := append([]fileMeta(nil), s.files...)
 	for i := range files {
 		if files[i].exists {
@@ -489,9 +497,10 @@ func (s *Store) ReadRecord(rid RecordID) ([]byte, error) {
 	return out, err
 }
 
-// ViewRecord calls fn with the record's bytes inside the page, for readers
-// that decode a record and keep nothing of it: no copy. rec is valid only
-// during the call, and fn must not write the store.
+// ViewRecord calls fn with the record's bytes inside the page: no copy. rec
+// must not be modified, and fn must not write the store. On a frozen store
+// rec stays valid after the call (Page.Record); on one still being written
+// it is valid only during the call.
 func (s *Store) ViewRecord(rid RecordID, fn func(rec []byte)) error {
 	pg, err := s.page(rid.PageID)
 	if err != nil {
@@ -506,8 +515,8 @@ func (s *Store) ViewRecord(rid RecordID, fn func(rec []byte)) error {
 }
 
 // ViewPage is ViewRecord for readers that decode several records of one page
-// with Page.Record. The page is valid only during the call; fn must not
-// write it or the store.
+// with Page.Record, which keeps ViewRecord's contract: fn must not write the
+// page or the store, and the records of a frozen store may be kept.
 func (s *Store) ViewPage(id PageID, fn func(p *Page)) error {
 	pg, err := s.page(id)
 	if err != nil {

@@ -24,9 +24,6 @@ func NodeItem(n *core.Node, c core.Color) Item { return Item{Node: n, Color: c} 
 // AtomItem builds an atomic item.
 func AtomItem(v any) Item { return Item{Atom: v} }
 
-// IsNode reports whether the item is a node item.
-func (it Item) IsNode() bool { return it.Node != nil }
-
 // Sequence is an ordered sequence of items, the universal value of MCXQuery
 // evaluation.
 type Sequence []Item
@@ -94,11 +91,6 @@ type evalCtx struct {
 // paths and variable-rooted paths).
 func Eval(env *Env, e Expr) (Sequence, error) {
 	return evalExpr(evalCtx{env: env}, e)
-}
-
-// EvalWith evaluates an expression with the given context node and color.
-func EvalWith(env *Env, e Expr, node *core.Node, color core.Color) (Sequence, error) {
-	return evalExpr(evalCtx{env: env, item: NodeItem(node, color)}, e)
 }
 
 // EvalItem evaluates an expression with an explicit dynamic context (item

@@ -236,8 +236,10 @@ const maxKeptPayload = 64 << 10
 // straight from the result — ids, colours and the values' stored bytes —
 // into the connection's payload buffer; no Item or value string is built. A
 // value that cannot be read ends the stream with an Error frame in place of
-// the frame it belonged to.
+// the frame it belonged to. The stream closes rows, which hands the answer's
+// id buffer back to its plan.
 func (c *conn) writeItemsStream(rows colorful.Rows) error {
+	defer rows.Close()
 	defer func() {
 		if cap(c.payload) > maxKeptPayload {
 			c.payload = nil

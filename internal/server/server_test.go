@@ -778,3 +778,116 @@ func TestRowsOverWireMatchQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentStreamsHandTheirIdsBack: two connections stream the same
+// prepared statement in frames of 7 items while a third commits votes that
+// shrink its answer, and then restore it. Each stream hands its answer's id buffer back to the
+// statement's plan once the last frame is out, and the plan's next
+// execution, on either connection, appends into it; so a buffer handed back
+// while its stream still read it would show as a stream that is no answer
+// the database ever gave. Every stream must equal the in-process answer of
+// one generation.
+func TestConcurrentStreamsHandTheirIdsBack(t *testing.T) {
+	const scale, streams = 300, 20
+	db, _, addr := startCatalog(t, scale, server.Options{ChunkItems: 7})
+	const q = `document("db")/{green}descendant::votes[contains(., "1")]`
+	key := func(ids []uint64, values []string) string {
+		var b strings.Builder
+		for i := range ids {
+			fmt.Fprintf(&b, "%d=%s,", ids[i], values[i])
+		}
+		return b.String()
+	}
+	var mu sync.Mutex
+	answers := map[string]bool{}
+	answer := func() int {
+		items, err := db.Query(q)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		ids, values := make([]uint64, len(items)), make([]string, len(items))
+		for i, it := range items {
+			ids[i], values[i] = uint64(it.Node.ID()), it.Value
+		}
+		mu.Lock()
+		answers[key(ids, values)] = true
+		mu.Unlock()
+		return len(items)
+	}
+	first := answer()
+	if first < 20 {
+		t.Fatalf("the answer has %d rows, too few to span frames", first)
+	}
+
+	open := func() *client.DB {
+		cdb, err := client.OpenOptions(addr, client.Options{PoolSize: 1, IdlePingAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cdb.Close() })
+		return cdb
+	}
+	writer := open()
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	got := make([][]string, 2)
+	for r := range got {
+		st, err := open().Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < streams || !done.Load(); n++ {
+				items, err := st.Query()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids, values := make([]uint64, len(items)), make([]string, len(items))
+				for i, it := range items {
+					ids[i], values[i] = it.Node, it.Value
+				}
+				got[r] = append(got[r], key(ids, values))
+			}
+		}()
+	}
+	vote := func(k int, v string) {
+		src := `for $n in document("db")/{red}descendant::name[. = "Item ` + fmt.Sprint(k) + `"], $i in $n/{red}parent::item, $v in $i/{green}child::votes update $i { replace $v with "` + v + `" }`
+		if res, err := writer.Update(src); err != nil || res.Tuples != 1 {
+			t.Fatalf("%s: %+v, %v", src, res, err)
+		}
+		answer()
+	}
+	var shrink []int
+	for k := 0; k < scale; k += 3 {
+		if strings.Contains(fmt.Sprint(k%50), "1") {
+			shrink = append(shrink, k)
+		}
+	}
+	// Each round shrinks the answer a row a commit, then restores it, so
+	// that the streams overlap commits all along.
+	for range 10 {
+		for _, k := range shrink {
+			vote(k, "7")
+		}
+		if n := answer(); n != first-len(shrink) {
+			t.Fatalf("%d commits left %d of %d rows", len(shrink), n, first)
+		}
+		for _, k := range shrink {
+			vote(k, fmt.Sprint(k%50))
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	for r, keys := range got {
+		for n, k := range keys {
+			if !answers[k] {
+				t.Fatalf("connection %d, stream %d is no generation's answer: %s", r, n, k)
+			}
+		}
+	}
+}

@@ -30,8 +30,9 @@ func (s *Store) viewElem(id ElemID, fn func(rec []byte)) error {
 // viewRefs calls visit with base plus i and the record at refs[i], in order.
 // A page is held across the consecutive refs that lie on it — postings
 // are in start order and a bulk load writes records in that order, so a scan
-// costs one page lookup per page, not per record. rec is valid only during
-// the call.
+// costs one page lookup per page, not per record. rec is the record in its
+// page, under pagestore.Store.ViewRecord's contract: never to be modified,
+// and valid past the call once the store is frozen (Freeze).
 func (s *Store) viewRefs(refs []uint64, base int, visit func(i int, rec []byte)) error {
 	i := 0
 	for i < len(refs) {
@@ -179,10 +180,11 @@ func (s *Store) ContentOf(id ElemID) (content string, err error) {
 }
 
 // ContentBytes hands visit the text content of each element of ids, in
-// order, as the bytes of the element record in its page: valid only during
-// the call, and never to be modified. It is ContentOf for a result column:
-// content-only decode, page by page (elements created together sit
-// together), nothing copied.
+// order, as the bytes of the element record in its page: never to be
+// modified, and valid only during the call unless the store is frozen, when
+// they never change and may be kept (a kept slice holds its page image
+// alive). It is ContentOf for a result column: content-only decode, page by
+// page (elements created together sit together), nothing copied.
 func (s *Store) ContentBytes(ids []ElemID, visit func(i int, content []byte)) error {
 	return s.viewElems(ids, func(i int, rec []byte) { visit(i, elemContent(rec)) })
 }

@@ -20,6 +20,12 @@ import (
 // full Load instead.
 var ErrDeltaUnsupported = errors.New("storage: change delta unsupported for incremental maintenance")
 
+// Freeze seals the store's records before it is published: from then on no
+// write through the store or any of its clones changes a byte of a record it
+// holds (pagestore.Store.Freeze), so the bytes its readers are handed
+// (ContentBytes, AttrBytes) may be kept past the call.
+func (s *Store) Freeze() { s.pages.Freeze() }
+
 // Clone returns a copy-on-write snapshot sibling of the store in time
 // independent of the store's size: the page store shares immutable page
 // images, the B+-tree indexes and the location tables share their nodes and

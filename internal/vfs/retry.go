@@ -108,6 +108,3 @@ func (b *Backoff) Next(err error) (time.Duration, bool) {
 	}
 	return d, true
 }
-
-// Attempts returns how many attempts the schedule has accounted for.
-func (b *Backoff) Attempts() int { return b.attempts }

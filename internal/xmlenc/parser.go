@@ -2,7 +2,6 @@ package xmlenc
 
 import (
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -92,15 +91,6 @@ func ParseOptions(src string, opt Options) (*Node, error) {
 // ParseFile reads and parses the XML file at path.
 func ParseFile(path string) (*Node, error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("xmlenc: %w", err)
-	}
-	return Parse(string(data))
-}
-
-// ParseReader reads all of r and parses it.
-func ParseReader(r io.Reader) (*Node, error) {
-	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmlenc: %w", err)
 	}

@@ -405,12 +405,19 @@ func BenchmarkAblationJoinKind(b *testing.B) {
 	} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if rows, _, err := engine.Exec(run.s, run.plan()); err != nil || len(rows) == 0 {
-					b.Fatal(len(rows), err)
+				if rows, err := countRows(run.s, run.plan()); err != nil || rows == 0 {
+					b.Fatal(rows, err)
 				}
 			}
 		})
 	}
+}
+
+// countRows runs a plan the way serving does, streaming its batches, and
+// counts its rows.
+func countRows(s *storage.Store, plan engine.Op) (int, error) {
+	m, err := engine.ExecBatchesPooled(context.Background(), s, nil, plan, func(*engine.Batch) error { return nil })
+	return m.RowsOut, err
 }
 
 // BenchmarkAblationPlanOrder compares the two plan shapes of Section 6.2 for
@@ -441,7 +448,7 @@ func BenchmarkAblationPlanOrder(b *testing.B) {
 	for name, mk := range map[string]func() engine.Op{"CrossLate": late, "CrossEarly": early} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.Exec(s, mk()); err != nil {
+				if _, err := countRows(s, mk()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -458,13 +465,13 @@ func BenchmarkAblationEncoding(b *testing.B) {
 	s := tp.MCT
 	b.Run("IntervalJoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, _, err := engine.Exec(s, &engine.StructJoin{
+			rows, err := countRows(s, &engine.StructJoin{
 				Anc:  &engine.ScanTag{Color: datagen.ColCustomer, Tag: "customer"},
 				Desc: &engine.ScanTag{Color: datagen.ColCustomer, Tag: "orderline"},
 				Axis: engine.AncestorDescendant, Merge: true,
 			})
-			if err != nil || len(rows) == 0 {
-				b.Fatal(len(rows), err)
+			if err != nil || rows == 0 {
+				b.Fatal(rows, err)
 			}
 		}
 	})

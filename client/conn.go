@@ -48,7 +48,6 @@ type Conn struct {
 	r    *wire.Reader
 	w    *wire.Writer
 
-	serverName string
 	// handles caches server-side prepared-statement handles by query text;
 	// they are connection-scoped and die with the connection.
 	handles  map[string]uint64
@@ -99,7 +98,6 @@ func (c *Conn) handshake(clientName string) error {
 		if welcome.Proto != wire.ProtoVersion {
 			return fmt.Errorf("client: server speaks protocol %d, want %d", welcome.Proto, wire.ProtoVersion)
 		}
-		c.serverName = welcome.Server
 		return nil
 	case wire.TypeError:
 		return asServerError(payload)
@@ -107,9 +105,6 @@ func (c *Conn) handshake(clientName string) error {
 		return fmt.Errorf("client: handshake: unexpected frame %v", typ)
 	}
 }
-
-// ServerName reports the name the server announced in the handshake.
-func (c *Conn) ServerName() string { return c.serverName }
 
 // Release returns a pooled connection for reuse (or destroys it if it
 // broke). For a raw-dialed connection it is equivalent to Close.

@@ -256,7 +256,7 @@ func (d *DB) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c, err := plan.Compile(e, d.planOptions(sp.st))
+	c, err := plan.CompileQuery(src, d.planOptions(sp.st))
 	if err != nil {
 		return "", err
 	}

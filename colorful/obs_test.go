@@ -45,7 +45,7 @@ func TestTraceQueryPhases(t *testing.T) {
 	}
 	// The root operator span reports the result cardinality.
 	var rows string
-	for _, a := range ex.Children()[0].Attrs() {
+	for _, a := range spanAttrs(t, ex.Children()[0]) {
 		if a.Key == "rows" {
 			rows = a.Value
 		}
@@ -54,7 +54,7 @@ func TestTraceQueryPhases(t *testing.T) {
 		t.Fatalf("root operator span rows = %q, want %d", rows, len(out))
 	}
 	// The tree must export as JSON.
-	if _, err := root.JSON(); err != nil {
+	if _, err := json.Marshal(root); err != nil {
 		t.Fatal(err)
 	}
 	// The same text again is a plan-cache hit: the cache is probed before
@@ -75,12 +75,29 @@ func TestTraceQueryPhases(t *testing.T) {
 		}
 	}
 	marked := false
-	for _, a := range root.Attrs() {
+	for _, a := range spanAttrs(t, root) {
 		marked = marked || a.Key == "plancache" && a.Value == "hit"
 	}
 	if !marked {
-		t.Errorf("cache hit not marked on the root: %v", root.Attrs())
+		t.Errorf("cache hit not marked on the root: %v", spanAttrs(t, root))
 	}
+}
+
+// spanAttrs reads a span's attributes from its JSON form, the one
+// /debug/trace serves.
+func spanAttrs(t *testing.T, s *obs.Span) []obs.Attr {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j struct {
+		Attrs []obs.Attr `json:"attrs"`
+	}
+	if err := json.Unmarshal(b, &j); err != nil {
+		t.Fatal(err)
+	}
+	return j.Attrs
 }
 
 // TestSlowQueryLogCapture: past the threshold, compiled queries land in the

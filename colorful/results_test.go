@@ -15,7 +15,6 @@ import (
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
-	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/plan"
 )
 
@@ -373,11 +372,7 @@ func TestHeldAttributesKeepTheirGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("held rows", items)
-	e, err := mcxquery.ParseQuery(idQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := plan.Compile(e, db.planOptions(held.st))
+	c, err := plan.CompileQuery(idQ, db.planOptions(held.st))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,13 +252,9 @@ func spanAttr(s *obs.Span, key string, value any) {
 // compiled and cached, so the hit already fixes the route. Any other text is
 // parsed and takes routedParsed.
 func (s *Session) routed(ctx context.Context, src string, root *obs.Span) (Rows, queryRoute, error) {
-	var sh *plan.Shape
-	shape, ok := plan.QueryShape(src, s.db.planOptions(nil))
-	defer shape.Release()
-	if ok {
-		sh = &shape
-	}
-	if sp, p, ok := s.cachedPlan(sh, root); ok {
+	sh, lexed := plan.QueryShape(src, s.db.planOptions(nil))
+	defer sh.Release()
+	if sp, p, ok := s.cachedPlan(sh, lexed, root); ok {
 		out, err := s.run(ctx, sp, p, root)
 		if errors.Is(err, storage.ErrMixedContent) {
 			return s.evaluate(ctx, src, err, root)
@@ -276,15 +272,15 @@ func (s *Session) routed(ctx context.Context, src string, root *obs.Span) (Rows,
 
 // cachedPlan returns the plan the shared cache holds for the shape at the
 // published snapshot's epoch, with the text's arguments, and that snapshot;
-// ok false when there is none or the snapshot is stale. A miss is left for
-// planFor to count, so a text that never reaches the compiler stays
-// invisible to the cache.
-func (s *Session) cachedPlan(sh *plan.Shape, root *obs.Span) (*snapshot, plan.Plan, bool) {
+// ok false when there is none, the snapshot is stale or the text did not lex
+// (its shape is partial). A miss is left for planFor to count, so a text that
+// never reaches the compiler stays invisible to the cache.
+func (s *Session) cachedPlan(sh plan.Shape, lexed bool, root *obs.Span) (*snapshot, plan.Plan, bool) {
 	sp := s.db.publishedSnapshot()
-	if sp == nil || sh == nil {
+	if sp == nil || !lexed {
 		return nil, plan.Plan{}, false
 	}
-	p, ok := s.db.planCache.HitShape(*sh, s.db.planOptions(sp.st), sp.st.StatsEpoch())
+	p, ok := s.db.planCache.HitShape(sh, s.db.planOptions(sp.st), sp.st.StatsEpoch())
 	if !ok {
 		return nil, plan.Plan{}, false
 	}
@@ -293,10 +289,10 @@ func (s *Session) cachedPlan(sh *plan.Shape, root *obs.Span) (*snapshot, plan.Pl
 }
 
 // routedParsed is the single execution path behind every query entry point.
-// sh is the text's shape (nil: it does not lex). st, when non-nil, is the
+// sh is the text's shape, whole when the text parsed. st, when non-nil, is the
 // prepared statement issuing the query (its held plan joins the cache
 // lookup).
-func (s *Session) routedParsed(ctx context.Context, src string, sh *plan.Shape, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) (Rows, queryRoute, error) {
+func (s *Session) routedParsed(ctx context.Context, src string, sh plan.Shape, e pathexpr.Expr, perr error, st *Stmt, root *obs.Span) (Rows, queryRoute, error) {
 	d := s.db
 	switch {
 	case perr != nil:
@@ -364,7 +360,7 @@ func (s *Session) evaluate(ctx context.Context, src string, why error, root *obs
 // the snapshot, resolve the plan (cache, held statement plan, or fresh
 // compile), run it. The bool result reports whether a cached plan served the
 // query.
-func (s *Session) compiled(ctx context.Context, sh *plan.Shape, e pathexpr.Expr, st *Stmt, root *obs.Span) (Rows, bool, error) {
+func (s *Session) compiled(ctx context.Context, sh plan.Shape, e pathexpr.Expr, st *Stmt, root *obs.Span) (Rows, bool, error) {
 	ss := childSpan(root, "snapshot")
 	sp, err := s.db.currentSnapshot()
 	endSpan(ss)
@@ -403,15 +399,15 @@ func (s *Session) run(ctx context.Context, sp *snapshot, p plan.Plan, root *obs.
 	return out, err
 }
 
-// planFor resolves the physical plan for one execution of a text of shape sh
-// (nil: the text does not lex, and is neither looked up nor cached). Lookup
+// planFor resolves the physical plan for one execution of a parsed text of
+// shape sh (a text that parses always lexes: FuzzShapeLossless). Lookup
 // order: the issuing statement's held plan (bound to its literals at this
 // epoch, so it is not checked again, and survives cache thrash), shared plan
 // cache (epoch- and argument-checked), fresh compile. Only successful
 // compiles populate the cache — plan.ErrUnsupported sends the query to the
 // evaluator without ever touching cache state, so the fallback route stays
 // invisible to cache statistics and can never pin a failure.
-func (s *Session) planFor(sh *plan.Shape, e pathexpr.Expr, sp *snapshot, st *Stmt, root *obs.Span) (plan.Plan, bool, error) {
+func (s *Session) planFor(sh plan.Shape, e pathexpr.Expr, sp *snapshot, st *Stmt, root *obs.Span) (plan.Plan, bool, error) {
 	d := s.db
 	opt := s.db.planOptions(sp.st)
 	epoch := sp.st.StatsEpoch()
@@ -421,13 +417,7 @@ func (s *Session) planFor(sh *plan.Shape, e pathexpr.Expr, sp *snapshot, st *Stm
 			return p, true, nil
 		}
 	}
-	if sh == nil {
-		cs := childSpan(root, "compile")
-		c, err := plan.Compile(e, opt)
-		endSpan(cs)
-		return plan.Plan{Compiled: c}, false, err
-	}
-	if p, ok := d.planCache.GetShape(*sh, opt, epoch); ok {
+	if p, ok := d.planCache.GetShape(sh, opt, epoch); ok {
 		spanAttr(root, "plancache", "hit")
 		if st != nil {
 			st.hold(p, epoch)
@@ -435,12 +425,12 @@ func (s *Session) planFor(sh *plan.Shape, e pathexpr.Expr, sp *snapshot, st *Stm
 		return p, true, nil
 	}
 	cs := childSpan(root, "compile")
-	c, err := plan.CompileShape(e, *sh, opt)
+	c, err := plan.CompileShape(e, sh, opt)
 	endSpan(cs)
 	if err != nil {
 		return plan.Plan{}, false, err
 	}
-	d.planCache.PutShape(*sh, epoch, c)
+	d.planCache.PutShape(sh, epoch, c)
 	p := plan.Plan{Compiled: c}
 	if st != nil {
 		st.hold(p, epoch)

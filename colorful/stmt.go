@@ -19,7 +19,7 @@ import (
 type Stmt struct {
 	sess  *Session
 	src   string
-	shape *plan.Shape // nil: the text does not lex
+	shape plan.Shape
 	expr  pathexpr.Expr
 
 	// mu guards the held plan and the closed flag. The held plan, bound to
@@ -44,10 +44,9 @@ func (s *Session) Prepare(src string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{sess: s, src: src, expr: e}
-	if sh, ok := plan.QueryShape(src, s.db.planOptions(nil)); ok {
-		st.shape = &sh
-	}
+	// A text that parses always lexes, so its shape is whole.
+	sh, _ := plan.QueryShape(src, s.db.planOptions(nil))
+	st := &Stmt{sess: s, src: src, expr: e, shape: sh}
 	if !plan.HasConstructors(e) {
 		if sp, err := s.db.currentSnapshot(); err == nil {
 			if _, _, cerr := s.planFor(st.shape, e, sp, st, nil); cerr != nil && !errors.Is(cerr, plan.ErrUnsupported) {

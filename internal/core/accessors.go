@@ -129,33 +129,6 @@ func parseNumber(s string) (i int64, f float64, isInt, ok bool) {
 	return 0, 0, false, false
 }
 
-// Root returns the root of the colored tree containing n in color c: the
-// highest ancestor reachable through c-colored parent edges. Returns nil if n
-// lacks color c.
-func Root(n *Node, c Color) *Node {
-	if n == nil || !n.HasColor(c) {
-		return nil
-	}
-	cur := n
-	for {
-		p := Parent(cur, c)
-		if p == nil {
-			return cur
-		}
-		cur = p
-	}
-}
-
-// IsAncestor reports whether a is a proper ancestor of d in color c.
-func IsAncestor(a, d *Node, c Color) bool {
-	for p := Parent(d, c); p != nil; p = Parent(p, c) {
-		if p == a {
-			return true
-		}
-	}
-	return false
-}
-
 // Descendants returns all descendants of n in color c in local (pre-) order,
 // excluding attribute and namespace nodes.
 func Descendants(n *Node, c Color) []*Node {

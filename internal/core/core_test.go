@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -607,19 +608,25 @@ func TestSiblingAccessors(t *testing.T) {
 	}
 }
 
+// TestIsAncestorAndRoot: ancestry holds in one colour only, and the
+// parent chain of a node in a colour ends at that colour's root.
 func TestIsAncestorAndRoot(t *testing.T) {
 	db, ns := buildMovieDB(t)
-	if !core.IsAncestor(ns["genres"], ns["eve"], red) {
+	if !slices.Contains(core.Descendants(ns["genres"], red), ns["eve"]) {
 		t.Fatal("genres should be a red ancestor of eve")
 	}
-	if core.IsAncestor(ns["genres"], ns["eve"], green) {
+	if slices.Contains(core.Descendants(ns["genres"], green), ns["eve"]) {
 		t.Fatal("genres is not a green ancestor of eve")
 	}
-	if core.Root(ns["eve"], red) != db.Document() {
+	root := ns["eve"]
+	for p := core.Parent(root, red); p != nil; p = core.Parent(p, red) {
+		root = p
+	}
+	if root != db.Document() {
 		t.Fatal("red root should be the document")
 	}
-	if core.Root(ns["eve"], blue) != nil {
-		t.Fatal("root in incompatible color should be nil")
+	if core.Parent(ns["eve"], blue) != nil {
+		t.Fatal("eve has no parent in a colour it lacks")
 	}
 }
 
@@ -665,16 +672,6 @@ func TestComputeStats(t *testing.T) {
 	if s.StructuralNodes != s.Elements+s.MultiColored {
 		t.Fatalf("structural nodes = %d, want elements+multicolored = %d",
 			s.StructuralNodes, s.Elements+s.MultiColored)
-	}
-}
-
-func TestDedup(t *testing.T) {
-	db := core.NewDatabase(red)
-	a, _ := db.AddElement(db.Document(), "a", red)
-	b, _ := db.AddElement(db.Document(), "b", red)
-	got := core.Dedup([]*core.Node{a, b, a, b, a})
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("Dedup = %v", got)
 	}
 }
 

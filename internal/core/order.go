@@ -90,17 +90,3 @@ func (db *Database) TreeNodes(c Color) []*Node {
 	}
 	return out
 }
-
-// Dedup returns nodes with duplicate identities removed, preserving the first
-// occurrence of each.
-func Dedup(nodes []*Node) []*Node {
-	seen := make(map[NodeID]bool, len(nodes))
-	out := nodes[:0:0]
-	for _, n := range nodes {
-		if !seen[n.id] {
-			seen[n.id] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}

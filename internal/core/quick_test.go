@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,7 +85,7 @@ func randomMCT(seed int64, ops int) *core.Database {
 				if n == parent || n == db.Document() {
 					continue
 				}
-				if core.IsAncestor(n, parent, c) || core.Parent(n, c) == nil {
+				if slices.Contains(core.Descendants(n, c), parent) || core.Parent(n, c) == nil {
 					continue
 				}
 				if err := db.Detach(n, c); err != nil {

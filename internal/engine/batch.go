@@ -54,9 +54,6 @@ func (b *Batch) Reset() {
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// Cols returns the row width (0 while empty).
-func (b *Batch) Cols() int { return b.cols }
-
 // Full reports whether the batch reached BatchSize rows.
 func (b *Batch) Full() bool { return b.n >= BatchSize }
 

@@ -70,8 +70,8 @@ func TestBatchExactlyOneRow(t *testing.T) {
 	if err := op.NextBatch(ctx, &b); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 || b.Cols() != 1 {
-		t.Fatalf("first batch: len=%d cols=%d, want 1x1", b.Len(), b.Cols())
+	if b.Len() != 1 || len(b.Row(0)) != 1 {
+		t.Fatalf("first batch: len=%d cols=%d, want 1x1", b.Len(), len(b.Row(0)))
 	}
 	if err := op.NextBatch(ctx, &b); err != nil {
 		t.Fatal(err)
@@ -125,10 +125,10 @@ func TestMidBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	visits, rows := 0, 0
-	_, err := engine.ExecBatches(ctx, s, plan, func(b *engine.Batch) error {
+	_, err := engine.ExecBatchesPooled(ctx, s, nil, plan, func(b *engine.Batch) error {
 		visits++
-		if b.Len() == 0 || b.Cols() != 1 {
-			t.Fatalf("torn batch: len=%d cols=%d", b.Len(), b.Cols())
+		if b.Len() == 0 || len(b.Row(0)) != 1 {
+			t.Fatalf("torn batch: len=%d cols=%d", b.Len(), len(b.Row(0)))
 		}
 		for i := 0; i < b.Len(); i++ {
 			if len(b.Row(i)) != 1 {

@@ -132,7 +132,7 @@ func TestClonesRunConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, _, err := engine.Exec(s, proto.Clone())
+			rows, _, err := execRows(nil, s, proto.Clone())
 			if err != nil {
 				errs <- err
 				return

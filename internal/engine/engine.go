@@ -345,56 +345,25 @@ func gather(ctx *Ctx, parent, child Op) ([]Row, error) {
 	return rows, nil
 }
 
-// Exec runs a plan and returns its rows plus metrics.
-func Exec(s *storage.Store, plan Op) ([]Row, Metrics, error) {
-	return ExecContext(nil, s, plan)
-}
-
-// ExecContext is Exec under a context: the execution aborts with the
-// context's error shortly after it is canceled or its deadline passes. A
-// nil (or never-canceled) context adds no overhead.
-func ExecContext(cctx context.Context, s *storage.Store, plan Op) ([]Row, Metrics, error) {
-	ctx := &Ctx{S: s}
-	// Background-like contexts can never be canceled; skip the polling.
-	if cctx != nil && cctx.Done() != nil {
-		ctx.Cancel = cctx
-	}
-	sw := obs.Start()
-	rows, err := drain(ctx, plan)
-	foldObs(ctx, sw, len(rows), err)
-	if err != nil {
-		return nil, ctx.M, err
-	}
-	ctx.M.RowsOut = len(rows)
-	return rows, ctx.M, nil
-}
-
-// ExecBatches runs a plan and streams its result batches to visit instead of
-// materializing them: the zero-copy consumption path the colorful facade
-// maps query results through. The batch passed to visit (always non-empty)
-// is only valid for the duration of the call — visit copies what it keeps.
-// A non-nil error from visit aborts the execution and is returned.
-func ExecBatches(cctx context.Context, s *storage.Store, plan Op, visit func(b *Batch) error) (Metrics, error) {
-	return ExecBatchesPooled(cctx, s, nil, plan, visit)
-}
-
-// ExecBatchesPooled is ExecBatches drawing execution scratch memory (arena
+// ExecBatchesPooled runs a plan and streams its result batches to visit
+// instead of materializing them, drawing execution scratch memory (arena
 // chunks, batch buffers) from pool and returning it when the execution
-// finishes. Because visit's contract already requires copying anything kept
-// out of a batch, and streamed executions hand the caller no arena-backed
-// rows, recycling is invisible to correct callers. A nil pool is ExecBatches
-// exactly. The execution context itself comes from the pool too, and goes
-// back when the execution is over. The materializing entry points (Exec,
-// ExplainAnalyze) return rows that live in the arena and must never be
-// pooled.
+// finishes. The batch passed to visit (always non-empty) is only valid for
+// the duration of the call — visit copies what it keeps — so recycling is
+// invisible to correct callers. A non-nil error from visit aborts the
+// execution and is returned. A nil pool recycles nothing. The execution
+// context itself comes from the pool too, and goes back when the execution
+// is over. The execution aborts with cctx's error shortly after it is
+// canceled or its deadline passes; a nil (or never-canceled) context adds no
+// overhead.
 func ExecBatchesPooled(cctx context.Context, s *storage.Store, pool *MemPool, plan Op, visit func(b *Batch) error) (Metrics, error) {
 	ctx := pool.takeCtx(s)
 	defer pool.putCtx(ctx)
 	return execStreamed(ctx, cctx, pool, plan, visit)
 }
 
-// execStreamed is the streaming executor behind ExecBatchesPooled and
-// ExecColumn; ctx arrives with S and any attribution set up.
+// execStreamed is the streaming executor behind ExecBatchesPooled,
+// ExecColumn and ExplainAnalyze; ctx arrives with S and any attribution set up.
 func execStreamed(ctx *Ctx, cctx context.Context, pool *MemPool, plan Op, visit func(b *Batch) error) (Metrics, error) {
 	ctx.arena.pool = pool
 	if cctx != nil && cctx.Done() != nil {
@@ -481,11 +450,10 @@ func Explain(plan Op) string {
 	return b.String()
 }
 
-// Analyzed is the result of ExplainAnalyze: the rows and metrics of a real
-// execution plus the annotated plan text and the peak number of intermediate
-// rows live at any instant.
+// Analyzed is the result of ExplainAnalyze: the metrics of a real execution
+// (Metrics.RowsOut counts its rows) plus the annotated plan text and the peak
+// number of intermediate rows live at any instant.
 type Analyzed struct {
-	Rows    []Row
 	Metrics Metrics
 	// Text is the plan tree with per-operator annotations.
 	Text string
@@ -499,16 +467,14 @@ type Analyzed struct {
 
 // ExplainAnalyze executes a plan while attributing batches, rows,
 // materialization and metric deltas to each operator, and renders the
-// annotated tree.
+// annotated tree. It streams the result like ExecBatchesPooled and keeps
+// only counts.
 func ExplainAnalyze(s *storage.Store, plan Op) (*Analyzed, error) {
 	ctx := &Ctx{S: s, stats: map[Op]*OpStats{}}
-	sw := obs.Start()
-	rows, err := drain(ctx, plan)
-	foldObs(ctx, sw, len(rows), err)
+	m, err := execStreamed(ctx, nil, nil, plan, func(*Batch) error { return nil })
 	if err != nil {
 		return nil, err
 	}
-	ctx.M.RowsOut = len(rows)
 
 	var b strings.Builder
 	var walk func(op Op, depth int)
@@ -526,12 +492,7 @@ func ExplainAnalyze(s *storage.Store, plan Op) (*Analyzed, error) {
 	walk(plan, 0)
 	fmt.Fprintf(&b, "peak live intermediate rows: %d\n", ctx.peak)
 
-	return &Analyzed{
-		Rows:             rows,
-		Metrics:          ctx.M,
-		Text:             b.String(),
-		PeakMaterialized: ctx.peak,
-	}, nil
+	return &Analyzed{Metrics: m, Text: b.String(), PeakMaterialized: ctx.peak}, nil
 }
 
 func statExtras(st *OpStats) string {

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,9 +21,25 @@ func loadStore(t *testing.T) (*fixtures.MovieDB, *storage.Store) {
 	return m, s
 }
 
+// execRows runs a plan the way serving does, streaming it with no pool
+// under cctx (nil: none), and returns copies of its rows.
+func execRows(cctx context.Context, s *storage.Store, plan engine.Op) ([]engine.Row, engine.Metrics, error) {
+	var rows []engine.Row
+	m, err := engine.ExecBatchesPooled(cctx, s, nil, plan, func(b *engine.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, slices.Clone(b.Row(i)))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, m, err
+	}
+	return rows, m, nil
+}
+
 func run(t *testing.T, s *storage.Store, plan engine.Op) ([]engine.Row, engine.Metrics) {
 	t.Helper()
-	rows, m, err := engine.Exec(s, plan)
+	rows, m, err := execRows(nil, s, plan)
 	if err != nil {
 		t.Fatalf("exec: %v\nplan:\n%s", err, engine.Explain(plan))
 	}

@@ -24,12 +24,10 @@ import (
 //
 // Safety rests on two invariants of the batch executor (see batch.go):
 // rows handed to a consumer are always copies into the consumer-owned batch
-// buffer (never views into the arena), and the streaming entry points'
-// callers copy what they keep out of each visited batch. So once an
-// execution finishes, nothing references its chunks or buffers, and
-// ExecBatchesPooled returns them here. The materializing entry points
-// (Exec, ExplainAnalyze) return arena-backed rows to the caller and
-// therefore never recycle.
+// buffer (never views into the arena), and the callers of the entry points,
+// which all stream, copy what they keep out of each visited batch. So once
+// an execution finishes, nothing references its chunks or buffers, and they
+// come back here.
 //
 // The answer ExecColumn returns does leave the execution, so its id buffer
 // comes back only through PutColumn, from a caller that has read the ids and

@@ -111,8 +111,8 @@ func TestOneRowExecutionScratch(t *testing.T) {
 	visits := 0
 	if _, err := execStreamed(&Ctx{S: s}, nil, nil, join(), func(b *Batch) error {
 		visits++
-		if b.Len() != 1 || cap(b.data) != b.Cols() {
-			t.Errorf("output batch: %d rows of %d columns in a %d-node buffer, want one row's width", b.Len(), b.Cols(), cap(b.data))
+		if b.Len() != 1 || cap(b.data) != b.cols {
+			t.Errorf("output batch: %d rows of %d columns in a %d-node buffer, want one row's width", b.Len(), b.cols, cap(b.data))
 		}
 		return nil
 	}); err != nil || visits != 1 {

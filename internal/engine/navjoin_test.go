@@ -123,7 +123,7 @@ func TestNavJoinFanOutAcrossBatches(t *testing.T) {
 	nav := &engine.NavJoin{Input: &engine.ScanTag{Color: "red", Tag: "lib"}, Col: 0, Axis: engine.NavChild, Color: "red", Tag: "item"}
 	var sizes []int
 	var got []storage.ElemID
-	m, err := engine.ExecBatches(context.Background(), s, nav, func(b *engine.Batch) error {
+	m, err := engine.ExecBatchesPooled(context.Background(), s, nil, nav, func(b *engine.Batch) error {
 		sizes = append(sizes, b.Len())
 		for i := 0; i < b.Len(); i++ {
 			if r := b.Row(i); len(r) != 2 || r[0].Elem == r[1].Elem {
@@ -195,7 +195,7 @@ func TestNavJoinCancelledMidBatch(t *testing.T) {
 	// And through the executor the query just fails.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := engine.ExecContext(cctx, s, nav.Clone()); !errors.Is(err, context.Canceled) {
+	if _, _, err := execRows(cctx, s, nav.Clone()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -37,7 +37,7 @@ func TestValueJoinMultiKey(t *testing.T) {
 		LeftKey:  engine.Key{Attr: "roleIdRefs", Multi: true},
 		RightKey: engine.Key{Attr: "id"},
 	}
-	rows, _, err := engine.Exec(s, plan)
+	rows, _, err := execRows(nil, s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestValueJoinContentKey(t *testing.T) {
 		LeftKey:  engine.Key{Content: true},
 		RightKey: engine.Key{Content: true},
 	}
-	rows, met, err := engine.Exec(s, plan)
+	rows, met, err := execRows(nil, s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCrossColorDropsIncompatible(t *testing.T) {
 		Col:   0,
 		To:    "green",
 	}
-	rows, met, err := engine.Exec(s, plan)
+	rows, met, err := execRows(nil, s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestExistsJoinDirections(t *testing.T) {
 			Input: movieScan(), Probe: genreScan(), Axis: engine.AncestorDescendant}, 0},
 	}
 	for _, c := range cases {
-		rows, _, err := engine.Exec(s, c.plan)
+		rows, _, err := execRows(nil, s, c.plan)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -148,7 +148,7 @@ func TestMetricsRowsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, met, err := engine.Exec(s, &engine.ScanTag{Color: "blue", Tag: "actor"})
+	rows, met, err := execRows(nil, s, &engine.ScanTag{Color: "blue", Tag: "actor"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEmptyInputsFlowThrough(t *testing.T) {
 		&engine.Project{Input: empty, Cols: []int{0}},
 	}
 	for _, p := range plans {
-		rows, _, err := engine.Exec(s, p)
+		rows, _, err := execRows(nil, s, p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

@@ -47,23 +47,23 @@ func (p *panicOp) String() string   { return "Panicker" }
 func TestExecContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := ExecContext(ctx, nil, endlessOp{})
+	_, err := ExecBatchesPooled(ctx, nil, nil, endlessOp{}, func(*Batch) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestExecWithoutContextStillWorks(t *testing.T) {
-	_, _, err := ExecContext(context.Background(), nil, &panicOp{at: 3})
+	_, err := ExecBatchesPooled(context.Background(), nil, nil, &panicOp{at: 3}, func(*Batch) error { return nil })
 	if err == nil {
 		t.Fatal("expected the contained panic as an error")
 	}
 }
 
 func TestPanicContainedWithLabel(t *testing.T) {
-	rows, _, err := Exec(nil, &panicOp{at: 5})
-	if err == nil || rows != nil {
-		t.Fatalf("rows=%v err=%v, want contained panic", rows, err)
+	_, err := ExecBatchesPooled(nil, nil, nil, &panicOp{at: 5}, func(*Batch) error { return nil })
+	if err == nil {
+		t.Fatal("want the contained panic as an error")
 	}
 	if !strings.Contains(err.Error(), "Panicker") || !strings.Contains(err.Error(), "operator bug") {
 		t.Fatalf("error does not carry the plan node label: %v", err)

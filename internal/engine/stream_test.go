@@ -35,8 +35,8 @@ func TestStreamingBatches(t *testing.T) {
 	if b.Len() == 0 {
 		t.Fatal("first batch is empty")
 	}
-	if b.Cols() != 1 || len(b.Row(0)) != 1 {
-		t.Fatalf("scan rows have one column, got %d", b.Cols())
+	if len(b.Row(0)) != 1 {
+		t.Fatalf("scan rows have one column, got %d", len(b.Row(0)))
 	}
 	// Abandon the scan early: Close must succeed and be idempotent.
 	if err := op.Close(ctx); err != nil {
@@ -60,11 +60,11 @@ func TestReopenable(t *testing.T) {
 		},
 		Col: 1,
 	}
-	first, _, err := engine.Exec(s, plan)
+	first, _, err := execRows(nil, s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := engine.Exec(s, plan)
+	second, _, err := execRows(nil, s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPeakMaterialization(t *testing.T) {
 		t.Fatalf("streaming pipeline peak %d exceeds its in-flight batch bound %d\n%s",
 			an.PeakMaterialized, 3*engine.BatchSize, an.Text)
 	}
-	if len(an.Rows) == 0 {
+	if an.Metrics.RowsOut == 0 {
 		t.Fatal("expected some matching names")
 	}
 

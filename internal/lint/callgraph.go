@@ -195,26 +195,3 @@ func (g *CallGraph) implementers(iface *types.Interface, m *types.Func) []*FuncN
 	}
 	return out
 }
-
-// Lookup finds a node by package-path suffix and Name() notation
-// ("Open", "DB.Close"); nil when absent. Test and debugging helper.
-func (g *CallGraph) Lookup(pkgSuffix, name string) *FuncNode {
-	for _, n := range g.Nodes {
-		if pathHasSuffix(n.Pkg.Path, pkgSuffix) && n.Name() == name {
-			return n
-		}
-	}
-	return nil
-}
-
-// CalleesNamed flattens a node's resolved callee names, call order, for
-// compact test assertions: "pkgname.Func" / "pkgname.Type.Method".
-func (n *FuncNode) CalleesNamed() []string {
-	var out []string
-	for _, cs := range n.Calls {
-		for _, c := range cs.Callees {
-			out = append(out, c.Pkg.Name+"."+c.Name())
-		}
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"colorfulxml/internal/lint"
@@ -18,24 +19,47 @@ func loadCallGraph(t *testing.T, files map[string]string) *lint.CallGraph {
 	return lint.BuildCallGraph(pkgs)
 }
 
+// lookup finds a node by package-path suffix and Name() notation ("Open",
+// "DB.Close"); nil when absent.
+func lookup(g *lint.CallGraph, pkgSuffix, name string) *lint.FuncNode {
+	for _, n := range g.Nodes {
+		if strings.HasSuffix(n.Pkg.Path, pkgSuffix) && n.Name() == name {
+			return n
+		}
+	}
+	return nil
+}
+
+// calleesNamed flattens a node's resolved callee names, call order:
+// "pkgname.Func" / "pkgname.Type.Method".
+func calleesNamed(n *lint.FuncNode) []string {
+	var out []string
+	for _, cs := range n.Calls {
+		for _, c := range cs.Callees {
+			out = append(out, c.Pkg.Name+"."+c.Name())
+		}
+	}
+	return out
+}
+
 func TestCallGraphDirectAndCrossPackage(t *testing.T) {
 	g := loadCallGraph(t, map[string]string{
 		"go.mod": "module cgfix\n\ngo 1.22\n",
 		"a/a.go": "package a\n\nimport \"cgfix/b\"\n\nfunc Caller() { helper(); b.Exported() }\nfunc helper() {}\n",
 		"b/b.go": "package b\n\nfunc Exported() { inner() }\nfunc inner() {}\n",
 	})
-	caller := g.Lookup("cgfix/a", "Caller")
+	caller := lookup(g, "cgfix/a", "Caller")
 	if caller == nil {
 		t.Fatal("Caller not in graph")
 	}
-	got := caller.CalleesNamed()
+	got := calleesNamed(caller)
 	want := []string{"a.helper", "b.Exported"}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("Caller callees = %v, want %v", got, want)
 	}
 	// Cross-package resolution must link to the node with a body: the edge
 	// from b.Exported to b.inner proves the graph is transitively usable.
-	if ex := g.Lookup("cgfix/b", "Exported"); ex == nil || len(ex.CalleesNamed()) != 1 {
+	if ex := lookup(g, "cgfix/b", "Exported"); ex == nil || len(calleesNamed(ex)) != 1 {
 		t.Errorf("Exported -> inner edge missing")
 	}
 }
@@ -58,11 +82,11 @@ func (Cat) Speak() {}
 func Dispatch(s Speaker) { s.Speak() }
 `,
 	})
-	d := g.Lookup("cgfix/a", "Dispatch")
+	d := lookup(g, "cgfix/a", "Dispatch")
 	if d == nil {
 		t.Fatal("Dispatch not in graph")
 	}
-	got := d.CalleesNamed()
+	got := calleesNamed(d)
 	sort.Strings(got)
 	want := []string{"a.Cat.Speak", "a.Dog.Speak"}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
@@ -87,12 +111,12 @@ func Holder(w W) func() {
 }
 `,
 	})
-	h := g.Lookup("cgfix/a", "Holder")
+	h := lookup(g, "cgfix/a", "Holder")
 	if h == nil {
 		t.Fatal("Holder not in graph")
 	}
-	if len(h.CalleesNamed()) != 0 {
-		t.Errorf("method value must not count as a call: %v", h.CalleesNamed())
+	if len(calleesNamed(h)) != 0 {
+		t.Errorf("method value must not count as a call: %v", calleesNamed(h))
 	}
 }
 
@@ -111,7 +135,7 @@ func Spawner() {
 }
 `,
 	})
-	sp := g.Lookup("cgfix/a", "Spawner")
+	sp := lookup(g, "cgfix/a", "Spawner")
 	if sp == nil {
 		t.Fatal("Spawner not in graph")
 	}

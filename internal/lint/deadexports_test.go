@@ -18,53 +18,29 @@ import (
 // list may only shrink: a name leaves it when its code goes, or when the
 // code it serves calls it.
 var testsOnlyExports = []string{
-	"(*colorfulxml/client.Conn).ServerName",
-	"(*colorfulxml/internal/engine.Batch).Cols",
-	"(*colorfulxml/internal/lint.CallGraph).Lookup",
-	"(*colorfulxml/internal/lint.FuncNode).CalleesNamed",
-	"(*colorfulxml/internal/lint.Pass).Report",
-	"(*colorfulxml/internal/lint.ProgramPass).Report",
-	"(*colorfulxml/internal/mcxquery.FLWOR).NumBindings",
-	"(*colorfulxml/internal/obs.Span).Attrs",
-	"(*colorfulxml/internal/obs.Span).JSON",
-	"(*colorfulxml/internal/pagestore.Page).NumSlots",
-	"(*colorfulxml/internal/plan.Cache).Hit",
-	"(*colorfulxml/internal/schema.DTD).Paths",
-	"(*colorfulxml/internal/schema.XMLSchema).Deep",
-	"(*colorfulxml/internal/serialize.Plan).Primary",
-	"(*colorfulxml/internal/storage.PathSummary).Paths",
-	"(*colorfulxml/internal/storage.Store).AppendStringValue",
-	"(*colorfulxml/internal/storage.Store).Colors",
-	"(*colorfulxml/internal/storage.Store).EqAttr",
-	"(*colorfulxml/internal/storage.Store).InsertLeafChild",
-	"(*colorfulxml/internal/update.Executor).Apply",
+	// Fault injection: the crash and fault harnesses drive these.
 	"(*colorfulxml/internal/vfs.CrashFS).BytesWritten",
 	"(*colorfulxml/internal/vfs.CrashFS).Crashed",
 	"(*colorfulxml/internal/vfs.FaultFS).SetSleep",
 	"(*colorfulxml/internal/vfs.FaultFS).SetSyncDelay",
-	"(*colorfulxml/internal/xmlenc.Node).AttrDefault",
-	"(*colorfulxml/internal/xmlenc.Node).First",
-	"(*colorfulxml/internal/xmlenc.Node).Text",
-	"(colorfulxml/internal/pathexpr.Sequence).Nodes",
-	"(colorfulxml/internal/vfs.RetryPolicy).Enabled",
-	"(colorfulxml/internal/wire.CloseStmt).Encode",
-	"colorfulxml/internal/core.Dedup",
-	"colorfulxml/internal/core.IsAncestor",
-	"colorfulxml/internal/core.Root",
-	"colorfulxml/internal/engine.Exec",
-	"colorfulxml/internal/engine.ExecBatches",
-	"colorfulxml/internal/engine.Explain",
-	"colorfulxml/internal/mcxquery.CountPathExpressions",
-	"colorfulxml/internal/mcxquery.LexQuery",
-	"colorfulxml/internal/pathexpr.CountSteps",
-	"colorfulxml/internal/pathexpr.ParsePath",
-	"colorfulxml/internal/plan.Analyze",
-	"colorfulxml/internal/serialize.CostUnder",
 	"colorfulxml/internal/vfs.NewCrashFS",
+	// A message the server answers; clients outside the module send it.
+	"(colorfulxml/internal/wire.CloseStmt).Encode",
+	// Golden plan text, which tests compare plans by.
+	"colorfulxml/internal/engine.Explain",
+	// The paper's complexity and cost measures, which tests check against
+	// its tables.
+	"colorfulxml/internal/mcxquery.CountPathExpressions",
+	"colorfulxml/internal/pathexpr.CountSteps",
+	"colorfulxml/internal/serialize.CostUnder",
 	"colorfulxml/internal/workload.UpdateComplexity",
-	"colorfulxml/internal/xmlenc.Compact",
-	"colorfulxml/internal/xmlenc.NewElement",
-	"colorfulxml/internal/xmlenc.ParseFile",
+	// The paper's shallow/deep schema test (Definition 3.3), which tests
+	// hold its Shallow-1 and Deep-1 movie schemas to.
+	"(*colorfulxml/internal/schema.XMLSchema).Shallow",
+	// The reference lexer the shape fuzz target holds AppendShape to.
+	"colorfulxml/internal/mcxquery.LexQuery",
+	// The attribute-value index's probe: whether the index stays is open.
+	"(*colorfulxml/internal/storage.Store).EqAttr",
 }
 
 // stdMethods are the methods the standard library calls through interfaces

@@ -70,9 +70,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report emits a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf formats and emits a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
@@ -115,9 +112,6 @@ type ProgramPass struct {
 
 	report func(Diagnostic)
 }
-
-// Report emits a diagnostic.
-func (p *ProgramPass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf formats and emits a diagnostic at pos.
 func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {

@@ -94,10 +94,6 @@ func (f *FLWOR) String() string {
 	return b.String()
 }
 
-// NumBindings returns the number of for/let variable bindings, the metric of
-// the paper's Figure 12.
-func (f *FLWOR) NumBindings() int { return len(f.Clauses) }
-
 // CtorAttr is a literal attribute of an element constructor.
 type CtorAttr struct {
 	Name  string

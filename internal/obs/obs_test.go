@@ -227,7 +227,7 @@ func TestSpanTree(t *testing.T) {
 		t.Errorf("root duration negative")
 	}
 
-	b, err := root.JSON()
+	b, err := json.Marshal(root)
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}

@@ -90,13 +90,6 @@ func (s *Span) Children() []*Span {
 	return s.children
 }
 
-// Attrs returns the span's attributes (shared, do not mutate).
-func (s *Span) Attrs() []Attr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.attrs
-}
-
 // Find returns the first span named name in a pre-order walk of the tree
 // rooted at s (including s), or nil.
 func (s *Span) Find(name string) *Span {
@@ -136,9 +129,4 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 	}
 	s.mu.Unlock()
 	return json.Marshal(j)
-}
-
-// JSON renders the span tree as indented JSON.
-func (s *Span) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

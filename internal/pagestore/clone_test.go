@@ -351,7 +351,7 @@ func TestConcurrentReadersOfSharedTail(t *testing.T) {
 					return
 				}
 				slots := 0
-				if err := s.ViewPage(rid.PageID, func(p *Page) { slots = p.NumSlots() }); err != nil || slots != n {
+				if err := s.ViewPage(rid.PageID, func(p *Page) { slots = int(p.nslots) }); err != nil || slots != n {
 					t.Errorf("ViewPage: %d slots, %v; want %d", slots, err, n)
 					return
 				}

@@ -319,10 +319,6 @@ func (p *Page) ownBitmap(slot uint16) {
 	}
 }
 
-// NumSlots returns the number of slots ever allocated in the page (including
-// tombstones).
-func (p *Page) NumSlots() int { return int(p.nslots) }
-
 // Store is a collection of heap files: per file, a directory of page headers.
 //
 // A header in a directory that a clone may share is never written: the first

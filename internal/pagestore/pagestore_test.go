@@ -263,7 +263,7 @@ func TestRecordReadsDoNotAllocate(t *testing.T) {
 		if err := s.ViewRecord(rid, func(rec []byte) { n += len(rec) }); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ViewPage(rid.PageID, func(p *Page) { n += p.NumSlots() }); err != nil {
+		if err := s.ViewPage(rid.PageID, func(p *Page) { n += int(p.nslots) }); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {

@@ -190,8 +190,8 @@ func scanned(t *testing.T, s *Store, f FileID) string {
 	n, _ := s.NumPages(f)
 	for p := 0; p < n; p++ {
 		if err := s.ViewPage(PageID{File: f, Page: uint32(p)}, func(pg *Page) {
-			fmt.Fprintf(&b, "page %d: %d slots, dead", p, pg.NumSlots())
-			for i := 0; i < pg.NumSlots(); i++ {
+			fmt.Fprintf(&b, "page %d: %d slots, dead", p, int(pg.nslots))
+			for i := 0; i < int(pg.nslots); i++ {
 				if _, err := pg.Record(uint16(i)); err != nil {
 					fmt.Fprintf(&b, " %d", i)
 				}

@@ -28,17 +28,6 @@ func AtomItem(v any) Item { return Item{Atom: v} }
 // evaluation.
 type Sequence []Item
 
-// Nodes extracts the node pointers of all node items.
-func (s Sequence) Nodes() []*core.Node {
-	out := make([]*core.Node, 0, len(s))
-	for _, it := range s {
-		if it.Node != nil {
-			out = append(out, it.Node)
-		}
-	}
-	return out
-}
-
 // Env is the static evaluation environment: the database, variable bindings,
 // and an optional default color used when a path's first step omits its
 // color and no context color is available.

@@ -72,19 +72,6 @@ func ParseString(src string) (Expr, error) {
 	return e, nil
 }
 
-// ParsePath parses a complete path expression from source text.
-func ParsePath(src string) (*PathExpr, error) {
-	e, err := ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	pe, ok := e.(*PathExpr)
-	if !ok {
-		return nil, Errf(0, "expression is not a path expression")
-	}
-	return pe, nil
-}
-
 // Peek returns the current token without consuming it.
 func (p *Parser) Peek() Token { return p.src.Peek() }
 

@@ -207,13 +207,17 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParsePathRejectsNonPath: arithmetic does not parse as a path
+// expression; a rooted path does, with its document.
 func TestParsePathRejectsNonPath(t *testing.T) {
-	if _, err := ParsePath(`1 + 2`); err == nil {
-		t.Fatal("ParsePath of arithmetic should fail")
+	if e, err := ParseString(`1 + 2`); err != nil {
+		t.Fatal(err)
+	} else if _, ok := e.(*PathExpr); ok {
+		t.Fatalf("arithmetic parsed as a path: %v", e)
 	}
-	p, err := ParsePath(`document("x")/{red}child::a`)
-	if err != nil || p.Doc != "x" {
-		t.Fatalf("ParsePath: %v %+v", err, p)
+	e, err := ParseString(`document("x")/{red}child::a`)
+	if p, ok := e.(*PathExpr); err != nil || !ok || p.Doc != "x" {
+		t.Fatalf("ParseString: %v %+v", err, e)
 	}
 }
 

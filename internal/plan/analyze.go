@@ -11,18 +11,14 @@ import (
 	"colorfulxml/internal/pathexpr"
 )
 
-// Analyze turns a parsed query into the logical IR. Supported shapes are a
+// analyze turns a parsed query into the logical IR. Supported shapes are a
 // bare (possibly predicated) colored path expression and a single FLWOR with
 // for-clauses over path expressions, a conjunctive where clause, and a
 // return clause that yields a variable, a relative path from one, or such a
 // value wrapped in element constructors / createColor (the wrapping is
-// read-only irrelevant to which nodes qualify, so it is stripped).
-func Analyze(e pathexpr.Expr, defaultColor core.Color) (*Logical, error) {
-	return analyze(e, defaultColor, nil)
-}
-
-// analyze is Analyze for a text whose literal tokens are args (nil: not
-// known): each predicate value taken from one records its ordinal.
+// read-only irrelevant to which nodes qualify, so it is stripped). args are
+// the text's literal tokens: each predicate value taken from one records its
+// ordinal.
 func analyze(e pathexpr.Expr, defaultColor core.Color, args []pathexpr.Token) (*Logical, error) {
 	a := newAnalyzer(defaultColor, args)
 	switch x := e.(type) {

@@ -22,8 +22,7 @@ import (
 // literals and its literals' classes are the plan's, and each content count
 // a cost choice read for a literal is in the same power of two for the new
 // one. Otherwise the text misses, and the plan compiled for it replaces the
-// entry: one entry per shape. A plan compiled without its text's literals
-// (Compile) serves only texts without literals.
+// entry: one entry per shape.
 //
 // The Catalog is deliberately NOT part of the key: it is a per-snapshot
 // handle, while a cached plan is reused across snapshots of the same epoch.
@@ -87,26 +86,16 @@ func (c *Cache) Get(query string, opt Options, epoch uint64) (Plan, bool) {
 	return c.GetShape(sh, opt, epoch)
 }
 
-// Hit is Get for a caller that does not yet know whether the query can be
-// compiled at all: it counts and serves a hit exactly as Get does, and on
-// anything else changes nothing — no miss is counted and a stale entry is
-// left for Get to invalidate — so that a query that never reaches the
-// compiler stays invisible to the cache.
-func (c *Cache) Hit(query string, opt Options, epoch uint64) (Plan, bool) {
-	sh, ok := QueryShape(query, opt)
-	defer sh.Release()
-	if !ok {
-		return Plan{}, false
-	}
-	return c.HitShape(sh, opt, epoch)
-}
-
 // GetShape is Get for a text already scanned.
 func (c *Cache) GetShape(sh Shape, opt Options, epoch uint64) (Plan, bool) {
 	return c.lookup(sh, opt, epoch, true)
 }
 
-// HitShape is Hit for a text already scanned.
+// HitShape is GetShape for a caller that does not yet know whether the
+// text can be compiled at all: it counts and serves a hit exactly as
+// GetShape does, and on anything else changes nothing — no miss is counted
+// and a stale entry is left for GetShape to invalidate — so that a text that
+// never reaches the compiler stays invisible to the cache.
 func (c *Cache) HitShape(sh Shape, opt Options, epoch uint64) (Plan, bool) {
 	return c.lookup(sh, opt, epoch, false)
 }

@@ -14,29 +14,18 @@ import (
 	"colorfulxml/internal/storage"
 )
 
-// Compile analyzes and lowers a parsed query into a physical plan. The plan
-// does not know the text's literals: a cache serves it for the very text it
-// is put under (CompileShape makes one it serves for the text's shape).
-func Compile(e pathexpr.Expr, opt Options) (*Compiled, error) {
-	return compile(e, nil, opt)
-}
-
-// CompileShape compiles a parsed query whose text has shape sh: the plan
-// reads each literal it compares with from the arguments of the execution,
-// and a plan cache serves it for every text of the shape whose literals it
-// fits (Compiled.bind).
+// CompileShape analyzes and lowers a parsed query whose text has shape sh
+// into a physical plan: the plan reads each literal it compares with from the
+// arguments of the execution, and a plan cache serves it for every text of
+// the shape whose literals it fits (Compiled.bind).
 func CompileShape(e pathexpr.Expr, sh Shape, opt Options) (*Compiled, error) {
-	return compile(e, sh.args, opt)
-}
-
-func compile(e pathexpr.Expr, args []pathexpr.Token, opt Options) (*Compiled, error) {
-	lg, err := analyze(e, opt.DefaultColor, args)
+	lg, err := analyze(e, opt.DefaultColor, sh.args)
 	if err != nil {
 		return nil, err
 	}
 	c, err := Lower(lg, opt)
-	if err == nil && args != nil {
-		c.recordLits(args)
+	if err == nil {
+		c.recordLits(sh.args)
 	}
 	return c, err
 }
@@ -47,7 +36,7 @@ func CompileQuery(src string, opt Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, _ := QueryShape(src, opt)
+	sh, _ := QueryShape(src, opt) // a text that parses always lexes
 	return CompileShape(e, sh, opt)
 }
 
@@ -234,20 +223,15 @@ func pathText(steps []LStep) string {
 	return b.String()
 }
 
-// CompileBindings compiles the binding half of a FLWOR — an update
-// statement's for and where clauses — into a plan whose rows are the binding
-// tuples themselves: one column per for-variable in clause order
-// (Compiled.VarCols), each holding the variable's node in the color of the
-// variable's last step, every distinct tuple exactly once, in the order the
-// evaluator's nested for loops produce them (by the first variable's local
-// document order, then the second's, and so on). OutCol is -1: nothing is
-// returned, nothing is collapsed onto one column.
-func CompileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, opt Options) (*Compiled, error) {
-	return compileBindings(clauses, where, nil, opt)
-}
-
-// compileBindings is CompileBindings for a binding text whose literal
-// tokens are args (nil: not known), as compile is for a query.
+// compileBindings compiles the binding half of a FLWOR — an update
+// statement's for and where clauses, whose text's literal tokens are args —
+// into a plan whose rows are the binding tuples themselves: one column per
+// for-variable in clause order (Compiled.VarCols), each holding the
+// variable's node in the color of the variable's last step, every distinct
+// tuple exactly once, in the order the evaluator's nested for loops produce
+// them (by the first variable's local document order, then the second's, and
+// so on). OutCol is -1: nothing is returned, nothing is collapsed onto one
+// column.
 func compileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, args []pathexpr.Token, opt Options) (*Compiled, error) {
 	a := newAnalyzer(opt.DefaultColor, args)
 	if err := a.bindings(clauses, where); err != nil {
@@ -282,9 +266,7 @@ func compileBindings(clauses []mcxquery.Clause, where pathexpr.Expr, args []path
 		Mem:     &engine.MemPool{},
 		checks:  lw.checks,
 	}
-	if args != nil {
-		c.recordLits(args)
-	}
+	c.recordLits(args)
 	return c, nil
 }
 

@@ -330,7 +330,7 @@ func check(t *testing.T, w *world, cache *plan.Cache, text string, eval, sets bo
 		cache.PutShape(sh, epoch, c)
 		p = plan.Plan{Compiled: c}
 	}
-	fresh, err := plan.Compile(e, opt)
+	fresh, err := plan.CompileQuery(text, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestKeptPlansConcurrentWithWriter(t *testing.T) {
 					cache.PutShape(sh, epoch, c)
 					p = plan.Plan{Compiled: c}
 				}
-				fresh, err := plan.Compile(e, opt)
+				fresh, err := plan.CompileQuery(text, opt)
 				if err != nil {
 					errc <- err
 					return

@@ -198,13 +198,11 @@ func (m mergeOnly) EqCard(c core.Color, tag, _ string) float64 { return m.TagCar
 func TestBenchClassPlans(t *testing.T) {
 	s := catalogStore(t, 20000)
 	content := func(c *plan.Compiled) []string {
-		rows, _, err := engine.Exec(s, c.Root.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			if out[i], err = s.ContentOf(r[c.OutCol].Elem); err != nil {
+		ids := outIDs(t, s, c)
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			var err error
+			if out[i], err = s.ContentOf(id); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -233,8 +233,7 @@ type Compiled struct {
 	// of concurrent executions.
 	Mem *engine.MemPool
 
-	// lits are the literals of the text the plan was compiled from (nil for
-	// a plan compiled without its text), and checks the content counts its
+	// lits are the literals of the text the plan was compiled from, and checks the content counts its
 	// cost choices read for them: what Compiled.bind holds another text of
 	// the same shape to.
 	lits   []lit

@@ -10,7 +10,6 @@ import (
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/mcxquery"
-	"colorfulxml/internal/pathexpr"
 	"colorfulxml/internal/plan"
 	"colorfulxml/internal/storage"
 )
@@ -28,13 +27,9 @@ func compileRun(t *testing.T, src string) (*plan.Compiled, []string) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rows, _, err := engine.Exec(s, c.Root)
-	if err != nil {
-		t.Fatalf("exec: %v", err)
-	}
 	var out []string
-	for _, r := range rows {
-		e, err := s.Elem(r[c.OutCol].Elem)
+	for _, id := range outIDs(t, s, c) {
+		e, err := s.Elem(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,36 +43,36 @@ func compileRun(t *testing.T, src string) (*plan.Compiled, []string) {
 	return c, out
 }
 
+// outIDs runs c the way serving does (engine.ExecColumn) and returns its
+// output column.
+func outIDs(t *testing.T, s *storage.Store, c *plan.Compiled) []storage.ElemID {
+	t.Helper()
+	ids, _, err := engine.ExecColumn(nil, s, nil, c.Root.Clone(), c.OutCol, 0, nil)
+	if err != nil {
+		t.Fatalf("exec: %v\nplan:\n%s", err, engine.Explain(c.Root))
+	}
+	return ids
+}
+
+// TestAnalyzeFusesDescendantAbbreviation: `//movie` is one descendant step,
+// so the plan is a single tag scan.
 func TestAnalyzeFusesDescendantAbbreviation(t *testing.T) {
-	e, err := mcxquery.ParseQuery(`document("db")//{red}movie`)
+	c, err := plan.CompileQuery(`document("db")//{red}movie`, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := plan.Analyze(e, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := lg.Vars[0].Steps
-	if len(steps) != 1 {
-		t.Fatalf("want 1 fused step, got %d: %v", len(steps), steps)
-	}
-	if steps[0].Axis != pathexpr.AxisDescendant || steps[0].Tag != "movie" || steps[0].Color != "red" {
-		t.Fatalf("bad fused step: %+v", steps[0])
+	if ex := engine.Explain(c.Root); ex != "ScanTag{red}movie\n" {
+		t.Fatalf("want one fused step, a single scan; got\n%s", ex)
 	}
 }
 
 func TestAnalyzeColorInheritance(t *testing.T) {
-	e, err := mcxquery.ParseQuery(`document("db")/{red}descendant::movie/child::name`)
+	c, err := plan.CompileQuery(`document("db")/{red}descendant::movie/child::name`, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := plan.Analyze(e, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := lg.Vars[0].Steps
-	if steps[1].Color != "red" {
-		t.Fatalf("name step should inherit red, got %q", steps[1].Color)
+	if out := c.Cols[c.OutCol]; out.Color != "red" || out.Tag != "name" {
+		t.Fatalf("name step should inherit red, got {%s}%s", out.Color, out.Tag)
 	}
 }
 

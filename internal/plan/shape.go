@@ -132,8 +132,7 @@ func markParams(op engine.Op, lits []lit) {
 // changed.
 func (c *Compiled) bind(args []pathexpr.Token, cat Catalog) (vals []string, ok, drift bool) {
 	if len(args) != len(c.lits) {
-		// A plan compiled without its text's literals fits only a text
-		// without any.
+		// A plan put under the shape of a text it was not compiled for.
 		return nil, false, false
 	}
 	for i, t := range args {
@@ -191,12 +190,8 @@ func (p Plan) Instance() *engine.Instance { return p.Mem.Instance(p.Root, p.Args
 // whatever they insert or write. Compile errors, ErrUnsupported among them,
 // are returned and nothing is cached.
 func (c *Cache) Bindings(src string, clauses []mcxquery.Clause, where pathexpr.Expr, opt Options, epoch uint64) (Plan, error) {
-	sh, ok := scanShape(shapeBindings, src, opt)
+	sh, _ := scanShape(shapeBindings, src, opt) // src parsed, so it lexes
 	defer sh.Release()
-	if !ok {
-		comp, err := CompileBindings(clauses, where, opt)
-		return Plan{Compiled: comp}, err
-	}
 	if p, hit := c.GetShape(sh, opt, epoch); hit {
 		return p, nil
 	}

@@ -80,22 +80,8 @@ func TestSummaryLoweringRowEquivalent(t *testing.T) {
 	if ex := engine.Explain(joins.Root); !strings.Contains(ex, "StructJoin") {
 		t.Fatalf("disabled summary should fall back to joins:\n%s", ex)
 	}
-	pr, _, err := engine.Exec(s, probe.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, _, err := engine.Exec(s, joins.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := func(rows []engine.Row, col int) []storage.ElemID {
-		out := make([]storage.ElemID, len(rows))
-		for i, r := range rows {
-			out[i] = r[col].Elem
-		}
-		return out
-	}
-	if !reflect.DeepEqual(key(pr, probe.OutCol), key(jr, joins.OutCol)) {
+	pr, jr := outIDs(t, s, probe), outIDs(t, s, joins)
+	if !reflect.DeepEqual(pr, jr) {
 		t.Fatalf("summary probe diverges from join chain: %d vs %d rows", len(pr), len(jr))
 	}
 }
@@ -140,14 +126,11 @@ func TestSummaryLoweringFinalStepPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := engine.Exec(s, c.Root)
-	if err != nil {
-		t.Fatal(err)
+	ids := outIDs(t, s, c)
+	if len(ids) != 1 {
+		t.Fatalf("want the single matching name, got %d rows", len(ids))
 	}
-	if len(rows) != 1 {
-		t.Fatalf("want the single matching name, got %d rows", len(rows))
-	}
-	e, err := s.Elem(rows[0][c.OutCol].Elem)
+	e, err := s.Elem(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +184,11 @@ func TestFlworFoldsWhenBindingsCannotNest(t *testing.T) {
 	const src = `for $i in document("db")/{red}descendant::item return $i/{red}child::name`
 	const n = 500
 	run := func(s *storage.Store, c *plan.Compiled) []string {
-		rows, _, err := engine.Exec(s, c.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			if out[i], err = s.ContentOf(r[c.OutCol].Elem); err != nil {
+		ids := outIDs(t, s, c)
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			var err error
+			if out[i], err = s.ContentOf(id); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -195,18 +195,12 @@ func TestDeepSchemaIsDeep(t *testing.T) {
 	if witness == nil || !strings.Contains(string(witness.RHS), "content()") {
 		t.Fatalf("witness = %v", witness)
 	}
-	if !s.Deep() {
-		t.Fatal("Deep() should be true")
-	}
 }
 
 func TestShallowSchemaIsShallow(t *testing.T) {
 	s := shallowMovieSchema()
 	if ok, w := s.Shallow(); !ok {
 		t.Fatalf("Shallow-1 schema should be shallow; witness %v", w)
-	}
-	if s.Deep() {
-		t.Fatal("Deep() should be false")
 	}
 }
 
@@ -240,24 +234,5 @@ func TestClosureIncludesAncestors(t *testing.T) {
 	// Transitivity via candidates: id -> actor -> ... name content (direct).
 	if !s.Implies(FD{LHS: []Path{"db/actor/@id"}, RHS: "db/actor/name"}) {
 		t.Fatal("id determines the name node via the actor node")
-	}
-}
-
-func TestDTDPaths(t *testing.T) {
-	s := deepMovieSchema()
-	paths := s.DTD.Paths()
-	want := map[Path]bool{
-		"genres":                       true,
-		"genres/genre/movie/actor/@id": true,
-		"genres/genre/movie/actor/name/content()": true,
-	}
-	got := map[Path]bool{}
-	for _, p := range paths {
-		got[p] = true
-	}
-	for p := range want {
-		if !got[p] {
-			t.Fatalf("missing path %s in %v", p, paths)
-		}
 	}
 }

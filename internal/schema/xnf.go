@@ -89,36 +89,6 @@ type DTDElem struct {
 	HasContent bool
 }
 
-// Paths enumerates all DTD paths from the root: element paths, attribute
-// paths and content paths. Recursion is cut off at depth limit 16 (the
-// schemas in this repository are acyclic).
-func (d *DTD) Paths() []Path {
-	var out []Path
-	var walk func(prefix string, elem string, depth int)
-	walk = func(prefix string, elem string, depth int) {
-		if depth > 16 {
-			return
-		}
-		p := elem
-		if prefix != "" {
-			p = prefix + "/" + elem
-		}
-		out = append(out, Path(p))
-		decl := d.Elems[elem]
-		for _, a := range decl.Attrs {
-			out = append(out, Path(p+"/@"+a))
-		}
-		if decl.HasContent {
-			out = append(out, Path(p+"/content()"))
-		}
-		for _, ch := range decl.Children {
-			walk(p, ch.Elem, depth+1)
-		}
-	}
-	walk("", d.Root, 0)
-	return out
-}
-
 // XMLSchema is the (D, F) pair of Definition 3.3.
 type XMLSchema struct {
 	DTD *DTD
@@ -222,12 +192,6 @@ func (s *XMLSchema) Shallow() (bool, *FD) {
 		}
 	}
 	return true, nil
-}
-
-// Deep is the negation of Shallow.
-func (s *XMLSchema) Deep() bool {
-	ok, _ := s.Shallow()
-	return !ok
 }
 
 // candidates enumerates FDs to check: the declared ones plus single-step

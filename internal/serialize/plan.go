@@ -50,15 +50,6 @@ type TypeColor struct {
 	Color core.Color
 }
 
-// Primary returns the plan's primary color for an element type, or "" when
-// the type is unknown to the plan.
-func (p *Plan) Primary(elem string) core.Color {
-	if r := p.Ranked[elem]; len(r) > 0 {
-		return r[0]
-	}
-	return ""
-}
-
 // PrimaryFor returns the best ranked color that the given instance actually
 // has, falling back to the instance's first color.
 func (p *Plan) PrimaryFor(n *core.Node) core.Color {

@@ -92,7 +92,7 @@ func TestQuickOptSerializeMatchesExhaustive(t *testing.T) {
 		}
 		planAssign := map[string]core.Color{}
 		for _, e := range multi {
-			planAssign[e] = plan.Primary(e)
+			planAssign[e] = primary(plan, e)
 		}
 		planCost, err := CostUnder(s, planAssign)
 		if err != nil {

@@ -381,18 +381,6 @@ func (s *Store) Roots(c core.Color) ([]SNode, error) {
 // sits among the children, so the store cannot give the value.
 var ErrMixedContent = errors.New("storage: mixed content: the store keeps no position for an element's text among its children")
 
-// AppendStringValue appends to dst the string value of element id in color c
-// (paper Section 3.2: the text of its subtree in c). That is the content
-// records of the structural nodes in [start, end] of c, in start order: one
-// range scan of the color's start index (StringValues). The node that
-// follows one with content in that order is its first child if it has one,
-// so the same scan finds mixed content, and then the value is
-// ErrMixedContent.
-func (s *Store) AppendStringValue(dst []byte, id ElemID, c core.Color) ([]byte, error) {
-	err := s.StringValues([]ElemID{id}, c, func(_ int, value []byte) { dst = append(dst, value...) })
-	return dst, err
-}
-
 // nodeIn is CrossTree for an element that must be in c.
 func (s *Store) nodeIn(id ElemID, c core.Color) (SNode, error) {
 	sn, ok, err := s.CrossTree(id, c)
@@ -402,14 +390,17 @@ func (s *Store) nodeIn(id ElemID, c core.Color) (SNode, error) {
 	return sn, err
 }
 
-// StringValues calls visit with the string value in color c
-// (AppendStringValue) of each element of ids; value is valid only during the
-// call. Rows in start order, as an answer in document order is, are read in
-// one pass over c's start index from the first row to the end of the last,
-// a leaf of records at a time: a row costs no seek, and once a gap between
-// rows is found, the leaves before the next row are skipped unread. A row
-// nested in the row before it, or out of start order, gets a pass of its
-// own afterwards.
+// StringValues calls visit with the string value in color c of each element
+// of ids (paper Section 3.2: the text of its subtree in c, the content
+// records of the structural nodes in [start, end] of c in start order);
+// value is valid only during the call. Rows in start order, as an answer in
+// document order is, are read in one pass over c's start index from the
+// first row to the end of the last, a leaf of records at a time: a row costs
+// no seek, and once a gap between rows is found, the leaves before the next
+// row are skipped unread. A row nested in the row before it, or out of start
+// order, gets a pass of its own afterwards. The node that follows one with
+// content in start order is its first child if it has one, so the same scan
+// finds mixed content, and then the call fails with ErrMixedContent.
 func (s *Store) StringValues(ids []ElemID, c core.Color, visit func(i int, value []byte)) error {
 	if len(ids) == 0 {
 		return nil

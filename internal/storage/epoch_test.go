@@ -38,7 +38,7 @@ func TestStatsEpochStructuralMutationBumps(t *testing.T) {
 	if err != nil || len(roots) != 1 {
 		t.Fatalf("Roots: %v %v", roots, err)
 	}
-	leaf, err := s.InsertLeafChild(roots[0], "extra", "x", nil)
+	leaf, err := insertLeaf(s, roots[0], "extra", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStatsEpochCloneSharesUntilMutation(t *testing.T) {
 	if err != nil || len(roots) != 1 {
 		t.Fatalf("Roots: %v %v", roots, err)
 	}
-	if _, err := c.InsertLeafChild(roots[0], "extra", "x", nil); err != nil {
+	if _, err := insertLeaf(c, roots[0], "extra", "x"); err != nil {
 		t.Fatal(err)
 	}
 	if c.StatsEpoch() == s.StatsEpoch() {

@@ -36,11 +36,11 @@ func TestStatsEpochMovesByRule(t *testing.T) {
 		return ns[i]
 	}
 	insert := func(parent SNode, tag string) func() error {
-		return func() error { _, err := s.InsertLeafChild(parent, tag, "", nil); return err }
+		return func() error { _, err := insertLeaf(s, parent, tag, ""); return err }
 	}
 	var added []SNode // the items added under the shop, childless
 	addItem := func() error {
-		sn, err := s.InsertLeafChild(node("shop", 0), "item", "", nil)
+		sn, err := insertLeaf(s, node("shop", 0), "item", "")
 		added = append(added, sn)
 		return err
 	}

@@ -8,8 +8,19 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
+
+// leafIDs hands out the ids of the leaves tests insert, past any a fixture
+// loads.
+var leafIDs atomic.Uint64
+
+// insertLeaf inserts an element as the last child of parent, the way
+// snapshot maintenance applies a logged leaf insert (InsertLeafChildID).
+func insertLeaf(s *Store, parent SNode, tag, content string) (SNode, error) {
+	return s.InsertLeafChildID(ElemID(1<<22+leafIDs.Add(1)), parent, tag, content, nil)
+}
 
 // CheckInvariants is the storage half of the store/core consistency checker
 // (ROADMAP item 5): one walk per color over its start index, from which
@@ -205,7 +216,7 @@ func (s *Store) CheckInvariants() error {
 func TestPositionSpaceExhausted(t *testing.T) {
 	s := NewStore("red")
 	doc, _ := s.Document("red")
-	root, err := s.InsertLeafChild(doc, "a", "", nil)
+	root, err := insertLeaf(s, doc, "a", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +224,10 @@ func TestPositionSpaceExhausted(t *testing.T) {
 	if err := s.putStruct(root); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InsertLeafChild(root, "inside", "", nil); err != nil {
+	if _, err := insertLeaf(s, root, "inside", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InsertLeafChild(doc, "b", "", nil); !errors.Is(err, ErrDeltaUnsupported) {
+	if _, err := insertLeaf(s, doc, "b", ""); !errors.Is(err, ErrDeltaUnsupported) {
 		t.Fatalf("a root past the last position: %v, want ErrDeltaUnsupported", err)
 	}
 	if err := s.CheckInvariants(); err != nil {

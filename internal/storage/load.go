@@ -84,13 +84,10 @@ func (s *Store) putElem(id ElemID, tag, content string, attrs [][2]string) error
 	return nil
 }
 
-// registerElem registers a written element record: location, id cursor,
+// registerElem registers a written element record: location,
 // counts, attribute index.
 func (s *Store) registerElem(id ElemID, ref uint64, content string, attrs [][2]string) {
 	s.elemLoc.Set(uint64(id), ref)
-	if id >= s.nextID {
-		s.nextID = id + 1
-	}
 	s.counts.Elements++
 	s.counts.Attributes += len(attrs)
 	if content != "" {

@@ -44,7 +44,6 @@ func (s *Store) Clone() *Store {
 		trees:    append([]colorTree(nil), s.trees...),
 		colors:   s.colors,
 		attrs:    s.attrs.clone(),
-		nextID:   s.nextID,
 		counts:   s.counts,
 	}
 	for i := range ns.trees {

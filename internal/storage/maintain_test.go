@@ -17,7 +17,7 @@ import (
 func fingerprint(t *testing.T, s *storage.Store) string {
 	t.Helper()
 	var b strings.Builder
-	for _, c := range s.Colors() {
+	for _, c := range storeColors(s) {
 		fmt.Fprintf(&b, "color %s\n", c)
 		var walk func(sn storage.SNode, depth int)
 		walk = func(sn storage.SNode, depth int) {

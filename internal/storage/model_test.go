@@ -40,7 +40,7 @@ func describe(t *testing.T, s *storage.Store) string {
 		}
 		return out
 	}
-	for _, c := range s.Colors() {
+	for _, c := range storeColors(s) {
 		doc, _ := s.Document(c)
 		all, err := s.Subtree(doc)
 		if err != nil {
@@ -234,7 +234,7 @@ func indexAnswers(t *testing.T, s *storage.Store) string {
 		return out
 	}
 	attrs := map[[2]string]bool{}
-	for _, c := range s.Colors() {
+	for _, c := range storeColors(s) {
 		doc, _ := s.Document(c)
 		tags, contents := map[string]bool{}, map[[2]string]bool{}
 		for _, id := range ids(s.Subtree(doc)) {

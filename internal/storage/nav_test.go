@@ -92,7 +92,7 @@ func refsOf(p storage.Postings) []uint64 {
 // LeafTag are those of the tree as it stands.
 func checkNavigation(t *testing.T, s *storage.Store) {
 	t.Helper()
-	for _, c := range s.Colors() {
+	for _, c := range storeColors(s) {
 		all := colorNodes(t, s, c)
 		tagOf := map[storage.ElemID]string{}
 		byTag := map[string][]storage.SNode{}
@@ -206,18 +206,18 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		var err error
 		var frozen []*storage.Store // what s was cloned from, written no more
 		for step := 0; step < 120; step++ {
-			c := s.Colors()[rng.Intn(2)]
+			c := storeColors(s)[rng.Intn(2)]
 			all := colorNodes(t, s, c)
 			sn := all[rng.Intn(len(all))]
 			switch op := rng.Intn(10); {
 			case op < 5:
-				_, err = s.InsertLeafChild(sn, []string{"sec", "par", "note"}[rng.Intn(3)], fmt.Sprint("v", rng.Intn(5)), nil)
+				_, err = insertLeaf(s, sn, []string{"sec", "par", "note"}[rng.Intn(3)], fmt.Sprint("v", rng.Intn(5)))
 			case op < 8:
 				err = s.UpdateContent(sn.Elem, fmt.Sprint("v", rng.Intn(5)))
 			case op < 9:
-				other := s.Colors()[0]
+				other := storeColors(s)[0]
 				if other == c {
-					other = s.Colors()[1]
+					other = storeColors(s)[1]
 				}
 				if _, in, _ := s.CrossTree(sn.Elem, other); !in {
 					parents := colorNodes(t, s, other)
@@ -285,7 +285,7 @@ func TestNavigationUnderUpdates(t *testing.T) {
 			if leaf, _, err = s.CrossTree(leaf.Elem, "red"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.InsertLeafChild(leaf, "note", "deep", nil); err != nil {
+			if _, err := insertLeaf(s, leaf, "note", "deep"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -357,7 +357,7 @@ func TestChildrenOfReadsOnlyTheChildren(t *testing.T) {
 	}
 }
 
-// TestStringValueReadsTheSubtree: AppendStringValue agrees with
+// TestStringValueReadsTheSubtree: StringValues of one row agrees with
 // core.StringValue for every element in every colour whose subtree there
 // holds no element with both text and a child, and is ErrMixedContent for
 // the others; AttrBytes finds each attribute at its place in the record.
@@ -404,7 +404,8 @@ func TestStringValueReadsTheSubtree(t *testing.T) {
 	seen := map[bool]int{}
 	for _, n := range elems {
 		for _, c := range n.Colors() {
-			got, err := s.AppendStringValue([]byte("x"), storage.ElemID(n.ID()), c)
+			got := []byte("x")
+			err := s.StringValues([]storage.ElemID{storage.ElemID(n.ID())}, c, func(_ int, v []byte) { got = append(got, v...) })
 			want, _ := core.StringValue(n, c)
 			switch m := mixed(n, c); {
 			case m && !errors.Is(err, storage.ErrMixedContent):
@@ -445,7 +446,7 @@ func TestStringValueReadsTheSubtree(t *testing.T) {
 }
 
 // TestStringValuesInOnePass: StringValues visits every row once with
-// what AppendStringValue reads for it, for rows in start order (nested ones
+// its core.StringValue, for rows in start order (nested ones
 // included), a sparse few, and rows out of start order; a row with mixed
 // content fails the call.
 func TestStringValuesInOnePass(t *testing.T) {
@@ -482,7 +483,7 @@ func TestStringValuesInOnePass(t *testing.T) {
 		if n.Kind() != core.KindElement {
 			continue
 		}
-		if _, err := s.AppendStringValue(nil, storage.ElemID(n.ID()), "red"); err != nil {
+		if err := s.StringValues([]storage.ElemID{storage.ElemID(n.ID())}, "red", func(int, []byte) {}); err != nil {
 			mixed = storage.ElemID(n.ID())
 			continue
 		}
@@ -516,8 +517,8 @@ func TestStringValuesInOnePass(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for i, id := range ids {
-			want, _ := s.AppendStringValue(nil, id, "red")
-			if got[i] != string(want) || seen[i] != 1 {
+			want, _ := core.StringValue(db.NodeByID(core.NodeID(id)), "red")
+			if got[i] != want || seen[i] != 1 {
 				t.Fatalf("%s: row %d (element %d) read %d times as %q, want %q once", name, i, id, seen[i], got[i], want)
 			}
 		}

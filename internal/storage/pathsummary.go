@@ -197,6 +197,3 @@ func (ps *PathSummary) Count(steps []PathStep) int {
 // Nests reports whether some element with this tag lies below another one
 // with the same tag.
 func (ps *PathSummary) Nests(tag string) bool { return ps.nests[tag] }
-
-// Paths returns the number of distinct label paths in the summary.
-func (ps *PathSummary) Paths() int { return len(ps.paths) }

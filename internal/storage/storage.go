@@ -96,8 +96,6 @@ type Store struct {
 	// trees.
 	attrs postingMaps[string]
 
-	nextID ElemID
-
 	counts SizeCounts
 
 	// statsEpoch is the stats/schema epoch of this store image: a
@@ -307,9 +305,6 @@ func (s *Store) structRef(id ElemID, c core.Color) (uint64, bool) {
 	}
 	return t.loc.Get(uint64(id))
 }
-
-// Colors returns the store's colors in sorted order.
-func (s *Store) Colors() []core.Color { return s.colors }
 
 // Counts returns the logical node counts.
 func (s *Store) Counts() SizeCounts { return s.counts }

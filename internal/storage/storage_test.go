@@ -2,12 +2,35 @@ package storage_test
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/storage"
 )
+
+// leafIDs hands out the ids of the leaves tests insert, past any a fixture
+// loads.
+var leafIDs atomic.Uint64
+
+// insertLeaf inserts an element as the last child of parent, the way
+// snapshot maintenance applies a logged leaf insert (InsertLeafChildID).
+func insertLeaf(s *storage.Store, parent storage.SNode, tag, content string) (storage.SNode, error) {
+	return s.InsertLeafChildID(storage.ElemID(1<<22+leafIDs.Add(1)), parent, tag, content, nil)
+}
+
+// storeColors lists, sorted, the fixture colours s holds a tree for: the
+// colours of every database the tests load.
+func storeColors(s *storage.Store) []core.Color {
+	var out []core.Color
+	for _, c := range []core.Color{"blue", "green", "red"} {
+		if _, ok := s.Document(c); ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
 func load(t *testing.T) (*fixtures.MovieDB, *storage.Store) {
 	t.Helper()
@@ -43,7 +66,7 @@ func TestLoadCounts(t *testing.T) {
 
 func TestScanTagIsStartOrdered(t *testing.T) {
 	_, s := load(t)
-	for _, c := range s.Colors() {
+	for _, c := range storeColors(s) {
 		for _, tag := range []string{"movie", "name", "movie-genre", "actor"} {
 			nodes, err := s.ScanTag(c, tag)
 			if err != nil {
@@ -69,7 +92,7 @@ func TestScanTagIsStartOrdered(t *testing.T) {
 
 func TestIntervalInvariants(t *testing.T) {
 	_, s := load(t)
-	for _, c := range s.Colors() {
+	for _, c := range storeColors(s) {
 		all := map[string][]storage.SNode{}
 		for _, tag := range []string{"movie", "movie-genre", "movie-genres", "name", "votes", "actor", "actors", "movie-role", "movie-award", "movie-awards", "year"} {
 			ns, err := s.ScanTag(c, tag)
@@ -258,7 +281,7 @@ func TestInsertLeafChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Counts().Elements
-	child, err := s.InsertLeafChild(sn, "birthDate", "1908-04-05", nil)
+	child, err := insertLeaf(s, sn, "birthDate", "1908-04-05")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +319,7 @@ func TestInsertsExtendParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.InsertLeafChild(sn, "x", "v", nil); err != nil {
+		if _, err := insertLeaf(s, sn, "x", "v"); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}

@@ -47,16 +47,10 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 	return nil
 }
 
-// InsertLeafChild creates a new element with one structural node, as the
+// InsertLeafChildID creates element id with one structural node, as the
 // last child of parent in parent's color (the color's document node, from
-// Document, for a new root). The element id is allocated by the store.
-func (s *Store) InsertLeafChild(parent SNode, tag, content string, attrs [][2]string) (SNode, error) {
-	return s.InsertLeafChildID(s.nextID, parent, tag, content, attrs)
-}
-
-// InsertLeafChildID is InsertLeafChild with a caller-chosen element id, used
-// by incremental snapshot maintenance where store element ids must equal
-// logical core node ids.
+// Document, for a new root). Incremental snapshot maintenance calls it with
+// the logical core node's id: store element ids equal core node ids.
 func (s *Store) InsertLeafChildID(id ElemID, parent SNode, tag, content string, attrs [][2]string) (SNode, error) {
 	if _, ok := s.elemRID(id); ok {
 		return SNode{}, fmt.Errorf("storage: element %d already stored: %w", id, core.ErrAlreadyColored)

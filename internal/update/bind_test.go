@@ -168,9 +168,13 @@ func differential(t *testing.T, c bindCase, dbA, dbB *core.Database, st *storage
 	if err != nil {
 		t.Fatalf("ApplyTuples: %v", err)
 	}
-	resB, err := xb.Run(u)
+	walkedB, err := xb.Bind(u)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Bind: %v", err)
+	}
+	resB, err := xb.ApplyTuples(u, walkedB)
+	if err != nil {
+		t.Fatalf("ApplyTuples: %v", err)
 	}
 	if resA != resB {
 		t.Fatalf("result %+v through the compiled bind, %+v through the evaluator", resA, resB)
@@ -253,7 +257,7 @@ func age(t *testing.T, dbA, dbB *core.Database, st *storage.Store, items int) *s
 			live = append(live[:i], live[i+1:]...)
 		}
 		for _, x := range []*update.Executor{xa, xb} {
-			if res, err := x.Apply(src); err != nil || res.Tuples != 1 {
+			if res, err := walk(x, src); err != nil || res.Tuples != 1 {
 				t.Fatalf("ageing update %d: %+v, %v\n%s", n, res, err, src)
 			}
 		}

@@ -40,25 +40,6 @@ func NewExecutor(db *core.Database) *Executor {
 	return &Executor{ev: mcxquery.NewEvaluator(db), Plans: plan.NewCache(0)}
 }
 
-// Apply parses and applies an update expression.
-func (x *Executor) Apply(src string) (Result, error) {
-	u, err := Parse(src)
-	if err != nil {
-		return Result{}, err
-	}
-	return x.Run(u)
-}
-
-// Run applies a parsed update expression, binding its tuples with the
-// tree-walking evaluator (Bind).
-func (x *Executor) Run(u *Update) (Result, error) {
-	tuples, err := x.Bind(u)
-	if err != nil {
-		return Result{}, err
-	}
-	return x.ApplyTuples(u, tuples)
-}
-
 // Tuples are an update's binding tuples: one environment per tuple, with
 // every for/let variable bound, in the order the update clause runs for them.
 type Tuples []*pathexpr.Env
@@ -109,7 +90,7 @@ func (x *Executor) Bind(u *Update) (Tuples, error) {
 }
 
 // BindCompiled produces the same tuples as Bind from the indexes: it runs
-// the plan of the binding clauses (a return-less FLWOR, plan.CompileBindings)
+// the plan of the binding clauses (a return-less FLWOR, plan.Cache.Bindings)
 // on st and resolves each row's structural nodes to the database's nodes.
 // The plan comes from x.Plans, compiled on the first bind of its shape; its
 // execution takes its scratch from the plan's memory pool, so a warm bind

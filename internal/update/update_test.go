@@ -9,10 +9,24 @@ import (
 	"colorfulxml/internal/update"
 )
 
+// walk parses an update and applies it with its tuples bound by the
+// tree-walking evaluator (Bind), the fallback route of DB.Update.
+func walk(x *update.Executor, src string) (update.Result, error) {
+	u, err := update.Parse(src)
+	if err != nil {
+		return update.Result{}, err
+	}
+	tuples, err := x.Bind(u)
+	if err != nil {
+		return update.Result{}, err
+	}
+	return x.ApplyTuples(u, tuples)
+}
+
 func apply(t *testing.T, m *fixtures.MovieDB, src string) update.Result {
 	t.Helper()
 	x := update.NewExecutor(m.DB)
-	res, err := x.Apply(src)
+	res, err := walk(x, src)
 	if err != nil {
 		t.Fatalf("update failed: %v\nupdate: %s", err, src)
 	}
@@ -223,8 +237,8 @@ func TestRuntimeErrors(t *testing.T) {
 		`for $m in document("x")/{red}descendant::movie[1] update $m { delete "x" }`,
 	}
 	for _, src := range cases {
-		if _, err := x.Apply(src); err == nil {
-			t.Errorf("Apply(%q) should fail", src)
+		if _, err := walk(x, src); err == nil {
+			t.Errorf("update %q should fail", src)
 		}
 	}
 }

@@ -48,9 +48,6 @@ var DefaultRetryPolicy = RetryPolicy{
 	Budget:      2 * time.Second,
 }
 
-// Enabled reports whether the policy allows any retries at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
-
 // backoffSeq decorrelates the jitter of concurrent Backoff instances sharing
 // one policy seed.
 var backoffSeq atomic.Int64

@@ -114,10 +114,4 @@ func TestBackoffZeroPolicyNoRetry(t *testing.T) {
 	if _, ok := b.Next(ErrIO); ok {
 		t.Fatal("zero policy retried")
 	}
-	if (RetryPolicy{}).Enabled() {
-		t.Fatal("zero policy reports Enabled")
-	}
-	if !DefaultRetryPolicy.Enabled() {
-		t.Fatal("default policy reports disabled")
-	}
 }

@@ -237,9 +237,17 @@ func TestDifferentialCompiledUpdates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				walked, err := x.Apply(workload.FaithfulText(u.ID, u.Text[v], d.st.Params))
+				parsed, err := update.Parse(workload.FaithfulText(u.ID, u.Text[v], d.st.Params))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				tuples, err := x.Bind(parsed)
 				if err != nil {
 					t.Fatalf("%s: tree-walking bind: %v", name, err)
+				}
+				walked, err := x.ApplyTuples(parsed, tuples)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 				if compiled != walked || compiled.NodesTouched == 0 {
 					t.Errorf("%s: %+v through the compiled bind, %+v through the evaluator", name, compiled, walked)
@@ -378,13 +386,13 @@ func TestDifferentialBenchClasses(t *testing.T) {
 			navigational++
 		}
 		checkDedupVariants(t, text, s, c)
-		rows, _, err := engine.Exec(s, c.Root)
+		ids, _, err := engine.ExecColumn(nil, s, nil, c.Root.Clone(), c.OutCol, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got, want []string
-		for _, r := range rows {
-			content, err := s.ContentOf(r[c.OutCol].Elem)
+		for _, id := range ids {
+			content, err := s.ContentOf(id)
 			if err != nil {
 				t.Fatal(err)
 			}

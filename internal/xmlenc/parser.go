@@ -2,7 +2,6 @@ package xmlenc
 
 import (
 	"fmt"
-	"os"
 )
 
 // Parse parses a complete XML document from src and returns its document
@@ -86,15 +85,6 @@ func ParseOptions(src string, opt Options) (*Node, error) {
 			top.Children = append(top.Children, &Node{Kind: KindPI, Name: tok.name, Value: tok.value})
 		}
 	}
-}
-
-// ParseFile reads and parses the XML file at path.
-func ParseFile(path string) (*Node, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("xmlenc: %w", err)
-	}
-	return Parse(string(data))
 }
 
 func isSpace(s string) bool {

@@ -37,9 +37,6 @@ func String(n *Node, opt WriteOptions) string {
 	return b.String()
 }
 
-// Compact serializes without indentation or declaration.
-func Compact(n *Node) string { return strings.TrimSuffix(String(n, WriteOptions{}), "\n") }
-
 type errWriter struct {
 	w   io.Writer
 	err error

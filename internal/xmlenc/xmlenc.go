@@ -11,7 +11,6 @@ package xmlenc
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Kind enumerates parsed node kinds.
@@ -53,14 +52,6 @@ func (n *Node) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// AttrDefault returns the named attribute's value or def when absent.
-func (n *Node) AttrDefault(name, def string) string {
-	if v, ok := n.Attr(name); ok {
-		return v
-	}
-	return def
-}
-
 // SetAttr sets or replaces an attribute.
 func (n *Node) SetAttr(name, value string) {
 	for i := range n.Attrs {
@@ -85,21 +76,6 @@ func (n *Node) Root() *Node {
 	return nil
 }
 
-// Text returns the concatenation of the node's direct text children (for
-// elements), or its own value (for text nodes).
-func (n *Node) Text() string {
-	if n.Kind == KindText {
-		return n.Value
-	}
-	var b strings.Builder
-	for _, c := range n.Children {
-		if c.Kind == KindText {
-			b.WriteString(c.Value)
-		}
-	}
-	return b.String()
-}
-
 // Elements returns the element children of n, optionally filtered by name
 // (empty name matches all).
 func (n *Node) Elements(name string) []*Node {
@@ -110,21 +86,6 @@ func (n *Node) Elements(name string) []*Node {
 		}
 	}
 	return out
-}
-
-// First returns the first element child with the given name, or nil.
-func (n *Node) First(name string) *Node {
-	for _, c := range n.Children {
-		if c.Kind == KindElement && c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// NewElement constructs an element node.
-func NewElement(name string, children ...*Node) *Node {
-	return &Node{Kind: KindElement, Name: name, Children: children}
 }
 
 // NewText constructs a text node.

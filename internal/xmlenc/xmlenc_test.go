@@ -28,11 +28,8 @@ func TestParseSimple(t *testing.T) {
 	if _, ok := root.Attr("y"); ok {
 		t.Fatal("attr y should be absent")
 	}
-	if root.AttrDefault("y", "z") != "z" {
-		t.Fatal("AttrDefault")
-	}
-	b := root.First("b")
-	if b == nil || b.Text() != "hi" {
+	b := root.Elements("b")
+	if len(b) != 1 || len(b[0].Children) != 1 || b[0].Children[0].Value != "hi" {
 		t.Fatalf("b = %+v", b)
 	}
 	if len(root.Elements("")) != 2 {
@@ -59,12 +56,12 @@ func TestParseEntitiesAndCDATA(t *testing.T) {
 	if v, _ := root.Attr("b"); v != `<&"AB` {
 		t.Fatalf("attr = %q", v)
 	}
-	if got := root.Text(); got != "x & y<raw> & stuffz" {
-		t.Fatalf("text = %q", got)
-	}
 	// CDATA and adjacent text must be merged into one text node.
 	if n := len(root.Children); n != 1 {
 		t.Fatalf("children = %d, want merged 1", n)
+	}
+	if got := root.Children[0].Value; got != "x & y<raw> & stuffz" {
+		t.Fatalf("text = %q", got)
 	}
 }
 
@@ -154,10 +151,10 @@ func TestParseErrorHasPosition(t *testing.T) {
 
 func TestWriteCompact(t *testing.T) {
 	doc := mustParse(t, `<a x="1&amp;2"><b>hi &lt;there&gt;</b><c/></a>`)
-	got := Compact(doc)
+	got := String(doc, WriteOptions{})
 	want := `<a x="1&amp;2"><b>hi &lt;there&gt;</b><c/></a>`
 	if got != want {
-		t.Fatalf("Compact = %q, want %q", got, want)
+		t.Fatalf("compact output = %q, want %q", got, want)
 	}
 }
 
@@ -179,7 +176,7 @@ func TestWriteMixedContentStaysInline(t *testing.T) {
 }
 
 func TestSetAttr(t *testing.T) {
-	n := NewElement("a")
+	n := &Node{Kind: KindElement, Name: "a"}
 	n.SetAttr("k", "1")
 	n.SetAttr("k", "2")
 	n.SetAttr("j", "3")
@@ -217,7 +214,7 @@ func TestUnescapeErrors(t *testing.T) {
 
 // randomTree builds a random XML tree for round-trip property testing.
 func randomTree(rng *rand.Rand, depth int) *Node {
-	el := NewElement(randomName(rng))
+	el := &Node{Kind: KindElement, Name: randomName(rng)}
 	for i := rng.Intn(3); i > 0; i-- {
 		el.SetAttr(randomName(rng), randomText(rng))
 	}
@@ -292,7 +289,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		tree := randomTree(rng, 4)
 		normalizeText(tree)
 		doc := &Node{Kind: KindDocument, Children: []*Node{tree}}
-		out := Compact(doc)
+		out := String(doc, WriteOptions{})
 		back, err := ParseOptions(out, Options{KeepWhitespace: true})
 		if err != nil {
 			t.Logf("reparse failed for %q: %v", out, err)

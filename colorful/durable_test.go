@@ -382,3 +382,74 @@ update $m { insert <votes>8</votes> }`); err != nil {
 		t.Fatalf("update after reopen: %+v, want one incremental apply onto the recovered store", m)
 	}
 }
+
+// TestAttributeRenameIsIncremental: renaming an attribute logs its owner's
+// attribute list, as setting one does, so the commit neither rebuilds the
+// snapshot nor forces a checkpoint, and the compiled query of the new name
+// answers alike before Close and after Open.
+func TestAttributeRenameIsIncremental(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := colorful.Open(dir, "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := db.AddElement(db.Document(), "list", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var attrs []*colorful.Node
+	for i := 0; i < 3; i++ {
+		item, err := db.AddElementText(list, "item", "red", fmt.Sprint("v", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := db.SetAttribute(item, "old", fmt.Sprint("k", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs = append(attrs, a)
+	}
+	const newQ = `for $i in document("db")/{red}descendant::item return $i/{red}attribute::new`
+	if _, err := db.Explain(newQ); err != nil {
+		t.Fatalf("the query does not compile: %v", err)
+	}
+	if out, err := db.Query(newQ); err != nil || len(out) != 0 {
+		t.Fatalf("before the renames: %v, %v", out, err)
+	}
+	rebuilds, checkpoints := db.MaintStats().FullRebuilds, db.DurabilityStats().Checkpoints
+	for _, a := range []*colorful.Node{attrs[0], attrs[2]} {
+		if err := db.Rename(a, "new"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.MaintStats().FullRebuilds; got != rebuilds {
+		t.Errorf("the renames rebuilt the snapshot: %d full rebuilds, want %d", got, rebuilds)
+	}
+	if got := db.DurabilityStats().Checkpoints; got != checkpoints {
+		t.Errorf("the renames forced a checkpoint: %d checkpoints, want %d", got, checkpoints)
+	}
+	values := func(db *colorful.DB) string {
+		t.Helper()
+		out, err := db.Query(newQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vs []string
+		for _, it := range out {
+			vs = append(vs, it.Value)
+		}
+		return fmt.Sprint(vs)
+	}
+	before := values(db)
+	if before != "[k0 k2]" {
+		t.Fatalf("after the renames: %s, want [k0 k2]", before)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := reopen(t, dir, "red")
+	defer got.Close()
+	if after := values(got); after != before {
+		t.Fatalf("after Open: %s, before Close: %s", after, before)
+	}
+}

@@ -6,7 +6,7 @@ package core
 // layer (colorful.DB) drains the log and replays it against a copy-on-write
 // clone of the previous storage.Store snapshot instead of rebuilding from
 // scratch. Changes with no incremental store operation (positional inserts,
-// renames) are recorded as ChangeComplex, telling the maintainer to fall back
+// element renames) are recorded as ChangeComplex, telling the maintainer to fall back
 // to a full load.
 //
 // Mutations of detached fragments are store-invisible and record nothing:

@@ -245,12 +245,17 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 // other kinds cannot be set.
 func (db *Database) Rename(n *Node, name string) error {
 	switch n.kind {
-	case KindElement, KindAttribute:
+	case KindAttribute:
+		n.name = name
+		db.invalidate()
+		db.logAttrs(n.owner) // the owner's attribute list changed
+		return nil
+	case KindElement:
 		n.name = name
 		db.invalidate()
 		if db.reachableAny(n) {
-			// Renames re-key the tag or attribute index; there is no
-			// incremental store op for that.
+			// A rename re-keys the tag index; there is no incremental
+			// store op for that.
 			db.record(Change{Kind: ChangeComplex})
 		}
 		return nil

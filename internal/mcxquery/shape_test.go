@@ -65,7 +65,9 @@ func lexed(t *testing.T, src string, fixed map[pathexpr.TokKind]string) ([]pathe
 // text's tokens: AppendShape fails exactly where LexQuery does, the tokens
 // decode back from the shape and the arguments, and so two texts with equal
 // shapes and equal arguments have equal token streams — the property that
-// lets a plan cache serve one text with the plan of another. Seeds cover
+// lets a plan cache serve one text with the plan of another. A text that
+// parses has a shape, so the compiled route never meets a parsed text it
+// cannot key (plan.QueryShape is AppendShape under a prefix). Seeds cover
 // both quote kinds, a quote of one kind inside the other, numbers, and
 // texts that differ only in whitespace or in a literal.
 func FuzzShapeLossless(f *testing.F) {
@@ -93,6 +95,9 @@ func FuzzShapeLossless(f *testing.F) {
 			want, lexErr := lexed(t, src, fixed)
 			if (err == nil) != (lexErr == nil) {
 				t.Fatalf("AppendShape(%q): %v, LexQuery: %v", src, err, lexErr)
+			}
+			if _, perr := ParseQuery(src); perr == nil && err != nil {
+				t.Fatalf("%q parses but has no shape: %v", src, err)
 			}
 			if err != nil {
 				return

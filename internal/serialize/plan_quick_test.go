@@ -92,7 +92,7 @@ func TestQuickOptSerializeMatchesExhaustive(t *testing.T) {
 		}
 		planAssign := map[string]core.Color{}
 		for _, e := range multi {
-			planAssign[e] = primary(plan, e)
+			planAssign[e] = plan.Ranked[e][0]
 		}
 		planCost, err := CostUnder(s, planAssign)
 		if err != nil {

@@ -37,8 +37,8 @@ func TestOptSerializeFigure8(t *testing.T) {
 	}
 	// movie-role has 10 red instances per movie but only 4 blue per actor:
 	// nesting it in red avoids 10 parent pointers per movie; check red wins.
-	if primary(plan, "movie-role") != "red" {
-		t.Fatalf("movie-role primary = %q, want red (quant 10 vs 4)", primary(plan, "movie-role"))
+	if plan.Ranked["movie-role"][0] != "red" {
+		t.Fatalf("movie-role primary = %q, want red (quant 10 vs 4)", plan.Ranked["movie-role"][0])
 	}
 	if got := plan.String(); !strings.Contains(got, "movie-role") {
 		t.Fatalf("plan rendering: %s", got)
@@ -91,7 +91,7 @@ func TestOptSerializeMatchesExhaustive(t *testing.T) {
 	// The plan's assignment must achieve the exhaustive minimum.
 	planAssign := map[string]core.Color{}
 	for _, e := range multi {
-		planAssign[e] = primary(plan, e)
+		planAssign[e] = plan.Ranked[e][0]
 	}
 	planCost, err := CostUnder(s, planAssign)
 	if err != nil {
@@ -333,8 +333,8 @@ func TestCostUnderForcedWorseThanOptimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := map[string]core.Color{
-		"movie":      primary(plan, "movie"),
-		"movie-role": primary(plan, "movie-role"),
+		"movie":      plan.Ranked["movie"][0],
+		"movie-role": plan.Ranked["movie-role"][0],
 	}
 	optCost, err := CostUnder(s, opt)
 	if err != nil {
@@ -342,7 +342,7 @@ func TestCostUnderForcedWorseThanOptimal(t *testing.T) {
 	}
 	// Forcing movie-role into blue (quant 4 side) must not beat the optimum.
 	worse := map[string]core.Color{
-		"movie":      primary(plan, "movie"),
+		"movie":      plan.Ranked["movie"][0],
 		"movie-role": "blue",
 	}
 	worseCost, err := CostUnder(s, worse)
@@ -352,13 +352,4 @@ func TestCostUnderForcedWorseThanOptimal(t *testing.T) {
 	if worseCost < optCost {
 		t.Fatalf("forced plan cheaper than optimal: %v < %v", worseCost, optCost)
 	}
-}
-
-// primary returns a plan's primary color for an element type (the first of
-// its ranked colors), or "" when the type is unknown to the plan.
-func primary(p *Plan, elem string) core.Color {
-	if r := p.Ranked[elem]; len(r) > 0 {
-		return r[0]
-	}
-	return ""
 }

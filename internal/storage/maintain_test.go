@@ -12,12 +12,13 @@ import (
 	"colorfulxml/internal/storage"
 )
 
-// fingerprint canonicalizes a store's logical content: every colored tree in
-// pre-order with element ids, tags, content, attributes and colors.
-func fingerprint(t *testing.T, s *storage.Store) string {
+// fingerprint canonicalizes a store's logical content: the tree of every
+// color in colors, in pre-order with element ids, tags, content, attributes
+// and colors.
+func fingerprint(t *testing.T, s *storage.Store, colors []core.Color) string {
 	t.Helper()
 	var b strings.Builder
-	for _, c := range storeColors(s) {
+	for _, c := range colors {
 		fmt.Fprintf(&b, "color %s\n", c)
 		var walk func(sn storage.SNode, depth int)
 		walk = func(sn storage.SNode, depth int) {
@@ -65,7 +66,7 @@ func applyDrained(t *testing.T, base *storage.Store, db *core.Database) *storage
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fingerprint(t, clone), fingerprint(t, fresh); got != want {
+	if got, want := fingerprint(t, clone, db.Colors()), fingerprint(t, fresh, db.Colors()); got != want {
 		t.Fatalf("incrementally maintained store diverges from fresh load:\n--- incremental ---\n%s\n--- fresh ---\n%s", got, want)
 	}
 	return clone
@@ -182,7 +183,7 @@ func TestCloneLeavesSnapshotIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.DrainChanges()
-	before := fingerprint(t, base)
+	before := fingerprint(t, base, db.Colors())
 
 	if err := db.SetText(m.Node("eve-votes"), "999"); err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestCloneLeavesSnapshotIntact(t *testing.T) {
 	if err := clone.ApplyChanges(changes); err != nil {
 		t.Fatal(err)
 	}
-	if after := fingerprint(t, base); after != before {
+	if after := fingerprint(t, base, db.Colors()); after != before {
 		t.Fatalf("frozen snapshot changed:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
 }
@@ -237,7 +238,7 @@ func TestParentWritesStayOutOfClone(t *testing.T) {
 	}
 	db.DrainChanges()
 	clone := parent.Clone()
-	before := fingerprint(t, clone)
+	before := fingerprint(t, clone, db.Colors())
 
 	if err := db.SetText(m.Node("eve-votes"), "a much longer text than the record has room for"); err != nil {
 		t.Fatal(err)
@@ -252,14 +253,14 @@ func TestParentWritesStayOutOfClone(t *testing.T) {
 	if err := parent.ApplyChanges(changes); err != nil {
 		t.Fatal(err)
 	}
-	if after := fingerprint(t, clone); after != before {
+	if after := fingerprint(t, clone, db.Colors()); after != before {
 		t.Fatalf("clone changed under its parent's writes:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
 	fresh, err := storage.Load(db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fingerprint(t, parent), fingerprint(t, fresh); got != want {
+	if got, want := fingerprint(t, parent, db.Colors()), fingerprint(t, fresh, db.Colors()); got != want {
 		t.Fatalf("parent diverges from a fresh load:\n%s\n--- fresh ---\n%s", got, want)
 	}
 }

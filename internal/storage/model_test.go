@@ -23,11 +23,11 @@ func numbering() (grows, relabels uint64, relabelled int64) {
 }
 
 // describe renders everything a reader can ask a store about structure, by
-// element id and in the order the store answers: per color the whole tree
+// element id and in the order the store answers: per color of colors the whole tree
 // (Subtree of the document), every node's ChildrenOf, and for every tag and
 // (tag, content) in it the ScanTag and EqContent lists and LeafTag. Two
 // stores of one state describe alike whatever their interval numbers.
-func describe(t *testing.T, s *storage.Store) string {
+func describe(t *testing.T, s *storage.Store, colors []core.Color) string {
 	t.Helper()
 	var b strings.Builder
 	ids := func(nodes []storage.SNode, err error) []storage.ElemID {
@@ -40,7 +40,7 @@ func describe(t *testing.T, s *storage.Store) string {
 		}
 		return out
 	}
-	for _, c := range storeColors(s) {
+	for _, c := range colors {
 		doc, _ := s.Document(c)
 		all, err := s.Subtree(doc)
 		if err != nil {
@@ -104,7 +104,7 @@ func TestInsertsAgainstLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.DrainChanges()
-		answers := describe(t, st) // what st answers, kept for when it is frozen
+		answers := describe(t, st, db.Colors()) // what st answers, kept for when it is frozen
 		elements := func(c core.Color) []*core.Node {
 			var out []*core.Node
 			for _, n := range db.TreeNodes(c)[1:] {
@@ -188,11 +188,11 @@ func TestInsertsAgainstLoad(t *testing.T) {
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d step %d, %s: %v", seed, step, what, err)
 				}
-				if got := describe(t, s); got != want {
+				if got := describe(t, s, db.Colors()); got != want {
 					t.Fatalf("seed %d step %d: %s answers\n%s\nwant\n%s", seed, step, what, got, want)
 				}
 			}
-			answers = describe(t, want)
+			answers = describe(t, want, db.Colors())
 			check("the clone", st, answers)
 			check("the frozen parent", frozen, before)
 			if step%50 == 49 {
@@ -216,11 +216,11 @@ func TestInsertsAgainstLoad(t *testing.T) {
 }
 
 // indexAnswers renders what the tag, content and attribute-value indexes
-// answer, by element id: per color and tag the ScanTag list, its count and
+// answer, by element id: per color of colors and tag the ScanTag list, its count and
 // LeafTag; per (tag, content) the EqContent list and its count; per
 // attribute the EqAttr list. Two stores of one state answer alike whatever
 // their interval numbers.
-func indexAnswers(t *testing.T, s *storage.Store) string {
+func indexAnswers(t *testing.T, s *storage.Store, colors []core.Color) string {
 	t.Helper()
 	var lines []string
 	ids := func(nodes []storage.SNode, err error) []storage.ElemID {
@@ -234,7 +234,7 @@ func indexAnswers(t *testing.T, s *storage.Store) string {
 		return out
 	}
 	attrs := map[[2]string]bool{}
-	for _, c := range storeColors(s) {
+	for _, c := range colors {
 		doc, _ := s.Document(c)
 		tags, contents := map[string]bool{}, map[[2]string]bool{}
 		for _, id := range ids(s.Subtree(doc)) {
@@ -300,7 +300,7 @@ func TestIndexesAgainstModel(t *testing.T) {
 		want string
 	}
 	var frozens []frozen
-	answers := indexAnswers(t, st)
+	answers := indexAnswers(t, st, db.Colors())
 	for step := 0; step < 250; step++ {
 		c := []core.Color{"red", "green"}[rng.Intn(2)]
 		var in []*core.Node
@@ -356,8 +356,8 @@ func TestIndexesAgainstModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if answers = indexAnswers(t, fresh); indexAnswers(t, st) != answers {
-			t.Fatalf("step %d: the store answers\n%s\na fresh Load\n%s", step, indexAnswers(t, st), answers)
+		if answers = indexAnswers(t, fresh, db.Colors()); indexAnswers(t, st, db.Colors()) != answers {
+			t.Fatalf("step %d: the store answers\n%s\na fresh Load\n%s", step, indexAnswers(t, st, db.Colors()), answers)
 		}
 		if step%25 == 24 {
 			for _, f := range frozens {
@@ -366,7 +366,7 @@ func TestIndexesAgainstModel(t *testing.T) {
 				}
 			}
 			f := frozens[rng.Intn(len(frozens))]
-			if got := indexAnswers(t, f.s); got != f.want {
+			if got := indexAnswers(t, f.s, db.Colors()); got != f.want {
 				t.Fatalf("step %d: a frozen store answers\n%s\nnot as it did\n%s", step, got, f.want)
 			}
 		}

@@ -14,12 +14,15 @@ import (
 	"colorfulxml/internal/storage"
 )
 
+// navColors are the colours of every navStore, sorted.
+var navColors = []core.Color{"green", "red"}
+
 // navStore bulk-loads a small random two-colour database whose tags repeat
 // at several depths (sec nests in sec), with some elements in one colour
 // only.
 func navStore(t *testing.T, rng *rand.Rand) *storage.Store {
 	t.Helper()
-	db := core.NewDatabase("red", "green")
+	db := core.NewDatabase(navColors...)
 	tags := []string{"sec", "sec", "par", "note"}
 	var reds, greens []*core.Node
 	for _, c := range []core.Color{"red", "green"} {
@@ -85,14 +88,14 @@ func refsOf(p storage.Postings) []uint64 {
 	return out
 }
 
-// checkNavigation compares the navigation primitives, for every node and
-// tag, with answers filtered out of whole-colour scans, checks that every
+// checkNavigation compares the navigation primitives of a store of navColors,
+// for every node and tag, with answers filtered out of whole-colour scans, checks that every
 // run of postings is in start order, that the page-by-page readers return what
 // the record-by-record ones do, and that the per-tag child counts behind
 // LeafTag are those of the tree as it stands.
 func checkNavigation(t *testing.T, s *storage.Store) {
 	t.Helper()
-	for _, c := range storeColors(s) {
+	for _, c := range navColors {
 		all := colorNodes(t, s, c)
 		tagOf := map[storage.ElemID]string{}
 		byTag := map[string][]storage.SNode{}
@@ -206,7 +209,7 @@ func TestNavigationUnderUpdates(t *testing.T) {
 		var err error
 		var frozen []*storage.Store // what s was cloned from, written no more
 		for step := 0; step < 120; step++ {
-			c := storeColors(s)[rng.Intn(2)]
+			c := navColors[rng.Intn(2)]
 			all := colorNodes(t, s, c)
 			sn := all[rng.Intn(len(all))]
 			switch op := rng.Intn(10); {
@@ -215,9 +218,9 @@ func TestNavigationUnderUpdates(t *testing.T) {
 			case op < 8:
 				err = s.UpdateContent(sn.Elem, fmt.Sprint("v", rng.Intn(5)))
 			case op < 9:
-				other := storeColors(s)[0]
+				other := navColors[0]
 				if other == c {
-					other = storeColors(s)[1]
+					other = navColors[1]
 				}
 				if _, in, _ := s.CrossTree(sn.Elem, other); !in {
 					parents := colorNodes(t, s, other)

@@ -83,7 +83,7 @@ func TestReplayIsLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if items == 500 && describe(t, st) != describe(t, want) {
+		if items == 500 && describe(t, st, db.Colors()) != describe(t, want, db.Colors()) {
 			t.Fatal("the replayed store does not answer like a Load of the same state")
 		}
 	}
@@ -206,7 +206,7 @@ func TestCommitCopiesOnlyOverwrittenPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if describe(t, st) != describe(t, want) {
+	if describe(t, st, c.DB.Colors()) != describe(t, want, c.DB.Colors()) {
 		t.Fatal("the committed store does not answer like a Load of the same state")
 	}
 }
@@ -259,7 +259,7 @@ func TestVotesOnACloneChainHoldTheirMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if describe(t, st) != describe(t, want) {
+	if describe(t, st, c.DB.Colors()) != describe(t, want, c.DB.Colors()) {
 		t.Fatal("the store after the votes does not answer like a Load of the same state")
 	}
 }

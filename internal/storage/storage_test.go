@@ -20,18 +20,6 @@ func insertLeaf(s *storage.Store, parent storage.SNode, tag, content string) (st
 	return s.InsertLeafChildID(storage.ElemID(1<<22+leafIDs.Add(1)), parent, tag, content, nil)
 }
 
-// storeColors lists, sorted, the fixture colours s holds a tree for: the
-// colours of every database the tests load.
-func storeColors(s *storage.Store) []core.Color {
-	var out []core.Color
-	for _, c := range []core.Color{"blue", "green", "red"} {
-		if _, ok := s.Document(c); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func load(t *testing.T) (*fixtures.MovieDB, *storage.Store) {
 	t.Helper()
 	m := fixtures.NewMovieDB()
@@ -65,8 +53,8 @@ func TestLoadCounts(t *testing.T) {
 }
 
 func TestScanTagIsStartOrdered(t *testing.T) {
-	_, s := load(t)
-	for _, c := range storeColors(s) {
+	m, s := load(t)
+	for _, c := range m.DB.Colors() {
 		for _, tag := range []string{"movie", "name", "movie-genre", "actor"} {
 			nodes, err := s.ScanTag(c, tag)
 			if err != nil {
@@ -91,8 +79,8 @@ func TestScanTagIsStartOrdered(t *testing.T) {
 }
 
 func TestIntervalInvariants(t *testing.T) {
-	_, s := load(t)
-	for _, c := range storeColors(s) {
+	m, s := load(t)
+	for _, c := range m.DB.Colors() {
 		all := map[string][]storage.SNode{}
 		for _, tag := range []string{"movie", "movie-genre", "movie-genres", "name", "votes", "actor", "actors", "movie-role", "movie-award", "movie-awards", "year"} {
 			ns, err := s.ScanTag(c, tag)

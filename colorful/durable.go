@@ -257,11 +257,10 @@ func (d *DB) beginCommit() (core.ChangeMark, error) {
 
 // commitChanges makes the mutation performed since the mark durable: its
 // change-log entries are appended as one WAL record (checksummed, and
-// fsynced unless NoSync) before the mutator returns to its caller. Batches
-// the log cannot carry — a ChangeComplex entry, or a mark invalidated by
-// change-log overflow — force a synchronous full checkpoint instead, and so
-// does a commit that takes the WAL past Options.CheckpointBytes, after its
-// record is durable.
+// fsynced unless NoSync) before the mutator returns to its caller. A mark
+// invalidated by change-log overflow forces a synchronous full checkpoint
+// instead, and so does a commit that takes the WAL past
+// Options.CheckpointBytes, after its record is durable.
 //
 // A durability failure (after the storage layer's transient-error retries
 // are exhausted) does not poison the database: the mutation is rolled back
@@ -272,11 +271,8 @@ func (d *DB) beginCommit() (core.ChangeMark, error) {
 // rollback the change log cannot support moves the database to the terminal
 // Failed state.
 func (d *DB) commitChanges(m core.ChangeMark) error {
-	if d.dur == nil {
-		return d.durErr // nil for purely in-memory databases
-	}
-	if d.durErr != nil {
-		return d.durErr
+	if d.dur == nil || d.durErr != nil {
+		return d.durErr // nil for purely in-memory databases and healthy durable ones
 	}
 	changes, ok := d.Database.ChangesSince(m)
 	if !ok {
@@ -289,19 +285,6 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 		return nil
 	}
 	if len(changes) == 0 {
-		return nil
-	}
-	complex := false
-	for _, ch := range changes {
-		if ch.Kind == core.ChangeComplex {
-			complex = true
-			break
-		}
-	}
-	if complex {
-		if err := d.checkpointLocked(); err != nil {
-			return d.degradeLocked(len(changes), err)
-		}
 		return nil
 	}
 	if err := d.dur.Append(changes); err != nil {
@@ -331,8 +314,8 @@ func (d *DB) checkpointLocked() error {
 // imageLocked is the one checkpoint body: Load the core, let install write
 // the image as the new checkpoint, then drain the change log and publish the
 // image. The checkpoint supersedes the log, and the drain keeps the rollback
-// basis (the published snapshot equals the state at the last drain, with no
-// ChangeComplex entry left undrained). Caller holds d.mu exclusively.
+// basis (the published snapshot equals the state at the last drain). Caller
+// holds d.mu exclusively.
 func (d *DB) imageLocked(install func(*storage.Store) error) error {
 	sw := obs.Start()
 	st, err := storage.Load(d.Database, 0)

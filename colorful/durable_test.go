@@ -4,9 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"colorfulxml/colorful"
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/mcxquery"
+	"colorfulxml/internal/pathexpr"
+	"colorfulxml/internal/vfs"
 )
 
 // buildMovies applies the same small workload to any DB — used to grow both
@@ -123,53 +129,253 @@ return createColor(black, <m-name>{ $m/{red}child::name }</m-name>)`); err != ni
 	}
 }
 
-func TestComplexChangeForcesCheckpoint(t *testing.T) {
+// compiledAnswers runs each query through the compiled route and holds its
+// values, in order, to the evaluator's.
+func compiledAnswers(t *testing.T, db *colorful.DB, queries ...string) [][]string {
+	t.Helper()
+	var out [][]string
+	for _, q := range queries {
+		if _, err := db.Explain(q); err != nil {
+			t.Fatalf("%s does not compile: %v", q, err)
+		}
+		items, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := mcxquery.NewEvaluator(db.Database).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compiled, evaluated []string
+		for _, it := range items {
+			compiled = append(compiled, it.Value)
+		}
+		for _, it := range seq {
+			evaluated = append(evaluated, pathexpr.ItemString(it))
+		}
+		if fmt.Sprint(compiled) != fmt.Sprint(evaluated) {
+			t.Fatalf("%s: compiled %v, evaluator %v", q, compiled, evaluated)
+		}
+		out = append(out, compiled)
+	}
+	return out
+}
+
+// listOrder renders the children of the red list, in order, as tag=value.
+func listOrder(t *testing.T, db *colorful.DB) string {
+	t.Helper()
+	lists, err := db.Query(`document("db")/{red}child::list`)
+	if err != nil || len(lists) != 1 {
+		t.Fatalf("list = %v, %v", lists, err)
+	}
+	var b strings.Builder
+	for _, k := range core.Children(lists[0].Node, "red") {
+		v, _ := core.StringValue(k, "red")
+		fmt.Fprintf(&b, "%s=%s ", k.Name(), v)
+	}
+	return b.String()
+}
+
+// buildList makes a red list of items b, c and d, each with a name; c is
+// green too, under a green featured root, and so a multi-color sibling.
+func buildList(t *testing.T, db *colorful.DB) {
+	t.Helper()
+	list, err := db.AddElement(db.Document(), "list", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	featured, err := db.AddElement(db.Document(), "featured", "green")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"b", "c", "d"} {
+		item, err := db.AddElement(list, "item", "red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AddElementText(item, "name", "red", v); err != nil {
+			t.Fatal(err)
+		}
+		if v == "c" {
+			if err := db.Adopt(featured, item, "green"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// insertA is the paper's positional insert: a new item a before item b,
+// displacing b, c and d.
+const insertA = `for $l in document("db")/{red}child::list, $b in $l/{red}child::item[{red}child::name = "b"]
+update $l { insert <item><name>a</name></item> before $b }`
+
+// TestPositionalInsertAndRenameAreLogged: a positional insert and an element
+// rename are each one WAL record like any other commit — no checkpoint, no
+// full snapshot rebuild — and a reopened directory replays both and answers
+// like the database that wrote it, in sibling order, names and compiled
+// answers, each held to the evaluator.
+func TestPositionalInsertAndRenameAreLogged(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := colorful.Open(dir, "red")
+	db, err := colorful.Open(dir, "red", "green")
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := db.AddElement(db.Document(), "list", "red")
-	if err != nil {
+	buildList(t, db)
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.AddElementText(root, "item", "red", "b")
-	if err != nil {
+	db = reopen(t, dir, "red", "green")
+	replayed := db.Recovery().RecordsReplayed
+	if err := db.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if db.DurabilityStats().Checkpoints != 0 {
-		t.Fatalf("unexpected early checkpoint: %+v", db.DurabilityStats())
+	rebuilds := db.MaintStats().FullRebuilds
+
+	if res, err := db.Update(insertA); err != nil || res.Tuples != 1 {
+		t.Fatalf("insert before: %+v, %v", res, err)
 	}
-	// A positional insert has no incremental WAL representation
-	// (ChangeComplex) and must force a synchronous checkpoint.
-	a, err := db.NewElement("item", "red")
-	if err != nil {
+	featured, err := db.Query(`document("db")/{green}child::featured/{green}child::item`)
+	if err != nil || len(featured) != 1 {
+		t.Fatalf("featured items = %v, %v", featured, err)
+	}
+	if err := db.Rename(featured[0].Node, "pick"); err != nil { // red and green, with a name child
 		t.Fatal(err)
 	}
-	if _, err := db.Database.AppendText(a, "a"); err != nil {
-		t.Fatal(err)
+	queries := []string{
+		`document("db")/{red}child::list/{red}child::item/{red}child::name`,
+		`document("db")/{red}child::list/{red}child::pick/{red}child::name`,
+		`document("db")/{green}child::featured/{green}child::pick`,
+		`document("db")/{red}descendant::name`,
 	}
-	if err := db.InsertBefore(root, a, b, "red"); err != nil {
-		t.Fatal(err)
+	before, order := compiledAnswers(t, db, queries...), listOrder(t, db)
+	if want := `[["a" "b" "d"] ["c"] [""] ["a" "b" "c" "d"]]`; fmt.Sprintf("%q", before) != want {
+		t.Fatalf("answers %v, want %s", before, want)
 	}
-	if got := db.DurabilityStats().Checkpoints; got != 1 {
-		t.Fatalf("checkpoints = %d, want 1 after a complex change", got)
+	if want := "item=a item=b pick=c item=d "; order != want {
+		t.Fatalf("list children %q, want %q", order, want)
+	}
+	if got := db.DurabilityStats().Checkpoints; got != 0 {
+		t.Errorf("the insert and the rename took %d checkpoints", got)
+	}
+	if got := db.MaintStats().FullRebuilds; got != rebuilds {
+		t.Errorf("the insert and the rename rebuilt the snapshot: %d full rebuilds, want %d", got, rebuilds)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	got := reopen(t, dir, "red", "green")
+	defer got.Close()
+	if r := got.Recovery(); r.CheckpointLoaded || r.RecordsReplayed != replayed+2 {
+		t.Fatalf("recovery %+v, want the %d records before the two commits and one each", r, replayed)
+	}
+	if after := compiledAnswers(t, got, queries...); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("after Open %v, before Close %v", after, before)
+	}
+	if after := listOrder(t, got); after != order {
+		t.Fatalf("after Open the list is %q, before Close %q", after, order)
+	}
+}
+
+// TestPositionalInsertRolledBackOnFailedSync: a positional insert whose WAL
+// fsync fails is rolled back — the displaced siblings included — and the
+// database degrades to read-only serving of the state before it. Once the
+// probe heals the log around a fresh checkpoint, a reopened directory holds
+// that state too.
+func TestPositionalInsertRolledBackOnFailedSync(t *testing.T) {
+	db, ffs, dir := openFaulty(t, 2*time.Millisecond)
+	buildList(t, db)
+	const q = `document("db")/{red}child::list/{red}child::item/{red}child::name`
+	before, order := compiledAnswers(t, db, q), listOrder(t, db)
+
+	ffs.Schedule(ffs.Ops()+1, vfs.Fault{Err: vfs.Permanent(vfs.ErrIO)}) // the append's write, then its fsync
+	if _, err := db.Update(insertA); !errors.Is(err, colorful.ErrReadOnly) {
+		t.Fatalf("insert before with a failing fsync: %v, want ErrReadOnly", err)
+	}
+	if got := compiledAnswers(t, db, q); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("after the rollback %v, before the insert %v", got, before)
+	}
+	if got := listOrder(t, db); got != order {
+		t.Fatalf("after the rollback the list is %q, before the insert %q", got, order)
+	}
+	awaitHealth(t, db, colorful.Healthy)
+	if info := db.HealthInfo(); info.Degrades != 1 || info.Heals != 1 {
+		t.Fatalf("health info = %+v, want one degrade and one heal", info)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := reopen(t, dir, "red", "green")
+	defer got.Close()
+	if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("after Open %v, before the insert %v", after, before)
+	}
+	if after := listOrder(t, got); after != order {
+		t.Fatalf("after Open the list is %q, before the insert %q", after, order)
+	}
+}
+
+// TestDisplacingInsertOverflowsToCheckpoint: an insert before the first of
+// 8 300 items logs each displaced item leaving and arriving again, more than
+// the change log holds. The log overflows, so the commit is a full
+// checkpoint instead of a WAL record, and a reopened directory answers alike.
+func TestDisplacingInsertOverflowsToCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := db.NewElement("list", "red") // built detached, then attached in one commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *colorful.Node
+	for k := 0; k < 8300; k++ {
+		item, err := db.AddElementText(list, "item", "red", fmt.Sprint(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			first = item
+		}
+	}
+	for _, attach := range []func() error{
+		db.Refresh, // drains the detached items' content entries
+		func() error { return db.Append(db.Document(), list, "red") },
+		db.Refresh,
+	} {
+		if err := attach(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.DurabilityStats().Checkpoints; got != 0 {
+		t.Fatalf("building the list took %d checkpoints", got)
+	}
+	item, err := db.NewElement("item", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertBefore(list, item, first, "red"); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.DurabilityStats().Checkpoints; got != 1 {
+		t.Fatalf("an insert displacing 8 300 items took %d checkpoints, want 1", got)
+	}
+	const q = `document("db")/{red}child::list/{red}child::item`
+	before := compiledAnswers(t, db, q)
+	if items := before[0]; len(items) != 8301 || items[0] != "" || items[1] != "0" || items[8300] != "8299" {
+		t.Fatalf("%d items, first %q, %q, last %q", len(items), items[0], items[1], items[len(items)-1])
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got := reopen(t, dir)
 	defer got.Close()
-	if !got.Recovery().CheckpointLoaded {
-		t.Fatalf("recovery ignored the checkpoint: %+v", got.Recovery())
+	if r := got.Recovery(); !r.CheckpointLoaded {
+		t.Fatalf("recovery ignored the checkpoint: %+v", r)
 	}
-	out, err := got.Query(`for $i in document("db")/{red}child::list/{red}child::item return $i`)
-	if err != nil || len(out) != 2 {
-		t.Fatalf("items = %v, %v", out, err)
-	}
-	if out[0].Value != "a" || out[1].Value != "b" {
-		t.Fatalf("positional insert order lost: %q, %q", out[0].Value, out[1].Value)
+	if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatal("after Open the items differ from before Close")
 	}
 }
 

@@ -27,11 +27,9 @@ import (
 //
 // The rollback leans on one invariant, maintained by serve.go and
 // durable.go: the published snapshot always equals the core state at the
-// last change-log drain, and the undrained log holds no ChangeComplex entry
-// (any commit carrying one forces a synchronous checkpoint, which drains).
-// The committed state is therefore always "published snapshot + committed
-// prefix of the undrained log", and the failed mutation is exactly the
-// log's suffix past the commit's mark.
+// last change-log drain. The committed state is therefore always
+// "published snapshot + committed prefix of the undrained log", and the
+// failed mutation is exactly the log's suffix past the commit's mark.
 
 // Health is a durable database's serving state.
 type Health int32
@@ -166,9 +164,10 @@ func (d *DB) readOnlyErr() error {
 
 // degradeLocked rolls back the failed mutation (the change-log suffix past
 // the commit's mark) and moves the database to degraded read-only serving.
-// The caller holds d.mu exclusively; suffix is ChangesSince(mark) captured
-// before any drain, 0 when the failure came after the commit was durable (an
-// automatic checkpoint). Returns the error the failing mutator reports.
+// The caller holds d.mu exclusively; suffix is the length of
+// ChangesSince(mark) captured before any drain, 0 when the failure came
+// after the commit was durable (an automatic checkpoint). Returns the error
+// the failing mutator reports.
 func (d *DB) degradeLocked(suffix int, cause error) error {
 	obsCommitErrors.Inc()
 	basis := d.snap.Load()

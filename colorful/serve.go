@@ -125,8 +125,8 @@ func (d *DB) refreshHoldingMu() (*snapshot, error) {
 			obsSnapApplies.Inc()
 			return d.publish(clone, gen), nil
 		}
-		// Replay failed (e.g. a ChangeComplex entry): discard the clone and
-		// rebuild from the authoritative core state below.
+		// Replay failed (a color out of interval positions): discard the
+		// clone and rebuild from the authoritative core state below.
 	}
 	st, err := storage.Load(d.Database, 0)
 	if err != nil {

@@ -5,9 +5,10 @@ package core
 // database appends a Change describing its store-visible effect; the serving
 // layer (colorful.DB) drains the log and replays it against a copy-on-write
 // clone of the previous storage.Store snapshot instead of rebuilding from
-// scratch. Changes with no incremental store operation (positional inserts,
-// element renames) are recorded as ChangeComplex, telling the maintainer to fall back
-// to a full load.
+// scratch. Every change has an incremental form: the store only appends
+// children, so a positional insert is logged as the displaced siblings leaving
+// and arriving again after the new child, and an element rename as its record
+// rewritten under the new tag.
 //
 // Mutations of detached fragments are store-invisible and record nothing:
 // the store materializes exactly the rooted colored trees, so a change only
@@ -29,13 +30,11 @@ const (
 	// ChangeDeleteSubtree: element Elem's subtree in Color left the rooted
 	// tree (delete, remove-color or detach).
 	ChangeDeleteSubtree
-	// ChangeAttrs: element Elem's attribute list became Attrs.
+	// ChangeAttrs: element Elem's attribute list became Attrs and, unless
+	// Tag is empty, its tag became Tag (an element rename).
 	ChangeAttrs
 	// ChangeAddDatabaseColor: the database gained color Color.
 	ChangeAddDatabaseColor
-	// ChangeComplex: a structural change with no incremental counterpart;
-	// the snapshot maintainer must rebuild.
-	ChangeComplex
 )
 
 // Change is one entry of the logical change log. Parent is 0 when the
@@ -100,22 +99,16 @@ func (db *Database) Mark() ChangeMark {
 	return ChangeMark{drains: db.clog.drains, n: len(db.clog.entries)}
 }
 
-// ChangesSince returns a copy of the entries recorded after the mark. ok is
-// false when the mark is no longer valid: the log was drained or overflowed
-// in between, so the caller cannot know the exact entry set and must treat
-// the database as arbitrarily changed (the durable layer responds with a
-// full checkpoint).
+// ChangesSince returns the entries recorded after the mark: the log's own
+// tail, valid until the next mutation or drain. ok is false when the mark is
+// no longer valid: the log was drained or overflowed in between, so the
+// caller cannot know the exact entry set and must treat the database as
+// arbitrarily changed (the durable layer responds with a full checkpoint).
 func (db *Database) ChangesSince(m ChangeMark) (changes []Change, ok bool) {
 	if db.clog.drains != m.drains || db.clog.overflow || m.n > len(db.clog.entries) {
 		return nil, false
 	}
-	tail := db.clog.entries[m.n:]
-	if len(tail) == 0 {
-		return nil, true
-	}
-	out := make([]Change, len(tail))
-	copy(out, tail)
-	return out, true
+	return db.clog.entries[m.n:], true
 }
 
 // reachable reports whether n belongs to the rooted colored tree c (i.e. its
@@ -131,21 +124,6 @@ func (db *Database) reachable(n *Node, c Color) bool {
 			return false
 		}
 		cur = l.parent
-	}
-	return false
-}
-
-// reachableAny reports whether n (or its owner, for owned nodes) is part of
-// any rooted colored tree.
-func (db *Database) reachableAny(n *Node) bool {
-	t := n
-	if t.owner != nil {
-		t = t.owner
-	}
-	for _, c := range t.Colors() {
-		if db.reachable(t, c) {
-			return true
-		}
 	}
 	return false
 }
@@ -173,19 +151,27 @@ func AttrPairs(elem *Node) [][2]string {
 }
 
 // logAttach records the store-visible effect of attaching child under parent
-// in color c. atEnd reports whether the child became the last child.
-func (db *Database) logAttach(parent, child *Node, c Color, atEnd bool) {
+// in color c, at index at of parent's children. The store only appends, so
+// the element siblings after the child leave first and arrive again after
+// it: a positional insert costs what it displaces.
+func (db *Database) logAttach(parent, child *Node, c Color, at int) {
 	if child.kind != KindElement {
 		return // comments and PIs are not materialized in the store
 	}
 	if !db.reachable(parent, c) {
 		return // still a detached fragment; no store effect
 	}
-	if !atEnd {
-		db.record(Change{Kind: ChangeComplex})
-		return
+	kids := parent.link(c).children
+	for _, s := range kids[at+1:] {
+		if s.kind == KindElement {
+			db.record(Change{Kind: ChangeDeleteSubtree, Elem: s.id, Color: c})
+		}
 	}
-	db.logArrival(parent, child, c)
+	for _, s := range kids[at:] { // the child, then the siblings it displaced
+		if s.kind == KindElement {
+			db.logArrival(parent, s, c)
+		}
+	}
 }
 
 // logArrival records child's subtree in color c arriving as the last child of

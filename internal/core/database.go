@@ -253,11 +253,9 @@ func (db *Database) Rename(n *Node, name string) error {
 	case KindElement:
 		n.name = name
 		db.invalidate()
-		if db.reachableAny(n) {
-			// A rename re-keys the tag index; there is no incremental
-			// store op for that.
-			db.record(Change{Kind: ChangeComplex})
-		}
+		// The store rewrites the element's record and re-keys its nodes
+		// under the new tag.
+		db.record(Change{Kind: ChangeAttrs, Elem: n.id, Tag: name, Attrs: AttrPairs(n)})
 		return nil
 	case KindPI:
 		n.name = name
@@ -450,8 +448,8 @@ func (db *Database) insert(parent, child *Node, c Color, at int) error {
 		}
 		a = al.parent
 	}
-	atEnd := at < 0 || at >= len(pl.children)
-	if atEnd {
+	if at < 0 || at >= len(pl.children) {
+		at = len(pl.children)
 		pl.children = append(pl.children, child)
 	} else {
 		pl.children = append(pl.children, nil)
@@ -460,7 +458,7 @@ func (db *Database) insert(parent, child *Node, c Color, at int) error {
 	}
 	cl.parent = parent
 	db.invalidate()
-	db.logAttach(parent, child, c, atEnd)
+	db.logAttach(parent, child, c, at)
 	return nil
 }
 

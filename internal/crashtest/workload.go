@@ -41,9 +41,8 @@ const (
 	OpRename
 	// OpDeleteSubtree deletes an element's subtree in one color.
 	OpDeleteSubtree
-	// OpInsertBefore attaches a fresh element at a chosen position — a
-	// positional change with no incremental WAL form, forcing a synchronous
-	// checkpoint.
+	// OpInsertBefore attaches a fresh element at a chosen position: one WAL
+	// record, the siblings after it leaving and arriving again after it.
 	OpInsertBefore
 	// OpCheckpoint requests an explicit checkpoint (no-op on in-memory
 	// shadows).

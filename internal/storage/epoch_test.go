@@ -22,7 +22,7 @@ func TestStatsEpochContentUpdatePreserves(t *testing.T) {
 	if err := s.UpdateContent(roots[0].Elem, "renamed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetElemAttrs(roots[0].Elem, [][2]string{{"k", "v"}}); err != nil {
+	if err := s.SetElemAttrs(roots[0].Elem, "", [][2]string{{"k", "v"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.StatsEpoch(); got != e0 {

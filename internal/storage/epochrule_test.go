@@ -63,6 +63,8 @@ func TestStatsEpochMovesByRule(t *testing.T) {
 		{"a ninth item deleted", del, moveNone},
 		{"an eighth item deleted", del, epochCardDoubled},
 		{"a content update", func() error { return s.UpdateContent(node("name", 1).Elem, "m") }, moveNone},
+		{"an attribute set", func() error { return s.SetElemAttrs(node("name", 1).Elem, "", [][2]string{{"k", "v"}}) }, moveNone},
+		{"a name renamed", func() error { return s.SetElemAttrs(node("name", 2).Elem, "title", nil) }, epochRenamed},
 	} {
 		var before [len(obsEpochMoves)]uint64
 		for j, c := range obsEpochMoves {

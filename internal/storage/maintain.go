@@ -15,9 +15,9 @@ import (
 // layer publish a fresh snapshot after a point update without an O(N)
 // storage.Load rebuild.
 
-// ErrDeltaUnsupported reports a change-log entry with no incremental store
-// counterpart (ChangeComplex); the caller must rebuild the snapshot with a
-// full Load instead.
+// ErrDeltaUnsupported reports a change-log entry the store cannot apply in
+// place (a color out of interval positions); the caller must rebuild the
+// snapshot with a full Load instead.
 var ErrDeltaUnsupported = errors.New("storage: change delta unsupported for incremental maintenance")
 
 // Freeze seals the store's records before it is published: from then on no
@@ -107,7 +107,7 @@ func (s *Store) applyChange(ch core.Change) error {
 		if _, ok := s.elemRID(id); !ok {
 			return nil
 		}
-		return s.SetElemAttrs(id, ch.Attrs)
+		return s.SetElemAttrs(id, ch.Tag, ch.Attrs)
 
 	case core.ChangeInsertLeaf:
 		parent, err := s.changeParent(ch)
@@ -134,9 +134,6 @@ func (s *Store) applyChange(ch core.Change) error {
 			return nil // already gone (e.g. removed with an ancestor)
 		}
 		return s.DeleteSubtree(sn)
-
-	case core.ChangeComplex:
-		return ErrDeltaUnsupported
 	}
 	return fmt.Errorf("unknown change kind %d: %w", ch.Kind, ErrDeltaUnsupported)
 }

@@ -1,7 +1,6 @@
 package storage_test
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -148,9 +147,13 @@ func TestApplyChangesDifferential(t *testing.T) {
 	applyDrained(t, base, db)
 }
 
-// TestApplyChangesComplexFallsBack: changes without an incremental
-// counterpart surface ErrDeltaUnsupported.
-func TestApplyChangesComplexFallsBack(t *testing.T) {
+// TestApplyChangesRenameIsIncremental: an element rename is its record
+// rewritten under the new tag. The renamed element (red and green, with
+// element children in both) moves its tag and content postings and its
+// children's count in each color, so the store answers like a fresh Load —
+// LeafTag included — and the stats epoch moves. An attribute change after it
+// carries no tag and leaves the new one alone.
+func TestApplyChangesRenameIsIncremental(t *testing.T) {
 	m := fixtures.NewMovieDB()
 	db := m.DB
 	base, err := storage.Load(db, 0)
@@ -158,18 +161,53 @@ func TestApplyChangesComplexFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.DrainChanges()
+	eve := storage.ElemID(m.Node("eve").ID())
+	for _, c := range []core.Color{fixtures.Red, fixtures.Green} {
+		if !base.LeafTag(c, "film") {
+			t.Fatalf("%s: a tag nothing carries is not a leaf", c)
+		}
+	}
 
-	// Rename re-keys the tag index: no incremental op.
 	if err := db.Rename(m.Node("eve"), "film"); err != nil {
 		t.Fatal(err)
 	}
-	changes, overflow := db.DrainChanges()
-	if overflow {
-		t.Fatal("unexpected overflow")
+	epoch := base.StatsEpoch()
+	renamed := applyDrained(t, base, db)
+	if renamed.StatsEpoch() == epoch {
+		t.Error("the rename kept the stats epoch")
 	}
-	clone := base.Clone()
-	if err := clone.ApplyChanges(changes); !errors.Is(err, storage.ErrDeltaUnsupported) {
-		t.Fatalf("ApplyChanges = %v, want ErrDeltaUnsupported", err)
+	fresh, err := storage.Load(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := describe(t, renamed, db.Colors()), describe(t, fresh, db.Colors()); got != want {
+		t.Fatalf("after the rename the store answers\n%s\na fresh Load\n%s", got, want)
+	}
+	for _, c := range []core.Color{fixtures.Red, fixtures.Green} {
+		if renamed.LeafTag(c, "film") {
+			t.Errorf("%s: film has element children but is a leaf tag", c)
+		}
+		if films, err := renamed.ScanTag(c, "film"); err != nil || len(films) != 1 || films[0].Elem != eve {
+			t.Errorf("%s: ScanTag(film) = %v, %v", c, films, err)
+		}
+	}
+
+	if _, err := db.SetAttribute(m.Node("eve"), "rating", "8.2"); err != nil {
+		t.Fatal(err)
+	}
+	changes, _ := db.DrainChanges()
+	if len(changes) != 1 || changes[0].Kind != core.ChangeAttrs || changes[0].Tag != "" {
+		t.Fatalf("an attribute set logged %+v, want one ChangeAttrs without a tag", changes)
+	}
+	after := renamed.Clone()
+	if err := after.ApplyChanges(changes); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := after.Elem(eve); err != nil || e.Tag != "film" || len(e.Attrs) != 1 {
+		t.Fatalf("after an attribute change without a tag: Elem = %+v, %v", e, err)
+	}
+	if films, err := after.ScanTag(fixtures.Red, "film"); err != nil || len(films) != 1 {
+		t.Fatalf("after an attribute change without a tag: ScanTag(film) = %v, %v", films, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package storage_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -169,10 +168,8 @@ func TestInsertsAgainstLoad(t *testing.T) {
 				}
 			}
 			changes, overflow := db.DrainChanges()
-			for _, ch := range changes {
-				if ch.Kind == core.ChangeComplex || overflow {
-					t.Fatalf("seed %d step %d: change log %+v (overflow %v) is not incremental", seed, step, changes, overflow)
-				}
+			if overflow {
+				t.Fatalf("seed %d step %d: the change log overflowed", seed, step)
 			}
 			frozen, before := st, answers
 			st = frozen.Clone()
@@ -263,16 +260,18 @@ func indexAnswers(t *testing.T, s *storage.Store, colors []core.Color) string {
 }
 
 // TestIndexesAgainstModel is the model test of the tag, content and
-// attribute-value indexes: seeded inserts at the end of a color and under
-// mid-tree parents, subtree deletes, content changes, renames (a full Load,
-// as the serving layer does for them), attribute sets and removes, with
-// Clones in between. After every step the store that absorbed the change
-// must pass the invariant walker — every index equal to a brute-force model
-// built from the start maps and the records, probes included — and answer
-// exactly like a fresh Load; every frozen store must still answer as it did
-// when it was frozen. Contents share prefixes ("Item 1", "Item 12") and one
-// is another plus a suffix that starts with a zero byte, which puts its keys
-// among the other's in the content index.
+// attribute-value indexes: seeded inserts at the end of a color, under
+// mid-tree parents and before a sibling, adoptions into the other color,
+// subtree deletes, content changes, element renames, attribute sets and
+// removes, with Clones in between. Every step applies incrementally. After
+// it the store that absorbed the change must pass the invariant walker —
+// every index equal to a brute-force model built from the start maps and the
+// records, probes included — and answer exactly like a fresh Load; every
+// frozen store must still answer as it did when it was frozen. Contents share
+// prefixes ("Item 1", "Item 12") and one is another plus a suffix that starts
+// with a zero byte, which puts its keys among the other's in the content
+// index. The schedule must rename a leaf, an element with element children
+// and a multi-color one, and insert before a multi-color sibling.
 func TestIndexesAgainstModel(t *testing.T) {
 	values := []string{"Item 1", "Item 12", "Item 123", "Item 1\x00\x00\x00\x00\x00\x00\x00\x00\x07", "Item 1\x00", "v", ""}
 	rng := rand.New(rand.NewSource(11))
@@ -301,17 +300,13 @@ func TestIndexesAgainstModel(t *testing.T) {
 	}
 	var frozens []frozen
 	answers := indexAnswers(t, st, db.Colors())
+	reached := map[string]int{} // the cases the schedule must reach, by name
 	for step := 0; step < 250; step++ {
 		c := []core.Color{"red", "green"}[rng.Intn(2)]
-		var in []*core.Node
-		for _, n := range db.TreeNodes(c)[1:] {
-			if n.Kind() == core.KindElement {
-				in = append(in, n)
-			}
-		}
+		in := elementsOf(db, c)
 		pick := in[rng.Intn(len(in))]
 		value := values[rng.Intn(len(values))]
-		switch op := rng.Intn(9); op {
+		switch op := rng.Intn(12); op {
 		case 0: // at the end of the color
 			must(db.AddElementText(core.Children(db.Document(), c)[0], "item", c, value))
 		case 1, 2: // under a parent in the middle
@@ -329,24 +324,53 @@ func TestIndexesAgainstModel(t *testing.T) {
 				}
 			}
 		case 5:
-			if core.Parent(pick, c) != db.Document() {
-				if err := db.Rename(pick, []string{"name", "tag", "label"}[rng.Intn(3)]); err != nil {
-					t.Fatal(err)
-				}
+			switch {
+			case len(pick.Colors()) > 1:
+				reached["rename a multi-color element"]++
+			case len(elementChildren(pick, c)) > 0:
+				reached["rename an element with element children"]++
+			default:
+				reached["rename a leaf"]++
+			}
+			if err := db.Rename(pick, []string{"name", "tag", "label", "item"}[rng.Intn(4)]); err != nil {
+				t.Fatal(err)
 			}
 		case 6, 7:
 			must(db.SetAttribute(pick, []string{"id", "k"}[rng.Intn(2)], value))
-		default:
+		case 8:
 			db.RemoveAttribute(pick, []string{"id", "k"}[rng.Intn(2)])
+		case 9: // a leaf before a sibling: the siblings after it move
+			parent, displaced, multi := core.Parent(pick, c), false, false
+			for _, sib := range elementChildren(parent, c) {
+				displaced = displaced || sib == pick
+				multi = multi || displaced && len(sib.Colors()) > 1
+			}
+			if multi {
+				reached["insert before a multi-color sibling"]++
+			}
+			leaf := must(db.NewElement([]string{"name", "tag", "item"}[rng.Intn(3)], c))
+			if value != "" {
+				must(db.AppendText(leaf, value))
+			}
+			if err := db.InsertBefore(parent, leaf, pick, c); err != nil {
+				t.Fatal(err)
+			}
+		default: // adopt into the other color
+			other := core.Color("green")
+			if c == other {
+				other = "red"
+			}
+			if !pick.HasColor(other) {
+				into := elementsOf(db, other)
+				if err := db.Adopt(into[rng.Intn(len(into))], pick, other); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		changes, overflow := db.DrainChanges()
 		frozens = append(frozens, frozen{st, answers})
 		st = st.Clone()
-		if err := st.ApplyChanges(changes); errors.Is(err, storage.ErrDeltaUnsupported) && !overflow {
-			if st, err = storage.Load(db, 0); err != nil { // a rename
-				t.Fatal(err)
-			}
-		} else if err != nil || overflow {
+		if err := st.ApplyChanges(changes); err != nil || overflow {
 			t.Fatalf("step %d: %v (overflow %v)", step, err, overflow)
 		}
 		if err := st.CheckInvariants(); err != nil {
@@ -371,4 +395,117 @@ func TestIndexesAgainstModel(t *testing.T) {
 			}
 		}
 	}
+	for _, what := range []string{"rename a leaf", "rename an element with element children",
+		"rename a multi-color element", "insert before a multi-color sibling"} {
+		if reached[what] == 0 {
+			t.Errorf("the schedule did not %s", what)
+		}
+	}
+	t.Logf("cases reached: %v", reached)
+}
+
+// elementsOf returns the elements of db's rooted tree c in document order.
+func elementsOf(db *core.Database, c core.Color) []*core.Node {
+	var out []*core.Node
+	for _, n := range db.TreeNodes(c)[1:] {
+		if n.Kind() == core.KindElement {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// elementChildren returns n's element children in c.
+func elementChildren(n *core.Node, c core.Color) []*core.Node {
+	var out []*core.Node
+	for _, k := range core.Children(n, c) {
+		if k.Kind() == core.KindElement {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// FuzzChangesAgainstLoad decodes its input, a byte pair per op, into updates
+// of a small two-color database — append, insert-before, rename,
+// delete-subtree, adopt (at the end or at a position) and set-text, in either
+// color, on an element the second byte picks — and holds a clone that absorbs each update's change
+// log to the invariant walker and to a fresh Load of the same state.
+func FuzzChangesAgainstLoad(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 2, 8, 3, 10, 4})
+	f.Add([]byte{9, 1, 2, 2, 3, 0, 4, 3, 5, 4, 10, 1, 11, 2, 7, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		db := core.NewDatabase("red", "green")
+		must := func(n *core.Node, err error) *core.Node {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		catalog := must(db.AddElement(db.Document(), "catalog", "red"))
+		must(db.AddElement(db.Document(), "featured", "green"))
+		for k := 0; k < 4; k++ {
+			must(db.AddElementText(must(db.AddElement(catalog, "item", "red")), "name", "red", fmt.Sprint(k)))
+		}
+		st, err := storage.Load(db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.DrainChanges()
+		for i := 0; i+1 < len(ops) && i < 64; i += 2 {
+			c, other := core.Color("red"), core.Color("green")
+			if ops[i]&1 == 1 {
+				c, other = other, c
+			}
+			in, arg := elementsOf(db, c), int(ops[i+1])
+			n, tag, parent := in[arg%len(in)], []string{"item", "name", "tag"}[arg%3], core.Parent(in[arg%len(in)], c)
+			switch ops[i] >> 1 % 6 {
+			case 0:
+				must(db.AddElementText(n, tag, c, fmt.Sprint(arg)))
+			case 1:
+				err = db.InsertBefore(parent, must(db.NewElement(tag, c)), n, c)
+			case 2:
+				err = db.Rename(n, tag)
+			case 3:
+				if parent != db.Document() {
+					err = db.DeleteSubtree(n, c)
+				}
+			case 4: // adopt, at the end or before the first element child
+				if into := elementsOf(db, other); !n.HasColor(other) {
+					p, ref := into[arg%len(into)], (*core.Node)(nil)
+					if kids := elementChildren(p, other); len(kids) > 0 && arg&4 != 0 {
+						ref = kids[0]
+					}
+					if err = db.AddColor(n, other); err == nil {
+						err = db.InsertBefore(p, n, ref, other)
+					}
+				}
+			case 5:
+				err = db.SetText(n, fmt.Sprint("v", arg%4))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			changes, overflow := db.DrainChanges()
+			if overflow {
+				t.Fatal("the change log overflowed")
+			}
+			clone := st.Clone()
+			if err := clone.ApplyChanges(changes); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			if err := clone.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			fresh, err := storage.Load(db, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := describe(t, clone, db.Colors()), describe(t, fresh, db.Colors()); got != want {
+				t.Fatalf("op %d: the clone answers\n%s\na fresh Load\n%s", i/2, got, want)
+			}
+			st = clone
+		}
+	})
 }

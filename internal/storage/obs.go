@@ -27,6 +27,7 @@ var (
 		epochNests:       obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "nests"),
 		epochCardDoubled: obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "card_doubled"),
 		epochRebuild:     obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "rebuild"),
+		epochRenamed:     obs.NewLabeledCounter("db_stats_epoch_moves_total", "reason", "rename"),
 	}
 
 	obsSnapshotClones  = obs.NewCounter("storage_snapshot_clones_total")

@@ -212,8 +212,9 @@ func nextStatsEpoch() uint64 { return statsEpochCounter.Add(1) }
 // the content record) and that a tag never nests (a FLWOR over it is folded
 // into a path) — and the rest only prices it. So the epoch moves when an
 // insert may falsify one of the two facts, or when a (colour, tag) count
-// crosses a power of two, and on every rebuild (epochRules). A delete only
-// makes the two facts truer, so it moves the epoch only for a count.
+// crosses a power of two, and on every element rename and every rebuild
+// (epochRules). A delete only makes the two facts truer, so it moves the
+// epoch only for a count.
 func (s *Store) StatsEpoch() uint64 { return s.statsEpoch.Load() }
 
 // bumpStatsEpoch moves the store to a fresh epoch, counting why.
@@ -235,6 +236,8 @@ const (
 	epochCardDoubled
 	// A full load, a checkpoint reload or a new colour.
 	epochRebuild
+	// An element was renamed (retag).
+	epochRenamed
 )
 
 // noteInsert moves the epoch for the structural node sn just inserted with

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -8,8 +9,8 @@ import (
 	"colorfulxml/internal/pagestore"
 )
 
-// This file implements the store-level update operations: content and
-// attribute replacement, insertion of a last child, and subtree deletion.
+// This file implements the store-level update operations: content, attribute
+// and tag replacement, insertion of a last child, and subtree deletion.
 // Where an insertion finds its place in the interval numbering is number.go.
 
 // UpdateContent replaces an element's text content in place (appending a
@@ -119,9 +120,10 @@ func (s *Store) rewriteElem(id ElemID, set func(e *ElemInfo)) (old ElemInfo, err
 }
 
 // SetElemAttrs replaces an element's attribute list, re-keying the attribute
-// index (the physical counterpart of attribute set/remove).
-func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
-	old, err := s.rewriteElem(id, func(e *ElemInfo) { e.Attrs = attrs })
+// index (the physical counterpart of attribute set/remove), and its tag
+// unless tag is empty (an element rename): see retag.
+func (s *Store) SetElemAttrs(id ElemID, tag string, attrs [][2]string) error {
+	old, err := s.rewriteElem(id, func(e *ElemInfo) { e.Tag, e.Attrs = cmp.Or(tag, e.Tag), attrs })
 	if err != nil {
 		return err
 	}
@@ -132,6 +134,37 @@ func (s *Store) SetElemAttrs(id ElemID, attrs [][2]string) error {
 		s.attrs.write(a[0]).m.Put(textKey(a[1], uint64(id)), uint64(id))
 	}
 	s.counts.Attributes += len(attrs) - len(old.Attrs)
+	if tag == "" || tag == old.Tag {
+		return nil
+	}
+	return s.retag(id, old.Tag, tag, old.Content)
+}
+
+// retag moves element id's structural nodes from tag from to tag to: in each
+// color its tag and content postings, and its children's count (LeafTag).
+// Paths, leaf tags and nesting may all change: summaries go, the epoch moves.
+func (s *Store) retag(id ElemID, from, to, content string) error {
+	s.invalidatePathSummaries()
+	for i := range s.trees {
+		t := &s.trees[i]
+		ref, ok := t.loc.Get(uint64(id))
+		if !ok {
+			continue
+		}
+		sn, err := s.StructByRef(ref, t.color)
+		if err != nil {
+			return err
+		}
+		kids, err := s.ChildrenOf(sn)
+		if err != nil {
+			return err
+		}
+		t.index(from, content, sn.Start, ref, false)
+		t.index(to, content, sn.Start, ref, true)
+		t.addChildren(from, -len(kids))
+		t.addChildren(to, len(kids))
+	}
+	s.bumpStatsEpoch(epochRenamed)
 	return nil
 }
 

@@ -139,11 +139,11 @@ func TestWarmUpdateBindAllocatesNoScratch(t *testing.T) {
 }
 
 // BenchmarkApplyChange: Store.ApplyChanges of one batch, per kind of
-// core.Change, on the 1 500-item catalog (ChangeComplex has no apply: it
-// forces a rebuild). Batches are applied in runs of 64 to distinct targets on
-// one clone — or, for the inserts that say so, to one parent, which is what
-// fills an interval — the way recovery replays a log, so the clone's cost and
-// its first-write page copies are spread over the run.
+// core.Change and per statement that logs several, on the 1 500-item
+// catalog. Batches are applied in runs of 64 to distinct targets on one
+// clone — or, for the inserts that say so, to one parent, which is what fills
+// an interval — the way recovery replays a log, so the clone's cost and its
+// first-write page copies are spread over the run.
 func BenchmarkApplyChange(b *testing.B) {
 	const run = 64
 	c := newWriteCatalog(b, 1500)
@@ -152,6 +152,18 @@ func BenchmarkApplyChange(b *testing.B) {
 	leaf := func(j int, parent core.NodeID, tag string) core.Change {
 		return core.Change{Kind: core.ChangeInsertLeaf, Elem: fresh + core.NodeID(j), Parent: parent,
 			Color: "red", Tag: tag, Content: "t" + strconv.Itoa(j)}
+	}
+	// A twin of the catalog has its ids, so what its inserts before the last
+	// item log (that item and its name leaving, the new item, the two
+	// arriving again) applies, batch after batch, to a clone of c's store.
+	twin := fixtures.NewCatalog(1500)
+	last := twin.Items[len(twin.Items)-1]
+	before := make([][]core.Change, run)
+	for j := range before {
+		if err := twin.DB.InsertBefore(core.Parent(last, "red"), twin.DB.MustElement("item", "red"), last, "red"); err != nil {
+			b.Fatal(err)
+		}
+		before[j], _ = twin.DB.DrainChanges()
 	}
 	kinds := []struct {
 		name string
@@ -168,6 +180,10 @@ func BenchmarkApplyChange(b *testing.B) {
 		{"insert-leaf-same-parent", func(j int) []core.Change { return []core.Change{leaf(j, c.Items[750].ID(), "tag")} }},
 		{"subtree", func(j int) []core.Change { // item + name, as the change log carries them: pre-order leaves
 			return []core.Change{leaf(2*j, catalog, "item"), leaf(2*j+1, fresh+core.NodeID(2*j), "name")}
+		}},
+		{"insert-before", func(j int) []core.Change { return before[j] }},
+		{"rename", func(j int) []core.Change { // an item, which has element children, in red and green
+			return []core.Change{{Kind: core.ChangeAttrs, Elem: c.Items[3*j].ID(), Tag: "product", Attrs: core.AttrPairs(c.Items[3*j])}}
 		}},
 		{"add-color", func(j int) []core.Change {
 			return []core.Change{{Kind: core.ChangeAddColor, Elem: c.Items[3*j+1].ID(), Parent: c.Featured.ID(), Color: "green"}}

@@ -288,14 +288,16 @@ type UpdateResult struct {
 }
 
 // Update parses and applies an MCT update expression
-// (for/where/update{insert,delete,replace,rename}). Updates serialize
-// behind the writer lock. The binding clauses run as a compiled plan on the
-// store snapshot (an index probe, not a walk over the tree), and the update
-// publishes the snapshot that reflects it before it returns: the writer pays
-// for maintenance, which costs what the update changed.
+// (for/where/update{insert,delete,replace,rename}). A text of a shape the
+// plan cache keeps a template for is lexed once and not parsed
+// (update.ParseCached). Updates serialize behind the writer lock. The
+// binding clauses run as a compiled plan on the store snapshot (an index
+// probe, not a walk over the tree), and the update publishes the snapshot
+// that reflects it before it returns: the writer pays for maintenance, which
+// costs what the update changed.
 func (d *DB) Update(src string) (UpdateResult, error) {
 	obsUpdates.Inc()
-	u, err := update.Parse(src)
+	u, err := update.ParseCached(src, d.planCache)
 	if err != nil {
 		return UpdateResult{}, err
 	}

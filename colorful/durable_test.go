@@ -3,7 +3,9 @@ package colorful_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
 	"colorfulxml/internal/vfs"
+	"colorfulxml/internal/wal"
 )
 
 // buildMovies applies the same small workload to any DB — used to grow both
@@ -339,14 +342,11 @@ func TestDisplacingInsertOverflowsToCheckpoint(t *testing.T) {
 			first = item
 		}
 	}
-	for _, attach := range []func() error{
-		db.Refresh, // drains the detached items' content entries
-		func() error { return db.Append(db.Document(), list, "red") },
-		db.Refresh,
-	} {
-		if err := attach(); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Append(db.Document(), list, "red"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Refresh(); err != nil {
+		t.Fatal(err)
 	}
 	if got := db.DurabilityStats().Checkpoints; got != 0 {
 		t.Fatalf("building the list took %d checkpoints", got)
@@ -376,6 +376,53 @@ func TestDisplacingInsertOverflowsToCheckpoint(t *testing.T) {
 	}
 	if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatal("after Open the items differ from before Close")
+	}
+}
+
+// TestTagAddLogsOnlyItsLeaf: a tag-add builds <tag>t5</tag> detached and
+// gives it its text before attaching it, and a detached element's text is
+// no change to the store: the update's WAL record holds exactly the one
+// ChangeInsertLeaf that brings the tag, its text included, into the tree.
+func TestTagAddLogsOnlyItsLeaf(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	item, err := db.AddElement(db.Document(), "item", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddElementText(item, "name", "red", "Item 5"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Update(`for $n in document("db")/{red}descendant::name[. = "Item 5"], $i in $n/{red}parent::item update $i { insert <tag>t5</tag> }`)
+	if err != nil || res.NodesTouched != 1 {
+		t.Fatalf("tag-add touched %d nodes, err %v", res.NodesTouched, err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("WAL segments %v, err %v", segs, err)
+	}
+	data, err := os.ReadFile(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := wal.ReadSegment(data, segs[len(segs)-1], true)
+	if err != nil || len(seg.Records) == 0 {
+		t.Fatalf("segment: %+v, err %v", seg, err)
+	}
+	got, err := wal.DecodeChanges(seg.Records[len(seg.Records)-1].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("the tag-add's record holds %d changes, want its one leaf: %+v", len(got), got)
+	}
+	want := core.Change{Kind: core.ChangeInsertLeaf, Elem: got[0].Elem, Parent: item.ID(), Color: "red", Tag: "tag", Content: "t5"}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("the tag-add logged %+v, want %+v", got[0], want)
 	}
 }
 

@@ -387,17 +387,23 @@ func TestHeldAttributesKeepTheirGeneration(t *testing.T) {
 // keeps moving votes between values. Node set and values now come from one
 // snapshot, so every item a reader gets carries the value it asked for — with
 // values read from live core (the parent commit) a vote changed between plan
-// and mapping came back with its new value. Meaningful under -race.
+// and mapping came back with its new value. The writer starts once every
+// reader has seen a row, so no reader can miss the commits however fast they
+// are. Meaningful under -race.
 func TestReadersSeeOneGeneration(t *testing.T) {
 	const items, readers, commits = 90, 4, 400
 	db := catalogDB(items)
 	stop := make(chan struct{})
 	errc := make(chan error, readers+1)
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
+	ready.Add(readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			var once sync.Once
+			isReady := func() { once.Do(ready.Done) }
+			defer isReady() // a reader that failed lets the writer go
 			sess := db.Session()
 			defer sess.Close()
 			seen := 0
@@ -423,11 +429,15 @@ func TestReadersSeeOneGeneration(t *testing.T) {
 					}
 				}
 				seen += len(out)
+				if seen > 0 {
+					isReady()
+				}
 			}
 		}(r)
 	}
 	go func() {
 		defer close(stop)
+		ready.Wait()
 		rng := rand.New(rand.NewSource(1))
 		for n := 0; n < commits; n++ {
 			src := catalogItem(3*rng.Intn(items/3)) + `, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(rng.Intn(10)) + `" }`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -396,5 +397,58 @@ func TestWarmPointQueryAllocations(t *testing.T) {
 	}
 	if cs := db.PlanCacheStats(); cs.Size != 1 || cs.Misses != 1 {
 		t.Errorf("plan cache %+v, want the one shape compiled once", cs)
+	}
+}
+
+// TestWarmOneShotUpdateAllocations pins what a warm one-shot update
+// allocates on the 1 500-item catalog, for each of the repository
+// benchmark's three update shapes, every text with literals of its own, and
+// holds that none of them is parsed: after a shape's first text made its
+// template, each of 1 000 more is filled from it (update.ParseCached), so
+// the plan cache counts one template hit an update and no template miss.
+// A vote costs 117 allocations, a tag-add 144 and a tag-del 147 — bind,
+// apply, change log and publish — against 136, 160 and 171 when every text
+// was parsed.
+func TestWarmOneShotUpdateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are not counted under the race detector (race_on_test.go)")
+	}
+	const items, runs = 1500, 1000
+	db := catalogDB(items)
+	var vote, add, del int
+	for _, tc := range []struct {
+		name string
+		next func() string
+		max  float64
+	}{
+		{"vote", func() string {
+			vote++
+			return catalogItem(3*(vote%(items/3))) + `, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(vote) + `" }`
+		}, 120},
+		{"tag-add", func() string {
+			add++
+			return catalogItem(add%items) + ` update $i { insert <tag>t` + strconv.Itoa(add) + `</tag> }`
+		}, 148},
+		{"tag-del", func() string {
+			del++
+			return catalogItem(del%items) + `, $t in $i/{red}child::tag[. = "t` + strconv.Itoa(del) + `"] update $i { delete $t }`
+		}, 150},
+	} {
+		update := func() {
+			if res, err := db.Update(tc.next()); err != nil || res.NodesTouched != 1 {
+				t.Fatalf("%s: %+v, err %v", tc.name, res, err)
+			}
+		}
+		update() // the shape's template
+		before := db.PlanCacheStats()
+		allocs := testing.AllocsPerRun(runs, update)
+		after := db.PlanCacheStats()
+		if allocs > tc.max {
+			t.Errorf("%s: %.0f allocations an update, want at most %.0f", tc.name, allocs, tc.max)
+		}
+		if hits := after.TemplateHits - before.TemplateHits; hits != runs+1 || after.TemplateMisses != before.TemplateMisses {
+			t.Errorf("%s: %d of %d one-shot texts filled from the template, %d parsed",
+				tc.name, hits, runs+1, after.TemplateMisses-before.TemplateMisses)
+		}
 	}
 }

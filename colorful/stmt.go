@@ -140,11 +140,12 @@ func (st *Stmt) markClosed() {
 }
 
 // hold remembers the plan that served this statement's latest execution, so
-// the statement survives shared-cache eviction without recompiling.
+// the statement survives shared-cache eviction without recompiling — but not
+// the content run its lookup counted, which would keep that snapshot alive.
 func (st *Stmt) hold(p plan.Plan, epoch uint64) {
 	st.mu.Lock()
 	if !st.closed {
-		st.plan, st.epoch = p, epoch
+		st.plan, st.epoch = plan.Plan{Compiled: p.Compiled, Args: p.Args}, epoch
 	}
 	st.mu.Unlock()
 }

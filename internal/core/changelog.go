@@ -200,10 +200,27 @@ func (db *Database) logArrival(parent, child *Node, c Color) {
 
 // logContent records that elem's direct text content changed.
 func (db *Database) logContent(elem *Node) {
-	db.record(Change{Kind: ChangeContent, Elem: elem.id, Content: Text(elem)})
+	if db.stored(elem) {
+		db.record(Change{Kind: ChangeContent, Elem: elem.id, Content: Text(elem)})
+	}
 }
 
-// logAttrs records that elem's attribute list changed.
-func (db *Database) logAttrs(elem *Node) {
-	db.record(Change{Kind: ChangeAttrs, Elem: elem.id, Attrs: AttrPairs(elem)})
+// logAttrs records that elem's attribute list changed and, unless tag is
+// empty, that its tag became tag.
+func (db *Database) logAttrs(elem *Node, tag string) {
+	if db.stored(elem) {
+		db.record(Change{Kind: ChangeAttrs, Elem: elem.id, Tag: tag, Attrs: AttrPairs(elem)})
+	}
+}
+
+// stored reports whether elem is in some rooted colored tree: the store has
+// a record of it. An element of a detached fragment gets its record, with
+// its content and attributes as they are then, when it is attached.
+func (db *Database) stored(elem *Node) bool {
+	for i := range elem.links {
+		if db.reachable(elem, elem.links[i].color) {
+			return true
+		}
+	}
+	return false
 }

@@ -226,7 +226,7 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 	if a := elem.Attribute(name); a != nil {
 		a.value = value
 		db.invalidate()
-		db.logAttrs(elem)
+		db.logAttrs(elem, "")
 		return a, nil
 	}
 	a := db.newNode(KindAttribute)
@@ -237,7 +237,7 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 	attrs = append(attrs[:len(attrs):len(attrs)], a)
 	db.attrs.Set(uint64(elem.id), &attrs)
 	db.invalidate()
-	db.logAttrs(elem)
+	db.logAttrs(elem, "")
 	return a, nil
 }
 
@@ -248,14 +248,14 @@ func (db *Database) Rename(n *Node, name string) error {
 	case KindAttribute:
 		n.name = name
 		db.invalidate()
-		db.logAttrs(n.owner) // the owner's attribute list changed
+		db.logAttrs(n.owner, "") // the owner's attribute list changed
 		return nil
 	case KindElement:
 		n.name = name
 		db.invalidate()
 		// The store rewrites the element's record and re-keys its nodes
 		// under the new tag.
-		db.record(Change{Kind: ChangeAttrs, Elem: n.id, Tag: name, Attrs: AttrPairs(n)})
+		db.logAttrs(n, name)
 		return nil
 	case KindPI:
 		n.name = name
@@ -279,7 +279,7 @@ func (db *Database) RemoveAttribute(elem *Node, name string) {
 			}
 			db.byID.Delete(uint64(a.id))
 			db.invalidate()
-			db.logAttrs(elem)
+			db.logAttrs(elem, "")
 			return
 		}
 	}

@@ -204,14 +204,19 @@ type argSlot struct {
 	arg   int     // 1-based, as Pred.Arg
 	value *string // the operator's value field
 	proto string  // the plan's own value
+	// run is an EqContent's counted run, set to the one the execution's
+	// arguments were checked with.
+	run *storage.ContentRun
 }
 
 // Instance returns an operator tree that runs plan, a prototype whose
 // executions draw on this pool, with args (nil: the plan's own values): a
 // tree an earlier execution handed back by PutInstance, its arguments set
 // anew — operators reopen at every run — or a new clone. So a warm plan's
-// execution allocates no operators.
-func (p *MemPool) Instance(plan Op, args []string) *Instance {
+// execution allocates no operators. run, when not nil, is a content run
+// counted for args; the content lookups it is the run of read it instead of
+// seeking it again (storage.Store.RunPostings).
+func (p *MemPool) Instance(plan Op, args []string, run *storage.ContentRun) *Instance {
 	var in *Instance
 	if p != nil {
 		p.mu.Lock()
@@ -230,6 +235,12 @@ func (p *MemPool) Instance(plan Op, args []string) *Instance {
 		*sl.value = sl.proto
 		if len(args) > 0 {
 			*sl.value = args[sl.arg-1]
+		}
+		if sl.run != nil {
+			*sl.run = storage.ContentRun{}
+			if run != nil {
+				*sl.run = *run
+			}
 		}
 	}
 	return in
@@ -255,19 +266,19 @@ func collectSlots(proto, op Op, slots *[]argSlot) {
 	switch o := op.(type) {
 	case *EqContent:
 		if o.Arg > 0 {
-			*slots = append(*slots, argSlot{o.Arg, &o.Value, proto.(*EqContent).Value})
+			*slots = append(*slots, argSlot{o.Arg, &o.Value, proto.(*EqContent).Value, &o.counted})
 		}
 	case *ContainsScan:
 		if o.Pred.Arg > 0 {
-			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*ContainsScan).Pred.Value})
+			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*ContainsScan).Pred.Value, nil})
 		}
 	case *Filter:
 		if o.Pred.Arg > 0 {
-			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*Filter).Pred.Value})
+			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*Filter).Pred.Value, nil})
 		}
 	case *AttrFilter:
 		if o.Pred.Arg > 0 {
-			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*AttrFilter).Pred.Value})
+			*slots = append(*slots, argSlot{o.Pred.Arg, &o.Pred.Value, proto.(*AttrFilter).Pred.Value, nil})
 		}
 	}
 	pc, oc := proto.Children(), op.Children()

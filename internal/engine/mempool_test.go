@@ -288,3 +288,25 @@ func TestMemPoolKeepsOneIDBuffer(t *testing.T) {
 		t.Fatalf("pool kept %d bytes of an answer over maxRowsHint ids", got)
 	}
 }
+
+// TestInstanceHandsOverTheCountedRun: an instance's content lookup gets the
+// run counted for its execution's arguments, and a pooled instance taken
+// again without one forgets it.
+func TestInstanceHandsOverTheCountedRun(t *testing.T) {
+	st, err := storage.Load(fixtures.NewCatalog(30).DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &EqContent{Color: "red", Tag: "name", Value: "Item 1", Arg: 1}
+	p := &MemPool{}
+	run := st.CountRun("red", "name", "Item 2")
+	in := p.Instance(plan, []string{"Item 2"}, &run)
+	if eq := in.Root.(*EqContent); eq.Value != "Item 2" || eq.counted != run {
+		t.Fatalf("instance looks up %q with counted run %+v, want %+v", eq.Value, eq.counted, run)
+	}
+	p.PutInstance(in)
+	in = p.Instance(plan, nil, nil)
+	if eq := in.Root.(*EqContent); eq.Value != "Item 1" || eq.counted != (storage.ContentRun{}) {
+		t.Fatalf("reused instance looks up %q with counted run %+v", eq.Value, eq.counted)
+	}
+}

@@ -68,12 +68,16 @@ type EqContent struct {
 	// Arg is Value's literal ordinal, as in Pred.Arg.
 	Arg int
 
-	run storage.Postings
+	// counted is the run a check of the plan against this execution's
+	// arguments counted, if one did (MemPool.Instance): Open reads a short
+	// one from there instead of seeking it again.
+	counted storage.ContentRun
+	run     storage.Postings
 }
 
 // Open implements Op.
 func (o *EqContent) Open(ctx *Ctx) error {
-	o.run = ctx.S.ContentPostings(o.Color, o.Tag, o.Value)
+	o.run = ctx.S.RunPostings(&o.counted, o.Color, o.Tag, o.Value)
 	return nil
 }
 
@@ -82,9 +86,9 @@ func (o *EqContent) NextBatch(ctx *Ctx, out *Batch) error {
 	return out.fillPostings(ctx.S, &o.run, o.Color)
 }
 
-// Close implements Op.
+// Close implements Op. A pooled instance keeps nothing of the store.
 func (o *EqContent) Close(ctx *Ctx) error {
-	o.run = storage.Postings{}
+	o.run, o.counted = storage.Postings{}, storage.ContentRun{}
 	return nil
 }
 

@@ -94,10 +94,13 @@ func (f *FLWOR) String() string {
 	return b.String()
 }
 
-// CtorAttr is a literal attribute of an element constructor.
+// CtorAttr is a literal attribute of an element constructor. Pos is the
+// byte offset of its value's token in the source text, as for
+// pathexpr.Literal.
 type CtorAttr struct {
 	Name  string
 	Value string
+	Pos   int
 }
 
 // ElementCtor is an element constructor expression
@@ -137,8 +140,12 @@ func (e *ElementCtor) String() string {
 	return b.String()
 }
 
-// TextCtor is literal text content inside an element constructor.
-type TextCtor struct{ Text string }
+// TextCtor is literal text content inside an element constructor. Pos is
+// the byte offset of its token in the source text, as for pathexpr.Literal.
+type TextCtor struct {
+	Text string
+	Pos  int
+}
 
 // ExprNode marks TextCtor as a pathexpr.Expr.
 func (*TextCtor) ExprNode() {}

@@ -185,7 +185,7 @@ func parseCtor(p *pathexpr.Parser) (pathexpr.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			ctor.Attrs = append(ctor.Attrs, CtorAttr{Name: t.Text, Value: v.Text})
+			ctor.Attrs = append(ctor.Attrs, CtorAttr{Name: t.Text, Value: v.Text, Pos: v.Pos})
 		default:
 			return nil, pathexpr.Errf(t.Pos, "unexpected %s in start tag <%s>", t, ctor.Name)
 		}
@@ -201,7 +201,7 @@ func parseCtorContent(p *pathexpr.Parser, ctor *ElementCtor) (pathexpr.Expr, err
 			return ctor, nil
 		case pathexpr.TokRawText:
 			p.Advance()
-			ctor.Content = append(ctor.Content, &TextCtor{Text: t.Text})
+			ctor.Content = append(ctor.Content, &TextCtor{Text: t.Text, Pos: t.Pos})
 		case pathexpr.TokTagOpen:
 			child, err := parseCtor(p)
 			if err != nil {

@@ -8,14 +8,14 @@ import (
 )
 
 // AppendShape lexes src with the modal lexer of LexQuery and appends its
-// shape to key and its literal tokens — strings and numbers, in order — to
-// args. The shape is the token stream with every literal reduced to its
-// kind: one byte per token for its kind, followed, for a token whose text
-// the kind does not fix (names, variables, constructor tags and content),
-// by the text's length and bytes. A literal's ordinal is its position in
-// args. So two texts with the same shape and the same arguments have the
-// same tokens, and therefore the same parse; whitespace and comments are
-// not part of either. Nothing is parsed: this is what lets a plan cache
+// shape to key and its literal tokens — strings, numbers and the text inside
+// a direct constructor, in order — to args. The shape is the token stream
+// with every literal reduced to its kind: one byte per token for its kind,
+// followed, for a token whose text the kind does not fix (names, variables
+// and constructor tags), by the text's length and bytes. A literal's ordinal
+// is its position in args. So two texts with the same shape and the same
+// arguments have the same tokens, and therefore the same parse; whitespace
+// and comments are not part of either. Nothing is parsed: this is what lets a plan cache
 // key a text by its shape before knowing whether it parses at all.
 func AppendShape(key []byte, args []pathexpr.Token, src string) ([]byte, []pathexpr.Token, error) {
 	sc := shapeScanners.Get().(*shapeScanner)
@@ -50,10 +50,10 @@ func (sc *shapeScanner) scan(key []byte, args []pathexpr.Token, src string) ([]b
 				return key, args, pathexpr.Errf(tok.Pos, "unterminated element constructor <%s>", ml.top().tag)
 			}
 			return key, args, nil
-		case pathexpr.TokString, pathexpr.TokNumber:
+		case pathexpr.TokString, pathexpr.TokNumber, pathexpr.TokRawText:
 			key = append(key, byte(tok.Kind))
 			args = append(args, tok)
-		case pathexpr.TokIdent, pathexpr.TokVar, pathexpr.TokTagOpen, pathexpr.TokTagEnd, pathexpr.TokRawText:
+		case pathexpr.TokIdent, pathexpr.TokVar, pathexpr.TokTagOpen, pathexpr.TokTagEnd:
 			key = append(key, byte(tok.Kind))
 			key = binary.AppendUvarint(key, uint64(len(tok.Text)))
 			key = append(key, tok.Text...)

@@ -18,13 +18,13 @@ func decodeShape(key []byte, args []pathexpr.Token, fixed map[pathexpr.TokKind]s
 		kind := pathexpr.TokKind(key[0])
 		key = key[1:]
 		switch kind {
-		case pathexpr.TokString, pathexpr.TokNumber:
+		case pathexpr.TokString, pathexpr.TokNumber, pathexpr.TokRawText:
 			if len(args) == 0 || args[0].Kind != kind {
 				return nil, false
 			}
 			toks = append(toks, pathexpr.Token{Kind: kind, Text: args[0].Text})
 			args = args[1:]
-		case pathexpr.TokIdent, pathexpr.TokVar, pathexpr.TokTagOpen, pathexpr.TokTagEnd, pathexpr.TokRawText:
+		case pathexpr.TokIdent, pathexpr.TokVar, pathexpr.TokTagOpen, pathexpr.TokTagEnd:
 			n, w := binary.Uvarint(key)
 			if w <= 0 || uint64(len(key)-w) < n {
 				return nil, false
@@ -69,7 +69,8 @@ func lexed(t *testing.T, src string, fixed map[pathexpr.TokKind]string) ([]pathe
 // parses has a shape, so the compiled route never meets a parsed text it
 // cannot key (plan.QueryShape is AppendShape under a prefix). Seeds cover
 // both quote kinds, a quote of one kind inside the other, numbers, and
-// texts that differ only in whitespace or in a literal.
+// texts that differ only in whitespace or in a literal, constructor text
+// with an entity included.
 func FuzzShapeLossless(f *testing.F) {
 	for _, seed := range [][2]string{
 		{`document("db")/{red}descendant::name[. = "Item 7"]`, `document( "db" ) / {red} descendant::name [ . = "Item 8" ]`},
@@ -79,6 +80,7 @@ func FuzzShapeLossless(f *testing.F) {
 		{`//a[. = 1.5 and b = "x"]`, `//a[. = 1.5 and b = 'x']`},
 		{`for $i in document("db")//item where $i/votes = "7" return <r a="v">{ $i/name } text</r>`,
 			`for $i in document("db")//item where $i/votes = "8" return <r a="w">{ $i/name } text</r>`},
+		{`<tag>t5</tag>`, `<tag>a &amp; b</tag>`},
 		{`(: comment :) "a"`, `"a"`},
 		{`"unterminated`, `'x`},
 		{``, ` `},

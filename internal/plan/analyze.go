@@ -604,9 +604,10 @@ func stringValue(v string) (string, bool) {
 	return v, false
 }
 
-// argValue is literalValue for a literal token.
+// argValue is literalValue for a literal token; constructor text is a
+// string.
 func argValue(t pathexpr.Token) (string, bool) {
-	if t.Kind == pathexpr.TokString {
+	if t.Kind == pathexpr.TokString || t.Kind == pathexpr.TokRawText {
 		return stringValue(t.Text)
 	}
 	v, err := pathexpr.LiteralValue(t)

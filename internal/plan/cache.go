@@ -33,6 +33,11 @@ import (
 // Only successful compilations enter the cache. ErrUnsupported (and any
 // other compile failure) must bypass it entirely: the evaluator-fallback
 // route stays invisible to cache statistics and can never pin a failure.
+//
+// The same LRU, under the same capacity, keeps parsed update templates by
+// the shape of the whole update text (Template), with counters of their
+// own: parsing reads no store, so no epoch guards them, and only texts that
+// parsed enter.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -46,12 +51,15 @@ type Cache struct {
 	evictions         uint64
 	invalidations     uint64
 	literalRecompiles uint64
+	templateHits      uint64
+	templateMisses    uint64
 }
 
 type cacheEntry struct {
 	key      string
 	epoch    uint64
 	compiled *Compiled
+	tmpl     any // an update template; compiled is nil
 }
 
 // DefaultCacheSize bounds a cache built with NewCache(0): generous next to
@@ -106,12 +114,14 @@ func (c *Cache) lookup(sh Shape, opt Options, epoch uint64, miss bool) (Plan, bo
 	el, ok := c.entries[string(sh.key)]
 	if ok && el.Value.(*cacheEntry).epoch == epoch {
 		e := el.Value.(*cacheEntry)
-		vals, fits, drift := e.compiled.bind(sh.args, opt.Catalog)
+		p := Plan{Compiled: e.compiled}
+		vals, fits, drift := e.compiled.bind(sh.args, opt.Catalog, &p.run)
 		if fits {
 			c.lru.MoveToFront(el)
 			c.hits++
 			obsPlanCacheHits.Inc()
-			return Plan{Compiled: e.compiled, Args: vals}, true
+			p.Args = vals
+			return p, true
 		}
 		if drift && miss {
 			c.literalRecompiles++
@@ -136,6 +146,33 @@ func (c *Cache) countMiss() {
 	obsPlanCacheMisses.Inc()
 }
 
+// Template hands take the update template the cache keeps for the shape of
+// an update text (UpdateShape), if it keeps one, and counts a template hit
+// when take accepts it and a template miss otherwise. take runs without the
+// cache's lock.
+func (c *Cache) Template(sh Shape, take func(tmpl any) bool) bool {
+	var tmpl any
+	c.mu.Lock()
+	if el, ok := c.entries[string(sh.key)]; ok {
+		c.lru.MoveToFront(el)
+		tmpl = el.Value.(*cacheEntry).tmpl
+	}
+	c.mu.Unlock()
+	hit := tmpl != nil && take(tmpl)
+	c.mu.Lock()
+	if hit {
+		c.templateHits++
+	} else {
+		c.templateMisses++
+	}
+	c.mu.Unlock()
+	return hit
+}
+
+// PutTemplate keeps tmpl as the template of the update shape sh, replacing
+// the one kept before, as PutShape does a plan.
+func (c *Cache) PutTemplate(sh Shape, tmpl any) { c.put(sh, 0, nil, tmpl) }
+
 // Put stores a successfully compiled plan for the query's shape under the
 // options at the given epoch, evicting the least-recently-used entry if the
 // cache is full. An existing entry for the shape is replaced (a racing
@@ -150,12 +187,14 @@ func (c *Cache) Put(query string, opt Options, epoch uint64, compiled *Compiled)
 }
 
 // PutShape is Put for a text already scanned.
-func (c *Cache) PutShape(sh Shape, epoch uint64, compiled *Compiled) {
+func (c *Cache) PutShape(sh Shape, epoch uint64, compiled *Compiled) { c.put(sh, epoch, compiled, nil) }
+
+func (c *Cache) put(sh Shape, epoch uint64, compiled *Compiled, tmpl any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[string(sh.key)]; ok {
 		e := el.Value.(*cacheEntry)
-		e.epoch, e.compiled = epoch, compiled
+		e.epoch, e.compiled, e.tmpl = epoch, compiled, tmpl
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -165,7 +204,7 @@ func (c *Cache) PutShape(sh Shape, epoch uint64, compiled *Compiled) {
 		obsPlanCacheEvictions.Inc()
 	}
 	k := string(sh.key)
-	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, epoch: epoch, compiled: compiled})
+	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, epoch: epoch, compiled: compiled, tmpl: tmpl})
 }
 
 func (c *Cache) removeLocked(el *list.Element) {
@@ -193,6 +232,10 @@ type CacheStats struct {
 	// not serve because a content count it was costed with moved to another
 	// power of two for their literals (Compiled.bind).
 	LiteralRecompiles uint64 `json:"literal_recompiles"`
+	// TemplateHits and TemplateMisses count the update texts a kept
+	// template served (Template) and those it did not, which are parsed.
+	TemplateHits   uint64 `json:"template_hits"`
+	TemplateMisses uint64 `json:"template_misses"`
 	// ScratchBytes is the execution scratch the cached plans' memory pools
 	// hold (engine.MemPoolStats.Bytes, summed).
 	ScratchBytes int64 `json:"scratch_bytes"`
@@ -210,10 +253,14 @@ func (c *Cache) Stats() CacheStats {
 		Invalidations: c.invalidations,
 
 		LiteralRecompiles: c.literalRecompiles,
+		TemplateHits:      c.templateHits,
+		TemplateMisses:    c.templateMisses,
 	}
 	pools := make([]*engine.MemPool, 0, st.Size)
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		pools = append(pools, el.Value.(*cacheEntry).compiled.Mem)
+		if comp := el.Value.(*cacheEntry).compiled; comp != nil {
+			pools = append(pools, comp.Mem)
+		}
 	}
 	c.mu.Unlock()
 	// Each pool's lock is taken after the cache's is released: no lock-order

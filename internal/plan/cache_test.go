@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"colorfulxml/internal/engine"
+	"colorfulxml/internal/fixtures"
 	"colorfulxml/internal/plan"
+	"colorfulxml/internal/storage"
 )
 
 func cacheOpts() plan.Options {
@@ -127,5 +130,46 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 8 {
 		t.Fatalf("Len = %d exceeds capacity", c.Len())
+	}
+}
+
+// TestHitHandsOverTheCountedRun: serving a point query's plan to a text with
+// another name recounts that name's content run to check the plan's cost
+// choice, and the plan it hands out carries the run, so the execution's
+// content lookup reads it instead of seeking it again; a text with the
+// plan's own literal recounts nothing. Either way the answer is the text's.
+func TestHitHandsOverTheCountedRun(t *testing.T) {
+	st, err := storage.Load(fixtures.NewCatalog(300).DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := plan.Options{Catalog: plan.StoreCatalog{Store: st}}
+	point := func(k int) string {
+		return fmt.Sprintf(`document("db")/{red}descendant::name[. = "Item %d"]`, k)
+	}
+	comp, err := plan.CompileQuery(point(7), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := plan.ParamsOf(comp); len(ps) != 1 || ps[0].Tag != "name" {
+		t.Fatalf("the point query's parameters are %+v, want its name, costed", ps)
+	}
+	c := plan.NewCache(0)
+	c.Put(point(7), opt, st.StatsEpoch(), comp)
+	for _, k := range []int{7, 8} {
+		p, ok := c.Get(point(k), opt, st.StatsEpoch())
+		if !ok {
+			t.Fatalf("Item %d: no hit", k)
+		}
+		if run := plan.RunOf(p); (run.N == 1) != (k != 7) {
+			t.Errorf("Item %d: the plan carries a counted run of %d", k, run.N)
+		}
+		ids, _, err := engine.ExecColumn(nil, st, p.Mem, p.Instance().Root, p.OutCol, p.Rows, nil)
+		if err != nil || len(ids) != 1 {
+			t.Fatalf("Item %d: %v, %v", k, ids, err)
+		}
+		if info, err := st.Elem(ids[0]); err != nil || info.Content != fmt.Sprintf("Item %d", k) {
+			t.Errorf("Item %d: found %+v, %v", k, info, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package plan
 
-import "colorfulxml/internal/core"
+import (
+	"colorfulxml/internal/core"
+	"colorfulxml/internal/storage"
+)
 
 // Param is a literal of the text a plan was compiled from that one of its
 // operators takes from the arguments: its ordinal among the text's
@@ -29,3 +32,6 @@ func ParamsOf(c *Compiled) []Param {
 	}
 	return out
 }
+
+// RunOf returns the content run a cache lookup counted for p's arguments.
+func RunOf(p Plan) storage.ContentRun { return p.run }

@@ -150,7 +150,7 @@ func (sc StoreCatalog) TagCard(c core.Color, tag string) float64 {
 
 // EqCard implements Catalog.
 func (sc StoreCatalog) EqCard(c core.Color, tag, value string) float64 {
-	return float64(sc.Store.CountContent(c, tag, value))
+	return float64(sc.Store.CountRun(c, tag, value).N)
 }
 
 // PathCount implements PathCatalog against the store's lazily built path

@@ -9,16 +9,19 @@ import (
 	"colorfulxml/internal/engine"
 	"colorfulxml/internal/mcxquery"
 	"colorfulxml/internal/pathexpr"
+	"colorfulxml/internal/storage"
 )
 
 // A text's shape is what the plan cache keys it by: its tokens with every
-// string and numeric literal reduced to its kind (mcxquery.AppendShape), plus
-// what else decides the plan — whether it is a query or an update's binding
-// clauses, and the default colour. The literals are the arguments. Texts
-// that differ only in literals share a shape, and one plan serves them all:
-// the operators that compare with a literal take its value from the
-// execution's arguments (engine.MemPool.Instance), and the cache checks that
-// the plan fits the arguments before it serves them (Compiled.bind).
+// literal — string, number, or text inside a direct constructor — reduced to
+// its kind (mcxquery.AppendShape), plus what else decides the entry — whether
+// it is a query, an update's binding clauses or a whole update text, and the
+// default colour. The literals are the arguments. Texts that differ only in
+// literals share a shape, and one plan serves them all: the operators that
+// compare with a literal take its value from the execution's arguments
+// (engine.MemPool.Instance), and the cache checks that the plan fits the
+// arguments before it serves them (Compiled.bind). An update text's shape
+// keys its parsed template instead (Cache.Template).
 
 // Shape is a text's cache key and its literal tokens, in order. A Shape
 // that Release gave back must not be used again.
@@ -45,10 +48,14 @@ func (sh Shape) Release() {
 	}
 }
 
+// Args returns the shape's literal tokens, in text order.
+func (sh Shape) Args() []pathexpr.Token { return sh.args }
+
 // Shape kinds: the first byte of a key.
 const (
 	shapeQuery    = 'q'
 	shapeBindings = 'b'
+	shapeUpdate   = 'u'
 )
 
 // QueryShape scans a query text's shape under the given options. ok is false
@@ -57,13 +64,25 @@ func QueryShape(src string, opt Options) (Shape, bool) {
 	return scanShape(shapeQuery, src, opt)
 }
 
+// UpdateShape scans a whole update text's shape, by which the cache keeps
+// its parsed template (Cache.Template). Parsing does not depend on the
+// options, so none are part of it. ok is false when the text does not lex.
+func UpdateShape(src string) (Shape, bool) {
+	return scanShape(shapeUpdate, src, Options{})
+}
+
 func scanShape(kind byte, src string, opt Options) (Shape, bool) {
 	b := shapeBufs.Get().(*shapeBuf)
-	key := append(b.key[:0], kind)
-	key = binary.AppendUvarint(key, uint64(len(opt.DefaultColor)))
-	key = append(key, opt.DefaultColor...)
-	key, args, err := mcxquery.AppendShape(key, b.args[:0], src)
+	key, args, err := mcxquery.AppendShape(appendHeader(b.key[:0], kind, opt), b.args[:0], src)
 	return Shape{key: key, args: args, buf: b}, err == nil
+}
+
+// appendHeader appends what of a key is not the text's tokens: its kind and
+// the default colour.
+func appendHeader(key []byte, kind byte, opt Options) []byte {
+	key = append(key, kind)
+	key = binary.AppendUvarint(key, uint64(len(opt.DefaultColor)))
+	return append(key, opt.DefaultColor...)
 }
 
 // lit is one literal of the text a plan was compiled from.
@@ -129,8 +148,9 @@ func markParams(op engine.Op, lits []lit) {
 // not fit them: a fixed literal or a literal's class differs, or (drift) a
 // content count a cost choice of c read is now in another power of two.
 // Recounting takes one index probe per check, and only for arguments that
-// changed.
-func (c *Compiled) bind(args []pathexpr.Token, cat Catalog) (vals []string, ok, drift bool) {
+// changed; a store's catalog leaves the run it counted in run, for the
+// execution's content lookup to read instead of seeking it again.
+func (c *Compiled) bind(args []pathexpr.Token, cat Catalog, run *storage.ContentRun) (vals []string, ok, drift bool) {
 	if len(args) != len(c.lits) {
 		// A plan put under the shape of a text it was not compiled for.
 		return nil, false, false
@@ -159,10 +179,21 @@ func (c *Compiled) bind(args []pathexpr.Token, cat Catalog) (vals []string, ok, 
 		return nil, true, false
 	}
 	for _, chk := range c.checks {
-		if vals[chk.arg-1] == c.lits[chk.arg-1].value {
+		v := vals[chk.arg-1]
+		if v == c.lits[chk.arg-1].value {
 			continue
 		}
-		if cat == nil || bucket(cat.EqCard(chk.color, chk.tag, vals[chk.arg-1])) != chk.bucket {
+		var n float64
+		switch sc := cat.(type) {
+		case nil:
+			return nil, false, true
+		case StoreCatalog:
+			*run = sc.Store.CountRun(chk.color, chk.tag, v)
+			n = float64(run.N)
+		default:
+			n = cat.EqCard(chk.color, chk.tag, v)
+		}
+		if bucket(n) != chk.bucket {
 			return nil, false, true
 		}
 	}
@@ -175,27 +206,38 @@ type Plan struct {
 	// Args are the values of the plan's literals (nil: those it was
 	// compiled with).
 	Args []string
+	// run is a content run counted while checking the plan against Args.
+	run storage.ContentRun
 }
 
 // Instance returns the operator tree one execution runs, taking the plan's
 // arguments, from the plan's memory pool; the caller hands it back with
 // p.Mem.PutInstance once the execution succeeded.
-func (p Plan) Instance() *engine.Instance { return p.Mem.Instance(p.Root, p.Args) }
+func (p Plan) Instance() *engine.Instance { return p.Mem.Instance(p.Root, p.Args, &p.run) }
 
 // Bindings returns the plan of an update's binding clauses — the for, let
-// and where clauses, whose text src is the update up to its update clause —
-// for execution at epoch: the cached plan of src's shape with src's literals
-// as arguments, or one compiled for src and cached. The update operations
+// and where clauses that open the update text — for execution at epoch: the
+// cached plan of their shape with args as arguments, or one compiled from
+// what clauses returns and cached. tokens is the shape mcxquery.AppendShape
+// gives the text up to the update clause, and args its literal tokens: the
+// first ones of the whole text, since the bindings come first, so a parsed
+// update carries both and nothing is scanned here. The update operations
 // are not part of the shape, so updates that bind alike share a plan
 // whatever they insert or write. Compile errors, ErrUnsupported among them,
 // are returned and nothing is cached.
-func (c *Cache) Bindings(src string, clauses []mcxquery.Clause, where pathexpr.Expr, opt Options, epoch uint64) (Plan, error) {
-	sh, _ := scanShape(shapeBindings, src, opt) // src parsed, so it lexes
+func (c *Cache) Bindings(tokens []byte, args []pathexpr.Token, clauses func() ([]mcxquery.Clause, pathexpr.Expr), opt Options, epoch uint64) (Plan, error) {
+	b := shapeBufs.Get().(*shapeBuf)
+	sh := Shape{
+		key:  append(appendHeader(b.key[:0], shapeBindings, opt), tokens...),
+		args: append(b.args[:0], args...),
+		buf:  b,
+	}
 	defer sh.Release()
 	if p, hit := c.GetShape(sh, opt, epoch); hit {
 		return p, nil
 	}
-	comp, err := compileBindings(clauses, where, sh.args, opt)
+	cls, where := clauses()
+	comp, err := compileBindings(cls, where, sh.args, opt)
 	if err != nil {
 		return Plan{}, err
 	}

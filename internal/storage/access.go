@@ -109,15 +109,46 @@ func (s *Store) ScanTag(c core.Color, tag string) ([]SNode, error) {
 // without reading them (index-only).
 func (s *Store) CountTag(c core.Color, tag string) int { return s.read(c).tags.get(tag).Len() }
 
-// CountContent returns the number of structural nodes with a tag whose
-// content equals value in color c without reading them (index-only), the
-// equality-selectivity statistic of the plan compiler's cost model.
-func (s *Store) CountContent(c core.Color, tag, value string) (n int) {
+// ContentRun is the content index run of (c, tag, value) of one store as
+// CountRun counted it: its length N and, when it is short, its refs, so a
+// scan of the same run (RunPostings) reads them instead of seeking it again.
+type ContentRun struct {
+	N     int
+	st    *Store
+	c     core.Color
+	tag   string
+	value string
+	refs  [4]uint64 // the run's refs when N <= len(refs)
+}
+
+// CountRun counts the structural nodes with a tag whose content equals value
+// in color c without reading them (index-only), the equality-selectivity
+// statistic of the plan compiler's cost model, and keeps what it read for a
+// scan of the run.
+func (s *Store) CountRun(c core.Color, tag, value string) ContentRun {
+	r := ContentRun{st: s, c: c, tag: tag, value: value}
 	textRun(s.read(c).texts.get(tag), value, "", func(_ []string, refs []uint64) bool {
-		n += len(refs)
+		if r.N+len(refs) <= len(r.refs) {
+			copy(r.refs[r.N:], refs)
+		}
+		r.N += len(refs)
 		return true
 	})
-	return n
+	return r
+}
+
+// RunPostings is ContentPostings for a scan that may follow a count of the
+// same run: when r counted it on s and it is short, the postings hand out
+// r's refs, which must outlive them, and seek nothing.
+func (s *Store) RunPostings(r *ContentRun, c core.Color, tag, value string) Postings {
+	if r.st != s || r.c != c || r.tag != tag || r.value != value || r.N > len(r.refs) {
+		return s.ContentPostings(c, tag, value)
+	}
+	obsIndexProbes.Inc()
+	if r.N == 0 {
+		return Postings{from: runOver}
+	}
+	return Postings{few: r.refs[:r.N]}
 }
 
 // ElemInfo is a decoded element record.

@@ -34,7 +34,7 @@ func insertLeaf(s *Store, parent SNode, tag, content string) (SNode, error) {
 //     around it (-1 under the document) and its level one more than that
 //     node's;
 //   - the tag, content and attribute-value maps hold exactly what the records
-//     say, each in its key order, and their probes (CountTag, CountContent,
+//     say, each in its key order, and their probes (CountTag, CountRun,
 //     ContentPostings, EqAttr) answer it; the per-tag child counts behind
 //     LeafTag are the tree's;
 //   - StructNodes counts the walk.
@@ -192,8 +192,12 @@ func (s *Store) CheckInvariants() error {
 				got = append(got, r...)
 				return len(r)
 			})
-			if !slices.Equal(got, refs) || s.CountContent(c, tag, content) != len(refs) {
-				return fmt.Errorf("storage: {%s}%s = %q finds %v (count %d), want %v", c, tag, content, got, s.CountContent(c, tag, content), refs)
+			counted := s.CountRun(c, tag, content)
+			if !slices.Equal(got, refs) || counted.N != len(refs) {
+				return fmt.Errorf("storage: {%s}%s = %q finds %v (count %d), want %v", c, tag, content, got, counted.N, refs)
+			}
+			if got := drain(s.RunPostings(&counted, c, tag, content)); !slices.Equal(got, refs) {
+				return fmt.Errorf("storage: {%s}%s = %q read after its count finds %v, want %v", c, tag, content, got, refs)
 			}
 		}
 	}

@@ -249,7 +249,7 @@ func indexAnswers(t *testing.T, s *storage.Store, colors []core.Color) string {
 			lines = append(lines, fmt.Sprintf("%s tag %s count %d leaf %v: %v", c, tag, s.CountTag(c, tag), s.LeafTag(c, tag), ids(s.ScanTag(c, tag))))
 		}
 		for tc := range contents {
-			lines = append(lines, fmt.Sprintf("%s content %q count %d: %v", c, tc, s.CountContent(c, tc[0], tc[1]), ids(s.EqContent(c, tc[0], tc[1]))))
+			lines = append(lines, fmt.Sprintf("%s content %q count %d: %v", c, tc, s.CountRun(c, tc[0], tc[1]).N, ids(s.EqContent(c, tc[0], tc[1]))))
 		}
 	}
 	for a := range attrs {

@@ -128,10 +128,12 @@ func textRun(m *btree.Map[string, uint64], text, after string, fn func(keys []st
 
 // Postings is a start-ordered run of one index, read a leaf at a time: a
 // tag's structural refs in a color (TagPostings), or those of its nodes with
-// one content (ContentPostings). The zero Postings is empty.
+// one content (ContentPostings) — or a short content run read already
+// (RunPostings). The zero Postings is empty.
 type Postings struct {
 	tag  *btree.Map[int64, uint64]
 	text *btree.Map[string, uint64]
+	few  []uint64 // the refs of a run read already, still to hand out
 	// key is a content run's value until a ref is taken, and then the last
 	// key taken; from is a tag run's next start, -1 in a content run until a
 	// ref is taken, and runOver once the run is known to be over.
@@ -149,6 +151,10 @@ func (p *Postings) Next(take func(refs []uint64) int) {
 	ended := true
 	switch {
 	case p.from == runOver:
+	case p.few != nil:
+		n := take(p.few)
+		p.few = p.few[n:]
+		ended = len(p.few) == 0
 	case p.tag != nil:
 		p.tag.Leaves(p.from, func(keys []int64, refs []uint64) bool {
 			n := take(refs)

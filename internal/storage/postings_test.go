@@ -2,8 +2,10 @@ package storage
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
+	"colorfulxml/internal/core"
 	"colorfulxml/internal/fixtures"
 )
 
@@ -86,5 +88,62 @@ func BenchmarkTagInsertAfterClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		insertAfterClone(tr, 16*int64(i%40000)+1)
+	}
+}
+
+// drain reads a run's refs to the end.
+func drain(p Postings) []uint64 {
+	var refs []uint64
+	for {
+		n := len(refs)
+		p.Next(func(r []uint64) int {
+			refs = append(refs, r...)
+			return len(r)
+		})
+		if len(refs) == n {
+			return refs
+		}
+	}
+}
+
+// TestCountedRunIsReadOnce: a short content run counted on a store is read
+// from the count, not sought in the index again; a long one, or one counted
+// on another store, is sought as ContentPostings seeks it; every way finds
+// the same refs.
+func TestCountedRunIsReadOnce(t *testing.T) {
+	s, err := Load(fixtures.NewCatalog(1500).DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		color        string
+		tag, value   string
+		n            int
+		readFromHere bool
+	}{
+		{"red", "name", "Item 7", 1, true},
+		{"red", "name", "no such item", 0, true},
+		{"green", "votes", "7", 10, false}, // longer than a count keeps
+	} {
+		c := core.Color(tc.color)
+		want := drain(s.ContentPostings(c, tc.tag, tc.value))
+		r := s.CountRun(c, tc.tag, tc.value)
+		if r.N != tc.n || len(want) != tc.n {
+			t.Fatalf("%s = %q: counted %d, scanned %d, want %d", tc.tag, tc.value, r.N, len(want), tc.n)
+		}
+		p := s.RunPostings(&r, c, tc.tag, tc.value)
+		if sought := p.text != nil; sought == tc.readFromHere {
+			t.Errorf("%s = %q: sought the index again: %v, want %v", tc.tag, tc.value, sought, !tc.readFromHere)
+		}
+		if got := drain(p); !slices.Equal(got, want) {
+			t.Errorf("%s = %q: read after the count %v, want %v", tc.tag, tc.value, got, want)
+		}
+		clone := s.Clone()
+		if p := clone.RunPostings(&r, c, tc.tag, tc.value); p.few != nil || !slices.Equal(drain(p), want) {
+			t.Errorf("%s = %q: another store read the count", tc.tag, tc.value)
+		}
+		if p := s.RunPostings(&r, c, tc.tag, tc.value+"x"); p.few != nil {
+			t.Errorf("%s = %q: a lookup of another value read the count", tc.tag, tc.value)
+		}
 	}
 }

@@ -124,8 +124,9 @@ func sameTuples(t *testing.T, u *update.Update, got, want update.Tuples) {
 	if len(got) != len(want) {
 		t.Fatalf("compiled bind has %d tuples, evaluator %d", len(got), len(want))
 	}
+	clauses, _ := u.Bindings()
 	for i := range want {
-		for _, cl := range u.Clauses {
+		for _, cl := range clauses {
 			g, w := got[i].Vars[cl.Var], want[i].Vars[cl.Var]
 			if len(g) != 1 || len(w) != 1 {
 				t.Fatalf("tuple %d: $%s binds %d items (compiled) / %d (evaluator)", i, cl.Var, len(g), len(w))

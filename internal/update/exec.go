@@ -52,7 +52,8 @@ func (x *Executor) Bind(u *Update) (Tuples, error) {
 	db := x.ev.DB
 	env := &pathexpr.Env{DB: db, DefaultColor: x.DefaultColor, Ext: x.ev.ExtEval()}
 	tuples := Tuples{env}
-	for _, cl := range u.Clauses {
+	clauses, where := u.Bindings()
+	for _, cl := range clauses {
 		var next Tuples
 		for _, te := range tuples {
 			v, err := pathexpr.Eval(te, cl.Expr)
@@ -69,10 +70,10 @@ func (x *Executor) Bind(u *Update) (Tuples, error) {
 		}
 		tuples = next
 	}
-	if u.Where != nil {
+	if where != nil {
 		var kept Tuples
 		for _, te := range tuples {
-			v, err := pathexpr.Eval(te, u.Where)
+			v, err := pathexpr.Eval(te, where)
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +101,7 @@ func (x *Executor) Bind(u *Update) (Tuples, error) {
 // clauses, attribute bindings, ...) means nothing was executed and the
 // caller should use Bind.
 func (x *Executor) BindCompiled(u *Update, st *storage.Store, opt plan.Options) (Tuples, error) {
-	p, err := x.Plans.Bindings(u.bindText, u.Clauses, u.Where, opt, st.StatsEpoch())
+	p, err := x.Plans.Bindings(u.bindKey, u.bindArgs, u.Bindings, opt, st.StatsEpoch())
 	if err != nil {
 		return nil, err
 	}

@@ -79,26 +79,47 @@ func (o Op) String() string {
 
 // Update is a parsed update expression.
 type Update struct {
-	Clauses []mcxquery.Clause
-	Where   pathexpr.Expr
-	Target  string // target variable of the update clause
-	Ops     []Op
+	Target string // target variable of the update clause
+	Ops    []Op
 
-	// bindText is the source of the binding clauses: the text up to the
-	// update clause, by whose shape BindCompiled caches their plan.
-	bindText string
+	// clauses and where are the binding clauses (Bindings). An update
+	// filled from a template (ParseCached) leaves them to its template until
+	// they are asked for: binding through a cached plan needs only their
+	// shape.
+	clauses []mcxquery.Clause
+	where   pathexpr.Expr
+	from    *template
+
+	// bindKey and bindArgs are the shape of the binding clauses — the text
+	// up to the update clause — by which BindCompiled caches their plan: its
+	// tokens with the literals taken out (mcxquery.AppendShape), and those
+	// literals, the first of the text's. Updates of one shape share bindKey.
+	bindKey  []byte
+	bindArgs []pathexpr.Token
+}
+
+// Bindings returns the update's for and let clauses and its where clause
+// (nil when it has none). On an update filled from a template the first call
+// fills them, so such an update is not for concurrent use.
+func (u *Update) Bindings() ([]mcxquery.Clause, pathexpr.Expr) {
+	if u.from != nil {
+		u.clauses, u.where = u.from.bindings(u.bindArgs)
+		u.from = nil
+	}
+	return u.clauses, u.where
 }
 
 func (u *Update) String() string {
+	clauses, where := u.Bindings()
 	var b strings.Builder
-	for i, c := range u.Clauses {
+	for i, c := range clauses {
 		if i > 0 {
 			b.WriteString(" ")
 		}
 		b.WriteString(c.String())
 	}
-	if u.Where != nil {
-		fmt.Fprintf(&b, " where %s", u.Where)
+	if where != nil {
+		fmt.Fprintf(&b, " where %s", where)
 	}
 	fmt.Fprintf(&b, " update $%s { ", u.Target)
 	for i, o := range u.Ops {
@@ -113,7 +134,10 @@ func (u *Update) String() string {
 
 // NumBindings returns the number of for/let bindings plus the update target,
 // the Figure 12 metric for update statements.
-func (u *Update) NumBindings() int { return len(u.Clauses) }
+func (u *Update) NumBindings() int {
+	clauses, _ := u.Bindings()
+	return len(clauses)
+}
 
 // CountPathExpressions counts path expressions across all clauses and ops
 // (Figure 11 metric).
@@ -124,10 +148,11 @@ func (u *Update) CountPathExpressions() int {
 			n += pathexpr.CountPaths(e)
 		}
 	}
-	for _, c := range u.Clauses {
+	clauses, where := u.Bindings()
+	for _, c := range clauses {
 		count(c.Expr)
 	}
-	count(u.Where)
+	count(where)
 	for _, o := range u.Ops {
 		count(o.Arg)
 		count(o.Ref)
@@ -137,17 +162,32 @@ func (u *Update) CountPathExpressions() int {
 
 // Parse parses an update expression.
 func Parse(src string) (*Update, error) {
-	toks := mcxquery.NewTokens(src)
-	p := pathexpr.NewParserSource(toks)
-	p.Ext = mcxquery.ExtParse
-	u, err := parse(p, src)
-	if err = cmp.Or(toks.Close(), err); err != nil {
+	u, bindEnd, err := parseSyntax(src)
+	if err != nil {
+		return nil, err
+	}
+	// What lexes up to the update clause lexes alone, so a text that parses
+	// has a binding shape (FuzzBindTextHasShape).
+	bindText := src[:bindEnd]
+	if u.bindKey, u.bindArgs, err = mcxquery.AppendShape(make([]byte, 0, len(bindText)), nil, bindText); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-func parse(p *pathexpr.Parser, src string) (*Update, error) {
+// parseSyntax parses src and returns where its binding clauses end.
+func parseSyntax(src string) (*Update, int, error) {
+	toks := mcxquery.NewTokens(src)
+	p := pathexpr.NewParserSource(toks)
+	p.Ext = mcxquery.ExtParse
+	u, bindEnd, err := parse(p)
+	if err = cmp.Or(toks.Close(), err); err != nil {
+		return nil, 0, err
+	}
+	return u, bindEnd, nil
+}
+
+func parse(p *pathexpr.Parser) (*Update, int, error) {
 	u := &Update{}
 
 	for {
@@ -161,20 +201,20 @@ func parse(p *pathexpr.Parser, src string) (*Update, error) {
 		for {
 			v, err := p.Expect(pathexpr.TokVar)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if isLet {
 				if _, err := p.Expect(pathexpr.TokAssign); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			} else if err := p.ExpectIdent("in"); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			e, err := p.ParseExpr()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			u.Clauses = append(u.Clauses, mcxquery.Clause{Let: isLet, Var: v.Text, Expr: e})
+			u.clauses = append(u.clauses, mcxquery.Clause{Let: isLet, Var: v.Text, Expr: e})
 			if p.Peek().Kind == pathexpr.TokComma && p.PeekAt(1).Kind == pathexpr.TokVar {
 				p.Advance()
 				continue
@@ -186,26 +226,26 @@ func parse(p *pathexpr.Parser, src string) (*Update, error) {
 		p.Advance()
 		e, err := p.ParseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		u.Where = e
+		u.where = e
 	}
-	u.bindText = src[:p.Peek().Pos]
+	bindEnd := p.Peek().Pos
 	if err := p.ExpectIdent("update"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	tgt, err := p.Expect(pathexpr.TokVar)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	u.Target = tgt.Text
 	if _, err := p.Expect(pathexpr.TokLBrace); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
 		op, err := parseOp(p)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		u.Ops = append(u.Ops, op)
 		if p.Peek().Kind == pathexpr.TokComma {
@@ -215,15 +255,15 @@ func parse(p *pathexpr.Parser, src string) (*Update, error) {
 		break
 	}
 	if _, err := p.Expect(pathexpr.TokRBrace); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if p.Peek().Kind != pathexpr.TokEOF {
-		return nil, pathexpr.Errf(p.Peek().Pos, "unexpected %s after update expression", p.Peek())
+		return nil, 0, pathexpr.Errf(p.Peek().Pos, "unexpected %s after update expression", p.Peek())
 	}
-	if len(u.Clauses) == 0 {
-		return nil, pathexpr.Errf(0, "update expression requires at least one for/let clause")
+	if len(u.clauses) == 0 {
+		return nil, 0, pathexpr.Errf(0, "update expression requires at least one for/let clause")
 	}
-	return u, nil
+	return u, bindEnd, nil
 }
 
 func parseOp(p *pathexpr.Parser) (Op, error) {

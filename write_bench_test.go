@@ -107,6 +107,55 @@ func BenchmarkUpdateBind(b *testing.B) {
 	}
 }
 
+// oneShotTexts renders n one-shot texts of each of the repository
+// benchmark's three update shapes, with the literals its schedule varies:
+// the item's name, the vote, the tag.
+func oneShotTexts(items, n int) map[string][]string {
+	texts := map[string][]string{}
+	for i := 0; i < n; i++ {
+		k := (7919 * i) % items
+		forItem := `for $n in document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) + `"], $i in $n/{red}parent::item`
+		tag := "t" + strconv.Itoa(i)
+		texts["vote"] = append(texts["vote"], forItem+`, $v in $i/{green}child::votes update $i { replace $v with "`+strconv.Itoa(50+i%50)+`" }`)
+		texts["tag-add"] = append(texts["tag-add"], forItem+` update $i { insert <tag>`+tag+`</tag> }`)
+		texts["tag-del"] = append(texts["tag-del"], forItem+`, $t in $i/{red}child::tag[. = "`+tag+`"] update $i { delete $t }`)
+	}
+	return texts
+}
+
+var updateSink *update.Update
+
+// BenchmarkUpdateOneShot: what DB.Update pays to turn a one-shot text into
+// an update, per shape of the repository benchmark, each text with literals
+// of its own: Parse, as before update templates, and the template the plan
+// cache keeps for the shape (update.ParseCached: one lex, no parse).
+func BenchmarkUpdateOneShot(b *testing.B) {
+	const n = 1024
+	texts := oneShotTexts(1500, n)
+	for _, shape := range []string{"vote", "tag-add", "tag-del"} {
+		for _, route := range []string{"parse", "template"} {
+			b.Run(shape+"/"+route, func(b *testing.B) {
+				cache := plan.NewCache(0)
+				parse := func(src string) (*update.Update, error) { return update.ParseCached(src, cache) }
+				if route == "parse" {
+					parse = update.Parse
+				}
+				if _, err := parse(texts[shape][n-1]); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if updateSink, err = parse(texts[shape][i%n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestWarmUpdateBindAllocatesNoScratch: a bind whose plan the cache holds
 // compiles nothing, and its execution draws its operator tree, context,
 // batches and arena from the plan's memory pool, so what it allocates is its

@@ -192,6 +192,11 @@ func (d *DB) Checkpoint() error {
 // remains readable in memory through the DB-level query methods, but
 // further mutations report ErrClosed; a later Open recovers everything
 // committed. Close is idempotent.
+//
+// A degraded database is healed first: the segment that may hold the
+// rolled-back commit's record must go below the epoch before the directory
+// is left to a later Open. If the disk still refuses, Close reports an error
+// wrapping ErrDegraded.
 func (d *DB) Close() error {
 	// Stop the probe and scrubber first: they take d.mu themselves.
 	if d.stopCh != nil {
@@ -205,9 +210,18 @@ func (d *DB) Close() error {
 	if d.dur == nil {
 		return nil
 	}
+	var healErr error
+	if d.Health() == DegradedReadOnly {
+		if healErr = d.dur.ProbeDisk(); healErr == nil {
+			healErr = d.healLocked()
+		}
+	}
 	err := d.dur.Close()
 	d.dur = nil
 	d.durErr = ErrClosed
+	if healErr != nil {
+		return fmt.Errorf("colorful: closed while degraded, so the rolled-back commit may come back on reopen: %w (heal: %v)", ErrDegraded, healErr)
+	}
 	return err
 }
 
@@ -265,9 +279,9 @@ func (d *DB) beginCommit() (core.ChangeMark, error) {
 // A durability failure (after the storage layer's transient-error retries
 // are exhausted) does not poison the database: the mutation is rolled back
 // in memory and the database degrades to read-only serving (degradeLocked),
-// recovering automatically when the disk heals. An automatic checkpoint that
-// fails degrades too, but rolls nothing back: the commit that triggered it is
-// in the WAL and stays acknowledged, and heal's Reseal is the retry. Only a
+// recovering automatically when the disk heals. The commit that triggers an
+// automatic checkpoint is in the WAL and stays acknowledged whatever the
+// checkpoint does (checkpointLocked says what a failed one leaves). Only a
 // rollback the change log cannot support moves the database to the terminal
 // Failed state.
 func (d *DB) commitChanges(m core.ChangeMark) error {
@@ -278,8 +292,9 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 	if !ok {
 		// The mark was invalidated (change-log overflow, or a drain inside
 		// the scope): the mutation cannot be separated for rollback, so a full
-		// checkpoint is the only commit path and its failure is terminal.
-		if err := d.checkpointLocked(); err != nil {
+		// checkpoint is the only commit path. Its failure is terminal unless
+		// MANIFEST already names the image, which makes the commit durable.
+		if err := d.checkpointLocked(); err != nil && !errors.Is(err, storage.ErrNoSegment) {
 			return d.failLocked(fmt.Errorf("checkpoint after change-log overflow: %w", err))
 		}
 		return nil
@@ -291,44 +306,44 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 		return d.degradeLocked(len(changes), err)
 	}
 	if t := d.durOpts.CheckpointBytes; t > 0 && d.dur.LogBytes() >= t {
-		if err := d.checkpointLocked(); err != nil {
-			_ = d.degradeLocked(0, err) // this commit is durable and acknowledged: nothing to roll back
-		}
+		_ = d.checkpointLocked() // this commit is durable and acknowledged either way
 	}
 	return nil
 }
 
-// checkpointLocked rotates the WAL and synchronously installs a checkpoint
-// of the current state, published as the current snapshot. Caller holds d.mu
+// checkpointLocked is the one checkpoint: DB.Checkpoint, both checkpoints of
+// commitChanges, and the heal run it. It Loads the core afresh — publishing
+// the image re-packs the live snapshot, the holes deleted records left and
+// the spread intervals included — installs the image through storage's one
+// protocol, then drains the change log and publishes the image. The
+// checkpoint supersedes the log, and the drain keeps the rollback basis (the
+// published snapshot equals the state at the last drain). Caller holds d.mu
 // exclusively.
+//
+// A checkpoint that fails before MANIFEST moves changes nothing: the open
+// segment stays writable and a Healthy database stays Healthy. One that fails
+// after (storage.ErrNoSegment) has installed its image but left no writable
+// segment, so a Healthy database takes the degrade edge with nothing to roll
+// back, and heal's checkpoint redoes it.
 func (d *DB) checkpointLocked() error {
-	return d.imageLocked(func(st *storage.Store) error {
-		epoch, err := d.dur.Rotate()
-		if err != nil {
-			return err
-		}
-		return d.dur.InstallCheckpoint(epoch, st)
-	})
-}
-
-// imageLocked is the one checkpoint body: Load the core, let install write
-// the image as the new checkpoint, then drain the change log and publish the
-// image. The checkpoint supersedes the log, and the drain keeps the rollback
-// basis (the published snapshot equals the state at the last drain). Caller
-// holds d.mu exclusively.
-func (d *DB) imageLocked(install func(*storage.Store) error) error {
 	sw := obs.Start()
 	st, err := storage.Load(d.Database, 0)
 	if err == nil {
-		err = install(st)
+		err = d.dur.Checkpoint(st)
 	}
 	if err != nil {
-		return fmt.Errorf("colorful: checkpoint: %w", err)
+		err = fmt.Errorf("colorful: checkpoint: %w", err)
+		if !errors.Is(err, storage.ErrNoSegment) {
+			return err
+		}
 	}
 	d.Database.DrainChanges()
 	d.publish(st, d.Database.Generation())
 	d.checkpoints.Add(1)
 	obsCheckpoints.Inc()
 	obsCheckpointNanos.Observe(sw.ElapsedNanos())
-	return nil
+	if err != nil && d.Health() == Healthy {
+		_ = d.degradeLocked(0, err)
+	}
+	return err
 }

@@ -282,39 +282,51 @@ func TestPositionalInsertAndRenameAreLogged(t *testing.T) {
 
 // TestPositionalInsertRolledBackOnFailedSync: a positional insert whose WAL
 // fsync fails is rolled back — the displaced siblings included — and the
-// database degrades to read-only serving of the state before it. Once the
-// probe heals the log around a fresh checkpoint, a reopened directory holds
-// that state too.
+// database degrades to read-only serving of the state before it. Healed by
+// the probe, or by Close before any probe runs, it leaves a directory that
+// reopens to that state too, in the list and in the compiled answers: the
+// heal's checkpoint puts the segment holding the rolled-back record below the
+// epoch.
 func TestPositionalInsertRolledBackOnFailedSync(t *testing.T) {
-	db, ffs, dir := openFaulty(t, 2*time.Millisecond)
-	buildList(t, db)
-	const q = `document("db")/{red}child::list/{red}child::item/{red}child::name`
-	before, order := compiledAnswers(t, db, q), listOrder(t, db)
+	for _, byProbe := range []bool{true, false} {
+		t.Run(map[bool]string{true: "probe-heals", false: "close-heals"}[byProbe], func(t *testing.T) {
+			probe := time.Hour // no heal runs before Close
+			if byProbe {
+				probe = 2 * time.Millisecond
+			}
+			db, ffs, dir := openFaulty(t, probe)
+			buildList(t, db)
+			const q = `document("db")/{red}child::list/{red}child::item/{red}child::name`
+			before, order := compiledAnswers(t, db, q), listOrder(t, db)
 
-	ffs.Schedule(ffs.Ops()+1, vfs.Fault{Err: vfs.Permanent(vfs.ErrIO)}) // the append's write, then its fsync
-	if _, err := db.Update(insertA); !errors.Is(err, colorful.ErrReadOnly) {
-		t.Fatalf("insert before with a failing fsync: %v, want ErrReadOnly", err)
-	}
-	if got := compiledAnswers(t, db, q); fmt.Sprint(got) != fmt.Sprint(before) {
-		t.Fatalf("after the rollback %v, before the insert %v", got, before)
-	}
-	if got := listOrder(t, db); got != order {
-		t.Fatalf("after the rollback the list is %q, before the insert %q", got, order)
-	}
-	awaitHealth(t, db, colorful.Healthy)
-	if info := db.HealthInfo(); info.Degrades != 1 || info.Heals != 1 {
-		t.Fatalf("health info = %+v, want one degrade and one heal", info)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := reopen(t, dir, "red", "green")
-	defer got.Close()
-	if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("after Open %v, before the insert %v", after, before)
-	}
-	if after := listOrder(t, got); after != order {
-		t.Fatalf("after Open the list is %q, before the insert %q", after, order)
+			ffs.Schedule(ffs.Ops()+1, vfs.Fault{Err: vfs.Permanent(vfs.ErrIO)}) // the append's write, then its fsync
+			if _, err := db.Update(insertA); !errors.Is(err, colorful.ErrReadOnly) {
+				t.Fatalf("insert before with a failing fsync: %v, want ErrReadOnly", err)
+			}
+			if got := compiledAnswers(t, db, q); fmt.Sprint(got) != fmt.Sprint(before) {
+				t.Fatalf("after the rollback %v, before the insert %v", got, before)
+			}
+			if got := listOrder(t, db); got != order {
+				t.Fatalf("after the rollback the list is %q, before the insert %q", got, order)
+			}
+			if byProbe {
+				awaitHealth(t, db, colorful.Healthy)
+				if info := db.HealthInfo(); info.Degrades != 1 || info.Heals != 1 {
+					t.Fatalf("health info = %+v, want one degrade and one heal", info)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Errorf("Close once the disk works: %v", err)
+			}
+			got := reopen(t, dir, "red", "green")
+			defer got.Close()
+			if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Errorf("after Open %v, before the insert %v", after, before)
+			}
+			if after := listOrder(t, got); after != order {
+				t.Errorf("after Open the list is %q, before the insert %q", after, order)
+			}
+		})
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 // degrades to read-only serving: queries, sessions and prepared
 // statements keep working against the committed state, mutations report
 // ErrReadOnly, and a background probe watches the disk. When writes succeed
-// again, the log is resealed around a fresh checkpoint (storage.Reseal) and
-// the database returns to Healthy. Failed is the terminal state for damage
-// the rollback machinery cannot undo (a change-log overflow mid-commit);
-// reads may then reflect an unacknowledged mutation and mutations report
-// ErrFailed.
+// again, a checkpoint of the committed state (checkpointLocked) puts the
+// failed segment below the epoch and the database returns to Healthy. Failed
+// is the terminal state for damage the rollback machinery cannot undo (a
+// change-log overflow mid-commit); reads may then reflect an unacknowledged
+// mutation and mutations report ErrFailed.
 //
 // The rollback leans on one invariant, maintained by serve.go and
 // durable.go: the published snapshot always equals the core state at the
@@ -80,8 +80,8 @@ func (d *DB) Health() Health { return Health(d.health.Load()) }
 // d.mu exclusively, so no compare-and-swap is needed; the atomic store is for
 // the lock-free Health readers. The callers take the three edges of DESIGN
 // §13: degradeLocked and failLocked leave Healthy (they run inside a commit,
-// which beginCommit admits only while Healthy), heal leaves
-// DegradedReadOnly.
+// which beginCommit admits only while Healthy, or in a checkpoint taken while
+// Healthy), healLocked leaves DegradedReadOnly.
 func (d *DB) transitionHealth(to Health) {
 	d.health.Store(int32(to))
 	obsHealthState.Set(int64(to))
@@ -247,29 +247,27 @@ func (d *DB) probeLoop() {
 		if err := dur.ProbeDisk(); err != nil {
 			continue
 		}
-		d.heal()
+		d.mu.Lock()
+		if d.Health() == DegradedReadOnly && d.dur != nil {
+			_ = d.healLocked() // on failure the probe keeps watching
+		}
+		d.mu.Unlock()
 	}
 }
 
-// heal reseals the log around a fresh checkpoint of the committed state and
-// returns the database to Healthy. Returns false if the disk gave out again
-// mid-reseal (the probe keeps watching).
-func (d *DB) heal() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.Health() != DegradedReadOnly || d.dur == nil {
-		return true // nothing left to heal; stop probing
-	}
-	// Degraded mode rejected every mutation, so the current core state IS
-	// the committed state; image it and reseal the log around it.
-	if err := d.imageLocked(d.dur.Reseal); err != nil {
-		return false
+// healLocked returns a degraded database to Healthy once the disk accepts
+// writes: degraded mode rejected every mutation, so the core state is the
+// committed state, and checkpointing it puts the segment that may hold the
+// rolled-back record below the epoch. Caller holds d.mu exclusively.
+func (d *DB) healLocked() error {
+	if err := d.checkpointLocked(); err != nil {
+		return err
 	}
 	d.transitionHealth(Healthy)
 	d.setDegradeCause(nil)
 	d.heals.Add(1)
 	obsHeals.Inc()
-	return true
+	return nil
 }
 
 // scrubBudget is the scrubber's I/O budget per tick, in bytes.

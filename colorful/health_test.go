@@ -170,76 +170,138 @@ func TestHealRestoresWrites(t *testing.T) {
 	}
 }
 
-// ckptFaultFS fails every checkpoint install — the Create of a
-// *.ckpt.tmp — with a permanent error while armed.
-type ckptFaultFS struct {
-	vfs.FS
-	armed atomic.Bool
+// TestDegradedCloseReportsStandingFault: when the disk still refuses at
+// Close, the heal Close tries fails, and Close says so with an error that
+// wraps ErrDegraded.
+func TestDegradedCloseReportsStandingFault(t *testing.T) {
+	db, ffs, _ := openFaulty(t, time.Hour)
+	buildMovies(t, db)
+	ffs.SetStanding(vfs.Permanent(vfs.ErrIO))
+	if _, err := db.AddElement(db.Document(), "boom", "red"); !errors.Is(err, colorful.ErrReadOnly) {
+		t.Fatalf("mutation during the outage: %v, want ErrReadOnly", err)
+	}
+	err := db.Close()
+	if !errors.Is(err, colorful.ErrDegraded) || !strings.Contains(err.Error(), "rolled-back commit") {
+		t.Fatalf("Close during the outage: %v, want an ErrDegraded naming the rolled-back commit", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
 }
 
-func (f *ckptFaultFS) Create(name string) (vfs.File, error) {
-	if f.armed.Load() && strings.HasSuffix(name, ".ckpt.tmp") {
+// createFaultFS fails, while armed, every Create of a file whose name ends in
+// suffix, with a permanent error.
+type createFaultFS struct {
+	vfs.FS
+	suffix string
+	armed  atomic.Bool
+	faults atomic.Int64
+}
+
+func (f *createFaultFS) Create(name string) (vfs.File, error) {
+	if f.armed.Load() && strings.HasSuffix(name, f.suffix) {
+		f.faults.Add(1)
 		return nil, fmt.Errorf("create %s: %w", filepath.Base(name), vfs.Permanent(vfs.ErrIO))
 	}
 	return f.FS.Create(name)
 }
 
-// TestFailedAutoCheckpointKeepsCommit: the commit that crosses
-// CheckpointBytes is already in the WAL when its checkpoint fails, so it stays
-// acknowledged and visible; the database degrades with the checkpoint error
-// as the cause, refuses the next mutation, heals once checkpoints install
-// again, and the commit survives a reopen.
+// TestFailedAutoCheckpointKeepsCommit: a commit is in the WAL before the
+// checkpoint it triggers, so a failed checkpoint, automatic or by
+// DB.Checkpoint, never loses it. One that fails before MANIFEST moves (its
+// image's Create) leaves the database Healthy, and the next commit succeeds.
+// One that fails after (the new segment's Create) has installed its image but
+// left no writable segment: the database degrades with the failure as the
+// cause and nothing rolled back, refuses the next mutation, and heals once
+// segments open again. Either way every commit survives a reopen.
 func TestFailedAutoCheckpointKeepsCommit(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	fs := &ckptFaultFS{FS: vfs.OS}
-	fs.armed.Store(true)
-	db, err := colorful.OpenOptions(dir, colorful.Options{
-		FS: fs, CheckpointBytes: 2048, Retry: quickPolicy(), ProbeInterval: 2 * time.Millisecond,
-	}, "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	root, err := db.AddElement(db.Document(), "list", "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for ; db.Health() == colorful.Healthy; n++ {
-		if n == 1000 {
-			t.Fatal("no commit crossed the checkpoint threshold")
-		}
-		if _, err := db.AddElementText(root, "item", "red", fmt.Sprintf("payload-%04d", n)); err != nil {
-			t.Fatalf("commit %d: %v", n, err)
-		}
-	}
-	last := fmt.Sprintf(`document("db")/{red}descendant::item[. = "payload-%04d"]`, n-1)
-	if got := countNodes(t, db, last); got != 1 {
-		t.Fatalf("the commit that triggered the checkpoint is not visible (%d hits)", got)
-	}
-	if got := countNodes(t, db, `document("db")/{red}descendant::item`); got != n {
-		t.Fatalf("%d items visible after the degrade, want %d", got, n)
-	}
-	info := db.HealthInfo()
-	if info.State != colorful.DegradedReadOnly || info.Degrades != 1 || !strings.Contains(info.Cause, ".ckpt.tmp") {
-		t.Fatalf("health info = %+v, want degraded by the checkpoint install", info)
-	}
-	if _, err := db.AddElement(db.Document(), "late", "red"); !errors.Is(err, colorful.ErrReadOnly) {
-		t.Fatalf("mutation after the failed checkpoint: %v, want ErrReadOnly", err)
-	}
+	for _, tc := range []struct {
+		name, suffix string
+		explicit     bool
+		want         colorful.Health
+	}{
+		{"auto/before-manifest", ".ckpt.tmp", false, colorful.Healthy},
+		{"explicit/before-manifest", ".ckpt.tmp", true, colorful.Healthy},
+		{"auto/after-manifest", ".log", false, colorful.DegradedReadOnly},
+		{"explicit/after-manifest", ".log", true, colorful.DegradedReadOnly},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			fs := &createFaultFS{FS: vfs.OS, suffix: tc.suffix}
+			threshold := int64(2048)
+			if tc.explicit {
+				threshold = -1
+			}
+			db, err := colorful.OpenOptions(dir, colorful.Options{
+				FS: fs, CheckpointBytes: threshold, Retry: quickPolicy(), ProbeInterval: 2 * time.Millisecond,
+			}, "red")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			root, err := db.AddElement(db.Document(), "list", "red")
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := func(n int) {
+				t.Helper()
+				if _, err := db.AddElementText(root, "item", "red", fmt.Sprintf("payload-%04d", n)); err != nil {
+					t.Fatalf("commit %d: %v", n, err)
+				}
+			}
+			fs.armed.Store(true)
+			n := 0
+			if tc.explicit {
+				for ; n < 3; n++ {
+					add(n)
+				}
+				if err := db.Checkpoint(); err == nil || !strings.Contains(err.Error(), tc.suffix) {
+					t.Fatalf("Checkpoint with a failing %s: %v", tc.suffix, err)
+				}
+			}
+			for ; fs.faults.Load() == 0; n++ {
+				if n == 1000 {
+					t.Fatal("no commit crossed the checkpoint threshold")
+				}
+				add(n)
+			}
+			last := fmt.Sprintf(`document("db")/{red}descendant::item[. = "payload-%04d"]`, n-1)
+			if got := countNodes(t, db, last); got != 1 {
+				t.Fatalf("the commit before the failed checkpoint is not visible (%d hits)", got)
+			}
+			if got := countNodes(t, db, `document("db")/{red}descendant::item`); got != n {
+				t.Fatalf("%d items visible after the failed checkpoint, want %d", got, n)
+			}
+			info := db.HealthInfo()
+			if info.State != tc.want {
+				t.Fatalf("health info = %+v, want %v", info, tc.want)
+			}
+			if tc.want == colorful.Healthy {
+				add(n)
+				n++
+			} else {
+				if info.Degrades != 1 || !strings.Contains(info.Cause, tc.suffix) {
+					t.Fatalf("health info = %+v, want degraded by the %s Create", info, tc.suffix)
+				}
+				if _, err := db.AddElement(db.Document(), "late", "red"); !errors.Is(err, colorful.ErrReadOnly) {
+					t.Fatalf("mutation after the failed checkpoint: %v, want ErrReadOnly", err)
+				}
+			}
 
-	fs.armed.Store(false)
-	awaitHealth(t, db, colorful.Healthy)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := reopen(t, dir, "red")
-	defer db2.Close()
-	if got := countNodes(t, db2, last); got != 1 {
-		t.Fatalf("the commit that triggered the checkpoint was lost on reopen (%d hits)", got)
-	}
-	if got := countNodes(t, db2, `document("db")/{red}descendant::item`); got != n {
-		t.Fatalf("%d items recovered, want %d", got, n)
+			fs.armed.Store(false)
+			awaitHealth(t, db, colorful.Healthy)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2 := reopen(t, dir, "red")
+			defer db2.Close()
+			if got := countNodes(t, db2, last); got != 1 {
+				t.Fatalf("the commit before the failed checkpoint was lost on reopen (%d hits)", got)
+			}
+			if got := countNodes(t, db2, `document("db")/{red}descendant::item`); got != n {
+				t.Fatalf("%d items recovered, want %d", got, n)
+			}
+		})
 	}
 }
 

@@ -305,8 +305,9 @@ func Run(cfg Config) (Report, error) {
 	}
 
 	// Differential verification: recover the directory on a clean filesystem
-	// and compare against the ack log. Healing resealed the log around the
-	// committed state, so recovery must see exactly the acked set.
+	// and compare against the ack log. Healing checkpointed the committed
+	// state past the failed segments, so recovery must see exactly the acked
+	// set.
 	db2, err := colorful.Open(cfg.Dir, chaosColor)
 	if err != nil {
 		return rep, fmt.Errorf("chaostest: recovery failed: %w", err)

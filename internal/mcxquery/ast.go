@@ -122,7 +122,8 @@ func (e *ElementCtor) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "<%s", e.Name)
 	for _, a := range e.Attrs {
-		fmt.Fprintf(&b, " %s=%q", a.Name, a.Value)
+		// The lexer takes an attribute value verbatim, entities included.
+		fmt.Fprintf(&b, " %s=%s", a.Name, pathexpr.Quote(a.Value))
 	}
 	if len(e.Content) == 0 {
 		b.WriteString("/>")
@@ -130,11 +131,15 @@ func (e *ElementCtor) String() string {
 	}
 	b.WriteString(">")
 	for _, c := range e.Content {
-		if t, ok := c.(*TextCtor); ok {
-			b.WriteString(t.Text)
-			continue
+		switch c := c.(type) {
+		case *TextCtor:
+			ctorTextEscaper.WriteString(&b, c.Text)
+		case *ElementCtor:
+			b.WriteString(c.String())
+		default:
+			// No space around the braces: it would join the text beside them.
+			fmt.Fprintf(&b, "{ %s }", c)
 		}
-		fmt.Fprintf(&b, " { %s } ", c)
 	}
 	fmt.Fprintf(&b, "</%s>", e.Name)
 	return b.String()
@@ -150,7 +155,11 @@ type TextCtor struct {
 // ExprNode marks TextCtor as a pathexpr.Expr.
 func (*TextCtor) ExprNode() {}
 
-func (t *TextCtor) String() string { return fmt.Sprintf("text(%q)", t.Text) }
+func (t *TextCtor) String() string { return "text(" + pathexpr.Quote(t.Text) + ")" }
+
+// ctorTextEscaper writes constructor text as the content lexer reads it back:
+// it unescapes entities and stops at '<', '{' and '}'.
+var ctorTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "{", "&#123;", "}", "&#125;")
 
 // IfExpr is "if (cond) then a else b".
 type IfExpr struct {

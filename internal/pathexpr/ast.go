@@ -102,7 +102,7 @@ func (t NodeTest) String() string {
 		return "comment()"
 	case TestPI:
 		if t.Name != "" {
-			return fmt.Sprintf("processing-instruction(%q)", t.Name)
+			return "processing-instruction(" + Quote(t.Name) + ")"
 		}
 		return "processing-instruction()"
 	default:
@@ -157,7 +157,7 @@ func (p *PathExpr) String() string {
 	var b strings.Builder
 	switch {
 	case p.Doc != "":
-		fmt.Fprintf(&b, "document(%q)", p.Doc)
+		fmt.Fprintf(&b, "document(%s)", Quote(p.Doc))
 	case p.Var != "":
 		fmt.Fprintf(&b, "$%s", p.Var)
 	case p.FromRoot:
@@ -184,9 +184,40 @@ func (*Literal) ExprNode() {}
 
 func (l *Literal) String() string {
 	if s, ok := l.Val.(string); ok {
-		return fmt.Sprintf("%q", s)
+		return Quote(s)
 	}
 	return fmt.Sprint(l.Val)
+}
+
+// Quote returns s as an expression the lexer reads back as s. String
+// literals have no escapes, so s goes in double quotes, or in single ones when
+// it holds a double quote; a text holding both kinds becomes a concat of
+// literals that each hold one. (Where only a literal may stand, such a text
+// has no form at all.)
+func Quote(s string) string {
+	if !strings.Contains(s, `"`) {
+		return `"` + s + `"`
+	}
+	if !strings.Contains(s, "'") {
+		return "'" + s + "'"
+	}
+	var parts []string
+	for s != "" {
+		// The longer of the prefixes that lack one quote kind.
+		dq, sq := strings.IndexByte(s, '"'), strings.IndexByte(s, '\'')
+		if dq < 0 {
+			dq = len(s)
+		}
+		if sq < 0 {
+			sq = len(s)
+		}
+		if dq >= sq {
+			parts, s = append(parts, `"`+s[:dq]+`"`), s[dq:]
+		} else {
+			parts, s = append(parts, "'"+s[:sq]+"'"), s[sq:]
+		}
+	}
+	return "concat(" + strings.Join(parts, ", ") + ")"
 }
 
 // VarRef references a bound variable $name.

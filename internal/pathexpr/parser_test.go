@@ -267,3 +267,20 @@ func TestSyntaxErrorMessage(t *testing.T) {
 		t.Fatalf("error should carry offset: %v", err)
 	}
 }
+
+// TestQuoteParsesBack: a string literal prints as an expression that parses
+// and evaluates back to its text and prints the same again, whichever quote
+// kinds the text holds.
+func TestQuoteParsesBack(t *testing.T) {
+	for _, s := range []string{"", "plain", `say "hi"`, "it's", `it's "hi"`, `"'`, `'"'"`, `a"b'c"d'e`} {
+		printed := (&Literal{Val: s}).String()
+		e := mustParseExpr(t, printed)
+		if e.String() != printed {
+			t.Errorf("%q prints as %s, which prints as %s", s, printed, e)
+		}
+		v, err := Eval(&Env{}, e)
+		if err != nil || len(v) != 1 || v[0].Atom != s {
+			t.Errorf("%q prints as %s, which evaluates to %v, %v", s, printed, v, err)
+		}
+	}
+}

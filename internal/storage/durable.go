@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,12 +29,12 @@ import (
 //
 // Crash safety comes from ordering, not locking:
 //   - a commit is acknowledged only after its WAL record is written (and,
-//     under SyncAlways, fsynced) to the current segment;
-//   - a checkpoint first rotates to a fresh segment E (created and
-//     directory-fsynced before any post-rotation commit is acknowledged),
-//     then writes checkpoint-E.ckpt.tmp, fsyncs, renames into place, fsyncs
-//     the directory, and only then moves MANIFEST to E — itself via
-//     tmp+rename, so MANIFEST always names a fully installed checkpoint;
+//     under SyncAlways, fsynced) to the open segment;
+//   - a checkpoint (Checkpoint) installs checkpoint-E, E = the open segment
+//     + 1, and then moves MANIFEST to E, each by replaceFile, so MANIFEST
+//     always names a fully installed checkpoint. Only then is segment E
+//     created, and directory-fsynced before any commit lands in it; the old
+//     segment is below the epoch, so it takes no sealing fsync;
 //   - garbage collection runs last and is pure cleanup: a crash anywhere
 //     leaves either the old epoch fully intact or the new one.
 
@@ -95,10 +96,10 @@ type RecoveryStats struct {
 }
 
 // Durable is the write half of a durable store directory: the open WAL
-// segment plus the checkpoint installation protocol. The caller owns
-// serialization of commits against rotation (colorful.DB uses its writer
-// lock); mu makes each call whole — an Append holds it across its write and
-// fsync, so appends never interleave.
+// segment plus the checkpoint protocol. The caller owns serialization of
+// commits against checkpoints (colorful.DB uses its writer lock); mu makes
+// each call whole — an Append holds it across its write and fsync, so appends
+// never interleave.
 type Durable struct {
 	fs     vfs.FS
 	dir    string
@@ -222,12 +223,16 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 			stats.TornSegment = name
 			stats.TornOffset = res.TornOffset
 			// Truncate the torn tail now, via tmp+rename: once this
-			// incarnation rotates, the segment is no longer final, and a
-			// torn record surviving in a non-final segment would read as
-			// hard corruption on the next recovery. A crash mid-truncation
+			// incarnation opens its own segment, this one is no longer
+			// final, and a torn record surviving in a non-final segment
+			// would read as hard corruption on the next recovery. A crash mid-truncation
 			// leaves either the original file (final again, tail re-dropped)
 			// or the clean prefix — both recoverable.
-			if err := replaceFile(fs, dir, name, data[:res.TornOffset]); err != nil {
+			kept := data[:res.TornOffset]
+			if err := replaceFile(fs, dir, name, func(w io.Writer) error {
+				_, err := w.Write(kept)
+				return err
+			}); err != nil {
 				return fail(fmt.Errorf("storage: truncating torn tail of %s: %w", name, err))
 			}
 		}
@@ -255,30 +260,16 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, *Store, RecoverySta
 	stats.Elapsed = time.Duration(sw.ElapsedNanos())
 	obsRecoveryNanos.Set(int64(stats.Elapsed))
 
-	// Rotate to a fresh segment for this incarnation's commits. Creating it
-	// (and fsyncing the directory) before returning means a later recovery
-	// never sees a gap where this session's segment should be.
+	// A fresh segment for this incarnation's commits. Creating it (and
+	// fsyncing the directory) before returning means a later recovery never
+	// sees a gap where this session's segment should be.
 	newSeg := epoch
 	if len(segs) > 0 {
 		newSeg = segs[len(segs)-1] + 1
 	}
-	f, err := fs.Create(vfs.Join(dir, segFile(newSeg)))
-	if err != nil {
+	d := &Durable{fs: fs, dir: dir, policy: opts.Sync, retry: opts.Retry}
+	if err := d.openSegment(newSeg, nextSeq); err != nil {
 		return fail(fmt.Errorf("storage: open durable %s: %w", dir, err))
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		f.Close()
-		return fail(fmt.Errorf("storage: open durable %s: %w", dir, err))
-	}
-	w := wal.NewWriter(f, segFile(newSeg), nextSeq, opts.Sync)
-	w.SetRetry(opts.Retry)
-	d := &Durable{
-		fs:     fs,
-		dir:    dir,
-		policy: opts.Sync,
-		retry:  opts.Retry,
-		w:      w,
-		seg:    newSeg,
 	}
 	// Sweep leftovers from interrupted checkpoints; best-effort.
 	for _, name := range stale {
@@ -308,7 +299,7 @@ func (d *Durable) Append(changes []core.Change) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.w == nil {
-		return errors.New("storage: durable store is closed")
+		return errClosed
 	}
 	_, err := d.w.Append(payload)
 	return err
@@ -325,127 +316,96 @@ func (d *Durable) LogBytes() int64 {
 	return d.w.Size()
 }
 
-// Rotate seals the open segment and starts the next one, returning the new
-// segment's number — the epoch a checkpoint of the store's current state
-// must be installed under (see InstallCheckpoint). The caller must hold its
-// writer lock: no Append may be in flight, and the store image captured for
-// the checkpoint must be exactly the state at rotation.
-func (d *Durable) Rotate() (uint64, error) {
+// errClosed is reported by a Durable after Close.
+var errClosed = errors.New("storage: durable store is closed")
+
+// ErrNoSegment is wrapped by a Checkpoint that failed after it began to move
+// MANIFEST: no WAL segment takes appends until a later Checkpoint succeeds.
+var ErrNoSegment = errors.New("storage: no writable WAL segment")
+
+// Checkpoint installs st as the checkpoint of a new epoch E, the open segment
+// + 1, and moves the log to segment E. st must be the state of the last
+// successful Append, and the caller holds its writer lock, so no Append runs
+// meanwhile. Every checkpoint and the heal are this one call: the open
+// segment may be sticky-failed after an exhausted retry, and whatever it
+// holds past st ends up below the epoch, where recovery never reads it.
+//
+// A failure while checkpoint-E is written leaves the epoch and the open
+// segment as they were, still writable. Once MANIFEST starts to move, the open
+// segment is abandoned, with no sealing fsync: MANIFEST may name E (a rename
+// whose directory fsync failed may yet last), and a record appended below the
+// epoch would be lost. A failure from then on wraps ErrNoSegment.
+func (d *Durable) Checkpoint(st *Store) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.w == nil {
-		return 0, errors.New("storage: durable store is closed")
+		return errClosed
 	}
-	nextSeq := d.w.NextSeq()
-	if err := d.w.Close(); err != nil {
-		return 0, fmt.Errorf("storage: sealing %s: %w", segFile(d.seg), err)
-	}
-	newSeg := d.seg + 1
-	var f vfs.File
+	epoch := d.seg + 1
 	err := retrying(d.retry, func() error {
-		var err error
-		f, err = d.fs.Create(vfs.Join(d.dir, segFile(newSeg)))
-		if err != nil {
-			return err
-		}
-		if err := d.fs.SyncDir(d.dir); err != nil {
-			f.Close()
-			return err
-		}
-		return nil
+		return replaceFile(d.fs, d.dir, ckptFile(epoch), st.WriteCheckpoint)
 	})
 	if err != nil {
-		return 0, fmt.Errorf("storage: rotating WAL: %w", err)
+		return fmt.Errorf("storage: checkpoint %d: %w", epoch, err)
 	}
-	w := wal.NewWriter(f, segFile(newSeg), nextSeq, d.policy)
-	w.SetRetry(d.retry)
-	d.w = w
-	d.seg = newSeg
-	return newSeg, nil
-}
-
-// InstallCheckpoint durably installs st as the checkpoint for the given
-// epoch (a segment number returned by Rotate; st must capture the state at
-// exactly that rotation). The caller holds its writer lock, so no Append
-// runs meanwhile. On success all state below the epoch is garbage-collected.
-func (d *Durable) InstallCheckpoint(epoch uint64, st *Store) error {
-	// The whole installation sequence up to the manifest move is retried as
-	// one unit on transient failure: every step before the final rename is
-	// re-runnable from scratch (the tmp files are simply rewritten), and the
-	// renames themselves are idempotent.
-	if err := retrying(d.retry, func() error { return d.installOnce(epoch, st) }); err != nil {
-		return err
+	nextSeq := d.w.NextSeq()
+	d.w.Abandon()
+	d.seg = epoch
+	err = retrying(d.retry, func() error {
+		return replaceFile(d.fs, d.dir, manifestName, func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "%s %d\n", manifestMagic, epoch)
+			return err
+		})
+	})
+	if err == nil {
+		d.collect(epoch)
+		err = d.openSegment(epoch, nextSeq)
 	}
-	// Point of no return passed: MANIFEST names the new epoch. Everything
-	// below it is unreferenced; removal is best-effort cleanup.
-	names, err := d.fs.ReadDir(d.dir)
 	if err != nil {
-		return nil
-	}
-	for _, name := range names {
-		if n, ok := parseNumbered(name, "wal-", ".log"); ok && n < epoch {
-			_ = d.fs.Remove(vfs.Join(d.dir, name))
-		}
-		if n, ok := parseNumbered(name, "checkpoint-", ".ckpt"); ok && n < epoch {
-			_ = d.fs.Remove(vfs.Join(d.dir, name))
-		}
+		return fmt.Errorf("%w after checkpoint %d: %w", ErrNoSegment, epoch, err)
 	}
 	return nil
 }
 
-// installOnce runs one attempt of the checkpoint installation sequence:
-// tmp + fsync + rename + dir-fsync for the checkpoint image, then the same
-// dance moving MANIFEST to the new epoch.
-func (d *Durable) installOnce(epoch uint64, st *Store) error {
-	final := vfs.Join(d.dir, ckptFile(epoch))
-	tmp := final + ".tmp"
-	f, err := d.fs.Create(tmp)
+// collect removes the segments and checkpoints below epoch, which MANIFEST
+// no longer reaches; best-effort cleanup.
+func (d *Durable) collect(epoch uint64) {
+	names, err := d.fs.ReadDir(d.dir)
 	if err != nil {
-		return fmt.Errorf("storage: checkpoint: %w", err)
+		return
 	}
-	if err := st.WriteCheckpoint(f); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: checkpoint: %w", err)
+	for _, name := range names {
+		n, ok := parseNumbered(name, "wal-", ".log")
+		if !ok {
+			n, ok = parseNumbered(name, "checkpoint-", ".ckpt")
+		}
+		if ok && n < epoch {
+			_ = d.fs.Remove(vfs.Join(d.dir, name))
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: checkpoint: %w", err)
-	}
-	if err := d.fs.Rename(tmp, final); err != nil {
-		return fmt.Errorf("storage: checkpoint: %w", err)
-	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		return fmt.Errorf("storage: checkpoint: %w", err)
-	}
-	return d.writeManifest(epoch)
 }
 
-func (d *Durable) writeManifest(epoch uint64) error {
-	tmp := vfs.Join(d.dir, manifestName+".tmp")
-	f, err := d.fs.Create(tmp)
+// openSegment creates WAL segment seg, fsyncs the directory, and makes it the
+// open segment, whose first record is nextSeq. The create and the fsync are
+// retried together.
+func (d *Durable) openSegment(seg, nextSeq uint64) error {
+	var f vfs.File
+	err := retrying(d.retry, func() error {
+		var err error
+		if f, err = d.fs.Create(vfs.Join(d.dir, segFile(seg))); err != nil {
+			return err
+		}
+		if err = d.fs.SyncDir(d.dir); err != nil {
+			f.Close()
+		}
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("storage: manifest: %w", err)
+		return fmt.Errorf("storage: opening %s: %w", segFile(seg), err)
 	}
-	if _, err := fmt.Fprintf(f, "%s %d\n", manifestMagic, epoch); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: manifest: %w", err)
-	}
-	if err := d.fs.Rename(tmp, vfs.Join(d.dir, manifestName)); err != nil {
-		return fmt.Errorf("storage: manifest: %w", err)
-	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		return fmt.Errorf("storage: manifest: %w", err)
-	}
+	d.w = wal.NewWriter(f, segFile(seg), nextSeq, d.policy)
+	d.w.SetRetry(d.retry)
+	d.seg = seg
 	return nil
 }
 

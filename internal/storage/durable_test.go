@@ -133,13 +133,10 @@ func TestDurableCheckpointCycle(t *testing.T) {
 	db := buildShadow(t)
 	commit(t, db, d, st)
 
-	epoch, err := d.Rotate()
-	if err != nil {
+	if err := d.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InstallCheckpoint(epoch, st); err != nil {
-		t.Fatal(err)
-	}
+	const epoch = 2 // segment 1 + 1
 
 	// Changes after the checkpoint land in the new segment.
 	if _, err := db.AddElementText(db.NodeByID(1), "item", "paper", "post-ckpt"); err != nil {
@@ -280,11 +277,7 @@ func TestDurableDetectsCheckpointCorruption(t *testing.T) {
 	}
 	db := buildShadow(t)
 	commit(t, db, d, st)
-	epoch, err := d.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.InstallCheckpoint(epoch, st); err != nil {
+	if err := d.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {

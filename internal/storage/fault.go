@@ -1,15 +1,14 @@
 package storage
 
 import (
-	"fmt"
+	"io"
 
 	"colorfulxml/internal/vfs"
-	"colorfulxml/internal/wal"
 )
 
 // Fault-tolerance plumbing for the durable store: the shared retry loop, the
-// atomic file-replacement helper behind torn-tail truncation, the Reseal
-// healing protocol, and the disk probe the degraded-mode recovery loop polls.
+// one atomic file replacement (torn-tail truncation, checkpoint images and
+// MANIFEST), and the disk probe the degraded-mode recovery loop polls.
 
 // retrying runs op, retrying transient failures under policy p (see
 // vfs.Backoff). Each retried attempt must be re-runnable from scratch.
@@ -29,21 +28,20 @@ func retrying(p vfs.RetryPolicy, op func() error) error {
 	}
 }
 
-// replaceFile atomically replaces dir/name with the given contents via
+// replaceFile atomically replaces dir/name with what write writes, via
 // tmp + fsync + rename + dir-fsync; a crash leaves either the old file or the
-// new one, never a mix.
-func replaceFile(fs vfs.FS, dir, name string, contents []byte) error {
+// new one, never a mix. Every step before the rename is re-runnable from
+// scratch (the tmp file is simply rewritten), and the rename is idempotent.
+func replaceFile(fs vfs.FS, dir, name string, write func(io.Writer) error) error {
 	path := vfs.Join(dir, name)
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if len(contents) > 0 {
-		if _, err := f.Write(contents); err != nil {
-			f.Close()
-			return err
-		}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -56,52 +54,6 @@ func replaceFile(fs vfs.FS, dir, name string, contents []byte) error {
 		return err
 	}
 	return fs.SyncDir(dir)
-}
-
-// Reseal abandons the current WAL segment — whose on-disk state is unknown
-// after an exhausted-retry flush failure — and re-founds the log around a
-// fresh checkpoint of st, the last committed state. The protocol is
-// checkpoint-first: installing checkpoint E = seg+1 moves MANIFEST past the
-// broken segment (making it unreferenced garbage) before the new segment E is
-// created, so a crash at any step recovers to either the old epoch (the
-// broken segment is final again and its torn tail is dropped at replay) or
-// the new one. On success the store accepts commits again; on failure the
-// directory is unchanged from recovery's point of view and Reseal may be
-// retried with the same st.
-func (d *Durable) Reseal(st *Store) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.w == nil {
-		return fmt.Errorf("storage: durable store is closed")
-	}
-	nextSeq := d.w.NextSeq()
-	d.w.Abandon()
-	epoch := d.seg + 1
-	if err := d.InstallCheckpoint(epoch, st); err != nil {
-		return fmt.Errorf("storage: reseal: %w", err)
-	}
-	var f vfs.File
-	err := retrying(d.retry, func() error {
-		var err error
-		f, err = d.fs.Create(vfs.Join(d.dir, segFile(epoch)))
-		if err != nil {
-			return err
-		}
-		if err := d.fs.SyncDir(d.dir); err != nil {
-			f.Close()
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("storage: reseal: %w", err)
-	}
-	w := wal.NewWriter(f, segFile(epoch), nextSeq, d.policy)
-	w.SetRetry(d.retry)
-	d.w = w
-	d.seg = epoch
-	obsReseals.Inc()
-	return nil
 }
 
 // ProbeDisk checks whether the store's directory accepts durable writes

@@ -54,7 +54,7 @@ func TestTornTailSurvivesSecondRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First recovery drops the tail; its rotation makes the torn segment
+	// First recovery drops the tail; the segment it opens makes the torn one
 	// non-final.
 	d2, _, stats, err := storage.OpenDurable(dir, storage.DurableOptions{})
 	if err != nil {
@@ -112,16 +112,13 @@ func TestDurableRetriesCheckpointInstall(t *testing.T) {
 	}
 	db := buildShadow(t)
 	commit(t, db, d, st)
-	epoch, err := d.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Fail the checkpoint's tmp-file create once; the install must retry
-	// the whole sequence and land the checkpoint.
+	// and land the checkpoint.
 	ffs.Schedule(ffs.Ops(), vfs.Fault{Err: vfs.ErrDiskFull})
-	if err := d.InstallCheckpoint(epoch, st); err != nil {
+	if err := d.Checkpoint(st); err != nil {
 		t.Fatalf("install through transient fault: %v", err)
 	}
+	const epoch = 2 // segment 1 + 1
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +132,10 @@ func TestDurableRetriesCheckpointInstall(t *testing.T) {
 	mustIso(t, db, st2)
 }
 
-func TestResealAfterOutage(t *testing.T) {
+// TestCheckpointAfterOutage: the heal is an ordinary Checkpoint. After a
+// commit fails for good the writer is poisoned; a checkpoint of the committed
+// state moves the log past it, and commits flow again.
+func TestCheckpointAfterOutage(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	ffs := vfs.NewFaultFS(vfs.OS, 1)
 	d, st, _, err := storage.OpenDurable(dir, storage.DurableOptions{FS: ffs, Retry: quickRetry()})
@@ -160,10 +160,10 @@ func TestResealAfterOutage(t *testing.T) {
 		t.Fatal("poisoned writer accepted another append")
 	}
 
-	// Disk comes back: reseal around a checkpoint of the committed state.
+	// Disk comes back: checkpoint the committed state.
 	ffs.Clear()
-	if err := d.Reseal(st); err != nil {
-		t.Fatalf("reseal: %v", err)
+	if err := d.Checkpoint(st); err != nil {
+		t.Fatalf("checkpoint after the outage: %v", err)
 	}
 
 	// Commits flow again and land in the new log. The mutator works on the
@@ -179,7 +179,7 @@ func TestResealAfterOutage(t *testing.T) {
 	}
 	post, _ := db2.DrainChanges()
 	if err := d.Append(post); err != nil {
-		t.Fatalf("append after reseal: %v", err)
+		t.Fatalf("append after the checkpoint: %v", err)
 	}
 	if err := st.ApplyChanges(post); err != nil {
 		t.Fatal(err)
@@ -190,10 +190,10 @@ func TestResealAfterOutage(t *testing.T) {
 
 	_, st2, stats, err := storage.OpenDurable(dir, storage.DurableOptions{})
 	if err != nil {
-		t.Fatalf("recovery after reseal: %v", err)
+		t.Fatalf("recovery after the checkpoint: %v", err)
 	}
 	if !stats.CheckpointLoaded {
-		t.Fatalf("reseal installed no checkpoint: %+v", stats)
+		t.Fatalf("the checkpoint was not installed: %+v", stats)
 	}
 	mustIso(t, db2, st2)
 }

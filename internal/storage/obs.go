@@ -43,7 +43,6 @@ var (
 	obsCheckpointLoadNanos  = obs.NewHistogram("storage_checkpoint_load_nanos")
 
 	obsRetries          = obs.NewCounter("storage_retries_total")
-	obsReseals          = obs.NewCounter("storage_reseals_total")
 	obsScrubFiles       = obs.NewCounter("storage_scrub_files_total")
 	obsScrubBytes       = obs.NewCounter("storage_scrub_bytes_total")
 	obsScrubCorruptions = obs.NewCounter("storage_scrub_corruptions_total")

@@ -10,8 +10,8 @@ import (
 )
 
 // scrubFixture builds a directory holding a live checkpoint and one sealed
-// WAL segment: commit, checkpoint (epoch 2), commit again, rotate (sealing
-// segment 2 with content, opening 3).
+// WAL segment: commit, checkpoint (epoch 2), commit again, then Close and
+// reopen (sealing segment 2 with content, opening 3).
 func scrubFixture(t *testing.T) (*storage.Durable, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "db")
@@ -19,24 +19,31 @@ func scrubFixture(t *testing.T) (*storage.Durable, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.Close() })
 	db := buildShadow(t)
 	commit(t, db, d, st)
-	epoch, err := d.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.InstallCheckpoint(epoch, st); err != nil {
+	if err := d.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.AddElementText(db.NodeByID(1), "item", "paper", "sealed"); err != nil {
 		t.Fatal(err)
 	}
 	commit(t, db, d, st)
-	if _, err := d.Rotate(); err != nil {
+	return reopenDurable(t, d, dir), dir
+}
+
+// reopenDurable closes d and opens its directory again, which seals the
+// segment d had open; the reopened store is closed at the test's end.
+func reopenDurable(t *testing.T, d *storage.Durable, dir string) *storage.Durable {
+	t.Helper()
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return d, dir
+	d, _, _, err := storage.OpenDurable(dir, storage.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
 func TestScrubCleanPass(t *testing.T) {
@@ -139,12 +146,9 @@ func TestScrubHealedByCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	db := buildShadow(t)
 	commit(t, db, d, st)
-	if _, err := d.Rotate(); err != nil { // seal segment 1 with content
-		t.Fatal(err)
-	}
+	d = reopenDurable(t, d, dir) // seal segment 1 with content
 	seg := filepath.Join(dir, "wal-00000001.log")
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -163,11 +167,7 @@ func TestScrubHealedByCheckpoint(t *testing.T) {
 	}
 	// Heal: checkpoint the in-memory committed state; GC sweeps the
 	// damaged segment and the next pass has nothing to complain about.
-	epoch, err := d.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.InstallCheckpoint(epoch, st); err != nil {
+	if err := d.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
 	res2, err := d.ScrubOnce(1 << 30)

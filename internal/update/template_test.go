@@ -203,6 +203,28 @@ func TestTemplatesFillLikeParse(t *testing.T) {
 	}
 }
 
+// TestStringParsesBack: an update prints as a text Parse reads back. For
+// every text of the corpus that parses, Parse(u.String()) prints the same
+// String and has the same effect on the fixtures as u.
+func TestStringParsesBack(t *testing.T) {
+	for _, src := range updateCorpus(t) {
+		u, err := Parse(src)
+		if err != nil {
+			continue
+		}
+		printed := u.String()
+		back, err := Parse(printed)
+		if err != nil {
+			t.Errorf("%q prints as %q, which does not parse: %v", src, printed, err)
+			continue
+		}
+		if again := back.String(); again != printed {
+			t.Errorf("%q prints as %q, which prints as %q", src, printed, again)
+		}
+		sameEffect(t, src, back, u)
+	}
+}
+
 // sameEffect applies two updates, bound by the evaluator, to fresh twins
 // of the movie database and of a small catalog, and requires the same
 // result, or the same error, and isomorphic databases after. It reports

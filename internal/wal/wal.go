@@ -291,10 +291,10 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Abandon closes the segment file and leaves the writer permanently failed.
-// It is the disposal path for a writer whose segment is in an unknown state
-// after an exhausted retry: the caller reseals the log around a fresh
-// checkpoint instead of trusting this file.
+// Abandon closes the segment file, with no fsync, and leaves the writer
+// permanently failed. It is the disposal path for a writer whose segment a
+// checkpoint has put below the epoch: recovery never reads the file again,
+// whatever state an exhausted retry left it in.
 func (w *Writer) Abandon() {
 	_ = w.f.Close()
 	w.err = fmt.Errorf("wal: segment %s: abandoned", w.name)

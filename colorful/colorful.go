@@ -110,6 +110,10 @@ type DB struct {
 	durErr      error
 	recovery    storage.RecoveryStats
 	checkpoints atomic.Uint64
+	// ckptDeferred is the log size at which the last checkpoint failed
+	// before MANIFEST moved (0 after one that moved it): the automatic
+	// checkpoint waits for CheckpointBytes more. Guarded by mu.
+	ckptDeferred int64
 
 	// Health state machine (see health.go): healthy databases accept
 	// mutations; a durability failure rolls the mutation back and degrades

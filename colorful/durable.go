@@ -183,7 +183,7 @@ func (d *DB) Checkpoint() error {
 	if d.Health() == DegradedReadOnly {
 		return d.readOnlyErr()
 	}
-	return d.checkpointLocked()
+	return d.checkpointLocked(false)
 }
 
 // Close drains and closes every open session (their in-flight queries
@@ -292,12 +292,8 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 	if !ok {
 		// The mark was invalidated (change-log overflow, or a drain inside
 		// the scope): the mutation cannot be separated for rollback, so a full
-		// checkpoint is the only commit path. Its failure is terminal unless
-		// MANIFEST already names the image, which makes the commit durable.
-		if err := d.checkpointLocked(); err != nil && !errors.Is(err, storage.ErrNoSegment) {
-			return d.failLocked(fmt.Errorf("checkpoint after change-log overflow: %w", err))
-		}
-		return nil
+		// checkpoint is the only commit path.
+		return d.checkpointLocked(true)
 	}
 	if len(changes) == 0 {
 		return nil
@@ -305,8 +301,8 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 	if err := d.dur.Append(changes); err != nil {
 		return d.degradeLocked(len(changes), err)
 	}
-	if t := d.durOpts.CheckpointBytes; t > 0 && d.dur.LogBytes() >= t {
-		_ = d.checkpointLocked() // this commit is durable and acknowledged either way
+	if t := d.durOpts.CheckpointBytes; t > 0 && d.dur.LogBytes() >= d.ckptDeferred+t {
+		_ = d.checkpointLocked(false) // this commit is durable and acknowledged either way
 	}
 	return nil
 }
@@ -321,11 +317,18 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 // exclusively.
 //
 // A checkpoint that fails before MANIFEST moves changes nothing: the open
-// segment stays writable and a Healthy database stays Healthy. One that fails
-// after (storage.ErrNoSegment) has installed its image but left no writable
-// segment, so a Healthy database takes the degrade edge with nothing to roll
-// back, and heal's checkpoint redoes it.
-func (d *DB) checkpointLocked() error {
+// segment stays writable and a Healthy database stays Healthy, and the
+// automatic checkpoint waits for another CheckpointBytes of log before it
+// tries again. One that fails after (storage.ErrNoSegment) has written its
+// image but left no writable segment, so a Healthy database takes the degrade
+// edge with nothing to roll back, and heal's checkpoint redoes it.
+//
+// unlogged marks the checkpoint of a commit that overflowed the change log:
+// the WAL lacks that commit, so it is durable only once MANIFEST durably
+// names the image, and then checkpointLocked reports nil, whatever came
+// after. Any earlier failure leaves a commit that can be neither acknowledged
+// nor rolled back, and fails the database.
+func (d *DB) checkpointLocked(unlogged bool) error {
 	sw := obs.Start()
 	st, err := storage.Load(d.Database, 0)
 	if err == nil {
@@ -333,10 +336,15 @@ func (d *DB) checkpointLocked() error {
 	}
 	if err != nil {
 		err = fmt.Errorf("colorful: checkpoint: %w", err)
-		if !errors.Is(err, storage.ErrNoSegment) {
+		switch {
+		case unlogged && (!errors.Is(err, storage.ErrNoSegment) || errors.Is(err, storage.ErrManifestUnsettled)):
+			return d.failLocked(fmt.Errorf("checkpoint after change-log overflow: %w", err))
+		case !errors.Is(err, storage.ErrNoSegment):
+			d.ckptDeferred = d.dur.LogBytes()
 			return err
 		}
 	}
+	d.ckptDeferred = 0
 	d.Database.DrainChanges()
 	d.publish(st, d.Database.Generation())
 	d.checkpoints.Add(1)
@@ -344,6 +352,9 @@ func (d *DB) checkpointLocked() error {
 	obsCheckpointNanos.Observe(sw.ElapsedNanos())
 	if err != nil && d.Health() == Healthy {
 		_ = d.degradeLocked(0, err)
+	}
+	if unlogged {
+		return nil
 	}
 	return err
 }

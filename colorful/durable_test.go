@@ -334,60 +334,98 @@ func TestPositionalInsertRolledBackOnFailedSync(t *testing.T) {
 // 8 300 items logs each displaced item leaving and arriving again, more than
 // the change log holds. The log overflows, so the commit is a full
 // checkpoint instead of a WAL record, and a reopened directory answers alike.
+// The checkpoint alone makes such a commit durable: it is acknowledged once
+// MANIFEST durably names the image, even if the new segment then fails to
+// open (the database degrades and heals). A failure while MANIFEST is
+// replaced fails the database, and reopening recovers the state before it.
 func TestDisplacingInsertOverflowsToCheckpoint(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	list, err := db.NewElement("list", "red") // built detached, then attached in one commit
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *colorful.Node
-	for k := 0; k < 8300; k++ {
-		item, err := db.AddElementText(list, "item", "red", fmt.Sprint(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			first = item
-		}
-	}
-	if err := db.Append(db.Document(), list, "red"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.DurabilityStats().Checkpoints; got != 0 {
-		t.Fatalf("building the list took %d checkpoints", got)
-	}
-	item, err := db.NewElement("item", "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertBefore(list, item, first, "red"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.DurabilityStats().Checkpoints; got != 1 {
-		t.Fatalf("an insert displacing 8 300 items took %d checkpoints, want 1", got)
-	}
-	const q = `document("db")/{red}child::list/{red}child::item`
-	before := compiledAnswers(t, db, q)
-	if items := before[0]; len(items) != 8301 || items[0] != "" || items[1] != "0" || items[8300] != "8299" {
-		t.Fatalf("%d items, first %q, %q, last %q", len(items), items[0], items[1], items[len(items)-1])
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := reopen(t, dir)
-	defer got.Close()
-	if r := got.Recovery(); !r.CheckpointLoaded {
-		t.Fatalf("recovery ignored the checkpoint: %+v", r)
-	}
-	if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatal("after Open the items differ from before Close")
+	for _, tc := range []struct {
+		fault string // suffix of the files whose Create fails during the insert
+		acked bool
+	}{
+		{"", true},
+		{"MANIFEST.tmp", false},
+		{".log", true},
+	} {
+		t.Run("fault="+tc.fault, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			fs := &createFaultFS{FS: vfs.OS, suffix: tc.fault}
+			db, err := colorful.OpenOptions(dir, colorful.Options{
+				FS: fs, NoSync: true, CheckpointBytes: -1, Retry: quickPolicy(), ProbeInterval: 2 * time.Millisecond,
+			}, "red")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			list, err := db.NewElement("list", "red") // built detached, then attached in one commit
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first *colorful.Node
+			for k := 0; k < 8300; k++ {
+				item, err := db.AddElementText(list, "item", "red", fmt.Sprint(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 0 {
+					first = item
+				}
+			}
+			if err := db.Append(db.Document(), list, "red"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.DurabilityStats().Checkpoints; got != 0 {
+				t.Fatalf("building the list took %d checkpoints", got)
+			}
+			const q = `document("db")/{red}child::list/{red}child::item`
+			want := compiledAnswers(t, db, q)
+			item, err := db.NewElement("item", "red")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.armed.Store(tc.fault != "")
+			err = db.InsertBefore(list, item, first, "red")
+			if !tc.acked {
+				if !errors.Is(err, colorful.ErrFailed) || !strings.Contains(err.Error(), tc.fault) {
+					t.Fatalf("insert whose MANIFEST did not move: %v, want ErrFailed", err)
+				}
+				if info := db.HealthInfo(); info.State != colorful.Failed || info.Degrades != 0 {
+					t.Fatalf("health info = %+v, want failed straight from healthy", info)
+				}
+				fs.armed.Store(false)
+				_ = db.Close() // a failed database may report its failure
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := db.DurabilityStats().Checkpoints; got != 1 {
+					t.Fatalf("an insert displacing 8 300 items took %d checkpoints, want 1", got)
+				}
+				if tc.fault != "" {
+					awaitHealth(t, db, colorful.DegradedReadOnly)
+				}
+				want = compiledAnswers(t, db, q)
+				if items := want[0]; len(items) != 8301 || items[0] != "" || items[1] != "0" || items[8300] != "8299" {
+					t.Fatalf("%d items, first %q, %q, last %q", len(items), items[0], items[1], items[len(items)-1])
+				}
+				fs.armed.Store(false)
+				awaitHealth(t, db, colorful.Healthy)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := reopen(t, dir)
+			defer got.Close()
+			if r := got.Recovery(); r.CheckpointLoaded != tc.acked {
+				t.Fatalf("recovery stats %+v after the insert (acknowledged: %v)", r, tc.acked)
+			}
+			if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(want) {
+				t.Fatalf("after Open %d items, before Close %d", len(after[0]), len(want[0]))
+			}
+		})
 	}
 }
 

@@ -260,7 +260,7 @@ func (d *DB) probeLoop() {
 // committed state, and checkpointing it puts the segment that may hold the
 // rolled-back record below the epoch. Caller holds d.mu exclusively.
 func (d *DB) healLocked() error {
-	if err := d.checkpointLocked(); err != nil {
+	if err := d.checkpointLocked(false); err != nil {
 		return err
 	}
 	d.transitionHealth(Healthy)

@@ -209,8 +209,9 @@ func (f *createFaultFS) Create(name string) (vfs.File, error) {
 // TestFailedAutoCheckpointKeepsCommit: a commit is in the WAL before the
 // checkpoint it triggers, so a failed checkpoint, automatic or by
 // DB.Checkpoint, never loses it. One that fails before MANIFEST moves (its
-// image's Create) leaves the database Healthy, and the next commit succeeds.
-// One that fails after (the new segment's Create) has installed its image but
+// image's Create) leaves the database Healthy, and the next commits succeed;
+// the automatic one waits for another CheckpointBytes of log before it tries
+// again. One that fails after (the new segment's Create) has installed its image but
 // left no writable segment: the database degrades with the failure as the
 // cause and nothing rolled back, refuses the next mutation, and heals once
 // segments open again. Either way every commit survives a reopen.
@@ -277,8 +278,19 @@ func TestFailedAutoCheckpointKeepsCommit(t *testing.T) {
 				t.Fatalf("health info = %+v, want %v", info, tc.want)
 			}
 			if tc.want == colorful.Healthy {
-				add(n)
-				n++
+				for k := 0; k < 5; k++ {
+					add(n)
+					n++
+				}
+				if got := fs.faults.Load(); got != 1 {
+					t.Fatalf("%d faulted Creates after five more small commits, want 1", got)
+				}
+				for ; !tc.explicit && fs.faults.Load() == 1; n++ {
+					if n == 2000 {
+						t.Fatal("the automatic checkpoint never tried again")
+					}
+					add(n)
+				}
 			} else {
 				if info.Degrades != 1 || !strings.Contains(info.Cause, tc.suffix) {
 					t.Fatalf("health info = %+v, want degraded by the %s Create", info, tc.suffix)

@@ -323,6 +323,12 @@ var errClosed = errors.New("storage: durable store is closed")
 // MANIFEST: no WAL segment takes appends until a later Checkpoint succeeds.
 var ErrNoSegment = errors.New("storage: no writable WAL segment")
 
+// ErrManifestUnsettled is wrapped, with ErrNoSegment, by a Checkpoint whose
+// MANIFEST replacement failed: after a crash MANIFEST may name either epoch,
+// so the image is not durable. Every appended record still is: it is in the
+// old segment, which recovery replays, or in the image.
+var ErrManifestUnsettled = errors.New("storage: MANIFEST replacement did not finish")
+
 // Checkpoint installs st as the checkpoint of a new epoch E, the open segment
 // + 1, and moves the log to segment E. st must be the state of the last
 // successful Append, and the caller holds its writer lock, so no Append runs
@@ -332,9 +338,10 @@ var ErrNoSegment = errors.New("storage: no writable WAL segment")
 //
 // A failure while checkpoint-E is written leaves the epoch and the open
 // segment as they were, still writable. Once MANIFEST starts to move, the open
-// segment is abandoned, with no sealing fsync: MANIFEST may name E (a rename
-// whose directory fsync failed may yet last), and a record appended below the
-// epoch would be lost. A failure from then on wraps ErrNoSegment.
+// segment is abandoned: a rename whose directory fsync failed may yet last,
+// and a record appended below the epoch would be lost. A failure from then on
+// wraps ErrNoSegment, and also ErrManifestUnsettled while MANIFEST is not
+// durably E; once it is, st is durable.
 func (d *Durable) Checkpoint(st *Store) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -348,6 +355,11 @@ func (d *Durable) Checkpoint(st *Store) error {
 	if err != nil {
 		return fmt.Errorf("storage: checkpoint %d: %w", epoch, err)
 	}
+	if d.policy == wal.SyncNever {
+		// The old segment stays the final one if MANIFEST does not move; seal
+		// it as Close would. A sticky-failed writer skips this.
+		_ = d.w.Sync()
+	}
 	nextSeq := d.w.NextSeq()
 	d.w.Abandon()
 	d.seg = epoch
@@ -357,11 +369,11 @@ func (d *Durable) Checkpoint(st *Store) error {
 			return err
 		})
 	})
-	if err == nil {
-		d.collect(epoch)
-		err = d.openSegment(epoch, nextSeq)
-	}
 	if err != nil {
+		return fmt.Errorf("%w: %w after checkpoint %d: %w", ErrNoSegment, ErrManifestUnsettled, epoch, err)
+	}
+	d.collect(epoch)
+	if err := d.openSegment(epoch, nextSeq); err != nil {
 		return fmt.Errorf("%w after checkpoint %d: %w", ErrNoSegment, epoch, err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +131,69 @@ func TestDurableRetriesCheckpointInstall(t *testing.T) {
 		t.Fatalf("checkpoint not installed: %+v", stats)
 	}
 	mustIso(t, db, st2)
+}
+
+// createFault fails, while armed, every Create of a file whose name ends in
+// suffix.
+type createFault struct {
+	vfs.FS
+	suffix string
+	armed  bool
+}
+
+func (f *createFault) Create(name string) (vfs.File, error) {
+	if f.armed && strings.HasSuffix(name, f.suffix) {
+		return nil, vfs.Permanent(vfs.ErrIO)
+	}
+	return f.FS.Create(name)
+}
+
+// TestCheckpointFailureKinds: a Checkpoint that fails while its image is
+// written leaves the open segment writable; one that fails while MANIFEST is
+// replaced leaves no segment and the image not durable; one that fails after
+// leaves no segment but the image durable. Each way the commits survive.
+func TestCheckpointFailureKinds(t *testing.T) {
+	for _, tc := range []struct {
+		suffix               string
+		noSegment, unsettled bool
+		epoch                uint64
+	}{
+		{".ckpt.tmp", false, false, 1},
+		{"MANIFEST.tmp", true, true, 1},
+		{".log", true, false, 2},
+	} {
+		t.Run(tc.suffix, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			fs := &createFault{FS: vfs.OS, suffix: tc.suffix}
+			d, st, _, err := storage.OpenDurable(dir, storage.DurableOptions{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := buildShadow(t)
+			commit(t, db, d, st)
+			fs.armed = true
+			err = d.Checkpoint(st)
+			if err == nil || errors.Is(err, storage.ErrNoSegment) != tc.noSegment ||
+				errors.Is(err, storage.ErrManifestUnsettled) != tc.unsettled {
+				t.Fatalf("Checkpoint with a failing %s Create: %v", tc.suffix, err)
+			}
+			if !tc.noSegment {
+				if _, err := db.AddElementText(db.NodeByID(1), "item", "paper", "after"); err != nil {
+					t.Fatal(err)
+				}
+				commit(t, db, d, st)
+			}
+			_ = d.Close() // an abandoned segment reports itself as failed
+			_, st2, stats, err := storage.OpenDurable(dir, storage.DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.CheckpointEpoch != tc.epoch {
+				t.Fatalf("recovered epoch %d, want %d", stats.CheckpointEpoch, tc.epoch)
+			}
+			mustIso(t, db, st2)
+		})
+	}
 }
 
 // TestCheckpointAfterOutage: the heal is an ordinary Checkpoint. After a

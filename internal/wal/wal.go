@@ -293,8 +293,9 @@ func (w *Writer) Close() error {
 
 // Abandon closes the segment file, with no fsync, and leaves the writer
 // permanently failed. It is the disposal path for a writer whose segment a
-// checkpoint has put below the epoch: recovery never reads the file again,
-// whatever state an exhausted retry left it in.
+// checkpoint is putting below the epoch, whatever state an exhausted retry
+// left it in. Until that checkpoint is durable the segment may still be the
+// final one, which recovery replays, so its records must already be synced.
 func (w *Writer) Abandon() {
 	_ = w.f.Close()
 	w.err = fmt.Errorf("wal: segment %s: abandoned", w.name)

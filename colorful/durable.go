@@ -308,12 +308,9 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 }
 
 // checkpointLocked is the one checkpoint: DB.Checkpoint, both checkpoints of
-// commitChanges, and the heal run it. It Loads the core afresh — publishing
-// the image re-packs the live snapshot, the holes deleted records left and
-// the spread intervals included — installs the image through storage's one
-// protocol, then drains the change log and publishes the image. The
-// checkpoint supersedes the log, and the drain keeps the rollback basis (the
-// published snapshot equals the state at the last drain). Caller holds d.mu
+// commitChanges, and the heal run it. It brings the published snapshot up to
+// date (refreshHoldingMu) and installs that snapshot as the image through
+// storage's one protocol, which supersedes the log. Caller holds d.mu
 // exclusively.
 //
 // A checkpoint that fails before MANIFEST moves changes nothing: the open
@@ -330,9 +327,9 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 // nor rolled back, and fails the database.
 func (d *DB) checkpointLocked(unlogged bool) error {
 	sw := obs.Start()
-	st, err := storage.Load(d.Database, 0)
+	sp, err := d.refreshHoldingMu()
 	if err == nil {
-		err = d.dur.Checkpoint(st)
+		err = d.dur.Checkpoint(sp.st)
 	}
 	if err != nil {
 		err = fmt.Errorf("colorful: checkpoint: %w", err)
@@ -345,8 +342,6 @@ func (d *DB) checkpointLocked(unlogged bool) error {
 		}
 	}
 	d.ckptDeferred = 0
-	d.Database.DrainChanges()
-	d.publish(st, d.Database.Generation())
 	d.checkpoints.Add(1)
 	obsCheckpoints.Inc()
 	obsCheckpointNanos.Observe(sw.ElapsedNanos())

@@ -25,11 +25,11 @@ import (
 // change-log overflow mid-commit); reads may then reflect an unacknowledged
 // mutation and mutations report ErrFailed.
 //
-// The rollback leans on one invariant, maintained by serve.go and
-// durable.go: the published snapshot always equals the core state at the
-// last change-log drain. The committed state is therefore always
-// "published snapshot + committed prefix of the undrained log", and the
-// failed mutation is exactly the log's suffix past the commit's mark.
+// The rollback leans on one invariant, maintained by serve.go: the published
+// snapshot always equals the core state at the last change-log drain (the
+// rollback's own drain publishes too). The committed state is therefore
+// always "published snapshot + committed prefix of the undrained log", and
+// the failed mutation is exactly the log's suffix past the commit's mark.
 
 // Health is a durable database's serving state.
 type Health int32

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"colorfulxml/colorful"
+	"colorfulxml/internal/obs"
 	"colorfulxml/internal/vfs"
 )
 
@@ -314,6 +315,53 @@ func TestFailedAutoCheckpointKeepsCommit(t *testing.T) {
 				t.Fatalf("%d items recovered, want %d", got, n)
 			}
 		})
+	}
+}
+
+// TestCachedPlanSurvivesCheckpoint: a checkpoint writes the published
+// snapshot as it stands, so it moves no stats epoch and retires no cached
+// plan; when the snapshot was current it publishes and rebuilds nothing.
+func TestCachedPlanSurvivesCheckpoint(t *testing.T) {
+	db, err := colorful.OpenOptions(filepath.Join(t.TempDir(), "db"), colorful.Options{
+		NoSync: true, CheckpointBytes: -1,
+	}, "red", "green")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	buildMovies(t, db)
+	s := db.Session()
+	defer s.Close()
+	const q = `document("db")/{red}descendant::movie/{red}child::name`
+	run := func() {
+		t.Helper()
+		if out, err := s.Query(q); err != nil || len(out) != 1 {
+			t.Fatalf("query: %d items, %v", len(out), err)
+		}
+	}
+	rebuildMoves := func() uint64 {
+		return obs.Default.Snapshot().Counters[`db_stats_epoch_moves_total{reason="rebuild"}`]
+	}
+	run()
+	moves, maint, cache, ss := rebuildMoves(), db.MaintStats(), db.PlanCacheStats(), s.Stats()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	if got := rebuildMoves(); got != moves {
+		t.Errorf("the checkpoint moved the stats epoch for a rebuild %d times", got-moves)
+	}
+	if got := db.MaintStats(); got != maint {
+		t.Errorf("maintenance moved across the checkpoint of a current snapshot: %+v -> %+v", maint, got)
+	}
+	if got := db.PlanCacheStats(); got.Hits != cache.Hits+1 || got.Misses != cache.Misses || got.Invalidations != cache.Invalidations {
+		t.Errorf("plan cache %+v -> %+v, want one more hit and nothing else", cache, got)
+	}
+	if got := s.Stats(); got.CacheHits != ss.CacheHits+1 || got.Compiled != ss.Compiled {
+		t.Errorf("session %+v -> %+v, want a cache hit and no compile", ss, got)
+	}
+	if got := db.DurabilityStats().Checkpoints; got != 1 {
+		t.Errorf("%d checkpoints, want 1", got)
 	}
 }
 

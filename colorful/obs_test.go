@@ -236,6 +236,53 @@ func TestFallbackReasonsAreLabeled(t *testing.T) {
 	}
 }
 
+// TestFullRebuildReasonsAreLabeled: each full rebuild counts under its
+// reason, and the unlabeled family total and MaintStats.FullRebuilds count
+// them all. A first snapshot, a delta over incrementalMaxDelta and an
+// overflowed change log are driven through the facade.
+func TestFullRebuildReasonsAreLabeled(t *testing.T) {
+	db := New("red")
+	root, err := db.AddElement(db.Document(), "list", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reasons := map[string]*obs.Counter{
+		"first": obsRebuildFirst, "overflow": obsRebuildOverflow,
+		"large_delta": obsRebuildLargeDelta, "replay_refused": obsRebuildReplayRefused,
+	}
+	want := map[string]uint64{}
+	for r, c := range reasons {
+		want[r] = c.Value()
+	}
+	total := obsSnapRebuilds.Value()
+	step := func(adds int, reason string) {
+		t.Helper()
+		for i := 0; i < adds; i++ {
+			if _, err := db.AddElement(root, "item", "red"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		want[reason]++
+		for r, c := range reasons {
+			if c.Value() != want[r] {
+				t.Fatalf("after a %s rebuild, %s counts %d, want %d", reason, r, c.Value(), want[r])
+			}
+		}
+	}
+	step(0, "first")
+	step(incrementalMaxDelta+1, "large_delta")
+	step(1<<14+1, "overflow") // past core's change-log bound
+	if got := obsSnapRebuilds.Value() - total; got != 3 {
+		t.Errorf("db_snapshot_full_rebuilds_total moved by %d, want 3", got)
+	}
+	if got := db.MaintStats().FullRebuilds; got != 3 {
+		t.Errorf("MaintStats.FullRebuilds = %d, want 3", got)
+	}
+}
+
 // TestServeDebugEndToEnd: /debug/metrics reflects a query run just before
 // the request, /debug/plancache the scratch its plan kept, /debug/slowlog
 // serves the DB's ring, and /debug/trace runs a read-only query (rejecting

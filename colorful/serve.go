@@ -111,11 +111,20 @@ func (d *DB) publishedSnapshot() *snapshot {
 // underneath it.
 func (d *DB) refreshHoldingMu() (*snapshot, error) {
 	gen := d.Database.Generation()
-	if sp := d.snap.Load(); sp != nil && sp.gen == gen {
-		return sp, nil
+	old := d.snap.Load()
+	if old != nil && old.gen == gen {
+		return old, nil
 	}
 	changes, overflow := d.Database.DrainChanges()
-	if old := d.snap.Load(); old != nil && !overflow && len(changes) <= incrementalMaxDelta {
+	why := obsRebuildReplayRefused
+	switch {
+	case old == nil:
+		why = obsRebuildFirst
+	case overflow:
+		why = obsRebuildOverflow
+	case len(changes) > incrementalMaxDelta:
+		why = obsRebuildLargeDelta
+	default:
 		clone := old.st.Clone()
 		if err := clone.ApplyChanges(changes); err == nil {
 			if verr := d.validateAfterApply(); verr != nil {
@@ -134,6 +143,7 @@ func (d *DB) refreshHoldingMu() (*snapshot, error) {
 	}
 	d.fullRebuilds.Add(1)
 	obsSnapRebuilds.Inc()
+	why.Inc()
 	return d.publish(st, gen), nil
 }
 

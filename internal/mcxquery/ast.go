@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"colorfulxml/internal/pathexpr"
+	"colorfulxml/internal/xmlenc"
 )
 
 // Clause is one for/let binding clause of a FLWOR expression.
@@ -122,8 +123,7 @@ func (e *ElementCtor) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "<%s", e.Name)
 	for _, a := range e.Attrs {
-		// The lexer takes an attribute value verbatim, entities included.
-		fmt.Fprintf(&b, " %s=%s", a.Name, pathexpr.Quote(a.Value))
+		fmt.Fprintf(&b, ` %s="%s"`, a.Name, xmlenc.EscapeAttr(a.Value))
 	}
 	if len(e.Content) == 0 {
 		b.WriteString("/>")

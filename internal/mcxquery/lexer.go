@@ -220,9 +220,16 @@ func (ml *modalLexer) nextTag() (pathexpr.Token, error) {
 		ml.lx.SetPos(pos + 2)
 		ml.pop()
 		return pathexpr.Token{Kind: pathexpr.TokTagSelfClose, Text: "/>", Pos: pos}, nil
-	default:
-		return ml.lx.Next()
 	}
+	// An attribute value is entity-decoded, as constructor text is.
+	tok, err := ml.lx.Next()
+	if err != nil || tok.Kind != pathexpr.TokString {
+		return tok, err
+	}
+	if tok.Text, err = xmlenc.Unescape(tok.Text); err != nil {
+		return pathexpr.Token{}, pathexpr.Errf(tok.Pos, "bad entity in attribute value: %v", err)
+	}
+	return tok, nil
 }
 
 func (ml *modalLexer) nextContent() (pathexpr.Token, error) {

@@ -79,6 +79,8 @@ func updateCorpus(t *testing.T) []string {
 		`for $i in document("db")//item[name = 'say "hi"'] update $i { replace $i/name with "it's" }`,
 		`for $i in document("db")//item[votes > 10][2] where $i/cost <= 2.5 update $i { replace $i/votes with 7 }`,
 		`for $i in document("db")//item update $i { insert <note kind="a &amp; b">fish &amp; chips &lt;3</note> }`,
+		attrEntityText,
+		attrQuotesText,
 		`for $i in document("db")//item update $i { insert <p>x <b>y</b> z { $i/name } w</p> }`,
 		`let $d := document("db") for $i in $d//item[-1 + 2] where $i/name != "" update $i { rename $i/name to label }`,
 		`for $i in document("db")/{red}descendant::item, $n in $i/{red}child::name update $i { insert <tag>new</tag> before $n, insert <tag>last</tag> after $n }`,
@@ -98,6 +100,13 @@ func updateCorpus(t *testing.T) []string {
 	}
 	return texts
 }
+
+// Corpus texts whose direct constructor's attribute value holds an entity,
+// and one that holds both quote kinds.
+const (
+	attrEntityText = `for $i in document("db")/{red}descendant::item update $i { insert <note kind="a &amp; b">fish</note> }`
+	attrQuotesText = `for $i in document("db")/{red}descendant::item update $i { insert <note kind="it's &quot;so&quot;"/> }`
+)
 
 // constString folds a string literal, or a sum of them, to its value.
 func constString(e ast.Expr) (string, bool) {
@@ -137,7 +146,8 @@ func variant(src string, lits []pathexpr.Token, fixed []bool) string {
 		var end int
 		switch l.Kind {
 		case pathexpr.TokString:
-			end = l.Pos + 1 + len(l.Text) // before the closing quote
+			// Before the closing quote: an attribute value's text is decoded.
+			end = l.Pos + 1 + strings.IndexByte(src[l.Pos+1:], src[l.Pos])
 		case pathexpr.TokNumber:
 			end = l.Pos + len(l.Text)
 		case pathexpr.TokRawText:
@@ -222,6 +232,36 @@ func TestStringParsesBack(t *testing.T) {
 			t.Errorf("%q prints as %q, which prints as %q", src, printed, again)
 		}
 		sameEffect(t, src, back, u)
+	}
+	// An attribute value is stored decoded, as constructor text is, and
+	// prints as one literal whatever quotes it holds.
+	for src, want := range map[string]string{attrEntityText: "a & b", attrQuotesText: `it's "so"`} {
+		u, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(u.String())
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", src, u, err)
+		}
+		for _, u := range []*Update{u, back} {
+			c := fixtures.NewCatalog(3)
+			if _, err := walkUpdate(NewExecutor(c.DB), u); err != nil {
+				t.Fatal(err)
+			}
+			notes := 0
+			for _, n := range core.Descendants(c.DB.Document(), "red") {
+				if n.Name() == "note" {
+					notes++
+					if got := n.AttributeValue("kind"); got != want {
+						t.Errorf("%q stores kind=%q, want %q", u, got, want)
+					}
+				}
+			}
+			if notes != 3 {
+				t.Errorf("%q inserted %d notes, want 3", u, notes)
+			}
+		}
 	}
 }
 

@@ -265,6 +265,41 @@ func BenchmarkApplyChange(b *testing.B) {
 	}
 }
 
+// populateDurable opens a durable NoSync database in dir, with no automatic
+// checkpoint, and fills it through the facade as the repository benchmark's
+// populate does: a red catalog of items with names, every third item adopted
+// into the green featured list with a vote.
+func populateDurable(b *testing.B, dir string, items int) *colorful.DB {
+	db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red", "green")
+	if err != nil {
+		b.Fatal(err)
+	}
+	must := func(n *colorful.Node, err error) *colorful.Node {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return n
+	}
+	catalog := must(db.AddElement(db.Document(), "catalog", "red"))
+	featured := must(db.AddElement(db.Document(), "featured", "green"))
+	for k := 0; k < items; k++ {
+		item := must(db.AddElement(catalog, "item", "red"))
+		must(db.AddElementText(item, "name", "red", "Item "+strconv.Itoa(k)))
+		if k%3 == 0 {
+			if err := db.Adopt(featured, item, "green"); err != nil {
+				b.Fatal(err)
+			}
+			must(db.AddElementText(item, "votes", "green", strconv.Itoa(k%50)))
+		}
+		if k%1000 == 999 { // drain core's change log: overflowing it checkpoints
+			if err := db.Refresh(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
 // BenchmarkRecover: storage.OpenDurable of a directory holding nothing but
 // the log of the repository benchmark's populate through the facade — one
 // record per AddElement, AddElementText and Adopt, 4 003 of them at 1 500
@@ -273,34 +308,7 @@ func BenchmarkRecover(b *testing.B) {
 	for _, items := range []int{1500, 6000} {
 		b.Run(strconv.Itoa(items), func(b *testing.B) {
 			dir := b.TempDir()
-			db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red", "green")
-			if err != nil {
-				b.Fatal(err)
-			}
-			must := func(n *colorful.Node, err error) *colorful.Node {
-				if err != nil {
-					b.Fatal(err)
-				}
-				return n
-			}
-			catalog := must(db.AddElement(db.Document(), "catalog", "red"))
-			featured := must(db.AddElement(db.Document(), "featured", "green"))
-			for k := 0; k < items; k++ {
-				item := must(db.AddElement(catalog, "item", "red"))
-				must(db.AddElementText(item, "name", "red", "Item "+strconv.Itoa(k)))
-				if k%3 == 0 {
-					if err := db.Adopt(featured, item, "green"); err != nil {
-						b.Fatal(err)
-					}
-					must(db.AddElementText(item, "votes", "green", strconv.Itoa(k%50)))
-				}
-				if k%1000 == 999 { // drain core's change log: overflowing it checkpoints
-					if err := db.Refresh(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if err := db.Close(); err != nil {
+			if err := populateDurable(b, dir, items).Close(); err != nil {
 				b.Fatal(err)
 			}
 			records := 0
@@ -317,6 +325,31 @@ func BenchmarkRecover(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+	}
+}
+
+// BenchmarkCheckpoint: one vote update and then DB.Checkpoint, on the
+// populated durable catalog. The checkpoint writes the snapshot the update
+// published, so what it costs is the image write.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, items := range []int{1500, 20000} {
+		b.Run(strconv.Itoa(items), func(b *testing.B) {
+			db := populateDurable(b, b.TempDir(), items)
+			defer db.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := 3 * (7919 * i % (items / 3))
+				res, err := db.Update(`for $n in document("db")/{red}descendant::name[. = "Item ` + strconv.Itoa(k) +
+					`"], $i in $n/{red}parent::item, $v in $i/{green}child::votes update $i { replace $v with "` + strconv.Itoa(50+i%50) + `" }`)
+				if err != nil || res.Tuples != 1 {
+					b.Fatalf("vote on item %d: %d tuples, %v", k, res.Tuples, err)
+				}
+				if err := db.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

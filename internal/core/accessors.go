@@ -49,7 +49,7 @@ func StringValue(n *Node, c Color) (string, bool) {
 	if n == nil || !n.HasColor(c) {
 		return "", false
 	}
-	switch n.kind {
+	switch n.Kind() {
 	case KindText, KindAttribute, KindComment, KindNamespace, KindPI:
 		return n.value, true
 	}
@@ -57,7 +57,7 @@ func StringValue(n *Node, c Color) (string, bool) {
 	var walk func(m *Node)
 	walk = func(m *Node) {
 		for _, ch := range Children(m, c) {
-			if ch.kind == KindText {
+			if ch.Kind() == KindText {
 				b.WriteString(ch.value)
 			} else {
 				walk(ch)

@@ -49,7 +49,7 @@ func (db *Database) Adopt(parent, n *Node, c Color) error {
 // removed (in every color) and a single new text child with the given value
 // is appended.
 func (db *Database) SetText(elem *Node, value string) error {
-	if elem == nil || elem.kind != KindElement {
+	if elem == nil || elem.Kind() != KindElement {
 		return fmt.Errorf("core: SetText on %v: %w", elem, ErrNotElement)
 	}
 	for _, t := range elem.textChildren() {
@@ -74,7 +74,7 @@ func Text(elem *Node) string {
 	}
 	s := ""
 	for _, ch := range Children(elem, colors[0]) {
-		if ch.kind == KindText {
+		if ch.Kind() == KindText {
 			s += ch.value
 		}
 	}
@@ -92,7 +92,7 @@ func (db *Database) CopySubtree(n *Node, c Color) (*Node, error) {
 	if !n.HasColor(c) {
 		return nil, fmt.Errorf("core: CopySubtree(%v, %q): %w", n, c, ErrColorIncompatible)
 	}
-	switch n.kind {
+	switch n.Kind() {
 	case KindElement:
 		cp, err := db.NewElement(n.name, c)
 		if err != nil {
@@ -104,7 +104,7 @@ func (db *Database) CopySubtree(n *Node, c Color) (*Node, error) {
 			}
 		}
 		for _, ch := range Children(n, c) {
-			if ch.kind == KindText {
+			if ch.Kind() == KindText {
 				if _, err := db.AppendText(cp, ch.value); err != nil {
 					return nil, err
 				}
@@ -147,7 +147,7 @@ type Stats struct {
 func (db *Database) ComputeStats() Stats {
 	var s Stats
 	db.byID.Ascend(func(_ uint64, n *Node) bool {
-		switch n.kind {
+		switch n.Kind() {
 		case KindElement:
 			s.Elements++
 			nc := len(n.links)

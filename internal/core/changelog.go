@@ -133,7 +133,7 @@ func (db *Database) changeParent(parent *Node) NodeID {
 	if parent == db.doc {
 		return 0
 	}
-	return parent.id
+	return parent.ID()
 }
 
 // AttrPairs captures an element's attributes as (name, value) pairs, in the
@@ -155,7 +155,7 @@ func AttrPairs(elem *Node) [][2]string {
 // the element siblings after the child leave first and arrive again after
 // it: a positional insert costs what it displaces.
 func (db *Database) logAttach(parent, child *Node, c Color, at int) {
-	if child.kind != KindElement {
+	if child.Kind() != KindElement {
 		return // comments and PIs are not materialized in the store
 	}
 	if !db.reachable(parent, c) {
@@ -163,12 +163,12 @@ func (db *Database) logAttach(parent, child *Node, c Color, at int) {
 	}
 	kids := parent.link(c).children
 	for _, s := range kids[at+1:] {
-		if s.kind == KindElement {
-			db.record(Change{Kind: ChangeDeleteSubtree, Elem: s.id, Color: c})
+		if s.Kind() == KindElement {
+			db.record(Change{Kind: ChangeDeleteSubtree, Elem: s.ID(), Color: c})
 		}
 	}
 	for _, s := range kids[at:] { // the child, then the siblings it displaced
-		if s.kind == KindElement {
+		if s.Kind() == KindElement {
 			db.logArrival(parent, s, c)
 		}
 	}
@@ -179,20 +179,20 @@ func (db *Database) logAttach(parent, child *Node, c Color, at int) {
 // child of its parent — so a subtree that lands at once is the same log as
 // one built in place, and the incremental ops only ever insert leaves.
 func (db *Database) logArrival(parent, child *Node, c Color) {
-	ch := Change{Kind: ChangeInsertLeaf, Elem: child.id,
+	ch := Change{Kind: ChangeInsertLeaf, Elem: child.ID(),
 		Parent: db.changeParent(parent), Color: c,
 		Tag: child.name, Content: Text(child), Attrs: AttrPairs(child)}
 	for _, oc := range child.Colors() {
 		if oc != c && db.reachable(child, oc) {
 			// Already stored under another color: this attach adds one
 			// structural node.
-			ch = Change{Kind: ChangeAddColor, Elem: child.id, Parent: ch.Parent, Color: c}
+			ch = Change{Kind: ChangeAddColor, Elem: child.ID(), Parent: ch.Parent, Color: c}
 			break
 		}
 	}
 	db.record(ch)
 	for _, g := range child.link(c).children {
-		if g.kind == KindElement {
+		if g.Kind() == KindElement {
 			db.logArrival(child, g, c)
 		}
 	}
@@ -201,7 +201,7 @@ func (db *Database) logArrival(parent, child *Node, c Color) {
 // logContent records that elem's direct text content changed.
 func (db *Database) logContent(elem *Node) {
 	if db.stored(elem) {
-		db.record(Change{Kind: ChangeContent, Elem: elem.id, Content: Text(elem)})
+		db.record(Change{Kind: ChangeContent, Elem: elem.ID(), Content: Text(elem)})
 	}
 }
 
@@ -209,7 +209,7 @@ func (db *Database) logContent(elem *Node) {
 // empty, that its tag became tag.
 func (db *Database) logAttrs(elem *Node, tag string) {
 	if db.stored(elem) {
-		db.record(Change{Kind: ChangeAttrs, Elem: elem.id, Tag: tag, Attrs: AttrPairs(elem)})
+		db.record(Change{Kind: ChangeAttrs, Elem: elem.ID(), Tag: tag, Attrs: AttrPairs(elem)})
 	}
 }
 

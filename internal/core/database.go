@@ -120,8 +120,8 @@ func (db *Database) Generation() uint64 { return atomic.LoadUint64(&db.gen) }
 
 func (db *Database) newNode(kind Kind) *Node {
 	db.nextID++
-	n := &Node{id: db.nextID, kind: kind, db: db}
-	db.byID.Set(uint64(n.id), n)
+	n := &Node{idKind: packIDKind(db.nextID, kind), db: db}
+	db.byID.Set(uint64(n.ID()), n)
 	return n
 }
 
@@ -146,7 +146,7 @@ func (db *Database) RestoreElement(id NodeID, name string) (*Node, error) {
 	if _, taken := db.byID.Get(uint64(id)); taken {
 		return nil, fmt.Errorf("core: RestoreElement: id %d already in use", id)
 	}
-	n := &Node{id: id, kind: KindElement, name: name, db: db}
+	n := &Node{idKind: packIDKind(id, KindElement), name: name, db: db}
 	db.byID.Set(uint64(id), n)
 	if id > db.nextID {
 		db.nextID = id
@@ -220,7 +220,7 @@ func (db *Database) NewPI(target, value string, c Color) (*Node, error) {
 // Attribute nodes carry all colors of their owner element automatically
 // (Definition 3.2(iii)). It returns the attribute node.
 func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) {
-	if elem == nil || elem.kind != KindElement {
+	if elem == nil || elem.Kind() != KindElement {
 		return nil, fmt.Errorf("core: SetAttribute on %v: %w", elem, ErrNotElement)
 	}
 	if a := elem.Attribute(name); a != nil {
@@ -235,7 +235,7 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 	a.owner = elem
 	attrs := elem.Attributes()
 	attrs = append(attrs[:len(attrs):len(attrs)], a)
-	db.attrs.Set(uint64(elem.id), &attrs)
+	db.attrs.Set(uint64(elem.ID()), &attrs)
 	db.invalidate()
 	db.logAttrs(elem, "")
 	return a, nil
@@ -244,7 +244,7 @@ func (db *Database) SetAttribute(elem *Node, name, value string) (*Node, error) 
 // Rename changes the name of an element, attribute or PI node. Names of
 // other kinds cannot be set.
 func (db *Database) Rename(n *Node, name string) error {
-	switch n.kind {
+	switch n.Kind() {
 	case KindAttribute:
 		n.name = name
 		db.invalidate()
@@ -272,12 +272,12 @@ func (db *Database) RemoveAttribute(elem *Node, name string) {
 	for i, a := range attrs {
 		if a.name == name {
 			if len(attrs) == 1 {
-				db.attrs.Delete(uint64(elem.id))
+				db.attrs.Delete(uint64(elem.ID()))
 			} else {
 				rest := append(attrs[:i:i], attrs[i+1:]...)
-				db.attrs.Set(uint64(elem.id), &rest)
+				db.attrs.Set(uint64(elem.ID()), &rest)
 			}
-			db.byID.Delete(uint64(a.id))
+			db.byID.Delete(uint64(a.ID()))
 			db.invalidate()
 			db.logAttrs(elem, "")
 			return
@@ -289,7 +289,7 @@ func (db *Database) RemoveAttribute(elem *Node, name string) {
 // elem's children in every color elem has. Per Definition 3.2(iii), text
 // nodes carry all the colors of their owner element.
 func (db *Database) AppendText(elem *Node, value string) (*Node, error) {
-	if elem == nil || elem.kind != KindElement {
+	if elem == nil || elem.Kind() != KindElement {
 		return nil, fmt.Errorf("core: AppendText on %v: %w", elem, ErrNotElement)
 	}
 	t := db.newNode(KindText)
@@ -315,7 +315,7 @@ func (db *Database) AddColor(n *Node, c Color) error {
 	if err := db.checkColor(c); err != nil {
 		return err
 	}
-	switch n.kind {
+	switch n.Kind() {
 	case KindElement, KindComment, KindPI, KindDocument:
 	default:
 		return fmt.Errorf("core: AddColor on %v: %w", n, ErrOwnedNode)
@@ -325,7 +325,7 @@ func (db *Database) AddColor(n *Node, c Color) error {
 	}
 	l := n.ensureLink(c)
 	// Carry text children into the new color, in first-color order.
-	if n.kind == KindElement {
+	if n.Kind() == KindElement {
 		for _, child := range n.textChildren() {
 			l.children = append(l.children, child)
 		}
@@ -341,8 +341,8 @@ func (n *Node) textChildren() []*Node {
 	seen := map[NodeID]bool{}
 	for _, l := range n.links {
 		for _, ch := range l.children {
-			if ch.kind == KindText && !seen[ch.id] {
-				seen[ch.id] = true
+			if ch.Kind() == KindText && !seen[ch.ID()] {
+				seen[ch.ID()] = true
 				out = append(out, ch)
 			}
 		}
@@ -358,10 +358,10 @@ func (db *Database) RemoveColor(n *Node, c Color) error {
 	if l == nil {
 		return fmt.Errorf("core: RemoveColor(%v, %q): %w", n, c, ErrColorIncompatible)
 	}
-	if n.kind == KindDocument {
+	if n.Kind() == KindDocument {
 		return fmt.Errorf("core: cannot remove color from the document node")
 	}
-	wasReachable := n.kind == KindElement && db.reachable(n, c)
+	wasReachable := n.Kind() == KindElement && db.reachable(n, c)
 	// Detach from parent in c.
 	if l.parent != nil {
 		db.detach(n, c)
@@ -380,7 +380,7 @@ func (db *Database) RemoveColor(n *Node, c Color) error {
 		// The store drops the whole stored subtree of n in c; descendants
 		// that kept color c are now detached fragments, which the store
 		// does not materialize either, so the effects agree.
-		db.record(Change{Kind: ChangeDeleteSubtree, Elem: n.id, Color: c})
+		db.record(Change{Kind: ChangeDeleteSubtree, Elem: n.ID(), Color: c})
 	}
 	return nil
 }
@@ -416,14 +416,14 @@ func (db *Database) insert(parent, child *Node, c Color, at int) error {
 	if parent == nil || child == nil {
 		return fmt.Errorf("core: insert: nil node")
 	}
-	if parent.kind != KindElement && parent.kind != KindDocument {
+	if parent.Kind() != KindElement && parent.Kind() != KindDocument {
 		return fmt.Errorf("core: insert under %v: %w", parent, ErrNotElement)
 	}
 	pl := parent.link(c)
 	if pl == nil {
 		return fmt.Errorf("core: insert: parent %v lacks color %q: %w", parent, c, ErrColorIncompatible)
 	}
-	switch child.kind {
+	switch child.Kind() {
 	case KindElement, KindComment, KindPI:
 	case KindText:
 		return fmt.Errorf("core: insert text node: use AppendText (text nodes are owned): %w", ErrOwnedNode)
@@ -491,10 +491,10 @@ func (db *Database) Detach(child *Node, c Color) error {
 	if cl.parent == nil {
 		return fmt.Errorf("core: Detach(%v, %q): %w", child, c, ErrNotAttached)
 	}
-	wasReachable := child.kind == KindElement && db.reachable(child, c)
+	wasReachable := child.Kind() == KindElement && db.reachable(child, c)
 	db.detach(child, c)
 	if wasReachable {
-		db.record(Change{Kind: ChangeDeleteSubtree, Elem: child.id, Color: c})
+		db.record(Change{Kind: ChangeDeleteSubtree, Elem: child.ID(), Color: c})
 	}
 	return nil
 }
@@ -507,7 +507,7 @@ func (db *Database) Delete(n *Node) error {
 	if n == db.doc {
 		return fmt.Errorf("core: cannot delete the document node")
 	}
-	switch n.kind {
+	switch n.Kind() {
 	case KindAttribute:
 		if n.owner != nil {
 			db.RemoveAttribute(n.owner, n.name)
@@ -525,7 +525,7 @@ func (db *Database) Delete(n *Node) error {
 				}
 			}
 		}
-		db.byID.Delete(uint64(n.id))
+		db.byID.Delete(uint64(n.ID()))
 		db.invalidate()
 		if n.owner != nil {
 			db.logContent(n.owner)
@@ -533,7 +533,7 @@ func (db *Database) Delete(n *Node) error {
 		return nil
 	}
 	var storedIn []Color
-	if n.kind == KindElement {
+	if n.Kind() == KindElement {
 		for _, c := range n.Colors() {
 			if db.reachable(n, c) {
 				storedIn = append(storedIn, c)
@@ -546,7 +546,7 @@ func (db *Database) Delete(n *Node) error {
 			db.detach(n, c)
 		}
 		for _, ch := range l.children {
-			if ch.kind == KindText {
+			if ch.Kind() == KindText {
 				continue // owned; removed below
 			}
 			if cl := ch.link(c); cl != nil {
@@ -555,16 +555,16 @@ func (db *Database) Delete(n *Node) error {
 		}
 	}
 	for _, a := range n.Attributes() {
-		db.byID.Delete(uint64(a.id))
+		db.byID.Delete(uint64(a.ID()))
 	}
 	for _, t := range n.textChildren() {
-		db.byID.Delete(uint64(t.id))
+		db.byID.Delete(uint64(t.ID()))
 	}
-	db.attrs.Delete(uint64(n.id))
-	db.byID.Delete(uint64(n.id))
+	db.attrs.Delete(uint64(n.ID()))
+	db.byID.Delete(uint64(n.ID()))
 	db.invalidate()
 	for _, c := range storedIn {
-		db.record(Change{Kind: ChangeDeleteSubtree, Elem: n.id, Color: c})
+		db.record(Change{Kind: ChangeDeleteSubtree, Elem: n.ID(), Color: c})
 	}
 	return nil
 }
@@ -579,7 +579,7 @@ func (db *Database) DeleteSubtree(n *Node, c Color) error {
 	}
 	children := append([]*Node(nil), l.children...)
 	for _, ch := range children {
-		if ch.kind == KindText {
+		if ch.Kind() == KindText {
 			continue
 		}
 		if err := db.DeleteSubtree(ch, c); err != nil {

@@ -10,19 +10,20 @@ import (
 	"colorfulxml/internal/fixtures"
 )
 
-// TestNodeSize: a node is at most 96 bytes (an allocator size class), with
-// its colors in a slice rather than a map and its attributes in the
-// database's attribute table.
+// TestNodeSize: a node is 80 bytes, an allocator size class of its own, with
+// its kind in the top byte of its id word, its colors in a slice rather than
+// a map and its attributes in the database's attribute table.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(core.Node{}); got > 96 {
-		t.Fatalf("unsafe.Sizeof(core.Node{}) = %d, want at most 96", got)
+	if got := unsafe.Sizeof(core.Node{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(core.Node{}) = %d, want 80", got)
 	}
 }
 
 // TestHeapBytesPerElement pins what core holds per element of the benchmark's
 // catalog shape (20 000 items: 46 669 elements, a third of the items in two
-// colors, 26 667 text nodes): 250 bytes measured on linux/amd64 with Go 1.24,
-// against 564 with a map per node.
+// colors, 26 667 text nodes): 225 bytes measured on linux/amd64 with Go 1.24,
+// against 250 with an 88-byte node (in the 96-byte size class) and 564 with a
+// map per node.
 func TestHeapBytesPerElement(t *testing.T) {
 	const items = 20000
 	before := heapLive()
@@ -30,7 +31,7 @@ func TestHeapBytesPerElement(t *testing.T) {
 	after := heapLive()
 	elems := c.DB.ComputeStats().Elements
 	runtime.KeepAlive(c)
-	if got, limit := (after-before)/uint64(elems), uint64(250*11/10); got > limit {
+	if got, limit := (after-before)/uint64(elems), uint64(225*11/10); got > limit {
 		t.Fatalf("core holds %d bytes per element of the catalog, want at most %d", got, limit)
 	}
 }

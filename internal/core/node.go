@@ -80,16 +80,15 @@ type colorLink struct {
 // Nodes are created through Database constructor methods and must not be
 // shared across databases.
 //
-// The layout is the database's memory: a node costs 96 bytes plus 48 per
+// The layout is the database's memory: a node costs 80 bytes plus 48 per
 // color — a node has one or two of its database's few colors, and a map of
 // them would cost some 290 bytes. Attributes are in the database's
 // attribute table.
 type Node struct {
-	id    NodeID
-	kind  Kind
-	name  string // qualified name for element, attribute and PI nodes
-	value string // value for attribute, text, comment and PI nodes
-	db    *Database
+	idKind uint64 // the kind in the top byte, the NodeID below it (idBits)
+	name   string // qualified name for element, attribute and PI nodes
+	value  string // value for attribute, text, comment and PI nodes
+	db     *Database
 
 	// owner is the element an attribute or namespace node belongs to, or the
 	// parent element of a text node. Per Definition 3.2(iii) such nodes carry
@@ -102,11 +101,18 @@ type Node struct {
 	links []colorLink
 }
 
+// idBits is the width of a node's id in Node.idKind. Ids are dense counters
+// (RestoreElement bounds a recovered one below 2^32), so they never reach
+// the kind byte above them.
+const idBits = 56
+
+func packIDKind(id NodeID, k Kind) uint64 { return uint64(k)<<idBits | uint64(id) }
+
 // ID returns the node's unique identity within its database.
-func (n *Node) ID() NodeID { return n.id }
+func (n *Node) ID() NodeID { return NodeID(n.idKind & (1<<idBits - 1)) }
 
 // Kind returns the node kind.
-func (n *Node) Kind() Kind { return n.kind }
+func (n *Node) Kind() Kind { return Kind(n.idKind >> idBits) }
 
 // Name returns the qualified name of an element, attribute or PI node, and
 // the empty string for other kinds (dm:node-name).
@@ -123,7 +129,7 @@ func (n *Node) Database() *Database { return n.db }
 // Owner returns the element node an attribute, namespace or text node is
 // associated with, or nil for other kinds.
 func (n *Node) Owner() *Node {
-	switch n.kind {
+	switch n.Kind() {
 	case KindAttribute, KindNamespace, KindText:
 		return n.owner
 	default:
@@ -163,14 +169,14 @@ func (n *Node) Label() string {
 			b.WriteString(strings.ToUpper(string(c[0])))
 		}
 	}
-	fmt.Fprintf(&b, "%03d", n.id)
+	fmt.Fprintf(&b, "%03d", n.ID())
 	return b.String()
 }
 
 // Attributes returns the attribute nodes of an element (dm:attributes). The
 // result is shared storage; callers must not modify it.
 func (n *Node) Attributes() []*Node {
-	if attrs, ok := n.db.attrs.Get(uint64(n.id)); ok {
+	if attrs, ok := n.db.attrs.Get(uint64(n.ID())); ok {
 		return *attrs
 	}
 	return nil
@@ -221,20 +227,20 @@ func (n *Node) dropLink(c Color) {
 }
 
 func (n *Node) String() string {
-	switch n.kind {
+	switch n.Kind() {
 	case KindDocument:
-		return fmt.Sprintf("document#%d", n.id)
+		return fmt.Sprintf("document#%d", n.ID())
 	case KindElement:
-		return fmt.Sprintf("<%s>#%d", n.name, n.id)
+		return fmt.Sprintf("<%s>#%d", n.name, n.ID())
 	case KindAttribute:
-		return fmt.Sprintf("@%s=%q#%d", n.name, n.value, n.id)
+		return fmt.Sprintf("@%s=%q#%d", n.name, n.value, n.ID())
 	case KindText:
-		return fmt.Sprintf("text(%q)#%d", n.value, n.id)
+		return fmt.Sprintf("text(%q)#%d", n.value, n.ID())
 	case KindComment:
-		return fmt.Sprintf("comment(%q)#%d", n.value, n.id)
+		return fmt.Sprintf("comment(%q)#%d", n.value, n.ID())
 	case KindPI:
-		return fmt.Sprintf("pi(%s,%q)#%d", n.name, n.value, n.id)
+		return fmt.Sprintf("pi(%s,%q)#%d", n.name, n.value, n.ID())
 	default:
-		return fmt.Sprintf("%s#%d", n.kind, n.id)
+		return fmt.Sprintf("%s#%d", n.Kind(), n.ID())
 	}
 }

@@ -24,10 +24,10 @@ func (db *Database) orderIndex(c Color) map[NodeID]int {
 	pos := 0
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		idx[n.id] = pos
+		idx[n.ID()] = pos
 		pos++
 		for _, a := range n.Attributes() {
-			idx[a.id] = pos
+			idx[a.ID()] = pos
 			pos++
 		}
 		for _, ch := range Children(n, c) {
@@ -45,7 +45,7 @@ func (db *Database) orderIndex(c Color) map[NodeID]int {
 // at the document node, and ok=false when n is not part of that rooted tree
 // (detached fragments have no position).
 func (db *Database) LocalOrder(n *Node, c Color) (int, bool) {
-	p, ok := db.orderIndex(c)[n.id]
+	p, ok := db.orderIndex(c)[n.ID()]
 	return p, ok
 }
 
@@ -53,8 +53,8 @@ func (db *Database) LocalOrder(n *Node, c Color) (int, bool) {
 // the rooted tree sort after all nodes that are, by node ID for determinism.
 func (db *Database) CompareLocal(a, b *Node, c Color) int {
 	idx := db.orderIndex(c)
-	pa, oka := idx[a.id]
-	pb, okb := idx[b.id]
+	pa, oka := idx[a.ID()]
+	pb, okb := idx[b.ID()]
 	switch {
 	case oka && okb:
 		return pa - pb
@@ -63,7 +63,7 @@ func (db *Database) CompareLocal(a, b *Node, c Color) int {
 	case okb:
 		return 1
 	default:
-		return int(a.id) - int(b.id)
+		return int(a.ID()) - int(b.ID())
 	}
 }
 

@@ -49,13 +49,13 @@ func (db *Database) Validate() error {
 		inTree := make(map[NodeID]bool)
 		var walk func(n *Node)
 		walk = func(n *Node) {
-			if inTree[n.id] {
+			if inTree[n.ID()] {
 				report(n, c, "node occurs more than once in colored tree")
 				return
 			}
-			inTree[n.id] = true
+			inTree[n.ID()] = true
 			for _, ch := range Children(n, c) {
-				if ch.kind != KindText { // text nodes have implicit parentage
+				if ch.Kind() != KindText { // text nodes have implicit parentage
 					cl := ch.link(c)
 					if cl == nil {
 						report(ch, c, "child of %v lacks the edge color", n)
@@ -74,7 +74,7 @@ func (db *Database) Validate() error {
 
 		db.byID.Ascend(func(_ uint64, n *Node) bool {
 			// Owned nodes are checked below.
-			if n.owner == nil && n.HasColor(c) && !inTree[n.id] {
+			if n.owner == nil && n.HasColor(c) && !inTree[n.ID()] {
 				report(n, c, "colored node is not part of the rooted colored tree")
 			}
 			return true
@@ -83,7 +83,7 @@ func (db *Database) Validate() error {
 
 	// Owned-node invariants.
 	db.byID.Ascend(func(_ uint64, n *Node) bool {
-		switch n.kind {
+		switch n.Kind() {
 		case KindAttribute, KindNamespace:
 			if n.owner == nil {
 				report(n, "", "attribute/namespace node without owner")

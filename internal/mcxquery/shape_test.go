@@ -68,14 +68,15 @@ func lexed(t *testing.T, src string, fixed map[pathexpr.TokKind]string) ([]pathe
 // lets a plan cache serve one text with the plan of another. A text that
 // parses has a shape, so the compiled route never meets a parsed text it
 // cannot key (plan.QueryShape is AppendShape under a prefix). Seeds cover
-// both quote kinds, a quote of one kind inside the other, numbers, and
-// texts that differ only in whitespace or in a literal, constructor text
-// with an entity included.
+// both quote kinds, a quote of one kind inside the other or doubled inside
+// its own, numbers, and texts that differ only in whitespace or in a
+// literal, constructor text with an entity included.
 func FuzzShapeLossless(f *testing.F) {
 	for _, seed := range [][2]string{
 		{`document("db")/{red}descendant::name[. = "Item 7"]`, `document( "db" ) / {red} descendant::name [ . = "Item 8" ]`},
 		{`document('db')//item[cost > 9000]`, `document("db")//item[cost > "9000"]`},
 		{`//a[. = 'say "hi"']`, `//a[. = "it's"]`},
+		{`//a[. = "say ""it's"""]`, `//a[. = 'it''s' or . = """"]`},
 		{`//a[. = 7]`, `//a[. = 07]`},
 		{`//a[. = 1.5 and b = "x"]`, `//a[. = 1.5 and b = 'x']`},
 		{`for $i in document("db")//item where $i/votes = "7" return <r a="v">{ $i/name } text</r>`,

@@ -189,35 +189,17 @@ func (l *Literal) String() string {
 	return fmt.Sprint(l.Val)
 }
 
-// Quote returns s as an expression the lexer reads back as s. String
-// literals have no escapes, so s goes in double quotes, or in single ones when
-// it holds a double quote; a text holding both kinds becomes a concat of
-// literals that each hold one. (Where only a literal may stand, such a text
-// has no form at all.)
+// Quote returns s as a string literal the lexer reads back as s: in double
+// quotes, or in single ones when it holds a double quote and no single one,
+// or else in double quotes with each double quote doubled.
 func Quote(s string) string {
-	if !strings.Contains(s, `"`) {
+	switch {
+	case !strings.Contains(s, `"`):
 		return `"` + s + `"`
-	}
-	if !strings.Contains(s, "'") {
+	case !strings.Contains(s, "'"):
 		return "'" + s + "'"
 	}
-	var parts []string
-	for s != "" {
-		// The longer of the prefixes that lack one quote kind.
-		dq, sq := strings.IndexByte(s, '"'), strings.IndexByte(s, '\'')
-		if dq < 0 {
-			dq = len(s)
-		}
-		if sq < 0 {
-			sq = len(s)
-		}
-		if dq >= sq {
-			parts, s = append(parts, `"`+s[:dq]+`"`), s[dq:]
-		} else {
-			parts, s = append(parts, "'"+s[:sq]+"'"), s[sq:]
-		}
-	}
-	return "concat(" + strings.Join(parts, ", ") + ")"
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
 // VarRef references a bound variable $name.

@@ -245,16 +245,30 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokVar, Text: lx.src[s:lx.pos], Pos: start}, nil
 	case '"', '\'':
+		// A doubled delimiter stands for one (XQuery 1.0 §A.2.1); a literal
+		// without one is a substring of the source.
 		quote := c
 		lx.pos++
 		s := lx.pos
-		for lx.pos < len(lx.src) && lx.src[lx.pos] != quote {
-			lx.pos++
-		}
-		if lx.pos >= len(lx.src) {
-			return Token{}, Errf(start, "unterminated string literal")
+		var doubled []byte
+		for {
+			for lx.pos < len(lx.src) && lx.src[lx.pos] != quote {
+				lx.pos++
+			}
+			if lx.pos >= len(lx.src) {
+				return Token{}, Errf(start, "unterminated string literal")
+			}
+			if lx.pos+1 == len(lx.src) || lx.src[lx.pos+1] != quote {
+				break
+			}
+			doubled = append(doubled, lx.src[s:lx.pos+1]...)
+			lx.pos += 2
+			s = lx.pos
 		}
 		text := lx.src[s:lx.pos]
+		if doubled != nil {
+			text = string(append(doubled, text...))
+		}
 		lx.pos++
 		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}

@@ -263,6 +263,27 @@ func TestStringParsesBack(t *testing.T) {
 			}
 		}
 	}
+	// A document name and a processing-instruction target take a literal
+	// only; one holding both quote kinds prints with its double quotes
+	// doubled, and reads back.
+	for src, want := range map[string]string{
+		`for $i in document("it's ""db""")/{red}descendant::item update $i { delete $i }`:                                    `document("it's ""db""")`,
+		`for $i in document("db")//item, $p in $i/{red}child::processing-instruction('say "it''s"') update $i { delete $p }`: `processing-instruction("say ""it's""")`,
+	} {
+		u, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		printed := u.String()
+		back, err := Parse(printed)
+		if err != nil {
+			t.Errorf("%q prints as %q, which does not parse: %v", src, printed, err)
+			continue
+		}
+		if again := back.String(); again != printed || !strings.Contains(printed, want) {
+			t.Errorf("%q prints as %q, which prints as %q; want both to hold %s", src, printed, again, want)
+		}
+	}
 }
 
 // sameEffect applies two updates, bound by the evaluator, to fresh twins

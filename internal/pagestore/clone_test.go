@@ -259,9 +259,10 @@ func TestCloneSharesPooledFrames(t *testing.T) {
 
 // TestDeadPageLeavesTheFile: the last delete on a page drops its image, so a
 // file whose records come and go holds only the pages with live ones. The
-// page appends fill stays, a clone taken before the deletes still reads every
+// last page stays, a clone taken before the deletes still reads every
 // record, and a dropped page scans as empty without being read into memory:
-// scanning a fresh clone allocates nothing.
+// scanning a fresh clone allocates nothing. The next append fills the page
+// emptied last.
 func TestDeadPageLeavesTheFile(t *testing.T) {
 	s, rids := fillStore(t, 12) // pages 0 to 10 full, page 11 the fill target
 	f := rids[0].File
@@ -300,8 +301,8 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 		t.Fatalf("scanning a fresh clone with 10 dropped pages: %v allocations, %d records; want 0 and page 1's three per scan", a, n)
 	}
 	rid, err := s.AppendRecord(f, []byte("next"))
-	if err != nil || rid.Page != 11 {
-		t.Fatalf("append after the deletes landed at %v, %v; want page 11", rid, err)
+	if err != nil || rid.Page != 10 {
+		t.Fatalf("append after the deletes landed at %v, %v; want page 10, emptied last", rid, err)
 	}
 	n = 0
 	if err := s.Scan(f, func(RecordID, []byte) bool { n++; return true }); err != nil {
@@ -309,6 +310,81 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("scan found %d records, want page 1's three and the new one", n)
+	}
+}
+
+// TestChurnReusesEmptiedPages: records that come and go, oldest first, with
+// a Clone between rounds as commits take one, keep the file at the pages its
+// live records need, the page the oldest are leaving, the page appends fill
+// and the file's last: an append fills an emptied page before the file grows
+// (without it, 300 rounds of 30 records grow the file by a page a round).
+// Every frozen clone still reads the records it held, and two siblings of one
+// clone that both fill the same emptied page each read only their own.
+func TestChurnReusesEmptiedPages(t *testing.T) {
+	const live, round, rounds = 300, 30, 300
+	s := NewStore(0)
+	f := s.CreateFile()
+	rec := func(i int) []byte { return []byte(fmt.Sprintf("%0300d", i)) } // 26 a page
+	var rids []RecordID
+	for i := 0; i < live; i++ {
+		rid, err := s.AppendRecord(f, rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	start, _ := s.NumPages(f)
+	type held struct {
+		s   *Store
+		rid RecordID
+		i   int
+	}
+	var frozen []held
+	next := live
+	for r := 0; r < rounds; r++ {
+		for _, rid := range rids[:round] {
+			if err := s.DeleteRecord(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rids = rids[round:]
+		for j := 0; j < round; j++ {
+			rid, err := s.AppendRecord(f, rec(next))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids, next = append(rids, rid), next+1
+		}
+		if r%50 == 0 {
+			frozen = append(frozen, held{s, rids[len(rids)-1], next - 1})
+		}
+		s = s.Clone()
+	}
+	if n, _ := s.NumPages(f); n > start+3 {
+		t.Fatalf("%d rounds of churn grew the file from %d to %d pages", rounds, start, n)
+	}
+	for _, h := range frozen {
+		if got, err := h.s.ReadRecord(h.rid); err != nil || string(got) != string(rec(h.i)) {
+			t.Fatalf("a frozen clone reads %v as %.12q, %v", h.rid, got, err)
+		}
+	}
+	// Both siblings fill the page emptied last, each in an image of its own.
+	for _, rid := range rids[:26] {
+		if err := s.DeleteRecord(rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := s.Clone(), s.Clone()
+	ra, errA := a.AppendRecord(f, []byte("a"))
+	rb, errB := b.AppendRecord(f, []byte("b"))
+	if errA != nil || errB != nil || ra != rb || ra.Page != rids[25].Page {
+		t.Fatalf("siblings appended at %v, %v (%v, %v); want both on page %d", ra, rb, errA, errB, rids[25].Page)
+	}
+	if got, _ := a.ReadRecord(ra); string(got) != "a" {
+		t.Fatalf("sibling a reads %q", got)
+	}
+	if got, _ := b.ReadRecord(rb); string(got) != "b" {
+		t.Fatalf("sibling b reads %q", got)
 	}
 }
 

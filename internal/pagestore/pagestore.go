@@ -345,11 +345,16 @@ type Store struct {
 type fileMeta struct {
 	exists bool
 	// pages counts the file's pages; the last one is the fill target for
-	// appends.
+	// appends once no emptied page is left.
 	pages uint32
 	// dir holds the file's page headers by page number. A page with none
 	// (never written, or dropped once dead) reads as emptyPage.
 	dir *cowarray.Array[*Page]
+	// emptied lists pages before the last that lost their last record,
+	// for appends to fill before the file grows; appends fill its last
+	// entry until it is full. Clones share it, so it is resliced or copied,
+	// never written in place.
+	emptied []uint32
 }
 
 // emptyPage is what a page with no header reads as. It is never written.
@@ -464,8 +469,8 @@ func (s *Store) Pin(id PageID) (*Page, error) { return s.page(id) }
 // and goes with ROADMAP item 6.
 func (s *Store) Unpin(PageID) {}
 
-// AppendRecord inserts a record at the end of a file, allocating pages as
-// needed, and returns its RecordID.
+// AppendRecord inserts a record into a file, filling its emptied pages
+// before it allocates pages at the end, and returns its RecordID.
 func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	if len(rec) > PageSize-pageHeader-slotSize {
 		return RecordID{}, fmt.Errorf("pagestore: %w", ErrRecordTooLarge)
@@ -474,14 +479,26 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	if meta == nil {
 		return RecordID{}, fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
-	pg, _ := meta.dir.Get(uint64(meta.pages) - 1)
-	if meta.pages == 0 || pg != nil && len(rec) > pg.room() {
-		meta.pages, pg = meta.pages+1, nil // no page yet, or the last is full
+	var id PageID
+	var pg *Page
+	for n := len(meta.emptied); n > 0 && pg == nil; n-- {
+		id = PageID{File: f, Page: meta.emptied[n-1]}
+		if pg, _ = meta.dir.Get(uint64(id.Page)); pg == nil {
+			pg = &emptyPage
+		} else if len(rec) > pg.room() {
+			meta.emptied, pg = meta.emptied[:n-1], nil // full again
+		}
 	}
 	if pg == nil {
-		pg = &emptyPage
+		pg, _ = meta.dir.Get(uint64(meta.pages) - 1)
+		if meta.pages == 0 || pg != nil && len(rec) > pg.room() {
+			meta.pages, pg = meta.pages+1, nil // no page yet, or the last is full
+		}
+		if pg == nil {
+			pg = &emptyPage
+		}
+		id = PageID{File: f, Page: meta.pages - 1}
 	}
-	id := PageID{File: f, Page: meta.pages - 1}
 	slot, err := s.writable(id, pg).insert(rec)
 	return RecordID{PageID: id, Slot: slot}, err
 }
@@ -532,9 +549,10 @@ func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
 }
 
 // DeleteRecord tombstones a record. A page left with no live record loses
-// its header and image and reads as a fresh empty page from then on (the page
-// appends fill is kept), so records that come and go hold no memory once the
-// last one on a page is gone, not until a checkpoint.
+// its header and image and reads as a fresh empty page from then on (the
+// last page, which appends fill, is kept), so records that come and go hold
+// no memory once the last one on a page is gone, not until a checkpoint; and
+// appends fill the page again before the file grows.
 func (s *Store) DeleteRecord(rid RecordID) error {
 	pg, err := s.live(rid)
 	if err != nil {
@@ -542,6 +560,9 @@ func (s *Store) DeleteRecord(rid RecordID) error {
 	}
 	if meta := &s.files[rid.File]; rid.Page != meta.pages-1 && pg.live == 1 {
 		meta.dir.Delete(uint64(rid.Page))
+		if n := len(meta.emptied); n == 0 || meta.emptied[n-1] != rid.Page {
+			meta.emptied = append(meta.emptied[:n:n], rid.Page)
+		}
 		return nil
 	}
 	s.writable(rid.PageID, pg).delete(rid.Slot)

@@ -256,6 +256,8 @@ func ReadStore(r io.Reader) (*Store, error) {
 		}
 		if pg != nil {
 			meta.dir.Set(uint64(id.Page), pg)
+		} else if id.Page+1 < meta.pages {
+			meta.emptied = append(meta.emptied, id.Page)
 		}
 	}
 	wantTrailer := sum.Sum32()

@@ -315,9 +315,9 @@ func seekLT[K cmp.Ordered, V any](n *node[K, V], key K) (k K, v V, ok bool) {
 }
 
 // Bytes returns the memory the map's nodes hold: each node, its key and
-// value arrays to their capacity, an inner node's child array, and the
-// bytes of string keys, each counted as its own allocation. What values
-// refer to is the caller's to add.
+// value arrays to their capacity, and an inner node's child array. What keys
+// and values refer to (the bytes of a string key, say) is the caller's to
+// add.
 func (m *Map[K, V]) Bytes() int64 {
 	if m.root == nil {
 		return 0
@@ -331,11 +331,6 @@ func nodeBytes[K cmp.Ordered, V any](n *node[K, V]) int64 {
 	var c *node[K, V]
 	total := allocSize(int64(unsafe.Sizeof(*n))) + allocSize(int64(cap(n.keys))*int64(unsafe.Sizeof(k))) +
 		allocSize(int64(cap(n.vals))*int64(unsafe.Sizeof(v))) + allocSize(int64(cap(n.children))*int64(unsafe.Sizeof(c)))
-	if keys, ok := any(n.keys).([]string); ok && n.leaf() {
-		for _, k := range keys {
-			total += allocSize(int64(len(k)))
-		}
-	}
 	for _, ch := range n.children {
 		total += nodeBytes(ch)
 	}
@@ -347,8 +342,7 @@ func nodeBytes[K cmp.Ordered, V any](n *node[K, V]) int64 {
 // for pointer-free objects), counted whole: the block is freed only with its
 // neighbours. Size classes step by 8 up to 32 bytes and by 16 up to 256.
 // Past that they step by 32 or more, but the arrays counted here grow by
-// append, which already rounds their capacity to a class; only a key string
-// longer than 256 bytes is counted a little low.
+// append, which already rounds their capacity to a class.
 func allocSize(n int64) int64 {
 	switch {
 	case n == 0:

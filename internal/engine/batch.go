@@ -38,8 +38,10 @@ type Batch struct {
 	// free: set by the executor and by batchCursor.open from the execution's
 	// pool, so batches of a pooled execution recycle their buffers.
 	pool *MemPool
-	// lent: data came from the pool, and goes back to it when outgrown.
+	// lent: data came from the pool, and goes back to it when outgrown;
+	// full is the size of a full batch of the width data was drawn for.
 	lent bool
+	full int
 }
 
 // Reset empties the batch. The next appended row fixes the new width.
@@ -90,13 +92,13 @@ func (b *Batch) appendSlot(cols int) []storage.SNode {
 // batch that drew a misfit costs the pool nothing; one made fresh goes to the
 // GC, and the pool keeps only what free hands back (see MemPool).
 func (b *Batch) grow(need int) {
-	full := BatchSize * b.cols
-	old, lent := b.data, b.lent
+	old, lent, oldFull := b.data, b.lent, b.full
+	b.full = BatchSize * b.cols
 	var buf []storage.SNode
-	buf, b.lent = b.pool.lend(kindBuf, min(full, max(need, 4*cap(b.data))), full)
+	buf, b.lent = b.pool.lend(kindBuf, min(b.full, max(need, 4*cap(b.data))), b.full)
 	b.data = append(buf, old...)
 	if lent {
-		b.pool.put(kindBuf, old)
+		b.pool.put(kindBuf, oldFull, old)
 	}
 }
 
@@ -177,8 +179,8 @@ func (b *Batch) appendNodes(nodes []storage.SNode) int {
 // free drops the batch buffer so a closed operator holds no row memory,
 // recycling it into the batch's pool when one is attached.
 func (b *Batch) free() {
-	b.pool.put(kindBuf, b.data)
-	b.cols, b.n, b.data, b.lent = 0, 0, nil, false
+	b.pool.put(kindBuf, b.full, b.data)
+	b.cols, b.n, b.data, b.lent, b.full = 0, 0, nil, false, 0
 }
 
 // --- arena ----------------------------------------------------------------
@@ -233,7 +235,7 @@ func (a *arena) alloc(n int) []storage.SNode {
 // plan closed, so no live row can reference the recycled memory.
 func (a *arena) release() {
 	for i := len(a.taken) - 1; i >= 0; i-- {
-		a.pool.put(kindChunk, a.taken[i])
+		a.pool.put(kindChunk, arenaChunkNodes, a.taken[i])
 	}
 	clear(a.taken)
 	a.taken, a.chunk, a.used = a.taken[:0], nil, 0

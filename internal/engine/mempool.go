@@ -40,7 +40,7 @@ import (
 type MemPool struct {
 	mu sync.Mutex
 	// free holds the recycled slices of each kind (kindChunk, kindBuf).
-	free [2][][]storage.SNode
+	free [2][]recycled
 	// ids is the recycled answer-id buffer, empty, or nil.
 	ids []storage.ElemID
 	// ctxs are execution contexts ExecColumn finished with, each with its
@@ -78,9 +78,17 @@ const (
 
 var memPoolMax = [2]int{kindChunk: memPoolMaxChunks, kindBuf: memPoolMaxBufs}
 
+// recycled is a slice in a free list and the full size of the user that gave
+// it back (for a batch, its width's).
+type recycled struct {
+	s    []storage.SNode
+	full int
+}
+
 // get returns an empty slice of a kind with capacity for at least need
 // nodes, for a user that full nodes would satisfy: the recycled one that
-// fits best — the smallest holding full, else the smallest holding need, so
+// fits best — the smallest holding full, else the smallest holding need that
+// a user of the same full size gave back, else the smallest holding need, so
 // that a batch does not take the buffer a wider or busier one grew to and
 // send that one growing again — or a fresh one of need. Recycled memory is
 // NOT zeroed; batches overwrite what they append and arena.alloc's callers
@@ -96,13 +104,16 @@ func (p *MemPool) lend(kind, need, full int) ([]storage.SNode, bool) {
 	if p != nil {
 		p.mu.Lock()
 		l := p.free[kind]
-		i := smallest(l, full)
+		i := smallest(l, full, 0)
 		if i < 0 {
-			i = smallest(l, need)
+			i = smallest(l, need, full)
+		}
+		if i < 0 {
+			i = smallest(l, need, 0)
 		}
 		if i >= 0 {
-			s, last := l[i], len(l)-1
-			l[i], l[last] = l[last], nil
+			s, last := l[i].s, len(l)-1
+			l[i], l[last] = l[last], recycled{}
 			p.free[kind] = l[:last]
 			p.reused++
 			p.mu.Unlock()
@@ -114,26 +125,26 @@ func (p *MemPool) lend(kind, need, full int) ([]storage.SNode, bool) {
 }
 
 // smallest returns the index of the smallest slice of l with capacity for n
-// nodes, or -1.
-func smallest(l [][]storage.SNode, n int) int {
+// nodes (of those a user of full gave back, unless full is 0), or -1.
+func smallest(l []recycled, n, full int) int {
 	best := -1
-	for i, s := range l {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(l[best])) {
+	for i, r := range l {
+		if cap(r.s) >= n && (full == 0 || r.full == full) && (best < 0 || cap(r.s) < cap(l[best].s)) {
 			best = i
 		}
 	}
 	return best
 }
 
-// put returns a slice to the free list of its kind, dropping it if the list
-// is full.
-func (p *MemPool) put(kind int, s []storage.SNode) {
+// put returns a slice a user of full gave back to the free list of its kind,
+// dropping it if the list is full.
+func (p *MemPool) put(kind, full int, s []storage.SNode) {
 	if p == nil || cap(s) == 0 {
 		return
 	}
 	p.mu.Lock()
 	if len(p.free[kind]) < memPoolMax[kind] {
-		p.free[kind] = append(p.free[kind], s[:0])
+		p.free[kind] = append(p.free[kind], recycled{s[:0], full})
 		p.recycled++
 	}
 	p.mu.Unlock()
@@ -324,8 +335,8 @@ func (p *MemPool) Stats() MemPoolStats {
 	defer p.mu.Unlock()
 	nodes := 0
 	for _, l := range p.free {
-		for _, s := range l {
-			nodes += cap(s)
+		for _, r := range l {
+			nodes += cap(r.s)
 		}
 	}
 	return MemPoolStats{

@@ -23,7 +23,7 @@ func TestMemPoolChunkReuse(t *testing.T) {
 	if got := p.Stats(); got.Reused != 0 || cap(c) != small {
 		t.Fatalf("fresh pool: %d-node chunk, stats %+v", cap(c), got)
 	}
-	p.put(kindChunk, c)
+	p.put(kindChunk, arenaChunkNodes, c)
 	c2 := p.get(kindChunk, small, arenaChunkNodes)
 	if &c[:1][0] != &c2[:1][0] {
 		t.Fatal("released chunk was not the next one handed out")
@@ -32,13 +32,13 @@ func TestMemPoolChunkReuse(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 reused / 1 recycled", got)
 	}
 	// A request larger than anything pooled is fresh; the pooled chunk stays.
-	p.put(kindChunk, c2)
+	p.put(kindChunk, arenaChunkNodes, c2)
 	if big := p.get(kindChunk, arenaChunkNodes, arenaChunkNodes); cap(big) != arenaChunkNodes || p.Stats().Chunks != 1 {
 		t.Fatalf("oversize request: %d nodes, %d chunks left pooled", cap(big), p.Stats().Chunks)
 	}
 	// Retention is bounded: releases beyond the cap are dropped.
 	for i := 0; i < memPoolMaxChunks+3; i++ {
-		p.put(kindChunk, make([]storage.SNode, arenaChunkNodes))
+		p.put(kindChunk, arenaChunkNodes, make([]storage.SNode, arenaChunkNodes))
 	}
 	want := int64(((memPoolMaxChunks-1)*arenaChunkNodes + small) * int(unsafe.Sizeof(storage.SNode{})))
 	if got := p.Stats(); got.Chunks != memPoolMaxChunks || got.Bytes != want {
@@ -58,15 +58,15 @@ func TestMemPoolBufSizing(t *testing.T) {
 	p := &MemPool{}
 	b := p.get(kindBuf, 100, 1024)
 	b = append(b, storage.SNode{Start: 7})
-	p.put(kindBuf, b)
-	p.put(kindBuf, make([]storage.SNode, 0, 40))
+	p.put(kindBuf, 0, b)
+	p.put(kindBuf, 0, make([]storage.SNode, 0, 40))
 	// A batch that would fill 100 nodes takes the buffer that holds it all.
 	got := p.get(kindBuf, 20, 100)
 	if cap(got) != 100 || len(got) != 0 || &b[:1][0] != &got[:1][0] {
 		t.Fatalf("recycled buf: len=%d cap=%d, want the empty 100-node one", len(got), cap(got))
 	}
 	// Without one, the smallest that holds the request.
-	p.put(kindBuf, got)
+	p.put(kindBuf, 0, got)
 	if got := p.get(kindBuf, 20, 1024); cap(got) != 40 {
 		t.Fatalf("recycled buf: cap=%d, want the 40-node one", cap(got))
 	}
@@ -80,7 +80,7 @@ func TestMemPoolBufSizing(t *testing.T) {
 	if b := np.get(kindBuf, 8, 8); cap(b) < 8 {
 		t.Fatal("nil pool get under-allocated")
 	}
-	np.put(kindBuf, b)
+	np.put(kindBuf, 0, b)
 }
 
 // TestOneRowExecutionScratch: an unpooled execution that passes one row

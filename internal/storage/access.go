@@ -81,7 +81,7 @@ func (s *Store) TagPostings(c core.Color, tag string) Postings {
 // refs of the tag's nodes whose content equals value, in start order.
 func (s *Store) ContentPostings(c core.Color, tag, value string) Postings {
 	obsIndexProbes.Inc()
-	return Postings{text: s.read(c).texts.get(tag), key: value, from: -1}
+	return Postings{text: s.read(c).texts.maps[tag], key: value}
 }
 
 // resolve reads the structural records of a run of color c, page by page,
@@ -127,7 +127,7 @@ type ContentRun struct {
 // scan of the run.
 func (s *Store) CountRun(c core.Color, tag, value string) ContentRun {
 	r := ContentRun{st: s, c: c, tag: tag, value: value}
-	textRun(s.read(c).texts.get(tag), value, "", func(_ []string, refs []uint64) bool {
+	eachRef(s.read(c).texts.maps[tag], value, func(refs []uint64) bool {
 		if r.N+len(refs) <= len(r.refs) {
 			copy(r.refs[r.N:], refs)
 		}
@@ -262,7 +262,7 @@ func (s *Store) EqContent(c core.Color, tag, value string) ([]SNode, error) {
 func (s *Store) EqAttr(name, value string) []ElemID {
 	obsIndexProbes.Inc()
 	var out []ElemID
-	textRun(s.attrs.get(name), value, "", func(_ []string, ids []uint64) bool {
+	eachRef(s.attrs.maps[name], value, func(ids []uint64) bool {
 		for _, id := range ids {
 			out = append(out, ElemID(id))
 		}

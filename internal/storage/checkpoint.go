@@ -229,7 +229,9 @@ func (s *Store) rebuildDirectories() error {
 				return fmt.Errorf("storage: color %q: structural node references missing element %d: %w",
 					c, it.sn.Elem, err)
 			}
-			s.registerStruct(t, e.Tag, e.Content, open.enter(it.sn, e.Tag), it.sn, packRID(it.rid))
+			if err := s.registerStruct(t, e.Tag, e.Content, open.enter(it.sn, e.Tag), it.sn, packRID(it.rid)); err != nil {
+				return fmt.Errorf("storage: color %q: %w", c, err)
+			}
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"colorfulxml/internal/btree"
 )
 
 // leafIDs hands out the ids of the leaves tests insert, past any a fixture
@@ -138,8 +139,32 @@ func (s *Store) CheckInvariants() error {
 			want["attr"] = append(want["attr"], posting{a[0] + " " + a[1], int64(id), uint64(id)})
 		}
 	}
-	text := func(k string) (string, int64) {
-		return k[:len(k)-8], int64(binary.BigEndian.Uint64([]byte(k[len(k)-8:])))
+	// A text maps to its one node's ref, or to a run of two or more; the
+	// n of a text's one node is its record's start (an attribute's: its id).
+	texts := func(idx, name string, one *btree.Map[string, uint64], runs *btree.Map[string, *run], nOf func(uint64) (int64, error)) error {
+		var bad error
+		one.Ascend(func(text string, ref uint64) bool {
+			n, err := nOf(ref)
+			if bad = err; err == nil {
+				have[idx] = append(have[idx], posting{name + " " + text, n, ref})
+			}
+			return err == nil
+		})
+		if bad != nil {
+			return bad
+		}
+		runs.Ascend(func(text string, r *run) bool {
+			if _, inline := one.Get(text); inline || r.m.Len() < 2 {
+				bad = fmt.Errorf("storage: the %s index's run of %s %q holds %d refs (and one inline: %v)", idx, name, text, r.m.Len(), inline)
+				return false
+			}
+			r.m.Ascend(func(n int64, ref uint64) bool {
+				have[idx] = append(have[idx], posting{name + " " + text, n, ref})
+				return true
+			})
+			return true
+		})
+		return bad
 	}
 	for i := range s.trees {
 		t := &s.trees[i]
@@ -150,19 +175,19 @@ func (s *Store) CheckInvariants() error {
 			})
 		}
 		for tag, e := range t.texts.maps {
-			e.m.Ascend(func(k string, ref uint64) bool {
-				content, start := text(k)
-				have["content"] = append(have["content"], posting{string(t.color) + " " + tag + " " + content, start, ref})
-				return true
-			})
+			startOf := func(ref uint64) (int64, error) {
+				sn, err := s.StructByRef(ref, t.color)
+				return sn.Start, err
+			}
+			if err := texts("content", string(t.color)+" "+tag, &e.m, &e.runs, startOf); err != nil {
+				return err
+			}
 		}
 	}
 	for name, e := range s.attrs.maps {
-		e.m.Ascend(func(k string, id uint64) bool {
-			value, pos := text(k)
-			have["attr"] = append(have["attr"], posting{name + " " + value, pos, id})
-			return true
-		})
+		if err := texts("attr", name, &e.m, &e.runs, func(id uint64) (int64, error) { return int64(id), nil }); err != nil {
+			return err
+		}
 	}
 	byKey := func(p []posting) []posting {
 		p = slices.Clone(p)

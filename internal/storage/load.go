@@ -94,7 +94,7 @@ func (s *Store) registerElem(id ElemID, ref uint64, content string, attrs [][2]s
 		s.counts.ContentNodes++
 	}
 	for _, a := range attrs {
-		s.attrs.write(a[0]).m.Put(textKey(a[1], uint64(id)), uint64(id))
+		s.putAttr(a[0], a[1], id)
 	}
 }
 
@@ -106,20 +106,20 @@ func (s *Store) insertStruct(tag, content, parentTag string, sn SNode) error {
 		return fmt.Errorf("storage: unknown color %q", sn.Color)
 	}
 	rid, err := s.pages.AppendRecord(t.file, encodeStruct(sn))
-	if err == nil {
-		s.registerStruct(t, tag, content, parentTag, sn, packRID(rid))
+	if err != nil {
+		return err
 	}
-	return err
+	return s.registerStruct(t, tag, content, parentTag, sn, packRID(rid))
 }
 
 // registerStruct registers a written structural record of t's colour in the
 // directories and indexes: location, the parent tag's child count, the
 // start, tag and content maps, counts.
-func (s *Store) registerStruct(t *colorTree, tag, content, parentTag string, sn SNode, ref uint64) {
+func (s *Store) registerStruct(t *colorTree, tag, content, parentTag string, sn SNode, ref uint64) error {
 	t.loc.Set(uint64(sn.Elem), ref)
 	t.addChildren(parentTag, 1)
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
-	t.index(tag, content, sn.Start, ref, true)
 	s.counts.StructNodes++
+	return s.index(t, tag, content, sn.Start, ref, true)
 }

@@ -280,16 +280,30 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 	}); err != nil {
 		return n, err
 	}
-	// Old keys go before new ones come: the two sets overlap.
+	// Old starts go before new ones come: the two sets overlap. A moved
+	// node keeps its ref and its text, so a text one node holds keeps its
+	// entry, and only runs re-key.
 	t := s.tree(c)
+	runs := make([]*run, len(nodes))
 	for i, old := range nodes {
-		t.index(keys[i][0], keys[i][1], old.Start, 0, false)
+		t.place(keys[i][0], old.Start, 0, false)
+		if keys[i][1] == "" {
+			continue
+		}
+		e := t.texts.write(keys[i][0])
+		if _, r := lookup(e, keys[i][1]); r != nil {
+			runs[i] = ownRun(e, keys[i][1], r)
+			runs[i].m.Delete(old.Start)
+		}
 	}
 	for i, sn := range out {
 		if err := s.pages.OverwriteRecord(unpackRID(refs[i]), encodeStruct(sn)); err != nil {
 			return n, err
 		}
-		t.index(keys[i][0], keys[i][1], sn.Start, refs[i], true)
+		t.place(keys[i][0], sn.Start, refs[i], true)
+		if runs[i] != nil {
+			runs[i].m.Put(sn.Start, refs[i])
+		}
 		if sn.Elem == n.Elem {
 			n = sn
 		}

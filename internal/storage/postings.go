@@ -2,10 +2,9 @@ package storage
 
 import (
 	"cmp"
-	"encoding/binary"
 	"maps"
 	"math"
-	"strings"
+	"unsafe"
 
 	"colorfulxml/internal/btree"
 )
@@ -16,28 +15,47 @@ import (
 // leaves as they are:
 //
 //   - tag: per color and tag, start -> structural ref (colorTree.tags);
-//   - content: per color and tag, textKey(content, start) -> structural ref
+//   - content: per color and tag, content -> structural ref, by start
 //     (colorTree.texts);
-//   - attribute value: per attribute name, textKey(value, element id) ->
-//     element id (Store.attrs).
+//   - attribute value: per attribute name, value -> element id, by element
+//     id (Store.attrs).
+//
+// A content or attribute-value map is keyed by the text itself, the string
+// the store was handed (so shared with the database it came from), and holds
+// one value per text: a text one node holds has that node's ref inline, and
+// a text several hold a run, a map of their refs by n (a start, an element
+// id). When a second node takes a text, the first one's n is read from its
+// record: the one record an index write reads.
 
 // postingMaps is a copy-on-write set of index maps, one per name. A Clone
 // shares the set and every map in it; the first write to a name after that
-// gives it a clone of its map (O(1)) and, once per set, copies the set's
+// gives it a clone of its maps (O(1)) and, once per set, copies the set's
 // table of a few names.
 type postingMaps[K cmp.Ordered] struct {
 	maps   map[string]*posting[K]
-	own    *byte // a posting that carries another token is shared with a clone
+	own    *byte // a posting or run that carries another token is shared with a clone
 	shared bool  // the table itself is shared with a clone
 }
 
 type posting[K cmp.Ordered] struct {
 	own *byte
-	m   *btree.Map[K, uint64]
+	// m is a tag's map, start -> ref; in a content or attribute-value
+	// map, the texts one node holds, each with that node's ref.
+	m btree.Map[K, uint64]
+	// runs holds, in a content or attribute-value map, the texts several
+	// nodes hold, each with their run.
+	runs btree.Map[K, *run]
 	// children counts, in a color's tag index, the structural nodes whose
 	// parent carries the tag: the one DataGuide fact kept current under
 	// every update (LeafTag).
 	children int
+}
+
+// run is the refs of the nodes that hold one text, by n: read as a tag's map
+// is. A posting writes in place only the runs that carry its token.
+type run struct {
+	own *byte
+	m   btree.Map[int64, uint64]
 }
 
 // clone returns a copy-on-write sibling of the set. The receiver must not
@@ -50,7 +68,7 @@ func (p *postingMaps[K]) clone() postingMaps[K] {
 // get returns name's map for reading (empty when there is none).
 func (p *postingMaps[K]) get(name string) *btree.Map[K, uint64] {
 	if e := p.maps[name]; e != nil {
-		return e.m
+		return &e.m
 	}
 	return &btree.Map[K, uint64]{}
 }
@@ -70,60 +88,117 @@ func (p *postingMaps[K]) write(name string) *posting[K] {
 			p.maps = map[string]*posting[K]{}
 		}
 	}
-	own := &posting[K]{own: p.own, m: &btree.Map[K, uint64]{}}
+	own := &posting[K]{own: p.own}
 	if e != nil {
-		own.m, own.children = e.m.Clone(), e.children
+		own.m, own.children = *e.m.Clone(), e.children
+		if e.runs.Len() > 0 {
+			own.runs = *e.runs.Clone()
+		}
 	}
 	p.maps[name] = own
 	return own
 }
 
+// bytes counts the maps, the runs and the run maps; not the texts that key
+// them, which are the data's.
 func (p *postingMaps[K]) bytes() (n int64) {
 	for _, e := range p.maps {
-		n += e.m.Bytes()
+		n += e.m.Bytes() + e.runs.Bytes()
+		e.runs.Ascend(func(_ K, r *run) bool {
+			n += int64(unsafe.Sizeof(*r)) + r.m.Bytes() // 32 bytes, a size class
+			return true
+		})
 	}
 	return n
 }
 
-// textKey is the key of a content or attribute-value map: the text, then n
-// in eight big-endian bytes, so one text's keys sort together in the order
-// of n. Every n the store keys by (a start, an element id) is below 2^56, so
-// the byte after the text is 0 in each.
-func textKey(text string, n uint64) string {
-	return string(binary.BigEndian.AppendUint64(append(make([]byte, 0, len(text)+8), text...), n))
+// lookup returns text's refs in e, a content or attribute-value posting
+// (nil: none): the one ref of a text one node holds, as a slice of the map's
+// leaf, or the run of a text several hold.
+func lookup(e *posting[string], text string) (one []uint64, r *run) {
+	if e == nil {
+		return nil, nil
+	}
+	e.m.Leaves(text, func(keys []string, refs []uint64) bool {
+		if keys[0] == text {
+			one = refs[:1:1]
+		}
+		return false
+	})
+	if one == nil {
+		r, _ = e.runs.Get(text)
+	}
+	return one, r
 }
 
-// textRun calls fn with the keys of text in m and their values, in order,
-// a run of adjacent ones at a time, from the key past after ("" for the
-// first); fn returning false stops. It reports whether it reached the end
-// of text's keys. The run is found without building a key: its keys are the
-// ones that start with text and are eight bytes longer. Another text can
-// have keys among them only when it starts with text and a zero byte, and
-// those are stepped over.
-func textRun(m *btree.Map[string, uint64], text, after string, fn func(keys []string, vals []uint64) bool) (ended bool) {
-	of := func(k string) bool { return len(k) == len(text)+8 && strings.HasPrefix(k, text) }
-	ended = true
-	m.Leaves(cmp.Or(after, text), func(keys []string, vals []uint64) bool {
-		if keys[0] == after {
-			keys, vals = keys[1:], vals[1:]
+// ownRun returns text's run r for writing: r, or a clone of it that e puts
+// in its place when r is shared with a clone.
+func ownRun(e *posting[string], text string, r *run) *run {
+	if r.own != e.own {
+		r = &run{own: e.own, m: *r.m.Clone()}
+		e.runs.Put(text, r)
+	}
+	return r
+}
+
+// putText adds the node (n, ref) to text's postings in e, which the caller
+// writes. When one node held text, nOf reads its n from its ref.
+func putText(e *posting[string], text string, n int64, ref uint64, nOf func(ref uint64) (int64, error)) error {
+	one, r := lookup(e, text)
+	switch {
+	case r != nil:
+		ownRun(e, text, r).m.Put(n, ref)
+	case one == nil:
+		e.m.Put(text, ref)
+	default:
+		had := one[0]
+		hadN, err := nOf(had)
+		if err != nil {
+			return err
 		}
-		for i := 0; i < len(keys); {
-			if k := keys[i]; !strings.HasPrefix(k, text) || len(k) > len(text) && k[len(text)] != 0 {
-				return false
-			}
-			j := i
-			for j < len(keys) && of(keys[j]) {
-				j++
-			}
-			if j > i && !fn(keys[i:j], vals[i:j]) {
-				ended = false
-				return false
-			}
-			i = max(j, i+1)
+		if hadN == n {
+			e.m.Put(text, ref)
+			return nil
 		}
-		return true
-	})
-	return ended
+		r := &run{own: e.own}
+		r.m.Put(hadN, had)
+		r.m.Put(n, ref)
+		e.m.Delete(text)
+		e.runs.Put(text, r)
+	}
+	return nil
+}
+
+// deleteText removes the node n from text's postings in e, which the caller
+// writes. A run left with one node gives way to that node's ref.
+func deleteText(e *posting[string], text string, n int64) {
+	one, r := lookup(e, text)
+	switch {
+	case one != nil:
+		e.m.Delete(text)
+	case r != nil:
+		r = ownRun(e, text, r)
+		r.m.Delete(n)
+		if r.m.Len() > 1 {
+			return
+		}
+		e.runs.Delete(text)
+		r.m.Ascend(func(_ int64, ref uint64) bool {
+			e.m.Put(text, ref)
+			return false
+		})
+	}
+}
+
+// eachRef calls fn with text's refs in e in order of n, a leaf of its run at
+// a time, until fn returns false.
+func eachRef(e *posting[string], text string, fn func(refs []uint64) bool) {
+	one, r := lookup(e, text)
+	if one != nil {
+		fn(one)
+	} else if r != nil {
+		r.m.Leaves(math.MinInt64, func(_ []int64, refs []uint64) bool { return fn(refs) })
+	}
 }
 
 // Postings is a start-ordered run of one index, read a leaf at a time: a
@@ -132,11 +207,11 @@ func textRun(m *btree.Map[string, uint64], text, after string, fn func(keys []st
 // (RunPostings). The zero Postings is empty.
 type Postings struct {
 	tag  *btree.Map[int64, uint64]
-	text *btree.Map[string, uint64]
 	few  []uint64 // the refs of a run read already, still to hand out
-	// key is a content run's value until a ref is taken, and then the last
-	// key taken; from is a tag run's next start, -1 in a content run until a
-	// ref is taken, and runOver once the run is known to be over.
+	text *posting[string]
+	// key is a content run's value until it is looked up, which turns it
+	// into its one ref (few) or its run, read as a tag's map; from is a tag
+	// map's next start, and runOver once the run is known to be over.
 	key  string
 	from int64
 }
@@ -148,6 +223,13 @@ const runOver = math.MaxInt64
 // the rest come first on the next call — or the run ends. The refs are valid
 // only during the call.
 func (p *Postings) Next(take func(refs []uint64) int) {
+	if p.text != nil {
+		var r *run
+		p.few, r = lookup(p.text, p.key)
+		if p.text = nil; r != nil {
+			p.tag, p.from = &r.m, math.MinInt64
+		}
+	}
 	ended := true
 	switch {
 	case p.from == runOver:
@@ -164,18 +246,6 @@ func (p *Postings) Next(take func(refs []uint64) int) {
 			ended = n == len(refs)
 			return ended
 		})
-	case p.text != nil:
-		value, after := p.key, ""
-		if p.from >= 0 {
-			value, after = p.key[:len(p.key)-8], p.key
-		}
-		ended = textRun(p.text, value, after, func(keys []string, refs []uint64) bool {
-			n := take(refs)
-			if n > 0 {
-				p.key, p.from = keys[n-1], 0
-			}
-			return n == len(refs)
-		})
 	}
 	if ended {
 		p.from = runOver
@@ -184,23 +254,46 @@ func (p *Postings) Next(take func(refs []uint64) int) {
 
 // index adds the structural node at start, with its tag, content and record
 // ref, to t's start, tag and content maps, or with add false removes it.
-func (t *colorTree) index(tag, content string, start int64, ref uint64, add bool) {
-	var texts *btree.Map[string, uint64]
-	if content != "" {
-		texts = t.texts.write(tag).m
+func (s *Store) index(t *colorTree, tag, content string, start int64, ref uint64, add bool) error {
+	t.place(tag, start, ref, add)
+	switch {
+	case content == "":
+	case add:
+		return s.putContent(t, tag, content, start, ref)
+	default:
+		deleteText(t.texts.write(tag), content, start)
 	}
-	if tags := t.tags.write(tag).m; add {
+	return nil
+}
+
+// place is index for the start and tag maps alone.
+func (t *colorTree) place(tag string, start int64, ref uint64, add bool) {
+	if tags := &t.tags.write(tag).m; add {
 		t.start.Put(start, ref)
 		tags.Put(start, ref)
 	} else {
 		t.start.Delete(start)
 		tags.Delete(start)
 	}
-	if texts != nil && add {
-		texts.Put(textKey(content, uint64(start)), ref)
-	} else if texts != nil {
-		texts.Delete(textKey(content, uint64(start)))
-	}
+}
+
+// putContent adds the structural node at start, with its record ref, to the
+// postings of content in t's content map of tag.
+func (s *Store) putContent(t *colorTree, tag, content string, start int64, ref uint64) error {
+	return putText(t.texts.write(tag), content, start, ref, func(ref uint64) (int64, error) {
+		sn, err := s.StructByRef(ref, t.color)
+		return sn.Start, err
+	})
+}
+
+// putAttr and deleteAttr add and remove element id's attribute (name,
+// value) in the attribute-value index, whose refs are the element ids.
+func (s *Store) putAttr(name, value string, id ElemID) {
+	_ = putText(s.attrs.write(name), value, int64(id), uint64(id), func(ref uint64) (int64, error) { return int64(ref), nil })
+}
+
+func (s *Store) deleteAttr(name, value string, id ElemID) {
+	deleteText(s.attrs.write(name), value, int64(id))
 }
 
 // addChildren records that d structural nodes (negative: fewer) hang under

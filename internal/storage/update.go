@@ -31,12 +31,13 @@ func (s *Store) UpdateContent(id ElemID, content string) error {
 		if err != nil {
 			return err
 		}
-		texts := t.texts.write(old.Tag).m
 		if old.Content != "" {
-			texts.Delete(textKey(old.Content, uint64(sn.Start)))
+			deleteText(t.texts.write(old.Tag), old.Content, sn.Start)
 		}
 		if content != "" {
-			texts.Put(textKey(content, uint64(sn.Start)), ref)
+			if err := s.putContent(t, old.Tag, content, sn.Start, ref); err != nil {
+				return err
+			}
 		}
 	}
 	if old.Content == "" && content != "" {
@@ -128,10 +129,10 @@ func (s *Store) SetElemAttrs(id ElemID, tag string, attrs [][2]string) error {
 		return err
 	}
 	for _, a := range old.Attrs {
-		s.attrs.write(a[0]).m.Delete(textKey(a[1], uint64(id)))
+		s.deleteAttr(a[0], a[1], id)
 	}
 	for _, a := range attrs {
-		s.attrs.write(a[0]).m.Put(textKey(a[1], uint64(id)), uint64(id))
+		s.putAttr(a[0], a[1], id)
 	}
 	s.counts.Attributes += len(attrs) - len(old.Attrs)
 	if tag == "" || tag == old.Tag {
@@ -159,8 +160,12 @@ func (s *Store) retag(id ElemID, from, to, content string) error {
 		if err != nil {
 			return err
 		}
-		t.index(from, content, sn.Start, ref, false)
-		t.index(to, content, sn.Start, ref, true)
+		if err := s.index(t, from, content, sn.Start, ref, false); err != nil {
+			return err
+		}
+		if err := s.index(t, to, content, sn.Start, ref, true); err != nil {
+			return err
+		}
 		t.addChildren(from, -len(kids))
 		t.addChildren(to, len(kids))
 	}
@@ -203,7 +208,9 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		if err := s.pages.DeleteRecord(unpackRID(ref)); err != nil {
 			return err
 		}
-		t.index(e.Tag, e.Content, d.Start, ref, false)
+		if err := s.index(t, e.Tag, e.Content, d.Start, ref, false); err != nil {
+			return err
+		}
 		crossed = crossed || isPow2(t.tags.get(e.Tag).Len()+1)
 		t.loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--
@@ -214,7 +221,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 			}
 			s.elemLoc.Delete(uint64(d.Elem))
 			for _, a := range e.Attrs {
-				s.attrs.write(a[0]).m.Delete(textKey(a[1], uint64(d.Elem)))
+				s.deleteAttr(a[0], a[1], d.Elem)
 			}
 			s.counts.Elements--
 			s.counts.Attributes -= len(e.Attrs)

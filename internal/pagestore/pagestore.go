@@ -479,26 +479,26 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	if meta == nil {
 		return RecordID{}, fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
-	var id PageID
-	var pg *Page
-	for n := len(meta.emptied); n > 0 && pg == nil; n-- {
-		id = PageID{File: f, Page: meta.emptied[n-1]}
-		if pg, _ = meta.dir.Get(uint64(id.Page)); pg == nil {
+	for n := len(meta.emptied); n > 0; n-- {
+		id := PageID{File: f, Page: meta.emptied[n-1]}
+		pg, ok := meta.dir.Get(uint64(id.Page))
+		if !ok {
 			pg = &emptyPage
-		} else if len(rec) > pg.room() {
-			meta.emptied, pg = meta.emptied[:n-1], nil // full again
 		}
+		if len(rec) <= pg.room() {
+			slot, err := s.writable(id, pg).insert(rec)
+			return RecordID{PageID: id, Slot: slot}, err
+		}
+		meta.emptied = meta.emptied[:n-1] // full again
+	}
+	pg, _ := meta.dir.Get(uint64(meta.pages) - 1)
+	if meta.pages == 0 || pg != nil && len(rec) > pg.room() {
+		meta.pages, pg = meta.pages+1, nil // no page yet, or the last is full
 	}
 	if pg == nil {
-		pg, _ = meta.dir.Get(uint64(meta.pages) - 1)
-		if meta.pages == 0 || pg != nil && len(rec) > pg.room() {
-			meta.pages, pg = meta.pages+1, nil // no page yet, or the last is full
-		}
-		if pg == nil {
-			pg = &emptyPage
-		}
-		id = PageID{File: f, Page: meta.pages - 1}
+		pg = &emptyPage
 	}
+	id := PageID{File: f, Page: meta.pages - 1}
 	slot, err := s.writable(id, pg).insert(rec)
 	return RecordID{PageID: id, Slot: slot}, err
 }

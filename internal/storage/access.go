@@ -127,12 +127,13 @@ type ContentRun struct {
 // scan of the run.
 func (s *Store) CountRun(c core.Color, tag, value string) ContentRun {
 	r := ContentRun{st: s, c: c, tag: tag, value: value}
-	eachRef(s.read(c).texts.maps[tag], value, func(refs []uint64) bool {
+	run := Postings{text: s.read(c).texts.maps[tag], key: value}
+	run.Next(func(refs []uint64) int {
 		if r.N+len(refs) <= len(r.refs) {
 			copy(r.refs[r.N:], refs)
 		}
 		r.N += len(refs)
-		return true
+		return len(refs)
 	})
 	return r
 }
@@ -262,11 +263,12 @@ func (s *Store) EqContent(c core.Color, tag, value string) ([]SNode, error) {
 func (s *Store) EqAttr(name, value string) []ElemID {
 	obsIndexProbes.Inc()
 	var out []ElemID
-	eachRef(s.attrs.maps[name], value, func(ids []uint64) bool {
+	run := Postings{text: s.attrs.maps[name], key: value}
+	run.Next(func(ids []uint64) int {
 		for _, id := range ids {
 			out = append(out, ElemID(id))
 		}
-		return true
+		return len(ids)
 	})
 	return out
 }

@@ -121,5 +121,5 @@ func (s *Store) registerStruct(t *colorTree, tag, content, parentTag string, sn 
 	// A new structural node may introduce a new root-anchored label path.
 	s.invalidatePathSummaries()
 	s.counts.StructNodes++
-	return s.index(t, tag, content, sn.Start, ref, true)
+	return s.index(t, tag, content, sn.Start, ref)
 }

@@ -291,7 +291,7 @@ func (s *Store) relabel(parent, n SNode, extra int64) (SNode, error) {
 			continue
 		}
 		e := t.texts.write(keys[i][0])
-		if _, r := lookup(e, keys[i][1]); r != nil {
+		if _, _, r := lookup(e, keys[i][1]); r != nil {
 			runs[i] = ownRun(e, keys[i][1], r)
 			runs[i].m.Delete(old.Start)
 		}

@@ -114,21 +114,27 @@ func (p *postingMaps[K]) bytes() (n int64) {
 
 // lookup returns text's refs in e, a content or attribute-value posting
 // (nil: none): the one ref of a text one node holds, as a slice of the map's
-// leaf, or the run of a text several hold.
-func lookup(e *posting[string], text string) (one []uint64, r *run) {
+// leaf, or the run of a text several hold; and text as e holds it, which
+// moves with it between the two maps.
+func lookup(e *posting[string], text string) (key string, one []uint64, r *run) {
 	if e == nil {
-		return nil, nil
+		return "", nil, nil
 	}
 	e.m.Leaves(text, func(keys []string, refs []uint64) bool {
 		if keys[0] == text {
-			one = refs[:1:1]
+			key, one = keys[0], refs[:1:1]
 		}
 		return false
 	})
 	if one == nil {
-		r, _ = e.runs.Get(text)
+		e.runs.Leaves(text, func(keys []string, runs []*run) bool {
+			if keys[0] == text {
+				key, r = keys[0], runs[0]
+			}
+			return false
+		})
 	}
-	return one, r
+	return key, one, r
 }
 
 // ownRun returns text's run r for writing: r, or a clone of it that e puts
@@ -144,10 +150,10 @@ func ownRun(e *posting[string], text string, r *run) *run {
 // putText adds the node (n, ref) to text's postings in e, which the caller
 // writes. When one node held text, nOf reads its n from its ref.
 func putText(e *posting[string], text string, n int64, ref uint64, nOf func(ref uint64) (int64, error)) error {
-	one, r := lookup(e, text)
+	key, one, r := lookup(e, text)
 	switch {
 	case r != nil:
-		ownRun(e, text, r).m.Put(n, ref)
+		ownRun(e, key, r).m.Put(n, ref)
 	case one == nil:
 		e.m.Put(text, ref)
 	default:
@@ -156,15 +162,11 @@ func putText(e *posting[string], text string, n int64, ref uint64, nOf func(ref 
 		if err != nil {
 			return err
 		}
-		if hadN == n {
-			e.m.Put(text, ref)
-			return nil
-		}
 		r := &run{own: e.own}
 		r.m.Put(hadN, had)
 		r.m.Put(n, ref)
-		e.m.Delete(text)
-		e.runs.Put(text, r)
+		e.m.Delete(key)
+		e.runs.Put(key, r)
 	}
 	return nil
 }
@@ -172,42 +174,32 @@ func putText(e *posting[string], text string, n int64, ref uint64, nOf func(ref 
 // deleteText removes the node n from text's postings in e, which the caller
 // writes. A run left with one node gives way to that node's ref.
 func deleteText(e *posting[string], text string, n int64) {
-	one, r := lookup(e, text)
+	key, one, r := lookup(e, text)
 	switch {
 	case one != nil:
-		e.m.Delete(text)
+		e.m.Delete(key)
 	case r != nil:
-		r = ownRun(e, text, r)
+		r = ownRun(e, key, r)
 		r.m.Delete(n)
 		if r.m.Len() > 1 {
 			return
 		}
-		e.runs.Delete(text)
+		e.runs.Delete(key)
 		r.m.Ascend(func(_ int64, ref uint64) bool {
-			e.m.Put(text, ref)
+			e.m.Put(key, ref)
 			return false
 		})
 	}
 }
 
-// eachRef calls fn with text's refs in e in order of n, a leaf of its run at
-// a time, until fn returns false.
-func eachRef(e *posting[string], text string, fn func(refs []uint64) bool) {
-	one, r := lookup(e, text)
-	if one != nil {
-		fn(one)
-	} else if r != nil {
-		r.m.Leaves(math.MinInt64, func(_ []int64, refs []uint64) bool { return fn(refs) })
-	}
-}
-
 // Postings is a start-ordered run of one index, read a leaf at a time: a
 // tag's structural refs in a color (TagPostings), or those of its nodes with
-// one content (ContentPostings) — or a short content run read already
-// (RunPostings). The zero Postings is empty.
+// one content (ContentPostings) or of the elements with one attribute value
+// (EqAttr) — or a short content run read already (RunPostings). The zero
+// Postings is empty.
 type Postings struct {
 	tag  *btree.Map[int64, uint64]
-	few  []uint64 // the refs of a run read already, still to hand out
+	few  []uint64 // a run's refs read already, or a text's one ref, to hand out
 	text *posting[string]
 	// key is a content run's value until it is looked up, which turns it
 	// into its one ref (few) or its run, read as a tag's map; from is a tag
@@ -225,7 +217,7 @@ const runOver = math.MaxInt64
 func (p *Postings) Next(take func(refs []uint64) int) {
 	if p.text != nil {
 		var r *run
-		p.few, r = lookup(p.text, p.key)
+		_, p.few, r = lookup(p.text, p.key)
 		if p.text = nil; r != nil {
 			p.tag, p.from = &r.m, math.MinInt64
 		}
@@ -253,20 +245,26 @@ func (p *Postings) Next(take func(refs []uint64) int) {
 }
 
 // index adds the structural node at start, with its tag, content and record
-// ref, to t's start, tag and content maps, or with add false removes it.
-func (s *Store) index(t *colorTree, tag, content string, start int64, ref uint64, add bool) error {
-	t.place(tag, start, ref, add)
-	switch {
-	case content == "":
-	case add:
-		return s.putContent(t, tag, content, start, ref)
-	default:
-		deleteText(t.texts.write(tag), content, start)
+// ref, to t's start, tag and content maps.
+func (s *Store) index(t *colorTree, tag, content string, start int64, ref uint64) error {
+	t.place(tag, start, ref, true)
+	if content == "" {
+		return nil
 	}
-	return nil
+	return s.putContent(t, tag, content, start, ref)
 }
 
-// place is index for the start and tag maps alone.
+// unindex removes the structural node at start from t's start, tag and
+// content maps.
+func (t *colorTree) unindex(tag, content string, start int64) {
+	t.place(tag, start, 0, false)
+	if content != "" {
+		deleteText(t.texts.write(tag), content, start)
+	}
+}
+
+// place adds the structural node at start to t's start and tag maps, or with
+// add false removes it.
 func (t *colorTree) place(tag string, start int64, ref uint64, add bool) {
 	if tags := &t.tags.write(tag).m; add {
 		t.start.Put(start, ref)

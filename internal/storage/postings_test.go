@@ -68,7 +68,7 @@ func TestContentInsertAfterCloneCopiesLittle(t *testing.T) {
 	if n := red.texts.get("name").Len(); n != 20000 {
 		t.Fatalf("%d names", n)
 	}
-	if _, r := lookup(green.texts.maps["votes"], "7"); r == nil || r.m.Len() != 133 {
+	if _, _, r := lookup(green.texts.maps["votes"], "7"); r == nil || r.m.Len() != 133 {
 		t.Fatalf("the run of votes \"7\" is %v", r)
 	}
 	const runs = 50

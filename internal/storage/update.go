@@ -160,10 +160,8 @@ func (s *Store) retag(id ElemID, from, to, content string) error {
 		if err != nil {
 			return err
 		}
-		if err := s.index(t, from, content, sn.Start, ref, false); err != nil {
-			return err
-		}
-		if err := s.index(t, to, content, sn.Start, ref, true); err != nil {
+		t.unindex(from, content, sn.Start)
+		if err := s.index(t, to, content, sn.Start, ref); err != nil {
 			return err
 		}
 		t.addChildren(from, -len(kids))
@@ -208,9 +206,7 @@ func (s *Store) DeleteSubtree(sn SNode) error {
 		if err := s.pages.DeleteRecord(unpackRID(ref)); err != nil {
 			return err
 		}
-		if err := s.index(t, e.Tag, e.Content, d.Start, ref, false); err != nil {
-			return err
-		}
+		t.unindex(e.Tag, e.Content, d.Start)
 		crossed = crossed || isPow2(t.tags.get(e.Tag).Len()+1)
 		t.loc.Delete(uint64(d.Elem))
 		s.counts.StructNodes--

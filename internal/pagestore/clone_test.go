@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,10 +260,9 @@ func TestCloneSharesPooledFrames(t *testing.T) {
 
 // TestDeadPageLeavesTheFile: the last delete on a page drops its image, so a
 // file whose records come and go holds only the pages with live ones. The
-// last page stays, a clone taken before the deletes still reads every
+// page appends fill stays, a clone taken before the deletes still reads every
 // record, and a dropped page scans as empty without being read into memory:
-// scanning a fresh clone allocates nothing. The next append fills the page
-// emptied last.
+// scanning a fresh clone allocates nothing.
 func TestDeadPageLeavesTheFile(t *testing.T) {
 	s, rids := fillStore(t, 12) // pages 0 to 10 full, page 11 the fill target
 	f := rids[0].File
@@ -301,8 +301,8 @@ func TestDeadPageLeavesTheFile(t *testing.T) {
 		t.Fatalf("scanning a fresh clone with 10 dropped pages: %v allocations, %d records; want 0 and page 1's three per scan", a, n)
 	}
 	rid, err := s.AppendRecord(f, []byte("next"))
-	if err != nil || rid.Page != 10 {
-		t.Fatalf("append after the deletes landed at %v, %v; want page 10, emptied last", rid, err)
+	if err != nil || rid.Page != 11 {
+		t.Fatalf("append after the deletes landed at %v, %v; want page 11", rid, err)
 	}
 	n = 0
 	if err := s.Scan(f, func(RecordID, []byte) bool { n++; return true }); err != nil {
@@ -368,23 +368,67 @@ func TestChurnReusesEmptiedPages(t *testing.T) {
 			t.Fatalf("a frozen clone reads %v as %.12q, %v", h.rid, got, err)
 		}
 	}
-	// Both siblings fill the page emptied last, each in an image of its own.
-	for _, rid := range rids[:26] {
+	// Two siblings fill the fill page and then take the page emptied last,
+	// each in an image of its own.
+	for _, rid := range rids[:60] {
 		if err := s.DeleteRecord(rid); err != nil {
 			t.Fatal(err)
 		}
 	}
+	emptied := s.files[f].emptied
+	if len(emptied) == 0 {
+		t.Fatal("deleting the 60 oldest records emptied no page")
+	}
 	a, b := s.Clone(), s.Clone()
-	ra, errA := a.AppendRecord(f, []byte("a"))
-	rb, errB := b.AppendRecord(f, []byte("b"))
-	if errA != nil || errB != nil || ra != rb || ra.Page != rids[25].Page {
-		t.Fatalf("siblings appended at %v, %v (%v, %v); want both on page %d", ra, rb, errA, errB, rids[25].Page)
+	for i := 0; ; i++ {
+		ra, errA := a.AppendRecord(f, rec(-i))
+		rb, errB := b.AppendRecord(f, rec(i))
+		if errA != nil || errB != nil || ra != rb || i > 26 {
+			t.Fatalf("siblings appended at %v, %v (%v, %v)", ra, rb, errA, errB)
+		}
+		if ra.Page != emptied[len(emptied)-1] {
+			continue
+		}
+		if got, _ := a.ReadRecord(ra); string(got) != string(rec(-i)) {
+			t.Fatalf("sibling a reads %.12q", got)
+		}
+		if got, _ := b.ReadRecord(rb); string(got) != string(rec(i)) {
+			t.Fatalf("sibling b reads %.12q", got)
+		}
+		break
 	}
-	if got, _ := a.ReadRecord(ra); string(got) != "a" {
-		t.Fatalf("sibling a reads %q", got)
+}
+
+// TestAppendThenDeleteKeepsItsPage: a record appended in one generation and
+// deleted in the next, over and over, as a tag added and deleted again is,
+// keeps the file at the pages it had and the one the appends fill, and costs
+// no page image a record: the page appends fill keeps its header when its
+// records go, and once it is full of deleted records it starts afresh.
+func TestAppendThenDeleteKeepsItsPage(t *testing.T) {
+	const cycles = 2000
+	s, _ := fillStore(t, 3)
+	f := FileID(0)
+	start, _ := s.NumPages(f)
+	rec := make([]byte, 100) // 78 a page
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		rid, err := s.AppendRecord(f, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = s.Clone()
+		if err := s.DeleteRecord(rid); err != nil {
+			t.Fatal(err)
+		}
+		s = s.Clone()
 	}
-	if got, _ := b.ReadRecord(rb); string(got) != "b" {
-		t.Fatalf("sibling b reads %q", got)
+	runtime.ReadMemStats(&after)
+	if n, _ := s.NumPages(f); n > start+1 {
+		t.Errorf("%d appends, each deleted, grew the file from %d to %d pages", cycles, start, n)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per > PageSize/2 {
+		t.Errorf("an append and its delete allocate %d B (two clones included), want at most %d", per, PageSize/2)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"colorfulxml/internal/cowarray"
@@ -344,17 +345,16 @@ type Store struct {
 
 type fileMeta struct {
 	exists bool
-	// pages counts the file's pages; the last one is the fill target for
-	// appends once no emptied page is left.
-	pages uint32
+	// pages counts the file's pages; fill is the one appends fill.
+	pages, fill uint32
 	// dir holds the file's page headers by page number. A page with none
 	// (never written, or dropped once dead) reads as emptyPage.
 	dir *cowarray.Array[*Page]
-	// emptied lists pages before the last that lost their last record,
-	// for appends to fill before the file grows; appends fill its last
-	// entry until it is full. Clones share it, so it is resliced or copied,
-	// never written in place.
-	emptied []uint32
+	// emptied lists the pages besides fill that lost their last record, for
+	// appends to fill before the file grows. Clones share it until one of
+	// them, a generation other than emptiedOwn, pushes a page and copies it.
+	emptied    []uint32
+	emptiedOwn *owner
 }
 
 // emptyPage is what a page with no header reads as. It is never written.
@@ -469,8 +469,9 @@ func (s *Store) Pin(id PageID) (*Page, error) { return s.page(id) }
 // and goes with ROADMAP item 6.
 func (s *Store) Unpin(PageID) {}
 
-// AppendRecord inserts a record into a file, filling its emptied pages
-// before it allocates pages at the end, and returns its RecordID.
+// AppendRecord inserts a record into a file's fill page. When that page is
+// full it takes the page emptied last, or else a new page at the end; a fill
+// page full of deleted records starts afresh.
 func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	if len(rec) > PageSize-pageHeader-slotSize {
 		return RecordID{}, fmt.Errorf("pagestore: %w", ErrRecordTooLarge)
@@ -479,26 +480,19 @@ func (s *Store) AppendRecord(f FileID, rec []byte) (RecordID, error) {
 	if meta == nil {
 		return RecordID{}, fmt.Errorf("pagestore: file %d: %w", f, ErrNoSuchFile)
 	}
-	for n := len(meta.emptied); n > 0; n-- {
-		id := PageID{File: f, Page: meta.emptied[n-1]}
-		pg, ok := meta.dir.Get(uint64(id.Page))
-		if !ok {
-			pg = &emptyPage
-		}
-		if len(rec) <= pg.room() {
-			slot, err := s.writable(id, pg).insert(rec)
-			return RecordID{PageID: id, Slot: slot}, err
-		}
-		meta.emptied = meta.emptied[:n-1] // full again
-	}
-	pg, _ := meta.dir.Get(uint64(meta.pages) - 1)
-	if meta.pages == 0 || pg != nil && len(rec) > pg.room() {
-		meta.pages, pg = meta.pages+1, nil // no page yet, or the last is full
-	}
-	if pg == nil {
+	pg, ok := meta.dir.Get(uint64(meta.fill))
+	switch {
+	case meta.pages > 0 && ok && len(rec) <= pg.room():
+	case meta.pages > 0 && (!ok || pg.live == 0):
 		pg = &emptyPage
+	case len(meta.emptied) > 0:
+		n := len(meta.emptied) - 1
+		meta.fill, meta.emptied, pg = meta.emptied[n], meta.emptied[:n], &emptyPage
+	default:
+		meta.fill, pg = meta.pages, &emptyPage
+		meta.pages++
 	}
-	id := PageID{File: f, Page: meta.pages - 1}
+	id := PageID{File: f, Page: meta.fill}
 	slot, err := s.writable(id, pg).insert(rec)
 	return RecordID{PageID: id, Slot: slot}, err
 }
@@ -549,20 +543,24 @@ func (s *Store) OverwriteRecord(rid RecordID, rec []byte) error {
 }
 
 // DeleteRecord tombstones a record. A page left with no live record loses
-// its header and image and reads as a fresh empty page from then on (the
-// last page, which appends fill, is kept), so records that come and go hold
-// no memory once the last one on a page is gone, not until a checkpoint; and
-// appends fill the page again before the file grows.
+// its header and image and reads as a fresh empty page from then on, so
+// records that come and go hold no memory once the last one on a page is
+// gone, not until a checkpoint; and appends fill the page again before the
+// file grows. The fill page keeps its header: appends go on past its records.
 func (s *Store) DeleteRecord(rid RecordID) error {
 	pg, err := s.live(rid)
 	if err != nil {
 		return err
 	}
-	if meta := &s.files[rid.File]; rid.Page != meta.pages-1 && pg.live == 1 {
+	if meta := &s.files[rid.File]; pg.live == 1 && rid.Page != meta.fill {
 		meta.dir.Delete(uint64(rid.Page))
-		if n := len(meta.emptied); n == 0 || meta.emptied[n-1] != rid.Page {
-			meta.emptied = append(meta.emptied[:n:n], rid.Page)
+		if s.own == nil {
+			s.own = new(owner)
 		}
+		if meta.emptiedOwn != s.own {
+			meta.emptied, meta.emptiedOwn = slices.Clip(meta.emptied), s.own
+		}
+		meta.emptied = append(meta.emptied, rid.Page)
 		return nil
 	}
 	s.writable(rid.PageID, pg).delete(rid.Slot)

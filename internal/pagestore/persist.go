@@ -217,7 +217,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if id >= nextFile {
 			return nil, fmt.Errorf("pagestore: file id %d beyond nextFile %d", id, nextFile)
 		}
-		s.files[id] = fileMeta{exists: true, pages: pages, dir: &cowarray.Array[*Page]{}}
+		s.files[id] = fileMeta{exists: true, pages: pages, fill: max(pages, 1) - 1, dir: &cowarray.Array[*Page]{}}
 		totalPages += uint64(pages)
 	}
 	for n := uint64(0); n < totalPages; n++ {

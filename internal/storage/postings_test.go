@@ -57,8 +57,9 @@ func contentInsertAfterClone(t *colorTree, tag, text string, start int64) {
 
 // TestContentInsertAfterCloneCopiesLittle: after a Clone, a posting put in
 // the catalog's content maps path-copies a few nodes: a new name among the
-// 20 000 texts of name, and a vote into the run of the 133 items voted "7"
-// (a copy of either is tens of kilobytes).
+// 20 000 texts of name (at most 5 kB), and a vote into the run of the 133
+// items voted "7" (6 kB; measured 4.7 kB, 5.1 kB under the race detector). A
+// copy of either is tens of kilobytes.
 func TestContentInsertAfterCloneCopiesLittle(t *testing.T) {
 	s, err := Load(fixtures.NewCatalog(20000).DB, 0)
 	if err != nil {
@@ -73,13 +74,15 @@ func TestContentInsertAfterCloneCopiesLittle(t *testing.T) {
 	}
 	const runs = 50
 	for _, tc := range []struct {
-		name string
-		tree *colorTree
-		tag  string
-		text func(i int) string
+		name  string
+		tree  *colorTree
+		tag   string
+		text  func(i int) string
+		limit uint64
 	}{
-		{"name", red, "name", func(i int) string { return "Item " + strconv.Itoa(10000+i) + "a" }},
-		{"vote", green, "votes", func(int) string { return "7" }},
+		{"name", red, "name", func(i int) string { return "Item " + strconv.Itoa(10000+i) + "a" }, 5000},
+		// The run's header and a leaf of the texts' map are copied too.
+		{"vote", green, "votes", func(int) string { return "7" }, 6000},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -88,8 +91,8 @@ func TestContentInsertAfterCloneCopiesLittle(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		per := (after.TotalAlloc - before.TotalAlloc) / runs
-		if per > 5000 {
-			t.Errorf("%s: a content posting put after a Clone allocates %d B, want at most 5 kB", tc.name, per)
+		if per > tc.limit {
+			t.Errorf("%s: a content posting put after a Clone allocates %d B, want at most %d", tc.name, per, tc.limit)
 		}
 		t.Logf("%s: %d B a posting put after a Clone", tc.name, per)
 	}

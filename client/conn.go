@@ -48,9 +48,10 @@ type Conn struct {
 	r    *wire.Reader
 	w    *wire.Writer
 
-	// handles caches server-side prepared-statement handles by query text;
-	// they are connection-scoped and die with the connection.
+	// handles caches server-side prepared-statement handles by query text,
+	// prepared the same texts oldest first; they die with the connection.
 	handles  map[string]uint64
+	prepared []string
 	lastUsed time.Time
 	broken   bool
 }
@@ -241,11 +242,28 @@ func (c *Conn) items(ctx context.Context, typ wire.Type, req []byte) ([]Item, er
 	}
 }
 
+// maxHandles bounds the statements a connection keeps prepared, below the
+// 1 024 the server lets one connection hold.
+const maxHandles = 1000
+
 // prepare returns the connection's server-side handle for src, preparing
-// it on first use.
+// it on first use. A connection that holds maxHandles statements first
+// closes the oldest, and forgets it whatever the server answers.
 func (c *Conn) prepare(ctx context.Context, src string) (uint64, error) {
 	if h, ok := c.handles[src]; ok {
 		return h, nil
+	}
+	if len(c.prepared) >= maxHandles {
+		h := c.handles[c.prepared[0]]
+		delete(c.handles, c.prepared[0])
+		c.prepared = c.prepared[1:]
+		typ, payload, err := c.roundTrip(ctx, wire.TypeCloseStmt, wire.CloseStmt{Stmt: h}.Encode())
+		if err == nil {
+			_, err = expect(wire.TypeAck, typ, payload)
+		}
+		if err != nil {
+			return 0, err
+		}
 	}
 	typ, payload, err := c.roundTrip(ctx, wire.TypePrepare, wire.Prepare{Src: src}.Encode())
 	if err != nil {
@@ -261,6 +279,7 @@ func (c *Conn) prepare(ctx context.Context, src string) (uint64, error) {
 		return 0, err
 	}
 	c.handles[src] = prepared.Stmt
+	c.prepared = append(c.prepared, src)
 	return prepared.Stmt, nil
 }
 

@@ -109,6 +109,40 @@ func TestXMLRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
+// TestXMLRoundTripKeepsCommentsAndPIs: a comment and a processing
+// instruction under a red element come back from the exchange XML.
+func TestXMLRoundTripKeepsCommentsAndPIs(t *testing.T) {
+	db := colorful.New("red")
+	r, err := db.AddElement(db.Document(), "r", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comment, err := db.NewComment("hello", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := db.NewPI("note", "x=1", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*colorful.Node{comment, pi} {
+		if err := db.Append(r, n, "red"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xml, err := db.XMLString(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := colorful.UnmarshalXML(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := colorful.Isomorphic(db, back); !ok {
+		t.Fatalf("round trip of %s: %s", xml, why)
+	}
+}
+
 func TestLabel(t *testing.T) {
 	db := buildSmall(t)
 	movies := db.MustQuery(`document("db")/{red}descendant::movie`)

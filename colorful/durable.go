@@ -183,7 +183,7 @@ func (d *DB) Checkpoint() error {
 	if d.Health() == DegradedReadOnly {
 		return d.readOnlyErr()
 	}
-	return d.checkpointLocked(false)
+	return d.checkpointLocked()
 }
 
 // Close drains and closes every open session (their in-flight queries
@@ -246,6 +246,17 @@ func (d *DB) commitLocked(mutate func() error) error {
 	if cerr := d.commitChanges(m); err == nil {
 		err = cerr
 	}
+	// The one bound on the change log: past incrementalMaxDelta changes the
+	// scope publishes them by replay, after the commit, so the snapshot stays
+	// the rollback basis. While nothing is published (an in-memory database
+	// being built) it drops them: the first publish loads all of core anyway.
+	switch {
+	case d.Database.LoggedChanges() <= incrementalMaxDelta:
+	case d.snap.Load() == nil:
+		d.Database.DropChanges()
+	default:
+		_, _ = d.refreshHoldingMu() // a failed refresh is the next reader's to retry, as after Update
+	}
 	return err
 }
 
@@ -270,30 +281,28 @@ func (d *DB) beginCommit() (core.ChangeMark, error) {
 }
 
 // commitChanges makes the mutation performed since the mark durable: its
-// change-log entries are appended as one WAL record (checksummed, and
-// fsynced unless NoSync) before the mutator returns to its caller. A mark
-// invalidated by change-log overflow forces a synchronous full checkpoint
-// instead, and so does a commit that takes the WAL past
-// Options.CheckpointBytes, after its record is durable.
+// change-log entries, however many, are appended as one WAL record
+// (checksummed, and fsynced unless NoSync) before the mutator returns to its
+// caller. A commit that takes the WAL past Options.CheckpointBytes then
+// takes a checkpoint, after its record is durable.
 //
 // A durability failure (after the storage layer's transient-error retries
-// are exhausted) does not poison the database: the mutation is rolled back
-// in memory and the database degrades to read-only serving (degradeLocked),
-// recovering automatically when the disk heals. The commit that triggers an
-// automatic checkpoint is in the WAL and stays acknowledged whatever the
-// checkpoint does (checkpointLocked says what a failed one leaves). Only a
-// rollback the change log cannot support moves the database to the terminal
-// Failed state.
+// are exhausted, or a record too large for the log's frame) does not poison
+// the database: the mutation is rolled back in memory and the database
+// degrades to read-only serving (degradeLocked), recovering automatically
+// when the disk heals. The commit that triggers an automatic checkpoint is in
+// the WAL and stays acknowledged whatever the checkpoint does
+// (checkpointLocked says what a failed one leaves). Only a rollback that
+// cannot run moves the database to the terminal Failed state.
 func (d *DB) commitChanges(m core.ChangeMark) error {
 	if d.dur == nil || d.durErr != nil {
 		return d.durErr // nil for purely in-memory databases and healthy durable ones
 	}
 	changes, ok := d.Database.ChangesSince(m)
 	if !ok {
-		// The mark was invalidated (change-log overflow, or a drain inside
-		// the scope): the mutation cannot be separated for rollback, so a full
-		// checkpoint is the only commit path.
-		return d.checkpointLocked(true)
+		// Only a drain inside the scope invalidates the mark: it published
+		// the mutation unlogged and took the changes a rollback would undo.
+		return d.failLocked(errors.New("colorful: the change log was drained inside a commit scope"))
 	}
 	if len(changes) == 0 {
 		return nil
@@ -302,13 +311,13 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 		return d.degradeLocked(len(changes), err)
 	}
 	if t := d.durOpts.CheckpointBytes; t > 0 && d.dur.LogBytes() >= d.ckptDeferred+t {
-		_ = d.checkpointLocked(false) // this commit is durable and acknowledged either way
+		_ = d.checkpointLocked() // this commit is durable and acknowledged either way
 	}
 	return nil
 }
 
-// checkpointLocked is the one checkpoint: DB.Checkpoint, both checkpoints of
-// commitChanges, and the heal run it. It brings the published snapshot up to
+// checkpointLocked is the one checkpoint: DB.Checkpoint, the automatic
+// checkpoint of commitChanges, and the heal run it. It brings the published snapshot up to
 // date (refreshHoldingMu) and installs that snapshot as the image through
 // storage's one protocol, which supersedes the log. Caller holds d.mu
 // exclusively.
@@ -319,13 +328,7 @@ func (d *DB) commitChanges(m core.ChangeMark) error {
 // tries again. One that fails after (storage.ErrNoSegment) has written its
 // image but left no writable segment, so a Healthy database takes the degrade
 // edge with nothing to roll back, and heal's checkpoint redoes it.
-//
-// unlogged marks the checkpoint of a commit that overflowed the change log:
-// the WAL lacks that commit, so it is durable only once MANIFEST durably
-// names the image, and then checkpointLocked reports nil, whatever came
-// after. Any earlier failure leaves a commit that can be neither acknowledged
-// nor rolled back, and fails the database.
-func (d *DB) checkpointLocked(unlogged bool) error {
+func (d *DB) checkpointLocked() error {
 	sw := obs.Start()
 	sp, err := d.refreshHoldingMu()
 	if err == nil {
@@ -333,10 +336,7 @@ func (d *DB) checkpointLocked(unlogged bool) error {
 	}
 	if err != nil {
 		err = fmt.Errorf("colorful: checkpoint: %w", err)
-		switch {
-		case unlogged && (!errors.Is(err, storage.ErrNoSegment) || errors.Is(err, storage.ErrManifestUnsettled)):
-			return d.failLocked(fmt.Errorf("checkpoint after change-log overflow: %w", err))
-		case !errors.Is(err, storage.ErrNoSegment):
+		if !errors.Is(err, storage.ErrNoSegment) {
 			d.ckptDeferred = d.dur.LogBytes()
 			return err
 		}
@@ -347,9 +347,6 @@ func (d *DB) checkpointLocked(unlogged bool) error {
 	obsCheckpointNanos.Observe(sw.ElapsedNanos())
 	if err != nil && d.Health() == Healthy {
 		_ = d.degradeLocked(0, err)
-	}
-	if unlogged {
-		return nil
 	}
 	return err
 }

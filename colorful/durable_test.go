@@ -106,6 +106,54 @@ update $m { insert <votes>14</votes> }`); err != nil {
 	}
 }
 
+// TestLargeCommitSurvivesReopen: a commit bigger than 64 MiB is one WAL
+// record like any other, and neither it nor the commit after it is lost on
+// reopen. Checkpoints are off, so the log is the only copy. The commit is one
+// attach of 9 600 elements with 7 000-byte texts: the store holds no record
+// larger than a page, so no single text can be that large.
+func TestLargeCommitSurvivesReopen(t *testing.T) {
+	const elems, textBytes = 9600, 7000
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := colorful.OpenOptions(dir, colorful.Options{NoSync: true, CheckpointBytes: -1}, "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := db.NewElement("big", "red") // built detached, then attached in one commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Repeat("x", textBytes)
+	for i := 0; i < elems; i++ {
+		if _, err := db.AddElementText(big, "t", "red", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Append(db.Document(), big, "red"); err != nil {
+		t.Fatal(err)
+	}
+	if wal := db.DurabilityStats().WALBytes; wal <= 64<<20 {
+		t.Fatalf("the log holds %d bytes, want a record over 64 MiB", wal)
+	}
+	if _, err := db.AddElementText(db.Document(), "after", "red", "next"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := reopen(t, dir)
+	defer got.Close()
+	if r := got.Recovery(); r.TornTail || r.CheckpointLoaded {
+		t.Fatalf("recovery %+v, want the whole log replayed", r)
+	}
+	out, err := got.Query(`document("db")/{red}child::big/{red}child::t`)
+	if err != nil || len(out) != elems || out[0].Value != text || out[elems-1].Value != text {
+		t.Fatalf("the large commit after reopen: %d texts, err %v", len(out), err)
+	}
+	if out, err := got.Query(`document("db")/{red}child::after`); err != nil || len(out) != 1 || out[0].Value != "next" {
+		t.Fatalf("the commit after it, after reopen: %v, %v", out, err)
+	}
+}
+
 func TestConstructorQueryIsDurable(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := colorful.Open(dir, "red", "green")
@@ -330,28 +378,19 @@ func TestPositionalInsertRolledBackOnFailedSync(t *testing.T) {
 	}
 }
 
-// TestDisplacingInsertOverflowsToCheckpoint: an insert before the first of
-// 8 300 items logs each displaced item leaving and arriving again, more than
-// the change log holds. The log overflows, so the commit is a full
-// checkpoint instead of a WAL record, and a reopened directory answers alike.
-// The checkpoint alone makes such a commit durable: it is acknowledged once
-// MANIFEST durably names the image, even if the new segment then fails to
-// open (the database degrades and heals). A failure while MANIFEST is
-// replaced fails the database, and reopening recovers the state before it.
-func TestDisplacingInsertOverflowsToCheckpoint(t *testing.T) {
-	for _, tc := range []struct {
-		fault string // suffix of the files whose Create fails during the insert
-		acked bool
-	}{
-		{"", true},
-		{"MANIFEST.tmp", false},
-		{".log", true},
-	} {
-		t.Run("fault="+tc.fault, func(t *testing.T) {
+// TestDisplacingInsertIsOneRecord: an insert before the first of 8 300
+// items logs each displaced item leaving and arriving again, 16 601 changes,
+// and commits them as one WAL record like any other commit: no checkpoint
+// is taken, and a reopened directory answers alike. A WAL write fault during
+// it rolls it back and degrades the database; the probe heals it, and a
+// reopened directory holds the state before the insert.
+func TestDisplacingInsertIsOneRecord(t *testing.T) {
+	for _, walFault := range []bool{false, true} {
+		t.Run(map[bool]string{false: "acknowledged", true: "wal-fault"}[walFault], func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "db")
-			fs := &createFaultFS{FS: vfs.OS, suffix: tc.fault}
+			ffs := vfs.NewFaultFS(vfs.OS, 42)
 			db, err := colorful.OpenOptions(dir, colorful.Options{
-				FS: fs, NoSync: true, CheckpointBytes: -1, Retry: quickPolicy(), ProbeInterval: 2 * time.Millisecond,
+				FS: ffs, NoSync: true, CheckpointBytes: -1, Retry: quickPolicy(), ProbeInterval: 2 * time.Millisecond,
 			}, "red")
 			if err != nil {
 				t.Fatal(err)
@@ -374,53 +413,40 @@ func TestDisplacingInsertOverflowsToCheckpoint(t *testing.T) {
 			if err := db.Append(db.Document(), list, "red"); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Refresh(); err != nil {
-				t.Fatal(err)
-			}
-			if got := db.DurabilityStats().Checkpoints; got != 0 {
-				t.Fatalf("building the list took %d checkpoints", got)
-			}
 			const q = `document("db")/{red}child::list/{red}child::item`
 			want := compiledAnswers(t, db, q)
 			item, err := db.NewElement("item", "red")
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs.armed.Store(tc.fault != "")
-			err = db.InsertBefore(list, item, first, "red")
-			if !tc.acked {
-				if !errors.Is(err, colorful.ErrFailed) || !strings.Contains(err.Error(), tc.fault) {
-					t.Fatalf("insert whose MANIFEST did not move: %v, want ErrFailed", err)
+			if walFault {
+				ffs.Schedule(ffs.Ops(), vfs.Fault{Err: vfs.Permanent(vfs.ErrIO)}) // the append's write
+				if err := db.InsertBefore(list, item, first, "red"); !errors.Is(err, colorful.ErrReadOnly) {
+					t.Fatalf("insert with a failing WAL write: %v, want ErrReadOnly", err)
 				}
-				if info := db.HealthInfo(); info.State != colorful.Failed || info.Degrades != 0 {
-					t.Fatalf("health info = %+v, want failed straight from healthy", info)
+				if got := compiledAnswers(t, db, q); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("after the rollback %d items, before the insert %d", len(got[0]), len(want[0]))
 				}
-				fs.armed.Store(false)
-				_ = db.Close() // a failed database may report its failure
+				awaitHealth(t, db, colorful.Healthy)
 			} else {
-				if err != nil {
+				if err := db.InsertBefore(list, item, first, "red"); err != nil {
 					t.Fatal(err)
 				}
-				if got := db.DurabilityStats().Checkpoints; got != 1 {
-					t.Fatalf("an insert displacing 8 300 items took %d checkpoints, want 1", got)
-				}
-				if tc.fault != "" {
-					awaitHealth(t, db, colorful.DegradedReadOnly)
+				if got := db.DurabilityStats().Checkpoints; got != 0 {
+					t.Fatalf("an insert displacing 8 300 items took %d checkpoints, want 0", got)
 				}
 				want = compiledAnswers(t, db, q)
 				if items := want[0]; len(items) != 8301 || items[0] != "" || items[1] != "0" || items[8300] != "8299" {
 					t.Fatalf("%d items, first %q, %q, last %q", len(items), items[0], items[1], items[len(items)-1])
 				}
-				fs.armed.Store(false)
-				awaitHealth(t, db, colorful.Healthy)
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
 			}
 			got := reopen(t, dir)
 			defer got.Close()
-			if r := got.Recovery(); r.CheckpointLoaded != tc.acked {
-				t.Fatalf("recovery stats %+v after the insert (acknowledged: %v)", r, tc.acked)
+			if r := got.Recovery(); r.CheckpointLoaded == !walFault {
+				t.Fatalf("recovery stats %+v after the insert (heal's checkpoint: %v)", r, walFault)
 			}
 			if after := compiledAnswers(t, got, q); fmt.Sprint(after) != fmt.Sprint(want) {
 				t.Fatalf("after Open %d items, before Close %d", len(after[0]), len(want[0]))

@@ -21,9 +21,8 @@ import (
 // ErrReadOnly, and a background probe watches the disk. When writes succeed
 // again, a checkpoint of the committed state (checkpointLocked) puts the
 // failed segment below the epoch and the database returns to Healthy. Failed
-// is the terminal state for damage the rollback machinery cannot undo (a
-// change-log overflow mid-commit); reads may then reflect an unacknowledged
-// mutation and mutations report ErrFailed.
+// is the terminal state of a rollback that cannot run; reads may then
+// reflect an unacknowledged mutation and mutations report ErrFailed.
 //
 // The rollback leans on one invariant, maintained by serve.go: the published
 // snapshot always equals the core state at the last change-log drain (the
@@ -174,10 +173,7 @@ func (d *DB) degradeLocked(suffix int, cause error) error {
 	if basis == nil {
 		return d.failLocked(fmt.Errorf("no rollback basis published: %w", cause))
 	}
-	all, overflow := d.Database.DrainChanges()
-	if overflow || len(all) < suffix {
-		return d.failLocked(fmt.Errorf("change log overflowed, mutation cannot be rolled back: %w", cause))
-	}
+	all := d.Database.DrainChanges()
 	committed := all[:len(all)-suffix]
 	st := basis.st.Clone()
 	if err := st.ApplyChanges(committed); err != nil {
@@ -260,7 +256,7 @@ func (d *DB) probeLoop() {
 // committed state, and checkpointing it puts the segment that may hold the
 // rolled-back record below the epoch. Caller holds d.mu exclusively.
 func (d *DB) healLocked() error {
-	if err := d.checkpointLocked(false); err != nil {
+	if err := d.checkpointLocked(); err != nil {
 		return err
 	}
 	d.transitionHealth(Healthy)

@@ -518,40 +518,24 @@ func TestScrubberDetectsAndHeals(t *testing.T) {
 	}
 }
 
-// TestFailedIsTerminal reaches Failed through a commit too big for the
-// change log (one attach of a detached subtree with more elements than the
-// log holds): it cannot be separated for rollback, so its only commit path
-// is a full checkpoint, and under a standing outage that checkpoint fails.
-// The database then refuses every mutation with ErrFailed, keeps answering
-// queries, and stays failed after the disk comes back.
+// TestFailedIsTerminal reaches Failed through a rollback that cannot run: a
+// commit fails under a standing outage while no snapshot is published, so
+// there is no basis to roll it back onto. The database then refuses every
+// mutation with ErrFailed, keeps answering queries, and stays failed after
+// the disk comes back.
 func TestFailedIsTerminal(t *testing.T) {
 	db, ffs, _ := openFaulty(t, 2*time.Millisecond)
 	buildMovies(t, db)
 
-	const elems = 1<<14 + 1 // one more than the change log holds
-	bulk, err := db.NewElement("bulk", "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < elems; i++ {
-		el, err := db.NewElement("b", "red")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Append(bulk, el, "red"); err != nil {
-			t.Fatalf("building the detached subtree: %v", err)
-		}
-	}
-
+	colorful.DropRollbackBasis(db)
 	ffs.SetStanding(vfs.Permanent(vfs.ErrIO))
-	if err := db.Append(db.Document(), bulk, "red"); !errors.Is(err, colorful.ErrFailed) {
-		t.Fatalf("overflowing commit under an outage: %v, want ErrFailed", err)
+	if _, err := db.AddElement(db.Document(), "doomed", "red"); !errors.Is(err, colorful.ErrFailed) {
+		t.Fatalf("commit with no rollback basis under an outage: %v, want ErrFailed", err)
 	}
 	if got := db.Health(); got != colorful.Failed {
 		t.Fatalf("health = %v, want Failed", got)
 	}
-	_, err = db.AddElement(db.Document(), "late", "red")
-	if !errors.Is(err, colorful.ErrFailed) {
+	if _, err := db.AddElement(db.Document(), "late", "red"); !errors.Is(err, colorful.ErrFailed) {
 		t.Fatalf("mutation after failure: %v, want ErrFailed", err)
 	}
 	if n := countNodes(t, db, `document("db")/{red}descendant::movie`); n != 1 {

@@ -13,9 +13,9 @@ import "colorfulxml/internal/core"
 // its own risk.
 //
 // Mutations are NOT applied to the published query snapshot here — they
-// land in the core database and its change log, and the next query (or an
-// explicit Refresh) publishes a fresh snapshot incrementally, under the same
-// writer lock (serve.go).
+// land in the core database and its change log, and the next query (or a
+// Refresh, or the commit that takes the log past its bound) publishes a
+// fresh snapshot incrementally, under the same writer lock (serve.go).
 
 // --- mutators -------------------------------------------------------------
 

@@ -52,8 +52,6 @@ var (
 	// Why refreshHoldingMu rebuilt the snapshot from core instead of replaying
 	// the change log; db_snapshot_full_rebuilds_total stays the total.
 	obsRebuildFirst         = obs.NewLabeledCounter("db_snapshot_full_rebuilds_total", "reason", "first")
-	obsRebuildOverflow      = obs.NewLabeledCounter("db_snapshot_full_rebuilds_total", "reason", "overflow")
-	obsRebuildLargeDelta    = obs.NewLabeledCounter("db_snapshot_full_rebuilds_total", "reason", "large_delta")
 	obsRebuildReplayRefused = obs.NewLabeledCounter("db_snapshot_full_rebuilds_total", "reason", "replay_refused")
 
 	obsCheckpoints     = obs.NewCounter("db_checkpoints_total")

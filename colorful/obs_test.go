@@ -236,50 +236,55 @@ func TestFallbackReasonsAreLabeled(t *testing.T) {
 	}
 }
 
-// TestFullRebuildReasonsAreLabeled: each full rebuild counts under its
-// reason, and the unlabeled family total and MaintStats.FullRebuilds count
-// them all. A first snapshot, a delta over incrementalMaxDelta and an
-// overflowed change log are driven through the facade.
+// TestFullRebuildReasonsAreLabeled: a full rebuild counts under its reason,
+// and the unlabeled family total and MaintStats.FullRebuilds count it too.
+// The first snapshot is one; deltas past incrementalMaxDelta, and past what
+// core's change log once held, are not: each lands in one commit, which
+// publishes it by replay.
 func TestFullRebuildReasonsAreLabeled(t *testing.T) {
 	db := New("red")
-	root, err := db.AddElement(db.Document(), "list", "red")
-	if err != nil {
+	if _, err := db.AddElement(db.Document(), "list", "red"); err != nil {
 		t.Fatal(err)
 	}
-	reasons := map[string]*obs.Counter{
-		"first": obsRebuildFirst, "overflow": obsRebuildOverflow,
-		"large_delta": obsRebuildLargeDelta, "replay_refused": obsRebuildReplayRefused,
-	}
+	reasons := map[string]*obs.Counter{"first": obsRebuildFirst, "replay_refused": obsRebuildReplayRefused}
 	want := map[string]uint64{}
 	for r, c := range reasons {
 		want[r] = c.Value()
 	}
 	total := obsSnapRebuilds.Value()
-	step := func(adds int, reason string) {
-		t.Helper()
-		for i := 0; i < adds; i++ {
-			if _, err := db.AddElement(root, "item", "red"); err != nil {
+	if err := db.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	want["first"]++
+	maint := db.MaintStats()
+	for _, elems := range []int{incrementalMaxDelta + 1, 1<<14 + 1} {
+		bulk, err := db.NewElement("bulk", "red") // built detached, then attached in one commit
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < elems; i++ {
+			if _, err := db.AddElement(bulk, "b", "red"); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := db.Append(db.Document(), bulk, "red"); err != nil {
+			t.Fatal(err)
 		}
 		if err := db.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		want[reason]++
-		for r, c := range reasons {
-			if c.Value() != want[r] {
-				t.Fatalf("after a %s rebuild, %s counts %d, want %d", reason, r, c.Value(), want[r])
-			}
+	}
+	for r, c := range reasons {
+		if c.Value() != want[r] {
+			t.Errorf("%s counts %d, want %d", r, c.Value(), want[r])
 		}
 	}
-	step(0, "first")
-	step(incrementalMaxDelta+1, "large_delta")
-	step(1<<14+1, "overflow") // past core's change-log bound
-	if got := obsSnapRebuilds.Value() - total; got != 3 {
-		t.Errorf("db_snapshot_full_rebuilds_total moved by %d, want 3", got)
+	if got := obsSnapRebuilds.Value() - total; got != 1 {
+		t.Errorf("db_snapshot_full_rebuilds_total moved by %d, want 1", got)
 	}
-	if got := db.MaintStats().FullRebuilds; got != 3 {
-		t.Errorf("MaintStats.FullRebuilds = %d, want 3", got)
+	got := db.MaintStats()
+	if got.FullRebuilds != maint.FullRebuilds || got.IncrementalApplies != maint.IncrementalApplies+2 {
+		t.Errorf("maintenance went from %+v to %+v, want two incremental applies and no rebuild", maint, got)
 	}
 }
 

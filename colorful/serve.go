@@ -18,13 +18,12 @@ import (
 // itself, inside its commit scope; after any other mutator the next snapshot
 // request takes the lock and does. Either way the snapshot is made
 // incrementally, by replaying the core change log onto a copy-on-write clone
-// of the previous snapshot (both O(change)), or by a full storage.Load when
-// the delta is too large, overflowed, or contains a change with no
-// incremental counterpart.
+// of the previous snapshot (both O(change)). A full storage.Load builds the
+// first snapshot, and replaces a replay the store refused.
 
-// incrementalMaxDelta caps the change-log length replayed incrementally; a
-// longer delta means enough of the database moved that a bulk Load (which
-// also re-packs interval gaps) is the better rebuild.
+// incrementalMaxDelta bounds the change log: a commit that leaves more
+// changes than this in it publishes them (commitLocked), so no replay is
+// longer than one commit plus this many changes.
 const incrementalMaxDelta = 4096
 
 // snapshot is what a reader needs of one database generation: the immutable
@@ -115,16 +114,10 @@ func (d *DB) refreshHoldingMu() (*snapshot, error) {
 	if old != nil && old.gen == gen {
 		return old, nil
 	}
-	changes, overflow := d.Database.DrainChanges()
-	why := obsRebuildReplayRefused
-	switch {
-	case old == nil:
-		why = obsRebuildFirst
-	case overflow:
-		why = obsRebuildOverflow
-	case len(changes) > incrementalMaxDelta:
-		why = obsRebuildLargeDelta
-	default:
+	changes := d.Database.DrainChanges()
+	why := obsRebuildFirst
+	if old != nil {
+		why = obsRebuildReplayRefused
 		clone := old.st.Clone()
 		if err := clone.ApplyChanges(changes); err == nil {
 			if verr := d.validateAfterApply(); verr != nil {

@@ -13,9 +13,8 @@ import (
 )
 
 // viewsCatalog is catalogDB's catalog with an id attribute on every item, in
-// a durable database on a fault-injecting filesystem: built detached and
-// attached in one commit, which overflows the change log and so installs a
-// checkpoint.
+// a durable database on a fault-injecting filesystem: built detached,
+// attached in one commit, and checkpointed.
 func viewsCatalog(t *testing.T, items int) (*DB, *vfs.FaultFS) {
 	t.Helper()
 	ffs := vfs.NewFaultFS(vfs.OS, 42)
@@ -53,6 +52,7 @@ func viewsCatalog(t *testing.T, items int) (*DB, *vfs.FaultFS) {
 	}
 	step(db.Append(db.Document(), catalog, "red"))
 	step(db.Append(db.Document(), featured, "green"))
+	step(db.Checkpoint())
 	return db, ffs
 }
 

@@ -49,41 +49,37 @@ type Change struct {
 	Attrs   [][2]string
 }
 
-// maxChangeLog bounds the change log; once exceeded the log is dropped and
-// DrainChanges reports overflow, forcing consumers to rebuild. This keeps
-// databases whose log is never drained from accumulating memory.
-const maxChangeLog = 1 << 14
-
 // changeLog has no lock of its own: every record, Mark, ChangesSince and
 // DrainChanges runs under the serving layer's writer lock, like every other
-// Database mutator.
+// Database mutator. The serving layer bounds its length.
 type changeLog struct {
-	entries  []Change
-	overflow bool
-	drains   uint64 // bumped by DrainChanges, invalidating outstanding marks
+	entries []Change
+	drains  uint64 // bumped by DrainChanges, invalidating outstanding marks
 }
 
 func (db *Database) record(ch Change) {
-	if !db.clog.overflow {
-		if len(db.clog.entries) >= maxChangeLog {
-			db.clog.overflow = true
-			db.clog.entries = nil
-		} else {
-			db.clog.entries = append(db.clog.entries, ch)
-		}
-	}
+	db.clog.entries = append(db.clog.entries, ch)
 }
 
 // DrainChanges returns and clears the change log accumulated since the last
-// drain (or since construction). overflow reports that the log was dropped
-// because it grew past its bound; the drained prefix is then incomplete and
-// consumers must treat the database as arbitrarily changed.
-func (db *Database) DrainChanges() (changes []Change, overflow bool) {
-	changes, overflow = db.clog.entries, db.clog.overflow
-	db.clog.entries, db.clog.overflow = nil, false
+// drain (or since construction).
+func (db *Database) DrainChanges() []Change {
+	changes := db.clog.entries
+	db.clog.entries = nil
 	db.clog.drains++
-	return changes, overflow
+	return changes
 }
+
+// DropChanges is DrainChanges for a caller that does not read the changes: the
+// log keeps its storage for the ones that follow.
+func (db *Database) DropChanges() {
+	clear(db.clog.entries)
+	db.clog.entries = db.clog.entries[:0]
+	db.clog.drains++
+}
+
+// LoggedChanges is the number of changes recorded since the last drain.
+func (db *Database) LoggedChanges() int { return len(db.clog.entries) }
 
 // ChangeMark is a position in the change log, taken before a mutation so the
 // mutation's own entries can be read back afterwards (see ChangesSince).
@@ -101,11 +97,10 @@ func (db *Database) Mark() ChangeMark {
 
 // ChangesSince returns the entries recorded after the mark: the log's own
 // tail, valid until the next mutation or drain. ok is false when the mark is
-// no longer valid: the log was drained or overflowed in between, so the
-// caller cannot know the exact entry set and must treat the database as
-// arbitrarily changed (the durable layer responds with a full checkpoint).
+// no longer valid: the log was drained in between, so the entries since the
+// mark are gone.
 func (db *Database) ChangesSince(m ChangeMark) (changes []Change, ok bool) {
-	if db.clog.drains != m.drains || db.clog.overflow || m.n > len(db.clog.entries) {
+	if db.clog.drains != m.drains || m.n > len(db.clog.entries) {
 		return nil, false
 	}
 	return db.clog.entries[m.n:], true

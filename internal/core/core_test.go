@@ -736,3 +736,35 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestChangeLogDropAndDrain: DropChanges and DrainChanges both empty the log
+// and invalidate a mark taken before them; what is recorded after either is
+// read back from a fresh mark.
+func TestChangeLogDropAndDrain(t *testing.T) {
+	db := core.NewDatabase("red")
+	db.DrainChanges() // the colour's registration
+	for _, empty := range []func(){
+		db.DropChanges,
+		func() { db.DrainChanges() },
+	} {
+		m := db.Mark()
+		if _, err := db.AddElement(db.Document(), "a", "red"); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.LoggedChanges(); got != 1 {
+			t.Fatalf("%d changes logged after one attach", got)
+		}
+		empty()
+		if _, ok := db.ChangesSince(m); ok || db.LoggedChanges() != 0 {
+			t.Fatalf("after emptying: mark valid %v, %d changes logged", ok, db.LoggedChanges())
+		}
+		m = db.Mark()
+		if _, err := db.AddElement(db.Document(), "b", "red"); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := db.ChangesSince(m); !ok || len(got) != 1 || got[0].Tag != "b" {
+			t.Fatalf("changes since a fresh mark: %+v, %v", got, ok)
+		}
+		empty()
+	}
+}

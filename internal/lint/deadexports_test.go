@@ -24,8 +24,6 @@ var testsOnlyExports = []string{
 	"(*colorfulxml/internal/vfs.FaultFS).SetSleep",
 	"(*colorfulxml/internal/vfs.FaultFS).SetSyncDelay",
 	"colorfulxml/internal/vfs.NewCrashFS",
-	// A message the server answers; clients outside the module send it.
-	"(colorfulxml/internal/wire.CloseStmt).Encode",
 	// Golden plan text, which tests compare plans by.
 	"colorfulxml/internal/engine.Explain",
 	// The paper's complexity and cost measures, which tests check against

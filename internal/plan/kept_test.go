@@ -454,10 +454,7 @@ func commit(t *testing.T, w *world, m mutation) bool {
 	if err := m.do(); err != nil {
 		t.Fatal(err)
 	}
-	changes, overflow := w.db.DrainChanges()
-	if overflow {
-		t.Fatal("change log overflowed")
-	}
+	changes := w.db.DrainChanges()
 	if err := w.st.ApplyChanges(changes); err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +573,7 @@ func TestKeptPlansConcurrentWithWriter(t *testing.T) {
 		if err := m.do(); err != nil {
 			t.Fatal(err)
 		}
-		changes, _ := w.db.DrainChanges()
+		changes := w.db.DrainChanges()
 		next := cur.Load().Clone()
 		if err := next.ApplyChanges(changes); err != nil {
 			t.Fatal(err)

@@ -403,6 +403,33 @@ func TestStmtCapPerConn(t *testing.T) {
 	}
 }
 
+// TestPreparedTextsOutnumberTheCap: one pooled connection prepares, runs and
+// closes more distinct texts than the server lets a connection hold; the
+// client closes its oldest handle to make room, so every Prepare succeeds.
+func TestPreparedTextsOutnumberTheCap(t *testing.T) {
+	_, srv, addr := startCatalog(t, 10, server.Options{})
+	cdb, err := client.OpenOptions(addr, client.Options{PoolSize: 1, IdlePingAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cdb.Close()
+	for i := 0; i < 1100; i++ {
+		st, err := cdb.Prepare(fmt.Sprintf(`document("db")/{red}descendant::name[. = "Item %d"]`, i))
+		if err != nil {
+			t.Fatalf("prepare %d: %v", i+1, err)
+		}
+		if _, err := st.Query(); err != nil {
+			t.Fatalf("query %d: %v", i+1, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := srv.Stats().StmtsOpen; n >= 1024 {
+		t.Fatalf("the connection holds %d statements, want fewer than the server's 1 024", n)
+	}
+}
+
 // TestDegradedReadOnlyOverWire degrades a durable store with an injected
 // disk outage and checks a wire Update is refused with a typed ErrReadOnly.
 func TestDegradedReadOnlyOverWire(t *testing.T) {

@@ -90,7 +90,7 @@ func checkpointScenario(t *testing.T, dir string, fs costFS, sticky bool) (int64
 		if _, err := db.AddElementText(db.NodeByID(1), "item", "paper", "lost"); err != nil {
 			t.Fatal(err)
 		}
-		lost, _ := db.DrainChanges()
+		lost := db.DrainChanges()
 		ffs.Schedule(ffs.Ops(), vfs.Fault{Err: vfs.Permanent(vfs.ErrIO), PartialFrac: 0.5})
 		if err := d.Append(lost); err == nil {
 			t.Fatal("append succeeded through an injected fault")

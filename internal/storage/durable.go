@@ -323,12 +323,6 @@ var errClosed = errors.New("storage: durable store is closed")
 // MANIFEST: no WAL segment takes appends until a later Checkpoint succeeds.
 var ErrNoSegment = errors.New("storage: no writable WAL segment")
 
-// ErrManifestUnsettled is wrapped, with ErrNoSegment, by a Checkpoint whose
-// MANIFEST replacement failed: after a crash MANIFEST may name either epoch,
-// so the image is not durable. Every appended record still is: it is in the
-// old segment, which recovery replays, or in the image.
-var ErrManifestUnsettled = errors.New("storage: MANIFEST replacement did not finish")
-
 // Checkpoint installs st as the checkpoint of a new epoch E, the open segment
 // + 1, and moves the log to segment E. st must be the state of the last
 // successful Append, and the caller holds its writer lock, so no Append runs
@@ -340,8 +334,8 @@ var ErrManifestUnsettled = errors.New("storage: MANIFEST replacement did not fin
 // segment as they were, still writable. Once MANIFEST starts to move, the open
 // segment is abandoned: a rename whose directory fsync failed may yet last,
 // and a record appended below the epoch would be lost. A failure from then on
-// wraps ErrNoSegment, and also ErrManifestUnsettled while MANIFEST is not
-// durably E; once it is, st is durable.
+// wraps ErrNoSegment; every appended record stays durable, in image E or in
+// the segments of the old epoch.
 func (d *Durable) Checkpoint(st *Store) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -370,7 +364,7 @@ func (d *Durable) Checkpoint(st *Store) error {
 		})
 	})
 	if err != nil {
-		return fmt.Errorf("%w: %w after checkpoint %d: %w", ErrNoSegment, ErrManifestUnsettled, epoch, err)
+		return fmt.Errorf("%w: MANIFEST for checkpoint %d: %w", ErrNoSegment, epoch, err)
 	}
 	d.collect(epoch)
 	if err := d.openSegment(epoch, nextSeq); err != nil {

@@ -150,17 +150,16 @@ func (f *createFault) Create(name string) (vfs.File, error) {
 
 // TestCheckpointFailureKinds: a Checkpoint that fails while its image is
 // written leaves the open segment writable; one that fails while MANIFEST is
-// replaced leaves no segment and the image not durable; one that fails after
-// leaves no segment but the image durable. Each way the commits survive.
+// replaced, or after, leaves no segment. Each way the commits survive.
 func TestCheckpointFailureKinds(t *testing.T) {
 	for _, tc := range []struct {
-		suffix               string
-		noSegment, unsettled bool
-		epoch                uint64
+		suffix    string
+		noSegment bool
+		epoch     uint64
 	}{
-		{".ckpt.tmp", false, false, 1},
-		{"MANIFEST.tmp", true, true, 1},
-		{".log", true, false, 2},
+		{".ckpt.tmp", false, 1},
+		{"MANIFEST.tmp", true, 1},
+		{".log", true, 2},
 	} {
 		t.Run(tc.suffix, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "db")
@@ -173,8 +172,7 @@ func TestCheckpointFailureKinds(t *testing.T) {
 			commit(t, db, d, st)
 			fs.armed = true
 			err = d.Checkpoint(st)
-			if err == nil || errors.Is(err, storage.ErrNoSegment) != tc.noSegment ||
-				errors.Is(err, storage.ErrManifestUnsettled) != tc.unsettled {
+			if err == nil || errors.Is(err, storage.ErrNoSegment) != tc.noSegment {
 				t.Fatalf("Checkpoint with a failing %s Create: %v", tc.suffix, err)
 			}
 			if !tc.noSegment {
@@ -216,7 +214,7 @@ func TestCheckpointAfterOutage(t *testing.T) {
 	if _, err := db.AddElementText(db.NodeByID(1), "item", "paper", "lost"); err != nil {
 		t.Fatal(err)
 	}
-	lost, _ := db.DrainChanges()
+	lost := db.DrainChanges()
 	if err := d.Append(lost); err == nil {
 		t.Fatal("append succeeded through a standing outage")
 	}
@@ -241,7 +239,7 @@ func TestCheckpointAfterOutage(t *testing.T) {
 	if _, err := db2.AddElementText(db2.NodeByID(1), "item", "paper", "after-heal"); err != nil {
 		t.Fatal(err)
 	}
-	post, _ := db2.DrainChanges()
+	post := db2.DrainChanges()
 	if err := d.Append(post); err != nil {
 		t.Fatalf("append after the checkpoint: %v", err)
 	}

@@ -53,10 +53,7 @@ func fingerprint(t *testing.T, s *storage.Store, colors []core.Color) string {
 // the result with a fresh Load of db.
 func applyDrained(t *testing.T, base *storage.Store, db *core.Database) *storage.Store {
 	t.Helper()
-	changes, overflow := db.DrainChanges()
-	if overflow {
-		t.Fatal("change log overflowed")
-	}
+	changes := db.DrainChanges()
 	clone := base.Clone()
 	if err := clone.ApplyChanges(changes); err != nil {
 		t.Fatalf("ApplyChanges: %v", err)
@@ -195,7 +192,7 @@ func TestApplyChangesRenameIsIncremental(t *testing.T) {
 	if _, err := db.SetAttribute(m.Node("eve"), "rating", "8.2"); err != nil {
 		t.Fatal(err)
 	}
-	changes, _ := db.DrainChanges()
+	changes := db.DrainChanges()
 	if len(changes) != 1 || changes[0].Kind != core.ChangeAttrs || changes[0].Tag != "" {
 		t.Fatalf("an attribute set logged %+v, want one ChangeAttrs without a tag", changes)
 	}
@@ -232,7 +229,7 @@ func TestCloneLeavesSnapshotIntact(t *testing.T) {
 	if err := db.DeleteSubtree(m.Node("drama"), fixtures.Red); err != nil {
 		t.Fatal(err)
 	}
-	changes, _ := db.DrainChanges()
+	changes := db.DrainChanges()
 	clone := base.Clone()
 	if err := clone.ApplyChanges(changes); err != nil {
 		t.Fatal(err)
@@ -287,7 +284,7 @@ func TestParentWritesStayOutOfClone(t *testing.T) {
 	if err := db.DeleteSubtree(m.Node("drama"), fixtures.Red); err != nil {
 		t.Fatal(err)
 	}
-	changes, _ := db.DrainChanges()
+	changes := db.DrainChanges()
 	if err := parent.ApplyChanges(changes); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,7 @@ func populateLog(t *testing.T, items int) (db *core.Database, log [][]core.Chang
 		if err != nil {
 			t.Fatal(err)
 		}
-		changes, overflow := db.DrainChanges()
-		if overflow {
-			t.Fatal("change log overflowed")
-		}
+		changes := db.DrainChanges()
 		log = append(log, changes)
 	}
 	elem := func(n *core.Node, err error) *core.Node {
@@ -116,7 +113,7 @@ func TestHotParentRelabelsLocally(t *testing.T) {
 		if _, err := c.DB.AddElementText(hot, "tag", "red", fmt.Sprint("t", i)); err != nil {
 			t.Fatal(err)
 		}
-		changes, _ := c.DB.DrainChanges()
+		changes := c.DB.DrainChanges()
 		if err := st.ApplyChanges(changes); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -182,7 +179,7 @@ func TestCommitCopiesOnlyOverwrittenPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		changes, _ := c.DB.DrainChanges()
+		changes := c.DB.DrainChanges()
 		st = st.Clone()
 		if err := st.ApplyChanges(changes); err != nil {
 			t.Fatal(err)
@@ -229,7 +226,7 @@ func TestVotesOnACloneChainHoldTheirMemory(t *testing.T) {
 			if err := c.DB.SetText(c.Votes[(7*vote)%len(c.Votes)], fmt.Sprint(vote%10)); err != nil {
 				t.Fatal(err)
 			}
-			changes, _ := c.DB.DrainChanges()
+			changes := c.DB.DrainChanges()
 			st = st.Clone()
 			if err := st.ApplyChanges(changes); err != nil {
 				t.Fatal(err)

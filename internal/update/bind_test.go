@@ -262,10 +262,7 @@ func age(t *testing.T, dbA, dbB *core.Database, st *storage.Store, items int) *s
 				t.Fatalf("ageing update %d: %+v, %v\n%s", n, res, err, src)
 			}
 		}
-		changes, overflow := dbA.DrainChanges()
-		if overflow {
-			t.Fatal("change log overflowed")
-		}
+		changes := dbA.DrainChanges()
 		st = st.Clone()
 		if err := st.ApplyChanges(changes); err != nil {
 			t.Fatalf("ageing update %d: %v", n, err)

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,7 +13,9 @@ import (
 // FuzzWALDecode throws arbitrary bytes at both decoding layers of the log —
 // the record framing (ReadSegment) and the change-batch payload format
 // (DecodeChanges). Neither may panic or over-allocate; whatever decodes
-// successfully must survive an encode/decode round trip unchanged.
+// successfully must survive an encode/decode round trip unchanged. What the
+// final segment reads as a torn tail, an earlier segment reports as
+// corruption.
 func FuzzWALDecode(f *testing.F) {
 	// A healthy two-record segment.
 	batch := EncodeChanges([]core.Change{
@@ -28,6 +32,13 @@ func FuzzWALDecode(f *testing.F) {
 	flipped := bytes.Clone(seg)
 	flipped[len(flipped)-1] ^= 0x40
 	f.Add(flipped)
+	// The segment, then a header whose length runs past the bytes left: by
+	// one byte, and by the most the frame can say.
+	for _, length := range []uint32{4, 0xffffffff} {
+		tail := AppendRecord(nil, 3, make([]byte, 3))
+		binary.LittleEndian.PutUint32(tail[0:4], length)
+		f.Add(append(bytes.Clone(seg), tail...))
+	}
 	// A bare payload (not record-framed) and adversarial length prefixes.
 	f.Add(batch)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
@@ -38,6 +49,14 @@ func FuzzWALDecode(f *testing.F) {
 			res, err := ReadSegment(data, "fuzz", final)
 			if err != nil {
 				continue
+			}
+			if !final && res.Torn {
+				t.Fatal("a non-final segment read as torn")
+			}
+			if final && res.Torn {
+				if _, err := ReadSegment(data, "fuzz", false); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("torn at %d in the final segment, but %v in an earlier one", res.TornOffset, err)
+				}
 			}
 			for _, rec := range res.Records {
 				changes, err := DecodeChanges(rec.Payload)

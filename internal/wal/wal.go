@@ -15,18 +15,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"colorfulxml/internal/obs"
 	"colorfulxml/internal/vfs"
 )
 
 // recHeaderSize is the fixed record header: payload length (4), CRC32C (4),
-// sequence number (8).
+// sequence number (8). The 4-byte length is the only bound on a record.
 const recHeaderSize = 16
-
-// MaxPayload bounds a record payload, rejecting absurd lengths from
-// corrupted headers before any allocation.
-const MaxPayload = 64 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -46,6 +43,10 @@ func (e *CorruptError) Error() string {
 }
 
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
+
+// ErrTooLarge is wrapped by an Append refused because its payload does not
+// fit the record frame's 4-byte length; nothing was written.
+var ErrTooLarge = errors.New("wal: payload too large for one record")
 
 // Record is one decoded WAL record.
 type Record struct {
@@ -90,7 +91,7 @@ func validRecordAt(data []byte, off int64) bool {
 		return false
 	}
 	length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-	if length > MaxPayload || off+recHeaderSize+length > int64(len(data)) {
+	if off+recHeaderSize+length > int64(len(data)) {
 		return false
 	}
 	crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
@@ -123,12 +124,6 @@ func ReadSegment(data []byte, name string, final bool) (*SegmentResult, error) {
 			return torn()
 		}
 		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		if length > MaxPayload {
-			if final {
-				return torn()
-			}
-			return fail(fmt.Sprintf("implausible record length %d", length))
-		}
 		if rem-recHeaderSize < length {
 			return torn()
 		}
@@ -195,10 +190,15 @@ func (w *Writer) SetRetry(p vfs.RetryPolicy) { w.retry = p }
 
 // Append frames payload as the next record, makes it durable per the sync
 // policy, and returns its sequence number. Under SyncAlways, when Append
-// returns nil the record has been fsync'd.
+// returns nil the record has been fsync'd. A payload the frame cannot hold
+// is refused with ErrTooLarge before anything is written, and the writer
+// stays usable.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
+	}
+	if uint64(len(payload)) > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
 	seq := w.nextSeq
 	w.nextSeq++
@@ -206,7 +206,11 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 	w.size += int64(len(w.buf))
 	obsAppends.Inc()
 	obsBytes.Add(uint64(len(w.buf)))
-	if err := w.writeAndSync(w.buf, w.policy == SyncAlways); err != nil {
+	err := w.writeAndSync(w.buf, w.policy == SyncAlways)
+	if cap(w.buf) > 1<<20 {
+		w.buf = nil // a large record's framing buffer is not kept
+	}
+	if err != nil {
 		return 0, w.fail(err)
 	}
 	return seq, nil

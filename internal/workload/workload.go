@@ -254,11 +254,7 @@ func RunUpdate(u *UpdateSpec, st *Stores, v Variant) (update.Result, error) {
 	if err != nil {
 		return res, err
 	}
-	changes, overflow := db.DrainChanges()
-	if overflow {
-		return res, fmt.Errorf("workload: %s/%s: change log overflowed", u.ID, v)
-	}
-	return res, s.ApplyChanges(changes)
+	return res, s.ApplyChanges(db.DrainChanges())
 }
 
 // Complexity is the Figure 11/12 metric pair for one query text.

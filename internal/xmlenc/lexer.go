@@ -315,13 +315,13 @@ func Unescape(s string) (string, error) {
 			b.WriteByte('\'')
 		case strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X"):
 			n, err := strconv.ParseUint(ent[2:], 16, 32)
-			if err != nil {
+			if err != nil || !isChar(n) {
 				return "", fmt.Errorf("bad character reference &%s;", ent)
 			}
 			b.WriteRune(rune(n))
 		case strings.HasPrefix(ent, "#"):
 			n, err := strconv.ParseUint(ent[1:], 10, 32)
-			if err != nil {
+			if err != nil || !isChar(n) {
 				return "", fmt.Errorf("bad character reference &%s;", ent)
 			}
 			b.WriteRune(rune(n))
@@ -331,6 +331,12 @@ func Unescape(s string) (string, error) {
 		i += end + 1
 	}
 	return b.String(), nil
+}
+
+// isChar reports whether n is a character XML 1.0 allows (§2.2, Char).
+func isChar(n uint64) bool {
+	return n == 0x9 || n == 0xA || n == 0xD || 0x20 <= n && n <= 0xD7FF ||
+		0xE000 <= n && n <= 0xFFFD || 0x10000 <= n && n <= 0x10FFFF
 }
 
 // EscapeText escapes character data for element content.

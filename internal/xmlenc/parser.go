@@ -5,8 +5,9 @@ import (
 )
 
 // Parse parses a complete XML document from src and returns its document
-// node. Whitespace-only text between elements is preserved only when
-// keepSpace is true in ParseOptions; Parse uses the default of dropping it.
+// node, comments and processing instructions included. Whitespace-only text
+// between elements is preserved only when KeepWhitespace is set in
+// ParseOptions; Parse uses the default of dropping it.
 func Parse(src string) (*Node, error) {
 	return ParseOptions(src, Options{})
 }
@@ -16,8 +17,6 @@ type Options struct {
 	// KeepWhitespace preserves whitespace-only text nodes. The default drops
 	// them, matching the data-oriented usage in this repository.
 	KeepWhitespace bool
-	// KeepComments preserves comment nodes. The default drops them.
-	KeepComments bool
 }
 
 // ParseOptions parses a complete XML document with explicit options.
@@ -78,9 +77,7 @@ func ParseOptions(src string, opt Options) (*Node, error) {
 			}
 			top.Children = append(top.Children, &Node{Kind: KindText, Value: tok.value})
 		case tokComment:
-			if opt.KeepComments {
-				top.Children = append(top.Children, &Node{Kind: KindComment, Value: tok.value})
-			}
+			top.Children = append(top.Children, &Node{Kind: KindComment, Value: tok.value})
 		case tokPI:
 			top.Children = append(top.Children, &Node{Kind: KindPI, Name: tok.name, Value: tok.value})
 		}

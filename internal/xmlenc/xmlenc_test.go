@@ -66,16 +66,8 @@ func TestParseEntitiesAndCDATA(t *testing.T) {
 }
 
 func TestParseComments(t *testing.T) {
-	src := `<a><!-- remark --><b/></a>`
-	doc := mustParse(t, src)
-	if len(doc.Root().Children) != 1 {
-		t.Fatal("comments should be dropped by default")
-	}
-	doc2, err := ParseOptions(src, Options{KeepComments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kids := doc2.Root().Children
+	doc := mustParse(t, `<a><!-- remark --><b/></a>`)
+	kids := doc.Root().Children
 	if len(kids) != 2 || kids[0].Kind != KindComment || kids[0].Value != " remark " {
 		t.Fatalf("children = %+v", kids)
 	}
@@ -202,7 +194,9 @@ func TestEscapeFunctions(t *testing.T) {
 }
 
 func TestUnescapeErrors(t *testing.T) {
-	for _, s := range []string{"&amp", "&bogus;", "&#xGG;", "&#abc;"} {
+	// The last three are references to no XML Char (XML 1.0 §2.2): NUL, a
+	// surrogate, and past U+10FFFF.
+	for _, s := range []string{"&amp", "&bogus;", "&#xGG;", "&#abc;", "&#0;", "&#xD800;", "&#x110000;"} {
 		if _, err := Unescape(s); err == nil {
 			t.Errorf("Unescape(%q) should fail", s)
 		}

@@ -212,7 +212,7 @@ func BenchmarkApplyChange(b *testing.B) {
 		if err := twin.DB.InsertBefore(core.Parent(last, "red"), twin.DB.MustElement("item", "red"), last, "red"); err != nil {
 			b.Fatal(err)
 		}
-		before[j], _ = twin.DB.DrainChanges()
+		before[j] = twin.DB.DrainChanges()
 	}
 	kinds := []struct {
 		name string
@@ -265,6 +265,56 @@ func BenchmarkApplyChange(b *testing.B) {
 	}
 }
 
+var loadSink *storage.Store
+
+// BenchmarkRefreshAfterDelta: what a snapshot refresh costs after a delta of
+// 4 097 and of 16 385 changes on the 20 000-item catalog — a clone of the
+// store and the replay of the delta onto it, which is what a commit that
+// takes the change log past its bound pays — next to a storage.Load of the
+// catalog, the rebuild it replaces. The delta is the repository benchmark's
+// populate going on: items appended to the catalog, each with its name.
+func BenchmarkRefreshAfterDelta(b *testing.B) {
+	const items = 20000
+	c := newWriteCatalog(b, items)
+	catalog := core.Parent(c.Items[0], "red")
+	for _, n := range []int{4097, 16385} {
+		b.Run("replay-"+strconv.Itoa(n), func(b *testing.B) {
+			twin := fixtures.NewCatalog(items) // c's ids, so its log applies to c's store
+			parent := twin.DB.NodeByID(catalog.ID())
+			for k := 0; twin.DB.LoggedChanges() < n; k++ {
+				item, err := twin.DB.AddElement(parent, "item", "red")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if twin.DB.LoggedChanges() < n {
+					if _, err := twin.DB.AddElementText(item, "name", "red", "Item "+strconv.Itoa(items+k)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			delta := twin.DB.DrainChanges()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cloneSink = c.st.Clone()
+				if err := cloneSink.ApplyChanges(delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st, err := storage.Load(c.DB, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			loadSink = st
+		}
+	})
+}
+
 // populateDurable opens a durable NoSync database in dir, with no automatic
 // checkpoint, and fills it through the facade as the repository benchmark's
 // populate does: a red catalog of items with names, every third item adopted
@@ -290,11 +340,6 @@ func populateDurable(b *testing.B, dir string, items int) *colorful.DB {
 				b.Fatal(err)
 			}
 			must(db.AddElementText(item, "votes", "green", strconv.Itoa(k%50)))
-		}
-		if k%1000 == 999 { // drain core's change log: overflowing it checkpoints
-			if err := db.Refresh(); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	return db
